@@ -2,19 +2,22 @@
 
 Spawns a second worker process, forms a TCP cluster (seed-node join,
 heartbeats, consistent-hash shard table), then streams the scaled global
-AIS workload through the sharded platform three times — on a single node,
-over both nodes with the pre-optimisation wire path (synchronous
-frame-per-message sends, whole-frame pickle codec), and over both nodes
-with the full outbound pipeline (writer threads, micro-batching, struct
-fast-path codec) — and writes the machine-readable comparison to
-``BENCH_cluster.json``:
+AIS workload through the sharded platform twice — on a single node, and
+over both nodes with the full outbound pipeline (writer threads,
+micro-batching, struct fast-path codec) — and writes the machine-readable
+comparison to ``BENCH_cluster.json``:
 
     {"one_node": {"msgs_per_s": ..., "p50_ms": ..., "p99_ms": ...},
-     "two_node": {..., "vessel_distribution": {...}},
      "two_node_batched": {..., "transport": {...}},
      "scaling": {"points": [...], "speedup_4_over_2": ...}}
 
-A fourth leg records the N-node scaling curve (1/2/4/8 nodes; 1/2/4
+The pre-optimisation wire path (synchronous frame-per-message sends,
+whole-frame pickle codec) is gone from the code: its first recorded
+two-node numbers (188 msg/s, 128 ms p99) anchor the ``--min-speedup``
+gate, and the ``two_node`` row already in ``BENCH_cluster.json`` is left
+untouched as history.
+
+A third leg records the N-node scaling curve (1/2/4/8 nodes; 1/2/4
 under ``--smoke``) through the deterministic loopback cluster with
 per-node busy-time attribution — the evidence behind the live-shard-
 rebalancing scaling claim. ``--scaling-only`` refreshes just that
@@ -62,22 +65,18 @@ SEED_ID = "node-00"
 WORKER_ID = "node-01"
 
 #: The two-node numbers recorded in BENCH_cluster.json before the batched
-#: transport landed (the "5x cross-node gap"): the ``--min-speedup`` gate
-#: is anchored to these so a noisy same-run baseline leg cannot flake CI.
+#: transport landed (the "5x cross-node gap"): the only anchor of the
+#: ``--min-speedup`` gate.
 PRE_OPT_TWO_NODE_MSGS_PER_S = 188.0
 PRE_OPT_TWO_NODE_P99_MS = 128.0
 
 
 def make_node(node_id: str, record_metrics: bool = True,
-              batching: bool = False, legacy: bool = False) -> ClusterNode:
-    """``legacy=True`` reproduces the pre-optimisation wire path (the
-    baseline row): synchronous frame-per-message sends and the whole-frame
-    pickle codec, no batching."""
+              batching: bool = False) -> ClusterNode:
     config = BATCHED_CONFIG if batching else CLUSTER_CONFIG
     transport = TcpTransport(port=0,
                              queue_frames=config.outbound_queue_frames,
-                             block_timeout_s=config.send_block_timeout_s,
-                             sync_sends=legacy)
+                             block_timeout_s=config.send_block_timeout_s)
     workers = int(os.environ.get("REPRO_CLUSTER_WORKERS", "0")) \
         or max(2, (os.cpu_count() or 2) // 2)
     node = ClusterNode(node_id, transport,
@@ -100,8 +99,7 @@ def ticker(node: ClusterNode, stop) -> None:
 def worker_main(args) -> None:
     import threading
 
-    node = make_node(WORKER_ID, batching=args.batching,
-                     legacy=args.legacy)
+    node = make_node(WORKER_ID, batching=args.batching)
     platform = DistributedPlatform(node, is_seed=False)
     stop = threading.Event()
     node.register_control("shutdown", lambda params: stop.set() or {"ok": 1})
@@ -120,8 +118,7 @@ def worker_main(args) -> None:
 # -- driver --------------------------------------------------------------------------
 
 
-def spawn_worker(seed_address, batching: bool = False,
-                 legacy: bool = False) -> subprocess.Popen:
+def spawn_worker(seed_address, batching: bool = False) -> subprocess.Popen:
     env = dict(os.environ)
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -131,8 +128,6 @@ def spawn_worker(seed_address, batching: bool = False,
             "--seed-port", str(seed_address[1])]
     if batching:
         argv.append("--batching")
-    if legacy:
-        argv.append("--legacy")
     return subprocess.Popen(argv, env=env)
 
 
@@ -183,24 +178,17 @@ def drive_stream(platform: DistributedPlatform, engine: FleetEngine,
 def flush_cluster_writers(platform: DistributedPlatform, node: ClusterNode,
                           remote_ids: list[str]) -> None:
     """Flush every node's pending micro-batches so KV event counts include
-    everything processed. Two phases, cluster-wide: first the pooled
-    forecast batches (their fan-out emits the deferred vessel state
-    updates), then the writer pools — in that order, or late updates
-    would sit behind an already-consumed flush until a linger fires."""
-    platform.flush_forecasts()
-    for node_id in remote_ids:
-        try:
-            node.ask_control(node_id, "flush_forecasts").result(10.0)
-        except Exception:
-            pass
-    platform.system.await_idle(timeout=30.0)
-    platform.flush_writers()
-    for node_id in remote_ids:
-        try:
-            node.ask_control(node_id, "flush_writers").result(10.0)
-        except Exception:
-            pass
-    platform.system.await_idle(timeout=30.0)
+    everything processed: the cluster-wide flush barrier, one of
+    ``wiring.batch_stages`` at a time (DESIGN.md, "Micro-batching")."""
+    for stage in range(len(platform.wiring.batch_stages)):
+        platform.flush_stage(stage)
+        for node_id in remote_ids:
+            try:
+                node.ask_control(node_id, "flush_stage",
+                                 {"stage": stage}).result(10.0)
+            except Exception:
+                pass
+        platform.system.await_idle(timeout=30.0)
 
 
 def run_event_parity(seed: int) -> dict:
@@ -292,15 +280,13 @@ def run_event_check(platform: DistributedPlatform, node: ClusterNode,
 
 
 def run_benchmark(num_nodes: int, vessels: int, minutes: float,
-                  seed: int, batching: bool = False,
-                  legacy: bool = False) -> dict:
+                  seed: int, batching: bool = False) -> dict:
     import threading
 
     from repro.cluster import codec
 
     codec.reset_counters()
-    codec.set_fast_path(not legacy)
-    node = make_node(SEED_ID, batching=batching, legacy=legacy)
+    node = make_node(SEED_ID, batching=batching)
     platform = DistributedPlatform(node, is_seed=True)
     stop = threading.Event()
     tick_thread = threading.Thread(target=ticker, args=(node, stop),
@@ -309,8 +295,7 @@ def run_benchmark(num_nodes: int, vessels: int, minutes: float,
     worker = None
     try:
         if num_nodes == 2:
-            worker = spawn_worker(node.transport.address, batching=batching,
-                                  legacy=legacy)
+            worker = spawn_worker(node.transport.address, batching=batching)
             deadline = time.monotonic() + 60.0
             while WORKER_ID not in node.membership.alive_ids():
                 if time.monotonic() > deadline:
@@ -381,7 +366,6 @@ def run_benchmark(num_nodes: int, vessels: int, minutes: float,
                 worker.kill()
         stop.set()
         platform.shutdown()
-        codec.set_fast_path(True)
 
 
 def main() -> None:
@@ -393,11 +377,9 @@ def main() -> None:
                         help="CI-sized run (200 vessels, 10 minutes)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail unless batched two-node throughput is at "
-                             "least this multiple of the unbatched baseline "
-                             "(same-run legacy leg or the recorded 188 "
-                             "msg/s, whichever is more favourable), and "
-                             "batched p99 is under half the recorded "
-                             "128 ms")
+                             "least this multiple of the recorded 188 msg/s "
+                             "pre-optimisation baseline, and batched p99 is "
+                             "under half the recorded 128 ms")
     parser.add_argument("--output", default="BENCH_cluster.json")
     parser.add_argument("--scaling-only", action="store_true",
                         help="run just the N-node scaling curve and merge "
@@ -405,8 +387,6 @@ def main() -> None:
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--batching", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--legacy", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--seed-host", default="127.0.0.1",
                         help=argparse.SUPPRESS)
@@ -432,42 +412,33 @@ def main() -> None:
 
     print(f"Figure 6 (distributed): {args.vessels} vessels, "
           f"{args.minutes:.0f} simulated minutes, TCP transport")
-    print("[1/4] single-node baseline...")
+    print("[1/3] single-node baseline...")
     one = run_benchmark(1, args.vessels, args.minutes, args.seed)
     print(f"      {one['messages']} msgs in {one['wall_s']:.1f}s "
           f"({one['msgs_per_s']:.0f} msg/s, p50 {one['p50_ms']:.2f} ms, "
           f"p99 {one['p99_ms']:.2f} ms)")
-    print("[2/4] two-node sharded cluster, pre-optimisation wire path "
-          "(frame-per-message sends, pickle codec)...")
-    two = run_benchmark(2, args.vessels, args.minutes, args.seed,
-                        legacy=True)
-    print(f"      {two['messages']} msgs in {two['wall_s']:.1f}s "
-          f"({two['msgs_per_s']:.0f} msg/s, p50 {two['p50_ms']:.2f} ms, "
-          f"p99 {two['p99_ms']:.2f} ms)")
-    print(f"      vessels sharded: {two['vessel_distribution']}, "
-          f"events: {two['events']}")
-    check = two["event_check"]
-    print(f"      event check (Aegean scenario through the cluster): "
-          f"{check['proximity']} proximity / {check['collision']} collision "
-          f"events resolved ({check['ground_truth_events']} in ground truth)")
-    print("[3/4] two-node sharded cluster, batched transport + fast codec...")
+    print("[2/3] two-node sharded cluster, batched transport + fast codec...")
     batched = run_benchmark(2, args.vessels, args.minutes, args.seed,
                             batching=True)
     print(f"      {batched['messages']} msgs in {batched['wall_s']:.1f}s "
           f"({batched['msgs_per_s']:.0f} msg/s, "
           f"p50 {batched['p50_ms']:.2f} ms, "
           f"p99 {batched['p99_ms']:.2f} ms)")
+    print(f"      vessels sharded: {batched['vessel_distribution']}, "
+          f"events: {batched['events']}")
+    check = batched["event_check"]
+    print(f"      event check (Aegean scenario through the cluster): "
+          f"{check['proximity']} proximity / {check['collision']} collision "
+          f"events resolved ({check['ground_truth_events']} in ground truth)")
     tstats = batched["transport"]
     print(f"      transport: {tstats.get('batches_sent', 0)} batches / "
           f"{tstats.get('frames_batched', 0)} frames batched, "
           f"{tstats.get('bytes_sent', 0)} bytes on the wire")
-    speedup = (batched["msgs_per_s"] / two["msgs_per_s"]
-               if two["msgs_per_s"] else 0.0)
     speedup_vs_recorded = (batched["msgs_per_s"]
                            / PRE_OPT_TWO_NODE_MSGS_PER_S)
     print(f"      speedup over the pre-optimisation wire path: "
-          f"{speedup:.2f}x same-run, {speedup_vs_recorded:.2f}x over the "
-          f"recorded {PRE_OPT_TWO_NODE_MSGS_PER_S:.0f} msg/s baseline")
+          f"{speedup_vs_recorded:.2f}x over the recorded "
+          f"{PRE_OPT_TWO_NODE_MSGS_PER_S:.0f} msg/s baseline")
     parity = run_event_parity(args.seed)
     print(f"      event parity (deterministic loopback): "
           f"unbatched {parity['unbatched']['proximity']} proximity / "
@@ -475,23 +446,22 @@ def main() -> None:
           f"batched {parity['batched']['proximity']} / "
           f"{parity['batched']['collision']} — "
           f"{'identical' if parity['identical'] else 'MISMATCH'}")
-    print("[4/4] N-node scaling curve (loopback, busy-time attribution)...")
+    print("[3/3] N-node scaling curve (loopback, busy-time attribution)...")
     scaling = run_scaling_leg(args.smoke)
 
     report = {
         "workload": {"vessels": args.vessels,
                      "sim_minutes": args.minutes, "seed": args.seed},
         "one_node": one,
-        "two_node": two,
         "two_node_batched": batched,
-        "batched_speedup": speedup,
         "batched_speedup_vs_recorded_baseline": speedup_vs_recorded,
         "event_parity": parity,
         "scaling": scaling,
     }
     # Merge rather than overwrite: the bench gate records its own
     # sections (loopback_gate, forecast_gate, scaling_gate anchors) in
-    # the same file and they must survive a Figure 6 refresh.
+    # the same file and they must survive a Figure 6 refresh — as must
+    # the historical ``two_node`` pre-optimisation row.
     path = Path(args.output)
     recorded = json.loads(path.read_text()) if path.exists() else {}
     recorded.update(report)
@@ -499,16 +469,14 @@ def main() -> None:
     print(f"wrote {args.output}")
 
     failed = False
-    for name, run in [("two_node", two), ("two_node_batched", batched)]:
-        if not run["vessel_distribution"].get(WORKER_ID):
-            print(f"WARNING: no vessels landed on the worker node "
-                  f"({name})", file=sys.stderr)
-            failed = True
-    for name, run in [("two_node", two), ("two_node_batched", batched)]:
-        if not run["event_check"]["proximity"]:
-            print(f"WARNING: no proximity events resolved by the cluster "
-                  f"({name})", file=sys.stderr)
-            failed = True
+    if not batched["vessel_distribution"].get(WORKER_ID):
+        print("WARNING: no vessels landed on the worker node",
+              file=sys.stderr)
+        failed = True
+    if not batched["event_check"]["proximity"]:
+        print("WARNING: no proximity events resolved by the cluster",
+              file=sys.stderr)
+        failed = True
     # Batching must not change what the platform computes: the same
     # scenario through the deterministic loopback cluster has to resolve
     # the same events either way.
@@ -517,16 +485,10 @@ def main() -> None:
               f"{parity['batched']} vs {parity['unbatched']}",
               file=sys.stderr)
         failed = True
-    # The gate takes the more favourable of the same-run ratio and the
-    # ratio over the recorded pre-optimisation baseline: the same-run
-    # legacy leg swings with scheduler noise on small CI boxes, while the
-    # recorded anchor keeps the assertion meaningful ("generous to avoid
-    # flakes", per the issue).
-    if args.min_speedup and max(speedup, speedup_vs_recorded) \
-            < args.min_speedup:
-        print(f"WARNING: batched speedup {speedup:.2f}x same-run / "
-              f"{speedup_vs_recorded:.2f}x vs recorded baseline is below "
-              f"the required {args.min_speedup:.2f}x", file=sys.stderr)
+    if args.min_speedup and speedup_vs_recorded < args.min_speedup:
+        print(f"WARNING: batched speedup {speedup_vs_recorded:.2f}x vs the "
+              f"recorded baseline is below the required "
+              f"{args.min_speedup:.2f}x", file=sys.stderr)
         failed = True
     if args.min_speedup and batched["p99_ms"] > PRE_OPT_TWO_NODE_P99_MS / 2:
         print(f"WARNING: batched p99 {batched['p99_ms']:.2f} ms is not "

@@ -15,13 +15,12 @@ dynamic scaling (Section 3). This package implements those semantics:
 * :class:`~repro.actors.router.KeyRouter` — the "core partitioning
   functionality" that lazily creates one actor per key (per MMSI, per H3
   cell) and routes messages by key,
-* :mod:`~repro.actors.metrics` — the per-message processing-time samples
-  behind Figure 6.
+* :class:`~repro.telemetry.recorder.MetricsRecorder` — the per-message
+  processing-time samples behind Figure 6 (re-exported here).
 """
 
 from repro.actors.actor import Actor, ActorContext, ActorRef, Envelope
 from repro.actors.mailbox import Mailbox
-from repro.actors.metrics import MetricsRecorder, MovingAverage
 from repro.actors.router import KeyRouter
 from repro.actors.supervision import (
     RestartStrategy,
@@ -30,6 +29,7 @@ from repro.actors.supervision import (
     SupervisionStrategy,
 )
 from repro.actors.system import ActorSystem, AskTimeoutError, Future
+from repro.telemetry.recorder import MetricsRecorder, MovingAverage
 
 __all__ = [
     "Actor",

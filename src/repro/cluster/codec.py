@@ -30,23 +30,9 @@ they are best-effort observability, not accounting.
 from __future__ import annotations
 
 import io
-import os
 import pickle
 import struct
 from typing import Any, Sequence
-
-#: Benchmark knob: ``REPRO_WIRE_FAST=0`` forces the legacy whole-frame
-#: pickle path, giving the "before" row of the batched-vs-unbatched
-#: comparison in ``examples/run_figure6_cluster.py``. Decode always
-#: accepts both forms, so mixed clusters interoperate.
-fast_path_enabled = os.environ.get("REPRO_WIRE_FAST", "1") != "0"
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Toggle the struct fast path (and propagate to child processes)."""
-    global fast_path_enabled
-    fast_path_enabled = enabled
-    os.environ["REPRO_WIRE_FAST"] = "1" if enabled else "0"
 
 #: Module prefixes whose classes may appear in a wire frame.
 TRUSTED_PREFIXES = ("repro.",)
@@ -620,7 +606,7 @@ def encode(obj: Any) -> bytes:
     """
     global encoded_size, frames_encoded, fast_path_frames, pickle_fallbacks
     data = None
-    if fast_path_enabled and type(obj) is _hot()["WireEnvelope"]:
+    if type(obj) is _hot()["WireEnvelope"]:
         data = _encode_envelope(obj)
     if data is None:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)

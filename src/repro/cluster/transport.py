@@ -226,7 +226,7 @@ class _PeerWriter:
     a successful write clears the latch."""
 
     __slots__ = ("node_id", "queue", "thread", "conn", "failed",
-                 "last_error", "lock")
+                 "last_error")
 
     def __init__(self, node_id: str, maxsize: int) -> None:
         self.node_id = node_id
@@ -235,7 +235,6 @@ class _PeerWriter:
         self.conn: socket.socket | None = None
         self.failed = threading.Event()
         self.last_error: str | None = None
-        self.lock = threading.Lock()
 
 
 class TcpTransport(Transport):
@@ -261,18 +260,13 @@ class TcpTransport(Transport):
                  queue_frames: int = 10_000,
                  block_timeout_s: float = 2.0,
                  connect_timeout_s: float = 5.0,
-                 coalesce_bytes: int = 256 * 1024,
-                 sync_sends: bool = False) -> None:
+                 coalesce_bytes: int = 256 * 1024) -> None:
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._server.bind((host, port))
         self._server.listen(16)
         self.address = self._server.getsockname()
         self._queue_frames = queue_frames
-        #: Benchmark-only compatibility mode: write each frame inline under
-        #: the per-peer lock (the pre-writer-thread behaviour), used as the
-        #: "before" leg of the batched-vs-unbatched comparison.
-        self._sync_sends = sync_sends
         self._block_timeout_s = block_timeout_s
         self._connect_timeout_s = connect_timeout_s
         self._coalesce_bytes = coalesce_bytes
@@ -309,26 +303,17 @@ class TcpTransport(Transport):
             if writer is None:
                 writer = _PeerWriter(node_id, self._queue_frames)
                 self._writers[node_id] = writer
-                if not self._sync_sends:
-                    writer.thread = threading.Thread(
-                        target=self._writer_loop, args=(writer,),
-                        name=f"tcp-writer-{self.address[1]}-{node_id}",
-                        daemon=True)
-                    writer.thread.start()
+                writer.thread = threading.Thread(
+                    target=self._writer_loop, args=(writer,),
+                    name=f"tcp-writer-{self.address[1]}-{node_id}",
+                    daemon=True)
+                writer.thread.start()
             return writer
 
     def send(self, node_id: str, frame: bytes) -> None:
         if self._closed:
             raise TransportError("transport is closed")
         writer = self._writer_for(node_id)
-        if self._sync_sends:
-            with writer.lock:
-                self._write_frames(writer, [frame])
-            if writer.failed.is_set():
-                writer.failed.clear()
-                raise TransportError(
-                    f"send to {node_id} failed: {writer.last_error}")
-            return
         if writer.failed.is_set():
             writer.failed.clear()
             raise TransportError(

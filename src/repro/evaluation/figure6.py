@@ -331,18 +331,14 @@ def run_scaling_point(num_nodes: int, n_vessels: int, duration_s: float,
             busy[seed_id] += time.perf_counter() - start
             total += dispatched
     _pump_attributed(cluster, busy)
-    # Final flush: pooled forecast batches (the S-VRF forwards), then the
-    # writer micro-batches — each charged to the node that executes it.
-    for platform in cluster.platforms:
-        start = time.perf_counter()
-        platform.flush_forecasts()
-        busy[platform.node.node_id] += time.perf_counter() - start
-    _pump_attributed(cluster, busy)
-    for platform in cluster.platforms:
-        start = time.perf_counter()
-        platform.flush_writers()
-        busy[platform.node.node_id] += time.perf_counter() - start
-    _pump_attributed(cluster, busy)
+    # Final flush barrier, each stage charged to the node that executes it
+    # (the forecast stage holds the pooled S-VRF forwards).
+    for stage in range(len(seed_platform.wiring.batch_stages)):
+        for platform in cluster.platforms:
+            start = time.perf_counter()
+            platform.flush_stage(stage)
+            busy[platform.node.node_id] += time.perf_counter() - start
+        _pump_attributed(cluster, busy)
 
     point = ScalingPoint(
         num_nodes=num_nodes, messages=total, busy_s=busy,

@@ -76,8 +76,6 @@ class PlatformConfig:
     #: vessel states to ``out.vessel.states`` and events to
     #: ``out.events.{kind}`` on the broker, for external consumers.
     output_topics: bool = False
-    output_state_topic: str = "out.vessel.states"
-    output_event_topic_prefix: str = "out.events"
     #: Writer shards per node (the paper's single writer is pool size 1;
     #: states route by MMSI, events by pair/kind — see writer_actor.py).
     writer_pool_size: int = 2

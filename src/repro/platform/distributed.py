@@ -64,6 +64,7 @@ from repro.platform.pipeline import (
     PlatformWiring,
     build_forecast_service,
     build_route_optimizer,
+    create_topics,
 )
 from repro.platform.vessel_actor import VesselActor
 from repro.platform.writer_actor import WriterPool
@@ -72,7 +73,6 @@ from repro.streams import (
     ConsumerGroup,
     PositionBlock,
     Producer,
-    TopicConfig,
 )
 from repro.telemetry import Telemetry, complete_traces, merge_traces
 
@@ -92,16 +92,7 @@ class DistributedPlatform:
         self.replay_records_per_partition = replay_records_per_partition
 
         self.broker = Broker()
-        self.broker.create_topic(TopicConfig(
-            self.config.ais_topic,
-            num_partitions=self.config.ais_partitions))
-        if self.config.output_topics:
-            self.broker.create_topic(TopicConfig(
-                self.config.output_state_topic, num_partitions=4))
-            for kind in ("proximity", "collision", "switchoff"):
-                self.broker.create_topic(TopicConfig(
-                    f"{self.config.output_event_topic_prefix}.{kind}",
-                    num_partitions=1))
+        create_topics(self.broker, self.config)
         self.kvstore = KeyValueStore()
         self.pubsub = PubSub()
         self.producer = Producer(self.broker)
@@ -171,12 +162,8 @@ class DistributedPlatform:
                               lambda params: self.telemetry_snapshot())
         node.register_control("sync_clock",
                               lambda params: self.sync_clock(params["now"]))
-        node.register_control("flush_writers",
-                              lambda params: self.flush_writers())
-        node.register_control("flush_forecasts",
-                              lambda params: self.flush_forecasts())
-        node.register_control("flush_plans",
-                              lambda params: self.flush_plans())
+        node.register_control("flush_stage",
+                              lambda params: self.flush_stage(params["stage"]))
 
     # -- publishing (seed only) ------------------------------------------------------
 
@@ -364,30 +351,15 @@ class DistributedPlatform:
     def event_count(self, kind: str) -> int:
         return self.kvstore.llen(f"events:{kind}", now=self.system.now)
 
-    def flush_writers(self) -> dict:
-        """Tell every writer shard to flush its micro-batch (async; pump
-        the cluster afterwards). Exposed as the ``flush_writers`` control
-        op so the seed can flush remote nodes before reading event
-        counts."""
-        self.wiring.writer_ref.flush()
-        return {"shards": self.wiring.writer_ref.size}
-
-    def flush_forecasts(self) -> dict:
-        """Execute this node's pending pooled forecast batch (the
-        ``flush_forecasts`` control op). Drivers flush forecasts on every
-        node and settle *before* flushing writers, so the deferred state
-        updates the ForecastReady fan-out emits still make the same
-        writer-flush barrier."""
-        service = self.wiring.forecast_service
-        return {"flushed": service.flush() if service is not None else 0}
-
-    def flush_plans(self) -> dict:
-        """Execute this node's pending pooled planning batch (the
-        ``flush_plans`` control op). Flushed and settled *before* the
-        writers, like forecasts: PlanReady replies can emit voyage
-        events that must make the same writer-flush barrier."""
-        service = self.wiring.route_optimizer
-        return {"flushed": service.flush() if service is not None else 0}
+    def flush_stage(self, stage: int) -> dict:
+        """Flush one of this node's ``wiring.batch_stages`` (the
+        ``flush_stage`` control op; writers flush async, so pump the
+        cluster afterwards). A cluster-wide barrier flushes stage ``i`` on
+        every node and settles before moving to stage ``i + 1``."""
+        owner = self.wiring.batch_stages[stage]
+        if owner is not None:
+            owner.flush()
+        return {"stage": stage}
 
     def assign_voyage(self, mmsi: int, waypoints, deadline_t: float,
                       base_speed_kn: float | None = None) -> None:
@@ -540,20 +512,16 @@ class LoopbackCluster:
         self.flush_writers()
         return total
 
-    def flush_writers(self) -> None:
-        """Flush every node's pooled forecast batches, then the writer
-        micro-batches, settling between the phases — so KV reads observe
-        everything processed so far, including the deferred state updates
-        that ride on the forecast replies."""
-        for platform in self.platforms:
-            platform.flush_forecasts()
-        self.settle()
-        for platform in self.platforms:
-            platform.flush_plans()
-        self.settle()
-        for platform in self.platforms:
-            platform.flush_writers()
-        self.settle()
+    def flush_writers(self, platforms=None) -> None:
+        """The flush barrier over ``platforms`` (default: every node):
+        each of ``wiring.batch_stages`` in turn, settling between stages —
+        so KV reads observe everything processed so far, including the
+        writes that ride on forecast and plan replies."""
+        platforms = self.platforms if platforms is None else platforms
+        for stage in range(len(self.seed.wiring.batch_stages)):
+            for platform in platforms:
+                platform.flush_stage(stage)
+            self.settle()
 
     def assign_voyage(self, mmsi: int, waypoints, deadline_t: float,
                       base_speed_kn: float | None = None) -> None:
@@ -651,12 +619,7 @@ class LoopbackCluster:
         # its writer pool, then fold the KV contents into the seed. The
         # entity actors migrated out with their dedup state intact, so
         # nothing will ever re-emit these events.
-        platform.flush_forecasts()
-        self.settle()
-        platform.flush_plans()
-        self.settle()
-        platform.flush_writers()
-        self.settle()
+        self.flush_writers([platform])
         self.seed.absorb_outputs(platform.export_outputs())
         node.leave()
         self.settle()

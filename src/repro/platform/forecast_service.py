@@ -28,21 +28,20 @@ gate and the property tests assert.
 
 The service is a plain shared object (like the forecaster itself), not an
 actor: submission is a method call from inside the vessel actor's receive,
-so pooling adds no extra envelope per request. Only the linger timer runs
-through an actor (:class:`ForecastFlushActor`) because timers are actor-
-system scheduled messages.
+so pooling adds no extra envelope per request. When a batch executes is
+the shared :class:`~repro.platform.batching.MicroBatcher` discipline.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.actors import Actor, ActorContext
+from repro.actors import ActorContext
 from repro.geo.track import Position
-from repro.platform.messages import ForecastFlush, ForecastReady
+from repro.platform.batching import MicroBatcher
+from repro.platform.messages import ForecastReady
 
 if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
@@ -55,7 +54,6 @@ class ForecastService:
         self.wiring = wiring
         config = wiring.config
         self.batch_max = config.forecast_batch_max
-        self.linger_s = config.forecast_linger_s
         #: Displacement steps per window row (0: anchors-only forecaster).
         self.window_size = getattr(wiring.forecaster, "window_size", 0)
         self._windows = (np.empty((self.batch_max, self.window_size, 3))
@@ -63,23 +61,25 @@ class ForecastService:
         self._mmsis: list[int] = []
         self._anchors: list[Position] = []
         self._submit_ts: list[float] = []
-        self._lock = threading.RLock()
-        #: Flush generation; linger timers armed before an earlier flush
-        #: are stale (same scheme as the writer shards).
-        self._seq = 0
-        self._timer_armed = False
-        #: Spawned by the platform wiring (timers need an actor address).
-        self.flush_ref = None
-        self.batches_executed = 0
+        self._batcher = MicroBatcher(
+            wiring.system, self, lambda: len(self._mmsis), self._execute,
+            max_size=self.batch_max, linger_s=config.forecast_linger_s,
+            capacity_reason="max_batch", size_metric="forecast_batch_size",
+            flushes_metric="forecast_flushes_total",
+            latency_metric="forecast_latency_s")
+        self._batcher.spawn_timer("forecast-flush")
         self.requests_pooled = 0
         self.forecasts_failed = 0
-        self._tel_instruments: tuple | None = None
 
     # -- submission -----------------------------------------------------------------
 
     @property
     def pending_count(self) -> int:
         return len(self._mmsis)
+
+    @property
+    def batches_executed(self) -> int:
+        return self._batcher.batches
 
     def submit(self, mmsi: int, window: np.ndarray | None,
                anchor: Position, ctx: ActorContext) -> None:
@@ -90,7 +90,7 @@ class ForecastService:
         pooled batch executes. Per-vessel replies preserve submission
         order (the flush fans out in row order, mailboxes are FIFO).
         """
-        with self._lock:
+        with self._batcher.lock:
             slot = len(self._mmsis)
             self._mmsis.append(mmsi)
             self._anchors.append(anchor)
@@ -98,56 +98,29 @@ class ForecastService:
             if self._windows is not None and window is not None:
                 self._windows[slot] = window
             self.requests_pooled += 1
-            full = len(self._mmsis) >= self.batch_max
-            if not full and not self._timer_armed and self.linger_s > 0:
-                self._timer_armed = True
-                ctx.schedule(self.linger_s, self.flush_ref,
-                             ForecastFlush(reason="linger", seq=self._seq))
-        if full:
-            self.flush("max_batch")
+            self._batcher.added()
 
     # -- flushing -------------------------------------------------------------------
-
-    def on_flush_message(self, message: ForecastFlush,
-                         ctx: ActorContext) -> None:
-        """Linger-timer delivery (via :class:`ForecastFlushActor`)."""
-        with self._lock:
-            self._timer_armed = False
-            stale = message.seq is not None and message.seq != self._seq
-            if stale and self._mmsis and self.linger_s > 0:
-                # A max-batch flush beat this timer but new requests queued
-                # behind it: re-arm so the tail still executes.
-                self._timer_armed = True
-                ctx.schedule(self.linger_s, self.flush_ref,
-                             ForecastFlush(reason="linger", seq=self._seq))
-                return
-        if not stale:
-            self.flush(message.reason)
 
     def flush(self, reason: str = "explicit") -> int:
         """Execute the pending pooled batch; returns how many forecasts
         were produced (0 for an empty flush)."""
-        with self._lock:
-            self._seq += 1
-            n = len(self._mmsis)
-            if n == 0:
-                return 0
-            mmsis, anchors = self._mmsis, self._anchors
-            submit_ts = self._submit_ts
-            windows = self._windows[:n] if self._windows is not None else None
-            forecasts = self._run_batch(mmsis, windows, anchors)
-            self._mmsis, self._anchors, self._submit_ts = [], [], []
-            self.batches_executed += 1
-            from repro.platform.vessel_actor import share_forecast
-            wiring = self.wiring
-            router = wiring.vessel_router
-            for mmsi, forecast, t0 in zip(mmsis, forecasts, submit_ts):
-                if forecast is not None:
-                    share_forecast(wiring, forecast)
-                router.tell(mmsi, ForecastReady(forecast=forecast,
-                                                t_submitted=t0))
-            self._record_telemetry(reason, n, submit_ts)
-        return n
+        return self._batcher.flush(reason)
+
+    def _execute(self, n: int) -> float:
+        mmsis, anchors, submit_ts = self._mmsis, self._anchors, self._submit_ts
+        windows = self._windows[:n] if self._windows is not None else None
+        forecasts = self._run_batch(mmsis, windows, anchors)
+        self._mmsis, self._anchors, self._submit_ts = [], [], []
+        from repro.platform.vessel_actor import share_forecast
+        wiring = self.wiring
+        router = wiring.vessel_router
+        for mmsi, forecast, t0 in zip(mmsis, forecasts, submit_ts):
+            if forecast is not None:
+                share_forecast(wiring, forecast)
+            router.tell(mmsi, ForecastReady(forecast=forecast,
+                                            t_submitted=t0))
+        return submit_ts[0]
 
     def _run_batch(self, mmsis, windows, anchors) -> list:
         forecaster = self.wiring.forecaster
@@ -167,42 +140,3 @@ class ForecastService:
                     self.forecasts_failed += 1
                     out.append(None)
             return out
-
-    # -- telemetry ------------------------------------------------------------------
-
-    def _record_telemetry(self, reason: str, size: int,
-                          submit_ts: list[float]) -> None:
-        telemetry = self.wiring.system.telemetry
-        if telemetry is None:
-            return
-        if self._tel_instruments is None:
-            self._tel_instruments = (
-                telemetry.registry.histogram("forecast_batch_size"),
-                telemetry.registry.histogram("forecast_latency_s"),
-                {r: telemetry.registry.counter(
-                    "forecast_flushes_total", {"reason": r})
-                 for r in ("max_batch", "linger", "explicit")},
-            )
-        batch_hist, latency_hist, flush_counters = self._tel_instruments
-        batch_hist.observe(size)
-        now = self.wiring.system.now
-        if submit_ts:
-            # Pooling delay of the batch's oldest request, in virtual time.
-            latency_hist.observe(now - min(submit_ts))
-        counter = flush_counters.get(reason)
-        if counter is None:
-            counter = flush_counters[reason] = telemetry.registry.counter(
-                "forecast_flushes_total", {"reason": reason})
-        counter.inc()
-
-
-class ForecastFlushActor(Actor):
-    """Address for the service's linger timers (scheduled messages need an
-    actor mailbox; everything else about the service is a direct call)."""
-
-    def __init__(self, service: ForecastService) -> None:
-        self.service = service
-
-    def receive(self, message, ctx: ActorContext) -> None:
-        if isinstance(message, ForecastFlush):
-            self.service.on_flush_message(message, ctx)

@@ -69,19 +69,6 @@ class ForecastReady:
 
 
 @dataclass(frozen=True)
-class ForecastFlush:
-    """Linger timer -> forecast flush actor: execute the pending batch.
-
-    Mirrors :class:`WriterFlush`: ``seq`` carries the service's flush
-    generation so a timer armed before an earlier flush is stale and
-    ignored; ``None`` flushes unconditionally.
-    """
-
-    reason: str = "explicit"   #: "linger" | "max_batch" | "explicit"
-    seq: int | None = None
-
-
-@dataclass(frozen=True)
 class ProximityAlert:
     """Cell actor -> vessel actors & writer: proximity event detected."""
 
@@ -143,32 +130,10 @@ class PlanReady:
 
 
 @dataclass(frozen=True)
-class PlanFlush:
-    """Linger timer -> plan flush actor: execute the pending planning
-    batch. Same staleness scheme as :class:`ForecastFlush`."""
-
-    reason: str = "explicit"   #: "linger" | "max_batch" | "explicit"
-    seq: int | None = None
-
-
-@dataclass(frozen=True)
 class PruneTick:
     """Scheduler -> stateful actors: periodic memory housekeeping."""
 
     now: float
-
-
-@dataclass(frozen=True)
-class WriterFlush:
-    """Writer actor input: flush the pending micro-batch now.
-
-    ``seq`` carries the shard's flush generation for linger timers — a
-    timer armed before an earlier flush is stale and ignored. ``None``
-    means unconditional (explicit flush from the platform driver).
-    """
-
-    reason: str = "explicit"   #: "linger" | "max_ops" | "explicit"
-    seq: int | None = None
 
 
 @dataclass(frozen=True)

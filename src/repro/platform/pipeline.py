@@ -71,25 +71,49 @@ class PlatformWiring:
     fuel_model: object = field(init=False, default=None)
     route_optimizer: object = field(init=False, default=None)
 
+    @property
+    def batch_stages(self) -> tuple:
+        """The node's micro-batch owners in drain order (None: stage
+        disabled). A flush barrier walks this stage by stage, calling
+        ``flush()`` and settling after each: forecast replies emit the
+        deferred vessel state updates and plan replies emit voyage events,
+        so both must land before the writers flush — or those late writes
+        would sit behind an already-consumed flush until a linger fires."""
+        return (self.forecast_service, self.route_optimizer, self.writer_ref)
+
+
+#: Broker topics mirroring the writers' output for external consumers
+#: (``PlatformConfig.output_topics``): every accepted vessel state, and
+#: one topic per event kind under the prefix.
+OUTPUT_STATE_TOPIC = "out.vessel.states"
+OUTPUT_EVENT_TOPIC_PREFIX = "out.events"
+
+
+def create_topics(broker: Broker, config: PlatformConfig) -> None:
+    """Create a node's broker topics: the inbound AIS topic and, when
+    enabled, the output topics its writers publish to."""
+    broker.create_topic(TopicConfig(
+        config.ais_topic, num_partitions=config.ais_partitions))
+    if config.output_topics:
+        broker.create_topic(TopicConfig(OUTPUT_STATE_TOPIC,
+                                        num_partitions=4))
+        kinds = ("proximity", "collision", "switchoff")
+        if config.voyage_optimization:
+            kinds += VOYAGE_EVENT_KINDS
+        for kind in kinds:
+            broker.create_topic(TopicConfig(
+                f"{OUTPUT_EVENT_TOPIC_PREFIX}.{kind}", num_partitions=1))
+
 
 def build_forecast_service(wiring: PlatformWiring):
-    """Wire the pooled inference service when enabled and supported.
-
-    Spawns the linger-timer flush actor alongside; returns the service or
-    None (callers fall back to synchronous per-vessel forecasts).
-    """
+    """The pooled inference service when enabled and supported, else None
+    (callers fall back to synchronous per-vessel forecasts)."""
     if not wiring.config.forecast_batching:
         return None
     if not hasattr(wiring.forecaster, "forecast_batch"):
         return None
-    from repro.platform.forecast_service import (
-        ForecastFlushActor,
-        ForecastService,
-    )
-    service = ForecastService(wiring)
-    service.flush_ref = wiring.system.spawn(
-        lambda: ForecastFlushActor(service), "forecast-flush")
-    return service
+    from repro.platform.forecast_service import ForecastService
+    return ForecastService(wiring)
 
 
 def build_route_optimizer(wiring: PlatformWiring):
@@ -97,17 +121,14 @@ def build_route_optimizer(wiring: PlatformWiring):
 
     Builds the node's forecast-issuing weather field and fuel model
     (pure functions of the config, hence identical on every node) and
-    the pooled :class:`RouteOptimizerService` with its linger-timer
-    flush actor. Returns the service or None when disabled.
+    the pooled :class:`RouteOptimizerService`. Returns the service or
+    None when disabled.
     """
     config = wiring.config
     if not config.voyage_optimization:
         return None
     from repro.models.fuel import FuelModel
-    from repro.platform.route_optimizer import (
-        PlanFlushActor,
-        RouteOptimizerService,
-    )
+    from repro.platform.route_optimizer import RouteOptimizerService
     from repro.weather.forecast import ForecastingWeatherField
     wiring.weather = ForecastingWeatherField(
         seed=config.weather_seed,
@@ -115,10 +136,7 @@ def build_route_optimizer(wiring: PlatformWiring):
         degradation_tau_s=config.weather_degradation_tau_s,
         max_wind_mps=config.weather_max_wind_mps)
     wiring.fuel_model = FuelModel()
-    service = RouteOptimizerService(wiring)
-    service.flush_ref = wiring.system.spawn(
-        lambda: PlanFlushActor(service), "plan-flush")
-    return service
+    return RouteOptimizerService(wiring)
 
 
 class Platform:
@@ -138,19 +156,7 @@ class Platform:
                 "local", clock=lambda: self.system.now,
                 trace_sample_every=self.config.trace_sample_every)
         self.broker = Broker()
-        self.broker.create_topic(TopicConfig(
-            self.config.ais_topic,
-            num_partitions=self.config.ais_partitions))
-        if self.config.output_topics:
-            self.broker.create_topic(TopicConfig(
-                self.config.output_state_topic, num_partitions=4))
-            kinds = ("proximity", "collision", "switchoff")
-            if self.config.voyage_optimization:
-                kinds += VOYAGE_EVENT_KINDS
-            for kind in kinds:
-                self.broker.create_topic(TopicConfig(
-                    f"{self.config.output_event_topic_prefix}.{kind}",
-                    num_partitions=1))
+        create_topics(self.broker, self.config)
         self.kvstore = KeyValueStore()
         self.pubsub = PubSub()
         self.producer = Producer(self.broker)
@@ -240,21 +246,11 @@ class Platform:
             total += dispatched
         if self.system.mode == "threaded":
             self.system.await_idle()
-        # Two-phase barrier so the API sees everything processed so far:
-        # first close out the pooled forecast batch (its ForecastReady
-        # fan-out emits the deferred state updates), then the writers'
-        # micro-batches — in that order, or late updates would sit behind
-        # an already-consumed WriterFlush until the next linger fires.
-        if self.wiring.forecast_service is not None:
-            self.wiring.forecast_service.flush()
-            self._settle()
-        if self.wiring.route_optimizer is not None:
-            # Plan replies can emit voyage events, so they must land
-            # before the writer flush for the same reason.
-            self.wiring.route_optimizer.flush()
-            self._settle()
-        self.wiring.writer_ref.flush()
-        self._settle()
+        # Flush barrier, so the API sees everything processed so far.
+        for owner in self.wiring.batch_stages:
+            if owner is not None:
+                owner.flush()
+                self._settle()
         return total
 
     def _settle(self) -> None:

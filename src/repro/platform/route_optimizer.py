@@ -14,20 +14,20 @@ sample_t)`` via :func:`repro.models.voyage.plan_voyage` — pooling changes
 the fault-injection campaign compare plan fingerprints across crash
 recovery and live shard migration.
 
-The service is a plain shared object under a lock (not an actor); only
-the linger timer runs through :class:`PlanFlushActor` because scheduled
-messages need an actor address.
+The service is a plain shared object under a lock (not an actor); when a
+batch executes is the shared
+:class:`~repro.platform.batching.MicroBatcher` discipline.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
-from repro.actors import Actor, ActorContext
+from repro.actors import ActorContext
 from repro.models.fuel import FuelModel
 from repro.models.voyage import Waypoint, plan_voyage
-from repro.platform.messages import PlanFlush, PlanReady
+from repro.platform.batching import MicroBatcher
+from repro.platform.messages import PlanReady
 from repro.weather.forecast import ForecastingWeatherField
 
 if TYPE_CHECKING:
@@ -41,33 +41,30 @@ class RouteOptimizerService:
         self.wiring = wiring
         config = wiring.config
         self.batch_max = config.voyage_batch_max
-        self.linger_s = config.voyage_linger_s
         self.field: ForecastingWeatherField = wiring.weather
         self.fuel_model: FuelModel = wiring.fuel_model
-        self._mmsis: list[int] = []
-        self._origins: list[Waypoint] = []
-        self._routes: list[tuple[Waypoint, ...]] = []
-        self._deadlines: list[float] = []
-        self._speeds: list[float] = []
-        self._sample_ts: list[float] = []
-        self._submit_ts: list[float] = []
-        self._lock = threading.RLock()
-        #: Flush generation (stale linger timers are ignored, same scheme
-        #: as the writer shards and the forecast service).
-        self._seq = 0
-        self._timer_armed = False
-        #: Spawned by the platform wiring (timers need an actor address).
-        self.flush_ref = None
-        self.batches_executed = 0
+        #: Pending requests in submission order: ``(mmsi, origin, route,
+        #: deadline_t, base_speed_kn, sample_t, t_submitted)``.
+        self._rows: list[tuple] = []
+        self._batcher = MicroBatcher(
+            wiring.system, self, lambda: len(self._rows), self._execute,
+            max_size=self.batch_max, linger_s=config.voyage_linger_s,
+            capacity_reason="max_batch", size_metric="voyage_batch_size",
+            flushes_metric="voyage_flushes_total",
+            latency_metric="voyage_plan_latency_s")
+        self._batcher.spawn_timer("plan-flush")
         self.requests_pooled = 0
         self.plans_failed = 0
-        self._tel_instruments: tuple | None = None
 
     # -- submission -----------------------------------------------------------------
 
     @property
     def pending_count(self) -> int:
-        return len(self._mmsis)
+        return len(self._rows)
+
+    @property
+    def batches_executed(self) -> int:
+        return self._batcher.batches
 
     def submit(self, mmsi: int, origin: Waypoint,
                waypoints: tuple[Waypoint, ...], deadline_t: float,
@@ -75,110 +72,37 @@ class RouteOptimizerService:
                ctx: ActorContext) -> None:
         """Queue one vessel's replan request; the plan comes back as a
         :class:`PlanReady` message after the pooled batch executes."""
-        with self._lock:
-            self._mmsis.append(mmsi)
-            self._origins.append(origin)
-            self._routes.append(waypoints)
-            self._deadlines.append(deadline_t)
-            self._speeds.append(base_speed_kn)
-            self._sample_ts.append(sample_t)
-            self._submit_ts.append(self.wiring.system.now)
+        with self._batcher.lock:
+            self._rows.append((mmsi, origin, waypoints, deadline_t,
+                               base_speed_kn, sample_t,
+                               self.wiring.system.now))
             self.requests_pooled += 1
-            full = len(self._mmsis) >= self.batch_max
-            if not full and not self._timer_armed and self.linger_s > 0:
-                self._timer_armed = True
-                ctx.schedule(self.linger_s, self.flush_ref,
-                             PlanFlush(reason="linger", seq=self._seq))
-        if full:
-            self.flush("max_batch")
+            self._batcher.added()
 
     # -- flushing -------------------------------------------------------------------
-
-    def on_flush_message(self, message: PlanFlush,
-                         ctx: ActorContext) -> None:
-        """Linger-timer delivery (via :class:`PlanFlushActor`)."""
-        with self._lock:
-            self._timer_armed = False
-            stale = message.seq is not None and message.seq != self._seq
-            if stale and self._mmsis and self.linger_s > 0:
-                # A max-batch flush beat this timer but new requests queued
-                # behind it: re-arm so the tail still executes.
-                self._timer_armed = True
-                ctx.schedule(self.linger_s, self.flush_ref,
-                             PlanFlush(reason="linger", seq=self._seq))
-                return
-        if not stale:
-            self.flush(message.reason)
 
     def flush(self, reason: str = "explicit") -> int:
         """Plan every pending request; returns how many plans were
         produced (0 for an empty flush)."""
-        with self._lock:
-            self._seq += 1
-            n = len(self._mmsis)
-            if n == 0:
-                return 0
-            rows = list(zip(self._mmsis, self._origins, self._routes,
-                            self._deadlines, self._speeds, self._sample_ts,
-                            self._submit_ts))
-            self._mmsis, self._origins, self._routes = [], [], []
-            self._deadlines, self._speeds = [], []
-            self._sample_ts, self._submit_ts = [], []
-            self.batches_executed += 1
-            config = self.wiring.config
-            router = self.wiring.vessel_router
-            for mmsi, origin, route, deadline, speed, sample_t, t0 in rows:
-                try:
-                    plan = plan_voyage(
-                        self.field, self.fuel_model, origin, route,
-                        sample_t=sample_t, depart_t=sample_t,
-                        deadline_t=deadline, base_speed_kn=speed,
-                        speed_candidates=config.voyage_speed_candidates,
-                        offset_fraction=config.voyage_offset_fraction,
-                        sample_step_s=config.voyage_sample_step_s)
-                except Exception:
-                    # One degenerate route must not sink the batch: the
-                    # vessel keeps its previous plan and unblocks.
-                    self.plans_failed += 1
-                    plan = None
-                router.tell(mmsi, PlanReady(plan=plan, t_submitted=t0))
-            self._record_telemetry(reason, n, [r[6] for r in rows])
-        return n
+        return self._batcher.flush(reason)
 
-    # -- telemetry ------------------------------------------------------------------
-
-    def _record_telemetry(self, reason: str, size: int,
-                          submit_ts: list[float]) -> None:
-        telemetry = self.wiring.system.telemetry
-        if telemetry is None:
-            return
-        if self._tel_instruments is None:
-            self._tel_instruments = (
-                telemetry.registry.histogram("voyage_batch_size"),
-                telemetry.registry.histogram("voyage_plan_latency_s"),
-                {r: telemetry.registry.counter(
-                    "voyage_flushes_total", {"reason": r})
-                 for r in ("max_batch", "linger", "explicit")},
-            )
-        batch_hist, latency_hist, flush_counters = self._tel_instruments
-        batch_hist.observe(size)
-        now = self.wiring.system.now
-        if submit_ts:
-            latency_hist.observe(now - min(submit_ts))
-        counter = flush_counters.get(reason)
-        if counter is None:
-            counter = flush_counters[reason] = telemetry.registry.counter(
-                "voyage_flushes_total", {"reason": reason})
-        counter.inc()
-
-
-class PlanFlushActor(Actor):
-    """Address for the service's linger timers (scheduled messages need
-    an actor mailbox; everything else is a direct call)."""
-
-    def __init__(self, service: RouteOptimizerService) -> None:
-        self.service = service
-
-    def receive(self, message, ctx: ActorContext) -> None:
-        if isinstance(message, PlanFlush):
-            self.service.on_flush_message(message, ctx)
+    def _execute(self, n: int) -> float:
+        rows, self._rows = self._rows, []
+        config = self.wiring.config
+        router = self.wiring.vessel_router
+        for mmsi, origin, route, deadline, speed, sample_t, t0 in rows:
+            try:
+                plan = plan_voyage(
+                    self.field, self.fuel_model, origin, route,
+                    sample_t=sample_t, depart_t=sample_t,
+                    deadline_t=deadline, base_speed_kn=speed,
+                    speed_candidates=config.voyage_speed_candidates,
+                    offset_fraction=config.voyage_offset_fraction,
+                    sample_step_s=config.voyage_sample_step_s)
+            except Exception:
+                # One degenerate route must not sink the batch: the
+                # vessel keeps its previous plan and unblocks.
+                self.plans_failed += 1
+                plan = None
+            router.tell(mmsi, PlanReady(plan=plan, t_submitted=t0))
+        return rows[0][6]

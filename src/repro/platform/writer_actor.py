@@ -9,12 +9,12 @@ The paper acknowledges that single writer as a bottleneck; here the writer
 is a **consistent-hash pool** (:class:`WriterPool`) of ``writer-{shard}``
 actors. Updates route by MMSI and events by their pair/kind, so everything
 that must be deduplicated or ordered per key lands on the same shard. Each
-shard **micro-batches** its KV writes the way :class:`BatchingTransport`
-batches frames: pending vessel states coalesce per MMSI (last write wins),
-pending events queue up, and the batch flushes when it reaches
-``writer_batch_max_ops`` pending KV operations, when the
+shard **micro-batches** its KV writes: pending vessel states coalesce per
+MMSI (last write wins), pending events queue up, and the shared
+:class:`~repro.platform.batching.MicroBatcher` discipline flushes the batch
+when it reaches ``writer_batch_max_ops`` pending KV operations, when the
 ``writer_batch_linger_s`` virtual-time linger expires, or on an explicit
-:class:`~repro.platform.messages.WriterFlush`.
+:class:`~repro.platform.batching.BatchFlush`.
 
 Key schema (consumed by :class:`repro.platform.api.MiddlewareAPI`):
 
@@ -36,11 +36,11 @@ from typing import TYPE_CHECKING
 
 from repro.actors import Actor, ActorContext
 from repro.cluster.sharding import stable_hash
+from repro.platform.batching import BatchFlush, MicroBatcher
 from repro.platform.messages import (
     EventRecord,
     RestoreState,
     VesselStateUpdate,
-    WriterFlush,
 )
 
 if TYPE_CHECKING:
@@ -75,12 +75,17 @@ class WriterActor(Actor):
         self.shard = shard
         self.states_written = 0
         self.events_written = 0
-        self.flushes = 0
         self.kv_ops_flushed = 0
         self._producer = None
         if wiring.config.output_topics:
+            from repro.platform.pipeline import (
+                OUTPUT_EVENT_TOPIC_PREFIX,
+                OUTPUT_STATE_TOPIC,
+            )
             from repro.streams import Producer
             self._producer = Producer(wiring.broker)
+            self._state_topic = OUTPUT_STATE_TOPIC
+            self._event_topic_prefix = OUTPUT_EVENT_TOPIC_PREFIX
         #: (kind, pair, debounce bucket) -> event time, for cross-cell
         #: deduplication (the same encounter can be detected by several
         #: cell actors). Keyed by the *bucket* of the event time rather
@@ -97,47 +102,47 @@ class WriterActor(Actor):
         self._pending_states: dict[int, VesselStateUpdate] = {}
         #: (record, events:all member id) pairs awaiting flush, in order.
         self._pending_events: list[tuple[EventRecord, str]] = []
-        #: Generation counter invalidating stale linger timers: a timer
-        #: only flushes if no flush happened since it was armed.
-        self._flush_seq = 0
-        self._timer_armed = False
-        self._tel_instruments: tuple | None = None
+        config = wiring.config
+        self._batcher = MicroBatcher(
+            wiring.system, self, lambda: self.pending_ops, self._write_batch,
+            max_size=config.writer_batch_max_ops,
+            linger_s=config.writer_batch_linger_s, capacity_reason="max_ops",
+            size_metric="writer_batch_ops",
+            flushes_metric="writer_flushes_total",
+            labels={"shard": str(shard)})
         #: Replication sequence: counts only *published* flush batches,
         #: so replicas can detect feed gaps (see SERVING.md).
         self._repl_seq = 0
 
     # -- receive --------------------------------------------------------------------
 
+    def pre_start(self, ctx: ActorContext) -> None:
+        # Linger timers come back through this shard's own mailbox.
+        self._batcher.timer_ref = ctx.self_ref
+
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, VesselStateUpdate):
-            self._enqueue_state(message, ctx)
+            self._enqueue_state(message)
         elif isinstance(message, EventRecord):
-            self._enqueue_event(message, ctx)
-        elif isinstance(message, WriterFlush):
-            self._timer_armed = False
-            if message.seq is None or message.seq == self._flush_seq:
-                self._flush(message.reason)
-            elif self.pending_ops:
-                # Stale timer (a max_ops flush beat it) with new work
-                # already queued behind it: re-arm so the tail still lands.
-                self._maybe_flush(ctx)
+            self._enqueue_event(message)
+        elif isinstance(message, BatchFlush):
+            self._batcher.on_flush_message(message)
         elif isinstance(message, RestoreState):
             pass  # writers are rebuilt from KV snapshots, not actor state
 
     # -- enqueue --------------------------------------------------------------------
 
-    def _enqueue_state(self, update: VesselStateUpdate,
-                       ctx: ActorContext) -> None:
+    def _enqueue_state(self, update: VesselStateUpdate) -> None:
         self._pending_states[update.mmsi] = update
         if self._producer is not None:
             # The output stream carries every accepted update — coalescing
             # applies only to the KV store, whose reads want latest-state.
-            self._producer.send(self.wiring.config.output_state_topic,
-                                update.mmsi, update, update.t)
+            self._producer.send(self._state_topic, update.mmsi, update,
+                                update.t)
         self.states_written += 1
-        self._maybe_flush(ctx)
+        self._batcher.added()
 
-    def _enqueue_event(self, record: EventRecord, ctx: ActorContext) -> None:
+    def _enqueue_event(self, record: EventRecord) -> None:
         payload = record.payload
         pair = getattr(payload, "pair", None)
         debounce = self.wiring.config.event_debounce_s
@@ -152,11 +157,10 @@ class WriterActor(Actor):
         self._pending_events.append((record, member))
         self.wiring.pubsub.publish(f"events:{record.kind}", payload)
         if self._producer is not None:
-            prefix = self.wiring.config.output_event_topic_prefix
-            self._producer.send(f"{prefix}.{record.kind}", record.kind,
-                                record, record.t)
+            self._producer.send(f"{self._event_topic_prefix}.{record.kind}",
+                                record.kind, record, record.t)
         self.events_written += 1
-        self._maybe_flush(ctx)
+        self._batcher.added()
 
     def _bound_dedup(self, now: float) -> None:
         limit = self.wiring.config.event_dedup_max
@@ -180,20 +184,16 @@ class WriterActor(Actor):
         """KV operations the current batch will issue when flushed."""
         return 2 * len(self._pending_states) + 2 * len(self._pending_events)
 
-    def _maybe_flush(self, ctx: ActorContext) -> None:
-        config = self.wiring.config
-        if self.pending_ops >= config.writer_batch_max_ops:
-            self._flush("max_ops")
-        elif not self._timer_armed and config.writer_batch_linger_s > 0:
-            self._timer_armed = True
-            ctx.schedule(config.writer_batch_linger_s, ctx.self_ref,
-                         WriterFlush(reason="linger", seq=self._flush_seq))
+    @property
+    def flushes(self) -> int:
+        return self._batcher.batches
 
-    def _flush(self, reason: str) -> None:
-        self._flush_seq += 1
-        ops = self.pending_ops
-        if ops == 0:
-            return
+    def flush(self, reason: str = "explicit") -> int:
+        """Write the pending batch to the KV store; returns the KV
+        operations issued (0 for an empty flush)."""
+        return self._batcher.flush(reason)
+
+    def _write_batch(self, ops: int) -> None:
         kv = self.wiring.kvstore
         replicate = self.wiring.config.serving_replica_feed
         repl_states: list[dict] = []
@@ -221,7 +221,6 @@ class WriterActor(Actor):
                     "payload": event_payload_dict(record.payload)})
         self._pending_states.clear()
         self._pending_events.clear()
-        self.flushes += 1
         self.kv_ops_flushed += ops
         if replicate:
             # Publish after the primary KV write, so a replica is never
@@ -230,30 +229,6 @@ class WriterActor(Actor):
             self.wiring.pubsub.publish(REPL_FLUSH_CHANNEL, {
                 "shard": self.shard, "seq": self._repl_seq,
                 "states": repl_states, "events": repl_events})
-        self._record_telemetry(reason, ops)
-
-    def _record_telemetry(self, reason: str, ops: int) -> None:
-        telemetry = self.wiring.system.telemetry
-        if telemetry is None:
-            return
-        if self._tel_instruments is None:
-            shard = str(self.shard)
-            self._tel_instruments = (
-                telemetry.registry.histogram("writer_batch_ops",
-                                             {"shard": shard}),
-                {r: telemetry.registry.counter(
-                    "writer_flushes_total", {"reason": r, "shard": shard})
-                 for r in ("max_ops", "linger", "explicit")},
-            )
-        batch_hist, flush_counters = self._tel_instruments
-        batch_hist.observe(ops)
-        counter = flush_counters.get(reason)
-        if counter is None:
-            counter = flush_counters[reason] = \
-                telemetry.registry.counter(
-                    "writer_flushes_total",
-                    {"reason": reason, "shard": str(self.shard)})
-        counter.inc()
 
 
 class WriterPool:
@@ -318,7 +293,7 @@ class WriterPool:
         """Ask every shard to flush its pending batch (async: pump the
         dispatcher afterwards)."""
         for ref in self.refs:
-            ref.tell(WriterFlush(reason=reason, seq=None))
+            ref.tell(BatchFlush(reason=reason, seq=None))
 
     def broadcast(self, message) -> None:
         for ref in self.refs:

@@ -9,7 +9,7 @@ The package has three parts:
   one sampled AIS position ingest -> vessel actor -> forecast fan-out ->
   cell/collision actor -> writer across cluster nodes,
 * :mod:`~repro.telemetry.recorder` — the Figure 6 per-message sample
-  recorder (absorbed from ``repro.actors.metrics``, which re-exports it).
+  recorder (``repro.actors`` re-exports it).
 
 :class:`Telemetry` bundles one node's registry, trace log and clock, and
 pre-resolves the hot actor-dispatch instruments so the dispatch loop pays

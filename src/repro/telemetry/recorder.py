@@ -12,10 +12,9 @@ deterministic loop and the threaded worker pool both feed the same
 recorder, so a short lock keeps the two sample arrays in step when worker
 threads record concurrently.
 
-Historically this lived in ``repro.actors.metrics``; that module remains a
-re-export shim. The general-purpose registry (counters/gauges/histograms)
-lives in :mod:`repro.telemetry.registry` — this recorder stays separate
-because Figure 6 needs the *raw* sample pairs, not summaries.
+The general-purpose registry (counters/gauges/histograms) lives in
+:mod:`repro.telemetry.registry` — this recorder stays separate because
+Figure 6 needs the *raw* sample pairs, not summaries.
 """
 
 from __future__ import annotations

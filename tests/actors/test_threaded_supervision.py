@@ -146,7 +146,7 @@ class TestThreadedMetrics:
             system.shutdown()
 
     def test_snapshot_empty(self):
-        from repro.actors.metrics import MetricsRecorder
+        from repro.telemetry.recorder import MetricsRecorder
 
         snap = MetricsRecorder().snapshot()
         assert snap["samples"] == 0

@@ -21,8 +21,10 @@ import repro.cluster.transport as transport_mod
 import repro.evaluation.voyage as eval_voyage_mod
 import repro.models.fuel as fuel_mod
 import repro.models.voyage as voyage_mod
+import repro.platform.batching as batching_mod
 import repro.platform.forecast_service as forecast_service_mod
 import repro.platform.route_optimizer as route_optimizer_mod
+import repro.platform.writer_actor as writer_actor_mod
 import repro.serving.bridge as serving_bridge_mod
 import repro.serving.fanout as serving_fanout_mod
 import repro.serving.protocol as serving_protocol_mod
@@ -52,9 +54,10 @@ from repro.cluster.transport import BatchingTransport
 # held to the same injectable-clock contract as the cluster modules. The
 # serving tier stamps push latency the same way (its server and feed pump
 # take ``clock=time.monotonic`` defaults), so it is audited too. The
-# pooled forecast service lingers and stamps submissions on the actor
-# system's virtual clock — a wall-clock read there would detach batch
-# timing from deterministic replay. The warehouse must produce
+# micro-batcher and its three owners (forecast service, route optimizer,
+# writer shards) linger and stamp submissions on the actor system's
+# virtual clock — a wall-clock read there would detach batch timing from
+# deterministic replay. The warehouse must produce
 # byte-identical segments for a given journal regardless of when
 # compaction runs, so its whole package is wall-clock-free except the
 # query layer's injectable ``clock=time.perf_counter`` latency default.
@@ -64,7 +67,8 @@ from repro.cluster.transport import BatchingTransport
 # weather fields, the fuel model, the planner, the pooled optimizer, the
 # bench sweep, or the sim campaign would break that bit-for-bit.
 AUDITED_MODULES = [membership_mod, transport_mod, node_mod,
-                   forecast_service_mod, route_optimizer_mod,
+                   batching_mod, forecast_service_mod, route_optimizer_mod,
+                   writer_actor_mod,
                    telemetry_mod, tel_registry_mod, tel_trace_mod,
                    serving_bridge_mod, serving_fanout_mod,
                    serving_protocol_mod, serving_replica_mod,
