@@ -25,7 +25,6 @@ by ``examples/run_figure6_cluster.py``.
 
 from __future__ import annotations
 
-import inspect
 from typing import Iterable
 
 from repro.ais.fleet import MessageBatch
@@ -37,7 +36,6 @@ from repro.cluster import (
     VirtualClock,
     run_cluster_until_idle,
 )
-from repro.kvstore import KeyValueStore, PubSub
 from repro.models.base import RouteForecaster
 from repro.models.kinematic import LinearKinematicModel
 from repro.platform.api import MiddlewareAPI
@@ -47,12 +45,6 @@ from repro.platform.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.platform.cell_actor import (
-    CollisionCellActor,
-    CollisionCellRouter,
-    FlowActor,
-    ProximityCellActor,
-)
 from repro.platform.config import PlatformConfig
 from repro.platform.ingestion import IngestionService
 from repro.platform.messages import (
@@ -60,20 +52,8 @@ from repro.platform.messages import (
     PruneTick,
     RestoreState,
 )
-from repro.platform.pipeline import (
-    PlatformWiring,
-    build_forecast_service,
-    build_route_optimizer,
-    create_topics,
-)
-from repro.platform.vessel_actor import VesselActor
-from repro.platform.writer_actor import WriterPool
-from repro.streams import (
-    Broker,
-    ConsumerGroup,
-    PositionBlock,
-    Producer,
-)
+from repro.platform.pipeline import wire_node
+from repro.streams import ConsumerGroup, PositionBlock, Producer
 from repro.telemetry import Telemetry, complete_traces, merge_traces
 
 
@@ -91,42 +71,15 @@ class DistributedPlatform:
         self.is_seed = is_seed
         self.replay_records_per_partition = replay_records_per_partition
 
-        self.broker = Broker()
-        create_topics(self.broker, self.config)
-        self.kvstore = KeyValueStore()
-        self.pubsub = PubSub()
+        # Per-node Figure 6 instrumentation samples this node's vessel
+        # population (LoopbackCluster overrides it with the cluster-wide
+        # count).
+        self.wiring = wiring = wire_node(self.system, self.config,
+                                         forecaster, node.register_entity)
+        self.broker = wiring.broker
+        self.kvstore = wiring.kvstore
+        self.pubsub = wiring.pubsub
         self.producer = Producer(self.broker)
-
-        forecaster = forecaster or LinearKinematicModel()
-        min_history = getattr(forecaster, "min_history", 1)
-        supports_padding = "pad" in inspect.signature(
-            forecaster.forecast).parameters
-        self.wiring = PlatformWiring(
-            config=self.config, system=self.system, broker=self.broker,
-            kvstore=self.kvstore, pubsub=self.pubsub, forecaster=forecaster,
-            forecaster_min_history=min_history,
-            supports_padding=supports_padding)
-        # Per-node Figure 6 instrumentation: sample vessel-actor deliveries,
-        # with this node's vessel population as the default x value
-        # (LoopbackCluster overrides it with the cluster-wide count).
-        self.system.population_fn = lambda: len(self.wiring.vessel_router)
-        self.system.metrics_filter = lambda name: name.startswith("vessel-")
-
-        wiring = self.wiring
-        wiring.vessel_router = node.register_entity(
-            "vessel", lambda mmsi: VesselActor(mmsi, wiring))
-        wiring.cell_router = node.register_entity(
-            "cell", lambda cell: ProximityCellActor(cell, wiring))
-        wiring.collision_router = node.register_entity(
-            "collision", lambda cell: CollisionCellActor(cell, wiring),
-            local_router=CollisionCellRouter(
-                node.system, "collision",
-                lambda cell: CollisionCellActor(cell, wiring), wiring))
-        wiring.writer_ref = WriterPool(wiring, self.config.writer_pool_size)
-        wiring.flow_ref = self.system.spawn(
-            lambda: FlowActor(wiring), "vtff")
-        wiring.forecast_service = build_forecast_service(wiring)
-        wiring.route_optimizer = build_route_optimizer(wiring)
 
         self.ingestion: IngestionService | None = None
         if is_seed:

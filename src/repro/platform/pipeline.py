@@ -139,6 +139,52 @@ def build_route_optimizer(wiring: PlatformWiring):
     return RouteOptimizerService(wiring)
 
 
+def wire_node(system: ActorSystem, config: PlatformConfig,
+              forecaster: RouteForecaster | None,
+              register_entity) -> PlatformWiring:
+    """Build one node's share of the Figure 2 topology on ``system``: the
+    broker with its topics, the KV store and pub/sub, the three entity
+    routers, the writer pool, the flow actor and the pooled services.
+
+    ``register_entity(entity, factory, local_router=None)`` returns the
+    router for one entity type — the only thing a single-node platform
+    (plain :class:`KeyRouter`) and a cluster node (its sharded router,
+    delivering locally through ``local_router`` when given) do
+    differently.
+    """
+    broker = Broker()
+    create_topics(broker, config)
+    forecaster = forecaster or LinearKinematicModel()
+    wiring = PlatformWiring(
+        config=config, system=system, broker=broker,
+        kvstore=KeyValueStore(), pubsub=PubSub(), forecaster=forecaster,
+        forecaster_min_history=getattr(forecaster, "min_history", 1),
+        supports_padding="pad" in inspect.signature(
+            forecaster.forecast).parameters)
+    # Figure 6 plots per-AIS-message processing time against the number
+    # of distinct MMSIs: sample only vessel-actor deliveries, with this
+    # node's vessel-actor count as the population figure.
+    system.population_fn = lambda: len(wiring.vessel_router)
+    system.metrics_filter = lambda name: name.startswith("vessel-")
+
+    def collision_actor(cell):
+        return CollisionCellActor(cell, wiring)
+
+    wiring.vessel_router = register_entity(
+        "vessel", lambda mmsi: VesselActor(mmsi, wiring))
+    wiring.cell_router = register_entity(
+        "cell", lambda cell: ProximityCellActor(cell, wiring))
+    wiring.collision_router = register_entity(
+        "collision", collision_actor,
+        local_router=CollisionCellRouter(system, "collision",
+                                         collision_actor, wiring))
+    wiring.writer_ref = WriterPool(wiring, config.writer_pool_size)
+    wiring.flow_ref = system.spawn(lambda: FlowActor(wiring), "vtff")
+    wiring.forecast_service = build_forecast_service(wiring)
+    wiring.route_optimizer = build_route_optimizer(wiring)
+    return wiring
+
+
 class Platform:
     """The integrated maritime digital-twin platform."""
 
@@ -155,41 +201,19 @@ class Platform:
             self.system.telemetry = Telemetry(
                 "local", clock=lambda: self.system.now,
                 trace_sample_every=self.config.trace_sample_every)
-        self.broker = Broker()
-        create_topics(self.broker, self.config)
-        self.kvstore = KeyValueStore()
-        self.pubsub = PubSub()
+
+        def key_router(entity, factory, local_router=None):
+            # ``is None``, not truthiness: a router with no keys is falsy.
+            if local_router is None:
+                local_router = KeyRouter(self.system, entity, factory)
+            return local_router
+
+        self.wiring = wiring = wire_node(self.system, self.config,
+                                         forecaster, key_router)
+        self.broker = wiring.broker
+        self.kvstore = wiring.kvstore
+        self.pubsub = wiring.pubsub
         self.producer = Producer(self.broker)
-
-        forecaster = forecaster or LinearKinematicModel()
-        min_history = getattr(forecaster, "min_history", 1)
-        supports_padding = "pad" in inspect.signature(
-            forecaster.forecast).parameters
-        self.wiring = PlatformWiring(
-            config=self.config, system=self.system, broker=self.broker,
-            kvstore=self.kvstore, pubsub=self.pubsub, forecaster=forecaster,
-            forecaster_min_history=min_history,
-            supports_padding=supports_padding)
-        # Figure 6 plots per-AIS-message processing time against the number
-        # of distinct MMSIs: sample only vessel-actor deliveries, with the
-        # vessel-actor count as the population figure.
-        self.system.population_fn = lambda: len(self.wiring.vessel_router)
-        self.system.metrics_filter = lambda name: name.startswith("vessel-")
-
-        wiring = self.wiring
-        wiring.vessel_router = KeyRouter(
-            self.system, "vessel", lambda mmsi: VesselActor(mmsi, wiring))
-        wiring.cell_router = KeyRouter(
-            self.system, "cell",
-            lambda cell: ProximityCellActor(cell, wiring))
-        wiring.collision_router = CollisionCellRouter(
-            self.system, "collision",
-            lambda cell: CollisionCellActor(cell, wiring), wiring)
-        wiring.writer_ref = WriterPool(wiring, self.config.writer_pool_size)
-        wiring.flow_ref = self.system.spawn(
-            lambda: FlowActor(wiring), "vtff")
-        wiring.forecast_service = build_forecast_service(wiring)
-        wiring.route_optimizer = build_route_optimizer(wiring)
 
         self.ingestion = IngestionService(wiring)
         self.api = MiddlewareAPI(self.kvstore, self.pubsub, self)

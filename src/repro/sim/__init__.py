@@ -7,7 +7,7 @@ drops, duplication, delay-induced reordering, partitions, node crashes —
 clock the failure detector reads. A failing run therefore reproduces
 byte-for-byte from its seed alone (``pytest tests/sim --sim-seed N``).
 
-After every scenario four invariants are checked
+After every cluster campaign the standard invariants are checked
 (:mod:`~repro.sim.invariants`):
 
 1. **Shard convergence** — every live node holds the identical final
@@ -20,12 +20,18 @@ After every scenario four invariants are checked
    fault-free run of the same seed.
 4. **No delivery to a downed node** — the hub never hands a frame to a
    crashed endpoint.
+5. **Exclusive ownership** — no entity key is hosted by two live nodes
+   at once; the rebalance campaign samples it at every chunk boundary.
 
-:func:`~repro.sim.scenario.run_scenario` assembles all of it and returns
-a :class:`~repro.sim.scenario.SimReport`; the pytest layer lives in
+:mod:`~repro.sim.campaign` is the one driver every cluster campaign runs
+on (form the cluster, drive chunks under a fault script, heal, replay,
+check, digest); :func:`~repro.sim.scenario.run_scenario` and its
+siblings add their workload and extra checks and return a
+:class:`~repro.sim.campaign.CampaignReport`; the pytest layer lives in
 ``tests/sim/``.
 """
 
+from repro.sim.campaign import FaultStep, SimCluster
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import Violation
 from repro.sim.rebalance import (
@@ -38,13 +44,7 @@ from repro.sim.recovery import (
     RecoveryScenario,
     run_recovery_scenario,
 )
-from repro.sim.scenario import (
-    FaultStep,
-    Scenario,
-    SimCluster,
-    SimReport,
-    run_scenario,
-)
+from repro.sim.scenario import Scenario, SimReport, run_scenario
 from repro.sim.transport import SimHub
 from repro.sim.voyage import (
     VoyageReport,

@@ -1,4 +1,4 @@
-"""The four post-scenario invariant checkers.
+"""The five post-scenario invariant checkers.
 
 Each checker returns a list of :class:`Violation` (empty = invariant
 holds). They are pure observers: :func:`~repro.sim.scenario.run_scenario`
@@ -66,56 +66,84 @@ def check_shard_convergence(cluster) -> list[Violation]:
     return violations
 
 
+def vessel_hosts(cluster, mmsi: int) -> list[tuple[str, object]]:
+    """``(node id, vessel actor)`` for every live node whose vessel
+    router knows ``mmsi``, in node order (the actor is None if the router
+    knows the key but no actor cell exists)."""
+    hosts = []
+    for platform in cluster.platforms:
+        if mmsi in platform.wiring.vessel_router:
+            cell = platform.system._cells.get(f"vessel-{mmsi}")
+            hosts.append((platform.node.node_id,
+                          cell.actor if cell is not None else None))
+    return hosts
+
+
+def _unless_sole_host(mmsi: int, hosts: list, invariant: str
+                      ) -> list[Violation]:
+    if len(hosts) == 1:
+        return []
+    where = [node_id for node_id, _ in hosts] or "nowhere"
+    return [Violation(invariant, f"vessel {mmsi} hosted on {where} "
+                                 f"(want exactly one node)")]
+
+
+def check_single_hosting(cluster, mmsis) -> list[Violation]:
+    """Every published vessel is hosted by exactly one live node — a bad
+    state restore would double-host it or leave it nowhere."""
+    return [v for mmsi in sorted(mmsis)
+            for v in _unless_sole_host(mmsi, vessel_hosts(cluster, mmsi),
+                                       "single-hosting")]
+
+
 def check_no_acked_loss(cluster, final_t: dict[int, float]
                         ) -> list[Violation]:
     """(b) After heal + full replay, every published vessel is hosted on
     exactly one live node and carries its newest acknowledged position."""
     violations = []
     for mmsi, expected_t in sorted(final_t.items()):
-        hosts = [p for p in cluster.platforms
-                 if mmsi in p.wiring.vessel_router]
+        hosts = vessel_hosts(cluster, mmsi)
+        violations += _unless_sole_host(mmsi, hosts, "no-acked-loss")
         if len(hosts) != 1:
-            where = [p.node.node_id for p in hosts] or "nowhere"
-            violations.append(Violation(
-                "no-acked-loss",
-                f"vessel {mmsi} hosted on {where} (want exactly one node)"))
             continue
-        platform = hosts[0]
-        cell = platform.system._cells.get(f"vessel-{mmsi}")
-        last = cell.actor.last_message if cell is not None else None
+        node_id, actor = hosts[0]
+        last = actor.last_message if actor is not None else None
         if last is None or last.t != expected_t:
             got = "nothing" if last is None else f"t={last.t}"
             violations.append(Violation(
                 "no-acked-loss",
-                f"vessel {mmsi} on {platform.node.node_id} holds {got}, "
+                f"vessel {mmsi} on {node_id} holds {got}, "
                 f"newest acknowledged fix is t={expected_t}"))
     return violations
 
 
-def collect_events(cluster) -> set[tuple[str, tuple[int, int]]]:
-    """The cluster-wide (kind, pair) event set, unioned across every live
-    node's KV store (cross-node duplicates collapse by construction)."""
-    events: set[tuple[str, tuple[int, int]]] = set()
+def collect_events(cluster, kinds=EVENT_KINDS,
+                   subject=lambda payload: tuple(payload.pair)) -> set:
+    """The cluster-wide (kind, subject) event set, unioned across every
+    live node's KV store (cross-node duplicates collapse by construction;
+    by default the subject is the encounter's vessel pair)."""
+    events = set()
     for platform in cluster.platforms:
         now = platform.system.now
-        for kind in EVENT_KINDS:
+        for kind in kinds:
             for payload in platform.kvstore.lrange(
                     f"events:{kind}", 0, -1, now=now):
-                events.add((kind, tuple(payload.pair)))
+                events.add((kind, subject(payload)))
     return events
 
 
-def check_event_parity(events: set, reference_events: set
-                       ) -> list[Violation]:
-    """(c) The faulty run detected exactly the encounters the fault-free
-    run of the same seed did — none lost, none fabricated."""
+def check_event_parity(events: set, reference_events: set,
+                       invariant: str = "event-parity",
+                       subject: str = "pair") -> list[Violation]:
+    """(c) The faulty run detected exactly the (kind, subject) events the
+    fault-free run of the same seed did — none lost, none fabricated."""
     violations = []
-    for kind, pair in sorted(reference_events - events):
+    for kind, key in sorted(reference_events - events):
         violations.append(Violation(
-            "event-parity", f"missing {kind} event for pair {pair}"))
-    for kind, pair in sorted(events - reference_events):
+            invariant, f"missing {kind} event for {subject} {key}"))
+    for kind, key in sorted(events - reference_events):
         violations.append(Violation(
-            "event-parity", f"spurious {kind} event for pair {pair}"))
+            invariant, f"spurious {kind} event for {subject} {key}"))
     return violations
 
 

@@ -1,7 +1,7 @@
 """Live shard rebalancing under the deterministic simulator.
 
 :func:`run_rebalance_scenario` drives the standard workload plus a
-*hot-ballast* extension through a :class:`~repro.sim.scenario.SimCluster`
+*hot-ballast* extension through a :class:`~repro.sim.campaign.SimCluster`
 whose cluster config arms the telemetry-driven control loop
 (:mod:`repro.cluster.rebalance`): a few loner vessels — placed in far
 regions where they can never produce events — are chosen so their shards
@@ -30,33 +30,34 @@ the seed alone.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass, field
 
 from repro.ais.message import AISMessage
-from repro.cluster import ClusterConfig, VirtualClock, shard_for_key
-from repro.platform.config import PlatformConfig
+from repro.sim.campaign import (
+    CampaignReport,
+    ClusterCampaign,
+    FaultStep,
+    mmsis_owned_by,
+)
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
-    check_event_parity,
     check_exclusive_ownership,
-    check_no_acked_loss,
-    check_no_downed_delivery,
-    check_shard_convergence,
     collect_events,
+    vessel_hosts,
 )
-from repro.sim.scenario import SimCluster, reference_events
-from repro.sim.transport import SimHub
-from repro.sim.workload import Workload, _region_center, generate_workload
+from repro.sim.scenario import reference_events
+from repro.sim.workload import _region_center, generate_workload
+
+#: Hot-ballast mmsis are picked upward from here.
+HOT_MMSI_BASE = 300_000_000
 
 
 @dataclass(frozen=True)
 class RebalanceScenario:
     """A live-migration campaign over the standard workload plus skew.
 
-    Chunk indices follow :class:`~repro.sim.scenario.FaultStep` semantics:
+    Chunk indices follow :class:`~repro.sim.campaign.FaultStep` semantics:
     an action at chunk ``k`` fires *after* chunk ``k`` is processed (and
     before that boundary's invariant sample for crashes — a crash takes
     whatever was still on the wire with it, which is exactly the
@@ -124,14 +125,31 @@ class RebalanceScenario:
         if self.require_plans < 0:
             raise ValueError("require_plans must be >= 0")
 
+    @property
+    def script(self) -> tuple[FaultStep, ...]:
+        """The crash leg (crash, then a restart once the failure detector
+        has had two DOWN windows) and the drain leg. Steps fire before
+        their boundary's ownership sample: whatever migration traffic was
+        still in flight dies with a crashed node."""
+        steps = []
+        if self.crash_node is not None:
+            steps.append(FaultStep(self.crash_after_chunk, "crash",
+                                   {"node": self.crash_node}))
+            if self.restart_after_chunk is not None:
+                steps += [
+                    FaultStep(self.restart_after_chunk, "resolve"),
+                    FaultStep(self.restart_after_chunk, "restart",
+                              {"node": self.crash_node})]
+        if self.drain_node is not None:
+            steps.append(FaultStep(self.drain_after_chunk, "drain",
+                                   {"node": self.drain_node}))
+        return tuple(steps)
+
 
 @dataclass
-class RebalanceReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
+class RebalanceReport(CampaignReport):
+    """What one live-rebalancing campaign run observed."""
 
-    scenario: str
-    seed: int
-    violations: list[Violation]
     events: set
     reference_events: set
     #: mmsi -> hosting node of every hot vessel after the final replay.
@@ -142,58 +160,10 @@ class RebalanceReport:
     replayed: int
     counters: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> str:
-        """Digest of every observable outcome; identical across runs of
-        the same (scenario, seed) — the harness determinism guarantee."""
-        canonical = repr((
-            self.scenario, self.seed, sorted(self.events),
-            sorted(self.hot_hosting.items()),
-            sorted(self.counters.items()),
-            [str(v) for v in self.violations],
-            self.plans_total, self.moves_total,
-            self.state_transfers, self.replayed,
-        ))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"scenario={self.scenario} seed={self.seed} {status} "
-                 f"plans={self.plans_total} moves={self.moves_total} "
-                 f"fingerprint={self.fingerprint()[:16]}"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
-
-
-def hot_ballast_mmsis(table, scenario: RebalanceScenario) -> list[int]:
-    """Pick ``hot_vessels`` mmsis whose vessel shards the initial table
-    assigns to the victim, spread over at least two distinct shards.
-
-    Pure hashing against the settled table — no RNG, so the hot fleet is
-    a function of (cluster shape, scenario) alone.
-    """
-    picked: list[int] = []
-    shards_used: dict[int, int] = {}
-    mmsi = 300_000_000
-    while len(picked) < scenario.hot_vessels:
-        mmsi += 1
-        shard = shard_for_key("vessel", mmsi, table.num_shards)
-        if table.owner_of(shard) != scenario.victim:
-            continue
-        # Cap per-shard occupancy so the skew is splittable: a single
-        # shard holding every hot vessel cannot be peak-shaved (moving it
-        # would just swap which node is hot).
-        cap = max(1, scenario.hot_vessels // 2)
-        if shards_used.get(shard, 0) >= cap:
-            continue
-        shards_used[shard] = shards_used.get(shard, 0) + 1
-        picked.append(mmsi)
-        if mmsi > 300_100_000:
-            raise RuntimeError("could not find hot mmsis for the victim")
-    return picked
+    DIGEST = ("scenario", "seed", "events", "hot_hosting",
+              "counters", "violations", "plans_total",
+              "moves_total", "state_transfers", "replayed")
+    SUMMARY = ("plans={plans_total}", "moves={moves_total}")
 
 
 def hot_ballast_chunks(mmsis: list[int], scenario: RebalanceScenario,
@@ -227,72 +197,42 @@ def run_rebalance_scenario(scenario: RebalanceScenario, seed: int
                            ) -> RebalanceReport:
     """Execute ``scenario`` under ``seed``, sampling exclusive ownership
     at every chunk boundary and checking all invariants at the end."""
-    workload: Workload = generate_workload(seed, steps=scenario.steps)
+    workload = generate_workload(seed, steps=scenario.steps)
     oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
-
-    clock = VirtualClock()
-    hub = SimHub(rng=random.Random(seed), clock=clock, faults=FaultSpec())
-    cluster_config = ClusterConfig(
-        down_after_s=scenario.down_after_s,
-        load_report_interval_s=scenario.load_report_interval_s,
-        rebalance_interval_s=scenario.rebalance_interval_s,
-        rebalance_min_messages=scenario.rebalance_min_messages)
-    cluster = SimCluster(
-        hub, num_nodes=scenario.num_nodes,
-        config=PlatformConfig(record_telemetry=True, trace_sample_every=16),
-        cluster_config=cluster_config)
-    violations: list[Violation] = []
-    try:
+    with ClusterCampaign(scenario, seed, cluster={
+            "load_report_interval_s": scenario.load_report_interval_s,
+            "rebalance_interval_s": scenario.rebalance_interval_s,
+            "rebalance_min_messages": scenario.rebalance_min_messages,
+    }) as campaign:
+        cluster = campaign.cluster
         seed_node = cluster.nodes[0]
-        hot = hot_ballast_mmsis(seed_node.table, scenario)
+        # Capped per shard so the skew is splittable: one shard holding
+        # every hot vessel cannot be peak-shaved (moving it would just
+        # swap which node is hot).
+        hot = mmsis_owned_by(seed_node.table, scenario.victim,
+                             scenario.hot_vessels, HOT_MMSI_BASE,
+                             per_shard_cap=max(1, scenario.hot_vessels // 2))
         hot_chunks = hot_ballast_chunks(hot, scenario)
+        violations: list[Violation] = []
 
-        hub.faults = scenario.faults
-        for k in range(scenario.steps):
-            cluster.seed.publish_messages(
-                list(workload.messages_by_step[k]) + list(hot_chunks[k]))
-            cluster.process_available()
-            cluster.tick(scenario.tick_per_chunk_s)
-            # Crashes fire before the boundary sample: whatever migration
-            # traffic was still in flight dies with the node.
-            if scenario.crash_node is not None \
-                    and k == scenario.crash_after_chunk:
-                cluster.crash(scenario.crash_node)
-            if scenario.crash_node is not None \
-                    and scenario.restart_after_chunk is not None \
-                    and k == scenario.restart_after_chunk:
-                cluster.tick(2.0 * scenario.down_after_s + 2.0)
-                cluster.restart(scenario.crash_node)
-            if scenario.drain_node is not None \
-                    and k == scenario.drain_after_chunk:
-                cluster.drain(scenario.drain_node)
+        def sample_ownership(k: int) -> None:
             # Quiesce so the sample sees a genuine boundary (the delay
             # heap drained), then assert nobody is double-hosted even
             # with migrations mid-flight between chunks.
             cluster.quiesce()
-            violations += check_exclusive_ownership(cluster,
-                                                    context=f"chunk {k}")
+            violations.extend(check_exclusive_ownership(
+                cluster, context=f"chunk {k}"))
 
-        # Recovery: stop injecting, heal, let the failure detector
-        # resolve any dead node, then the strongest platform recovery —
-        # a full in-order AIS replay through the healthy routing.
-        hub.faults = FaultSpec()
-        hub.heal()
-        cluster.tick(2.0 * cluster.cluster_config.down_after_s + 2.0)
-        cluster.quiesce()
-        cluster.process_available()
-        replayed = cluster.seed.replay_from_start()
-        cluster.settle()
-        cluster.quiesce()
-        cluster.process_available()
+        campaign.arm()
+        campaign.drive([w + h for w, h in zip(workload.messages_by_step,
+                                              hot_chunks)],
+                       at_boundary=sample_ownership)
+        campaign.heal_and_replay()
 
-        violations += check_shard_convergence(cluster)
-        violations += check_no_acked_loss(cluster, workload.final_t)
         events = collect_events(cluster)
-        violations += check_event_parity(events, oracle)
-        violations += check_no_downed_delivery(hub)
+        violations += campaign.standard_violations(events, oracle,
+                                                   workload.final_t)
         violations += check_exclusive_ownership(cluster, context="final")
-
         rebalancer = seed_node.rebalancer
         if rebalancer.plans_total < scenario.require_plans:
             violations.append(Violation(
@@ -301,28 +241,17 @@ def run_rebalance_scenario(scenario: RebalanceScenario, seed: int
                 f"plan(s), campaign requires >= {scenario.require_plans} "
                 f"— the skew never triggered the control loop"))
 
-        hot_hosting = {}
-        for mmsi in hot:
-            for platform in cluster.platforms:
-                if mmsi in platform.wiring.vessel_router:
-                    hot_hosting[mmsi] = platform.node.node_id
-                    break
-
-        counters = dict(hub.fault_counters())
-        counters["epoch"] = seed_node.table.epoch
-        counters["live_nodes"] = len(cluster.nodes)
+        counters = campaign.counters()
         counters["overrides"] = len(seed_node.table.overrides)
         counters["state_transfer_drops"] = sum(
             n.state_transfer_drops for n in cluster.nodes)
-        state_transfers = sum(n.state_transfers_received
-                              for n in cluster.nodes)
-        plans_total = rebalancer.plans_total
-        moves_total = rebalancer.moves_total
-    finally:
-        cluster.shutdown()
-    return RebalanceReport(
-        scenario=scenario.name, seed=seed, violations=violations,
-        events=events, reference_events=oracle, hot_hosting=hot_hosting,
-        plans_total=plans_total, moves_total=moves_total,
-        state_transfers=state_transfers, replayed=replayed,
-        counters=counters)
+        return RebalanceReport(
+            scenario=scenario.name, seed=seed, violations=violations,
+            events=events, reference_events=oracle,
+            hot_hosting={mmsi: hosts[0][0] for mmsi in hot
+                         if (hosts := vessel_hosts(cluster, mmsi))},
+            plans_total=rebalancer.plans_total,
+            moves_total=rebalancer.moves_total,
+            state_transfers=sum(n.state_transfers_received
+                                for n in cluster.nodes),
+            replayed=campaign.replayed, counters=counters)

@@ -1,7 +1,7 @@
 """Checkpointed crash recovery under the deterministic simulator.
 
 :func:`run_recovery_scenario` drives the standard workload through a
-:class:`~repro.sim.scenario.SimCluster` with link faults armed, taking
+:class:`~repro.sim.campaign.SimCluster` with link faults armed, taking
 periodic checkpoints at quiescent boundaries, then crashes a node
 mid-stream and — unlike the campaigns in :mod:`~repro.sim.scenario`,
 which heal with a *full* AIS replay — recovers it from the latest
@@ -31,29 +31,23 @@ a drop there tests the fault model, not the recovery path.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass, field
 
-from repro.cluster import ClusterConfig, VirtualClock
-from repro.platform.config import PlatformConfig
+from repro.sim.campaign import CampaignReport, ClusterCampaign, FaultStep
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
-    check_event_parity,
-    check_no_downed_delivery,
-    check_shard_convergence,
+    check_single_hosting,
     collect_events,
 )
-from repro.sim.scenario import SimCluster, reference_events
-from repro.sim.transport import SimHub
+from repro.sim.scenario import reference_events
 from repro.sim.workload import generate_workload
 
 
 @dataclass(frozen=True)
 class RecoveryScenario:
     """A crash-and-recover-from-checkpoint campaign over the standard
-    workload. Chunk indices follow :class:`~repro.sim.scenario.FaultStep`
+    workload. Chunk indices follow :class:`~repro.sim.campaign.FaultStep`
     semantics: an action at chunk ``k`` fires *after* chunk ``k`` is
     processed."""
 
@@ -90,14 +84,28 @@ class RecoveryScenario:
                 "recover_after_chunk < steps so at least one checkpoint "
                 "precedes the crash and chunks follow the recovery")
 
+    @property
+    def script(self) -> tuple[FaultStep, ...]:
+        """Quiescent checkpoints up to the crash, the crash, then — once
+        the failure detector has had two DOWN windows to resolve the dead
+        incarnation — recovery from the latest checkpoint, link faults
+        still armed."""
+        return (
+            *(FaultStep(k, "checkpoint", orderly=True)
+              for k in range(self.checkpoint_every - 1,
+                             self.crash_after_chunk, self.checkpoint_every)),
+            FaultStep(self.crash_after_chunk, "crash",
+                      {"node": self.crash_node}),
+            FaultStep(self.recover_after_chunk, "resolve"),
+            FaultStep(self.recover_after_chunk, "recover",
+                      {"node": self.crash_node}),
+        )
+
 
 @dataclass
-class RecoveryReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
+class RecoveryReport(CampaignReport):
+    """What one checkpoint-recovery campaign run observed."""
 
-    scenario: str
-    seed: int
-    violations: list[Violation]
     events: set
     reference_events: set
     #: Records the recovery suffix replay re-dispatched.
@@ -109,60 +117,10 @@ class RecoveryReport:
     covered: int
     counters: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> str:
-        """Digest of every observable outcome; identical across runs of
-        the same (scenario, seed) — the harness determinism guarantee."""
-        canonical = repr((
-            self.scenario, self.seed, sorted(self.events),
-            sorted(self.counters.items()),
-            [str(v) for v in self.violations],
-            self.replayed, self.total_records,
-            self.checkpoints_taken, self.covered,
-        ))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"scenario={self.scenario} seed={self.seed} {status} "
-                 f"replayed={self.replayed}/{self.total_records} "
-                 f"fingerprint={self.fingerprint()[:16]}"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
-
-
-def _quiescent_checkpoint(cluster: SimCluster, hub: SimHub,
-                          workdir: str | None):
-    """Capture a checkpoint at a genuinely quiescent boundary: faults are
-    paused, the delay heap drained and writers flushed first. In-flight
-    frames are never part of a checkpoint; pausing injection makes sure
-    none exist at capture time."""
-    saved = hub.faults
-    hub.faults = FaultSpec()
-    try:
-        cluster.quiesce()
-        cluster.process_available()
-        return cluster.checkpoint(directory=workdir)
-    finally:
-        hub.faults = saved
-
-
-def _check_single_hosting(cluster, mmsis) -> list[Violation]:
-    """After recovery every published vessel must be hosted by exactly
-    one live node — a bad state restore would double-host it."""
-    violations = []
-    for mmsi in sorted(mmsis):
-        hosts = [p.node.node_id for p in cluster.platforms
-                 if mmsi in p.wiring.vessel_router]
-        if len(hosts) != 1:
-            violations.append(Violation(
-                "single-hosting",
-                f"vessel {mmsi} hosted on {hosts or 'no node'} "
-                f"(want exactly one)"))
-    return violations
+    DIGEST = ("scenario", "seed", "events", "counters",
+              "violations", "replayed", "total_records",
+              "checkpoints_taken", "covered")
+    SUMMARY = ("replayed={replayed}/{total_records}",)
 
 
 def run_recovery_scenario(scenario: RecoveryScenario, seed: int,
@@ -171,77 +129,43 @@ def run_recovery_scenario(scenario: RecoveryScenario, seed: int,
     checkpoint through disk (write at capture, load at recovery)."""
     workload = generate_workload(seed, steps=scenario.steps)
     oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
+    with ClusterCampaign(scenario, seed, workdir=workdir) as campaign:
+        campaign.arm()
+        campaign.drive(workload.messages_by_step)
+        # No full replay here: the suffix replay *is* the recovery under
+        # test. Just let every late frame land before the invariants look.
+        campaign.stop_faults()
 
-    clock = VirtualClock()
-    hub = SimHub(rng=random.Random(seed), clock=clock, faults=FaultSpec())
-    cluster = SimCluster(
-        hub, num_nodes=scenario.num_nodes,
-        config=PlatformConfig(record_telemetry=True, trace_sample_every=16),
-        cluster_config=ClusterConfig(down_after_s=scenario.down_after_s))
-    checkpoint = None
-    checkpoints_taken = 0
-    replayed = 0
-    try:
-        hub.faults = scenario.faults
-        for k, chunk in enumerate(workload.messages_by_step):
-            cluster.seed.publish_messages(chunk)
-            cluster.process_available()
-            cluster.tick(scenario.tick_per_chunk_s)
-            if (k < scenario.crash_after_chunk
-                    and (k + 1) % scenario.checkpoint_every == 0):
-                checkpoint = _quiescent_checkpoint(cluster, hub, workdir)
-                checkpoints_taken += 1
-            if k == scenario.crash_after_chunk:
-                cluster.crash(scenario.crash_node)
-            if k == scenario.recover_after_chunk:
-                # Let the failure detector resolve the dead incarnation
-                # (two DOWN windows — see run_scenario), then recover from
-                # the latest checkpoint; faults stay armed throughout.
-                cluster.tick(2.0 * scenario.down_after_s + 2.0)
-                source = workdir if workdir is not None else checkpoint
-                _, replayed = cluster.recover(scenario.crash_node, source)
-
-        # Drain: stop injecting, flush the delay heap and the writers so
-        # every late frame lands before the invariants look.
-        hub.faults = FaultSpec()
-        hub.heal()
-        cluster.quiesce()
-        cluster.process_available()
-
-        violations = []
-        violations += check_shard_convergence(cluster)
+        cluster = campaign.cluster
         events = collect_events(cluster)
-        violations += check_event_parity(events, oracle)
-        violations += check_no_downed_delivery(hub)
-        violations += _check_single_hosting(cluster, workload.final_t)
+        violations = campaign.standard_violations(events, oracle)
+        violations += check_single_hosting(cluster, workload.final_t)
 
         seed_platform = cluster.seed
         total_records = sum(
             seed_platform.broker.end_offset(
                 seed_platform.config.ais_topic, p)
             for p in range(seed_platform.config.ais_partitions))
+        checkpoint = campaign.latest_checkpoint
         covered = sum(checkpoint.offsets.values()) if checkpoint else 0
-        if checkpoint is None or covered == 0:
+        if covered == 0:
             violations.append(Violation(
                 "checkpoint-economy",
                 "no checkpoint with stream progress was ever captured"))
-        elif replayed >= total_records:
+        elif campaign.suffix_replayed >= total_records:
             violations.append(Violation(
                 "checkpoint-economy",
-                f"suffix replay re-dispatched {replayed} of "
-                f"{total_records} records — no cheaper than "
+                f"suffix replay re-dispatched {campaign.suffix_replayed} "
+                f"of {total_records} records — no cheaper than "
                 f"replay_from_start"))
 
-        counters = dict(hub.fault_counters())
-        counters["epoch"] = cluster.nodes[0].table.epoch
-        counters["live_nodes"] = len(cluster.nodes)
+        counters = campaign.counters()
         telemetry = seed_platform.telemetry.registry.snapshot()
         counters["recovery_entities_restored"] = int(
             telemetry["gauges"].get("recovery_entities_restored", 0))
-    finally:
-        cluster.shutdown()
-    return RecoveryReport(
-        scenario=scenario.name, seed=seed, violations=violations,
-        events=events, reference_events=oracle, replayed=replayed,
-        total_records=total_records, checkpoints_taken=checkpoints_taken,
-        covered=covered, counters=counters)
+        return RecoveryReport(
+            scenario=scenario.name, seed=seed, violations=violations,
+            events=events, reference_events=oracle,
+            replayed=campaign.suffix_replayed, total_records=total_records,
+            checkpoints_taken=campaign.checkpoints_taken, covered=covered,
+            counters=counters)

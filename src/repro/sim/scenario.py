@@ -11,35 +11,19 @@ byte-for-byte from the seed.
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.cluster import ClusterConfig, VirtualClock
-from repro.platform.config import PlatformConfig
 from repro.platform.distributed import LoopbackCluster
-from repro.sim.faults import FaultSpec
-from repro.sim.invariants import (
-    Violation,
-    check_event_parity,
-    check_no_acked_loss,
-    check_no_downed_delivery,
-    check_shard_convergence,
-    collect_events,
+from repro.sim.campaign import (
+    CampaignReport,
+    ClusterCampaign,
+    FaultStep,
+    drive_chunks,
+    fault_free_oracle,
 )
-from repro.sim.transport import SimHub
-from repro.sim.workload import Workload, generate_workload
-
-
-@dataclass(frozen=True)
-class FaultStep:
-    """One scripted action applied after chunk ``after_chunk`` is
-    processed. Actions: ``partition(a, b)``, ``heal``, ``crash(node)``,
-    ``restart(node)``, ``tick(dt_s)``, ``set_faults(faults)``."""
-
-    after_chunk: int
-    action: str
-    kwargs: dict = field(default_factory=dict)
+from repro.sim.faults import FaultSpec
+from repro.sim.invariants import collect_events, vessel_hosts
+from repro.sim.workload import generate_workload
 
 
 @dataclass(frozen=True)
@@ -64,207 +48,63 @@ class Scenario:
     down_after_s: float = 8.0
 
 
-class SimCluster(LoopbackCluster):
-    """A :class:`LoopbackCluster` wired over a :class:`SimHub`, with
-    crash/restart choreography that keeps hub and membership in step."""
-
-    def __init__(self, sim_hub: SimHub, **kwargs) -> None:
-        super().__init__(hub=sim_hub, clock=sim_hub.clock, **kwargs)
-
-    def crash(self, node_id: str) -> str:
-        """Abrupt node death: in-flight frames to it are lost and any
-        later delivery to it is a harness violation."""
-        index = next((i for i, n in enumerate(self.nodes)
-                      if n.node_id == node_id), None)
-        if index is None:
-            raise ValueError(f"no running node {node_id!r}")
-        self.hub.crash(node_id)
-        return self.kill(index)
-
-    def restart(self, node_id: str):
-        self.hub.revive(node_id)
-        return super().restart(node_id)
-
-    def quiesce(self, max_steps: int = 10_000) -> None:
-        """Settle, then advance virtual time to each pending delivery
-        deadline until no delayed frames remain anywhere."""
-        self.settle()
-        for _ in range(max_steps):
-            deadline = self.hub.next_deadline()
-            if deadline is None:
-                return
-            self.tick(max(deadline - self.clock.now, 1e-6))
-        raise RuntimeError("delay heap did not drain (livelock?)")
-
-
 @dataclass
-class SimReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
+class SimReport(CampaignReport):
+    """What one standard-workload campaign run observed."""
 
-    scenario: str
-    seed: int
-    violations: list[Violation]
     events: set
     reference_events: set
     final_hosting: dict[int, tuple[str, float]]
     counters: dict
     replayed: int
     #: Cluster-wide telemetry snapshot captured before shutdown. Kept out
-    #: of :meth:`fingerprint` (the invariant digest predates telemetry);
-    #: its own determinism is asserted separately by
+    #: of the fingerprint (the invariant digest predates telemetry); its
+    #: own determinism is asserted separately by
     #: ``tests/sim/test_telemetry_determinism.py``.
     telemetry: dict | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> str:
-        """A digest of every observable outcome of the run. Two runs of
-        the same scenario and seed must produce identical fingerprints —
-        the harness's own determinism guarantee."""
-        canonical = repr((
-            self.scenario, self.seed, sorted(self.events),
-            sorted(self.final_hosting.items()),
-            sorted(self.counters.items()),
-            [str(v) for v in self.violations], self.replayed,
-        ))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"scenario={self.scenario} seed={self.seed} {status} "
-                 f"fingerprint={self.fingerprint()[:16]}"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
-
-
-def _drive(cluster, workload: Workload, scenario: Scenario | None,
-           hub: SimHub | None) -> None:
-    """Publish the workload chunk by chunk, pumping and ticking between
-    chunks, applying scripted fault steps at chunk boundaries."""
-    script = {}
-    if scenario is not None:
-        for step in scenario.script:
-            script.setdefault(step.after_chunk, []).append(step)
-    tick = scenario.tick_per_chunk_s if scenario is not None else 1.0
-    for k, chunk in enumerate(workload.messages_by_step):
-        cluster.seed.publish_messages(chunk)
-        cluster.process_available()
-        cluster.tick(tick)
-        for step in script.get(k, ()):
-            _apply(cluster, hub, step)
-
-
-def _apply(cluster, hub: SimHub, step: FaultStep) -> None:
-    if step.action == "partition":
-        hub.partition(step.kwargs["a"], step.kwargs["b"],
-                      symmetric=step.kwargs.get("symmetric", True))
-    elif step.action == "heal":
-        hub.heal(step.kwargs.get("a"), step.kwargs.get("b"))
-    elif step.action == "crash":
-        cluster.crash(step.kwargs["node"])
-    elif step.action == "restart":
-        cluster.restart(step.kwargs["node"])
-    elif step.action == "tick":
-        cluster.tick(step.kwargs["dt_s"])
-    elif step.action == "set_faults":
-        hub.faults = step.kwargs["faults"]
-    else:
-        raise ValueError(f"unknown fault action {step.action!r}")
-
-
-#: Fault-free oracle outcomes, keyed by (seed, steps, num_nodes) — the
-#: reference depends only on these, so N scenarios over one seed share it.
-_REFERENCE_CACHE: dict[tuple, set] = {}
+    DIGEST = ("scenario", "seed", "events", "final_hosting",
+              "counters", "violations", "replayed")
 
 
 def reference_events(seed: int, steps: int, num_nodes: int) -> set:
-    """The (kind, pair) event set of the fault-free run of ``seed``."""
-    key = (seed, steps, num_nodes)
-    cached = _REFERENCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    workload = generate_workload(seed, steps=steps)
-    cluster = LoopbackCluster(num_nodes=num_nodes)
-    try:
-        _drive(cluster, workload, None, None)
-        events = collect_events(cluster)
-    finally:
-        cluster.shutdown()
-    if not any(kind == "proximity" for kind, _ in events) or \
-            not any(kind == "collision" for kind, _ in events):
-        raise RuntimeError(
-            f"degenerate workload for seed {seed}: fault-free run "
-            f"produced {sorted(events)} — parity would be vacuous")
-    _REFERENCE_CACHE[key] = events
-    return events
+    """The (kind, pair) event set of the fault-free run of ``seed`` — on
+    a plain :class:`LoopbackCluster`, independent of the fault harness."""
+    def run() -> set:
+        workload = generate_workload(seed, steps=steps)
+        cluster = LoopbackCluster(num_nodes=num_nodes)
+        try:
+            drive_chunks(cluster, workload.messages_by_step, tick_s=1.0)
+            return collect_events(cluster)
+        finally:
+            cluster.shutdown()
+
+    return fault_free_oracle(("events", seed, steps, num_nodes), seed, run)
 
 
 def run_scenario(scenario: Scenario, seed: int) -> SimReport:
     """Execute ``scenario`` under ``seed`` and check all four invariants."""
     workload = generate_workload(seed, steps=scenario.steps)
     oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
+    with ClusterCampaign(
+            scenario, seed,
+            cluster={"transport_batching": scenario.batching}) as campaign:
+        campaign.arm()
+        campaign.drive(workload.messages_by_step)
+        campaign.heal_and_replay()
 
-    clock = VirtualClock()
-    # Faults arm only after the cluster has formed: a run begins from a
-    # healthy cluster and injects faults into it — a deployment that never
-    # formed models an operator error, not a runtime fault.
-    hub = SimHub(rng=random.Random(seed), clock=clock, faults=FaultSpec())
-    cluster_config = ClusterConfig(
-        transport_batching=scenario.batching,
-        down_after_s=scenario.down_after_s)
-    # Telemetry rides along on every sim run: all timestamps come from the
-    # scenario's virtual clock, so the snapshot is deterministic per seed
-    # (and must stay so — see tests/sim/test_telemetry_determinism.py).
-    platform_config = PlatformConfig(record_telemetry=True,
-                                     trace_sample_every=16)
-    cluster = SimCluster(hub, num_nodes=scenario.num_nodes,
-                         config=platform_config,
-                         cluster_config=cluster_config)
-    try:
-        hub.faults = scenario.faults
-        _drive(cluster, workload, scenario, hub)
-
-        # Recovery: stop injecting, heal links, give the failure detector
-        # time to resolve every dead node (two DOWN windows: the leader
-        # detects first, peers time the node out after the leader stops
-        # re-asserting it), then drain everything.
-        hub.faults = FaultSpec()
-        hub.heal()
-        cluster.tick(2.0 * cluster.cluster_config.down_after_s + 2.0)
-        cluster.quiesce()
-        cluster.process_available()
-
-        # The strongest recovery the platform offers: full AIS replay
-        # from offset 0 through the (now healthy) sharded routing.
-        replayed = cluster.seed.replay_from_start()
-        cluster.settle()
-        cluster.quiesce()
-        cluster.process_available()
-
-        violations = []
-        violations += check_shard_convergence(cluster)
-        violations += check_no_acked_loss(cluster, workload.final_t)
+        cluster = campaign.cluster
         events = collect_events(cluster)
-        violations += check_event_parity(events, oracle)
-        violations += check_no_downed_delivery(hub)
-
+        violations = campaign.standard_violations(events, oracle,
+                                                  workload.final_t)
         final_hosting: dict[int, tuple[str, float]] = {}
-        for platform in cluster.platforms:
-            for mmsi in platform.wiring.vessel_router.known_keys():
-                cell = platform.system._cells.get(f"vessel-{mmsi}")
-                if cell is not None and cell.actor.last_message is not None:
-                    final_hosting[mmsi] = (platform.node.node_id,
-                                           cell.actor.last_message.t)
-        counters = hub.fault_counters()
-        counters["epoch"] = cluster.nodes[0].table.epoch
-        counters["live_nodes"] = len(cluster.nodes)
-        telemetry = cluster.telemetry_snapshot()
-    finally:
-        cluster.shutdown()
-    return SimReport(scenario=scenario.name, seed=seed,
-                     violations=violations, events=events,
-                     reference_events=oracle, final_hosting=final_hosting,
-                     counters=counters, replayed=replayed,
-                     telemetry=telemetry)
+        for mmsi in workload.final_t:
+            for node_id, actor in vessel_hosts(cluster, mmsi):
+                if actor is not None and actor.last_message is not None:
+                    final_hosting[mmsi] = (node_id, actor.last_message.t)
+        return SimReport(
+            scenario=scenario.name, seed=seed, violations=violations,
+            events=events, reference_events=oracle,
+            final_hosting=final_hosting, counters=campaign.counters(),
+            replayed=campaign.replayed,
+            telemetry=cluster.telemetry_snapshot())

@@ -2,7 +2,7 @@
 
 :func:`run_voyage_scenario` drives the standard workload plus a small
 voyage fleet — three twins assigned routes that deterministically produce
-each voyage event kind — through a :class:`~repro.sim.scenario.SimCluster`
+each voyage event kind — through a :class:`~repro.sim.campaign.SimCluster`
 with voyage optimization armed, and proves that crash/checkpoint-recovery
 and live shard migration are invisible to the optimizer:
 
@@ -35,28 +35,28 @@ a runtime fault.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import random
 from dataclasses import dataclass, field
 
 from repro.ais.message import AISMessage
-from repro.cluster import ClusterConfig, VirtualClock, shard_for_key
+from repro.cluster import ClusterConfig
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.models.fuel import FuelModel
 from repro.models.voyage import Waypoint, plan_voyage
-from repro.platform.config import PlatformConfig
+from repro.sim.campaign import (
+    CampaignReport,
+    ClusterCampaign,
+    FaultStep,
+    fault_free_oracle,
+    mmsis_owned_by,
+)
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
     check_event_parity,
-    check_no_acked_loss,
-    check_no_downed_delivery,
-    check_shard_convergence,
     collect_events,
+    vessel_hosts,
 )
-from repro.sim.scenario import SimCluster
-from repro.sim.transport import SimHub
-from repro.sim.workload import Workload, _region_center, generate_workload
+from repro.sim.workload import _region_center, generate_workload
 from repro.weather.forecast import ForecastingWeatherField
 
 
@@ -137,23 +137,42 @@ class VoyageScenario:
             raise ValueError("drift and divergence threshold must be "
                              "positive")
 
+    @property
+    def script(self) -> tuple[FaultStep, ...]:
+        """The crash leg — a checkpoint, later the crash (armed: it takes
+        in-flight frames with it) and an orderly recovery once the failure
+        detector has had two DOWN windows, so the checkpointed voyage
+        state is offered before any replay can rebuild planless twins —
+        and the orderly scale-out and drain (see the module docstring)."""
+        steps = []
+        if self.crash_after_chunk is not None:
+            calm, crash = FaultSpec(), self.crash_after_chunk
+            steps += [
+                FaultStep(self.checkpoint_after_chunk, "quiesce"),
+                FaultStep(self.checkpoint_after_chunk, "checkpoint"),
+                FaultStep(crash, "crash", {"node": self.target}),
+                FaultStep(crash, "set_faults", {"faults": calm}),
+                FaultStep(crash, "resolve"),
+                FaultStep(crash, "recover", {"node": self.target},
+                          orderly=True),
+                FaultStep(crash, "set_faults", {"faults": self.faults})]
+        if self.add_node_after_chunk is not None:
+            steps.append(FaultStep(self.add_node_after_chunk, "add_node",
+                                   orderly=True))
+        if self.drain_after_chunk is not None:
+            steps.append(FaultStep(self.drain_after_chunk, "drain",
+                                   {"node": self.target}, orderly=True))
+        return tuple(steps)
+
     def reference(self) -> "VoyageScenario":
         """The fault-free twin of this scenario (same workload, fleet and
-        schedule; no link faults, crashes or migrations)."""
+        schedule; no link faults, crashes or migrations) — one value for
+        every leg over the same workload shape, so it keys their shared
+        oracle run."""
         return dataclasses.replace(
-            self, name=f"{self.name}-reference", faults=FaultSpec(),
+            self, name="voyage-reference", faults=FaultSpec(),
             crash_after_chunk=None, add_node_after_chunk=None,
             drain_after_chunk=None)
-
-    def workload_key(self) -> tuple:
-        """Everything the fault-free outcome depends on."""
-        return (self.num_nodes, self.steps, self.spacing_s, self.target,
-                self.replan_cadence_s, self.divergence_m,
-                self.eta_breach_s, self.update_cycle_s,
-                self.degradation_tau_s, self.max_wind_mps,
-                self.base_speed_kn, self.drift_deg_per_chunk,
-                self.closing_bucket, self.tick_per_chunk_s,
-                self.down_after_s)
 
 
 @dataclass(frozen=True)
@@ -236,22 +255,6 @@ def find_storm_route(weather: ForecastingWeatherField, seed: int,
         f"STORM_WAYPOINT_CANDIDATES or STORM_ORIGIN_REGIONS")
 
 
-def voyage_mmsis(table, target: str, count: int = 3,
-                 base: int = 400_000_000) -> list[int]:
-    """``count`` mmsis whose vessel shards the settled table assigns to
-    ``target``. Pure hashing, like the rebalance campaign's hot fleet."""
-    picked: list[int] = []
-    mmsi = base
-    while len(picked) < count:
-        mmsi += 1
-        shard = shard_for_key("vessel", mmsi, table.num_shards)
-        if table.owner_of(shard) == target:
-            picked.append(mmsi)
-        if mmsi > base + 100_000:
-            raise RuntimeError(f"could not find voyage mmsis on {target}")
-    return picked
-
-
 def _fix_t(scenario: VoyageScenario, chunk: int, slot: int) -> float:
     """Voyage fix times interleave the workload's (offset 1.5 vs 1.0;
     per-twin 0.01 slots) so every timestamp in the stream is distinct."""
@@ -266,8 +269,8 @@ def build_voyage_fleet(table, scenario: VoyageScenario,
     group, so no proximity/collision geometry can ever involve them), and
     the twins' mmsis all hash onto ``scenario.target``.
     """
-    diverge_mmsi, breach_mmsi, storm_mmsi = voyage_mmsis(
-        table, scenario.target)
+    diverge_mmsi, breach_mmsi, storm_mmsi = mmsis_owned_by(
+        table, scenario.target, count=3, base=400_000_000)
     weather = ForecastingWeatherField(
         seed=seed, update_cycle_s=scenario.update_cycle_s,
         degradation_tau_s=scenario.degradation_tau_s,
@@ -337,44 +340,25 @@ def closing_fixes(fleet: tuple[VoyageTwin, ...],
     return fixes
 
 
-def collect_voyage_events(cluster) -> set[tuple[str, int]]:
-    """The cluster-wide (kind, mmsi) voyage event set. Mmsi-keyed, not
-    timestamped: a recovered twin legitimately re-emits an event the
-    checkpoint had not covered, and set semantics absorb the replay."""
-    events: set[tuple[str, int]] = set()
-    for platform in cluster.platforms:
-        now = platform.system.now
-        for kind in VOYAGE_EVENT_KINDS:
-            for payload in platform.kvstore.lrange(
-                    f"events:{kind}", 0, -1, now=now):
-                events.add((kind, payload.mmsi))
-    return events
-
-
 def collect_final_plans(cluster, fleet: tuple[VoyageTwin, ...]
                         ) -> dict[int, str | None]:
     """mmsi -> fingerprint of the plan each twin holds after the closing
     replan (None: twin unhosted or planless — both are violations)."""
     plans: dict[int, str | None] = {}
     for twin in fleet:
-        plans[twin.mmsi] = None
-        for platform in cluster.platforms:
-            if twin.mmsi not in platform.wiring.vessel_router:
-                continue
-            cell = platform.system._cells.get(f"vessel-{twin.mmsi}")
-            if cell is not None and cell.actor.voyage_plan is not None:
-                plans[twin.mmsi] = cell.actor.voyage_plan.fingerprint()
-            break
+        hosts = vessel_hosts(cluster, twin.mmsi)
+        actor = hosts[0][1] if hosts else None
+        plans[twin.mmsi] = (actor.voyage_plan.fingerprint()
+                            if actor is not None
+                            and actor.voyage_plan is not None else None)
     return plans
 
 
 @dataclass
-class VoyageReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
+class VoyageReport(CampaignReport):
+    """What one voyage-replanning campaign run observed, beside the
+    fault-free reference it was checked against."""
 
-    scenario: str
-    seed: int
-    violations: list[Violation]
     events: set
     reference_events: set
     voyage_events: set
@@ -385,137 +369,48 @@ class VoyageReport:
     suffix_replayed: int
     counters: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> str:
-        """Digest of every observable outcome; identical across runs of
-        the same (scenario, seed) — the harness determinism guarantee."""
-        canonical = repr((
-            self.scenario, self.seed, sorted(self.events),
-            sorted(self.voyage_events),
-            sorted(self.plan_fingerprints.items(),
-                   key=lambda kv: kv[0]),
-            sorted(self.counters.items()),
-            [str(v) for v in self.violations],
-            self.replayed, self.suffix_replayed,
-        ))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"scenario={self.scenario} seed={self.seed} {status} "
-                 f"voyage_events={len(self.voyage_events)} "
-                 f"fingerprint={self.fingerprint()[:16]}"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
+    DIGEST = ("scenario", "seed", "events", "voyage_events",
+              "plan_fingerprints", "counters", "violations",
+              "replayed", "suffix_replayed")
+    SUMMARY = ("voyage_events={voyage_events}",)
 
 
-@dataclass
-class _CampaignOutcome:
-    events: set
-    voyage_events: set
-    plans: dict[int, str | None]
-    final_t: dict[int, float]
-    replayed: int
-    suffix_replayed: int
-    counters: dict
-    convergence: list[Violation]
-    acked_loss: list[Violation]
-    downed: list[Violation]
-
-
-def _run_campaign(scenario: VoyageScenario, seed: int) -> _CampaignOutcome:
-    """One full campaign run (faulty or reference, per the scenario)."""
-    workload: Workload = generate_workload(seed, steps=scenario.steps,
-                                           spacing_s=scenario.spacing_s)
-    clock = VirtualClock()
-    hub = SimHub(rng=random.Random(seed), clock=clock, faults=FaultSpec())
-    platform_config = PlatformConfig(
-        record_telemetry=True, trace_sample_every=16,
-        voyage_optimization=True, weather_seed=seed,
-        weather_update_cycle_s=scenario.update_cycle_s,
-        weather_degradation_tau_s=scenario.degradation_tau_s,
-        weather_max_wind_mps=scenario.max_wind_mps,
-        voyage_replan_cadence_s=scenario.replan_cadence_s,
-        voyage_divergence_m=scenario.divergence_m,
-        voyage_eta_breach_s=scenario.eta_breach_s,
-        voyage_base_speed_kn=scenario.base_speed_kn)
-    cluster = SimCluster(
-        hub, num_nodes=scenario.num_nodes, config=platform_config,
-        cluster_config=ClusterConfig(down_after_s=scenario.down_after_s))
-    try:
+def _run_campaign(scenario: VoyageScenario, seed: int,
+                  reference: VoyageReport | None) -> VoyageReport:
+    """One full campaign run, checked against ``reference`` — or, for
+    the fault-free reference run itself (None), against its own
+    outcome."""
+    workload = generate_workload(seed, steps=scenario.steps,
+                                 spacing_s=scenario.spacing_s)
+    with ClusterCampaign(scenario, seed, platform={
+            "voyage_optimization": True, "weather_seed": seed,
+            "weather_update_cycle_s": scenario.update_cycle_s,
+            "weather_degradation_tau_s": scenario.degradation_tau_s,
+            "weather_max_wind_mps": scenario.max_wind_mps,
+            "voyage_replan_cadence_s": scenario.replan_cadence_s,
+            "voyage_divergence_m": scenario.divergence_m,
+            "voyage_eta_breach_s": scenario.eta_breach_s,
+            "voyage_base_speed_kn": scenario.base_speed_kn,
+    }) as campaign:
+        cluster = campaign.cluster
         fleet = build_voyage_fleet(cluster.nodes[0].table, scenario, seed)
-        fleet_chunks = voyage_chunks(fleet, scenario)
         for twin in fleet:
             cluster.assign_voyage(twin.mmsi, twin.waypoints,
                                   twin.deadline_t,
                                   base_speed_kn=scenario.base_speed_kn)
+        chunks = [w + v for w, v in zip(workload.messages_by_step,
+                                        voyage_chunks(fleet, scenario))]
+
+        def quiesce(k: int) -> None:
+            cluster.quiesce()
 
         # Warm-up chunk, fault-free: plans only land at process barriers,
         # and the divergence watch needs a plan to diverge from before
         # any fault can interrupt it.
-        cluster.seed.publish_messages(
-            list(workload.messages_by_step[0]) + list(fleet_chunks[0]))
-        cluster.process_available()
-        cluster.tick(scenario.tick_per_chunk_s)
-        cluster.quiesce()
-
-        hub.faults = scenario.faults
-        checkpoint = None
-        suffix_replayed = 0
-        for k in range(1, scenario.steps):
-            cluster.seed.publish_messages(
-                list(workload.messages_by_step[k]) + list(fleet_chunks[k]))
-            cluster.process_available()
-            cluster.tick(scenario.tick_per_chunk_s)
-            if scenario.crash_after_chunk is not None \
-                    and k == scenario.checkpoint_after_chunk:
-                cluster.quiesce()
-                checkpoint = cluster.checkpoint()
-            if scenario.crash_after_chunk is not None \
-                    and k == scenario.crash_after_chunk:
-                # The crash takes in-flight frames with it; the recovery
-                # itself runs orderly (faults off, quiesced) so the
-                # checkpointed voyage state is offered before any replay
-                # can rebuild planless twins.
-                cluster.crash(scenario.target)
-                hub.faults = FaultSpec()
-                cluster.tick(2.0 * scenario.down_after_s + 2.0)
-                cluster.quiesce()
-                _, suffix_replayed = cluster.recover(scenario.target,
-                                                     checkpoint)
-                cluster.quiesce()
-                hub.faults = scenario.faults
-            if scenario.add_node_after_chunk is not None \
-                    and k == scenario.add_node_after_chunk:
-                hub.faults = FaultSpec()
-                cluster.quiesce()
-                cluster.add_node()
-                cluster.quiesce()
-                hub.faults = scenario.faults
-            if scenario.drain_after_chunk is not None \
-                    and k == scenario.drain_after_chunk:
-                hub.faults = FaultSpec()
-                cluster.quiesce()
-                cluster.drain(scenario.target)
-                cluster.quiesce()
-                hub.faults = scenario.faults
-            cluster.quiesce()
-
-        # Recovery coda: stop injecting, heal, let the failure detector
-        # settle, then the strongest platform recovery — a full in-order
-        # AIS replay through the healthy routing.
-        hub.faults = FaultSpec()
-        hub.heal()
-        cluster.tick(2.0 * cluster.cluster_config.down_after_s + 2.0)
-        cluster.quiesce()
-        cluster.process_available()
-        replayed = cluster.seed.replay_from_start()
-        cluster.settle()
-        cluster.quiesce()
-        cluster.process_available()
+        campaign.drive(chunks[:1], at_boundary=quiesce)
+        campaign.arm()
+        campaign.drive(chunks[1:], first=1, at_boundary=quiesce)
+        campaign.heal_and_replay()
 
         # The closing fix crosses a fresh replan bucket: one final
         # deterministic replan per twin, whose fingerprint the parity
@@ -525,33 +420,52 @@ def _run_campaign(scenario: VoyageScenario, seed: int) -> _CampaignOutcome:
         cluster.quiesce()
         cluster.process_available()
 
-        convergence = check_shard_convergence(cluster)
-        acked_loss = check_no_acked_loss(cluster, workload.final_t)
-        downed = check_no_downed_delivery(hub)
         events = collect_events(cluster)
-        voyage_events = collect_voyage_events(cluster)
+        # Keyed by mmsi, not timestamp: a recovered twin legitimately
+        # re-emits an event the checkpoint had not covered, and set
+        # semantics absorb the replay.
+        voyage_events = collect_events(cluster, VOYAGE_EVENT_KINDS,
+                                       lambda payload: payload.mmsi)
         plans = collect_final_plans(cluster, fleet)
-        counters = dict(hub.fault_counters())
-        counters["epoch"] = cluster.nodes[0].table.epoch
-        counters["live_nodes"] = len(cluster.nodes)
+        ref_events, ref_voyage_events, ref_plans = (
+            (events, voyage_events, plans) if reference is None else
+            (reference.events, reference.voyage_events,
+             reference.plan_fingerprints))
+
+        violations = campaign.standard_violations(events, ref_events,
+                                                  workload.final_t)
+        violations += check_event_parity(voyage_events, ref_voyage_events,
+                                         "voyage-event-parity", "twin")
+        for mmsi, expected in sorted(ref_plans.items()):
+            got = plans.get(mmsi)
+            if expected is None:
+                violations.append(Violation(
+                    "plan-parity",
+                    f"twin {mmsi} holds no plan even in the fault-free "
+                    f"run (harness bug)"))
+            elif got != expected:
+                violations.append(Violation(
+                    "plan-parity",
+                    f"twin {mmsi} closed with plan "
+                    f"{(got or 'none')[:16]}, fault-free run closed with "
+                    f"{expected[:16]} — voyage state did not survive"))
+
+        counters = campaign.counters()
         counters["state_transfers"] = sum(n.state_transfers_received
                                           for n in cluster.nodes)
         counters["voyage_twins_on_target"] = sum(
-            1 for p in cluster.platforms
-            if p.node.node_id == scenario.target
-            for twin in fleet if twin.mmsi in p.wiring.vessel_router)
-    finally:
-        cluster.shutdown()
-    return _CampaignOutcome(
-        events=events, voyage_events=voyage_events, plans=plans,
-        final_t=workload.final_t, replayed=replayed,
-        suffix_replayed=suffix_replayed, counters=counters,
-        convergence=convergence, acked_loss=acked_loss, downed=downed)
+            1 for twin in fleet
+            for node_id, _ in vessel_hosts(cluster, twin.mmsi)
+            if node_id == scenario.target)
+        return VoyageReport(
+            scenario=scenario.name, seed=seed, violations=violations,
+            events=events, reference_events=ref_events,
+            voyage_events=voyage_events,
+            reference_voyage_events=ref_voyage_events,
+            plan_fingerprints=plans, reference_plans=ref_plans,
+            replayed=campaign.replayed,
+            suffix_replayed=campaign.suffix_replayed, counters=counters)
 
-
-#: Fault-free voyage oracle outcomes, keyed by (seed, workload_key) —
-#: the three campaign legs over one seed share a single reference run.
-_VOYAGE_REFERENCE_CACHE: dict[tuple, _CampaignOutcome] = {}
 
 #: Expected (kind, role) pairing every oracle must realise, else the
 #: campaign would be vacuous for that kind.
@@ -559,31 +473,27 @@ _EXPECTED_KINDS = (("route_divergence", "diverge"), ("eta_breach", "breach"),
                    ("storm_avoidance", "storm"))
 
 
-def voyage_reference(scenario: VoyageScenario, seed: int
-                     ) -> _CampaignOutcome:
-    """The fault-free oracle outcome for ``seed`` under this scenario's
-    workload shape, with the degenerate-workload guard applied."""
-    key = (seed, scenario.workload_key())
-    cached = _VOYAGE_REFERENCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    reference = _run_campaign(scenario.reference(), seed)
-    table = {t.role: t.mmsi
-             for t in build_voyage_fleet_for_key(scenario, seed)}
-    for kind, role in _EXPECTED_KINDS:
-        if (kind, table[role]) not in reference.voyage_events:
-            raise RuntimeError(
-                f"degenerate voyage workload for seed {seed}: fault-free "
-                f"run never emitted {kind} for the {role} twin "
-                f"({sorted(reference.voyage_events)}) — parity would be "
-                f"vacuous")
-    if not any(kind == "proximity" for kind, _ in reference.events) or \
-            not any(kind == "collision" for kind, _ in reference.events):
-        raise RuntimeError(
-            f"degenerate workload for seed {seed}: fault-free run "
-            f"produced {sorted(reference.events)}")
-    _VOYAGE_REFERENCE_CACHE[key] = reference
-    return reference
+def voyage_reference(scenario: VoyageScenario, seed: int) -> VoyageReport:
+    """The fault-free oracle run for ``seed`` under this scenario's
+    workload shape (the three campaign legs over one seed share it), with
+    the degenerate-workload guards applied."""
+    fault_free = scenario.reference()
+
+    def run() -> VoyageReport:
+        reference = _run_campaign(fault_free, seed, None)
+        table = {t.role: t.mmsi
+                 for t in build_voyage_fleet_for_key(scenario, seed)}
+        for kind, role in _EXPECTED_KINDS:
+            if (kind, table[role]) not in reference.voyage_events:
+                raise RuntimeError(
+                    f"degenerate voyage workload for seed {seed}: "
+                    f"fault-free run never emitted {kind} for the {role} "
+                    f"twin ({sorted(reference.voyage_events)}) — parity "
+                    f"would be vacuous")
+        return reference
+
+    return fault_free_oracle(("voyage", seed, fault_free), seed, run,
+                             events=lambda r: r.events)
 
 
 def build_voyage_fleet_for_key(scenario: VoyageScenario, seed: int
@@ -602,43 +512,4 @@ def run_voyage_scenario(scenario: VoyageScenario, seed: int
                         ) -> VoyageReport:
     """Execute ``scenario`` under ``seed`` and check the standard
     invariants plus voyage event parity and plan parity."""
-    reference = voyage_reference(scenario, seed)
-    outcome = _run_campaign(scenario, seed)
-
-    violations: list[Violation] = []
-    violations += outcome.convergence
-    violations += outcome.acked_loss
-    violations += check_event_parity(outcome.events, reference.events)
-    violations += outcome.downed
-    for kind, mmsi in sorted(reference.voyage_events
-                             - outcome.voyage_events):
-        violations.append(Violation(
-            "voyage-event-parity",
-            f"missing {kind} event for twin {mmsi}"))
-    for kind, mmsi in sorted(outcome.voyage_events
-                             - reference.voyage_events):
-        violations.append(Violation(
-            "voyage-event-parity",
-            f"spurious {kind} event for twin {mmsi}"))
-    for mmsi, expected in sorted(reference.plans.items()):
-        got = outcome.plans.get(mmsi)
-        if expected is None:
-            violations.append(Violation(
-                "plan-parity",
-                f"twin {mmsi} holds no plan even in the fault-free run "
-                f"(harness bug)"))
-        elif got != expected:
-            violations.append(Violation(
-                "plan-parity",
-                f"twin {mmsi} closed with plan "
-                f"{(got or 'none')[:16]}, fault-free run closed with "
-                f"{expected[:16]} — voyage state did not survive"))
-    return VoyageReport(
-        scenario=scenario.name, seed=seed, violations=violations,
-        events=outcome.events, reference_events=reference.events,
-        voyage_events=outcome.voyage_events,
-        reference_voyage_events=reference.voyage_events,
-        plan_fingerprints=outcome.plans, reference_plans=reference.plans,
-        replayed=outcome.replayed,
-        suffix_replayed=outcome.suffix_replayed,
-        counters=outcome.counters)
+    return _run_campaign(scenario, seed, voyage_reference(scenario, seed))

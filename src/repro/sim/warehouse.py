@@ -38,7 +38,6 @@ N``).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import tempfile
@@ -47,6 +46,7 @@ from dataclasses import dataclass, field
 from repro.kvstore.persistence import StorePersistence
 from repro.platform.config import PlatformConfig
 from repro.platform.pipeline import Platform
+from repro.sim.campaign import CampaignReport
 from repro.sim.invariants import Violation
 from repro.sim.workload import generate_workload
 from repro.warehouse import Warehouse, WarehouseCompactor, WarehouseQueries
@@ -84,12 +84,9 @@ class WarehouseScenario:
 
 
 @dataclass
-class WarehouseReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
+class WarehouseReport(CampaignReport):
+    """What one crash-compaction campaign run observed."""
 
-    scenario: str
-    seed: int
-    violations: list[Violation]
     states_written: int
     events_written: int
     position_rows: int
@@ -100,31 +97,12 @@ class WarehouseReport:
     victim_fingerprint: str
     counters: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> str:
-        """Digest of every observable outcome; identical across runs of
-        the same (scenario, seed) — the harness determinism guarantee."""
-        canonical = repr((
-            self.scenario, self.seed, [str(v) for v in self.violations],
-            self.states_written, self.events_written,
-            self.position_rows, self.event_rows,
-            self.crashes, self.attempts,
-            self.oracle_fingerprint, self.victim_fingerprint,
-            sorted(self.counters.items()),
-        ))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"scenario={self.scenario} seed={self.seed} {status} "
-                 f"rows={self.position_rows}+{self.event_rows} "
-                 f"crashes={self.crashes}/{self.attempts} attempts "
-                 f"fingerprint={self.fingerprint()[:16]}"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
+    DIGEST = ("scenario", "seed", "violations", "states_written",
+              "events_written", "position_rows", "event_rows",
+              "crashes", "attempts", "oracle_fingerprint",
+              "victim_fingerprint", "counters")
+    SUMMARY = ("rows={position_rows}+{event_rows}",
+               "crashes={crashes}/{attempts}", "attempts")
 
 
 def _run_platform(scenario: WarehouseScenario, seed: int,
@@ -217,12 +195,24 @@ def _check_query_parity(oracle: Warehouse, victim: Warehouse,
 def run_warehouse_scenario(scenario: WarehouseScenario, seed: int,
                            workdir: str | None = None) -> WarehouseReport:
     """Execute ``scenario`` under ``seed``; pass ``workdir`` to keep the
-    journal and both warehouses inspectable after the run."""
+    journal and both warehouses inspectable after the run (by default
+    they live in a temporary directory removed on return)."""
     if workdir is None:
-        workdir = tempfile.mkdtemp(prefix=f"sim-warehouse-seed{seed}-")
+        with tempfile.TemporaryDirectory(
+                prefix=f"sim-warehouse-seed{seed}-") as workdir:
+            return run_warehouse_scenario(scenario, seed, workdir)
     states, events, persistence = _run_platform(
         scenario, seed, os.path.join(workdir, "kv"))
+    try:
+        return _compact_and_check(scenario, seed, workdir, states, events,
+                                  persistence)
+    finally:
+        persistence.close()
 
+
+def _compact_and_check(scenario: WarehouseScenario, seed: int, workdir: str,
+                       states: int, events: int,
+                       persistence: StorePersistence) -> WarehouseReport:
     oracle_dir = os.path.join(workdir, "oracle")
     victim_dir = os.path.join(workdir, "victim")
     oracle = Warehouse(oracle_dir, resolution=scenario.resolution)
@@ -273,8 +263,6 @@ def run_warehouse_scenario(scenario: WarehouseScenario, seed: int,
         m for _c, _d, meta in oracle.partitions("positions")
         for m in (meta["mmsi_min"], meta["mmsi_max"]))})
     violations.extend(_check_query_parity(oracle, victim, mmsis))
-
-    persistence.close()
     return WarehouseReport(
         scenario=scenario.name, seed=seed, violations=violations,
         states_written=states, events_written=events,

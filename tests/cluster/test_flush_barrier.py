@@ -8,7 +8,7 @@ from repro.ais.message import AISMessage
 from repro.events.voyage import StormAvoidanceEvent
 from repro.platform import LoopbackCluster, PlatformConfig
 from repro.platform.messages import EventRecord, VesselStateUpdate
-from repro.sim.voyage import voyage_mmsis
+from repro.sim.campaign import mmsis_owned_by
 from repro.streams import ConsumerGroup
 
 DAY = 86_400.0
@@ -28,7 +28,8 @@ def test_barrier_drains_all_three_pools_of_a_worker_node():
     cluster = LoopbackCluster(num_nodes=2, config=PlatformConfig(**HELD))
     try:
         worker = cluster.platforms[1]
-        twin, other = voyage_mmsis(cluster.seed.node.table, worker.node.node_id, count=2)
+        twin, other = mmsis_owned_by(cluster.seed.node.table, worker.node.node_id,
+                                     count=2, base=400_000_000)
         cluster.assign_voyage(twin, [(36.0, 14.0)], deadline_t=4 * DAY)
         # One fix, ingested and pumped WITHOUT the barrier: the twin on the
         # worker pools its forecast request and its first replan.

@@ -30,7 +30,7 @@ import repro.serving.fanout as serving_fanout_mod
 import repro.serving.protocol as serving_protocol_mod
 import repro.serving.replica as serving_replica_mod
 import repro.serving.server as serving_server_mod
-import repro.sim.voyage as sim_voyage_mod
+import repro.sim as sim_package
 import repro.telemetry as telemetry_mod
 import repro.telemetry.registry as tel_registry_mod
 import repro.telemetry.trace as tel_trace_mod
@@ -64,15 +64,17 @@ from repro.cluster.transport import BatchingTransport
 # The voyage-optimization subsystem plans must be pure functions of
 # (seed, route, stream time) so plan fingerprints compare across crash
 # recovery and live migration — a wall-clock read anywhere in the
-# weather fields, the fuel model, the planner, the pooled optimizer, the
-# bench sweep, or the sim campaign would break that bit-for-bit.
+# weather fields, the fuel model, the planner, the pooled optimizer, or
+# the bench sweep would break that bit-for-bit. (The sim campaigns that
+# compare them run on the virtual clock too: ``repro.sim`` is audited
+# whole, by directory, below.)
 AUDITED_MODULES = [membership_mod, transport_mod, node_mod,
                    batching_mod, forecast_service_mod, route_optimizer_mod,
                    writer_actor_mod,
                    telemetry_mod, tel_registry_mod, tel_trace_mod,
                    serving_bridge_mod, serving_fanout_mod,
                    serving_protocol_mod, serving_replica_mod,
-                   serving_server_mod, sim_voyage_mod,
+                   serving_server_mod,
                    wh_segments_mod, wh_warehouse_mod, wh_compactor_mod,
                    wh_query_mod,
                    weather_field_mod, weather_forecast_mod,
@@ -114,6 +116,20 @@ def test_no_wall_clock_reads_outside_defaults(module):
     assert not offenders, (
         "wall-clock reads outside injectable defaults (route these "
         "through the clock parameter): " + ", ".join(offenders))
+
+
+SIM_SOURCES = sorted(pathlib.Path(sim_package.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SIM_SOURCES, ids=[p.stem for p in SIM_SOURCES])
+def test_sim_package_is_wall_clock_free(path):
+    """Every ``repro.sim`` module — driver, campaigns, hub, workload —
+    runs on the scenario's virtual clock; walking the directory audits
+    new campaign modules without another import line."""
+    offenders = _time_reads_in_file(path, f"repro.sim.{path.stem}")
+    assert not offenders, (
+        "wall-clock reads outside injectable defaults: "
+        + ", ".join(offenders))
 
 
 def test_voyage_bench_example_is_wall_clock_free():

@@ -17,7 +17,8 @@ import pytest
 
 from repro.cluster import shard_for_key
 from repro.sim import RebalanceScenario, run_rebalance_scenario
-from repro.sim.rebalance import hot_ballast_chunks, hot_ballast_mmsis
+from repro.sim.campaign import mmsis_owned_by
+from repro.sim.rebalance import HOT_MMSI_BASE, hot_ballast_chunks
 
 SIM_MIN_SEEDS = 3
 
@@ -88,7 +89,9 @@ def test_hot_ballast_targets_victim_and_is_splittable():
     table = ShardTable(epoch=1, nodes=("node-00", "node-01", "node-02"),
                        num_shards=64)
     scenario = BASELINE
-    mmsis = hot_ballast_mmsis(table, scenario)
+    mmsis = mmsis_owned_by(table, scenario.victim, scenario.hot_vessels,
+                           HOT_MMSI_BASE,
+                           per_shard_cap=max(1, scenario.hot_vessels // 2))
     assert len(mmsis) == scenario.hot_vessels
     shards = {shard_for_key("vessel", m, table.num_shards) for m in mmsis}
     assert len(shards) >= 2

@@ -49,9 +49,10 @@ def test_mutated_handoff_is_caught_and_prints_seed(monkeypatch):
 def test_degenerate_workload_is_rejected(monkeypatch):
     """If the fault-free oracle yields no events, parity is vacuous — the
     harness must refuse to certify such a run rather than pass it."""
+    from repro.sim import campaign as campaign_mod
     from repro.sim import scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "collect_events", lambda c: set())
-    monkeypatch.setattr(scenario_mod, "_REFERENCE_CACHE", {})
+    monkeypatch.setattr(campaign_mod, "_ORACLE_CACHE", {})
     with pytest.raises(RuntimeError, match="degenerate workload"):
         scenario_mod.reference_events(0, COMBINED.steps,
                                       COMBINED.num_nodes)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import VoyageScenario, run_voyage_scenario
+from repro.sim.campaign import mmsis_owned_by
 from repro.sim.voyage import (
     build_voyage_fleet_for_key,
     collect_final_plans,
     find_storm_route,
-    voyage_mmsis,
 )
 
 SIM_MIN_SEEDS = 3
@@ -110,8 +110,9 @@ def test_fleet_is_margin_robust_and_targeted():
     assert diverge.waypoints[0][0] == diverge.origin[0]
     assert breach.deadline_t < 4_000.0
     assert storm.origin[0] == 40.0  # a row-3 region, clear of workloads
-    # voyage_mmsis is pure hashing: same table, same answer.
-    assert voyage_mmsis(table, "node-01") == voyage_mmsis(table, "node-01")
+    # The mmsi choice is pure hashing: same table, same answer.
+    assert ([t.mmsi for t in fleet]
+            == mmsis_owned_by(table, "node-01", count=3, base=400_000_000))
 
 
 def test_storm_probe_is_cached_and_deterministic():

@@ -51,3 +51,12 @@ def test_warehouse_campaign_is_deterministic(sim_seed, tmp_path):
     second = run_warehouse_scenario(SCENARIO, sim_seed,
                                     workdir=str(tmp_path / "b"))
     assert first.fingerprint() == second.fingerprint()
+
+
+def test_default_workdir_is_removed(tmp_path, monkeypatch):
+    """Passing ``workdir`` is what keeps the files; the default scratch
+    directory must not outlive the run."""
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    report = run_warehouse_scenario(SCENARIO, 0)
+    assert report.ok, report.summary()
+    assert list(tmp_path.iterdir()) == []
