@@ -1,28 +1,27 @@
-"""Voyage bench CLI: plan-vs-actual fuel across replanning cadences.
+"""Voyage table: plan-vs-actual fuel across replanning cadences.
 
-Two legs:
+Deterministic (nothing here reads the wall clock), so the printed rows
+are exact reproductions, not samples. Two legs:
 
 * the **sweep** runs :func:`repro.evaluation.run_voyage_bench` — the
   Voyage_Optimization exemplar's experiment B over the synthetic
   forecast-issuing field: every voyage is planned against forecasts
   (degrading toward climatology with lead time) and sailed through
   actuals, at 1h/3h/6h/12h replanning cadences plus the plan-once
-  baseline — into ``BENCH_voyage.json``,
+  baseline,
 * the **platform leg** drives the same optimizer through the deterministic
   single-node :class:`~repro.platform.pipeline.Platform` under its
   virtual clock (no wall-clock reads — the AST audit in
   ``tests/cluster/test_virtual_clock.py`` holds this file to that), so
-  the report also proves the three voyage event kinds flow through the
-  event routers and writer pool.
+  the table also shows the three voyage event kinds flowing through
+  the event routers and writer pool.
 
 Run:  python examples/run_voyage_bench.py [--smoke]
-      python examples/run_voyage_bench.py --record-baseline
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -101,10 +100,6 @@ def main() -> None:
                         help="weather seeds to sweep (default: "
                              f"{list(DEFAULT_SEEDS)})")
     parser.add_argument("--deadline-days", type=float, default=9.0)
-    parser.add_argument("--output", default="BENCH_voyage.json")
-    parser.add_argument("--record-baseline", action="store_true",
-                        help="stamp the report as the recorded baseline "
-                             "the CI gate compares against")
     args = parser.parse_args()
 
     seeds = (SMOKE_SEEDS if args.smoke
@@ -112,8 +107,6 @@ def main() -> None:
     result = run_voyage_bench(seeds=seeds,
                               deadline_days=args.deadline_days)
     report = result.to_json()
-    report["baseline"] = bool(args.record_baseline)
-    report["platform_events"] = run_platform_leg()
 
     voyages = report["workload"]["voyages"]
     print(f"voyage bench: {len(seeds)} seeds x {len(DEFAULT_ROUTES)} "
@@ -125,10 +118,7 @@ def main() -> None:
               f"diversions {row['diversions']:3d}")
     for name, pct in report["deltas_pct"].items():
         print(f"  {name}: {pct:+.2f}% fuel")
-    print(f"  platform events: {report['platform_events']}")
-
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    print(f"  platform events: {run_platform_leg()}")
 
 
 if __name__ == "__main__":

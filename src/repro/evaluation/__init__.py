@@ -10,10 +10,10 @@
   the global stream (Figure 6),
 * :mod:`repro.evaluation.reporting` — plain-text table/series rendering so
   benchmarks print the same rows the paper reports,
-* :mod:`repro.evaluation.warehouse` — compaction throughput and OLAP query
-  latency over the historical warehouse (BENCH_warehouse.json),
+* :mod:`repro.evaluation.warehouse` — the seeded traffic journal the
+  ``warehouse_olap`` benchmark workload compacts and queries,
 * :mod:`repro.evaluation.voyage` — plan-vs-actual fuel across replanning
-  cadences over the forecast-issuing weather field (BENCH_voyage.json).
+  cadences over the forecast-issuing weather field.
 """
 
 from repro.evaluation.metrics import (
@@ -27,44 +27,26 @@ from repro.evaluation.voyage import (
     VoyageBenchResult,
     run_voyage_bench,
 )
-from repro.evaluation.warehouse import (
-    WarehouseBenchResult,
-    generate_traffic_journal,
-    run_warehouse_bench,
-)
+from repro.evaluation.warehouse import generate_traffic_journal
 from repro.evaluation.figure6 import (
-    Figure6ClusterResult,
     Figure6Result,
-    ScalingCurveResult,
-    ScalingPoint,
     run_figure6,
-    run_figure6_cluster,
-    run_scaling_curve,
-    run_scaling_point,
     seeded_svrf_forecaster,
 )
 
 __all__ = [
     "DetectionCounts",
-    "Figure6ClusterResult",
     "Figure6Result",
-    "ScalingCurveResult",
-    "ScalingPoint",
     "Table1Result",
     "Table2Result",
     "Table2Row",
     "VoyageBenchResult",
-    "WarehouseBenchResult",
     "ade_per_horizon",
     "displacement_errors_m",
     "generate_traffic_journal",
     "run_figure6",
-    "run_figure6_cluster",
-    "run_scaling_curve",
-    "run_scaling_point",
     "run_table1",
     "run_table2",
     "run_voyage_bench",
-    "run_warehouse_bench",
     "seeded_svrf_forecaster",
 ]

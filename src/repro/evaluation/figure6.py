@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.telemetry import MetricsRecorder
 from repro.ais.datasets import scalability_fleet_config
 from repro.ais.fleet import FleetEngine
 from repro.models.base import RouteForecaster
@@ -126,65 +125,16 @@ def run_figure6(forecaster: RouteForecaster, n_vessels: int = 3_000,
                          wall_time_s=wall)
 
 
-@dataclass
-class Figure6ClusterResult:
-    """The distributed Figure 6 measurement: one series per node plus the
-    cluster-wide roll-up, comparable against a single-node baseline."""
-
-    num_nodes: int
-    total_messages: int
-    total_vessels: int
-    wall_time_s: float
-    #: ``node_id -> MetricsRecorder.snapshot()`` (per-message latency).
-    per_node: dict
-    #: Figure 6 curve over the *cluster-wide* actor count, merged from all
-    #: nodes' samples.
-    actor_counts: np.ndarray
-    avg_processing_time_s: np.ndarray
-    #: node_id -> number of vessel actors hosted there at the end.
-    vessel_distribution: dict
-    #: node_id -> transport counters (frames/bytes/batches) at shutdown.
-    transport_stats: dict | None = None
-    #: Cluster-wide telemetry snapshot (``LoopbackCluster.telemetry_snapshot``)
-    #: when the run had ``record_telemetry=True``; ``None`` otherwise.
-    telemetry: dict | None = None
-
-    @property
-    def throughput_msgs_per_s(self) -> float:
-        return self.total_messages / self.wall_time_s if self.wall_time_s else 0.0
-
-    def combined_snapshot(self) -> dict:
-        """Cluster-wide latency summary (sample-weighted merge)."""
-        merged: dict[str, float] = {"samples": 0, "total_s": 0.0}
-        p50s, p99s, weights = [], [], []
-        for snap in self.per_node.values():
-            n = snap.get("samples", 0)
-            if not n:
-                continue
-            merged["samples"] += n
-            merged["total_s"] += snap["total_s"]
-            p50s.append(snap["p50_ms"])
-            p99s.append(snap["p99_ms"])
-            weights.append(n)
-        if merged["samples"]:
-            merged["mean_ms"] = merged["total_s"] / merged["samples"] * 1e3
-            merged["p50_ms"] = float(np.average(p50s, weights=weights))
-            merged["p99_ms"] = float(np.average(p99s, weights=weights))
-        else:
-            merged.update(mean_ms=0.0, p50_ms=0.0, p99_ms=0.0)
-        merged["msgs_per_s"] = self.throughput_msgs_per_s
-        return merged
-
-
 def seeded_svrf_forecaster():
     """An S-VRF model with seeded weights and identity-ish scalers.
 
     Matmul cost does not depend on the weight values, so this is the
     same-architecture forward the trained platform runs — without CI
-    training a model to time one. Used as the compute-heavy workload of
-    the N-node scaling curve (~100-200 us of model compute per kept fix,
-    an order of magnitude over the seed's per-message routing cost, so
-    distributing vessel actors actually moves the critical path).
+    training a model to time one. The compute-heavy workload of
+    ``bench/``'s ``fleet_svrf`` / ``cluster4_svrf`` (~100-200 us of model
+    compute per kept fix, an order of magnitude over the seed's
+    per-message routing cost, so distributing vessel actors actually
+    moves the critical path).
     """
     from repro.ml import StandardScaler
     from repro.models.svrf import SVRFConfig, SVRFModel
@@ -197,246 +147,3 @@ def seeded_svrf_forecaster():
         {"mean": np.zeros(out), "std": np.full(out, 1e-3)})
     model.trained = True
     return model
-
-
-@dataclass
-class ScalingPoint:
-    """One cluster size on the scaling curve."""
-
-    num_nodes: int
-    messages: int
-    #: node_id -> seconds of attributed work (dispatch + ingest + flush).
-    busy_s: dict
-    vessel_distribution: dict
-    forecast_batches: int
-
-    @property
-    def critical_path_s(self) -> float:
-        """The longest single node's busy time — what wall time would be
-        if every node ran on its own core."""
-        return max(self.busy_s.values()) if self.busy_s else 0.0
-
-    @property
-    def throughput_msgs_per_s(self) -> float:
-        critical = self.critical_path_s
-        return self.messages / critical if critical else 0.0
-
-
-@dataclass
-class ScalingCurveResult:
-    """Critical-path throughput at each cluster size (same workload)."""
-
-    points: list[ScalingPoint]
-
-    def point(self, num_nodes: int) -> ScalingPoint:
-        for point in self.points:
-            if point.num_nodes == num_nodes:
-                return point
-        raise KeyError(f"no scaling point for {num_nodes} nodes")
-
-    def speedup(self, base_nodes: int, scaled_nodes: int) -> float:
-        """Throughput ratio of ``scaled_nodes`` over ``base_nodes``."""
-        base = self.point(base_nodes).throughput_msgs_per_s
-        if not base:
-            return 0.0
-        return self.point(scaled_nodes).throughput_msgs_per_s / base
-
-    def as_report(self) -> dict:
-        """JSON-able summary for BENCH_cluster.json."""
-        return {
-            "points": [{
-                "num_nodes": p.num_nodes,
-                "messages": p.messages,
-                "critical_path_s": p.critical_path_s,
-                "msgs_per_s": p.throughput_msgs_per_s,
-                "busy_s": dict(sorted(p.busy_s.items())),
-                "vessel_distribution": dict(
-                    sorted(p.vessel_distribution.items())),
-                "forecast_batches": p.forecast_batches,
-            } for p in self.points],
-        }
-
-
-def _pump_attributed(cluster, busy: dict, max_rounds: int = 100_000) -> int:
-    """Pump the loopback cluster to quiescence, charging each node's
-    dispatcher time to ``busy[node_id]``. Rounds where a node processed
-    nothing are not charged (empty ``run_until_idle`` polls are harness
-    overhead, not node work)."""
-    import time
-
-    total = 0
-    for _ in range(max_rounds):
-        frames = cluster.hub.pump()
-        processed = 0
-        for node in cluster.nodes:
-            start = time.perf_counter()
-            n = node.system.run_until_idle()
-            if n:
-                busy[node.node_id] += time.perf_counter() - start
-            processed += n
-        total += processed
-        if frames == 0 and processed == 0 and cluster.hub.pending == 0:
-            return total
-    raise RuntimeError("cluster did not reach quiescence while measuring")
-
-
-def run_scaling_point(num_nodes: int, n_vessels: int, duration_s: float,
-                      seed: int = 3, forecaster_factory=None,
-                      cluster_config=None,
-                      platform_config: PlatformConfig | None = None
-                      ) -> ScalingPoint:
-    """Run the scaling workload on an ``num_nodes``-node loopback cluster
-    with per-node busy-time attribution.
-
-    The loopback cluster is single-threaded, so wall time cannot show
-    multi-node speedup on one core; instead every unit of work is timed
-    and charged to the node that performed it (the seed's ingest polls,
-    each node's dispatcher runs — which include the pooled S-VRF batch
-    forwards its vessel actors trigger — and each node's explicit flush).
-    Throughput is then messages over the *critical path*: the busiest
-    single node, i.e. what a one-core-per-node deployment would wait for.
-    Control-plane ticks (heartbeats, rebalancing) are deliberately not
-    run mid-measurement — the rebalance sim campaign covers that loop.
-    """
-    import time
-
-    from repro.ais.datasets import scalability_fleet_config
-    from repro.ais.fleet import FleetEngine
-    from repro.platform.distributed import LoopbackCluster
-
-    factory = forecaster_factory or seeded_svrf_forecaster
-    cluster = LoopbackCluster(num_nodes=num_nodes,
-                              forecaster_factory=factory,
-                              config=platform_config,
-                              cluster_config=cluster_config)
-    seed_platform = cluster.seed
-    seed_id = seed_platform.node.node_id
-    busy = {node.node_id: 0.0 for node in cluster.nodes}
-    engine = FleetEngine(scalability_fleet_config(
-        n_vessels=n_vessels, duration_s=duration_s, seed=seed))
-
-    total = 0
-    for tick in engine.stream():
-        if not len(tick):
-            continue
-        start = time.perf_counter()
-        seed_platform.publish_batch(tick)
-        dispatched = seed_platform.ingestion.poll_once()
-        busy[seed_id] += time.perf_counter() - start
-        total += dispatched
-        while dispatched or seed_platform.ingestion.lag:
-            _pump_attributed(cluster, busy)
-            start = time.perf_counter()
-            dispatched = seed_platform.ingestion.poll_once()
-            busy[seed_id] += time.perf_counter() - start
-            total += dispatched
-    _pump_attributed(cluster, busy)
-    # Final flush barrier, each stage charged to the node that executes it
-    # (the forecast stage holds the pooled S-VRF forwards).
-    for stage in range(len(seed_platform.wiring.batch_stages)):
-        for platform in cluster.platforms:
-            start = time.perf_counter()
-            platform.flush_stage(stage)
-            busy[platform.node.node_id] += time.perf_counter() - start
-        _pump_attributed(cluster, busy)
-
-    point = ScalingPoint(
-        num_nodes=num_nodes, messages=total, busy_s=busy,
-        vessel_distribution=cluster.vessel_distribution(),
-        forecast_batches=sum(
-            p.wiring.forecast_service.batches_executed
-            for p in cluster.platforms
-            if p.wiring.forecast_service is not None))
-    cluster.shutdown()
-    return point
-
-
-def run_scaling_curve(node_counts=(1, 2, 4, 8), n_vessels: int = 96,
-                      duration_s: float = 3_600.0, seed: int = 3,
-                      forecaster_factory=None, cluster_config=None,
-                      platform_config: PlatformConfig | None = None
-                      ) -> ScalingCurveResult:
-    """The N-node scaling curve: the same S-VRF-loaded workload at every
-    cluster size in ``node_counts``, measured as critical-path throughput
-    (see :func:`run_scaling_point`)."""
-    return ScalingCurveResult(points=[
-        run_scaling_point(n, n_vessels, duration_s, seed=seed,
-                          forecaster_factory=forecaster_factory,
-                          cluster_config=cluster_config,
-                          platform_config=platform_config)
-        for n in node_counts])
-
-
-def run_figure6_cluster(forecaster_factory=None, n_vessels: int = 1_000,
-                        duration_s: float = 1_800.0, num_nodes: int = 2,
-                        seed: int = 3, window_actors: int = 100,
-                        platform_config: PlatformConfig | None = None,
-                        cluster_config=None) -> Figure6ClusterResult:
-    """The Figure 6 measurement over a sharded multi-node cluster.
-
-    Runs the same scaled global stream as :func:`run_figure6` through a
-    deterministic :class:`~repro.platform.distributed.LoopbackCluster`:
-    vessel actors spread over ``num_nodes`` nodes by consistent-hash
-    sharding, the forecasting model mounted once per node, per-message
-    processing time recorded on every node against the *cluster-wide*
-    vessel-actor count. The loopback transport serializes every inter-node
-    message exactly as TCP would, so the measured per-message cost includes
-    the wire codec. Pass a ``cluster_config`` with
-    ``transport_batching=True`` to measure the batched wire path against
-    the default frame-per-message one.
-    """
-    import time
-
-    from repro.ais.datasets import scalability_fleet_config
-    from repro.ais.fleet import FleetEngine
-    from repro.platform.distributed import LoopbackCluster
-
-    config = platform_config or PlatformConfig()
-    cluster = LoopbackCluster(num_nodes=num_nodes,
-                              forecaster_factory=forecaster_factory,
-                              config=config, cluster_config=cluster_config,
-                              record_metrics=True)
-    cluster.use_cluster_population()
-    engine = FleetEngine(scalability_fleet_config(
-        n_vessels=n_vessels, duration_s=duration_s, seed=seed))
-
-    total = 0
-    start = time.perf_counter()
-    last_housekeeping = 0.0
-    for tick in engine.stream():
-        if len(tick):
-            cluster.seed.publish_batch(tick)
-            total += cluster.process_available()
-            now = cluster.seed.system.now
-            if now - last_housekeeping > 1_800.0:
-                for platform in cluster.platforms:
-                    platform.housekeeping()
-                cluster.settle()
-                last_housekeeping = now
-    wall = time.perf_counter() - start
-
-    # Merge every node's raw samples into one cluster-wide curve.
-    all_counts, all_durations = [], []
-    for platform in cluster.platforms:
-        counts, durations = platform.system.metrics.as_arrays()
-        all_counts.append(counts)
-        all_durations.append(durations)
-    merged = MetricsRecorder()
-    merged._actor_counts.extend(np.concatenate(all_counts).tolist())
-    merged._durations.extend(np.concatenate(all_durations).tolist())
-    curve_x, curve_y = merged.curve_by_actor_count(
-        window_actors=window_actors)
-
-    telemetry = (cluster.telemetry_snapshot()
-                 if config.record_telemetry else None)
-    result = Figure6ClusterResult(
-        num_nodes=num_nodes, total_messages=total,
-        total_vessels=cluster.total_vessels, wall_time_s=wall,
-        per_node=cluster.metrics_snapshots(),
-        actor_counts=curve_x, avg_processing_time_s=curve_y,
-        vessel_distribution=cluster.vessel_distribution(),
-        transport_stats={n.node_id: n.transport.stats()
-                         for n in cluster.nodes},
-        telemetry=telemetry)
-    cluster.shutdown()
-    return result

@@ -10,9 +10,9 @@ toward climatology with lead time — while the twin burns fuel through the
 costs: the less often you replan, the older the product your speed and
 storm-dodging choices came from.
 
-``BENCH_voyage.json`` records the sweep; the ``voyage_gate`` CI leg
-re-runs a smoke-scaled subset and enforces that the 6 h cadence still
-beats no-replanning by the recorded margin.
+``examples/run_voyage_bench.py`` prints the sweep as a table;
+``tests/evaluation/test_voyage_bench.py`` holds the 6 h cadence to a
+positive margin over no-replanning.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ DEFAULT_SEEDS: tuple[int, ...] = (1, 2, 3, 4)
 
 @dataclass
 class VoyageBenchResult:
-    """Everything ``BENCH_voyage.json`` records."""
+    """The cadence sweep: fuel totals per cadence and the headline deltas."""
 
     seeds: tuple[int, ...]
     routes: int

@@ -1,69 +1,24 @@
-"""Warehouse benchmark: compaction throughput + OLAP query latency.
+"""The seeded traffic journal behind the warehouse benchmark.
 
-``run_warehouse_bench`` synthesizes a seeded multi-day traffic journal
-(the writer pool's exact op shapes: ``hmset vessel:{mmsi}`` per kept fix,
-``rpush events:{kind}`` per detected event) through a journaled
-:class:`~repro.kvstore.KeyValueStore`, compacts it into a fresh
-:class:`~repro.warehouse.Warehouse`, then times the OLAP query surface —
-bbox heatmap, k-ring heatmap, per-cell event-rate time series,
-port-congestion trend, vessel-history scan — over repeated runs for
-p50/p99. The CI gate leg (``examples/run_bench_gate.py``) replays this
-exact workload and enforces a compaction-throughput floor and query p99
-ceilings against the recorded ``BENCH_warehouse.json``.
+``generate_traffic_journal`` writes a multi-day synthetic fleet through a
+journaled :class:`~repro.kvstore.KeyValueStore` in the writer pool's
+exact op shapes (``hmset vessel:{mmsi}`` per kept fix, ``rpush
+events:{kind}`` per detected event). ``bench/``'s ``warehouse_olap``
+workload compacts it into a fresh :class:`~repro.warehouse.Warehouse`
+and times the OLAP query surface over it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.kvstore.persistence import StorePersistence
 from repro.kvstore.store import KeyValueStore
-from repro.warehouse import Warehouse, WarehouseCompactor, WarehouseQueries
 from repro.warehouse.warehouse import DAY_S
 
 #: The synthetic fleet sails the Aegean box the examples use.
 AREA = BoundingBox(lat_min=36.0, lat_max=39.0, lon_min=23.0, lon_max=26.0)
-
-
-@dataclass
-class WarehouseBenchResult:
-    """Everything ``BENCH_warehouse.json`` records."""
-
-    vessels: int
-    days: int
-    fixes_per_day: int
-    seed: int
-    resolution: int
-    journal_ops: int
-    position_rows: int
-    event_rows: int
-    generate_seconds: float
-    compaction: dict = field(default_factory=dict)
-    queries: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "workload": {
-                "vessels": self.vessels,
-                "days": self.days,
-                "fixes_per_day": self.fixes_per_day,
-                "seed": self.seed,
-                "resolution": self.resolution,
-            },
-            "journal_ops": self.journal_ops,
-            "position_rows": self.position_rows,
-            "event_rows": self.event_rows,
-            "generate_seconds": round(self.generate_seconds, 3),
-            "compaction": self.compaction,
-            "queries": self.queries,
-        }
 
 
 def generate_traffic_journal(store: KeyValueStore, vessels: int, days: int,
@@ -109,93 +64,3 @@ def generate_traffic_journal(store: KeyValueStore, vessels: int, days: int,
                         "lat": lat[i], "lon": lon[i]}, now=t)
                     events += 1
     return positions, events
-
-
-def _latency_ms(samples: list[float]) -> dict:
-    array = np.asarray(samples) * 1_000.0
-    return {
-        "runs": len(samples),
-        "p50_ms": round(float(np.percentile(array, 50)), 3),
-        "p99_ms": round(float(np.percentile(array, 99)), 3),
-        "mean_ms": round(float(array.mean()), 3),
-    }
-
-
-def run_warehouse_bench(vessels: int = 120, days: int = 7,
-                        fixes_per_day: int = 288, seed: int = 11,
-                        resolution: int = 6, batch_rows: int = 65_536,
-                        query_repeats: int = 30, directory: str | None = None,
-                        clock: Callable[[], float] = time.perf_counter,
-                        ) -> WarehouseBenchResult:
-    """The full bench: journal -> compaction timing -> query timing."""
-    import tempfile
-
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="warehouse-bench-")
-    import os
-
-    kv_dir = os.path.join(directory, "kv")
-    wh_dir = os.path.join(directory, "warehouse")
-
-    # compact_every_ops=0: the bench owns the journal; the store must not
-    # fold it into a snapshot behind the compactor's back.
-    persistence = StorePersistence(kv_dir, compact_every_ops=0)
-    store = KeyValueStore(persistence=persistence)
-    start = clock()
-    position_rows, event_rows = generate_traffic_journal(
-        store, vessels, days, fixes_per_day, seed)
-    generate_seconds = clock() - start
-
-    warehouse = Warehouse(wh_dir, resolution=resolution)
-    compactor = WarehouseCompactor(warehouse, batch_rows=batch_rows)
-    start = clock()
-    stats = compactor.compact_persistence(persistence)
-    compact_seconds = clock() - start
-    rows = stats["rows"]
-    result = WarehouseBenchResult(
-        vessels=vessels, days=days, fixes_per_day=fixes_per_day, seed=seed,
-        resolution=resolution, journal_ops=stats["ops_scanned"],
-        position_rows=position_rows, event_rows=event_rows,
-        generate_seconds=generate_seconds)
-    result.compaction = {
-        "seconds": round(compact_seconds, 3),
-        "rows": rows,
-        "rows_per_s": round(rows / compact_seconds, 1),
-        "segments_written": stats["segments_written"],
-        "commits": stats["commits"],
-        "positions_partitions": warehouse.partition_count("positions"),
-        "events_partitions": warehouse.partition_count("events"),
-    }
-
-    queries = WarehouseQueries(warehouse)
-    horizon = days * DAY_S
-    event_cells = [cell for cell, _day, _meta in warehouse.partitions("events")]
-    # A 1°x1° area of interest: the realistic OLAP shape (pruning bites),
-    # unlike a full-area scan that would just read every segment.
-    aoi = BoundingBox(lat_min=37.0, lat_max=38.0, lon_min=24.0, lon_max=25.0)
-    bench_queries: dict[str, Callable[[], object]] = {
-        "heatmap_bbox": lambda: queries.heatmap(
-            bbox=aoi, t0=0.0, t1=horizon),
-        "heatmap_kring": lambda: queries.kring_heatmap(
-            (AREA.lat_min + AREA.lat_max) / 2.0,
-            (AREA.lon_min + AREA.lon_max) / 2.0, 5, t0=0.0, t1=horizon),
-        "event_timeseries": lambda: queries.cell_event_rate(
-            event_cells, 0.0, horizon, 3_600.0),
-        "congestion_trend": lambda: queries.congestion_trend(
-            0.0, horizon, 6 * 3_600.0, bbox=aoi),
-        "vessel_history": lambda: queries.vessel_history(200_000_000),
-    }
-    for name, run in bench_queries.items():
-        samples = []
-        for _ in range(query_repeats):
-            start = clock()
-            run()
-            samples.append(clock() - start)
-        result.queries[name] = _latency_ms(samples)
-    result.queries["pruning"] = {
-        "partitions_scanned": queries.partitions_scanned,
-        "partitions_pruned": queries.partitions_pruned,
-        "rows_scanned": queries.rows_scanned,
-    }
-    persistence.close()
-    return result

@@ -18,9 +18,9 @@ actors rebuild their history windows — the loss window is then only what
 the dead node had accepted but not yet processed.
 
 :class:`LoopbackCluster` packs N such platforms over a deterministic
-loopback hub in one process — the harness behind the cluster tests and the
-distributed Figure 6 measurement. True multi-process TCP runs are driven
-by ``examples/run_figure6_cluster.py``.
+loopback hub in one process — the harness behind the cluster tests, the
+sim campaigns and ``bench/``'s ``cluster4_svrf`` workload. The same
+platform across two OS processes over TCP is ``examples/cluster_over_tcp.py``.
 """
 
 from __future__ import annotations
@@ -680,10 +680,6 @@ class LoopbackCluster:
     def stats(self) -> list[dict]:
         return [p.stats() for p in self.platforms]
 
-    def metrics_snapshots(self) -> dict[str, dict]:
-        return {p.node.node_id: p.metrics_snapshot()
-                for p in self.platforms}
-
     def telemetry_snapshot(self) -> dict:
         """Cluster-wide telemetry: per-node snapshots plus the cross-node
         trace merge (hops ordered by timestamp/stage) and the subset of
@@ -700,12 +696,6 @@ class LoopbackCluster:
             "traces_merged": merged,
             "traces_complete": complete_traces(merged, min_nodes=min_nodes),
         }
-
-    def use_cluster_population(self) -> None:
-        """Make every node's Figure 6 samples use the *cluster-wide* vessel
-        count as the x value (only possible in-process)."""
-        for platform in self.platforms:
-            platform.system.population_fn = lambda: self.total_vessels
 
     def shutdown(self) -> None:
         for platform in self.platforms:

@@ -310,8 +310,7 @@ class Platform:
             self.wiring.cell_router.tell(cell, tick)
         for cell in self.wiring.collision_router.known_keys():
             self.wiring.collision_router.tell(cell, tick)
-        if self.system.mode == "deterministic":
-            self.system.run_until_idle()
+        self._settle()
 
     # -- introspection ----------------------------------------------------------------
 

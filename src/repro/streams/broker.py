@@ -60,18 +60,12 @@ class _Partition:
             self.log_start_offset += drop
         return offset
 
-    def read(self, from_offset: int, max_records: int) -> list[Record]:
-        start = max(from_offset, self.log_start_offset) - self.log_start_offset
-        if start >= len(self._records):
-            return []
-        return self._records[start:start + max_records]
-
     def read_into(self, from_offset: int, max_records: int,
                   out: list[Record]) -> int:
         """Append up to ``max_records`` records to ``out``; returns how
-        many were appended. The reusable-buffer twin of :meth:`read` for
-        poll-per-tick consumers: no fresh result list is allocated under
-        the coarse broker lock on every fetch."""
+        many were appended. Poll-per-tick consumers pass a reusable
+        buffer, so no fresh result list is allocated under the coarse
+        broker lock on every fetch."""
         start = max(from_offset, self.log_start_offset) - self.log_start_offset
         if start >= len(self._records):
             return 0
@@ -193,9 +187,9 @@ class Broker:
 
     def fetch(self, topic: str, partition: int, from_offset: int,
               max_records: int = 500) -> list[Record]:
-        with self._lock:
-            parts = self._partitions(topic)
-            return parts[partition].read(from_offset, max_records)
+        out: list[Record] = []
+        self.fetch_into(topic, partition, from_offset, max_records, out)
+        return out
 
     def fetch_into(self, topic: str, partition: int, from_offset: int,
                    max_records: int, out: list[Record]) -> int:

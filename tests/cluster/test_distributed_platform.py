@@ -4,7 +4,6 @@ vessel distribution, cross-node event detection, node loss + stream replay.
 Deterministic throughout — the cluster runs on one virtual clock and an
 explicitly pumped hub."""
 
-import numpy as np
 import pytest
 
 from repro.ais.datasets import proximity_scenario, scalability_fleet_config
@@ -119,21 +118,6 @@ class TestNodeLossRecovery:
 
 
 class TestMetricsAndStats:
-    def test_figure6_cluster_smoke(self):
-        from repro.evaluation import run_figure6_cluster
-
-        result = run_figure6_cluster(n_vessels=40, duration_s=240.0,
-                                     num_nodes=2, window_actors=10)
-        assert result.num_nodes == 2
-        assert result.total_vessels == 40
-        assert sum(result.vessel_distribution.values()) == 40
-        assert result.total_messages > 0
-        combined = result.combined_snapshot()
-        assert combined["samples"] > 0
-        assert combined["p99_ms"] >= combined["p50_ms"] >= 0.0
-        assert result.actor_counts.size == result.avg_processing_time_s.size
-        assert np.all(result.avg_processing_time_s >= 0)
-
     def test_stats_roll_up(self, scenario):
         cluster = LoopbackCluster(num_nodes=2)
         try:

@@ -1,4 +1,4 @@
-"""Tests for the voyage cadence-sweep benchmark (BENCH_voyage.json)."""
+"""Tests for the voyage cadence-sweep benchmark."""
 
 import pytest
 

@@ -18,6 +18,7 @@ Three invariants the batched hot path must preserve:
 
 import numpy as np
 
+from repro.ais.datasets import proximity_scenario
 from repro.ais.message import AISMessage
 from repro.geo.track import Position
 from repro.ml import StandardScaler
@@ -112,7 +113,9 @@ class TestBitwiseParity:
     def test_batched_platform_matches_unbatched(self):
         """Platform level: identical streams through a batching and a
         non-batching platform leave every vessel with bitwise-identical
-        forecasts — including vessels still on padded short windows."""
+        forecasts — including vessels still on padded short windows —
+        and the Aegean proximity scenario riding the same stream resolves
+        the same proximity and collision events either way."""
         model = tiny_svrf()
         full = [200000000 + i for i in range(4)]
         padded = [300000000 + i for i in range(3)]
@@ -121,6 +124,9 @@ class TestBitwiseParity:
             messages += fixes(mmsi, INPUT_STEPS + 3, lat0=10.0 + i)
         for i, mmsi in enumerate(padded):
             messages += fixes(mmsi, 3, lat0=30.0 + i)
+        messages += proximity_scenario(
+            n_event_pairs=4, n_near_miss_pairs=2, n_background=2,
+            duration_s=3_600.0, seed=3).result.messages
         messages.sort(key=lambda m: m.t)
 
         platforms = {}
@@ -129,9 +135,14 @@ class TestBitwiseParity:
                 forecaster=model,
                 config=PlatformConfig(forecast_batching=batching,
                                       forecast_batch_max=64))
-            platform.publish_messages(messages)
-            platform.process_available()
+            for i in range(0, len(messages), 500):
+                platform.publish_messages(messages[i:i + 500])
+                platform.process_available()
             platforms[batching] = platform
+
+        for kind in ("proximity", "collision"):
+            assert platforms[False].api.event_count(kind) \
+                == platforms[True].api.event_count(kind) > 0
 
         service = platforms[True].wiring.forecast_service
         assert service is not None and service.batches_executed >= 1

@@ -36,6 +36,24 @@ class TestThreadedPlatform:
         assert counts["threaded"] >= counts["deterministic"] * 0.5
         assert counts["deterministic"] >= 1
 
+    def test_threaded_housekeeping_returns_settled(self):
+        """``housekeeping`` is a barrier in both modes: when it returns,
+        every prune tick it broadcast has been processed."""
+        scenario = proximity_scenario(n_event_pairs=4, n_near_miss_pairs=1,
+                                      n_background=2, duration_s=3_000.0,
+                                      seed=13)
+        platform = Platform(forecaster=LinearKinematicModel(),
+                            config=PlatformConfig(), mode="threaded")
+        try:
+            platform.publish_messages(scenario.result.messages)
+            platform.process_available()
+            assert platform.cell_actor_count + platform.collision_actor_count > 20
+            platform.housekeeping()
+            # timeout=0: a pure check — nothing may still be queued or running.
+            assert platform.system.await_idle(timeout=0.0)
+        finally:
+            platform.shutdown()
+
     def test_deterministic_mode_is_reproducible(self):
         scenario = proximity_scenario(n_event_pairs=3, n_near_miss_pairs=1,
                                       n_background=1, duration_s=2_400.0,
