@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import repro  # noqa: E402
 from repro.ais.datasets import proximity_scenario  # noqa: E402
 from repro.cluster import ClusterConfig, ClusterNode, TcpTransport  # noqa: E402
-from repro.platform import DistributedPlatform  # noqa: E402
+from repro.platform import Platform  # noqa: E402
 
 #: Generous timeouts — a loaded box must not trip the failure detector.
 CONFIG = ClusterConfig(
@@ -60,7 +60,7 @@ def start_node(node_id: str) -> tuple[ClusterNode, threading.Event]:
 
 def worker_main(seed_host: str, seed_port: int) -> None:
     node, stop = start_node(WORKER_ID)
-    platform = DistributedPlatform(node, is_seed=False)
+    platform = Platform(node=node, is_seed=False)
     node.register_control("shutdown", lambda params: stop.set() or {"ok": 1})
     node.join(SEED_ID, (seed_host, seed_port))
     if not node.joined.wait(timeout=30.0):
@@ -81,7 +81,7 @@ def spawn_worker(seed_address) -> subprocess.Popen:
     return subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=search_path))
 
 
-def settle(platform: DistributedPlatform, node: ClusterNode) -> dict:
+def settle(platform: Platform, node: ClusterNode) -> dict:
     """The cluster-wide flush barrier over the control channel, one of
     ``wiring.batch_stages`` at a time, then poll both nodes' counters
     until nothing moves. Returns the worker's final ``platform_stats``."""
@@ -104,7 +104,7 @@ def settle(platform: DistributedPlatform, node: ClusterNode) -> dict:
 
 def main() -> None:
     node, stop = start_node(SEED_ID)
-    platform = DistributedPlatform(node, is_seed=True)
+    platform = Platform(node=node, is_seed=True)
     worker = spawn_worker(node.transport.address)
     try:
         deadline = time.monotonic() + 60.0

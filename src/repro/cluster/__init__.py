@@ -29,8 +29,8 @@ reproduction:
 * :mod:`~repro.cluster.codec` — restricted-pickle wire serialization of
   the existing ``repro.platform.messages`` vocabulary.
 
-The platform-level assembly lives in
-:class:`repro.platform.DistributedPlatform`.
+The platform-level assembly is :class:`repro.platform.Platform`
+constructed with ``node=`` a :class:`ClusterNode`.
 """
 
 from repro.cluster.clock import VirtualClock

@@ -67,8 +67,6 @@ class ClusterConfig:
     #: Number of shards entity keys hash into (Akka's default is 1000;
     #: anything ≫ max node count gives smooth rebalancing).
     num_shards: int = 64
-    #: Virtual nodes per member on the consistent-hash ring.
-    ring_replicas: int = 32
     #: Wrap the node's transport in a
     #: :class:`~repro.cluster.transport.BatchingTransport` (outbound
     #: per-peer micro-batching — the cross-node throughput knob).
@@ -86,15 +84,6 @@ class ClusterConfig:
     #: How long a sender blocks on a full outbound queue before
     #: :class:`~repro.cluster.transport.TransportError` (backpressure).
     send_block_timeout_s: float = 2.0
-    #: Leader-side anti-entropy period: the coordinator re-broadcasts the
-    #: current shard table and member roster this often, so a peer that
-    #: missed a one-shot ``ShardTableUpdate`` / ``MemberUp`` (dropped
-    #: frame, transient partition) still converges. <= 0 disables.
-    anti_entropy_interval_s: float = 2.0
-    #: A joining node re-sends ``Join`` to its seed contact this often
-    #: until the ``Welcome`` arrives (the handshake itself may be lost on
-    #: a lossy network). <= 0 disables.
-    join_retry_interval_s: float = 1.0
     #: How often each node sends a :class:`~repro.cluster.protocol.LoadReport`
     #: window to the leader. <= 0 disables load reporting (and with it the
     #: rebalancer, which cannot plan blind).
@@ -103,19 +92,9 @@ class ClusterConfig:
     #: rebalancing entirely — the default, so the control loop is opt-in
     #: and a static cluster behaves exactly as before.
     rebalance_interval_s: float = 0.0
-    #: Plan only when the busiest node carries at least this multiple of
-    #: the least-busy node's load.
-    rebalance_imbalance_ratio: float = 1.5
-    #: Most shards one plan may move (small plans keep each migration's
-    #: transfer + replay window short).
-    rebalance_max_moves: int = 8
     #: Skip planning when the whole window saw fewer messages than this
     #: (idle-cluster noise must not cause migrations).
     rebalance_min_messages: int = 32
-    #: During handoff, export actor state and transfer it to the new
-    #: owner (live migration). Off falls back to pre-rebalance behaviour:
-    #: new owners start empty and rebuild from stream replay.
-    handoff_transfer_state: bool = True
     #: Autoscaler high watermark: sustained per-node messages *per second*
     #: above this recommends adding a node. <= 0 disables autoscaling.
     autoscale_high_msgs_per_s: float = 0.0
@@ -139,10 +118,6 @@ class ClusterConfig:
             raise ValueError("max_batch_msgs must be >= 1")
         if self.outbound_queue_frames < 1:
             raise ValueError("outbound_queue_frames must be >= 1")
-        if self.rebalance_imbalance_ratio < 1.0:
-            raise ValueError("rebalance_imbalance_ratio must be >= 1.0")
-        if self.rebalance_max_moves < 1:
-            raise ValueError("rebalance_max_moves must be >= 1")
         if self.autoscale_sustain < 1:
             raise ValueError("autoscale_sustain must be >= 1")
         if not (1 <= self.autoscale_min_nodes <= self.autoscale_max_nodes):

@@ -65,6 +65,16 @@ from repro.telemetry.trace import (
 )
 
 
+#: Leader-side anti-entropy period: the coordinator re-broadcasts the
+#: current shard table and member roster this often, so a peer that missed
+#: a one-shot ``ShardTableUpdate`` / ``MemberUp`` (dropped frame, transient
+#: partition) still converges.
+ANTI_ENTROPY_INTERVAL_S = 2.0
+#: A joining node re-sends ``Join`` to its seed contact this often until
+#: the ``Welcome`` arrives (the handshake itself may be lost on a lossy
+#: network).
+JOIN_RETRY_INTERVAL_S = 1.0
+
 #: Bound lazily — the cluster layer must stay importable without pulling
 #: :mod:`repro.platform` in (which imports this package right back).
 _RESTORE_STATE = None
@@ -146,8 +156,7 @@ class ClusterNode:
         self.membership = Membership(node_id, transport.address,
                                      self.config, clock)
         self.coordinator = ShardCoordinator(self)
-        self.table = ShardTable(1, (node_id,), self.config.num_shards,
-                                self.config.ring_replicas)
+        self.table = ShardTable(1, (node_id,), self.config.num_shards)
         self.joined = threading.Event()
 
         self._routers: dict[str, ShardRouter] = {}
@@ -232,7 +241,7 @@ class ClusterNode:
 
         Over loopback, pump the hub afterwards; over TCP, wait on
         :attr:`joined`. Until the ``Welcome`` arrives, :meth:`tick`
-        re-sends the ``Join`` every ``join_retry_interval_s`` — the
+        re-sends the ``Join`` every ``JOIN_RETRY_INTERVAL_S`` — the
         handshake must survive a lossy network.
         """
         self.transport.add_peer(seed_id, seed_address)
@@ -455,19 +464,15 @@ class ClusterNode:
             beat = Heartbeat(self.node_id)
             for peer in self.membership.peer_ids():
                 self.send_control(peer, beat)
-        if (self.config.join_retry_interval_s > 0
-                and self._seed_contact is not None
+        if (self._seed_contact is not None
                 and not self.joined.is_set()
-                and now - self._last_join_sent
-                >= self.config.join_retry_interval_s):
+                and now - self._last_join_sent >= JOIN_RETRY_INTERVAL_S):
             self._last_join_sent = now
             seed_id, seed_address = self._seed_contact
             self.send_control(seed_id, Join(self.node_id,
                                             self.transport.address))
-        if (self.config.anti_entropy_interval_s > 0
-                and self.coordinator.is_active
-                and now - self._last_anti_entropy
-                >= self.config.anti_entropy_interval_s):
+        if (self.coordinator.is_active
+                and now - self._last_anti_entropy >= ANTI_ENTROPY_INTERVAL_S):
             # Control broadcasts (table updates, member roster) are
             # one-shot; on a lossy network a peer that missed one would
             # stay stale forever. The leader therefore re-asserts its
@@ -682,7 +687,6 @@ class ClusterNode:
         with self._lock:
             new = ShardTable(update.epoch, update.nodes,
                              self.config.num_shards,
-                             self.config.ring_replicas,
                              overrides=update.overrides)
             # Idempotence guard compares the *routing outcome*, not just
             # (epoch, nodes): two same-epoch tables may differ in their
@@ -713,12 +717,11 @@ class ClusterNode:
         reversed or duplicated arrival safe.
         """
         self.shards_moved += len(old.moved_shards(new))
-        transfer_state = self.config.handoff_transfer_state
         released: list[tuple[ShardRouter, Any, list]] = []
         transfers: dict[tuple[str, int], list[tuple[str, Any, dict]]] = {}
         for router in self._routers.values():
             for key in router.handoff_keys():
-                state = router.export_state(key) if transfer_state else None
+                state = router.export_state(key)
                 shard = router.shard_of(key)
                 pending = router.release(key)
                 self.handoff_keys_released += 1

@@ -16,7 +16,7 @@ replays only the in-flight stream suffix via ``Consumer.seek``
 Everything that decides is a pure function of the telemetry snapshot:
 ``plan_rebalance(table, weights, assignable)`` is deterministic, never
 targets a draining or dead node, and moves the fewest shards that bring
-the spread under ``rebalance_imbalance_ratio`` — properties the
+the spread under its ``imbalance_ratio`` — properties the
 hypothesis suite asserts directly.
 
 The :class:`Autoscaler` rides the same evaluation cadence: sustained
@@ -287,8 +287,6 @@ class Rebalancer:
                                  interval_s=interval, assignable=assignable)
         moves = plan_rebalance(
             self._node.table, shard_weights, assignable,
-            max_moves=config.rebalance_max_moves,
-            imbalance_ratio=config.rebalance_imbalance_ratio,
             min_messages=config.rebalance_min_messages)
         if not moves:
             return False

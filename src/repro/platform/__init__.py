@@ -15,18 +15,20 @@ This package wires the substrates into the paper's architecture:
 * a single **writer actor** persists actor states and events into the KV
   store, from which the **middleware API** serves the UI.
 
-Entry points: :class:`repro.platform.pipeline.Platform` (single node) and
-:class:`repro.platform.distributed.DistributedPlatform` (one node of a
-sharded cluster; see :mod:`repro.cluster`).
+One entry point: :class:`repro.platform.pipeline.Platform`. Alone it is
+the whole platform on one node; constructed on a
+:class:`~repro.cluster.node.ClusterNode` (``Platform(node=...)``) it is one
+node of a sharded cluster (see :mod:`repro.cluster`), and
+:class:`repro.platform.distributed.LoopbackCluster` runs N of those in one
+process.
 """
 
 from repro.platform.config import PlatformConfig
 from repro.platform.pipeline import Platform
 from repro.platform.api import MiddlewareAPI
-from repro.platform.distributed import DistributedPlatform, LoopbackCluster
+from repro.platform.distributed import LoopbackCluster
 
 __all__ = [
-    "DistributedPlatform",
     "LoopbackCluster",
     "MiddlewareAPI",
     "Platform",

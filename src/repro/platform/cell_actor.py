@@ -38,8 +38,8 @@ class ProximityCellActor(Actor):
     def __init__(self, cell: int, wiring: "PlatformWiring") -> None:
         self.cell = cell
         self.wiring = wiring
+        # 500 m: the detector's default distance threshold.
         self.detector = ProximityDetector(
-            distance_threshold_m=wiring.config.proximity_threshold_m,
             debounce_s=wiring.config.event_debounce_s)
 
     def receive(self, message, ctx: ActorContext) -> None:
@@ -217,10 +217,8 @@ class CollisionCellActor(Actor):
         for other_mmsi, other_fc in self.forecasts.items():
             if other_mmsi == forecast.mmsi:
                 continue
-            hit = trajectories_intersect(
-                forecast, other_fc,
-                temporal_threshold_s=config.collision_temporal_threshold_s,
-                spatial_threshold_m=config.collision_spatial_threshold_m)
+            # Default thresholds: 2 minutes, 500 m (Section 5.2).
+            hit = trajectories_intersect(forecast, other_fc)
             if hit is None:
                 continue
             last = self._last_pair_alert.get(hit.pair)
@@ -243,8 +241,7 @@ class FlowActor(Actor):
 
     def __init__(self, wiring: "PlatformWiring") -> None:
         self.wiring = wiring
-        self.vtff = IndirectVTFF(resolution=wiring.config.flow_resolution,
-                                 window_s=wiring.config.flow_window_s)
+        self.vtff = IndirectVTFF()
 
     def receive(self, message, ctx: ActorContext) -> None:
         # Receives RouteForecast objects directly from vessel actors.

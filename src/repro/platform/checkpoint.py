@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 from repro.kvstore.persistence import FORMAT_VERSION, _atomic_write
 
 if TYPE_CHECKING:
-    from repro.platform.distributed import DistributedPlatform
+    from repro.platform.pipeline import Platform
 
 CHECKPOINT_FILE = "checkpoint.pkl"
 
@@ -69,15 +69,12 @@ class ClusterCheckpoint:
         return None
 
 
-def capture_node(platform: "DistributedPlatform") -> NodeCheckpoint:
-    """Snapshot one node: KV store plus every local entity actor."""
-    wiring = platform.wiring
+def capture_node(platform: "Platform") -> NodeCheckpoint:
+    """Snapshot one cluster node: KV store plus every local entity actor."""
     checkpoint = NodeCheckpoint(node_id=platform.node.node_id,
                                 kv_state=platform.kvstore.snapshot_state())
-    routers = {"vessel": wiring.vessel_router, "cell": wiring.cell_router,
-               "collision": wiring.collision_router}
     for entity in CHECKPOINTED_ENTITIES:
-        router = routers[entity]
+        router = platform.node.router(entity)
         for key in router.known_keys():
             # ShardRouter.export_state covers both spawned actors and
             # single-occupant stashed collision cells — the same exporter
@@ -88,8 +85,7 @@ def capture_node(platform: "DistributedPlatform") -> NodeCheckpoint:
     return checkpoint
 
 
-def capture_checkpoint(platforms: list["DistributedPlatform"]
-                       ) -> ClusterCheckpoint:
+def capture_checkpoint(platforms: list["Platform"]) -> ClusterCheckpoint:
     """Capture every node plus the seed's committed stream offsets.
 
     ``platforms[0]`` must be the seed (it owns the broker and the
@@ -98,15 +94,10 @@ def capture_checkpoint(platforms: list["DistributedPlatform"]
     seed = platforms[0]
     if not seed.is_seed:
         raise ValueError("platforms[0] must be the seed node")
-    topic = seed.config.ais_topic
-    offsets = {
-        partition: seed.broker.committed("platform", topic, partition)
-        for partition in range(seed.config.ais_partitions)
-    }
     return ClusterCheckpoint(
         version=FORMAT_VERSION,
         stream_time=seed.system.now,
-        offsets=offsets,
+        offsets=seed.ingestion.committed_offsets(),
         nodes=[capture_node(p) for p in platforms])
 
 

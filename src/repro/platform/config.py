@@ -10,39 +10,21 @@ class PlatformConfig:
     """Tunables of the integrated platform.
 
     Defaults mirror the paper's deployment: 30-second downsampling before
-    the forecasting model, H3 resolution 8 (~461 m edges) for event cells,
-    one neighbour ring of forecast fan-out, and a 2-minute temporal
-    threshold for collision intersection.
+    the forecasting model and one neighbour ring of forecast fan-out.
+    What the deployment never varies (event-cell resolutions, proximity
+    and collision thresholds, flow grid, watchdog gaps, planner geometry)
+    is a constant beside the code that reads it, not a field here.
     """
 
     #: Minimum seconds between fixes kept by a vessel actor (Section 4.2).
     downsample_s: float = 30.0
-    #: Hex resolution of proximity cell actors.
-    proximity_resolution: int = 8
-    #: Hex resolution of collision cell actors.
-    collision_resolution: int = 8
     #: Rings of neighbouring cells that receive forecast positions
     #: ("the respective cell ... and each n+1 nearest cell", Section 5.2).
     collision_neighbor_rings: int = 1
-    #: Temporal intersection threshold for collision forecasting, seconds.
-    collision_temporal_threshold_s: float = 120.0
-    #: Spatial intersection threshold for collision forecasting, metres.
-    collision_spatial_threshold_m: float = 500.0
-    #: Proximity event distance threshold, metres.
-    proximity_threshold_m: float = 500.0
     #: Suppress duplicate events of the same pair for this long, seconds.
     event_debounce_s: float = 900.0
-    #: Hex resolution of traffic-flow cells.
-    flow_resolution: int = 6
-    #: Traffic-flow window length, seconds.
-    flow_window_s: float = 300.0
     #: Run the forecasting model on every n-th kept fix (1 = every fix).
     forecast_every_n: int = 1
-    #: Forecast newly appeared vessels before their 20-displacement window
-    #: fills by zero-padding the input (the original model's "variable
-    #: filling" [4]). Requires at least ``min_forecast_fixes`` fixes.
-    pad_short_histories: bool = True
-    min_forecast_fixes: int = 2
     #: Pool per-vessel forecast requests into fleet-wide batched model
     #: passes through the node's :class:`ForecastService` (used whenever
     #: the mounted forecaster implements ``forecast_batch``; per-vessel
@@ -54,9 +36,6 @@ class PlatformConfig:
     #: Execute a partial pooled batch after this much virtual time
     #: (mirrors ``writer_batch_linger_s``). 0 disables the timer.
     forecast_linger_s: float = 0.5
-    #: Silence watchdog settings (switch-off detection).
-    switchoff_gap_factor: float = 20.0
-    switchoff_min_gap_s: float = 900.0
     #: Broker topic carrying inbound AIS position reports.
     ais_topic: str = "ais.positions"
     #: Number of partitions for the AIS topic.
@@ -93,9 +72,6 @@ class PlatformConfig:
     #: touching its store (see SERVING.md). Off by default: the serving
     #: tier opts in.
     serving_replica_feed: bool = False
-    #: Bound on a replica feed subscription created via
-    #: :meth:`Platform.subscribe_replication` (drop-oldest past this).
-    serving_feed_maxlen: int = 10_000
     #: Enable the voyage-optimization subsystem: a per-node weather field
     #: issuing forecasts on an update cycle, a fuel model, and the pooled
     #: :class:`~repro.platform.route_optimizer.RouteOptimizerService`
@@ -104,10 +80,6 @@ class PlatformConfig:
     #: Seed of the node's :class:`ForecastingWeatherField` (truth +
     #: climatology). Identical on every node by construction.
     weather_seed: int = 0
-    #: Forecast product update cycle (the exemplar's 6-hourly wind).
-    weather_update_cycle_s: float = 21_600.0
-    #: e-folding time of forecast degradation toward climatology.
-    weather_degradation_tau_s: float = 43_200.0
     #: Peak wind the synthetic truth/climatology fields can produce.
     weather_max_wind_mps: float = 18.0
     #: Replan an assigned voyage when stream time crosses a multiple of
@@ -118,17 +90,6 @@ class PlatformConfig:
     voyage_batch_max: int = 64
     #: Execute a partial planning batch after this much virtual time.
     voyage_linger_s: float = 0.5
-    #: Default commanded speed for assigned voyages, knots.
-    voyage_base_speed_kn: float = 12.0
-    #: Speed multipliers the planner may choose per leg.
-    voyage_speed_candidates: tuple[float, ...] = (0.7, 0.85, 1.0, 1.15, 1.3)
-    #: Dog-leg pivot offset as a fraction of the leg length (0 disables
-    #: storm-dodging geometry).
-    voyage_offset_fraction: float = 0.25
-    #: Integration step when sampling weather along candidate legs.
-    voyage_sample_step_s: float = 3_600.0
-    #: Emit ``eta_breach`` when a plan's deadline slack falls below this.
-    voyage_eta_breach_s: float = 1_800.0
     #: Emit ``route_divergence`` when a fix sits further than this from
     #: the planned track.
     voyage_divergence_m: float = 5_000.0
@@ -154,27 +115,11 @@ class PlatformConfig:
             raise ValueError("writer_batch_linger_s must be non-negative")
         if self.event_dedup_max < 1:
             raise ValueError("event_dedup_max must be >= 1")
-        if self.serving_feed_maxlen < 1:
-            raise ValueError("serving_feed_maxlen must be >= 1")
-        if self.weather_update_cycle_s <= 0:
-            raise ValueError("weather_update_cycle_s must be positive")
-        if self.weather_degradation_tau_s <= 0:
-            raise ValueError("weather_degradation_tau_s must be positive")
         if self.voyage_replan_cadence_s <= 0:
             raise ValueError("voyage_replan_cadence_s must be positive")
         if self.voyage_batch_max < 1:
             raise ValueError("voyage_batch_max must be >= 1")
         if self.voyage_linger_s < 0:
             raise ValueError("voyage_linger_s must be non-negative")
-        if self.voyage_base_speed_kn <= 0:
-            raise ValueError("voyage_base_speed_kn must be positive")
-        if not self.voyage_speed_candidates or any(
-                m <= 0 for m in self.voyage_speed_candidates):
-            raise ValueError(
-                "voyage_speed_candidates must be non-empty and positive")
-        if self.voyage_offset_fraction < 0:
-            raise ValueError("voyage_offset_fraction must be non-negative")
-        if self.voyage_sample_step_s <= 0:
-            raise ValueError("voyage_sample_step_s must be positive")
         if self.voyage_divergence_m <= 0:
             raise ValueError("voyage_divergence_m must be positive")

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 from repro.ais.message import AISMessage, StaticReport, decode_nmea
 from repro.events.switchoff import SwitchOffDetector
 from repro.platform.messages import EventRecord, PositionIngested
+from repro.streams import ConsumerGroup
 from repro.streams.columnar import PositionBlock
 from repro.telemetry.trace import (
     STAGE_INGEST,
@@ -26,19 +27,19 @@ if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
 
 
+#: The consumer group live ingestion commits its offsets under.
+GROUP_ID = "platform"
+
+
 class IngestionService:
     """Consumes the AIS topic and dispatches to vessel actors."""
 
-    def __init__(self, wiring: "PlatformWiring", group_id: str = "platform"
-                 ) -> None:
-        from repro.streams import ConsumerGroup
+    def __init__(self, wiring: "PlatformWiring") -> None:
         self.wiring = wiring
-        self._group = ConsumerGroup(wiring.broker, group_id,
-                                    wiring.config.ais_topic)
+        self._group = ConsumerGroup(wiring.broker, GROUP_ID, wiring.config.ais_topic)
         self._consumer = self._group.join()
-        self.switchoff = SwitchOffDetector(
-            gap_factor=wiring.config.switchoff_gap_factor,
-            min_gap_s=wiring.config.switchoff_min_gap_s)
+        #: The silence watchdog, at its default gap settings.
+        self.switchoff = SwitchOffDetector()
         self.messages_ingested = 0
         self.parse_errors = 0
         self._last_switchoff_check = 0.0
@@ -46,21 +47,67 @@ class IngestionService:
         #: fresh 2_000-slot list per call showed up in profiles.
         self._poll_buffer: list = []
 
-    def _to_message(self, value, timestamp: float) -> AISMessage | None:
-        """Parse a record value into a position report (or drop it)."""
+    def _messages(self, record) -> list[AISMessage]:
+        """Decode one broker record into its position reports: every row
+        of a columnar :class:`PositionBlock`, an :class:`AISMessage` as
+        is, a raw NMEA sentence parsed (statics and undecodable input
+        yield nothing)."""
+        value = record.value
+        if isinstance(value, PositionBlock):
+            columns = (value.mmsi, value.t, value.lat, value.lon, value.sog, value.cog)
+            return [AISMessage(*row) for row in zip(*(column.tolist() for column in columns))]
         if isinstance(value, AISMessage):
-            return value
+            return [value]
         if isinstance(value, str):
             try:
-                decoded = decode_nmea(value, t=timestamp)
+                decoded = decode_nmea(value, t=record.timestamp)
             except ValueError:
                 self.parse_errors += 1
-                return None
+                return []
             if isinstance(decoded, StaticReport):
-                return None  # statics are cached elsewhere; not positional
-            return decoded
+                return []  # statics are cached elsewhere; not positional
+            return [decoded]
         self.parse_errors += 1
-        return None
+        return []
+
+    def _dispatch(self, records, live: bool) -> tuple[int, float]:
+        """Route every position in ``records`` to its vessel actor: the
+        one record -> ``PositionIngested`` path, shared by live ingestion
+        and replay. Only ``live`` records feed the switch-off watchdog and
+        the trace sampler (a replayed duplicate is not news). Returns the
+        dispatch count and the newest stream time observed."""
+        tell = self.wiring.vessel_router.tell
+        observe = self.switchoff.observe
+        telemetry = self.wiring.system.telemetry if live else None
+        sample_every = self.wiring.config.trace_sample_every
+        dispatched = 0
+        newest_t = float("-inf")
+        for record in records:
+            messages = self._messages(record)
+            if not messages:
+                continue
+            dispatched += len(messages)
+            if live:
+                for msg in messages:
+                    observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
+                    if msg.t > newest_t:
+                        newest_t = msg.t
+            if telemetry is not None and record.offset % sample_every == 0:
+                # Trace ids derive from the record's broker identity (a
+                # block's tags its first row), so a replayed run samples
+                # the identical set of positions. The +1 keeps
+                # partition-0/offset-0 from producing tid 0.
+                tid = ((record.partition + 1) << 48) | record.offset
+                telemetry.traces.record(tid, STAGE_INGEST)
+                set_current_trace(tid)
+                try:
+                    tell(messages[0].mmsi, PositionIngested(messages[0]))
+                finally:
+                    clear_current_trace()
+                messages = messages[1:]
+            for msg in messages:
+                tell(msg.mmsi, PositionIngested(msg))
+        return dispatched, newest_t
 
     def poll_once(self, max_records: int = 2_000) -> int:
         """Consume up to ``max_records``; returns how many were dispatched.
@@ -68,47 +115,10 @@ class IngestionService:
         The platform's virtual clock advances to the newest stream
         timestamp seen, releasing any scheduled housekeeping messages.
         """
-        records = self._consumer.poll(max_records=max_records,
-                                      out=self._poll_buffer)
-        telemetry = self.wiring.system.telemetry
-        sample_every = self.wiring.config.trace_sample_every
-        dispatched = 0
-        newest_t = None
-        for record in records:
-            if isinstance(record.value, PositionBlock):
-                # Columnar fast lane: one record carries a whole batch of
-                # position rows as contiguous arrays.
-                dispatched += self._dispatch_block(record, telemetry,
-                                                   sample_every)
-                block_t = record.value.max_t
-                if newest_t is None or block_t > newest_t:
-                    newest_t = block_t
-                continue
-            msg = self._to_message(record.value, record.timestamp)
-            if msg is None:
-                continue
-            if telemetry is not None and record.offset % sample_every == 0:
-                # Trace ids derive from the record's broker identity, so a
-                # replayed run samples the identical set of positions. The
-                # +1 keeps partition-0/offset-0 from producing tid 0.
-                tid = ((record.partition + 1) << 48) | record.offset
-                telemetry.traces.record(tid, STAGE_INGEST)
-                set_current_trace(tid)
-                try:
-                    self.wiring.vessel_router.tell(msg.mmsi,
-                                                   PositionIngested(msg))
-                finally:
-                    clear_current_trace()
-            else:
-                self.wiring.vessel_router.tell(msg.mmsi,
-                                               PositionIngested(msg))
-            self.switchoff.observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
-            dispatched += 1
-            if newest_t is None or msg.t > newest_t:
-                newest_t = msg.t
+        records = self._consumer.poll(max_records=max_records, out=self._poll_buffer)
+        dispatched, newest_t = self._dispatch(records, live=True)
         self._consumer.commit()
-
-        if newest_t is not None:
+        if dispatched:
             system = self.wiring.system
             if newest_t > system.now:
                 system.advance_time(newest_t - system.now)
@@ -116,50 +126,41 @@ class IngestionService:
         self.messages_ingested += dispatched
         return dispatched
 
-    def _dispatch_block(self, record, telemetry, sample_every: int) -> int:
-        """Expand one columnar block into per-vessel dispatches.
+    def committed_offsets(self) -> dict[int, int]:
+        """AIS partition -> offset live ingestion has committed."""
+        config = self.wiring.config
+        return {
+            partition: self.wiring.broker.committed(GROUP_ID, config.ais_topic, partition)
+            for partition in range(config.ais_partitions)
+        }
 
-        Offsets are per *block* on the columnar lane, so trace sampling
-        keys off the block's broker identity and tags its first row — the
-        traced set stays deterministic across replays.
-        """
-        block: PositionBlock = record.value
-        mmsis, ts = block.mmsi, block.t
-        lats, lons = block.lat, block.lon
-        sogs, cogs = block.sog, block.cog
-        tell = self.wiring.vessel_router.tell
-        observe = self.switchoff.observe
-        if telemetry is not None and record.offset % sample_every == 0 \
-                and len(block):
-            tid = ((record.partition + 1) << 48) | record.offset
-            telemetry.traces.record(tid, STAGE_INGEST)
-            msg = AISMessage(mmsi=int(mmsis[0]), t=float(ts[0]),
-                             lat=float(lats[0]), lon=float(lons[0]),
-                             sog=float(sogs[0]), cog=float(cogs[0]))
-            set_current_trace(tid)
-            try:
-                tell(msg.mmsi, PositionIngested(msg))
-            finally:
-                clear_current_trace()
-            observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
-            start = 1
-        else:
-            start = 0
-        for i in range(start, len(block)):
-            msg = AISMessage(mmsi=int(mmsis[i]), t=float(ts[i]),
-                             lat=float(lats[i]), lon=float(lons[i]),
-                             sog=float(sogs[i]), cog=float(cogs[i]))
-            tell(msg.mmsi, PositionIngested(msg))
-            observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
-        return len(block)
+    def replay(self, offsets: dict[int, int]) -> int:
+        """Re-dispatch every AIS partition from ``offsets[partition]``
+        (0 when absent) to its end, without moving the committed offsets.
+        Returns the number of positions dispatched."""
+        topic = self.wiring.config.ais_topic
+        # The sole member of its group: assigned every partition.
+        consumer = ConsumerGroup(self.wiring.broker, "platform-replay", topic).join()
+        for partition in consumer.assignment:
+            consumer.seek(topic, partition, offsets.get(partition, 0))
+        replayed = 0
+        buffer: list = []  # reused across polls (no per-poll allocation)
+        while True:
+            records = consumer.poll(max_records=2_000, out=buffer)
+            if not records:
+                break
+            replayed += self._dispatch(records, live=False)[0]
+        consumer.close()
+        return replayed
 
     def _check_switchoffs(self, now: float, every_s: float = 120.0) -> None:
         if now - self._last_switchoff_check < every_s:
             return
         self._last_switchoff_check = now
         for event in self.switchoff.check(now):
-            self.wiring.writer_ref.tell(EventRecord(
-                kind="switchoff", t=event.t_detected, payload=event))
+            self.wiring.writer_ref.tell(
+                EventRecord(kind="switchoff", t=event.t_detected, payload=event)
+            )
 
     @property
     def lag(self) -> int:

@@ -88,17 +88,13 @@ class RouteOptimizerService:
 
     def _execute(self, n: int) -> float:
         rows, self._rows = self._rows, []
-        config = self.wiring.config
         router = self.wiring.vessel_router
         for mmsi, origin, route, deadline, speed, sample_t, t0 in rows:
             try:
                 plan = plan_voyage(
                     self.field, self.fuel_model, origin, route,
                     sample_t=sample_t, depart_t=sample_t,
-                    deadline_t=deadline, base_speed_kn=speed,
-                    speed_candidates=config.voyage_speed_candidates,
-                    offset_fraction=config.voyage_offset_fraction,
-                    sample_step_s=config.voyage_sample_step_s)
+                    deadline_t=deadline, base_speed_kn=speed)
             except Exception:
                 # One degenerate route must not sink the batch: the
                 # vessel keeps its previous plan and unblocks.

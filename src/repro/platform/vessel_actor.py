@@ -51,6 +51,19 @@ from repro.platform.messages import (
 if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
 
+#: Hex resolution of the proximity and of the collision cell actors
+#: (H3 resolution 8, ~461 m edges: the paper's event cells).
+PROXIMITY_RESOLUTION = 8
+COLLISION_RESOLUTION = 8
+#: Newly appeared vessels are forecast before their 20-displacement
+#: window fills, by zero-padding the input (the original model's
+#: "variable filling" [4]), once they hold this many fixes.
+MIN_FORECAST_FIXES = 2
+#: Default commanded speed for assigned voyages, knots.
+VOYAGE_BASE_SPEED_KN = 12.0
+#: Emit ``eta_breach`` when a plan's deadline slack falls below this.
+VOYAGE_ETA_BREACH_S = 1_800.0
+
 #: (base cell, rings) -> dilated neighbourhood. ``grid_disk`` is a pure
 #: function and vessels revisit the same cells constantly; memoising the
 #: disk removes it from the forecast fan-out hot path.
@@ -77,12 +90,11 @@ def share_forecast(wiring: "PlatformWiring", forecast, sender=None) -> None:
     :class:`~repro.platform.forecast_service.ForecastService` at flush time
     — the service shares in row (submission) order so collision cells
     observe forecasts in the same sequence as unbatched inference."""
-    resolution = wiring.config.collision_resolution
     rings = wiring.config.collision_neighbor_rings
     cells: set[int] = set()
     for pos in forecast.positions:
-        cells.update(_disk(latlng_to_cell(pos.lat, pos.lon, resolution),
-                           rings))
+        cells.update(_disk(latlng_to_cell(pos.lat, pos.lon,
+                                          COLLISION_RESOLUTION), rings))
     router = wiring.collision_router
     share_batch = getattr(router, "share_forecast", None)
     if share_batch is not None:
@@ -212,7 +224,7 @@ class VesselActor(Actor):
 
         # Proximity: this position goes to its cell actor.
         prox_cell = latlng_to_cell(report.lat, report.lon,
-                                   wiring.config.proximity_resolution)
+                                   PROXIMITY_RESOLUTION)
         wiring.cell_router.tell(prox_cell, CellObservation(
             cell=prox_cell, mmsi=self.mmsi, t=report.t,
             lat=report.lat, lon=report.lon), sender=ctx.self_ref)
@@ -222,11 +234,9 @@ class VesselActor(Actor):
             self._on_voyage_fix(report, ctx)
 
         # Forecasting: run the shared model once enough history exists —
-        # the full window normally, or a padded short window when the
-        # platform is configured to forecast newly appeared vessels.
-        threshold = (max(wiring.config.min_forecast_fixes, 2)
-                     if wiring.config.pad_short_histories
-                     and wiring.supports_padding
+        # a padded short window when the forecaster supports padding, the
+        # full window otherwise.
+        threshold = (MIN_FORECAST_FIXES if wiring.supports_padding
                      else wiring.forecaster_min_history)
         if (len(self.history) >= threshold
                 and self.kept_fixes % wiring.config.forecast_every_n == 0):
@@ -260,7 +270,7 @@ class VesselActor(Actor):
 
     def _on_voyage_assigned(self, msg: VoyageAssigned) -> None:
         speed = (msg.base_speed_kn if msg.base_speed_kn is not None
-                 else self.wiring.config.voyage_base_speed_kn)
+                 else VOYAGE_BASE_SPEED_KN)
         self.voyage = {
             "waypoints": msg.waypoints,
             "deadline_t": msg.deadline_t,
@@ -311,7 +321,6 @@ class VesselActor(Actor):
         if plan is None:
             return
         self.voyage_plan = plan
-        config = self.wiring.config
         if plan.diverted:
             from repro.events.voyage import StormAvoidanceEvent
             self._emit_voyage_event(
@@ -323,7 +332,7 @@ class VesselActor(Actor):
                         1 for leg in plan.legs if leg.diverted),
                     planned_fuel_kg=plan.fuel_kg),
                 plan.planned_t, ctx)
-        if plan.eta_slack_s < config.voyage_eta_breach_s:
+        if plan.eta_slack_s < VOYAGE_ETA_BREACH_S:
             from repro.events.voyage import EtaBreachEvent
             self._emit_voyage_event(
                 "eta_breach",

@@ -42,6 +42,8 @@ from repro.cluster import ClusterConfig
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.models.fuel import FuelModel
 from repro.models.voyage import Waypoint, plan_voyage
+from repro.platform.pipeline import WEATHER_DEGRADATION_TAU_S
+from repro.platform.vessel_actor import VOYAGE_BASE_SPEED_KN
 from repro.sim.campaign import (
     CampaignReport,
     ClusterCampaign,
@@ -91,11 +93,7 @@ class VoyageScenario:
     #: Voyage knobs (mirrored into the PlatformConfig).
     replan_cadence_s: float = 3_600.0
     divergence_m: float = 5_000.0
-    eta_breach_s: float = 1_800.0
-    update_cycle_s: float = 21_600.0
-    degradation_tau_s: float = 43_200.0
     max_wind_mps: float = 26.0
-    base_speed_kn: float = 12.0
     #: Degrees of northward drift per chunk for the diverge twin
     #: (~3.3 km — past the divergence threshold within two chunks).
     drift_deg_per_chunk: float = 0.03
@@ -271,15 +269,14 @@ def build_voyage_fleet(table, scenario: VoyageScenario,
     """
     diverge_mmsi, breach_mmsi, storm_mmsi = mmsis_owned_by(
         table, scenario.target, count=3, base=400_000_000)
-    weather = ForecastingWeatherField(
-        seed=seed, update_cycle_s=scenario.update_cycle_s,
-        degradation_tau_s=scenario.degradation_tau_s,
+    weather = ForecastingWeatherField(   # the field every node mounts
+        seed=seed, degradation_tau_s=WEATHER_DEGRADATION_TAU_S,
         max_wind_mps=scenario.max_wind_mps)
     diverge_origin = _region_center(24)      # (40.0, 8.0)
     breach_origin = _region_center(26)       # (40.0, 12.0)
     storm_t0 = _fix_t(scenario, 0, 2)
     storm_origin, storm_waypoint = find_storm_route(
-        weather, seed, storm_t0, 9 * 86_400.0, scenario.base_speed_kn)
+        weather, seed, storm_t0, 9 * 86_400.0, VOYAGE_BASE_SPEED_KN)
     return (
         # Planned due east, sails due north: cross-track only grows.
         VoyageTwin(role="diverge", mmsi=diverge_mmsi,
@@ -384,20 +381,16 @@ def _run_campaign(scenario: VoyageScenario, seed: int,
                                  spacing_s=scenario.spacing_s)
     with ClusterCampaign(scenario, seed, platform={
             "voyage_optimization": True, "weather_seed": seed,
-            "weather_update_cycle_s": scenario.update_cycle_s,
-            "weather_degradation_tau_s": scenario.degradation_tau_s,
             "weather_max_wind_mps": scenario.max_wind_mps,
             "voyage_replan_cadence_s": scenario.replan_cadence_s,
             "voyage_divergence_m": scenario.divergence_m,
-            "voyage_eta_breach_s": scenario.eta_breach_s,
-            "voyage_base_speed_kn": scenario.base_speed_kn,
     }) as campaign:
         cluster = campaign.cluster
         fleet = build_voyage_fleet(cluster.nodes[0].table, scenario, seed)
         for twin in fleet:
             cluster.assign_voyage(twin.mmsi, twin.waypoints,
                                   twin.deadline_t,
-                                  base_speed_kn=scenario.base_speed_kn)
+                                  base_speed_kn=VOYAGE_BASE_SPEED_KN)
         chunks = [w + v for w, v in zip(workload.messages_by_step,
                                         voyage_chunks(fleet, scenario))]
 

@@ -126,7 +126,7 @@ def _run_platform(scenario: WarehouseScenario, seed: int,
         platform.publish_messages(chunk)
         platform.process_available()
     platform.wiring.writer_ref.flush()
-    platform._settle()
+    platform.settle()
     states = platform.wiring.writer_ref.states_written
     events = platform.wiring.writer_ref.events_written
     platform.shutdown()

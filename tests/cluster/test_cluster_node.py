@@ -140,8 +140,7 @@ class TestShardedRouting:
         a, b, c = nodes
         fresh = a.table
         # Regress node a to a 2-node table; pick a key it will mis-route.
-        a.table = ShardTable(fresh.epoch, ("n1", "n2"), CONFIG.num_shards,
-                             CONFIG.ring_replicas)
+        a.table = ShardTable(fresh.epoch, ("n1", "n2"), CONFIG.num_shards)
         key = next(k for k in range(1000)
                    if fresh.assignment[routers[0].shard_of(k)] == "n3"
                    and a.table.assignment[routers[0].shard_of(k)] == "n2")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.ais.datasets import proximity_scenario, scalability_fleet_config
 from repro.ais.fleet import FleetEngine
-from repro.platform import LoopbackCluster
+from repro.platform import LoopbackCluster, Platform
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +82,7 @@ class TestSharding:
 
 class TestNodeLossRecovery:
     def test_kill_then_replay_recovers_all_vessels(self, scenario):
-        cluster = LoopbackCluster(num_nodes=2,
-                                  replay_records_per_partition=2_000)
+        cluster = LoopbackCluster(num_nodes=2)
         try:
             messages = sorted(scenario.result.messages, key=lambda m: m.t)
             half = len(messages) // 2
@@ -105,6 +104,36 @@ class TestNodeLossRecovery:
             assert cluster.vessel_distribution() == {
                 "node-00": scenario.n_vessels}
             assert not seed.replay_pending
+        finally:
+            cluster.shutdown()
+
+    def test_replay_rebuilds_vessels_fed_by_nmea_sentences(self, scenario):
+        """Raw NMEA records replay through the ingestion decode path like
+        every other record kind: after the worker dies, every vessel has a
+        current state row on the survivor."""
+        cluster = LoopbackCluster(num_nodes=2)
+        try:
+            messages = sorted(scenario.result.messages, key=lambda m: m.t)
+            sentences = Platform.to_nmea(messages)
+            for i in range(0, len(sentences), 500):
+                cluster.seed.publish_nmea(sentences[i:i + 500])
+                cluster.process_available()
+            assert cluster.platforms[1].vessel_count > 0
+
+            cluster.kill(1)
+            cluster.tick(cluster.cluster_config.down_after_s + 1.0)
+            assert cluster.seed.replay_pending
+            cluster.process_available()
+
+            seed = cluster.seed
+            assert seed.vessel_count == scenario.n_vessels
+            last_fix = {}
+            for msg in messages:
+                last_fix[msg.mmsi] = msg.t
+            for mmsi, t in last_fix.items():
+                state = seed.api.vessel_state(mmsi)
+                assert state is not None, mmsi
+                assert state["t"] >= t - seed.config.downsample_s
         finally:
             cluster.shutdown()
 

@@ -19,6 +19,7 @@ from repro.ais.message import AISMessage
 from repro.models.voyage import Waypoint, plan_voyage
 from repro.platform import Platform, PlatformConfig
 from repro.platform.messages import PlanReady, RestoreState
+from repro.platform.vessel_actor import VOYAGE_BASE_SPEED_KN
 
 CALM = dict(voyage_optimization=True, weather_seed=0,
             weather_max_wind_mps=0.1)
@@ -64,11 +65,7 @@ class TestPlanParity:
         direct = plan_voyage(
             wiring.weather, wiring.fuel_model, Waypoint(36.0, 10.0),
             (Waypoint(36.0, 14.0),), sample_t=0.0, depart_t=0.0,
-            deadline_t=4 * DAY,
-            base_speed_kn=wiring.config.voyage_base_speed_kn,
-            speed_candidates=wiring.config.voyage_speed_candidates,
-            offset_fraction=wiring.config.voyage_offset_fraction,
-            sample_step_s=wiring.config.voyage_sample_step_s)
+            deadline_t=4 * DAY, base_speed_kn=VOYAGE_BASE_SPEED_KN)
         assert pooled == direct
         assert pooled.fingerprint() == direct.fingerprint()
         platform.shutdown()

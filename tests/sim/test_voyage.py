@@ -116,10 +116,10 @@ def test_fleet_is_margin_robust_and_targeted():
 
 
 def test_storm_probe_is_cached_and_deterministic():
+    from repro.platform.pipeline import WEATHER_DEGRADATION_TAU_S
     from repro.weather.forecast import ForecastingWeatherField
     weather = ForecastingWeatherField(
-        seed=0, update_cycle_s=BASELINE.update_cycle_s,
-        degradation_tau_s=BASELINE.degradation_tau_s,
+        seed=0, degradation_tau_s=WEATHER_DEGRADATION_TAU_S,
         max_wind_mps=BASELINE.max_wind_mps)
     first = find_storm_route(weather, 0, 1.52, 9 * 86_400.0, 12.0)
     second = find_storm_route(weather, 0, 1.52, 9 * 86_400.0, 12.0)
