@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hexgrid import latlng_to_cell
+from repro.hexgrid import latlng_to_cell, latlng_to_cells
 from repro.models.base import RouteForecast
 
 #: Default hex resolution for flow cells (~3.2 km edges).
@@ -38,9 +38,9 @@ FLOW_WINDOW_S = 300.0
 class TrafficLevel(enum.Enum):
     """Heat classes of the Figure 4d visualisation."""
 
-    LOW = "low"        # dark green
+    LOW = "low"  # dark green
     MEDIUM = "medium"  # light green
-    HIGH = "high"      # red
+    HIGH = "high"  # red
 
 
 @dataclass
@@ -66,8 +66,7 @@ class FlowGrid:
     def window_counts(self, window: int) -> dict[int, int]:
         """``cell -> vessel count`` for one time window (active cells only,
         matching the UI's 'only active cells are visible')."""
-        return {cell: len(v) for (cell, w), v in self._vessels.items()
-                if w == window}
+        return {cell: len(v) for (cell, w), v in self._vessels.items() if w == window}
 
     def active_cells(self) -> set[int]:
         return {cell for cell, _ in self._vessels}
@@ -79,8 +78,7 @@ class FlowGrid:
         """Flow history of one cell over a window range."""
         return np.array([self.count(cell, w) for w in windows], dtype=float)
 
-    def classify(self, count: int, low_max: int = 2, medium_max: int = 5
-                 ) -> TrafficLevel:
+    def classify(self, count: int, low_max: int = 2, medium_max: int = 5) -> TrafficLevel:
         """Heat class of a vessel count (thresholds per deployment)."""
         if count <= low_max:
             return TrafficLevel.LOW
@@ -98,29 +96,33 @@ class IndirectVTFF:
     replaces its previous contribution.
     """
 
-    def __init__(self, resolution: int = FLOW_RESOLUTION,
-                 window_s: float = FLOW_WINDOW_S) -> None:
+    def __init__(self, resolution: int = FLOW_RESOLUTION, window_s: float = FLOW_WINDOW_S) -> None:
         self.resolution = resolution
         self.window_s = window_s
         self._grid = FlowGrid(resolution=resolution, window_s=window_s)
         #: mmsi -> keys contributed by its current forecast.
         self._contrib: dict[int, list[tuple[int, int]]] = {}
 
-    def submit(self, forecast: RouteForecast) -> None:
-        mmsi = forecast.mmsi
-        for key in self._contrib.pop(mmsi, []):
-            vessels = self._grid._vessels.get(key)
-            if vessels is not None:
-                vessels.discard(mmsi)
-                if not vessels:
-                    del self._grid._vessels[key]
-        keys = []
-        for pos in forecast.predicted:
-            cell = latlng_to_cell(pos.lat, pos.lon, self.resolution)
-            key = (cell, self._grid.window_of(pos.t))
-            self._grid._vessels.setdefault(key, set()).add(mmsi)
-            keys.append(key)
-        self._contrib[mmsi] = keys
+    def submit(self, *forecasts: RouteForecast) -> None:
+        """Submit ``forecasts`` in order, rasterising all their predicted
+        positions with one :func:`latlng_to_cells` call."""
+        rows = [forecast.predicted for forecast in forecasts]
+        points = [pos for row in rows for pos in row]
+        lats = [pos.lat for pos in points]
+        cells = iter(latlng_to_cells(lats, [pos.lon for pos in points], self.resolution).tolist())
+        grid = self._grid._vessels
+        for forecast, row in zip(forecasts, rows):
+            mmsi = forecast.mmsi
+            for key in self._contrib.pop(mmsi, []):
+                vessels = grid.get(key)
+                if vessels is not None:
+                    vessels.discard(mmsi)
+                    if not vessels:
+                        del grid[key]
+            keys = [(next(cells), self._grid.window_of(pos.t)) for pos in row]
+            for key in keys:
+                grid.setdefault(key, set()).add(mmsi)
+            self._contrib[mmsi] = keys
 
     def predicted_flow(self, window: int) -> dict[int, int]:
         """Forecast ``cell -> vessel count`` for a future window."""
@@ -158,8 +160,8 @@ class DirectVTFF:
             n = series.size - self.order
             if n < max(2 * self.order, 4):
                 continue  # persistence fallback
-            x = np.stack([series[i:i + self.order] for i in range(n)])
-            y = series[self.order:]
+            x = np.stack([series[i : i + self.order] for i in range(n)])
+            y = series[self.order :]
             xb = np.hstack([x, np.ones((n, 1))])
             a = xb.T @ xb + self.ridge * np.eye(self.order + 1)
             self._coef[cell] = np.linalg.solve(a, xb.T @ y)
@@ -173,7 +175,7 @@ class DirectVTFF:
         coef = self._coef.get(cell)
         if coef is None:
             return np.full(steps, history[-1])
-        window = list(history[-self.order:])
+        window = list(history[-self.order :])
         while len(window) < self.order:
             window.insert(0, 0.0)
         out = []

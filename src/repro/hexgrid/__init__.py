@@ -36,6 +36,7 @@ from repro.hexgrid.index import (
     grid_distance,
     grid_ring,
     latlng_to_cell,
+    latlng_to_cells,
     neighbors,
 )
 
@@ -53,6 +54,7 @@ __all__ = [
     "grid_ring",
     "is_valid_cell",
     "latlng_to_cell",
+    "latlng_to_cells",
     "neighbors",
     "pack_cell",
     "string_to_cell",

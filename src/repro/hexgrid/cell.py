@@ -14,6 +14,8 @@ fields without any auxiliary structure:
 
 from __future__ import annotations
 
+import numpy as np
+
 #: Finest supported resolution (mirrors H3's 16 resolution levels, 0..15).
 MAX_RESOLUTION = 15
 
@@ -31,6 +33,17 @@ def pack_cell(res: int, q: int, r: int) -> int:
     if not (0 <= qo <= _COORD_MASK and 0 <= ro <= _COORD_MASK):
         raise ValueError(f"axial coordinates out of range: q={q}, r={r}")
     return (res << (2 * _COORD_BITS)) | (qo << _COORD_BITS) | ro
+
+
+def pack_cells(res: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`pack_cell` over arrays of integral axial coordinates (``uint64`` ids)."""
+    if not 0 <= res <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {res}")
+    qo, ro = q.astype(np.int64) + _OFFSET, r.astype(np.int64) + _OFFSET
+    if ((qo | ro) >> _COORD_BITS).any():  # negative, or bits past the mask
+        raise ValueError("axial coordinates out of range")
+    ids = (qo.astype(np.uint64) << _COORD_BITS) | ro.astype(np.uint64)
+    return ids | np.uint64(res << (2 * _COORD_BITS))
 
 
 def unpack_cell(cell: int) -> tuple[int, int, int]:

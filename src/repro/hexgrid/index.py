@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.geo.constants import METERS_PER_DEG_LAT
 from repro.geo.geodesy import normalize_lon
-from repro.hexgrid.cell import MAX_RESOLUTION, pack_cell, unpack_cell
+from repro.hexgrid.cell import MAX_RESOLUTION, pack_cell, pack_cells, unpack_cell
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -38,8 +40,7 @@ def cell_area_m2(res: int) -> float:
 
 def _project(lat: float, lon: float) -> tuple[float, float]:
     """Equirectangular projection to planar metres."""
-    return (float(normalize_lon(lon)) * METERS_PER_DEG_LAT,
-            lat * METERS_PER_DEG_LAT)
+    return (float(normalize_lon(lon)) * METERS_PER_DEG_LAT, lat * METERS_PER_DEG_LAT)
 
 
 def _unproject(x: float, y: float) -> tuple[float, float]:
@@ -74,6 +75,30 @@ def latlng_to_cell(lat: float, lon: float, res: int) -> int:
     return pack_cell(res, q, r)
 
 
+def latlng_to_cells(lats, lons, res: int) -> np.ndarray:
+    """:func:`latlng_to_cell` over arrays, bit for bit (``uint64`` ids): the
+    scalar's arithmetic in the same order, and ``np.rint`` rounds half to
+    even exactly like ``round``. The scalar stays the tests' reference."""
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    bad = ~((lats >= -90.0) & (lats <= 90.0))
+    if bad.any():
+        raise ValueError(f"latitude out of range: {lats[bad][0]}")
+    s = EDGE_LENGTHS_M[res]
+    x = normalize_lon(lons) * METERS_PER_DEG_LAT
+    if not np.isfinite(x).all():
+        raise ValueError("longitude is not finite")
+    y = lats * METERS_PER_DEG_LAT
+    xf = (_SQRT3 / 3.0 * x - y / 3.0) / s
+    zf = (2.0 / 3.0 * y) / s
+    yf = -xf - zf
+    rx, ry, rz = np.rint(xf), np.rint(yf), np.rint(zf)
+    dx, dy, dz = np.abs(rx - xf), np.abs(ry - yf), np.abs(rz - zf)
+    fix_x = (dx > dy) & (dx > dz)
+    fix_z = ~fix_x & ~(dy > dz)
+    return pack_cells(res, np.where(fix_x, -ry - rz, rx), np.where(fix_z, -rx - ry, rz))
+
+
 def cell_to_latlng(cell: int) -> tuple[float, float]:
     """Centre of a cell as ``(lat, lon)``."""
     res, q, r = unpack_cell(cell)
@@ -97,9 +122,7 @@ def cell_boundary(cell: int) -> list[tuple[float, float]]:
 
 
 #: Axial direction vectors of the six hexagon neighbours.
-_NEIGHBOR_DIRS: tuple[tuple[int, int], ...] = (
-    (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1),
-)
+_NEIGHBOR_DIRS: tuple[tuple[int, int], ...] = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
 
 def neighbors(cell: int) -> list[int]:
@@ -146,8 +169,7 @@ def grid_distance(cell_a: int, cell_b: int) -> int:
     res_a, qa, ra = unpack_cell(cell_a)
     res_b, qb, rb = unpack_cell(cell_b)
     if res_a != res_b:
-        raise ValueError(
-            f"cells have different resolutions: {res_a} vs {res_b}")
+        raise ValueError(f"cells have different resolutions: {res_a} vs {res_b}")
     dq, dr = qa - qb, ra - rb
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
 
@@ -164,8 +186,7 @@ def cell_to_parent(cell: int, parent_res: int | None = None) -> int:
     if parent_res is None:
         parent_res = res - 1
     if not 0 <= parent_res <= res:
-        raise ValueError(
-            f"parent resolution must be in [0, {res}], got {parent_res}")
+        raise ValueError(f"parent resolution must be in [0, {res}], got {parent_res}")
     if parent_res == res:
         return cell
     lat, lon = cell_to_latlng(cell)

@@ -18,10 +18,12 @@ from repro.actors.router import KeyRouter
 from repro.events.collision import trajectories_intersect
 from repro.events.proximity import ProximityDetector
 from repro.events.vtff import IndirectVTFF
+from repro.models.base import RouteForecast
 from repro.platform.messages import (
     CellObservation,
     CollisionAlert,
     EventRecord,
+    ForecastBatch,
     ForecastShared,
     ProximityAlert,
     PruneTick,
@@ -39,23 +41,20 @@ class ProximityCellActor(Actor):
         self.cell = cell
         self.wiring = wiring
         # 500 m: the detector's default distance threshold.
-        self.detector = ProximityDetector(
-            debounce_s=wiring.config.event_debounce_s)
+        self.detector = ProximityDetector(debounce_s=wiring.config.event_debounce_s)
 
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, CellObservation):
-            events = self.detector.observe(message.mmsi, message.t,
-                                           message.lat, message.lon)
+            events = self.detector.observe(message.mmsi, message.t, message.lat, message.lon)
             for event in events:
                 alert = ProximityAlert(event=event)
                 # Back to the affected vessel actors...
                 for mmsi in event.pair:
-                    self.wiring.vessel_router.tell(mmsi, alert,
-                                                   sender=ctx.self_ref)
+                    self.wiring.vessel_router.tell(mmsi, alert, sender=ctx.self_ref)
                 # ...and into the store for the UI event list.
                 self.wiring.writer_ref.tell(
-                    EventRecord(kind="proximity", t=event.t, payload=event),
-                    sender=ctx.self_ref)
+                    EventRecord(kind="proximity", t=event.t, payload=event), sender=ctx.self_ref
+                )
         elif isinstance(message, PruneTick):
             self.detector.prune(message.now)
         elif isinstance(message, RestoreState):
@@ -74,30 +73,31 @@ class ProximityCellActor(Actor):
 
 
 class CollisionCellRouter(KeyRouter):
-    """Collision-cell routing with a single-occupant fast path.
+    """Collision-cell routing with a single-occupant stash.
 
     A fleet workload fans every forecast out to ~50 dilated cells, yet the
     vast majority of those cells only ever hold **one** vessel's forecast —
     no pairing can happen there, and the plain router would still spawn an
     actor per cell and pay a scheduled envelope per delivery. This router
-    keeps the sole occupant's latest ``ForecastShared`` in a dict (exactly
-    the state the cell actor would hold: ``forecasts`` maps each MMSI to
-    its latest forecast, so re-shares overwrite) and only materialises the
-    real cell actor — replaying the stashed forecast first, preserving
-    arrival order — when a *second* vessel touches the cell. Observable
-    behaviour is identical; envelope and spawn counts drop by roughly the
-    dilation factor.
+    keeps the sole occupant's latest forecast in a dict (exactly the state
+    the cell actor would hold: ``forecasts`` maps each MMSI to its latest
+    forecast, so re-shares overwrite) and only materialises the real cell
+    actor — replaying the stashed forecast first, preserving arrival order
+    — when a *second* vessel touches the cell. Observable behaviour is
+    identical; envelope and spawn counts drop by roughly the dilation
+    factor.
     """
 
-    def __init__(self, system, prefix: str, factory,
-                 wiring: "PlatformWiring", strategy=None) -> None:
+    def __init__(
+        self, system, prefix: str, factory, wiring: "PlatformWiring", strategy=None
+    ) -> None:
         super().__init__(system, prefix, factory, strategy=strategy)
         self._wiring = wiring
-        #: cell -> the sole occupant's latest ForecastShared.
-        self._solo: dict[Any, ForecastShared] = {}
-        #: Stash mutations may race in threaded systems (vessel actors on
-        #: worker threads share concurrently).
-        self._solo_lock = threading.Lock()
+        #: cell -> the sole occupant's latest forecast.
+        self._solo: dict[Any, RouteForecast] = {}
+        #: Stash mutations race in threaded systems; reentrant because a
+        #: share can materialise a cell through :meth:`route`.
+        self._solo_lock = threading.RLock()
         self.stashed_tells = 0
 
     def route(self, key: Any):
@@ -107,32 +107,35 @@ class CollisionCellRouter(KeyRouter):
             held = self._solo.pop(key, None)
             ref = super().route(key)
             if held is not None:
-                ref.tell(held)
+                ref.tell(ForecastShared(cell=key, forecast=held))
         return ref
+
+    def share_forecast(self, cells, forecast: RouteForecast, sender=None) -> None:
+        """Share one forecast with ``cells``, in their iteration order — the
+        one place the single-occupant rule lives. A spawned cell actor gets
+        a :class:`ForecastShared`; an unspawned cell stashes the forecast
+        while this vessel is its only occupant; a second vessel spawns the
+        actor, which receives the stashed forecast first."""
+        mmsi = forecast.mmsi
+        with self._solo_lock:
+            for cell in cells:
+                ref = self._refs.get(cell)
+                if ref is None:
+                    held = self._solo.get(cell)
+                    if held is None or held.mmsi == mmsi:
+                        self._solo[cell] = forecast
+                        self.stashed_tells += 1
+                        continue
+                    ref = self.route(cell)
+                ref.tell(ForecastShared(cell=cell, forecast=forecast), sender=sender)
 
     def tell(self, key: Any, message: Any, sender=None) -> None:
         if key not in self._refs:
-            if type(message) is ForecastShared:
-                with self._solo_lock:
-                    if key in self._refs:  # raced with a materialise
-                        pass
-                    else:
-                        held = self._solo.get(key)
-                        if (held is None or held.forecast.mmsi
-                                == message.forecast.mmsi):
-                            self._solo[key] = message
-                            self.stashed_tells += 1
-                            return
-                # Second vessel: spawn the real actor; route() replays the
-                # stashed forecast first, keeping arrival order.
-                self.route(key).tell(message, sender=sender)
-                return
             if isinstance(message, PruneTick):
                 with self._solo_lock:
                     held = self._solo.get(key)
                     if held is not None:
-                        if (message.now - held.forecast.anchor.t
-                                > self._wiring.config.event_debounce_s):
+                        if message.now - held.anchor.t > self._wiring.config.event_debounce_s:
                             del self._solo[key]
                         return
             elif isinstance(message, RestoreState):
@@ -141,11 +144,9 @@ class CollisionCellRouter(KeyRouter):
                         return  # live (replayed) forecast is newer; keep it
                     state = message.state
                     forecasts = state.get("forecasts", {})
-                    if not state.get("last_pair_alert") \
-                            and len(forecasts) <= 1:
-                        for mmsi, fc in forecasts.items():
-                            self._solo[key] = ForecastShared(cell=key,
-                                                             forecast=fc)
+                    if not state.get("last_pair_alert") and len(forecasts) <= 1:
+                        for forecast in forecasts.values():
+                            self._solo[key] = forecast
                         return
                 # Multi-occupant checkpoint state: a real actor holds it.
         super().tell(key, message, sender=sender)
@@ -161,12 +162,10 @@ class CollisionCellRouter(KeyRouter):
         held = self._solo.get(key)
         if held is None:
             return None
-        return {"forecasts": {held.forecast.mmsi: held.forecast},
-                "last_pair_alert": {}}
+        return {"forecasts": {held.mmsi: held}, "last_pair_alert": {}}
 
     def known_keys(self) -> list[Any]:
-        return list(self._refs) + [k for k in self._solo
-                                   if k not in self._refs]
+        return list(self._refs) + [k for k in self._solo if k not in self._refs]
 
     def __len__(self) -> int:
         return len(self.known_keys())
@@ -193,17 +192,18 @@ class CollisionCellActor(Actor):
         if isinstance(message, ForecastShared):
             self._on_forecast(message, ctx)
         elif isinstance(message, PruneTick):
-            stale = [m for m, fc in self.forecasts.items()
-                     if message.now - fc.anchor.t
-                     > self.wiring.config.event_debounce_s]
+            stale = [
+                m
+                for m, fc in self.forecasts.items()
+                if message.now - fc.anchor.t > self.wiring.config.event_debounce_s
+            ]
             for mmsi in stale:
                 del self.forecasts[mmsi]
         elif isinstance(message, RestoreState):
             self.restore_state(message.state)
 
     def export_state(self) -> dict:
-        return {"forecasts": dict(self.forecasts),
-                "last_pair_alert": dict(self._last_pair_alert)}
+        return {"forecasts": dict(self.forecasts), "last_pair_alert": dict(self._last_pair_alert)}
 
     def restore_state(self, state: dict) -> None:
         if self.forecasts or self._last_pair_alert:
@@ -222,17 +222,15 @@ class CollisionCellActor(Actor):
             if hit is None:
                 continue
             last = self._last_pair_alert.get(hit.pair)
-            if (last is not None
-                    and forecast.anchor.t - last < config.event_debounce_s):
+            if last is not None and forecast.anchor.t - last < config.event_debounce_s:
                 continue
             self._last_pair_alert[hit.pair] = forecast.anchor.t
             alert = CollisionAlert(event=hit)
             for mmsi in hit.pair:
-                self.wiring.vessel_router.tell(mmsi, alert,
-                                               sender=ctx.self_ref)
+                self.wiring.vessel_router.tell(mmsi, alert, sender=ctx.self_ref)
             self.wiring.writer_ref.tell(
-                EventRecord(kind="collision", t=hit.forecast_at, payload=hit),
-                sender=ctx.self_ref)
+                EventRecord(kind="collision", t=hit.forecast_at, payload=hit), sender=ctx.self_ref
+            )
         self.forecasts[forecast.mmsi] = forecast
 
 
@@ -244,9 +242,7 @@ class FlowActor(Actor):
         self.vtff = IndirectVTFF()
 
     def receive(self, message, ctx: ActorContext) -> None:
-        # Receives RouteForecast objects directly from vessel actors.
-        from repro.models.base import RouteForecast
-        if isinstance(message, RouteForecast):
-            self.vtff.submit(message)
+        if isinstance(message, ForecastBatch):
+            self.vtff.submit(*message.forecasts)
         elif message == "snapshot":
             ctx.reply(self.vtff)

@@ -15,12 +15,14 @@ micro-batches, exactly the way the writer pool batches KV operations:
 * the batch executes after ``forecast_batch_max`` pending vessels or a
   ``forecast_linger_s`` virtual-time linger — **one**
   ``predict_transitions((n, INPUT_STEPS, 3))`` pass over the whole fleet,
-* the flush shares each produced forecast with its collision cells / the
-  flow actor *in row order* (per-vessel mailboxes could not guarantee the
-  cross-vessel ordering collision pairing is sensitive to), then notifies
-  each requesting vessel with a
-  :class:`~repro.platform.messages.ForecastReady` message, preserving the
-  actor model's one-writer-per-state discipline for the twin's own state.
+* the flush (:func:`~repro.platform.vessel_actor.share_forecasts`) shares
+  each produced forecast with its collision cells *in row order*
+  (per-vessel mailboxes could not guarantee the cross-vessel ordering
+  collision pairing is sensitive to), notifying each requesting vessel
+  with a :class:`~repro.platform.messages.ForecastReady` message right
+  after its row — preserving the actor model's one-writer-per-state
+  discipline for the twin's own state — and hands the flow actor the whole
+  flush in one message.
 
 Per-vessel results are bitwise identical to the unbatched path (see
 ``Model.predict``), which the batched-vs-unbatched parity leg of the bench
@@ -42,6 +44,7 @@ from repro.actors import ActorContext
 from repro.geo.track import Position
 from repro.platform.batching import MicroBatcher
 from repro.platform.messages import ForecastReady
+from repro.platform.vessel_actor import share_forecasts
 
 if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
@@ -56,17 +59,24 @@ class ForecastService:
         self.batch_max = config.forecast_batch_max
         #: Displacement steps per window row (0: anchors-only forecaster).
         self.window_size = getattr(wiring.forecaster, "window_size", 0)
-        self._windows = (np.empty((self.batch_max, self.window_size, 3))
-                         if self.window_size else None)
+        self._windows = (
+            np.empty((self.batch_max, self.window_size, 3)) if self.window_size else None
+        )
         self._mmsis: list[int] = []
         self._anchors: list[Position] = []
         self._submit_ts: list[float] = []
         self._batcher = MicroBatcher(
-            wiring.system, self, lambda: len(self._mmsis), self._execute,
-            max_size=self.batch_max, linger_s=config.forecast_linger_s,
-            capacity_reason="max_batch", size_metric="forecast_batch_size",
+            wiring.system,
+            self,
+            lambda: len(self._mmsis),
+            self._execute,
+            max_size=self.batch_max,
+            linger_s=config.forecast_linger_s,
+            capacity_reason="max_batch",
+            size_metric="forecast_batch_size",
             flushes_metric="forecast_flushes_total",
-            latency_metric="forecast_latency_s")
+            latency_metric="forecast_latency_s",
+        )
         self._batcher.spawn_timer("forecast-flush")
         self.requests_pooled = 0
         self.forecasts_failed = 0
@@ -81,8 +91,9 @@ class ForecastService:
     def batches_executed(self) -> int:
         return self._batcher.batches
 
-    def submit(self, mmsi: int, window: np.ndarray | None,
-               anchor: Position, ctx: ActorContext) -> None:
+    def submit(
+        self, mmsi: int, window: np.ndarray | None, anchor: Position, ctx: ActorContext
+    ) -> None:
         """Queue one vessel's forecast request.
 
         Called from inside the vessel actor's receive; the result comes
@@ -112,14 +123,12 @@ class ForecastService:
         windows = self._windows[:n] if self._windows is not None else None
         forecasts = self._run_batch(mmsis, windows, anchors)
         self._mmsis, self._anchors, self._submit_ts = [], [], []
-        from repro.platform.vessel_actor import share_forecast
-        wiring = self.wiring
-        router = wiring.vessel_router
-        for mmsi, forecast, t0 in zip(mmsis, forecasts, submit_ts):
-            if forecast is not None:
-                share_forecast(wiring, forecast)
-            router.tell(mmsi, ForecastReady(forecast=forecast,
-                                            t_submitted=t0))
+        router = self.wiring.vessel_router
+
+        def reply(i: int) -> None:
+            router.tell(mmsis[i], ForecastReady(forecast=forecasts[i], t_submitted=submit_ts[i]))
+
+        share_forecasts(self.wiring, forecasts, after_row=reply)
         return submit_ts[0]
 
     def _run_batch(self, mmsis, windows, anchors) -> list:
@@ -132,10 +141,9 @@ class ForecastService:
             # keeps its previous forecast and unblocks its state update).
             out = []
             for i, (mmsi, anchor) in enumerate(zip(mmsis, anchors)):
-                row = windows[i:i + 1] if windows is not None else None
+                row = windows[i : i + 1] if windows is not None else None
                 try:
-                    out.append(forecaster.forecast_batch(
-                        [mmsi], row, [anchor])[0])
+                    out.append(forecaster.forecast_batch([mmsi], row, [anchor])[0])
                 except Exception:
                     self.forecasts_failed += 1
                     out.append(None)

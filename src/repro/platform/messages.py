@@ -36,21 +36,27 @@ class CellObservation:
 
 @dataclass(frozen=True)
 class ForecastShared:
-    """Vessel actor -> collision actor: a forecast touching the cell."""
+    """Forecast fan-out -> collision actor: a forecast touching the cell."""
 
     cell: int
     forecast: RouteForecast
 
 
 @dataclass(frozen=True)
+class ForecastBatch:
+    """Forecast fan-out -> flow actor: one flush's forecasts, in row order."""
+
+    forecasts: tuple[RouteForecast, ...]
+
+
+@dataclass(frozen=True)
 class ForecastSharedBatch:
-    """Vessel actor -> remote node: one forecast touching many cells.
+    """Forecast fan-out -> remote node: one forecast touching many cells.
 
     The fan-out of one forecast routinely hits a dozen-plus collision
     cells; cells owned by the same remote node travel in a single wire
-    envelope and are expanded back into per-cell :class:`ForecastShared`
-    messages by the receiving node's router (re-routing individually if
-    the shard table drifted in flight).
+    envelope, which the receiving node's router hands to its collision
+    stash in one call (re-routing cells whose shard moved in flight).
     """
 
     cells: tuple[int, ...]

@@ -10,9 +10,9 @@ one corresponding to a specific vessel as it is defined by its unique MMSI"
   node's pooled :class:`~repro.platform.forecast_service.ForecastService`
   when batching is enabled, synchronously otherwise,
 * fans its position out to the proximity cell actor of its H3 cell,
-* fans its forecast trajectory out to the collision actors of every cell
-  the trajectory (dilated by one neighbour ring) touches,
-* submits the forecast to the traffic-flow actor,
+* has its forecast fanned out (:func:`share_forecasts`) to the collision
+  actors of every cell the trajectory (dilated by one neighbour ring)
+  touches, and to the traffic-flow actor,
 * pushes its state snapshot to the writer actor,
 * records proximity/collision alerts communicated back by the spatial
   actors ("they communicate their state back to the respective affected
@@ -32,14 +32,14 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.actors import Actor, ActorContext
-from repro.hexgrid import grid_disk, latlng_to_cell
+from repro.hexgrid import grid_disk, latlng_to_cell, latlng_to_cells
 from repro.platform.history import HistoryRing
 from repro.platform.messages import (
     CellObservation,
     CollisionAlert,
     EventRecord,
+    ForecastBatch,
     ForecastReady,
-    ForecastShared,
     PlanReady,
     PositionIngested,
     ProximityAlert,
@@ -81,29 +81,29 @@ def _disk(base: int, rings: int) -> tuple[int, ...]:
     return cells
 
 
-def share_forecast(wiring: "PlatformWiring", forecast, sender=None) -> None:
-    """Fan one forecast out to the collision cells its trajectory (dilated
-    by the neighbour rings) touches, and to the traffic-flow actor.
-
-    Module-level because two callers need it with identical semantics: the
-    vessel actor on the synchronous path, and the pooled
-    :class:`~repro.platform.forecast_service.ForecastService` at flush time
-    — the service shares in row (submission) order so collision cells
-    observe forecasts in the same sequence as unbatched inference."""
+def share_forecasts(wiring: "PlatformWiring", forecasts, after_row=None, sender=None) -> None:
+    """Fan a flush's forecasts out in row order — row ``i`` to every
+    collision cell its trajectory (dilated by the neighbour rings) touches,
+    then ``after_row(i)`` — and to the flow actor in one :class:`ForecastBatch`.
+    Row order keeps collision cells observing forecasts in the unbatched
+    sequence; the synchronous path is a batch of one; ``None`` rows share
+    nothing. One :func:`latlng_to_cells` call finds every row's cells."""
+    shared = [forecast for forecast in forecasts if forecast is not None]
+    points = [pos for forecast in shared for pos in forecast.positions]
+    lats = [pos.lat for pos in points]
+    bases = iter(latlng_to_cells(lats, [pos.lon for pos in points], COLLISION_RESOLUTION).tolist())
     rings = wiring.config.collision_neighbor_rings
-    cells: set[int] = set()
-    for pos in forecast.positions:
-        cells.update(_disk(latlng_to_cell(pos.lat, pos.lon,
-                                          COLLISION_RESOLUTION), rings))
     router = wiring.collision_router
-    share_batch = getattr(router, "share_forecast", None)
-    if share_batch is not None:
-        share_batch(cells, forecast, sender=sender)
-    else:
-        for cell in cells:
-            router.tell(cell, ForecastShared(cell=cell, forecast=forecast),
-                        sender=sender)
-    wiring.flow_ref.tell(forecast, sender=sender)
+    for i, forecast in enumerate(forecasts):
+        if forecast is not None:
+            cells: set[int] = set()
+            for _ in forecast.positions:
+                cells.update(_disk(next(bases), rings))
+            router.share_forecast(cells, forecast, sender=sender)
+        if after_row is not None:
+            after_row(i)
+    if shared:
+        wiring.flow_ref.tell(ForecastBatch(forecasts=tuple(shared)), sender=sender)
 
 
 class VesselActor(Actor):
@@ -143,8 +143,7 @@ class VesselActor(Actor):
         elif isinstance(message, ProximityAlert):
             self.event_flags.append(f"proximity@{message.event.t:.0f}")
         elif isinstance(message, CollisionAlert):
-            self.event_flags.append(
-                f"collision@{message.event.t_expected:.0f}")
+            self.event_flags.append(f"collision@{message.event.t_expected:.0f}")
         elif isinstance(message, RestoreState):
             self.restore_state(message.state, ctx)
         # Unknown messages are ignored (actors are liberal receivers).
@@ -174,15 +173,15 @@ class VesselActor(Actor):
             "voyage_event_marks": dict(self.voyage_event_marks),
         }
 
-    def restore_state(self, state: dict,
-                      ctx: ActorContext | None = None) -> None:
+    def restore_state(self, state: dict, ctx: ActorContext | None = None) -> None:
         """Adopt checkpointed state iff it is *newer* than what this actor
         holds — a replayed stream suffix may already have rebuilt fresher
         state, which must win."""
         if state["last_kept_t"] <= self.last_kept_t:
             return
         self.history = HistoryRing.from_positions(
-            state["history"], max(self.wiring.forecaster_min_history, 1))
+            state["history"], max(self.wiring.forecaster_min_history, 1)
+        )
         self.kept_fixes = state["kept_fixes"]
         self.last_kept_t = state["last_kept_t"]
         self.last_message = state["last_message"]
@@ -198,9 +197,12 @@ class VesselActor(Actor):
             # The snapshot caught a request in flight inside the (now gone)
             # node's forecast service: re-pool it from the restored window.
             self._request_forecast(ctx)
-        if (state.get("pending_plan") and ctx is not None
-                and self.voyage is not None
-                and self.last_message is not None):
+        if (
+            state.get("pending_plan")
+            and ctx is not None
+            and self.voyage is not None
+            and self.last_message is not None
+        ):
             # Same for a replan caught inside the dead node's route
             # optimizer: re-pool it from the restored last fix. The replan
             # anchor is the fix's stream time, so the reissued plan is
@@ -218,16 +220,18 @@ class VesselActor(Actor):
             return  # stale duplicate from overlapping receivers
         self.last_kept_t = report.t
         self.last_message = report
-        self.history.append(report.t, report.lat, report.lon,
-                            report.sog, report.cog)
+        self.history.append(report.t, report.lat, report.lon, report.sog, report.cog)
         self.kept_fixes += 1
 
         # Proximity: this position goes to its cell actor.
-        prox_cell = latlng_to_cell(report.lat, report.lon,
-                                   PROXIMITY_RESOLUTION)
-        wiring.cell_router.tell(prox_cell, CellObservation(
-            cell=prox_cell, mmsi=self.mmsi, t=report.t,
-            lat=report.lat, lon=report.lon), sender=ctx.self_ref)
+        prox_cell = latlng_to_cell(report.lat, report.lon, PROXIMITY_RESOLUTION)
+        wiring.cell_router.tell(
+            prox_cell,
+            CellObservation(
+                cell=prox_cell, mmsi=self.mmsi, t=report.t, lat=report.lat, lon=report.lon
+            ),
+            sender=ctx.self_ref,
+        )
 
         # Voyage optimization: divergence watch + rolling-horizon replan.
         if self.voyage is not None:
@@ -236,10 +240,8 @@ class VesselActor(Actor):
         # Forecasting: run the shared model once enough history exists —
         # a padded short window when the forecaster supports padding, the
         # full window otherwise.
-        threshold = (MIN_FORECAST_FIXES if wiring.supports_padding
-                     else wiring.forecaster_min_history)
-        if (len(self.history) >= threshold
-                and self.kept_fixes % wiring.config.forecast_every_n == 0):
+        threshold = MIN_FORECAST_FIXES if wiring.supports_padding else wiring.forecaster_min_history
+        if len(self.history) >= threshold and self.kept_fixes % wiring.config.forecast_every_n == 0:
             if wiring.forecast_service is not None:
                 self._request_forecast(ctx)
             else:
@@ -248,8 +250,7 @@ class VesselActor(Actor):
             return  # the state update rides on the ForecastReady reply
         self._push_state_update(report.t, ctx)
 
-    def _on_forecast_ready(self, msg: ForecastReady,
-                           ctx: ActorContext) -> None:
+    def _on_forecast_ready(self, msg: ForecastReady, ctx: ActorContext) -> None:
         # The service already fanned the forecast out to the collision
         # cells (in submission order, which per-vessel mailboxes could not
         # guarantee); here only the twin's own state catches up.
@@ -261,16 +262,24 @@ class VesselActor(Actor):
 
     def _push_state_update(self, t: float, ctx: ActorContext) -> None:
         report = self.last_message
-        self.wiring.writer_ref.tell(VesselStateUpdate(
-            mmsi=self.mmsi, t=t, lat=report.lat, lon=report.lon,
-            sog=report.sog, cog=report.cog, forecast=self.latest_forecast,
-            event_flags=tuple(self.event_flags)), sender=ctx.self_ref)
+        self.wiring.writer_ref.tell(
+            VesselStateUpdate(
+                mmsi=self.mmsi,
+                t=t,
+                lat=report.lat,
+                lon=report.lon,
+                sog=report.sog,
+                cog=report.cog,
+                forecast=self.latest_forecast,
+                event_flags=tuple(self.event_flags),
+            ),
+            sender=ctx.self_ref,
+        )
 
     # -- voyage optimization --------------------------------------------------------
 
     def _on_voyage_assigned(self, msg: VoyageAssigned) -> None:
-        speed = (msg.base_speed_kn if msg.base_speed_kn is not None
-                 else VOYAGE_BASE_SPEED_KN)
+        speed = msg.base_speed_kn if msg.base_speed_kn is not None else VOYAGE_BASE_SPEED_KN
         self.voyage = {
             "waypoints": msg.waypoints,
             "deadline_t": msg.deadline_t,
@@ -287,33 +296,42 @@ class VesselActor(Actor):
             off_track = self._cross_track_m(report.lat, report.lon, plan)
             if off_track > config.voyage_divergence_m:
                 from repro.events.voyage import RouteDivergenceEvent
+
                 self._emit_voyage_event(
                     "route_divergence",
                     RouteDivergenceEvent(
-                        mmsi=self.mmsi, t=report.t,
+                        mmsi=self.mmsi,
+                        t=report.t,
                         cross_track_m=off_track,
-                        threshold_m=config.voyage_divergence_m),
-                    report.t, ctx)
+                        threshold_m=config.voyage_divergence_m,
+                    ),
+                    report.t,
+                    ctx,
+                )
         # Bucket-quantised trigger: replan when stream time crosses a
         # multiple of the cadence — a pure function of the fix stream, so
         # the plan sequence survives crashes and migrations unchanged.
         cadence = config.voyage_replan_cadence_s
-        crossed = (self.last_replan_t == float("-inf")
-                   or int(report.t // cadence)
-                   > int(self.last_replan_t // cadence))
+        bucket = int(report.t // cadence)
+        crossed = self.last_replan_t == float("-inf") or bucket > int(self.last_replan_t // cadence)
         if crossed and not self.pending_plan:
             self._request_plan(report, ctx)
 
     def _request_plan(self, report, ctx: ActorContext) -> None:
         from repro.models.voyage import Waypoint
+
         voyage = self.voyage
         self.pending_plan = True
         self.last_replan_t = report.t
         self.wiring.route_optimizer.submit(
-            self.mmsi, Waypoint(report.lat, report.lon),
+            self.mmsi,
+            Waypoint(report.lat, report.lon),
             tuple(Waypoint(lat, lon) for lat, lon in voyage["waypoints"]),
-            voyage["deadline_t"], voyage["base_speed_kn"],
-            sample_t=report.t, ctx=ctx)
+            voyage["deadline_t"],
+            voyage["base_speed_kn"],
+            sample_t=report.t,
+            ctx=ctx,
+        )
 
     def _on_plan_ready(self, msg: PlanReady, ctx: ActorContext) -> None:
         self.pending_plan = False
@@ -323,27 +341,36 @@ class VesselActor(Actor):
         self.voyage_plan = plan
         if plan.diverted:
             from repro.events.voyage import StormAvoidanceEvent
+
             self._emit_voyage_event(
                 "storm_avoidance",
                 StormAvoidanceEvent(
-                    mmsi=self.mmsi, t=plan.planned_t,
+                    mmsi=self.mmsi,
+                    t=plan.planned_t,
                     issued_t=plan.issued_t,
-                    legs_diverted=sum(
-                        1 for leg in plan.legs if leg.diverted),
-                    planned_fuel_kg=plan.fuel_kg),
-                plan.planned_t, ctx)
+                    legs_diverted=sum(1 for leg in plan.legs if leg.diverted),
+                    planned_fuel_kg=plan.fuel_kg,
+                ),
+                plan.planned_t,
+                ctx,
+            )
         if plan.eta_slack_s < VOYAGE_ETA_BREACH_S:
             from repro.events.voyage import EtaBreachEvent
+
             self._emit_voyage_event(
                 "eta_breach",
                 EtaBreachEvent(
-                    mmsi=self.mmsi, t=plan.planned_t, eta_t=plan.eta_t,
+                    mmsi=self.mmsi,
+                    t=plan.planned_t,
+                    eta_t=plan.eta_t,
                     deadline_t=plan.deadline_t,
-                    slack_s=plan.eta_slack_s),
-                plan.planned_t, ctx)
+                    slack_s=plan.eta_slack_s,
+                ),
+                plan.planned_t,
+                ctx,
+            )
 
-    def _emit_voyage_event(self, kind: str, payload, t: float,
-                           ctx: ActorContext) -> None:
+    def _emit_voyage_event(self, kind: str, payload, t: float, ctx: ActorContext) -> None:
         """Route one voyage event to the writer pool, at most once per
         stream instant per kind — the mark rides the checkpoint, so a
         recovered twin only re-emits events the snapshot had not covered
@@ -353,8 +380,8 @@ class VesselActor(Actor):
         self.voyage_event_marks[kind] = t
         self.event_flags.append(f"{kind}@{t:.0f}")
         self.wiring.writer_ref.tell(
-            EventRecord(kind=kind, t=t, payload=payload),
-            sender=ctx.self_ref)
+            EventRecord(kind=kind, t=t, payload=payload), sender=ctx.self_ref
+        )
 
     @staticmethod
     def _cross_track_m(lat: float, lon: float, plan) -> float:
@@ -364,13 +391,12 @@ class VesselActor(Actor):
         divergence — never a false alarm from the great-circle extension
         of a short segment passing near the fix."""
         from repro.geo.geodesy import cross_track_distance_m, haversine_m
+
         best = float("inf")
         for leg in plan.legs:
             for a, b in zip(leg.path, leg.path[1:]):
-                d = abs(cross_track_distance_m(
-                    lat, lon, a.lat, a.lon, b.lat, b.lon))
-                d = min(d, haversine_m(lat, lon, a.lat, a.lon),
-                        haversine_m(lat, lon, b.lat, b.lon))
+                d = abs(cross_track_distance_m(lat, lon, a.lat, a.lon, b.lat, b.lon))
+                d = min(d, haversine_m(lat, lon, a.lat, a.lon), haversine_m(lat, lon, b.lat, b.lon))
                 if d < best:
                     best = d
         return best
@@ -384,23 +410,21 @@ class VesselActor(Actor):
         if getattr(wiring.forecaster, "window_size", 0) == 0:
             return None
         ts, lats, lons = self.history.columns()
-        pad = (wiring.supports_padding
-               and len(self.history) < wiring.forecaster_min_history)
+        pad = wiring.supports_padding and len(self.history) < wiring.forecaster_min_history
         return wiring.forecaster.make_window(ts, lats, lons, pad=pad)
 
     def _request_forecast(self, ctx: ActorContext) -> None:
         self.pending_forecast = True
         self.wiring.forecast_service.submit(
-            self.mmsi, self._window_row(), self.history.last_position(), ctx)
+            self.mmsi, self._window_row(), self.history.last_position(), ctx
+        )
 
     def _forecast_and_share(self, ctx: ActorContext) -> None:
         wiring = self.wiring
         history = self.history.positions()
-        if (wiring.supports_padding
-                and len(history) < wiring.forecaster_min_history):
-            forecast = wiring.forecaster.forecast(self.mmsi, history,
-                                                  pad=True)
+        if wiring.supports_padding and len(history) < wiring.forecaster_min_history:
+            forecast = wiring.forecaster.forecast(self.mmsi, history, pad=True)
         else:
             forecast = wiring.forecaster.forecast(self.mmsi, history)
         self.latest_forecast = forecast
-        share_forecast(wiring, forecast, sender=ctx.self_ref)
+        share_forecasts(wiring, [forecast], sender=ctx.self_ref)

@@ -27,7 +27,7 @@ from repro.models.base import RouteForecast, forecast_mark_times
 from repro.models.svrf import SVRFConfig, SVRFModel
 from repro.platform import Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
-from repro.platform.messages import ForecastShared, PruneTick, RestoreState
+from repro.platform.messages import PruneTick, RestoreState
 
 INPUT_STEPS = 6  #: Small S-VRF window: fast tests, same code paths.
 
@@ -274,8 +274,7 @@ class TestCollisionCellStash:
 
     def test_sole_occupant_is_stashed_not_spawned(self):
         platform, router = self.make_router()
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(111)))
+        router.share_forecast([self.CELL], stationary_forecast(111))
         platform.system.run_until_idle()
         assert router.spawned == 0
         assert router.stashed_tells == 1
@@ -285,8 +284,7 @@ class TestCollisionCellStash:
     def test_reshare_overwrites_stash_like_actor_state(self):
         platform, router = self.make_router()
         for t0 in (1_000.0, 2_000.0):
-            router.tell(self.CELL, ForecastShared(
-                cell=self.CELL, forecast=stationary_forecast(111, t0=t0)))
+            router.share_forecast([self.CELL], stationary_forecast(111, t0=t0))
         assert router.spawned == 0 and router.stashed_tells == 2
         state = router.stashed_state(self.CELL)
         # Same shape an actor's export_state produces, holding the latest.
@@ -298,10 +296,8 @@ class TestCollisionCellStash:
         forecast first (arrival order), so pairing still fires exactly as
         it would have without the stash."""
         platform, router = self.make_router()
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(111)))
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(222)))
+        router.share_forecast([self.CELL], stationary_forecast(111))
+        router.share_forecast([self.CELL], stationary_forecast(222))
         platform.system.run_until_idle()
         assert router.spawned == 1
         assert router.stashed_state(self.CELL) is None
@@ -313,8 +309,7 @@ class TestCollisionCellStash:
 
     def test_prune_tick_expires_stale_stash(self):
         platform, router = self.make_router(event_debounce_s=900.0)
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(111, t0=0.0)))
+        router.share_forecast([self.CELL], stationary_forecast(111, t0=0.0))
         router.tell(self.CELL, PruneTick(now=100.0))   # fresh: kept
         assert self.CELL in router
         router.tell(self.CELL, PruneTick(now=901.0))   # stale: dropped
@@ -347,8 +342,7 @@ class TestCollisionCellStash:
 
     def test_live_stash_wins_over_restored_checkpoint(self):
         platform, router = self.make_router()
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(111, t0=5_000.0)))
+        router.share_forecast([self.CELL], stationary_forecast(111, t0=5_000.0))
         router.tell(self.CELL, RestoreState(
             entity="collision", key=self.CELL,
             state={"forecasts": {111: stationary_forecast(111, t0=1_000.0)},
@@ -360,8 +354,7 @@ class TestCollisionCellStash:
 
     def test_forget_drops_stash(self):
         platform, router = self.make_router()
-        router.tell(self.CELL, ForecastShared(
-            cell=self.CELL, forecast=stationary_forecast(111)))
+        router.share_forecast([self.CELL], stationary_forecast(111))
         assert router.forget(self.CELL) is True
         assert self.CELL not in router
         assert router.forget(self.CELL) is False

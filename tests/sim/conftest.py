@@ -15,11 +15,51 @@ seeds regardless of ``--sim-seeds`` (acceptance suites that promise
 Failures of seeded tests are appended to ``sim-failures.log`` in the
 rootdir (one line per failure, carrying the seed) so the nightly job can
 upload it as an artifact.
+
+Every campaign run tier-1 makes has its report digest checked in, in
+``fingerprints.json`` (``campaign/scenario/seed<N>`` -> sha256): the
+suites pass the reports they already compute to the ``check_fingerprint``
+fixture, so "byte-identical to the parent" is a test, and a deliberate
+re-baseline is a reviewed diff of that file, produced by
+``PYTHONPATH=src python -m tests.sim.regen_fingerprints``.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
+
+FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
+REGEN = "PYTHONPATH=src python -m tests.sim.regen_fingerprints"
+
+
+def fingerprint_key(campaign: str, scenario: str, seed: int) -> str:
+    return f"{campaign}/{scenario}/seed{seed}"
+
+
+@pytest.fixture(scope="session")
+def golden_fingerprints() -> dict[str, str]:
+    return json.loads(FINGERPRINTS.read_text())
+
+
+@pytest.fixture
+def check_fingerprint(golden_fingerprints):
+    """``check(campaign, report)``: the report must digest to its checked-in
+    fingerprint. Seeds beyond the tier-1 sweep (the nightly job's) have no
+    entry and pass."""
+
+    def check(campaign: str, report) -> None:
+        key = fingerprint_key(campaign, report.scenario, report.seed)
+        expected = golden_fingerprints.get(key)
+        if expected is not None:
+            assert report.fingerprint() == expected, (
+                f"{key} moved: {report.fingerprint()[:16]} != checked-in {expected[:16]}; "
+                f"if intended, re-baseline with `{REGEN}` and state why in the commit"
+            )
+
+    return check
 
 
 def pytest_generate_tests(metafunc):

@@ -171,3 +171,12 @@ def test_picker_honours_the_per_shard_cap():
     assert len(set(capped)) == 10
     uncapped = shards_of(mmsis_owned_by(TABLE, "node-01", 10, 300_000_000))
     assert len(set(uncapped)) < 10
+
+
+def test_fingerprint_file_covers_exactly_the_tier1_runs(golden_fingerprints):
+    """``fingerprints.json`` holds one digest per campaign run tier-1 makes:
+    a renamed scenario or a new leg must come with a regenerated file, or
+    its runs would silently go unchecked."""
+    from tests.sim.regen_fingerprints import tier1_runs
+
+    assert sorted(key for key, _ in tier1_runs()) == sorted(golden_fingerprints)

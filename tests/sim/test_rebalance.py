@@ -35,9 +35,10 @@ def _assert_ok(report, sim_seed):
         f"--sim-seed {sim_seed}")
 
 
-def test_rebalance_upholds_invariants(sim_seed):
+def test_rebalance_upholds_invariants(sim_seed, check_fingerprint):
     report = run_rebalance_scenario(BASELINE, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("rebalance", report)
     # The campaign is non-vacuous: plans executed, state actually moved
     # between nodes, and the oracle holds both event kinds.
     assert report.plans_total >= BASELINE.require_plans
@@ -46,17 +47,19 @@ def test_rebalance_upholds_invariants(sim_seed):
     assert any(kind == "collision" for kind, _ in report.events)
 
 
-def test_rebalance_survives_mid_migration_crash(sim_seed):
+def test_rebalance_survives_mid_migration_crash(sim_seed, check_fingerprint):
     report = run_rebalance_scenario(CRASH, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("rebalance", report)
     assert report.plans_total >= CRASH.require_plans
     # The crashed node rejoined: the cluster ends at full strength.
     assert report.counters["live_nodes"] == CRASH.num_nodes
 
 
-def test_rebalance_survives_graceful_drain(sim_seed):
+def test_rebalance_survives_graceful_drain(sim_seed, check_fingerprint):
     report = run_rebalance_scenario(DRAIN, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("rebalance", report)
     assert report.plans_total >= DRAIN.require_plans
     # The drained node left for good; its durably written events were
     # absorbed by the seed, so parity held (checked by report.ok above)

@@ -20,12 +20,13 @@ SIM_MIN_SEEDS = 3
 RECOVERY = RecoveryScenario()
 
 
-def test_recovery_upholds_invariants(sim_seed):
+def test_recovery_upholds_invariants(sim_seed, check_fingerprint):
     report = run_recovery_scenario(RECOVERY, sim_seed)
     assert report.ok, (
         f"\n{report.summary()}\n"
         f"replay with: pytest {__name__.replace('.', '/')}.py "
         f"--sim-seed {sim_seed}")
+    check_fingerprint("recovery", report)
 
 
 def test_recovery_matches_fault_free_oracle(sim_seed):
@@ -53,13 +54,14 @@ def test_recovery_replays_only_the_suffix(sim_seed):
     assert report.covered + report.replayed <= report.total_records
 
 
-def test_recovery_through_disk_checkpoint(tmp_path, sim_seed):
+def test_recovery_through_disk_checkpoint(tmp_path, sim_seed, check_fingerprint):
     """Routing the checkpoint through ``checkpoint.pkl`` on disk changes
     nothing observable."""
     workdir = str(tmp_path / f"seed{sim_seed}")
     report = run_recovery_scenario(RECOVERY, sim_seed, workdir=workdir)
     assert report.ok, report.summary()
     assert os.path.exists(os.path.join(workdir, "checkpoint.pkl"))
+    check_fingerprint("recovery-disk", report)
     in_memory = run_recovery_scenario(RECOVERY, sim_seed)
     assert report.fingerprint() == in_memory.fingerprint()
 

@@ -68,12 +68,13 @@ SCENARIOS = [DROPS, CHAOS_LINKS, PARTITION, CRASH_RESTART,
 
 @pytest.mark.parametrize("scenario", SCENARIOS,
                          ids=[s.name for s in SCENARIOS])
-def test_scenario_upholds_invariants(scenario, sim_seed):
+def test_scenario_upholds_invariants(scenario, sim_seed, check_fingerprint):
     report = run_scenario(scenario, sim_seed)
     assert report.ok, (
         f"\n{report.summary()}\n"
         f"replay with: pytest {__name__.replace('.', '/')}.py "
         f"--sim-seed {sim_seed}")
+    check_fingerprint("scenario", report)
 
 
 def test_combined_scenario_reports_replay_and_faults(sim_seed):

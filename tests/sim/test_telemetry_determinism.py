@@ -19,16 +19,18 @@ LOSSY = Scenario(name="telemetry-lossy", faults=FaultSpec(drop_p=0.05))
 BATCHED = Scenario(name="telemetry-batched", batching=True)
 
 
-def test_snapshot_identical_across_runs(sim_seed):
+def test_snapshot_identical_across_runs(sim_seed, check_fingerprint):
     first = run_scenario(LOSSY, sim_seed)
     second = run_scenario(LOSSY, sim_seed)
     assert first.telemetry is not None
     assert first.telemetry == second.telemetry
     assert first.fingerprint() == second.fingerprint()
+    check_fingerprint("scenario", first)
 
 
-def test_snapshot_has_traces_and_virtual_timestamps(sim_seed):
+def test_snapshot_has_traces_and_virtual_timestamps(sim_seed, check_fingerprint):
     report = run_scenario(BATCHED, sim_seed)
+    check_fingerprint("scenario", report)
     snapshot = report.telemetry
     assert snapshot["traces_merged"], "sim run recorded no traces"
     # Hop timestamps are virtual-clock readings: bounded by the scenario's

@@ -39,9 +39,10 @@ def _assert_ok(report, sim_seed):
         f"--sim-seed {sim_seed}")
 
 
-def test_voyage_baseline_upholds_invariants(sim_seed):
+def test_voyage_baseline_upholds_invariants(sim_seed, check_fingerprint):
     report = run_voyage_scenario(BASELINE, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("voyage", report)
     # Non-vacuous: all three event kinds fired, every twin closed with a
     # plan, and the standard encounter oracle holds both kinds.
     kinds = {kind for kind, _ in report.voyage_events}
@@ -51,23 +52,25 @@ def test_voyage_baseline_upholds_invariants(sim_seed):
     assert any(kind == "collision" for kind, _ in report.events)
 
 
-def test_voyage_survives_crash_recovery(sim_seed):
+def test_voyage_survives_crash_recovery(sim_seed, check_fingerprint):
     """The twins' hosting node dies mid-voyage; checkpoint recovery must
     hand their assignments and plans back (they are not in the AIS
     stream, so only the RestoreState path can carry them)."""
     report = run_voyage_scenario(CRASH, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("voyage", report)
     assert report.suffix_replayed > 0
     assert report.counters["live_nodes"] == CRASH.num_nodes
     # The rejoin reshuffles the twins' shards back onto the target.
     assert report.counters["voyage_twins_on_target"] == 3
 
 
-def test_voyage_survives_live_migration(sim_seed):
+def test_voyage_survives_live_migration(sim_seed, check_fingerprint):
     """Scale-out then a graceful drain of the hosting node: every twin
     migrates live, and its plan state must ride the state transfer."""
     report = run_voyage_scenario(MIGRATE, sim_seed)
     _assert_ok(report, sim_seed)
+    check_fingerprint("voyage", report)
     assert report.counters["state_transfers"] > 0
     # 3 nodes + 1 added - 1 drained; nothing left on the retired target.
     assert report.counters["live_nodes"] == MIGRATE.num_nodes

@@ -15,13 +15,14 @@ SIM_MIN_SEEDS = 3
 SCENARIO = WarehouseScenario()
 
 
-def test_warehouse_campaign_upholds_invariants(sim_seed, tmp_path):
+def test_warehouse_campaign_upholds_invariants(sim_seed, tmp_path, check_fingerprint):
     report = run_warehouse_scenario(SCENARIO, sim_seed,
                                     workdir=str(tmp_path))
     assert report.ok, (
         f"\n{report.summary()}\n"
         f"replay with: pytest {__name__.replace('.', '/')}.py "
         f"--sim-seed {sim_seed}")
+    check_fingerprint("warehouse", report)
 
 
 def test_warehouse_rows_match_kept_fixes_exactly(sim_seed, tmp_path):
