@@ -99,17 +99,11 @@ def test_a_one_node_cluster_is_the_platform(alone_and_clustered, scenario):
     assert pairs[0] == pairs[1] != []
 
 
-KNOWN_GAP = (
-    "ShardRouter.__init__ takes `local_router or KeyRouter(...)`, and an empty "
-    "CollisionCellRouter is falsy: a cluster node silently drops the collision "
-    "entity's single-occupant fast path (3.3x the actor messages on this scenario), "
-    "so cell actors spawn in another order and a pair's first-reporting cell differs. "
-    "Fixing it moves 9 of the 45 sim fingerprints; left to a PR allowed to re-baseline."
-)
-
-
-@pytest.mark.xfail(strict=True, reason=KNOWN_GAP)
 def test_collision_events_come_in_the_same_order_too(alone_and_clustered):
+    """Held since a cluster node's collision entity got its single-occupant
+    stash (an empty ``CollisionCellRouter`` is falsy, and ``ShardRouter``
+    used to test it for truth): cell actors spawn in the same order, so a
+    pair's first-reporting cell is the same."""
     alone, clustered = alone_and_clustered
     assert alone["events"]["collision"] == clustered["events"]["collision"]
     assert alone["states"] == clustered["states"]
