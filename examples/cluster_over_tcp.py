@@ -5,8 +5,10 @@ The one deployment shape nothing else exercises: this process is the seed
 joins it over :class:`~repro.cluster.TcpTransport` (seed-node join,
 heartbeats, consistent-hash shard table, batched outbound frames) and
 hosts the rest. An Aegean proximity scenario streams through the cluster
-and the events its cell actors resolve are counted on both nodes. Tests
-and ``bench/`` use the in-process :class:`~repro.platform.LoopbackCluster`;
+and the events its cell actors resolve are counted on both nodes. Each
+process is one loop on one thread: ``pump`` (deliver what the TCP readers
+queued, run the actors to idle) and ``tick`` (heartbeats). Tests and
+``bench/`` use the in-process :class:`~repro.platform.LoopbackCluster`;
 measured cluster numbers: ``bench/run.py --workload cluster4_svrf``.
 
 Exits non-zero only if the worker owns no vessel, the seed dispatched a
@@ -21,7 +23,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -39,38 +40,42 @@ CONFIG = ClusterConfig(
 SEED_ID, WORKER_ID = "node-00", "node-01"
 
 
-def start_node(node_id: str) -> tuple[ClusterNode, threading.Event]:
-    """A started TCP node plus the event that stops its heartbeat thread."""
+def start_node(node_id: str) -> ClusterNode:
     transport = TcpTransport(
-        port=0,
-        queue_frames=CONFIG.outbound_queue_frames,
-        block_timeout_s=CONFIG.send_block_timeout_s,
+        queue_frames=CONFIG.outbound_queue_frames, block_timeout_s=CONFIG.send_block_timeout_s
     )
-    node = ClusterNode(node_id, transport, config=CONFIG, system_mode="threaded", workers=2)
+    node = ClusterNode(node_id, transport, config=CONFIG)
     node.start()
-    stop = threading.Event()
+    return node
 
-    def tick() -> None:
-        while not stop.wait(CONFIG.heartbeat_interval_s / 2):
-            node.tick()
 
-    threading.Thread(target=tick, daemon=True).start()
-    return node, stop
+def pump_until(node: ClusterNode, done, timeout_s: float = 60.0) -> None:
+    """The node loop: pump and tick on this thread until ``done()``."""
+    deadline = time.monotonic() + timeout_s
+    while not done():
+        if time.monotonic() > deadline:
+            raise TimeoutError("the cluster did not answer in time")
+        node.pump(0.05)
+        node.tick()
+
+
+def ask_worker(node: ClusterNode, op: str, params: dict | None = None):
+    """A control ask whose reply arrives while this thread pumps."""
+    future = node.ask_control(WORKER_ID, op, params)
+    pump_until(node, lambda: future.done)
+    return future.result()
 
 
 def worker_main(seed_host: str, seed_port: int) -> None:
-    node, stop = start_node(WORKER_ID)
+    node = start_node(WORKER_ID)
     platform = Platform(node=node, is_seed=False)
-    node.register_control("shutdown", lambda params: stop.set() or {"ok": 1})
+    stopping = []
+    node.register_control("shutdown", lambda params: stopping.append(1) or {"ok": 1})
     node.join(SEED_ID, (seed_host, seed_port))
-    if not node.joined.wait(timeout=30.0):
-        sys.exit("worker: join timed out")
+    pump_until(node, node.joined.is_set, timeout_s=30.0)
     print(f"worker: joined the cluster as {WORKER_ID}", flush=True)
-    stop.wait()
-    # Let in-flight work and the shutdown reply drain before closing.
-    node.system.await_idle(timeout=10.0)
-    time.sleep(0.5)
-    platform.shutdown()
+    pump_until(node, lambda: stopping, timeout_s=3_600.0)
+    platform.shutdown()  # flushes the shutdown reply before closing
 
 
 def spawn_worker(seed_address) -> subprocess.Popen:
@@ -87,31 +92,26 @@ def settle(platform: Platform, node: ClusterNode) -> dict:
     until nothing moves. Returns the worker's final ``platform_stats``."""
     for stage in range(len(platform.wiring.batch_stages)):
         platform.flush_stage(stage)
-        node.ask_control(WORKER_ID, "flush_stage", {"stage": stage}).result(10.0)
-        platform.system.await_idle(timeout=30.0)
+        ask_worker(node, "flush_stage", {"stage": stage})
     deadline = time.monotonic() + 120.0
     last, stable = None, 0
     while time.monotonic() < deadline:
-        remote = node.ask_control(WORKER_ID, "platform_stats").result(10.0)
+        remote = ask_worker(node, "platform_stats")
         current = (platform.stats()["messages_processed"], remote["messages_processed"])
         stable = stable + 1 if current == last else 0
         if stable >= 3:
             return remote
         last = current
-        time.sleep(0.25)
+        pump_until(node, lambda wake=time.monotonic() + 0.25: time.monotonic() >= wake)
     raise TimeoutError("cluster did not reach quiescence")
 
 
 def main() -> None:
-    node, stop = start_node(SEED_ID)
+    node = start_node(SEED_ID)
     platform = Platform(node=node, is_seed=True)
     worker = spawn_worker(node.transport.address)
     try:
-        deadline = time.monotonic() + 60.0
-        while WORKER_ID not in node.membership.alive_ids():
-            if time.monotonic() > deadline:
-                raise TimeoutError("worker never joined")
-            time.sleep(0.1)
+        pump_until(node, lambda: WORKER_ID in node.membership.alive_ids())
         print(f"cluster formed: {node.membership.alive_ids()}, epoch {node.table.epoch}")
         scenario = proximity_scenario(
             n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0
@@ -120,8 +120,8 @@ def main() -> None:
         published = processed = 0
         for i in range(0, len(messages), 500):
             published += platform.publish_messages(messages[i : i + 500])
-            processed += platform.ingest_available()
-        platform.system.await_idle(timeout=60.0)
+            processed += platform.ingest_available(node.pump)
+            node.tick()
         remote = settle(platform, node)
         vessels = {SEED_ID: platform.vessel_count, WORKER_ID: remote["vessels_local"]}
         events = {
@@ -138,11 +138,10 @@ def main() -> None:
         )
     finally:
         try:
-            node.ask_control(WORKER_ID, "shutdown").result(5.0)
+            ask_worker(node, "shutdown")
             worker.wait(timeout=30.0)
         except Exception:
             worker.kill()
-        stop.set()
         platform.shutdown()
 
     checks = {

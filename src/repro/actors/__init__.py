@@ -7,9 +7,9 @@ dynamic scaling (Section 3). This package implements those semantics:
 * :class:`~repro.actors.actor.Actor` — user behaviour with run-to-completion
   message handling and lifecycle hooks,
 * :class:`~repro.actors.system.ActorSystem` — spawning, dispatch, stopping,
-  dead letters and a virtual-time scheduler; two dispatchers are provided,
-  a deterministic single-threaded one (tests, benchmarks, reproducible
-  Figure 6 runs) and a thread-pool one,
+  dead letters and a virtual-time scheduler; one deterministic dispatcher
+  runs every actor on the thread that calls ``run_until_idle`` (per-core
+  scaling is one process per cluster node, not a thread pool),
 * :mod:`~repro.actors.supervision` — restart/stop/resume strategies applied
   when an actor's receive raises,
 * :class:`~repro.actors.router.KeyRouter` — the "core partitioning

@@ -1,13 +1,12 @@
 """The actor system: spawning, dispatch, scheduling, supervision, metrics.
 
-Two dispatchers are provided:
-
-* ``deterministic`` (default) — a single-threaded run-to-idle loop. Message
-  interleaving is reproducible, which the evaluation relies on; this is also
-  the honest way to measure per-message processing time on a shared host.
-* ``threaded`` — a pool of worker threads with the classic
-  one-actor-never-runs-twice-concurrently scheduling discipline, for
-  exercising the concurrency semantics themselves.
+One dispatcher: :meth:`ActorSystem.run_until_idle` drains every mailbox on
+the calling thread, so message interleaving is reproducible, which the
+evaluation relies on; this is also the honest way to measure per-message
+processing time on a shared host. ``tell`` may come from any thread (the
+enqueue takes ``_lock``), but actors only ever run on the thread that calls
+``run_until_idle`` — on a cluster node, the thread that pumps it. Under the
+GIL per-core scaling comes from processes, one node each.
 
 Time is virtual: :meth:`ActorSystem.advance_time` moves the clock and
 releases scheduled messages. The platform drives it from its stream clock,
@@ -18,12 +17,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import queue
 import threading
 import time
 from collections import deque
 from typing import Any, Callable
-
 
 from repro.actors.actor import Actor, ActorContext, ActorRef, Envelope
 from repro.actors.mailbox import Mailbox
@@ -35,6 +32,10 @@ from repro.actors.supervision import (
 from repro.telemetry import Telemetry
 from repro.telemetry.recorder import MetricsRecorder
 from repro.telemetry.trace import clear_current_trace, set_current_trace
+
+#: Envelopes one actor processes before the dispatcher moves to the next
+#: ready actor (fairness between busy mailboxes).
+BATCH_SIZE = 64
 
 
 class AskTimeoutError(TimeoutError):
@@ -59,9 +60,9 @@ class Future:
     def result(self, timeout: float | None = None) -> Any:
         """The reply value; raises :class:`AskTimeoutError` if unavailable.
 
-        With the deterministic dispatcher, call
-        :meth:`ActorSystem.run_until_idle` before awaiting (or use
-        :meth:`ActorSystem.ask_sync`).
+        Run the dispatcher first (:meth:`ActorSystem.run_until_idle`, or
+        :meth:`ActorSystem.ask_sync` for both steps); a reply from another
+        node arrives when its node is pumped until :attr:`done`.
         """
         if not self._event.wait(timeout):
             raise AskTimeoutError("ask future not completed")
@@ -71,12 +72,23 @@ class Future:
 class _Cell:
     """Runtime state of one actor."""
 
-    __slots__ = ("name", "factory", "actor", "mailbox", "strategy",
-                 "restarts", "started", "stopped", "scheduled",
-                 "messages_processed", "tel_instruments")
+    __slots__ = (
+        "name",
+        "factory",
+        "actor",
+        "mailbox",
+        "strategy",
+        "restarts",
+        "started",
+        "stopped",
+        "scheduled",
+        "messages_processed",
+        "tel_instruments",
+    )
 
-    def __init__(self, name: str, factory: Callable[[], Actor],
-                 strategy: SupervisionStrategy) -> None:
+    def __init__(
+        self, name: str, factory: Callable[[], Actor], strategy: SupervisionStrategy
+    ) -> None:
         self.name = name
         self.factory = factory
         self.actor = factory()
@@ -95,14 +107,8 @@ class _Cell:
 class ActorSystem:
     """Container and dispatcher for a set of actors."""
 
-    def __init__(self, name: str = "system", mode: str = "deterministic",
-                 workers: int = 4, record_metrics: bool = False,
-                 batch_size: int = 64) -> None:
-        if mode not in ("deterministic", "threaded"):
-            raise ValueError(f"unknown dispatch mode {mode!r}")
+    def __init__(self, name: str = "system", record_metrics: bool = False) -> None:
         self.name = name
-        self.mode = mode
-        self.batch_size = batch_size
         self.metrics = MetricsRecorder() if record_metrics else None
         #: Optional :class:`~repro.telemetry.Telemetry` bundle. When set,
         #: the dispatcher feeds mailbox-depth / queue-delay / per-entity
@@ -127,24 +133,13 @@ class ActorSystem:
         self._now = 0.0
         self._timer_seq = itertools.count()
         self._timers: list[tuple[float, int, str, Any]] = []
-
         self._ready: deque[str] = deque()
-        self._workers: list[threading.Thread] = []
-        self._work_q: "queue.Queue[str | None]" = queue.Queue()
-        self._shutdown = False
-        self._idle_cv = threading.Condition(self._lock)
-        self._in_flight = 0
-        if mode == "threaded":
-            for i in range(workers):
-                t = threading.Thread(target=self._worker_loop,
-                                     name=f"{name}-worker-{i}", daemon=True)
-                t.start()
-                self._workers.append(t)
 
     # -- spawning / stopping ----------------------------------------------------
 
-    def spawn(self, factory: Callable[[], Actor], name: str,
-              strategy: SupervisionStrategy | None = None) -> ActorRef:
+    def spawn(
+        self, factory: Callable[[], Actor], name: str, strategy: SupervisionStrategy | None = None
+    ) -> ActorRef:
         """Create an actor. ``factory`` must build a fresh instance each call
         (it is reused by supervised restarts)."""
         with self._lock:
@@ -172,8 +167,7 @@ class ActorSystem:
         """Messages queued across all live mailboxes right now (the
         cluster load reports' backlog gauge)."""
         with self._lock:
-            return sum(len(cell.mailbox) for cell in self._cells.values()
-                       if not cell.stopped)
+            return sum(len(cell.mailbox) for cell in self._cells.values() if not cell.stopped)
 
     def stop(self, ref: ActorRef) -> None:
         with self._lock:
@@ -190,16 +184,6 @@ class ActorSystem:
         for n in names:
             self.stop(ActorRef(n, self))
 
-    def shutdown(self) -> None:
-        """Stop all actors and terminate worker threads."""
-        self.stop_all()
-        if self.mode == "threaded":
-            self._shutdown = True
-            for _ in self._workers:
-                self._work_q.put(None)
-            for t in self._workers:
-                t.join(timeout=5.0)
-
     # -- delivery ----------------------------------------------------------------
 
     def _new_future(self) -> Future:
@@ -207,8 +191,7 @@ class ActorSystem:
 
     def _deliver(self, name: str, envelope: Envelope) -> None:
         telemetry = self.telemetry
-        if (telemetry is not None and envelope.trace_id is not None
-                and envelope.enqueued_at is None):
+        if telemetry is not None and envelope.trace_id is not None and envelope.enqueued_at is None:
             # Queue-delay stamping is traced-envelopes-only, and in-place:
             # the envelope is not yet in any mailbox, so mutating the
             # frozen dataclass here (the same way its __init__ does) is
@@ -223,11 +206,7 @@ class ActorSystem:
             cell.mailbox.put(envelope)
             if not cell.scheduled:
                 cell.scheduled = True
-                if self.mode == "deterministic":
-                    self._ready.append(name)
-                else:
-                    self._in_flight += 1
-                    self._work_q.put(name)
+                self._ready.append(name)
 
     # -- scheduling (virtual time) --------------------------------------------------
 
@@ -241,9 +220,9 @@ class ActorSystem:
         if delay_s < 0:
             raise ValueError("delay must be non-negative")
         with self._lock:
-            heapq.heappush(self._timers,
-                           (self._now + delay_s, next(self._timer_seq),
-                            target.name, message))
+            heapq.heappush(
+                self._timers, (self._now + delay_s, next(self._timer_seq), target.name, message)
+            )
 
     def advance_time(self, dt_s: float) -> int:
         """Move the virtual clock forward, firing due timers.
@@ -261,78 +240,29 @@ class ActorSystem:
             self._deliver(name, Envelope(message=message))
         return len(due)
 
-    # -- deterministic dispatch --------------------------------------------------------
+    # -- dispatch --------------------------------------------------------------------
 
-    def run_until_idle(self, max_messages: int | None = None) -> int:
-        """Process mailboxes until empty (deterministic mode only).
+    def run_until_idle(self) -> int:
+        """Process mailboxes on this thread until every one is empty.
 
-        Returns the number of messages processed. ``max_messages`` bounds the
-        run for livelock protection in tests.
+        Returns the number of messages processed.
         """
-        if self.mode != "deterministic":
-            raise RuntimeError("run_until_idle requires deterministic mode")
         processed = 0
         while self._ready:
-            name = self._ready.popleft()
-            cell = self._cells.get(name)
-            if cell is None:
-                continue
-            processed += self._process_cell(cell)
-            if max_messages is not None and processed >= max_messages:
-                with self._lock:
-                    if len(cell.mailbox):
-                        # leave it scheduled for the next run
-                        self._ready.appendleft(name)
-                        return processed
-                break
+            cell = self._cells.get(self._ready.popleft())
+            if cell is not None:
+                processed += self._process_cell(cell)
         return processed
 
-    def ask_sync(self, ref: ActorRef, message: Any, timeout: float = 5.0) -> Any:
-        """Ask and synchronously await the reply.
-
-        In deterministic mode this drives the dispatcher to idle first.
-        """
+    def ask_sync(self, ref: ActorRef, message: Any) -> Any:
+        """Ask, drive the dispatcher to idle, and return the reply."""
         future = ref.ask(message)
-        if self.mode == "deterministic":
-            self.run_until_idle()
-            return future.result(timeout=0.0)
-        return future.result(timeout=timeout)
-
-    # -- threaded dispatch ----------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            name = self._work_q.get()
-            if name is None:
-                return
-            cell = self._cells.get(name)
-            if cell is not None:
-                try:
-                    self._process_cell(cell)
-                finally:
-                    with self._lock:
-                        self._in_flight -= 1
-                        if self._in_flight == 0:
-                            self._idle_cv.notify_all()
-
-    def await_idle(self, timeout: float = 30.0) -> bool:
-        """Block until no work is queued or running (threaded mode)."""
-        if self.mode != "threaded":
-            return True
-        deadline = time.monotonic() + timeout
-        with self._idle_cv:
-            while self._in_flight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle_cv.wait(remaining)
-        return True
-
-    # -- shared processing core -----------------------------------------------------------
+        self.run_until_idle()
+        return future.result(timeout=0.0)
 
     def _process_cell(self, cell: _Cell) -> int:
         """Drain one batch from a cell's mailbox, honouring supervision."""
-        batch = cell.mailbox.get_batch(self.batch_size)
+        batch = cell.mailbox.get_batch(BATCH_SIZE)
         processed = 0
         telemetry = self.telemetry
         entity = entity_counter = proc_hist = None
@@ -345,8 +275,7 @@ class ActorSystem:
             # ingest); message counters are exact.
             if cell.tel_instruments is None:
                 entity = cell.name.split("-", 1)[0]
-                cell.tel_instruments = \
-                    (entity,) + telemetry.entity_instruments(entity)
+                cell.tel_instruments = (entity,) + telemetry.entity_instruments(entity)
             entity, entity_counter, proc_hist = cell.tel_instruments
             tel_clock = telemetry.clock
             if telemetry.sample_batch():
@@ -375,20 +304,21 @@ class ActorSystem:
                     if envelope.enqueued_at is not None:
                         queue_s = tel_t0 - envelope.enqueued_at
                         telemetry.queue_delay.observe(queue_s)
-                    telemetry.traces.record(envelope.trace_id, entity,
-                                            queue_s=queue_s, proc_s=proc_s)
+                    telemetry.traces.record(
+                        envelope.trace_id, entity, queue_s=queue_s, proc_s=proc_s
+                    )
             if self.metrics is not None and (
-                    self.metrics_filter is None
-                    or self.metrics_filter(cell.name)):
-                population = (self.population_fn()
-                              if self.population_fn is not None
-                              else self._active_count)
+                self.metrics_filter is None or self.metrics_filter(cell.name)
+            ):
+                population = (
+                    self.population_fn() if self.population_fn is not None else self._active_count
+                )
                 self.metrics.record(population, time.perf_counter() - t0)
             processed += 1
             if not ok:
                 # The cell stopped mid-batch: everything still queued becomes
                 # a dead letter, like a stopped Akka actor's mailbox.
-                leftovers = batch[i + 1:] + cell.mailbox.get_batch(2 ** 30)
+                leftovers = batch[i + 1 :] + cell.mailbox.get_batch(2**30)
                 for leftover in leftovers:
                     self.dead_letters.append((cell.name, leftover))
                     self.dead_letter_count += 1
@@ -400,22 +330,9 @@ class ActorSystem:
         # Reschedule if more messages arrived or remain.
         with self._lock:
             if not cell.stopped and len(cell.mailbox) > 0:
-                if self.mode == "deterministic":
-                    self._ready.append(cell.name)
-                else:
-                    self._in_flight += 1
-                    self._work_q.put(cell.name)
+                self._ready.append(cell.name)
             else:
                 cell.scheduled = False
-                # Race: a message may slip in after the emptiness check in
-                # threaded mode; re-check under the same lock.
-                if len(cell.mailbox) > 0 and not cell.stopped:
-                    cell.scheduled = True
-                    if self.mode == "deterministic":
-                        self._ready.append(cell.name)
-                    else:
-                        self._in_flight += 1
-                        self._work_q.put(cell.name)
         return processed
 
     def _process_envelope(self, cell: _Cell, envelope: Envelope) -> bool:

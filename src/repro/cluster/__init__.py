@@ -7,8 +7,9 @@ Section 6.3 rests on it). This package brings the same layer to the
 reproduction:
 
 * :mod:`~repro.cluster.transport` — byte-frame transports: a deterministic
-  in-process loopback (tests pump it explicitly) and length-prefixed TCP
-  with background readers (real multi-process runs),
+  in-process loopback (tests pump the hub) and length-prefixed TCP whose
+  reader threads only queue frames (real multi-process runs pump each
+  node: :meth:`~repro.cluster.node.ClusterNode.pump`),
 * :mod:`~repro.cluster.membership` — seed-node join, heartbeats, and the
   suspect -> down failure detector on an injectable clock,
 * :mod:`~repro.cluster.sharding` — consistent-hash shards over a virtual

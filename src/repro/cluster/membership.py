@@ -17,10 +17,10 @@ the detector from a virtual clock while TCP deployments use
 ``time`` module directly outside that default (virtual-time tests would
 race); ``tests/cluster/test_virtual_clock.py`` enforces this.
 
-Under TCP, heartbeats arrive on transport reader threads while the ticker
-thread runs :meth:`Membership.check` — every mutation and view therefore
-goes through one lock, and observers (node stats, telemetry gauges) read
-:meth:`Membership.snapshot`, which returns *copies* of the member records:
+Heartbeats and :meth:`Membership.check` both run on the thread that pumps
+and ticks the node; every mutation and view still goes through one lock,
+and observers (node stats, telemetry gauges, possibly on another thread)
+read :meth:`Membership.snapshot`, which returns *copies* of the member records:
 the same discipline the actor metrics ``snapshot()`` established, applied
 to the membership dict instead of live references.
 """

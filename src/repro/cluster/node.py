@@ -133,7 +133,6 @@ class ClusterNode:
 
     def __init__(self, node_id: str, transport: Transport,
                  config: ClusterConfig | None = None,
-                 system_mode: str = "deterministic", workers: int = 4,
                  record_metrics: bool = False,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.node_id = node_id
@@ -150,9 +149,7 @@ class ClusterNode:
                 clock=clock)
         self.transport = transport
         self.clock = clock
-        self.system = ActorSystem(name=node_id, mode=system_mode,
-                                  workers=workers,
-                                  record_metrics=record_metrics)
+        self.system = ActorSystem(name=node_id, record_metrics=record_metrics)
         self.membership = Membership(node_id, transport.address,
                                      self.config, clock)
         self.coordinator = ShardCoordinator(self)
@@ -236,11 +233,18 @@ class ClusterNode:
     def start(self) -> None:
         self.transport.start(self._on_frame)
 
+    def pump(self, timeout_s: float = 0.0) -> int:
+        """Deliver the inbound frames queued so far on the calling thread
+        (waiting up to ``timeout_s`` for the first), then run this node's
+        actors to idle — the TCP analogue of :meth:`LoopbackHub.pump`.
+        Returns frames delivered plus messages processed; 0 means idle."""
+        return self.transport.pump(timeout_s) + self.system.run_until_idle()
+
     def join(self, seed_id: str, seed_address: Any) -> None:
         """Ask the seed node for admission (the gossip-free join protocol).
 
-        Over loopback, pump the hub afterwards; over TCP, wait on
-        :attr:`joined`. Until the ``Welcome`` arrives, :meth:`tick`
+        Over loopback, pump the hub afterwards; over TCP, :meth:`pump` until
+        :attr:`joined` is set. Until the ``Welcome`` arrives, :meth:`tick`
         re-sends the ``Join`` every ``JOIN_RETRY_INTERVAL_S`` — the
         handshake must survive a lossy network.
         """
@@ -267,7 +271,7 @@ class ClusterNode:
     def shutdown(self) -> None:
         self._closed = True
         self.transport.close()
-        self.system.shutdown()
+        self.system.stop_all()
 
     # -- entities -----------------------------------------------------------------
 
@@ -453,8 +457,8 @@ class ClusterNode:
         """Drive heartbeats and the failure detector.
 
         Deterministic runs call this from a virtual-clock loop; TCP runs
-        call it from a ticker thread. Returns the membership transitions
-        performed (SUSPECT / DOWN declarations).
+        call it between pumps, on the pumping thread. Returns the
+        membership transitions performed (SUSPECT / DOWN declarations).
         """
         if now is None:
             now = self.clock()
@@ -767,7 +771,7 @@ class ClusterNode:
 
     def stats(self) -> dict:
         # Membership facts come from one snapshot() so the view is
-        # internally consistent even while reader threads mutate states.
+        # internally consistent whichever thread asks for the stats.
         members = self.membership.snapshot()
         alive = sorted(m.node_id for m in members
                        if m.state in (MemberState.UP, MemberState.SUSPECT))
@@ -823,8 +827,7 @@ def run_cluster_until_idle(nodes: Iterable["ClusterNode"], hub,
         frames = hub.pump()
         processed = 0
         for node in nodes:
-            if node.system.mode == "deterministic":
-                processed += node.system.run_until_idle()
+            processed += node.system.run_until_idle()
         total += processed
         if frames == 0 and processed == 0 and hub.pending == 0:
             return total

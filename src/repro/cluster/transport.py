@@ -8,10 +8,11 @@ Three implementations of one small contract (:class:`Transport`):
   control interleaving exactly (deterministic, no threads, no sleeps).
 * :class:`TcpTransport` — real sockets with length-prefixed frames
   (4-byte big-endian length + payload). Inbound: one background reader
-  thread per connection. Outbound: one writer thread per peer behind a
-  bounded queue, so actor dispatch never blocks on ``sendall`` or
-  connection setup; a full queue applies backpressure (block with
-  timeout, then :class:`TransportError`).
+  thread per connection appends whole frames to one inbox, which
+  :meth:`TcpTransport.pump` delivers on the calling thread. Outbound: one
+  writer thread per peer behind a bounded queue, so actor dispatch never
+  blocks on ``sendall`` or connection setup; a full queue applies
+  backpressure (block with timeout, then :class:`TransportError`).
 * :class:`BatchingTransport` — a decorator over either of the above that
   coalesces outbound frames per peer into one multi-envelope container
   frame (``linger_ms`` / ``max_batch_bytes`` / ``max_batch_msgs``), the
@@ -20,7 +21,9 @@ Three implementations of one small contract (:class:`Transport`):
 
 All carry opaque byte frames; meaning (sender, target, correlation) lives
 inside the encoded :class:`~repro.cluster.protocol.WireEnvelope`, so the
-transports are interchangeable above this line.
+transports are interchangeable above this line. Whatever the transport,
+``on_frame`` runs only on the thread that pumps — the hub's caller for
+loopback, :meth:`Transport.pump`'s caller otherwise.
 """
 
 from __future__ import annotations
@@ -49,8 +52,15 @@ class Transport:
     address: Any = None
 
     def start(self, on_frame: Callable[[bytes], None]) -> None:
-        """Begin accepting inbound frames, delivering each to ``on_frame``."""
+        """Begin accepting inbound frames, to be delivered to ``on_frame``."""
         raise NotImplementedError
+
+    def pump(self, timeout_s: float = 0.0) -> int:
+        """Deliver the inbound frames queued so far to ``on_frame`` on the
+        calling thread, waiting up to ``timeout_s`` for the first; returns
+        how many were delivered. Loopback endpoints return 0: their hub
+        delivers them (:meth:`LoopbackHub.pump`)."""
+        return 0
 
     def add_peer(self, node_id: str, address: Any) -> None:
         """Register where ``node_id`` can be reached."""
@@ -123,8 +133,7 @@ class LoopbackHub:
             t._inbox.clear()
             t._closed = True
 
-    def _enqueue(self, dest: str, frame: bytes,
-                 src: str | None = None) -> None:
+    def _enqueue(self, dest: str, frame: bytes, src: str | None = None) -> None:
         """Accept one frame from ``src`` for ``dest``'s inbox.
 
         This is the fault-injection hook point: ``repro.sim.SimHub``
@@ -161,8 +170,7 @@ class LoopbackHub:
                     delivered += 1
                     self.frames_delivered += 1
                     if delivered > max_frames:
-                        raise RuntimeError(
-                            "loopback pump exceeded max_frames (livelock?)")
+                        raise RuntimeError("loopback pump exceeded max_frames (livelock?)")
                     t._on_frame(frame)
                     progress = True
         return delivered
@@ -225,8 +233,7 @@ class _PeerWriter:
     errors so the next ``send`` can surface one :class:`TransportError`;
     a successful write clears the latch."""
 
-    __slots__ = ("node_id", "queue", "thread", "conn", "failed",
-                 "last_error")
+    __slots__ = ("node_id", "queue", "thread", "conn", "failed", "last_error")
 
     def __init__(self, node_id: str, maxsize: int) -> None:
         self.node_id = node_id
@@ -239,7 +246,7 @@ class _PeerWriter:
 
 class TcpTransport(Transport):
     """Length-prefixed frames over TCP with background reader and writer
-    threads.
+    threads that only move bytes.
 
     One listening socket per node. Each peer gets a dedicated writer
     thread draining a bounded queue, so ``send`` is a non-blocking enqueue
@@ -247,20 +254,25 @@ class TcpTransport(Transport):
     coalesces queued frames into a single ``sendall`` when it finds more
     than one waiting. When a queue fills, ``send`` blocks up to
     ``block_timeout_s`` and then raises — the backpressure boundary.
-    Frames from any connection are funnelled to the single ``on_frame``
-    callback — ordering is preserved per sender (one TCP stream each), not
-    across senders, matching actor semantics.
+    Reader threads append the frames of every connection to one inbox and
+    :meth:`pump` hands them to ``on_frame`` on the calling thread — ordering
+    is preserved per sender (one TCP stream each), not across senders,
+    matching actor semantics.
 
     Delivery failures are detected in the writer thread; they latch a
     per-peer error that the *next* ``send`` to that peer raises (the
     cluster's heartbeat failure detector is the authoritative signal).
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 queue_frames: int = 10_000,
-                 block_timeout_s: float = 2.0,
-                 connect_timeout_s: float = 5.0,
-                 coalesce_bytes: int = 256 * 1024) -> None:
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        queue_frames: int = 10_000,
+        block_timeout_s: float = 2.0,
+        connect_timeout_s: float = 5.0,
+        coalesce_bytes: int = 256 * 1024,
+    ) -> None:
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._server.bind((host, port))
@@ -274,6 +286,8 @@ class TcpTransport(Transport):
         self._writers: dict[str, _PeerWriter] = {}
         self._lock = threading.Lock()
         self._on_frame: Callable[[bytes], None] | None = None
+        #: Inbound frames from every reader thread, drained by :meth:`pump`.
+        self._inbox: queue.SimpleQueue[bytes] = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._closed = False
         self.send_errors = 0
@@ -284,8 +298,9 @@ class TcpTransport(Transport):
 
     def start(self, on_frame: Callable[[bytes], None]) -> None:
         self._on_frame = on_frame
-        t = threading.Thread(target=self._accept_loop,
-                             name=f"tcp-accept-{self.address[1]}", daemon=True)
+        t = threading.Thread(
+            target=self._accept_loop, name=f"tcp-accept-{self.address[1]}", daemon=True
+        )
         t.start()
         self._threads.append(t)
 
@@ -304,9 +319,11 @@ class TcpTransport(Transport):
                 writer = _PeerWriter(node_id, self._queue_frames)
                 self._writers[node_id] = writer
                 writer.thread = threading.Thread(
-                    target=self._writer_loop, args=(writer,),
+                    target=self._writer_loop,
+                    args=(writer,),
                     name=f"tcp-writer-{self.address[1]}-{node_id}",
-                    daemon=True)
+                    daemon=True,
+                )
                 writer.thread.start()
             return writer
 
@@ -316,8 +333,7 @@ class TcpTransport(Transport):
         writer = self._writer_for(node_id)
         if writer.failed.is_set():
             writer.failed.clear()
-            raise TransportError(
-                f"send to {node_id} failed: {writer.last_error}")
+            raise TransportError(f"send to {node_id} failed: {writer.last_error}")
         try:
             writer.queue.put(frame, timeout=self._block_timeout_s)
         except queue.Full:
@@ -325,7 +341,8 @@ class TcpTransport(Transport):
             raise TransportError(
                 f"outbound queue to {node_id} full "
                 f"({self._queue_frames} frames) for "
-                f"{self._block_timeout_s}s") from None
+                f"{self._block_timeout_s}s"
+            ) from None
 
     def _writer_loop(self, writer: _PeerWriter) -> None:
         while True:
@@ -362,14 +379,11 @@ class TcpTransport(Transport):
             sock = writer.conn
             if sock is None:
                 try:
-                    sock = socket.create_connection(
-                        addr, timeout=self._connect_timeout_s)
-                    sock.setsockopt(socket.IPPROTO_TCP,
-                                    socket.TCP_NODELAY, 1)
+                    sock = socket.create_connection(addr, timeout=self._connect_timeout_s)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     writer.conn = sock
                 except OSError as exc:
-                    self._record_failure(writer, len(frames),
-                                         f"cannot connect to {addr}: {exc}")
+                    self._record_failure(writer, len(frames), f"cannot connect to {addr}: {exc}")
                     return
             try:
                 sock.sendall(payload)
@@ -388,8 +402,7 @@ class TcpTransport(Transport):
                 if attempt == 1:
                     self._record_failure(writer, len(frames), str(exc))
 
-    def _record_failure(self, writer: _PeerWriter, n_frames: int,
-                        error: str) -> None:
+    def _record_failure(self, writer: _PeerWriter, n_frames: int, error: str) -> None:
         writer.last_error = error
         writer.failed.set()
         self.send_errors += n_frames
@@ -403,9 +416,12 @@ class TcpTransport(Transport):
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._reader_loop, args=(conn,),
-                                 name=f"tcp-reader-{self.address[1]}",
-                                 daemon=True)
+            t = threading.Thread(
+                target=self._reader_loop,
+                args=(conn,),
+                name=f"tcp-reader-{self.address[1]}",
+                daemon=True,
+            )
             t.start()
             # Reap finished reader threads so churny peers don't grow the
             # list without bound.
@@ -424,8 +440,7 @@ class TcpTransport(Transport):
                 frame = _read_exact(conn, length)
                 if frame is None:
                     return
-                if self._on_frame is not None:
-                    self._on_frame(frame)
+                self._inbox.put(frame)
         except OSError:
             return
         finally:
@@ -433,6 +448,18 @@ class TcpTransport(Transport):
                 conn.close()
             except OSError:
                 pass
+
+    def pump(self, timeout_s: float = 0.0) -> int:
+        try:
+            frames = [self._inbox.get(timeout=timeout_s)]
+        except queue.Empty:
+            return 0
+        # Only what is queued now: readers may keep appending, and a pump
+        # must return.
+        frames.extend(self._inbox.get_nowait() for _ in range(self._inbox.qsize()))
+        for frame in frames:
+            self._on_frame(frame)
+        return len(frames)
 
     # -- introspection / lifecycle --------------------------------------------------
 
@@ -458,13 +485,10 @@ class TcpTransport(Transport):
         registry.gauge("transport_frames_sent", fn=lambda: self.frames_sent)
         registry.gauge("transport_bytes_sent", fn=lambda: self.bytes_sent)
         registry.gauge("transport_writes", fn=lambda: self.writes)
-        registry.gauge("transport_send_errors",
-                       fn=lambda: self.send_errors)
+        registry.gauge("transport_send_errors", fn=lambda: self.send_errors)
         #: Backpressure events: sends that timed out on a full queue.
-        registry.gauge("transport_backpressure_events",
-                       fn=lambda: self.enqueue_timeouts)
-        registry.gauge("transport_queued_frames",
-                       fn=lambda: self.queued_frames)
+        registry.gauge("transport_backpressure_events", fn=lambda: self.enqueue_timeouts)
+        registry.gauge("transport_queued_frames", fn=lambda: self.queued_frames)
 
     def close(self) -> None:
         self._closed = True
@@ -509,7 +533,9 @@ class BatchingTransport(Transport):
     the hub pumps this transport's flush hook synchronously before every
     delivery round, keeping deterministic tests exact. Single-frame
     buffers are sent unwrapped, so a batched sender interoperates with any
-    receiver and pays no container overhead at low rates.
+    receiver and pays no container overhead at low rates. Inbound,
+    :meth:`pump` is the inner transport's, so container frames unwrap on
+    the pumping thread.
 
     Delivery failures during a flush are absorbed (frames counted in
     ``frames_dropped``): once batching is on, loss of in-flight frames to
@@ -518,10 +544,14 @@ class BatchingTransport(Transport):
     authoritative failure signal.
     """
 
-    def __init__(self, inner: Transport, linger_ms: float = 2.0,
-                 max_batch_bytes: int = 64 * 1024,
-                 max_batch_msgs: int = 128,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        inner: Transport,
+        linger_ms: float = 2.0,
+        max_batch_bytes: int = 64 * 1024,
+        max_batch_msgs: int = 128,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         if max_batch_msgs < 1:
             raise ValueError("max_batch_msgs must be >= 1")
         self.inner = inner
@@ -565,8 +595,12 @@ class BatchingTransport(Transport):
             hub.register_flusher(self.flush)
         elif self.linger_ms > 0:
             self._flusher = threading.Thread(
-                target=self._flush_loop, name="batch-flusher", daemon=True)
+                target=self._flush_loop, name="batch-flusher", daemon=True
+            )
             self._flusher.start()
+
+    def pump(self, timeout_s: float = 0.0) -> int:
+        return self.inner.pump(timeout_s)
 
     def close(self) -> None:
         self._stop.set()
@@ -594,8 +628,7 @@ class BatchingTransport(Transport):
                 self._oldest[node_id] = self._clock()
             buf.append(frame)
             self._sizes[node_id] += len(frame)
-            full = (len(buf) >= self.max_batch_msgs
-                    or self._sizes[node_id] >= self.max_batch_bytes)
+            full = len(buf) >= self.max_batch_msgs or self._sizes[node_id] >= self.max_batch_bytes
         if full:
             self._flush_peer(node_id, reason="capacity")
 
@@ -606,12 +639,12 @@ class BatchingTransport(Transport):
             return self._flush_peer(node_id, reason="explicit")
         with self._lock:
             peers = sorted(k for k, v in self._buffers.items() if v)
-        return sum(self._flush_peer(peer, reason="explicit")
-                   for peer in peers)
+        return sum(self._flush_peer(peer, reason="explicit") for peer in peers)
 
     def _flush_peer(self, node_id: str, reason: str = "explicit") -> int:
         # The per-peer flush lock is held across take-buffer + inner.send
-        # so two concurrent flushes cannot reorder a peer's batches.
+        # so the linger flusher and the pumping thread cannot reorder a
+        # peer's batches.
         flush_lock = self._flush_locks.get(node_id)
         if flush_lock is None:
             return 0
@@ -622,8 +655,7 @@ class BatchingTransport(Transport):
                     return 0
                 self._buffers[node_id] = []
                 self._sizes[node_id] = 0
-            blob = frames[0] if len(frames) == 1 \
-                else codec.encode_batch(frames)
+            blob = frames[0] if len(frames) == 1 else codec.encode_batch(frames)
             try:
                 self.inner.send(node_id, blob)
             except TransportError:
@@ -645,8 +677,10 @@ class BatchingTransport(Transport):
             now = self._clock()
             with self._lock:
                 due = sorted(
-                    peer for peer, buf in self._buffers.items()
-                    if buf and now - self._oldest.get(peer, now) >= linger_s)
+                    peer
+                    for peer, buf in self._buffers.items()
+                    if buf and now - self._oldest.get(peer, now) >= linger_s
+                )
             for peer in due:
                 self._flush_peer(peer, reason="linger")
 
@@ -668,31 +702,28 @@ class BatchingTransport(Transport):
 
     def stats(self) -> dict:
         merged = dict(self.inner.stats())
-        merged.update({
-            "batches_sent": self.batches_sent,
-            "frames_batched": self.frames_batched,
-            "batched_bytes": self.batched_bytes,
-            "frames_dropped": self.frames_dropped,
-            "buffered_frames": self.buffered_frames,
-            "flush_reasons": dict(self.flush_reasons),
-        })
+        merged.update(
+            {
+                "batches_sent": self.batches_sent,
+                "frames_batched": self.frames_batched,
+                "batched_bytes": self.batched_bytes,
+                "frames_dropped": self.frames_dropped,
+                "buffered_frames": self.buffered_frames,
+                "flush_reasons": dict(self.flush_reasons),
+            }
+        )
         return merged
 
     def bind_telemetry(self, registry) -> None:
         self._tel_batch_frames = registry.histogram("transport_batch_frames")
         self._tel_batch_bytes = registry.histogram("transport_batch_bytes")
         self._tel_flush_counters = {
-            reason: registry.counter("transport_flush_total",
-                                     {"reason": reason})
-            for reason in self.flush_reasons}
-        registry.gauge("transport_batches_sent",
-                       fn=lambda: self.batches_sent)
-        registry.gauge("transport_frames_batched",
-                       fn=lambda: self.frames_batched)
-        registry.gauge("transport_batched_bytes",
-                       fn=lambda: self.batched_bytes)
-        registry.gauge("transport_frames_dropped",
-                       fn=lambda: self.frames_dropped)
-        registry.gauge("transport_buffer_occupancy_frames",
-                       fn=lambda: self.buffered_frames)
+            reason: registry.counter("transport_flush_total", {"reason": reason})
+            for reason in self.flush_reasons
+        }
+        registry.gauge("transport_batches_sent", fn=lambda: self.batches_sent)
+        registry.gauge("transport_frames_batched", fn=lambda: self.frames_batched)
+        registry.gauge("transport_batched_bytes", fn=lambda: self.batched_bytes)
+        registry.gauge("transport_frames_dropped", fn=lambda: self.frames_dropped)
+        registry.gauge("transport_buffer_occupancy_frames", fn=lambda: self.buffered_frames)
         self.inner.bind_telemetry(registry)

@@ -78,7 +78,9 @@ class MicroBatcher:
         #: it is an actor, else a :class:`FlushActor` (:meth:`spawn_timer`).
         self.timer_ref: ActorRef | None = None
         #: Held across every flush and timer delivery; a non-actor owner
-        #: takes it around its additions too.
+        #: takes it around its additions too. Both run on the thread that
+        #: pumps the node; the lock keeps a flush atomic for any caller
+        #: off that thread.
         self.lock = threading.RLock()
         self.seq = 0
         self.batches = 0

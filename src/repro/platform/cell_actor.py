@@ -95,8 +95,10 @@ class CollisionCellRouter(KeyRouter):
         self._wiring = wiring
         #: cell -> the sole occupant's latest forecast.
         self._solo: dict[Any, RouteForecast] = {}
-        #: Stash mutations race in threaded systems; reentrant because a
-        #: share can materialise a cell through :meth:`route`.
+        #: Stash mutations run on the thread that pumps the node; the lock
+        #: keeps the stash consistent for a caller on any other thread.
+        #: Reentrant because a share can materialise a cell through
+        #: :meth:`route`.
         self._solo_lock = threading.RLock()
         self.stashed_tells = 0
 

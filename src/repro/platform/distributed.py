@@ -74,7 +74,6 @@ class LoopbackCluster:
             node_id,
             self.hub.transport(node_id),
             config=self.cluster_config,
-            system_mode="deterministic",
             record_metrics=self._record_metrics,
             clock=self.clock,
         )

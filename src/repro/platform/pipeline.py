@@ -230,9 +230,9 @@ def flush_barrier(platforms, settle) -> None:
 class Platform:
     """One node of the maritime digital-twin platform — the only node class.
 
-    Standalone (no ``node``) it builds its own actor system in ``mode``
-    and plain :class:`KeyRouter` entity routers: all of Figure 2 in one
-    process. Handed a :class:`~repro.cluster.node.ClusterNode` it adopts
+    Standalone (no ``node``) it builds its own actor system and plain
+    :class:`KeyRouter` entity routers: all of Figure 2 in one process.
+    Handed a :class:`~repro.cluster.node.ClusterNode` it adopts
     that node's system and sharded routers instead, registers the
     platform control ops, and — on the seed, the one node that runs the
     ingestion service — answers every shard-table change with a stream
@@ -244,7 +244,6 @@ class Platform:
         self,
         forecaster: RouteForecaster | None = None,
         config: PlatformConfig | None = None,
-        mode: str = "deterministic",
         *,
         node: "ClusterNode | None" = None,
         is_seed: bool = True,
@@ -253,9 +252,7 @@ class Platform:
         self.node = node
         self.is_seed = is_seed
         if node is None:
-            self.system = ActorSystem(
-                name="maritime", mode=mode, record_metrics=self.config.record_metrics
-            )
+            self.system = ActorSystem(name="maritime", record_metrics=self.config.record_metrics)
 
             def register_entity(entity, factory, local_router=None):
                 # ``is None``, not truthiness: a router with no keys is falsy.
@@ -356,20 +353,17 @@ class Platform:
     # -- processing ------------------------------------------------------------------
 
     def settle(self) -> None:
-        """Run this node's actors to idle (whichever dispatcher mode)."""
-        if self.system.mode == "deterministic":
-            self.system.run_until_idle()
-        else:
-            self.system.await_idle()
+        """Run this node's actors to idle."""
+        self.system.run_until_idle()
 
     def ingest_available(self, settle=None) -> int:
         """Drain the AIS topic into the (possibly remote) vessel actors,
         calling ``settle()`` after every poll, then serve any replay a
         shard-table change left pending. This is the one poll -> settle
         loop: a standalone platform passes its own :meth:`settle`, the
-        loopback harness the cluster-wide one, and a TCP seed none (its
-        worker threads drain the mailboxes). Returns the number of AIS
-        messages dispatched — replayed records not counted."""
+        loopback harness the cluster-wide one, and a TCP seed its node's
+        :meth:`~repro.cluster.node.ClusterNode.pump`. Returns the number of
+        AIS messages dispatched — replayed records not counted."""
         self._require_seed()
         total = 0
         while True:
@@ -631,4 +625,4 @@ class Platform:
         if self.node is not None:
             self.node.shutdown()  # closes the transport, then the system
         else:
-            self.system.shutdown()
+            self.system.stop_all()

@@ -76,9 +76,9 @@ class Telemetry:
         counters stay exact regardless) — with mailbox batches averaging
         a handful of messages, per-batch observation would otherwise cost
         a locked histogram update per message. The increment is
-        unsynchronised: a lost update under threaded dispatch merely
-        shifts the sampling phase, while deterministic mode (where the
-        sim-determinism guarantee lives) is single-threaded.
+        unsynchronised because only the dispatching thread (the one that
+        pumps the node) calls it; the registry's own locks cover readers
+        on other threads (a telemetry snapshot, the serving loop).
         """
         self._batch_seq += 1
         return self._batch_seq % self.dispatch_sample_every == 0

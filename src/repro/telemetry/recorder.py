@@ -7,10 +7,9 @@ that plot needs: for every processed message, the actor count at that moment
 and the wall time the delivery took (including any actor spawn it
 triggered, which is what produces the paper's initialisation spike).
 
-Samples are recorded by whichever dispatcher runs the delivery — the
-deterministic loop and the threaded worker pool both feed the same
-recorder, so a short lock keeps the two sample arrays in step when worker
-threads record concurrently.
+Samples are recorded by the dispatcher on the thread that runs the
+delivery; a short lock keeps the two sample arrays in step for a reader
+on another thread.
 
 The general-purpose registry (counters/gauges/histograms) lives in
 :mod:`repro.telemetry.registry` — this recorder stays separate because

@@ -1,6 +1,8 @@
 """Tests for the actor runtime: dispatch, supervision, scheduling, routing."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -128,14 +130,6 @@ class TestBasicDispatch:
         fwd.tell(21)
         system.run_until_idle()
         assert system.ask_sync(system.actor_ref("sink"), "get") == [42]
-
-    def test_run_until_idle_wrong_mode(self):
-        system = ActorSystem(mode="threaded", workers=1)
-        try:
-            with pytest.raises(RuntimeError):
-                system.run_until_idle()
-        finally:
-            system.shutdown()
 
 
 class TestDeadLetters:
@@ -339,26 +333,41 @@ class TestMetrics:
         assert (ys >= 0).all()
 
 
+def dispatch_while_sending(system, threads, timeout_s=30.0):
+    """Start the sender ``threads`` and run the dispatcher on this thread,
+    switching threads as often as the interpreter allows, until every
+    sender has finished and the mailboxes are empty. Returns the number of
+    messages processed."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout_s
+        processed = 0
+        while any(t.is_alive() for t in threads):
+            assert time.monotonic() < deadline, "a sender thread never finished"
+            processed += system.run_until_idle()
+        return processed + system.run_until_idle()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestThreadedMode:
+    """Senders on other threads, one dispatcher on the test thread."""
+
     def test_counts_are_correct_under_concurrency(self):
-        system = ActorSystem(mode="threaded", workers=4)
-        try:
-            refs = [system.spawn(Counter, f"c{i}") for i in range(8)]
+        system = ActorSystem()
+        refs = [system.spawn(Counter, f"c{i}") for i in range(8)]
 
-            def blast(ref):
-                for _ in range(200):
-                    ref.tell("inc")
+        def blast(ref):
+            for _ in range(200):
+                ref.tell("inc")
 
-            threads = [threading.Thread(target=blast, args=(r,)) for r in refs]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert system.await_idle(timeout=30.0)
-            for ref in refs:
-                assert system.ask_sync(ref, "get", timeout=5.0) == 200
-        finally:
-            system.shutdown()
+        threads = [threading.Thread(target=blast, args=(r,)) for r in refs]
+        assert dispatch_while_sending(system, threads) == 8 * 200
+        for ref in refs:
+            assert system.ask_sync(ref, "get") == 200
 
     def test_actor_never_runs_concurrently_with_itself(self):
         class RaceDetector(Actor):
@@ -379,24 +388,13 @@ class TestThreadedMode:
                 self.count += 1
                 self.inside = False
 
-        system = ActorSystem(mode="threaded", workers=4)
-        try:
-            ref = system.spawn(RaceDetector, "race")
+        system = ActorSystem()
+        ref = system.spawn(RaceDetector, "race")
 
-            def blast():
-                for _ in range(300):
-                    ref.tell("work")
+        def blast():
+            for _ in range(300):
+                ref.tell("work")
 
-            threads = [threading.Thread(target=blast) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert system.await_idle(timeout=30.0)
-            assert system.ask_sync(ref, "get", timeout=5.0) == 0
-        finally:
-            system.shutdown()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ActorSystem(mode="quantum")
+        threads = [threading.Thread(target=blast) for _ in range(4)]
+        assert dispatch_while_sending(system, threads) == 4 * 300
+        assert system.ask_sync(ref, "get") == 0

@@ -1,7 +1,9 @@
-"""Supervision, dead letters and metrics under the *threaded* dispatcher.
+"""Supervision, dead letters and metrics when mail comes from other threads.
 
-The deterministic-dispatcher versions live in test_actor_system.py; these
-verify the same contracts hold with real worker threads."""
+The single-threaded versions live in test_actor_system.py; these send from
+threads other than the test's, which then runs the one dispatcher — the
+shape of a cluster node, whose transport threads queue frames and whose
+pumping thread runs every actor."""
 
 import threading
 
@@ -33,117 +35,101 @@ class Flaky(Actor):
             self.count += 1
 
 
+def from_threads(*senders):
+    """Run each sender on its own thread and wait for all of them."""
+    threads = [threading.Thread(target=sender) for sender in senders]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+        assert not t.is_alive(), "a sender thread never finished"
+
+
+def tell_all(ref, *messages):
+    """A sender that tells ``messages`` to ``ref`` in order."""
+
+    def send():
+        for message in messages:
+            ref.tell(message)
+
+    return send
+
+
 @pytest.fixture
 def system():
-    system = ActorSystem(mode="threaded", workers=4)
-    yield system
-    system.shutdown()
+    return ActorSystem()
 
 
 class TestThreadedSupervision:
     def test_restart_resets_state_keeps_processing(self, system):
-        ref = system.spawn(Flaky, "f",
-                           strategy=RestartStrategy(max_restarts=5))
-        ref.tell("inc")
-        ref.tell("boom")
-        ref.tell("inc")
-        assert system.await_idle(timeout=30.0)
-        assert system.ask_sync(ref, "get", timeout=5.0) == 1
+        ref = system.spawn(Flaky, "f", strategy=RestartStrategy(max_restarts=5))
+        from_threads(tell_all(ref, "inc", "boom", "inc"))
+        system.run_until_idle()
+        assert system.ask_sync(ref, "get") == 1
 
     def test_resume_keeps_state(self, system):
         ref = system.spawn(Flaky, "f", strategy=ResumeStrategy())
-        ref.tell("inc")
-        ref.tell("boom")
-        ref.tell("inc")
-        assert system.await_idle(timeout=30.0)
-        assert system.ask_sync(ref, "get", timeout=5.0) == 2
+        from_threads(tell_all(ref, "inc", "boom", "inc"))
+        system.run_until_idle()
+        assert system.ask_sync(ref, "get") == 2
 
     def test_stop_strategy_dead_letters_followups(self, system):
         ref = system.spawn(Flaky, "f", strategy=StopStrategy())
-        ref.tell("boom")
-        assert system.await_idle(timeout=30.0)
+        from_threads(tell_all(ref, "boom"))
+        system.run_until_idle()
         assert not system.exists("f")
         before = system.dead_letter_count
-        ref.tell("inc")
+        from_threads(tell_all(ref, "inc"))
         assert system.dead_letter_count == before + 1
 
     def test_restart_budget_escalates_under_concurrency(self, system):
-        ref = system.spawn(Flaky, "f",
-                           strategy=RestartStrategy(max_restarts=2))
-        for _ in range(3):
-            ref.tell("boom")
-        assert system.await_idle(timeout=30.0)
+        ref = system.spawn(Flaky, "f", strategy=RestartStrategy(max_restarts=2))
+        from_threads(*[tell_all(ref, "boom") for _ in range(3)])
+        system.run_until_idle()
         assert not system.exists("f")
 
     def test_supervision_stays_correct_under_load(self, system):
-        refs = [system.spawn(Flaky, f"f{i}",
-                             strategy=ResumeStrategy()) for i in range(4)]
-
-        def blast(ref):
-            for i in range(100):
-                ref.tell("boom" if i % 10 == 0 else "inc")
-
-        threads = [threading.Thread(target=blast, args=(r,)) for r in refs]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert system.await_idle(timeout=30.0)
+        refs = [system.spawn(Flaky, f"f{i}", strategy=ResumeStrategy()) for i in range(4)]
+        load = ["boom" if i % 10 == 0 else "inc" for i in range(100)]
+        from_threads(*[tell_all(ref, *load) for ref in refs])
+        system.run_until_idle()
         for ref in refs:
-            assert system.ask_sync(ref, "get", timeout=5.0) == 90
+            assert system.ask_sync(ref, "get") == 90
 
 
 class TestThreadedDeadLetters:
     def test_unknown_actor(self, system):
-        system.actor_ref("ghost").tell("x")
+        from_threads(tell_all(system.actor_ref("ghost"), "x"))
         assert system.dead_letter_count == 1
 
     def test_counts_are_thread_safe(self, system):
-        def blast():
-            for _ in range(200):
-                system.actor_ref("ghost").tell("x")
-
-        threads = [threading.Thread(target=blast) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        ghost = system.actor_ref("ghost")
+        from_threads(*[tell_all(ghost, *["x"] * 200) for _ in range(4)])
         assert system.dead_letter_count == 800
 
 
 class TestThreadedMetrics:
     def test_per_message_metrics_recorded(self):
-        system = ActorSystem(mode="threaded", workers=4,
-                             record_metrics=True)
-        try:
-            refs = [system.spawn(Flaky, f"f{i}") for i in range(4)]
-            for ref in refs:
-                for _ in range(50):
-                    ref.tell("inc")
-            assert system.await_idle(timeout=30.0)
-            assert len(system.metrics) == 200
-            counts, durations = system.metrics.as_arrays()
-            assert (durations >= 0).all()
-            assert counts.max() <= 4
-        finally:
-            system.shutdown()
+        system = ActorSystem(record_metrics=True)
+        refs = [system.spawn(Flaky, f"f{i}") for i in range(4)]
+        from_threads(*[tell_all(ref, *["inc"] * 50) for ref in refs])
+        system.run_until_idle()
+        assert len(system.metrics) == 200
+        counts, durations = system.metrics.as_arrays()
+        assert (durations >= 0).all()
+        assert counts.max() <= 4
 
     def test_snapshot_shape(self):
-        system = ActorSystem(mode="threaded", workers=2,
-                             record_metrics=True)
-        try:
-            ref = system.spawn(Flaky, "f")
-            for _ in range(20):
-                ref.tell("inc")
-            assert system.await_idle(timeout=30.0)
-            snap = system.metrics.snapshot()
-            assert snap["samples"] == 20
-            assert snap["p99_ms"] >= snap["p50_ms"] >= 0.0
-            assert snap["max_ms"] >= snap["p99_ms"]
-            assert snap["peak_actor_count"] == 1
-            assert snap["total_s"] >= 0.0
-        finally:
-            system.shutdown()
+        system = ActorSystem(record_metrics=True)
+        ref = system.spawn(Flaky, "f")
+        from_threads(tell_all(ref, *["inc"] * 20))
+        system.run_until_idle()
+        snap = system.metrics.snapshot()
+        assert snap["samples"] == 20
+        assert snap["p99_ms"] >= snap["p50_ms"] >= 0.0
+        assert snap["max_ms"] >= snap["p99_ms"]
+        assert snap["peak_actor_count"] == 1
+        assert snap["total_s"] >= 0.0
 
     def test_snapshot_empty(self):
         from repro.telemetry.recorder import MetricsRecorder

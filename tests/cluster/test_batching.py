@@ -7,7 +7,6 @@ round trips for every hot message type against the pickle path.
 """
 
 import pickle
-import threading
 
 import pytest
 
@@ -34,6 +33,7 @@ from repro.platform.messages import (
     ForecastShared,
     PositionIngested,
 )
+from tests.cluster.test_transport import Sink
 
 
 class SubclassedPosition(PositionIngested):
@@ -166,26 +166,17 @@ class TestBatchingSemantics:
 
 class TestBatchingOverTcp:
     def test_round_trip_with_linger_flusher(self):
-        done = threading.Event()
-        got = []
-
-        def sink(frame):
-            got.append(frame)
-            if len(got) == 300:
-                done.set()
-
         ta = BatchingTransport(TcpTransport(port=0), linger_ms=1.0,
                                max_batch_msgs=32)
         tb = BatchingTransport(TcpTransport(port=0), linger_ms=1.0)
         try:
             ta.start(lambda f: None)
-            tb.start(sink)
+            sink = Sink(tb)
             ta.add_peer("b", tb.address)
             frames = [f"frame-{i:04d}".encode() for i in range(300)]
             for f in frames:
                 ta.send("b", f)
-            assert done.wait(15.0), f"got {len(got)}/300"
-            assert got == frames
+            assert sink.wait_for(300, timeout=15.0) == frames
             assert ta.batches_sent >= 1
             assert ta.frames_batched == 300
         finally:
@@ -196,25 +187,16 @@ class TestBatchingOverTcp:
         """A batched sender needs a batch-aware receiver; unwrapping sits
         in BatchingTransport, so wrap the receive side even when its own
         sends should not batch (max_batch_msgs=1 keeps them immediate)."""
-        done = threading.Event()
-        got = []
-
-        def sink(frame):
-            got.append(frame)
-            if len(got) == 10:
-                done.set()
-
         ta = BatchingTransport(TcpTransport(port=0), linger_ms=1.0)
         tb = BatchingTransport(TcpTransport(port=0), max_batch_msgs=1)
         try:
             ta.start(lambda f: None)
-            tb.start(sink)
+            sink = Sink(tb)
             ta.add_peer("b", tb.address)
             for i in range(10):
                 ta.send("b", str(i).encode())
             ta.flush()
-            assert done.wait(15.0)
-            assert got == [str(i).encode() for i in range(10)]
+            assert sink.wait_for(10, timeout=15.0) == [str(i).encode() for i in range(10)]
         finally:
             ta.close()
             tb.close()

@@ -1,6 +1,6 @@
 """Tests for the transports: deterministic loopback and real TCP framing.
 
-TCP tests synchronise on events, never on sleeps."""
+TCP tests wait by pumping the receiving transport on the test thread."""
 
 import threading
 import time
@@ -13,30 +13,21 @@ from repro.cluster.protocol import WireEnvelope
 
 
 class Sink:
-    """Collects frames and lets a test wait for an exact count."""
+    """Starts ``transport`` collecting frames; :meth:`wait_for` pumps it
+    until an exact count has arrived."""
 
-    def __init__(self):
+    def __init__(self, transport):
+        self.transport = transport
         self.frames = []
-        self._lock = threading.Lock()
-        self._event = threading.Event()
-        self._want = 0
-
-    def __call__(self, frame: bytes) -> None:
-        with self._lock:
-            self.frames.append(frame)
-            if len(self.frames) >= self._want:
-                self._event.set()
+        transport.start(self.frames.append)
 
     def wait_for(self, count: int, timeout: float = 10.0) -> list[bytes]:
-        with self._lock:
-            self._want = count
-            if len(self.frames) >= count:
-                return list(self.frames)
-            self._event.clear()
-        assert self._event.wait(timeout), \
-            f"got {len(self.frames)}/{count} frames"
-        with self._lock:
-            return list(self.frames)
+        deadline = time.monotonic() + timeout
+        while len(self.frames) < count:
+            assert time.monotonic() < deadline, \
+                f"got {len(self.frames)}/{count} frames"
+            self.transport.pump(0.05)
+        return self.frames
 
 
 class TestLoopback:
@@ -85,12 +76,10 @@ class TestLoopback:
 
 class TestTcp:
     def test_round_trip_both_directions(self):
-        sink_a, sink_b = Sink(), Sink()
         ta = TcpTransport(port=0)
         tb = TcpTransport(port=0)
         try:
-            ta.start(sink_a)
-            tb.start(sink_b)
+            sink_a, sink_b = Sink(ta), Sink(tb)
             ta.add_peer("b", tb.address)
             tb.add_peer("a", ta.address)
             ta.send("b", b"ping")
@@ -102,12 +91,11 @@ class TestTcp:
             tb.close()
 
     def test_many_frames_stay_ordered(self):
-        sink = Sink()
         ta = TcpTransport(port=0)
         tb = TcpTransport(port=0)
         try:
             ta.start(lambda f: None)
-            tb.start(sink)
+            sink = Sink(tb)
             ta.add_peer("b", tb.address)
             frames = [f"frame-{i}".encode() for i in range(500)]
             for frame in frames:
@@ -118,12 +106,11 @@ class TestTcp:
             tb.close()
 
     def test_binary_safety_and_large_frame(self):
-        sink = Sink()
         ta = TcpTransport(port=0)
         tb = TcpTransport(port=0)
         try:
             ta.start(lambda f: None)
-            tb.start(sink)
+            sink = Sink(tb)
             ta.add_peer("b", tb.address)
             blob = bytes(range(256)) * 4096   # 1 MiB, every byte value
             ta.send("b", blob)
@@ -200,9 +187,8 @@ class TestTcp:
         accepts instead of accumulating one per connection ever made."""
         import time
 
-        sink = Sink()
         tb = TcpTransport(port=0)
-        tb.start(sink)
+        sink = Sink(tb)
         try:
             sent = 0
             deadline = time.monotonic() + 20.0
@@ -224,12 +210,11 @@ class TestTcp:
             tb.close()
 
     def test_stats_counters(self):
-        sink = Sink()
         ta = TcpTransport(port=0)
         tb = TcpTransport(port=0)
         try:
             ta.start(lambda f: None)
-            tb.start(sink)
+            sink = Sink(tb)
             ta.add_peer("b", tb.address)
             for i in range(10):
                 ta.send("b", b"abc")

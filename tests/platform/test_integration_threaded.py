@@ -1,4 +1,4 @@
-"""Cross-cutting integration tests: threaded dispatch, determinism and
+"""Cross-cutting integration tests: settling, determinism and
 collision-CPA properties."""
 
 import numpy as np
@@ -15,42 +15,21 @@ from repro.platform import Platform, PlatformConfig
 
 
 class TestThreadedPlatform:
-    def test_threaded_mode_matches_deterministic_event_counts(self):
-        """The same stream through both dispatchers finds the same vessels
-        and (modulo interleaving of debounce windows) the same events."""
-        scenario = proximity_scenario(n_event_pairs=4, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=3_000.0,
-                                      seed=13)
-        counts = {}
-        for mode in ("deterministic", "threaded"):
-            platform = Platform(forecaster=LinearKinematicModel(),
-                                config=PlatformConfig(), mode=mode)
-            try:
-                platform.publish_messages(scenario.result.messages)
-                platform.process_available()
-                assert platform.vessel_count == scenario.n_vessels
-                counts[mode] = platform.api.event_count("proximity")
-            finally:
-                platform.shutdown()
-        # Event pairs are ground truth; both dispatchers must find them.
-        assert counts["threaded"] >= counts["deterministic"] * 0.5
-        assert counts["deterministic"] >= 1
-
-    def test_threaded_housekeeping_returns_settled(self):
-        """``housekeeping`` is a barrier in both modes: when it returns,
-        every prune tick it broadcast has been processed."""
+    def test_housekeeping_returns_settled(self):
+        """``housekeeping`` is a barrier: when it returns, every prune tick
+        it broadcast has been processed."""
         scenario = proximity_scenario(n_event_pairs=4, n_near_miss_pairs=1,
                                       n_background=2, duration_s=3_000.0,
                                       seed=13)
         platform = Platform(forecaster=LinearKinematicModel(),
-                            config=PlatformConfig(), mode="threaded")
+                            config=PlatformConfig())
         try:
             platform.publish_messages(scenario.result.messages)
             platform.process_available()
             assert platform.cell_actor_count + platform.collision_actor_count > 20
             platform.housekeeping()
-            # timeout=0: a pure check — nothing may still be queued or running.
-            assert platform.system.await_idle(timeout=0.0)
+            # A pure check: nothing may still be queued.
+            assert platform.system.run_until_idle() == 0
         finally:
             platform.shutdown()
 
