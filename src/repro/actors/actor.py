@@ -16,7 +16,6 @@ class Envelope:
     """A message in flight: payload plus reply plumbing."""
 
     message: Any
-    sender: "ActorRef | None" = None
     #: Set for ask-pattern messages; the receiving actor's context completes
     #: it via ``ctx.reply(...)``.
     reply_to: "Future | None" = None
@@ -42,12 +41,10 @@ class ActorRef:
         self.name = name
         self._system = system
 
-    def tell(self, message: Any, sender: "ActorRef | None" = None) -> None:
+    def tell(self, message: Any) -> None:
         """Fire-and-forget send."""
         self._system._deliver(
-            self.name,
-            Envelope(message=message, sender=sender,
-                     trace_id=current_trace()))
+            self.name, Envelope(message=message, trace_id=current_trace()))
 
     def ask(self, message: Any) -> "Future":
         """Request-reply send; returns a :class:`Future` for the reply."""
@@ -69,21 +66,19 @@ class ActorRef:
 class ActorContext:
     """Per-delivery context handed to :meth:`Actor.receive`."""
 
-    __slots__ = ("system", "self_ref", "sender", "_envelope")
+    __slots__ = ("system", "self_ref", "_envelope")
 
     def __init__(self, system: "ActorSystem", self_ref: ActorRef,
                  envelope: Envelope) -> None:
         self.system = system
         self.self_ref = self_ref
-        self.sender = envelope.sender
         self._envelope = envelope
 
     def reply(self, value: Any) -> None:
-        """Complete the ask future (if any) and/or tell the sender."""
+        """Complete the ask future of the message being handled (a no-op
+        for a plain tell)."""
         if self._envelope.reply_to is not None:
             self._envelope.reply_to.complete(value)
-        elif self.sender is not None:
-            self.sender.tell(value, sender=self.self_ref)
 
     def actor_of(self, name: str) -> ActorRef:
         """A ref to any actor by name (it need not exist yet)."""
@@ -93,9 +88,6 @@ class ActorContext:
         """Deliver ``message`` to ``target`` after ``delay_s`` of virtual
         time (see :meth:`ActorSystem.advance_time`)."""
         self.system.schedule(delay_s, target, message)
-
-    def stop_self(self) -> None:
-        self.system.stop(self.self_ref)
 
 
 class Actor:

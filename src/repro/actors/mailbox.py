@@ -36,16 +36,6 @@ class Mailbox:
             n = min(max_messages, len(self._queue))
             return [self._queue.popleft() for _ in range(n)]
 
-    def requeue_front(self, envelopes: list["Envelope"]) -> None:
-        """Put envelopes back at the head (used when a restart interrupts a
-        batch so unprocessed messages are not lost)."""
-        with self._lock:
-            for env in reversed(envelopes):
-                self._queue.appendleft(env)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._queue)
-
-    def is_empty(self) -> bool:
-        return len(self) == 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.actors.actor import Actor, ActorRef
-from repro.actors.supervision import SupervisionStrategy
 from repro.actors.system import ActorSystem
 
 
@@ -21,14 +20,12 @@ class KeyRouter:
     """Routes messages to one actor per key, spawning on first use."""
 
     def __init__(self, system: ActorSystem, prefix: str,
-                 factory: Callable[[Any], Actor],
-                 strategy: SupervisionStrategy | None = None) -> None:
+                 factory: Callable[[Any], Actor]) -> None:
         """``factory`` receives the key and returns the actor behaviour for
         it; ``prefix`` namespaces the actor names (e.g. ``vessel``)."""
         self._system = system
         self._prefix = prefix
         self._factory = factory
-        self._strategy = strategy
         self._refs: dict[Any, ActorRef] = {}
         self.spawned = 0
 
@@ -40,15 +37,14 @@ class KeyRouter:
         ref = self._refs.get(key)
         if ref is None:
             ref = self._system.spawn(lambda k=key: self._factory(k),
-                                     self._name(key), strategy=self._strategy)
+                                     self._name(key))
             self._refs[key] = ref
             self.spawned += 1
         return ref
 
-    def tell(self, key: Any, message: Any,
-             sender: ActorRef | None = None) -> None:
+    def tell(self, key: Any, message: Any) -> None:
         """Route-and-send in one step."""
-        self.route(key).tell(message, sender=sender)
+        self.route(key).tell(message)
 
     def forget(self, key: Any) -> bool:
         """Drop the ref for ``key`` so a later route spawns a fresh actor.

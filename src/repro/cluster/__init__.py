@@ -25,8 +25,6 @@ reproduction:
   migrate hot shards (with live state transfer) and whose
   :class:`~repro.cluster.rebalance.Autoscaler` recommends adding or
   draining nodes under sustained load,
-* :mod:`~repro.cluster.remote` — :class:`RemoteActorRef` so ``tell`` /
-  ``ask`` work identically for local and remote actors,
 * :mod:`~repro.cluster.codec` — restricted-pickle wire serialization of
   the existing ``repro.platform.messages`` vocabulary.
 
@@ -54,7 +52,6 @@ from repro.cluster.rebalance import (
     ShardMove,
     plan_rebalance,
 )
-from repro.cluster.remote import RemoteActorRef
 from repro.cluster.sharding import (
     HashRing,
     ShardRouter,
@@ -84,7 +81,6 @@ __all__ = [
     "Membership",
     "MembershipEvent",
     "Rebalancer",
-    "RemoteActorRef",
     "ShardCoordinator",
     "ShardMove",
     "ShardRouter",

@@ -6,16 +6,17 @@ serializer before they cross node boundaries. Here every
 two forms:
 
 * **fast path** — a compact ``struct``-packed binary encoding, selected by
-  a one-byte tag. Envelope metadata (kind, hops, correlation id, the five
-  routing strings, an int/str key) is never pickled; the hot payload types
-  of the Figure 6 workload (``PositionIngested``, ``CellObservation``,
-  ``ForecastShared`` and heartbeats) get dedicated fixed layouts, so the
-  steady-state stream pays zero pickle headers.
-* **restricted pickle fallback** — anything else (control messages, alerts,
-  arbitrary ask payloads) is pickled, but *only the payload*: the envelope
-  framing around it stays binary. Decoding resolves classes through a
-  restricted unpickler that only admits trusted modules (``repro.*``,
-  numpy, and a small stdlib allowlist).
+  a one-byte tag. Envelope metadata (kind, hops, correlation id, the two
+  routing strings ``src`` and ``entity``, an int/str key) is never pickled;
+  the hot payload types of the Figure 6 workload (``PositionIngested``,
+  ``CellObservation``, ``ForecastSharedBatch``, heartbeats and load
+  reports) get dedicated fixed layouts, so the steady-state stream pays
+  zero pickle headers.
+* **restricted pickle fallback** — anything else (the other control
+  messages, alerts, control asks and their replies) is pickled, but *only
+  the payload*: the envelope framing around it stays binary. Decoding
+  resolves classes through a restricted unpickler that only admits
+  trusted modules (``repro.*``, numpy, and a small stdlib allowlist).
 
 Both transports carry the same frames — the loopback transport round trips
 exactly the bytes the sockets carry, so serialization bugs surface in the
@@ -116,7 +117,8 @@ def counters() -> dict:
 TAG_ENV = 0x01      #: struct-framed WireEnvelope
 TAG_BATCH = 0x02    #: container of many frames (see encode_batch)
 
-_KIND_CODES = {"sharded": 0, "named": 1, "ask": 2, "reply": 3, "control": 4}
+#: Code 1 is retired (it addressed named actors) and decodes as unknown.
+_KIND_CODES = {"sharded": 0, "ask": 2, "reply": 3, "control": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 # Value/payload tags inside a TAG_ENV frame.
@@ -127,7 +129,6 @@ _P_STR = 0x03
 _P_UINT = 0x04       #: unsigned 64-bit int above INT64_MAX (H3 cell keys)
 _P_POSITION = 0x10        #: platform.messages.PositionIngested
 _P_CELLOBS = 0x11         #: platform.messages.CellObservation
-_P_FORECAST = 0x12        #: platform.messages.ForecastShared
 _P_HEARTBEAT = 0x13       #: cluster.protocol.Heartbeat
 _P_FORECAST_BATCH = 0x14  #: platform.messages.ForecastSharedBatch
 _P_LOAD_REPORT = 0x15     #: cluster.protocol.LoadReport
@@ -145,7 +146,6 @@ _AIS_BODY = struct.Struct(">QdddddhBB")      # mmsi,t,lat,lon,sog,cog,hdg,st,src
 #: Cells are unsigned: H3-style ids use the full 64-bit range (indexes
 #: above ``2**63`` are routine at the collision-cell resolution).
 _CELLOBS_BODY = struct.Struct(">QQddd")      # cell, mmsi, t, lat, lon
-_FORECAST_HEAD = struct.Struct(">QQH")       # cell, mmsi, n_positions
 _FORECAST_BATCH_HEAD = struct.Struct(">QHH")  # mmsi, n_cells, n_positions
 _POS_FIXED = struct.Struct(">Bddd")          # flags, t, lat, lon
 _DOUBLE = struct.Struct(">d")
@@ -177,7 +177,6 @@ def _hot() -> dict:
         from repro.models.base import RouteForecast
         from repro.platform.messages import (
             CellObservation,
-            ForecastShared,
             ForecastSharedBatch,
             PositionIngested,
         )
@@ -190,7 +189,6 @@ def _hot() -> dict:
             "Position": Position,
             "RouteForecast": RouteForecast,
             "CellObservation": CellObservation,
-            "ForecastShared": ForecastShared,
             "ForecastSharedBatch": ForecastSharedBatch,
             "PositionIngested": PositionIngested,
         }
@@ -287,8 +285,6 @@ def _try_put_payload(out: bytearray, message: Any) -> bool:
         out += _CELLOBS_BODY.pack(message.cell, message.mmsi,
                                   message.t, message.lat, message.lon)
         return True
-    if t is hot["ForecastShared"]:
-        return _try_put_forecast(out, message)
     if t is hot["ForecastSharedBatch"]:
         return _try_put_forecast_batch(out, message)
     if t is hot["Heartbeat"]:
@@ -345,7 +341,8 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
 
 #: One-slot caches for the forecast fan-out: a vessel actor shares the
 #: *same* forecast with every collision cell its trajectory touches, so
-#: consecutive ForecastShared frames carry an identical positions tuple.
+#: consecutive ForecastSharedBatch frames to different peers carry an
+#: identical positions tuple.
 #: The encode cache holds a strong reference to the tuple and compares by
 #: identity (no id() reuse hazard); the decode cache compares the packed
 #: bytes. Races under threading at worst cause a miss, never a wrong hit.
@@ -376,27 +373,6 @@ def _positions_body(positions: tuple) -> bytes | None:
     body = bytes(buf)
     _ENC_POSITIONS_CACHE = (positions, body)
     return body
-
-
-def _try_put_forecast(out: bytearray, message: Any) -> bool:
-    hot = _hot()
-    forecast = message.forecast
-    if (type(forecast) is not hot["RouteForecast"]
-            or type(message.cell) is not int
-            or not 0 <= message.cell < (1 << 64)
-            or type(forecast.mmsi) is not int
-            or not 0 <= forecast.mmsi < (1 << 64)):
-        return False
-    positions = forecast.positions
-    if len(positions) > 0xFFFF:
-        return False
-    body = _positions_body(positions)
-    if body is None:
-        return False
-    out.append(_P_FORECAST)
-    out += _FORECAST_HEAD.pack(message.cell, forecast.mmsi, len(positions))
-    out += body
-    return True
 
 
 def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
@@ -485,12 +461,6 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
         cell, mmsi, t, lat, lon = _CELLOBS_BODY.unpack_from(data, pos)
         return hot["CellObservation"](cell=cell, mmsi=mmsi, t=t, lat=lat,
                                       lon=lon), pos + _CELLOBS_BODY.size
-    if tag == _P_FORECAST:
-        cell, mmsi, count = _FORECAST_HEAD.unpack_from(data, pos)
-        pos += _FORECAST_HEAD.size
-        positions_t, end = _get_positions(data, pos, count)
-        forecast = hot["RouteForecast"](mmsi=mmsi, positions=positions_t)
-        return hot["ForecastShared"](cell=cell, forecast=forecast), end
     if tag == _P_FORECAST_BATCH:
         mmsi, n_cells, count = _FORECAST_BATCH_HEAD.unpack_from(data, pos)
         pos += _FORECAST_BATCH_HEAD.size
@@ -548,9 +518,6 @@ def _encode_envelope(env: Any) -> bytes | None:
     try:
         _put_str(out, env.src)
         _put_str(out, env.entity)
-        _put_str(out, env.target)
-        _put_str(out, env.sender_node)
-        _put_str(out, env.sender_name)
         _put_value(out, env.key)
     except (ValueError, TypeError):
         return None
@@ -582,16 +549,11 @@ def _decode_envelope(data: bytes) -> Any:
         pos += _U64.size
     src, pos = _get_str(data, pos)
     entity, pos = _get_str(data, pos)
-    target, pos = _get_str(data, pos)
-    sender_node, pos = _get_str(data, pos)
-    sender_name, pos = _get_str(data, pos)
     key, pos = _get_value(data, pos)
     message, pos = _get_payload(data, pos)
     return _hot()["WireEnvelope"](
         kind=kind, src=src, message=message, entity=entity, key=key,
-        target=target, sender_node=sender_node, sender_name=sender_name,
-        corr_id=None if corr == -1 else corr, hops=hops,
-        trace_id=trace_id)
+        corr_id=None if corr == -1 else corr, hops=hops, trace_id=trace_id)
 
 
 # -- public API --------------------------------------------------------------------

@@ -24,7 +24,7 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
-from repro.actors.actor import ActorRef, Envelope
+from repro.actors.actor import Envelope
 from repro.actors.system import ActorSystem, Future
 from repro.cluster import codec
 from repro.cluster.membership import (
@@ -50,7 +50,6 @@ from repro.cluster.protocol import (
     WireEnvelope,
 )
 from repro.cluster.rebalance import Rebalancer
-from repro.cluster.remote import RemoteActorRef, ReplyRelay
 from repro.cluster.sharding import ShardRouter, ShardTable, shard_for_key
 from repro.cluster.transport import (
     BatchingTransport,
@@ -183,6 +182,9 @@ class ClusterNode:
         self.on_member_event: list[Callable[[MembershipEvent], None]] = []
 
         self.frames_in = 0
+        #: Inbound frames that failed to decode (malformed or naming an
+        #: untrusted class), dropped without stopping the pump.
+        self.frames_rejected = 0
         self.frames_out = 0
         self.forwarded = 0
         self.buffered = 0
@@ -212,6 +214,7 @@ class ClusterNode:
                 "cluster_members", {"state": state},
                 fn=lambda s=state: self.membership.state_counts()[s])
         registry.gauge("node_frames_in", fn=lambda: self.frames_in)
+        registry.gauge("node_frames_rejected", fn=lambda: self.frames_rejected)
         registry.gauge("node_frames_out", fn=lambda: self.frames_out)
         registry.gauge("node_forwarded", fn=lambda: self.forwarded)
         registry.gauge("node_buffered", fn=lambda: self.buffered)
@@ -275,7 +278,7 @@ class ClusterNode:
 
     # -- entities -----------------------------------------------------------------
 
-    def register_entity(self, entity: str, factory, strategy=None,
+    def register_entity(self, entity: str, factory,
                         local_router=None) -> ShardRouter:
         """Declare a sharded entity type (e.g. ``vessel``); returns its
         location-transparent router. Every node must register the same
@@ -285,8 +288,7 @@ class ClusterNode:
         collision entity's single-occupant fast path)."""
         if entity in self._routers:
             raise ValueError(f"entity {entity!r} already registered")
-        router = ShardRouter(self, entity, factory, strategy=strategy,
-                             local_router=local_router)
+        router = ShardRouter(self, entity, factory, local_router=local_router)
         self._routers[entity] = router
         return router
 
@@ -304,28 +306,11 @@ class ClusterNode:
     def shard_owner(self, shard: int) -> str:
         return self.table.owner_of(shard)
 
-    def _sender_info(self, sender) -> tuple[str | None, str | None]:
-        if sender is None:
-            return None, None
-        if isinstance(sender, RemoteActorRef):
-            return sender.node_id, sender.name
-        return self.node_id, sender.name
-
-    def _materialize_sender(self, env: WireEnvelope):
-        if env.sender_name is None:
-            return None
-        if env.sender_node == self.node_id:
-            return ActorRef(env.sender_name, self.system)
-        return RemoteActorRef(env.sender_name, env.sender_node, self)
-
-    def send_sharded(self, entity: str, key: Any, message: Any,
-                     sender=None) -> None:
+    def send_sharded(self, entity: str, key: Any, message: Any) -> None:
         """Route a message to the owner of ``key``'s shard (the remote leg
         of :meth:`ShardRouter.tell`)."""
-        sender_node, sender_name = self._sender_info(sender)
         env = WireEnvelope(kind="sharded", src=self.node_id, entity=entity,
                            key=key, message=message,
-                           sender_node=sender_node, sender_name=sender_name,
                            trace_id=current_trace())
         self._route_sharded(env)
 
@@ -337,8 +322,7 @@ class ClusterNode:
             if router is None:
                 self._dead_letter(env)
                 return
-            router.deliver_local(env.key, env.message,
-                                 sender=self._materialize_sender(env))
+            router.deliver_local(env.key, env.message)
             return
         state = self.membership.state_of(owner)
         if state is not MemberState.UP:
@@ -374,40 +358,7 @@ class ClusterNode:
         with self._lock:
             return sum(len(v) for v in self._pending.values())
 
-    # -- named refs / asks ---------------------------------------------------------
-
-    def actor_ref(self, name: str, node_id: str | None = None):
-        """A ref to a named (non-sharded) actor anywhere in the cluster."""
-        if node_id is None or node_id == self.node_id:
-            return self.system.actor_ref(name)
-        return RemoteActorRef(name, node_id, self)
-
-    def send_named(self, node_id: str, name: str, message: Any,
-                   sender=None) -> None:
-        if node_id == self.node_id:
-            self.system.actor_ref(name).tell(message, sender=sender)
-            return
-        sender_node, sender_name = self._sender_info(sender)
-        env = WireEnvelope(kind="named", src=self.node_id, target=name,
-                           message=message, sender_node=sender_node,
-                           sender_name=sender_name,
-                           trace_id=current_trace())
-        self._send(node_id, env)
-
-    def ask_named(self, node_id: str, name: str, message: Any) -> Future:
-        if node_id == self.node_id:
-            return self.system.actor_ref(name).ask(message)
-        future = Future()
-        with self._lock:
-            corr = next(self._corr)
-            self._asks[corr] = future
-        env = WireEnvelope(kind="ask", src=self.node_id, target=name,
-                           message=message, corr_id=corr)
-        if not self._send(node_id, env):
-            with self._lock:
-                self._asks.pop(corr, None)
-            raise TransportError(f"ask to {node_id} failed to send")
-        return future
+    # -- control asks --------------------------------------------------------------
 
     def ask_control(self, node_id: str, op: str,
                     params: dict | None = None) -> Future:
@@ -420,21 +371,13 @@ class ClusterNode:
         with self._lock:
             corr = next(self._corr)
             self._asks[corr] = future
-        env = WireEnvelope(kind="ask", src=self.node_id, target=None,
+        env = WireEnvelope(kind="ask", src=self.node_id,
                            message=request, corr_id=corr)
         if not self._send(node_id, env):
             with self._lock:
                 self._asks.pop(corr, None)
             raise TransportError(f"control ask to {node_id} failed to send")
         return future
-
-    def send_reply(self, node_id: str, corr_id: int, value: Any) -> None:
-        if node_id == self.node_id:
-            self._complete_ask(corr_id, value)
-            return
-        env = WireEnvelope(kind="reply", src=self.node_id, corr_id=corr_id,
-                           message=value)
-        self._send(node_id, env)
 
     def _complete_ask(self, corr_id: int, value: Any) -> None:
         with self._lock:
@@ -553,7 +496,13 @@ class ClusterNode:
     def _on_frame(self, frame: bytes) -> None:
         if self._closed:
             return
-        env = codec.decode(frame)
+        try:
+            env = codec.decode(frame)
+        except codec.WireDecodeError:
+            # Input from a peer: one bad frame must not raise out of the
+            # pump and take the rest of the pump's frames with it.
+            self.frames_rejected += 1
+            return
         self.frames_in += 1
         self._on_envelope(env)
 
@@ -571,9 +520,6 @@ class ClusterNode:
     def _dispatch_envelope(self, env: WireEnvelope) -> None:
         if env.kind == "sharded":
             self._on_sharded(env)
-        elif env.kind == "named":
-            self.system.actor_ref(env.target).tell(
-                env.message, sender=self._materialize_sender(env))
         elif env.kind == "ask":
             self._on_ask(env)
         elif env.kind == "reply":
@@ -604,8 +550,7 @@ class ClusterNode:
         if router is None:
             self._dead_letter(env)
             return
-        router.deliver_local(env.key, env.message,
-                             sender=self._materialize_sender(env))
+        router.deliver_local(env.key, env.message)
 
     def _dead_letter(self, env: WireEnvelope) -> None:
         self.system.dead_letters.append(
@@ -613,13 +558,14 @@ class ClusterNode:
         self.system.dead_letter_count += 1
 
     def _on_ask(self, env: WireEnvelope) -> None:
-        if env.target is None and isinstance(env.message, ControlRequest):
+        if isinstance(env.message, ControlRequest):
             result = self._handle_control_request(env.message)
-            self.send_reply(env.src, env.corr_id, result)
-            return
-        relay = ReplyRelay(self, env.src, env.corr_id)
-        self.system._deliver(env.target,
-                             Envelope(message=env.message, reply_to=relay))
+        else:
+            # Only a malformed peer asks anything else; answer it so the
+            # asker never hangs.
+            result = {"error": "ask payload is not a ControlRequest"}
+        self._send(env.src, WireEnvelope(kind="reply", src=self.node_id,
+                                         corr_id=env.corr_id, message=result))
 
     def _handle_control_request(self, request: ControlRequest) -> Any:
         handler = self._control.get(request.op)
@@ -749,8 +695,7 @@ class ClusterNode:
                 self.state_transfer_drops += len(entries)
         for router, key, pending in released:
             for envelope in pending:
-                router.tell(key, envelope.message,
-                            sender=envelope.sender)
+                router.tell(key, envelope.message)
 
     def _on_state_transfer(self, transfer: ShardStateTransfer) -> None:
         """Apply a live-migration state transfer through the sharded
@@ -781,6 +726,7 @@ class ClusterNode:
             "alive": alive,
             "leader": alive[0] if alive else self.node_id,
             "frames_in": self.frames_in,
+            "frames_rejected": self.frames_rejected,
             "frames_out": self.frames_out,
             "forwarded": self.forwarded,
             "buffered": self.buffered,

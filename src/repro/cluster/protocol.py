@@ -24,12 +24,13 @@ class WireEnvelope:
 
     * ``"sharded"`` — route ``message`` to the ``entity`` actor for ``key``
       (spawning it if needed); forwarded at most ``MAX_HOPS`` times when the
-      sender's shard table is stale.
-    * ``"named"`` — deliver to the local actor called ``target``.
-    * ``"ask"`` / ``"reply"`` — request/response with ``corr_id``
-      correlation; ``ask`` works for both named actors and control
-      handlers.
+      sending node's shard table is stale.
+    * ``"ask"`` / ``"reply"`` — a :class:`ControlRequest` for a node-level
+      handler and its answer, correlated by ``corr_id``.
     * ``"control"`` — handled by the node itself (membership & sharding).
+
+    Entity messages carry no sender: actors are addressed by entity key
+    only, and a reply travels only as the answer to a control ask.
     """
 
     kind: str
@@ -37,9 +38,6 @@ class WireEnvelope:
     message: Any = None
     entity: str | None = None
     key: Any = None
-    target: str | None = None
-    sender_node: str | None = None
-    sender_name: str | None = None
     corr_id: int | None = None
     hops: int = 0
     #: Telemetry trace this frame belongs to (sampled; usually None). The

@@ -238,15 +238,6 @@ class Rebalancer:
                 window.shard_messages.get(shard, 0) + count
         self.reports_received += 1
 
-    def window_snapshot(self) -> dict[str, dict]:
-        """Observability view of the current accumulation window."""
-        return {n: {"reports": w.reports, "messages": w.messages,
-                    "busy_ms": round(w.busy_ms, 3),
-                    "mailbox_depth": w.mailbox_depth,
-                    "consumer_lag": w.consumer_lag,
-                    "entities": w.entities}
-                for n, w in sorted(self._window.items())}
-
     # -- the control loop ------------------------------------------------------
 
     def maybe_rebalance(self, now: float) -> bool:

@@ -175,14 +175,12 @@ class ShardRouter:
     #: Clear the key -> shard memo past this many distinct keys.
     _SHARD_CACHE_MAX = 1 << 20
 
-    def __init__(
-        self, node: "ClusterNode", entity: str, factory, strategy=None, local_router=None
-    ) -> None:
+    def __init__(self, node: "ClusterNode", entity: str, factory, local_router=None) -> None:
         self._node = node
         self.entity = entity
         # ``is None``, not truthiness: an empty CollisionCellRouter is falsy.
         if local_router is None:
-            local_router = KeyRouter(node.system, entity, factory, strategy=strategy)
+            local_router = KeyRouter(node.system, entity, factory)
         self._local = local_router
         #: Messages routed away from this node (remote deliveries).
         self.remote_told = 0
@@ -215,14 +213,19 @@ class ShardRouter:
         """Local ref for a locally-owned key (used by handoff/tests)."""
         return self._local.route(key)
 
-    def tell(self, key: Any, message: Any, sender=None) -> None:
+    def tell(self, key: Any, message: Any) -> None:
         shard = self.shard_of(key)
         if self._node.shard_owner(shard) == self._node.node_id:
             self._shard_load[shard] = self._shard_load.get(shard, 0) + 1
-            self._local.tell(key, message, sender=sender)
+            self._local.tell(key, message)
         else:
             self.remote_told += 1
-            self._node.send_sharded(self.entity, key, message, sender=sender)
+            ForecastShared, ForecastSharedBatch = _forecast_messages()
+            if type(message) is ForecastShared:
+                # A collision share re-told from a handed-off mailbox: the
+                # wire carries forecasts only as batches.
+                message = ForecastSharedBatch(cells=(key,), forecast=message.forecast)
+            self._node.send_sharded(self.entity, key, message)
 
     def take_shard_load(self) -> dict[int, int]:
         """Per-shard local delivery counts since the previous call
@@ -230,13 +233,13 @@ class ShardRouter:
         load, self._shard_load = self._shard_load, {}
         return load
 
-    def share_forecast(self, cells, forecast, sender=None) -> None:
+    def share_forecast(self, cells, forecast) -> None:
         """Fan one forecast out to many collision cells: the locally owned
         ones in one call to the local router's single-occupant stash, the
-        remote legs batched — cells owned by the same node travel in a
-        single :class:`~repro.platform.messages.ForecastSharedBatch`
-        envelope instead of one wire message per cell."""
-        ForecastShared, ForecastSharedBatch = _forecast_messages()
+        remote legs batched — the cells owned by one peer travel in one
+        :class:`~repro.platform.messages.ForecastSharedBatch` envelope,
+        however many there are."""
+        ForecastSharedBatch = _forecast_messages()[1]
         node_id = self._node.node_id
         local: list[int] = []
         remote: dict[str, list[int]] = {}
@@ -248,33 +251,30 @@ class ShardRouter:
                 local.append(cell)
             else:
                 remote.setdefault(owner, []).append(cell)
-        self._local.share_forecast(local, forecast, sender=sender)
+        self._local.share_forecast(local, forecast)
         for group in remote.values():
             self.remote_told += len(group)
-            if len(group) == 1:
-                message = ForecastShared(cell=group[0], forecast=forecast)
-            else:
-                message = ForecastSharedBatch(cells=tuple(group), forecast=forecast)
-            self._node.send_sharded(self.entity, group[0], message, sender=sender)
+            message = ForecastSharedBatch(cells=tuple(group), forecast=forecast)
+            self._node.send_sharded(self.entity, group[0], message)
 
-    def deliver_local(self, key: Any, message: Any, sender=None) -> None:
+    def deliver_local(self, key: Any, message: Any) -> None:
         """Entry point for inbound wire messages (bypasses ownership —
         the node already resolved/forwarded). Forecast fan-out reaches the
         local stash through :meth:`share_forecast`; cells of a batch whose
         shard moved while the envelope was in flight re-route one by one."""
-        ForecastShared, ForecastSharedBatch = _forecast_messages()
-        if isinstance(message, (ForecastShared, ForecastSharedBatch)):
+        ForecastSharedBatch = _forecast_messages()[1]
+        if type(message) is ForecastSharedBatch:
             forecast, local = message.forecast, []
-            for cell in message.cells if type(message) is ForecastSharedBatch else (key,):
+            for cell in message.cells:
                 if self.is_local(cell):
                     local.append(cell)
                 else:
-                    self.tell(cell, ForecastShared(cell=cell, forecast=forecast), sender=sender)
-            self.share_forecast(local, forecast, sender=sender)
+                    self.tell(cell, ForecastSharedBatch(cells=(cell,), forecast=forecast))
+            self.share_forecast(local, forecast)
             return
         shard = self.shard_of(key)
         self._shard_load[shard] = self._shard_load.get(shard, 0) + 1
-        self._local.tell(key, message, sender=sender)
+        self._local.tell(key, message)
 
     # -- local population (KeyRouter-compatible surface) -----------------------
 

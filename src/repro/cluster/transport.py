@@ -19,7 +19,7 @@ Three implementations of one small contract (:class:`Transport`):
   micro-batching that closes the cross-node throughput gap. Receivers
   unwrap container frames transparently.
 
-All carry opaque byte frames; meaning (sender, target, correlation) lives
+All carry opaque byte frames; meaning (kind, entity key, correlation) lives
 inside the encoded :class:`~repro.cluster.protocol.WireEnvelope`, so the
 transports are interchangeable above this line. Whatever the transport,
 ``on_frame`` runs only on the thread that pumps — the hub's caller for
@@ -107,7 +107,8 @@ class LoopbackHub:
 
     def __init__(self) -> None:
         self._transports: dict[str, "LoopbackTransport"] = {}
-        self._flushers: list[Callable[[], int]] = []
+        #: node id -> flush hook, in registration order.
+        self._flushers: dict[str, Callable[[], int]] = {}
         self.frames_delivered = 0
         self.frames_dropped = 0
 
@@ -119,14 +120,17 @@ class LoopbackHub:
             self._transports[node_id] = t
         return t
 
-    def register_flusher(self, flush: Callable[[], int]) -> None:
-        """Register an outbound-buffer flush hook run before every pump
-        round (used by :class:`BatchingTransport` over loopback)."""
-        self._flushers.append(flush)
+    def register_flusher(self, node_id: str, flush: Callable[[], int]) -> None:
+        """Register ``node_id``'s outbound-buffer flush hook, run before
+        every pump round (used by :class:`BatchingTransport` over loopback)
+        until the node disconnects."""
+        self._flushers[node_id] = flush
 
     def disconnect(self, node_id: str) -> None:
         """Abruptly remove a node (simulates a crash/partition): its queued
-        inbox frames are discarded and future sends to it fail."""
+        inbox frames are discarded, future sends to it fail, and its flush
+        hook goes — the hub keeps nothing of a dead node reachable."""
+        self._flushers.pop(node_id, None)
         t = self._transports.pop(node_id, None)
         if t is not None:
             self.frames_dropped += len(t._inbox)
@@ -147,7 +151,7 @@ class LoopbackHub:
 
     def _flush_all(self) -> int:
         flushed = 0
-        for flush in self._flushers:
+        for flush in self._flushers.values():
             flushed += flush()
         return flushed
 
@@ -592,7 +596,7 @@ class BatchingTransport(Transport):
         if hub is not None:
             # Deterministic loopback: the hub flushes us before each pump
             # round instead of a wall-clock thread.
-            hub.register_flusher(self.flush)
+            hub.register_flusher(self.inner.node_id, self.flush)
         elif self.linger_ms > 0:
             self._flusher = threading.Thread(
                 target=self._flush_loop, name="batch-flusher", daemon=True
@@ -688,7 +692,14 @@ class BatchingTransport(Transport):
 
     def _unwrap(self, frame: bytes) -> None:
         if codec.is_batch(frame):
-            for sub in codec.decode_batch(frame):
+            try:
+                frames = codec.decode_batch(frame)
+            except codec.WireDecodeError:
+                # Malformed container: hand it on whole, so the receiver
+                # rejects it like any undecodable frame instead of the
+                # error escaping the pump.
+                frames = [frame]
+            for sub in frames:
                 self._on_frame(sub)
         else:
             self._on_frame(frame)

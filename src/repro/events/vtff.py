@@ -185,6 +185,3 @@ class DirectVTFF:
             out.append(nxt)
             window = window[1:] + [nxt]
         return np.asarray(out)
-
-    def known_cells(self) -> set[int]:
-        return set(self._history)

@@ -50,11 +50,9 @@ class ProximityCellActor(Actor):
                 alert = ProximityAlert(event=event)
                 # Back to the affected vessel actors...
                 for mmsi in event.pair:
-                    self.wiring.vessel_router.tell(mmsi, alert, sender=ctx.self_ref)
+                    self.wiring.vessel_router.tell(mmsi, alert)
                 # ...and into the store for the UI event list.
-                self.wiring.writer_ref.tell(
-                    EventRecord(kind="proximity", t=event.t, payload=event), sender=ctx.self_ref
-                )
+                self.wiring.writer_ref.tell(EventRecord(kind="proximity", t=event.t, payload=event))
         elif isinstance(message, PruneTick):
             self.detector.prune(message.now)
         elif isinstance(message, RestoreState):
@@ -88,10 +86,8 @@ class CollisionCellRouter(KeyRouter):
     factor.
     """
 
-    def __init__(
-        self, system, prefix: str, factory, wiring: "PlatformWiring", strategy=None
-    ) -> None:
-        super().__init__(system, prefix, factory, strategy=strategy)
+    def __init__(self, system, prefix: str, factory, wiring: "PlatformWiring") -> None:
+        super().__init__(system, prefix, factory)
         self._wiring = wiring
         #: cell -> the sole occupant's latest forecast.
         self._solo: dict[Any, RouteForecast] = {}
@@ -112,7 +108,7 @@ class CollisionCellRouter(KeyRouter):
                 ref.tell(ForecastShared(cell=key, forecast=held))
         return ref
 
-    def share_forecast(self, cells, forecast: RouteForecast, sender=None) -> None:
+    def share_forecast(self, cells, forecast: RouteForecast) -> None:
         """Share one forecast with ``cells``, in their iteration order — the
         one place the single-occupant rule lives. A spawned cell actor gets
         a :class:`ForecastShared`; an unspawned cell stashes the forecast
@@ -129,9 +125,9 @@ class CollisionCellRouter(KeyRouter):
                         self.stashed_tells += 1
                         continue
                     ref = self.route(cell)
-                ref.tell(ForecastShared(cell=cell, forecast=forecast), sender=sender)
+                ref.tell(ForecastShared(cell=cell, forecast=forecast))
 
-    def tell(self, key: Any, message: Any, sender=None) -> None:
+    def tell(self, key: Any, message: Any) -> None:
         if key not in self._refs:
             if isinstance(message, PruneTick):
                 with self._solo_lock:
@@ -151,7 +147,7 @@ class CollisionCellRouter(KeyRouter):
                             self._solo[key] = forecast
                         return
                 # Multi-occupant checkpoint state: a real actor holds it.
-        super().tell(key, message, sender=sender)
+        super().tell(key, message)
 
     def forget(self, key: Any) -> bool:
         with self._solo_lock:
@@ -192,7 +188,7 @@ class CollisionCellActor(Actor):
 
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, ForecastShared):
-            self._on_forecast(message, ctx)
+            self._on_forecast(message)
         elif isinstance(message, PruneTick):
             stale = [
                 m
@@ -213,7 +209,7 @@ class CollisionCellActor(Actor):
         self.forecasts = dict(state["forecasts"])
         self._last_pair_alert = dict(state["last_pair_alert"])
 
-    def _on_forecast(self, message: ForecastShared, ctx: ActorContext) -> None:
+    def _on_forecast(self, message: ForecastShared) -> None:
         config = self.wiring.config
         forecast = message.forecast
         for other_mmsi, other_fc in self.forecasts.items():
@@ -229,9 +225,9 @@ class CollisionCellActor(Actor):
             self._last_pair_alert[hit.pair] = forecast.anchor.t
             alert = CollisionAlert(event=hit)
             for mmsi in hit.pair:
-                self.wiring.vessel_router.tell(mmsi, alert, sender=ctx.self_ref)
+                self.wiring.vessel_router.tell(mmsi, alert)
             self.wiring.writer_ref.tell(
-                EventRecord(kind="collision", t=hit.forecast_at, payload=hit), sender=ctx.self_ref
+                EventRecord(kind="collision", t=hit.forecast_at, payload=hit)
             )
         self.forecasts[forecast.mmsi] = forecast
 

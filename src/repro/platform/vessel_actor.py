@@ -81,7 +81,7 @@ def _disk(base: int, rings: int) -> tuple[int, ...]:
     return cells
 
 
-def share_forecasts(wiring: "PlatformWiring", forecasts, after_row=None, sender=None) -> None:
+def share_forecasts(wiring: "PlatformWiring", forecasts, after_row=None) -> None:
     """Fan a flush's forecasts out in row order — row ``i`` to every
     collision cell its trajectory (dilated by the neighbour rings) touches,
     then ``after_row(i)`` — and to the flow actor in one :class:`ForecastBatch`.
@@ -99,11 +99,11 @@ def share_forecasts(wiring: "PlatformWiring", forecasts, after_row=None, sender=
             cells: set[int] = set()
             for _ in forecast.positions:
                 cells.update(_disk(next(bases), rings))
-            router.share_forecast(cells, forecast, sender=sender)
+            router.share_forecast(cells, forecast)
         if after_row is not None:
             after_row(i)
     if shared:
-        wiring.flow_ref.tell(ForecastBatch(forecasts=tuple(shared)), sender=sender)
+        wiring.flow_ref.tell(ForecastBatch(forecasts=tuple(shared)))
 
 
 class VesselActor(Actor):
@@ -139,7 +139,7 @@ class VesselActor(Actor):
         elif isinstance(message, VoyageAssigned):
             self._on_voyage_assigned(message)
         elif isinstance(message, PlanReady):
-            self._on_plan_ready(message, ctx)
+            self._on_plan_ready(message)
         elif isinstance(message, ProximityAlert):
             self.event_flags.append(f"proximity@{message.event.t:.0f}")
         elif isinstance(message, CollisionAlert):
@@ -230,7 +230,6 @@ class VesselActor(Actor):
             CellObservation(
                 cell=prox_cell, mmsi=self.mmsi, t=report.t, lat=report.lat, lon=report.lon
             ),
-            sender=ctx.self_ref,
         )
 
         # Voyage optimization: divergence watch + rolling-horizon replan.
@@ -245,10 +244,10 @@ class VesselActor(Actor):
             if wiring.forecast_service is not None:
                 self._request_forecast(ctx)
             else:
-                self._forecast_and_share(ctx)
+                self._forecast_and_share()
         if self.pending_forecast:
             return  # the state update rides on the ForecastReady reply
-        self._push_state_update(report.t, ctx)
+        self._push_state_update(report.t)
 
     def _on_forecast_ready(self, msg: ForecastReady, ctx: ActorContext) -> None:
         # The service already fanned the forecast out to the collision
@@ -258,9 +257,9 @@ class VesselActor(Actor):
         if msg.forecast is not None:
             self.latest_forecast = msg.forecast
         if self.last_message is not None:
-            self._push_state_update(self.last_message.t, ctx)
+            self._push_state_update(self.last_message.t)
 
-    def _push_state_update(self, t: float, ctx: ActorContext) -> None:
+    def _push_state_update(self, t: float) -> None:
         report = self.last_message
         self.wiring.writer_ref.tell(
             VesselStateUpdate(
@@ -273,7 +272,6 @@ class VesselActor(Actor):
                 forecast=self.latest_forecast,
                 event_flags=tuple(self.event_flags),
             ),
-            sender=ctx.self_ref,
         )
 
     # -- voyage optimization --------------------------------------------------------
@@ -306,7 +304,6 @@ class VesselActor(Actor):
                         threshold_m=config.voyage_divergence_m,
                     ),
                     report.t,
-                    ctx,
                 )
         # Bucket-quantised trigger: replan when stream time crosses a
         # multiple of the cadence — a pure function of the fix stream, so
@@ -333,7 +330,7 @@ class VesselActor(Actor):
             ctx=ctx,
         )
 
-    def _on_plan_ready(self, msg: PlanReady, ctx: ActorContext) -> None:
+    def _on_plan_ready(self, msg: PlanReady) -> None:
         self.pending_plan = False
         plan = msg.plan
         if plan is None:
@@ -352,7 +349,6 @@ class VesselActor(Actor):
                     planned_fuel_kg=plan.fuel_kg,
                 ),
                 plan.planned_t,
-                ctx,
             )
         if plan.eta_slack_s < VOYAGE_ETA_BREACH_S:
             from repro.events.voyage import EtaBreachEvent
@@ -367,10 +363,9 @@ class VesselActor(Actor):
                     slack_s=plan.eta_slack_s,
                 ),
                 plan.planned_t,
-                ctx,
             )
 
-    def _emit_voyage_event(self, kind: str, payload, t: float, ctx: ActorContext) -> None:
+    def _emit_voyage_event(self, kind: str, payload, t: float) -> None:
         """Route one voyage event to the writer pool, at most once per
         stream instant per kind — the mark rides the checkpoint, so a
         recovered twin only re-emits events the snapshot had not covered
@@ -379,9 +374,7 @@ class VesselActor(Actor):
             return
         self.voyage_event_marks[kind] = t
         self.event_flags.append(f"{kind}@{t:.0f}")
-        self.wiring.writer_ref.tell(
-            EventRecord(kind=kind, t=t, payload=payload), sender=ctx.self_ref
-        )
+        self.wiring.writer_ref.tell(EventRecord(kind=kind, t=t, payload=payload))
 
     @staticmethod
     def _cross_track_m(lat: float, lon: float, plan) -> float:
@@ -419,7 +412,7 @@ class VesselActor(Actor):
             self.mmsi, self._window_row(), self.history.last_position(), ctx
         )
 
-    def _forecast_and_share(self, ctx: ActorContext) -> None:
+    def _forecast_and_share(self) -> None:
         wiring = self.wiring
         history = self.history.positions()
         if wiring.supports_padding and len(history) < wiring.forecaster_min_history:
@@ -427,4 +420,4 @@ class VesselActor(Actor):
         else:
             forecast = wiring.forecaster.forecast(self.mmsi, history)
         self.latest_forecast = forecast
-        share_forecasts(wiring, [forecast], sender=ctx.self_ref)
+        share_forecasts(wiring, [forecast])

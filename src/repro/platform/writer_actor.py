@@ -284,8 +284,8 @@ class WriterPool:
                 stable_hash(key) % self.size
         return shard
 
-    def tell(self, message, sender=None) -> None:
-        self.refs[self.shard_of(message)].tell(message, sender=sender)
+    def tell(self, message) -> None:
+        self.refs[self.shard_of(message)].tell(message)
 
     # -- control --------------------------------------------------------------------
 

@@ -76,14 +76,6 @@ class Workload:
     #: frontier the no-loss invariant checks against).
     final_t: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def all_messages(self) -> list[AISMessage]:
-        return [m for chunk in self.messages_by_step for m in chunk]
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.messages_by_step)
-
 
 def _region_center(index: int) -> tuple[float, float]:
     """Widely separated group anchors (a 2-degree grid in the Aegean-ish

@@ -49,10 +49,6 @@ class MetricsRecorder:
                                       dtype=np.float64).copy()
         return counts, durations
 
-    def total_time_s(self) -> float:
-        with self._lock:
-            return float(sum(self._durations))
-
     def snapshot(self) -> dict:
         """Summary statistics for the writer/telemetry path.
 

@@ -254,10 +254,6 @@ class WarehouseCompactor:
         self._count(2)
         return self._feed_buffer.rows - before
 
-    @property
-    def feed_pending_rows(self) -> int:
-        return self._feed_buffer.rows
-
     def flush_feed(self) -> dict:
         """Commit everything :meth:`ingest_flush` buffered (one commit,
         per-shard cursors advanced; a no-op when nothing is pending)."""

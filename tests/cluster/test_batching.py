@@ -6,7 +6,9 @@ determinism (same events with and without batching), and byte-exact codec
 round trips for every hot message type against the pickle path.
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.cluster import (
     codec,
 )
 from repro.cluster.protocol import (
+    ControlRequest,
     Heartbeat,
     Join,
     ShardTableUpdate,
@@ -30,7 +33,7 @@ from repro.models.base import RouteForecast
 from repro.platform import LoopbackCluster
 from repro.platform.messages import (
     CellObservation,
-    ForecastShared,
+    ForecastSharedBatch,
     PositionIngested,
 )
 from tests.cluster.test_transport import Sink
@@ -248,6 +251,28 @@ class TestLoopbackDeterminism:
             cluster.shutdown()
 
 
+class TestKilledNodeIsReleased:
+    def test_kill_restart_leaves_no_flush_hook_behind(self):
+        """``LoopbackHub.disconnect`` drops the node's flush hook: after
+        kill -> restart cycles the hub holds one hook per live node, and
+        nothing on the hub keeps a killed node reachable."""
+        cluster = LoopbackCluster(
+            num_nodes=3,
+            cluster_config=ClusterConfig(transport_batching=True))
+        try:
+            killed = []
+            for _ in range(3):
+                killed.append(weakref.ref(cluster.nodes[1]))
+                node_id = cluster.kill(1)
+                cluster.tick(6.0)            # peers declare it DOWN
+                cluster.restart(node_id)
+            gc.collect()
+            assert len(cluster.hub._flushers) == len(cluster.nodes)
+            assert [ref() for ref in killed] == [None, None, None]
+        finally:
+            cluster.shutdown()
+
+
 HOT_ENVELOPES = [
     WireEnvelope(kind="sharded", src="node-00", entity="vessel",
                  key=239000001,
@@ -261,14 +286,13 @@ HOT_ENVELOPES = [
                      status=NavigationStatus.FISHING,
                      source="satellite"))),
     WireEnvelope(kind="sharded", src="node-00", entity="cell",
-                 key=613561124432, sender_node="node-00",
-                 sender_name="vessel-7",
+                 key=613561124432,
                  message=CellObservation(cell=613561124432, mmsi=7,
                                          t=99.0, lat=37.9, lon=23.5)),
     WireEnvelope(kind="sharded", src="node-01", entity="collision",
                  key=613561124432,
-                 message=ForecastShared(
-                     cell=613561124432,
+                 message=ForecastSharedBatch(
+                     cells=(613561124432,),
                      forecast=RouteForecast(mmsi=7, positions=(
                          Position(t=0.0, lat=37.9, lon=23.5, sog=10.0,
                                   cog=90.0),
@@ -284,8 +308,8 @@ HOT_ENVELOPES = [
                                          t=99.0, lat=40.4, lon=24.8)),
     WireEnvelope(kind="sharded", src="node-00", entity="collision",
                  key=9799833001222216045,
-                 message=ForecastShared(
-                     cell=9799833001222216045,
+                 message=ForecastSharedBatch(
+                     cells=(9799833001222216045,),
                      forecast=RouteForecast(mmsi=7, positions=(
                          Position(t=0.0, lat=40.4, lon=24.8, sog=12.0,
                                   cog=344.0),)))),
@@ -298,8 +322,8 @@ FALLBACK_ENVELOPES = [
                  message=Join("node-02", ("127.0.0.1", 4242))),
     WireEnvelope(kind="control", src="node-00",
                  message=ShardTableUpdate(5, ("node-00", "node-01"))),
-    WireEnvelope(kind="ask", src="node-00", target="writer", corr_id=12,
-                 message={"op": "stats"}),
+    WireEnvelope(kind="ask", src="node-00", corr_id=12,
+                 message=ControlRequest(op="stats")),
     WireEnvelope(kind="reply", src="node-01", corr_id=12,
                  message=[1, 2.5, "three", None]),
     WireEnvelope(kind="sharded", src="node-00", entity="vessel",

@@ -1,8 +1,13 @@
 """Tests for the cluster node over the deterministic loopback transport:
-join protocol, remote tell/ask, shard routing, handoff, buffered redelivery.
+join protocol, control asks, shard routing, handoff, buffered redelivery,
+rejection of undecodable frames.
 
 No sleeps anywhere — time is a virtual clock and frames move only when the
 hub is pumped."""
+
+import pickle
+import socket
+from dataclasses import replace
 
 import pytest
 
@@ -11,10 +16,11 @@ from repro.cluster import (
     ClusterConfig,
     ClusterNode,
     LoopbackHub,
-    RemoteActorRef,
     ShardTable,
+    codec,
     run_cluster_until_idle,
 )
+from repro.cluster.protocol import Heartbeat, WireEnvelope
 
 CONFIG = ClusterConfig(heartbeat_interval_s=0.5, suspect_after_s=2.0,
                        down_after_s=5.0, num_shards=64)
@@ -39,18 +45,13 @@ class Counter(Actor):
             self.values.append(message)
 
 
-class Echo(Actor):
-    def receive(self, message, ctx):
-        ctx.reply(("echo", message))
-
-
-def make_cluster(n=2):
+def make_cluster(n=2, config=CONFIG):
     hub = LoopbackHub()
     clock = Clock()
     nodes = []
     for i in range(n):
         node_id = f"n{i + 1}"
-        node = ClusterNode(node_id, hub.transport(node_id), config=CONFIG,
+        node = ClusterNode(node_id, hub.transport(node_id), config=config,
                            clock=clock)
         node.start()
         nodes.append(node)
@@ -152,46 +153,6 @@ class TestShardedRouting:
 
 
 class TestRemoteAsk:
-    def test_round_trip_over_loopback(self):
-        hub, clock, (a, b), _ = make_cluster()
-        b.system.spawn(Echo, "echo")
-        ref = a.actor_ref("echo", "n2")
-        assert isinstance(ref, RemoteActorRef)
-        future = ref.ask({"payload": [1, 2, 3]})
-        settle([a, b], hub)
-        assert future.result(timeout=0) == ("echo", {"payload": [1, 2, 3]})
-
-    def test_local_ref_shortcut(self):
-        hub, clock, (a, b), _ = make_cluster()
-        a.system.spawn(Echo, "echo")
-        ref = a.actor_ref("echo", "n1")
-        future = ref.ask("x")
-        a.system.run_until_idle()
-        assert future.result(timeout=0) == ("echo", "x")
-
-    def test_remote_tell_with_reply_to_sender(self):
-        hub, clock, (a, b), _ = make_cluster()
-
-        class Pinger(Actor):
-            def __init__(self):
-                self.pong = None
-
-            def receive(self, message, ctx):
-                if message == "get":
-                    ctx.reply(self.pong)
-                else:
-                    self.pong = message
-
-        b.system.spawn(Echo, "echo")
-        ping = a.system.spawn(Pinger, "pinger")
-        # tell with an explicit sender: Echo's ctx.reply goes back over the
-        # wire to the pinger on node a.
-        a.send_named("n2", "echo", "ping", sender=ping)
-        settle([a, b], hub)
-        fut = ping.ask("get")
-        a.system.run_until_idle()
-        assert fut.result(timeout=0) == ("echo", "ping")
-
     def test_control_ask(self):
         hub, clock, (a, b), _ = make_cluster()
         b.register_control("sum", lambda params: sum(params["xs"]))
@@ -202,6 +163,18 @@ class TestRemoteAsk:
     def test_unknown_control_op_reports_error(self):
         hub, clock, (a, b), _ = make_cluster()
         future = a.ask_control("n2", "nope")
+        settle([a, b], hub)
+        assert "error" in future.result(timeout=0)
+
+    def test_ask_without_control_request_gets_error_reply(self):
+        """Only a malformed peer asks with another payload; the answer is
+        the error dict, so its future still completes."""
+        hub, clock, (a, b), _ = make_cluster()
+        future = a.ask_control("n2", "sum")
+        # Rewrite the queued ask frame as a peer that sends a bare payload.
+        ask = codec.decode(hub._transports["n2"]._inbox.pop())
+        hub._transports["n2"]._inbox.append(codec.encode(WireEnvelope(
+            kind="ask", src="n1", corr_id=ask.corr_id, message={"op": "sum"})))
         settle([a, b], hub)
         assert "error" in future.result(timeout=0)
 
@@ -334,6 +307,30 @@ class TestFailureAndHandoff:
         tick_all(nodes, hub, clock, 2.5)   # suspect only
         assert a.table.epoch == epoch
         assert set(a.table.assignment.values()) == {"n1", "n2"}
+
+
+class TestUndecodableFrames:
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_bad_frame_is_rejected_and_the_pump_goes_on(self, batching):
+        """A frame naming an untrusted class (or a malformed batch
+        container) is counted and dropped; the frame queued behind it in
+        the same pump is still delivered."""
+        hub, clock, (a, b), _ = make_cluster(
+            config=replace(CONFIG, transport_batching=batching))
+        if batching:
+            bad = bytes([codec.TAG_BATCH]) + (5).to_bytes(4, "big")
+        else:
+            bad = pickle.dumps(socket.socket)
+        frames_in = a.frames_in
+        clock.now = 42.0
+        hub._enqueue("n1", bad)
+        hub._enqueue("n1", codec.encode(WireEnvelope(
+            kind="control", src="n2", message=Heartbeat("n2"))))
+        hub.pump()
+        assert a.frames_rejected == 1
+        assert a.stats()["frames_rejected"] == 1
+        assert a.frames_in == frames_in + 1
+        assert a.membership.get("n2").last_heartbeat == 42.0
 
 
 class TestStats:

@@ -24,7 +24,6 @@ from repro.geo.track import Position
 from repro.models.base import RouteForecast
 from repro.platform.messages import (
     CellObservation,
-    ForecastShared,
     ForecastSharedBatch,
     PositionIngested,
 )
@@ -70,7 +69,6 @@ hot_payloads = st.one_of(
     st.builds(PositionIngested, message=ais_messages),
     st.builds(CellObservation, cell=big_cells, mmsi=uint64,
               t=finite, lat=finite, lon=finite),
-    st.builds(ForecastShared, cell=big_cells, forecast=forecasts),
     st.builds(ForecastSharedBatch,
               cells=st.lists(uint64, min_size=1, max_size=12).map(tuple),
               forecast=forecasts),
@@ -79,16 +77,13 @@ hot_payloads = st.one_of(
 
 envelopes = st.builds(
     WireEnvelope,
-    kind=st.sampled_from(["sharded", "named", "ask", "reply", "control"]),
+    kind=st.sampled_from(["sharded", "ask", "reply", "control"]),
     src=wire_str,
     message=hot_payloads,
     entity=opt_str,
     key=st.none() | uint64
         | st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
         | wire_str,
-    target=opt_str,
-    sender_node=opt_str,
-    sender_name=opt_str,
     corr_id=st.none() | st.integers(min_value=0, max_value=(1 << 62)),
     hops=st.integers(min_value=0, max_value=255))
 
@@ -120,11 +115,11 @@ def test_h3_cells_above_signed_range_roundtrip(cell, mmsi, t, lat, lon):
 
 
 @settings(deadline=None, max_examples=100)
-@given(kind=st.sampled_from(["sharded", "named", "control"]),
-       src=wire_str, target=opt_str)
-def test_empty_payload_roundtrips(kind, src, target):
+@given(kind=st.sampled_from(["sharded", "ask", "control"]),
+       src=wire_str, entity=opt_str)
+def test_empty_payload_roundtrips(kind, src, entity):
     codec.reset_counters()
-    env = WireEnvelope(kind=kind, src=src, target=target)
+    env = WireEnvelope(kind=kind, src=src, entity=entity)
     decoded = codec.decode(codec.encode(env))
     assert decoded == env and decoded.message is None
     assert codec.counters()["pickle_fallbacks"] == 0

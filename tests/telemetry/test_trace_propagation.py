@@ -95,10 +95,10 @@ class TestCodecTraceBit:
     def test_trace_bit_costs_exactly_eight_bytes(self):
         """Untraced frames stay byte-identical to the pre-trace format;
         the trace id rides a flag bit plus an 8-byte suffix field."""
-        base = WireEnvelope(kind="named", src="node-00", target="writer",
-                            message=None)
-        traced = WireEnvelope(kind="named", src="node-00", target="writer",
-                              message=None, trace_id=7)
+        base = WireEnvelope(kind="sharded", src="node-00", entity="vessel",
+                            key=17, message=None)
+        traced = WireEnvelope(kind="sharded", src="node-00", entity="vessel",
+                              key=17, message=None, trace_id=7)
         plain_frame = codec.encode(base)
         traced_frame = codec.encode(traced)
         assert len(traced_frame) == len(plain_frame) + 8
