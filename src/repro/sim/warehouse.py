@@ -24,8 +24,8 @@ The invariants the campaign checks:
    oracle's, whatever crash schedule interrupted it.
 3. **Readability** — every manifest-referenced segment in both
    warehouses loads cleanly (no torn or missing files).
-4. **Query parity** — per-vessel histories and heatmap totals agree
-   between oracle and victim.
+4. **Query parity** — the history of every vessel in the oracle's
+   position rows, and the full heatmap, agree between oracle and victim.
 5. **Crash coverage** — the schedule actually crashed at least once
    (otherwise the campaign silently degenerates to a clean pass), and
    :meth:`Warehouse.vacuum` removed any orphans without changing the
@@ -259,9 +259,9 @@ def _compact_and_check(scenario: WarehouseScenario, seed: int, workdir: str,
             "the seeded schedule never crashed compaction — the campaign "
             "degenerated to a clean pass (raise crash_p or batch count)"))
 
-    mmsis = sorted({int(cell_mmsi) for cell_mmsi in (
-        m for _c, _d, meta in oracle.partitions("positions")
-        for m in (meta["mmsi_min"], meta["mmsi_max"]))})
+    # Every vessel the oracle holds a fix of: parity covers each history.
+    mmsis = sorted({mmsi for _c, _d, entry in oracle.segments("positions")
+                    for mmsi in oracle.load(entry)["mmsi"].tolist()})
     violations.extend(_check_query_parity(oracle, victim, mmsis))
     return WarehouseReport(
         scenario=scenario.name, seed=seed, violations=violations,

@@ -1,9 +1,10 @@
 """Historical analytics warehouse over the kvstore journal (ROADMAP 5).
 
 ``repro.warehouse`` compacts the durable journal / checkpoints and the
-live ``repl:flush`` feed into H3+day partitioned columnar segments, then
-answers OLAP queries (heatmaps, event-rate time series, congestion
-trends, vessel histories) with partition pruning. See WAREHOUSE.md.
+live ``repl:flush`` feed into columnar segments — one per coarse H3 cell
+and UTC day, the fine cell a sorted column — then answers OLAP queries
+(heatmaps, event-rate time series, congestion trends, vessel histories)
+with zone-map pruning from the manifest. See WAREHOUSE.md.
 """
 
 from repro.warehouse.compactor import (
@@ -11,14 +12,14 @@ from repro.warehouse.compactor import (
     event_row,
     pump_feed,
 )
-from repro.warehouse.query import WarehouseQueries, cell_may_intersect
+from repro.warehouse.query import WarehouseQueries
 from repro.warehouse.segments import (
     CorruptSegmentError,
     EVENT_COLUMNS,
     POSITION_COLUMNS,
     empty_table,
     read_segment,
-    sort_by_time,
+    sort_rows,
     table_rows,
     write_segment,
 )
@@ -27,7 +28,6 @@ from repro.warehouse.warehouse import (
     Warehouse,
     day_of,
     partition_key,
-    partition_of,
     parse_partition_key,
 )
 
@@ -39,16 +39,14 @@ __all__ = [
     "Warehouse",
     "WarehouseCompactor",
     "WarehouseQueries",
-    "cell_may_intersect",
     "day_of",
     "empty_table",
     "event_row",
     "partition_key",
-    "partition_of",
     "parse_partition_key",
     "pump_feed",
     "read_segment",
-    "sort_by_time",
+    "sort_rows",
     "table_rows",
     "write_segment",
 ]

@@ -1,38 +1,50 @@
-"""The compactor: journal / feed rows -> partitioned warehouse segments.
+"""The compactor: journal / feed rows -> segmented warehouse commits.
 
 Three sources feed the same :class:`~repro.warehouse.warehouse.Warehouse`:
 
-* **The kvstore op journal** (:meth:`WarehouseCompactor.compact_persistence`)
-  — the durable backfill path. The writer pool journals every flushed
-  ``hmset vessel:{mmsi}`` and ``rpush events:{kind}`` (PERSISTENCE.md);
-  the compactor tails entries past the warehouse's ``journal_seq`` cursor
-  and turns them back into position/event rows. Re-running after any
+* **The kvstore op journal** (:meth:`WarehouseCompactor.compact_persistence`) — the durable
+  backfill path. The writer pool journals every flushed ``hmset vessel:{mmsi}`` and
+  ``rpush events:{kind}`` (PERSISTENCE.md); the compactor tails entries past the warehouse's
+  ``journal_seq`` cursor and turns them back into position/event rows. Re-running after any
   crash is idempotent: covered sequences are skipped by construction.
-* **The replication feed** (:meth:`ingest_flush`) — the live streaming
-  path. Writer shards publish flushed micro-batches on ``repl:flush``
-  (SERVING.md); the compactor buffers their rows and
-  :meth:`flush_feed` commits them with per-shard sequence cursors, so a
-  duplicated delivery is dropped rather than double-counted.
-* **A store snapshot** (:meth:`bootstrap_snapshot`) — the bootstrap path
-  for a journal that was already truncated by a store compaction: the
-  snapshot's latest ``vessel:*`` states land as one row each and the
-  journal cursor jumps to the snapshot's sequence.
+* **The replication feed** (:meth:`ingest_flush`) — the live streaming path. Writer shards
+  publish flushed micro-batches on ``repl:flush`` (SERVING.md); the compactor buffers their
+  rows and :meth:`flush_feed` commits them with per-shard sequence cursors, so a duplicated
+  delivery is dropped rather than double-counted.
+* **A store snapshot** (:meth:`bootstrap_snapshot`) — the bootstrap path for a journal that
+  was already truncated by a store compaction: the snapshot's latest ``vessel:*`` states land
+  as one row each and the journal cursor jumps to the snapshot's sequence.
 
-One warehouse should stick to one of journal-tailing or feed-tailing:
-the sources carry the same rows, so mixing them double-counts (the
-journal is byte-complete; the feed is the low-latency mirror).
+All three share one row check (:func:`_row_ok`): a row the cell kernel or the segment naming
+cannot take is skipped and counted in ``rows_skipped``, so it never wedges the cursor.
+
+One warehouse should stick to one of journal-tailing or feed-tailing: the sources carry the
+same rows, so mixing them double-counts (the journal is byte-complete; the feed is the
+low-latency mirror).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.warehouse.warehouse import Warehouse, partition_of
+from repro.hexgrid import latlng_to_cells
+from repro.warehouse.segments import EVENT_COLUMNS, POSITION_COLUMNS
+from repro.warehouse.warehouse import Warehouse
 
 VESSEL_PREFIX = "vessel:"
 EVENTS_PREFIX = "events:"
+
+#: Rows with ``|t|`` at or past this are skipped: float seconds stop being exact there.
+MAX_ABS_T = 2.0**53
+
+
+def _row_ok(t: float, lat: float, lon: float) -> bool:
+    """The row check every source shares: a finite ``t`` below ``MAX_ABS_T`` in magnitude,
+    ``lat`` in [-90, 90] and a finite ``lon`` (NaN fails every comparison)."""
+    return abs(t) < MAX_ABS_T and -90.0 <= lat <= 90.0 and math.isfinite(lon)
 
 
 def _field(payload: Any, *names: str) -> Any:
@@ -49,11 +61,12 @@ def _field(payload: Any, *names: str) -> Any:
     return None
 
 
-def event_row(kind: str, payload: Any, fallback_t: float
-              ) -> tuple[float, int, int, float, float] | None:
-    """``(t, mmsi_a, mmsi_b, lat, lon)`` of one event payload, or None
-    when the payload carries no usable position (unlocatable events are
-    counted and skipped — the warehouse is a spatial store)."""
+def event_row(
+    kind: str, payload: Any, fallback_t: float
+) -> tuple[float, int, int, float, float] | None:
+    """``(t, mmsi_a, mmsi_b, lat, lon)`` of one event payload, or None when the payload
+    carries no usable position or a malformed field (such events are counted and skipped —
+    the warehouse is a spatial store)."""
     del kind  # the kind is interned by the caller
     lat = _field(payload, "lat", "last_lat")
     lon = _field(payload, "lon", "last_lon")
@@ -64,62 +77,64 @@ def event_row(kind: str, payload: Any, fallback_t: float
         t = fallback_t
     mmsi_a = _field(payload, "mmsi_a", "mmsi")
     mmsi_b = _field(payload, "mmsi_b")
-    return (float(t), int(mmsi_a) if mmsi_a is not None else -1,
-            int(mmsi_b) if mmsi_b is not None else -1,
-            float(lat), float(lon))
+    try:
+        mmsi_a, mmsi_b = (-1 if mmsi is None else int(mmsi) for mmsi in (mmsi_a, mmsi_b))
+        return float(t), mmsi_a, mmsi_b, float(lat), float(lon)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _columns(rows: list[tuple], schema: tuple[tuple[str, str], ...], resolution: int) -> dict:
+    """A column table (``cell`` first) of rows laid out in ``schema`` order."""
+    array = np.array(rows, dtype=np.float64).reshape(-1, len(schema))
+    table = {name: array[:, i].astype(dtype) for i, (name, dtype) in enumerate(schema)}
+    return {"cell": latlng_to_cells(table["lat"], table["lon"], resolution), **table}
 
 
 class _RowBuffer:
-    """Per-partition accumulation of python-scalar rows, converted to
-    numpy column tables only at commit time."""
+    """Checked rows in source order, one list of python-scalar tuples per table, converted to
+    column tables (one cell-kernel call per table) only at commit time."""
 
     def __init__(self, resolution: int) -> None:
         self.resolution = resolution
-        self.positions: dict[tuple[int, int], list[tuple]] = {}
-        self.events: dict[tuple[int, int], list[tuple]] = {}
-        self.rows = 0
+        self.positions: list[tuple] = []
+        self.events: list[tuple] = []
 
-    def add_position(self, mmsi: int, t: float, lat: float, lon: float,
-                     sog: float, cog: float) -> None:
-        pk = partition_of(lat, lon, t, self.resolution)
-        self.positions.setdefault(pk, []).append(
-            (mmsi, t, lat, lon, sog, cog))
-        self.rows += 1
+    @property
+    def rows(self) -> int:
+        return len(self.positions) + len(self.events)
 
-    def add_event(self, kind_id: int, t: float, mmsi_a: int, mmsi_b: int,
-                  lat: float, lon: float) -> None:
-        pk = partition_of(lat, lon, t, self.resolution)
-        self.events.setdefault(pk, []).append(
-            (t, kind_id, mmsi_a, mmsi_b, lat, lon))
-        self.rows += 1
+    def add_position(self, mmsi: Any, fields: Any) -> bool:
+        """Buffer one position row; False when a field is missing or malformed, or the row
+        fails the row check."""
+        try:
+            row = (int(mmsi), *(float(fields[name]) for name in ("t", "lat", "lon", "sog", "cog")))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return False
+        if not _row_ok(*row[1:4]):
+            return False
+        self.positions.append(row)
+        return True
+
+    def add_event(self, kind_id: int, row: tuple | None) -> bool:
+        """Buffer one :func:`event_row`; False when it is None or fails the row check."""
+        if row is None or not _row_ok(row[0], row[3], row[4]):
+            return False
+        t, mmsi_a, mmsi_b, lat, lon = row
+        self.events.append((t, kind_id, mmsi_a, mmsi_b, lat, lon))
+        return True
 
     def tables(self) -> tuple[dict, dict]:
-        positions = {}
-        for pk, rows in self.positions.items():
-            array = np.array(rows, dtype=np.float64)
-            positions[pk] = {
-                "mmsi": array[:, 0].astype(np.int64),
-                "t": array[:, 1], "lat": array[:, 2], "lon": array[:, 3],
-                "sog": array[:, 4], "cog": array[:, 5],
-            }
-        events = {}
-        for pk, rows in self.events.items():
-            array = np.array(rows, dtype=np.float64)
-            events[pk] = {
-                "t": array[:, 0],
-                "kind_id": array[:, 1].astype(np.int64),
-                "mmsi_a": array[:, 2].astype(np.int64),
-                "mmsi_b": array[:, 3].astype(np.int64),
-                "lat": array[:, 4], "lon": array[:, 5],
-            }
-        return positions, events
+        return (
+            _columns(self.positions, POSITION_COLUMNS, self.resolution),
+            _columns(self.events, EVENT_COLUMNS, self.resolution),
+        )
 
 
 class WarehouseCompactor:
     """Streams journal/feed entries into warehouse commits."""
 
-    def __init__(self, warehouse: Warehouse, batch_rows: int = 65_536,
-                 registry=None) -> None:
+    def __init__(self, warehouse: Warehouse, batch_rows: int = 65_536, registry=None) -> None:
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
         self.warehouse = warehouse
@@ -148,24 +163,24 @@ class WarehouseCompactor:
         if self._instruments is not None and amount:
             self._instruments[index].inc(amount)
 
+    def _skip(self) -> None:
+        self.rows_skipped += 1
+        self._count(1)
+
     # -- journal tailing --------------------------------------------------------
 
     def compact_persistence(self, persistence) -> dict:
-        """Tail a :class:`~repro.kvstore.persistence.StorePersistence`'s
-        journal past the warehouse cursor into committed segments."""
-        return self.compact_journal(
-            persistence.iter_ops(after_seq=self.warehouse.journal_seq))
+        """Tail a :class:`~repro.kvstore.persistence.StorePersistence`'s journal past the
+        warehouse cursor into committed segments."""
+        return self.compact_journal(persistence.iter_ops(after_seq=self.warehouse.journal_seq))
 
-    def compact_journal(self, entries: Iterable[tuple[int, str, tuple, dict]]
-                        ) -> dict:
-        """Fold journal entries ``(seq, op, args, kwargs)`` in, committing
-        every ``batch_rows`` buffered rows with the cursor advanced to the
-        last folded sequence. Entries at or below the cursor are skipped
-        (re-compaction after a crash re-reads them harmlessly)."""
+    def compact_journal(self, entries: Iterable[tuple[int, str, tuple, dict]]) -> dict:
+        """Fold journal entries ``(seq, op, args, kwargs)`` in, committing every ``batch_rows``
+        buffered rows with the cursor advanced to the last folded sequence. Entries at or below
+        the cursor are skipped (re-compaction after a crash re-reads them harmlessly)."""
         covered = self.warehouse.journal_seq
         buffer = _RowBuffer(self.warehouse.resolution)
-        totals = {"rows": 0, "segments_written": 0, "commits": 0,
-                  "ops_scanned": 0}
+        totals = {"rows": 0, "segments_written": 0, "commits": 0, "ops_scanned": 0}
         last_seq = covered
         for seq, op, args, kwargs in entries:
             totals["ops_scanned"] += 1
@@ -182,35 +197,20 @@ class WarehouseCompactor:
         self._count(0, totals["ops_scanned"])
         return totals
 
-    def _decode_op(self, op: str, args: tuple, kwargs: dict,
-                   buffer: _RowBuffer) -> None:
+    def _decode_op(self, op: str, args: tuple, kwargs: dict, buffer: _RowBuffer) -> None:
         if op == "hmset" and args[0].startswith(VESSEL_PREFIX):
-            key, mapping = args[0], args[1]
-            try:
-                mmsi = int(key[len(VESSEL_PREFIX):])
-                buffer.add_position(
-                    mmsi, float(mapping["t"]), float(mapping["lat"]),
-                    float(mapping["lon"]), float(mapping["sog"]),
-                    float(mapping["cog"]))
-            except (KeyError, TypeError, ValueError):
-                self.rows_skipped += 1
-                self._count(1)
+            if not buffer.add_position(args[0][len(VESSEL_PREFIX) :], args[1]):
+                self._skip()
         elif op == "rpush" and args[0].startswith(EVENTS_PREFIX):
-            kind = args[0][len(EVENTS_PREFIX):]
+            kind = args[0][len(EVENTS_PREFIX) :]
             now = kwargs.get("now", 0.0)
             kind_id = self.warehouse.kind_id(kind)
             for payload in args[1:]:
-                row = event_row(kind, payload, now)
-                if row is None:
-                    self.rows_skipped += 1
-                    self._count(1)
-                    continue
-                t, mmsi_a, mmsi_b, lat, lon = row
-                buffer.add_event(kind_id, t, mmsi_a, mmsi_b, lat, lon)
+                if not buffer.add_event(kind_id, event_row(kind, payload, now)):
+                    self._skip()
 
     def _commit(self, buffer: _RowBuffer, cursor: dict, totals: dict) -> None:
-        positions, events = buffer.tables()
-        stats = self.warehouse.commit(positions, events, cursor)
+        stats = self.warehouse.commit(*buffer.tables(), cursor)
         totals["rows"] += stats["rows"]
         totals["segments_written"] += stats["segments_written"]
         totals["commits"] += 1
@@ -218,50 +218,36 @@ class WarehouseCompactor:
     # -- replication feed -------------------------------------------------------
 
     def ingest_flush(self, payload: dict) -> int:
-        """Buffer one ``repl:flush`` batch; returns rows buffered (0 for a
-        duplicate already covered by the warehouse or pending cursor)."""
+        """Buffer one ``repl:flush`` batch; returns rows buffered (0 for a duplicate already
+        covered by the warehouse or pending cursor)."""
         shard = str(payload["shard"])
         seq = payload["seq"]
-        covered = max(self.warehouse.repl_seq(int(shard)),
-                      self._feed_cursor.get(shard, 0))
+        covered = max(self.warehouse.repl_seq(int(shard)), self._feed_cursor.get(shard, 0))
         if seq <= covered:
             self.feed_duplicates += 1
             self._count(3)
             return 0
         before = self._feed_buffer.rows
         for state in payload.get("states", ()):
-            try:
-                self._feed_buffer.add_position(
-                    int(state["mmsi"]), float(state["t"]),
-                    float(state["lat"]), float(state["lon"]),
-                    float(state["sog"]), float(state["cog"]))
-            except (KeyError, TypeError, ValueError):
-                self.rows_skipped += 1
-                self._count(1)
+            if not self._feed_buffer.add_position(_field(state, "mmsi"), state):
+                self._skip()
         for event in payload.get("events", ()):
             kind = event.get("kind", "unknown")
-            row = event_row(kind, event.get("payload", {}),
-                            event.get("t", 0.0))
-            if row is None:
-                self.rows_skipped += 1
-                self._count(1)
-                continue
-            t, mmsi_a, mmsi_b, lat, lon = row
-            self._feed_buffer.add_event(
-                self.warehouse.kind_id(kind), t, mmsi_a, mmsi_b, lat, lon)
+            row = event_row(kind, event.get("payload", {}), event.get("t", 0.0))
+            if row is None or not self._feed_buffer.add_event(self.warehouse.kind_id(kind), row):
+                self._skip()
         self._feed_cursor[shard] = seq
         self.feed_batches += 1
         self._count(2)
         return self._feed_buffer.rows - before
 
     def flush_feed(self) -> dict:
-        """Commit everything :meth:`ingest_flush` buffered (one commit,
-        per-shard cursors advanced; a no-op when nothing is pending)."""
+        """Commit everything :meth:`ingest_flush` buffered (one commit, per-shard cursors
+        advanced; a no-op when nothing is pending)."""
         if not self._feed_buffer.rows and not self._feed_cursor:
             return {"rows": 0, "segments_written": 0, "commits": 0}
-        positions, events = self._feed_buffer.tables()
-        stats = self.warehouse.commit(
-            positions, events, {"repl": dict(self._feed_cursor)})
+        cursor = {"repl": dict(self._feed_cursor)}
+        stats = self.warehouse.commit(*self._feed_buffer.tables(), cursor)
         self._feed_buffer = _RowBuffer(self.warehouse.resolution)
         self._feed_cursor = {}
         stats["commits"] = 1
@@ -270,33 +256,25 @@ class WarehouseCompactor:
     # -- snapshot bootstrap -----------------------------------------------------
 
     def bootstrap_snapshot(self, snapshot: dict) -> dict:
-        """Fold a kvstore snapshot's latest vessel states in (one row per
-        vessel) and jump the journal cursor to the snapshot's ``seq`` —
-        the recovery path when the journal was truncated by a store
-        compaction before the warehouse could tail it."""
+        """Fold a kvstore snapshot's latest vessel states in (one row per vessel) and jump the
+        journal cursor to the snapshot's ``seq`` — the recovery path when the journal was
+        truncated by a store compaction before the warehouse could tail it."""
         buffer = _RowBuffer(self.warehouse.resolution)
         for key, value in snapshot.get("data", {}).items():
             if not (key.startswith(VESSEL_PREFIX) and isinstance(value, dict)):
                 continue
-            try:
-                buffer.add_position(
-                    int(key[len(VESSEL_PREFIX):]), float(value["t"]),
-                    float(value["lat"]), float(value["lon"]),
-                    float(value["sog"]), float(value["cog"]))
-            except (KeyError, TypeError, ValueError):
-                self.rows_skipped += 1
-                self._count(1)
+            if not buffer.add_position(key[len(VESSEL_PREFIX) :], value):
+                self._skip()
         seq = snapshot.get("seq", 0)
-        positions, events = buffer.tables()
-        return self.warehouse.commit(
-            positions, events, {"journal_seq": seq, "snapshot_seq": seq})
+        return self.warehouse.commit(*buffer.tables(), {"journal_seq": seq, "snapshot_seq": seq})
 
 
-def pump_feed(compactor: WarehouseCompactor, subscription,
-              max_batches: int | None = None) -> Iterator[int]:
-    """Drain a pub/sub replication subscription into the compactor,
-    yielding rows buffered per batch (a convenience for feed-tailing
-    loops; callers decide when to :meth:`~WarehouseCompactor.flush_feed`).
+def pump_feed(
+    compactor: WarehouseCompactor, subscription, max_batches: int | None = None
+) -> Iterator[int]:
+    """Drain a pub/sub replication subscription into the compactor, yielding rows buffered per
+    batch (a convenience for feed-tailing loops; callers decide when to
+    :meth:`~WarehouseCompactor.flush_feed`).
     """
     drained = 0
     while max_batches is None or drained < max_batches:

@@ -1,64 +1,31 @@
-"""OLAP queries over the warehouse, with partition-level predicate pushdown.
+"""OLAP queries over the warehouse, with segment-level predicate pushdown.
 
-Every query prunes on the manifest **before** touching a segment: the
-day range of the time predicate, each partition's recorded ``t_min`` /
-``t_max``, cell membership (k-ring / explicit cell sets), a
-circumradius-padded bounding-box test against the partition cell's
-centre, and — for vessel scans — the partition's recorded MMSI range.
-Only surviving partitions are loaded, and row-level filters then make the
-results exact (pruning may only ever *over*-select, never drop a
-matching row — the property suite checks this against a brute-force
-scan oracle).
+Every query prunes on the manifest **before** touching a segment: the day range of the time
+predicate, then the segment's zone map — the ``t`` range of its rows, their ``mmsi`` range
+(vessel scans), their ``lat``/``lon`` ranges against a bbox (antimeridian-aware interval
+overlap), and its fine cells against a cell set (k-ring / explicit). Only surviving segments
+are loaded, and row-level masks then make the results exact. A zone map bounds its segment's
+own rows, so pruning may only ever *over*-select, never drop a matching row (the property
+suite checks this against a brute-force scan oracle).
 
-Latency is measured through the injectable ``clock`` (default
-``time.perf_counter``; the AST wall-clock audit covers this module) into
-a per-query-kind histogram, alongside counters for partitions scanned
-vs pruned and rows scanned.
+Latency is measured through the injectable ``clock`` (default ``time.perf_counter``; the AST
+wall-clock audit covers this module) into a per-query-kind histogram, alongside counters for
+segments scanned vs pruned and rows scanned (``partitions_*`` by name: a segment is the
+storage partition).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.hexgrid import cell_to_latlng, grid_disk, latlng_to_cell
-from repro.hexgrid.index import EDGE_LENGTHS_M
-from repro.geo.constants import METERS_PER_DEG_LAT
-from repro.warehouse.warehouse import Warehouse, day_of
-
-
-def _cycle_distance_deg(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
-def _lon_near(lon: float, lon_min: float, lon_max: float, pad: float) -> bool:
-    """True if ``lon`` lies in the (possibly antimeridian-crossing)
-    interval or within ``pad`` degrees of either edge."""
-    if lon_min <= lon_max:
-        if lon_min <= lon <= lon_max:
-            return True
-    elif lon >= lon_min or lon <= lon_max:
-        return True
-    return (_cycle_distance_deg(lon, lon_min) <= pad
-            or _cycle_distance_deg(lon, lon_max) <= pad)
-
-
-def cell_may_intersect(cell: int, bbox: BoundingBox) -> bool:
-    """Conservative partition-level bbox test: does the cell's hexagon
-    possibly overlap the box? (Centre containment padded by the hexagon
-    circumradius — never a false negative, occasionally a false positive
-    that row-level filtering removes.)"""
-    res = cell >> 60
-    pad = EDGE_LENGTHS_M[res] / METERS_PER_DEG_LAT
-    lat, lon = cell_to_latlng(cell)
-    if not bbox.lat_min - pad <= lat <= bbox.lat_max + pad:
-        return False
-    return _lon_near(lon, bbox.lon_min, bbox.lon_max, pad)
+from repro.hexgrid import grid_disk, latlng_to_cell
+from repro.warehouse.segments import concat_tables, empty_table
+from repro.warehouse.warehouse import TABLES, Warehouse, day_of
 
 
 def _row_bbox_mask(table: dict, bbox: BoundingBox) -> np.ndarray:
@@ -69,11 +36,21 @@ def _row_bbox_mask(table: dict, bbox: BoundingBox) -> np.ndarray:
     return mask & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
 
 
+def _zone_overlaps(zone: dict, bbox: BoundingBox) -> bool:
+    """Can a row inside ``zone``'s lat/lon ranges pass :func:`_row_bbox_mask`?"""
+    if zone["lat_max"] < bbox.lat_min or zone["lat_min"] > bbox.lat_max:
+        return False
+    if bbox.crosses_antimeridian:
+        return zone["lon_max"] >= bbox.lon_min or zone["lon_min"] <= bbox.lon_max
+    return zone["lon_max"] >= bbox.lon_min and zone["lon_min"] <= bbox.lon_max
+
+
 class WarehouseQueries:
     """The query surface the serving tier and benchmarks share."""
 
-    def __init__(self, warehouse: Warehouse, registry=None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(
+        self, warehouse: Warehouse, registry=None, clock: Callable[[], float] = time.perf_counter
+    ) -> None:
         self.warehouse = warehouse
         self._clock = clock
         self.partitions_scanned = 0
@@ -97,7 +74,8 @@ class WarehouseQueries:
         hist = self._latency.get(query)
         if hist is None:
             hist = self._latency[query] = self._registry.histogram(
-                "warehouse_query_seconds", {"query": query})
+                "warehouse_query_seconds", {"query": query}
+            )
         hist.observe(seconds)
 
     def _account(self, scanned: int, pruned: int, rows: int) -> None:
@@ -110,132 +88,140 @@ class WarehouseQueries:
             p.inc(pruned)
             r.inc(rows)
 
-    # -- partition selection (the pushdown) -------------------------------------
+    # -- segment selection (the pushdown) and row masks ------------------------
 
-    def _select(self, table: str, t0: float, t1: float,
-                cells: set[int] | None = None,
-                bbox: BoundingBox | None = None,
-                mmsi: int | None = None) -> Iterator[tuple[int, int, dict]]:
-        """Yield ``(cell, day, rows_table)`` for partitions surviving every
-        partition-level predicate; accounting happens here."""
+    def _rows(
+        self,
+        table: str,
+        t0: float,
+        t1: float,
+        closed: bool = True,
+        cells: set[int] | None = None,
+        bbox: BoundingBox | None = None,
+        mmsi: int | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Every row of ``table`` matching the predicates exactly, in segment order; the time
+        window is ``[t0, t1]`` when ``closed``, else ``[t0, t1)``. Only segments whose zone map
+        survives every predicate are loaded; accounting happens here."""
         day_lo = day_of(t0) if math.isfinite(t0) else None
         day_hi = day_of(t1) if math.isfinite(t1) else None
+        if cells is not None:
+            wanted = np.array(sorted(c for c in cells if 0 <= c < 2**64), dtype=np.uint64)
+        chunks = []
         scanned = pruned = rows = 0
-        for cell, day, meta in self.warehouse.partitions(table):
-            if (day_lo is not None and day < day_lo) \
-                    or (day_hi is not None and day > day_hi) \
-                    or meta["t_max"] < t0 or meta["t_min"] > t1:
-                pruned += 1
-                continue
-            if cells is not None and cell not in cells:
-                pruned += 1
-                continue
-            if bbox is not None and not cell_may_intersect(cell, bbox):
-                pruned += 1
-                continue
-            if mmsi is not None and not (
-                    meta.get("mmsi_min", mmsi) <= mmsi
-                    <= meta.get("mmsi_max", mmsi)):
+        for _coarse, day, zone in self.warehouse.segments(table):
+            if (
+                (day_lo is not None and day < day_lo)
+                or (day_hi is not None and day > day_hi)
+                or zone["t_max"] < t0
+                or zone["t_min"] > t1
+                or (cells is not None and cells.isdisjoint(zone["cells"]))
+                or (bbox is not None and not _zone_overlaps(zone, bbox))
+                or (mmsi is not None and not zone["mmsi_min"] <= mmsi <= zone["mmsi_max"])
+            ):
                 pruned += 1
                 continue
             scanned += 1
-            loaded = self.warehouse.read_partition(table, cell, day)
-            rows += len(loaded["t"])
-            yield cell, day, loaded
+            rows += zone["rows"]
+            segment = self.warehouse.load(zone)
+            t = segment["t"]
+            mask = (t >= t0) & ((t <= t1) if closed else (t < t1))
+            if cells is not None:
+                mask &= np.isin(segment["cell"], wanted)
+            if bbox is not None:
+                mask &= _row_bbox_mask(segment, bbox)
+            if mmsi is not None:
+                mask &= segment["mmsi"] == mmsi
+            chunks.append({name: column[mask] for name, column in segment.items()})
         self._account(scanned, pruned, rows)
-
-    @staticmethod
-    def _time_mask(table: dict, t0: float, t1: float) -> np.ndarray:
-        return (table["t"] >= t0) & (table["t"] <= t1)
+        return concat_tables(chunks) if chunks else empty_table(TABLES[table][1])
 
     # -- queries ----------------------------------------------------------------
 
-    def heatmap(self, bbox: BoundingBox | None = None,
-                cells: Iterable[int] | None = None,
-                t0: float = -math.inf, t1: float = math.inf,
-                by: str = "rows") -> dict[int, int]:
-        """Traffic heat per warehouse cell: kept-fix rows (``by="rows"``)
-        or distinct vessels (``by="vessels"``) inside the predicates."""
+    def heatmap(
+        self,
+        bbox: BoundingBox | None = None,
+        cells: Iterable[int] | None = None,
+        t0: float = -math.inf,
+        t1: float = math.inf,
+        by: str = "rows",
+    ) -> dict[int, int]:
+        """Traffic heat per warehouse cell: kept-fix rows (``by="rows"``) or distinct vessels
+        (``by="vessels"``) inside the predicates."""
         if by not in ("rows", "vessels"):
             raise ValueError(f"by must be 'rows' or 'vessels', got {by!r}")
         start = self._clock()
         cell_set = set(cells) if cells is not None else None
-        counts: dict[int, int] = {}
-        vessels: dict[int, set] = {}
-        for cell, _day, table in self._select(
-                "positions", t0, t1, cells=cell_set, bbox=bbox):
-            mask = self._time_mask(table, t0, t1)
-            if bbox is not None:
-                mask &= _row_bbox_mask(table, bbox)
-            if by == "rows":
-                hit = int(np.count_nonzero(mask))
-                if hit:
-                    counts[cell] = counts.get(cell, 0) + hit
-            else:
-                seen = np.unique(table["mmsi"][mask])
-                if len(seen):
-                    vessels.setdefault(cell, set()).update(seen.tolist())
+        rows = self._rows("positions", t0, t1, cells=cell_set, bbox=bbox)
+        hits = rows["cell"]
         if by == "vessels":
-            counts = {cell: len(seen) for cell, seen in vessels.items()}
+            hits = np.unique(np.stack([hits.astype(np.int64), rows["mmsi"]]), axis=1)[0]
+        heat, counts = np.unique(hits, return_counts=True)
         self._observe("heatmap", self._clock() - start)
-        return counts
+        return dict(zip(heat.tolist(), counts.tolist()))
 
-    def kring_heatmap(self, lat: float, lon: float, k: int,
-                      t0: float = -math.inf, t1: float = math.inf,
-                      by: str = "rows") -> dict[int, int]:
-        """Heatmap over the k-ring disk around a point, at the warehouse
-        resolution (CheetahGIS-style streaming spatial scan shape)."""
+    def kring_heatmap(
+        self,
+        lat: float,
+        lon: float,
+        k: int,
+        t0: float = -math.inf,
+        t1: float = math.inf,
+        by: str = "rows",
+    ) -> dict[int, int]:
+        """Heatmap over the k-ring disk around a point, at the warehouse resolution
+        (CheetahGIS-style streaming spatial scan shape)."""
         center = latlng_to_cell(lat, lon, self.warehouse.resolution)
         return self.heatmap(cells=grid_disk(center, k), t0=t0, t1=t1, by=by)
 
-    def cell_event_rate(self, cells: Iterable[int], t0: float, t1: float,
-                        bucket_s: float,
-                        kinds: Sequence[str] | None = None) -> dict:
+    def cell_event_rate(
+        self,
+        cells: Iterable[int],
+        t0: float,
+        t1: float,
+        bucket_s: float,
+        kinds: Sequence[str] | None = None,
+    ) -> dict:
         """Per-cell event-count time series over ``[t0, t1)`` buckets."""
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError("cell_event_rate needs a finite t0 < t1")
         if bucket_s <= 0:
             raise ValueError("bucket_s must be positive")
         start = self._clock()
-        cell_set = set(cells)
         n_buckets = int(math.ceil((t1 - t0) / bucket_s))
         edges = t0 + bucket_s * np.arange(n_buckets + 1)
-        kind_ids = None
+        rows = self._rows("events", t0, t1, closed=False, cells=set(cells))
+        # np.histogram's bins: [edge, next edge), the last one closed; later times count nowhere.
+        keep = rows["t"] <= edges[-1]
         if kinds is not None:
             table_kinds = self.warehouse.kinds
-            kind_ids = {table_kinds.index(k) for k in kinds
-                        if k in table_kinds}
-        per_cell: dict[int, np.ndarray] = {}
-        for cell, _day, table in self._select(
-                "events", t0, t1, cells=cell_set):
-            mask = (table["t"] >= t0) & (table["t"] < t1)
-            if kind_ids is not None:
-                mask &= np.isin(table["kind_id"],
-                                np.array(sorted(kind_ids), dtype=np.int64))
-            times = table["t"][mask]
-            if not len(times):
-                continue
-            hist, _ = np.histogram(times, bins=edges)
-            if cell in per_cell:
-                per_cell[cell] = per_cell[cell] + hist
-            else:
-                per_cell[cell] = hist
-        total = np.zeros(n_buckets, dtype=np.int64)
-        for hist in per_cell.values():
-            total += hist
+            kind_ids = [table_kinds.index(k) for k in kinds if k in table_kinds]
+            keep &= np.isin(rows["kind_id"], np.array(kind_ids, dtype=np.int64))
+        bucket = np.searchsorted(edges, rows["t"][keep], side="right") - 1
+        bucket = np.minimum(bucket, n_buckets - 1)
+        cell_ids, inverse = np.unique(rows["cell"][keep], return_inverse=True)
+        hist = np.bincount(inverse * n_buckets + bucket, minlength=len(cell_ids) * n_buckets)
+        hist = hist.reshape(len(cell_ids), n_buckets)
         result = {
-            "t0": t0, "bucket_s": bucket_s, "n_buckets": n_buckets,
-            "cells": {cell: hist.tolist() for cell, hist in per_cell.items()},
-            "total": total.tolist(),
+            "t0": t0,
+            "bucket_s": bucket_s,
+            "n_buckets": n_buckets,
+            "cells": dict(zip(cell_ids.tolist(), hist.tolist())),
+            "total": hist.sum(axis=0).tolist(),
         }
         self._observe("cell_event_rate", self._clock() - start)
         return result
 
-    def congestion_trend(self, t0: float, t1: float, bucket_s: float,
-                         bbox: BoundingBox | None = None,
-                         cells: Iterable[int] | None = None) -> dict:
-        """Port-congestion trend: distinct vessels present in the area per
-        time bucket (occupancy), plus kept-fix row counts."""
+    def congestion_trend(
+        self,
+        t0: float,
+        t1: float,
+        bucket_s: float,
+        bbox: BoundingBox | None = None,
+        cells: Iterable[int] | None = None,
+    ) -> dict:
+        """Port-congestion trend: distinct vessels present in the area per time bucket
+        (occupancy), plus kept-fix row counts."""
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError("congestion_trend needs a finite t0 < t1")
         if bucket_s <= 0:
@@ -243,50 +229,27 @@ class WarehouseQueries:
         start = self._clock()
         cell_set = set(cells) if cells is not None else None
         n_buckets = int(math.ceil((t1 - t0) / bucket_s))
-        pairs: list[np.ndarray] = []
-        rows = np.zeros(n_buckets, dtype=np.int64)
-        for _cell, _day, table in self._select(
-                "positions", t0, t1, cells=cell_set, bbox=bbox):
-            mask = (table["t"] >= t0) & (table["t"] < t1)
-            if bbox is not None:
-                mask &= _row_bbox_mask(table, bbox)
-            if not np.any(mask):
-                continue
-            bucket = ((table["t"][mask] - t0) // bucket_s).astype(np.int64)
-            np.add.at(rows, bucket, 1)
-            pairs.append(np.stack([bucket, table["mmsi"][mask]], axis=1))
-        occupancy = np.zeros(n_buckets, dtype=np.int64)
-        if pairs:
-            unique = np.unique(np.concatenate(pairs), axis=0)
-            np.add.at(occupancy, unique[:, 0], 1)
+        rows = self._rows("positions", t0, t1, closed=False, cells=cell_set, bbox=bbox)
+        bucket = ((rows["t"] - t0) // bucket_s).astype(np.int64)
+        present = np.unique(np.stack([bucket, rows["mmsi"]]), axis=1)[0]
         result = {
-            "t0": t0, "bucket_s": bucket_s, "n_buckets": n_buckets,
-            "vessels": occupancy.tolist(), "rows": rows.tolist(),
+            "t0": t0,
+            "bucket_s": bucket_s,
+            "n_buckets": n_buckets,
+            "vessels": np.bincount(present, minlength=n_buckets).tolist(),
+            "rows": np.bincount(bucket, minlength=n_buckets).tolist(),
         }
         self._observe("congestion_trend", self._clock() - start)
         return result
 
-    def vessel_history(self, mmsi: int, t0: float = -math.inf,
-                       t1: float = math.inf) -> dict[str, list]:
-        """Every kept fix of one vessel in the window, ordered by time
-        (day-range + per-partition MMSI-range pruning, then a column
-        scan of the survivors)."""
+    def vessel_history(
+        self, mmsi: int, t0: float = -math.inf, t1: float = math.inf
+    ) -> dict[str, list]:
+        """Every kept fix of one vessel in the window, ordered by time (day-range and
+        per-segment MMSI-range pruning, then a column scan of the survivors)."""
         start = self._clock()
-        chunks: list[dict[str, np.ndarray]] = []
-        for _cell, _day, table in self._select(
-                "positions", t0, t1, mmsi=mmsi):
-            mask = (table["mmsi"] == mmsi) & self._time_mask(table, t0, t1)
-            if np.any(mask):
-                chunks.append({name: column[mask]
-                               for name, column in table.items()})
-        if not chunks:
-            result = {name: [] for name in
-                      ("t", "lat", "lon", "sog", "cog")}
-        else:
-            merged = {name: np.concatenate([c[name] for c in chunks])
-                      for name in chunks[0]}
-            order = np.argsort(merged["t"], kind="stable")
-            result = {name: merged[name][order].tolist()
-                      for name in ("t", "lat", "lon", "sog", "cog")}
+        rows = self._rows("positions", t0, t1, mmsi=mmsi)
+        order = np.argsort(rows["t"], kind="stable")
+        result = {name: rows[name][order].tolist() for name in ("t", "lat", "lon", "sog", "cog")}
         self._observe("vessel_history", self._clock() - start)
         return result

@@ -1,116 +1,218 @@
-"""Hypothesis property suite for the warehouse (ISSUE 9 satellite).
+"""Hypothesis property suite for the warehouse.
 
-Three properties:
+Three families of properties:
 
-1. **Segment round-trip** — committing arbitrary journal-ordered row
-   batches (under any batch split) and reading partitions back yields
-   exactly the source rows, stably ordered by time within each cell/day.
-2. **Crash atomicity** — a crash between segment tmp-writes and the
-   manifest update never yields a partial segment: the reopened
-   warehouse shows the previous committed state, every referenced
-   segment loads fully, and re-running compaction converges to the
-   no-crash fingerprint.
-3. **Pruning exactness** — heatmap/time-window results under partition
-   pruning equal a brute-force scan oracle over the raw rows, for
-   arbitrary bboxes (including degenerate and far-away ones).
+1. **Segment round-trip** — committing arbitrary journal-ordered row batches (under any batch
+   split) and reading partitions back yields exactly the source rows, stably ordered by time
+   within each fine cell/day.
+2. **Crash atomicity** — a crash between segment tmp-writes and the manifest update never
+   yields a partial segment: the reopened warehouse shows the previous committed state, every
+   referenced segment loads fully, and re-running compaction converges to the no-crash
+   fingerprint.
+3. **Pruning exactness** — every query under zone-map pruning equals a brute-force scan of the
+   raw rows, for arbitrary bboxes (degenerate, far-away and antimeridian-crossing ones) and
+   windows. Rows land in fine cells on both sides of a segment boundary and on both sides of
+   the antimeridian, where a wrong zone map would drop them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.bbox import BoundingBox
+from repro.hexgrid import cell_to_latlng, cell_to_parent, grid_disk, latlng_to_cell, neighbors
 from repro.warehouse import (
     Warehouse,
     WarehouseCompactor,
     WarehouseQueries,
-    partition_of,
+    day_of,
+)
+from repro.warehouse.warehouse import SEGMENT_LEVELS
+
+RESOLUTION = 5
+COARSE = RESOLUTION - SEGMENT_LEVELS
+
+
+def _segment_boundary() -> tuple[float, float]:
+    """The midpoint of two neighbouring fine cells near (37.5, 24.5) whose segments differ."""
+    frontier = [latlng_to_cell(37.5, 24.5, RESOLUTION)]
+    while True:
+        cell = frontier.pop(0)
+        for other in neighbors(cell):
+            if cell_to_parent(other, COARSE) != cell_to_parent(cell, COARSE):
+                (lat_a, lon_a), (lat_b, lon_b) = cell_to_latlng(cell), cell_to_latlng(other)
+                return (lat_a + lat_b) / 2.0, (lon_a + lon_b) / 2.0
+            frontier.append(other)
+
+
+BOUNDARY = _segment_boundary()
+
+#: (lat range, lon range) of the places rows land: a span of the Aegean covering several
+#: segments, a strip straddling one segment boundary, and both sides of the antimeridian.
+SITES = (
+    ((35.0, 39.0), (22.0, 27.0)),
+    ((BOUNDARY[0] - 0.2, BOUNDARY[0] + 0.2), (BOUNDARY[1] - 0.2, BOUNDARY[1] + 0.2)),
+    ((-20.0, -15.0), (175.0, 179.99)),
+    ((-20.0, -15.0), (-179.99, -175.0)),
 )
 
-#: (mmsi, t, lat, lon) rows; coordinates span several cells and days.
-ROWS = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=8),
-        st.floats(min_value=0.0, max_value=3.0 * 86_400.0,
-                  allow_nan=False, allow_infinity=False),
-        st.floats(min_value=35.0, max_value=39.0,
-                  allow_nan=False, allow_infinity=False),
-        st.floats(min_value=22.0, max_value=27.0,
-                  allow_nan=False, allow_infinity=False),
-    ),
-    min_size=1, max_size=60)
 
-BBOXES = st.tuples(
-    st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
-    st.floats(min_value=0.1, max_value=30.0, allow_nan=False),
-    st.floats(min_value=-170.0, max_value=160.0, allow_nan=False),
-    st.floats(min_value=0.1, max_value=20.0, allow_nan=False),
-).map(lambda spec: BoundingBox(
-    lat_min=max(-90.0, spec[0]), lat_max=min(90.0, spec[0] + spec[1]),
-    lon_min=spec[2], lon_max=min(180.0, spec[2] + spec[3])))
+def _finite(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+#: (mmsi, t, lat, lon) rows spanning several days and all of ``SITES``.
+ROWS = st.lists(
+    st.one_of(
+        *(
+            st.tuples(
+                st.integers(1, 8), _finite(0.0, 3.0 * 86_400.0), _finite(*lats), _finite(*lons)
+            )
+            for lats, lons in SITES
+        )
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+BBOXES = st.one_of(
+    st.tuples(
+        _finite(-60.0, 60.0), _finite(0.1, 30.0), _finite(-170.0, 160.0), _finite(0.1, 20.0)
+    ).map(
+        lambda spec: BoundingBox(
+            lat_min=max(-90.0, spec[0]),
+            lat_max=min(90.0, spec[0] + spec[1]),
+            lon_min=spec[2],
+            lon_max=min(180.0, spec[2] + spec[3]),
+        )
+    ),
+    # Antimeridian-crossing boxes (lon_min > lon_max).
+    st.tuples(
+        _finite(-40.0, -16.0), _finite(0.1, 30.0), _finite(170.0, 179.9), _finite(-179.9, -170.0)
+    ).map(
+        lambda spec: BoundingBox(
+            lat_min=spec[0], lat_max=spec[0] + spec[1], lon_min=spec[2], lon_max=spec[3]
+        )
+    ),
+)
+
+#: Closed time windows ``(t0, t1)``.
+WINDOWS = st.tuples(_finite(-1_000.0, 4.0 * 86_400.0), _finite(0.0, 2.0 * 86_400.0)).map(
+    lambda w: (w[0], w[0] + w[1])
+)
+
+#: Bucketed windows ``(t0, t1, bucket_s)``; ``t1`` stops short of a bucket edge.
+BUCKETED = st.tuples(
+    st.integers(-1_000, 3 * 86_400),
+    st.integers(1, 12),
+    st.sampled_from([600.0, 3_600.0, 21_600.0, 86_400.0]),
+).map(lambda b: (float(b[0]), b[0] + b[1] * b[2] - 0.5, b[2]))
+
+
+def fine_cell(lat: float, lon: float) -> int:
+    return latlng_to_cell(lat, lon, RESOLUTION)
 
 
 def journal_entries(rows, start_seq=1):
     """The rows as journaled hmset ops (the compactor's input shape)."""
     return [
-        (start_seq + i, "hmset",
-         (f"vessel:{mmsi}",
-          {"t": t, "lat": lat, "lon": lon, "sog": 1.0, "cog": 0.0}, t), {})
+        (
+            start_seq + i,
+            "hmset",
+            (f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon, "sog": 1.0, "cog": 0.0}, t),
+            {},
+        )
         for i, (mmsi, t, lat, lon) in enumerate(rows)
     ]
 
 
-def compact_rows(directory, rows, batch_rows):
-    warehouse = Warehouse(str(directory), resolution=5)
+def event_entries(rows, start_seq):
+    """Every row also journaled as an event, two kinds alternating."""
+    return [
+        (
+            start_seq + i,
+            "rpush",
+            (
+                f"events:{('proximity', 'collision')[i % 2]}",
+                {"mmsi_a": mmsi, "mmsi_b": mmsi + 1, "t": t, "lat": lat, "lon": lon},
+            ),
+            {"now": t},
+        )
+        for i, (mmsi, t, lat, lon) in enumerate(rows)
+    ]
+
+
+def compact_rows(directory, rows, batch_rows, events=False):
+    warehouse = Warehouse(str(directory), resolution=RESOLUTION)
     compactor = WarehouseCompactor(warehouse, batch_rows=batch_rows)
-    compactor.compact_journal(journal_entries(rows))
+    entries = journal_entries(rows)
+    if events:
+        entries += event_entries(rows, start_seq=len(rows) + 1)
+    compactor.compact_journal(entries)
     return warehouse
+
+
+def brute_heat(rows, keep) -> dict[int, int]:
+    """Rows per fine cell over the rows ``keep(mmsi, t, lat, lon)`` accepts."""
+    heat: dict[int, int] = {}
+    for mmsi, t, lat, lon in rows:
+        if keep(mmsi, t, lat, lon):
+            cell = fine_cell(lat, lon)
+            heat[cell] = heat.get(cell, 0) + 1
+    return heat
 
 
 @given(rows=ROWS, batch_rows=st.integers(min_value=1, max_value=16))
 @settings(deadline=None, max_examples=60)
-def test_round_trip_equals_source_ordered_by_time(tmp_path_factory, rows,
-                                                  batch_rows):
-    """Whatever the batch split, partitions hold exactly the source rows
-    stably sorted by t (ties keep journal order) — and the fingerprint
-    is batch-split-independent."""
+def test_round_trip_equals_source_ordered_by_time(tmp_path_factory, rows, batch_rows):
+    """Whatever the batch split, partitions hold exactly the source rows stably sorted by t
+    (ties keep journal order) — and the fingerprint is batch-split-independent."""
     tmp = tmp_path_factory.mktemp("rt")
     warehouse = compact_rows(tmp / "wh", rows, batch_rows)
-    oracle = compact_rows(tmp / "oracle", rows, batch_rows=10 ** 9)
+    oracle = compact_rows(tmp / "oracle", rows, batch_rows=10**9)
     assert warehouse.fingerprint() == oracle.fingerprint()
 
     assert warehouse.total_rows("positions") == len(rows)
     seen = 0
-    for cell, day, _meta in warehouse.partitions("positions"):
+    for cell, day, meta in warehouse.partitions("positions"):
         table = warehouse.read_partition("positions", cell, day)
+        assert len(table["t"]) == meta["rows"]
         # Stable time order within the partition.
         assert table["t"].tolist() == sorted(table["t"].tolist())
-        # Row multiset equals the source rows of this partition, and
-        # equal-t runs keep journal order (stability): rebuild the
-        # expected order from the journal and compare column-wise.
+        # Row multiset equals the source rows of this partition, and equal-t runs keep
+        # journal order (stability): rebuild the expected order from the journal and compare
+        # column-wise.
         expected = [
-            (mmsi, t, lat, lon) for mmsi, t, lat, lon in rows
-            if partition_of(lat, lon, t, warehouse.resolution)
-            == (cell, day)]
+            (mmsi, t, lat, lon)
+            for mmsi, t, lat, lon in rows
+            if (fine_cell(lat, lon), day_of(t)) == (cell, day)
+        ]
         expected.sort(key=lambda row: row[1])  # python sort is stable
         assert table["mmsi"].tolist() == [r[0] for r in expected]
         assert table["t"].tolist() == [r[1] for r in expected]
         seen += len(expected)
     assert seen == len(rows)
+    # Every fine partition sits in the segment of its parent cell.
+    for coarse, _day, zone in warehouse.segments("positions"):
+        assert {cell_to_parent(cell, COARSE) for cell in zone["cells"]} == {coarse}
 
 
-@given(rows=ROWS, batch_rows=st.integers(min_value=1, max_value=8),
-       crash_batch=st.integers(min_value=0, max_value=20))
+@given(
+    rows=ROWS,
+    batch_rows=st.integers(min_value=1, max_value=8),
+    crash_batch=st.integers(min_value=0, max_value=20),
+)
 @settings(deadline=None, max_examples=40)
-def test_crash_before_manifest_never_partial(tmp_path_factory, rows,
-                                             batch_rows, crash_batch):
-    """Crash between the segment tmp-writes and the manifest update: the
-    reopened warehouse is exactly the previous committed state (no
-    partial segment visible), and resuming converges to the oracle."""
+def test_crash_before_manifest_never_partial(tmp_path_factory, rows, batch_rows, crash_batch):
+    """Crash between the segment tmp-writes and the manifest update: the reopened warehouse
+    is exactly the previous committed state (no partial segment visible), and resuming
+    converges to the oracle."""
     tmp = tmp_path_factory.mktemp("crash")
     directory = str(tmp / "wh")
-    warehouse = Warehouse(directory, resolution=5)
+    warehouse = Warehouse(directory, resolution=RESOLUTION)
     compactor = WarehouseCompactor(warehouse, batch_rows=batch_rows)
 
     crashes = [0]
@@ -132,9 +234,9 @@ def test_crash_before_manifest_never_partial(tmp_path_factory, rows,
     except Crash:
         crashed = True
 
-    reopened = Warehouse(directory, resolution=5)
-    # Every partition the manifest references loads fully — tmp files and
-    # newer-generation segments from the doomed commit are invisible.
+    reopened = Warehouse(directory, resolution=RESOLUTION)
+    # Every partition the manifest references loads fully — tmp files and newer-generation
+    # segments from the doomed commit are invisible.
     for table in ("positions", "events"):
         for cell, day, meta in reopened.partitions(table):
             loaded = reopened.read_partition(table, cell, day)
@@ -143,32 +245,96 @@ def test_crash_before_manifest_never_partial(tmp_path_factory, rows,
         # The interrupted commit moved nothing: cursor < final seq.
         assert reopened.journal_seq < len(rows)
     # Resume (possibly from scratch) and converge byte-for-byte.
-    WarehouseCompactor(
-        reopened, batch_rows=batch_rows
-    ).compact_journal(journal_entries(rows))
+    WarehouseCompactor(reopened, batch_rows=batch_rows).compact_journal(journal_entries(rows))
     reopened.vacuum()
     oracle = compact_rows(tmp / "oracle", rows, batch_rows)
     assert reopened.fingerprint() == oracle.fingerprint()
     assert reopened.total_rows("positions") == len(rows)
 
 
-@given(rows=ROWS, bbox=BBOXES,
-       window=st.tuples(
-           st.floats(min_value=-1_000.0, max_value=4.0 * 86_400.0,
-                     allow_nan=False),
-           st.floats(min_value=0.0, max_value=2.0 * 86_400.0,
-                     allow_nan=False)))
+@given(rows=ROWS, bbox=BBOXES, window=WINDOWS)
 @settings(deadline=None, max_examples=60)
-def test_pruned_heatmap_equals_brute_force(tmp_path_factory, rows, bbox,
-                                           window):
-    """Partition pruning must never drop a matching row: the pruned
-    heatmap's total equals a brute-force scan of the raw rows."""
+def test_pruned_heatmap_equals_brute_force(tmp_path_factory, rows, bbox, window):
+    """Zone-map pruning must never drop a matching row: the pruned heatmap equals a
+    brute-force scan of the raw rows, cell by cell."""
     tmp = tmp_path_factory.mktemp("prune")
     warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
     queries = WarehouseQueries(warehouse)
-    t0, t1 = window[0], window[0] + window[1]
+    t0, t1 = window
     heat = queries.heatmap(bbox=bbox, t0=t0, t1=t1)
-    expected = sum(
-        1 for _mmsi, t, lat, lon in rows
-        if t0 <= t <= t1 and bbox.contains(lat, lon))
-    assert sum(heat.values()) == expected
+    expected = brute_heat(rows, lambda _m, t, lat, lon: t0 <= t <= t1 and bbox.contains(lat, lon))
+    assert heat == expected
+    assert sum(heat.values()) == sum(expected.values())
+
+
+@given(
+    rows=ROWS,
+    centre=st.integers(min_value=0),
+    k=st.integers(min_value=0, max_value=3),
+    window=WINDOWS,
+)
+@settings(deadline=None, max_examples=40)
+def test_kring_heatmap_equals_brute_force(tmp_path_factory, rows, centre, k, window):
+    """The cell-set prune (segment fine cells ∩ the disk) never drops a disk cell's row."""
+    tmp = tmp_path_factory.mktemp("kring")
+    warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
+    _mmsi, _t, lat, lon = rows[centre % len(rows)]
+    t0, t1 = window
+    heat = WarehouseQueries(warehouse).kring_heatmap(lat, lon, k, t0=t0, t1=t1)
+    disk = set(grid_disk(fine_cell(lat, lon), k))
+    expected = brute_heat(rows, lambda _m, t, la, lo: t0 <= t <= t1 and fine_cell(la, lo) in disk)
+    assert heat == expected
+
+
+@given(rows=ROWS, bucketed=BUCKETED, stride=st.integers(min_value=1, max_value=3))
+@settings(deadline=None, max_examples=40)
+def test_cell_event_rate_equals_brute_force(tmp_path_factory, rows, bucketed, stride):
+    """Per-cell event histograms equal a brute-force bucketing over ``[t0, t1)``."""
+    tmp = tmp_path_factory.mktemp("rate")
+    warehouse = compact_rows(tmp / "wh", rows, batch_rows=16, events=True)
+    t0, t1, bucket_s = bucketed
+    cells = {fine_cell(lat, lon) for _m, _t, lat, lon in rows[::stride]}
+    series = WarehouseQueries(warehouse).cell_event_rate(cells, t0, t1, bucket_s)
+    n = series["n_buckets"]
+    edges = [t0 + bucket_s * i for i in range(n + 1)]
+    expected: dict[int, list[int]] = {}
+    for _mmsi, t, lat, lon in rows:
+        cell = fine_cell(lat, lon)
+        if cell in cells and t0 <= t < t1:
+            expected.setdefault(cell, [0] * n)[min(bisect_right(edges, t) - 1, n - 1)] += 1
+    assert series["cells"] == expected
+    assert series["total"] == [sum(hist[i] for hist in expected.values()) for i in range(n)]
+
+
+@given(rows=ROWS, bbox=BBOXES, bucketed=BUCKETED)
+@settings(deadline=None, max_examples=40)
+def test_congestion_trend_equals_brute_force(tmp_path_factory, rows, bbox, bucketed):
+    """Distinct vessels and rows per bucket inside a bbox equal a brute-force scan."""
+    tmp = tmp_path_factory.mktemp("congestion")
+    warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
+    t0, t1, bucket_s = bucketed
+    trend = WarehouseQueries(warehouse).congestion_trend(t0, t1, bucket_s, bbox=bbox)
+    n = trend["n_buckets"]
+    vessels = [set() for _ in range(n)]
+    counts = [0] * n
+    for mmsi, t, lat, lon in rows:
+        if t0 <= t < t1 and bbox.contains(lat, lon):
+            vessels[int((t - t0) // bucket_s)].add(mmsi)
+            counts[int((t - t0) // bucket_s)] += 1
+    assert trend["vessels"] == [len(s) for s in vessels]
+    assert trend["rows"] == counts
+
+
+@given(rows=ROWS, mmsi=st.integers(min_value=1, max_value=9), window=WINDOWS)
+@settings(deadline=None, max_examples=40)
+def test_vessel_history_equals_brute_force(tmp_path_factory, rows, mmsi, window):
+    """A vessel's history is all of its fixes in the window, ordered by time (the mmsi zone
+    map prune never drops one)."""
+    tmp = tmp_path_factory.mktemp("history")
+    warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
+    t0, t1 = window
+    history = WarehouseQueries(warehouse).vessel_history(mmsi, t0=t0, t1=t1)
+    expected = [(t, lat, lon) for m, t, lat, lon in rows if m == mmsi and t0 <= t <= t1]
+    assert history["t"] == sorted(t for t, _lat, _lon in expected)
+    # Equal-t fixes in different cells have no journal order left to keep: compare as sets.
+    assert sorted(zip(history["t"], history["lat"], history["lon"])) == sorted(expected)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.warehouse.segments import (
     concat_tables,
     empty_table,
     read_segment,
-    sort_by_time,
+    sort_rows,
     table_rows,
     write_segment,
 )
@@ -38,8 +40,7 @@ def test_round_trip_preserves_rows_and_dtypes(tmp_path):
     assert list(loaded) == list(table)
     for name in table:
         np.testing.assert_array_equal(loaded[name], table[name])
-        assert loaded[name].dtype == np.dtype(
-            dict(POSITION_COLUMNS)[name])
+        assert loaded[name].dtype == np.dtype(dict(POSITION_COLUMNS)[name])
 
 
 def test_empty_table_round_trip(tmp_path):
@@ -60,15 +61,17 @@ def test_serialization_is_byte_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_sort_by_time_is_stable():
+def test_sort_rows_orders_by_cell_then_time_stably():
     table = {
-        "t": np.array([2.0, 1.0, 2.0, 1.0]),
-        "mmsi": np.array([10, 11, 12, 13]),
+        "cell": np.array([7, 3, 7, 3, 3], dtype=np.uint64),
+        "t": np.array([1.0, 2.0, 1.0, 1.0, 2.0]),
+        "mmsi": np.array([10, 11, 12, 13, 14]),
     }
-    out = sort_by_time(table)
-    np.testing.assert_array_equal(out["t"], [1.0, 1.0, 2.0, 2.0])
-    # Ties keep append order: 11 before 13, 10 before 12.
-    np.testing.assert_array_equal(out["mmsi"], [11, 13, 10, 12])
+    out = sort_rows(table)
+    np.testing.assert_array_equal(out["cell"], [3, 3, 3, 7, 7])
+    np.testing.assert_array_equal(out["t"], [1.0, 2.0, 2.0, 1.0, 1.0])
+    # Ties keep append order: 11 before 14, 10 before 12.
+    np.testing.assert_array_equal(out["mmsi"], [13, 11, 14, 10, 12])
 
 
 def test_concat_preserves_order():
@@ -110,20 +113,30 @@ def test_trailing_garbage_raises(tmp_path):
         read_segment(str(path))
 
 
-def test_version_mismatch_raises(tmp_path):
-    import json
+def rewrite_version(path, version: int) -> None:
+    """Re-frame ``path``'s header with another ``version`` (the header length changes)."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[4:12], "little")
+    header = json.loads(blob[12 : 12 + header_len])
+    header["version"] = version
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(
+        blob[:4] + len(new_header).to_bytes(8, "little") + new_header + blob[12 + header_len :]
+    )
 
+
+def test_version_mismatch_raises(tmp_path):
     path = tmp_path / "old.seg"
     write_segment(str(path), make_positions(3))
-    blob = bytearray(path.read_bytes())
-    header_len = int.from_bytes(blob[4:12], "little")
-    header = json.loads(bytes(blob[12:12 + header_len]))
-    header["version"] = 99
-    new_header = json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode()
-    # Same length (99 vs 1 differs; re-frame the header instead).
-    rebuilt = blob[:4] + len(new_header).to_bytes(8, "little") \
-        + new_header + blob[12 + header_len:]
-    path.write_bytes(rebuilt)
+    rewrite_version(path, 99)
     with pytest.raises(CorruptSegmentError, match="version"):
+        read_segment(str(path))
+
+
+def test_version_1_segment_is_rejected(tmp_path):
+    """The one-file-per-fine-partition format has no reader."""
+    path = tmp_path / "v1.seg"
+    write_segment(str(path), make_positions(3))
+    rewrite_version(path, 1)
+    with pytest.raises(CorruptSegmentError, match="segment version 1 != 2"):
         read_segment(str(path))
