@@ -33,8 +33,9 @@ def cpu_seconds(telemetry: bool) -> float:
     gc.collect()
     cluster = LoopbackCluster(
         num_nodes=2,
-        record_metrics=True,
-        config=PlatformConfig(record_telemetry=telemetry, trace_sample_every=32),
+        config=PlatformConfig(
+            record_metrics=True, record_telemetry=telemetry, trace_sample_every=32
+        ),
         cluster_config=ClusterConfig(transport_batching=True),
     )
     engine = FleetEngine(scalability_fleet_config(n_vessels=200, duration_s=600.0, seed=3))

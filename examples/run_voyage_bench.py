@@ -14,7 +14,7 @@ are exact reproductions, not samples. Two legs:
   virtual clock (no wall-clock reads — the AST audit in
   ``tests/cluster/test_virtual_clock.py`` holds this file to that), so
   the table also shows the three voyage event kinds flowing through
-  the event routers and writer pool.
+  the event routers and the writer.
 
 Run:  python examples/run_voyage_bench.py [--smoke]
 """
@@ -50,7 +50,7 @@ def run_platform_leg(weather_seed: int = 2) -> dict:
     breach), one whose route crosses seed 2's storm track so the
     departure plan dog-legs (storm avoidance) — and drives fixes on the
     virtual clock. Returns per-kind event counts read back from the
-    writer pool's KV store.
+    writer's KV store.
     """
     config = PlatformConfig(
         voyage_optimization=True, weather_seed=weather_seed,

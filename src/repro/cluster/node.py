@@ -132,7 +132,6 @@ class ClusterNode:
 
     def __init__(self, node_id: str, transport: Transport,
                  config: ClusterConfig | None = None,
-                 record_metrics: bool = False,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.node_id = node_id
         self.config = config or ClusterConfig()
@@ -148,7 +147,7 @@ class ClusterNode:
                 clock=clock)
         self.transport = transport
         self.clock = clock
-        self.system = ActorSystem(name=node_id, record_metrics=record_metrics)
+        self.system = ActorSystem(name=node_id)
         self.membership = Membership(node_id, transport.address,
                                      self.config, clock)
         self.coordinator = ShardCoordinator(self)

@@ -1,7 +1,7 @@
 """The seeded traffic journal behind the warehouse benchmark.
 
 ``generate_traffic_journal`` writes a multi-day synthetic fleet through a
-journaled :class:`~repro.kvstore.KeyValueStore` in the writer pool's
+journaled :class:`~repro.kvstore.KeyValueStore` in the writer's
 exact op shapes (``hmset vessel:{mmsi}`` per kept fix, ``rpush
 events:{kind}`` per detected event). ``bench/``'s ``warehouse_olap``
 workload compacts it into a fresh :class:`~repro.warehouse.Warehouse`
@@ -25,7 +25,7 @@ def generate_traffic_journal(store: KeyValueStore, vessels: int, days: int,
                              fixes_per_day: int, seed: int,
                              event_every: int = 40) -> tuple[int, int]:
     """Journal a seeded fleet's kept fixes + events through ``store``
-    (the writer pool's op shapes). Returns (position_rows, event_rows)."""
+    (the writer's op shapes). Returns (position_rows, event_rows)."""
     rng = random.Random(seed)
     lat_span = AREA.lat_max - AREA.lat_min
     lon_span = AREA.lon_max - AREA.lon_min

@@ -1,7 +1,7 @@
 """Voyage-optimization event payloads.
 
 Three event kinds the route optimizer emits through the same router →
-writer-pool → serving/warehouse path that proximity and collision events
+writer → serving/warehouse path that proximity and collision events
 travel (ISSUE: the paper's Section 7 weather outlook, made operational):
 
 * ``storm_avoidance`` — a plan (initial or re-) dog-legged around rough
@@ -12,9 +12,9 @@ travel (ISSUE: the paper's Section 7 weather outlook, made operational):
   drifted further from the planned track than the divergence threshold —
   the plan and the ship disagree, and somebody should look.
 
-Payloads are keyed by ``mmsi`` (the writer pool routes on it) and carry
-``t``; all fields are plain floats/ints so the replication feed and the
-warehouse partitions serialise them untouched.
+Payloads are keyed by ``mmsi`` and carry ``t``; all fields are plain
+floats/ints so the replication feed and the warehouse partitions
+serialise them untouched.
 """
 
 from __future__ import annotations

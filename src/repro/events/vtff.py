@@ -78,7 +78,8 @@ class FlowGrid:
         """Flow history of one cell over a window range."""
         return np.array([self.count(cell, w) for w in windows], dtype=float)
 
-    def classify(self, count: int, low_max: int = 2, medium_max: int = 5) -> TrafficLevel:
+    @staticmethod
+    def classify(count: int, low_max: int = 2, medium_max: int = 5) -> TrafficLevel:
         """Heat class of a vessel count (thresholds per deployment)."""
         if count <= low_max:
             return TrafficLevel.LOW

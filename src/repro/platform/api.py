@@ -7,27 +7,38 @@ event states through the UI." (Section 3)
 :class:`MiddlewareAPI` is the query surface that UI would call: vessel
 state snapshots, recent event lists (the Figure 4f event list), live event
 subscriptions, and the traffic-flow raster behind the Figure 4d heat map.
+It is the one reader of the writer's key schema, whichever store holds it:
+a :class:`~repro.platform.pipeline.Platform` reads its primary store and
+its flow actor's raster, a :class:`~repro.serving.server.ServingServer` a
+:class:`~repro.serving.replica.ReadReplica`'s store and replicated raster.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
-from repro.events.vtff import TrafficLevel
+from repro.events.vtff import FlowGrid, TrafficLevel
 from repro.kvstore import KeyValueStore, PubSub, Subscription
-
-if TYPE_CHECKING:
-    from repro.platform.pipeline import Platform
 
 
 class MiddlewareAPI:
-    """Read-side API over the writer actor's KV schema."""
+    """Read-side API over the writer actor's KV schema.
 
-    def __init__(self, kvstore: KeyValueStore, pubsub: PubSub,
-                 platform: "Platform") -> None:
+    ``flow(window)`` returns the forecast ``{cell: vessel count}`` raster
+    of one time window; heat classes are :meth:`FlowGrid.classify` of
+    those counts. ``pubsub`` carries the live event notifications and is
+    None over a replica, which has no pub/sub of its own.
+    """
+
+    def __init__(
+        self,
+        kvstore: KeyValueStore,
+        flow: Callable[[int], dict[int, int]],
+        pubsub: PubSub | None = None,
+    ) -> None:
         self._kv = kvstore
+        self._flow = flow
         self._pubsub = pubsub
-        self._platform = platform
 
     # -- vessels ---------------------------------------------------------------
 
@@ -45,8 +56,7 @@ class MiddlewareAPI:
 
     def active_vessels(self, since_t: float = 0.0) -> list[int]:
         """MMSIs that reported at or after ``since_t``."""
-        hits = self._kv.zrangebyscore("vessels:last_seen", since_t,
-                                      float("inf"))
+        hits = self._kv.zrangebyscore("vessels:last_seen", since_t, float("inf"))
         return sorted(int(m) for m, _ in hits)
 
     def vessel_count(self) -> int:
@@ -64,16 +74,16 @@ class MiddlewareAPI:
 
     def subscribe_events(self, kind: str = "*") -> Subscription:
         """Live event push — the notification feed of Section 5.2."""
+        if self._pubsub is None:
+            raise RuntimeError("a replica has no event pub/sub; subscribe on the platform")
         return self._pubsub.subscribe(f"events:{kind}")
 
     # -- traffic flow --------------------------------------------------------------
 
     def traffic_flow(self, window: int) -> dict[int, int]:
         """Forecast vessel count per active flow cell for a time window."""
-        return self._platform.flow_snapshot().predicted_flow(window)
+        return self._flow(window)
 
     def traffic_heat(self, window: int) -> dict[int, TrafficLevel]:
         """The Figure 4d heat classification per active cell."""
-        vtff = self._platform.flow_snapshot()
-        return {cell: vtff.grid.classify(count)
-                for cell, count in vtff.predicted_flow(window).items()}
+        return {cell: FlowGrid.classify(count) for cell, count in self._flow(window).items()}

@@ -35,7 +35,7 @@ class BatchFlush:
     """Flush a pending micro-batch now.
 
     ``seq`` is the generation a linger timer was armed in; ``None`` is an
-    explicit flush delivered through a mailbox (the writer shards) and
+    explicit flush delivered through a mailbox (the writer) and
     flushes unconditionally.
     """
 
@@ -59,7 +59,6 @@ class MicroBatcher:
         size_metric: str,
         flushes_metric: str,
         latency_metric: str | None = None,
-        labels: dict[str, str] | None = None,
     ) -> None:
         self._system = system
         self._owner = owner
@@ -73,7 +72,6 @@ class MicroBatcher:
         self.capacity_reason = capacity_reason
         self._flushes_metric = flushes_metric
         self._histogram_metrics = (size_metric, latency_metric)
-        self._labels = labels or {}
         #: Mailbox the linger timers are delivered to: the owner's own when
         #: it is an actor, else a :class:`FlushActor` (:meth:`spawn_timer`).
         self.timer_ref: ActorRef | None = None
@@ -129,14 +127,14 @@ class MicroBatcher:
             return size
 
     def _flush_counter(self, registry, reason: str):
-        return registry.counter(self._flushes_metric, {**self._labels, "reason": reason})
+        return registry.counter(self._flushes_metric, {"reason": reason})
 
     def _record(self, registry, reason: str, size: int, oldest: float | None) -> None:
         if self._instruments is None:
             size_metric, latency_metric = self._histogram_metrics
             reasons = (self.capacity_reason, "linger", "explicit")
             self._instruments = (
-                registry.histogram(size_metric, self._labels),
+                registry.histogram(size_metric),
                 registry.histogram(latency_metric) if latency_metric else None,
                 {r: self._flush_counter(registry, r) for r in reasons},
             )

@@ -55,17 +55,15 @@ class PlatformConfig:
     #: vessel states to ``out.vessel.states`` and events to
     #: ``out.events.{kind}`` on the broker, for external consumers.
     output_topics: bool = False
-    #: Writer shards per node (the paper's single writer is pool size 1;
-    #: states route by MMSI, events by pair/kind — see writer_actor.py).
-    writer_pool_size: int = 2
-    #: Flush a writer shard once its pending batch reaches this many KV
+    #: Flush the node's writer once its pending batch reaches this many KV
     #: operations (mirrors ``BatchingTransport.max_batch_msgs``).
     writer_batch_max_ops: int = 64
     #: Flush a partial writer batch after this much virtual time
     #: (mirrors ``BatchingTransport.linger_s``). 0 disables the timer.
     writer_batch_linger_s: float = 0.5
-    #: Hard cap on each writer shard's event-dedup map; oldest entries are
-    #: evicted past this (debounce-expired entries go first).
+    #: Hard cap on the node's event-dedup map (one map per node, held by
+    #: its one writer); oldest entries are evicted past this
+    #: (debounce-expired entries go first).
     event_dedup_max: int = 4096
     #: Publish every writer flush batch on pub/sub channel ``repl:flush``
     #: so ``repro.serving`` read replicas can follow the primary without
@@ -107,8 +105,6 @@ class PlatformConfig:
             raise ValueError("forecast_batch_max must be >= 1")
         if self.forecast_linger_s < 0:
             raise ValueError("forecast_linger_s must be non-negative")
-        if self.writer_pool_size < 1:
-            raise ValueError("writer_pool_size must be >= 1")
         if self.writer_batch_max_ops < 1:
             raise ValueError("writer_batch_max_ops must be >= 1")
         if self.writer_batch_linger_s < 0:

@@ -46,7 +46,6 @@ class LoopbackCluster:
         forecaster_factory=None,
         config: PlatformConfig | None = None,
         cluster_config: ClusterConfig | None = None,
-        record_metrics: bool = False,
         hub: LoopbackHub | None = None,
         clock: VirtualClock | None = None,
     ) -> None:
@@ -60,7 +59,6 @@ class LoopbackCluster:
         self.nodes: list[ClusterNode] = []
         self.platforms: list[Platform] = []
         self._platform_config = config
-        self._record_metrics = record_metrics
         self._forecaster_factory = forecaster_factory or LinearKinematicModel
         for i in range(num_nodes):
             self._spawn_node(f"node-{i:02d}", is_seed=(i == 0))
@@ -74,7 +72,6 @@ class LoopbackCluster:
             node_id,
             self.hub.transport(node_id),
             config=self.cluster_config,
-            record_metrics=self._record_metrics,
             clock=self.clock,
         )
         node.start()
@@ -202,7 +199,7 @@ class LoopbackCluster:
             self.settle()
         # A graceful scale-in must not lose what the node durably wrote
         # (its event logs and last state rows live in its own KV): flush
-        # its writer pool, then fold the KV contents into the seed. The
+        # its writer, then fold the KV contents into the seed. The
         # entity actors migrated out with their dedup state intact, so
         # nothing will ever re-emit these events.
         self.flush_writers([platform])

@@ -4,7 +4,7 @@ The paper mounts the S-VRF model "only once in memory" per node — but the
 seed reproduction still *executed* it once per vessel per kept fix, a
 batch-size-1 forward pass whose BLAS calls dominate the single-node hot
 path. :class:`ForecastService` turns those per-vessel calls into fleet-wide
-micro-batches, exactly the way the writer pool batches KV operations:
+micro-batches, exactly the way the writer batches KV operations:
 
 * vessel actors :meth:`submit` their displacement window + anchor instead
   of invoking the model synchronously,
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.actors import ActorContext
 from repro.geo.track import Position
 from repro.platform.batching import MicroBatcher
 from repro.platform.messages import ForecastReady
@@ -91,9 +90,7 @@ class ForecastService:
     def batches_executed(self) -> int:
         return self._batcher.batches
 
-    def submit(
-        self, mmsi: int, window: np.ndarray | None, anchor: Position, ctx: ActorContext
-    ) -> None:
+    def submit(self, mmsi: int, window: np.ndarray | None, anchor: Position) -> None:
         """Queue one vessel's forecast request.
 
         Called from inside the vessel actor's receive; the result comes

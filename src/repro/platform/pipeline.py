@@ -46,9 +46,9 @@ from repro.platform.config import PlatformConfig
 from repro.platform.ingestion import IngestionService
 from repro.platform.messages import PruneTick, VoyageAssigned
 from repro.platform.vessel_actor import VesselActor
-from repro.platform.writer_actor import WriterPool
+from repro.platform.writer_actor import REPL_FLOW_CHANNEL, WriterActor, WriterRef
 from repro.streams import Broker, PositionBlock, Producer, TopicConfig
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRecorder, Telemetry
 
 if TYPE_CHECKING:
     from repro.cluster.node import ClusterNode
@@ -74,7 +74,7 @@ class PlatformWiring:
     vessel_router: KeyRouter | None = field(init=False, default=None)
     cell_router: KeyRouter | None = field(init=False, default=None)
     collision_router: KeyRouter | None = field(init=False, default=None)
-    writer_ref: object = field(init=False, default=None)
+    writer_ref: WriterRef | None = field(init=False, default=None)
     flow_ref: object = field(init=False, default=None)
     #: Pooled batched-inference service (None: synchronous per-vessel
     #: forecasts, either by configuration or a batch-less forecaster).
@@ -92,7 +92,7 @@ class PlatformWiring:
         disabled). A flush barrier walks this stage by stage, calling
         ``flush()`` and settling after each: forecast replies emit the
         deferred vessel state updates and plan replies emit voyage events,
-        so both must land before the writers flush — or those late writes
+        so both must land before the writer flushes — or those late writes
         would sit behind an already-consumed flush until a linger fires."""
         return (self.forecast_service, self.route_optimizer, self.writer_ref)
 
@@ -106,7 +106,7 @@ SERVING_FEED_MAXLEN = 10_000
 #: e-folding time of weather-forecast degradation toward climatology.
 WEATHER_DEGRADATION_TAU_S = 43_200.0
 
-#: Broker topics mirroring the writers' output for external consumers
+#: Broker topics mirroring the writer's output for external consumers
 #: (``PlatformConfig.output_topics``): every accepted vessel state, and
 #: one topic per event kind under the prefix.
 OUTPUT_STATE_TOPIC = "out.vessel.states"
@@ -115,7 +115,7 @@ OUTPUT_EVENT_TOPIC_PREFIX = "out.events"
 
 def create_topics(broker: Broker, config: PlatformConfig) -> None:
     """Create a node's broker topics: the inbound AIS topic and, when
-    enabled, the output topics its writers publish to."""
+    enabled, the output topics its writer publishes to."""
     broker.create_topic(TopicConfig(config.ais_topic, num_partitions=config.ais_partitions))
     if config.output_topics:
         broker.create_topic(TopicConfig(OUTPUT_STATE_TOPIC, num_partitions=4))
@@ -170,7 +170,7 @@ def wire_node(
 ) -> PlatformWiring:
     """Build one node's share of the Figure 2 topology on ``system``: the
     broker with its topics, the KV store and pub/sub, the three entity
-    routers, the writer pool, the flow actor and the pooled services.
+    routers, the writer, the flow actor and the pooled services.
 
     ``register_entity(entity, factory, local_router=None)`` returns the
     router for one entity type — the only thing a single-node platform
@@ -207,7 +207,8 @@ def wire_node(
         collision_actor,
         local_router=CollisionCellRouter(system, "collision", collision_actor, wiring),
     )
-    wiring.writer_ref = WriterPool(wiring, config.writer_pool_size)
+    system.spawn(lambda: WriterActor(wiring), "writer")
+    wiring.writer_ref = WriterRef("writer", system)
     wiring.flow_ref = system.spawn(lambda: FlowActor(wiring), "vtff")
     wiring.forecast_service = build_forecast_service(wiring)
     wiring.route_optimizer = build_route_optimizer(wiring)
@@ -252,7 +253,7 @@ class Platform:
         self.node = node
         self.is_seed = is_seed
         if node is None:
-            self.system = ActorSystem(name="maritime", record_metrics=self.config.record_metrics)
+            self.system = ActorSystem(name="maritime")
 
             def register_entity(entity, factory, local_router=None):
                 # ``is None``, not truthiness: a router with no keys is falsy.
@@ -266,6 +267,8 @@ class Platform:
             self.system = node.system
             register_entity = node.register_entity
             label, clock = node.node_id, node.clock
+        if self.config.record_metrics:
+            self.system.metrics = MetricsRecorder()
 
         self.wiring = wiring = wire_node(self.system, self.config, forecaster, register_entity)
         self.broker = wiring.broker
@@ -275,7 +278,9 @@ class Platform:
         #: The broker -> vessel actor leg; None off-seed (a cluster has
         #: one ingester, and a standalone platform is its own seed).
         self.ingestion = IngestionService(wiring) if is_seed else None
-        self.api = MiddlewareAPI(self.kvstore, self.pubsub, self)
+        self.api = MiddlewareAPI(
+            self.kvstore, lambda window: self.flow_snapshot().predicted_flow(window), self.pubsub
+        )
 
         #: The node's registry + trace log (``record_telemetry``): writer,
         #: forecast-service and warehouse counters all land here.
@@ -484,7 +489,7 @@ class Platform:
         sail ``waypoints`` (as ``(lat, lon)`` pairs) by ``deadline_t``.
         Requires ``voyage_optimization=True``; the twin replans on the
         configured cadence from then on and emits voyage events through
-        the writer pool."""
+        the writer."""
         if self.wiring.route_optimizer is None:
             raise RuntimeError("voyage_optimization is disabled in this PlatformConfig")
         self.wiring.vessel_router.tell(
@@ -535,20 +540,20 @@ class Platform:
         return self.system.active_count
 
     def event_count(self, kind: str) -> int:
-        return self.kvstore.llen(f"events:{kind}", now=self.system.now)
+        return self.api.event_count(kind)
 
     def stats(self) -> dict:
         """This node's entity, writer and event counters, on top of the
         cluster node's routing and membership counters when it has one."""
-        writer_pool = self.wiring.writer_ref
+        writer = self.wiring.writer_ref
         return {
             **(self.node.stats() if self.node is not None else {}),
             "vessels_local": self.vessel_count,
             "cells_local": self.cell_actor_count,
             "collision_cells_local": self.collision_actor_count,
-            "states_written": writer_pool.states_written,
-            "events_written": writer_pool.events_written,
-            "writer_flushes": writer_pool.flushes,
+            "states_written": writer.states_written,
+            "events_written": writer.events_written,
+            "writer_flushes": writer.flushes,
             "events_proximity": self.event_count("proximity"),
             "events_collision": self.event_count("collision"),
         }
@@ -571,7 +576,7 @@ class Platform:
 
     def subscribe_replication(self, maxlen: int = SERVING_FEED_MAXLEN):
         """A bounded (drop-oldest past ``maxlen``) pub/sub subscription
-        carrying the writer pool's replication feed (``repl:*``) for a
+        carrying the writer's replication feed (``repl:*``) for a
         serving-tier read replica. Requires ``serving_replica_feed=True``
         in the config."""
         if not self.config.serving_replica_feed:
@@ -580,28 +585,20 @@ class Platform:
 
     def publish_flow_snapshot(self, windows: Sequence[int] = (1, 2, 3)) -> None:
         """Replicate the traffic raster: one pub/sub message carrying the
-        predicted per-cell flow and heat class for each window. Driven by
-        the platform owner at its own cadence (the serving tier reads the
-        replicated raster, never the flow actor)."""
-        from repro.platform.writer_actor import REPL_FLOW_CHANNEL
-
+        predicted per-cell flow for each window (heat is a function of the
+        count, so readers classify it). Driven by the platform owner at
+        its own cadence (the serving tier reads the replicated raster,
+        never the flow actor)."""
         vtff = self.flow_snapshot()
-        flow: dict[int, dict[int, int]] = {}
-        heat: dict[int, dict[int, str]] = {}
-        for window in windows:
-            predicted = vtff.predicted_flow(window)
-            flow[window] = predicted
-            heat[window] = {
-                cell: vtff.grid.classify(count).value for cell, count in predicted.items()
-            }
-        self.pubsub.publish(REPL_FLOW_CHANNEL, {"t": self.system.now, "flow": flow, "heat": heat})
+        flow = {window: vtff.predicted_flow(window) for window in windows}
+        self.pubsub.publish(REPL_FLOW_CHANNEL, {"t": self.system.now, "flow": flow})
 
     # -- warehouse compaction -----------------------------------------------------------
 
     def compact_warehouse(self, compactor) -> dict:
         """Fold everything journaled so far into ``compactor``'s warehouse.
 
-        The platform-side compaction hook: flushes the writer pool (so
+        The platform-side compaction hook: flushes the writer (so
         every processed fix/event has reached the journal), settles the
         actor system, then tails the store's persistence journal past the
         warehouse cursor. Requires a persistence-bound kvstore. When the

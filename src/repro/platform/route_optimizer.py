@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.actors import ActorContext
 from repro.models.fuel import FuelModel
 from repro.models.voyage import Waypoint, plan_voyage
 from repro.platform.batching import MicroBatcher
@@ -68,8 +67,7 @@ class RouteOptimizerService:
 
     def submit(self, mmsi: int, origin: Waypoint,
                waypoints: tuple[Waypoint, ...], deadline_t: float,
-               base_speed_kn: float, sample_t: float,
-               ctx: ActorContext) -> None:
+               base_speed_kn: float, sample_t: float) -> None:
         """Queue one vessel's replan request; the plan comes back as a
         :class:`PlanReady` message after the pooled batch executes."""
         with self._batcher.lock:

@@ -133,9 +133,9 @@ class VesselActor(Actor):
 
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, PositionIngested):
-            self._on_position(message, ctx)
+            self._on_position(message)
         elif isinstance(message, ForecastReady):
-            self._on_forecast_ready(message, ctx)
+            self._on_forecast_ready(message)
         elif isinstance(message, VoyageAssigned):
             self._on_voyage_assigned(message)
         elif isinstance(message, PlanReady):
@@ -145,7 +145,7 @@ class VesselActor(Actor):
         elif isinstance(message, CollisionAlert):
             self.event_flags.append(f"collision@{message.event.t_expected:.0f}")
         elif isinstance(message, RestoreState):
-            self.restore_state(message.state, ctx)
+            self.restore_state(message.state)
         # Unknown messages are ignored (actors are liberal receivers).
 
     # -- checkpointing -------------------------------------------------------------
@@ -173,7 +173,7 @@ class VesselActor(Actor):
             "voyage_event_marks": dict(self.voyage_event_marks),
         }
 
-    def restore_state(self, state: dict, ctx: ActorContext | None = None) -> None:
+    def restore_state(self, state: dict) -> None:
         """Adopt checkpointed state iff it is *newer* than what this actor
         holds — a replayed stream suffix may already have rebuilt fresher
         state, which must win."""
@@ -193,25 +193,20 @@ class VesselActor(Actor):
         self.last_replan_t = state.get("last_replan_t", float("-inf"))
         self.voyage_event_marks = dict(state.get("voyage_event_marks", {}))
         self.pending_plan = False
-        if state.get("pending_forecast") and ctx is not None:
+        if state.get("pending_forecast"):
             # The snapshot caught a request in flight inside the (now gone)
             # node's forecast service: re-pool it from the restored window.
-            self._request_forecast(ctx)
-        if (
-            state.get("pending_plan")
-            and ctx is not None
-            and self.voyage is not None
-            and self.last_message is not None
-        ):
+            self._request_forecast()
+        if state.get("pending_plan") and self.voyage is not None and self.last_message is not None:
             # Same for a replan caught inside the dead node's route
             # optimizer: re-pool it from the restored last fix. The replan
             # anchor is the fix's stream time, so the reissued plan is
             # identical to the one the crash swallowed.
-            self._request_plan(self.last_message, ctx)
+            self._request_plan(self.last_message)
 
     # -- handlers -----------------------------------------------------------------
 
-    def _on_position(self, msg: PositionIngested, ctx: ActorContext) -> None:
+    def _on_position(self, msg: PositionIngested) -> None:
         wiring = self.wiring
         report = msg.message
         if report.t - self.last_kept_t < wiring.config.downsample_s:
@@ -234,7 +229,7 @@ class VesselActor(Actor):
 
         # Voyage optimization: divergence watch + rolling-horizon replan.
         if self.voyage is not None:
-            self._on_voyage_fix(report, ctx)
+            self._on_voyage_fix(report)
 
         # Forecasting: run the shared model once enough history exists —
         # a padded short window when the forecaster supports padding, the
@@ -242,14 +237,14 @@ class VesselActor(Actor):
         threshold = MIN_FORECAST_FIXES if wiring.supports_padding else wiring.forecaster_min_history
         if len(self.history) >= threshold and self.kept_fixes % wiring.config.forecast_every_n == 0:
             if wiring.forecast_service is not None:
-                self._request_forecast(ctx)
+                self._request_forecast()
             else:
                 self._forecast_and_share()
         if self.pending_forecast:
             return  # the state update rides on the ForecastReady reply
         self._push_state_update(report.t)
 
-    def _on_forecast_ready(self, msg: ForecastReady, ctx: ActorContext) -> None:
+    def _on_forecast_ready(self, msg: ForecastReady) -> None:
         # The service already fanned the forecast out to the collision
         # cells (in submission order, which per-vessel mailboxes could not
         # guarantee); here only the twin's own state catches up.
@@ -287,7 +282,7 @@ class VesselActor(Actor):
         self.last_replan_t = float("-inf")
         self.pending_plan = False
 
-    def _on_voyage_fix(self, report, ctx: ActorContext) -> None:
+    def _on_voyage_fix(self, report) -> None:
         config = self.wiring.config
         plan = self.voyage_plan
         if plan is not None:
@@ -312,9 +307,9 @@ class VesselActor(Actor):
         bucket = int(report.t // cadence)
         crossed = self.last_replan_t == float("-inf") or bucket > int(self.last_replan_t // cadence)
         if crossed and not self.pending_plan:
-            self._request_plan(report, ctx)
+            self._request_plan(report)
 
-    def _request_plan(self, report, ctx: ActorContext) -> None:
+    def _request_plan(self, report) -> None:
         from repro.models.voyage import Waypoint
 
         voyage = self.voyage
@@ -327,7 +322,6 @@ class VesselActor(Actor):
             voyage["deadline_t"],
             voyage["base_speed_kn"],
             sample_t=report.t,
-            ctx=ctx,
         )
 
     def _on_plan_ready(self, msg: PlanReady) -> None:
@@ -366,7 +360,7 @@ class VesselActor(Actor):
             )
 
     def _emit_voyage_event(self, kind: str, payload, t: float) -> None:
-        """Route one voyage event to the writer pool, at most once per
+        """Route one voyage event to the writer, at most once per
         stream instant per kind — the mark rides the checkpoint, so a
         recovered twin only re-emits events the snapshot had not covered
         (the campaign's set-based parity absorbs those replays)."""
@@ -406,10 +400,10 @@ class VesselActor(Actor):
         pad = wiring.supports_padding and len(self.history) < wiring.forecaster_min_history
         return wiring.forecaster.make_window(ts, lats, lons, pad=pad)
 
-    def _request_forecast(self, ctx: ActorContext) -> None:
+    def _request_forecast(self) -> None:
         self.pending_forecast = True
         self.wiring.forecast_service.submit(
-            self.mmsi, self._window_row(), self.history.last_position(), ctx
+            self.mmsi, self._window_row(), self.history.last_position()
         )
 
     def _forecast_and_share(self) -> None:

@@ -3,16 +3,16 @@
 The paper's middleware exists so a UI/API can read the writer's Redis
 state (Section 3); this package is that surface grown to interactive
 scale: an asyncio HTTP/WebSocket server answering point queries and
-continuous spatial subscriptions from **read replicas** fed by the writer
-pool's pub/sub, so serving load never touches the actor hot path.
+continuous spatial subscriptions from **read replicas** fed by the
+writer's pub/sub, so serving load never touches the actor hot path.
 Semantics follow Dolphin's reactive moving-object subscriptions and
 CheetahGIS's continuous streaming spatial queries (PAPERS.md); the full
 protocol, overflow policy and consistency model are in SERVING.md.
 
 Layers (each its own module):
 
-* :mod:`~repro.serving.replica` — ``ReadReplica`` + ``ReplicaQueryAPI``,
-  the middleware query surface over replicated state,
+* :mod:`~repro.serving.replica` — ``ReadReplica``, the replicated store
+  and flow raster that :class:`~repro.platform.api.MiddlewareAPI` reads,
 * :mod:`~repro.serving.fanout` — the per-cell spatial fanout index for
   bbox / k-ring subscription matching,
 * :mod:`~repro.serving.protocol` — stdlib HTTP + RFC 6455 WebSocket
@@ -37,7 +37,6 @@ from repro.serving.replica import (
     REPL_FLUSH_CHANNEL,
     REPL_PATTERN,
     ReadReplica,
-    ReplicaQueryAPI,
 )
 from repro.serving.server import ServingServer
 
@@ -46,7 +45,6 @@ __all__ = [
     "KRingRegion",
     "ReadReplica",
     "ReplicaFeedPump",
-    "ReplicaQueryAPI",
     "REPL_FLOW_CHANNEL",
     "REPL_FLUSH_CHANNEL",
     "REPL_PATTERN",

@@ -1,6 +1,6 @@
 """The replica feed pump: primary pub/sub -> replica -> serving loop.
 
-The platform (writer pool) lives in its own threads; the serving tier
+The platform (its writer) lives in its own threads; the serving tier
 lives in an asyncio loop. :class:`ReplicaFeedPump` is the one-way bridge:
 a daemon thread blocks on the bounded ``repl:*`` subscription
 (:meth:`Subscription.get` with a timeout — no polling loop), applies each

@@ -1,31 +1,27 @@
-"""Read replicas of the writer pool's KV schema.
+"""Read replicas of the writer's KV schema.
 
 The serving tier never reads the primary :class:`KeyValueStore` the writer
-pool mutates — that store's lock sits on the actor hot path. Instead each
-writer shard publishes its flushed micro-batch on the pub/sub channel
+mutates — that store's lock sits on the actor hot path. Instead the node's
+writer publishes each flushed micro-batch on the pub/sub channel
 ``repl:flush`` (see ``writer_actor.py``), and a :class:`ReadReplica`
 applies those batches to its **own** store under the same key schema, so
-every point query the middleware supports works verbatim against the
-replica.
+:class:`~repro.platform.api.MiddlewareAPI` reads the replica exactly as it
+reads the primary.
 
 Consistency model (documented in SERVING.md): the replica is eventually
-consistent with bounded staleness of one writer micro-batch per shard
+consistent with bounded staleness of one writer micro-batch
 (``writer_batch_max_ops`` / ``writer_batch_linger_s``). Batches carry a
-per-shard sequence number; a gap (only possible if the bounded feed
-subscription overflowed) increments :attr:`gaps` — the serving load gate
-requires zero gaps, i.e. full event-push parity with the pub/sub feed.
+sequence number; a gap (only possible if the bounded feed subscription
+overflowed) increments :attr:`gaps` — the serving load gate requires zero
+gaps, i.e. full event-push parity with the pub/sub feed.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.events.vtff import TrafficLevel
 from repro.kvstore import KeyValueStore
-from repro.platform.writer_actor import (
-    REPL_FLOW_CHANNEL,
-    REPL_FLUSH_CHANNEL,
-)
+from repro.platform.writer_actor import REPL_FLOW_CHANNEL, REPL_FLUSH_CHANNEL
 
 #: Pattern a replica feed subscription should use (both channels).
 REPL_PATTERN = "repl:*"
@@ -39,7 +35,7 @@ class ReadReplica:
             raise ValueError("events_max must be >= 1")
         self.store = KeyValueStore()
         self.events_max = events_max
-        #: shard -> last applied flush sequence number.
+        #: The batches' ``shard`` field -> last applied flush sequence number.
         self.last_seq: dict[int, int] = {}
         self.batches_applied = 0
         self.states_applied = 0
@@ -59,7 +55,7 @@ class ReadReplica:
             self.apply_flow(payload)
 
     def apply_flush(self, batch: dict[str, Any]) -> None:
-        """Apply one writer shard's flushed micro-batch."""
+        """Apply one flushed writer micro-batch."""
         shard = batch["shard"]
         seq = batch["seq"]
         # Writers number published batches from 1, so a missing prefix
@@ -72,9 +68,7 @@ class ReadReplica:
         for state in batch["states"]:
             mmsi = state["mmsi"]
             t = state["t"]
-            kv.hmset(f"vessel:{mmsi}",
-                     {k: v for k, v in state.items() if k != "mmsi"},
-                     now=t)
+            kv.hmset(f"vessel:{mmsi}", {k: v for k, v in state.items() if k != "mmsi"}, now=t)
             kv.zadd("vessels:last_seen", t, str(mmsi), now=t)
             self.states_applied += 1
         for event in batch["events"]:
@@ -92,11 +86,13 @@ class ReadReplica:
         """Store one traffic-flow raster snapshot (per window)."""
         t = snapshot.get("t", 0.0)
         for window, cells in snapshot["flow"].items():
-            self.store.hmset(f"traffic:flow:{window}",
-                             {"t": t, "cells": dict(cells)}, now=t)
-        for window, cells in snapshot.get("heat", {}).items():
-            self.store.hmset(f"traffic:heat:{window}",
-                             {"t": t, "cells": dict(cells)}, now=t)
+            self.store.hmset(f"traffic:flow:{window}", {"t": t, "cells": dict(cells)}, now=t)
+
+    def flow(self, window: int) -> dict[int, int]:
+        """The replicated ``{cell: vessel count}`` raster of one window
+        (the :class:`~repro.platform.api.MiddlewareAPI` flow source)."""
+        snap = self.store.hgetall(f"traffic:flow:{window}")
+        return dict(snap.get("cells", {})) if snap else {}
 
     # -- stats ----------------------------------------------------------------------
 
@@ -109,58 +105,3 @@ class ReadReplica:
             "events_trimmed": self.events_trimmed,
             "last_seq": dict(self.last_seq),
         }
-
-
-class ReplicaQueryAPI:
-    """The MiddlewareAPI query surface, served from a replica.
-
-    Mirrors :class:`repro.platform.api.MiddlewareAPI` method-for-method so
-    UI code can point at either; traffic rasters come from the replicated
-    flow snapshots instead of an actor ask (serving load never touches the
-    actor hot path).
-    """
-
-    def __init__(self, replica: ReadReplica) -> None:
-        self._replica = replica
-        self._kv = replica.store
-
-    # -- vessels ---------------------------------------------------------------
-
-    def vessel_state(self, mmsi: int) -> dict[str, Any] | None:
-        state = self._kv.hgetall(f"vessel:{mmsi}")
-        return state or None
-
-    def vessel_forecast(self, mmsi: int) -> list | None:
-        state = self.vessel_state(mmsi)
-        if state is None:
-            return None
-        return state.get("forecast")
-
-    def active_vessels(self, since_t: float = 0.0) -> list[int]:
-        hits = self._kv.zrangebyscore("vessels:last_seen", since_t,
-                                      float("inf"))
-        return sorted(int(m) for m, _ in hits)
-
-    def vessel_count(self) -> int:
-        return self._kv.zcard("vessels:last_seen")
-
-    # -- events -----------------------------------------------------------------
-
-    def recent_events(self, kind: str, limit: int = 50) -> list[Any]:
-        return self._kv.lrange(f"events:{kind}", -limit, -1)
-
-    def event_count(self, kind: str) -> int:
-        return self._kv.llen(f"events:{kind}")
-
-    # -- traffic flow ------------------------------------------------------------
-
-    def traffic_flow(self, window: int) -> dict[int, int]:
-        snap = self._kv.hgetall(f"traffic:flow:{window}")
-        return dict(snap.get("cells", {})) if snap else {}
-
-    def traffic_heat(self, window: int) -> dict[int, TrafficLevel]:
-        snap = self._kv.hgetall(f"traffic:heat:{window}")
-        if not snap:
-            return {}
-        return {cell: TrafficLevel(level)
-                for cell, level in snap.get("cells", {}).items()}

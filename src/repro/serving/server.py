@@ -3,9 +3,10 @@
 One event loop serves every client over plain asyncio streams:
 
 * **Point queries** (HTTP GET, keep-alive): vessel snapshots, recent
-  events, the traffic raster, health/stats/metrics — all answered from
-  the :class:`~repro.serving.replica.ReadReplica`, never from the
-  writer's primary store.
+  events, the traffic raster, health/stats/metrics — all answered by a
+  :class:`~repro.platform.api.MiddlewareAPI` over the
+  :class:`~repro.serving.replica.ReadReplica`, never from the writer's
+  primary store.
 * **Continuous subscriptions** (WebSocket ``/ws``): bbox and k-ring
   spatial watches, per-vessel live tracks, and event-kind alert pushes.
   A state update wakes only the clients whose region matches, via the
@@ -35,6 +36,7 @@ import asyncio
 
 from repro.geo.bbox import BoundingBox
 from repro.hexgrid import latlng_to_cell
+from repro.platform.api import MiddlewareAPI
 from repro.serving.config import ServingConfig
 from repro.serving.fanout import BBoxRegion, KRingRegion, SpatialFanoutIndex
 from repro.serving.protocol import (
@@ -46,15 +48,25 @@ from repro.serving.protocol import (
     read_http_request,
     websocket_handshake_response,
 )
-from repro.serving.replica import ReadReplica, ReplicaQueryAPI
+from repro.serving.replica import ReadReplica
 from repro.telemetry import MetricsRegistry
 
 
 class ClientSession:
     """One connected WebSocket subscriber."""
 
-    __slots__ = ("client_id", "ws", "queue", "maxlen", "dropped",
-                 "reported_dropped", "wakeup", "sids", "closed", "task")
+    __slots__ = (
+        "client_id",
+        "ws",
+        "queue",
+        "maxlen",
+        "dropped",
+        "reported_dropped",
+        "wakeup",
+        "sids",
+        "closed",
+        "task",
+    )
 
     def __init__(self, client_id: int, ws: WebSocket, maxlen: int) -> None:
         self.client_id = client_id
@@ -84,13 +96,16 @@ class ClientSession:
 class ServingServer:
     """HTTP/WebSocket serving tier over a read replica."""
 
-    def __init__(self, replica: ReadReplica,
-                 config: ServingConfig | None = None,
-                 registry: MetricsRegistry | None = None,
-                 warehouse=None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        replica: ReadReplica,
+        config: ServingConfig | None = None,
+        registry: MetricsRegistry | None = None,
+        warehouse=None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self.replica = replica
-        self.api = ReplicaQueryAPI(replica)
+        self.api = MiddlewareAPI(replica.store, replica.flow)
         self.config = config or ServingConfig()
         self.registry = registry or MetricsRegistry()
         #: Optional :class:`~repro.warehouse.query.WarehouseQueries` for
@@ -126,8 +141,8 @@ class ServingServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            backlog=self.config.backlog)
+            self._on_connection, self.config.host, self.config.port, backlog=self.config.backlog
+        )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -144,11 +159,9 @@ class ServingServer:
         the serving loop, stamping the dispatch time for push latency."""
         if self._loop is None:
             return
-        self._loop.call_soon_threadsafe(
-            self.dispatch, channel, payload, self._clock())
+        self._loop.call_soon_threadsafe(self.dispatch, channel, payload, self._clock())
 
-    def dispatch(self, channel: str, payload: dict,
-                 ts: float | None = None) -> None:
+    def dispatch(self, channel: str, payload: dict, ts: float | None = None) -> None:
         """Fan a replication message out to matching subscribers. The
         replica itself is updated by the feed pump before this runs."""
         if ts is None:
@@ -169,8 +182,7 @@ class ServingServer:
             return
         self._c_matches.inc(len(matched) + len(track_sids or ()))
         # Serialize the body once; per-subscriber frames differ only in sid.
-        body = json.dumps({"type": "state", "state": state, "ts": ts},
-                          separators=(",", ":"))[1:]
+        body = json.dumps({"type": "state", "state": state, "ts": ts}, separators=(",", ":"))[1:]
         for sid in matched:
             self._push_to(self._subs[sid][0], sid, body, ts)
         for sid in track_sids or ():
@@ -178,19 +190,18 @@ class ServingServer:
 
     def _dispatch_event(self, event: dict, ts: float) -> None:
         kind = event["kind"]
-        sids = self._event_subs.get(kind, set()) \
-            | self._event_subs.get("*", set())
+        sids = self._event_subs.get(kind, set()) | self._event_subs.get("*", set())
         if not sids:
             return
         self._c_matches.inc(len(sids))
-        body = json.dumps({"type": "event", "kind": kind,
-                           "event": event["payload"], "t": event["t"],
-                           "ts": ts}, separators=(",", ":"))[1:]
+        body = json.dumps(
+            {"type": "event", "kind": kind, "event": event["payload"], "t": event["t"], "ts": ts},
+            separators=(",", ":"),
+        )[1:]
         for sid in sids:
             self._push_to(self._subs[sid][0], sid, body, ts)
 
-    def _push_to(self, session: ClientSession, sid: int, body: str,
-                 ts: float) -> None:
+    def _push_to(self, session: ClientSession, sid: int, body: str, ts: float) -> None:
         if session.closed:
             return
         if not session.push(f'{{"op":"push","sid":{sid},{body}', ts):
@@ -209,8 +220,9 @@ class ServingServer:
 
     # -- connection handling -----------------------------------------------------------
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         try:
             while True:
                 try:
@@ -222,16 +234,14 @@ class ServingServer:
                     break
                 if request.wants_websocket():
                     if request.path != "/ws":
-                        writer.write(json_response(404, {"error": "no such "
-                                                         "websocket path"}))
+                        writer.write(json_response(404, {"error": "no such websocket path"}))
                         break
                     writer.write(websocket_handshake_response(request))
                     await writer.drain()
                     await self._run_websocket(reader, writer)
                     return
                 if request.method != "GET":
-                    writer.write(json_response(
-                        405, {"error": "method not allowed"}))
+                    writer.write(json_response(405, {"error": "method not allowed"}))
                     await writer.drain()
                     continue
                 writer.write(self._route(request))
@@ -251,7 +261,8 @@ class ServingServer:
         counter = self._query_counters.get(route)
         if counter is None:
             counter = self._query_counters[route] = self.registry.counter(
-                "serving_queries_total", {"route": route})
+                "serving_queries_total", {"route": route}
+            )
         counter.inc()
 
     def _route(self, request: HttpRequest) -> bytes:
@@ -268,8 +279,8 @@ class ServingServer:
             if path == "/metrics":
                 self._count_query("metrics")
                 return http_response(
-                    200, self.registry.render_prometheus().encode(),
-                    "text/plain; version=0.0.4")
+                    200, self.registry.render_prometheus().encode(), "text/plain; version=0.0.4"
+                )
             if path.startswith("/vessel/"):
                 parts = path.split("/")
                 mmsi = int(parts[2])
@@ -277,37 +288,36 @@ class ServingServer:
                     self._count_query("vessel")
                     state = api.vessel_state(mmsi)
                     if state is None:
-                        return json_response(
-                            404, {"error": f"vessel {mmsi} unseen"})
+                        return json_response(404, {"error": f"vessel {mmsi} unseen"})
                     return json_response(200, {"mmsi": mmsi, "state": state})
                 if len(parts) == 4 and parts[3] == "forecast":
                     self._count_query("forecast")
                     forecast = api.vessel_forecast(mmsi)
-                    return json_response(200, {"mmsi": mmsi,
-                                               "forecast": forecast})
+                    return json_response(200, {"mmsi": mmsi, "forecast": forecast})
             if path == "/vessels":
                 self._count_query("vessels")
                 since = float(query.get("since", "0"))
-                return json_response(200, {
-                    "count": api.vessel_count(),
-                    "mmsis": api.active_vessels(since_t=since)})
+                return json_response(
+                    200, {"count": api.vessel_count(), "mmsis": api.active_vessels(since_t=since)}
+                )
             if path.startswith("/events/"):
                 self._count_query("events")
                 kind = path.split("/")[2]
                 limit = int(query.get("limit", "50"))
-                return json_response(200, {
-                    "kind": kind,
-                    "count": api.event_count(kind),
-                    "events": api.recent_events(kind, limit=limit)})
+                return json_response(
+                    200,
+                    {
+                        "kind": kind,
+                        "count": api.event_count(kind),
+                        "events": api.recent_events(kind, limit=limit),
+                    },
+                )
             if path == "/traffic":
                 self._count_query("traffic")
                 window = int(query.get("window", "1"))
-                heat = {str(cell): level.value for cell, level
-                        in api.traffic_heat(window).items()}
-                flow = {str(cell): count for cell, count
-                        in api.traffic_flow(window).items()}
-                return json_response(200, {"window": window, "flow": flow,
-                                           "heat": heat})
+                heat = {str(cell): level.value for cell, level in api.traffic_heat(window).items()}
+                flow = {str(cell): count for cell, count in api.traffic_flow(window).items()}
+                return json_response(200, {"window": window, "flow": flow, "heat": heat})
             if path.startswith("/warehouse/"):
                 return self._route_warehouse(path, query)
             return json_response(404, {"error": f"no route for {path}"})
@@ -318,8 +328,7 @@ class ServingServer:
         """Historical-analytics routes over the attached warehouse."""
         wq = self.warehouse
         if wq is None:
-            return json_response(
-                503, {"error": "no warehouse attached to this server"})
+            return json_response(503, {"error": "no warehouse attached to this server"})
         t0 = float(query["t0"]) if "t0" in query else float("-inf")
         t1 = float(query["t1"]) if "t1" in query else float("inf")
         if path == "/warehouse/stats":
@@ -330,28 +339,27 @@ class ServingServer:
             by = query.get("by", "rows")
             if "k" in query:
                 cells = wq.kring_heatmap(
-                    float(query["lat"]), float(query["lon"]),
-                    int(query["k"]), t0=t0, t1=t1, by=by)
+                    float(query["lat"]), float(query["lon"]), int(query["k"]), t0=t0, t1=t1, by=by
+                )
             else:
                 bbox = BoundingBox(
                     lat_min=float(query["lat_min"]),
                     lat_max=float(query["lat_max"]),
                     lon_min=float(query["lon_min"]),
-                    lon_max=float(query["lon_max"]))
+                    lon_max=float(query["lon_max"]),
+                )
                 cells = wq.heatmap(bbox=bbox, t0=t0, t1=t1, by=by)
-            return json_response(200, {
-                "by": by,
-                "cells": {f"{cell:016x}": count
-                          for cell, count in cells.items()}})
+            return json_response(
+                200, {"by": by, "cells": {f"{cell:016x}": count for cell, count in cells.items()}}
+            )
         if path == "/warehouse/timeseries":
             self._count_query("warehouse_timeseries")
             cells = [int(c, 16) for c in query["cells"].split(",") if c]
             kinds = query["kinds"].split(",") if "kinds" in query else None
             series = wq.cell_event_rate(
-                cells, t0, t1, float(query.get("bucket_s", "3600")),
-                kinds=kinds)
-            series["cells"] = {f"{cell:016x}": counts
-                               for cell, counts in series["cells"].items()}
+                cells, t0, t1, float(query.get("bucket_s", "3600")), kinds=kinds
+            )
+            series["cells"] = {f"{cell:016x}": counts for cell, counts in series["cells"].items()}
             return json_response(200, series)
         if path == "/warehouse/congestion":
             self._count_query("warehouse_congestion")
@@ -359,16 +367,18 @@ class ServingServer:
                 lat_min=float(query["lat_min"]),
                 lat_max=float(query["lat_max"]),
                 lon_min=float(query["lon_min"]),
-                lon_max=float(query["lon_max"]))
-            return json_response(200, wq.congestion_trend(
-                t0, t1, float(query.get("bucket_s", "3600")), bbox=bbox))
+                lon_max=float(query["lon_max"]),
+            )
+            return json_response(
+                200, wq.congestion_trend(t0, t1, float(query.get("bucket_s", "3600")), bbox=bbox)
+            )
         if path.startswith("/warehouse/vessel/"):
             self._count_query("warehouse_vessel")
             mmsi = int(path.split("/")[3])
             history = wq.vessel_history(mmsi, t0=t0, t1=t1)
-            return json_response(200, {"mmsi": mmsi,
-                                       "fixes": len(history["t"]),
-                                       "history": history})
+            return json_response(
+                200, {"mmsi": mmsi, "fixes": len(history["t"]), "history": history}
+            )
         return json_response(404, {"error": f"no route for {path}"})
 
     def stats(self) -> dict:
@@ -383,13 +393,12 @@ class ServingServer:
 
     # -- WebSocket sessions ------------------------------------------------------------
 
-    async def _run_websocket(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        ws = WebSocket(reader, writer,
-                       max_payload=self.config.max_frame_bytes)
+    async def _run_websocket(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        ws = WebSocket(reader, writer, max_payload=self.config.max_frame_bytes)
         self._next_client_id += 1
-        session = ClientSession(self._next_client_id, ws,
-                                self.config.client_queue_maxlen)
+        session = ClientSession(self._next_client_id, ws, self.config.client_queue_maxlen)
         self._sessions[session.client_id] = session
         self._g_clients.set(len(self._sessions))
         session.task = asyncio.ensure_future(self._send_loop(session))
@@ -398,8 +407,7 @@ class ServingServer:
                 try:
                     command = await ws.recv_json()
                 except (ProtocolError, json.JSONDecodeError):
-                    session.push(json.dumps(
-                        {"op": "error", "error": "malformed frame"}), None)
+                    session.push(json.dumps({"op": "error", "error": "malformed frame"}), None)
                     continue
                 if command is None:
                     break
@@ -409,8 +417,7 @@ class ServingServer:
 
     def _handle_command(self, session: ClientSession, command: Any) -> None:
         if not isinstance(command, dict):
-            reply: dict[str, Any] = {"op": "error",
-                                     "error": "command must be an object"}
+            reply: dict[str, Any] = {"op": "error", "error": "command must be an object"}
         else:
             op = command.get("op")
             if op == "subscribe":
@@ -433,49 +440,39 @@ class ServingServer:
                     lat_min=float(command["lat_min"]),
                     lat_max=float(command["lat_max"]),
                     lon_min=float(command["lon_min"]),
-                    lon_max=float(command["lon_max"]))
-                res = int(command.get(
-                    "res", self.config.default_bbox_resolution))
+                    lon_max=float(command["lon_max"]),
+                )
+                res = int(command.get("res", self.config.default_bbox_resolution))
                 if not 0 <= res <= 15:
                     raise ValueError(f"res {res} out of range")
-                region = BBoxRegion.fitted(bbox, res,
-                                           self.config.max_region_cells)
+                region = BBoxRegion.fitted(bbox, res, self.config.max_region_cells)
                 sid = self._register(session, "bbox", region)
-                return {"op": "subscribed", "sid": sid, "type": "bbox",
-                        "res": region.resolution}
+                return {"op": "subscribed", "sid": sid, "type": "bbox", "res": region.resolution}
             if sub_type == "kring":
                 k = int(command.get("k", 1))
                 if not 0 <= k <= self.config.max_kring_k:
-                    raise ValueError(
-                        f"k must be in [0, {self.config.max_kring_k}]")
+                    raise ValueError(f"k must be in [0, {self.config.max_kring_k}]")
                 if "cell" in command:
                     center = int(command["cell"])
                 else:
-                    res = int(command.get(
-                        "res", self.config.default_bbox_resolution))
-                    center = latlng_to_cell(float(command["lat"]),
-                                            float(command["lon"]), res)
+                    res = int(command.get("res", self.config.default_bbox_resolution))
+                    center = latlng_to_cell(float(command["lat"]), float(command["lon"]), res)
                 region = KRingRegion(center=center, k=k)
                 sid = self._register(session, "kring", region)
-                return {"op": "subscribed", "sid": sid, "type": "kring",
-                        "cell": center}
+                return {"op": "subscribed", "sid": sid, "type": "kring", "cell": center}
             if sub_type == "vessel":
                 mmsi = int(command["mmsi"])
                 sid = self._register(session, "vessel", mmsi)
-                return {"op": "subscribed", "sid": sid, "type": "vessel",
-                        "mmsi": mmsi}
+                return {"op": "subscribed", "sid": sid, "type": "vessel", "mmsi": mmsi}
             if sub_type == "events":
                 kind = str(command.get("kind", "*"))
                 sid = self._register(session, "events", kind)
-                return {"op": "subscribed", "sid": sid, "type": "events",
-                        "kind": kind}
-            return {"op": "error",
-                    "error": f"unknown subscription type {sub_type!r}"}
+                return {"op": "subscribed", "sid": sid, "type": "events", "kind": kind}
+            return {"op": "error", "error": f"unknown subscription type {sub_type!r}"}
         except (KeyError, ValueError, TypeError) as exc:
             return {"op": "error", "error": str(exc)}
 
-    def _register(self, session: ClientSession, kind: str,
-                  detail: Any) -> int:
+    def _register(self, session: ClientSession, kind: str, detail: Any) -> int:
         self._next_sid += 1
         sid = self._next_sid
         if kind in ("bbox", "kring"):
@@ -550,10 +547,12 @@ class ServingServer:
                     if session.dropped > session.reported_dropped:
                         # Surface the overflow counter before newer data.
                         session.reported_dropped = session.dropped
-                        ws.send_text(json.dumps(
-                            {"op": "overflow",
-                             "dropped": session.dropped},
-                            separators=(",", ":")))
+                        ws.send_text(
+                            json.dumps(
+                                {"op": "overflow", "dropped": session.dropped},
+                                separators=(",", ":"),
+                            )
+                        )
                     text, ts = queue.popleft()
                     ws.send_text(text)
                     sent += 1

@@ -14,8 +14,8 @@ journals to disk, then compacts the journal into **two** warehouses:
 
 The invariants the campaign checks:
 
-1. **Exact row counts** — warehouse position rows equal the writer
-   pool's ``states_written`` (the platform runs an unbatched writer,
+1. **Exact row counts** — warehouse position rows equal the
+   writer's ``states_written`` (the platform runs an unbatched writer,
    ``writer_batch_max_ops=1``, so per-MMSI coalescing never merges kept
    fixes away) and event rows equal ``events_written``, in both
    warehouses.
@@ -233,12 +233,12 @@ def _compact_and_check(scenario: WarehouseScenario, seed: int, workdir: str,
             violations.append(Violation(
                 "row-count", f"{name} holds "
                 f"{warehouse.total_rows('positions')} position rows, "
-                f"writer pool wrote {states} kept fixes"))
+                f"writer wrote {states} kept fixes"))
         if warehouse.total_rows("events") != events:
             violations.append(Violation(
                 "row-count", f"{name} holds "
                 f"{warehouse.total_rows('events')} event rows, "
-                f"writer pool wrote {events}"))
+                f"writer wrote {events}"))
         violations.extend(_check_segments_load(name, warehouse))
 
     oracle_fp = oracle.fingerprint()

@@ -3,11 +3,11 @@
 Three sources feed the same :class:`~repro.warehouse.warehouse.Warehouse`:
 
 * **The kvstore op journal** (:meth:`WarehouseCompactor.compact_persistence`) — the durable
-  backfill path. The writer pool journals every flushed ``hmset vessel:{mmsi}`` and
+  backfill path. The writer journals every flushed ``hmset vessel:{mmsi}`` and
   ``rpush events:{kind}`` (PERSISTENCE.md); the compactor tails entries past the warehouse's
   ``journal_seq`` cursor and turns them back into position/event rows. Re-running after any
   crash is idempotent: covered sequences are skipped by construction.
-* **The replication feed** (:meth:`ingest_flush`) — the live streaming path. Writer shards
+* **The replication feed** (:meth:`ingest_flush`) — the live streaming path. Writers
   publish flushed micro-batches on ``repl:flush`` (SERVING.md); the compactor buffers their
   rows and :meth:`flush_feed` commits them with per-shard sequence cursors, so a duplicated
   delivery is dropped rather than double-counted.

@@ -184,7 +184,7 @@ class Warehouse:
         return self._manifest["cursor"]["snapshot_seq"]
 
     def repl_seq(self, shard: int) -> int:
-        """Last applied ``repl:flush`` sequence of a writer shard."""
+        """Last applied ``repl:flush`` sequence of a batch ``shard`` field."""
         return self._manifest["cursor"]["repl"].get(str(shard), 0)
 
     @property

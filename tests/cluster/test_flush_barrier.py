@@ -37,7 +37,7 @@ def test_barrier_drains_all_three_pools_of_a_worker_node():
         cluster.seed.publish_messages([fix])
         cluster.seed.ingest_available()
         # Its state update waits on the forecast reply, so queue another
-        # vessel's directly on the worker's writer pool.
+        # vessel's directly on the worker's writer.
         state = dict(t=0.0, lat=36.0, lon=10.0, sog=8.0, cog=90.0, forecast=None)
         worker.wiring.writer_ref.tell(VesselStateUpdate(mmsi=other, **state))
         cluster.settle()
@@ -61,7 +61,7 @@ def test_barrier_drains_all_three_pools_of_a_worker_node():
 
 def test_voyage_event_reaches_its_output_topic_on_a_cluster_node():
     """Cluster nodes create the voyage output topics too: a voyage event
-    told to a worker's writer pool is recorded, not lost to a missing
+    told to a worker's writer is recorded, not lost to a missing
     ``out.events.storm_avoidance`` topic."""
     config = PlatformConfig(output_topics=True, voyage_optimization=True)
     cluster = LoopbackCluster(num_nodes=2, config=config)

@@ -41,12 +41,7 @@ import repro.warehouse.warehouse as wh_warehouse_mod
 import repro.weather.enrichment as weather_enrichment_mod
 import repro.weather.field as weather_field_mod
 import repro.weather.forecast as weather_forecast_mod
-from repro.cluster import (
-    ClusterConfig,
-    ClusterNode,
-    LoopbackHub,
-    VirtualClock,
-)
+from repro.cluster import ClusterConfig, ClusterNode, LoopbackHub, VirtualClock
 from repro.cluster.membership import MemberState, Membership
 from repro.cluster.transport import BatchingTransport
 
@@ -55,7 +50,7 @@ from repro.cluster.transport import BatchingTransport
 # serving tier stamps push latency the same way (its server and feed pump
 # take ``clock=time.monotonic`` defaults), so it is audited too. The
 # micro-batcher and its three owners (forecast service, route optimizer,
-# writer shards) linger and stamp submissions on the actor system's
+# writer) linger and stamp submissions on the actor system's
 # virtual clock — a wall-clock read there would detach batch timing from
 # deterministic replay. The warehouse must produce
 # byte-identical segments for a given journal regardless of when
@@ -68,25 +63,39 @@ from repro.cluster.transport import BatchingTransport
 # the bench sweep would break that bit-for-bit. (The sim campaigns that
 # compare them run on the virtual clock too: ``repro.sim`` is audited
 # whole, by directory, below.)
-AUDITED_MODULES = [membership_mod, transport_mod, node_mod,
-                   batching_mod, forecast_service_mod, route_optimizer_mod,
-                   writer_actor_mod,
-                   telemetry_mod, tel_registry_mod, tel_trace_mod,
-                   serving_bridge_mod, serving_fanout_mod,
-                   serving_protocol_mod, serving_replica_mod,
-                   serving_server_mod,
-                   wh_segments_mod, wh_warehouse_mod, wh_compactor_mod,
-                   wh_query_mod,
-                   weather_field_mod, weather_forecast_mod,
-                   weather_enrichment_mod,
-                   fuel_mod, voyage_mod, eval_voyage_mod]
+AUDITED_MODULES = [
+    membership_mod,
+    transport_mod,
+    node_mod,
+    batching_mod,
+    forecast_service_mod,
+    route_optimizer_mod,
+    writer_actor_mod,
+    telemetry_mod,
+    tel_registry_mod,
+    tel_trace_mod,
+    serving_bridge_mod,
+    serving_fanout_mod,
+    serving_protocol_mod,
+    serving_replica_mod,
+    serving_server_mod,
+    wh_segments_mod,
+    wh_warehouse_mod,
+    wh_compactor_mod,
+    wh_query_mod,
+    weather_field_mod,
+    weather_forecast_mod,
+    weather_enrichment_mod,
+    fuel_mod,
+    voyage_mod,
+    eval_voyage_mod,
+]
 
 
 def _time_reads_outside_defaults(module) -> list[str]:
     """Every ``time.*`` attribute access in ``module``'s source that is
     not a function-signature default (the sanctioned injection point)."""
-    return _time_reads_in_file(pathlib.Path(module.__file__),
-                               module.__name__)
+    return _time_reads_in_file(pathlib.Path(module.__file__), module.__name__)
 
 
 def _time_reads_in_file(path: pathlib.Path, label: str) -> list[str]:
@@ -95,27 +104,29 @@ def _time_reads_in_file(path: pathlib.Path, label: str) -> list[str]:
     default_nodes: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for default in (node.args.defaults + node.args.kw_defaults):
+            for default in node.args.defaults + node.args.kw_defaults:
                 if default is not None:
                     for sub in ast.walk(default):
                         default_nodes.add(id(sub))
     offenders = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "time"
-                and id(node) not in default_nodes):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "time"
+            and id(node) not in default_nodes
+        ):
             offenders.append(f"{label}:{node.lineno} time.{node.attr}")
     return offenders
 
 
-@pytest.mark.parametrize("module", AUDITED_MODULES,
-                         ids=[m.__name__ for m in AUDITED_MODULES])
+@pytest.mark.parametrize("module", AUDITED_MODULES, ids=[m.__name__ for m in AUDITED_MODULES])
 def test_no_wall_clock_reads_outside_defaults(module):
     offenders = _time_reads_outside_defaults(module)
     assert not offenders, (
         "wall-clock reads outside injectable defaults (route these "
-        "through the clock parameter): " + ", ".join(offenders))
+        "through the clock parameter): " + ", ".join(offenders)
+    )
 
 
 SIM_SOURCES = sorted(pathlib.Path(sim_package.__file__).parent.glob("*.py"))
@@ -127,20 +138,15 @@ def test_sim_package_is_wall_clock_free(path):
     runs on the scenario's virtual clock; walking the directory audits
     new campaign modules without another import line."""
     offenders = _time_reads_in_file(path, f"repro.sim.{path.stem}")
-    assert not offenders, (
-        "wall-clock reads outside injectable defaults: "
-        + ", ".join(offenders))
+    assert not offenders, "wall-clock reads outside injectable defaults: " + ", ".join(offenders)
 
 
 def test_voyage_bench_example_is_wall_clock_free():
     """The voyage bench CLI drives the platform leg on the virtual
     clock; it is not importable as a module, so audit it by path."""
-    path = (pathlib.Path(__file__).resolve().parents[2] / "examples"
-            / "run_voyage_bench.py")
+    path = pathlib.Path(__file__).resolve().parents[2] / "examples" / "run_voyage_bench.py"
     offenders = _time_reads_in_file(path, "examples/run_voyage_bench.py")
-    assert not offenders, (
-        "wall-clock reads outside injectable defaults: "
-        + ", ".join(offenders))
+    assert not offenders, "wall-clock reads outside injectable defaults: " + ", ".join(offenders)
 
 
 def test_membership_detector_runs_on_injected_clock():
@@ -163,10 +169,11 @@ def test_auto_wrapped_batching_transport_inherits_node_clock():
     clock = VirtualClock()
     hub = LoopbackHub()
     node = ClusterNode(
-        "node-00", hub.transport("node-00"),
-        config=ClusterConfig(transport_batching=True,
-                             batch_linger_ms=1000.0),
-        clock=clock)
+        "node-00",
+        hub.transport("node-00"),
+        config=ClusterConfig(transport_batching=True, batch_linger_ms=1000.0),
+        clock=clock,
+    )
     try:
         assert isinstance(node.transport, BatchingTransport)
         assert node.transport._clock is clock
@@ -177,6 +184,5 @@ def test_auto_wrapped_batching_transport_inherits_node_clock():
 def test_explicit_batching_transport_accepts_clock():
     clock = VirtualClock()
     hub = LoopbackHub()
-    wrapped = BatchingTransport(hub.transport("node-00"),
-                                clock=clock)
+    wrapped = BatchingTransport(hub.transport("node-00"), clock=clock)
     assert wrapped._clock is clock

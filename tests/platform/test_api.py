@@ -2,7 +2,7 @@
 
 The integration suite exercises the API through a full platform run; here
 each query method is pinned down against a hand-built KV store and a stub
-flow snapshot, so regressions in key schema or index semantics show up
+flow source, so regressions in key schema or index semantics show up
 with a one-method blast radius.
 """
 
@@ -14,31 +14,11 @@ from repro.events.vtff import TrafficLevel
 from repro.kvstore import KeyValueStore, PubSub
 from repro.platform.api import MiddlewareAPI
 
-
-class _StubGrid:
-    def classify(self, count, low_max=2, medium_max=5):
-        if count <= low_max:
-            return TrafficLevel.LOW
-        if count <= medium_max:
-            return TrafficLevel.MEDIUM
-        return TrafficLevel.HIGH
+FLOWS = {1: {101: 1, 102: 4, 103: 9}}
 
 
-class _StubVTFF:
-    def __init__(self, flows):
-        self._flows = flows
-        self.grid = _StubGrid()
-
-    def predicted_flow(self, window):
-        return dict(self._flows.get(window, {}))
-
-
-class _StubPlatform:
-    def __init__(self, flows):
-        self._vtff = _StubVTFF(flows)
-
-    def flow_snapshot(self):
-        return self._vtff
+def flow(window):
+    return dict(FLOWS.get(window, {}))
 
 
 @pytest.fixture()
@@ -48,8 +28,7 @@ def kv():
 
 @pytest.fixture()
 def api(kv):
-    flows = {1: {101: 1, 102: 4, 103: 9}}
-    return MiddlewareAPI(kv, PubSub(), _StubPlatform(flows))
+    return MiddlewareAPI(kv, flow, PubSub())
 
 
 def _seed_vessel(kv, mmsi, t, forecast=None):
@@ -105,8 +84,7 @@ class TestEventQueries:
 
     def test_recent_events_returns_newest_last(self, api, kv):
         self._seed_events(kv, "proximity", 5)
-        assert [e["n"] for e in api.recent_events("proximity", limit=3)] == \
-            [2, 3, 4]
+        assert [e["n"] for e in api.recent_events("proximity", limit=3)] == [2, 3, 4]
 
     def test_recent_events_limit_exceeding_length(self, api, kv):
         self._seed_events(kv, "proximity", 2)
@@ -122,15 +100,18 @@ class TestEventQueries:
 
     def test_subscribe_events_scoped_to_kind(self, kv):
         pubsub = PubSub()
-        api = MiddlewareAPI(kv, pubsub, _StubPlatform({}))
+        api = MiddlewareAPI(kv, flow, pubsub)
         only_collision = api.subscribe_events("collision")
         everything = api.subscribe_events()
         pubsub.publish("events:collision", {"a": 1})
         pubsub.publish("events:proximity", {"b": 2})
-        assert [c for c, _ in only_collision.get_all()] == \
-            ["events:collision"]
-        assert [c for c, _ in everything.get_all()] == \
-            ["events:collision", "events:proximity"]
+        assert [c for c, _ in only_collision.get_all()] == ["events:collision"]
+        assert [c for c, _ in everything.get_all()] == ["events:collision", "events:proximity"]
+
+    def test_subscribe_events_needs_a_pubsub(self, kv):
+        # Over a replica's store there is no pub/sub to subscribe to.
+        with pytest.raises(RuntimeError, match="pub/sub"):
+            MiddlewareAPI(kv, flow).subscribe_events()
 
 
 class TestTrafficQueries:
@@ -142,5 +123,4 @@ class TestTrafficQueries:
 
     def test_traffic_heat_classifies_counts(self, api):
         heat = api.traffic_heat(1)
-        assert heat == {101: TrafficLevel.LOW, 102: TrafficLevel.MEDIUM,
-                        103: TrafficLevel.HIGH}
+        assert heat == {101: TrafficLevel.LOW, 102: TrafficLevel.MEDIUM, 103: TrafficLevel.HIGH}

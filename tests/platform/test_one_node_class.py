@@ -2,8 +2,10 @@
 
 A ``Platform`` built on a ``ClusterNode`` is a cluster node; built alone it
 is the single-node platform. These tests pin what that means: a one-node
-cluster produces exactly what the standalone platform produces, and every
-façade method gives one answer whichever way the platform was built.
+cluster produces exactly what the standalone platform produces, clusters
+of 2 and 4 nodes produce the same vessel rows, voyage events and
+encounter pairs (location transparency), and every façade method gives
+one answer whichever way the platform was built.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.platform import LoopbackCluster, Platform, PlatformConfig
 
 DAY = 86_400.0
 EVENT_KINDS = ("proximity", "collision") + VOYAGE_EVENT_KINDS
+CLUSTER_SIZES = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +27,7 @@ def scenario():
 
 
 class Standalone:
-    """The driver surface of a bare ``Platform``, shaped like a cluster's."""
+    """The deployment surface of a bare ``Platform``, shaped like a cluster's."""
 
     def __init__(self, config):
         self.seed = Platform(config=config)
@@ -51,32 +54,48 @@ SHAPES = ["standalone", "1-node cluster", "2-node cluster"]
 
 def run_aegean(shape: str, scenario) -> dict:
     """The Aegean proximity scenario plus one assigned voyage that can only
-    breach its deadline, through ``shape``; everything observable after."""
+    breach its deadline, through ``shape``; everything observable after,
+    gathered over every node's store (each node writes the rows of the
+    actors it hosts)."""
     config = PlatformConfig(voyage_optimization=True, weather_max_wind_mps=0.1)
-    driver = build(shape, config)
+    deployment = build(shape, config)
     try:
         messages = sorted(scenario.result.messages, key=lambda m: m.t)
         mmsis = sorted({m.mmsi for m in messages})
         # ~800 km to sail in one hour: the first plan emits eta_breach.
-        driver.assign_voyage(mmsis[0], [(36.0, 4.0)], deadline_t=3_600.0)
+        deployment.assign_voyage(mmsis[0], [(36.0, 4.0)], deadline_t=3_600.0)
         for i in range(0, len(messages), 500):
-            driver.seed.publish_messages(messages[i : i + 500])
-            driver.process_available()
-        seed = driver.seed
+            deployment.seed.publish_messages(messages[i : i + 500])
+            deployment.process_available()
+        platforms = deployment.platforms
+        states = {}
+        for platform in platforms:
+            for mmsi in mmsis:
+                row = platform.kvstore.hgetall(f"vessel:{mmsi}")
+                if row:
+                    assert mmsi not in states, f"vessel {mmsi} has a row on two nodes"
+                    states[mmsi] = row
         return {
-            "vessel_count": seed.vessel_count,
-            "states": {mmsi: seed.kvstore.hgetall(f"vessel:{mmsi}") for mmsi in mmsis},
+            "vessel_count": sum(platform.vessel_count for platform in platforms),
+            "states": states,
             "events": {
-                kind: seed.kvstore.lrange(f"events:{kind}", 0, -1) for kind in EVENT_KINDS
+                kind: [e for p in platforms for e in p.kvstore.lrange(f"events:{kind}", 0, -1)]
+                for kind in EVENT_KINDS
             },
         }
     finally:
-        driver.shutdown()
+        deployment.shutdown()
 
 
 @pytest.fixture(scope="module")
-def alone_and_clustered(scenario):
-    return run_aegean("standalone", scenario), run_aegean("1-node cluster", scenario)
+def runs(scenario):
+    shapes = ["standalone"] + [f"{n}-node cluster" for n in CLUSTER_SIZES]
+    return {shape: run_aegean(shape, scenario) for shape in shapes}
+
+
+@pytest.fixture(scope="module")
+def alone_and_clustered(runs):
+    return runs["standalone"], runs["1-node cluster"]
 
 
 def without_flags(states: dict) -> dict:
@@ -109,46 +128,91 @@ def test_collision_events_come_in_the_same_order_too(alone_and_clustered):
     assert alone["states"] == clustered["states"]
 
 
+def pairs(run: dict, kind: str) -> set:
+    return {tuple(event.pair) for event in run["events"][kind]}
+
+
+@pytest.mark.parametrize("nodes", CLUSTER_SIZES)
+def test_a_cluster_of_any_size_is_the_platform(runs, nodes):
+    """Location transparency: spreading the actors over N nodes changes no
+    vessel row (bar the alert flags, whose arrival order is per node), no
+    voyage event, and no detected encounter pair."""
+    alone, clustered = runs["standalone"], runs[f"{nodes}-node cluster"]
+    assert clustered["vessel_count"] == alone["vessel_count"]
+    assert without_flags(clustered["states"]) == without_flags(alone["states"])
+    for kind in VOYAGE_EVENT_KINDS:
+        assert clustered["events"][kind] == alone["events"][kind], kind
+    for kind in ("proximity", "collision"):
+        assert pairs(clustered, kind) == pairs(alone, kind) != set(), kind
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="event dedup is per node: a cluster writes an encounter once per node whose "
+    "cell detected it (ROADMAP items 6(a), 8(a))",
+)
+@pytest.mark.parametrize("nodes", [n for n in CLUSTER_SIZES if n > 1])
+def test_a_cluster_writes_each_encounter_once(runs, nodes):
+    alone, clustered = runs["standalone"], runs[f"{nodes}-node cluster"]
+    for kind in ("proximity", "collision"):
+        assert len(clustered["events"][kind]) == len(alone["events"][kind]), kind
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_assign_voyage_refuses_without_the_optimizer(shape):
-    driver = build(shape, PlatformConfig())
+    deployment = build(shape, PlatformConfig())
     try:
         with pytest.raises(RuntimeError, match="voyage_optimization"):
-            driver.seed.assign_voyage(240_000_001, [(36.0, 14.0)], deadline_t=DAY)
+            deployment.seed.assign_voyage(240_000_001, [(36.0, 14.0)], deadline_t=DAY)
     finally:
-        driver.shutdown()
+        deployment.shutdown()
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_telemetry_and_stats_exist_on_every_shape(shape, scenario):
-    driver = build(shape, PlatformConfig(record_telemetry=True))
+    deployment = build(shape, PlatformConfig(record_telemetry=True))
     try:
-        seed = driver.seed
+        seed = deployment.seed
         seed.publish_messages(scenario.result.messages[:200])
-        driver.process_available()
+        deployment.process_available()
         snapshot = seed.telemetry_snapshot()
         assert snapshot["enabled"]
         assert snapshot["metrics"]["gauges"]["broker_consumer_lag"] == 0
         stats = seed.stats()
         assert stats["vessels_local"] == seed.vessel_count > 0
-        assert sum(p.stats()["states_written"] for p in driver.platforms) > 0
+        assert sum(p.stats()["states_written"] for p in deployment.platforms) > 0
     finally:
-        driver.shutdown()
+        deployment.shutdown()
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_the_replica_feed_works_on_every_shape(shape, scenario):
-    driver = build(shape, PlatformConfig(serving_replica_feed=True))
+    deployment = build(shape, PlatformConfig(serving_replica_feed=True))
     try:
-        feeds = [platform.subscribe_replication() for platform in driver.platforms]
+        feeds = [platform.subscribe_replication() for platform in deployment.platforms]
         messages = scenario.result.messages[:200]
-        driver.seed.publish_messages(messages)
-        driver.process_available()
+        deployment.seed.publish_messages(messages)
+        deployment.process_available()
         batches = [batch for feed in feeds for _, batch in feed.get_all()]
         fed = {state["mmsi"] for batch in batches for state in batch["states"]}
         assert fed == {m.mmsi for m in messages}
     finally:
-        driver.shutdown()
+        deployment.shutdown()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_record_metrics_samples_on_every_node(shape, scenario):
+    """``PlatformConfig.record_metrics`` reaches the actor system whichever
+    way the platform was built, a cluster node's included."""
+    deployment = build(shape, PlatformConfig(record_metrics=True))
+    try:
+        deployment.seed.publish_messages(scenario.result.messages)
+        deployment.process_available()
+        for platform in deployment.platforms:
+            assert platform.system.metrics is not None
+            assert len(platform.system.metrics) > 0
+    finally:
+        deployment.shutdown()
 
 
 def test_telemetry_snapshot_is_disabled_by_default():

@@ -21,10 +21,9 @@ from repro.platform import Platform, PlatformConfig
 from repro.platform.messages import PlanReady, RestoreState
 from repro.platform.vessel_actor import VOYAGE_BASE_SPEED_KN
 
-CALM = dict(voyage_optimization=True, weather_seed=0,
-            weather_max_wind_mps=0.1)
+CALM = dict(voyage_optimization=True, weather_seed=0, weather_max_wind_mps=0.1)
 DAY = 86_400.0
-ROUTE = [(36.0, 14.0)]   # ~360 km due east of the first fix
+ROUTE = [(36.0, 14.0)]  # ~360 km due east of the first fix
 
 
 def make_platform(**overrides) -> Platform:
@@ -46,8 +45,7 @@ def drain(platform: Platform) -> None:
 
 
 def first_fix(mmsi: int, t: float = 0.0) -> AISMessage:
-    return AISMessage(mmsi=mmsi, t=t, lat=36.0, lon=10.0, sog=12.0,
-                      cog=90.0)
+    return AISMessage(mmsi=mmsi, t=t, lat=36.0, lon=10.0, sog=12.0, cog=90.0)
 
 
 class TestPlanParity:
@@ -63,9 +61,15 @@ class TestPlanParity:
         assert pooled is not None
         wiring = platform.wiring
         direct = plan_voyage(
-            wiring.weather, wiring.fuel_model, Waypoint(36.0, 10.0),
-            (Waypoint(36.0, 14.0),), sample_t=0.0, depart_t=0.0,
-            deadline_t=4 * DAY, base_speed_kn=VOYAGE_BASE_SPEED_KN)
+            wiring.weather,
+            wiring.fuel_model,
+            Waypoint(36.0, 10.0),
+            (Waypoint(36.0, 14.0),),
+            sample_t=0.0,
+            depart_t=0.0,
+            deadline_t=4 * DAY,
+            base_speed_kn=VOYAGE_BASE_SPEED_KN,
+        )
         assert pooled == direct
         assert pooled.fingerprint() == direct.fingerprint()
         platform.shutdown()
@@ -73,13 +77,10 @@ class TestPlanParity:
 
 class TestFlushDiscipline:
     def test_exact_max_batch_flushes_without_timer(self):
-        platform = make_platform(voyage_batch_max=2,
-                                 voyage_linger_s=1e9)
+        platform = make_platform(voyage_batch_max=2, voyage_linger_s=1e9)
         for i in range(2):
-            platform.assign_voyage(400_000_000 + i, ROUTE,
-                                   deadline_t=4 * DAY)
-        platform.publish_messages([first_fix(400_000_000 + i)
-                                   for i in range(2)])
+            platform.assign_voyage(400_000_000 + i, ROUTE, deadline_t=4 * DAY)
+        platform.publish_messages([first_fix(400_000_000 + i) for i in range(2)])
         drain(platform)
         service = platform.wiring.route_optimizer
         assert service.batches_executed == 1
@@ -112,22 +113,19 @@ class TestFlushDiscipline:
     def test_stale_timer_rearms_for_queued_tail(self):
         """A max-batch flush beats the armed linger timer; a request
         queued behind it still executes at the *next* linger deadline."""
-        platform = make_platform(voyage_batch_max=2,
-                                 voyage_linger_s=5.0)
+        platform = make_platform(voyage_batch_max=2, voyage_linger_s=5.0)
         for i in range(3):
-            platform.assign_voyage(400_000_000 + i, ROUTE,
-                                   deadline_t=4 * DAY)
-        platform.publish_messages([first_fix(400_000_000 + i)
-                                   for i in range(3)])
+            platform.assign_voyage(400_000_000 + i, ROUTE, deadline_t=4 * DAY)
+        platform.publish_messages([first_fix(400_000_000 + i) for i in range(3)])
         drain(platform)
         service = platform.wiring.route_optimizer
         assert service.batches_executed == 1  # max-batch pair
-        assert service.pending_count == 1     # the tail request
-        platform.system.advance_time(5.1)     # stale timer: re-arms
+        assert service.pending_count == 1  # the tail request
+        platform.system.advance_time(5.1)  # stale timer: re-arms
         platform.system.run_until_idle()
         assert service.batches_executed == 1
         assert service.pending_count == 1
-        platform.system.advance_time(5.1)     # re-armed timer: flushes
+        platform.system.advance_time(5.1)  # re-armed timer: flushes
         platform.system.run_until_idle()
         assert service.batches_executed == 2
         assert service.pending_count == 0
@@ -146,12 +144,18 @@ class TestFlushDiscipline:
         platform = make_platform(voyage_linger_s=0.0)
         good, bad = 400_000_000, 400_000_001
         service = platform.wiring.route_optimizer
-        service.submit(good, Waypoint(36.0, 10.0),
-                       (Waypoint(36.0, 14.0),), deadline_t=4 * DAY,
-                       base_speed_kn=12.0, sample_t=0.0, ctx=None)
-        service.submit(bad, Waypoint(36.0, 10.0), (),  # no waypoints
-                       deadline_t=4 * DAY, base_speed_kn=12.0,
-                       sample_t=0.0, ctx=None)
+        service.submit(
+            good,
+            Waypoint(36.0, 10.0),
+            (Waypoint(36.0, 14.0),),
+            deadline_t=4 * DAY,
+            base_speed_kn=12.0,
+            sample_t=0.0,
+        )
+        # No waypoints: plan_voyage raises on this one.
+        service.submit(
+            bad, Waypoint(36.0, 10.0), (), deadline_t=4 * DAY, base_speed_kn=12.0, sample_t=0.0
+        )
         assert service.flush() == 2
         platform.system.run_until_idle()
         assert service.plans_failed == 1
@@ -162,21 +166,18 @@ class TestFlushDiscipline:
 
     def test_flush_telemetry_histograms(self):
         from repro.telemetry import Telemetry
-        platform = make_platform(voyage_batch_max=2,
-                                 voyage_linger_s=1e9)
+
+        platform = make_platform(voyage_batch_max=2, voyage_linger_s=1e9)
         platform.system.telemetry = Telemetry("test")
         for i in range(2):
-            platform.assign_voyage(400_000_000 + i, ROUTE,
-                                   deadline_t=4 * DAY)
-        platform.publish_messages([first_fix(400_000_000 + i)
-                                   for i in range(2)])
+            platform.assign_voyage(400_000_000 + i, ROUTE, deadline_t=4 * DAY)
+        platform.publish_messages([first_fix(400_000_000 + i) for i in range(2)])
         drain(platform)
         registry = platform.system.telemetry.registry
         batch_hist = registry.histogram("voyage_batch_size")
         assert batch_hist.count == 1 and batch_hist.max == 2
         assert registry.histogram("voyage_plan_latency_s").count == 1
-        assert registry.counter("voyage_flushes_total",
-                                {"reason": "max_batch"}).value == 1
+        assert registry.counter("voyage_flushes_total", {"reason": "max_batch"}).value == 1
         platform.shutdown()
 
 
@@ -188,14 +189,15 @@ class TestVoyageEvents:
         platform.publish_messages([first_fix(mmsi)])
         platform.process_available()  # departure plan lands
         # Sail due north, off the eastbound planned track.
-        platform.publish_messages([
-            AISMessage(mmsi=mmsi, t=600.0 * i, lat=36.0 + 0.03 * i,
-                       lon=10.0, sog=12.0, cog=0.0)
-            for i in range(1, 4)])
+        platform.publish_messages(
+            [
+                AISMessage(mmsi=mmsi, t=600.0 * i, lat=36.0 + 0.03 * i, lon=10.0, sog=12.0, cog=0.0)
+                for i in range(1, 4)
+            ]
+        )
         platform.process_available()
         now = platform.system.now
-        assert platform.kvstore.llen("events:route_divergence",
-                                     now=now) >= 1
+        assert platform.kvstore.llen("events:route_divergence", now=now) >= 1
         assert platform.kvstore.llen("events:eta_breach", now=now) == 0
         platform.shutdown()
 
@@ -212,28 +214,22 @@ class TestVoyageEvents:
         # Replaying the same plan at the same stream instant is absorbed
         # by the per-kind emission mark (the crash-recovery dedup).
         actor = vessel_actor(platform, mmsi)
-        platform.wiring.vessel_router.tell(
-            mmsi, PlanReady(plan=actor.voyage_plan, t_submitted=0.0))
+        platform.wiring.vessel_router.tell(mmsi, PlanReady(plan=actor.voyage_plan, t_submitted=0.0))
         platform.process_available()
-        assert platform.kvstore.llen("events:eta_breach",
-                                     now=platform.system.now) == 1
+        assert platform.kvstore.llen("events:eta_breach", now=platform.system.now) == 1
         platform.shutdown()
 
     def test_storm_avoidance_event_on_diverted_plan(self):
-        platform = make_platform(weather_seed=2,
-                                 weather_max_wind_mps=26.0)
+        platform = make_platform(weather_seed=2, weather_max_wind_mps=26.0)
         mmsi = 400_000_000
-        platform.assign_voyage(mmsi, [(39.0, 3.0)],
-                               deadline_t=9 * DAY)
-        platform.publish_messages([
-            AISMessage(mmsi=mmsi, t=0.0, lat=36.0, lon=8.0, sog=12.0,
-                       cog=315.0)])
+        platform.assign_voyage(mmsi, [(39.0, 3.0)], deadline_t=9 * DAY)
+        platform.publish_messages(
+            [AISMessage(mmsi=mmsi, t=0.0, lat=36.0, lon=8.0, sog=12.0, cog=315.0)]
+        )
         platform.process_available()
         actor = vessel_actor(platform, mmsi)
-        assert actor.voyage_plan is not None and \
-            actor.voyage_plan.diverted
-        assert platform.kvstore.llen("events:storm_avoidance",
-                                     now=platform.system.now) == 1
+        assert actor.voyage_plan is not None and actor.voyage_plan.diverted
+        assert platform.kvstore.llen("events:storm_avoidance", now=platform.system.now) == 1
         platform.shutdown()
 
 
@@ -254,12 +250,10 @@ class TestVoyageCheckpoint:
         assert state["pending_plan"] is False
 
         target = make_platform()
-        target.wiring.vessel_router.tell(
-            mmsi, RestoreState(entity="vessel", key=mmsi, state=state))
+        target.wiring.vessel_router.tell(mmsi, RestoreState(entity="vessel", key=mmsi, state=state))
         target.system.run_until_idle()
         actor = vessel_actor(target, mmsi)
-        assert actor.voyage_plan.fingerprint() == \
-            state["voyage_plan"].fingerprint()
+        assert actor.voyage_plan.fingerprint() == state["voyage_plan"].fingerprint()
         assert actor.voyage == state["voyage"]
         assert target.wiring.route_optimizer.pending_count == 0
         source.shutdown()
@@ -269,17 +263,14 @@ class TestVoyageCheckpoint:
         """A replan swallowed by the dead node's optimizer pool is
         re-pooled from the restored last fix, and the reissued plan is
         the one the lost flush would have produced (same sample_t)."""
-        source, mmsi = self.make_source(voyage_batch_max=100,
-                                        voyage_linger_s=1e9)
+        source, mmsi = self.make_source(voyage_batch_max=100, voyage_linger_s=1e9)
         drain(source)  # pooled, never flushed: marker set, plan absent
         state = vessel_actor(source, mmsi).export_state()
         assert state["pending_plan"] is True
         assert state["voyage_plan"] is None
 
-        target = make_platform(voyage_batch_max=100,
-                               voyage_linger_s=1e9)
-        target.wiring.vessel_router.tell(
-            mmsi, RestoreState(entity="vessel", key=mmsi, state=state))
+        target = make_platform(voyage_batch_max=100, voyage_linger_s=1e9)
+        target.wiring.vessel_router.tell(mmsi, RestoreState(entity="vessel", key=mmsi, state=state))
         target.system.run_until_idle()
         actor = vessel_actor(target, mmsi)
         service = target.wiring.route_optimizer

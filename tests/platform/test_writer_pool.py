@@ -1,162 +1,127 @@
-"""Tests of the sharded, micro-batching writer pool."""
-
-import pytest
+"""Tests of the node's one micro-batching writer."""
 
 from repro.events.proximity import ProximityPairEvent
 from repro.models import LinearKinematicModel
 from repro.platform import Platform, PlatformConfig
 from repro.platform.messages import EventRecord, VesselStateUpdate
-from repro.platform.writer_actor import WriterPool
 
 
 def make_platform(**overrides):
-    defaults = dict(writer_pool_size=3, writer_batch_max_ops=8,
-                    writer_batch_linger_s=0.5)
+    defaults = dict(writer_batch_max_ops=8, writer_batch_linger_s=0.5)
     defaults.update(overrides)
-    return Platform(forecaster=LinearKinematicModel(),
-                    config=PlatformConfig(**defaults))
+    return Platform(forecaster=LinearKinematicModel(), config=PlatformConfig(**defaults))
 
 
 def state_update(mmsi, t, lat=10.0):
-    return VesselStateUpdate(mmsi=mmsi, t=t, lat=lat, lon=20.0,
-                             sog=8.0, cog=90.0, forecast=None)
+    return VesselStateUpdate(mmsi=mmsi, t=t, lat=lat, lon=20.0, sog=8.0, cog=90.0, forecast=None)
 
 
 def prox_event(pair, t):
-    return EventRecord(kind="proximity", t=t, payload=ProximityPairEvent(
-        mmsi_a=pair[0], mmsi_b=pair[1], t=t, distance_m=100.0,
-        lat=10.0, lon=20.0))
+    return EventRecord(
+        kind="proximity",
+        t=t,
+        payload=ProximityPairEvent(
+            mmsi_a=pair[0], mmsi_b=pair[1], t=t, distance_m=100.0, lat=10.0, lon=20.0
+        ),
+    )
 
 
-class TestRouting:
-    def test_pool_spawns_named_shards(self):
+class TestOneWriter:
+    def test_node_spawns_one_writer_named_writer(self):
         platform = make_platform()
-        pool = platform.wiring.writer_ref
-        assert isinstance(pool, WriterPool)
-        assert [r.name for r in pool.refs] == [
-            "writer-0", "writer-1", "writer-2"]
-
-    def test_same_mmsi_routes_to_same_shard(self):
-        pool = make_platform().wiring.writer_ref
-        shards = {pool.shard_of(state_update(123456, t))
-                  for t in (0.0, 50.0, 100.0)}
-        assert len(shards) == 1
-
-    def test_pair_events_route_together(self):
-        """Both cell actors detecting one encounter must hit one shard,
-        or the per-pair debounce would double-fire."""
-        pool = make_platform().wiring.writer_ref
-        shards = {pool.shard_of(prox_event((111, 222), t))
-                  for t in (0.0, 10.0)}
-        assert len(shards) == 1
-
-    def test_states_spread_over_shards(self):
-        pool = make_platform().wiring.writer_ref
-        shards = {pool.shard_of(state_update(m, 0.0))
-                  for m in range(200000000, 200000050)}
-        assert len(shards) == 3
-
-    def test_routing_is_process_independent(self):
-        # stable_hash routing: a restarted node routes keys identically.
-        pool_a = make_platform().wiring.writer_ref
-        pool_b = make_platform().wiring.writer_ref
-        for m in range(300000000, 300000020):
-            assert (pool_a.shard_of(state_update(m, 0.0))
-                    == pool_b.shard_of(state_update(m, 0.0)))
-
-    def test_pool_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PlatformConfig(writer_pool_size=0)
+        writer = platform.wiring.writer_ref
+        assert writer.name == "writer"
+        assert platform.system.exists("writer")
+        assert not platform.system.exists("writer-0")
+        assert writer.actors() == [writer.actor]
 
 
 class TestBatching:
     def test_writes_buffer_until_threshold(self):
-        platform = make_platform(writer_pool_size=1, writer_batch_max_ops=100,
-                                 writer_batch_linger_s=0.0)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=0.0)
+        writer = platform.wiring.writer_ref
         for i in range(5):
-            pool.tell(state_update(200000000 + i, 10.0))
+            writer.tell(state_update(200000000 + i, 10.0))
         platform.system.run_until_idle()
         # Buffered: nothing in the KV store yet, five states pending.
-        assert pool.pending_ops == 10
+        assert writer.pending_ops == 10
         assert platform.kvstore.keys("vessel:*") == []
 
-        pool.flush()
+        writer.flush()
         platform.system.run_until_idle()
-        assert pool.pending_ops == 0
+        assert writer.pending_ops == 0
         assert len(platform.kvstore.keys("vessel:*")) == 5
-        assert pool.flushes == 1
+        assert writer.flushes == 1
 
     def test_max_ops_threshold_flushes(self):
-        platform = make_platform(writer_pool_size=1, writer_batch_max_ops=6,
-                                 writer_batch_linger_s=0.0)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(writer_batch_max_ops=6, writer_batch_linger_s=0.0)
+        writer = platform.wiring.writer_ref
         for i in range(3):  # 3 states = 6 pending kv ops = threshold
-            pool.tell(state_update(200000000 + i, 10.0))
+            writer.tell(state_update(200000000 + i, 10.0))
         platform.system.run_until_idle()
-        assert pool.flushes == 1
+        assert writer.flushes == 1
         assert len(platform.kvstore.keys("vessel:*")) == 3
 
     def test_linger_timer_flushes_on_virtual_time(self):
-        platform = make_platform(writer_pool_size=1, writer_batch_max_ops=100,
-                                 writer_batch_linger_s=2.0)
-        pool = platform.wiring.writer_ref
-        pool.tell(state_update(200000001, 10.0))
+        platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=2.0)
+        writer = platform.wiring.writer_ref
+        writer.tell(state_update(200000001, 10.0))
         platform.system.run_until_idle()
-        assert pool.pending_ops == 2
+        assert writer.pending_ops == 2
         platform.system.advance_time(2.5)
         platform.system.run_until_idle()
-        assert pool.pending_ops == 0
+        assert writer.pending_ops == 0
         assert platform.kvstore.exists("vessel:200000001", now=10.0)
 
     def test_states_coalesce_last_wins(self):
-        platform = make_platform(writer_pool_size=1, writer_batch_max_ops=100,
-                                 writer_batch_linger_s=0.0)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=0.0)
+        writer = platform.wiring.writer_ref
         for t in (10.0, 40.0, 70.0):
-            pool.tell(state_update(200000001, t, lat=t))
+            writer.tell(state_update(200000001, t, lat=t))
         platform.system.run_until_idle()
-        assert pool.pending_ops == 2  # one coalesced state
-        pool.flush()
+        assert writer.pending_ops == 2  # one coalesced state
+        writer.flush()
         platform.system.run_until_idle()
         state = platform.kvstore.hgetall("vessel:200000001", now=70.0)
         assert state["t"] == 70.0
         assert state["lat"] == 70.0
-        assert pool.states_written == 3  # accepted updates still counted
+        assert writer.states_written == 3  # accepted updates still counted
 
     def test_events_are_not_coalesced(self):
-        platform = make_platform(writer_pool_size=1, writer_batch_max_ops=100,
-                                 writer_batch_linger_s=0.0)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=0.0)
+        writer = platform.wiring.writer_ref
         # Distinct pairs: all survive dedup and all must be written.
         for i in range(4):
-            pool.tell(prox_event((111 + i, 555), float(i)))
-        pool.flush()
+            writer.tell(prox_event((111 + i, 555), float(i)))
+        writer.flush()
         platform.system.run_until_idle()
         assert platform.kvstore.llen("events:proximity", now=10.0) == 4
         assert platform.kvstore.zcard("events:all", now=10.0) == 4
 
-    def test_events_all_members_unique_across_shards(self):
+    def test_events_all_members_unique(self):
         platform = make_platform(writer_batch_max_ops=1)
-        pool = platform.wiring.writer_ref
+        writer = platform.wiring.writer_ref
         for i in range(30):
-            pool.tell(prox_event((400 + i, 900 + i), float(i)))
-        pool.flush()
+            writer.tell(prox_event((400 + i, 900 + i), float(i)))
+        writer.flush()
         platform.system.run_until_idle()
         assert platform.kvstore.zcard("events:all", now=100.0) == 30
+        # The stored id format keeps its fixed middle field.
+        members = {m for m, _ in platform.kvstore.zrange("events:all", 0, -1, now=100.0)}
+        assert members == {f"proximity:0:{n}" for n in range(30)}
 
     def test_process_available_flushes(self):
         from repro.ais.datasets import proximity_scenario
-        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=1_800.0,
-                                      seed=7)
-        platform = make_platform(writer_batch_max_ops=10_000,
-                                 writer_batch_linger_s=60.0)
+
+        scenario = proximity_scenario(
+            n_event_pairs=2, n_near_miss_pairs=1, n_background=2, duration_s=1_800.0, seed=7
+        )
+        platform = make_platform(writer_batch_max_ops=10_000, writer_batch_linger_s=60.0)
         platform.publish_messages(scenario.result.messages)
         platform.process_available()
         # Despite huge batch limits, the barrier flush landed everything.
-        pool = platform.wiring.writer_ref
-        assert pool.pending_ops == 0
+        writer = platform.wiring.writer_ref
+        assert writer.pending_ops == 0
         assert platform.api.vessel_count() == scenario.n_vessels
 
 
@@ -164,38 +129,34 @@ class TestDedupBound:
     def test_event_dedup_stays_bounded(self):
         """Regression: many distinct encounter pairs once grew the dedup
         map without bound."""
-        platform = make_platform(writer_pool_size=1, event_dedup_max=64,
-                                 event_debounce_s=1e9)  # nothing expires
-        pool = platform.wiring.writer_ref
+        platform = make_platform(event_dedup_max=64, event_debounce_s=1e9)  # nothing expires
+        writer = platform.wiring.writer_ref
         for i in range(1_000):
-            pool.tell(prox_event((100000 + i, 200000 + i), float(i)))
+            writer.tell(prox_event((100000 + i, 200000 + i), float(i)))
         platform.system.run_until_idle()
-        writer = pool.actors()[0]
-        assert len(writer._event_dedup) <= 64
+        assert len(writer.actor._event_dedup) <= 64
         # Every distinct pair was still written (dedup only kills repeats).
-        pool.flush()
+        writer.flush()
         platform.system.run_until_idle()
         assert platform.kvstore.llen("events:proximity", now=2e9) == 1_000
 
     def test_debounce_still_works_within_bound(self):
-        platform = make_platform(writer_pool_size=1, event_dedup_max=64)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(event_dedup_max=64)
+        writer = platform.wiring.writer_ref
         for _ in range(5):  # same pair, same time window
-            pool.tell(prox_event((111, 222), 100.0))
-        pool.flush()
+            writer.tell(prox_event((111, 222), 100.0))
+        writer.flush()
         platform.system.run_until_idle()
         assert platform.kvstore.llen("events:proximity", now=200.0) == 1
 
     def test_expired_entries_pruned_first(self):
-        platform = make_platform(writer_pool_size=1, event_dedup_max=10,
-                                 event_debounce_s=50.0)
-        pool = platform.wiring.writer_ref
+        platform = make_platform(event_dedup_max=10, event_debounce_s=50.0)
+        writer = platform.wiring.writer_ref
         for i in range(11):  # old entries, all expired by t=1000
-            pool.tell(prox_event((1000 + i, 2000 + i), float(i)))
-        pool.tell(prox_event((5000, 6000), 1000.0))
+            writer.tell(prox_event((1000 + i, 2000 + i), float(i)))
+        writer.tell(prox_event((5000, 6000), 1000.0))
         platform.system.run_until_idle()
-        writer = pool.actors()[0]
+        dedup = writer.actor._event_dedup
         # Dedup keys are (kind, pair, debounce-bucket) triples.
-        assert any(k[:2] == ("proximity", (5000, 6000))
-                   for k in writer._event_dedup)
-        assert len(writer._event_dedup) <= 10
+        assert any(k[:2] == ("proximity", (5000, 6000)) for k in dedup)
+        assert len(dedup) <= 10

@@ -5,19 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.ais.message import AISMessage
-from repro.platform import Platform, PlatformConfig
-from repro.serving import (
-    REPL_FLUSH_CHANNEL,
-    ReadReplica,
-    ReplicaFeedPump,
-    ReplicaQueryAPI,
-)
+from repro.platform import MiddlewareAPI, Platform, PlatformConfig
+from repro.serving import REPL_FLUSH_CHANNEL, ReadReplica, ReplicaFeedPump
 
 
 def _messages(n_vessels=3, n_fixes=4, lat0=40.0, lon0=24.0):
-    msgs = [AISMessage(mmsi=111000 + i, t=60.0 * j, lat=lat0 + 0.01 * i,
-                       lon=lon0 + 0.01 * j, sog=8.0, cog=90.0)
-            for i in range(n_vessels) for j in range(n_fixes)]
+    msgs = [
+        AISMessage(
+            mmsi=111000 + i,
+            t=60.0 * j,
+            lat=lat0 + 0.01 * i,
+            lon=lon0 + 0.01 * j,
+            sog=8.0,
+            cog=90.0,
+        )
+        for i in range(n_vessels)
+        for j in range(n_fixes)
+    ]
     msgs.sort(key=lambda m: m.t)
     return msgs
 
@@ -25,6 +29,11 @@ def _messages(n_vessels=3, n_fixes=4, lat0=40.0, lon0=24.0):
 def _replicated_platform(**config_kwargs):
     config = PlatformConfig(serving_replica_feed=True, **config_kwargs)
     return Platform(config=config)
+
+
+def _replica_api(replica):
+    """The query API a serving tier builds over a replica."""
+    return MiddlewareAPI(replica.store, replica.flow)
 
 
 def test_feed_requires_opt_in():
@@ -43,7 +52,7 @@ def test_replica_matches_primary_after_drain():
     replica = ReadReplica()
     for channel, payload in sub.get_all():
         replica.apply(channel, payload)
-    api = ReplicaQueryAPI(replica)
+    api = _replica_api(replica)
     primary = platform.api
 
     assert api.active_vessels() == primary.active_vessels()
@@ -52,9 +61,9 @@ def test_replica_matches_primary_after_drain():
         assert api.vessel_state(mmsi) == primary.vessel_state(mmsi)
         assert api.vessel_forecast(mmsi) == primary.vessel_forecast(mmsi)
     assert replica.gaps == 0
+    assert primary.traffic_flow(1)
     assert api.traffic_flow(1) == primary.traffic_flow(1)
-    assert {c: lvl for c, lvl in api.traffic_heat(1).items()} == \
-        primary.traffic_heat(1)
+    assert api.traffic_heat(1) == primary.traffic_heat(1)
 
 
 def test_replica_event_parity_with_pubsub_feed():
@@ -66,10 +75,10 @@ def test_replica_event_parity_with_pubsub_feed():
     # forecasts from the cell actor's CPA screening.
     msgs = []
     for j in range(5):
-        msgs.append(AISMessage(mmsi=201, t=60.0 * j, lat=37.5,
-                               lon=24.5, sog=0.5, cog=0.0))
-        msgs.append(AISMessage(mmsi=202, t=60.0 * j + 1.0, lat=37.5009,
-                               lon=24.5, sog=0.5, cog=0.0))
+        msgs.append(AISMessage(mmsi=201, t=60.0 * j, lat=37.5, lon=24.5, sog=0.5, cog=0.0))
+        msgs.append(
+            AISMessage(mmsi=202, t=60.0 * j + 1.0, lat=37.5009, lon=24.5, sog=0.5, cog=0.0)
+        )
     platform.publish_messages(msgs)
     platform.process_available()
 
@@ -79,7 +88,7 @@ def test_replica_event_parity_with_pubsub_feed():
     replica = ReadReplica()
     for channel, payload in repl_sub.get_all():
         replica.apply(channel, payload)
-    api = ReplicaQueryAPI(replica)
+    api = _replica_api(replica)
     kinds = {channel.split(":", 1)[1] for channel, _ in published}
     total = sum(api.event_count(kind) for kind in kinds)
     assert total == len(published)
@@ -94,14 +103,17 @@ def test_replica_event_parity_with_pubsub_feed():
 def test_replica_trims_event_retention():
     replica = ReadReplica(events_max=5)
     for seq in range(1, 21):
-        replica.apply_flush({
-            "shard": 0, "seq": seq, "states": [],
-            "events": [{"kind": "proximity", "t": float(seq),
-                        "payload": {"n": seq}}]})
-    api = ReplicaQueryAPI(replica)
+        replica.apply_flush(
+            {
+                "shard": 0,
+                "seq": seq,
+                "states": [],
+                "events": [{"kind": "proximity", "t": float(seq), "payload": {"n": seq}}],
+            }
+        )
+    api = _replica_api(replica)
     assert api.event_count("proximity") == 5
-    assert [e["n"] for e in api.recent_events("proximity")] == \
-        [16, 17, 18, 19, 20]
+    assert [e["n"] for e in api.recent_events("proximity")] == [16, 17, 18, 19, 20]
     assert replica.events_trimmed == 15
 
 
@@ -129,20 +141,20 @@ def test_feed_pump_thread_applies_and_reports_drops():
     assert pump.messages_pumped > 0
     assert pump.feed_drops == 0
     assert replica.gaps == 0
-    api = ReplicaQueryAPI(replica)
+    api = _replica_api(replica)
     assert api.active_vessels() == platform.api.active_vessels()
 
 
 def test_bounded_feed_overflow_shows_up_as_gap():
     replica = ReadReplica()
     from repro.kvstore import PubSub
+
     pubsub = PubSub()
     sub = pubsub.subscribe("repl:*", maxlen=2)
     for seq in range(1, 6):
-        pubsub.publish(REPL_FLUSH_CHANNEL,
-                       {"shard": 0, "seq": seq, "states": [], "events": []})
+        pubsub.publish(REPL_FLUSH_CHANNEL, {"shard": 0, "seq": seq, "states": [], "events": []})
     for channel, payload in sub.get_all():
         replica.apply(channel, payload)
     assert sub.drop_count() == 3
-    assert replica.gaps == 1          # one discontinuity (3 batches lost)
+    assert replica.gaps == 1  # one discontinuity (3 batches lost)
     assert replica.last_seq == {0: 5}  # but the newest state got through

@@ -16,21 +16,20 @@ SCENARIO = WarehouseScenario()
 
 
 def test_warehouse_campaign_upholds_invariants(sim_seed, tmp_path, check_fingerprint):
-    report = run_warehouse_scenario(SCENARIO, sim_seed,
-                                    workdir=str(tmp_path))
+    report = run_warehouse_scenario(SCENARIO, sim_seed, workdir=str(tmp_path))
     assert report.ok, (
         f"\n{report.summary()}\n"
         f"replay with: pytest {__name__.replace('.', '/')}.py "
-        f"--sim-seed {sim_seed}")
+        f"--sim-seed {sim_seed}"
+    )
     check_fingerprint("warehouse", report)
 
 
 def test_warehouse_rows_match_kept_fixes_exactly(sim_seed, tmp_path):
     """The headline acceptance check: warehouse row counts equal the
-    writer pool's kept fixes / events after crash-interrupted compaction,
+    writer's kept fixes / events after crash-interrupted compaction,
     and the campaign is non-vacuous (rows and crashes both happened)."""
-    report = run_warehouse_scenario(SCENARIO, sim_seed,
-                                    workdir=str(tmp_path))
+    report = run_warehouse_scenario(SCENARIO, sim_seed, workdir=str(tmp_path))
     assert report.ok, report.summary()
     assert report.position_rows == report.states_written > 0
     assert report.event_rows == report.events_written > 0
@@ -38,8 +37,7 @@ def test_warehouse_rows_match_kept_fixes_exactly(sim_seed, tmp_path):
 
 
 def test_warehouse_campaign_is_byte_equal_to_oracle(sim_seed, tmp_path):
-    report = run_warehouse_scenario(SCENARIO, sim_seed,
-                                    workdir=str(tmp_path))
+    report = run_warehouse_scenario(SCENARIO, sim_seed, workdir=str(tmp_path))
     assert report.ok, report.summary()
     assert report.victim_fingerprint == report.oracle_fingerprint
 
@@ -47,10 +45,8 @@ def test_warehouse_campaign_is_byte_equal_to_oracle(sim_seed, tmp_path):
 def test_warehouse_campaign_is_deterministic(sim_seed, tmp_path):
     """Same (scenario, seed) -> identical report fingerprint: the replay
     guarantee the --sim-seed knob depends on."""
-    first = run_warehouse_scenario(SCENARIO, sim_seed,
-                                   workdir=str(tmp_path / "a"))
-    second = run_warehouse_scenario(SCENARIO, sim_seed,
-                                    workdir=str(tmp_path / "b"))
+    first = run_warehouse_scenario(SCENARIO, sim_seed, workdir=str(tmp_path / "a"))
+    second = run_warehouse_scenario(SCENARIO, sim_seed, workdir=str(tmp_path / "b"))
     assert first.fingerprint() == second.fingerprint()
 
 
