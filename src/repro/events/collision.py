@@ -154,7 +154,6 @@ class CollisionForecaster:
         #: mmsi -> cells it currently occupies (for cleanup on update).
         self._vessel_cells: dict[int, set[int]] = {}
         self._last_event: dict[tuple[int, int], float] = {}
-        self.events: list[CollisionForecast] = []
 
     def _dilated_cells(self, forecast: RouteForecast) -> set[int]:
         cells: set[int] = set()
@@ -201,7 +200,6 @@ class CollisionForecaster:
             if last is not None and forecast.anchor.t - last < self.debounce_s:
                 continue
             self._last_event[hit.pair] = forecast.anchor.t
-            self.events.append(hit)
             new_events.append(hit)
         return new_events
 

@@ -24,8 +24,8 @@ class ProximityPairEvent:
     mmsi_b: int
     t: float
     distance_m: float
-    lat: float       #: midpoint latitude
-    lon: float       #: midpoint longitude
+    lat: float  #: midpoint latitude
+    lon: float  #: midpoint longitude
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -37,57 +37,39 @@ class ProximityDetector:
 
     ``observe`` ingests timestamped positions; any other vessel seen within
     ``time_window_s`` whose position lies inside ``distance_threshold_m``
-    produces an event. Repeated detections of the same pair within
-    ``debounce_s`` are suppressed so one encounter logs one event.
+    produces an event. Every hit is reported: one encounter yields a hit
+    per close observation, and the platform debounces them per pair in the
+    pair's owner vessel actor, whichever cell reported them.
     """
 
-    def __init__(self, distance_threshold_m: float = 500.0,
-                 time_window_s: float = 120.0,
-                 debounce_s: float = 600.0) -> None:
+    def __init__(self, distance_threshold_m: float = 500.0, time_window_s: float = 120.0) -> None:
         if distance_threshold_m <= 0:
             raise ValueError("distance threshold must be positive")
         self.distance_threshold_m = distance_threshold_m
         self.time_window_s = time_window_s
-        self.debounce_s = debounce_s
         #: mmsi -> (t, lat, lon) most recent observation.
         self._last_seen: dict[int, tuple[float, float, float]] = {}
-        #: pair -> time of last emitted event.
-        self._last_event: dict[tuple[int, int], float] = {}
-        self.events: list[ProximityPairEvent] = []
 
     def export_state(self) -> dict:
-        """The detector's working state for checkpointing (the emitted
-        ``events`` log stays behind — it is an evaluation artifact, not
-        detection state)."""
-        return {"last_seen": dict(self._last_seen),
-                "last_event": dict(self._last_event)}
+        """The detector's working state for checkpointing."""
+        return {"last_seen": dict(self._last_seen)}
 
     def restore_state(self, state: dict) -> None:
         self._last_seen = dict(state["last_seen"])
-        self._last_event = dict(state["last_event"])
 
-    def observe(self, mmsi: int, t: float, lat: float, lon: float
-                ) -> list[ProximityPairEvent]:
-        """Ingest one position; returns newly detected events."""
-        new_events = []
+    def observe(self, mmsi: int, t: float, lat: float, lon: float) -> list[ProximityPairEvent]:
+        """Ingest one position; returns the pairs it closes."""
+        events = []
         for other, (ot, olat, olon) in self._last_seen.items():
             if other == mmsi or t - ot > self.time_window_s:
                 continue
             d = equirectangular_distance_m(lat, lon, olat, olon)
             if d >= self.distance_threshold_m:
                 continue
-            pair = tuple(sorted((mmsi, other)))
-            last = self._last_event.get(pair)
-            if last is not None and t - last < self.debounce_s:
-                continue
-            event = ProximityPairEvent(
-                mmsi_a=pair[0], mmsi_b=pair[1], t=t, distance_m=float(d),
-                lat=(lat + olat) / 2.0, lon=(lon + olon) / 2.0)
-            self._last_event[pair] = t
-            self.events.append(event)
-            new_events.append(event)
+            a, b = sorted((mmsi, other))
+            events.append(ProximityPairEvent(a, b, t, float(d), (lat + olat) / 2, (lon + olon) / 2))
         self._last_seen[mmsi] = (t, lat, lon)
-        return new_events
+        return events
 
     def prune(self, now: float) -> int:
         """Drop observations older than the time window; returns how many.
@@ -95,8 +77,7 @@ class ProximityDetector:
         Cell actors call this periodically so memory stays bounded even in
         the busiest cells.
         """
-        stale = [m for m, (t, _, _) in self._last_seen.items()
-                 if now - t > self.time_window_s]
+        stale = [m for m, (t, _, _) in self._last_seen.items() if now - t > self.time_window_s]
         for m in stale:
             del self._last_seen[m]
         return len(stale)

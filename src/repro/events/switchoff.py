@@ -41,9 +41,9 @@ class SwitchOffDetector:
     dropouts.
     """
 
-    def __init__(self, gap_factor: float = 20.0,
-                 min_gap_s: float = 900.0,
-                 moving_threshold_kn: float = 1.0) -> None:
+    def __init__(
+        self, gap_factor: float = 20.0, min_gap_s: float = 900.0, moving_threshold_kn: float = 1.0
+    ) -> None:
         self.gap_factor = gap_factor
         self.min_gap_s = min_gap_s
         self.moving_threshold_kn = moving_threshold_kn
@@ -51,10 +51,8 @@ class SwitchOffDetector:
         self._last: dict[int, tuple[float, float, float, float]] = {}
         #: vessels already flagged (cleared when they transmit again).
         self._flagged: set[int] = set()
-        self.events: list[SwitchOffEvent] = []
 
-    def observe(self, mmsi: int, t: float, lat: float, lon: float,
-                sog: float) -> None:
+    def observe(self, mmsi: int, t: float, lat: float, lon: float, sog: float) -> None:
         previous = self._last.get(mmsi)
         if previous is not None and t < previous[0]:
             return  # late/out-of-order duplicate
@@ -69,20 +67,16 @@ class SwitchOffDetector:
 
     def check(self, now: float) -> list[SwitchOffEvent]:
         """Detect vessels whose silence exceeds their expected gap."""
-        new_events = []
+        events = []
         for mmsi, (t, lat, lon, sog) in self._last.items():
             if mmsi in self._flagged:
                 continue
             if sog < self.moving_threshold_kn:
                 continue  # anchored vessels legitimately report slowly
             if now - t >= self.expected_gap_s(sog):
-                event = SwitchOffEvent(mmsi=mmsi, t_last_message=t,
-                                       t_detected=now, last_lat=lat,
-                                       last_lon=lon, last_sog=sog)
+                events.append(SwitchOffEvent(mmsi, t, now, lat, lon, sog))
                 self._flagged.add(mmsi)
-                self.events.append(event)
-                new_events.append(event)
-        return new_events
+        return events
 
     @property
     def tracked_vessels(self) -> int:

@@ -6,6 +6,10 @@ for collision forecasting ... These actors consume the combined output of
 all vessel actors N and determine the state of their respective event
 class. ... Based on the final state status, they communicate their state
 back to the respective affected subset of vessel actors." (Section 3)
+
+The cells keep no debounce state: every raw hit goes to the one vessel
+actor that owns the pair, ``min(pair)``, which decides whether it is a new
+encounter (see :mod:`repro.platform.vessel_actor`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from repro.models.base import RouteForecast
 from repro.platform.messages import (
     CellObservation,
     CollisionAlert,
-    EventRecord,
     ForecastBatch,
     ForecastShared,
     ProximityAlert,
@@ -41,18 +44,12 @@ class ProximityCellActor(Actor):
         self.cell = cell
         self.wiring = wiring
         # 500 m: the detector's default distance threshold.
-        self.detector = ProximityDetector(debounce_s=wiring.config.event_debounce_s)
+        self.detector = ProximityDetector()
 
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, CellObservation):
-            events = self.detector.observe(message.mmsi, message.t, message.lat, message.lon)
-            for event in events:
-                alert = ProximityAlert(event=event)
-                # Back to the affected vessel actors...
-                for mmsi in event.pair:
-                    self.wiring.vessel_router.tell(mmsi, alert)
-                # ...and into the store for the UI event list.
-                self.wiring.writer_ref.tell(EventRecord(kind="proximity", t=event.t, payload=event))
+            for event in self.detector.observe(message.mmsi, message.t, message.lat, message.lon):
+                self.wiring.vessel_router.tell(event.pair[0], ProximityAlert(event=event))
         elif isinstance(message, PruneTick):
             self.detector.prune(message.now)
         elif isinstance(message, RestoreState):
@@ -140,9 +137,8 @@ class CollisionCellRouter(KeyRouter):
                 with self._solo_lock:
                     if key in self._solo:
                         return  # live (replayed) forecast is newer; keep it
-                    state = message.state
-                    forecasts = state.get("forecasts", {})
-                    if not state.get("last_pair_alert") and len(forecasts) <= 1:
+                    forecasts = message.state.get("forecasts", {})
+                    if len(forecasts) <= 1:
                         for forecast in forecasts.values():
                             self._solo[key] = forecast
                         return
@@ -160,7 +156,7 @@ class CollisionCellRouter(KeyRouter):
         held = self._solo.get(key)
         if held is None:
             return None
-        return {"forecasts": {held.mmsi: held}, "last_pair_alert": {}}
+        return {"forecasts": {held.mmsi: held}}
 
     def known_keys(self) -> list[Any]:
         return list(self._refs) + [k for k in self._solo if k not in self._refs]
@@ -184,7 +180,6 @@ class CollisionCellActor(Actor):
         self.cell = cell
         self.wiring = wiring
         self.forecasts: dict[int, object] = {}
-        self._last_pair_alert: dict[tuple[int, int], float] = {}
 
     def receive(self, message, ctx: ActorContext) -> None:
         if isinstance(message, ForecastShared):
@@ -201,34 +196,22 @@ class CollisionCellActor(Actor):
             self.restore_state(message.state)
 
     def export_state(self) -> dict:
-        return {"forecasts": dict(self.forecasts), "last_pair_alert": dict(self._last_pair_alert)}
+        return {"forecasts": dict(self.forecasts)}
 
     def restore_state(self, state: dict) -> None:
-        if self.forecasts or self._last_pair_alert:
+        if self.forecasts:
             return  # already rebuilt from replayed forecasts; keep it
         self.forecasts = dict(state["forecasts"])
-        self._last_pair_alert = dict(state["last_pair_alert"])
 
     def _on_forecast(self, message: ForecastShared) -> None:
-        config = self.wiring.config
         forecast = message.forecast
         for other_mmsi, other_fc in self.forecasts.items():
             if other_mmsi == forecast.mmsi:
                 continue
             # Default thresholds: 2 minutes, 500 m (Section 5.2).
             hit = trajectories_intersect(forecast, other_fc)
-            if hit is None:
-                continue
-            last = self._last_pair_alert.get(hit.pair)
-            if last is not None and forecast.anchor.t - last < config.event_debounce_s:
-                continue
-            self._last_pair_alert[hit.pair] = forecast.anchor.t
-            alert = CollisionAlert(event=hit)
-            for mmsi in hit.pair:
-                self.wiring.vessel_router.tell(mmsi, alert)
-            self.wiring.writer_ref.tell(
-                EventRecord(kind="collision", t=hit.forecast_at, payload=hit)
-            )
+            if hit is not None:
+                self.wiring.vessel_router.tell(hit.pair[0], CollisionAlert(event=hit))
         self.forecasts[forecast.mmsi] = forecast
 
 

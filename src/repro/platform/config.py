@@ -21,7 +21,8 @@ class PlatformConfig:
     #: Rings of neighbouring cells that receive forecast positions
     #: ("the respective cell ... and each n+1 nearest cell", Section 5.2).
     collision_neighbor_rings: int = 1
-    #: Suppress duplicate events of the same pair for this long, seconds.
+    #: Debounce window, seconds: an encounter is identified by (kind, pair,
+    #: event time // this), and the pair's owner vessel records each once.
     event_debounce_s: float = 900.0
     #: Run the forecasting model on every n-th kept fix (1 = every fix).
     forecast_every_n: int = 1
@@ -61,10 +62,6 @@ class PlatformConfig:
     #: Flush a partial writer batch after this much virtual time
     #: (mirrors ``BatchingTransport.linger_s``). 0 disables the timer.
     writer_batch_linger_s: float = 0.5
-    #: Hard cap on the node's event-dedup map (one map per node, held by
-    #: its one writer); oldest entries are evicted past this
-    #: (debounce-expired entries go first).
-    event_dedup_max: int = 4096
     #: Publish every writer flush batch on pub/sub channel ``repl:flush``
     #: so ``repro.serving`` read replicas can follow the primary without
     #: touching its store (see SERVING.md). Off by default: the serving
@@ -109,8 +106,8 @@ class PlatformConfig:
             raise ValueError("writer_batch_max_ops must be >= 1")
         if self.writer_batch_linger_s < 0:
             raise ValueError("writer_batch_linger_s must be non-negative")
-        if self.event_dedup_max < 1:
-            raise ValueError("event_dedup_max must be >= 1")
+        if self.event_debounce_s <= 0:
+            raise ValueError("event_debounce_s must be positive")
         if self.voyage_replan_cadence_s <= 0:
             raise ValueError("voyage_replan_cadence_s must be positive")
         if self.voyage_batch_max < 1:

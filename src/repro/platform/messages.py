@@ -76,14 +76,16 @@ class ForecastReady:
 
 @dataclass(frozen=True)
 class ProximityAlert:
-    """Cell actor -> vessel actors & writer: proximity event detected."""
+    """Proximity cell -> the pair's owner vessel actor (``min(pair)``): one
+    raw hit. The owner forwards an accepted alert to ``pair[1]``."""
 
     event: ProximityPairEvent
 
 
 @dataclass(frozen=True)
 class CollisionAlert:
-    """Collision actor -> vessel actors & writer: collision forecast."""
+    """Collision cell -> the pair's owner vessel actor (``min(pair)``): one
+    raw hit. The owner forwards an accepted alert to ``pair[1]``."""
 
     event: CollisionForecast
 
@@ -104,9 +106,11 @@ class VesselStateUpdate:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """Writer actor input: a loggable platform event."""
+    """Writer actor input: a loggable platform event. Encounters come from
+    their pair's owner vessel actor, once per accepted identity; voyage
+    events from their vessel actor; switch-offs from ingestion."""
 
-    kind: str          #: "proximity" | "collision" | "switchoff"
+    kind: str          #: "proximity" | "collision" | "switchoff" | a voyage kind
     t: float
     payload: Any
 

@@ -14,9 +14,11 @@ one corresponding to a specific vessel as it is defined by its unique MMSI"
   actors of every cell the trajectory (dilated by one neighbour ring)
   touches, and to the traffic-flow actor,
 * pushes its state snapshot to the writer actor,
-* records proximity/collision alerts communicated back by the spatial
-  actors ("they communicate their state back to the respective affected
-  subset of vessel actors").
+* owns the encounters of each pair whose smaller MMSI it is: the spatial
+  actors "communicate their state back to the respective affected subset
+  of vessel actors" by sending every raw hit to the owner, which records
+  a hit only if its ``(kind, pair, t // event_debounce_s)`` identity is
+  new and forwards it to the partner; both flag it in ``event_flags``.
 
 With pooled inference the state update of a forecast-triggering fix is
 deferred until the :class:`~repro.platform.messages.ForecastReady` reply,
@@ -121,6 +123,9 @@ class VesselActor(Actor):
         #: state update deferred until the ForecastReady reply.
         self.pending_forecast = False
         self.event_flags: deque[str] = deque(maxlen=8)
+        #: Identities ``(kind, pair, bucket)`` of the owned encounters
+        #: already recorded, back to one bucket before the newest.
+        self.event_marks: set[tuple] = set()
         #: Voyage-optimization state (None until a VoyageAssigned lands):
         #: the assignment, the freshest plan, the bucket-quantised replan
         #: cursor, the in-flight-replan marker, and per-kind emission
@@ -141,9 +146,10 @@ class VesselActor(Actor):
         elif isinstance(message, PlanReady):
             self._on_plan_ready(message)
         elif isinstance(message, ProximityAlert):
-            self.event_flags.append(f"proximity@{message.event.t:.0f}")
+            self._on_alert(message, "proximity", message.event.t, message.event.t)
         elif isinstance(message, CollisionAlert):
-            self.event_flags.append(f"collision@{message.event.t_expected:.0f}")
+            event = message.event
+            self._on_alert(message, "collision", event.forecast_at, event.t_expected)
         elif isinstance(message, RestoreState):
             self.restore_state(message.state)
         # Unknown messages are ignored (actors are liberal receivers).
@@ -153,7 +159,8 @@ class VesselActor(Actor):
     def export_state(self) -> dict:
         """Everything a freshly spawned twin needs to continue this
         vessel: the history window, downsampling cursor, event flags and
-        the in-flight pending-forecast marker (a checkpoint taken
+        encounter marks (a restored owner must not re-record an encounter),
+        and the in-flight pending-forecast marker (a checkpoint taken
         mid-linger must re-issue the pooled request on recovery)."""
         return {
             "history": self.history.positions(),
@@ -163,6 +170,7 @@ class VesselActor(Actor):
             "latest_forecast": self.latest_forecast,
             "pending_forecast": self.pending_forecast,
             "event_flags": list(self.event_flags),
+            "event_marks": set(self.event_marks),
             # Voyage assignment and plan state ride the same snapshot:
             # assignments are not in the AIS stream, so replay alone can
             # never rebuild them — recovery MUST carry them across.
@@ -187,6 +195,7 @@ class VesselActor(Actor):
         self.last_message = state["last_message"]
         self.latest_forecast = state["latest_forecast"]
         self.event_flags = deque(state["event_flags"], maxlen=8)
+        self.event_marks = set(state["event_marks"])
         self.pending_forecast = False
         self.voyage = state.get("voyage")
         self.voyage_plan = state.get("voyage_plan")
@@ -268,6 +277,23 @@ class VesselActor(Actor):
                 event_flags=tuple(self.event_flags),
             ),
         )
+
+    def _on_alert(self, alert, kind: str, t: float, flag_t: float) -> None:
+        """A cell's raw hit on a pair this vessel owns (``pair[0]``), or the
+        owner's forward of an accepted one (``pair[1]``). The owner accepts
+        a hit only if its identity is new, records it, and forwards it."""
+        pair = alert.event.pair
+        if self.mmsi == pair[0]:
+            bucket = int(t // self.wiring.config.event_debounce_s)
+            if (kind, pair, bucket) in self.event_marks:
+                return
+            if all(mark[2] < bucket for mark in self.event_marks):
+                # Age bound: a newer bucket drops marks over one bucket older.
+                self.event_marks = {mark for mark in self.event_marks if mark[2] >= bucket - 1}
+            self.event_marks.add((kind, pair, bucket))
+            self.wiring.writer_ref.tell(EventRecord(kind=kind, t=t, payload=alert.event))
+            self.wiring.vessel_router.tell(pair[1], alert)
+        self.event_flags.append(f"{kind}@{flag_t:.0f}")
 
     # -- voyage optimization --------------------------------------------------------
 

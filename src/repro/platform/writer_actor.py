@@ -12,7 +12,9 @@ pending events queue up, and the shared
 :class:`~repro.platform.batching.MicroBatcher` discipline flushes the batch
 when it reaches ``writer_batch_max_ops`` pending KV operations, when the
 ``writer_batch_linger_s`` virtual-time linger expires, or on an explicit
-:class:`~repro.platform.batching.BatchFlush`.
+:class:`~repro.platform.batching.BatchFlush`. Every event it receives is
+written: an encounter arrives already debounced by its pair's owner vessel
+actor.
 
 Key schema (consumed by :class:`repro.platform.api.MiddlewareAPI`):
 
@@ -79,18 +81,6 @@ class WriterActor(Actor):
             self._producer = Producer(wiring.broker)
             self._state_topic = OUTPUT_STATE_TOPIC
             self._event_topic_prefix = OUTPUT_EVENT_TOPIC_PREFIX
-        #: (kind, pair, debounce bucket) -> event time, for cross-cell
-        #: deduplication (the same encounter can be detected by several
-        #: cell actors). Keyed by the *bucket* of the event time rather
-        #: than a sliding last-accepted window so the accepted count is a
-        #: pure function of the event multiset — several cells race the
-        #: same pair's records to the writer, and their arrival order
-        #: depends on scheduler interleaving (the batched-vs-unbatched
-        #: event-parity gate relies on this being order-insensitive).
-        #: Bounded: entries older than the debounce window are pruned
-        #: whenever the map exceeds ``event_dedup_max``, then oldest-first
-        #: eviction enforces the hard cap (see :meth:`_bound_dedup`).
-        self._event_dedup: dict[tuple, float] = {}
         #: mmsi -> newest pending state (coalesced: last write wins).
         self._pending_states: dict[int, VesselStateUpdate] = {}
         #: (record, events:all member id) pairs awaiting flush, in order.
@@ -137,37 +127,14 @@ class WriterActor(Actor):
         self._batcher.added()
 
     def _enqueue_event(self, record: EventRecord) -> None:
-        payload = record.payload
-        pair = getattr(payload, "pair", None)
-        debounce = self.wiring.config.event_debounce_s
-        if pair is not None and debounce > 0:
-            key = (record.kind, pair, int(record.t // debounce))
-            if key in self._event_dedup:
-                return
-            self._event_dedup[key] = record.t
-            self._bound_dedup(record.t)
-
         member = f"{record.kind}:0:{self.events_written}"
         self._pending_events.append((record, member))
-        self.wiring.pubsub.publish(f"events:{record.kind}", payload)
+        self.wiring.pubsub.publish(f"events:{record.kind}", record.payload)
         if self._producer is not None:
             topic = f"{self._event_topic_prefix}.{record.kind}"
             self._producer.send(topic, record.kind, record, record.t)
         self.events_written += 1
         self._batcher.added()
-
-    def _bound_dedup(self, now: float) -> None:
-        limit = self.wiring.config.event_dedup_max
-        if len(self._event_dedup) <= limit:
-            return
-        debounce = self.wiring.config.event_debounce_s
-        self._event_dedup = {k: t for k, t in self._event_dedup.items() if now - t < debounce}
-        if len(self._event_dedup) > limit:
-            # Still over the cap inside one debounce window: drop the
-            # oldest entries (their pairs may debounce-miss once; bounded
-            # memory wins over perfect dedup under adversarial load).
-            ordered = sorted(self._event_dedup.items(), key=lambda kv: (kv[1], kv[0]))
-            self._event_dedup = dict(ordered[len(ordered) - limit :])
 
     # -- batching -------------------------------------------------------------------
 

@@ -20,27 +20,20 @@ class TestProximityDetector:
         assert det.observe(2, t=10.0, lat=37.95, lon=23.60) == []
 
     def test_stale_observation_ignored(self):
-        det = ProximityDetector(distance_threshold_m=500.0,
-                                time_window_s=60.0)
+        det = ProximityDetector(distance_threshold_m=500.0, time_window_s=60.0)
         det.observe(1, t=0.0, lat=37.90, lon=23.60)
         assert det.observe(2, t=120.0, lat=37.901, lon=23.60) == []
 
-    def test_debounce_suppresses_repeats(self):
-        det = ProximityDetector(distance_threshold_m=500.0, debounce_s=600.0)
+    def test_every_close_observation_is_reported(self):
+        """The detector keeps no debounce state: repeats are hits too, and
+        the pair's owner vessel actor debounces them."""
+        det = ProximityDetector(distance_threshold_m=500.0)
         det.observe(1, t=0.0, lat=37.90, lon=23.60)
         first = det.observe(2, t=10.0, lat=37.901, lon=23.60)
         det.observe(1, t=20.0, lat=37.90, lon=23.60)
         repeat = det.observe(2, t=30.0, lat=37.901, lon=23.60)
-        assert len(first) == 1
-        assert repeat == []
-
-    def test_event_reemitted_after_debounce(self):
-        det = ProximityDetector(distance_threshold_m=500.0, debounce_s=100.0)
-        det.observe(1, t=0.0, lat=37.90, lon=23.60)
-        det.observe(2, t=10.0, lat=37.901, lon=23.60)
-        det.observe(1, t=200.0, lat=37.90, lon=23.60)
-        again = det.observe(2, t=210.0, lat=37.901, lon=23.60)
-        assert len(again) == 1
+        assert [e.t for e in first + repeat] == [10.0, 30.0]
+        assert list(det.export_state()) == ["last_seen"]
 
     def test_self_proximity_impossible(self):
         det = ProximityDetector()

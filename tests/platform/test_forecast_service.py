@@ -36,20 +36,18 @@ def tiny_svrf(seed: int = 0) -> SVRFModel:
     """An S-VRF model that is 'trained' by construction: identity-ish
     scalers instead of a fit, so forecasts are deterministic functions of
     the (seeded) initial weights — all the inference paths run for real."""
-    model = SVRFModel(SVRFConfig(hidden=6, dense=8, seed=seed,
-                                 input_steps=INPUT_STEPS))
-    model.x_scaler = StandardScaler.from_state(
-        {"mean": np.zeros(3), "std": np.ones(3)})
+    model = SVRFModel(SVRFConfig(hidden=6, dense=8, seed=seed, input_steps=INPUT_STEPS))
+    model.x_scaler = StandardScaler.from_state({"mean": np.zeros(3), "std": np.ones(3)})
     out = model.config.output_steps * 2
     # Small y-std keeps the de-scaled transitions in a plausible range.
-    model.y_scaler = StandardScaler.from_state(
-        {"mean": np.zeros(out), "std": np.full(out, 1e-3)})
+    model.y_scaler = StandardScaler.from_state({"mean": np.zeros(out), "std": np.full(out, 1e-3)})
     model.trained = True
     return model
 
 
-def fixes(mmsi: int, n: int, t0: float = 0.0, lat0: float = 10.0,
-          lon0: float = 20.0) -> list[AISMessage]:
+def fixes(
+    mmsi: int, n: int, t0: float = 0.0, lat0: float = 10.0, lon0: float = 20.0
+) -> list[AISMessage]:
     """``n`` kept fixes (30 s apart) on a vessel-specific drifting track."""
     rng = np.random.default_rng(mmsi)
     msgs = []
@@ -57,8 +55,7 @@ def fixes(mmsi: int, n: int, t0: float = 0.0, lat0: float = 10.0,
     for i in range(n):
         lat += 0.001 + rng.uniform(0, 0.0005)
         lon += 0.0005 + rng.uniform(0, 0.0005)
-        msgs.append(AISMessage(mmsi=mmsi, t=t0 + 30.0 * i, lat=lat, lon=lon,
-                               sog=8.0, cog=45.0))
+        msgs.append(AISMessage(mmsi=mmsi, t=t0 + 30.0 * i, lat=lat, lon=lon, sog=8.0, cog=45.0))
     return msgs
 
 
@@ -74,11 +71,11 @@ def drain(platform: Platform) -> None:
     platform.system.run_until_idle()
 
 
-def stationary_forecast(mmsi: int, t0: float = 1_000.0, lat: float = 10.0,
-                        lon: float = 20.0) -> RouteForecast:
+def stationary_forecast(
+    mmsi: int, t0: float = 1_000.0, lat: float = 10.0, lon: float = 20.0
+) -> RouteForecast:
     positions = [Position(t=t0, lat=lat, lon=lon)]
-    positions += [Position(t=t, lat=lat, lon=lon)
-                  for t in forecast_mark_times(t0)]
+    positions += [Position(t=t, lat=lat, lon=lon) for t in forecast_mark_times(t0)]
     return RouteForecast(mmsi=mmsi, positions=tuple(positions))
 
 
@@ -93,20 +90,25 @@ class TestBitwiseParity:
         histories = []
         for i, n in enumerate(lengths):
             msgs = fixes(200000000 + i, n)
-            histories.append([Position(t=m.t, lat=m.lat, lon=m.lon)
-                              for m in msgs])
-        scalar = [model.forecast(200000000 + i, h,
-                                 pad=len(h) < model.min_history)
-                  for i, h in enumerate(histories)]
-        windows = np.stack([
-            model.make_window(np.array([p.t for p in h]),
-                              np.array([p.lat for p in h]),
-                              np.array([p.lon for p in h]),
-                              pad=len(h) < model.min_history)
-            for h in histories])
+            histories.append([Position(t=m.t, lat=m.lat, lon=m.lon) for m in msgs])
+        scalar = [
+            model.forecast(200000000 + i, h, pad=len(h) < model.min_history)
+            for i, h in enumerate(histories)
+        ]
+        windows = np.stack(
+            [
+                model.make_window(
+                    np.array([p.t for p in h]),
+                    np.array([p.lat for p in h]),
+                    np.array([p.lon for p in h]),
+                    pad=len(h) < model.min_history,
+                )
+                for h in histories
+            ]
+        )
         batched = model.forecast_batch(
-            [200000000 + i for i in range(len(histories))],
-            windows, [h[-1] for h in histories])
+            [200000000 + i for i in range(len(histories))], windows, [h[-1] for h in histories]
+        )
         for one, many in zip(scalar, batched):
             assert one.positions == many.positions  # exact float equality
 
@@ -125,24 +127,24 @@ class TestBitwiseParity:
         for i, mmsi in enumerate(padded):
             messages += fixes(mmsi, 3, lat0=30.0 + i)
         messages += proximity_scenario(
-            n_event_pairs=4, n_near_miss_pairs=2, n_background=2,
-            duration_s=3_600.0, seed=3).result.messages
+            n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0, seed=3
+        ).result.messages
         messages.sort(key=lambda m: m.t)
 
         platforms = {}
         for batching in (False, True):
             platform = Platform(
                 forecaster=model,
-                config=PlatformConfig(forecast_batching=batching,
-                                      forecast_batch_max=64))
+                config=PlatformConfig(forecast_batching=batching, forecast_batch_max=64),
+            )
             for i in range(0, len(messages), 500):
-                platform.publish_messages(messages[i:i + 500])
+                platform.publish_messages(messages[i : i + 500])
                 platform.process_available()
             platforms[batching] = platform
 
         for kind in ("proximity", "collision"):
-            assert platforms[False].api.event_count(kind) \
-                == platforms[True].api.event_count(kind) > 0
+            counts = [platforms[batching].api.event_count(kind) for batching in (False, True)]
+            assert counts[0] == counts[1] > 0
 
         service = platforms[True].wiring.forecast_service
         assert service is not None and service.batches_executed >= 1
@@ -159,21 +161,17 @@ class TestFlushDiscipline:
     def make_platform(self, **overrides) -> Platform:
         defaults = dict(forecast_batch_max=100, forecast_linger_s=2.0)
         defaults.update(overrides)
-        return Platform(forecaster=LinearKinematicModel(),
-                        config=PlatformConfig(**defaults))
+        return Platform(forecaster=LinearKinematicModel(), config=PlatformConfig(**defaults))
 
     def test_exact_max_batch_flushes_without_timer(self):
-        platform = self.make_platform(forecast_batch_max=4,
-                                      forecast_linger_s=1e9)
-        platform.publish_messages(
-            [fixes(400000000 + i, 1)[0] for i in range(4)])
+        platform = self.make_platform(forecast_batch_max=4, forecast_linger_s=1e9)
+        platform.publish_messages([fixes(400000000 + i, 1)[0] for i in range(4)])
         drain(platform)
         service = platform.wiring.forecast_service
         assert service.batches_executed == 1
         assert service.pending_count == 0
         for i in range(4):
-            assert vessel_actor(platform, 400000000 + i).latest_forecast \
-                is not None
+            assert vessel_actor(platform, 400000000 + i).latest_forecast is not None
 
     def test_straggler_flushed_by_linger_timer(self):
         platform = self.make_platform(forecast_linger_s=2.0)
@@ -199,44 +197,41 @@ class TestFlushDiscipline:
     def test_stale_timer_rearms_for_queued_tail(self):
         """A max-batch flush beats the armed linger timer; a request queued
         behind it must still execute at the *next* linger deadline."""
-        platform = self.make_platform(forecast_batch_max=2,
-                                      forecast_linger_s=5.0)
-        platform.publish_messages(
-            [fixes(400000000 + i, 1)[0] for i in range(3)])
+        platform = self.make_platform(forecast_batch_max=2, forecast_linger_s=5.0)
+        platform.publish_messages([fixes(400000000 + i, 1)[0] for i in range(3)])
         drain(platform)
         service = platform.wiring.forecast_service
         assert service.batches_executed == 1  # max-batch pair
-        assert service.pending_count == 1     # the tail request
-        platform.system.advance_time(5.1)     # stale timer: re-arms
+        assert service.pending_count == 1  # the tail request
+        platform.system.advance_time(5.1)  # stale timer: re-arms
         platform.system.run_until_idle()
         assert service.batches_executed == 1
         assert service.pending_count == 1
-        platform.system.advance_time(5.1)     # re-armed timer: flushes
+        platform.system.advance_time(5.1)  # re-armed timer: flushes
         platform.system.run_until_idle()
         assert service.batches_executed == 2
         assert service.pending_count == 0
 
     def test_flush_telemetry_histograms(self):
         from repro.telemetry import Telemetry
-        platform = self.make_platform(forecast_batch_max=3,
-                                      forecast_linger_s=1e9)
+
+        platform = self.make_platform(forecast_batch_max=3, forecast_linger_s=1e9)
         platform.system.telemetry = Telemetry("test")
-        platform.publish_messages(
-            [fixes(400000000 + i, 1)[0] for i in range(3)])
+        platform.publish_messages([fixes(400000000 + i, 1)[0] for i in range(3)])
         drain(platform)
         registry = platform.system.telemetry.registry
         batch_hist = registry.histogram("forecast_batch_size")
         assert batch_hist.count == 1 and batch_hist.max == 3
         assert registry.histogram("forecast_latency_s").count == 1
-        assert registry.counter("forecast_flushes_total",
-                                {"reason": "max_batch"}).value == 1
+        assert registry.counter("forecast_flushes_total", {"reason": "max_batch"}).value == 1
 
 
 class TestPendingForecastCheckpoint:
     def make_platform(self) -> Platform:
-        return Platform(forecaster=LinearKinematicModel(),
-                        config=PlatformConfig(forecast_batch_max=100,
-                                              forecast_linger_s=1e9))
+        return Platform(
+            forecaster=LinearKinematicModel(),
+            config=PlatformConfig(forecast_batch_max=100, forecast_linger_s=1e9),
+        )
 
     def test_marker_exported_and_reissued_on_restore(self):
         source = self.make_platform()
@@ -247,8 +242,8 @@ class TestPendingForecastCheckpoint:
 
         target = self.make_platform()
         target.wiring.vessel_router.tell(
-            500000000, RestoreState(entity="vessel", key=500000000,
-                                    state=state))
+            500000000, RestoreState(entity="vessel", key=500000000, state=state)
+        )
         target.system.run_until_idle()
         actor = vessel_actor(target, 500000000)
         service = target.wiring.forecast_service
@@ -266,8 +261,7 @@ class TestCollisionCellStash:
     CELL = 0x8A2A1072B59FFFF  #: any H3-ish uint64 works as a router key
 
     def make_router(self, **overrides):
-        platform = Platform(forecaster=LinearKinematicModel(),
-                            config=PlatformConfig(**overrides))
+        platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig(**overrides))
         router = platform.wiring.collision_router
         assert isinstance(router, CollisionCellRouter)
         return platform, router
@@ -288,8 +282,8 @@ class TestCollisionCellStash:
         assert router.spawned == 0 and router.stashed_tells == 2
         state = router.stashed_state(self.CELL)
         # Same shape an actor's export_state produces, holding the latest.
+        assert list(state) == ["forecasts"]
         assert state["forecasts"][111].anchor.t == 2_000.0
-        assert state["last_pair_alert"] == {}
 
     def test_second_vessel_materialises_and_pairs(self):
         """The spawn-on-second-occupant path must replay the stashed
@@ -310,19 +304,17 @@ class TestCollisionCellStash:
     def test_prune_tick_expires_stale_stash(self):
         platform, router = self.make_router(event_debounce_s=900.0)
         router.share_forecast([self.CELL], stationary_forecast(111, t0=0.0))
-        router.tell(self.CELL, PruneTick(now=100.0))   # fresh: kept
+        router.tell(self.CELL, PruneTick(now=100.0))  # fresh: kept
         assert self.CELL in router
-        router.tell(self.CELL, PruneTick(now=901.0))   # stale: dropped
+        router.tell(self.CELL, PruneTick(now=901.0))  # stale: dropped
         platform.system.run_until_idle()
         assert self.CELL not in router and len(router) == 0
         assert router.spawned == 0  # housekeeping never materialises cells
 
     def test_restore_single_occupant_lands_in_stash(self):
         platform, router = self.make_router()
-        state = {"forecasts": {111: stationary_forecast(111)},
-                 "last_pair_alert": {}}
-        router.tell(self.CELL, RestoreState(entity="collision",
-                                            key=self.CELL, state=state))
+        state = {"forecasts": {111: stationary_forecast(111)}}
+        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=state))
         platform.system.run_until_idle()
         assert router.spawned == 0
         restored = router.stashed_state(self.CELL)
@@ -330,11 +322,8 @@ class TestCollisionCellStash:
 
     def test_restore_multi_occupant_spawns_real_actor(self):
         platform, router = self.make_router()
-        state = {"forecasts": {111: stationary_forecast(111),
-                               222: stationary_forecast(222)},
-                 "last_pair_alert": {}}
-        router.tell(self.CELL, RestoreState(entity="collision",
-                                            key=self.CELL, state=state))
+        state = {"forecasts": {111: stationary_forecast(111), 222: stationary_forecast(222)}}
+        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=state))
         platform.system.run_until_idle()
         assert router.spawned == 1
         actor = platform.system._cells[f"collision-{self.CELL}"].actor
@@ -343,14 +332,11 @@ class TestCollisionCellStash:
     def test_live_stash_wins_over_restored_checkpoint(self):
         platform, router = self.make_router()
         router.share_forecast([self.CELL], stationary_forecast(111, t0=5_000.0))
-        router.tell(self.CELL, RestoreState(
-            entity="collision", key=self.CELL,
-            state={"forecasts": {111: stationary_forecast(111, t0=1_000.0)},
-                   "last_pair_alert": {}}))
+        stale = {"forecasts": {111: stationary_forecast(111, t0=1_000.0)}}
+        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=stale))
         platform.system.run_until_idle()
         assert router.spawned == 0
-        assert router.stashed_state(self.CELL)["forecasts"][111].anchor.t \
-            == 5_000.0
+        assert router.stashed_state(self.CELL)["forecasts"][111].anchor.t == 5_000.0
 
     def test_forget_drops_stash(self):
         platform, router = self.make_router()
