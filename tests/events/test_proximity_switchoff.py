@@ -3,6 +3,9 @@
 import pytest
 
 from repro.events import ProximityDetector, SwitchOffDetector
+from repro.models import LinearKinematicModel
+from repro.platform import Platform
+from repro.platform.messages import ProximityAlert
 
 
 class TestProximityDetector:
@@ -34,6 +37,23 @@ class TestProximityDetector:
         repeat = det.observe(2, t=30.0, lat=37.901, lon=23.60)
         assert [e.t for e in first + repeat] == [10.0, 30.0]
         assert list(det.export_state()) == ["last_seen"]
+
+    def test_debounce_suppresses_repeats(self):
+        """The detector's repeats go to the pair's owner vessel actor, which
+        records one event per pair and debounce bucket."""
+        det = ProximityDetector(distance_threshold_m=500.0)
+        platform = Platform(forecaster=LinearKinematicModel())
+        hits = []
+        for t in (0.0, 20.0):
+            det.observe(1, t=t, lat=37.90, lon=23.60)
+            hits += det.observe(2, t=t + 10.0, lat=37.901, lon=23.60)
+        assert len(hits) == 2
+        for event in hits:
+            platform.wiring.vessel_router.tell(event.pair[0], ProximityAlert(event=event))
+        platform.system.run_until_idle()
+        platform.wiring.writer_ref.flush()
+        platform.system.run_until_idle()
+        assert platform.kvstore.llen("events:proximity", now=30.0) == 1
 
     def test_self_proximity_impossible(self):
         det = ProximityDetector()

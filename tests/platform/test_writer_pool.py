@@ -3,7 +3,9 @@
 from repro.events.proximity import ProximityPairEvent
 from repro.models import LinearKinematicModel
 from repro.platform import Platform, PlatformConfig
-from repro.platform.messages import EventRecord, VesselStateUpdate
+from repro.platform.messages import EventRecord, ProximityAlert, VesselStateUpdate
+
+DEBOUNCE = PlatformConfig().event_debounce_s
 
 
 def make_platform(**overrides):
@@ -24,6 +26,23 @@ def prox_event(pair, t):
             mmsi_a=pair[0], mmsi_b=pair[1], t=t, distance_m=100.0, lat=10.0, lon=20.0
         ),
     )
+
+
+def owner_hit(pair, t):
+    """A raw proximity hit, as a cell reports it to the pair's owner ``pair[0]``."""
+    return ProximityAlert(event=prox_event(pair, t).payload)
+
+
+def deliver(platform, hits):
+    for hit in hits:
+        platform.wiring.vessel_router.tell(hit.event.pair[0], hit)
+    platform.system.run_until_idle()
+    platform.wiring.writer_ref.flush()
+    platform.system.run_until_idle()
+
+
+def marks(platform, owner):
+    return platform.system._cells[f"vessel-{owner}"].actor.event_marks
 
 
 class TestOneWriter:
@@ -124,3 +143,41 @@ class TestBatching:
         writer = platform.wiring.writer_ref
         assert writer.pending_ops == 0
         assert platform.api.vessel_count() == scenario.n_vessels
+
+
+class TestDedupBound:
+    """Records reach the writer through the pair's owner vessel, which drops
+    repeats. Its marks are bounded by age: one bucket back from the newest."""
+
+    def test_event_dedup_stays_bounded(self):
+        """Regression: many distinct encounter pairs once grew the dedup
+        state without bound."""
+        platform = make_platform()
+        hits = [owner_hit((100000 + i % 10, 200000 + i), i * DEBOUNCE) for i in range(1_000)]
+        deliver(platform, hits)
+        # Each owner's hits are ten buckets apart: it holds only its newest mark.
+        assert [len(marks(platform, 100000 + k)) for k in range(10)] == [1] * 10
+        # Every distinct pair was still written (dedup only kills repeats).
+        assert platform.wiring.writer_ref.events_written == 1_000
+        assert platform.kvstore.llen("events:proximity", now=1_000 * DEBOUNCE) == 1_000
+
+    def test_debounce_still_works_within_bound(self):
+        platform = make_platform()
+        # Fifty buckets of distinct pairs: the bound has pruned the marks many times.
+        deliver(platform, [owner_hit((111, 300 + k), k * DEBOUNCE) for k in range(50)])
+        # Same pair, same bucket.
+        deliver(platform, [owner_hit((111, 222), 49 * DEBOUNCE + 1.0) for _ in range(5)])
+        assert platform.wiring.writer_ref.events_written == 51
+        assert {mark[2] for mark in marks(platform, 111)} == {48, 49}
+
+    def test_expired_entries_pruned_first(self):
+        platform = make_platform()
+        old = [owner_hit((5000, 6000 + i), float(i)) for i in range(11)]  # all in bucket 0
+        deliver(platform, old + [owner_hit((5000, 7000), DEBOUNCE)])
+        assert len(marks(platform, 5000)) == 12  # bucket 0 is one bucket back: kept
+        deliver(platform, [owner_hit((5000, 8000), 2 * DEBOUNCE)])
+        assert marks(platform, 5000) == {
+            ("proximity", (5000, 7000), 1),
+            ("proximity", (5000, 8000), 2),
+        }
+        assert platform.wiring.writer_ref.events_written == 13
