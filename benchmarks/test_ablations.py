@@ -194,28 +194,31 @@ class TestVTFFAblation:
 class TestCollisionFanOutAblation:
     def test_neighbor_rings(self, benchmark, svrf_model, eval_scenario):
         """Without the n+1-ring fan-out, encounters whose forecasts fall
-        into adjacent cells are missed; one ring recovers them."""
-        from repro.events.collision import CollisionForecaster
+        into adjacent cells are missed; one ring recovers them. A pair is
+        tested only when its dilated cells meet, as in a collision cell."""
         from repro.evaluation.table2 import _forecast_pair, assign_event_leads
         from repro.events.collision import trajectories_intersect
+        from repro.hexgrid import grid_disk, latlng_to_cell
+        from repro.platform.vessel_actor import COLLISION_RESOLUTION
+
+        def cells(forecast, rings):
+            return {cell for pos in forecast.positions
+                    for cell in grid_disk(latlng_to_cell(
+                        pos.lat, pos.lon, COLLISION_RESOLUTION), rings)}
 
         def run():
             events = eval_scenario.events
             leads = assign_event_leads(events, seed=17)
             found = {}
             for rings in (0, 1):
-                engine = CollisionForecaster(neighbor_rings=rings,
-                                             spatial_threshold_m=500.0)
                 hits = 0
                 for ev in events:
                     cutoff = ev.t_closest - leads[ev]
                     pair = _forecast_pair(eval_scenario, svrf_model,
                                           ev.mmsi_a, ev.mmsi_b, cutoff)
-                    if pair is None:
+                    if pair is None or not cells(pair[0], rings) & cells(pair[1], rings):
                         continue
-                    engine_hits = engine.submit(pair[0])
-                    engine_hits += engine.submit(pair[1])
-                    if any(h.pair == ev.pair for h in engine_hits):
+                    if trajectories_intersect(pair[1], pair[0]) is not None:
                         hits += 1
                 found[rings] = hits
             return found

@@ -2,8 +2,9 @@
 
 Builds the two-vessel crossing of the paper's Figure 5, runs the S-VRF (or
 kinematic) forecasts, shows how each forecast position is assigned to its
-H3 cell *and the neighbouring cells*, which collision actor resolves the
-encounter, and the resulting event as the UI's event list would show it.
+H3 cell *and the neighbouring cells*, which collision cells the two
+trajectories share, and the resulting event as the UI's event list would
+show it.
 
 Run:  python examples/collision_watch.py
 """
@@ -70,7 +71,7 @@ def main() -> None:
     platform.publish_messages(result.messages)
     platform.process_available()
     print(f"  vessel actors: {platform.vessel_count}, "
-          f"collision actors: {platform.collision_actor_count}")
+          f"collision cells: {platform.collision_cell_count}")
     for ev in platform.api.recent_events("collision", limit=5):
         print(f"  event list entry: vessels {ev.pair}, "
               f"ETA t={ev.t_expected:.0f}s, "

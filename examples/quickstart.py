@@ -7,8 +7,8 @@ This walks the complete paper pipeline in ~30 seconds:
    irregular AIS transmissions,
 2. publish the stream into the Kafka-like broker as raw AIVDM sentences,
 3. let the platform ingest it — one actor per vessel, the shared
-   forecasting model at the actor level, H3-cell proximity and collision
-   actors, the writer actor persisting into the Redis-like store,
+   forecasting model at the actor level, H3-cell proximity actors and
+   collision cells, the writer actor persisting into the Redis-like store,
 4. query the middleware API the way the UI would.
 
 Run:  python examples/quickstart.py
@@ -40,8 +40,8 @@ def main() -> None:
     dispatched = platform.process_available()
     print(f"  {dispatched} messages dispatched to "
           f"{platform.vessel_count} vessel actors; "
-          f"{platform.cell_actor_count} proximity-cell actors and "
-          f"{platform.collision_actor_count} collision-cell actors spawned")
+          f"{platform.cell_actor_count} proximity-cell actors spawned, "
+          f"{platform.collision_cell_count} collision cells occupied")
 
     print("\n--- Middleware API queries (what the UI calls) ---")
     mmsi = scenario.result.messages[0].mmsi

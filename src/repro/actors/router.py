@@ -3,9 +3,8 @@
 The paper's "core partitioning functionality generates multiple actors N,
 with each one corresponding to a specific vessel as defined by its MMSI"
 (Section 3). :class:`KeyRouter` is that functionality, generalised so the
-same mechanism also backs the spatial *cell actors* (key = H3 cell id) and
-*collision actors*: the first message routed to an unseen key spawns the
-actor for that key.
+same mechanism also backs the spatial *cell actors* (key = H3 cell id):
+the first message routed to an unseen key spawns the actor for that key.
 """
 
 from __future__ import annotations

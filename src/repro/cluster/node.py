@@ -284,7 +284,7 @@ class ClusterNode:
         entity set — an entity's actors can live on any of them.
         ``local_router`` substitutes a specialised
         :class:`~repro.actors.router.KeyRouter` for local delivery (the
-        collision entity's single-occupant fast path)."""
+        collision entity's cell table)."""
         if entity in self._routers:
             raise ValueError(f"entity {entity!r} already registered")
         router = ShardRouter(self, entity, factory, local_router=local_router)
@@ -708,7 +708,7 @@ class ClusterNode:
             if router is None:
                 continue
             router.tell(key, RestoreState(entity=entity, key=key,
-                                          state=state))
+                                          state=state, handoff=True))
             self.state_transfers_received += 1
 
     # -- introspection ---------------------------------------------------------------

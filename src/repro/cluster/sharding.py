@@ -50,19 +50,19 @@ def shard_for_key(entity: str, key: Any, num_shards: int) -> int:
     return stable_hash((entity, key)) % num_shards
 
 
-#: Platform message types bound lazily — the sharding layer must stay
-#: importable without pulling :mod:`repro.platform` in (which imports the
-#: cluster package right back).
-_FORECAST_TYPES = None
+#: The platform's forecast wire type, bound lazily — the sharding layer
+#: must stay importable without pulling :mod:`repro.platform` in (which
+#: imports the cluster package right back).
+_FORECAST_BATCH = None
 
 
-def _forecast_messages():
-    global _FORECAST_TYPES
-    if _FORECAST_TYPES is None:
-        from repro.platform.messages import ForecastShared, ForecastSharedBatch
+def _forecast_batch():
+    global _FORECAST_BATCH
+    if _FORECAST_BATCH is None:
+        from repro.platform.messages import ForecastSharedBatch
 
-        _FORECAST_TYPES = (ForecastShared, ForecastSharedBatch)
-    return _FORECAST_TYPES
+        _FORECAST_BATCH = ForecastSharedBatch
+    return _FORECAST_BATCH
 
 
 class HashRing:
@@ -178,7 +178,7 @@ class ShardRouter:
     def __init__(self, node: "ClusterNode", entity: str, factory, local_router=None) -> None:
         self._node = node
         self.entity = entity
-        # ``is None``, not truthiness: an empty CollisionCellRouter is falsy.
+        # ``is None``, not truthiness: an empty collision-cell table is falsy.
         if local_router is None:
             local_router = KeyRouter(node.system, entity, factory)
         self._local = local_router
@@ -220,11 +220,6 @@ class ShardRouter:
             self._local.tell(key, message)
         else:
             self.remote_told += 1
-            ForecastShared, ForecastSharedBatch = _forecast_messages()
-            if type(message) is ForecastShared:
-                # A collision share re-told from a handed-off mailbox: the
-                # wire carries forecasts only as batches.
-                message = ForecastSharedBatch(cells=(key,), forecast=message.forecast)
             self._node.send_sharded(self.entity, key, message)
 
     def take_shard_load(self) -> dict[int, int]:
@@ -235,11 +230,11 @@ class ShardRouter:
 
     def share_forecast(self, cells, forecast) -> None:
         """Fan one forecast out to many collision cells: the locally owned
-        ones in one call to the local router's single-occupant stash, the
-        remote legs batched — the cells owned by one peer travel in one
+        ones in one call to the local collision-cell table, the remote legs
+        batched — the cells owned by one peer travel in one
         :class:`~repro.platform.messages.ForecastSharedBatch` envelope,
         however many there are."""
-        ForecastSharedBatch = _forecast_messages()[1]
+        ForecastSharedBatch = _forecast_batch()
         node_id = self._node.node_id
         local: list[int] = []
         remote: dict[str, list[int]] = {}
@@ -260,9 +255,10 @@ class ShardRouter:
     def deliver_local(self, key: Any, message: Any) -> None:
         """Entry point for inbound wire messages (bypasses ownership —
         the node already resolved/forwarded). Forecast fan-out reaches the
-        local stash through :meth:`share_forecast`; cells of a batch whose
-        shard moved while the envelope was in flight re-route one by one."""
-        ForecastSharedBatch = _forecast_messages()[1]
+        local collision cells through :meth:`share_forecast`; cells of a
+        batch whose shard moved while the envelope was in flight re-route
+        one by one."""
+        ForecastSharedBatch = _forecast_batch()
         if type(message) is ForecastSharedBatch:
             forecast, local = message.forecast, []
             for cell in message.cells:
@@ -278,12 +274,6 @@ class ShardRouter:
 
     # -- local population (KeyRouter-compatible surface) -----------------------
 
-    def stashed_state(self, key: Any) -> dict | None:
-        """Checkpoint view of a single-occupant stashed key, when the
-        local router keeps one (collision cells); ``None`` otherwise."""
-        stashed = getattr(self._local, "stashed_state", None)
-        return stashed(key) if stashed is not None else None
-
     def known_keys(self) -> list[Any]:
         return self._local.known_keys()
 
@@ -293,21 +283,20 @@ class ShardRouter:
     def __contains__(self, key: Any) -> bool:
         return key in self._local
 
-    @property
-    def spawned(self) -> int:
-        return self._local.spawned
-
     def export_state(self, key: Any) -> dict | None:
-        """Exported actor state for a local key: the live actor's
-        ``export_state()`` when one is spawned, else the local router's
-        stash (single-occupant collision cells). ``None`` when the key
-        carries no recoverable state. Shared by checkpoint capture and
+        """Exported state for a local key: the local router's
+        ``cell_state`` when it keeps its entities in a table (collision
+        cells), else the live actor's ``export_state()``. ``None`` when the
+        key carries no recoverable state. Shared by checkpoint capture and
         the live-migration state transfer."""
+        cell_state = getattr(self._local, "cell_state", None)
+        if cell_state is not None:
+            return cell_state(key)
         system = self._node.system
         with system._lock:
             cell = system._cells.get(f"{self.entity}-{key}")
         if cell is None or cell.stopped:
-            return self.stashed_state(key)
+            return None
         export = getattr(cell.actor, "export_state", None)
         return export() if export is not None else None
 

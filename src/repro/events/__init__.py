@@ -16,7 +16,6 @@ from repro.events.proximity import ProximityDetector, ProximityPairEvent
 from repro.events.switchoff import SwitchOffDetector, SwitchOffEvent
 from repro.events.collision import (
     CollisionForecast,
-    CollisionForecaster,
     trajectories_intersect,
 )
 from repro.events.vtff import (
@@ -44,7 +43,6 @@ __all__ = [
     "StormAvoidanceEvent",
     "VOYAGE_EVENT_KINDS",
     "CollisionForecast",
-    "CollisionForecaster",
     "CongestionReport",
     "DirectVTFF",
     "FlowGrid",

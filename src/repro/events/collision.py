@@ -13,10 +13,10 @@ The algorithm the paper integrates at the actor level:
 4. if both hold, a potential collision is detected and logged with the
    estimated time, location and the MMSIs involved (Figure 4f).
 
-:func:`trajectories_intersect` is the pairwise core (used verbatim by the
-platform's collision actors); :class:`CollisionForecaster` adds the
-cell-indexed candidate generation and per-pair debouncing for standalone
-use by the evaluation harness.
+:func:`trajectories_intersect` is the pairwise test: :func:`densify` on both
+forecasts, then :func:`intersect_dense`. The platform's collision cells
+(:class:`~repro.platform.cell_actor.CollisionCellRouter`) call the two halves
+themselves, so a forecast is densified once however many members it meets.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from repro.hexgrid import grid_disk, latlng_to_cell
+
 from repro.models.base import RouteForecast
 
-#: Default hex resolution for collision cells (~461 m edges, matching the
-#: spatial threshold scale).
-COLLISION_RESOLUTION = 8
+#: A densified forecast: sample times, latitudes and longitudes.
+DenseTrack = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class CollisionForecast:
         return self.t_expected - self.forecast_at
 
 
-def _densify(fc: RouteForecast, step_s: float
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def densify(fc: RouteForecast, step_s: float = 30.0) -> DenseTrack:
     """Resample a forecast polyline at ``step_s`` (linear interpolation).
 
     The forecast marks are 5 minutes apart; a 12-knot vessel covers ~1.8 km
@@ -74,10 +72,59 @@ def _densify(fc: RouteForecast, step_s: float
     return dense_t, np.interp(dense_t, ts, lats), np.interp(dense_t, ts, lons)
 
 
-def trajectories_intersect(fc_a: RouteForecast, fc_b: RouteForecast,
-                           temporal_threshold_s: float = 120.0,
-                           spatial_threshold_m: float = 500.0,
-                           step_s: float = 30.0) -> CollisionForecast | None:
+def intersect_dense(
+    fc_a: RouteForecast,
+    dense_a: DenseTrack,
+    fc_b: RouteForecast,
+    dense_b: DenseTrack,
+    temporal_threshold_s: float = 120.0,
+    spatial_threshold_m: float = 500.0,
+) -> CollisionForecast | None:
+    """The two-stage test of :func:`trajectories_intersect` on tracks
+    already densified by :func:`densify` (``dense_a`` from ``fc_a``,
+    ``dense_b`` from ``fc_b``)."""
+    ta, lat_a, lon_a = dense_a
+    tb, lat_b, lon_b = dense_b
+    forecast_at = max(fc_a.anchor.t, fc_b.anchor.t)
+
+    # Temporal intersection: |ta_i - tb_j| <= threshold, vectorised —
+    # restricted to sample pairs whose midpoint (the estimated encounter
+    # time) is not in the past.
+    dt = np.abs(ta[:, None] - tb[None, :])
+    mask = (dt <= temporal_threshold_s) & ((ta[:, None] + tb[None, :]) * 0.5 >= forecast_at)
+    if not mask.any():
+        return None
+    ia, ib = np.nonzero(mask)
+
+    # Spatial intersection on the matched samples (flat-Earth metres).
+    mean_lat = np.radians((lat_a.mean() + lat_b.mean()) / 2.0)
+    kx = 111_194.9266 * np.cos(mean_lat)
+    ky = 111_194.9266
+    dx = (lon_a[ia] - lon_b[ib]) * kx
+    dy = (lat_a[ia] - lat_b[ib]) * ky
+    d = np.hypot(dx, dy)
+    k = int(np.argmin(d))
+    if d[k] > spatial_threshold_m:
+        return None
+    i, j = int(ia[k]), int(ib[k])
+    return CollisionForecast(
+        mmsi_a=fc_a.mmsi,
+        mmsi_b=fc_b.mmsi,
+        t_expected=float((ta[i] + tb[j]) / 2.0),
+        lat=float((lat_a[i] + lat_b[j]) / 2.0),
+        lon=float((lon_a[i] + lon_b[j]) / 2.0),
+        min_distance_m=float(d[k]),
+        forecast_at=forecast_at,
+    )
+
+
+def trajectories_intersect(
+    fc_a: RouteForecast,
+    fc_b: RouteForecast,
+    temporal_threshold_s: float = 120.0,
+    spatial_threshold_m: float = 500.0,
+    step_s: float = 30.0,
+) -> CollisionForecast | None:
     """Check two forecast trajectories for a predicted close encounter.
 
     Implements the paper's two-stage test (Section 5.2): **temporal
@@ -96,126 +143,11 @@ def trajectories_intersect(fc_a: RouteForecast, fc_b: RouteForecast,
     effectively constant along the horizon. Guarantees
     ``lead_time_s >= 0`` on every returned hit.
     """
-    ta, lat_a, lon_a = _densify(fc_a, step_s)
-    tb, lat_b, lon_b = _densify(fc_b, step_s)
-    forecast_at = max(fc_a.anchor.t, fc_b.anchor.t)
-
-    # Temporal intersection: |ta_i - tb_j| <= threshold, vectorised —
-    # restricted to sample pairs whose midpoint (the estimated encounter
-    # time) is not in the past.
-    dt = np.abs(ta[:, None] - tb[None, :])
-    mask = (dt <= temporal_threshold_s) \
-        & ((ta[:, None] + tb[None, :]) * 0.5 >= forecast_at)
-    if not mask.any():
-        return None
-    ia, ib = np.nonzero(mask)
-
-    # Spatial intersection on the matched samples (flat-Earth metres).
-    mean_lat = np.radians((lat_a.mean() + lat_b.mean()) / 2.0)
-    kx = 111_194.9266 * np.cos(mean_lat)
-    ky = 111_194.9266
-    dx = (lon_a[ia] - lon_b[ib]) * kx
-    dy = (lat_a[ia] - lat_b[ib]) * ky
-    d = np.hypot(dx, dy)
-    k = int(np.argmin(d))
-    if d[k] > spatial_threshold_m:
-        return None
-    i, j = int(ia[k]), int(ib[k])
-    return CollisionForecast(
-        mmsi_a=fc_a.mmsi, mmsi_b=fc_b.mmsi,
-        t_expected=float((ta[i] + tb[j]) / 2.0),
-        lat=float((lat_a[i] + lat_b[j]) / 2.0),
-        lon=float((lon_a[i] + lon_b[j]) / 2.0),
-        min_distance_m=float(d[k]),
-        forecast_at=forecast_at)
-
-
-class CollisionForecaster:
-    """Cell-indexed collision forecasting over a stream of route forecasts.
-
-    ``submit`` registers a vessel's newest forecast, finds candidate vessels
-    through shared (dilated) cells, and returns any new collision forecasts.
-    One event per vessel pair per ``debounce_s`` is emitted.
-    """
-
-    def __init__(self, resolution: int = COLLISION_RESOLUTION,
-                 temporal_threshold_s: float = 120.0,
-                 spatial_threshold_m: float = 500.0,
-                 neighbor_rings: int = 1,
-                 debounce_s: float = 900.0) -> None:
-        self.resolution = resolution
-        self.temporal_threshold_s = temporal_threshold_s
-        self.spatial_threshold_m = spatial_threshold_m
-        self.neighbor_rings = neighbor_rings
-        self.debounce_s = debounce_s
-        self._forecasts: dict[int, RouteForecast] = {}
-        #: cell -> set of MMSIs whose dilated forecast touches the cell.
-        self._cells: dict[int, set[int]] = {}
-        #: mmsi -> cells it currently occupies (for cleanup on update).
-        self._vessel_cells: dict[int, set[int]] = {}
-        self._last_event: dict[tuple[int, int], float] = {}
-
-    def _dilated_cells(self, forecast: RouteForecast) -> set[int]:
-        cells: set[int] = set()
-        for pos in forecast.positions:
-            base = latlng_to_cell(pos.lat, pos.lon, self.resolution)
-            cells.update(grid_disk(base, self.neighbor_rings))
-        return cells
-
-    def _unregister(self, mmsi: int) -> None:
-        for cell in self._vessel_cells.pop(mmsi, ()):
-            members = self._cells.get(cell)
-            if members is not None:
-                members.discard(mmsi)
-                if not members:
-                    del self._cells[cell]
-
-    def submit(self, forecast: RouteForecast) -> list[CollisionForecast]:
-        """Register a new forecast; returns newly predicted collisions."""
-        mmsi = forecast.mmsi
-        self._unregister(mmsi)
-        cells = self._dilated_cells(forecast)
-        self._forecasts[mmsi] = forecast
-        self._vessel_cells[mmsi] = cells
-
-        candidates: set[int] = set()
-        for cell in cells:
-            members = self._cells.setdefault(cell, set())
-            candidates.update(members)
-            members.add(mmsi)
-        candidates.discard(mmsi)
-
-        new_events = []
-        for other in candidates:
-            other_fc = self._forecasts.get(other)
-            if other_fc is None:
-                continue
-            hit = trajectories_intersect(
-                forecast, other_fc,
-                temporal_threshold_s=self.temporal_threshold_s,
-                spatial_threshold_m=self.spatial_threshold_m)
-            if hit is None:
-                continue
-            last = self._last_event.get(hit.pair)
-            if last is not None and forecast.anchor.t - last < self.debounce_s:
-                continue
-            self._last_event[hit.pair] = forecast.anchor.t
-            new_events.append(hit)
-        return new_events
-
-    def prune(self, now: float, max_age_s: float = 900.0) -> int:
-        """Forget forecasts older than ``max_age_s``; returns how many."""
-        stale = [m for m, fc in self._forecasts.items()
-                 if now - fc.anchor.t > max_age_s]
-        for mmsi in stale:
-            self._unregister(mmsi)
-            del self._forecasts[mmsi]
-        return len(stale)
-
-    @property
-    def tracked_vessels(self) -> int:
-        return len(self._forecasts)
-
-    @property
-    def active_cells(self) -> int:
-        return len(self._cells)
+    return intersect_dense(
+        fc_a,
+        densify(fc_a, step_s),
+        fc_b,
+        densify(fc_b, step_s),
+        temporal_threshold_s,
+        spatial_threshold_m,
+    )

@@ -1,7 +1,7 @@
 """A hierarchical hexagonal spatial index (the platform's H3 substitute).
 
 The paper uses Uber's H3 index to route AIS positions and forecast points to
-*cell actors* (proximity detection) and *collision actors* (collision
+*cell actors* (proximity detection) and *collision cells* (collision
 forecasting), and to rasterise traffic flow forecasts. What those components
 need from the index is:
 

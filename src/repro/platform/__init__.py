@@ -8,9 +8,9 @@ This package wires the substrates into the paper's architecture:
   downsampling, and run the short-term route forecasting model that is
   *mounted once per node and shared by every vessel actor*,
 * positional data fans out to **cell actors** (H3 cells, proximity
-  detection) and forecasts to **collision actors** (H3 cells, collision
-  forecasting); both communicate detected events back to the affected
-  vessel actors,
+  detection) and forecasts to **collision cells** (H3 cells, collision
+  forecasting; one table per node); both communicate detected events back
+  to the affected vessel actors,
 * vessel forecasts also feed the **traffic-flow aggregation** (VTFF),
 * a single **writer actor** persists actor states and events into the KV
   store, from which the **middleware API** serves the UI.

@@ -1,4 +1,4 @@
-"""Spatial actors: proximity cells, collision cells and the flow actor.
+"""Spatial state: proximity cell actors, collision cells and the flow actor.
 
 "Two additional actor classes are defined on the spatial level utilizing
 the H3 spatial index, a class for proximity event detection ... and a class
@@ -7,9 +7,12 @@ all vessel actors N and determine the state of their respective event
 class. ... Based on the final state status, they communicate their state
 back to the respective affected subset of vessel actors." (Section 3)
 
-The cells keep no debounce state: every raw hit goes to the one vessel
-actor that owns the pair, ``min(pair)``, which decides whether it is a new
-encounter (see :mod:`repro.platform.vessel_actor`).
+A proximity cell is one actor per cell. The collision cells of a node are
+one table, :class:`CollisionCellRouter`, fed by the forecast fan-out: a
+forecast shared with many cells is tested once against each forecast it
+meets there. The cells keep no debounce state: every raw hit goes to the
+one vessel actor that owns the pair, ``min(pair)``, which decides whether
+it is a new encounter (see :mod:`repro.platform.vessel_actor`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.actors import Actor, ActorContext
-from repro.actors.router import KeyRouter
-from repro.events.collision import trajectories_intersect
+from repro.events.collision import DenseTrack, densify, intersect_dense
 from repro.events.proximity import ProximityDetector
 from repro.events.vtff import IndirectVTFF
 from repro.models.base import RouteForecast
@@ -27,7 +29,6 @@ from repro.platform.messages import (
     CellObservation,
     CollisionAlert,
     ForecastBatch,
-    ForecastShared,
     ProximityAlert,
     PruneTick,
     RestoreState,
@@ -67,152 +68,134 @@ class ProximityCellActor(Actor):
         self.detector.restore_state(state["detector"])
 
 
-class CollisionCellRouter(KeyRouter):
-    """Collision-cell routing with a single-occupant stash.
+class CollisionCellRouter:
+    """Every local collision cell, in one table.
 
-    A fleet workload fans every forecast out to ~50 dilated cells, yet the
-    vast majority of those cells only ever hold **one** vessel's forecast —
-    no pairing can happen there, and the plain router would still spawn an
-    actor per cell and pay a scheduled envelope per delivery. This router
-    keeps the sole occupant's latest forecast in a dict (exactly the state
-    the cell actor would hold: ``forecasts`` maps each MMSI to its latest
-    forecast, so re-shares overwrite) and only materialises the real cell
-    actor — replaying the stashed forecast first, preserving arrival order
-    — when a *second* vessel touches the cell. Observable behaviour is
-    identical; envelope and spawn counts drop by roughly the dilation
-    factor.
+    ``cells`` maps a cell to its members: a bare :class:`RouteForecast` while
+    one vessel occupies it (most cells of a dilated fan-out never see a
+    second), else a dict ``mmsi -> (forecast, densified track)`` in
+    first-arrival order, each MMSI holding its latest forecast. The cells are
+    keyed, sharded and checkpointed entities like any other; they only have
+    no actor, so a share costs no envelope per cell. Alerts go to the pair's
+    owner vessel, as every hit does.
     """
 
-    def __init__(self, system, prefix: str, factory, wiring: "PlatformWiring") -> None:
-        super().__init__(system, prefix, factory)
+    def __init__(self, wiring: "PlatformWiring") -> None:
         self._wiring = wiring
-        #: cell -> the sole occupant's latest forecast.
-        self._solo: dict[Any, RouteForecast] = {}
-        #: Stash mutations run on the thread that pumps the node; the lock
-        #: keeps the stash consistent for a caller on any other thread.
-        #: Reentrant because a share can materialise a cell through
-        #: :meth:`route`.
-        self._solo_lock = threading.RLock()
-        self.stashed_tells = 0
-
-    def route(self, key: Any):
-        """Materialise the cell actor, replaying any stashed forecast so
-        external ref access (handoff, tests, checkpoints) sees it."""
-        with self._solo_lock:
-            held = self._solo.pop(key, None)
-            ref = super().route(key)
-            if held is not None:
-                ref.tell(ForecastShared(cell=key, forecast=held))
-        return ref
+        self.cells: dict[Any, Any] = {}
+        #: Table mutations run on the thread that pumps the node; the lock
+        #: keeps the table consistent for a caller on any other thread.
+        self._lock = threading.Lock()
+        #: Newcomer-member tests run, one per distinct pair per share.
+        self.pair_tests = 0
 
     def share_forecast(self, cells, forecast: RouteForecast) -> None:
-        """Share one forecast with ``cells``, in their iteration order — the
-        one place the single-occupant rule lives. A spawned cell actor gets
-        a :class:`ForecastShared`; an unspawned cell stashes the forecast
-        while this vessel is its only occupant; a second vessel spawns the
-        actor, which receives the stashed forecast first."""
+        """Share one forecast with ``cells``: walk them in iteration order,
+        and each cell's members in insertion order, testing the newcomer
+        once against each distinct member forecast (by identity) of another
+        MMSI. A pair meeting in k cells is one test and at most one alert.
+        The newcomer is densified once, and only if it meets anyone."""
         mmsi = forecast.mmsi
-        with self._solo_lock:
+        track = None
+        # id(member forecast) -> its track, for the members already met.
+        met: dict[int, DenseTrack] = {}
+        hits = []
+        with self._lock:
+            table = self.cells
             for cell in cells:
-                ref = self._refs.get(cell)
-                if ref is None:
-                    held = self._solo.get(cell)
-                    if held is None or held.mmsi == mmsi:
-                        self._solo[cell] = forecast
-                        self.stashed_tells += 1
+                members = table.get(cell)
+                if members is None:
+                    table[cell] = forecast
+                    continue
+                if not isinstance(members, dict):
+                    if members.mmsi == mmsi:
+                        table[cell] = forecast
                         continue
-                    ref = self.route(cell)
-                ref.tell(ForecastShared(cell=cell, forecast=forecast))
+                    held = met.get(id(members))
+                    held = densify(members) if held is None else held
+                    members = table[cell] = {members.mmsi: (members, held)}
+                if track is None:
+                    track = densify(forecast)
+                for other_mmsi, (other, other_track) in members.items():
+                    if other_mmsi == mmsi or id(other) in met:
+                        continue
+                    met[id(other)] = other_track
+                    self.pair_tests += 1
+                    # Default thresholds: 2 minutes, 500 m (Section 5.2).
+                    hit = intersect_dense(forecast, track, other, other_track)
+                    if hit is not None:
+                        hits.append(hit)
+                members[mmsi] = (forecast, track)
+        for hit in hits:
+            self._wiring.vessel_router.tell(hit.pair[0], CollisionAlert(event=hit))
+
+    def prune(self, now: float) -> None:
+        """Drop members whose anchor is older than ``event_debounce_s``; a
+        cell left with one member holds it bare again, an empty one goes."""
+        max_age = self._wiring.config.event_debounce_s
+        # Only the changed cells are collected: the table can hold a
+        # hundred thousand cells, and a copy of it would set peak memory.
+        changed = {}
+        with self._lock:
+            for cell, members in self.cells.items():
+                if not isinstance(members, dict):
+                    if now - members.anchor.t > max_age:
+                        changed[cell] = None
+                    continue
+                fresh = {
+                    m: kept for m, kept in members.items() if now - kept[0].anchor.t <= max_age
+                }
+                if len(fresh) == len(members):
+                    continue
+                if len(fresh) > 1:
+                    changed[cell] = fresh
+                elif fresh:
+                    ((changed[cell], _),) = fresh.values()
+                else:
+                    changed[cell] = None
+            for cell, members in changed.items():
+                if members is None:
+                    del self.cells[cell]
+                else:
+                    self.cells[cell] = members
 
     def tell(self, key: Any, message: Any) -> None:
-        if key not in self._refs:
-            if isinstance(message, PruneTick):
-                with self._solo_lock:
-                    held = self._solo.get(key)
-                    if held is not None:
-                        if message.now - held.anchor.t > self._wiring.config.event_debounce_s:
-                            del self._solo[key]
-                        return
-            elif isinstance(message, RestoreState):
-                with self._solo_lock:
-                    if key in self._solo:
-                        return  # live (replayed) forecast is newer; keep it
-                    forecasts = message.state.get("forecasts", {})
-                    if len(forecasts) <= 1:
-                        for forecast in forecasts.values():
-                            self._solo[key] = forecast
-                        return
-                # Multi-occupant checkpoint state: a real actor holds it.
-        super().tell(key, message)
+        """A collision cell's only message is :class:`RestoreState`: it is
+        adopted into an absent cell only. A cell present already was rebuilt
+        from replayed forecasts, which are newer."""
+        if not isinstance(message, RestoreState):
+            return
+        forecasts = list(message.state["forecasts"].values())
+        with self._lock:
+            if key in self.cells or not forecasts:
+                return
+            if len(forecasts) == 1:
+                self.cells[key] = forecasts[0]
+            else:
+                self.cells[key] = {fc.mmsi: (fc, densify(fc)) for fc in forecasts}
+
+    def cell_state(self, key: Any) -> dict | None:
+        """Checkpoint and handoff view of one cell, ``{"forecasts": {mmsi:
+        forecast}}`` in arrival order (``None``: no such cell)."""
+        members = self.cells.get(key)
+        if members is None:
+            return None
+        if isinstance(members, dict):
+            return {"forecasts": {m: forecast for m, (forecast, _) in members.items()}}
+        return {"forecasts": {members.mmsi: members}}
 
     def forget(self, key: Any) -> bool:
-        with self._solo_lock:
-            stashed = self._solo.pop(key, None) is not None
-        return super().forget(key) or stashed
-
-    def stashed_state(self, key: Any) -> dict | None:
-        """Checkpoint view of a stashed cell (same shape as
-        :meth:`CollisionCellActor.export_state`)."""
-        held = self._solo.get(key)
-        if held is None:
-            return None
-        return {"forecasts": {held.mmsi: held}}
+        with self._lock:
+            return self.cells.pop(key, None) is not None
 
     def known_keys(self) -> list[Any]:
-        return list(self._refs) + [k for k in self._solo if k not in self._refs]
+        return list(self.cells)
 
     def __len__(self) -> int:
-        return len(self.known_keys())
+        return len(self.cells)
 
     def __contains__(self, key: Any) -> bool:
-        return key in self._refs or key in self._solo
-
-
-class CollisionCellActor(Actor):
-    """One H3 cell's collision-forecasting state.
-
-    Holds the forecast trajectories currently touching the cell and checks
-    each newcomer pairwise (temporal intersection first, then spatial), as
-    Figure 5 illustrates.
-    """
-
-    def __init__(self, cell: int, wiring: "PlatformWiring") -> None:
-        self.cell = cell
-        self.wiring = wiring
-        self.forecasts: dict[int, object] = {}
-
-    def receive(self, message, ctx: ActorContext) -> None:
-        if isinstance(message, ForecastShared):
-            self._on_forecast(message)
-        elif isinstance(message, PruneTick):
-            stale = [
-                m
-                for m, fc in self.forecasts.items()
-                if message.now - fc.anchor.t > self.wiring.config.event_debounce_s
-            ]
-            for mmsi in stale:
-                del self.forecasts[mmsi]
-        elif isinstance(message, RestoreState):
-            self.restore_state(message.state)
-
-    def export_state(self) -> dict:
-        return {"forecasts": dict(self.forecasts)}
-
-    def restore_state(self, state: dict) -> None:
-        if self.forecasts:
-            return  # already rebuilt from replayed forecasts; keep it
-        self.forecasts = dict(state["forecasts"])
-
-    def _on_forecast(self, message: ForecastShared) -> None:
-        forecast = message.forecast
-        for other_mmsi, other_fc in self.forecasts.items():
-            if other_mmsi == forecast.mmsi:
-                continue
-            # Default thresholds: 2 minutes, 500 m (Section 5.2).
-            hit = trajectories_intersect(forecast, other_fc)
-            if hit is not None:
-                self.wiring.vessel_router.tell(hit.pair[0], CollisionAlert(event=hit))
-        self.forecasts[forecast.mmsi] = forecast
+        return key in self.cells
 
 
 class FlowActor(Actor):

@@ -7,12 +7,13 @@ A checkpoint is three things captured together at a quiescent moment:
   checkpoint and must be replayed (:meth:`Consumer.seek`);
 * **per-node KV snapshots** — each node's writer-actor output store,
   captured via :meth:`KeyValueStore.snapshot_state`;
-* **per-entity actor state** — every vessel/cell/collision actor's
-  :meth:`export_state`, keyed by ``(entity, router key)`` so recovery can
-  route it through the normal sharded routers to whichever node owns the
-  key after the restart (:class:`~repro.platform.messages.RestoreState`).
+* **per-entity state** — every vessel/cell actor's :meth:`export_state`
+  and every collision cell's ``cell_state``, keyed by ``(entity, router
+  key)`` so recovery can route it through the normal sharded routers to
+  whichever node owns the key after the restart
+  (:class:`~repro.platform.messages.RestoreState`).
 
-Recovery = restore KV + route actor state + replay only the suffix past
+Recovery = restore KV + route entity state + replay only the suffix past
 the checkpointed offsets — strictly less work than ``replay_from_start``
 whenever the checkpoint had made any progress. Capture at a *quiescent*
 boundary (mailboxes drained, writers flushed): in-flight messages are not
@@ -43,7 +44,7 @@ class NodeCheckpoint:
 
     node_id: str
     kv_state: dict
-    #: ``(entity, key, exported state)`` for every local entity actor.
+    #: ``(entity, key, exported state)`` for every local entity.
     entities: list[tuple[str, Any, dict]] = field(default_factory=list)
 
 
@@ -70,15 +71,15 @@ class ClusterCheckpoint:
 
 
 def capture_node(platform: "Platform") -> NodeCheckpoint:
-    """Snapshot one cluster node: KV store plus every local entity actor."""
+    """Snapshot one cluster node: KV store plus every local entity."""
     checkpoint = NodeCheckpoint(node_id=platform.node.node_id,
                                 kv_state=platform.kvstore.snapshot_state())
     for entity in CHECKPOINTED_ENTITIES:
         router = platform.node.router(entity)
         for key in router.known_keys():
-            # ShardRouter.export_state covers both spawned actors and
-            # single-occupant stashed collision cells — the same exporter
-            # the live-migration state transfer uses during handoff.
+            # ShardRouter.export_state covers both entity actors and the
+            # collision-cell table — the same exporter the live-migration
+            # state transfer uses during handoff.
             state = router.export_state(key)
             if state is not None:
                 checkpoint.entities.append((entity, key, state))

@@ -35,14 +35,6 @@ class CellObservation:
 
 
 @dataclass(frozen=True)
-class ForecastShared:
-    """Forecast fan-out -> collision actor: a forecast touching the cell."""
-
-    cell: int
-    forecast: RouteForecast
-
-
-@dataclass(frozen=True)
 class ForecastBatch:
     """Forecast fan-out -> flow actor: one flush's forecasts, in row order."""
 
@@ -55,8 +47,8 @@ class ForecastSharedBatch:
 
     The fan-out of one forecast routinely hits a dozen-plus collision
     cells; cells owned by the same remote node travel in a single wire
-    envelope, which the receiving node's router hands to its collision
-    stash in one call (re-routing cells whose shard moved in flight).
+    envelope, which the receiving node's router hands to its collision-cell
+    table in one call (re-routing cells whose shard moved in flight).
     """
 
     cells: tuple[int, ...]
@@ -84,8 +76,8 @@ class ProximityAlert:
 
 @dataclass(frozen=True)
 class CollisionAlert:
-    """Collision cell -> the pair's owner vessel actor (``min(pair)``): one
-    raw hit. The owner forwards an accepted alert to ``pair[1]``."""
+    """Collision cells -> the pair's owner vessel actor (``min(pair)``):
+    one raw hit. The owner forwards an accepted alert to ``pair[1]``."""
 
     event: CollisionForecast
 
@@ -110,7 +102,7 @@ class EventRecord:
     their pair's owner vessel actor, once per accepted identity; voyage
     events from their vessel actor; switch-offs from ingestion."""
 
-    kind: str          #: "proximity" | "collision" | "switchoff" | a voyage kind
+    kind: str  #: "proximity" | "collision" | "switchoff" | a voyage kind
     t: float
     payload: Any
 
@@ -126,7 +118,7 @@ class VoyageAssigned:
     mmsi: int
     waypoints: tuple[tuple[float, float], ...]
     deadline_t: float
-    base_speed_kn: float | None = None   #: None: the config default
+    base_speed_kn: float | None = None  #: None: the config default
 
 
 @dataclass(frozen=True)
@@ -135,28 +127,31 @@ class PlanReady:
     this vessel's replan request was executed; adopt the plan and emit
     whatever voyage events it implies."""
 
-    plan: Any                  #: a :class:`repro.models.voyage.VoyagePlan`
-    t_submitted: float = 0.0   #: virtual time the request was pooled at
+    plan: Any  #: a :class:`repro.models.voyage.VoyagePlan`
+    t_submitted: float = 0.0  #: virtual time the request was pooled at
 
 
 @dataclass(frozen=True)
 class PruneTick:
-    """Scheduler -> stateful actors: periodic memory housekeeping."""
+    """Housekeeping -> proximity cell actors: periodic memory pruning."""
 
     now: float
 
 
 @dataclass(frozen=True)
 class RestoreState:
-    """Recovery -> entity actor: adopt checkpointed state.
+    """Recovery or a live handoff -> entity: adopt exported state.
 
-    Routed through the normal sharded routers after a node restart, so
-    whichever node now owns the entity receives its pre-crash state.
-    Actors adopt conservatively (only when the snapshot is newer than what
-    they already hold) — replayed stream suffixes may have rebuilt fresher
-    state first.
+    Routed through the normal sharded routers after a node restart or a
+    shard move, so whichever node now owns the entity receives its state.
+    Entities adopt conservatively (only when the snapshot is newer than
+    what they already hold) — replayed stream suffixes may have rebuilt
+    fresher state first.
     """
 
-    entity: str                #: "vessel" | "cell" | "collision"
-    key: Any                   #: the router key (mmsi or H3 cell)
+    entity: str  #: "vessel" | "cell" | "collision"
+    key: Any  #: the router key (mmsi or H3 cell)
     state: dict
+    #: A live handoff's state transfer, not a checkpoint: the sending node
+    #: keeps the records it wrote, so the state does not vouch for them.
+    handoff: bool = False

@@ -9,11 +9,12 @@
     events = platform.api.recent_events("collision")
 
 The same class is one node of a cluster: ``Platform(node=cluster_node,
-is_seed=...)`` shards the vessel, proximity-cell and collision-cell actors
-over the cluster (consistent-hash shards, exactly Akka cluster sharding's
-role in the paper) while the writer and flow actors stay node-local and
-the forecasting model is mounted **once per node** ("the model is mounted
-only once in memory for each computational node", Section 3). The seed
+is_seed=...)`` shards the vessel and proximity-cell actors and the
+collision cells over the cluster (consistent-hash shards, exactly Akka
+cluster sharding's role in the paper) while the writer and flow actors stay
+node-local and the forecasting model is mounted **once per node** ("the
+model is mounted only once in memory for each computational node", Section
+3). The seed
 node runs the broker and the ingestion service; after a node loss it
 replays the tail of every AIS partition from the committed offsets
 (:meth:`Consumer.seek`) so reassigned vessel actors rebuild their history
@@ -35,12 +36,7 @@ from repro.kvstore import KeyValueStore, PubSub
 from repro.models.base import RouteForecaster
 from repro.models.kinematic import LinearKinematicModel
 from repro.platform.api import MiddlewareAPI
-from repro.platform.cell_actor import (
-    CollisionCellActor,
-    CollisionCellRouter,
-    FlowActor,
-    ProximityCellActor,
-)
+from repro.platform.cell_actor import CollisionCellRouter, FlowActor, ProximityCellActor
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.platform.config import PlatformConfig
 from repro.platform.ingestion import IngestionService
@@ -74,6 +70,9 @@ class PlatformWiring:
     vessel_router: KeyRouter | None = field(init=False, default=None)
     cell_router: KeyRouter | None = field(init=False, default=None)
     collision_router: KeyRouter | None = field(init=False, default=None)
+    #: This node's collision-cell table: ``collision_router`` itself on a
+    #: standalone platform, its local leg on a cluster node.
+    collision_cells: CollisionCellRouter | None = field(init=False, default=None)
     writer_ref: WriterRef | None = field(init=False, default=None)
     flow_ref: object = field(init=False, default=None)
     #: Pooled batched-inference service (None: synchronous per-vessel
@@ -197,15 +196,11 @@ def wire_node(
     system.population_fn = lambda: len(wiring.vessel_router)
     system.metrics_filter = lambda name: name.startswith("vessel-")
 
-    def collision_actor(cell):
-        return CollisionCellActor(cell, wiring)
-
     wiring.vessel_router = register_entity("vessel", lambda mmsi: VesselActor(mmsi, wiring))
     wiring.cell_router = register_entity("cell", lambda cell: ProximityCellActor(cell, wiring))
+    wiring.collision_cells = CollisionCellRouter(wiring)
     wiring.collision_router = register_entity(
-        "collision",
-        collision_actor,
-        local_router=CollisionCellRouter(system, "collision", collision_actor, wiring),
+        "collision", None, local_router=wiring.collision_cells
     )
     system.spawn(lambda: WriterActor(wiring), "writer")
     wiring.writer_ref = WriterRef("writer", system)
@@ -504,13 +499,13 @@ class Platform:
         self.settle()
 
     def housekeeping(self) -> None:
-        """Send a prune tick to this node's spatial actors (memory bound;
+        """Prune this node's spatial state: a prune tick to each proximity
+        cell actor and one prune of the collision-cell table (memory bound;
         in a cluster every node housekeeps its own shards)."""
         tick = PruneTick(now=self.system.now)
         for cell in self.wiring.cell_router.known_keys():
             self.wiring.cell_router.tell(cell, tick)
-        for cell in self.wiring.collision_router.known_keys():
-            self.wiring.collision_router.tell(cell, tick)
+        self.wiring.collision_cells.prune(self.system.now)
         self.settle()
 
     def sync_clock(self, now: float) -> dict:
@@ -532,7 +527,7 @@ class Platform:
         return len(self.wiring.cell_router)
 
     @property
-    def collision_actor_count(self) -> int:
+    def collision_cell_count(self) -> int:
         return len(self.wiring.collision_router)
 
     @property
@@ -550,7 +545,7 @@ class Platform:
             **(self.node.stats() if self.node is not None else {}),
             "vessels_local": self.vessel_count,
             "cells_local": self.cell_actor_count,
-            "collision_cells_local": self.collision_actor_count,
+            "collision_cells_local": self.collision_cell_count,
             "states_written": writer.states_written,
             "events_written": writer.events_written,
             "writer_flushes": writer.flushes,

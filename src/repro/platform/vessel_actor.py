@@ -10,9 +10,9 @@ one corresponding to a specific vessel as it is defined by its unique MMSI"
   node's pooled :class:`~repro.platform.forecast_service.ForecastService`
   when batching is enabled, synchronously otherwise,
 * fans its position out to the proximity cell actor of its H3 cell,
-* has its forecast fanned out (:func:`share_forecasts`) to the collision
-  actors of every cell the trajectory (dilated by one neighbour ring)
-  touches, and to the traffic-flow actor,
+* has its forecast fanned out (:func:`share_forecasts`) to every collision
+  cell the trajectory (dilated by one neighbour ring) touches, and to the
+  traffic-flow actor,
 * pushes its state snapshot to the writer actor,
 * owns the encounters of each pair whose smaller MMSI it is: the spatial
   actors "communicate their state back to the respective affected subset
@@ -53,7 +53,7 @@ from repro.platform.messages import (
 if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
 
-#: Hex resolution of the proximity and of the collision cell actors
+#: Hex resolution of the proximity cell actors and of the collision cells
 #: (H3 resolution 8, ~461 m edges: the paper's event cells).
 PROXIMITY_RESOLUTION = 8
 COLLISION_RESOLUTION = 8
@@ -151,7 +151,7 @@ class VesselActor(Actor):
             event = message.event
             self._on_alert(message, "collision", event.forecast_at, event.t_expected)
         elif isinstance(message, RestoreState):
-            self.restore_state(message.state)
+            self.restore_state(message.state, handoff=message.handoff)
         # Unknown messages are ignored (actors are liberal receivers).
 
     # -- checkpointing -------------------------------------------------------------
@@ -181,10 +181,18 @@ class VesselActor(Actor):
             "voyage_event_marks": dict(self.voyage_event_marks),
         }
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict, handoff: bool = False) -> None:
         """Adopt checkpointed state iff it is *newer* than what this actor
         holds — a replayed stream suffix may already have rebuilt fresher
-        state, which must win."""
+        state, which must win.
+
+        A live ``handoff`` leaves the encounter marks behind. A mark vouches
+        for a record in the store of the node that wrote it; that record
+        stays on the old node, which may crash later and lose it, and the
+        mark would then stop the new owner from recording the encounter
+        again. So across a migration a recurring hit is recorded once more,
+        on the new owner's node. A checkpoint restores marks together with
+        the store snapshot that holds their records."""
         if state["last_kept_t"] <= self.last_kept_t:
             return
         self.history = HistoryRing.from_positions(
@@ -195,7 +203,7 @@ class VesselActor(Actor):
         self.last_message = state["last_message"]
         self.latest_forecast = state["latest_forecast"]
         self.event_flags = deque(state["event_flags"], maxlen=8)
-        self.event_marks = set(state["event_marks"])
+        self.event_marks = set() if handoff else set(state["event_marks"])
         self.pending_forecast = False
         self.voyage = state.get("voyage")
         self.voyage_plan = state.get("voyage_plan")

@@ -7,7 +7,7 @@ The package has three parts:
   Prometheus-style snapshots,
 * :mod:`~repro.telemetry.trace` — the ``trace_id`` mechanism that follows
   one sampled AIS position ingest -> vessel actor -> forecast fan-out ->
-  cell/collision actor -> writer across cluster nodes,
+  proximity cell actor -> writer across cluster nodes,
 * :mod:`~repro.telemetry.recorder` — the Figure 6 per-message sample
   recorder (``repro.actors`` re-exports it).
 

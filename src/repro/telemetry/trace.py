@@ -114,8 +114,7 @@ def merge_traces(per_node: dict[str, dict]) -> dict[int, list[dict]]:
     then pipeline stage order so simultaneous virtual-time hops still read
     ingest -> vessel -> cells -> writer.
     """
-    stage_rank = {STAGE_INGEST: 0, "vessel": 1, "cell": 2, "collision": 2,
-                  "vtff": 3, "writer": 4}
+    stage_rank = {STAGE_INGEST: 0, "vessel": 1, "cell": 2, "vtff": 3, "writer": 4}
     merged: dict[int, list[dict]] = {}
     for node_id in sorted(per_node):
         for trace_key, hops in per_node[node_id].items():
@@ -130,12 +129,12 @@ def merge_traces(per_node: dict[str, dict]) -> dict[int, list[dict]]:
 
 def is_complete(hops: list[dict], min_nodes: int = 2) -> bool:
     """Whether a merged hop list tells the whole pipeline story: an ingest
-    hop, a vessel (forecast) hop and a cell/collision (event) hop, spread
+    hop, a vessel (forecast) hop and a proximity-cell (event) hop, spread
     over at least ``min_nodes`` nodes, with non-decreasing timestamps."""
     stages = {hop["stage"] for hop in hops}
     if STAGE_INGEST not in stages or "vessel" not in stages:
         return False
-    if not stages & {"cell", "collision"}:
+    if "cell" not in stages:
         return False
     if len({hop["node"] for hop in hops}) < min_nodes:
         return False

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events import (
-    CollisionForecaster,
     DirectVTFF,
     FlowGrid,
     IndirectVTFF,
     TrafficLevel,
     trajectories_intersect,
 )
+from repro.events.collision import densify, intersect_dense
 from repro.geo import Position
 from repro.models.base import RouteForecast
 
@@ -19,26 +21,25 @@ def _forecast(mmsi, t0, lat0, lon0, dlat_per_step, dlon_per_step, steps=6):
     """A straight forecast trajectory at 5-minute marks."""
     positions = [Position(t=t0, lat=lat0, lon=lon0)]
     for k in range(1, steps + 1):
-        positions.append(Position(t=t0 + 300.0 * k,
-                                  lat=lat0 + dlat_per_step * k,
-                                  lon=lon0 + dlon_per_step * k))
+        positions.append(
+            Position(t=t0 + 300.0 * k, lat=lat0 + dlat_per_step * k, lon=lon0 + dlon_per_step * k)
+        )
     return RouteForecast(mmsi=mmsi, positions=tuple(positions))
 
 
 def _converging_pair(miss_deg=0.0):
     """Two trajectories meeting at (38.0, 23.5 + miss) around t=900s."""
-    a = _forecast(1, t0=0.0, lat0=38.0, lon0=23.40,
-                  dlat_per_step=0.0, dlon_per_step=0.0333)
-    b = _forecast(2, t0=0.0, lat0=38.1 + miss_deg, lon0=23.50,
-                  dlat_per_step=-0.0333, dlon_per_step=0.0)
+    a = _forecast(1, t0=0.0, lat0=38.0, lon0=23.40, dlat_per_step=0.0, dlon_per_step=0.0333)
+    b = _forecast(
+        2, t0=0.0, lat0=38.1 + miss_deg, lon0=23.50, dlat_per_step=-0.0333, dlon_per_step=0.0
+    )
     return a, b
 
 
 class TestTrajectoriesIntersect:
     def test_converging_trajectories_hit(self):
         a, b = _converging_pair()
-        hit = trajectories_intersect(a, b, temporal_threshold_s=120.0,
-                                     spatial_threshold_m=2_000.0)
+        hit = trajectories_intersect(a, b, temporal_threshold_s=120.0, spatial_threshold_m=2_000.0)
         assert hit is not None
         assert hit.pair == (1, 2)
         assert hit.min_distance_m < 2_000.0
@@ -51,12 +52,13 @@ class TestTrajectoriesIntersect:
 
     def test_spatial_but_not_temporal_miss(self):
         """Crossing paths but half an hour apart in time -> no collision."""
-        a = _forecast(1, t0=0.0, lat0=38.0, lon0=23.40,
-                      dlat_per_step=0.0, dlon_per_step=0.0333)
-        b = _forecast(2, t0=1_500.0, lat0=38.1, lon0=23.50,
-                      dlat_per_step=-0.0333, dlon_per_step=0.0)
-        hit_strict = trajectories_intersect(a, b, temporal_threshold_s=60.0,
-                                            spatial_threshold_m=2_000.0)
+        a = _forecast(1, t0=0.0, lat0=38.0, lon0=23.40, dlat_per_step=0.0, dlon_per_step=0.0333)
+        b = _forecast(
+            2, t0=1_500.0, lat0=38.1, lon0=23.50, dlat_per_step=-0.0333, dlon_per_step=0.0
+        )
+        hit_strict = trajectories_intersect(
+            a, b, temporal_threshold_s=60.0, spatial_threshold_m=2_000.0
+        )
         # positions at overlapping wall-clock times are far apart spatially
         assert hit_strict is None
 
@@ -65,10 +67,10 @@ class TestTrajectoriesIntersect:
         # offset itself, so it sits between the two thresholds.
         a = _forecast(1, 0.0, 38.00, 23.0, 0.0, 0.0333)
         b = _forecast(2, 0.0, 38.02, 23.0, 0.0, 0.0333)
-        tight = trajectories_intersect(a, b, spatial_threshold_m=500.0,
-                                       temporal_threshold_s=120.0)
-        loose = trajectories_intersect(a, b, spatial_threshold_m=5_000.0,
-                                       temporal_threshold_s=120.0)
+        tight = trajectories_intersect(a, b, spatial_threshold_m=500.0, temporal_threshold_s=120.0)
+        loose = trajectories_intersect(
+            a, b, spatial_threshold_m=5_000.0, temporal_threshold_s=120.0
+        )
         assert tight is None
         assert loose is not None
         assert loose.min_distance_m == pytest.approx(2_224.0, rel=0.05)
@@ -78,58 +80,30 @@ class TestTrajectoriesIntersect:
         hit = trajectories_intersect(a, b, spatial_threshold_m=2_000.0)
         assert hit.lead_time_s == pytest.approx(hit.t_expected, abs=1e-9)
 
-
-class TestCollisionForecaster:
-    def test_detects_converging_pair(self):
-        engine = CollisionForecaster(spatial_threshold_m=2_000.0)
-        a, b = _converging_pair()
-        assert engine.submit(a) == []
-        events = engine.submit(b)
-        assert len(events) == 1
-        assert events[0].pair == (1, 2)
-
-    def test_distant_vessels_never_checked(self):
-        engine = CollisionForecaster()
-        engine.submit(_forecast(1, 0.0, 38.0, 23.0, 0.001, 0.0))
-        events = engine.submit(_forecast(2, 0.0, 45.0, 10.0, 0.001, 0.0))
-        assert events == []
-
-    def test_debounce(self):
-        engine = CollisionForecaster(spatial_threshold_m=2_000.0,
-                                     debounce_s=900.0)
-        a, b = _converging_pair()
-        engine.submit(a)
-        assert len(engine.submit(b)) == 1
-        # Refreshed forecasts a few seconds later: same encounter, no dup.
-        a2, b2 = _converging_pair()
-        engine.submit(RouteForecast(mmsi=1, positions=tuple(
-            p for p in a2.positions)))
-        assert engine.submit(b2) == []
-
-    def test_resubmission_replaces_cells(self):
-        engine = CollisionForecaster()
-        engine.submit(_forecast(1, 0.0, 38.0, 23.0, 0.001, 0.0))
-        cells_before = engine.active_cells
-        # Vessel moves far away; old cells must be vacated.
-        engine.submit(_forecast(1, 600.0, 52.0, 4.0, 0.001, 0.0))
-        assert engine.tracked_vessels == 1
-        assert engine.active_cells <= cells_before * 2
-
-    def test_prune(self):
-        engine = CollisionForecaster()
-        engine.submit(_forecast(1, 0.0, 38.0, 23.0, 0.001, 0.0))
-        assert engine.prune(now=10_000.0) == 1
-        assert engine.tracked_vessels == 0
-        assert engine.active_cells == 0
-
-    def test_near_boundary_pair_found_via_neighbor_ring(self):
-        """Vessels converging across a cell boundary are still candidates
-        thanks to the n+1-ring fan-out of Section 5.2."""
-        engine = CollisionForecaster(spatial_threshold_m=2_000.0,
-                                     neighbor_rings=1)
-        a, b = _converging_pair()
-        engine.submit(a)
-        assert len(engine.submit(b)) == 1
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from([0.0, 120.0, 900.0]),
+            st.floats(37.99, 38.01),
+            st.floats(-0.01, 0.01),
+            st.floats(-0.01, 0.01),
+        ),
+        st.sampled_from([60.0, 120.0, 300.0]),
+        st.sampled_from([30.0, 60.0]),
+    )
+    def test_densify_then_intersect_dense_is_the_pairwise_test(self, geometry, window, step):
+        """The kernel split: densifying each side once and calling
+        ``intersect_dense`` is ``trajectories_intersect``, field for field."""
+        t0, lat, dlat, dlon = geometry
+        a = _forecast(1, 0.0, 38.0, 23.5, 0.003, 0.0)
+        b = _forecast(2, t0, lat, 23.51, dlat, dlon)
+        split = intersect_dense(
+            a, densify(a, step), b, densify(b, step), window, spatial_threshold_m=2_000.0
+        )
+        whole = trajectories_intersect(
+            a, b, temporal_threshold_s=window, spatial_threshold_m=2_000.0, step_s=step
+        )
+        assert split == whole
 
 
 class TestFlowGrid:
@@ -152,8 +126,7 @@ class TestFlowGrid:
         grid.add(1, t=0.0, lat=38.0, lon=23.5)
         grid.add(2, t=310.0, lat=38.0, lon=23.5)
         cell = next(iter(grid.active_cells()))
-        np.testing.assert_array_equal(grid.series(cell, [0, 1, 2]),
-                                      [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(grid.series(cell, [0, 1, 2]), [1.0, 1.0, 0.0])
 
     def test_classification_levels(self):
         grid = FlowGrid()
@@ -165,8 +138,9 @@ class TestFlowGrid:
 class TestIndirectVTFF:
     def test_forecast_positions_fill_future_windows(self):
         vtff = IndirectVTFF(window_s=300.0)
-        vtff.submit(_forecast(1, t0=0.0, lat0=38.0, lon0=23.5,
-                              dlat_per_step=0.0, dlon_per_step=0.0))
+        vtff.submit(
+            _forecast(1, t0=0.0, lat0=38.0, lon0=23.5, dlat_per_step=0.0, dlon_per_step=0.0)
+        )
         # All six predictions in the same cell, windows 1..6.
         for w in range(1, 7):
             assert sum(vtff.predicted_flow(w).values()) == 1
@@ -215,8 +189,7 @@ class TestDirectVTFF:
 
     def test_predictions_non_negative(self):
         model = DirectVTFF(order=3)
-        model.fit({1: np.array([5.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                0.0, 0.0, 0.0, 0.0])})
+        model.fit({1: np.array([5.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])})
         assert (model.predict(1, steps=5) >= 0.0).all()
 
     def test_invalid_order(self):

@@ -144,6 +144,24 @@ class TestOwnerRule:
         deliver(target, [alert("proximity", OWNER + 1, DEBOUNCE + 300.0)])
         assert target.kvstore.llen("events:proximity") == 1
 
+    def test_a_handed_off_owner_records_again_on_its_new_node(self):
+        """A live handoff leaves the marks behind with the records they
+        vouch for: the old node may crash and take the record with it, so
+        the new owner records a recurring hit on its own node."""
+        source = make_platform()
+        fix = AISMessage(mmsi=OWNER, t=50.0, lat=38.0, lon=23.0, sog=10.0, cog=90.0)
+        source.publish_messages([fix])
+        source.process_available()
+        deliver(source, [alert("proximity", OWNER + 1, 100.0)])
+        state = vessel(source, OWNER).export_state()
+
+        target = make_platform()
+        handoff = RestoreState(entity="vessel", key=OWNER, state=state, handoff=True)
+        target.wiring.vessel_router.tell(OWNER, handoff)
+        deliver(target, [alert("proximity", OWNER + 1, 300.0)] * 2)
+        assert target.kvstore.llen("events:proximity") == 1
+        assert vessel(target, OWNER).last_kept_t == 50.0
+
     def test_the_partner_flags_only_accepted_alerts(self):
         platform = make_platform()
         partner = OWNER + 1

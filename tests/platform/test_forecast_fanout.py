@@ -1,19 +1,29 @@
-"""The columnar forecast fan-out delivers exactly what the scalar one did.
+"""The forecast fan-out and the collision-cell table it feeds.
 
 ``share_forecasts`` computes a flush's collision cells with one
-``latlng_to_cells`` call and hands each forecast to the collision router's
-single-occupant stash in one call. The reference here is built the slow
-way — scalar ``latlng_to_cell`` + ``grid_disk`` per predicted position,
-one delivery per (forecast, cell) — and per cell the collision actors'
-``forecasts``, the stash, ``stashed_tells`` and the flow grid must match.
+``latlng_to_cells`` call and hands each forecast to the node's collision-cell
+table in one call. The references here are built the slow way: scalar
+``latlng_to_cell`` + ``grid_disk`` per predicted position, and per cell the
+loop of the deleted collision-cell actor, which tested a newcomer against
+every member of every cell it touched. Per cell the members, the distinct
+alerts and the flow grid must match; the table runs one pair test per
+distinct (newcomer, member) pair where the per-cell loop ran one per cell.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.events.collision import trajectories_intersect
 from repro.events.vtff import FLOW_RESOLUTION
 from repro.geo.track import Position
 from repro.hexgrid import grid_disk, latlng_to_cell
 from repro.models import LinearKinematicModel
 from repro.models.base import RouteForecast, forecast_mark_times
 from repro.platform import LoopbackCluster, Platform, PlatformConfig
+from repro.platform.cell_actor import CollisionCellRouter
 from repro.platform.vessel_actor import COLLISION_RESOLUTION, share_forecasts
 
 
@@ -28,7 +38,7 @@ def track(mmsi: int, t0: float, lat: float, lon: float, dlat: float, dlon: float
 
 #: One flush: A and B cross (shared cells), A is re-shared later in the
 #: same flush, a failed row shares nothing, and C reaches cells that A
-#: stashed and cells already spawned for the A/B pair.
+#: holds alone and cells already shared by the A/B pair.
 FLUSH = [
     track(111, 0.0, 38.000, 23.500, 0.004, 0.004),
     track(222, 0.0, 38.024, 23.500, -0.004, 0.004),
@@ -38,27 +48,54 @@ FLUSH = [
 ]
 
 
-def reference(forecasts, rings: int):
-    """Scalar fan-out plus the single-occupant rule: ``(stash, arrivals,
-    stashed_tells after each row)``, arrivals being the per-cell forecasts
-    a spawned actor receives, stash replay first."""
-    stash, arrivals, stashed, after_row = {}, {}, 0, []
-    for forecast in forecasts:
-        if forecast is not None:
-            cells = set()
-            for pos in forecast.positions:
-                base = latlng_to_cell(pos.lat, pos.lon, COLLISION_RESOLUTION)
-                cells.update(grid_disk(base, rings))
-            for cell in cells:
-                if cell in arrivals:
-                    arrivals[cell].append(forecast)
-                elif cell not in stash or stash[cell].mmsi == forecast.mmsi:
-                    stash[cell] = forecast
-                    stashed += 1
-                else:
-                    arrivals[cell] = [stash.pop(cell), forecast]
-        after_row.append(stashed)
-    return stash, arrivals, after_row
+def dilated_cells(forecast: RouteForecast, rings: int) -> set:
+    cells = set()
+    for pos in forecast.positions:
+        cells.update(grid_disk(latlng_to_cell(pos.lat, pos.lon, COLLISION_RESOLUTION), rings))
+    return cells
+
+
+class PerCellReference:
+    """The deleted collision-cell actor, one per cell: test the newcomer
+    against each member of another MMSI, then store it as that MMSI's
+    latest forecast. ``share`` returns its alerts, one per (cell, member),
+    and what the table should do instead: one test per distinct member
+    forecast met over all the cells (``id -> hit or None``)."""
+
+    def __init__(self, max_age_s: float = 900.0) -> None:
+        self.cells: dict = {}
+        self.max_age_s = max_age_s
+
+    def share(self, cells, forecast) -> tuple[list, dict]:
+        alerts, met = [], {}
+        for cell in cells:
+            members = self.cells.setdefault(cell, {})
+            for mmsi, other in members.items():
+                if mmsi != forecast.mmsi:
+                    met[id(other)] = hit = trajectories_intersect(forecast, other)
+                    if hit is not None:
+                        alerts.append(hit)
+            members[forecast.mmsi] = forecast
+        return alerts, met
+
+    def prune(self, now: float) -> None:
+        for cell, members in list(self.cells.items()):
+            fresh = {m: fc for m, fc in members.items() if now - fc.anchor.t <= self.max_age_s}
+            if fresh:
+                self.cells[cell] = fresh
+            else:
+                del self.cells[cell]
+
+
+def assert_cells_match(reference_cells: dict, state_of, same=id) -> None:
+    """Per cell the table holds the reference's members: the same
+    forecast objects (``same=id``; a remote cell holds decoded copies, so
+    the cluster compares values), latest per MMSI, in first-arrival order."""
+    for cell, members in reference_cells.items():
+        held = state_of(cell)["forecasts"]
+        assert [(m, same(fc)) for m, fc in held.items()] == [
+            (m, same(fc)) for m, fc in members.items()
+        ]
 
 
 def reference_flow(forecasts) -> dict:
@@ -71,69 +108,155 @@ def reference_flow(forecasts) -> dict:
     return grid
 
 
-def assert_cells_match(stash, arrivals, platform_of) -> None:
-    """Per cell: the stash holds the reference's sole occupant, and a spawned
-    actor's ``forecasts`` the reference's arrivals (latest per MMSI, in
-    first-arrival order)."""
-    for cell, forecast in stash.items():
-        router = platform_of(cell).wiring.collision_router
-        assert router.stashed_state(cell)["forecasts"] == {forecast.mmsi: forecast}
-    for cell, received in arrivals.items():
-        actor = platform_of(cell).system._cells[f"collision-{cell}"].actor
-        expected = {}
-        for forecast in received:
-            expected[forecast.mmsi] = forecast
-        assert list(actor.forecasts.items()) == list(expected.items())
+class AlertLog:
+    """A stand-in vessel router: records every alert the table sends."""
+
+    def __init__(self) -> None:
+        self.alerts = []
+
+    def tell(self, mmsi, message) -> None:
+        assert mmsi == message.event.pair[0]
+        self.alerts.append(message.event)
+
+
+def bare_table() -> tuple[CollisionCellRouter, AlertLog]:
+    log = AlertLog()
+    wiring = SimpleNamespace(vessel_router=log, config=PlatformConfig(event_debounce_s=900.0))
+    return CollisionCellRouter(wiring), log
 
 
 def test_flush_deliveries_match_the_scalar_reference():
     platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
     wiring = platform.wiring
-    router = wiring.collision_router
-    stash, arrivals, stashed_after_row = reference(FLUSH, wiring.config.collision_neighbor_rings)
-    # The batch exercises every branch of the rule: stashes re-shared by
-    # 111, 333 spawning cells that 111's re-share stashed, and deliveries
-    # to cells the 111/222 crossing had already spawned.
-    patterns = {tuple((fc.mmsi, fc.anchor.t) for fc in fcs) for fcs in arrivals.values()}
-    assert ((111, 60.0), (333, 0.0)) in patterns
-    assert ((111, 0.0), (222, 0.0), (111, 60.0), (333, 0.0)) in patterns
-    assert (111, 60.0) in {(fc.mmsi, fc.anchor.t) for fc in stash.values()}
+    table = wiring.collision_cells
+    rings = wiring.config.collision_neighbor_rings
+    reference, tests_after_row, total = PerCellReference(), [], 0
+    for forecast in FLUSH:
+        if forecast is not None:
+            total += len(reference.share(dilated_cells(forecast, rings), forecast)[1])
+        tests_after_row.append(total)
+    # The flush exercises every branch: cells 111 holds alone, cells the
+    # 111/222 crossing shares, and cells 333 meets both of them in.
+    sizes = {len(members) for members in reference.cells.values()}
+    assert {1, 2, 3} <= sizes
 
     seen = []
-    share_forecasts(wiring, FLUSH, after_row=lambda i: seen.append((i, router.stashed_tells)))
+    share_forecasts(wiring, FLUSH, after_row=lambda i: seen.append((i, table.pair_tests)))
     platform.system.run_until_idle()
 
     # Row i is fully shared before after_row(i) runs.
-    assert seen == list(enumerate(stashed_after_row))
-    assert router.stashed_tells == stashed_after_row[-1]
-    assert router.spawned == len(arrivals)
-    assert set(router.known_keys()) == set(stash) | set(arrivals)
-    assert all(router.stashed_state(cell) is None for cell in arrivals)
-    assert_cells_match(stash, arrivals, lambda cell: platform)
+    assert seen == list(enumerate(tests_after_row))
+    assert set(table.known_keys()) == set(reference.cells)
+    assert_cells_match(reference.cells, table.cell_state)
     assert platform.flow_snapshot().grid._vessels == reference_flow(FLUSH)
     platform.shutdown()
 
 
 def test_cluster_fanout_lands_in_each_nodes_bulk_stash():
     """On a 2-node cluster the flush's local cells go straight to the node's
-    stash and the remote ones travel as ``ForecastSharedBatch`` envelopes
-    into the owner's stash: together the nodes hold exactly the reference."""
+    table and the remote ones travel as ``ForecastSharedBatch`` envelopes
+    into the owner's table: together the nodes hold exactly the reference."""
     cluster = LoopbackCluster(num_nodes=2)
     try:
         sender = cluster.platforms[1]
         routers = [platform.wiring.collision_router for platform in cluster.platforms]
         rings = sender.config.collision_neighbor_rings
-        stash, arrivals, stashed_after_row = reference(FLUSH, rings)
+        reference = PerCellReference()
+        for forecast in filter(None, FLUSH):
+            reference.share(dilated_cells(forecast, rings), forecast)
         share_forecasts(sender.wiring, FLUSH)
         cluster.settle()
 
-        def owner(cell):
+        def state_of(cell):
             (platform,) = [p for p, r in zip(cluster.platforms, routers) if r.is_local(cell)]
-            return platform
+            return platform.wiring.collision_cells.cell_state(cell)
 
         assert routers[1].remote_told > 0 and all(len(router) for router in routers)
-        assert sum(router._local.stashed_tells for router in routers) == stashed_after_row[-1]
-        assert sum(router.spawned for router in routers) == len(arrivals)
-        assert_cells_match(stash, arrivals, owner)
+        assert sum(len(router) for router in routers) == len(reference.cells)
+        assert_cells_match(reference.cells, state_of, same=lambda forecast: forecast)
     finally:
         cluster.shutdown()
+
+
+def test_a_shared_batch_is_tested_once_per_node():
+    """Two forecasts meeting in many cells of both nodes cost one pair
+    test on each node: the remote leg arrives as one ``ForecastSharedBatch``
+    and joins its cells in one share."""
+    cluster = LoopbackCluster(num_nodes=2)
+    try:
+        sender = cluster.platforms[1]
+        router = sender.wiring.collision_router
+        a, b = FLUSH[0], FLUSH[1]
+        cells = sorted(dilated_cells(a, sender.config.collision_neighbor_rings))
+        owned = [sum(router.is_local(cell) == local for cell in cells) for local in (0, 1)]
+        assert min(owned) >= 2
+        router.share_forecast(cells, a)
+        router.share_forecast(cells, b)
+        cluster.settle()
+        tables = [platform.wiring.collision_cells for platform in cluster.platforms]
+        assert [table.pair_tests for table in tables] == [1, 1]
+        assert trajectories_intersect(b, a) is not None
+    finally:
+        cluster.shutdown()
+
+
+def _forecasts():
+    """Small random forecasts over a few MMSIs, crowded enough to hit."""
+    return st.builds(
+        track,
+        mmsi=st.integers(1, 4),
+        t0=st.sampled_from([0.0, 60.0, 600.0, 1_200.0]),
+        lat=st.floats(38.0, 38.01),
+        lon=st.floats(23.5, 23.51),
+        dlat=st.floats(-0.004, 0.004),
+        dlon=st.floats(-0.004, 0.004),
+    )
+
+
+_SHARE = st.tuples(st.just("share"), _forecasts(), st.lists(st.integers(0, 5), unique=True))
+_PRUNE = st.tuples(st.just("prune"), st.sampled_from([600.0, 1_500.0, 2_500.0]), st.just(None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_SHARE, _SHARE, _SHARE, _PRUNE), max_size=14))
+def test_table_matches_the_per_cell_actors(steps):
+    """Random forecasts over random overlapping cell sets, with prunes in
+    between: after every step each cell holds the reference's members, each
+    share sends the reference's distinct alerts, and the table runs one pair
+    test, and sends at most one alert, per distinct (newcomer, member)
+    forecast pair."""
+    table, log = bare_table()
+    reference = PerCellReference()
+    for op, arg, cells in steps:
+        if op == "prune":
+            table.prune(arg)
+            reference.prune(arg)
+        else:
+            before_tests, before_alerts = table.pair_tests, len(log.alerts)
+            alerts, met = reference.share(cells, arg)
+            table.share_forecast(cells, arg)
+            sent = log.alerts[before_alerts:]
+            assert table.pair_tests - before_tests == len(met)
+            assert Counter(sent) == Counter(hit for hit in met.values() if hit is not None)
+            assert set(sent) == set(alerts)
+        assert set(table.known_keys()) == set(reference.cells)
+        assert_cells_match(reference.cells, table.cell_state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forecasts(), _forecasts())
+def test_table_hit_is_bitwise_trajectories_intersect(member, newcomer):
+    """The table densifies once and calls ``intersect_dense``; its hit for
+    a pair is ``trajectories_intersect(newcomer, member)`` bit for bit."""
+    member = RouteForecast(mmsi=10, positions=member.positions)
+    table, log = bare_table()
+    table.share_forecast([0, 1], member)
+    table.share_forecast([1, 0], newcomer)
+    expected = trajectories_intersect(newcomer, member)
+    assert len(log.alerts) == (expected is not None)
+    if expected is not None:
+        (hit,) = log.alerts
+        fields = ("t_expected", "lat", "lon", "min_distance_m", "forecast_at")
+        assert (hit.mmsi_a, hit.mmsi_b) == (expected.mmsi_a, expected.mmsi_b)
+        for name in fields:
+            assert getattr(hit, name).hex() == getattr(expected, name).hex(), name

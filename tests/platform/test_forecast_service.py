@@ -9,12 +9,13 @@ Three invariants the batched hot path must preserve:
 * **flush discipline** — batches execute exactly at ``forecast_batch_max``
   or at the linger deadline, stale timers re-arm for queued tails, and the
   in-flight marker survives a checkpoint taken mid-linger;
-* **single-occupant stash** — :class:`CollisionCellRouter` holding a sole
-  occupant's forecast in its stash (no actor spawned) is observationally
-  identical to a spawned cell actor: re-shares overwrite, a second vessel
-  materialises the actor with arrival order preserved, prune/restore/
-  checkpoint all behave as the actor would.
+* **collision-cell table** — :class:`CollisionCellRouter` keeps a sole
+  occupant as a bare forecast and a shared cell as an arrival-ordered
+  member dict: re-shares overwrite, a second vessel pairs once, and
+  prune/restore/checkpoint behave as the deleted cell actor did.
 """
+
+import pickle
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.models.base import RouteForecast, forecast_mark_times
 from repro.models.svrf import SVRFConfig, SVRFModel
 from repro.platform import Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
-from repro.platform.messages import PruneTick, RestoreState
+from repro.platform.messages import RestoreState
 
 INPUT_STEPS = 6  #: Small S-VRF window: fast tests, same code paths.
 
@@ -258,20 +259,29 @@ class TestPendingForecastCheckpoint:
 
 
 class TestCollisionCellStash:
+    """The node's collision-cell table: a sole occupant is a bare forecast,
+    a second MMSI turns the cell into an arrival-ordered member dict, and
+    prune, restore and checkpoint go through the table."""
+
     CELL = 0x8A2A1072B59FFFF  #: any H3-ish uint64 works as a router key
 
     def make_router(self, **overrides):
         platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig(**overrides))
         router = platform.wiring.collision_router
         assert isinstance(router, CollisionCellRouter)
+        assert router is platform.wiring.collision_cells
         return platform, router
+
+    def restore(self, router, state: dict) -> None:
+        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=state))
 
     def test_sole_occupant_is_stashed_not_spawned(self):
         platform, router = self.make_router()
-        router.share_forecast([self.CELL], stationary_forecast(111))
-        platform.system.run_until_idle()
-        assert router.spawned == 0
-        assert router.stashed_tells == 1
+        forecast = stationary_forecast(111)
+        router.share_forecast([self.CELL], forecast)
+        assert platform.system.run_until_idle() == 0  # no envelope, no actor
+        assert router.cells[self.CELL] is forecast
+        assert router.pair_tests == 0
         assert self.CELL in router and len(router) == 1
         assert router.known_keys() == [self.CELL]
 
@@ -279,24 +289,21 @@ class TestCollisionCellStash:
         platform, router = self.make_router()
         for t0 in (1_000.0, 2_000.0):
             router.share_forecast([self.CELL], stationary_forecast(111, t0=t0))
-        assert router.spawned == 0 and router.stashed_tells == 2
-        state = router.stashed_state(self.CELL)
-        # Same shape an actor's export_state produces, holding the latest.
+        assert router.pair_tests == 0
+        state = router.cell_state(self.CELL)
         assert list(state) == ["forecasts"]
         assert state["forecasts"][111].anchor.t == 2_000.0
 
     def test_second_vessel_materialises_and_pairs(self):
-        """The spawn-on-second-occupant path must replay the stashed
-        forecast first (arrival order), so pairing still fires exactly as
-        it would have without the stash."""
+        """A second MMSI turns the cell into a member table in arrival
+        order and is tested once against the first."""
         platform, router = self.make_router()
         router.share_forecast([self.CELL], stationary_forecast(111))
         router.share_forecast([self.CELL], stationary_forecast(222))
+        assert list(router.cells[self.CELL]) == [111, 222]
+        assert list(router.cell_state(self.CELL)["forecasts"]) == [111, 222]
+        assert router.pair_tests == 1
         platform.system.run_until_idle()
-        assert router.spawned == 1
-        assert router.stashed_state(self.CELL) is None
-        actor = platform.system._cells[f"collision-{self.CELL}"].actor
-        assert list(actor.forecasts) == [111, 222]  # replay preserved order
         platform.wiring.writer_ref.flush()
         platform.system.run_until_idle()
         assert platform.kvstore.llen("events:collision", now=1e9) == 1
@@ -304,39 +311,83 @@ class TestCollisionCellStash:
     def test_prune_tick_expires_stale_stash(self):
         platform, router = self.make_router(event_debounce_s=900.0)
         router.share_forecast([self.CELL], stationary_forecast(111, t0=0.0))
-        router.tell(self.CELL, PruneTick(now=100.0))  # fresh: kept
+        router.prune(100.0)  # fresh: kept
         assert self.CELL in router
-        router.tell(self.CELL, PruneTick(now=901.0))  # stale: dropped
-        platform.system.run_until_idle()
+        router.prune(901.0)  # stale: dropped
         assert self.CELL not in router and len(router) == 0
-        assert router.spawned == 0  # housekeeping never materialises cells
+
+    def test_prune_leaves_a_sole_survivor_bare(self):
+        platform, router = self.make_router(event_debounce_s=900.0)
+        router.share_forecast([self.CELL], stationary_forecast(111, t0=0.0))
+        survivor = stationary_forecast(222, t0=500.0)
+        router.share_forecast([self.CELL], survivor)
+        router.prune(1_000.0)
+        assert router.cells[self.CELL] is survivor
+
+    def test_housekeeping_prunes_the_table(self):
+        platform, router = self.make_router(event_debounce_s=900.0)
+        router.share_forecast([self.CELL], stationary_forecast(111, t0=0.0))
+        platform.system.advance_time(1_000.0)
+        platform.housekeeping()
+        assert len(router) == 0 and platform.collision_cell_count == 0
 
     def test_restore_single_occupant_lands_in_stash(self):
         platform, router = self.make_router()
-        state = {"forecasts": {111: stationary_forecast(111)}}
-        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=state))
-        platform.system.run_until_idle()
-        assert router.spawned == 0
-        restored = router.stashed_state(self.CELL)
-        assert list(restored["forecasts"]) == [111]
+        self.restore(router, {"forecasts": {111: stationary_forecast(111)}})
+        assert list(router.cell_state(self.CELL)["forecasts"]) == [111]
+        assert isinstance(router.cells[self.CELL], RouteForecast)
 
-    def test_restore_multi_occupant_spawns_real_actor(self):
+    def test_restore_multi_occupant_into_table(self):
         platform, router = self.make_router()
         state = {"forecasts": {111: stationary_forecast(111), 222: stationary_forecast(222)}}
-        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=state))
-        platform.system.run_until_idle()
-        assert router.spawned == 1
-        actor = platform.system._cells[f"collision-{self.CELL}"].actor
-        assert set(actor.forecasts) == {111, 222}
+        self.restore(router, state)
+        assert router.cell_state(self.CELL) == state
+        router.share_forecast([self.CELL], stationary_forecast(333))
+        assert router.pair_tests == 2
 
     def test_live_stash_wins_over_restored_checkpoint(self):
         platform, router = self.make_router()
         router.share_forecast([self.CELL], stationary_forecast(111, t0=5_000.0))
-        stale = {"forecasts": {111: stationary_forecast(111, t0=1_000.0)}}
-        router.tell(self.CELL, RestoreState(entity="collision", key=self.CELL, state=stale))
-        platform.system.run_until_idle()
-        assert router.spawned == 0
-        assert router.stashed_state(self.CELL)["forecasts"][111].anchor.t == 5_000.0
+        self.restore(router, {"forecasts": {111: stationary_forecast(111, t0=1_000.0)}})
+        assert router.cell_state(self.CELL)["forecasts"][111].anchor.t == 5_000.0
+
+    def test_restore_adopts_only_into_an_absent_cell(self):
+        """The deleted cell actor's rule: a cell holding anything was
+        rebuilt from replayed forecasts and keeps them; an absent (or
+        pruned-away) cell adopts the checkpoint."""
+        platform, router = self.make_router(event_debounce_s=900.0)
+        live = {"forecasts": {111: stationary_forecast(111), 222: stationary_forecast(222)}}
+        self.restore(router, live)
+        self.restore(router, {"forecasts": {333: stationary_forecast(333)}})
+        assert router.cell_state(self.CELL) == live
+        router.prune(1e9)
+        checkpoint = {"forecasts": {444: stationary_forecast(444)}}
+        self.restore(router, checkpoint)
+        assert router.cell_state(self.CELL) == checkpoint
+
+    def test_multi_occupant_checkpoint_round_trip(self):
+        """A pickled multi-occupant cell restores into a fresh node with
+        its members in order, carries no densified track, and the
+        restored cell pairs a newcomer exactly as the original does."""
+        source_platform, source = self.make_router()
+        for mmsi, lat in ((111, 10.0), (222, 10.001), (333, 10.002)):
+            source.share_forecast([self.CELL], stationary_forecast(mmsi, lat=lat))
+        state = source.cell_state(self.CELL)
+        assert b"ndarray" not in pickle.dumps(state)
+        target_platform, target = self.make_router()
+        self.restore(target, pickle.loads(pickle.dumps(state)))
+        assert target.cell_state(self.CELL) == state
+        newcomer = stationary_forecast(444, lat=10.0015)
+        for platform, router in ((source_platform, source), (target_platform, target)):
+            router.share_forecast([self.CELL], newcomer)
+            platform.system.run_until_idle()
+            platform.wiring.writer_ref.flush()
+            platform.system.run_until_idle()
+        source_hits, target_hits = (
+            {e for e in platform.kvstore.lrange("events:collision", 0, -1) if 444 in e.pair}
+            for platform in (source_platform, target_platform)
+        )
+        assert len(source_hits) == 3 and source_hits == target_hits
 
     def test_forget_drops_stash(self):
         platform, router = self.make_router()

@@ -26,7 +26,7 @@ class TestThreadedPlatform:
         try:
             platform.publish_messages(scenario.result.messages)
             platform.process_available()
-            assert platform.cell_actor_count + platform.collision_actor_count > 20
+            assert platform.cell_actor_count + platform.collision_cell_count > 20
             platform.housekeeping()
             # A pure check: nothing may still be queued.
             assert platform.system.run_until_idle() == 0

@@ -121,10 +121,10 @@ def test_a_one_node_cluster_is_the_platform(alone_and_clustered, scenario):
 
 
 def test_collision_events_come_in_the_same_order_too(alone_and_clustered):
-    """Held since a cluster node's collision entity got its single-occupant
-    stash (an empty ``CollisionCellRouter`` is falsy, and ``ShardRouter``
-    used to test it for truth): cell actors spawn in the same order, so a
-    pair's first-reporting cell is the same."""
+    """Held since a cluster node's collision entity got the node's
+    ``CollisionCellRouter`` (an empty one is falsy, and ``ShardRouter`` used
+    to test it for truth): both walk the same cells in the same order, so a
+    pair meets, and is tested, at the same point."""
     alone, clustered = alone_and_clustered
     assert alone["events"]["collision"] == clustered["events"]["collision"]
     assert alone["states"] == clustered["states"]

@@ -35,7 +35,7 @@ class TestIngestionToActors:
 
     def test_cell_and_collision_actors_created(self, processed_platform):
         assert processed_platform.cell_actor_count > 0
-        assert processed_platform.collision_actor_count > 0
+        assert processed_platform.collision_cell_count > 0
 
     def test_metrics_sampled_for_vessel_messages_only(self, processed_platform):
         counts, durations = processed_platform.system.metrics.as_arrays()
