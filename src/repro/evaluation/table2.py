@@ -116,11 +116,10 @@ def _forecast_pair(scenario: ProximityScenario, forecaster: RouteForecaster,
                    mmsi_a: int, mmsi_b: int, cutoff_t: float):
     """Forecast trajectories for both vessels at the cutoff, or ``None``
     when a history is too short for the model."""
-    min_history = getattr(forecaster, "min_history", 1)
     out = []
     for mmsi in (mmsi_a, mmsi_b):
         history = _vessel_history(scenario, mmsi, cutoff_t)
-        if len(history) < min_history:
+        if len(history) < forecaster.min_history:
             return None
         out.append(forecaster.forecast(mmsi, history))
     return out

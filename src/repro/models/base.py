@@ -43,18 +43,39 @@ class RouteForecast:
 
 
 class RouteForecaster(Protocol):
-    """Anything that can produce a short-term route forecast."""
+    """Anything that can produce a short-term route forecast. The platform
+    forecasts only through :meth:`forecast_batch`, pooled per node."""
+
+    @property
+    def min_history(self) -> int:
+        """Fixes a full (unpadded) forecast needs."""
+        ...
+
+    @property
+    def window_size(self) -> int:
+        """Displacement steps per input window row; 0 for a forecaster that
+        reads the anchor fix alone. A windowed forecaster also provides
+        ``make_window(ts, lats, lons, pad)`` and pads short histories."""
+        ...
 
     def forecast(self, mmsi: int, history: Sequence[Position]) -> RouteForecast:
         """Forecast from a vessel's recent downsampled fixes.
 
-        ``history`` is ordered oldest-first; implementations state their
-        minimum history length and raise :class:`ValueError` below it.
+        ``history`` is ordered oldest-first; implementations raise
+        :class:`ValueError` below :attr:`min_history`.
         """
         ...
 
-    def predict_positions(self, anchor: np.ndarray, x: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
+    def forecast_batch(
+        self, mmsis: Sequence[int], windows: np.ndarray | None, anchors: Sequence[Position]
+    ) -> list[RouteForecast]:
+        """Forecasts for many vessels in one pass: ``windows`` stacks one
+        ``(window_size, 3)`` row per vessel (``None`` when ``window_size`` is
+        0), ``anchors`` holds each one's latest fix. Row ``i`` is bitwise
+        :meth:`forecast` for that vessel alone."""
+        ...
+
+    def predict_positions(self, anchor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised batch form over preprocessed segments.
 
         ``anchor`` is the ``(n, 5)`` anchor-state array and ``x`` the

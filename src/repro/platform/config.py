@@ -10,29 +10,19 @@ class PlatformConfig:
     """Tunables of the integrated platform.
 
     Defaults mirror the paper's deployment: 30-second downsampling before
-    the forecasting model and one neighbour ring of forecast fan-out.
-    What the deployment never varies (event-cell resolutions, proximity
-    and collision thresholds, flow grid, watchdog gaps, planner geometry)
-    is a constant beside the code that reads it, not a field here.
+    the forecasting model. What the deployment never varies (event-cell
+    resolutions, forecast fan-out rings, proximity and collision
+    thresholds, flow grid, watchdog gaps, planner geometry) is a constant
+    beside the code that reads it, not a field here.
     """
 
     #: Minimum seconds between fixes kept by a vessel actor (Section 4.2).
     downsample_s: float = 30.0
-    #: Rings of neighbouring cells that receive forecast positions
-    #: ("the respective cell ... and each n+1 nearest cell", Section 5.2).
-    collision_neighbor_rings: int = 1
     #: Debounce window, seconds: an encounter is identified by (kind, pair,
     #: event time // this), and the pair's owner vessel records each once.
     event_debounce_s: float = 900.0
-    #: Run the forecasting model on every n-th kept fix (1 = every fix).
-    forecast_every_n: int = 1
-    #: Pool per-vessel forecast requests into fleet-wide batched model
-    #: passes through the node's :class:`ForecastService` (used whenever
-    #: the mounted forecaster implements ``forecast_batch``; per-vessel
-    #: results are bitwise identical to unbatched inference).
-    forecast_batching: bool = True
-    #: Execute the pending pooled batch once it holds this many vessels
-    #: (mirrors ``writer_batch_max_ops``).
+    #: Execute the pending pooled forecast batch once it holds this many
+    #: vessels (mirrors ``writer_batch_max_ops``).
     forecast_batch_max: int = 256
     #: Execute a partial pooled batch after this much virtual time
     #: (mirrors ``writer_batch_linger_s``). 0 disables the timer.
@@ -92,12 +82,8 @@ class PlatformConfig:
     def __post_init__(self) -> None:
         if self.downsample_s < 0:
             raise ValueError("downsample_s must be non-negative")
-        if self.forecast_every_n < 1:
-            raise ValueError("forecast_every_n must be >= 1")
         if self.trace_sample_every < 1:
             raise ValueError("trace_sample_every must be >= 1")
-        if not 0 <= self.collision_neighbor_rings <= 3:
-            raise ValueError("collision_neighbor_rings must be in [0, 3]")
         if self.forecast_batch_max < 1:
             raise ValueError("forecast_batch_max must be >= 1")
         if self.forecast_linger_s < 0:

@@ -1,17 +1,15 @@
-"""Pooled fleet-wide forecast inference.
+"""Pooled fleet-wide forecast inference: the one way a forecast is made.
 
-The paper mounts the S-VRF model "only once in memory" per node — but the
-seed reproduction still *executed* it once per vessel per kept fix, a
-batch-size-1 forward pass whose BLAS calls dominate the single-node hot
-path. :class:`ForecastService` turns those per-vessel calls into fleet-wide
-micro-batches, exactly the way the writer batches KV operations:
+The paper mounts the S-VRF model "only once in memory" per node. Run once
+per vessel per kept fix, it would be a batch-size-1 forward pass whose
+BLAS calls dominate the single-node hot path. :class:`ForecastService`
+turns those per-vessel requests into fleet-wide micro-batches, exactly the
+way the writer batches KV operations:
 
-* vessel actors :meth:`submit` their displacement window + anchor instead
-  of invoking the model synchronously,
+* vessel actors :meth:`submit` their displacement window + anchor,
 * requests pool per node, every request keeping its own batch row (a
   vessel with two kept fixes in one linger window gets both forecasts, in
-  order — the fan-out set stays identical to unbatched inference, which
-  the event-parity gate relies on),
+  order),
 * the batch executes after ``forecast_batch_max`` pending vessels or a
   ``forecast_linger_s`` virtual-time linger — **one**
   ``predict_transitions((n, INPUT_STEPS, 3))`` pass over the whole fleet,
@@ -24,9 +22,11 @@ micro-batches, exactly the way the writer batches KV operations:
   discipline for the twin's own state — and hands the flow actor the whole
   flush in one message.
 
-Per-vessel results are bitwise identical to the unbatched path (see
-``Model.predict``), which the batched-vs-unbatched parity leg of the bench
-gate and the property tests assert.
+A request fails alone: a row the forecaster raises on, or one that lands
+off the globe, resolves to ``None`` and counts in ``forecasts_failed``.
+Batching never changes a result: each row of ``forecast_batch`` is bitwise
+the row batched alone and the scalar ``forecast`` (see ``Model.predict``),
+which the forecaster-level property tests assert.
 
 The service is a plain shared object (like the forecaster itself), not an
 actor: submission is a method call from inside the vessel actor's receive,
@@ -56,11 +56,8 @@ class ForecastService:
         self.wiring = wiring
         config = wiring.config
         self.batch_max = config.forecast_batch_max
-        #: Displacement steps per window row (0: anchors-only forecaster).
-        self.window_size = getattr(wiring.forecaster, "window_size", 0)
-        self._windows = (
-            np.empty((self.batch_max, self.window_size, 3)) if self.window_size else None
-        )
+        window_size = wiring.forecaster.window_size  # 0: anchors-only forecaster
+        self._windows = np.empty((self.batch_max, window_size, 3)) if window_size else None
         self._mmsis: list[int] = []
         self._anchors: list[Position] = []
         self._submit_ts: list[float] = []
@@ -125,7 +122,7 @@ class ForecastService:
         def reply(i: int) -> None:
             router.tell(mmsis[i], ForecastReady(forecast=forecasts[i], t_submitted=submit_ts[i]))
 
-        share_forecasts(self.wiring, forecasts, after_row=reply)
+        self.forecasts_failed += share_forecasts(self.wiring, forecasts, after_row=reply)
         return submit_ts[0]
 
     def _run_batch(self, mmsis, windows, anchors) -> list:

@@ -24,8 +24,6 @@ not yet processed.
 
 from __future__ import annotations
 
-import inspect
-
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -39,6 +37,7 @@ from repro.platform.api import MiddlewareAPI
 from repro.platform.cell_actor import CollisionCellRouter, FlowActor, ProximityCellActor
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.platform.config import PlatformConfig
+from repro.platform.forecast_service import ForecastService
 from repro.platform.ingestion import IngestionService
 from repro.platform.messages import PruneTick, VoyageAssigned
 from repro.platform.vessel_actor import VesselActor
@@ -64,9 +63,6 @@ class PlatformWiring:
     kvstore: KeyValueStore
     pubsub: PubSub
     forecaster: RouteForecaster
-    forecaster_min_history: int
-    #: Whether the forecaster accepts ``pad=True`` for short histories.
-    supports_padding: bool = False
     vessel_router: KeyRouter | None = field(init=False, default=None)
     cell_router: KeyRouter | None = field(init=False, default=None)
     collision_router: KeyRouter | None = field(init=False, default=None)
@@ -75,9 +71,8 @@ class PlatformWiring:
     collision_cells: CollisionCellRouter | None = field(init=False, default=None)
     writer_ref: WriterRef | None = field(init=False, default=None)
     flow_ref: object = field(init=False, default=None)
-    #: Pooled batched-inference service (None: synchronous per-vessel
-    #: forecasts, either by configuration or a batch-less forecaster).
-    forecast_service: object = field(init=False, default=None)
+    #: The pooled batched-inference service: the one way a forecast is made.
+    forecast_service: ForecastService | None = field(init=False, default=None)
     #: Voyage-optimization trio (None unless ``voyage_optimization``):
     #: the node's ForecastingWeatherField, its FuelModel, and the pooled
     #: RouteOptimizerService replanning assigned voyages.
@@ -127,18 +122,6 @@ def create_topics(broker: Broker, config: PlatformConfig) -> None:
             )
 
 
-def build_forecast_service(wiring: PlatformWiring):
-    """The pooled inference service when enabled and supported, else None
-    (callers fall back to synchronous per-vessel forecasts)."""
-    if not wiring.config.forecast_batching:
-        return None
-    if not hasattr(wiring.forecaster, "forecast_batch"):
-        return None
-    from repro.platform.forecast_service import ForecastService
-
-    return ForecastService(wiring)
-
-
 def build_route_optimizer(wiring: PlatformWiring):
     """Wire the voyage-optimization subsystem when enabled.
 
@@ -179,16 +162,13 @@ def wire_node(
     """
     broker = Broker()
     create_topics(broker, config)
-    forecaster = forecaster or LinearKinematicModel()
     wiring = PlatformWiring(
         config=config,
         system=system,
         broker=broker,
         kvstore=KeyValueStore(),
         pubsub=PubSub(),
-        forecaster=forecaster,
-        forecaster_min_history=getattr(forecaster, "min_history", 1),
-        supports_padding="pad" in inspect.signature(forecaster.forecast).parameters,
+        forecaster=forecaster or LinearKinematicModel(),
     )
     # Figure 6 plots per-AIS-message processing time against the number
     # of distinct MMSIs: sample only vessel-actor deliveries, with this
@@ -205,7 +185,7 @@ def wire_node(
     system.spawn(lambda: WriterActor(wiring), "writer")
     wiring.writer_ref = WriterRef("writer", system)
     wiring.flow_ref = system.spawn(lambda: FlowActor(wiring), "vtff")
-    wiring.forecast_service = build_forecast_service(wiring)
+    wiring.forecast_service = ForecastService(wiring)
     wiring.route_optimizer = build_route_optimizer(wiring)
     return wiring
 

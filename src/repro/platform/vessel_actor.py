@@ -6,9 +6,8 @@ one corresponding to a specific vessel as it is defined by its unique MMSI"
 
 * keeps the vessel's recent downsampled track (the S-VRF input window) in a
   preallocated :class:`~repro.platform.history.HistoryRing`,
-* requests a forecast from the shared model on each kept fix — through the
-  node's pooled :class:`~repro.platform.forecast_service.ForecastService`
-  when batching is enabled, synchronously otherwise,
+* requests a forecast from the shared model on each kept fix through the
+  node's pooled :class:`~repro.platform.forecast_service.ForecastService`,
 * fans its position out to the proximity cell actor of its H3 cell,
 * has its forecast fanned out (:func:`share_forecasts`) to every collision
   cell the trajectory (dilated by one neighbour ring) touches, and to the
@@ -20,18 +19,19 @@ one corresponding to a specific vessel as it is defined by its unique MMSI"
   a hit only if its ``(kind, pair, t // event_debounce_s)`` identity is
   new and forwards it to the partner; both flag it in ``event_flags``.
 
-With pooled inference the state update of a forecast-triggering fix is
-deferred until the :class:`~repro.platform.messages.ForecastReady` reply,
-so the writer still observes every forecast exactly once; the in-flight
-marker travels through ``export_state``/``restore_state`` so a checkpoint
-taken mid-linger re-issues the request after recovery instead of dropping
-it.
+The state update of a forecast-triggering fix is deferred until the
+:class:`~repro.platform.messages.ForecastReady` reply, so the writer still
+observes every forecast exactly once; the in-flight marker travels through
+``export_state``/``restore_state`` so a checkpoint taken mid-linger
+re-issues the request after recovery instead of dropping it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.actors import Actor, ActorContext
 from repro.hexgrid import grid_disk, latlng_to_cell, latlng_to_cells
@@ -66,46 +66,61 @@ VOYAGE_BASE_SPEED_KN = 12.0
 #: Emit ``eta_breach`` when a plan's deadline slack falls below this.
 VOYAGE_ETA_BREACH_S = 1_800.0
 
-#: (base cell, rings) -> dilated neighbourhood. ``grid_disk`` is a pure
+#: Rings of neighbouring cells that receive forecast positions ("the
+#: respective cell ... and each n+1 nearest cell", Section 5.2).
+COLLISION_NEIGHBOR_RINGS = 1
+
+#: Base cell -> its dilated neighbourhood. ``grid_disk`` is a pure
 #: function and vessels revisit the same cells constantly; memoising the
 #: disk removes it from the forecast fan-out hot path.
-_DISK_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+_DISK_CACHE: dict[int, tuple[int, ...]] = {}
 _DISK_CACHE_MAX = 1 << 20
 
 
-def _disk(base: int, rings: int) -> tuple[int, ...]:
-    key = (base, rings)
-    cells = _DISK_CACHE.get(key)
+def _disk(base: int) -> tuple[int, ...]:
+    cells = _DISK_CACHE.get(base)
     if cells is None:
         if len(_DISK_CACHE) >= _DISK_CACHE_MAX:
             _DISK_CACHE.clear()
-        cells = _DISK_CACHE[key] = tuple(grid_disk(base, rings))
+        cells = _DISK_CACHE[base] = tuple(grid_disk(base, COLLISION_NEIGHBOR_RINGS))
     return cells
 
 
-def share_forecasts(wiring: "PlatformWiring", forecasts, after_row=None) -> None:
+def share_forecasts(wiring: "PlatformWiring", forecasts: list, after_row=None) -> int:
     """Fan a flush's forecasts out in row order — row ``i`` to every
     collision cell its trajectory (dilated by the neighbour rings) touches,
     then ``after_row(i)`` — and to the flow actor in one :class:`ForecastBatch`.
-    Row order keeps collision cells observing forecasts in the unbatched
-    sequence; the synchronous path is a batch of one; ``None`` rows share
-    nothing. One :func:`latlng_to_cells` call finds every row's cells."""
-    shared = [forecast for forecast in forecasts if forecast is not None]
-    points = [pos for forecast in shared for pos in forecast.positions]
-    lats = [pos.lat for pos in points]
-    bases = iter(latlng_to_cells(lats, [pos.lon for pos in points], COLLISION_RESOLUTION).tolist())
-    rings = wiring.config.collision_neighbor_rings
+    ``None`` rows share nothing. One :func:`latlng_to_cells` call finds every
+    row's cells; a row with a position off the globe (an unclamped model
+    output) is set to ``None`` first, like a row the forecaster raised on.
+    Returns how many rows that dropped."""
+    rows = [i for i, forecast in enumerate(forecasts) if forecast is not None]
+    points = [pos for i in rows for pos in forecasts[i].positions]
+    lats = np.array([pos.lat for pos in points], dtype=np.float64)
+    lons = np.array([pos.lon for pos in points], dtype=np.float64)
+    off_globe = ~((lats >= -90.0) & (lats <= 90.0) & np.isfinite(lons))  # the kernel's checks
+    bad: list[int] = []
+    if off_globe.any():
+        owners = np.repeat(rows, [len(forecasts[i].positions) for i in rows])
+        bad = np.unique(owners[off_globe]).tolist()
+        kept = ~np.isin(owners, bad)
+        lats, lons = lats[kept], lons[kept]
+        for i in bad:
+            forecasts[i] = None
+    bases = iter(latlng_to_cells(lats, lons, COLLISION_RESOLUTION).tolist())
     router = wiring.collision_router
     for i, forecast in enumerate(forecasts):
         if forecast is not None:
             cells: set[int] = set()
             for _ in forecast.positions:
-                cells.update(_disk(next(bases), rings))
+                cells.update(_disk(next(bases)))
             router.share_forecast(cells, forecast)
         if after_row is not None:
             after_row(i)
+    shared = tuple(forecast for forecast in forecasts if forecast is not None)
     if shared:
-        wiring.flow_ref.tell(ForecastBatch(forecasts=tuple(shared)))
+        wiring.flow_ref.tell(ForecastBatch(forecasts=shared))
+    return len(bad)
 
 
 class VesselActor(Actor):
@@ -114,7 +129,7 @@ class VesselActor(Actor):
     def __init__(self, mmsi: int, wiring: "PlatformWiring") -> None:
         self.mmsi = mmsi
         self.wiring = wiring
-        self.history = HistoryRing(max(wiring.forecaster_min_history, 1))
+        self.history = HistoryRing(max(wiring.forecaster.min_history, 1))
         self.kept_fixes = 0
         self.last_kept_t = float("-inf")
         self.last_message = None
@@ -196,7 +211,7 @@ class VesselActor(Actor):
         if state["last_kept_t"] <= self.last_kept_t:
             return
         self.history = HistoryRing.from_positions(
-            state["history"], max(self.wiring.forecaster_min_history, 1)
+            state["history"], max(self.wiring.forecaster.min_history, 1)
         )
         self.kept_fixes = state["kept_fixes"]
         self.last_kept_t = state["last_kept_t"]
@@ -249,14 +264,12 @@ class VesselActor(Actor):
             self._on_voyage_fix(report)
 
         # Forecasting: run the shared model once enough history exists —
-        # a padded short window when the forecaster supports padding, the
-        # full window otherwise.
-        threshold = MIN_FORECAST_FIXES if wiring.supports_padding else wiring.forecaster_min_history
-        if len(self.history) >= threshold and self.kept_fixes % wiring.config.forecast_every_n == 0:
-            if wiring.forecast_service is not None:
-                self._request_forecast()
-            else:
-                self._forecast_and_share()
+        # a padded short window for a windowed forecaster, the full
+        # history otherwise.
+        forecaster = wiring.forecaster
+        threshold = MIN_FORECAST_FIXES if forecaster.window_size else forecaster.min_history
+        if len(self.history) >= threshold:
+            self._request_forecast()
         if self.pending_forecast:
             return  # the state update rides on the ForecastReady reply
         self._push_state_update(report.t)
@@ -427,25 +440,15 @@ class VesselActor(Actor):
     def _window_row(self):
         """The forecaster's displacement window from the ring's contiguous
         column views (``None`` for anchors-only forecasters)."""
-        wiring = self.wiring
-        if getattr(wiring.forecaster, "window_size", 0) == 0:
+        forecaster = self.wiring.forecaster
+        if forecaster.window_size == 0:
             return None
         ts, lats, lons = self.history.columns()
-        pad = wiring.supports_padding and len(self.history) < wiring.forecaster_min_history
-        return wiring.forecaster.make_window(ts, lats, lons, pad=pad)
+        pad = len(self.history) < forecaster.min_history
+        return forecaster.make_window(ts, lats, lons, pad=pad)
 
     def _request_forecast(self) -> None:
         self.pending_forecast = True
         self.wiring.forecast_service.submit(
             self.mmsi, self._window_row(), self.history.last_position()
         )
-
-    def _forecast_and_share(self) -> None:
-        wiring = self.wiring
-        history = self.history.positions()
-        if wiring.supports_padding and len(history) < wiring.forecaster_min_history:
-            forecast = wiring.forecaster.forecast(self.mmsi, history, pad=True)
-        else:
-            forecast = wiring.forecaster.forecast(self.mmsi, history)
-        self.latest_forecast = forecast
-        share_forecasts(wiring, [forecast])

@@ -144,7 +144,7 @@ class TestLiveRebalance:
             config=PlatformConfig(forecast_linger_s=0.0))
         try:
             mmsi = mmsis_owned_by(cluster, "node-01", 1)[0]
-            min_history = cluster.seed.wiring.forecaster_min_history
+            min_history = cluster.seed.wiring.forecaster.min_history
             fixes = [AISMessage(mmsi=mmsi, t=1.0 + j * 60.0, lat=44.0,
                                 lon=8.0 + j * 1e-4, sog=1.0, cog=90.0)
                      for j in range(min_history)]

@@ -24,7 +24,11 @@ from repro.models import LinearKinematicModel
 from repro.models.base import RouteForecast, forecast_mark_times
 from repro.platform import LoopbackCluster, Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
-from repro.platform.vessel_actor import COLLISION_RESOLUTION, share_forecasts
+from repro.platform.vessel_actor import (
+    COLLISION_NEIGHBOR_RINGS,
+    COLLISION_RESOLUTION,
+    share_forecasts,
+)
 
 
 def track(mmsi: int, t0: float, lat: float, lon: float, dlat: float, dlon: float):
@@ -48,10 +52,11 @@ FLUSH = [
 ]
 
 
-def dilated_cells(forecast: RouteForecast, rings: int) -> set:
+def dilated_cells(forecast: RouteForecast) -> set:
     cells = set()
     for pos in forecast.positions:
-        cells.update(grid_disk(latlng_to_cell(pos.lat, pos.lon, COLLISION_RESOLUTION), rings))
+        base = latlng_to_cell(pos.lat, pos.lon, COLLISION_RESOLUTION)
+        cells.update(grid_disk(base, COLLISION_NEIGHBOR_RINGS))
     return cells
 
 
@@ -129,11 +134,10 @@ def test_flush_deliveries_match_the_scalar_reference():
     platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
     wiring = platform.wiring
     table = wiring.collision_cells
-    rings = wiring.config.collision_neighbor_rings
     reference, tests_after_row, total = PerCellReference(), [], 0
     for forecast in FLUSH:
         if forecast is not None:
-            total += len(reference.share(dilated_cells(forecast, rings), forecast)[1])
+            total += len(reference.share(dilated_cells(forecast), forecast)[1])
         tests_after_row.append(total)
     # The flush exercises every branch: cells 111 holds alone, cells the
     # 111/222 crossing shares, and cells 333 meets both of them in.
@@ -160,10 +164,9 @@ def test_cluster_fanout_lands_in_each_nodes_bulk_stash():
     try:
         sender = cluster.platforms[1]
         routers = [platform.wiring.collision_router for platform in cluster.platforms]
-        rings = sender.config.collision_neighbor_rings
         reference = PerCellReference()
         for forecast in filter(None, FLUSH):
-            reference.share(dilated_cells(forecast, rings), forecast)
+            reference.share(dilated_cells(forecast), forecast)
         share_forecasts(sender.wiring, FLUSH)
         cluster.settle()
 
@@ -187,7 +190,7 @@ def test_a_shared_batch_is_tested_once_per_node():
         sender = cluster.platforms[1]
         router = sender.wiring.collision_router
         a, b = FLUSH[0], FLUSH[1]
-        cells = sorted(dilated_cells(a, sender.config.collision_neighbor_rings))
+        cells = sorted(dilated_cells(a))
         owned = [sum(router.is_local(cell) == local for cell in cells) for local in (0, 1)]
         assert min(owned) >= 2
         router.share_forecast(cells, a)

@@ -1,11 +1,12 @@
 """Tests of pooled fleet-wide inference and the collision-cell fast path.
 
-Three invariants the batched hot path must preserve:
+Four invariants the batched hot path must preserve:
 
-* **bitwise parity** — a forecast produced through the pooled
-  :class:`~repro.platform.forecast_service.ForecastService` is identical,
-  bit for bit, to the per-vessel synchronous call (mixed full and padded
-  windows included), because both run through ``forecast_batch``;
+* **bitwise parity** — each row of a shipped forecaster's
+  ``forecast_batch`` is identical, bit for bit, to that row batched alone
+  and to the scalar ``forecast`` (mixed full and padded windows included);
+* **failure isolation** — a row the forecaster raises on, or one off the
+  globe, resolves to ``None`` without sinking the rest of its flush;
 * **flush discipline** — batches execute exactly at ``forecast_batch_max``
   or at the linger deadline, stale timers re-arm for queued tails, and the
   in-flight marker survives a checkpoint taken mid-linger;
@@ -16,10 +17,13 @@ Three invariants the batched hot path must preserve:
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ais.datasets import proximity_scenario
 from repro.ais.message import AISMessage
 from repro.geo.track import Position
 from repro.ml import StandardScaler
@@ -80,82 +84,127 @@ def stationary_forecast(
     return RouteForecast(mmsi=mmsi, positions=tuple(positions))
 
 
+def bits(forecast: RouteForecast) -> tuple:
+    """A forecast as exact bit patterns (``float.hex``), field by field."""
+    return forecast.mmsi, tuple(
+        tuple(None if v is None else float(v).hex() for v in (p.t, p.lat, p.lon, p.sog, p.cog))
+        for p in forecast.positions
+    )
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(2, INPUT_STEPS + 4),  # history length
+        st.floats(-60.0, 60.0),  # start latitude
+        st.floats(0.0, 30.0),  # SOG
+        st.floats(0.0, 359.9),  # COG
+    ),
+    max_size=6,
+)
+
+
 class TestBitwiseParity:
-    """Pooled inference == per-vessel inference, bit for bit."""
+    """Batching never changes a forecast, bit for bit."""
 
-    def test_forecast_batch_matches_scalar_forecast(self):
-        """Model level: one pooled pass over mixed full/padded windows
-        reproduces every scalar ``forecast`` call exactly."""
-        model = tiny_svrf()
-        lengths = [INPUT_STEPS + 1, 3, INPUT_STEPS + 4, 2, INPUT_STEPS + 1]
-        histories = []
-        for i, n in enumerate(lengths):
-            msgs = fixes(200000000 + i, n)
-            histories.append([Position(t=m.t, lat=m.lat, lon=m.lon) for m in msgs])
-        scalar = [
-            model.forecast(200000000 + i, h, pad=len(h) < model.min_history)
-            for i, h in enumerate(histories)
-        ]
-        windows = np.stack(
-            [
-                model.make_window(
-                    np.array([p.t for p in h]),
-                    np.array([p.lat for p in h]),
-                    np.array([p.lon for p in h]),
-                    pad=len(h) < model.min_history,
-                )
-                for h in histories
-            ]
-        )
-        batched = model.forecast_batch(
-            [200000000 + i for i in range(len(histories))], windows, [h[-1] for h in histories]
-        )
-        for one, many in zip(scalar, batched):
-            assert one.positions == many.positions  # exact float equality
-
-    def test_batched_platform_matches_unbatched(self):
-        """Platform level: identical streams through a batching and a
-        non-batching platform leave every vessel with bitwise-identical
-        forecasts — including vessels still on padded short windows —
-        and the Aegean proximity scenario riding the same stream resolves
-        the same proximity and collision events either way."""
-        model = tiny_svrf()
-        full = [200000000 + i for i in range(4)]
-        padded = [300000000 + i for i in range(3)]
-        messages = []
-        for i, mmsi in enumerate(full):
-            messages += fixes(mmsi, INPUT_STEPS + 3, lat0=10.0 + i)
-        for i, mmsi in enumerate(padded):
-            messages += fixes(mmsi, 3, lat0=30.0 + i)
-        messages += proximity_scenario(
-            n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0, seed=3
-        ).result.messages
-        messages.sort(key=lambda m: m.t)
-
-        platforms = {}
-        for batching in (False, True):
-            platform = Platform(
-                forecaster=model,
-                config=PlatformConfig(forecast_batching=batching, forecast_batch_max=64),
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["svrf", "kinematic"]), rows=_ROWS)
+    def test_forecast_batch_matches_scalar_forecast(self, kind, rows):
+        """Forecaster level, both shipped models: row ``i`` of one
+        ``forecast_batch`` over n rows has the bits of that row batched
+        alone and of the scalar ``forecast``. Every S-VRF batch mixes full
+        and zero-padded windows."""
+        model = tiny_svrf() if kind == "svrf" else LinearKinematicModel()
+        rows = [(2, 10.0, 8.0, 45.0), (INPUT_STEPS + 1, 11.0, 8.0, 45.0), *rows]
+        mmsis, histories = [], []
+        for i, (n, lat0, sog, cog) in enumerate(rows):
+            mmsis.append(200000000 + i)
+            histories.append(
+                [
+                    Position(t=m.t, lat=m.lat, lon=m.lon, sog=sog, cog=cog)
+                    for m in fixes(mmsis[-1], n, lat0=lat0)
+                ]
             )
-            for i in range(0, len(messages), 500):
-                platform.publish_messages(messages[i : i + 500])
-                platform.process_available()
-            platforms[batching] = platform
+        pads = [len(h) < model.min_history for h in histories]
+        windows = None
+        if model.window_size:
+            assert any(pads) and not all(pads)
+            windows = np.stack(
+                [
+                    model.make_window(
+                        np.array([p.t for p in h]),
+                        np.array([p.lat for p in h]),
+                        np.array([p.lon for p in h]),
+                        pad=pad,
+                    )
+                    for h, pad in zip(histories, pads)
+                ]
+            )
+        anchors = [h[-1] for h in histories]
+        batched = model.forecast_batch(mmsis, windows, anchors)
+        for i, mmsi in enumerate(mmsis):
+            row = None if windows is None else windows[i : i + 1]
+            alone = model.forecast_batch([mmsi], row, [anchors[i]])[0]
+            if pads[i]:
+                scalar = model.forecast(mmsi, histories[i], pad=True)
+            else:
+                scalar = model.forecast(mmsi, histories[i])
+            assert bits(batched[i]) == bits(alone) == bits(scalar)
 
-        for kind in ("proximity", "collision"):
-            counts = [platforms[batching].api.event_count(kind) for batching in (False, True)]
-            assert counts[0] == counts[1] > 0
 
-        service = platforms[True].wiring.forecast_service
-        assert service is not None and service.batches_executed >= 1
-        assert platforms[False].wiring.forecast_service is None
-        for mmsi in full + padded:
-            unbatched = vessel_actor(platforms[False], mmsi).latest_forecast
-            batched = vessel_actor(platforms[True], mmsi).latest_forecast
-            assert unbatched is not None and batched is not None
-            assert unbatched.positions == batched.positions
-            assert not vessel_actor(platforms[True], mmsi).pending_forecast
+class OffTheGlobe(LinearKinematicModel):
+    """Dead reckoning, except vessel 111's last mark lands at latitude
+    90.5: the kind of row an unclamped S-VRF transition sum can produce."""
+
+    def forecast_batch(self, mmsis, windows, anchors):
+        out = super().forecast_batch(mmsis, windows, anchors)
+        for i, forecast in enumerate(out):
+            if forecast.mmsi == 111:
+                *head, last = forecast.positions
+                out[i] = RouteForecast(111, (*head, replace(last, lat=90.5)))
+        return out
+
+
+class TestFailureIsolation:
+    """One bad request resolves to ``None`` and fails alone: the rest of
+    its flush is forecast and shared, and every vessel gets its state row."""
+
+    def run(self, forecaster, messages, **config) -> Platform:
+        platform = Platform(forecaster=forecaster, config=PlatformConfig(**config))
+        platform.publish_messages(messages)
+        platform.process_available()
+        return platform
+
+    def assert_only_failed(self, platform: Platform, failed: int, mmsis) -> None:
+        assert platform.wiring.forecast_service.forecasts_failed == 1
+        for mmsi in mmsis:
+            actor = vessel_actor(platform, mmsi)
+            assert actor.kept_fixes == 1 and not actor.pending_forecast
+            assert (actor.latest_forecast is None) == (mmsi == failed)
+            assert platform.api.vessel_state(mmsi) is not None
+
+    def test_a_request_the_forecaster_rejects(self):
+        """A fix with a NaN SOG makes dead reckoning raise for that row."""
+        mmsis = [111, 222, 333, 444]
+        messages = [
+            AISMessage(mmsi=mmsi, t=0.0, lat=10.0 + i, lon=20.0, sog=8.0, cog=45.0)
+            for i, mmsi in enumerate(mmsis)
+        ]
+        messages[2] = replace(messages[2], sog=float("nan"))
+        platform = self.run(LinearKinematicModel(), messages)
+        self.assert_only_failed(platform, 333, mmsis)
+
+    @pytest.mark.parametrize("batch_max", [4, 100])
+    def test_a_forecast_off_the_globe(self, batch_max):
+        """At 4 the capacity flush runs inside the last vessel's receive,
+        at 100 in the barrier flush of ``process_available``; either way
+        the off-globe row must not reach the cell kernel."""
+        mmsis = [111, 222, 333, 444]
+        messages = [
+            AISMessage(mmsi=mmsi, t=0.0, lat=10.0 + i, lon=20.0, sog=8.0, cog=45.0)
+            for i, mmsi in enumerate(mmsis)
+        ]
+        platform = self.run(OffTheGlobe(), messages, forecast_batch_max=batch_max)
+        self.assert_only_failed(platform, 111, mmsis)
 
 
 class TestFlushDiscipline:

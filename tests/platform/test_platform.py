@@ -172,13 +172,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PlatformConfig(downsample_s=-1.0)
 
-    def test_bad_forecast_every_n(self):
-        with pytest.raises(ValueError):
-            PlatformConfig(forecast_every_n=0)
 
-    def test_bad_neighbor_rings(self):
-        with pytest.raises(ValueError):
-            PlatformConfig(collision_neighbor_rings=9)
+class TestDownsampling:
+    """Section 4.2's rule in the vessel actor: a fix is kept only
+    ``downsample_s`` after the last kept one."""
+
+    def kept(self, config: PlatformConfig) -> tuple[int, float]:
+        platform = Platform(forecaster=LinearKinematicModel(), config=config)
+        platform.publish_messages(
+            AISMessage(mmsi=1, t=10.0 * i, lat=37.0, lon=23.0 + 1e-4 * i, sog=2.0, cog=90.0)
+            for i in range(12))
+        platform.process_available()
+        actor = platform.system._cells["vessel-1"].actor
+        return actor.kept_fixes, actor.last_kept_t
+
+    def test_default_keeps_one_fix_in_three(self):
+        assert self.kept(PlatformConfig()) == (4, 90.0)
+
+    def test_zero_keeps_every_fix(self):
+        assert self.kept(PlatformConfig(downsample_s=0.0)) == (12, 110.0)
 
 
 class TestWarehouseCompactionHook:

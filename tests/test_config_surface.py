@@ -5,10 +5,13 @@ An AST audit in the style of the wall-clock audit
 ``ClusterConfig`` field must be passed as a keyword somewhere under
 ``tests/``, ``bench/``, ``examples/`` or ``benchmarks/`` — a ``name=value``
 call keyword or a ``{"name": value}`` dict key that is splatted into the
-config — or sit on the allow-list below with its reason. A knob nothing
-exercises is a constant, and belongs beside the code that reads it. The
-match is by name (test helpers forward ``**overrides`` into the configs), so
-what the audit catches is the common case: a new knob nothing mentions.
+config — or sit on the allow-list below with its reason. A keyword inside
+a ``with pytest.raises(...)`` block does not count: a test that only shows
+the config rejects a bad value exercises the validation, not the knob. A
+knob nothing exercises is a constant, and belongs beside the code that
+reads it. The match is by name (test helpers forward ``**overrides`` into
+the configs), so what the audit catches is the common case: a new knob
+nothing mentions.
 """
 
 from __future__ import annotations
@@ -36,12 +39,34 @@ ALLOWED_UNEXERCISED = {
 }
 
 
+def is_raises_block(node: ast.AST) -> bool:
+    """``with pytest.raises(...)`` (or a bare ``raises(...)``)."""
+    if not isinstance(node, ast.With):
+        return False
+    for item in node.items:
+        call = item.context_expr
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "raises":
+                return True
+    return False
+
+
+def walk_outside_raises(node: ast.AST):
+    """``ast.walk`` that skips every ``pytest.raises`` block."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not is_raises_block(child):
+            yield from walk_outside_raises(child)
+
+
 def exercised_names() -> set[str]:
     names: set[str] = set()
     for top in EXERCISED_UNDER:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
+            for node in walk_outside_raises(tree):
                 if isinstance(node, ast.keyword) and node.arg is not None:
                     names.add(node.arg)
                 elif isinstance(node, ast.Dict):
@@ -65,6 +90,14 @@ def test_every_config_field_is_exercised_or_allow_listed():
     assert not stale, f"allow-listed names that are no longer config fields: {stale}"
 
 
+def test_a_keyword_under_pytest_raises_does_not_count():
+    tree = ast.parse(
+        "with pytest.raises(ValueError):\n    Config(rejected=-1)\nConfig(exercised=1)\n"
+    )
+    keywords = {node.arg for node in walk_outside_raises(tree) if isinstance(node, ast.keyword)}
+    assert keywords == {"exercised"}
+
+
 def test_the_config_surface_stays_small():
-    assert len(fields(PlatformConfig)) <= 23
+    assert len(fields(PlatformConfig)) <= 20
     assert len(fields(ClusterConfig)) <= 18
