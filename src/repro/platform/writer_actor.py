@@ -26,7 +26,7 @@ Key schema (consumed by :class:`repro.platform.api.MiddlewareAPI`):
 
 The ``0`` in those ids, like ``"shard": 0`` on every ``repl:flush`` batch,
 is a fixed field of the stored and replicated formats (replicas key their
-sequence check by it, and the warehouse cursor records it).
+sequence check by it).
 
 Pub/sub notification and the optional output topics fire at *enqueue*
 time, so subscribers and external consumers observe every update even
@@ -99,7 +99,7 @@ class WriterActor(Actor):
         )
         #: Replication sequence: counts only *published* flush batches,
         #: so replicas can detect feed gaps (see SERVING.md).
-        self._repl_seq = 0
+        self._feed_seq = 0
 
     # -- receive --------------------------------------------------------------------
 
@@ -189,10 +189,10 @@ class WriterActor(Actor):
         if replicate:
             # Publish after the primary KV write, so a replica is never
             # ahead of the store it mirrors.
-            self._repl_seq += 1
+            self._feed_seq += 1
             self.wiring.pubsub.publish(
                 REPL_FLUSH_CHANNEL,
-                {"shard": 0, "seq": self._repl_seq, "states": repl_states, "events": repl_events},
+                {"shard": 0, "seq": self._feed_seq, "states": repl_states, "events": repl_events},
             )
 
 

@@ -16,8 +16,9 @@ After every cluster campaign the standard invariants are checked
    replay (:meth:`Consumer.seek` to offset 0), every published vessel is
    hosted by exactly one live node and carries the newest acknowledged
    position.
-3. **Event parity** — the (kind, vessel-pair) event set equals that of a
-   fault-free run of the same seed.
+3. **Event parity** — the (kind, vessel-pair) event set equals that of
+   the fault-free oracle: one standalone ``Platform`` fed the same
+   workload (no cluster, so a cluster bug cannot hide on both sides).
 4. **No delivery to a downed node** — the hub never hands a frame to a
    crashed endpoint.
 5. **Exclusive ownership** — no entity key is hosted by two live nodes
@@ -25,7 +26,8 @@ After every cluster campaign the standard invariants are checked
 
 :mod:`~repro.sim.campaign` is the one driver every cluster campaign runs
 on (form the cluster, drive chunks under a fault script, heal, replay,
-check, digest); :func:`~repro.sim.scenario.run_scenario` and its
+check against :func:`~repro.sim.campaign.fault_free_oracle`, digest);
+:func:`~repro.sim.scenario.run_scenario` and its
 siblings add their workload and extra checks and return a
 :class:`~repro.sim.campaign.CampaignReport`; the pytest layer lives in
 ``tests/sim/``.

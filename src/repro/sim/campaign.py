@@ -10,6 +10,8 @@ digest every observable into a fingerprint that reproduces from the
 seed. :class:`ClusterCampaign` is that experiment; a campaign module
 keeps only its scenario dataclass (whose ``script`` says what happens
 when), its extra workload and checks, and its report's field list.
+:func:`fault_free_oracle` is what every campaign's parity checks compare
+against: a standalone :class:`Platform` fed the same workload.
 :class:`CampaignReport` is the digest, shared by the warehouse campaign
 too.
 """
@@ -23,8 +25,10 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.cluster import ClusterConfig, VirtualClock, shard_for_key
+from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.platform.config import PlatformConfig
 from repro.platform.distributed import LoopbackCluster
+from repro.platform.pipeline import Platform
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
@@ -32,6 +36,8 @@ from repro.sim.invariants import (
     check_no_acked_loss,
     check_no_downed_delivery,
     check_shard_convergence,
+    collect_events,
+    collect_final_plans,
 )
 from repro.sim.transport import SimHub
 
@@ -70,8 +76,11 @@ class SimCluster(LoopbackCluster):
         index = next((i for i, n in enumerate(self.nodes) if n.node_id == node_id), None)
         if index is None:
             raise ValueError(f"no running node {node_id!r}")
+        # ``kill`` refuses the seed: let it validate before the hub marks
+        # the node crashed.
+        self.kill(index)
         self.hub.crash(node_id)
-        return self.kill(index)
+        return node_id
 
     def restart(self, node_id: str):
         self.hub.revive(node_id)
@@ -143,18 +152,6 @@ class CampaignReport:
             f"fingerprint={self.fingerprint()[:16]}",
         ]
         return "\n".join([" ".join(head), *(f"  {v}" for v in self.violations)])
-
-
-def drive_chunks(cluster, chunks, tick_s: float, at_boundary=None, first: int = 0) -> None:
-    """Publish ``chunks`` one by one, pumping and ticking after each;
-    ``at_boundary(k)`` runs once chunk ``k`` (numbered from ``first``)
-    has been processed."""
-    for k, chunk in enumerate(chunks, start=first):
-        cluster.seed.publish_messages(chunk)
-        cluster.process_available()
-        cluster.tick(tick_s)
-        if at_boundary is not None:
-            at_boundary(k)
 
 
 class ClusterCampaign:
@@ -260,18 +257,19 @@ class ClusterCampaign:
         self.hub.faults = self.scenario.faults
 
     def drive(self, chunks, first: int = 0, at_boundary=None) -> None:
-        """Publish ``chunks`` (numbered from ``first``); at each boundary
-        fire the scenario's script steps for it, then ``at_boundary``."""
+        """Publish ``chunks`` (numbered from ``first``) one by one, pumping
+        and ticking after each; at each boundary fire the scenario's script
+        steps for it, then ``at_boundary(k)``."""
         script = self.scenario.script
-
-        def boundary(k: int) -> None:
+        for k, chunk in enumerate(chunks, start=first):
+            self.cluster.seed.publish_messages(chunk)
+            self.cluster.process_available()
+            self.cluster.tick(self.scenario.tick_per_chunk_s)
             for step in script:
                 if step.after_chunk == k:
                     self.apply(step)
             if at_boundary is not None:
                 at_boundary(k)
-
-        drive_chunks(self.cluster, chunks, self.scenario.tick_per_chunk_s, boundary, first)
 
     def stop_faults(self, wait_s: float = 0.0) -> None:
         """Stop injecting, heal every link, let ``wait_s`` pass and drain
@@ -314,27 +312,56 @@ class ClusterCampaign:
         return counters
 
 
-#: Fault-free oracle outcomes by key: an oracle depends only on the seed
-#: and the workload shape, so every scenario over one seed shares it.
-_ORACLE_CACHE: dict[tuple, object] = {}
+@dataclass(frozen=True)
+class Oracle:
+    """What the fault-free run wrote: the (kind, pair) encounter set, the
+    (kind, mmsi) voyage event set and each voyage twin's final plan
+    fingerprint."""
+
+    events: set
+    voyage_events: set
+    plans: dict[int, str | None]
 
 
-def fault_free_oracle(key: tuple, seed: int, run, events=lambda outcome: outcome):
-    """The cached outcome of ``run()`` — the fault-free run of ``seed``
-    under ``key``'s workload shape; ``events(outcome)`` is its
-    (kind, pair) event set. An oracle that lacks either event kind is
-    refused: parity against it would be vacuous."""
-    cached = _ORACLE_CACHE.get(key)
-    if cached is None:
-        cached = run()
-        found = events(cached)
-        if not {"proximity", "collision"} <= {kind for kind, _ in found}:
-            raise RuntimeError(
-                f"degenerate workload for seed {seed}: fault-free run "
-                f"produced {sorted(found)} — parity would be vacuous"
-            )
-        _ORACLE_CACHE[key] = cached
-    return cached
+#: Oracles by what they were fed, so every scenario over one workload
+#: shares its oracle.
+_ORACLE_CACHE: dict[tuple, Oracle] = {}
+
+
+def fault_free_oracle(seed: int, chunks, config: dict | None = None, fleet=()) -> Oracle:
+    """The reference a campaign's parity checks compare against: one
+    standalone :class:`Platform` (``config`` its :class:`PlatformConfig`
+    keywords) fed exactly what the faulted run publishes — ``fleet``'s
+    voyage twins assigned, then each chunk published and processed in
+    turn. No cluster, so no cluster bug can hide on both sides. An oracle
+    that lacks either encounter kind is refused: parity against it would
+    be vacuous."""
+    config = config or {}
+    key = (tuple(chunks), tuple(fleet), tuple(sorted(config.items())))
+    oracle = _ORACLE_CACHE.get(key)
+    if oracle is not None:
+        return oracle
+    platform = Platform(config=PlatformConfig(**config))
+    try:
+        for twin in fleet:
+            platform.assign_voyage(twin.mmsi, twin.waypoints, twin.deadline_t)
+        for chunk in chunks:
+            platform.publish_messages(chunk)
+            platform.process_available()
+        oracle = Oracle(
+            events=collect_events(platform),
+            voyage_events=collect_events(platform, VOYAGE_EVENT_KINDS, lambda p: p.mmsi),
+            plans=collect_final_plans(platform, fleet),
+        )
+    finally:
+        platform.shutdown()
+    if not {"proximity", "collision"} <= {kind for kind, _ in oracle.events}:
+        raise RuntimeError(
+            f"degenerate workload for seed {seed}: fault-free run "
+            f"produced {sorted(oracle.events)} — parity would be vacuous"
+        )
+    _ORACLE_CACHE[key] = oracle
+    return oracle
 
 
 def mmsis_owned_by(

@@ -1,10 +1,12 @@
-"""The five post-scenario invariant checkers.
+"""The five post-scenario invariant checkers and the observers they share.
 
 Each checker returns a list of :class:`Violation` (empty = invariant
 holds). They are pure observers: :func:`~repro.sim.scenario.run_scenario`
 performs the heal/replay recovery sequence *before* calling them, so a
 violation here means the cluster genuinely failed to converge — not that
-it was still mid-recovery.
+it was still mid-recovery. The observers (:func:`vessel_hosts`,
+:func:`collect_events`, :func:`collect_final_plans`) read a cluster or a
+standalone platform alike, so the fault-free oracle is read the same way.
 """
 
 from __future__ import annotations
@@ -66,16 +68,22 @@ def check_shard_convergence(cluster) -> list[Violation]:
     return violations
 
 
+def _platforms(target) -> list:
+    """The live platforms of a cluster, or a standalone platform alone."""
+    return getattr(target, "platforms", [target])
+
+
 def vessel_hosts(cluster, mmsi: int) -> list[tuple[str, object]]:
     """``(node id, vessel actor)`` for every live node whose vessel
     router knows ``mmsi``, in node order (the actor is None if the router
-    knows the key but no actor cell exists)."""
+    knows the key but no actor cell exists). A standalone platform is the
+    one node ``"local"``."""
     hosts = []
-    for platform in cluster.platforms:
+    for platform in _platforms(cluster):
         if mmsi in platform.wiring.vessel_router:
             cell = platform.system._cells.get(f"vessel-{mmsi}")
-            hosts.append((platform.node.node_id,
-                          cell.actor if cell is not None else None))
+            node_id = platform.node.node_id if platform.node is not None else "local"
+            hosts.append((node_id, cell.actor if cell is not None else None))
     return hosts
 
 
@@ -123,13 +131,26 @@ def collect_events(cluster, kinds=EVENT_KINDS,
     live node's KV store (cross-node duplicates collapse by construction;
     by default the subject is the encounter's vessel pair)."""
     events = set()
-    for platform in cluster.platforms:
+    for platform in _platforms(cluster):
         now = platform.system.now
         for kind in kinds:
             for payload in platform.kvstore.lrange(
                     f"events:{kind}", 0, -1, now=now):
                 events.add((kind, subject(payload)))
     return events
+
+
+def collect_final_plans(cluster, fleet) -> dict[int, str | None]:
+    """mmsi -> fingerprint of the plan each voyage twin of ``fleet``
+    holds (None: twin unhosted or planless)."""
+    plans: dict[int, str | None] = {}
+    for twin in fleet:
+        hosts = vessel_hosts(cluster, twin.mmsi)
+        actor = hosts[0][1] if hosts else None
+        plans[twin.mmsi] = (actor.voyage_plan.fingerprint()
+                            if actor is not None
+                            and actor.voyage_plan is not None else None)
+    return plans
 
 
 def check_event_parity(events: set, reference_events: set,

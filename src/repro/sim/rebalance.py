@@ -37,6 +37,7 @@ from repro.sim.campaign import (
     CampaignReport,
     ClusterCampaign,
     FaultStep,
+    fault_free_oracle,
     mmsis_owned_by,
 )
 from repro.sim.faults import FaultSpec
@@ -46,7 +47,6 @@ from repro.sim.invariants import (
     collect_events,
     vessel_hosts,
 )
-from repro.sim.scenario import reference_events
 from repro.sim.workload import _region_center, generate_workload
 
 #: Hot-ballast mmsis are picked upward from here.
@@ -198,7 +198,7 @@ def run_rebalance_scenario(scenario: RebalanceScenario, seed: int
     """Execute ``scenario`` under ``seed``, sampling exclusive ownership
     at every chunk boundary and checking all invariants at the end."""
     workload = generate_workload(seed, steps=scenario.steps)
-    oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
+    oracle = fault_free_oracle(seed, workload.messages_by_step).events
     with ClusterCampaign(scenario, seed, cluster={
             "load_report_interval_s": scenario.load_report_interval_s,
             "rebalance_interval_s": scenario.rebalance_interval_s,

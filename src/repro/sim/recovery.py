@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.campaign import CampaignReport, ClusterCampaign, FaultStep
+from repro.sim.campaign import CampaignReport, ClusterCampaign, FaultStep, fault_free_oracle
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
     check_single_hosting,
     collect_events,
 )
-from repro.sim.scenario import reference_events
 from repro.sim.workload import generate_workload
 
 
@@ -128,7 +127,7 @@ def run_recovery_scenario(scenario: RecoveryScenario, seed: int,
     """Execute ``scenario`` under ``seed``; pass ``workdir`` to route the
     checkpoint through disk (write at capture, load at recovery)."""
     workload = generate_workload(seed, steps=scenario.steps)
-    oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
+    oracle = fault_free_oracle(seed, workload.messages_by_step).events
     with ClusterCampaign(scenario, seed, workdir=workdir) as campaign:
         campaign.arm()
         campaign.drive(workload.messages_by_step)

@@ -2,23 +2,23 @@
 
 A :class:`Scenario` is data: a fault profile, a fault script (steps
 applied at chunk boundaries of the workload), and cluster shape.
-:func:`run_scenario` executes it twice — once fault-free as the oracle
-(cached per seed), once under faults — heals everything, replays the AIS
-stream from offset 0 and runs the four invariant checkers, returning a
-:class:`SimReport` whose :meth:`~SimReport.fingerprint` is reproducible
-byte-for-byte from the seed.
+:func:`run_scenario` runs the workload under faults on the simulated
+cluster, heals everything, replays the AIS stream from offset 0 and runs
+the four invariant checkers — event parity against one standalone
+platform fed the same workload (the fault-free oracle, cached per
+workload) — returning a :class:`SimReport` whose
+:meth:`~SimReport.fingerprint` is reproducible byte-for-byte from the
+seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.platform.distributed import LoopbackCluster
 from repro.sim.campaign import (
     CampaignReport,
     ClusterCampaign,
     FaultStep,
-    drive_chunks,
     fault_free_oracle,
 )
 from repro.sim.faults import FaultSpec
@@ -67,25 +67,10 @@ class SimReport(CampaignReport):
               "counters", "violations", "replayed")
 
 
-def reference_events(seed: int, steps: int, num_nodes: int) -> set:
-    """The (kind, pair) event set of the fault-free run of ``seed`` — on
-    a plain :class:`LoopbackCluster`, independent of the fault harness."""
-    def run() -> set:
-        workload = generate_workload(seed, steps=steps)
-        cluster = LoopbackCluster(num_nodes=num_nodes)
-        try:
-            drive_chunks(cluster, workload.messages_by_step, tick_s=1.0)
-            return collect_events(cluster)
-        finally:
-            cluster.shutdown()
-
-    return fault_free_oracle(("events", seed, steps, num_nodes), seed, run)
-
-
 def run_scenario(scenario: Scenario, seed: int) -> SimReport:
     """Execute ``scenario`` under ``seed`` and check all four invariants."""
     workload = generate_workload(seed, steps=scenario.steps)
-    oracle = reference_events(seed, scenario.steps, scenario.num_nodes)
+    oracle = fault_free_oracle(seed, workload.messages_by_step).events
     with ClusterCampaign(
             scenario, seed,
             cluster={"transport_batching": scenario.batching}) as campaign:

@@ -7,18 +7,19 @@ with voyage optimization armed, and proves that crash/checkpoint-recovery
 and live shard migration are invisible to the optimizer:
 
 * **event parity** — the faulty run's (kind, mmsi) voyage event set and
-  the standard (kind, pair) encounter set both equal those of a
-  fault-free run of the same seed;
+  the standard (kind, pair) encounter set both equal those of the
+  fault-free oracle: one standalone platform assigned the same twins and
+  fed the same chunks and closing fixes;
 * **plan parity** — after a post-heal *closing fix* in a fresh replan
   bucket forces one final deterministic replan, every twin's plan
-  fingerprint (bitwise routing decisions) equals the fault-free run's.
+  fingerprint (bitwise routing decisions) equals the oracle's.
 
 The fleet is margin-robust by construction, mirroring
 :mod:`~repro.sim.workload`: the *diverge* twin is planned due east but
 sails due north (cross-track grows ~3 km per chunk, far past the
 threshold); the *breach* twin gets a deadline hours too tight for an
 800 km route; the *storm* twin's waypoint is found by a deterministic
-probe (:func:`find_storm_waypoint`) that scans candidate routes with the
+probe (:func:`find_storm_route`) that scans candidate routes with the
 same :func:`~repro.models.voyage.plan_voyage` the platform pools until
 one's departure plan dog-legs. Voyage assignments travel *outside* the
 AIS stream, so replay alone can never rebuild them — exactly the state
@@ -34,11 +35,11 @@ a runtime fault.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.ais.message import AISMessage
 from repro.cluster import ClusterConfig
+from repro.cluster.sharding import ShardTable
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.models.fuel import FuelModel
 from repro.models.voyage import Waypoint, plan_voyage
@@ -56,6 +57,7 @@ from repro.sim.invariants import (
     Violation,
     check_event_parity,
     collect_events,
+    collect_final_plans,
     vessel_hosts,
 )
 from repro.sim.workload import _region_center, generate_workload
@@ -162,16 +164,6 @@ class VoyageScenario:
                                    {"node": self.target}, orderly=True))
         return tuple(steps)
 
-    def reference(self) -> "VoyageScenario":
-        """The fault-free twin of this scenario (same workload, fleet and
-        schedule; no link faults, crashes or migrations) — one value for
-        every leg over the same workload shape, so it keys their shared
-        oracle run."""
-        return dataclasses.replace(
-            self, name="voyage-reference", faults=FaultSpec(),
-            crash_after_chunk=None, add_node_after_chunk=None,
-            drain_after_chunk=None)
-
 
 @dataclass(frozen=True)
 class VoyageTwin:
@@ -259,14 +251,19 @@ def _fix_t(scenario: VoyageScenario, chunk: int, slot: int) -> float:
     return 1.5 + chunk * scenario.spacing_s + slot * 0.01
 
 
-def build_voyage_fleet(table, scenario: VoyageScenario,
+def build_voyage_fleet(scenario: VoyageScenario,
                        seed: int) -> tuple[VoyageTwin, ...]:
     """The three margin-robust voyage twins for ``seed``.
 
     Origins sit in row-3 regions (lat 40: >600 km north of every workload
     group, so no proximity/collision geometry can ever involve them), and
-    the twins' mmsis all hash onto ``scenario.target``.
+    the twins' mmsis all hash onto ``scenario.target`` under the formed
+    cluster's shard table — a pure function of the node set, so no
+    cluster need stand up to pick them.
     """
+    nodes = tuple(f"node-{i:02d}" for i in range(scenario.num_nodes))
+    table = ShardTable(epoch=1, nodes=nodes,
+                       num_shards=ClusterConfig().num_shards)
     diverge_mmsi, breach_mmsi, storm_mmsi = mmsis_owned_by(
         table, scenario.target, count=3, base=400_000_000)
     weather = ForecastingWeatherField(   # the field every node mounts
@@ -324,7 +321,7 @@ def voyage_chunks(fleet: tuple[VoyageTwin, ...], scenario: VoyageScenario
 
 
 def closing_fixes(fleet: tuple[VoyageTwin, ...],
-                  scenario: VoyageScenario) -> list[AISMessage]:
+                  scenario: VoyageScenario) -> tuple[AISMessage, ...]:
     """One post-heal fix per twin in a fresh replan bucket: crosses the
     bucket boundary, so every twin replans exactly once more — the
     deterministic plan the parity check fingerprints."""
@@ -334,21 +331,7 @@ def closing_fixes(fleet: tuple[VoyageTwin, ...],
         lat, lon, sog, cog = _twin_position(twin, scenario, scenario.steps)
         fixes.append(AISMessage(mmsi=twin.mmsi, t=t_base + slot * 0.01,
                                 lat=lat, lon=lon, sog=sog, cog=cog))
-    return fixes
-
-
-def collect_final_plans(cluster, fleet: tuple[VoyageTwin, ...]
-                        ) -> dict[int, str | None]:
-    """mmsi -> fingerprint of the plan each twin holds after the closing
-    replan (None: twin unhosted or planless — both are violations)."""
-    plans: dict[int, str | None] = {}
-    for twin in fleet:
-        hosts = vessel_hosts(cluster, twin.mmsi)
-        actor = hosts[0][1] if hosts else None
-        plans[twin.mmsi] = (actor.voyage_plan.fingerprint()
-                            if actor is not None
-                            and actor.voyage_plan is not None else None)
-    return plans
+    return tuple(fixes)
 
 
 @dataclass
@@ -372,43 +355,55 @@ class VoyageReport(CampaignReport):
     SUMMARY = ("voyage_events={voyage_events}",)
 
 
-def _run_campaign(scenario: VoyageScenario, seed: int,
-                  reference: VoyageReport | None) -> VoyageReport:
-    """One full campaign run, checked against ``reference`` — or, for
-    the fault-free reference run itself (None), against its own
-    outcome."""
+#: Expected (kind, role) pairing every oracle must realise, else the
+#: campaign would be vacuous for that kind.
+_EXPECTED_KINDS = (("route_divergence", "diverge"), ("eta_breach", "breach"),
+                   ("storm_avoidance", "storm"))
+
+
+def run_voyage_scenario(scenario: VoyageScenario, seed: int
+                        ) -> VoyageReport:
+    """Execute ``scenario`` under ``seed`` and check the standard
+    invariants plus voyage event parity and plan parity."""
     workload = generate_workload(seed, steps=scenario.steps,
                                  spacing_s=scenario.spacing_s)
-    with ClusterCampaign(scenario, seed, platform={
-            "voyage_optimization": True, "weather_seed": seed,
-            "weather_max_wind_mps": scenario.max_wind_mps,
-            "voyage_replan_cadence_s": scenario.replan_cadence_s,
-            "voyage_divergence_m": scenario.divergence_m,
-    }) as campaign:
+    fleet = build_voyage_fleet(scenario, seed)
+    chunks = [w + v for w, v in zip(workload.messages_by_step,
+                                    voyage_chunks(fleet, scenario))]
+    closing = closing_fixes(fleet, scenario)
+    platform = {
+        "voyage_optimization": True, "weather_seed": seed,
+        "weather_max_wind_mps": scenario.max_wind_mps,
+        "voyage_replan_cadence_s": scenario.replan_cadence_s,
+        "voyage_divergence_m": scenario.divergence_m,
+    }
+    oracle = fault_free_oracle(seed, [*chunks, closing], platform, fleet)
+    mmsi_of = {twin.role: twin.mmsi for twin in fleet}
+    for kind, role in _EXPECTED_KINDS:
+        if (kind, mmsi_of[role]) not in oracle.voyage_events:
+            raise RuntimeError(
+                f"degenerate voyage workload for seed {seed}: "
+                f"fault-free run never emitted {kind} for the {role} "
+                f"twin ({sorted(oracle.voyage_events)}) — parity "
+                f"would be vacuous")
+
+    with ClusterCampaign(scenario, seed, platform=platform) as campaign:
         cluster = campaign.cluster
-        fleet = build_voyage_fleet(cluster.nodes[0].table, scenario, seed)
         for twin in fleet:
             cluster.assign_voyage(twin.mmsi, twin.waypoints,
-                                  twin.deadline_t,
-                                  base_speed_kn=VOYAGE_BASE_SPEED_KN)
-        chunks = [w + v for w, v in zip(workload.messages_by_step,
-                                        voyage_chunks(fleet, scenario))]
-
-        def quiesce(k: int) -> None:
-            cluster.quiesce()
-
+                                  twin.deadline_t)
         # Warm-up chunk, fault-free: plans only land at process barriers,
         # and the divergence watch needs a plan to diverge from before
         # any fault can interrupt it.
-        campaign.drive(chunks[:1], at_boundary=quiesce)
+        campaign.drive(chunks[:1], at_boundary=lambda k: cluster.quiesce())
         campaign.arm()
-        campaign.drive(chunks[1:], first=1, at_boundary=quiesce)
+        campaign.drive(chunks[1:], first=1, at_boundary=lambda k: cluster.quiesce())
         campaign.heal_and_replay()
 
         # The closing fix crosses a fresh replan bucket: one final
         # deterministic replan per twin, whose fingerprint the parity
-        # check compares against the fault-free run's.
-        cluster.seed.publish_messages(closing_fixes(fleet, scenario))
+        # check compares against the oracle's.
+        cluster.seed.publish_messages(closing)
         cluster.process_available()
         cluster.quiesce()
         cluster.process_available()
@@ -420,16 +415,12 @@ def _run_campaign(scenario: VoyageScenario, seed: int,
         voyage_events = collect_events(cluster, VOYAGE_EVENT_KINDS,
                                        lambda payload: payload.mmsi)
         plans = collect_final_plans(cluster, fleet)
-        ref_events, ref_voyage_events, ref_plans = (
-            (events, voyage_events, plans) if reference is None else
-            (reference.events, reference.voyage_events,
-             reference.plan_fingerprints))
 
-        violations = campaign.standard_violations(events, ref_events,
+        violations = campaign.standard_violations(events, oracle.events,
                                                   workload.final_t)
-        violations += check_event_parity(voyage_events, ref_voyage_events,
+        violations += check_event_parity(voyage_events, oracle.voyage_events,
                                          "voyage-event-parity", "twin")
-        for mmsi, expected in sorted(ref_plans.items()):
+        for mmsi, expected in sorted(oracle.plans.items()):
             got = plans.get(mmsi)
             if expected is None:
                 violations.append(Violation(
@@ -452,57 +443,9 @@ def _run_campaign(scenario: VoyageScenario, seed: int,
             if node_id == scenario.target)
         return VoyageReport(
             scenario=scenario.name, seed=seed, violations=violations,
-            events=events, reference_events=ref_events,
+            events=events, reference_events=oracle.events,
             voyage_events=voyage_events,
-            reference_voyage_events=ref_voyage_events,
-            plan_fingerprints=plans, reference_plans=ref_plans,
+            reference_voyage_events=oracle.voyage_events,
+            plan_fingerprints=plans, reference_plans=oracle.plans,
             replayed=campaign.replayed,
             suffix_replayed=campaign.suffix_replayed, counters=counters)
-
-
-#: Expected (kind, role) pairing every oracle must realise, else the
-#: campaign would be vacuous for that kind.
-_EXPECTED_KINDS = (("route_divergence", "diverge"), ("eta_breach", "breach"),
-                   ("storm_avoidance", "storm"))
-
-
-def voyage_reference(scenario: VoyageScenario, seed: int) -> VoyageReport:
-    """The fault-free oracle run for ``seed`` under this scenario's
-    workload shape (the three campaign legs over one seed share it), with
-    the degenerate-workload guards applied."""
-    fault_free = scenario.reference()
-
-    def run() -> VoyageReport:
-        reference = _run_campaign(fault_free, seed, None)
-        table = {t.role: t.mmsi
-                 for t in build_voyage_fleet_for_key(scenario, seed)}
-        for kind, role in _EXPECTED_KINDS:
-            if (kind, table[role]) not in reference.voyage_events:
-                raise RuntimeError(
-                    f"degenerate voyage workload for seed {seed}: "
-                    f"fault-free run never emitted {kind} for the {role} "
-                    f"twin ({sorted(reference.voyage_events)}) — parity "
-                    f"would be vacuous")
-        return reference
-
-    return fault_free_oracle(("voyage", seed, fault_free), seed, run,
-                             events=lambda r: r.events)
-
-
-def build_voyage_fleet_for_key(scenario: VoyageScenario, seed: int
-                               ) -> tuple[VoyageTwin, ...]:
-    """The fleet as :func:`_run_campaign` will build it, without standing
-    up a cluster: shard tables are a pure function of the node set, so a
-    throwaway table reproduces the mmsi choice."""
-    from repro.cluster.sharding import ShardTable
-    nodes = tuple(f"node-{i:02d}" for i in range(scenario.num_nodes))
-    table = ShardTable(epoch=1, nodes=nodes,
-                       num_shards=ClusterConfig().num_shards)
-    return build_voyage_fleet(table, scenario, seed)
-
-
-def run_voyage_scenario(scenario: VoyageScenario, seed: int
-                        ) -> VoyageReport:
-    """Execute ``scenario`` under ``seed`` and check the standard
-    invariants plus voyage event parity and plan parity."""
-    return _run_campaign(scenario, seed, voyage_reference(scenario, seed))

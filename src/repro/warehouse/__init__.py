@@ -1,17 +1,13 @@
 """Historical analytics warehouse over the kvstore journal (ROADMAP 5).
 
-``repro.warehouse`` compacts the durable journal / checkpoints and the
-live ``repl:flush`` feed into columnar segments — one per coarse H3 cell
-and UTC day, the fine cell a sorted column — then answers OLAP queries
+``repro.warehouse`` compacts the durable journal (or a store snapshot)
+into columnar segments — one per coarse H3 cell and UTC day, the fine
+cell a sorted column — then answers OLAP queries
 (heatmaps, event-rate time series, congestion trends, vessel histories)
 with zone-map pruning from the manifest. See WAREHOUSE.md.
 """
 
-from repro.warehouse.compactor import (
-    WarehouseCompactor,
-    event_row,
-    pump_feed,
-)
+from repro.warehouse.compactor import WarehouseCompactor, event_row
 from repro.warehouse.query import WarehouseQueries
 from repro.warehouse.segments import (
     CorruptSegmentError,
@@ -44,7 +40,6 @@ __all__ = [
     "event_row",
     "partition_key",
     "parse_partition_key",
-    "pump_feed",
     "read_segment",
     "sort_rows",
     "table_rows",

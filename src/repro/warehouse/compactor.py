@@ -1,32 +1,24 @@
-"""The compactor: journal / feed rows -> segmented warehouse commits.
+"""The compactor: journal rows -> segmented warehouse commits.
 
-Three sources feed the same :class:`~repro.warehouse.warehouse.Warehouse`:
+Two sources feed the same :class:`~repro.warehouse.warehouse.Warehouse`:
 
 * **The kvstore op journal** (:meth:`WarehouseCompactor.compact_persistence`) — the durable
-  backfill path. The writer journals every flushed ``hmset vessel:{mmsi}`` and
+  path. The writer journals every flushed ``hmset vessel:{mmsi}`` and
   ``rpush events:{kind}`` (PERSISTENCE.md); the compactor tails entries past the warehouse's
   ``journal_seq`` cursor and turns them back into position/event rows. Re-running after any
   crash is idempotent: covered sequences are skipped by construction.
-* **The replication feed** (:meth:`ingest_flush`) — the live streaming path. Writers
-  publish flushed micro-batches on ``repl:flush`` (SERVING.md); the compactor buffers their
-  rows and :meth:`flush_feed` commits them with per-shard sequence cursors, so a duplicated
-  delivery is dropped rather than double-counted.
 * **A store snapshot** (:meth:`bootstrap_snapshot`) — the bootstrap path for a journal that
   was already truncated by a store compaction: the snapshot's latest ``vessel:*`` states land
   as one row each and the journal cursor jumps to the snapshot's sequence.
 
-All three share one row check (:func:`_row_ok`): a row the cell kernel or the segment naming
+Both share one row check (:func:`_row_ok`): a row the cell kernel or the segment naming
 cannot take is skipped and counted in ``rows_skipped``, so it never wedges the cursor.
-
-One warehouse should stick to one of journal-tailing or feed-tailing: the sources carry the
-same rows, so mixing them double-counts (the journal is byte-complete; the feed is the
-low-latency mirror).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -132,7 +124,7 @@ class _RowBuffer:
 
 
 class WarehouseCompactor:
-    """Streams journal/feed entries into warehouse commits."""
+    """Streams journal entries into warehouse commits."""
 
     def __init__(self, warehouse: Warehouse, batch_rows: int = 65_536, registry=None) -> None:
         if batch_rows < 1:
@@ -141,12 +133,7 @@ class WarehouseCompactor:
         self.batch_rows = batch_rows
         self.ops_scanned = 0
         self.rows_skipped = 0
-        self.feed_batches = 0
-        self.feed_duplicates = 0
         self._instruments = None
-        #: Feed-side pending state (see :meth:`ingest_flush`).
-        self._feed_buffer = _RowBuffer(warehouse.resolution)
-        self._feed_cursor: dict[str, int] = {}
         if registry is not None:
             self.bind_registry(registry)
 
@@ -155,8 +142,6 @@ class WarehouseCompactor:
         self._instruments = (
             registry.counter("warehouse_journal_ops_scanned_total"),
             registry.counter("warehouse_rows_skipped_total"),
-            registry.counter("warehouse_feed_batches_total"),
-            registry.counter("warehouse_feed_duplicates_total"),
         )
 
     def _count(self, index: int, amount: int = 1) -> None:
@@ -215,44 +200,6 @@ class WarehouseCompactor:
         totals["segments_written"] += stats["segments_written"]
         totals["commits"] += 1
 
-    # -- replication feed -------------------------------------------------------
-
-    def ingest_flush(self, payload: dict) -> int:
-        """Buffer one ``repl:flush`` batch; returns rows buffered (0 for a duplicate already
-        covered by the warehouse or pending cursor)."""
-        shard = str(payload["shard"])
-        seq = payload["seq"]
-        covered = max(self.warehouse.repl_seq(int(shard)), self._feed_cursor.get(shard, 0))
-        if seq <= covered:
-            self.feed_duplicates += 1
-            self._count(3)
-            return 0
-        before = self._feed_buffer.rows
-        for state in payload.get("states", ()):
-            if not self._feed_buffer.add_position(_field(state, "mmsi"), state):
-                self._skip()
-        for event in payload.get("events", ()):
-            kind = event.get("kind", "unknown")
-            row = event_row(kind, event.get("payload", {}), event.get("t", 0.0))
-            if row is None or not self._feed_buffer.add_event(self.warehouse.kind_id(kind), row):
-                self._skip()
-        self._feed_cursor[shard] = seq
-        self.feed_batches += 1
-        self._count(2)
-        return self._feed_buffer.rows - before
-
-    def flush_feed(self) -> dict:
-        """Commit everything :meth:`ingest_flush` buffered (one commit, per-shard cursors
-        advanced; a no-op when nothing is pending)."""
-        if not self._feed_buffer.rows and not self._feed_cursor:
-            return {"rows": 0, "segments_written": 0, "commits": 0}
-        cursor = {"repl": dict(self._feed_cursor)}
-        stats = self.warehouse.commit(*self._feed_buffer.tables(), cursor)
-        self._feed_buffer = _RowBuffer(self.warehouse.resolution)
-        self._feed_cursor = {}
-        stats["commits"] = 1
-        return stats
-
     # -- snapshot bootstrap -----------------------------------------------------
 
     def bootstrap_snapshot(self, snapshot: dict) -> dict:
@@ -268,20 +215,3 @@ class WarehouseCompactor:
         seq = snapshot.get("seq", 0)
         return self.warehouse.commit(*buffer.tables(), {"journal_seq": seq, "snapshot_seq": seq})
 
-
-def pump_feed(
-    compactor: WarehouseCompactor, subscription, max_batches: int | None = None
-) -> Iterator[int]:
-    """Drain a pub/sub replication subscription into the compactor, yielding rows buffered per
-    batch (a convenience for feed-tailing loops; callers decide when to
-    :meth:`~WarehouseCompactor.flush_feed`).
-    """
-    drained = 0
-    while max_batches is None or drained < max_batches:
-        message = subscription.get()
-        if message is None:
-            return
-        channel, payload = message
-        if channel.endswith(":flush"):
-            yield compactor.ingest_flush(payload)
-        drained += 1

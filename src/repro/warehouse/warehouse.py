@@ -6,8 +6,7 @@ rows' fine cells ``SEGMENT_LEVELS`` resolutions up — and one UTC day, sorted b
 For every segment the manifest names its current file and carries its **zone map**: the
 ``t``, ``mmsi``, ``lat`` and ``lon`` ranges of its rows and its sorted fine cells with their
 row counts, so queries prune without opening a file. The manifest also carries the
-**cursor**: the last kvstore journal sequence (and per-shard ``repl:flush`` sequence) whose
-rows the referenced segments cover.
+**cursor**: the last kvstore journal sequence whose rows the referenced segments cover.
 
 Idempotence contract (the compaction crash window):
 
@@ -55,7 +54,7 @@ from repro.warehouse.segments import (
 )
 
 MANIFEST_FILE = "manifest.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Resolutions between a row's fine cell and the coarse cell keying its segment: about
 #: 7**3 = 343 fine cells per segment.
@@ -161,7 +160,7 @@ class Warehouse:
         return {
             "version": MANIFEST_VERSION,
             "resolution": resolution,
-            "cursor": {"journal_seq": 0, "snapshot_seq": 0, "repl": {}},
+            "cursor": {"journal_seq": 0, "snapshot_seq": 0},
             "kinds": [],
             "positions": {},
             "events": {},
@@ -182,10 +181,6 @@ class Warehouse:
     @property
     def snapshot_seq(self) -> int:
         return self._manifest["cursor"]["snapshot_seq"]
-
-    def repl_seq(self, shard: int) -> int:
-        """Last applied ``repl:flush`` sequence of a batch ``shard`` field."""
-        return self._manifest["cursor"]["repl"].get(str(shard), 0)
 
     @property
     def kinds(self) -> list[str]:
@@ -287,7 +282,7 @@ class Warehouse:
     ) -> dict:
         """Fold row batches in and advance the cursor.
 
-        ``positions``/``events`` are column tables in source (journal/feed) order with a
+        ``positions``/``events`` are column tables in source (journal) order with a
         ``cell`` column of fine cells at the warehouse resolution. Returns commit stats.
         """
         new_rows = segments_written = bytes_written = 0
@@ -317,10 +312,6 @@ class Warehouse:
                 cur["journal_seq"] = max(cur["journal_seq"], cursor["journal_seq"])
             if "snapshot_seq" in cursor:
                 cur["snapshot_seq"] = max(cur["snapshot_seq"], cursor["snapshot_seq"])
-            for shard, seq in cursor.get("repl", {}).items():
-                repl = cur["repl"]
-                shard = str(shard)
-                repl[shard] = max(repl.get(shard, 0), seq)
         self._fail("manifest", None)
         self._write_manifest()
         # Only now are the previous generations garbage.

@@ -25,19 +25,10 @@ import repro.platform.batching as batching_mod
 import repro.platform.forecast_service as forecast_service_mod
 import repro.platform.route_optimizer as route_optimizer_mod
 import repro.platform.writer_actor as writer_actor_mod
-import repro.serving.bridge as serving_bridge_mod
-import repro.serving.fanout as serving_fanout_mod
-import repro.serving.protocol as serving_protocol_mod
-import repro.serving.replica as serving_replica_mod
-import repro.serving.server as serving_server_mod
 import repro.sim as sim_package
 import repro.telemetry as telemetry_mod
 import repro.telemetry.registry as tel_registry_mod
 import repro.telemetry.trace as tel_trace_mod
-import repro.warehouse.compactor as wh_compactor_mod
-import repro.warehouse.query as wh_query_mod
-import repro.warehouse.segments as wh_segments_mod
-import repro.warehouse.warehouse as wh_warehouse_mod
 import repro.weather.enrichment as weather_enrichment_mod
 import repro.weather.field as weather_field_mod
 import repro.weather.forecast as weather_forecast_mod
@@ -47,22 +38,16 @@ from repro.cluster.transport import BatchingTransport
 
 # The telemetry layer timestamps every histogram and trace hop, so it is
 # held to the same injectable-clock contract as the cluster modules. The
-# serving tier stamps push latency the same way (its server and feed pump
-# take ``clock=time.monotonic`` defaults), so it is audited too. The
 # micro-batcher and its three owners (forecast service, route optimizer,
-# writer) linger and stamp submissions on the actor system's
-# virtual clock — a wall-clock read there would detach batch timing from
-# deterministic replay. The warehouse must produce
-# byte-identical segments for a given journal regardless of when
-# compaction runs, so its whole package is wall-clock-free except the
-# query layer's injectable ``clock=time.perf_counter`` latency default.
-# The voyage-optimization subsystem plans must be pure functions of
-# (seed, route, stream time) so plan fingerprints compare across crash
-# recovery and live migration — a wall-clock read anywhere in the
-# weather fields, the fuel model, the planner, the pooled optimizer, or
-# the bench sweep would break that bit-for-bit. (The sim campaigns that
-# compare them run on the virtual clock too: ``repro.sim`` is audited
-# whole, by directory, below.)
+# writer) linger and stamp submissions on the actor system's virtual
+# clock — a wall-clock read there would detach batch timing from
+# deterministic replay. The voyage-optimization subsystem plans must be
+# pure functions of (seed, route, stream time) so plan fingerprints
+# compare across crash recovery and live migration — a wall-clock read
+# anywhere in the weather fields, the fuel model, the planner, the pooled
+# optimizer, or the bench sweep would break that bit-for-bit. (The sim
+# campaigns that compare them run on the virtual clock too: ``repro.sim``
+# is audited whole, by directory, below.)
 AUDITED_MODULES = [
     membership_mod,
     transport_mod,
@@ -74,15 +59,6 @@ AUDITED_MODULES = [
     telemetry_mod,
     tel_registry_mod,
     tel_trace_mod,
-    serving_bridge_mod,
-    serving_fanout_mod,
-    serving_protocol_mod,
-    serving_replica_mod,
-    serving_server_mod,
-    wh_segments_mod,
-    wh_warehouse_mod,
-    wh_compactor_mod,
-    wh_query_mod,
     weather_field_mod,
     weather_forecast_mod,
     weather_enrichment_mod,
@@ -91,14 +67,28 @@ AUDITED_MODULES = [
     eval_voyage_mod,
 ]
 
+REPRO = pathlib.Path(sim_package.__file__).parents[1]
 
-def _time_reads_outside_defaults(module) -> list[str]:
-    """Every ``time.*`` attribute access in ``module``'s source that is
-    not a function-signature default (the sanctioned injection point)."""
-    return _time_reads_in_file(pathlib.Path(module.__file__), module.__name__)
+# Whole packages, audited by walking their directories so a new module
+# joins without another import line. The serving tier stamps push latency
+# on injectable ``clock=time.monotonic`` defaults; the kvstore expires keys
+# by the ``now`` its callers pass; the warehouse must produce
+# byte-identical segments for a given journal whenever compaction runs
+# (its query layer's ``clock=time.perf_counter`` latency default is the
+# sanctioned exception).
+AUDITED_PACKAGES = ("serving", "kvstore", "warehouse")
+
+#: ``(dotted module name, source path)`` of every audited module.
+AUDITED_SOURCES = [(m.__name__, pathlib.Path(m.__file__)) for m in AUDITED_MODULES] + [
+    (f"repro.{package}" + ("" if path.stem == "__init__" else f".{path.stem}"), path)
+    for package in AUDITED_PACKAGES
+    for path in sorted((REPRO / package).glob("*.py"))
+]
 
 
 def _time_reads_in_file(path: pathlib.Path, label: str) -> list[str]:
+    """Every ``time.*`` attribute access in ``path``'s source that is
+    not a function-signature default (the sanctioned injection point)."""
     source = path.read_text()
     tree = ast.parse(source)
     default_nodes: set[int] = set()
@@ -120,16 +110,16 @@ def _time_reads_in_file(path: pathlib.Path, label: str) -> list[str]:
     return offenders
 
 
-@pytest.mark.parametrize("module", AUDITED_MODULES, ids=[m.__name__ for m in AUDITED_MODULES])
-def test_no_wall_clock_reads_outside_defaults(module):
-    offenders = _time_reads_outside_defaults(module)
+@pytest.mark.parametrize("name, path", AUDITED_SOURCES, ids=[name for name, _ in AUDITED_SOURCES])
+def test_no_wall_clock_reads_outside_defaults(name, path):
+    offenders = _time_reads_in_file(path, name)
     assert not offenders, (
         "wall-clock reads outside injectable defaults (route these "
         "through the clock parameter): " + ", ".join(offenders)
     )
 
 
-SIM_SOURCES = sorted(pathlib.Path(sim_package.__file__).parent.glob("*.py"))
+SIM_SOURCES = sorted((REPRO / "sim").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SIM_SOURCES, ids=[p.stem for p in SIM_SOURCES])

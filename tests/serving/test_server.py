@@ -355,16 +355,16 @@ def test_warehouse_routes_serve_historical_queries(tmp_path):
     )
 
     warehouse = Warehouse(str(tmp_path / "wh"), resolution=6)
-    compactor = WarehouseCompactor(warehouse)
-    compactor.ingest_flush(_batch(
-        1,
-        states=[_state(111, 37.5, 24.5, t=60.0),
-                _state(111, 37.51, 24.51, t=120.0),
-                _state(222, 10.0, -40.0, t=60.0)],
-        events=[{"kind": "proximity", "t": 90.0,
-                 "payload": {"mmsi_a": 111, "mmsi_b": 222, "t": 90.0,
-                             "lat": 37.5, "lon": 24.5}}]))
-    compactor.flush_feed()
+    fixes = [_state(111, 37.5, 24.5, t=60.0),
+             _state(111, 37.51, 24.51, t=120.0),
+             _state(222, 10.0, -40.0, t=60.0)]
+    journal = [(seq, "hmset", (f"vessel:{fix['mmsi']}", fix, fix["t"]), {})
+               for seq, fix in enumerate(fixes, start=1)]
+    journal.append((4, "rpush", ("events:proximity",
+                                 {"mmsi_a": 111, "mmsi_b": 222, "t": 90.0,
+                                  "lat": 37.5, "lon": 24.5}),
+                    {"now": 90.0}))
+    WarehouseCompactor(warehouse).compact_journal(journal)
 
     async def scenario():
         replica = ReadReplica()

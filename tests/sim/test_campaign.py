@@ -79,6 +79,17 @@ def test_orderly_step_rearms_even_when_the_action_raises():
         assert campaign.hub.faults == ARMED
 
 
+def test_crashing_the_seed_is_refused_before_the_hub_is_touched():
+    """The seed owns the broker and cannot crash. The refusal must leave
+    the hub as it was: the seed is neither marked crashed nor cut off."""
+    with _campaign() as campaign:
+        with pytest.raises(ValueError, match="seed"):
+            campaign.cluster.crash("node-00")
+        assert campaign.hub.crashed == set()
+        assert campaign.hub._transports["node-00"] is campaign.cluster.nodes[0].transport
+        assert [n.node_id for n in campaign.cluster.nodes] == ["node-00", "node-01"]
+
+
 @dataclass
 class _Report(CampaignReport):
     events: set

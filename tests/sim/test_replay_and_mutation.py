@@ -9,7 +9,8 @@ import pytest
 from repro.cluster import node as node_mod
 from repro.cluster.protocol import ShardTableUpdate
 from repro.sim import run_scenario
-from repro.sim.scenario import reference_events
+from repro.sim.campaign import fault_free_oracle
+from repro.sim.workload import generate_workload
 
 from tests.sim.test_scenarios import COMBINED
 
@@ -29,8 +30,6 @@ def test_mutated_handoff_is_caught_and_prints_seed(monkeypatch):
     rebalanced tables, so handoff breaks. The convergence checker must
     fail and the report must carry the seed for replay."""
     seed = 0
-    reference_events(seed, COMBINED.steps, COMBINED.num_nodes)
-
     original = node_mod.ClusterNode.send_control
 
     def suppressing(self, dest, msg):
@@ -50,9 +49,8 @@ def test_degenerate_workload_is_rejected(monkeypatch):
     """If the fault-free oracle yields no events, parity is vacuous — the
     harness must refuse to certify such a run rather than pass it."""
     from repro.sim import campaign as campaign_mod
-    from repro.sim import scenario as scenario_mod
-    monkeypatch.setattr(scenario_mod, "collect_events", lambda c: set())
+    monkeypatch.setattr(campaign_mod, "collect_events", lambda *args: set())
     monkeypatch.setattr(campaign_mod, "_ORACLE_CACHE", {})
+    workload = generate_workload(0, steps=COMBINED.steps)
     with pytest.raises(RuntimeError, match="degenerate workload"):
-        scenario_mod.reference_events(0, COMBINED.steps,
-                                      COMBINED.num_nodes)
+        fault_free_oracle(0, workload.messages_by_step)

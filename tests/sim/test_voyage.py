@@ -17,12 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import VoyageScenario, run_voyage_scenario
+from repro.sim import campaign as campaign_mod
 from repro.sim.campaign import mmsis_owned_by
-from repro.sim.voyage import (
-    build_voyage_fleet_for_key,
-    collect_final_plans,
-    find_storm_route,
-)
+from repro.sim.invariants import collect_final_plans
+from repro.sim.voyage import build_voyage_fleet, find_storm_route
 
 SIM_MIN_SEEDS = 3
 
@@ -84,6 +82,21 @@ def test_voyage_events_match_fault_free_oracle(sim_seed):
     assert report.plan_fingerprints == report.reference_plans
 
 
+def test_oracle_without_a_voyage_kind_is_rejected(monkeypatch):
+    """An oracle whose storm twin never avoided a storm would make the
+    storm half of voyage parity vacuous: the campaign must refuse it."""
+    collect = campaign_mod.collect_events
+
+    def without_storms(target, *args):
+        return {(kind, key) for kind, key in collect(target, *args) if kind != "storm_avoidance"}
+
+    monkeypatch.setattr(campaign_mod, "collect_events", without_storms)
+    monkeypatch.setattr(campaign_mod, "_ORACLE_CACHE", {})
+    refused = "degenerate voyage workload for seed 0: .* storm_avoidance"
+    with pytest.raises(RuntimeError, match=refused):
+        run_voyage_scenario(BASELINE, 0)
+
+
 def test_fingerprint_reproducible():
     """Two runs of the same (scenario, seed) digest identically even
     with a crash-recovery or a drain in the schedule — plans are pure
@@ -102,7 +115,7 @@ def test_fleet_is_margin_robust_and_targeted():
     from repro.cluster.sharding import ShardTable
     table = ShardTable(epoch=1, nodes=("node-00", "node-01", "node-02"),
                        num_shards=64)
-    fleet = build_voyage_fleet_for_key(BASELINE, 0)
+    fleet = build_voyage_fleet(BASELINE, 0)
     assert [t.role for t in fleet] == ["diverge", "breach", "storm"]
     for twin in fleet:
         shard = shard_for_key("vessel", twin.mmsi, table.num_shards)
@@ -168,6 +181,6 @@ def test_collect_final_plans_reports_missing_twin():
     class _Cluster:
         platforms = [_P()]
 
-    fleet = build_voyage_fleet_for_key(BASELINE, 0)
+    fleet = build_voyage_fleet(BASELINE, 0)
     plans = collect_final_plans(_Cluster(), fleet)
     assert plans == {twin.mmsi: None for twin in fleet}

@@ -1,5 +1,5 @@
-"""Unit tests for warehouse + compactor: commits, cursors, idempotence, feed ingestion,
-snapshot bootstrap, segment layout, the row check, telemetry."""
+"""Unit tests for warehouse + compactor: commits, cursors, idempotence, snapshot bootstrap,
+segment layout, the row check, telemetry."""
 
 from __future__ import annotations
 
@@ -12,15 +12,9 @@ import pytest
 
 from repro.hexgrid import cell_to_parent, latlng_to_cell
 from repro.kvstore.persistence import StorePersistence
-from repro.kvstore.pubsub import PubSub
 from repro.kvstore.store import KeyValueStore
 from repro.telemetry import MetricsRegistry
-from repro.warehouse import (
-    Warehouse,
-    WarehouseCompactor,
-    day_of,
-    pump_feed,
-)
+from repro.warehouse import Warehouse, WarehouseCompactor, day_of
 from repro.warehouse.warehouse import SEGMENT_LEVELS
 
 
@@ -137,11 +131,15 @@ def test_segments_hold_the_fine_cells_of_one_parent(tmp_path, journaled_store):
 
 
 def test_version_1_manifest_is_rejected(tmp_path):
-    directory = tmp_path / "wh"
-    directory.mkdir()
-    (directory / "manifest.json").write_text(json.dumps({"version": 1, "resolution": 6}))
-    with pytest.raises(ValueError, match="manifest version 1"):
-        Warehouse(str(directory))
+    """Neither version 1 (one file per fine cell) nor version 2 (a second, feed cursor) has a
+    reader."""
+    for version in (1, 2):
+        directory = tmp_path / f"wh{version}"
+        directory.mkdir()
+        manifest = {"version": version, "resolution": 6}
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"manifest version {version}"):
+            Warehouse(str(directory))
 
 
 def test_malformed_rows_are_skipped_and_counted(tmp_path, journaled_store):
@@ -191,13 +189,12 @@ def test_poison_rows_are_skipped_and_the_cursor_passes_them(tmp_path, journaled_
 def test_polar_rows_are_kept(tmp_path):
     """A fine cell whose centre lies past a pole still gets a segment."""
     warehouse = Warehouse(str(tmp_path / "wh"))
-    compactor = WarehouseCompactor(warehouse)
-    states = [
-        {"mmsi": 1, "t": 1.0, "lat": lat, "lon": 10.0, "sog": 0.0, "cog": 0.0}
-        for lat in (90.0, -90.0)
+    fix = {"t": 1.0, "lon": 10.0, "sog": 0.0, "cog": 0.0}
+    journal = [
+        (seq, "hmset", (f"vessel:{seq}", {**fix, "lat": lat}), {})
+        for seq, lat in enumerate((90.0, -90.0), start=1)
     ]
-    assert compactor.ingest_flush({"shard": 0, "seq": 1, "states": states}) == 2
-    compactor.flush_feed()
+    assert WarehouseCompactor(warehouse).compact_journal(journal)["rows"] == 2
     assert warehouse.total_rows("positions") == 2
 
 
@@ -230,53 +227,6 @@ def test_fingerprint_is_pinned(tmp_path):
     WarehouseCompactor(warehouse, batch_rows=7).compact_journal(golden_journal())
     assert warehouse.partition_count("positions") == 28
     assert warehouse.fingerprint() == GOLDEN_FINGERPRINT
-
-
-def test_feed_ingestion_dedups_by_shard_seq(tmp_path):
-    warehouse = Warehouse(str(tmp_path / "wh"))
-    compactor = WarehouseCompactor(warehouse)
-    batch = {
-        "shard": 0,
-        "seq": 1,
-        "states": [{"mmsi": 1, "t": 1.0, "lat": 37.0, "lon": 24.0, "sog": 5.0, "cog": 0.0}],
-        "events": [
-            {
-                "kind": "proximity",
-                "t": 1.0,
-                "payload": {"mmsi_a": 1, "mmsi_b": 2, "t": 1.0, "lat": 37.0, "lon": 24.0},
-            }
-        ],
-    }
-    assert compactor.ingest_flush(batch) == 2
-    assert compactor.ingest_flush(batch) == 0  # duplicate delivery
-    assert compactor.feed_duplicates == 1
-    compactor.flush_feed()
-    assert warehouse.total_rows("positions") == 1
-    assert warehouse.total_rows("events") == 1
-    assert warehouse.repl_seq(0) == 1
-    # A replayed batch is still a duplicate after the commit.
-    assert compactor.ingest_flush(batch) == 0
-
-
-def test_pump_feed_drains_subscription(tmp_path):
-    pubsub = PubSub()
-    subscription = pubsub.subscribe("repl:*")
-    pubsub.publish(
-        "repl:flush",
-        {
-            "shard": 0,
-            "seq": 1,
-            "states": [{"mmsi": 1, "t": 1.0, "lat": 37.0, "lon": 24.0, "sog": 5.0, "cog": 0.0}],
-            "events": [],
-        },
-    )
-    pubsub.publish("repl:flow", {"t": 1.0})  # non-flush: ignored
-    warehouse = Warehouse(str(tmp_path / "wh"))
-    compactor = WarehouseCompactor(warehouse)
-    buffered = list(pump_feed(compactor, subscription))
-    assert buffered == [1]
-    compactor.flush_feed()
-    assert warehouse.total_rows("positions") == 1
 
 
 def test_bootstrap_snapshot_jumps_cursor(tmp_path, journaled_store):
