@@ -63,8 +63,7 @@ class SimReport(CampaignReport):
     #: ``tests/sim/test_telemetry_determinism.py``.
     telemetry: dict | None = None
 
-    DIGEST = ("scenario", "seed", "events", "final_hosting",
-              "counters", "violations", "replayed")
+    DIGEST = ("scenario", "seed", "events", "final_hosting", "counters", "violations", "replayed")
 
 
 def run_scenario(scenario: Scenario, seed: int) -> SimReport:
@@ -72,24 +71,28 @@ def run_scenario(scenario: Scenario, seed: int) -> SimReport:
     workload = generate_workload(seed, steps=scenario.steps)
     oracle = fault_free_oracle(seed, workload.messages_by_step).events
     with ClusterCampaign(
-            scenario, seed,
-            cluster={"transport_batching": scenario.batching}) as campaign:
+        scenario, seed, cluster={"transport_batching": scenario.batching}
+    ) as campaign:
         campaign.arm()
         campaign.drive(workload.messages_by_step)
         campaign.heal_and_replay()
 
         cluster = campaign.cluster
         events = collect_events(cluster)
-        violations = campaign.standard_violations(events, oracle,
-                                                  workload.final_t)
+        violations = campaign.standard_violations(events, oracle, workload.final_t)
         final_hosting: dict[int, tuple[str, float]] = {}
         for mmsi in workload.final_t:
             for node_id, actor in vessel_hosts(cluster, mmsi):
                 if actor is not None and actor.last_message is not None:
                     final_hosting[mmsi] = (node_id, actor.last_message.t)
         return SimReport(
-            scenario=scenario.name, seed=seed, violations=violations,
-            events=events, reference_events=oracle,
-            final_hosting=final_hosting, counters=campaign.counters(),
+            scenario=scenario.name,
+            seed=seed,
+            violations=violations,
+            events=events,
+            reference_events=oracle,
+            final_hosting=final_hosting,
+            counters=campaign.counters(),
             replayed=campaign.replayed,
-            telemetry=cluster.telemetry_snapshot())
+            telemetry=cluster.telemetry_snapshot(),
+        )

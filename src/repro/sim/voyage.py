@@ -74,9 +74,9 @@ class VoyageScenario:
     name: str = "voyage-replanning"
     #: Link faults active while the stream flows (never during the
     #: orderly recovery/migration windows — see the module docstring).
-    faults: FaultSpec = FaultSpec(dup_p=0.05, delay_p=0.2,
-                                  delay_min_s=0.05, delay_max_s=0.5,
-                                  reorder_p=0.15)
+    faults: FaultSpec = FaultSpec(
+        dup_p=0.05, delay_p=0.2, delay_min_s=0.05, delay_max_s=0.5, reorder_p=0.15
+    )
     num_nodes: int = 3
     steps: int = 10
     spacing_s: float = 60.0
@@ -107,18 +107,19 @@ class VoyageScenario:
 
     def __post_init__(self) -> None:
         if self.target == "node-00":
-            raise ValueError("the target must be a worker node (the seed "
-                             "owns the broker and cannot crash or drain)")
+            raise ValueError(
+                "the target must be a worker node (the seed "
+                "owns the broker and cannot crash or drain)"
+            )
         if self.steps < 2:
-            raise ValueError("need at least two chunks (warm-up + one "
-                             "fault-armed chunk)")
+            raise ValueError("need at least two chunks (warm-up + one fault-armed chunk)")
         if self.crash_after_chunk is not None and not (
-                0 < self.checkpoint_after_chunk < self.crash_after_chunk
-                < self.steps):
-            raise ValueError("need 0 < checkpoint_after_chunk < "
-                             "crash_after_chunk < steps")
+            0 < self.checkpoint_after_chunk < self.crash_after_chunk < self.steps
+        ):
+            raise ValueError("need 0 < checkpoint_after_chunk < crash_after_chunk < steps")
         if self.add_node_after_chunk is not None and not (
-                0 < self.add_node_after_chunk < self.steps):
+            0 < self.add_node_after_chunk < self.steps
+        ):
             raise ValueError("add_node_after_chunk out of range")
         if self.drain_after_chunk is not None:
             if not 0 < self.drain_after_chunk < self.steps:
@@ -129,13 +130,15 @@ class VoyageScenario:
             raise ValueError(
                 "the campaign's fix span must fit inside one replan "
                 "bucket, or mid-campaign replans re-anchor every plan and "
-                "the divergence watch measures nothing")
+                "the divergence watch measures nothing"
+            )
         if self.closing_bucket < 1:
-            raise ValueError("closing_bucket must be >= 1 (the closing "
-                             "fix must cross a fresh bucket to replan)")
+            raise ValueError(
+                "closing_bucket must be >= 1 (the closing "
+                "fix must cross a fresh bucket to replan)"
+            )
         if self.drift_deg_per_chunk <= 0 or self.divergence_m <= 0:
-            raise ValueError("drift and divergence threshold must be "
-                             "positive")
+            raise ValueError("drift and divergence threshold must be positive")
 
     @property
     def script(self) -> tuple[FaultStep, ...]:
@@ -153,15 +156,15 @@ class VoyageScenario:
                 FaultStep(crash, "crash", {"node": self.target}),
                 FaultStep(crash, "set_faults", {"faults": calm}),
                 FaultStep(crash, "resolve"),
-                FaultStep(crash, "recover", {"node": self.target},
-                          orderly=True),
-                FaultStep(crash, "set_faults", {"faults": self.faults})]
+                FaultStep(crash, "recover", {"node": self.target}, orderly=True),
+                FaultStep(crash, "set_faults", {"faults": self.faults}),
+            ]
         if self.add_node_after_chunk is not None:
-            steps.append(FaultStep(self.add_node_after_chunk, "add_node",
-                                   orderly=True))
+            steps.append(FaultStep(self.add_node_after_chunk, "add_node", orderly=True))
         if self.drain_after_chunk is not None:
-            steps.append(FaultStep(self.drain_after_chunk, "drain",
-                                   {"node": self.target}, orderly=True))
+            steps.append(
+                FaultStep(self.drain_after_chunk, "drain", {"node": self.target}, orderly=True)
+            )
         return tuple(steps)
 
 
@@ -169,7 +172,7 @@ class VoyageScenario:
 class VoyageTwin:
     """One voyage assignment plus the fix track that realises its role."""
 
-    role: str                                  #: diverge | breach | storm
+    role: str  #: diverge | breach | storm
     mmsi: int
     origin: tuple[float, float]
     waypoints: tuple[tuple[float, float], ...]
@@ -181,10 +184,22 @@ class VoyageTwin:
 #: few; the probe falls back to a coarse grid (and alternate origins)
 #: for the rest.
 STORM_WAYPOINT_CANDIDATES: tuple[tuple[float, float], ...] = (
-    (43.0, 11.0), (37.0, 11.0), (43.0, 21.0), (37.0, 21.0),
-    (44.0, 16.0), (36.0, 16.0), (42.0, 9.0), (38.0, 9.0),
-    (36.0, 20.0), (44.0, 12.0), (36.0, 12.0), (44.0, 20.0),
-    (35.0, 8.0), (35.0, 18.0), (44.0, 8.0), (42.0, 20.0),
+    (43.0, 11.0),
+    (37.0, 11.0),
+    (43.0, 21.0),
+    (37.0, 21.0),
+    (44.0, 16.0),
+    (36.0, 16.0),
+    (42.0, 9.0),
+    (38.0, 9.0),
+    (36.0, 20.0),
+    (44.0, 12.0),
+    (36.0, 12.0),
+    (44.0, 20.0),
+    (35.0, 8.0),
+    (35.0, 18.0),
+    (44.0, 8.0),
+    (42.0, 20.0),
 )
 
 #: Candidate origins for the storm twin: row-3 region centres (lat 40),
@@ -208,14 +223,16 @@ def _storm_waypoint_candidates(origin: tuple[float, float]):
 #: (seed, probe parameters) -> (origin, waypoint); the probe costs up to
 #: a few seconds on grid-fallback seeds and every campaign leg re-derives
 #: the same fleet, so hits are shared.
-_STORM_ROUTE_CACHE: dict[tuple, tuple[tuple[float, float],
-                                      tuple[float, float]]] = {}
+_STORM_ROUTE_CACHE: dict[tuple, tuple[tuple[float, float], tuple[float, float]]] = {}
 
 
-def find_storm_route(weather: ForecastingWeatherField, seed: int,
-                     sample_t: float, deadline_s: float,
-                     base_speed_kn: float
-                     ) -> tuple[tuple[float, float], tuple[float, float]]:
+def find_storm_route(
+    weather: ForecastingWeatherField,
+    seed: int,
+    sample_t: float,
+    deadline_s: float,
+    base_speed_kn: float,
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """The first (origin, waypoint) pair whose departure plan dog-legs.
 
     Runs the same :func:`~repro.models.voyage.plan_voyage` the platform's
@@ -223,8 +240,15 @@ def find_storm_route(weather: ForecastingWeatherField, seed: int,
     a hit here *guarantees* the platform emits ``storm_avoidance`` for
     this seed. Pure scan over region-centre origins and a waypoint fan,
     no RNG; verified to hit for every nightly seed (0..24)."""
-    key = (seed, weather.update_cycle_s, weather.degradation_tau_s,
-           weather.truth.max_wind_mps, sample_t, deadline_s, base_speed_kn)
+    key = (
+        seed,
+        weather.update_cycle_s,
+        weather.degradation_tau_s,
+        weather.truth.max_wind_mps,
+        sample_t,
+        deadline_s,
+        base_speed_kn,
+    )
     cached = _STORM_ROUTE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -232,17 +256,23 @@ def find_storm_route(weather: ForecastingWeatherField, seed: int,
     for region in STORM_ORIGIN_REGIONS:
         origin = _region_center(region)
         for lat, lon in _storm_waypoint_candidates(origin):
-            plan = plan_voyage(weather, fuel, Waypoint(*origin),
-                               (Waypoint(lat, lon),),
-                               sample_t=sample_t, depart_t=sample_t,
-                               deadline_t=sample_t + deadline_s,
-                               base_speed_kn=base_speed_kn)
+            plan = plan_voyage(
+                weather,
+                fuel,
+                Waypoint(*origin),
+                (Waypoint(lat, lon),),
+                sample_t=sample_t,
+                depart_t=sample_t,
+                deadline_t=sample_t + deadline_s,
+                base_speed_kn=base_speed_kn,
+            )
             if plan.diverted and plan.feasible:
                 _STORM_ROUTE_CACHE[key] = (origin, (lat, lon))
                 return origin, (lat, lon)
     raise RuntimeError(
         f"no diverting route under weather seed {seed} — widen "
-        f"STORM_WAYPOINT_CANDIDATES or STORM_ORIGIN_REGIONS")
+        f"STORM_WAYPOINT_CANDIDATES or STORM_ORIGIN_REGIONS"
+    )
 
 
 def _fix_t(scenario: VoyageScenario, chunk: int, slot: int) -> float:
@@ -251,8 +281,7 @@ def _fix_t(scenario: VoyageScenario, chunk: int, slot: int) -> float:
     return 1.5 + chunk * scenario.spacing_s + slot * 0.01
 
 
-def build_voyage_fleet(scenario: VoyageScenario,
-                       seed: int) -> tuple[VoyageTwin, ...]:
+def build_voyage_fleet(scenario: VoyageScenario, seed: int) -> tuple[VoyageTwin, ...]:
     """The three margin-robust voyage twins for ``seed``.
 
     Origins sit in row-3 regions (lat 40: >600 km north of every workload
@@ -262,66 +291,80 @@ def build_voyage_fleet(scenario: VoyageScenario,
     cluster need stand up to pick them.
     """
     nodes = tuple(f"node-{i:02d}" for i in range(scenario.num_nodes))
-    table = ShardTable(epoch=1, nodes=nodes,
-                       num_shards=ClusterConfig().num_shards)
+    table = ShardTable(epoch=1, nodes=nodes, num_shards=ClusterConfig().num_shards)
     diverge_mmsi, breach_mmsi, storm_mmsi = mmsis_owned_by(
-        table, scenario.target, count=3, base=400_000_000)
-    weather = ForecastingWeatherField(   # the field every node mounts
-        seed=seed, degradation_tau_s=WEATHER_DEGRADATION_TAU_S,
-        max_wind_mps=scenario.max_wind_mps)
-    diverge_origin = _region_center(24)      # (40.0, 8.0)
-    breach_origin = _region_center(26)       # (40.0, 12.0)
+        table, scenario.target, count=3, base=400_000_000
+    )
+    weather = ForecastingWeatherField(  # the field every node mounts
+        seed=seed, degradation_tau_s=WEATHER_DEGRADATION_TAU_S, max_wind_mps=scenario.max_wind_mps
+    )
+    diverge_origin = _region_center(24)  # (40.0, 8.0)
+    breach_origin = _region_center(26)  # (40.0, 12.0)
     storm_t0 = _fix_t(scenario, 0, 2)
     storm_origin, storm_waypoint = find_storm_route(
-        weather, seed, storm_t0, 9 * 86_400.0, VOYAGE_BASE_SPEED_KN)
+        weather, seed, storm_t0, 9 * 86_400.0, VOYAGE_BASE_SPEED_KN
+    )
     return (
         # Planned due east, sails due north: cross-track only grows.
-        VoyageTwin(role="diverge", mmsi=diverge_mmsi,
-                   origin=diverge_origin,
-                   waypoints=((40.0, 14.0),),
-                   deadline_t=40 * 86_400.0),
+        VoyageTwin(
+            role="diverge",
+            mmsi=diverge_mmsi,
+            origin=diverge_origin,
+            waypoints=((40.0, 14.0),),
+            deadline_t=40 * 86_400.0,
+        ),
         # ~800 km to go, one hour to do it: every plan breaches.
-        VoyageTwin(role="breach", mmsi=breach_mmsi,
-                   origin=breach_origin,
-                   waypoints=((36.0, 4.0),),
-                   deadline_t=_fix_t(scenario, 0, 1) + 3_600.0),
+        VoyageTwin(
+            role="breach",
+            mmsi=breach_mmsi,
+            origin=breach_origin,
+            waypoints=((36.0, 4.0),),
+            deadline_t=_fix_t(scenario, 0, 1) + 3_600.0,
+        ),
         # Probed route whose departure plan dog-legs around weather.
-        VoyageTwin(role="storm", mmsi=storm_mmsi,
-                   origin=storm_origin,
-                   waypoints=(storm_waypoint,),
-                   deadline_t=storm_t0 + 9 * 86_400.0),
+        VoyageTwin(
+            role="storm",
+            mmsi=storm_mmsi,
+            origin=storm_origin,
+            waypoints=(storm_waypoint,),
+            deadline_t=storm_t0 + 9 * 86_400.0,
+        ),
     )
 
 
-def _twin_position(twin: VoyageTwin, scenario: VoyageScenario,
-                   chunk: int) -> tuple[float, float, float, float]:
+def _twin_position(
+    twin: VoyageTwin, scenario: VoyageScenario, chunk: int
+) -> tuple[float, float, float, float]:
     """(lat, lon, sog, cog) of ``twin`` at chunk ``chunk``."""
     if twin.role == "diverge":
-        return (twin.origin[0] + scenario.drift_deg_per_chunk * chunk,
-                twin.origin[1], 12.0, 0.0)
+        return (twin.origin[0] + scenario.drift_deg_per_chunk * chunk, twin.origin[1], 12.0, 0.0)
     # The breach and storm twins loiter at their origins (their events
     # come from the plans, not the track); the tiny eastward drift keeps
     # replayed fixes distinguishable without leaving the origin cell.
     return (twin.origin[0], twin.origin[1] + 1e-5 * chunk, 0.3, 90.0)
 
 
-def voyage_chunks(fleet: tuple[VoyageTwin, ...], scenario: VoyageScenario
-                  ) -> list[tuple[AISMessage, ...]]:
+def voyage_chunks(
+    fleet: tuple[VoyageTwin, ...], scenario: VoyageScenario
+) -> list[tuple[AISMessage, ...]]:
     """Per-chunk voyage fixes riding along with the workload chunks."""
     chunks = []
     for k in range(scenario.steps):
         chunk = []
         for slot, twin in enumerate(fleet):
             lat, lon, sog, cog = _twin_position(twin, scenario, k)
-            chunk.append(AISMessage(mmsi=twin.mmsi,
-                                    t=_fix_t(scenario, k, slot),
-                                    lat=lat, lon=lon, sog=sog, cog=cog))
+            chunk.append(
+                AISMessage(
+                    mmsi=twin.mmsi, t=_fix_t(scenario, k, slot), lat=lat, lon=lon, sog=sog, cog=cog
+                )
+            )
         chunks.append(tuple(chunk))
     return chunks
 
 
-def closing_fixes(fleet: tuple[VoyageTwin, ...],
-                  scenario: VoyageScenario) -> tuple[AISMessage, ...]:
+def closing_fixes(
+    fleet: tuple[VoyageTwin, ...], scenario: VoyageScenario
+) -> tuple[AISMessage, ...]:
     """One post-heal fix per twin in a fresh replan bucket: crosses the
     bucket boundary, so every twin replans exactly once more — the
     deterministic plan the parity check fingerprints."""
@@ -329,8 +372,9 @@ def closing_fixes(fleet: tuple[VoyageTwin, ...],
     fixes = []
     for slot, twin in enumerate(fleet):
         lat, lon, sog, cog = _twin_position(twin, scenario, scenario.steps)
-        fixes.append(AISMessage(mmsi=twin.mmsi, t=t_base + slot * 0.01,
-                                lat=lat, lon=lon, sog=sog, cog=cog))
+        fixes.append(
+            AISMessage(mmsi=twin.mmsi, t=t_base + slot * 0.01, lat=lat, lon=lon, sog=sog, cog=cog)
+        )
     return tuple(fixes)
 
 
@@ -349,30 +393,37 @@ class VoyageReport(CampaignReport):
     suffix_replayed: int
     counters: dict = field(default_factory=dict)
 
-    DIGEST = ("scenario", "seed", "events", "voyage_events",
-              "plan_fingerprints", "counters", "violations",
-              "replayed", "suffix_replayed")
+    DIGEST = (
+        "scenario",
+        "seed",
+        "events",
+        "voyage_events",
+        "plan_fingerprints",
+        "counters",
+        "violations",
+        "replayed",
+        "suffix_replayed",
+    )
     SUMMARY = ("voyage_events={voyage_events}",)
 
 
 #: Expected (kind, role) pairing every oracle must realise, else the
 #: campaign would be vacuous for that kind.
-_EXPECTED_KINDS = (("route_divergence", "diverge"), ("eta_breach", "breach"),
-                   ("storm_avoidance", "storm"))
+_EXPECTED_KINDS = (
+    ("route_divergence", "diverge"), ("eta_breach", "breach"), ("storm_avoidance", "storm")
+)
 
 
-def run_voyage_scenario(scenario: VoyageScenario, seed: int
-                        ) -> VoyageReport:
+def run_voyage_scenario(scenario: VoyageScenario, seed: int) -> VoyageReport:
     """Execute ``scenario`` under ``seed`` and check the standard
     invariants plus voyage event parity and plan parity."""
-    workload = generate_workload(seed, steps=scenario.steps,
-                                 spacing_s=scenario.spacing_s)
+    workload = generate_workload(seed, steps=scenario.steps, spacing_s=scenario.spacing_s)
     fleet = build_voyage_fleet(scenario, seed)
-    chunks = [w + v for w, v in zip(workload.messages_by_step,
-                                    voyage_chunks(fleet, scenario))]
+    chunks = [w + v for w, v in zip(workload.messages_by_step, voyage_chunks(fleet, scenario))]
     closing = closing_fixes(fleet, scenario)
     platform = {
-        "voyage_optimization": True, "weather_seed": seed,
+        "voyage_optimization": True,
+        "weather_seed": seed,
         "weather_max_wind_mps": scenario.max_wind_mps,
         "voyage_replan_cadence_s": scenario.replan_cadence_s,
         "voyage_divergence_m": scenario.divergence_m,
@@ -382,16 +433,15 @@ def run_voyage_scenario(scenario: VoyageScenario, seed: int
     for kind, role in _EXPECTED_KINDS:
         if (kind, mmsi_of[role]) not in oracle.voyage_events:
             raise RuntimeError(
-                f"degenerate voyage workload for seed {seed}: "
-                f"fault-free run never emitted {kind} for the {role} "
-                f"twin ({sorted(oracle.voyage_events)}) — parity "
-                f"would be vacuous")
+                f"degenerate voyage workload for seed {seed}: fault-free run never emitted "
+                f"{kind} for the {role} twin ({sorted(oracle.voyage_events)}) — parity "
+                f"would be vacuous"
+            )
 
     with ClusterCampaign(scenario, seed, platform=platform) as campaign:
         cluster = campaign.cluster
         for twin in fleet:
-            cluster.assign_voyage(twin.mmsi, twin.waypoints,
-                                  twin.deadline_t)
+            cluster.assign_voyage(twin.mmsi, twin.waypoints, twin.deadline_t)
         # Warm-up chunk, fault-free: plans only land at process barriers,
         # and the divergence watch needs a plan to diverge from before
         # any fault can interrupt it.
@@ -412,40 +462,50 @@ def run_voyage_scenario(scenario: VoyageScenario, seed: int
         # Keyed by mmsi, not timestamp: a recovered twin legitimately
         # re-emits an event the checkpoint had not covered, and set
         # semantics absorb the replay.
-        voyage_events = collect_events(cluster, VOYAGE_EVENT_KINDS,
-                                       lambda payload: payload.mmsi)
+        voyage_events = collect_events(cluster, VOYAGE_EVENT_KINDS, lambda payload: payload.mmsi)
         plans = collect_final_plans(cluster, fleet)
 
-        violations = campaign.standard_violations(events, oracle.events,
-                                                  workload.final_t)
-        violations += check_event_parity(voyage_events, oracle.voyage_events,
-                                         "voyage-event-parity", "twin")
+        violations = campaign.standard_violations(events, oracle.events, workload.final_t)
+        violations += check_event_parity(
+            voyage_events, oracle.voyage_events, "voyage-event-parity", "twin"
+        )
         for mmsi, expected in sorted(oracle.plans.items()):
             got = plans.get(mmsi)
             if expected is None:
-                violations.append(Violation(
-                    "plan-parity",
-                    f"twin {mmsi} holds no plan even in the fault-free "
-                    f"run (harness bug)"))
+                violations.append(
+                    Violation(
+                        "plan-parity",
+                        f"twin {mmsi} holds no plan even in the fault-free run (harness bug)",
+                    )
+                )
             elif got != expected:
-                violations.append(Violation(
-                    "plan-parity",
-                    f"twin {mmsi} closed with plan "
-                    f"{(got or 'none')[:16]}, fault-free run closed with "
-                    f"{expected[:16]} — voyage state did not survive"))
+                violations.append(
+                    Violation(
+                        "plan-parity",
+                        f"twin {mmsi} closed with plan {(got or 'none')[:16]}, fault-free run "
+                        f"closed with {expected[:16]} — voyage state did not survive",
+                    )
+                )
 
         counters = campaign.counters()
-        counters["state_transfers"] = sum(n.state_transfers_received
-                                          for n in cluster.nodes)
+        counters["state_transfers"] = sum(n.state_transfers_received for n in cluster.nodes)
         counters["voyage_twins_on_target"] = sum(
-            1 for twin in fleet
+            1
+            for twin in fleet
             for node_id, _ in vessel_hosts(cluster, twin.mmsi)
-            if node_id == scenario.target)
+            if node_id == scenario.target
+        )
         return VoyageReport(
-            scenario=scenario.name, seed=seed, violations=violations,
-            events=events, reference_events=oracle.events,
+            scenario=scenario.name,
+            seed=seed,
+            violations=violations,
+            events=events,
+            reference_events=oracle.events,
             voyage_events=voyage_events,
             reference_voyage_events=oracle.voyage_events,
-            plan_fingerprints=plans, reference_plans=oracle.plans,
+            plan_fingerprints=plans,
+            reference_plans=oracle.plans,
             replayed=campaign.replayed,
-            suffix_replayed=campaign.suffix_replayed, counters=counters)
+            suffix_replayed=campaign.suffix_replayed,
+            counters=counters,
+        )
