@@ -25,8 +25,9 @@ reproduction:
   migrate hot shards (with live state transfer) and whose
   :class:`~repro.cluster.rebalance.Autoscaler` recommends adding or
   draining nodes under sustained load,
-* :mod:`~repro.cluster.codec` — restricted-pickle wire serialization of
-  the existing ``repro.platform.messages`` vocabulary.
+* :mod:`~repro.cluster.codec` — the closed struct wire codec: fixed
+  layouts for the hot stream messages, one tagged value encoding for the
+  rest of the ``repro.platform.messages`` and control vocabulary.
 
 The platform-level assembly is :class:`repro.platform.Platform`
 constructed with ``node=`` a :class:`ClusterNode`.

@@ -2,82 +2,50 @@
 
 The paper's Akka cluster serializes actor messages with a configured
 serializer before they cross node boundaries. Here every
-:class:`~repro.cluster.protocol.WireEnvelope` crosses the wire in one of
-two forms:
+:class:`~repro.cluster.protocol.WireEnvelope` crosses the wire as one
+``struct``-packed frame, selected by a one-byte tag. Envelope metadata
+(kind, hops, correlation id, the two routing strings ``src`` and
+``entity``) has a fixed head; the ``key`` and the payload follow in one
+closed, tagged value encoding:
 
-* **fast path** — a compact ``struct``-packed binary encoding, selected by
-  a one-byte tag. Envelope metadata (kind, hops, correlation id, the two
-  routing strings ``src`` and ``entity``, an int/str key) is never pickled;
-  the hot payload types of the Figure 6 workload (``PositionIngested``,
-  ``CellObservation``, ``ForecastSharedBatch``, heartbeats and load
-  reports) get dedicated fixed layouts, so the steady-state stream pays
-  zero pickle headers.
-* **restricted pickle fallback** — anything else (the other control
-  messages, alerts, control asks and their replies) is pickled, but *only
-  the payload*: the envelope framing around it stays binary. Decoding
-  resolves classes through a restricted unpickler that only admits
-  trusted modules (``repro.*``, numpy, and a small stdlib allowlist).
+* **hot payloads** — the Figure 6 stream types (``PositionIngested``,
+  ``CellObservation``, ``ForecastSharedBatch``) get dedicated fixed
+  layouts, so the steady-state stream pays no per-field tags.
+* **everything else** — ``None``, ``bool``, ``int`` (signed 64-bit plus
+  the unsigned H3 range), ``float``, ``numpy.float64``, ``str``,
+  ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
+  :func:`_records`: an append-only tuple of the message dataclasses (and
+  the one IntEnum they carry), addressed by index, fields in declaration
+  order. A record met twice in one frame is written once and referenced
+  after, so objects a payload shares (one forecast in many cells of a
+  state transfer) stay shared after decoding.
 
-Both transports carry the same frames — the loopback transport round trips
-exactly the bytes the sockets carry, so serialization bugs surface in the
-deterministic tests. :func:`encode_batch` / :func:`decode_batch` pack many
-frames into one container frame for the batching transport.
+Encoding refuses anything outside that vocabulary with a ``TypeError``
+naming the type (a subclass of a listed type included); decoding calls no
+constructor outside it and turns any malformed frame into
+:class:`WireDecodeError`. Both transports carry the same frames — the
+loopback transport round trips exactly the bytes the sockets carry, so
+serialization bugs surface in the deterministic tests.
+:func:`encode_batch` / :func:`decode_batch` pack many frames into one
+container frame for the batching transport.
 
-Counters (``encoded_size``, ``frames_encoded``, ``fast_path_frames``,
-``pickle_fallbacks``) are module-level and monotonic; under free threading
-they are best-effort observability, not accounting.
+Counters (``encoded_size``, ``frames_encoded``) are module-level and
+monotonic; under free threading they are best-effort observability, not
+accounting.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
+import enum
 import struct
+from dataclasses import fields
 from typing import Any, Sequence
 
-#: Module prefixes whose classes may appear in a wire frame.
-TRUSTED_PREFIXES = ("repro.",)
-
-#: Exact modules from outside the project that payloads legitimately use
-#: (numpy arrays inside forecasts, deques inside actor state snapshots).
-TRUSTED_MODULES = frozenset({
-    "builtins",
-    "collections",
-    "numpy",
-    "numpy.core.multiarray",
-    "numpy._core.multiarray",
-    "numpy.core.numeric",
-    "numpy._core.numeric",
-    "numpy.dtypes",
-})
-
-#: Builtins that restricted frames may reference. Notably *not* ``eval``,
-#: ``exec``, ``getattr`` or ``__import__``.
-_SAFE_BUILTINS = frozenset({
-    "complex", "dict", "frozenset", "list", "set", "tuple", "bytearray",
-    "bytes", "float", "int", "str", "bool", "slice", "range", "object",
-})
+import numpy as np
 
 
 class WireDecodeError(ValueError):
-    """A frame failed to decode or referenced an untrusted class."""
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str) -> Any:
-        if module == "builtins":
-            if name not in _SAFE_BUILTINS:
-                raise WireDecodeError(
-                    f"wire frame references forbidden builtin {name!r}")
-            return super().find_class(module, name)
-        if module in TRUSTED_MODULES or module.startswith(TRUSTED_PREFIXES):
-            return super().find_class(module, name)
-        raise WireDecodeError(
-            f"wire frame references untrusted class {module}.{name}")
-
-
-def _restricted_loads(data: bytes) -> Any:
-    return _RestrictedUnpickler(io.BytesIO(data)).load()
+    """A frame failed to decode."""
 
 
 # -- observability counters --------------------------------------------------------
@@ -86,34 +54,25 @@ def _restricted_loads(data: bytes) -> Any:
 encoded_size = 0
 #: Frames encoded since import / the last :func:`reset_counters`.
 frames_encoded = 0
-#: Frames that took the struct envelope framing (their payload may still
-#: be pickled — see ``pickle_fallbacks``).
-fast_path_frames = 0
-#: Whole frames or envelope payloads that fell back to pickle.
-pickle_fallbacks = 0
 
 
 def reset_counters() -> None:
-    global encoded_size, frames_encoded, fast_path_frames, pickle_fallbacks
+    global encoded_size, frames_encoded
     encoded_size = 0
     frames_encoded = 0
-    fast_path_frames = 0
-    pickle_fallbacks = 0
 
 
 def counters() -> dict:
     return {
         "encoded_size": encoded_size,
         "frames_encoded": frames_encoded,
-        "fast_path_frames": fast_path_frames,
-        "pickle_fallbacks": pickle_fallbacks,
+        # Nothing is pickled; the key stays for the reports that read it.
+        "pickle_fallbacks": 0,
     }
 
 
 # -- frame tags --------------------------------------------------------------------
 
-# Pickle protocol >= 2 frames start with 0x80, so the fast-path tags below
-# stay clear of it and decode dispatches on the first byte.
 TAG_ENV = 0x01      #: struct-framed WireEnvelope
 TAG_BATCH = 0x02    #: container of many frames (see encode_batch)
 
@@ -121,17 +80,31 @@ TAG_BATCH = 0x02    #: container of many frames (see encode_batch)
 _KIND_CODES = {"sharded": 0, "ask": 2, "reply": 3, "control": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
-# Value/payload tags inside a TAG_ENV frame.
-_P_NONE = 0x00
-_P_PICKLE = 0x01
-_P_INT = 0x02        #: signed 64-bit int
-_P_STR = 0x03
-_P_UINT = 0x04       #: unsigned 64-bit int above INT64_MAX (H3 cell keys)
+# Value tags inside a TAG_ENV frame. 0x00 and 0x02-0x04 are the envelope
+# key's original tags, so hot frames keep their bytes; 0x01 (the retired
+# pickle payload) decodes as unknown.
+_V_NONE = 0x00
+_V_INT = 0x02        #: signed 64-bit int
+_V_STR = 0x03
+_V_UINT = 0x04       #: unsigned 64-bit int above INT64_MAX (H3 cell keys)
+_V_FALSE = 0x05
+_V_TRUE = 0x06
+_V_FLOAT = 0x07
+_V_NP_FLOAT = 0x08   #: numpy.float64
+_V_TUPLE = 0x09
+_V_LIST = 0x0A
+_V_SET = 0x0B
+_V_DICT = 0x0C
+_V_RECORD = 0x0D     #: u8 index into _records(), then the fields
+_V_REF = 0x0E        #: u32: the n-th record already decoded in this frame
+# Fixed payload layouts (the envelope payload only; nested, the same
+# messages travel as records).
 _P_POSITION = 0x10        #: platform.messages.PositionIngested
 _P_CELLOBS = 0x11         #: platform.messages.CellObservation
-_P_HEARTBEAT = 0x13       #: cluster.protocol.Heartbeat
 _P_FORECAST_BATCH = 0x14  #: platform.messages.ForecastSharedBatch
-_P_LOAD_REPORT = 0x15     #: cluster.protocol.LoadReport
+
+_SEQUENCE_TAGS = {tuple: _V_TUPLE, list: _V_LIST, set: _V_SET}
+_SEQUENCE_TYPES = {tag: t for t, tag in _SEQUENCE_TAGS.items()}
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
@@ -149,49 +122,58 @@ _CELLOBS_BODY = struct.Struct(">QQddd")      # cell, mmsi, t, lat, lon
 _FORECAST_BATCH_HEAD = struct.Struct(">QHH")  # mmsi, n_cells, n_positions
 _POS_FIXED = struct.Struct(">Bddd")          # flags, t, lat, lon
 _DOUBLE = struct.Struct(">d")
-#: mailbox_depth, consumer_lag, busy_ms, entities, n_shard_pairs — the
-#: per-heartbeat load report (sent once per ``load_report_interval_s`` by
-#: every node, so it must not pay a pickle header).
-_LOAD_HEAD = struct.Struct(">QQdQH")
-_LOAD_PAIR = struct.Struct(">IQ")            # shard, message count
 
 _NO_STR = 0xFFFF    #: length marker for a None string field
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
-# The hot message types live in repro.platform (which itself imports
+# The message types live in repro.platform (which itself imports
 # repro.cluster), so they are bound lazily on first encode/decode rather
 # than at module import.
 _HOT: dict | None = None
+#: ``(class, field names)`` per record index; names are None for an enum.
+_RECORDS: tuple = ()
+#: record class -> ``(index, field names)``
+_RECORD_CODES: dict = {}
+
+
+def _records() -> tuple:
+    """The record vocabulary. Append only: a record's wire address is its
+    position here, so reordering or removing one changes the format."""
+    from repro.ais.message import AISMessage, NavigationStatus
+    from repro.cluster import protocol as p
+    from repro.events.collision import CollisionForecast
+    from repro.events.proximity import ProximityPairEvent
+    from repro.geo.track import Position
+    from repro.models.base import RouteForecast
+    from repro.models.voyage import PlanLeg, VoyagePlan, Waypoint
+    from repro.platform import messages as m
+    return (
+        p.Join, p.Welcome, p.MemberUp, p.MemberDown, p.Heartbeat, p.Leave,
+        p.ShardTableUpdate, p.LoadReport, p.MigrationPlan, p.Draining,
+        p.ShardStateTransfer, p.ControlRequest,
+        m.PositionIngested, m.CellObservation, m.ForecastBatch,
+        m.ForecastSharedBatch, m.ForecastReady, m.ProximityAlert,
+        m.CollisionAlert, m.VesselStateUpdate, m.EventRecord,
+        m.VoyageAssigned, m.PlanReady, m.PruneTick, m.RestoreState,
+        AISMessage, NavigationStatus, Position, RouteForecast,
+        ProximityPairEvent, CollisionForecast, Waypoint, PlanLeg, VoyagePlan,
+    )
 
 
 def _hot() -> dict:
-    global _HOT
+    global _HOT, _RECORDS, _RECORD_CODES
     if _HOT is None:
-        from repro.ais.message import AISMessage, NavigationStatus
-        from repro.cluster.protocol import (
-            Heartbeat,
-            LoadReport,
-            WireEnvelope,
-        )
-        from repro.geo.track import Position
-        from repro.models.base import RouteForecast
-        from repro.platform.messages import (
-            CellObservation,
-            ForecastSharedBatch,
-            PositionIngested,
-        )
-        _HOT = {
-            "AISMessage": AISMessage,
-            "NavigationStatus": NavigationStatus,
-            "Heartbeat": Heartbeat,
-            "LoadReport": LoadReport,
-            "WireEnvelope": WireEnvelope,
-            "Position": Position,
-            "RouteForecast": RouteForecast,
-            "CellObservation": CellObservation,
-            "ForecastSharedBatch": ForecastSharedBatch,
-            "PositionIngested": PositionIngested,
-        }
+        records = tuple(
+            (cls, None if issubclass(cls, enum.Enum)
+             else tuple(f.name for f in fields(cls)))
+            for cls in _records())
+        _RECORDS = records
+        _RECORD_CODES = {cls: (index, names)
+                         for index, (cls, names) in enumerate(records)}
+        from repro.cluster.protocol import WireEnvelope
+        hot = {cls.__name__: cls for cls, _ in records}
+        hot["WireEnvelope"] = WireEnvelope
+        _HOT = hot
     return _HOT
 
 
@@ -199,7 +181,7 @@ _SOURCE_CODES = {"terrestrial": 0, "satellite": 1}
 _SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
 
 
-# -- field helpers -----------------------------------------------------------------
+# -- value encoding ----------------------------------------------------------------
 
 
 def _put_str(out: bytearray, value: str | None) -> None:
@@ -218,61 +200,145 @@ def _get_str(data: bytes, pos: int) -> tuple[str | None, int]:
     pos += _U16.size
     if length == _NO_STR:
         return None, pos
+    if pos + length > len(data):
+        raise WireDecodeError("truncated string")
     return data[pos:pos + length].decode("utf-8"), pos + length
 
 
-def _put_value(out: bytearray, value: Any) -> None:
-    """Encode a small routing value (the envelope ``key``)."""
+def _put_value(out: bytearray, value: Any, memo: dict) -> None:
+    """Append ``value`` in the closed value encoding. ``memo`` maps the
+    id of every record already written to this frame to its number."""
+    t = type(value)
     if value is None:
-        out.append(_P_NONE)
-    elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-        out.append(_P_INT)
-        out += _I64.pack(value)
-    elif type(value) is int and _INT64_MAX < value < (1 << 64):
-        out.append(_P_UINT)
-        out += _U64.pack(value)
-    elif type(value) is str:
-        out.append(_P_STR)
+        out.append(_V_NONE)
+    elif t is int:
+        if _INT64_MIN <= value <= _INT64_MAX:
+            out.append(_V_INT)
+            out += _I64.pack(value)
+        elif _INT64_MAX < value < (1 << 64):
+            out.append(_V_UINT)
+            out += _U64.pack(value)
+        else:
+            raise ValueError(f"int {value} is outside the wire range")
+    elif t is str:
+        out.append(_V_STR)
         _put_str(out, value)
+    elif t is float or t is np.float64:
+        out.append(_V_FLOAT if t is float else _V_NP_FLOAT)
+        out += _DOUBLE.pack(value)
+    elif t is bool:
+        out.append(_V_TRUE if value else _V_FALSE)
+    elif t in _SEQUENCE_TAGS:
+        out.append(_SEQUENCE_TAGS[t])
+        out += _U32.pack(len(value))
+        for item in value:
+            _put_value(out, item, memo)
+    elif t is dict:
+        out.append(_V_DICT)
+        out += _U32.pack(len(value))
+        for key, item in value.items():
+            _put_value(out, key, memo)
+            _put_value(out, item, memo)
+    elif t not in _RECORD_CODES:
+        raise TypeError(f"{t.__module__}.{t.__qualname__} is not a wire type")
+    elif id(value) in memo:
+        out.append(_V_REF)
+        out += _U32.pack(memo[id(value)])
     else:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_P_PICKLE)
-        out += _U32.pack(len(blob))
-        out += blob
+        index, names = _RECORD_CODES[t]
+        out.append(_V_RECORD)
+        out.append(index)
+        if names is None:
+            _put_value(out, int(value), memo)
+        else:
+            for name in names:
+                _put_value(out, getattr(value, name), memo)
+        # Numbered after its fields, in the order decoding finishes records.
+        memo[id(value)] = len(memo)
 
 
-def _get_value(data: bytes, pos: int) -> tuple[Any, int]:
+def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
     tag = data[pos]
     pos += 1
-    if tag == _P_NONE:
+    if tag == _V_NONE:
         return None, pos
-    if tag == _P_INT:
-        (value,) = _I64.unpack_from(data, pos)
-        return value, pos + _I64.size
-    if tag == _P_UINT:
-        (value,) = _U64.unpack_from(data, pos)
-        return value, pos + _U64.size
-    if tag == _P_STR:
-        return _get_str(data, pos)
-    if tag == _P_PICKLE:
-        (length,) = _U32.unpack_from(data, pos)
+    if tag == _V_INT:
+        return _I64.unpack_from(data, pos)[0], pos + _I64.size
+    if tag == _V_UINT:
+        return _U64.unpack_from(data, pos)[0], pos + _U64.size
+    if tag == _V_STR:
+        value, pos = _get_str(data, pos)
+        if value is None:
+            raise WireDecodeError("None string marker in a value")
+        return value, pos
+    if tag == _V_FLOAT or tag == _V_NP_FLOAT:
+        (value,) = _DOUBLE.unpack_from(data, pos)
+        return (value if tag == _V_FLOAT else np.float64(value),
+                pos + _DOUBLE.size)
+    if tag == _V_FALSE or tag == _V_TRUE:
+        return tag == _V_TRUE, pos
+    if tag in _SEQUENCE_TYPES:
+        (count,) = _U32.unpack_from(data, pos)
         pos += _U32.size
-        return _restricted_loads(data[pos:pos + length]), pos + length
+        items = []
+        for _ in range(count):
+            item, pos = _get_value(data, pos, memo)
+            items.append(item)
+        return _SEQUENCE_TYPES[tag](items), pos
+    if tag == _V_DICT:
+        (count,) = _U32.unpack_from(data, pos)
+        pos += _U32.size
+        value = {}
+        for _ in range(count):
+            key, pos = _get_value(data, pos, memo)
+            value[key], pos = _get_value(data, pos, memo)
+        return value, pos
+    if tag == _V_RECORD:
+        index = data[pos]
+        if index >= len(_RECORDS):
+            raise WireDecodeError(f"unknown record index {index}")
+        cls, names = _RECORDS[index]
+        pos += 1
+        if names is None:
+            value, pos = _get_value(data, pos, memo)
+            record = cls(value)
+        else:
+            args = []
+            for _ in names:
+                arg, pos = _get_value(data, pos, memo)
+                args.append(arg)
+            record = cls(*args)
+        memo.append(record)
+        return record, pos
+    if tag == _V_REF:
+        (ref,) = _U32.unpack_from(data, pos)
+        if ref >= len(memo):
+            raise WireDecodeError(f"dangling record reference {ref}")
+        return memo[ref], pos + _U32.size
     raise WireDecodeError(f"unknown value tag {tag:#x}")
 
 
 # -- hot payload encodings ---------------------------------------------------------
 
 
-def _try_put_payload(out: bytearray, message: Any) -> bool:
-    """Append a fast-path payload encoding; False if ``message`` needs the
-    pickle fallback. Exact-type checks only — subclasses may carry state the
-    fixed layouts would drop."""
+def _put_payload(out: bytearray, message: Any) -> None:
+    """Append the envelope payload: a fixed layout for an exact hot type
+    whose fields fit it, the value encoding for everything else."""
+    mark = len(out)
+    try:
+        if _try_put_hot(out, message):
+            return
+    except (struct.error, ValueError, TypeError, OverflowError):
+        del out[mark:]
+    _put_value(out, message, {})
+
+
+def _try_put_hot(out: bytearray, message: Any) -> bool:
+    """Append a fixed-layout payload; False if ``message`` has none or
+    does not fit it. Exact-type checks only — subclasses may carry state
+    the fixed layouts would drop."""
     hot = _hot()
     t = type(message)
-    if message is None:
-        out.append(_P_NONE)
-        return True
     if t is hot["PositionIngested"]:
         return _try_put_position(out, message.message)
     if t is hot["CellObservation"]:
@@ -287,39 +353,7 @@ def _try_put_payload(out: bytearray, message: Any) -> bool:
         return True
     if t is hot["ForecastSharedBatch"]:
         return _try_put_forecast_batch(out, message)
-    if t is hot["Heartbeat"]:
-        out.append(_P_HEARTBEAT)
-        _put_str(out, message.node_id)
-        return True
-    if t is hot["LoadReport"]:
-        return _try_put_load_report(out, message)
     return False
-
-
-def _try_put_load_report(out: bytearray, message: Any) -> bool:
-    pairs = message.shard_messages
-    if (type(message.node_id) is not str
-            or type(pairs) is not tuple or len(pairs) > 0xFFFF
-            or type(message.busy_ms) not in (int, float)):
-        return False
-    for gauge in (message.mailbox_depth, message.consumer_lag,
-                  message.entities):
-        if type(gauge) is not int or not 0 <= gauge < (1 << 64):
-            return False
-    for pair in pairs:
-        if (type(pair) is not tuple or len(pair) != 2
-                or type(pair[0]) is not int or type(pair[1]) is not int
-                or not 0 <= pair[0] < (1 << 32)
-                or not 0 <= pair[1] < (1 << 64)):
-            return False
-    out.append(_P_LOAD_REPORT)
-    _put_str(out, message.node_id)
-    out += _LOAD_HEAD.pack(message.mailbox_depth, message.consumer_lag,
-                           float(message.busy_ms), message.entities,
-                           len(pairs))
-    for shard, count in pairs:
-        out += _LOAD_PAIR.pack(shard, count)
-    return True
 
 
 def _try_put_position(out: bytearray, msg: Any) -> bool:
@@ -385,7 +419,8 @@ def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
             or type(cells) is not tuple
             or not 1 <= len(cells) <= 0xFFFF
             or type(forecast.mmsi) is not int
-            or not 0 <= forecast.mmsi < (1 << 64)):
+            or not 0 <= forecast.mmsi < (1 << 64)
+            or type(forecast.positions) is not tuple):
         return False
     for cell in cells:
         if type(cell) is not int or not 0 <= cell < (1 << 64):
@@ -417,6 +452,8 @@ def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
         flags = data[end]
         end += _POS_FIXED.size + (8 if flags & 1 else 0) \
             + (8 if flags & 2 else 0)
+    if end > len(data):
+        raise WireDecodeError("truncated forecast positions")
     blob = bytes(data[pos:end])
     cached = _DEC_POSITIONS_CACHE
     if cached is not None and cached[0] == blob:
@@ -441,103 +478,58 @@ def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
 
 
 def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
-    global pickle_fallbacks
     hot = _hot()
     tag = data[pos]
-    pos += 1
-    if tag == _P_NONE:
-        return None, pos
     if tag == _P_POSITION:
         (mmsi, t, lat, lon, sog, cog, heading, status,
-         source) = _AIS_BODY.unpack_from(data, pos)
-        pos += _AIS_BODY.size
+         source) = _AIS_BODY.unpack_from(data, pos + 1)
         msg = hot["AISMessage"](
             mmsi=mmsi, t=t, lat=lat, lon=lon, sog=sog, cog=cog,
             heading=None if heading == -1 else heading,
             status=hot["NavigationStatus"](status),
             source=_SOURCE_NAMES[source])
-        return hot["PositionIngested"](msg), pos
+        return hot["PositionIngested"](msg), pos + 1 + _AIS_BODY.size
     if tag == _P_CELLOBS:
-        cell, mmsi, t, lat, lon = _CELLOBS_BODY.unpack_from(data, pos)
+        cell, mmsi, t, lat, lon = _CELLOBS_BODY.unpack_from(data, pos + 1)
         return hot["CellObservation"](cell=cell, mmsi=mmsi, t=t, lat=lat,
-                                      lon=lon), pos + _CELLOBS_BODY.size
+                                      lon=lon), pos + 1 + _CELLOBS_BODY.size
     if tag == _P_FORECAST_BATCH:
-        mmsi, n_cells, count = _FORECAST_BATCH_HEAD.unpack_from(data, pos)
-        pos += _FORECAST_BATCH_HEAD.size
+        mmsi, n_cells, count = _FORECAST_BATCH_HEAD.unpack_from(data, pos + 1)
+        pos += 1 + _FORECAST_BATCH_HEAD.size
         cells = struct.unpack_from(f">{n_cells}Q", data, pos)
         pos += 8 * n_cells
         positions_t, end = _get_positions(data, pos, count)
         forecast = hot["RouteForecast"](mmsi=mmsi, positions=positions_t)
         return hot["ForecastSharedBatch"](cells=cells,
                                           forecast=forecast), end
-    if tag == _P_HEARTBEAT:
-        node_id, pos = _get_str(data, pos)
-        return hot["Heartbeat"](node_id), pos
-    if tag == _P_LOAD_REPORT:
-        node_id, pos = _get_str(data, pos)
-        (depth, lag, busy_ms, entities,
-         n_pairs) = _LOAD_HEAD.unpack_from(data, pos)
-        pos += _LOAD_HEAD.size
-        pairs = []
-        for _ in range(n_pairs):
-            shard, count = _LOAD_PAIR.unpack_from(data, pos)
-            pos += _LOAD_PAIR.size
-            pairs.append((shard, count))
-        return hot["LoadReport"](
-            node_id=node_id, mailbox_depth=depth, consumer_lag=lag,
-            busy_ms=busy_ms, entities=entities,
-            shard_messages=tuple(pairs)), pos
-    if tag == _P_PICKLE:
-        (length,) = _U32.unpack_from(data, pos)
-        pos += _U32.size
-        pickle_fallbacks += 1
-        return _restricted_loads(data[pos:pos + length]), pos + length
-    raise WireDecodeError(f"unknown payload tag {tag:#x}")
+    return _get_value(data, pos, [])
 
 
-# -- envelope fast path ------------------------------------------------------------
+# -- envelopes ---------------------------------------------------------------------
 
 
-def _encode_envelope(env: Any) -> bytes | None:
-    """The TAG_ENV encoding, or None when the envelope doesn't fit it
-    (unknown kind, oversized strings, unpicklable key)."""
-    global pickle_fallbacks
+def _encode_envelope(env: Any) -> bytes:
     kind = _KIND_CODES.get(env.kind)
     corr = -1 if env.corr_id is None else env.corr_id
     trace_id = env.trace_id
     if kind is None or not 0 <= env.hops <= 255 \
-            or not _INT64_MIN <= corr <= _INT64_MAX:
-        return None
-    if trace_id is not None and not 0 <= trace_id < (1 << 64):
-        return None
+            or not _INT64_MIN <= corr <= _INT64_MAX \
+            or not (trace_id is None or 0 <= trace_id < (1 << 64)):
+        raise ValueError(f"envelope head does not fit the wire: {env!r}")
     out = bytearray([TAG_ENV])
     out += _ENV_HEAD.pack(kind | (_KIND_TRACED if trace_id is not None
                                   else 0), env.hops, corr)
     if trace_id is not None:
         out += _U64.pack(trace_id)
-    try:
-        _put_str(out, env.src)
-        _put_str(out, env.entity)
-        _put_value(out, env.key)
-    except (ValueError, TypeError):
-        return None
-    payload = bytearray()
-    try:
-        fits = _try_put_payload(payload, env.message)
-    except (struct.error, ValueError, TypeError, OverflowError):
-        fits = False
-    if fits:
-        out += payload
-    else:
-        blob = pickle.dumps(env.message, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_P_PICKLE)
-        out += _U32.pack(len(blob))
-        out += blob
-        pickle_fallbacks += 1
+    _put_str(out, env.src)
+    _put_str(out, env.entity)
+    _put_value(out, env.key, {})
+    _put_payload(out, env.message)
     return bytes(out)
 
 
 def _decode_envelope(data: bytes) -> Any:
+    hot = _hot()
     kind_code, hops, corr = _ENV_HEAD.unpack_from(data, 1)
     kind = _KIND_NAMES.get(kind_code & ~_KIND_TRACED)
     if kind is None:
@@ -549,9 +541,11 @@ def _decode_envelope(data: bytes) -> Any:
         pos += _U64.size
     src, pos = _get_str(data, pos)
     entity, pos = _get_str(data, pos)
-    key, pos = _get_value(data, pos)
+    key, pos = _get_value(data, pos, [])
     message, pos = _get_payload(data, pos)
-    return _hot()["WireEnvelope"](
+    if pos != len(data):
+        raise WireDecodeError("trailing bytes after envelope")
+    return hot["WireEnvelope"](
         kind=kind, src=src, message=message, entity=entity, key=key,
         corr_id=None if corr == -1 else corr, hops=hops, trace_id=trace_id)
 
@@ -559,38 +553,35 @@ def _decode_envelope(data: bytes) -> Any:
 # -- public API --------------------------------------------------------------------
 
 
-def encode(obj: Any) -> bytes:
-    """Serialize one wire message to a byte frame.
+def encode(env: Any) -> bytes:
+    """Serialize one :class:`WireEnvelope` to a byte frame.
 
-    :class:`WireEnvelope` instances take the struct fast path; everything
-    else (and any envelope the fast path cannot represent) is pickled
-    whole, which older peers and the tests decode identically.
+    Raises ``TypeError`` for anything that is not a ``WireEnvelope`` or
+    carries a value outside the wire vocabulary, and ``ValueError`` for a
+    field outside its range (an out-of-range int, an oversized string).
     """
-    global encoded_size, frames_encoded, fast_path_frames, pickle_fallbacks
-    data = None
-    if type(obj) is _hot()["WireEnvelope"]:
-        data = _encode_envelope(obj)
-    if data is None:
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        pickle_fallbacks += 1
-    else:
-        fast_path_frames += 1
+    global encoded_size, frames_encoded
+    if type(env) is not _hot()["WireEnvelope"]:
+        raise TypeError(f"only a WireEnvelope crosses the wire, not "
+                        f"{type(env).__qualname__}")
+    data = _encode_envelope(env)
     frames_encoded += 1
     encoded_size += len(data)
     return data
 
 
 def decode(data: bytes) -> Any:
-    """Deserialize a byte frame, resolving only trusted classes."""
+    """Deserialize one envelope frame; any malformed frame raises
+    :class:`WireDecodeError`."""
     if not data:
         raise WireDecodeError("empty wire frame")
+    if data[0] == TAG_BATCH:
+        raise WireDecodeError(
+            "batch frame reached decode(); split with decode_batch()")
+    if data[0] != TAG_ENV:
+        raise WireDecodeError(f"unknown frame tag {data[0]:#x}")
     try:
-        if data[0] == TAG_ENV:
-            return _decode_envelope(data)
-        if data[0] == TAG_BATCH:
-            raise WireDecodeError(
-                "batch frame reached decode(); split with decode_batch()")
-        return _restricted_loads(data)
+        return _decode_envelope(data)
     except WireDecodeError:
         raise
     except Exception as exc:
@@ -605,8 +596,7 @@ def encode_batch(frames: Sequence[bytes]) -> bytes:
 
     The batching transport coalesces per-peer traffic with this: one
     transport-level frame (one length prefix, one ``sendall``) carries many
-    envelopes. Combined with the struct fast path above, a steady-state
-    batch of hot messages contains no pickle headers at all.
+    envelopes.
     """
     out = bytearray([TAG_BATCH])
     out += _U32.pack(len(frames))

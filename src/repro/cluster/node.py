@@ -181,8 +181,8 @@ class ClusterNode:
         self.on_member_event: list[Callable[[MembershipEvent], None]] = []
 
         self.frames_in = 0
-        #: Inbound frames that failed to decode (malformed or naming an
-        #: untrusted class), dropped without stopping the pump.
+        #: Inbound frames that failed to decode (malformed, truncated or
+        #: not a codec frame at all), dropped without stopping the pump.
         self.frames_rejected = 0
         self.frames_out = 0
         self.forwarded = 0

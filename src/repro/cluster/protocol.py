@@ -2,8 +2,9 @@
 
 Exactly one frame type crosses the transport — :class:`WireEnvelope` — and
 its ``message`` field carries either an application payload (one of the
-``repro.platform.messages`` types, or anything picklable from ``repro.*``)
-or one of the control messages below. Control messages implement the
+``repro.platform.messages`` types, or a value built from the closed
+vocabulary of :mod:`repro.cluster.codec`) or one of the control messages
+below; a message type the codec does not list cannot be sent. Control messages implement the
 seed-node join protocol, heartbeating, the shard table broadcast and node
 shutdown; they are deliberately gossip-free — the coordinator (cluster
 leader) is the single writer of the shard table, as in Akka cluster
@@ -41,9 +42,8 @@ class WireEnvelope:
     corr_id: int | None = None
     hops: int = 0
     #: Telemetry trace this frame belongs to (sampled; usually None). The
-    #: codec carries it on the struct fast path (a flag bit in the kind
-    #: byte plus 8 bytes) and for free in the pickle fallback, so traces
-    #: survive node boundaries on either wire form.
+    #: codec carries it in the envelope head (a flag bit in the kind byte
+    #: plus 8 bytes), so traces survive node boundaries.
     trace_id: int | None = None
 
 

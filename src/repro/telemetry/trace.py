@@ -5,7 +5,7 @@ ingestion service assigns a ``trace_id`` derived from the broker record's
 ``(partition, offset)`` identity, and the id rides every message the
 report causes — on :class:`~repro.actors.actor.Envelope` inside a node and
 on :class:`~repro.cluster.protocol.WireEnvelope` across nodes (the wire
-codec carries it on both the struct fast path and the pickle fallback).
+codec carries it in the envelope head).
 
 Propagation is implicit: the runtime keeps the *current* trace in a
 thread-local while a traced message is being processed, and

@@ -2,12 +2,15 @@
 
 Covers the contract the cross-node pipeline rests on: linger/flush
 boundaries, max-batch splitting, per-peer order preservation, loopback
-determinism (same events with and without batching), and byte-exact codec
-round trips for every hot message type against the pickle path.
+determinism (same events with and without batching), and codec round trips
+checked against pickle as the oracle — pickle itself never decodes a frame.
 """
 
+import ast
 import gc
+import pathlib
 import pickle
+import struct
 import weakref
 
 import pytest
@@ -40,7 +43,7 @@ from tests.cluster.test_transport import Sink
 
 
 class SubclassedPosition(PositionIngested):
-    """A hot-type subclass; must never take the fixed fast-path layout."""
+    """A hot-type subclass: not a wire type, so the sender must refuse it."""
 
 
 def batched_loopback_pair(hub=None, **kwargs):
@@ -317,98 +320,131 @@ HOT_ENVELOPES = [
                  message=Heartbeat("node-01")),
 ]
 
-FALLBACK_ENVELOPES = [
-    WireEnvelope(kind="control", src="node-01",
-                 message=Join("node-02", ("127.0.0.1", 4242))),
-    WireEnvelope(kind="control", src="node-00",
-                 message=ShardTableUpdate(5, ("node-00", "node-01"))),
-    WireEnvelope(kind="ask", src="node-00", corr_id=12,
-                 message=ControlRequest(op="stats")),
-    WireEnvelope(kind="reply", src="node-01", corr_id=12,
-                 message=[1, 2.5, "three", None]),
-    WireEnvelope(kind="sharded", src="node-00", entity="vessel",
-                 key=("tuple", "key"), message="payload", hops=2),
+#: Envelopes whose payload (or key) takes the closed value encoding.
+VALUE_ENVELOPES = [
+    WireEnvelope(kind="control", src="node-01", message=Join("node-02", ("127.0.0.1", 4242))),
+    WireEnvelope(kind="control", src="node-00", message=ShardTableUpdate(5, ("node-00", "node-01"))),
+    WireEnvelope(kind="ask", src="node-00", corr_id=12, message=ControlRequest(op="stats")),
+    WireEnvelope(kind="reply", src="node-01", corr_id=12, message=[1, 2.5, "three", None]),
+    WireEnvelope(
+        kind="sharded", src="node-00", entity="vessel", key=("tuple", "key"), message="payload", hops=2
+    ),
 ]
+
+#: A protocol-4 pickle that calls ``os.getcwd()`` through a dotted name
+#: under a ``repro.`` module: the shape the old module-prefix allowlist let
+#: through. PROTO 4, two SHORT_BINUNICODE, STACK_GLOBAL, EMPTY_TUPLE, REDUCE.
+DOTTED_GLOBAL = (
+    b"\x80\x04"
+    + b"\x8c\x19repro.platform.checkpoint"
+    + b"\x8c\x09os.getcwd"
+    + b"\x93)R."
+)
+
+
+def spliced_payload(blob: bytes) -> bytes:
+    """An envelope frame whose payload is ``blob`` under the retired pickle
+    payload tag (0x01, u32 length): a None payload is the frame's last byte."""
+    frame = codec.encode(WireEnvelope(kind="reply", src="n", corr_id=1, message=None))
+    return frame[:-1] + b"\x01" + struct.pack(">I", len(blob)) + blob
 
 
 class TestCodecFastPath:
-    @pytest.mark.parametrize("env", HOT_ENVELOPES + FALLBACK_ENVELOPES)
+    @pytest.mark.parametrize("env", HOT_ENVELOPES + VALUE_ENVELOPES)
     def test_round_trip_equals_pickle_path(self, env):
-        frame = codec.encode(env)
-        assert codec.decode(frame) == env
-        # ...and the restricted-pickle reference path agrees exactly.
-        assert codec.decode(pickle.dumps(
-            env, protocol=pickle.HIGHEST_PROTOCOL)) == env
+        """Pickle is the test's oracle, never the wire: the codec's round
+        trip equals pickle's, and a pickled envelope is not a frame."""
+        pickled = pickle.dumps(env, protocol=pickle.HIGHEST_PROTOCOL)
+        assert codec.decode(codec.encode(env)) == pickle.loads(pickled) == env
+        with pytest.raises(codec.WireDecodeError):
+            codec.decode(pickled)
 
     @pytest.mark.parametrize("env", HOT_ENVELOPES)
     def test_hot_types_avoid_pickle_entirely(self, env):
         frame = codec.encode(env)
         assert frame[0] == codec.TAG_ENV
         assert b"\x80" + bytes([pickle.HIGHEST_PROTOCOL]) not in frame
-        # Fast-path frames are much smaller than their pickle forms.
-        assert len(frame) < len(pickle.dumps(
-            env, protocol=pickle.HIGHEST_PROTOCOL))
+        # Struct frames are much smaller than their pickle forms.
+        assert len(frame) < len(pickle.dumps(env, protocol=pickle.HIGHEST_PROTOCOL))
 
     def test_counters_track_encoding(self):
         codec.reset_counters()
         frame = codec.encode(HOT_ENVELOPES[0])
         assert codec.frames_encoded == 1
-        assert codec.fast_path_frames == 1
         assert codec.encoded_size == len(frame)
-        codec.encode(FALLBACK_ENVELOPES[0])
+        codec.encode(VALUE_ENVELOPES[0])
         assert codec.frames_encoded == 2
-        assert codec.pickle_fallbacks == 1   # payload fell back, not frame
         counters = codec.counters()
         assert counters["frames_encoded"] == 2
+        assert counters["pickle_fallbacks"] == 0
 
-    def test_envelope_subclass_payload_falls_back(self):
-        """A subclass of a hot type may carry extra state, so it must be
-        pickled by reference, never squeezed into the fixed layout — and
-        its (untrusted) module is then rejected on decode."""
-        env = WireEnvelope(kind="sharded", src="n", entity="vessel", key=1,
-                           message=SubclassedPosition(AISMessage(
-                               mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0,
-                               cog=0.0)))
-        frame = codec.encode(env)
-        assert b"SubclassedPosition" in frame   # pickled by reference
-        with pytest.raises(codec.WireDecodeError):
-            codec.decode(frame)                 # tests.* is not trusted
+    def test_envelope_subclass_payload_is_refused(self):
+        """A subclass of a hot type may carry extra state, so it is neither
+        squeezed into the fixed layout nor encoded as its base record: the
+        sender gets a TypeError naming it."""
+        env = WireEnvelope(
+            kind="sharded",
+            src="n",
+            entity="vessel",
+            key=1,
+            message=SubclassedPosition(AISMessage(mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0, cog=0.0)),
+        )
+        with pytest.raises(TypeError, match="SubclassedPosition"):
+            codec.encode(env)
 
     def test_fallback_payload_is_still_restricted(self):
-        """An attacker-controlled pickle inside a fast-path envelope must
-        go through the restricted unpickler like any whole-frame pickle."""
+        """A pickle spliced into an envelope under the retired pickle
+        payload tag is refused like a whole-frame pickle."""
         import os
-        import struct as _struct
 
-        evil = pickle.dumps(os.system)
-        # A None payload makes the payload tag the frame's last byte;
-        # splice an evil pickle payload in its place.
-        frame = codec.encode(WireEnvelope(kind="reply", src="n", corr_id=1,
-                                          message=None))
-        frame = frame[:-1] + b"\x01" + _struct.pack(">I", len(evil)) + evil
         with pytest.raises(codec.WireDecodeError):
-            codec.decode(frame)
+            codec.decode(spliced_payload(pickle.dumps(os.system)))
+
+    def test_dotted_global_under_a_trusted_module_is_refused(self, monkeypatch):
+        """``repro.platform.checkpoint`` + ``os.getcwd`` resolves to
+        ``os.getcwd``: a frame naming it, whole or as an envelope payload,
+        must be refused without the function ever being called."""
+        import os
+
+        calls = []
+        monkeypatch.setattr(os, "getcwd", lambda: calls.append("getcwd") or "/")
+        for frame in (DOTTED_GLOBAL, spliced_payload(DOTTED_GLOBAL)):
+            with pytest.raises(codec.WireDecodeError):
+                codec.decode(frame)
+        assert calls == []
 
     def test_batch_container_round_trip(self):
-        frames = [codec.encode(e)
-                  for e in HOT_ENVELOPES + FALLBACK_ENVELOPES]
+        frames = [codec.encode(e) for e in HOT_ENVELOPES + VALUE_ENVELOPES]
         blob = codec.encode_batch(frames)
         assert codec.is_batch(blob)
         assert codec.decode_batch(blob) == frames
-        assert [codec.decode(f) for f in codec.decode_batch(blob)] \
-            == HOT_ENVELOPES + FALLBACK_ENVELOPES
+        assert [codec.decode(f) for f in codec.decode_batch(blob)] == HOT_ENVELOPES + VALUE_ENVELOPES
 
     def test_batch_rejects_garbage(self):
         with pytest.raises(codec.WireDecodeError):
             codec.decode_batch(b"\x01not-a-batch")
         blob = codec.encode_batch([b"abc"])
         with pytest.raises(codec.WireDecodeError):
-            codec.decode_batch(blob[:-1])       # truncated
+            codec.decode_batch(blob[:-1])  # truncated
         with pytest.raises(codec.WireDecodeError):
-            codec.decode(blob)                  # batches must be split
+            codec.decode(blob)  # batches must be split
 
-    def test_non_envelope_objects_still_pickle(self):
-        hb = Heartbeat("node-07")
-        frame = codec.encode(hb)
-        assert frame[0] == 0x80                 # plain (restricted) pickle
-        assert codec.decode(frame) == hb
+    def test_non_envelope_objects_are_refused(self):
+        with pytest.raises(TypeError, match="Heartbeat"):
+            codec.encode(Heartbeat("node-07"))
+
+
+CLUSTER_SOURCES = sorted(pathlib.Path(codec.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", CLUSTER_SOURCES, ids=[path.stem for path in CLUSTER_SOURCES])
+def test_no_cluster_module_imports_pickle(path):
+    """The wire is closed: no module of the cluster layer may import
+    ``pickle``, so an unpickling fallback cannot quietly return."""
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            offenders += [a.name for a in node.names if a.name.split(".")[0] == "pickle"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pickle":
+            offenders.append(node.module)
+    assert not offenders, f"{path.name}:{offenders}"

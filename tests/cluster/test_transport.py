@@ -248,14 +248,16 @@ class TestCodec:
 
         msg = PositionIngested(AISMessage(mmsi=1, t=0.0, lat=37.9,
                                           lon=23.5, sog=10.0, cog=90.0))
-        out = codec.decode(codec.encode(msg))
+        env = WireEnvelope(kind="sharded", src="n1", entity="vessel",
+                           key=1, message=msg)
+        out = codec.decode(codec.encode(env)).message
         assert out.message.mmsi == 1
         assert out.message.lat == pytest.approx(37.9)
 
     def test_untrusted_global_rejected(self):
         import pickle
 
-        payload = pickle.dumps(pytest.raises)  # _pytest.* is not trusted
+        payload = pickle.dumps(pytest.raises)  # a pickle is never a frame
         with pytest.raises(codec.WireDecodeError):
             codec.decode(payload)
 
