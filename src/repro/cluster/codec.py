@@ -73,8 +73,8 @@ def counters() -> dict:
 
 # -- frame tags --------------------------------------------------------------------
 
-TAG_ENV = 0x01      #: struct-framed WireEnvelope
-TAG_BATCH = 0x02    #: container of many frames (see encode_batch)
+TAG_ENV = 0x01  #: struct-framed WireEnvelope
+TAG_BATCH = 0x02  #: container of many frames (see encode_batch)
 
 #: Code 1 is retired (it addressed named actors) and decodes as unknown.
 _KIND_CODES = {"sharded": 0, "ask": 2, "reply": 3, "control": 4}
@@ -84,23 +84,23 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 # key's original tags, so hot frames keep their bytes; 0x01 (the retired
 # pickle payload) decodes as unknown.
 _V_NONE = 0x00
-_V_INT = 0x02        #: signed 64-bit int
+_V_INT = 0x02  #: signed 64-bit int
 _V_STR = 0x03
-_V_UINT = 0x04       #: unsigned 64-bit int above INT64_MAX (H3 cell keys)
+_V_UINT = 0x04  #: unsigned 64-bit int above INT64_MAX (H3 cell keys)
 _V_FALSE = 0x05
 _V_TRUE = 0x06
 _V_FLOAT = 0x07
-_V_NP_FLOAT = 0x08   #: numpy.float64
+_V_NP_FLOAT = 0x08  #: numpy.float64
 _V_TUPLE = 0x09
 _V_LIST = 0x0A
 _V_SET = 0x0B
 _V_DICT = 0x0C
-_V_RECORD = 0x0D     #: u8 index into _records(), then the fields
-_V_REF = 0x0E        #: u32: the n-th record already decoded in this frame
+_V_RECORD = 0x0D  #: u8 index into _records(), then the fields
+_V_REF = 0x0E  #: u32: the n-th record already decoded in this frame
 # Fixed payload layouts (the envelope payload only; nested, the same
 # messages travel as records).
-_P_POSITION = 0x10        #: platform.messages.PositionIngested
-_P_CELLOBS = 0x11         #: platform.messages.CellObservation
+_P_POSITION = 0x10  #: platform.messages.PositionIngested
+_P_CELLOBS = 0x11  #: platform.messages.CellObservation
 _P_FORECAST_BATCH = 0x14  #: platform.messages.ForecastSharedBatch
 
 _SEQUENCE_TAGS = {tuple: _V_TUPLE, list: _V_LIST, set: _V_SET}
@@ -110,20 +110,20 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _U64 = struct.Struct(">Q")
-_ENV_HEAD = struct.Struct(">BBq")            # kind, hops, corr_id (-1 = None)
+_ENV_HEAD = struct.Struct(">BBq")  # kind, hops, corr_id (-1 = None)
 #: High bit of the kind byte flags an 8-byte trace id following the head;
 #: untraced frames (the overwhelming majority) stay byte-identical to the
 #: pre-telemetry encoding.
 _KIND_TRACED = 0x80
-_AIS_BODY = struct.Struct(">QdddddhBB")      # mmsi,t,lat,lon,sog,cog,hdg,st,src
+_AIS_BODY = struct.Struct(">QdddddhBB")  # mmsi,t,lat,lon,sog,cog,hdg,st,src
 #: Cells are unsigned: H3-style ids use the full 64-bit range (indexes
 #: above ``2**63`` are routine at the collision-cell resolution).
-_CELLOBS_BODY = struct.Struct(">QQddd")      # cell, mmsi, t, lat, lon
+_CELLOBS_BODY = struct.Struct(">QQddd")  # cell, mmsi, t, lat, lon
 _FORECAST_BATCH_HEAD = struct.Struct(">QHH")  # mmsi, n_cells, n_positions
-_POS_FIXED = struct.Struct(">Bddd")          # flags, t, lat, lon
+_POS_FIXED = struct.Struct(">Bddd")  # flags, t, lat, lon
 _DOUBLE = struct.Struct(">d")
 
-_NO_STR = 0xFFFF    #: length marker for a None string field
+_NO_STR = 0xFFFF  #: length marker for a None string field
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 # The message types live in repro.platform (which itself imports
@@ -148,15 +148,40 @@ def _records() -> tuple:
     from repro.models.voyage import PlanLeg, VoyagePlan, Waypoint
     from repro.platform import messages as m
     return (
-        p.Join, p.Welcome, p.MemberUp, p.MemberDown, p.Heartbeat, p.Leave,
-        p.ShardTableUpdate, p.LoadReport, p.MigrationPlan, p.Draining,
-        p.ShardStateTransfer, p.ControlRequest,
-        m.PositionIngested, m.CellObservation, m.ForecastBatch,
-        m.ForecastSharedBatch, m.ForecastReady, m.ProximityAlert,
-        m.CollisionAlert, m.VesselStateUpdate, m.EventRecord,
-        m.VoyageAssigned, m.PlanReady, m.PruneTick, m.RestoreState,
-        AISMessage, NavigationStatus, Position, RouteForecast,
-        ProximityPairEvent, CollisionForecast, Waypoint, PlanLeg, VoyagePlan,
+        p.Join,
+        p.Welcome,
+        p.MemberUp,
+        p.MemberDown,
+        p.Heartbeat,
+        p.Leave,
+        p.ShardTableUpdate,
+        p.LoadReport,
+        p.MigrationPlan,
+        p.Draining,
+        p.ShardStateTransfer,
+        p.ControlRequest,
+        m.PositionIngested,
+        m.CellObservation,
+        m.ForecastBatch,
+        m.ForecastSharedBatch,
+        m.ForecastReady,
+        m.ProximityAlert,
+        m.CollisionAlert,
+        m.VesselStateUpdate,
+        m.EventRecord,
+        m.VoyageAssigned,
+        m.PlanReady,
+        m.PruneTick,
+        m.RestoreState,
+        AISMessage,
+        NavigationStatus,
+        Position,
+        RouteForecast,
+        ProximityPairEvent,
+        CollisionForecast,
+        Waypoint,
+        PlanLeg,
+        VoyagePlan,
     )
 
 
@@ -164,12 +189,11 @@ def _hot() -> dict:
     global _HOT, _RECORDS, _RECORD_CODES
     if _HOT is None:
         records = tuple(
-            (cls, None if issubclass(cls, enum.Enum)
-             else tuple(f.name for f in fields(cls)))
-            for cls in _records())
+            (cls, None if issubclass(cls, enum.Enum) else tuple(f.name for f in fields(cls)))
+            for cls in _records()
+        )
         _RECORDS = records
-        _RECORD_CODES = {cls: (index, names)
-                         for index, (cls, names) in enumerate(records)}
+        _RECORD_CODES = {cls: (index, names) for index, (cls, names) in enumerate(records)}
         from repro.cluster.protocol import WireEnvelope
         hot = {cls.__name__: cls for cls, _ in records}
         hot["WireEnvelope"] = WireEnvelope
@@ -202,7 +226,7 @@ def _get_str(data: bytes, pos: int) -> tuple[str | None, int]:
         return None, pos
     if pos + length > len(data):
         raise WireDecodeError("truncated string")
-    return data[pos:pos + length].decode("utf-8"), pos + length
+    return data[pos : pos + length].decode("utf-8"), pos + length
 
 
 def _put_value(out: bytearray, value: Any, memo: dict) -> None:
@@ -273,8 +297,7 @@ def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
         return value, pos
     if tag == _V_FLOAT or tag == _V_NP_FLOAT:
         (value,) = _DOUBLE.unpack_from(data, pos)
-        return (value if tag == _V_FLOAT else np.float64(value),
-                pos + _DOUBLE.size)
+        return (value if tag == _V_FLOAT else np.float64(value)), pos + _DOUBLE.size
     if tag == _V_FALSE or tag == _V_TRUE:
         return tag == _V_TRUE, pos
     if tag in _SEQUENCE_TYPES:
@@ -342,14 +365,15 @@ def _try_put_hot(out: bytearray, message: Any) -> bool:
     if t is hot["PositionIngested"]:
         return _try_put_position(out, message.message)
     if t is hot["CellObservation"]:
-        if not (type(message.cell) is int
-                and 0 <= message.cell < (1 << 64)
-                and type(message.mmsi) is int
-                and 0 <= message.mmsi < (1 << 64)):
+        if not (
+            type(message.cell) is int
+            and 0 <= message.cell < (1 << 64)
+            and type(message.mmsi) is int
+            and 0 <= message.mmsi < (1 << 64)
+        ):
             return False
         out.append(_P_CELLOBS)
-        out += _CELLOBS_BODY.pack(message.cell, message.mmsi,
-                                  message.t, message.lat, message.lon)
+        out += _CELLOBS_BODY.pack(message.cell, message.mmsi, message.t, message.lat, message.lon)
         return True
     if t is hot["ForecastSharedBatch"]:
         return _try_put_forecast_batch(out, message)
@@ -361,15 +385,19 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
     if type(msg) is not hot["AISMessage"]:
         return False
     source = _SOURCE_CODES.get(msg.source)
-    if (source is None or not isinstance(msg.status, hot["NavigationStatus"])
-            or not (type(msg.mmsi) is int and 0 <= msg.mmsi < (1 << 64))):
+    if (
+        source is None
+        or not isinstance(msg.status, hot["NavigationStatus"])
+        or not (type(msg.mmsi) is int and 0 <= msg.mmsi < (1 << 64))
+    ):
         return False
     heading = -1 if msg.heading is None else int(msg.heading)
     if not -1 <= heading <= 32767:
         return False
     out.append(_P_POSITION)
-    out += _AIS_BODY.pack(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog,
-                          msg.cog, heading, int(msg.status), source)
+    out += _AIS_BODY.pack(
+        msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog, msg.cog, heading, int(msg.status), source
+    )
     return True
 
 
@@ -380,8 +408,8 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
 #: The encode cache holds a strong reference to the tuple and compares by
 #: identity (no id() reuse hazard); the decode cache compares the packed
 #: bytes. Races under threading at worst cause a miss, never a wrong hit.
-_ENC_POSITIONS_CACHE: tuple | None = None   # (positions tuple, bytes)
-_DEC_POSITIONS_CACHE: tuple | None = None   # (bytes, positions tuple)
+_ENC_POSITIONS_CACHE: tuple | None = None  # (positions tuple, bytes)
+_DEC_POSITIONS_CACHE: tuple | None = None  # (bytes, positions tuple)
 
 
 def _positions_body(positions: tuple) -> bytes | None:
@@ -397,8 +425,7 @@ def _positions_body(positions: tuple) -> bytes | None:
             return None
     buf = bytearray()
     for p in positions:
-        flags = (1 if p.sog is not None else 0) | \
-                (2 if p.cog is not None else 0)
+        flags = (1 if p.sog is not None else 0) | (2 if p.cog is not None else 0)
         buf += _POS_FIXED.pack(flags, p.t, p.lat, p.lon)
         if p.sog is not None:
             buf += _DOUBLE.pack(p.sog)
@@ -415,12 +442,14 @@ def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
     hot = _hot()
     forecast = message.forecast
     cells = message.cells
-    if (type(forecast) is not hot["RouteForecast"]
-            or type(cells) is not tuple
-            or not 1 <= len(cells) <= 0xFFFF
-            or type(forecast.mmsi) is not int
-            or not 0 <= forecast.mmsi < (1 << 64)
-            or type(forecast.positions) is not tuple):
+    if (
+        type(forecast) is not hot["RouteForecast"]
+        or type(cells) is not tuple
+        or not 1 <= len(cells) <= 0xFFFF
+        or type(forecast.mmsi) is not int
+        or not 0 <= forecast.mmsi < (1 << 64)
+        or type(forecast.positions) is not tuple
+    ):
         return False
     for cell in cells:
         if type(cell) is not int or not 0 <= cell < (1 << 64):
@@ -432,8 +461,7 @@ def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
     if body is None:
         return False
     out.append(_P_FORECAST_BATCH)
-    out += _FORECAST_BATCH_HEAD.pack(forecast.mmsi, len(cells),
-                                     len(positions))
+    out += _FORECAST_BATCH_HEAD.pack(forecast.mmsi, len(cells), len(positions))
     for cell in cells:
         out += _U64.pack(cell)
     out += body
@@ -450,8 +478,7 @@ def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
     end = pos
     for _ in range(count):
         flags = data[end]
-        end += _POS_FIXED.size + (8 if flags & 1 else 0) \
-            + (8 if flags & 2 else 0)
+        end += _POS_FIXED.size + (8 if flags & 1 else 0) + (8 if flags & 2 else 0)
     if end > len(data):
         raise WireDecodeError("truncated forecast positions")
     blob = bytes(data[pos:end])
@@ -470,8 +497,7 @@ def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
         if flags & 2:
             (cog,) = _DOUBLE.unpack_from(data, pos)
             pos += _DOUBLE.size
-        positions.append(position_cls(t=t, lat=lat, lon=lon,
-                                      sog=sog, cog=cog))
+        positions.append(position_cls(t=t, lat=lat, lon=lon, sog=sog, cog=cog))
     positions_t = tuple(positions)
     _DEC_POSITIONS_CACHE = (blob, positions_t)
     return positions_t, end
@@ -481,18 +507,23 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
     hot = _hot()
     tag = data[pos]
     if tag == _P_POSITION:
-        (mmsi, t, lat, lon, sog, cog, heading, status,
-         source) = _AIS_BODY.unpack_from(data, pos + 1)
+        mmsi, t, lat, lon, sog, cog, heading, status, source = _AIS_BODY.unpack_from(data, pos + 1)
         msg = hot["AISMessage"](
-            mmsi=mmsi, t=t, lat=lat, lon=lon, sog=sog, cog=cog,
+            mmsi=mmsi,
+            t=t,
+            lat=lat,
+            lon=lon,
+            sog=sog,
+            cog=cog,
             heading=None if heading == -1 else heading,
             status=hot["NavigationStatus"](status),
-            source=_SOURCE_NAMES[source])
+            source=_SOURCE_NAMES[source],
+        )
         return hot["PositionIngested"](msg), pos + 1 + _AIS_BODY.size
     if tag == _P_CELLOBS:
         cell, mmsi, t, lat, lon = _CELLOBS_BODY.unpack_from(data, pos + 1)
-        return hot["CellObservation"](cell=cell, mmsi=mmsi, t=t, lat=lat,
-                                      lon=lon), pos + 1 + _CELLOBS_BODY.size
+        observation = hot["CellObservation"](cell=cell, mmsi=mmsi, t=t, lat=lat, lon=lon)
+        return observation, pos + 1 + _CELLOBS_BODY.size
     if tag == _P_FORECAST_BATCH:
         mmsi, n_cells, count = _FORECAST_BATCH_HEAD.unpack_from(data, pos + 1)
         pos += 1 + _FORECAST_BATCH_HEAD.size
@@ -500,8 +531,7 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
         pos += 8 * n_cells
         positions_t, end = _get_positions(data, pos, count)
         forecast = hot["RouteForecast"](mmsi=mmsi, positions=positions_t)
-        return hot["ForecastSharedBatch"](cells=cells,
-                                          forecast=forecast), end
+        return hot["ForecastSharedBatch"](cells=cells, forecast=forecast), end
     return _get_value(data, pos, [])
 
 
@@ -512,13 +542,15 @@ def _encode_envelope(env: Any) -> bytes:
     kind = _KIND_CODES.get(env.kind)
     corr = -1 if env.corr_id is None else env.corr_id
     trace_id = env.trace_id
-    if kind is None or not 0 <= env.hops <= 255 \
-            or not _INT64_MIN <= corr <= _INT64_MAX \
-            or not (trace_id is None or 0 <= trace_id < (1 << 64)):
+    if (
+        kind is None
+        or not 0 <= env.hops <= 255
+        or not _INT64_MIN <= corr <= _INT64_MAX
+        or not (trace_id is None or 0 <= trace_id < (1 << 64))
+    ):
         raise ValueError(f"envelope head does not fit the wire: {env!r}")
     out = bytearray([TAG_ENV])
-    out += _ENV_HEAD.pack(kind | (_KIND_TRACED if trace_id is not None
-                                  else 0), env.hops, corr)
+    out += _ENV_HEAD.pack(kind | (_KIND_TRACED if trace_id is not None else 0), env.hops, corr)
     if trace_id is not None:
         out += _U64.pack(trace_id)
     _put_str(out, env.src)
@@ -546,8 +578,15 @@ def _decode_envelope(data: bytes) -> Any:
     if pos != len(data):
         raise WireDecodeError("trailing bytes after envelope")
     return hot["WireEnvelope"](
-        kind=kind, src=src, message=message, entity=entity, key=key,
-        corr_id=None if corr == -1 else corr, hops=hops, trace_id=trace_id)
+        kind=kind,
+        src=src,
+        message=message,
+        entity=entity,
+        key=key,
+        corr_id=None if corr == -1 else corr,
+        hops=hops,
+        trace_id=trace_id,
+    )
 
 
 # -- public API --------------------------------------------------------------------
@@ -562,8 +601,7 @@ def encode(env: Any) -> bytes:
     """
     global encoded_size, frames_encoded
     if type(env) is not _hot()["WireEnvelope"]:
-        raise TypeError(f"only a WireEnvelope crosses the wire, not "
-                        f"{type(env).__qualname__}")
+        raise TypeError(f"only a WireEnvelope crosses the wire, not {type(env).__qualname__}")
     data = _encode_envelope(env)
     frames_encoded += 1
     encoded_size += len(data)
@@ -576,8 +614,7 @@ def decode(data: bytes) -> Any:
     if not data:
         raise WireDecodeError("empty wire frame")
     if data[0] == TAG_BATCH:
-        raise WireDecodeError(
-            "batch frame reached decode(); split with decode_batch()")
+        raise WireDecodeError("batch frame reached decode(); split with decode_batch()")
     if data[0] != TAG_ENV:
         raise WireDecodeError(f"unknown frame tag {data[0]:#x}")
     try:
@@ -617,7 +654,7 @@ def decode_batch(data: bytes) -> list[bytes]:
         for _ in range(count):
             (length,) = _U32.unpack_from(data, pos)
             pos += _U32.size
-            frames.append(data[pos:pos + length])
+            frames.append(data[pos : pos + length])
             if len(frames[-1]) != length:
                 raise WireDecodeError("truncated batch frame")
             pos += length

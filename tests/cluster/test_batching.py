@@ -17,28 +17,12 @@ import pytest
 
 from repro.ais.datasets import proximity_scenario
 from repro.ais.message import AISMessage, NavigationStatus
-from repro.cluster import (
-    BatchingTransport,
-    ClusterConfig,
-    LoopbackHub,
-    TcpTransport,
-    codec,
-)
-from repro.cluster.protocol import (
-    ControlRequest,
-    Heartbeat,
-    Join,
-    ShardTableUpdate,
-    WireEnvelope,
-)
+from repro.cluster import BatchingTransport, ClusterConfig, LoopbackHub, TcpTransport, codec
+from repro.cluster.protocol import ControlRequest, Heartbeat, Join, ShardTableUpdate, WireEnvelope
 from repro.geo.track import Position
 from repro.models.base import RouteForecast
 from repro.platform import LoopbackCluster
-from repro.platform.messages import (
-    CellObservation,
-    ForecastSharedBatch,
-    PositionIngested,
-)
+from repro.platform.messages import CellObservation, ForecastSharedBatch, PositionIngested
 from tests.cluster.test_transport import Sink
 
 
@@ -61,9 +45,9 @@ class TestBatchingSemantics:
         tb.start(got.append)
         ta.send("b", b"one")
         ta.send("b", b"two")
-        assert hub.pending == 0          # buffered, not yet on the wire
+        assert hub.pending == 0  # buffered, not yet on the wire
         assert ta.buffered_frames == 2
-        hub.pump()                       # pump flushes synchronously first
+        hub.pump()  # pump flushes synchronously first
         assert got == [b"one", b"two"]
         assert ta.buffered_frames == 0
 
@@ -75,7 +59,7 @@ class TestBatchingSemantics:
         ta.send("b", b"x")
         flushed = ta.flush()
         assert flushed == 1
-        assert hub.pending == 1          # now a wire frame, pre-delivery
+        assert hub.pending == 1  # now a wire frame, pre-delivery
         hub.pump()
         assert got == [b"x"]
 
@@ -89,7 +73,7 @@ class TestBatchingSemantics:
         ta.send("b", b"solo")
         ta.flush()
         hub.pump()
-        assert raw == [b"solo"]          # no batch container for one frame
+        assert raw == [b"solo"]  # no batch container for one frame
 
     def test_max_batch_msgs_splits(self):
         hub, ta, tb = batched_loopback_pair(max_batch_msgs=10)
@@ -108,14 +92,13 @@ class TestBatchingSemantics:
         assert ta.batches_sent == 3
 
     def test_max_batch_bytes_splits(self):
-        hub, ta, tb = batched_loopback_pair(max_batch_bytes=1_000,
-                                            max_batch_msgs=10_000)
+        hub, ta, tb = batched_loopback_pair(max_batch_bytes=1_000, max_batch_msgs=10_000)
         got = []
         ta.start(lambda f: None)
         tb.start(got.append)
         frames = [bytes([i % 256]) * 400 for i in range(6)]
         for f in frames:
-            ta.send("b", f)   # every 3rd frame crosses 1000 bytes
+            ta.send("b", f)  # every 3rd frame crosses 1000 bytes
         assert ta.batches_sent == 2
         hub.pump()
         assert got == frames
@@ -129,7 +112,7 @@ class TestBatchingSemantics:
         for i, f in enumerate(frames):
             ta.send("b", f)
             if i % 13 == 0:
-                ta.flush()               # interleave explicit flushes
+                ta.flush()  # interleave explicit flushes
         hub.pump()
         assert got == frames
 
@@ -153,7 +136,7 @@ class TestBatchingSemantics:
         tb.start(lambda f: None)
         ta.send("b", b"x")
         hub.disconnect("b")
-        assert ta.flush() == 0           # absorbed: redelivery window
+        assert ta.flush() == 0  # absorbed: redelivery window
         assert ta.frames_dropped == 1
 
     def test_stats_merge_inner(self):
@@ -172,8 +155,7 @@ class TestBatchingSemantics:
 
 class TestBatchingOverTcp:
     def test_round_trip_with_linger_flusher(self):
-        ta = BatchingTransport(TcpTransport(port=0), linger_ms=1.0,
-                               max_batch_msgs=32)
+        ta = BatchingTransport(TcpTransport(port=0), linger_ms=1.0, max_batch_msgs=32)
         tb = BatchingTransport(TcpTransport(port=0), linger_ms=1.0)
         try:
             ta.start(lambda f: None)
@@ -210,8 +192,9 @@ class TestBatchingOverTcp:
 
 @pytest.fixture(scope="module")
 def scenario():
-    return proximity_scenario(n_event_pairs=3, n_near_miss_pairs=1,
-                              n_background=2, duration_s=1_800.0)
+    return proximity_scenario(
+        n_event_pairs=3, n_near_miss_pairs=1, n_background=2, duration_s=1_800.0
+    )
 
 
 def run_cluster(scenario, cluster_config):
@@ -219,11 +202,13 @@ def run_cluster(scenario, cluster_config):
     try:
         ordered = sorted(scenario.result.messages, key=lambda m: m.t)
         for i in range(0, len(ordered), 500):
-            cluster.seed.publish_messages(ordered[i:i + 500])
+            cluster.seed.publish_messages(ordered[i : i + 500])
             cluster.process_available()
-        return (cluster.vessel_distribution(),
-                cluster.event_count("proximity"),
-                cluster.event_count("collision"))
+        return (
+            cluster.vessel_distribution(),
+            cluster.event_count("proximity"),
+            cluster.event_count("collision"),
+        )
     finally:
         cluster.shutdown()
 
@@ -233,16 +218,14 @@ class TestLoopbackDeterminism:
         """The scalability knob must not change results: identical vessel
         placement and event counts with and without transport batching."""
         plain = run_cluster(scenario, ClusterConfig())
-        batched = run_cluster(scenario,
-                              ClusterConfig(transport_batching=True,
-                                            max_batch_msgs=64))
+        batched = run_cluster(scenario, ClusterConfig(transport_batching=True, max_batch_msgs=64))
         assert batched == plain
-        assert plain[1] > 0              # scenario actually produced events
+        assert plain[1] > 0  # scenario actually produced events
 
     def test_batched_cluster_uses_batches(self, scenario):
         cluster = LoopbackCluster(
-            num_nodes=2,
-            cluster_config=ClusterConfig(transport_batching=True))
+            num_nodes=2, cluster_config=ClusterConfig(transport_batching=True)
+        )
         try:
             ordered = sorted(scenario.result.messages, key=lambda m: m.t)
             cluster.seed.publish_messages(ordered)
@@ -260,14 +243,14 @@ class TestKilledNodeIsReleased:
         kill -> restart cycles the hub holds one hook per live node, and
         nothing on the hub keeps a killed node reachable."""
         cluster = LoopbackCluster(
-            num_nodes=3,
-            cluster_config=ClusterConfig(transport_batching=True))
+            num_nodes=3, cluster_config=ClusterConfig(transport_batching=True)
+        )
         try:
             killed = []
             for _ in range(3):
                 killed.append(weakref.ref(cluster.nodes[1]))
                 node_id = cluster.kill(1)
-                cluster.tick(6.0)            # peers declare it DOWN
+                cluster.tick(6.0)  # peers declare it DOWN
                 cluster.restart(node_id)
             gc.collect()
             assert len(cluster.hub._flushers) == len(cluster.nodes)
@@ -277,57 +260,97 @@ class TestKilledNodeIsReleased:
 
 
 HOT_ENVELOPES = [
-    WireEnvelope(kind="sharded", src="node-00", entity="vessel",
-                 key=239000001,
-                 message=PositionIngested(AISMessage(
-                     mmsi=239000001, t=1_234.5, lat=37.95, lon=23.55,
-                     sog=11.5, cog=271.0))),
-    WireEnvelope(kind="sharded", src="node-01", entity="vessel", key=7,
-                 message=PositionIngested(AISMessage(
-                     mmsi=7, t=0.0, lat=-37.95, lon=-123.0, sog=0.0,
-                     cog=359.9, heading=42,
-                     status=NavigationStatus.FISHING,
-                     source="satellite"))),
-    WireEnvelope(kind="sharded", src="node-00", entity="cell",
-                 key=613561124432,
-                 message=CellObservation(cell=613561124432, mmsi=7,
-                                         t=99.0, lat=37.9, lon=23.5)),
-    WireEnvelope(kind="sharded", src="node-01", entity="collision",
-                 key=613561124432,
-                 message=ForecastSharedBatch(
-                     cells=(613561124432,),
-                     forecast=RouteForecast(mmsi=7, positions=(
-                         Position(t=0.0, lat=37.9, lon=23.5, sog=10.0,
-                                  cog=90.0),
-                         Position(t=300.0, lat=37.91, lon=23.52,
-                                  sog=None, cog=None),
-                         Position(t=600.0, lat=37.92, lon=23.54,
-                                  sog=9.5, cog=None))))),
+    WireEnvelope(
+        kind="sharded",
+        src="node-00",
+        entity="vessel",
+        key=239000001,
+        message=PositionIngested(
+            AISMessage(mmsi=239000001, t=1_234.5, lat=37.95, lon=23.55, sog=11.5, cog=271.0)
+        ),
+    ),
+    WireEnvelope(
+        kind="sharded",
+        src="node-01",
+        entity="vessel",
+        key=7,
+        message=PositionIngested(
+            AISMessage(
+                mmsi=7,
+                t=0.0,
+                lat=-37.95,
+                lon=-123.0,
+                sog=0.0,
+                cog=359.9,
+                heading=42,
+                status=NavigationStatus.FISHING,
+                source="satellite",
+            )
+        ),
+    ),
+    WireEnvelope(
+        kind="sharded",
+        src="node-00",
+        entity="cell",
+        key=613561124432,
+        message=CellObservation(cell=613561124432, mmsi=7, t=99.0, lat=37.9, lon=23.5),
+    ),
+    WireEnvelope(
+        kind="sharded",
+        src="node-01",
+        entity="collision",
+        key=613561124432,
+        message=ForecastSharedBatch(
+            cells=(613561124432,),
+            forecast=RouteForecast(
+                mmsi=7,
+                positions=(
+                    Position(t=0.0, lat=37.9, lon=23.5, sog=10.0, cog=90.0),
+                    Position(t=300.0, lat=37.91, lon=23.52, sog=None, cog=None),
+                    Position(t=600.0, lat=37.92, lon=23.54, sog=9.5, cog=None),
+                ),
+            ),
+        ),
+    ),
     # Cell ids with the top bit set (H3-style indexes above 2**63 are
     # routine at the collision-cell resolution) must stay on the fast path.
-    WireEnvelope(kind="sharded", src="node-00", entity="cell",
-                 key=9799833001222216045,
-                 message=CellObservation(cell=9799833001222216045, mmsi=7,
-                                         t=99.0, lat=40.4, lon=24.8)),
-    WireEnvelope(kind="sharded", src="node-00", entity="collision",
-                 key=9799833001222216045,
-                 message=ForecastSharedBatch(
-                     cells=(9799833001222216045,),
-                     forecast=RouteForecast(mmsi=7, positions=(
-                         Position(t=0.0, lat=40.4, lon=24.8, sog=12.0,
-                                  cog=344.0),)))),
-    WireEnvelope(kind="control", src="node-01",
-                 message=Heartbeat("node-01")),
+    WireEnvelope(
+        kind="sharded",
+        src="node-00",
+        entity="cell",
+        key=9799833001222216045,
+        message=CellObservation(cell=9799833001222216045, mmsi=7, t=99.0, lat=40.4, lon=24.8),
+    ),
+    WireEnvelope(
+        kind="sharded",
+        src="node-00",
+        entity="collision",
+        key=9799833001222216045,
+        message=ForecastSharedBatch(
+            cells=(9799833001222216045,),
+            forecast=RouteForecast(
+                mmsi=7, positions=(Position(t=0.0, lat=40.4, lon=24.8, sog=12.0, cog=344.0),)
+            ),
+        ),
+    ),
+    WireEnvelope(kind="control", src="node-01", message=Heartbeat("node-01")),
 ]
 
 #: Envelopes whose payload (or key) takes the closed value encoding.
 VALUE_ENVELOPES = [
     WireEnvelope(kind="control", src="node-01", message=Join("node-02", ("127.0.0.1", 4242))),
-    WireEnvelope(kind="control", src="node-00", message=ShardTableUpdate(5, ("node-00", "node-01"))),
+    WireEnvelope(
+        kind="control", src="node-00", message=ShardTableUpdate(5, ("node-00", "node-01"))
+    ),
     WireEnvelope(kind="ask", src="node-00", corr_id=12, message=ControlRequest(op="stats")),
     WireEnvelope(kind="reply", src="node-01", corr_id=12, message=[1, 2.5, "three", None]),
     WireEnvelope(
-        kind="sharded", src="node-00", entity="vessel", key=("tuple", "key"), message="payload", hops=2
+        kind="sharded",
+        src="node-00",
+        entity="vessel",
+        key=("tuple", "key"),
+        message="payload",
+        hops=2,
     ),
 ]
 
@@ -387,7 +410,9 @@ class TestCodecFastPath:
             src="n",
             entity="vessel",
             key=1,
-            message=SubclassedPosition(AISMessage(mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0, cog=0.0)),
+            message=SubclassedPosition(
+                AISMessage(mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0, cog=0.0)
+            ),
         )
         with pytest.raises(TypeError, match="SubclassedPosition"):
             codec.encode(env)
@@ -418,7 +443,8 @@ class TestCodecFastPath:
         blob = codec.encode_batch(frames)
         assert codec.is_batch(blob)
         assert codec.decode_batch(blob) == frames
-        assert [codec.decode(f) for f in codec.decode_batch(blob)] == HOT_ENVELOPES + VALUE_ENVELOPES
+        decoded = [codec.decode(f) for f in codec.decode_batch(blob)]
+        assert decoded == HOT_ENVELOPES + VALUE_ENVELOPES
 
     def test_batch_rejects_garbage(self):
         with pytest.raises(codec.WireDecodeError):

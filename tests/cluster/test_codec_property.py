@@ -187,7 +187,9 @@ def test_nan_position_still_roundtrips_via_fallback():
     """NaN is representable in the struct layout; this documents that a
     NaN fix round-trips bit-exactly rather than erroring."""
     msg = AISMessage(mmsi=1, t=0.0, lat=math.nan, lon=1.0, sog=0.0, cog=0.0)
-    env = WireEnvelope(kind="sharded", src="n", entity="vessel", key=1, message=PositionIngested(msg))
+    env = WireEnvelope(
+        kind="sharded", src="n", entity="vessel", key=1, message=PositionIngested(msg)
+    )
     decoded = codec.decode(codec.encode(env))
     assert math.isnan(decoded.message.message.lat)
 
@@ -283,7 +285,9 @@ def value_trees(draw):
             st.lists(kids, max_size=4).map(tuple),
             st.sets(hashables, max_size=4),
             st.dictionaries(hashables, kids, max_size=4),
-            st.builds(ControlRequest, op=wire_str, params=st.dictionaries(wire_str, kids, max_size=3)),
+            st.builds(
+                ControlRequest, op=wire_str, params=st.dictionaries(wire_str, kids, max_size=3)
+            ),
             st.builds(EventRecord, kind=wire_str, t=finite, payload=kids),
             st.builds(
                 RestoreState,
