@@ -224,8 +224,6 @@ def _get_str(data: bytes, pos: int) -> tuple[str | None, int]:
     pos += _U16.size
     if length == _NO_STR:
         return None, pos
-    if pos + length > len(data):
-        raise WireDecodeError("truncated string")
     return data[pos : pos + length].decode("utf-8"), pos + length
 
 
@@ -479,8 +477,6 @@ def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
     for _ in range(count):
         flags = data[end]
         end += _POS_FIXED.size + (8 if flags & 1 else 0) + (8 if flags & 2 else 0)
-    if end > len(data):
-        raise WireDecodeError("truncated forecast positions")
     blob = bytes(data[pos:end])
     cached = _DEC_POSITIONS_CACHE
     if cached is not None and cached[0] == blob:
@@ -575,8 +571,10 @@ def _decode_envelope(data: bytes) -> Any:
     entity, pos = _get_str(data, pos)
     key, pos = _get_value(data, pos, [])
     message, pos = _get_payload(data, pos)
+    # Reads past the end of a slice come back short, so this also catches
+    # a frame truncated inside a string.
     if pos != len(data):
-        raise WireDecodeError("trailing bytes after envelope")
+        raise WireDecodeError("frame length does not match its contents")
     return hot["WireEnvelope"](
         kind=kind,
         src=src,

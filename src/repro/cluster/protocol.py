@@ -4,11 +4,11 @@ Exactly one frame type crosses the transport — :class:`WireEnvelope` — and
 its ``message`` field carries either an application payload (one of the
 ``repro.platform.messages`` types, or a value built from the closed
 vocabulary of :mod:`repro.cluster.codec`) or one of the control messages
-below; a message type the codec does not list cannot be sent. Control messages implement the
-seed-node join protocol, heartbeating, the shard table broadcast and node
-shutdown; they are deliberately gossip-free — the coordinator (cluster
-leader) is the single writer of the shard table, as in Akka cluster
-sharding's coordinator singleton.
+below; a type the codec does not list cannot be sent. Control messages
+implement the seed-node join protocol, heartbeating, the shard table
+broadcast and node shutdown; they are deliberately gossip-free — the
+coordinator (cluster leader) is the single writer of the shard table, as
+in Akka cluster sharding's coordinator singleton.
 """
 
 from __future__ import annotations
