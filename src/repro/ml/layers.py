@@ -2,11 +2,18 @@
 
 Every layer follows the same contract:
 
-* ``forward(x)`` consumes a batch and caches whatever backward needs,
-* ``backward(dout)`` consumes the loss gradient w.r.t. the layer output,
-  accumulates parameter gradients into ``self.grads`` and returns the
-  gradient w.r.t. the layer input,
+* ``forward(x)`` is the training pass: it consumes a batch and caches
+  whatever backward needs,
+* ``infer(x)`` is the inference pass: the same output, bitwise, from the
+  same step loop, but it caches nothing, so it neither pays for the BPTT
+  cache nor clobbers one a pending ``backward`` still needs,
+* ``backward(dout)`` consumes the loss gradient w.r.t. the output of the
+  last ``forward``, accumulates parameter gradients into ``self.grads``
+  and returns the gradient w.r.t. the layer input,
 * ``params`` / ``grads`` are dicts of same-shaped numpy arrays.
+
+Subclasses implement ``_run(x, cache)``; ``forward`` and ``infer`` are
+that one pass with and without the cache.
 
 Shapes: sequence layers take ``(batch, time, features)``; ``Dense`` takes
 ``(batch, features)``. ``LSTM``/``Bidirectional`` emit the *final* hidden
@@ -36,6 +43,14 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Training pass: caches what :meth:`backward` needs."""
+        return self._run(x, cache=True)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference pass: bitwise :meth:`forward`'s output, nothing cached."""
+        return self._run(x, cache=False)
+
+    def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -70,10 +85,10 @@ class Dense(Layer):
         self._x: np.ndarray | None = None
         self._pre: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
         pre = x @ self.params["W"] + self.params["b"]
-        self._pre = pre
+        if cache:
+            self._x, self._pre = x, pre
         if self.activation == "tanh":
             return np.tanh(pre)
         if self.activation == "relu":
@@ -119,7 +134,7 @@ class LSTM(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache: dict | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
             raise ValueError(
                 f"expected (batch, time, {self.in_features}), got {x.shape}")
@@ -129,8 +144,9 @@ class LSTM(Layer):
 
         h = np.zeros((batch, H))
         c = np.zeros((batch, H))
-        hs = np.zeros((batch, steps, H))
-        cache_steps = []
+        if cache:
+            hs = np.zeros((batch, steps, H))
+            cache_steps = []
         for t in range(steps):
             z = x[:, t, :] @ W + h @ U + b
             i = _sigmoid(z[:, :H])
@@ -140,10 +156,12 @@ class LSTM(Layer):
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
-            cache_steps.append((h, c, i, f, g, o, tanh_c))
+            if cache:
+                cache_steps.append((h, c, i, f, g, o, tanh_c))
+                hs[:, t, :] = h_new
             h, c = h_new, c_new
-            hs[:, t, :] = h
-        self._cache = {"x": x, "steps": cache_steps, "hs": hs}
+        if cache:
+            self._cache = {"x": x, "steps": cache_steps, "hs": hs}
         return h
 
     @property
@@ -221,9 +239,9 @@ class Bidirectional(Layer):
     def regularizable(self) -> tuple[str, ...]:
         return tuple(n for n in self.params if not n.endswith("b"))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h_fwd = self.fwd.forward(x)
-        h_bwd = self.bwd.forward(x[:, ::-1, :])
+    def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
+        h_fwd = self.fwd._run(x, cache)
+        h_bwd = self.bwd._run(x[:, ::-1, :], cache)
         return np.concatenate([h_fwd, h_bwd], axis=1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -51,13 +51,21 @@ class Model:
     # -- forward / backward ------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Training pass: every layer caches what its backward needs."""
         out = x
         for layer in self.layers:
             out = layer.forward(out)
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference pass: bitwise :meth:`forward`'s output, nothing cached."""
+        out = x
+        for layer in self.layers:
+            out = layer.infer(out)
+        return out
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference forward pass, batch-size consistent.
+        """Inference pass (:meth:`infer`), batch-size consistent.
 
         BLAS dispatches a single-row matmul to gemv and multi-row inputs
         to gemm, whose per-row results can differ in the last ulp. A lone
@@ -66,9 +74,8 @@ class Model:
         is bitwise identical to the same window inside a fleet-wide batch.
         """
         if x.shape[0] == 1:
-            doubled = np.concatenate([x, x], axis=0)
-            return self.forward(doubled)[:1]
-        return self.forward(x)
+            return self.infer(np.concatenate([x, x], axis=0))[:1]
+        return self.infer(x)
 
     def _keyed_params(self) -> dict[tuple[int, str], np.ndarray]:
         return {(i, name): arr
@@ -105,12 +112,13 @@ class Model:
 
     def evaluate(self, x: np.ndarray, y: np.ndarray,
                  batch_size: int = 512) -> float:
-        """Mean MSE over a dataset (no regularisation term)."""
+        """Mean MSE over a dataset (no regularisation term), through the
+        cache-free :meth:`infer`: the loss is bitwise the training pass's."""
         total, n = 0.0, 0
         for start in range(0, x.shape[0], batch_size):
             xb = x[start:start + batch_size]
             yb = y[start:start + batch_size]
-            loss, _ = self.loss_fn(self.forward(xb), yb)
+            loss, _ = self.loss_fn(self.infer(xb), yb)
             total += loss * xb.shape[0]
             n += xb.shape[0]
         return total / max(n, 1)
