@@ -65,9 +65,7 @@ def densify(fc: RouteForecast, step_s: float = 30.0) -> DenseTrack:
     paths, which is what "the spatial intersection of the forecasted
     trajectories is assessed" requires.
     """
-    ts = np.array([p.t for p in fc.positions])
-    lats = np.array([p.lat for p in fc.positions])
-    lons = np.array([p.lon for p in fc.positions])
+    ts, lats, lons = fc.ts, fc.lats, fc.lons
     dense_t = np.arange(ts[0], ts[-1] + step_s / 2.0, step_s)
     return dense_t, np.interp(dense_t, ts, lats), np.interp(dense_t, ts, lons)
 

@@ -107,12 +107,12 @@ class IndirectVTFF:
     def submit(self, *forecasts: RouteForecast) -> None:
         """Submit ``forecasts`` in order, rasterising all their predicted
         positions with one :func:`latlng_to_cells` call."""
-        rows = [forecast.predicted for forecast in forecasts]
-        points = [pos for row in rows for pos in row]
-        lats = [pos.lat for pos in points]
-        cells = iter(latlng_to_cells(lats, [pos.lon for pos in points], self.resolution).tolist())
+        lats = np.concatenate([forecast.lats[1:] for forecast in forecasts] or [np.empty(0)])
+        lons = np.concatenate([forecast.lons[1:] for forecast in forecasts] or [np.empty(0)])
+        cells = iter(latlng_to_cells(lats, lons, self.resolution).tolist())
         grid = self._grid._vessels
-        for forecast, row in zip(forecasts, rows):
+        window_of = self._grid.window_of
+        for forecast in forecasts:
             mmsi = forecast.mmsi
             for key in self._contrib.pop(mmsi, []):
                 vessels = grid.get(key)
@@ -120,7 +120,7 @@ class IndirectVTFF:
                     vessels.discard(mmsi)
                     if not vessels:
                         del grid[key]
-            keys = [(next(cells), self._grid.window_of(pos.t)) for pos in row]
+            keys = [(next(cells), window_of(t)) for t in forecast.ts[1:].tolist()]
             for key in keys:
                 grid.setdefault(key, set()).add(mmsi)
             self._contrib[mmsi] = keys

@@ -17,29 +17,96 @@ import numpy as np
 from repro.ais.preprocessing import OUTPUT_INTERVAL_S, OUTPUT_STEPS
 from repro.geo.track import Position
 
+#: Offsets of the anchor and the six marks from the anchor time.
+_MARK_OFFSETS_S = OUTPUT_INTERVAL_S * np.arange(OUTPUT_STEPS + 1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class RouteForecast:
     """A short-term route forecast: the anchor fix plus the predicted marks.
 
     ``positions`` has ``OUTPUT_STEPS + 1`` entries: the present position at
     index 0 followed by the six 5-minute predictions — the "7 positions
     (1 present position and 6 position predictions)" of Section 5.2.
+
+    The same track is also three float arrays ``ts``, ``lats`` and ``lons``
+    (index 0 the anchor), which the hot consumers read. A forecast is made
+    from either form — :meth:`from_marks` for a row of the arrays a batch
+    computes, the constructor for a ``positions`` tuple — and derives the
+    other on first read. Equality, hashing, ``repr`` and the wire record are
+    those of ``(mmsi, positions)``, as for a plain frozen dataclass.
     """
 
     mmsi: int
     positions: tuple[Position, ...]
 
-    @property
-    def anchor(self) -> Position:
-        return self.positions[0]
+    def __init__(self, mmsi: int, positions: tuple[Position, ...]) -> None:
+        self.__dict__.update(mmsi=mmsi, positions=positions)
+
+    @classmethod
+    def from_marks(
+        cls,
+        mmsi: int,
+        anchor: Position,
+        ts: np.ndarray,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        motion: bool = False,
+    ) -> "RouteForecast":
+        """A forecast over its mark arrays (index 0 the ``anchor``); with
+        ``motion`` its marks carry the anchor's SOG and COG."""
+        forecast = cls.__new__(cls)
+        forecast.__dict__.update(
+            mmsi=mmsi, anchor=anchor, ts=ts, lats=lats, lons=lons, _motion=motion
+        )
+        return forecast
+
+    def __getattr__(self, name: str):
+        # Reached only for a form not built yet: derive it from the other.
+        state = self.__dict__
+        if name == "positions" and "lats" in state:
+            anchor = state["anchor"]
+            sog, cog = (anchor.sog, anchor.cog) if state["_motion"] else (None, None)
+            marks = zip(state["ts"][1:].tolist(), state["lats"][1:], state["lons"][1:])
+            value = (anchor, *(Position(t, lat, lon, sog, cog) for t, lat, lon in marks))
+        elif name == "anchor" and "positions" in state:
+            value = state["positions"][0]
+        elif name in ("ts", "lats", "lons") and "positions" in state:
+            positions = state["positions"]
+            state["ts"] = np.array([p.t for p in positions], dtype=np.float64)
+            state["lats"] = np.array([p.lat for p in positions], dtype=np.float64)
+            state["lons"] = np.array([p.lon for p in positions], dtype=np.float64)
+            return state[name]
+        else:
+            raise AttributeError(f"'RouteForecast' object has no attribute {name!r}")
+        state[name] = value
+        return value
+
+    def __getstate__(self) -> dict:
+        # Pickle as the plain dataclass did: no arrays in a checkpoint.
+        return {"mmsi": self.mmsi, "positions": self.positions}
 
     @property
     def predicted(self) -> tuple[Position, ...]:
         return self.positions[1:]
 
     def horizon_s(self) -> float:
-        return self.positions[-1].t - self.positions[0].t
+        return float(self.ts[-1] - self.ts[0])
+
+
+def forecasts_from_marks(
+    mmsis: Sequence[int], anchors: Sequence[Position], marks: np.ndarray, motion: bool = False
+) -> list[RouteForecast]:
+    """One :class:`RouteForecast` per row of ``marks``, the ``(n, 2,
+    OUTPUT_STEPS + 1)`` latitudes and longitudes of a batch, column 0 each
+    row's anchor. The mark times are computed here for the whole batch."""
+    ts = np.array([anchor.t for anchor in anchors], dtype=np.float64)[:, None] + _MARK_OFFSETS_S
+    tracks = np.concatenate([ts[:, None, :], marks], axis=1)
+    # A row copy per forecast, so a forecast kept alive does not pin its batch.
+    return [
+        RouteForecast.from_marks(mmsi, anchor, *track.copy(), motion=motion)
+        for mmsi, anchor, track in zip(mmsis, anchors, tracks)
+    ]
 
 
 class RouteForecaster(Protocol):

@@ -17,7 +17,7 @@ from repro.ais.preprocessing import OUTPUT_INTERVAL_S, OUTPUT_STEPS
 from repro.geo.constants import KNOTS_TO_MPS
 from repro.geo.geodesy import destination_point
 from repro.geo.track import Position
-from repro.models.base import RouteForecast, forecast_mark_times
+from repro.models.base import RouteForecast, forecasts_from_marks
 
 
 class LinearKinematicModel:
@@ -49,22 +49,12 @@ class LinearKinematicModel:
         lon0 = np.array([a.lon for a in anchors])
         cog = np.array([a.cog for a in anchors])
         speed_mps = np.array([a.sog for a in anchors]) * KNOTS_TO_MPS
-        lats = np.empty((len(anchors), OUTPUT_STEPS))
-        lons = np.empty_like(lats)
+        marks = np.empty((len(anchors), 2, OUTPUT_STEPS + 1))
+        marks[:, 0, 0], marks[:, 1, 0] = lat0, lon0
         for k in range(1, OUTPUT_STEPS + 1):
-            lat_k, lon_k = destination_point(
+            marks[:, 0, k], marks[:, 1, k] = destination_point(
                 lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k)
-            lats[:, k - 1] = lat_k
-            lons[:, k - 1] = lon_k
-        out = []
-        for i, (mmsi, anchor) in enumerate(zip(mmsis, anchors)):
-            positions = [anchor]
-            for k, t in enumerate(forecast_mark_times(anchor.t)):
-                positions.append(Position(t=t, lat=lats[i, k],
-                                          lon=lons[i, k],
-                                          sog=anchor.sog, cog=anchor.cog))
-            out.append(RouteForecast(mmsi=mmsi, positions=tuple(positions)))
-        return out
+        return forecasts_from_marks(mmsis, anchors, marks, motion=True)
 
     def predict_positions(self, anchor: np.ndarray, x: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from repro.ml import (
     StandardScaler,
 )
 from repro.ml.network import TrainingHistory
-from repro.models.base import RouteForecast, forecast_mark_times
+from repro.models.base import RouteForecast, forecasts_from_marks
 
 #: Input features per displacement step: (Δlat, Δlon, Δt).
 N_FEATURES = 3
@@ -177,16 +177,11 @@ class SVRFModel:
         bitwise identical to :meth:`forecast` (see ``Model.predict``).
         """
         transitions = self.predict_transitions(windows)
-        out = []
-        for i, (mmsi, anchor) in enumerate(zip(mmsis, anchors)):
-            positions = [anchor]
-            lat, lon = anchor.lat, anchor.lon
-            for k, t in enumerate(forecast_mark_times(anchor.t)):
-                lat = lat + transitions[i, k, 0]
-                lon = lon + transitions[i, k, 1]
-                positions.append(Position(t=t, lat=lat, lon=lon))
-            out.append(RouteForecast(mmsi=mmsi, positions=tuple(positions)))
-        return out
+        anchor_ll = np.array([(a.lat, a.lon) for a in anchors], dtype=np.float64)
+        # One running sum along each row from the anchor: the marks, bitwise
+        # the sequential per-mark additions.
+        steps = np.concatenate([anchor_ll[:, :, None], transitions.transpose(0, 2, 1)], axis=2)
+        return forecasts_from_marks(mmsis, anchors, np.cumsum(steps, axis=2))
 
     def forecast(self, mmsi: int, history: Sequence[Position],
                  pad: bool = False) -> RouteForecast:

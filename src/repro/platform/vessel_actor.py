@@ -95,13 +95,12 @@ def share_forecasts(wiring: "PlatformWiring", forecasts: list, after_row=None) -
     output) is set to ``None`` first, like a row the forecaster raised on.
     Returns how many rows that dropped."""
     rows = [i for i, forecast in enumerate(forecasts) if forecast is not None]
-    points = [pos for i in rows for pos in forecasts[i].positions]
-    lats = np.array([pos.lat for pos in points], dtype=np.float64)
-    lons = np.array([pos.lon for pos in points], dtype=np.float64)
+    lats = np.concatenate([forecasts[i].lats for i in rows] or [np.empty(0)])
+    lons = np.concatenate([forecasts[i].lons for i in rows] or [np.empty(0)])
     off_globe = ~((lats >= -90.0) & (lats <= 90.0) & np.isfinite(lons))  # the kernel's checks
     bad: list[int] = []
     if off_globe.any():
-        owners = np.repeat(rows, [len(forecasts[i].positions) for i in rows])
+        owners = np.repeat(rows, [len(forecasts[i].lats) for i in rows])
         bad = np.unique(owners[off_globe]).tolist()
         kept = ~np.isin(owners, bad)
         lats, lons = lats[kept], lons[kept]
@@ -112,7 +111,7 @@ def share_forecasts(wiring: "PlatformWiring", forecasts: list, after_row=None) -
     for i, forecast in enumerate(forecasts):
         if forecast is not None:
             cells: set[int] = set()
-            for _ in forecast.positions:
+            for _ in range(len(forecast.lats)):
                 cells.update(_disk(next(bases)))
             router.share_forecast(cells, forecast)
         if after_row is not None:

@@ -166,8 +166,11 @@ class WriterActor(Actor):
                 "cog": update.cog,
                 "event_flags": ",".join(update.event_flags),
             }
-            if update.forecast is not None:
-                snapshot["forecast"] = [(p.t, p.lat, p.lon) for p in update.forecast.positions]
+            forecast = update.forecast
+            if forecast is not None:
+                anchor = forecast.anchor
+                marks = zip(forecast.ts[1:].tolist(), forecast.lats[1:], forecast.lons[1:])
+                snapshot["forecast"] = [(anchor.t, anchor.lat, anchor.lon), *marks]
             kv.hmset(f"vessel:{update.mmsi}", snapshot, now=update.t)
             kv.zadd("vessels:last_seen", update.t, str(update.mmsi), now=update.t)
             if replicate:
