@@ -22,9 +22,7 @@ reproduction:
 * :mod:`~repro.cluster.rebalance` — the telemetry-driven control loop:
   per-node load reports feed the leader's
   :class:`~repro.cluster.rebalance.Rebalancer`, whose minimal-move plans
-  migrate hot shards (with live state transfer) and whose
-  :class:`~repro.cluster.rebalance.Autoscaler` recommends adding or
-  draining nodes under sustained load,
+  migrate hot shards (with live state transfer),
 * :mod:`~repro.cluster.codec` — the closed struct wire codec: fixed
   layouts for the hot stream messages, one tagged value encoding for the
   rest of the ``repro.platform.messages`` and control vocabulary.
@@ -48,7 +46,6 @@ from repro.cluster.node import (
 )
 from repro.cluster.protocol import WireEnvelope
 from repro.cluster.rebalance import (
-    Autoscaler,
     Rebalancer,
     ShardMove,
     plan_rebalance,
@@ -70,7 +67,6 @@ from repro.cluster.transport import (
 )
 
 __all__ = [
-    "Autoscaler",
     "BatchingTransport",
     "ClusterConfig",
     "ClusterNode",

@@ -95,18 +95,6 @@ class ClusterConfig:
     #: Skip planning when the whole window saw fewer messages than this
     #: (idle-cluster noise must not cause migrations).
     rebalance_min_messages: int = 32
-    #: Autoscaler high watermark: sustained per-node messages *per second*
-    #: above this recommends adding a node. <= 0 disables autoscaling.
-    autoscale_high_msgs_per_s: float = 0.0
-    #: Low watermark: sustained per-node msgs/s below this recommends
-    #: draining the highest-id non-leader node.
-    autoscale_low_msgs_per_s: float = 0.0
-    #: Consecutive rebalance evaluations a watermark must hold before the
-    #: autoscaler emits a decision (debounce).
-    autoscale_sustain: int = 3
-    #: Fleet size bounds the autoscaler must respect.
-    autoscale_min_nodes: int = 1
-    autoscale_max_nodes: int = 8
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -118,11 +106,6 @@ class ClusterConfig:
             raise ValueError("max_batch_msgs must be >= 1")
         if self.outbound_queue_frames < 1:
             raise ValueError("outbound_queue_frames must be >= 1")
-        if self.autoscale_sustain < 1:
-            raise ValueError("autoscale_sustain must be >= 1")
-        if not (1 <= self.autoscale_min_nodes <= self.autoscale_max_nodes):
-            raise ValueError(
-                "need 1 <= autoscale_min_nodes <= autoscale_max_nodes")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Telemetry-driven live shard rebalancing and autoscaling.
+"""Telemetry-driven live shard rebalancing.
 
 The shard table previously moved only on membership events (join /
 failure). This module closes ROADMAP item 1's control loop: every node
@@ -18,13 +18,6 @@ Everything that decides is a pure function of the telemetry snapshot:
 targets a draining or dead node, and moves the fewest shards that bring
 the spread under its ``imbalance_ratio`` — properties the
 hypothesis suite asserts directly.
-
-The :class:`Autoscaler` rides the same evaluation cadence: sustained
-per-node message rate above/below configured watermarks emits an
-``add`` / ``drain`` recommendation. Spawning a process is harness
-business, so the autoscaler only *recommends*;
-:meth:`LoopbackCluster.autoscale_step` (and operators, for TCP
-deployments) execute the decision.
 """
 
 from __future__ import annotations
@@ -123,76 +116,11 @@ class _NodeWindow:
 
     node_id: str
     reports: int = 0
-    messages: int = 0
     busy_ms: float = 0.0
     mailbox_depth: int = 0
     consumer_lag: int = 0
     entities: int = 0
     shard_messages: dict[int, int] = field(default_factory=dict)
-
-
-class Autoscaler:
-    """Sustained-load watermark policy over the rebalancer's windows.
-
-    Emits at most one outstanding recommendation —
-    ``{"action": "add"}`` or ``{"action": "drain", "node_id": ...}`` —
-    which the harness collects via :meth:`take_decision` and executes
-    (spawn / :meth:`ClusterNode.drain`). Watermarks are per-node message
-    rates; ``autoscale_sustain`` consecutive evaluations must agree
-    before a decision fires (debounce against bursts).
-    """
-
-    def __init__(self, node: "ClusterNode") -> None:
-        self._node = node
-        self._high_streak = 0
-        self._low_streak = 0
-        self._pending: dict | None = None
-        self.decisions_total = 0
-
-    @property
-    def pending_decision(self) -> dict | None:
-        return self._pending
-
-    def take_decision(self) -> dict | None:
-        decision, self._pending = self._pending, None
-        return decision
-
-    def evaluate(self, *, total_messages: int, interval_s: float,
-                 assignable: list[str]) -> None:
-        config = self._node.config
-        if config.autoscale_high_msgs_per_s <= 0 or interval_s <= 0 \
-                or not assignable:
-            return
-        rate = total_messages / len(assignable) / interval_s
-        if rate >= config.autoscale_high_msgs_per_s:
-            self._high_streak += 1
-            self._low_streak = 0
-        elif (config.autoscale_low_msgs_per_s > 0
-              and rate <= config.autoscale_low_msgs_per_s):
-            self._low_streak += 1
-            self._high_streak = 0
-        else:
-            self._high_streak = self._low_streak = 0
-        if self._pending is not None:
-            return
-        n = len(assignable)
-        if (self._high_streak >= config.autoscale_sustain
-                and n < config.autoscale_max_nodes):
-            self._high_streak = 0
-            self.decisions_total += 1
-            self._pending = {"action": "add",
-                             "rate_per_node": rate, "nodes": n}
-        elif (self._low_streak >= config.autoscale_sustain
-              and n > config.autoscale_min_nodes):
-            leader = self._node.membership.leader()
-            candidates = [node_id for node_id in assignable
-                          if node_id != leader]
-            if candidates:
-                self._low_streak = 0
-                self.decisions_total += 1
-                self._pending = {"action": "drain",
-                                 "node_id": max(candidates),
-                                 "rate_per_node": rate, "nodes": n}
 
 
 class Rebalancer:
@@ -214,7 +142,6 @@ class Rebalancer:
         self._node = node
         self._window: dict[str, _NodeWindow] = {}
         self._last_eval_at: float | None = None
-        self.autoscaler = Autoscaler(node)
         self.reports_received = 0
         self.plans_total = 0
         self.moves_total = 0
@@ -233,7 +160,6 @@ class Rebalancer:
         window.consumer_lag = report.consumer_lag
         window.entities = report.entities
         for shard, count in report.shard_messages:
-            window.messages += count
             window.shard_messages[shard] = \
                 window.shard_messages.get(shard, 0) + count
         self.reports_received += 1
@@ -267,15 +193,10 @@ class Rebalancer:
             return False
         self._last_eval_at = now
         shard_weights: dict[int, int] = {}
-        total_messages = 0
         for node_id in assignable:
-            window = self._window[node_id]
-            total_messages += window.messages
-            for shard, count in window.shard_messages.items():
+            for shard, count in self._window[node_id].shard_messages.items():
                 shard_weights[shard] = shard_weights.get(shard, 0) + count
         self._window.clear()
-        self.autoscaler.evaluate(total_messages=total_messages,
-                                 interval_s=interval, assignable=assignable)
         moves = plan_rebalance(
             self._node.table, shard_weights, assignable,
             min_messages=config.rebalance_min_messages)
@@ -312,5 +233,4 @@ class Rebalancer:
             "plans_total": self.plans_total,
             "moves_total": self.moves_total,
             "last_plan_epoch": self.last_plan_epoch,
-            "autoscale_decisions": self.autoscaler.decisions_total,
         }

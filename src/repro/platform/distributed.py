@@ -212,22 +212,6 @@ class LoopbackCluster:
         platform.shutdown()
         return node.node_id
 
-    def autoscale_step(self) -> dict | None:
-        """Execute the leader's pending autoscaling recommendation, if
-        any: ``add`` spawns a worker, ``drain`` retires the named one.
-        Returns the executed decision (with the affected node id) or
-        None."""
-        for node in self.nodes:
-            decision = node.rebalancer.autoscaler.take_decision()
-            if decision is None:
-                continue
-            if decision["action"] == "add":
-                decision["node_id"] = self.add_node().node.node_id
-            else:
-                self.drain(decision["node_id"])
-            return decision
-        return None
-
     # -- checkpointed recovery ---------------------------------------------------------
 
     def checkpoint(self, directory: str | None = None) -> ClusterCheckpoint:

@@ -1,7 +1,7 @@
 """Integration tests for live shard migration: the telemetry-driven
 rebalancer moving entity state between running nodes, suffix-only
-replay, graceful drain (scale-in) with output absorption, live add
-(scale-out), and the autoscaler recommendation loop.
+replay, graceful drain (scale-in) with output absorption and live add
+(scale-out).
 
 Deterministic throughout — virtual clock, explicitly pumped loopback
 hub, and a planner that consumes only message counts."""
@@ -240,106 +240,5 @@ class TestScaleInOut:
             cluster.process_available()
             dist = cluster.vessel_distribution()
             assert sum(dist.values()) == scenario.n_vessels
-        finally:
-            cluster.shutdown()
-
-
-class TestAutoscaler:
-    CONFIG = ClusterConfig(autoscale_high_msgs_per_s=10.0,
-                           autoscale_low_msgs_per_s=1.0,
-                           autoscale_sustain=2,
-                           autoscale_min_nodes=2,
-                           autoscale_max_nodes=4)
-
-    def test_sustained_high_rate_recommends_add(self):
-        cluster = LoopbackCluster(num_nodes=3, cluster_config=self.CONFIG)
-        try:
-            auto = cluster.nodes[0].rebalancer.autoscaler
-            assignable = cluster.nodes[0].membership.assignable_ids()
-            auto.evaluate(total_messages=100, interval_s=1.0,
-                          assignable=assignable)
-            assert auto.pending_decision is None   # debounce: streak 1 < 2
-            auto.evaluate(total_messages=100, interval_s=1.0,
-                          assignable=assignable)
-            decision = auto.take_decision()
-            assert decision is not None and decision["action"] == "add"
-            assert auto.take_decision() is None    # taken exactly once
-        finally:
-            cluster.shutdown()
-
-    def test_burst_does_not_trigger(self):
-        """One hot window between idle ones never fires (streak resets)."""
-        cluster = LoopbackCluster(num_nodes=3, cluster_config=self.CONFIG)
-        try:
-            auto = cluster.nodes[0].rebalancer.autoscaler
-            assignable = cluster.nodes[0].membership.assignable_ids()
-            for total in (100, 20, 100, 20, 100, 20):
-                auto.evaluate(total_messages=total, interval_s=1.0,
-                              assignable=assignable)
-            assert auto.pending_decision is None
-        finally:
-            cluster.shutdown()
-
-    def test_sustained_low_rate_recommends_draining_highest_non_leader(self):
-        cluster = LoopbackCluster(num_nodes=3, cluster_config=self.CONFIG)
-        try:
-            auto = cluster.nodes[0].rebalancer.autoscaler
-            assignable = cluster.nodes[0].membership.assignable_ids()
-            for _ in range(2):
-                auto.evaluate(total_messages=1, interval_s=1.0,
-                              assignable=assignable)
-            decision = auto.take_decision()
-            assert decision == {"action": "drain", "node_id": "node-02",
-                                "rate_per_node": decision["rate_per_node"],
-                                "nodes": 3}
-        finally:
-            cluster.shutdown()
-
-    def test_node_count_bounds(self):
-        cluster = LoopbackCluster(num_nodes=2, cluster_config=self.CONFIG)
-        try:
-            auto = cluster.nodes[0].rebalancer.autoscaler
-            # At the floor (min_nodes=2): no drain however idle.
-            assignable = cluster.nodes[0].membership.assignable_ids()
-            for _ in range(4):
-                auto.evaluate(total_messages=0, interval_s=1.0,
-                              assignable=assignable)
-            assert auto.pending_decision is None
-            # At the ceiling (max_nodes=4): no add however hot.
-            four = [f"node-{i:02d}" for i in range(4)]
-            for _ in range(4):
-                auto.evaluate(total_messages=1000, interval_s=1.0,
-                              assignable=four)
-            assert auto.pending_decision is None
-        finally:
-            cluster.shutdown()
-
-    def test_autoscale_step_executes_add_then_drain(self):
-        config = ClusterConfig(autoscale_high_msgs_per_s=10.0,
-                               autoscale_low_msgs_per_s=1.0,
-                               autoscale_sustain=1,
-                               autoscale_min_nodes=1,
-                               autoscale_max_nodes=4)
-        cluster = LoopbackCluster(num_nodes=2, cluster_config=config)
-        try:
-            assert cluster.autoscale_step() is None   # nothing pending
-            auto = cluster.nodes[0].rebalancer.autoscaler
-            auto.evaluate(
-                total_messages=1000, interval_s=1.0,
-                assignable=cluster.nodes[0].membership.assignable_ids())
-            decision = cluster.autoscale_step()
-            assert decision["action"] == "add"
-            assert decision["node_id"] == "node-02"
-            assert len(cluster.nodes) == 3
-
-            auto.evaluate(
-                total_messages=0, interval_s=1.0,
-                assignable=cluster.nodes[0].membership.assignable_ids())
-            decision = cluster.autoscale_step()
-            assert decision["action"] == "drain"
-            assert decision["node_id"] == "node-02"
-            assert len(cluster.nodes) == 2
-            assert cluster.seed.node.membership.alive_ids() == [
-                "node-00", "node-01"]
         finally:
             cluster.shutdown()

@@ -100,4 +100,4 @@ def test_a_keyword_under_pytest_raises_does_not_count():
 
 def test_the_config_surface_stays_small():
     assert len(fields(PlatformConfig)) <= 20
-    assert len(fields(ClusterConfig)) <= 18
+    assert len(fields(ClusterConfig)) <= 13
