@@ -100,8 +100,7 @@ class ClusterConfig:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if not (0 < self.suspect_after_s <= self.down_after_s):
-            raise ValueError(
-                "need 0 < suspect_after_s <= down_after_s")
+            raise ValueError("need 0 < suspect_after_s <= down_after_s")
         if self.max_batch_msgs < 1:
             raise ValueError("max_batch_msgs must be >= 1")
         if self.outbound_queue_frames < 1:
@@ -119,9 +118,13 @@ class MembershipEvent:
 class Membership:
     """This node's registry of cluster members (itself included)."""
 
-    def __init__(self, node_id: str, address: Any,
-                 config: ClusterConfig | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        node_id: str,
+        address: Any,
+        config: ClusterConfig | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self.node_id = node_id
         self.config = config or ClusterConfig()
         self.clock = clock
@@ -148,8 +151,7 @@ class Membership:
         touching the live dict.
         """
         with self._lock:
-            return sorted((replace(m) for m in self._members.values()),
-                          key=lambda m: m.node_id)
+            return sorted((replace(m) for m in self._members.values()), key=lambda m: m.node_id)
 
     def members(self) -> list[Member]:
         return self.snapshot()
@@ -170,8 +172,11 @@ class Membership:
         """Members counted for shard ownership: UP and SUSPECT (suspicion
         alone must not reshuffle shards — only a DOWN declaration does)."""
         with self._lock:
-            return sorted(m.node_id for m in self._members.values()
-                          if m.state in (MemberState.UP, MemberState.SUSPECT))
+            return sorted(
+                m.node_id
+                for m in self._members.values()
+                if m.state in (MemberState.UP, MemberState.SUSPECT)
+            )
 
     def draining_ids(self) -> list[str]:
         with self._lock:
@@ -189,9 +194,11 @@ class Membership:
     def peer_ids(self) -> list[str]:
         """Every non-self member that is not DOWN (heartbeat targets)."""
         with self._lock:
-            return sorted(m.node_id for m in self._members.values()
-                          if m.node_id != self.node_id
-                          and m.state is not MemberState.DOWN)
+            return sorted(
+                m.node_id
+                for m in self._members.values()
+                if m.node_id != self.node_id and m.state is not MemberState.DOWN
+            )
 
     def state_counts(self) -> dict[str, int]:
         """``state value -> member count`` (telemetry gauge payload)."""
@@ -220,8 +227,7 @@ class Membership:
         with self._lock:
             member = self._members.get(node_id)
             if member is None:
-                self._members[node_id] = Member(node_id, address,
-                                                MemberState.UP, now)
+                self._members[node_id] = Member(node_id, address, MemberState.UP, now)
                 return True
             member.address = address
             self._draining.discard(node_id)
@@ -266,8 +272,7 @@ class Membership:
         (:meth:`assignable_ids`) treats it as gone."""
         with self._lock:
             member = self._members.get(node_id)
-            if (member is None or member.state is MemberState.DOWN
-                    or node_id in self._draining):
+            if member is None or member.state is MemberState.DOWN or node_id in self._draining:
                 return False
             self._draining.add(node_id)
             return True
@@ -287,15 +292,11 @@ class Membership:
                 if member.node_id == self.node_id:
                     continue
                 silence = now - member.last_heartbeat
-                if (member.state is MemberState.UP
-                        and silence >= self.config.suspect_after_s):
+                if member.state is MemberState.UP and silence >= self.config.suspect_after_s:
                     member.state = MemberState.SUSPECT
-                    events.append(MembershipEvent(member.node_id,
-                                                  MemberState.SUSPECT))
-                if (member.state is MemberState.SUSPECT
-                        and silence >= self.config.down_after_s):
+                    events.append(MembershipEvent(member.node_id, MemberState.SUSPECT))
+                if member.state is MemberState.SUSPECT and silence >= self.config.down_after_s:
                     member.state = MemberState.DOWN
                     self._draining.discard(member.node_id)
-                    events.append(MembershipEvent(member.node_id,
-                                                  MemberState.DOWN))
+                    events.append(MembershipEvent(member.node_id, MemberState.DOWN))
         return events

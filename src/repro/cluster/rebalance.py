@@ -43,10 +43,15 @@ class ShardMove:
     weight: int
 
 
-def plan_rebalance(table: "ShardTable", shard_weights: Mapping[int, int],
-                   assignable: list[str] | tuple[str, ...], *,
-                   max_moves: int = 8, imbalance_ratio: float = 1.5,
-                   min_messages: int = 32) -> list[ShardMove]:
+def plan_rebalance(
+    table: "ShardTable",
+    shard_weights: Mapping[int, int],
+    assignable: list[str] | tuple[str, ...],
+    *,
+    max_moves: int = 8,
+    imbalance_ratio: float = 1.5,
+    min_messages: int = 32,
+) -> list[ShardMove]:
     """Compute a minimal-move migration plan for one telemetry window.
 
     Pure and deterministic: the same ``(table, weights, assignable)``
@@ -65,8 +70,7 @@ def plan_rebalance(table: "ShardTable", shard_weights: Mapping[int, int],
     if len(nodes) < 2:
         return []
     eligible = set(nodes)
-    weights = {s: int(w) for s, w in shard_weights.items()
-               if 0 <= s < table.num_shards and w > 0}
+    weights = {s: int(w) for s, w in shard_weights.items() if 0 <= s < table.num_shards and w > 0}
     if sum(weights.values()) < min_messages:
         return []
     assignment = dict(table.assignment)
@@ -85,7 +89,7 @@ def plan_rebalance(table: "ShardTable", shard_weights: Mapping[int, int],
         if load[donor] <= imbalance_ratio * max(load[recipient], 1):
             break
         gap = load[donor] - load[recipient]
-        best: tuple[int, int] | None = None   # (-weight, shard)
+        best: tuple[int, int] | None = None  # (-weight, shard)
         for shard, owner in assignment.items():
             if owner != donor or shard in moved:
                 continue
@@ -100,8 +104,7 @@ def plan_rebalance(table: "ShardTable", shard_weights: Mapping[int, int],
         if best is None:
             break
         weight, shard = -best[0], best[1]
-        moves.append(ShardMove(shard=shard, src=donor, dst=recipient,
-                               weight=weight))
+        moves.append(ShardMove(shard=shard, src=donor, dst=recipient, weight=weight))
         moved.add(shard)
         assignment[shard] = recipient
         load[donor] -= weight
@@ -152,16 +155,14 @@ class Rebalancer:
     def observe(self, report: LoadReport) -> None:
         window = self._window.get(report.node_id)
         if window is None:
-            window = self._window[report.node_id] = _NodeWindow(
-                report.node_id)
+            window = self._window[report.node_id] = _NodeWindow(report.node_id)
         window.reports += 1
         window.busy_ms += report.busy_ms
         window.mailbox_depth = report.mailbox_depth
         window.consumer_lag = report.consumer_lag
         window.entities = report.entities
         for shard, count in report.shard_messages:
-            window.shard_messages[shard] = \
-                window.shard_messages.get(shard, 0) + count
+            window.shard_messages[shard] = window.shard_messages.get(shard, 0) + count
         self.reports_received += 1
 
     # -- the control loop ------------------------------------------------------
@@ -169,8 +170,7 @@ class Rebalancer:
     def maybe_rebalance(self, now: float) -> bool:
         """Evaluate one window; returns True if a plan was executed."""
         config = self._node.config
-        if config.rebalance_interval_s <= 0 \
-                or config.load_report_interval_s <= 0:
+        if config.rebalance_interval_s <= 0 or config.load_report_interval_s <= 0:
             return False
         if not self._node.coordinator.is_active:
             # Lost leadership: drop the stale window so a later election
@@ -185,9 +185,10 @@ class Rebalancer:
         if interval < config.rebalance_interval_s:
             return False
         assignable = self._node.membership.assignable_ids()
-        if any(self._window.get(node_id) is None
-               or self._window[node_id].reports == 0
-               for node_id in assignable):
+        if any(
+            self._window.get(node_id) is None or self._window[node_id].reports == 0
+            for node_id in assignable
+        ):
             # A node has not reported this window yet — keep accumulating
             # rather than planning from a partial picture.
             return False
@@ -198,8 +199,8 @@ class Rebalancer:
                 shard_weights[shard] = shard_weights.get(shard, 0) + count
         self._window.clear()
         moves = plan_rebalance(
-            self._node.table, shard_weights, assignable,
-            min_messages=config.rebalance_min_messages)
+            self._node.table, shard_weights, assignable, min_messages=config.rebalance_min_messages
+        )
         if not moves:
             return False
         return self._execute(moves)
@@ -210,11 +211,12 @@ class Rebalancer:
         overrides = dict(table.overrides)
         for move in moves:
             overrides[move.shard] = move.dst
-        update = ShardTableUpdate(epoch=table.epoch + 1, nodes=table.nodes,
-                                  overrides=tuple(sorted(overrides.items())))
+        update = ShardTableUpdate(
+            epoch=table.epoch + 1, nodes=table.nodes, overrides=tuple(sorted(overrides.items()))
+        )
         plan = MigrationPlan(
-            epoch=update.epoch,
-            moves=tuple((m.shard, m.src, m.dst) for m in moves))
+            epoch=update.epoch, moves=tuple((m.shard, m.src, m.dst) for m in moves)
+        )
         self.plans_total += 1
         self.moves_total += len(moves)
         self.last_plan_epoch = update.epoch

@@ -70,8 +70,9 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer ``y = act(x W + b)``."""
 
-    def __init__(self, in_features: int, out_features: int,
-                 activation: str = "linear", seed: int = 0) -> None:
+    def __init__(
+        self, in_features: int, out_features: int, activation: str = "linear", seed: int = 0
+    ) -> None:
         super().__init__()
         if activation not in ("linear", "tanh", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
@@ -116,28 +117,27 @@ class LSTM(Layer):
     ``hidden_sequence`` for consumers that want it.
     """
 
-    def __init__(self, in_features: int, hidden: int, seed: int = 0,
-                 forget_bias: float = 1.0) -> None:
+    def __init__(
+        self, in_features: int, hidden: int, seed: int = 0, forget_bias: float = 1.0
+    ) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
         self.in_features = in_features
         self.hidden = hidden
         self.params = {
-            "W": glorot_uniform(rng, in_features, 4 * hidden,
-                                shape=(in_features, 4 * hidden)),
+            "W": glorot_uniform(rng, in_features, 4 * hidden, shape=(in_features, 4 * hidden)),
             "U": recurrent_orthogonal(rng, hidden),
             "b": np.zeros(4 * hidden),
         }
         # Positive forget-gate bias: the classic trick that lets gradients
         # flow through time early in training.
-        self.params["b"][hidden:2 * hidden] = forget_bias
+        self.params["b"][hidden : 2 * hidden] = forget_bias
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache: dict | None = None
 
     def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
-            raise ValueError(
-                f"expected (batch, time, {self.in_features}), got {x.shape}")
+            raise ValueError(f"expected (batch, time, {self.in_features}), got {x.shape}")
         batch, steps, _ = x.shape
         H = self.hidden
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
@@ -150,9 +150,9 @@ class LSTM(Layer):
         for t in range(steps):
             z = x[:, t, :] @ W + h @ U + b
             i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
-            g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
+            f = _sigmoid(z[:, H : 2 * H])
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            o = _sigmoid(z[:, 3 * H :])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
@@ -192,18 +192,21 @@ class LSTM(Layer):
         for t in range(steps - 1, -1, -1):
             h_prev, c_prev, i, f, g, o, tanh_c = cache_steps[t]
             do = dh_next * tanh_c
-            dc = dh_next * o * (1.0 - tanh_c ** 2) + dc_next
+            dc = dh_next * o * (1.0 - tanh_c**2) + dc_next
             di = dc * g
             df = dc * c_prev
             dg = dc * i
             dc_next = dc * f
 
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o),
-            ], axis=1)
+            dz = np.concatenate(
+                [
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    dg * (1.0 - g**2),
+                    do * o * (1.0 - o),
+                ],
+                axis=1,
+            )
 
             dW += x[:, t, :].T @ dz
             dU += h_prev.T @ dz

@@ -36,9 +36,11 @@ class Model:
     BiLSTM layer specifically): ``regularizers={0: L1Regularizer(1e-5)}``.
     """
 
-    def __init__(self, layers: list[Layer],
-                 regularizers: dict[int, L1Regularizer | L2Regularizer] | None = None
-                 ) -> None:
+    def __init__(
+        self,
+        layers: list[Layer],
+        regularizers: dict[int, L1Regularizer | L2Regularizer] | None = None,
+    ) -> None:
         if not layers:
             raise ValueError("model needs at least one layer")
         self.layers = layers
@@ -78,14 +80,18 @@ class Model:
         return self.infer(x)
 
     def _keyed_params(self) -> dict[tuple[int, str], np.ndarray]:
-        return {(i, name): arr
-                for i, layer in enumerate(self.layers)
-                for name, arr in layer.params.items()}
+        return {
+            (i, name): arr
+            for i, layer in enumerate(self.layers)
+            for name, arr in layer.params.items()
+        }
 
     def _keyed_grads(self) -> dict[tuple[int, str], np.ndarray]:
-        return {(i, name): arr
-                for i, layer in enumerate(self.layers)
-                for name, arr in layer.grads.items()}
+        return {
+            (i, name): arr
+            for i, layer in enumerate(self.layers)
+            for name, arr in layer.grads.items()
+        }
 
     def _regularization(self, apply_grads: bool) -> float:
         penalty = 0.0
@@ -110,24 +116,31 @@ class Model:
         optimizer.step(self._keyed_params(), self._keyed_grads())
         return loss
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray,
-                 batch_size: int = 512) -> float:
+    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
         """Mean MSE over a dataset (no regularisation term), through the
         cache-free :meth:`infer`: the loss is bitwise the training pass's."""
         total, n = 0.0, 0
         for start in range(0, x.shape[0], batch_size):
-            xb = x[start:start + batch_size]
-            yb = y[start:start + batch_size]
+            xb = x[start : start + batch_size]
+            yb = y[start : start + batch_size]
             loss, _ = self.loss_fn(self.infer(xb), yb)
             total += loss * xb.shape[0]
             n += xb.shape[0]
         return total / max(n, 1)
 
-    def fit(self, x: np.ndarray, y: np.ndarray,
-            x_val: np.ndarray | None = None, y_val: np.ndarray | None = None,
-            epochs: int = 20, batch_size: int = 128, lr: float = 1e-3,
-            seed: int = 0, patience: int | None = None,
-            verbose: bool = False) -> TrainingHistory:
+    def fit(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        x_val: np.ndarray | None = None,
+        y_val: np.ndarray | None = None,
+        epochs: int = 20,
+        batch_size: int = 128,
+        lr: float = 1e-3,
+        seed: int = 0,
+        patience: int | None = None,
+        verbose: bool = False,
+    ) -> TrainingHistory:
         """Adam training with optional early stopping on validation loss.
 
         ``patience`` epochs without validation improvement stop training and
@@ -144,7 +157,7 @@ class Model:
             order = rng.permutation(x.shape[0])
             epoch_loss, batches = 0.0, 0
             for start in range(0, x.shape[0], batch_size):
-                idx = order[start:start + batch_size]
+                idx = order[start : start + batch_size]
                 epoch_loss += self.train_step(x[idx], y[idx], optimizer)
                 batches += 1
             history.train_loss.append(epoch_loss / max(batches, 1))
@@ -153,8 +166,10 @@ class Model:
                 val = self.evaluate(x_val, y_val)
                 history.val_loss.append(val)
                 if verbose:
-                    print(f"epoch {epoch + 1}/{epochs} "
-                          f"train={history.train_loss[-1]:.6f} val={val:.6f}")
+                    print(
+                        f"epoch {epoch + 1}/{epochs} "
+                        f"train={history.train_loss[-1]:.6f} val={val:.6f}"
+                    )
                 if val < best_val - 1e-12:
                     best_val = val
                     best_state = self._snapshot()
@@ -164,8 +179,7 @@ class Model:
                     if patience is not None and stall >= patience:
                         break
             elif verbose:
-                print(f"epoch {epoch + 1}/{epochs} "
-                      f"train={history.train_loss[-1]:.6f}")
+                print(f"epoch {epoch + 1}/{epochs} " f"train={history.train_loss[-1]:.6f}")
 
         if best_state is not None:
             self._restore(best_state)
@@ -174,8 +188,7 @@ class Model:
     # -- persistence ----------------------------------------------------------------
 
     def _snapshot(self) -> list[dict[str, np.ndarray]]:
-        return [{name: arr.copy() for name, arr in layer.params.items()}
-                for layer in self.layers]
+        return [{name: arr.copy() for name, arr in layer.params.items()} for layer in self.layers]
 
     def _restore(self, state: list[dict[str, np.ndarray]]) -> None:
         for layer, params in zip(self.layers, state):
@@ -184,9 +197,11 @@ class Model:
 
     def save_params(self, path: str | Path) -> None:
         """Persist all parameters to an ``.npz`` file."""
-        flat = {f"{i}__{name}": arr
-                for i, layer in enumerate(self.layers)
-                for name, arr in layer.params.items()}
+        flat = {
+            f"{i}__{name}": arr
+            for i, layer in enumerate(self.layers)
+            for name, arr in layer.params.items()
+        }
         np.savez_compressed(path, **flat)
 
     def load_params(self, path: str | Path) -> None:
@@ -201,9 +216,9 @@ class Model:
             if layer.params[name].shape != data[key].shape:
                 raise ValueError(
                     f"shape mismatch for {key}: "
-                    f"{layer.params[name].shape} vs {data[key].shape}")
+                    f"{layer.params[name].shape} vs {data[key].shape}"
+                )
             layer.params[name][...] = data[key]
 
     def parameter_count(self) -> int:
-        return sum(arr.size for layer in self.layers
-                   for arr in layer.params.values())
+        return sum(arr.size for layer in self.layers for arr in layer.params.values())

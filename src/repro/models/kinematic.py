@@ -33,8 +33,9 @@ class LinearKinematicModel:
             raise ValueError("linear kinematic model needs at least one fix")
         return self.forecast_batch([mmsi], None, [history[-1]])[0]
 
-    def forecast_batch(self, mmsis: Sequence[int], windows,
-                       anchors: Sequence[Position]) -> list[RouteForecast]:
+    def forecast_batch(
+        self, mmsis: Sequence[int], windows, anchors: Sequence[Position]
+    ) -> list[RouteForecast]:
         """Vectorised dead reckoning over many vessels' latest fixes.
 
         ``windows`` is accepted for forecaster-protocol parity and ignored.
@@ -53,11 +54,11 @@ class LinearKinematicModel:
         marks[:, 0, 0], marks[:, 1, 0] = lat0, lon0
         for k in range(1, OUTPUT_STEPS + 1):
             marks[:, 0, k], marks[:, 1, k] = destination_point(
-                lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k)
+                lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k
+            )
         return forecasts_from_marks(mmsis, anchors, marks, motion=True)
 
-    def predict_positions(self, anchor: np.ndarray, x: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
+    def predict_positions(self, anchor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised dead reckoning over segment anchors.
 
         ``x`` (the displacement history) is accepted for interface parity
@@ -70,8 +71,7 @@ class LinearKinematicModel:
         lats = np.empty((anchor.shape[0], OUTPUT_STEPS))
         lons = np.empty_like(lats)
         for k in range(1, OUTPUT_STEPS + 1):
-            lat_k, lon_k = destination_point(
-                lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k)
+            lat_k, lon_k = destination_point(lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k)
             lats[:, k - 1] = lat_k
             lons[:, k - 1] = lon_k
         return lats, lons

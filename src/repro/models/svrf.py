@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.ais.preprocessing import (
     INPUT_STEPS,
-    OUTPUT_INTERVAL_S,
     OUTPUT_STEPS,
     SegmentDataset,
 )
@@ -80,35 +79,48 @@ class SVRFModel:
         self.network = Model(
             layers=[
                 recurrent,
-                Dense(recurrent_out, cfg.dense, activation="tanh",
-                      seed=cfg.seed + 10),
+                Dense(recurrent_out, cfg.dense, activation="tanh", seed=cfg.seed + 10),
                 Dense(cfg.dense, cfg.output_steps * 2, seed=cfg.seed + 20),
             ],
-            regularizers={0: L1Regularizer(cfg.l1_lambda)})
+            regularizers={0: L1Regularizer(cfg.l1_lambda)},
+        )
         self.x_scaler = StandardScaler()
         self.y_scaler = StandardScaler()
         self.trained = False
 
     # -- training ------------------------------------------------------------
 
-    def fit(self, train: SegmentDataset, val: SegmentDataset | None = None,
-            epochs: int = 25, batch_size: int = 128, lr: float = 2e-3,
-            patience: int | None = 6, verbose: bool = False
-            ) -> TrainingHistory:
+    def fit(
+        self,
+        train: SegmentDataset,
+        val: SegmentDataset | None = None,
+        epochs: int = 25,
+        batch_size: int = 128,
+        lr: float = 2e-3,
+        patience: int | None = 6,
+        verbose: bool = False,
+    ) -> TrainingHistory:
         """Train on preprocessed segments; scalers are fitted on the
         training split only."""
         if len(train) == 0:
             raise ValueError("training dataset is empty")
         x = self.x_scaler.fit_transform(train.x)
-        y = self.y_scaler.fit_transform(
-            train.y.reshape(len(train), -1))
+        y = self.y_scaler.fit_transform(train.y.reshape(len(train), -1))
         x_val = y_val = None
         if val is not None and len(val):
             x_val = self.x_scaler.transform(val.x)
             y_val = self.y_scaler.transform(val.y.reshape(len(val), -1))
-        history = self.network.fit(x, y, x_val, y_val, epochs=epochs,
-                                   batch_size=batch_size, lr=lr,
-                                   patience=patience, verbose=verbose)
+        history = self.network.fit(
+            x,
+            y,
+            x_val,
+            y_val,
+            epochs=epochs,
+            batch_size=batch_size,
+            lr=lr,
+            patience=patience,
+            verbose=verbose,
+        )
         self.trained = True
         return history
 
@@ -124,14 +136,13 @@ class SVRFModel:
         self._require_trained()
         if x.ndim != 3 or x.shape[1:] != (self.config.input_steps, N_FEATURES):
             raise ValueError(
-                f"expected (n, {self.config.input_steps}, {N_FEATURES}), "
-                f"got {x.shape}")
+                f"expected (n, {self.config.input_steps}, {N_FEATURES}), " f"got {x.shape}"
+            )
         z = self.network.predict(self.x_scaler.transform(x))
         y = self.y_scaler.inverse_transform(z)
         return y.reshape(-1, self.config.output_steps, 2)
 
-    def predict_positions(self, anchor: np.ndarray, x: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
+    def predict_positions(self, anchor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Predicted absolute positions at the six 5-minute marks.
 
         Transitions are cumulatively summed from the anchor position —
@@ -144,8 +155,9 @@ class SVRFModel:
 
     # -- actor-level single-vessel forecast -----------------------------------------
 
-    def make_window(self, ts: np.ndarray, lats: np.ndarray,
-                    lons: np.ndarray, pad: bool = False) -> np.ndarray:
+    def make_window(
+        self, ts: np.ndarray, lats: np.ndarray, lons: np.ndarray, pad: bool = False
+    ) -> np.ndarray:
         """The ``(input_steps, 3)`` displacement window for one vessel.
 
         Takes the vessel's recent fixes as parallel arrays (oldest first;
@@ -157,18 +169,18 @@ class SVRFModel:
         steps = self.config.input_steps
         min_needed = 2 if pad else steps + 1
         if len(ts) < min_needed:
-            raise ValueError(
-                f"S-VRF needs {min_needed} fixes, got {len(ts)}")
+            raise ValueError(f"S-VRF needs {min_needed} fixes, got {len(ts)}")
         keep = min(len(ts), steps + 1)
         ts, lats, lons = ts[-keep:], lats[-keep:], lons[-keep:]
         window = np.zeros((steps, N_FEATURES))
-        window[steps - (keep - 1):, 0] = lats[1:] - lats[:-1]
-        window[steps - (keep - 1):, 1] = lons[1:] - lons[:-1]
-        window[steps - (keep - 1):, 2] = ts[1:] - ts[:-1]
+        window[steps - (keep - 1) :, 0] = lats[1:] - lats[:-1]
+        window[steps - (keep - 1) :, 1] = lons[1:] - lons[:-1]
+        window[steps - (keep - 1) :, 2] = ts[1:] - ts[:-1]
         return window
 
-    def forecast_batch(self, mmsis: Sequence[int], windows: np.ndarray,
-                       anchors: Sequence[Position]) -> list[RouteForecast]:
+    def forecast_batch(
+        self, mmsis: Sequence[int], windows: np.ndarray, anchors: Sequence[Position]
+    ) -> list[RouteForecast]:
         """Forecasts for many vessels from one pooled forward pass.
 
         ``windows`` is the stacked ``(n, input_steps, 3)`` tensor of
@@ -183,8 +195,7 @@ class SVRFModel:
         steps = np.concatenate([anchor_ll[:, :, None], transitions.transpose(0, 2, 1)], axis=2)
         return forecasts_from_marks(mmsis, anchors, np.cumsum(steps, axis=2))
 
-    def forecast(self, mmsi: int, history: Sequence[Position],
-                 pad: bool = False) -> RouteForecast:
+    def forecast(self, mmsi: int, history: Sequence[Position], pad: bool = False) -> RouteForecast:
         """Forecast for one vessel from its recent downsampled fixes.
 
         Needs ``input_steps + 1`` fixes (20 displacements); this is the call
@@ -202,8 +213,7 @@ class SVRFModel:
         lons = np.array([p.lon for p in recent])
         ts = np.array([p.t for p in recent])
         window = self.make_window(ts, lats, lons, pad=pad)
-        return self.forecast_batch(
-            [mmsi], window[np.newaxis, :, :], [recent[-1]])[0]
+        return self.forecast_batch([mmsi], window[np.newaxis, :, :], [recent[-1]])[0]
 
     @property
     def min_history(self) -> int:
@@ -221,48 +231,54 @@ class SVRFModel:
     def save(self, path: str | Path) -> None:
         """Persist weights, scalers and config to one ``.npz`` file."""
         self._require_trained()
-        flat = {f"net_{i}__{name}": arr
-                for i, layer in enumerate(self.network.layers)
-                for name, arr in layer.params.items()}
+        flat = {
+            f"net_{i}__{name}": arr
+            for i, layer in enumerate(self.network.layers)
+            for name, arr in layer.params.items()
+        }
         flat["x_mean"] = self.x_scaler.mean_
         flat["x_std"] = self.x_scaler.std_
         flat["y_mean"] = self.y_scaler.mean_
         flat["y_std"] = self.y_scaler.std_
         cfg = asdict(self.config)
         flat["config_keys"] = np.array(sorted(cfg), dtype="U32")
-        flat["config_values"] = np.array(
-            [float(cfg[k]) for k in sorted(cfg)])
+        flat["config_values"] = np.array([float(cfg[k]) for k in sorted(cfg)])
         np.savez_compressed(path, **flat)
 
     @classmethod
     def load(cls, path: str | Path) -> "SVRFModel":
         data = np.load(path)
-        cfg_map = dict(zip(data["config_keys"].tolist(),
-                           data["config_values"].tolist()))
+        cfg_map = dict(zip(data["config_keys"].tolist(), data["config_values"].tolist()))
         config = SVRFConfig(
-            hidden=int(cfg_map["hidden"]), dense=int(cfg_map["dense"]),
-            l1_lambda=float(cfg_map["l1_lambda"]), seed=int(cfg_map["seed"]),
+            hidden=int(cfg_map["hidden"]),
+            dense=int(cfg_map["dense"]),
+            l1_lambda=float(cfg_map["l1_lambda"]),
+            seed=int(cfg_map["seed"]),
             input_steps=int(cfg_map["input_steps"]),
             output_steps=int(cfg_map["output_steps"]),
-            bidirectional=bool(cfg_map.get("bidirectional", 1.0)))
+            bidirectional=bool(cfg_map.get("bidirectional", 1.0)),
+        )
         model = cls(config)
         for key in data.files:
             if not key.startswith("net_"):
                 continue
-            idx_text, name = key[len("net_"):].split("__", 1)
+            idx_text, name = key[len("net_") :].split("__", 1)
             model.network.layers[int(idx_text)].params[name][...] = data[key]
-        model.x_scaler = StandardScaler.from_state(
-            {"mean": data["x_mean"], "std": data["x_std"]})
-        model.y_scaler = StandardScaler.from_state(
-            {"mean": data["y_mean"], "std": data["y_std"]})
+        model.x_scaler = StandardScaler.from_state({"mean": data["x_mean"], "std": data["x_std"]})
+        model.y_scaler = StandardScaler.from_state({"mean": data["y_mean"], "std": data["y_std"]})
         model.trained = True
         return model
 
 
-def train_svrf(train: SegmentDataset, val: SegmentDataset,
-               config: SVRFConfig | None = None, epochs: int = 25,
-               lr: float = 2e-3, cache_path: str | Path | None = None,
-               verbose: bool = False) -> SVRFModel:
+def train_svrf(
+    train: SegmentDataset,
+    val: SegmentDataset,
+    config: SVRFConfig | None = None,
+    epochs: int = 25,
+    lr: float = 2e-3,
+    cache_path: str | Path | None = None,
+    verbose: bool = False,
+) -> SVRFModel:
     """Train (or load a cached) S-VRF model.
 
     ``cache_path`` makes the expensive training step idempotent for the

@@ -19,9 +19,9 @@ from repro.platform.config import PlatformConfig
 
 #: Rebalance knobs matching the sim campaign: report every 0.5 s of
 #: virtual time, evaluate every 2 s, plan once 16 messages accumulate.
-REBALANCE_CONFIG = dict(load_report_interval_s=0.5,
-                        rebalance_interval_s=2.0,
-                        rebalance_min_messages=16)
+REBALANCE_CONFIG = dict(
+    load_report_interval_s=0.5, rebalance_interval_s=2.0, rebalance_min_messages=16
+)
 
 
 def mmsis_owned_by(cluster, node_id, count, start=1):
@@ -51,9 +51,16 @@ def skewed_chunk(mmsis, round_idx, fixes_per_vessel=8):
     for i, mmsi in enumerate(mmsis):
         base = 1.0 + round_idx * 60.0
         for j in range(fixes_per_vessel):
-            chunk.append(AISMessage(
-                mmsi=mmsi, t=base + j * 4.0 + i * 0.001,
-                lat=44.0 + i * 0.5, lon=8.0, sog=0.2, cog=0.0))
+            chunk.append(
+                AISMessage(
+                    mmsi=mmsi,
+                    t=base + j * 4.0 + i * 0.001,
+                    lat=44.0 + i * 0.5,
+                    lon=8.0,
+                    sog=0.2,
+                    cog=0.0,
+                )
+            )
     return chunk
 
 
@@ -72,8 +79,7 @@ class TestLiveRebalance:
         twins must keep their full history (kept_fixes equals the number
         of fixes published — a fresh actor would hold zero, since the
         post-migration replay covers only the empty stream suffix)."""
-        cluster = LoopbackCluster(
-            num_nodes=3, cluster_config=ClusterConfig(**REBALANCE_CONFIG))
+        cluster = LoopbackCluster(num_nodes=3, cluster_config=ClusterConfig(**REBALANCE_CONFIG))
         try:
             victim = "node-01"
             hot = mmsis_owned_by(cluster, victim, 6)
@@ -86,21 +92,20 @@ class TestLiveRebalance:
                 rounds += 1
             assert leader.rebalancer.plans_total >= 1, (
                 "a 6-vessels-on-one-node skew never triggered the "
-                f"control loop after {rounds} rounds")
+                f"control loop after {rounds} rounds"
+            )
             cluster.settle()
 
             hosts = {m: vessel_actor(cluster, m)[0] for m in hot}
             assert all(p is not None for p in hosts.values())
-            moved = [m for m in hot
-                     if hosts[m].node.node_id != victim]
+            moved = [m for m in hot if hosts[m].node.node_id != victim]
             assert moved, "plans executed but every hot vessel stayed put"
             for mmsi in moved:
                 _, actor = vessel_actor(cluster, mmsi)
                 # One kept fix per round: full history came across.
                 assert actor.kept_fixes == rounds
                 assert actor.last_message is not None
-            assert sum(n.state_transfers_received
-                       for n in cluster.nodes) > 0
+            assert sum(n.state_transfers_received for n in cluster.nodes) > 0
         finally:
             cluster.shutdown()
 
@@ -108,8 +113,7 @@ class TestLiveRebalance:
         """A fully ingested stream at migration time leaves an *empty*
         suffix: the post-plan replay re-dispatches zero records (the
         bounded-depth fallback would re-dispatch hundreds)."""
-        cluster = LoopbackCluster(
-            num_nodes=3, cluster_config=ClusterConfig(**REBALANCE_CONFIG))
+        cluster = LoopbackCluster(num_nodes=3, cluster_config=ClusterConfig(**REBALANCE_CONFIG))
         try:
             leader = cluster.nodes[0]
             hot = mmsis_owned_by(cluster, "node-01", 6)
@@ -140,23 +144,26 @@ class TestLiveRebalance:
         # Ingest manually (``process_available`` ends with a cluster-wide
         # forecast flush, which would resolve them).
         cluster = LoopbackCluster(
-            num_nodes=2, forecaster_factory=seeded_svrf_forecaster,
-            config=PlatformConfig(forecast_linger_s=0.0))
+            num_nodes=2,
+            forecaster_factory=seeded_svrf_forecaster,
+            config=PlatformConfig(forecast_linger_s=0.0),
+        )
         try:
             mmsi = mmsis_owned_by(cluster, "node-01", 1)[0]
             min_history = cluster.seed.wiring.forecaster.min_history
-            fixes = [AISMessage(mmsi=mmsi, t=1.0 + j * 60.0, lat=44.0,
-                                lon=8.0 + j * 1e-4, sog=1.0, cog=90.0)
-                     for j in range(min_history)]
+            fixes = [
+                AISMessage(
+                    mmsi=mmsi, t=1.0 + j * 60.0, lat=44.0, lon=8.0 + j * 1e-4, sog=1.0, cog=90.0
+                )
+                for j in range(min_history)
+            ]
             cluster.seed.publish_messages(fixes)
-            while cluster.seed.ingestion.poll_once() or \
-                    cluster.seed.ingestion.lag:
+            while cluster.seed.ingestion.poll_once() or cluster.seed.ingestion.lag:
                 cluster.settle()
             cluster.settle()
             host, actor = vessel_actor(cluster, mmsi)
             assert host.node.node_id == "node-01"
-            assert actor.pending_forecast, (
-                "precondition: the forecast request must still be pooled")
+            assert actor.pending_forecast, "precondition: the forecast request must still be pooled"
             assert actor.latest_forecast is None
             service = cluster.platforms[0].wiring.forecast_service
             pooled_before = service.requests_pooled
@@ -168,7 +175,7 @@ class TestLiveRebalance:
             # The exported marker re-issued the request into the new
             # owner's pool on restore.
             assert service.requests_pooled > pooled_before
-            cluster.flush_writers()   # flushes forecast pools + writers
+            cluster.flush_writers()  # flushes forecast pools + writers
             assert migrated.latest_forecast is not None
             assert not migrated.pending_forecast
         finally:
@@ -178,8 +185,9 @@ class TestLiveRebalance:
 class TestScaleInOut:
     @pytest.fixture(scope="class")
     def scenario(self):
-        return proximity_scenario(n_event_pairs=3, n_near_miss_pairs=1,
-                                  n_background=2, duration_s=1_800.0)
+        return proximity_scenario(
+            n_event_pairs=3, n_near_miss_pairs=1, n_background=2, duration_s=1_800.0
+        )
 
     def test_drain_retires_node_without_losing_outputs(self, scenario):
         """Graceful scale-in: the drained node's vessels migrate out with
@@ -192,19 +200,18 @@ class TestScaleInOut:
             cluster.process_available()
             cluster.flush_writers()
             vessels_before = cluster.total_vessels
-            events_before = (cluster.event_count("proximity"),
-                             cluster.event_count("collision"))
+            events_before = (cluster.event_count("proximity"), cluster.event_count("collision"))
             assert events_before[0] > 0
 
             retired = cluster.drain("node-02")
             assert retired == "node-02"
             assert len(cluster.nodes) == 2
-            assert cluster.seed.node.membership.alive_ids() == [
-                "node-00", "node-01"]
+            assert cluster.seed.node.membership.alive_ids() == ["node-00", "node-01"]
             assert cluster.total_vessels == vessels_before
             assert "node-02" not in cluster.vessel_distribution()
-            assert (cluster.event_count("proximity"),
-                    cluster.event_count("collision")) == events_before
+            assert (
+                cluster.event_count("proximity"), cluster.event_count("collision")
+            ) == events_before
         finally:
             cluster.shutdown()
 
