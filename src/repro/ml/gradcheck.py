@@ -13,45 +13,41 @@ from repro.ml.layers import Layer
 from repro.ml.losses import MSELoss
 
 
-def numeric_param_grad(layer: Layer, name: str, x: np.ndarray,
-                       target: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def _central_difference(
+    layer: Layer, x: np.ndarray, target: np.ndarray, arr: np.ndarray, eps: float
+) -> np.ndarray:
+    """Finite-difference MSE gradient w.r.t. ``arr`` (a parameter or ``x``), perturbed in place."""
+    loss_fn = MSELoss()
+    grad = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        up, _ = loss_fn(layer.forward(x), target)
+        flat[i] = original - eps
+        down, _ = loss_fn(layer.forward(x), target)
+        flat[i] = original
+        gflat[i] = (up - down) / (2.0 * eps)
+    return grad
+
+
+def numeric_param_grad(
+    layer: Layer, name: str, x: np.ndarray, target: np.ndarray, eps: float = 1e-6
+) -> np.ndarray:
     """Finite-difference gradient of the MSE loss w.r.t. one parameter."""
-    loss_fn = MSELoss()
-    param = layer.params[name]
-    grad = np.zeros_like(param)
-    flat = param.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
-        up, _ = loss_fn(layer.forward(x), target)
-        flat[i] = original - eps
-        down, _ = loss_fn(layer.forward(x), target)
-        flat[i] = original
-        gflat[i] = (up - down) / (2.0 * eps)
-    return grad
+    return _central_difference(layer, x, target, layer.params[name], eps)
 
 
-def numeric_input_grad(layer: Layer, x: np.ndarray, target: np.ndarray,
-                       eps: float = 1e-6) -> np.ndarray:
+def numeric_input_grad(
+    layer: Layer, x: np.ndarray, target: np.ndarray, eps: float = 1e-6
+) -> np.ndarray:
     """Finite-difference gradient of the MSE loss w.r.t. the input."""
-    loss_fn = MSELoss()
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
-        up, _ = loss_fn(layer.forward(x), target)
-        flat[i] = original - eps
-        down, _ = loss_fn(layer.forward(x), target)
-        flat[i] = original
-        gflat[i] = (up - down) / (2.0 * eps)
-    return grad
+    return _central_difference(layer, x, target, x, eps)
 
 
-def analytic_grads(layer: Layer, x: np.ndarray, target: np.ndarray
-                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def analytic_grads(
+    layer: Layer, x: np.ndarray, target: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backprop gradients for every parameter and for the input."""
     loss_fn = MSELoss()
     layer.zero_grads()

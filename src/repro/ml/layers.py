@@ -2,18 +2,15 @@
 
 Every layer follows the same contract:
 
-* ``forward(x)`` is the training pass: it consumes a batch and caches
-  whatever backward needs,
-* ``infer(x)`` is the inference pass: the same output, bitwise, from the
-  same step loop, but it caches nothing, so it neither pays for the BPTT
-  cache nor clobbers one a pending ``backward`` still needs,
-* ``backward(dout)`` consumes the loss gradient w.r.t. the output of the
-  last ``forward``, accumulates parameter gradients into ``self.grads``
-  and returns the gradient w.r.t. the layer input,
+* ``forward(x)`` consumes a batch and caches whatever backward needs,
+* ``infer(x)`` is the same pass, bitwise, caching nothing: inference pays
+  for no BPTT cache and leaves a pending ``backward``'s cache intact,
+* ``backward(dout)`` consumes the loss gradient w.r.t. the layer output,
+  accumulates parameter gradients into ``self.grads`` and returns the
+  gradient w.r.t. the layer input,
 * ``params`` / ``grads`` are dicts of same-shaped numpy arrays.
 
-Subclasses implement ``_run(x, cache)``; ``forward`` and ``infer`` are
-that one pass with and without the cache.
+Both passes are a subclass's one ``_run(x, cache)``.
 
 Shapes: sequence layers take ``(batch, time, features)``; ``Dense`` takes
 ``(batch, features)``. ``LSTM``/``Bidirectional`` emit the *final* hidden
@@ -62,8 +59,7 @@ class Layer:
 
     @property
     def regularizable(self) -> tuple[str, ...]:
-        """Names of parameters subject to weight regularisation (kernels,
-        not biases)."""
+        """Parameters under weight regularisation: kernels, not biases."""
         return tuple(name for name in self.params if name != "b")
 
 
@@ -166,8 +162,7 @@ class LSTM(Layer):
 
     @property
     def hidden_sequence(self) -> np.ndarray:
-        """All hidden states ``(batch, time, hidden)`` from the last
-        forward pass."""
+        """All hidden states ``(batch, time, hidden)`` of the last forward."""
         if self._cache is None:
             raise RuntimeError("no forward pass cached")
         return self._cache["hs"]
@@ -252,7 +247,3 @@ class Bidirectional(Layer):
         dx_fwd = self.fwd.backward(dout[:, :H])
         dx_bwd = self.bwd.backward(dout[:, H:])
         return dx_fwd + dx_bwd[:, ::-1, :]
-
-    def zero_grads(self) -> None:
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()

@@ -54,17 +54,15 @@ class Model:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Training pass: every layer caches what its backward needs."""
-        out = x
         for layer in self.layers:
-            out = layer.forward(out)
-        return out
+            x = layer.forward(x)
+        return x
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Inference pass: bitwise :meth:`forward`'s output, nothing cached."""
-        out = x
         for layer in self.layers:
-            out = layer.infer(out)
-        return out
+            x = layer.infer(x)
+        return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference pass (:meth:`infer`), batch-size consistent.
@@ -79,18 +77,11 @@ class Model:
             return self.infer(np.concatenate([x, x], axis=0))[:1]
         return self.infer(x)
 
-    def _keyed_params(self) -> dict[tuple[int, str], np.ndarray]:
+    def _keyed(self, attr: str) -> dict[tuple[int, str], np.ndarray]:
         return {
             (i, name): arr
             for i, layer in enumerate(self.layers)
-            for name, arr in layer.params.items()
-        }
-
-    def _keyed_grads(self) -> dict[tuple[int, str], np.ndarray]:
-        return {
-            (i, name): arr
-            for i, layer in enumerate(self.layers)
-            for name, arr in layer.grads.items()
+            for name, arr in getattr(layer, attr).items()
         }
 
     def _regularization(self, apply_grads: bool) -> float:
@@ -113,7 +104,7 @@ class Model:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         loss += self._regularization(apply_grads=True)
-        optimizer.step(self._keyed_params(), self._keyed_grads())
+        optimizer.step(self._keyed("params"), self._keyed("grads"))
         return loss
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
@@ -195,28 +186,33 @@ class Model:
             for name, arr in params.items():
                 layer.params[name][...] = arr
 
-    def save_params(self, path: str | Path) -> None:
-        """Persist all parameters to an ``.npz`` file."""
-        flat = {
-            f"{i}__{name}": arr
+    def named_params(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """Every parameter under ``{prefix}{layer index}__{name}``."""
+        return {
+            f"{prefix}{i}__{name}": arr
             for i, layer in enumerate(self.layers)
             for name, arr in layer.params.items()
         }
-        np.savez_compressed(path, **flat)
 
-    def load_params(self, path: str | Path) -> None:
-        """Load parameters saved by :meth:`save_params` into this model
-        (architectures must match)."""
+    def save_params(self, path: str | Path) -> None:
+        """Persist all parameters to an ``.npz`` file."""
+        np.savez_compressed(path, **self.named_params())
+
+    def load_params(self, path: str | Path, prefix: str = "") -> None:
+        """Load the :meth:`named_params` entries under ``prefix`` of an
+        ``.npz`` file into this model (architectures must match); other
+        entries are skipped."""
         data = np.load(path)
         for key in data.files:
-            idx_text, name = key.split("__", 1)
+            if not key.startswith(prefix):
+                continue
+            idx_text, name = key[len(prefix) :].split("__", 1)
             layer = self.layers[int(idx_text)]
             if name not in layer.params:
                 raise KeyError(f"layer {idx_text} has no parameter {name!r}")
             if layer.params[name].shape != data[key].shape:
                 raise ValueError(
-                    f"shape mismatch for {key}: "
-                    f"{layer.params[name].shape} vs {data[key].shape}"
+                    f"shape mismatch for {key}: {layer.params[name].shape} vs {data[key].shape}"
                 )
             layer.params[name][...] = data[key]
 

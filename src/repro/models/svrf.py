@@ -91,17 +91,11 @@ class SVRFModel:
     # -- training ------------------------------------------------------------
 
     def fit(
-        self,
-        train: SegmentDataset,
-        val: SegmentDataset | None = None,
-        epochs: int = 25,
-        batch_size: int = 128,
-        lr: float = 2e-3,
-        patience: int | None = 6,
-        verbose: bool = False,
+        self, train: SegmentDataset, val: SegmentDataset | None = None, **options
     ) -> TrainingHistory:
         """Train on preprocessed segments; scalers are fitted on the
-        training split only."""
+        training split only. ``options`` go to :meth:`Model.fit` over the
+        S-VRF defaults: 25 epochs, ``lr=2e-3`` and ``patience=6``."""
         if len(train) == 0:
             raise ValueError("training dataset is empty")
         x = self.x_scaler.fit_transform(train.x)
@@ -110,17 +104,8 @@ class SVRFModel:
         if val is not None and len(val):
             x_val = self.x_scaler.transform(val.x)
             y_val = self.y_scaler.transform(val.y.reshape(len(val), -1))
-        history = self.network.fit(
-            x,
-            y,
-            x_val,
-            y_val,
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
-            patience=patience,
-            verbose=verbose,
-        )
+        options = {"epochs": 25, "lr": 2e-3, "patience": 6, **options}
+        history = self.network.fit(x, y, x_val, y_val, **options)
         self.trained = True
         return history
 
@@ -136,7 +121,7 @@ class SVRFModel:
         self._require_trained()
         if x.ndim != 3 or x.shape[1:] != (self.config.input_steps, N_FEATURES):
             raise ValueError(
-                f"expected (n, {self.config.input_steps}, {N_FEATURES}), " f"got {x.shape}"
+                f"expected (n, {self.config.input_steps}, {N_FEATURES}), got {x.shape}"
             )
         z = self.network.predict(self.x_scaler.transform(x))
         y = self.y_scaler.inverse_transform(z)
@@ -198,20 +183,14 @@ class SVRFModel:
     def forecast(self, mmsi: int, history: Sequence[Position], pad: bool = False) -> RouteForecast:
         """Forecast for one vessel from its recent downsampled fixes.
 
-        Needs ``input_steps + 1`` fixes (20 displacements); this is the call
-        each vessel actor makes per ingested AIS message. With ``pad=True``
-        shorter histories (two fixes upward) are accepted and the missing
-        leading displacements are zero-filled, so newly appeared vessels
-        forecast before their window fills (prediction quality degrades
-        gracefully until it does). Delegates to :meth:`forecast_batch` with
-        a single-row batch, so per-vessel and pooled fleet-wide inference
-        produce bitwise-identical forecasts.
+        Needs :attr:`min_history` fixes (20 displacements); with ``pad=True``
+        two fixes upward, the missing leading displacements zero-filled, so
+        newly appeared vessels forecast before their window fills. A
+        single-row :meth:`forecast_batch`, so it is bitwise the same
+        vessel's row in a pooled fleet-wide batch.
         """
-        need = self.config.input_steps + 1
-        recent = list(history[-need:])
-        lats = np.array([p.lat for p in recent])
-        lons = np.array([p.lon for p in recent])
-        ts = np.array([p.t for p in recent])
+        recent = list(history[-self.min_history :])
+        ts, lats, lons = np.array([(p.t, p.lat, p.lon) for p in recent]).T
         window = self.make_window(ts, lats, lons, pad=pad)
         return self.forecast_batch([mmsi], window[np.newaxis, :, :], [recent[-1]])[0]
 
@@ -231,15 +210,9 @@ class SVRFModel:
     def save(self, path: str | Path) -> None:
         """Persist weights, scalers and config to one ``.npz`` file."""
         self._require_trained()
-        flat = {
-            f"net_{i}__{name}": arr
-            for i, layer in enumerate(self.network.layers)
-            for name, arr in layer.params.items()
-        }
-        flat["x_mean"] = self.x_scaler.mean_
-        flat["x_std"] = self.x_scaler.std_
-        flat["y_mean"] = self.y_scaler.mean_
-        flat["y_std"] = self.y_scaler.std_
+        flat = self.network.named_params("net_")
+        for axis, scaler in (("x", self.x_scaler), ("y", self.y_scaler)):
+            flat[f"{axis}_mean"], flat[f"{axis}_std"] = scaler.mean_, scaler.std_
         cfg = asdict(self.config)
         flat["config_keys"] = np.array(sorted(cfg), dtype="U32")
         flat["config_values"] = np.array([float(cfg[k]) for k in sorted(cfg)])
@@ -249,21 +222,11 @@ class SVRFModel:
     def load(cls, path: str | Path) -> "SVRFModel":
         data = np.load(path)
         cfg_map = dict(zip(data["config_keys"].tolist(), data["config_values"].tolist()))
-        config = SVRFConfig(
-            hidden=int(cfg_map["hidden"]),
-            dense=int(cfg_map["dense"]),
-            l1_lambda=float(cfg_map["l1_lambda"]),
-            seed=int(cfg_map["seed"]),
-            input_steps=int(cfg_map["input_steps"]),
-            output_steps=int(cfg_map["output_steps"]),
-            bidirectional=bool(cfg_map.get("bidirectional", 1.0)),
-        )
-        model = cls(config)
-        for key in data.files:
-            if not key.startswith("net_"):
-                continue
-            idx_text, name = key[len("net_") :].split("__", 1)
-            model.network.layers[int(idx_text)].params[name][...] = data[key]
+        # Each value back to its field's type; a file older than a field
+        # (``bidirectional``) gets the default.
+        default = asdict(SVRFConfig())
+        model = cls(SVRFConfig(**{k: type(v)(cfg_map.get(k, v)) for k, v in default.items()}))
+        model.network.load_params(path, prefix="net_")
         model.x_scaler = StandardScaler.from_state({"mean": data["x_mean"], "std": data["x_std"]})
         model.y_scaler = StandardScaler.from_state({"mean": data["y_mean"], "std": data["y_std"]})
         model.trained = True
@@ -274,12 +237,11 @@ def train_svrf(
     train: SegmentDataset,
     val: SegmentDataset,
     config: SVRFConfig | None = None,
-    epochs: int = 25,
-    lr: float = 2e-3,
     cache_path: str | Path | None = None,
-    verbose: bool = False,
+    **options,
 ) -> SVRFModel:
-    """Train (or load a cached) S-VRF model.
+    """Train (or load a cached) S-VRF model; ``options`` go to
+    :meth:`SVRFModel.fit`.
 
     ``cache_path`` makes the expensive training step idempotent for the
     benchmark harness: if the file exists it is loaded, otherwise the model
@@ -290,7 +252,7 @@ def train_svrf(
         if cache_path.exists():
             return SVRFModel.load(cache_path)
     model = SVRFModel(config)
-    model.fit(train, val, epochs=epochs, lr=lr, verbose=verbose)
+    model.fit(train, val, **options)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         model.save(cache_path)
