@@ -227,7 +227,12 @@ def test_kv_dump_matches_forecasts_built_from_positions(aegean, make):
                 platform.publish_messages(aegean[i : i + 500])
                 platform.process_available()
             dumps.append(repr(platform.kvstore.dump(aegean[-1].t)))
+            row = platform.kvstore.hgetall(f"vessel:{aegean[-1].mmsi}")["forecast"]
         finally:
             platform.shutdown()
-    assert "forecast" in dumps[0] and "collision" in dumps[0]
-    assert dumps[0] == dumps[1]
+    assert "collision" in dumps[0] and dumps[0] == dumps[1]
+    # The stored row keeps the old scalar types: the anchor's floats, then
+    # float times and np.float64 positions.
+    assert [tuple(map(type, mark)) for mark in row] == [(float, float, float)] + 6 * [
+        (float, np.float64, np.float64)
+    ]
