@@ -108,9 +108,8 @@ class LSTM(Layer):
     """Single LSTM layer returning the final hidden state.
 
     Gate layout in the fused kernels is ``[i, f, g, o]`` (input, forget,
-    candidate, output). ``forward`` returns ``(batch, hidden)``; the full
-    hidden sequence is kept internally for BPTT and exposed via
-    ``hidden_sequence`` for consumers that want it.
+    candidate, output). Returns ``(batch, hidden)``; ``forward`` also keeps
+    the hidden sequence for BPTT, exposed as ``hidden_sequence``.
     """
 
     def __init__(
@@ -144,7 +143,10 @@ class LSTM(Layer):
             hs = np.zeros((batch, steps, H))
             cache_steps = []
         for t in range(steps):
-            z = x[:, t, :] @ W + h @ U + b
+            # In place: (x W + h U) + b without two (batch, 4H) temporaries.
+            z = x[:, t, :] @ W
+            z += h @ U
+            z += b
             i = _sigmoid(z[:, :H])
             f = _sigmoid(z[:, H : 2 * H])
             g = np.tanh(z[:, 2 * H : 3 * H])

@@ -201,8 +201,7 @@ class SVRFModel:
 
     @property
     def window_size(self) -> int:
-        """Displacement steps per :meth:`make_window` row (pooled
-        inference preallocates its batch buffer from this)."""
+        """Displacement steps per :meth:`make_window` row (the pooled batch width)."""
         return self.config.input_steps
 
     # -- persistence --------------------------------------------------------------
@@ -222,8 +221,7 @@ class SVRFModel:
     def load(cls, path: str | Path) -> "SVRFModel":
         data = np.load(path)
         cfg_map = dict(zip(data["config_keys"].tolist(), data["config_values"].tolist()))
-        # Each value back to its field's type; a file older than a field
-        # (``bidirectional``) gets the default.
+        # Each value back to its field's type; an older file may lack one.
         default = asdict(SVRFConfig())
         model = cls(SVRFConfig(**{k: type(v)(cfg_map.get(k, v)) for k, v in default.items()}))
         model.network.load_params(path, prefix="net_")
