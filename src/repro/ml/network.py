@@ -170,7 +170,7 @@ class Model:
                     if patience is not None and stall >= patience:
                         break
             elif verbose:
-                print(f"epoch {epoch + 1}/{epochs} " f"train={history.train_loss[-1]:.6f}")
+                print(f"epoch {epoch + 1}/{epochs} train={history.train_loss[-1]:.6f}")
 
         if best_state is not None:
             self._restore(best_state)
