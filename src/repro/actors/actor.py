@@ -11,9 +11,10 @@ if TYPE_CHECKING:
     from repro.actors.system import ActorSystem, Future
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
-    """A message in flight: payload plus reply plumbing."""
+    """A message in flight: payload plus reply plumbing. Not frozen: the
+    dispatcher stamps ``enqueued_at`` in place on delivery."""
 
     message: Any
     #: Set for ask-pattern messages; the receiving actor's context completes

@@ -193,10 +193,8 @@ class ActorSystem:
         telemetry = self.telemetry
         if telemetry is not None and envelope.trace_id is not None and envelope.enqueued_at is None:
             # Queue-delay stamping is traced-envelopes-only, and in-place:
-            # the envelope is not yet in any mailbox, so mutating the
-            # frozen dataclass here (the same way its __init__ does) is
-            # unobservable and avoids a full copy per sampled message.
-            object.__setattr__(envelope, "enqueued_at", telemetry.clock())
+            # the envelope is not yet in any mailbox.
+            envelope.enqueued_at = telemetry.clock()
         with self._lock:
             cell = self._cells.get(name)
             if cell is None or cell.stopped:
@@ -265,6 +263,7 @@ class ActorSystem:
         batch = cell.mailbox.get_batch(BATCH_SIZE)
         processed = 0
         telemetry = self.telemetry
+        metrics = self.metrics
         entity = entity_counter = proc_hist = None
         tel_clock = None
         batch_proc: list[float] | None = None
@@ -287,11 +286,14 @@ class ActorSystem:
                     self.dead_letters.append((cell.name, leftover))
                     self.dead_letter_count += 1
                 break
-            t0 = time.perf_counter()
+            t0 = time.perf_counter() if metrics is not None else 0.0
             traced = tel_clock is not None and envelope.trace_id is not None
             timed = traced or batch_proc is not None
             tel_t0 = tel_clock() if timed else 0.0
-            ok = self._process_envelope(cell, envelope)
+            if envelope.trace_id is None:
+                ok = self._run_envelope(cell, envelope)
+            else:
+                ok = self._run_traced(cell, envelope)
             if timed:
                 # Durations come from the telemetry clock, not the perf
                 # counter: under a virtual clock they are exactly zero,
@@ -307,13 +309,13 @@ class ActorSystem:
                     telemetry.traces.record(
                         envelope.trace_id, entity, queue_s=queue_s, proc_s=proc_s
                     )
-            if self.metrics is not None and (
+            if metrics is not None and (
                 self.metrics_filter is None or self.metrics_filter(cell.name)
             ):
                 population = (
                     self.population_fn() if self.population_fn is not None else self._active_count
                 )
-                self.metrics.record(population, time.perf_counter() - t0)
+                metrics.record(population, time.perf_counter() - t0)
             processed += 1
             if not ok:
                 # The cell stopped mid-batch: everything still queued becomes
@@ -335,13 +337,10 @@ class ActorSystem:
                 cell.scheduled = False
         return processed
 
-    def _process_envelope(self, cell: _Cell, envelope: Envelope) -> bool:
-        """Run one delivery; returns False if the cell can no longer process
-        (stopped by supervision)."""
-        if envelope.trace_id is None:
-            return self._run_envelope(cell, envelope)
-        # While a traced message is in `receive`, its id is the thread's
-        # current trace — every `tell` the actor makes inherits it.
+    def _run_traced(self, cell: _Cell, envelope: Envelope) -> bool:
+        """:meth:`_run_envelope` for a traced envelope: while it is in
+        ``receive``, its id is the thread's current trace, so every ``tell``
+        the actor makes inherits it."""
         set_current_trace(envelope.trace_id)
         try:
             return self._run_envelope(cell, envelope)
@@ -349,6 +348,8 @@ class ActorSystem:
             clear_current_trace()
 
     def _run_envelope(self, cell: _Cell, envelope: Envelope) -> bool:
+        """Run one delivery; returns False if the cell can no longer process
+        (stopped by supervision)."""
         ref = ActorRef(cell.name, self)
         ctx = ActorContext(self, ref, envelope)
         try:

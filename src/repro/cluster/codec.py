@@ -37,6 +37,7 @@ accounting.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import fields
 from typing import Any, Sequence
@@ -399,39 +400,71 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
     return True
 
 
-#: One-slot caches for the forecast fan-out: a vessel actor shares the
-#: *same* forecast with every collision cell its trajectory touches, so
-#: consecutive ForecastSharedBatch frames to different peers carry an
-#: identical positions tuple.
-#: The encode cache holds a strong reference to the tuple and compares by
-#: identity (no id() reuse hazard); the decode cache compares the packed
-#: bytes. Races under threading at worst cause a miss, never a wrong hit.
-_ENC_POSITIONS_CACHE: tuple | None = None  # (positions tuple, bytes)
-_DEC_POSITIONS_CACHE: tuple | None = None  # (bytes, positions tuple)
+#: One-slot cache for the forecast fan-out: a vessel actor shares the
+#: *same* forecast with every peer owning one of its collision cells, so
+#: consecutive ForecastSharedBatch frames carry an identical positions
+#: region. It holds a strong reference to the forecast and compares by
+#: identity (no id() reuse hazard); a race under threading at worst
+#: causes a miss, never a wrong hit.
+_ENC_FORECAST_CACHE: tuple | None = None  # (forecast, bytes)
 
 
-def _positions_body(positions: tuple) -> bytes | None:
-    """The packed positions region of a forecast payload (cached), or
-    None when a position doesn't fit the fixed layout."""
-    global _ENC_POSITIONS_CACHE
-    cached = _ENC_POSITIONS_CACHE
-    if cached is not None and cached[0] is positions:
+@functools.lru_cache(maxsize=64)
+def _marks_struct(count: int, extra: int) -> struct.Struct:
+    """``count`` marks of the positions region, each with ``extra``
+    doubles (SOG and/or COG) after its flags, time and coordinates."""
+    return struct.Struct(">" + ("Bddd" + "d" * extra) * count)
+
+
+def _put_position(out: bytearray, p: Any) -> None:
+    flags = (1 if p.sog is not None else 0) | (2 if p.cog is not None else 0)
+    out += _POS_FIXED.pack(flags, p.t, p.lat, p.lon)
+    if p.sog is not None:
+        out += _DOUBLE.pack(p.sog)
+    if p.cog is not None:
+        out += _DOUBLE.pack(p.cog)
+
+
+def _positions_region(forecast: Any) -> tuple[int, bytes] | None:
+    """The position count and packed positions region of a forecast
+    payload (cached), or None when a position doesn't fit the fixed layout.
+    A forecast made by ``RouteForecast.from_marks`` is packed from its
+    anchor and mark arrays, into the bytes its ``positions`` would give,
+    without building them."""
+    global _ENC_FORECAST_CACHE
+    cached = _ENC_FORECAST_CACHE
+    if cached is not None and cached[0] is forecast:
         return cached[1]
     position_cls = _hot()["Position"]
-    for p in positions:
-        if type(p) is not position_cls:
-            return None
     buf = bytearray()
-    for p in positions:
-        flags = (1 if p.sog is not None else 0) | (2 if p.cog is not None else 0)
-        buf += _POS_FIXED.pack(flags, p.t, p.lat, p.lon)
-        if p.sog is not None:
-            buf += _DOUBLE.pack(p.sog)
-        if p.cog is not None:
-            buf += _DOUBLE.pack(p.cog)
-    body = bytes(buf)
-    _ENC_POSITIONS_CACHE = (positions, body)
-    return body
+    state = vars(forecast)
+    if "_motion" in state:
+        anchor = state["anchor"]
+        if type(anchor) is not position_cls:
+            return None
+        _put_position(buf, anchor)
+        count = len(state["ts"])
+        motion = state["_motion"]
+        extra = tuple(v for v in (anchor.sog, anchor.cog) if v is not None) if motion else ()
+        flags = buf[0] if motion else 0
+        values: list = []
+        for mark in zip(
+            state["ts"][1:].tolist(), state["lats"][1:].tolist(), state["lons"][1:].tolist()
+        ):
+            values += (flags, *mark, *extra)
+        buf += _marks_struct(count - 1, len(extra)).pack(*values)
+    else:
+        positions = forecast.positions
+        if type(positions) is not tuple:
+            return None
+        count = len(positions)
+        for p in positions:
+            if type(p) is not position_cls:
+                return None
+            _put_position(buf, p)
+    region = (count, bytes(buf))
+    _ENC_FORECAST_CACHE = (forecast, region)
+    return region
 
 
 def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
@@ -446,57 +479,74 @@ def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
         or not 1 <= len(cells) <= 0xFFFF
         or type(forecast.mmsi) is not int
         or not 0 <= forecast.mmsi < (1 << 64)
-        or type(forecast.positions) is not tuple
     ):
         return False
     for cell in cells:
         if type(cell) is not int or not 0 <= cell < (1 << 64):
             return False
-    positions = forecast.positions
-    if len(positions) > 0xFFFF:
+    region = _positions_region(forecast)
+    if region is None or region[0] > 0xFFFF:
         return False
-    body = _positions_body(positions)
-    if body is None:
-        return False
+    count, body = region
     out.append(_P_FORECAST_BATCH)
-    out += _FORECAST_BATCH_HEAD.pack(forecast.mmsi, len(cells), len(positions))
+    out += _FORECAST_BATCH_HEAD.pack(forecast.mmsi, len(cells), count)
     for cell in cells:
         out += _U64.pack(cell)
     out += body
     return True
 
 
-def _get_positions(data: bytes, pos: int, count: int) -> tuple[tuple, int]:
-    """Decode a packed positions region; returns ``(tuple, end_offset)``.
+def _get_position(data: bytes, pos: int) -> tuple[Any, int]:
+    flags, t, lat, lon = _POS_FIXED.unpack_from(data, pos)
+    pos += _POS_FIXED.size
+    sog = cog = None
+    if flags & 1:
+        (sog,) = _DOUBLE.unpack_from(data, pos)
+        pos += _DOUBLE.size
+    if flags & 2:
+        (cog,) = _DOUBLE.unpack_from(data, pos)
+        pos += _DOUBLE.size
+    return _hot()["Position"](t=t, lat=lat, lon=lon, sog=sog, cog=cog), pos
 
-    Walks the flags bytes to find the region end, then checks the decode
-    cache — the fan-out delivers the same positions blob to every cell of
-    one forecast, and tuples are immutable to share."""
-    global _DEC_POSITIONS_CACHE
-    end = pos
-    for _ in range(count):
-        flags = data[end]
-        end += _POS_FIXED.size + (8 if flags & 1 else 0) + (8 if flags & 2 else 0)
-    blob = bytes(data[pos:end])
-    cached = _DEC_POSITIONS_CACHE
-    if cached is not None and cached[0] == blob:
-        return cached[1], end
+
+def _get_forecast(data: bytes, pos: int, mmsi: int, count: int) -> tuple[Any, int]:
+    """Decode a packed positions region into a forecast; returns
+    ``(forecast, end_offset)``.
+
+    A region whose marks are uniform — every mark after the anchor bare,
+    or every one carrying the anchor's SOG and COG bytes — decodes into
+    ``RouteForecast.from_marks``, the arrays the receiving node reads;
+    any other into a ``positions`` tuple."""
+    route_forecast = _hot()["RouteForecast"]
+    if count:
+        anchor, start = _get_position(data, pos)
+        flags = data[start] if count > 1 else 0
+        if flags == 0 or flags == data[pos]:
+            tail = data[pos + _POS_FIXED.size : start] if flags else b""
+            stride = _POS_FIXED.size + len(tail)
+            end = start + stride * (count - 1)
+            uniform = data[start:end:stride] == bytes((flags,)) * (count - 1)
+            if uniform and tail:
+                uniform = all(
+                    data[i + _POS_FIXED.size : i + stride] == tail
+                    for i in range(start, end, stride)
+                )
+            if uniform:
+                values = _marks_struct(count - 1, len(tail) // 8).unpack_from(data, start)
+                width = 4 + len(tail) // 8
+                ts, lats, lons = (
+                    np.array([first, *values[column::width]], dtype=np.float64)
+                    for column, first in ((1, anchor.t), (2, anchor.lat), (3, anchor.lon))
+                )
+                forecast = route_forecast.from_marks(
+                    mmsi, anchor, ts, lats, lons, motion=bool(flags), floats=True
+                )
+                return forecast, end
     positions = []
-    position_cls = _hot()["Position"]
-    while pos < end:
-        flags, t, lat, lon = _POS_FIXED.unpack_from(data, pos)
-        pos += _POS_FIXED.size
-        sog = cog = None
-        if flags & 1:
-            (sog,) = _DOUBLE.unpack_from(data, pos)
-            pos += _DOUBLE.size
-        if flags & 2:
-            (cog,) = _DOUBLE.unpack_from(data, pos)
-            pos += _DOUBLE.size
-        positions.append(position_cls(t=t, lat=lat, lon=lon, sog=sog, cog=cog))
-    positions_t = tuple(positions)
-    _DEC_POSITIONS_CACHE = (blob, positions_t)
-    return positions_t, end
+    for _ in range(count):
+        position, pos = _get_position(data, pos)
+        positions.append(position)
+    return route_forecast(mmsi=mmsi, positions=tuple(positions)), pos
 
 
 def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
@@ -525,8 +575,7 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
         pos += 1 + _FORECAST_BATCH_HEAD.size
         cells = struct.unpack_from(f">{n_cells}Q", data, pos)
         pos += 8 * n_cells
-        positions_t, end = _get_positions(data, pos, count)
-        forecast = hot["RouteForecast"](mmsi=mmsi, positions=positions_t)
+        forecast, end = _get_forecast(data, pos, mmsi, count)
         return hot["ForecastSharedBatch"](cells=cells, forecast=forecast), end
     return _get_value(data, pos, [])
 

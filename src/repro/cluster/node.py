@@ -313,11 +313,18 @@ class ClusterNode:
                            trace_id=current_trace())
         self._route_sharded(env)
 
+    def _shard_of(self, router: ShardRouter | None, env: WireEnvelope) -> int:
+        """The shard of ``env``'s key, through its entity router's memo:
+        one digest per key per node."""
+        if router is None:
+            return shard_for_key(env.entity, env.key, self.config.num_shards)
+        return router.shard_of(env.key)
+
     def _route_sharded(self, env: WireEnvelope) -> None:
-        shard = shard_for_key(env.entity, env.key, self.config.num_shards)
+        router = self._routers.get(env.entity)
+        shard = self._shard_of(router, env)
         owner = self.table.owner_of(shard)
         if owner == self.node_id:
-            router = self._routers.get(env.entity)
             if router is None:
                 self._dead_letter(env)
                 return
@@ -527,7 +534,8 @@ class ClusterNode:
             self._on_control(env.src, env.message)
 
     def _on_sharded(self, env: WireEnvelope) -> None:
-        shard = shard_for_key(env.entity, env.key, self.config.num_shards)
+        router = self._routers.get(env.entity)
+        shard = self._shard_of(router, env)
         owner = self.table.owner_of(shard)
         if owner != self.node_id:
             if env.hops < MAX_HOPS:
@@ -545,7 +553,6 @@ class ClusterNode:
                 # table installs or the owner recovers.
                 self._buffer(shard, replace(env, hops=0))
             return
-        router = self._routers.get(env.entity)
         if router is None:
             self._dead_letter(env)
             return

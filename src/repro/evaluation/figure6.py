@@ -131,10 +131,10 @@ def seeded_svrf_forecaster():
     Matmul cost does not depend on the weight values, so this is the
     same-architecture forward the trained platform runs — without CI
     training a model to time one. The compute-heavy workload of
-    ``bench/``'s ``fleet_svrf`` / ``cluster4_svrf`` (~100-200 us of model
-    compute per kept fix, an order of magnitude over the seed's
-    per-message routing cost, so distributing vessel actors actually
-    moves the critical path).
+    ``bench/``'s ``fleet_svrf`` / ``cluster4_svrf``: one pooled
+    ``forecast_batch`` costs ~60-70 us per row at a batch of 128 (~70 us
+    at 32) on a 2-vCPU Xeon with one BLAS thread, so distributing vessel
+    actors moves real work off the seed node.
     """
     from repro.ml import StandardScaler
     from repro.models.svrf import SVRFConfig, SVRFModel

@@ -52,12 +52,16 @@ class RouteForecast:
         lats: np.ndarray,
         lons: np.ndarray,
         motion: bool = False,
+        floats: bool = False,
     ) -> "RouteForecast":
         """A forecast over its mark arrays (index 0 the ``anchor``); with
-        ``motion`` its marks carry the anchor's SOG and COG."""
+        ``motion`` its marks carry the anchor's SOG and COG. The marks of its
+        ``positions`` take the arrays' ``np.float64`` latitudes and
+        longitudes, or Python floats with ``floats`` (a forecast decoded
+        from the wire, whose position records always carried floats)."""
         forecast = cls.__new__(cls)
         forecast.__dict__.update(
-            mmsi=mmsi, anchor=anchor, ts=ts, lats=lats, lons=lons, _motion=motion
+            mmsi=mmsi, anchor=anchor, ts=ts, lats=lats, lons=lons, _motion=motion, _floats=floats
         )
         return forecast
 
@@ -67,7 +71,10 @@ class RouteForecast:
         if name == "positions" and "lats" in state:
             anchor = state["anchor"]
             sog, cog = (anchor.sog, anchor.cog) if state["_motion"] else (None, None)
-            marks = zip(state["ts"][1:].tolist(), state["lats"][1:], state["lons"][1:])
+            lats, lons = state["lats"][1:], state["lons"][1:]
+            if state["_floats"]:
+                lats, lons = lats.tolist(), lons.tolist()
+            marks = zip(state["ts"][1:].tolist(), lats, lons)
             value = (anchor, *(Position(t, lat, lon, sog, cog) for t, lat, lon in marks))
         elif name == "anchor" and "positions" in state:
             value = state["positions"][0]

@@ -345,3 +345,44 @@ class TestStats:
             assert field in stats
         assert stats["alive"] == ["n1", "n2"]
         assert stats["leader"] == "n1"
+
+
+class TestShardDigests:
+    def test_one_shard_digest_per_key_per_node(self, monkeypatch):
+        """Both ends of a sharded frame find its shard through the
+        entity router's memo: a stream whose keys all recur (the same
+        tracks an hour later) sends frames but hashes no key again."""
+        from repro.ais.datasets import proximity_scenario
+        from repro.cluster import sharding
+        from repro.platform import LoopbackCluster
+        from repro.streams import broker
+
+        calls = []
+        real = sharding.stable_hash
+
+        def counted(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(sharding, "stable_hash", counted)
+        # The broker's partition memo is its own; keep it off the count.
+        monkeypatch.setattr(broker, "_stable_hash", real)
+        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
+                                      n_background=2, duration_s=1_800.0)
+        first = sorted(scenario.result.messages, key=lambda m: m.t)
+        shift = first[-1].t - first[0].t + 3_600.0
+        again = [replace(m, t=m.t + shift) for m in first]
+        cluster = LoopbackCluster(num_nodes=2)
+        try:
+            seen = []
+            for stream in (first, again):
+                for i in range(0, len(stream), 500):
+                    cluster.seed.publish_messages(stream[i:i + 500])
+                    cluster.process_available()
+                seen.append((len(calls),
+                             sum(node.frames_out for node in cluster.nodes)))
+        finally:
+            cluster.shutdown()
+        (hashes, frames), (hashes_again, frames_again) = seen
+        assert frames_again > frames > 0
+        assert hashes_again == hashes

@@ -13,7 +13,9 @@ fields in every combination. The invariants under test:
 * every message dataclass is a wire type, so a new message cannot reach
   the wire unregistered;
 * a truncated or corrupted frame raises :class:`WireDecodeError` and
-  nothing else.
+  nothing else;
+* a forecast made from mark arrays packs into the bytes of its
+  ``positions``, and a region of uniform marks decodes back into arrays.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 import inspect
 import math
 import pickle
+import struct
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.cluster.protocol as protocol_mod
 import repro.platform.messages as messages_mod
@@ -481,3 +484,68 @@ def test_state_transfer_keeps_a_shared_forecast_shared():
         assert table.pair_tests == 1
     finally:
         cluster.shutdown()
+
+
+# -- forecasts as mark arrays ------------------------------------------------------
+
+
+@st.composite
+def mark_forecasts(draw):
+    """A forecast made from its mark arrays: 1-8 marks after the anchor,
+    with or without motion, the anchor's SOG and COG set or None."""
+    anchor = draw(positions)
+    marks = np.array(draw(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=8)))
+    ts, lats, lons = (
+        np.concatenate([[first], marks[:, column]])
+        for column, first in enumerate((anchor.t, anchor.lat, anchor.lon))
+    )
+    motion = draw(st.booleans())
+    return RouteForecast.from_marks(draw(uint64), anchor, ts, lats, lons, motion=motion)
+
+
+def forecast_frame(forecast: RouteForecast, cells: tuple) -> bytes:
+    message = ForecastSharedBatch(cells=cells, forecast=forecast)
+    return codec.encode(WireEnvelope(kind="sharded", src="n", entity="collision", message=message))
+
+
+def from_arrays(forecast: RouteForecast) -> bool:
+    return "_motion" in vars(forecast)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack(">d", value)
+
+
+@settings(deadline=None, max_examples=200)
+@given(forecast=mark_forecasts(), cells=st.lists(uint64, min_size=1, max_size=4).map(tuple))
+def test_mark_arrays_encode_and_decode_as_their_positions(forecast, cells):
+    frame = forecast_frame(forecast, cells)
+    assert "positions" not in vars(forecast)
+    twin = RouteForecast(mmsi=forecast.mmsi, positions=tuple(forecast.positions))
+    assert forecast_frame(twin, cells) == frame
+    decoded = codec.decode(frame).message.forecast
+    assert from_arrays(decoded) and decoded == forecast == twin
+    for name in ("ts", "lats", "lons"):
+        assert getattr(decoded, name).tobytes() == getattr(twin, name).tobytes()
+    for p in decoded.positions:
+        assert type(p.t) is float and type(p.lat) is float and type(p.lon) is float
+        assert {type(p.sog), type(p.cog)} <= {float, type(None)}
+    assert forecast_frame(decoded, cells) == frame
+
+
+@settings(deadline=None, max_examples=200)
+@given(forecast=mark_forecasts(), index=st.integers(min_value=0), sog=finite)
+def test_non_uniform_marks_take_the_positions_path(forecast, index, sog):
+    """A mark whose SOG is not the anchor's (mixed flags when the anchor
+    has none) breaks uniformity: the region decodes into positions and
+    still round-trips."""
+    anchor = forecast.anchor
+    assume(anchor.sog is None or bits(sog) != bits(anchor.sog))
+    marks = list(forecast.positions)
+    i = 1 + index % (len(marks) - 1)
+    marks[i] = replace(marks[i], sog=sog)
+    twin = RouteForecast(mmsi=forecast.mmsi, positions=tuple(marks))
+    frame = forecast_frame(twin, (613561124432,))
+    decoded = codec.decode(frame).message.forecast
+    assert not from_arrays(decoded) and decoded == twin
+    assert forecast_frame(decoded, (613561124432,)) == frame
