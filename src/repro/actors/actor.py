@@ -44,14 +44,12 @@ class ActorRef:
 
     def tell(self, message: Any) -> None:
         """Fire-and-forget send."""
-        self._system._deliver(
-            self.name, Envelope(message=message, trace_id=current_trace()))
+        self._system._deliver(self.name, Envelope(message=message, trace_id=current_trace()))
 
     def ask(self, message: Any) -> "Future":
         """Request-reply send; returns a :class:`Future` for the reply."""
         future = self._system._new_future()
-        self._system._deliver(self.name,
-                              Envelope(message=message, reply_to=future))
+        self._system._deliver(self.name, Envelope(message=message, reply_to=future))
         return future
 
     def __repr__(self) -> str:
@@ -69,8 +67,7 @@ class ActorContext:
 
     __slots__ = ("system", "self_ref", "_envelope")
 
-    def __init__(self, system: "ActorSystem", self_ref: ActorRef,
-                 envelope: Envelope) -> None:
+    def __init__(self, system: "ActorSystem", self_ref: ActorRef, envelope: Envelope) -> None:
         self.system = system
         self.self_ref = self_ref
         self._envelope = envelope

@@ -118,10 +118,10 @@ class ShardCoordinator:
         node = self._node
         assignable = tuple(node.membership.assignable_ids())
         node_set = set(assignable)
-        overrides = tuple((shard, owner) for shard, owner
-                          in node.table.overrides if owner in node_set)
-        update = ShardTableUpdate(epoch=node.table.epoch + 1,
-                                  nodes=assignable, overrides=overrides)
+        overrides = tuple(
+            (shard, owner) for shard, owner in node.table.overrides if owner in node_set
+        )
+        update = ShardTableUpdate(epoch=node.table.epoch + 1, nodes=assignable, overrides=overrides)
         self.rebalances += 1
         node._install_table(update)
         node.broadcast_control(update)
@@ -130,13 +130,16 @@ class ShardCoordinator:
 class ClusterNode:
     """One member of the sharded actor cluster."""
 
-    def __init__(self, node_id: str, transport: Transport,
-                 config: ClusterConfig | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        node_id: str,
+        transport: Transport,
+        config: ClusterConfig | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self.node_id = node_id
         self.config = config or ClusterConfig()
-        if (self.config.transport_batching
-                and not isinstance(transport, BatchingTransport)):
+        if self.config.transport_batching and not isinstance(transport, BatchingTransport):
             # The wrapper inherits this node's clock: under a virtual
             # clock the linger bookkeeping must not read wall time.
             transport = BatchingTransport(
@@ -144,12 +147,12 @@ class ClusterNode:
                 linger_ms=self.config.batch_linger_ms,
                 max_batch_bytes=self.config.max_batch_bytes,
                 max_batch_msgs=self.config.max_batch_msgs,
-                clock=clock)
+                clock=clock,
+            )
         self.transport = transport
         self.clock = clock
         self.system = ActorSystem(name=node_id)
-        self.membership = Membership(node_id, transport.address,
-                                     self.config, clock)
+        self.membership = Membership(node_id, transport.address, self.config, clock)
         self.coordinator = ShardCoordinator(self)
         self.table = ShardTable(1, (node_id,), self.config.num_shards)
         self.joined = threading.Event()
@@ -210,8 +213,10 @@ class ClusterNode:
         self.transport.bind_telemetry(registry)
         for state in ("up", "suspect", "down", "joining"):
             registry.gauge(
-                "cluster_members", {"state": state},
-                fn=lambda s=state: self.membership.state_counts()[s])
+                "cluster_members",
+                {"state": state},
+                fn=lambda s=state: self.membership.state_counts()[s],
+            )
         registry.gauge("node_frames_in", fn=lambda: self.frames_in)
         registry.gauge("node_frames_rejected", fn=lambda: self.frames_rejected)
         registry.gauge("node_frames_out", fn=lambda: self.frames_out)
@@ -219,18 +224,12 @@ class ClusterNode:
         registry.gauge("node_buffered", fn=lambda: self.buffered)
         registry.gauge("node_redelivered", fn=lambda: self.redelivered)
         registry.gauge("node_shards_moved", fn=lambda: self.shards_moved)
-        registry.gauge("node_handoff_keys_released",
-                       fn=lambda: self.handoff_keys_released)
-        registry.gauge("node_pending_shard_messages",
-                       fn=lambda: self.pending_count)
-        registry.gauge("node_state_transfers_sent",
-                       fn=lambda: self.state_transfers_sent)
-        registry.gauge("node_state_transfers_received",
-                       fn=lambda: self.state_transfers_received)
-        registry.gauge("node_rebalance_plans",
-                       fn=lambda: self.rebalancer.plans_total)
-        registry.gauge("node_rebalance_moves",
-                       fn=lambda: self.rebalancer.moves_total)
+        registry.gauge("node_handoff_keys_released", fn=lambda: self.handoff_keys_released)
+        registry.gauge("node_pending_shard_messages", fn=lambda: self.pending_count)
+        registry.gauge("node_state_transfers_sent", fn=lambda: self.state_transfers_sent)
+        registry.gauge("node_state_transfers_received", fn=lambda: self.state_transfers_received)
+        registry.gauge("node_rebalance_plans", fn=lambda: self.rebalancer.plans_total)
+        registry.gauge("node_rebalance_moves", fn=lambda: self.rebalancer.moves_total)
 
     def start(self) -> None:
         self.transport.start(self._on_frame)
@@ -253,8 +252,7 @@ class ClusterNode:
         self.transport.add_peer(seed_id, seed_address)
         self._seed_contact = (seed_id, seed_address)
         self._last_join_sent = self.clock()
-        self.send_control(seed_id, Join(self.node_id,
-                                        self.transport.address))
+        self.send_control(seed_id, Join(self.node_id, self.transport.address))
 
     def leave(self) -> None:
         """Announce graceful departure so shards hand off immediately."""
@@ -277,8 +275,7 @@ class ClusterNode:
 
     # -- entities -----------------------------------------------------------------
 
-    def register_entity(self, entity: str, factory,
-                        local_router=None) -> ShardRouter:
+    def register_entity(self, entity: str, factory, local_router=None) -> ShardRouter:
         """Declare a sharded entity type (e.g. ``vessel``); returns its
         location-transparent router. Every node must register the same
         entity set — an entity's actors can live on any of them.
@@ -294,8 +291,7 @@ class ClusterNode:
     def router(self, entity: str) -> ShardRouter:
         return self._routers[entity]
 
-    def register_control(self, op: str, handler: Callable[[dict], Any]
-                         ) -> None:
+    def register_control(self, op: str, handler: Callable[[dict], Any]) -> None:
         """Register a node-level request handler reachable via
         :meth:`ask_control` (e.g. ``"stats"``, ``"metrics"``)."""
         self._control[op] = handler
@@ -308,9 +304,14 @@ class ClusterNode:
     def send_sharded(self, entity: str, key: Any, message: Any) -> None:
         """Route a message to the owner of ``key``'s shard (the remote leg
         of :meth:`ShardRouter.tell`)."""
-        env = WireEnvelope(kind="sharded", src=self.node_id, entity=entity,
-                           key=key, message=message,
-                           trace_id=current_trace())
+        env = WireEnvelope(
+            kind="sharded",
+            src=self.node_id,
+            entity=entity,
+            key=key,
+            message=message,
+            trace_id=current_trace(),
+        )
         self._route_sharded(env)
 
     def _shard_of(self, router: ShardRouter | None, env: WireEnvelope) -> int:
@@ -366,8 +367,7 @@ class ClusterNode:
 
     # -- control asks --------------------------------------------------------------
 
-    def ask_control(self, node_id: str, op: str,
-                    params: dict | None = None) -> Future:
+    def ask_control(self, node_id: str, op: str, params: dict | None = None) -> Future:
         """Ask a node-level control handler (local or remote)."""
         request = ControlRequest(op=op, params=params or {})
         future = Future()
@@ -377,8 +377,7 @@ class ClusterNode:
         with self._lock:
             corr = next(self._corr)
             self._asks[corr] = future
-        env = WireEnvelope(kind="ask", src=self.node_id,
-                           message=request, corr_id=corr)
+        env = WireEnvelope(kind="ask", src=self.node_id, message=request, corr_id=corr)
         if not self._send(node_id, env):
             with self._lock:
                 self._asks.pop(corr, None)
@@ -394,8 +393,7 @@ class ClusterNode:
     # -- control plane -------------------------------------------------------------
 
     def send_control(self, node_id: str, message: Any) -> bool:
-        env = WireEnvelope(kind="control", src=self.node_id,
-                           message=message)
+        env = WireEnvelope(kind="control", src=self.node_id, message=message)
         return self._send(node_id, env)
 
     def broadcast_control(self, message: Any) -> None:
@@ -411,41 +409,42 @@ class ClusterNode:
         """
         if now is None:
             now = self.clock()
-        if (now - self._last_heartbeat_sent
-                >= self.config.heartbeat_interval_s):
+        if now - self._last_heartbeat_sent >= self.config.heartbeat_interval_s:
             self._last_heartbeat_sent = now
             beat = Heartbeat(self.node_id)
             for peer in self.membership.peer_ids():
                 self.send_control(peer, beat)
-        if (self._seed_contact is not None
-                and not self.joined.is_set()
-                and now - self._last_join_sent >= JOIN_RETRY_INTERVAL_S):
+        if (
+            self._seed_contact is not None
+            and not self.joined.is_set()
+            and now - self._last_join_sent >= JOIN_RETRY_INTERVAL_S
+        ):
             self._last_join_sent = now
             seed_id, seed_address = self._seed_contact
-            self.send_control(seed_id, Join(self.node_id,
-                                            self.transport.address))
-        if (self.coordinator.is_active
-                and now - self._last_anti_entropy >= ANTI_ENTROPY_INTERVAL_S):
+            self.send_control(seed_id, Join(self.node_id, self.transport.address))
+        if self.coordinator.is_active and now - self._last_anti_entropy >= ANTI_ENTROPY_INTERVAL_S:
             # Control broadcasts (table updates, member roster) are
             # one-shot; on a lossy network a peer that missed one would
             # stay stale forever. The leader therefore re-asserts its
             # view periodically — receivers install idempotently.
             self._last_anti_entropy = now
-            update = ShardTableUpdate(epoch=self.table.epoch,
-                                      nodes=self.table.nodes,
-                                      overrides=self.table.overrides)
-            roster = [m for m in self.membership.members()
-                      if m.state in (MemberState.UP, MemberState.SUSPECT)
-                      and m.node_id != self.node_id]
+            update = ShardTableUpdate(
+                epoch=self.table.epoch, nodes=self.table.nodes, overrides=self.table.overrides
+            )
+            roster = [
+                m
+                for m in self.membership.members()
+                if m.state in (MemberState.UP, MemberState.SUSPECT) and m.node_id != self.node_id
+            ]
             for peer in self.membership.peer_ids():
                 self.send_control(peer, update)
                 for member in roster:
                     if member.node_id != peer:
-                        self.send_control(peer, MemberUp(member.node_id,
-                                                         member.address))
-        if (self.config.load_report_interval_s > 0
-                and now - self._last_load_report
-                >= self.config.load_report_interval_s):
+                        self.send_control(peer, MemberUp(member.node_id, member.address))
+        if (
+            self.config.load_report_interval_s > 0
+            and now - self._last_load_report >= self.config.load_report_interval_s
+        ):
             self._last_load_report = now
             report = self._build_load_report()
             leader = self.membership.leader()
@@ -487,7 +486,8 @@ class ClusterNode:
             consumer_lag=int(lag),
             busy_ms=busy_ms,
             entities=entities,
-            shard_messages=tuple(sorted(shard_messages.items())))
+            shard_messages=tuple(sorted(shard_messages.items())),
+        )
 
     # -- inbound frames ------------------------------------------------------------
 
@@ -559,8 +559,7 @@ class ClusterNode:
         router.deliver_local(env.key, env.message)
 
     def _dead_letter(self, env: WireEnvelope) -> None:
-        self.system.dead_letters.append(
-            (f"{env.entity}-{env.key}", Envelope(message=env.message)))
+        self.system.dead_letters.append((f"{env.entity}-{env.key}", Envelope(message=env.message)))
         self.system.dead_letter_count += 1
 
     def _on_ask(self, env: WireEnvelope) -> None:
@@ -570,8 +569,10 @@ class ClusterNode:
             # Only a malformed peer asks anything else; answer it so the
             # asker never hangs.
             result = {"error": "ask payload is not a ControlRequest"}
-        self._send(env.src, WireEnvelope(kind="reply", src=self.node_id,
-                                         corr_id=env.corr_id, message=result))
+        self._send(
+            env.src,
+            WireEnvelope(kind="reply", src=self.node_id, corr_id=env.corr_id, message=result),
+        )
 
     def _handle_control_request(self, request: ControlRequest) -> Any:
         handler = self._control.get(request.op)
@@ -611,16 +612,23 @@ class ClusterNode:
     def _on_join(self, join: Join) -> None:
         self.transport.add_peer(join.node_id, join.address)
         changed = self.membership.add(join.node_id, join.address)
-        members = tuple((m.node_id, m.address)
-                        for m in self.membership.members()
-                        if m.state is not MemberState.DOWN)
+        members = tuple(
+            (m.node_id, m.address)
+            for m in self.membership.members()
+            if m.state is not MemberState.DOWN
+        )
         # Tell the newcomer who is here; the table update follows from the
         # coordinator broadcast below (epoch in Welcome covers the race
         # where the newcomer sends sharded messages before the update).
-        self.send_control(join.node_id, Welcome(
-            members=members, table_epoch=self.table.epoch,
-            table_nodes=self.table.nodes,
-            table_overrides=self.table.overrides))
+        self.send_control(
+            join.node_id,
+            Welcome(
+                members=members,
+                table_epoch=self.table.epoch,
+                table_nodes=self.table.nodes,
+                table_overrides=self.table.overrides,
+            ),
+        )
         for peer in self.membership.peer_ids():
             if peer != join.node_id:
                 self.send_control(peer, MemberUp(join.node_id, join.address))
@@ -632,26 +640,31 @@ class ClusterNode:
             if node_id != self.node_id:
                 self.transport.add_peer(node_id, address)
                 self.membership.add(node_id, address)
-        self._install_table(ShardTableUpdate(
-            epoch=welcome.table_epoch, nodes=welcome.table_nodes,
-            overrides=welcome.table_overrides))
+        self._install_table(
+            ShardTableUpdate(
+                epoch=welcome.table_epoch,
+                nodes=welcome.table_nodes,
+                overrides=welcome.table_overrides,
+            )
+        )
         self.joined.set()
 
     # -- shard table install + handoff ----------------------------------------------
 
     def _install_table(self, update: ShardTableUpdate) -> None:
         with self._lock:
-            new = ShardTable(update.epoch, update.nodes,
-                             self.config.num_shards,
-                             overrides=update.overrides)
+            new = ShardTable(
+                update.epoch, update.nodes, self.config.num_shards, overrides=update.overrides
+            )
             # Idempotence guard compares the *routing outcome*, not just
             # (epoch, nodes): two same-epoch tables may differ in their
             # rebalance overrides (an anti-entropy echo racing a plan),
             # and skipping one would leave ownership split.
-            if (update.epoch < self.table.epoch
-                    or (update.epoch == self.table.epoch
-                        and new.nodes == self.table.nodes
-                        and new.overrides == self.table.overrides)):
+            if update.epoch < self.table.epoch or (
+                update.epoch == self.table.epoch
+                and new.nodes == self.table.nodes
+                and new.overrides == self.table.overrides
+            ):
                 return
             old = self.table
             self.table = new
@@ -686,12 +699,12 @@ class ClusterNode:
                     continue
                 owner = new.owner_of(shard)
                 if owner != self.node_id:
-                    transfers.setdefault((owner, shard), []).append(
-                        (router.entity, key, state))
+                    transfers.setdefault((owner, shard), []).append((router.entity, key, state))
         for owner, shard in sorted(transfers):
             entries = transfers[(owner, shard)]
-            sent = self.send_control(owner, ShardStateTransfer(
-                shard=shard, epoch=new.epoch, entries=tuple(entries)))
+            sent = self.send_control(
+                owner, ShardStateTransfer(shard=shard, epoch=new.epoch, entries=tuple(entries))
+            )
             if sent:
                 self.state_transfers_sent += len(entries)
             else:
@@ -714,8 +727,7 @@ class ClusterNode:
             router = self._routers.get(entity)
             if router is None:
                 continue
-            router.tell(key, RestoreState(entity=entity, key=key,
-                                          state=state, handoff=True))
+            router.tell(key, RestoreState(entity=entity, key=key, state=state, handoff=True))
             self.state_transfers_received += 1
 
     # -- introspection ---------------------------------------------------------------
@@ -724,8 +736,9 @@ class ClusterNode:
         # Membership facts come from one snapshot() so the view is
         # internally consistent whichever thread asks for the stats.
         members = self.membership.snapshot()
-        alive = sorted(m.node_id for m in members
-                       if m.state in (MemberState.UP, MemberState.SUSPECT))
+        alive = sorted(
+            m.node_id for m in members if m.state in (MemberState.UP, MemberState.SUSPECT)
+        )
         counters = {
             "node_id": self.node_id,
             "epoch": self.table.epoch,
@@ -758,14 +771,14 @@ class ClusterNode:
         }
         with self.system._lock:
             counters["messages_processed"] = sum(
-                c.messages_processed for c in self.system._cells.values())
+                c.messages_processed for c in self.system._cells.values()
+            )
         for entity, router in self._routers.items():
             counters[f"{entity}_local"] = len(router)
         return counters
 
 
-def run_cluster_until_idle(nodes: Iterable["ClusterNode"], hub,
-                           max_rounds: int = 100_000) -> int:
+def run_cluster_until_idle(nodes: Iterable["ClusterNode"], hub, max_rounds: int = 100_000) -> int:
     """Pump a loopback cluster to global quiescence (deterministic).
 
     Alternates transport delivery with per-node dispatcher runs until no
@@ -783,5 +796,4 @@ def run_cluster_until_idle(nodes: Iterable["ClusterNode"], hub,
         total += processed
         if frames == 0 and processed == 0 and hub.pending == 0:
             return total
-    raise RuntimeError("cluster did not reach quiescence "
-                       f"within {max_rounds} rounds")
+    raise RuntimeError(f"cluster did not reach quiescence within {max_rounds} rounds")
