@@ -190,7 +190,8 @@ class ShardRouter:
         #: key -> shard memo. ``shard_for_key`` is a pure function of
         #: (entity, key, num_shards) — only the shard -> *node* assignment
         #: moves with membership — so the memo survives table changes.
-        #: One BLAKE2b digest per *distinct* key instead of per tell.
+        #: One BLAKE2b digest per *distinct* key per node: ``tell`` and the
+        #: node's frame routing (both ends of a frame) read it.
         self._shard_cache: dict[Any, int] = {}
 
     def shard_of(self, key: Any) -> int:
