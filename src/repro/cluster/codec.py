@@ -8,9 +8,19 @@ serializer before they cross node boundaries. Here every
 ``entity``) has a fixed head; the ``key`` and the payload follow in one
 closed, tagged value encoding:
 
-* **hot payloads** — the Figure 6 stream types (``PositionIngested``,
-  ``CellObservation``, ``ForecastSharedBatch``) get dedicated fixed
-  layouts, so the steady-state stream pays no per-field tags.
+* **hot payloads** — the Figure 6 stream types get dedicated layouts, so
+  the steady-state stream pays no per-field tags. ``PositionIngested``
+  and ``CellObservation`` have fixed layouts. ``ForecastSharedBatch``
+  travels as a *forecast block*: per-entry heads (MMSI, cell count, mark
+  count, flags), the anchors, every cell as one ``>u8`` array and every
+  mark as one ``>f8`` array, decoded through ``np.frombuffer`` into
+  ``RouteForecast.from_marks`` rows (a forecast whose marks are not
+  uniform carries its per-mark flags, SOG and COG after them). A lone
+  share is a one-entry block.
+* **the sharded batch** — a ``ShardedBatch`` is everything one node
+  routes to one peer in one burst of work: each entry keeps its own
+  entity, key, hop count and trace id, the entries' messages follow in
+  order, and a run of consecutive forecast shares is one block.
 * **everything else** — ``None``, ``bool``, ``int`` (signed 64-bit plus
   the unsigned H3 range), ``float``, ``numpy.float64``, ``str``,
   ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
@@ -37,7 +47,6 @@ accounting.
 from __future__ import annotations
 
 import enum
-import functools
 import struct
 from dataclasses import fields
 from typing import Any, Sequence
@@ -102,7 +111,8 @@ _V_REF = 0x0E  #: u32: the n-th record already decoded in this frame
 # messages travel as records).
 _P_POSITION = 0x10  #: platform.messages.PositionIngested
 _P_CELLOBS = 0x11  #: platform.messages.CellObservation
-_P_FORECAST_BATCH = 0x14  #: platform.messages.ForecastSharedBatch
+_P_FORECAST_BATCH = 0x14  #: ForecastSharedBatch entries, as one forecast block
+_P_SHARDED_BATCH = 0x15  #: protocol.ShardedBatch
 
 _SEQUENCE_TAGS = {tuple: _V_TUPLE, list: _V_LIST, set: _V_SET}
 _SEQUENCE_TYPES = {tag: t for t, tag in _SEQUENCE_TAGS.items()}
@@ -120,9 +130,15 @@ _AIS_BODY = struct.Struct(">QdddddhBB")  # mmsi,t,lat,lon,sog,cog,hdg,st,src
 #: Cells are unsigned: H3-style ids use the full 64-bit range (indexes
 #: above ``2**63`` are routine at the collision-cell resolution).
 _CELLOBS_BODY = struct.Struct(">QQddd")  # cell, mmsi, t, lat, lon
-_FORECAST_BATCH_HEAD = struct.Struct(">QHH")  # mmsi, n_cells, n_positions
-_POS_FIXED = struct.Struct(">Bddd")  # flags, t, lat, lon
 _DOUBLE = struct.Struct(">d")
+_ENTRY_HEAD = struct.Struct(">BB")  # hops, traced: a ShardedBatch entry
+_BLOCK_HEAD = struct.Struct(">QHHB")  # mmsi, n_cells, n_marks, flags: a forecast
+# A forecast's flags: bits 0-1 mark the anchor's SOG and COG as present
+# (a position's flags), and two more say how its marks carry motion.
+_MOTION = 0x04  #: every mark after the anchor carries the anchor's SOG and COG
+_EXPLICIT = 0x08  #: the marks' own flags, SOG and COG follow the block's marks
+#: Doubles after t, lat and lon, by SOG / COG presence bits.
+_PRESENT = (0, 1, 1, 2)
 
 _NO_STR = 0xFFFF  #: length marker for a None string field
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -183,6 +199,7 @@ def _records() -> tuple:
         Waypoint,
         PlanLeg,
         VoyagePlan,
+        p.ShardedBatch,
     )
 
 
@@ -345,7 +362,11 @@ def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
 
 def _put_payload(out: bytearray, message: Any) -> None:
     """Append the envelope payload: a fixed layout for an exact hot type
-    whose fields fit it, the value encoding for everything else."""
+    whose fields fit it, the value encoding for everything else. A
+    ``ShardedBatch`` has only its layout."""
+    if type(message) is _hot()["ShardedBatch"]:
+        _put_sharded_batch(out, message)
+        return
     mark = len(out)
     try:
         if _try_put_hot(out, message):
@@ -375,7 +396,11 @@ def _try_put_hot(out: bytearray, message: Any) -> bool:
         out += _CELLOBS_BODY.pack(message.cell, message.mmsi, message.t, message.lat, message.lon)
         return True
     if t is hot["ForecastSharedBatch"]:
-        return _try_put_forecast_batch(out, message)
+        parts = _share_parts(message)
+        if parts is None:
+            return False
+        _put_forecast_block(out, [parts])
+        return True
     return False
 
 
@@ -400,183 +425,308 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
     return True
 
 
-#: One-slot cache for the forecast fan-out: a vessel actor shares the
-#: *same* forecast with every peer owning one of its collision cells, so
-#: consecutive ForecastSharedBatch frames carry an identical positions
-#: region. It holds a strong reference to the forecast and compares by
-#: identity (no id() reuse hazard); a race under threading at worst
-#: causes a miss, never a wrong hit.
-_ENC_FORECAST_CACHE: tuple | None = None  # (forecast, bytes)
+def _share_parts(share: Any) -> tuple | None:
+    """A ``ForecastSharedBatch``'s pieces of a forecast block — its head,
+    anchor, cells, mark columns and explicit marks — or None when it does
+    not fit the block (the value encoding carries it then)."""
+    hot = _hot()
+    forecast, cells = share.forecast, share.cells
+    if (
+        type(forecast) is not hot["RouteForecast"]
+        or type(forecast.mmsi) is not int
+        or type(cells) is not tuple
+        or not 1 <= len(cells) <= 0xFFFF
+    ):
+        return None
+    for cell in cells:
+        if type(cell) is not int:
+            return None
+    try:
+        marks = _forecast_marks(forecast)
+        if marks is None:
+            return None
+        count, flags, anchor, columns, explicit = marks
+        head = _BLOCK_HEAD.pack(forecast.mmsi, len(cells), count, flags)
+        return head, anchor, struct.pack(f">{len(cells)}Q", *cells), columns, explicit
+    except (struct.error, AttributeError, TypeError, ValueError, OverflowError):
+        return None
 
 
-@functools.lru_cache(maxsize=64)
-def _marks_struct(count: int, extra: int) -> struct.Struct:
-    """``count`` marks of the positions region, each with ``extra``
-    doubles (SOG and/or COG) after its flags, time and coordinates."""
-    return struct.Struct(">" + ("Bddd" + "d" * extra) * count)
+def _forecast_marks(forecast: Any) -> tuple | None:
+    """``(mark count, flags, anchor bytes, mark columns, explicit marks)``
+    of a forecast, or None when it does not fit the block.
 
-
-def _put_position(out: bytearray, p: Any) -> None:
-    flags = (1 if p.sog is not None else 0) | (2 if p.cog is not None else 0)
-    out += _POS_FIXED.pack(flags, p.t, p.lat, p.lon)
-    if p.sog is not None:
-        out += _DOUBLE.pack(p.sog)
-    if p.cog is not None:
-        out += _DOUBLE.pack(p.cog)
-
-
-def _positions_region(forecast: Any) -> tuple[int, bytes] | None:
-    """The position count and packed positions region of a forecast
-    payload (cached), or None when a position doesn't fit the fixed layout.
-    A forecast made by ``RouteForecast.from_marks`` is packed from its
-    anchor and mark arrays, into the bytes its ``positions`` would give,
-    without building them."""
-    global _ENC_FORECAST_CACHE
-    cached = _ENC_FORECAST_CACHE
-    if cached is not None and cached[0] is forecast:
-        return cached[1]
+    A forecast made by ``RouteForecast.from_marks`` is read from its
+    arrays. One made from ``positions`` packs into the same bytes when its
+    marks are uniform — every mark after the anchor bare, or every one
+    carrying the anchor's SOG and COG bits — and carries its per-mark flags,
+    SOG and COG explicitly otherwise."""
     position_cls = _hot()["Position"]
-    buf = bytearray()
     state = vars(forecast)
     if "_motion" in state:
-        anchor = state["anchor"]
-        if type(anchor) is not position_cls:
+        anchor, ts, lats, lons = state["anchor"], state["ts"], state["lats"], state["lons"]
+        count = len(ts)
+        if type(anchor) is not position_cls or not count:
             return None
-        _put_position(buf, anchor)
-        count = len(state["ts"])
-        motion = state["_motion"]
-        extra = tuple(v for v in (anchor.sog, anchor.cog) if v is not None) if motion else ()
-        flags = buf[0] if motion else 0
-        values: list = []
-        for mark in zip(
-            state["ts"][1:].tolist(), state["lats"][1:].tolist(), state["lons"][1:].tolist()
-        ):
-            values += (flags, *mark, *extra)
-        buf += _marks_struct(count - 1, len(extra)).pack(*values)
+        if not ts.shape == lats.shape == lons.shape:
+            return None
+        columns = (ts[1:], lats[1:], lons[1:])
+        motion, explicit = state["_motion"], b""
     else:
-        positions = forecast.positions
+        positions = state["positions"]
         if type(positions) is not tuple:
             return None
         count = len(positions)
+        if not count:
+            return 0, 0, b"", None, b""
         for p in positions:
             if type(p) is not position_cls:
                 return None
-            _put_position(buf, p)
-    region = (count, bytes(buf))
-    _ENC_FORECAST_CACHE = (forecast, region)
-    return region
+        anchor, marks = positions[0], positions[1:]
+        columns = tuple([getattr(p, name) for p in marks] for name in ("t", "lat", "lon"))
+        # Refuses a coordinate that is not a number, as the layout would.
+        struct.pack(f">{3 * len(marks)}d", *columns[0], *columns[1], *columns[2])
+        motion, explicit = _mark_motion(anchor, marks)
+    extra = tuple(v for v in (anchor.sog, anchor.cog) if v is not None)
+    flags = (anchor.sog is not None) | (anchor.cog is not None) << 1
+    if motion and flags and count > 1:
+        flags |= _MOTION
+    if explicit:
+        flags |= _EXPLICIT
+    anchor_bytes = struct.pack(f">{3 + len(extra)}d", anchor.t, anchor.lat, anchor.lon, *extra)
+    return count, flags, anchor_bytes, columns, explicit
 
 
-def _try_put_forecast_batch(out: bytearray, message: Any) -> bool:
-    """One forecast, many destination cells: the positions region is
-    written once, prefixed by the cell list."""
-    hot = _hot()
-    forecast = message.forecast
-    cells = message.cells
-    if (
-        type(forecast) is not hot["RouteForecast"]
-        or type(cells) is not tuple
-        or not 1 <= len(cells) <= 0xFFFF
-        or type(forecast.mmsi) is not int
-        or not 0 <= forecast.mmsi < (1 << 64)
-    ):
-        return False
-    for cell in cells:
-        if type(cell) is not int or not 0 <= cell < (1 << 64):
-            return False
-    region = _positions_region(forecast)
-    if region is None or region[0] > 0xFFFF:
-        return False
-    count, body = region
+def _bits(value: Any) -> bytes | None:
+    return None if value is None else _DOUBLE.pack(value)
+
+
+def _mark_motion(anchor: Any, marks: tuple) -> tuple[bool, bytes]:
+    """``(motion, b"")`` for uniform marks: motion when they carry the
+    anchor's SOG and COG bits. ``(False, explicit)`` otherwise: each mark's
+    flags byte, then the SOG and COG values present."""
+    if all(p.sog is None and p.cog is None for p in marks):
+        return False, b""
+    motion = (_bits(anchor.sog), _bits(anchor.cog))
+    if all((_bits(p.sog), _bits(p.cog)) == motion for p in marks):
+        return True, b""
+    flags = bytes((p.sog is not None) | (p.cog is not None) << 1 for p in marks)
+    values = [v for p in marks for v in (p.sog, p.cog) if v is not None]
+    return False, flags + struct.pack(f">{len(values)}d", *values)
+
+
+def _put_forecast_block(out: bytearray, shares: list) -> None:
+    """Append ``shares`` (each its :func:`_share_parts`) as one block: the
+    entry heads, the anchors, every cell as one ``>u8`` array, every mark
+    after an anchor as one ``>f8`` array (all times, then all latitudes,
+    then all longitudes), then the explicit marks in entry order."""
     out.append(_P_FORECAST_BATCH)
-    out += _FORECAST_BATCH_HEAD.pack(forecast.mmsi, len(cells), count)
-    for cell in cells:
-        out += _U64.pack(cell)
-    out += body
-    return True
+    out += _U32.pack(len(shares))
+    for part in range(3):
+        for parts in shares:
+            out += parts[part]
+    columns = [parts[3] for parts in shares if parts[3] is not None]
+    if columns:
+        marks = np.concatenate([column[axis] for axis in range(3) for column in columns])
+        out += marks.astype(">f8").tobytes()
+    for parts in shares:
+        out += parts[4]
 
 
-def _get_position(data: bytes, pos: int) -> tuple[Any, int]:
-    flags, t, lat, lon = _POS_FIXED.unpack_from(data, pos)
-    pos += _POS_FIXED.size
-    sog = cog = None
-    if flags & 1:
-        (sog,) = _DOUBLE.unpack_from(data, pos)
-        pos += _DOUBLE.size
-    if flags & 2:
-        (cog,) = _DOUBLE.unpack_from(data, pos)
-        pos += _DOUBLE.size
-    return _hot()["Position"](t=t, lat=lat, lon=lon, sog=sog, cog=cog), pos
-
-
-def _get_forecast(data: bytes, pos: int, mmsi: int, count: int) -> tuple[Any, int]:
-    """Decode a packed positions region into a forecast; returns
-    ``(forecast, end_offset)``.
-
-    A region whose marks are uniform — every mark after the anchor bare,
-    or every one carrying the anchor's SOG and COG bytes — decodes into
-    ``RouteForecast.from_marks``, the arrays the receiving node reads;
-    any other into a ``positions`` tuple."""
-    route_forecast = _hot()["RouteForecast"]
-    if count:
-        anchor, start = _get_position(data, pos)
-        flags = data[start] if count > 1 else 0
-        if flags == 0 or flags == data[pos]:
-            tail = data[pos + _POS_FIXED.size : start] if flags else b""
-            stride = _POS_FIXED.size + len(tail)
-            end = start + stride * (count - 1)
-            uniform = data[start:end:stride] == bytes((flags,)) * (count - 1)
-            if uniform and tail:
-                uniform = all(
-                    data[i + _POS_FIXED.size : i + stride] == tail
-                    for i in range(start, end, stride)
-                )
-            if uniform:
-                values = _marks_struct(count - 1, len(tail) // 8).unpack_from(data, start)
-                width = 4 + len(tail) // 8
-                ts, lats, lons = (
-                    np.array([first, *values[column::width]], dtype=np.float64)
-                    for column, first in ((1, anchor.t), (2, anchor.lat), (3, anchor.lon))
-                )
+def _get_forecast_block(data: bytes, pos: int) -> tuple[list, int]:
+    """Decode a forecast block into its ``ForecastSharedBatch`` messages;
+    returns ``(messages, end_offset)``. A uniform forecast decodes into
+    ``RouteForecast.from_marks`` over a copy of its own track, so a kept
+    forecast does not pin the frame; an explicit one into ``positions``."""
+    hot = _hot()
+    (count,) = _U32.unpack_from(data, pos)
+    pos += _U32.size
+    if not 0 < count <= (len(data) - pos) // _BLOCK_HEAD.size:
+        raise WireDecodeError(f"forecast block of {count} entries does not fit its frame")
+    heads = struct.unpack_from(">" + "QHHB" * count, data, pos)
+    pos += _BLOCK_HEAD.size * count
+    n_cells, n_marks, flags = heads[1::4], heads[2::4], heads[3::4]
+    n_anchor = sum(3 + _PRESENT[f & 3] for n, f in zip(n_marks, flags) if n)
+    anchors = struct.unpack_from(f">{n_anchor}d", data, pos)
+    pos += _DOUBLE.size * n_anchor
+    cells = struct.unpack_from(f">{sum(n_cells)}Q", data, pos)
+    pos += _U64.size * len(cells)
+    # Anchors and marks in one native array, each forecast's track in
+    # consecutive columns.
+    starts: list[int] = []
+    anchor_txy: list[float] = []
+    a = width = 0
+    for n, f in zip(n_marks, flags):
+        if n:
+            starts.append(width)
+            anchor_txy += anchors[a : a + 3]
+            a += 3 + _PRESENT[f & 3]
+            width += n
+    n_after = width - len(starts)
+    marks = np.frombuffer(data, ">f8", 3 * n_after, pos).reshape(3, n_after)
+    pos += 3 * _DOUBLE.size * n_after
+    tracks = np.empty((3, width))
+    is_mark = np.ones(width, dtype=bool)
+    is_mark[starts] = False
+    tracks[:, is_mark] = marks
+    tracks[:, starts] = np.reshape(anchor_txy, (-1, 3)).T
+    position, route_forecast = hot["Position"], hot["RouteForecast"]
+    shares = []
+    a = c = column = 0
+    for mmsi, k, n, f in zip(heads[0::4], n_cells, n_marks, flags):
+        share_cells = cells[c : c + k]
+        c += k
+        if f & ~0x0F or (f & _MOTION and f & _EXPLICIT) or (f and not n):
+            raise WireDecodeError(f"bad forecast flags {f:#x}")
+        if not n:
+            forecast = route_forecast(mmsi=mmsi, positions=())
+        else:
+            values = anchors[a : a + 3 + _PRESENT[f & 3]]
+            a += len(values)
+            sog = values[3] if f & 1 else None
+            cog = values[-1] if f & 2 else None
+            anchor = position(values[0], values[1], values[2], sog, cog)
+            track = tracks[:, column : column + n]
+            column += n
+            if f & _EXPLICIT:
+                positions, pos = _explicit_marks(data, pos, anchor, track)
+                forecast = route_forecast(mmsi=mmsi, positions=positions)
+            else:
+                ts, lats, lons = track.copy()
+                motion = bool(f & _MOTION)
                 forecast = route_forecast.from_marks(
-                    mmsi, anchor, ts, lats, lons, motion=bool(flags), floats=True
+                    mmsi, anchor, ts, lats, lons, motion=motion, floats=True
                 )
-                return forecast, end
-    positions = []
+        shares.append(hot["ForecastSharedBatch"](cells=share_cells, forecast=forecast))
+    return shares, pos
+
+
+def _explicit_marks(data: bytes, pos: int, anchor: Any, track: np.ndarray) -> tuple[tuple, int]:
+    """The positions of a forecast whose marks carry their own flags, SOG
+    and COG; returns ``(positions, end_offset)``."""
+    count = track.shape[1] - 1
+    flags = data[pos : pos + count]
+    pos += count
+    if len(flags) != count or max(flags, default=0) > 3:
+        raise WireDecodeError("bad explicit mark flags")
+    n_values = sum(_PRESENT[f] for f in flags)
+    values = iter(struct.unpack_from(f">{n_values}d", data, pos))
+    pos += _DOUBLE.size * n_values
+    position = _hot()["Position"]
+    positions = [anchor]
+    for f, t, lat, lon in zip(flags, *track[:, 1:].tolist()):
+        sog = next(values) if f & 1 else None
+        cog = next(values) if f & 2 else None
+        positions.append(position(t, lat, lon, sog, cog))
+    return tuple(positions), pos
+
+
+# -- sharded batches ---------------------------------------------------------------
+
+
+def _put_sharded_batch(out: bytearray, batch: Any) -> None:
+    """Append a ``ShardedBatch`` payload: every entry's head (hops, trace
+    id, entity, key), then the entries' messages in order, a run of
+    consecutive ``ForecastSharedBatch`` messages as one forecast block."""
+    hot = _hot()
+    entries = batch.entries
+    if type(entries) is not tuple:
+        raise TypeError("ShardedBatch entries must be a tuple")
+    out.append(_P_SHARDED_BATCH)
+    out += _U32.pack(len(entries))
+    for entry in entries:
+        if type(entry) is not tuple or len(entry) != 5:
+            raise TypeError(f"a ShardedBatch entry is a 5-tuple, not {entry!r}")
+        entity, key, message, hops, trace_id = entry
+        if (
+            type(hops) is not int
+            or not 0 <= hops <= 255
+            or not (trace_id is None or type(trace_id) is int and 0 <= trace_id < (1 << 64))
+            or type(message) is type(batch)
+        ):
+            raise ValueError(f"entry does not fit a sharded batch: {entry!r}")
+        out += _ENTRY_HEAD.pack(hops, trace_id is not None)
+        if trace_id is not None:
+            out += _U64.pack(trace_id)
+        _put_str(out, entity)
+        _put_value(out, key, {})
+    share_cls = hot["ForecastSharedBatch"]
+    run: list = []
+    for entry in entries:
+        message = entry[2]
+        parts = _share_parts(message) if type(message) is share_cls else None
+        if parts is not None:
+            run.append(parts)
+            continue
+        if run:
+            _put_forecast_block(out, run)
+            run = []
+        _put_payload(out, message)
+    if run:
+        _put_forecast_block(out, run)
+
+
+def _get_sharded_batch(data: bytes, pos: int) -> tuple[Any, int]:
+    (count,) = _U32.unpack_from(data, pos)
+    pos += _U32.size
+    heads = []
     for _ in range(count):
-        position, pos = _get_position(data, pos)
-        positions.append(position)
-    return route_forecast(mmsi=mmsi, positions=tuple(positions)), pos
+        hops, traced = _ENTRY_HEAD.unpack_from(data, pos)
+        pos += _ENTRY_HEAD.size
+        trace_id = None
+        if traced:
+            if traced != 1:
+                raise WireDecodeError(f"bad entry trace flag {traced}")
+            (trace_id,) = _U64.unpack_from(data, pos)
+            pos += _U64.size
+        entity, pos = _get_str(data, pos)
+        key, pos = _get_value(data, pos, [])
+        heads.append((entity, key, hops, trace_id))
+    messages: list = []
+    while len(messages) < count:
+        tag = data[pos]
+        if tag == _P_FORECAST_BATCH:
+            shares, pos = _get_forecast_block(data, pos + 1)
+            messages += shares
+        elif tag == _P_SHARDED_BATCH:
+            raise WireDecodeError("a sharded batch inside a sharded batch")
+        else:
+            message, pos = _get_payload(data, pos)
+            messages.append(message)
+    if len(messages) != count:
+        raise WireDecodeError("a forecast block overruns its sharded batch")
+    entries = tuple(
+        (entity, key, message, hops, trace_id)
+        for (entity, key, hops, trace_id), message in zip(heads, messages)
+    )
+    return _hot()["ShardedBatch"](entries=entries), pos
 
 
 def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
     hot = _hot()
     tag = data[pos]
     if tag == _P_POSITION:
-        mmsi, t, lat, lon, sog, cog, heading, status, source = _AIS_BODY.unpack_from(data, pos + 1)
+        *fields, heading, status, source = _AIS_BODY.unpack_from(data, pos + 1)
+        # Positional, in field order: mmsi, t, lat, lon, sog, cog, heading,
+        # status, source (keywords cost ~40 % more on this hot path).
         msg = hot["AISMessage"](
-            mmsi=mmsi,
-            t=t,
-            lat=lat,
-            lon=lon,
-            sog=sog,
-            cog=cog,
-            heading=None if heading == -1 else heading,
-            status=hot["NavigationStatus"](status),
-            source=_SOURCE_NAMES[source],
+            *fields,
+            None if heading == -1 else heading,
+            hot["NavigationStatus"](status),
+            _SOURCE_NAMES[source],
         )
         return hot["PositionIngested"](msg), pos + 1 + _AIS_BODY.size
     if tag == _P_CELLOBS:
-        cell, mmsi, t, lat, lon = _CELLOBS_BODY.unpack_from(data, pos + 1)
-        observation = hot["CellObservation"](cell=cell, mmsi=mmsi, t=t, lat=lat, lon=lon)
+        # cell, mmsi, t, lat, lon
+        observation = hot["CellObservation"](*_CELLOBS_BODY.unpack_from(data, pos + 1))
         return observation, pos + 1 + _CELLOBS_BODY.size
     if tag == _P_FORECAST_BATCH:
-        mmsi, n_cells, count = _FORECAST_BATCH_HEAD.unpack_from(data, pos + 1)
-        pos += 1 + _FORECAST_BATCH_HEAD.size
-        cells = struct.unpack_from(f">{n_cells}Q", data, pos)
-        pos += 8 * n_cells
-        forecast, end = _get_forecast(data, pos, mmsi, count)
-        return hot["ForecastSharedBatch"](cells=cells, forecast=forecast), end
+        shares, pos = _get_forecast_block(data, pos + 1)
+        if len(shares) != 1:
+            raise WireDecodeError("a lone forecast share is a one-entry block")
+        return shares[0], pos
+    if tag == _P_SHARDED_BATCH:
+        return _get_sharded_batch(data, pos + 1)
     return _get_value(data, pos, [])
 
 

@@ -8,6 +8,13 @@ detector, and — when it is the cluster leader — acts as the
 :class:`ShardCoordinator` that assigns consistent-hash shards to nodes and
 orchestrates handoff when membership changes.
 
+Outbound sharded messages coalesce: while an :meth:`ClusterNode.outbox`
+scope is open — the node's actor drain, one ingestion dispatch, one
+forecast flush — what the node routes to a peer queues in send order and
+leaves, when the scope closes, as one :class:`ShardedBatch` frame per
+peer. Any other frame to that peer first ships the queue, so each link
+carries exactly the message sequence unbatched sends would.
+
 Delivery guarantees (the documented in-flight window): messages routed to
 a shard are buffered and redelivered whenever the owner is unreachable or
 unknown; what can be lost is only what a crashed node had already accepted
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable
 
 from repro.actors.actor import Envelope
@@ -44,6 +51,7 @@ from repro.cluster.protocol import (
     MemberDown,
     MemberUp,
     MigrationPlan,
+    ShardedBatch,
     ShardStateTransfer,
     ShardTableUpdate,
     Welcome,
@@ -159,7 +167,8 @@ class ClusterNode:
 
         self._routers: dict[str, ShardRouter] = {}
         self._control: dict[str, Callable[[dict], Any]] = {}
-        self._pending: dict[int, list[WireEnvelope]] = {}
+        #: shard -> buffered ``(entity, key, message, hops, trace_id)`` entries.
+        self._pending: dict[int, list[tuple]] = {}
         self._asks: dict[int, Future] = {}
         self._corr = itertools.count(1)
         self._lock = threading.RLock()
@@ -170,6 +179,11 @@ class ClusterNode:
         self._last_load_report = float("-inf")
         self._last_busy_ms = 0.0
         self._closed = False
+        #: peer -> sharded entries queued in the open outbox scope, in send
+        #: order; None while no scope is open.
+        self._outbox: dict[str, list[tuple]] | None = None
+        #: The thread that opened the scope (only its sends queue).
+        self._outbox_thread: int | None = None
         #: Leader-side control loop (constructed everywhere so reports
         #: always land; only the active coordinator plans).
         self.rebalancer = Rebalancer(self)
@@ -233,13 +247,28 @@ class ClusterNode:
 
     def start(self) -> None:
         self.transport.start(self._on_frame)
+        endpoint = getattr(self.transport, "inner", self.transport)
+        hub = getattr(endpoint, "_hub", None)
+        if hub is not None:
+            # Takes the place of a batching transport's own hook.
+            hub.register_flusher(endpoint.node_id, self._flush_before_pump)
+
+    def _flush_before_pump(self) -> int:
+        assert not self._outbox, f"{self.node_id}: an outbox scope spans a hub pump"
+        return self.transport.flush()
 
     def pump(self, timeout_s: float = 0.0) -> int:
         """Deliver the inbound frames queued so far on the calling thread
         (waiting up to ``timeout_s`` for the first), then run this node's
         actors to idle — the TCP analogue of :meth:`LoopbackHub.pump`.
         Returns frames delivered plus messages processed; 0 means idle."""
-        return self.transport.pump(timeout_s) + self.system.run_until_idle()
+        return self.transport.pump(timeout_s) + self.run_until_idle()
+
+    def run_until_idle(self) -> int:
+        """The node's actor drain: run its actors to idle inside one
+        :meth:`outbox` scope. Returns the messages processed."""
+        with self.outbox():
+            return self.system.run_until_idle()
 
     def join(self, seed_id: str, seed_address: Any) -> None:
         """Ask the seed node for admission (the gossip-free join protocol).
@@ -301,61 +330,106 @@ class ClusterNode:
     def shard_owner(self, shard: int) -> str:
         return self.table.owner_of(shard)
 
-    def send_sharded(self, entity: str, key: Any, message: Any) -> None:
-        """Route a message to the owner of ``key``'s shard (the remote leg
-        of :meth:`ShardRouter.tell`)."""
-        env = WireEnvelope(
+    @contextmanager
+    def outbox(self):
+        """A scope for one synchronous burst of work. While it is open,
+        each sharded message this thread routes to a peer queues in that
+        peer's list; on exit each list leaves as one frame, split every
+        ``max_batch_msgs`` entries. Scopes nest: an inner one does nothing.
+        A scope never spans a pump."""
+        if self._outbox is not None:
+            yield
+            return
+        self._outbox, self._outbox_thread = {}, threading.get_ident()
+        try:
+            yield
+        finally:
+            outbox, self._outbox, self._outbox_thread = self._outbox, None, None
+            for peer, entries in outbox.items():
+                self._ship(peer, entries)
+
+    def _ship(self, peer: str, entries: list[tuple]) -> None:
+        """Send a peer's queued entries, ``max_batch_msgs`` to a frame (a
+        lone entry as its own envelope); a frame the transport refuses is
+        buffered entry by entry, each under its own shard."""
+        bound = self.config.max_batch_msgs
+        for start in range(0, len(entries), bound):
+            chunk = entries[start : start + bound]
+            if len(chunk) == 1:
+                env = self._envelope(chunk[0])
+            else:
+                batch = ShardedBatch(entries=tuple(chunk))
+                env = WireEnvelope(kind="sharded", src=self.node_id, message=batch)
+            if not self._transmit(peer, env):
+                for entry in chunk:
+                    self._buffer(self._locate(entry[0], entry[1])[1], entry)
+
+    def _envelope(self, entry: tuple) -> WireEnvelope:
+        entity, key, message, hops, trace_id = entry
+        return WireEnvelope(
             kind="sharded",
             src=self.node_id,
             entity=entity,
             key=key,
             message=message,
-            trace_id=current_trace(),
+            hops=hops,
+            trace_id=trace_id,
         )
-        self._route_sharded(env)
 
-    def _shard_of(self, router: ShardRouter | None, env: WireEnvelope) -> int:
-        """The shard of ``env``'s key, through its entity router's memo:
-        one digest per key per node."""
+    def send_sharded(self, entity: str, key: Any, message: Any) -> None:
+        """Route a message to the owner of ``key``'s shard (the remote leg
+        of :meth:`ShardRouter.tell`)."""
+        self._route_sharded(entity, key, message, current_trace())
+
+    def _locate(self, entity: str, key: Any) -> tuple[ShardRouter | None, int]:
+        """The entity's router and the shard of ``key``, through the
+        router's memo: one digest per key per node."""
+        router = self._routers.get(entity)
         if router is None:
-            return shard_for_key(env.entity, env.key, self.config.num_shards)
-        return router.shard_of(env.key)
+            return None, shard_for_key(entity, key, self.config.num_shards)
+        return router, router.shard_of(key)
 
-    def _route_sharded(self, env: WireEnvelope) -> None:
-        router = self._routers.get(env.entity)
-        shard = self._shard_of(router, env)
+    def _route_sharded(self, entity: str, key: Any, message: Any, trace_id: int | None) -> None:
+        router, shard = self._locate(entity, key)
         owner = self.table.owner_of(shard)
         if owner == self.node_id:
             if router is None:
-                self._dead_letter(env)
+                self._dead_letter(entity, key, message)
                 return
-            router.deliver_local(env.key, env.message)
+            router.deliver_local(key, message)
             return
+        # A sharded entry: (entity, key, message, hops, trace_id).
+        entry = (entity, key, message, 0, trace_id)
         state = self.membership.state_of(owner)
         if state is not MemberState.UP:
             # Owner unreachable or suspect: buffer for redelivery once the
             # coordinator reassigns the shard (or the owner recovers).
-            self._buffer(shard, env)
+            self._buffer(shard, entry)
             return
-        if not self._send(owner, env):
-            self._buffer(shard, env)
+        outbox = self._outbox
+        if outbox is not None and self._outbox_thread == threading.get_ident():
+            outbox.setdefault(owner, []).append(entry)
+            return
+        if not self._send(owner, self._envelope(entry)):
+            self._buffer(shard, entry)
 
-    def _buffer(self, shard: int, env: WireEnvelope) -> None:
+    def _buffer(self, shard: int, entry: tuple) -> None:
         with self._lock:
-            self._pending.setdefault(shard, []).append(env)
+            self._pending.setdefault(shard, []).append(entry)
             self.buffered += 1
 
     def flush_pending(self) -> int:
         """Re-route buffered shard messages (called after table installs
-        and heartbeat recoveries). Returns how many were redelivered."""
+        and heartbeat recoveries), each with a fresh hop budget. Returns
+        how many were redelivered."""
         with self._lock:
             pending = self._pending
             self._pending = {}
         count = 0
-        for shard, envelopes in pending.items():
-            for env in envelopes:
+        for entries in pending.values():
+            for entity, key, message, _, trace_id in entries:
                 count += 1
-                self._route_sharded(replace(env, hops=0))
+                self._route_sharded(entity, key, message, trace_id)
         if count:
             self.redelivered += count
         return count
@@ -492,6 +566,14 @@ class ClusterNode:
     # -- inbound frames ------------------------------------------------------------
 
     def _send(self, node_id: str, env: WireEnvelope) -> bool:
+        """Send one frame that bypasses the outbox (control, ask, reply,
+        forward): the entries already queued for ``node_id`` leave first."""
+        outbox = self._outbox
+        if outbox and node_id in outbox and self._outbox_thread == threading.get_ident():
+            self._ship(node_id, outbox.pop(node_id))
+        return self._transmit(node_id, env)
+
+    def _transmit(self, node_id: str, env: WireEnvelope) -> bool:
         try:
             self.transport.send(node_id, codec.encode(env))
             self.frames_out += 1
@@ -534,16 +616,34 @@ class ClusterNode:
             self._on_control(env.src, env.message)
 
     def _on_sharded(self, env: WireEnvelope) -> None:
-        router = self._routers.get(env.entity)
-        shard = self._shard_of(router, env)
+        if type(env.message) is not ShardedBatch:
+            self._on_entry(env.entity, env.key, env.message, env.hops, env.trace_id)
+            return
+        for entry in env.message.entries:
+            trace_id = entry[4]
+            if trace_id is None:
+                self._on_entry(*entry)
+                continue
+            set_current_trace(trace_id)
+            try:
+                self._on_entry(*entry)
+            finally:
+                clear_current_trace()
+
+    def _on_entry(
+        self, entity: str, key: Any, message: Any, hops: int, trace_id: int | None
+    ) -> None:
+        """One inbound sharded message, whether it came alone or in a
+        ``ShardedBatch``: delivered only if this node owns its shard."""
+        router, shard = self._locate(entity, key)
         owner = self.table.owner_of(shard)
         if owner != self.node_id:
-            if env.hops < MAX_HOPS:
+            if hops < MAX_HOPS:
                 # The sender routed with a stale table — forward to the
                 # owner we know (one extra hop per epoch of staleness).
                 self.forwarded += 1
-                forwarded = replace(env, hops=env.hops + 1)
-                if not self._send(owner, forwarded):
+                forwarded = (entity, key, message, hops + 1, trace_id)
+                if not self._send(owner, self._envelope(forwarded)):
                     self._buffer(shard, forwarded)
             else:
                 # Hop budget exhausted mid-churn (tables still disagree).
@@ -551,15 +651,15 @@ class ClusterNode:
                 # entity actor on the wrong node, invisible to any later
                 # handoff. Buffer; flush_pending re-routes fresh once a
                 # table installs or the owner recovers.
-                self._buffer(shard, replace(env, hops=0))
+                self._buffer(shard, (entity, key, message, 0, trace_id))
             return
         if router is None:
-            self._dead_letter(env)
+            self._dead_letter(entity, key, message)
             return
-        router.deliver_local(env.key, env.message)
+        router.deliver_local(key, message)
 
-    def _dead_letter(self, env: WireEnvelope) -> None:
-        self.system.dead_letters.append((f"{env.entity}-{env.key}", Envelope(message=env.message)))
+    def _dead_letter(self, entity: str, key: Any, message: Any) -> None:
+        self.system.dead_letters.append((f"{entity}-{key}", Envelope(message=message)))
         self.system.dead_letter_count += 1
 
     def _on_ask(self, env: WireEnvelope) -> None:
@@ -792,7 +892,7 @@ def run_cluster_until_idle(nodes: Iterable["ClusterNode"], hub, max_rounds: int 
         frames = hub.pump()
         processed = 0
         for node in nodes:
-            processed += node.system.run_until_idle()
+            processed += node.run_until_idle()
         total += processed
         if frames == 0 and processed == 0 and hub.pending == 0:
             return total

@@ -3,12 +3,13 @@
 Exactly one frame type crosses the transport — :class:`WireEnvelope` — and
 its ``message`` field carries either an application payload (one of the
 ``repro.platform.messages`` types, or a value built from the closed
-vocabulary of :mod:`repro.cluster.codec`) or one of the control messages
-below; a type the codec does not list cannot be sent. Control messages
-implement the seed-node join protocol, heartbeating, the shard table
-broadcast and node shutdown; they are deliberately gossip-free — the
-coordinator (cluster leader) is the single writer of the shard table, as
-in Akka cluster sharding's coordinator singleton.
+vocabulary of :mod:`repro.cluster.codec`), a :class:`ShardedBatch` of
+sharded envelopes, or one of the control messages below; a type the codec
+does not list cannot be sent. Control messages implement the seed-node
+join protocol, heartbeating, the shard table broadcast and node shutdown;
+they are deliberately gossip-free — the coordinator (cluster leader) is
+the single writer of the shard table, as in Akka cluster sharding's
+coordinator singleton.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ class WireEnvelope:
 MAX_HOPS = 3
 
 
+@dataclass(frozen=True)
+class ShardedBatch:
+    """The sharded messages one node routes to one peer during one burst
+    of work, in send order, carried as the message of one frame.
+
+    Each entry is ``(entity, key, message, hops, trace_id)``: the fields a
+    ``"sharded"`` envelope would carry, which the receiver handles exactly
+    as if the entry had come in its own frame."""
+
+    entries: tuple[tuple[str | None, Any, Any, int, int | None], ...]
+
+
 # -- membership control ------------------------------------------------------------
 
 
@@ -66,7 +79,7 @@ class Join:
 class Welcome:
     """Seed -> new node: the current membership and shard table."""
 
-    members: tuple[tuple[str, Any], ...]   #: ``(node_id, address)`` pairs
+    members: tuple[tuple[str, Any], ...]  #: ``(node_id, address)`` pairs
     table_epoch: int
     table_nodes: tuple[str, ...]
     #: Rebalance overrides of the current table (``(shard, owner)`` pairs).

@@ -237,13 +237,18 @@ class ShardRouter:
         however many there are."""
         ForecastSharedBatch = _forecast_batch()
         node_id = self._node.node_id
+        # Per cell on both ends of every share: the memo and the table are
+        # read directly.
+        memo, assignment, load = self._shard_cache, self._node.table.assignment, self._shard_load
         local: list[int] = []
         remote: dict[str, list[int]] = {}
         for cell in cells:
-            shard = self.shard_of(cell)
-            owner = self._node.shard_owner(shard)
+            shard = memo.get(cell)
+            if shard is None:
+                shard = self.shard_of(cell)
+            owner = assignment[shard]
             if owner == node_id:
-                self._shard_load[shard] = self._shard_load.get(shard, 0) + 1
+                load[shard] = load.get(shard, 0) + 1
                 local.append(cell)
             else:
                 remote.setdefault(owner, []).append(cell)
@@ -254,20 +259,12 @@ class ShardRouter:
             self._node.send_sharded(self.entity, group[0], message)
 
     def deliver_local(self, key: Any, message: Any) -> None:
-        """Entry point for inbound wire messages (bypasses ownership —
-        the node already resolved/forwarded). Forecast fan-out reaches the
-        local collision cells through :meth:`share_forecast`; cells of a
-        batch whose shard moved while the envelope was in flight re-route
-        one by one."""
-        ForecastSharedBatch = _forecast_batch()
-        if type(message) is ForecastSharedBatch:
-            forecast, local = message.forecast, []
-            for cell in message.cells:
-                if self.is_local(cell):
-                    local.append(cell)
-                else:
-                    self.tell(cell, ForecastSharedBatch(cells=(cell,), forecast=forecast))
-            self.share_forecast(local, forecast)
+        """Entry point for one inbound wire entry (bypasses ownership —
+        the node already resolved/forwarded). Forecast fan-out goes
+        through :meth:`share_forecast`, so cells whose shard moved while
+        the entry was in flight re-route grouped by their current owner."""
+        if type(message) is _forecast_batch():
+            self.share_forecast(message.cells, message.forecast)
             return
         shard = self.shard_of(key)
         self._shard_load[shard] = self._shard_load.get(shard, 0) + 1

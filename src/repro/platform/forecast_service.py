@@ -122,7 +122,10 @@ class ForecastService:
         def reply(i: int) -> None:
             router.tell(mmsis[i], ForecastReady(forecast=forecasts[i], t_submitted=submit_ts[i]))
 
-        self.forecasts_failed += share_forecasts(self.wiring, forecasts, after_row=reply)
+        # One outbox scope: a peer's shares, replies and alerts of this
+        # flush leave as one frame (a flush barrier runs outside a drain).
+        with self.wiring.outbox():
+            self.forecasts_failed += share_forecasts(self.wiring, forecasts, after_row=reply)
         return submit_ts[0]
 
     def _run_batch(self, mmsis, windows, anchors) -> list:

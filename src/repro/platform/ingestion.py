@@ -74,39 +74,41 @@ class IngestionService:
         """Route every position in ``records`` to its vessel actor: the
         one record -> ``PositionIngested`` path, shared by live ingestion
         and replay. Only ``live`` records feed the switch-off watchdog and
-        the trace sampler (a replayed duplicate is not news). Returns the
-        dispatch count and the newest stream time observed."""
+        the trace sampler (a replayed duplicate is not news). Runs in one
+        outbox scope, so a peer's share of the poll leaves as one frame.
+        Returns the dispatch count and the newest stream time observed."""
         tell = self.wiring.vessel_router.tell
         observe = self.switchoff.observe
         telemetry = self.wiring.system.telemetry if live else None
         sample_every = self.wiring.config.trace_sample_every
         dispatched = 0
         newest_t = float("-inf")
-        for record in records:
-            messages = self._messages(record)
-            if not messages:
-                continue
-            dispatched += len(messages)
-            if live:
+        with self.wiring.outbox():
+            for record in records:
+                messages = self._messages(record)
+                if not messages:
+                    continue
+                dispatched += len(messages)
+                if live:
+                    for msg in messages:
+                        observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
+                        if msg.t > newest_t:
+                            newest_t = msg.t
+                if telemetry is not None and record.offset % sample_every == 0:
+                    # Trace ids derive from the record's broker identity (a
+                    # block's tags its first row), so a replayed run samples
+                    # the identical set of positions. The +1 keeps
+                    # partition-0/offset-0 from producing tid 0.
+                    tid = ((record.partition + 1) << 48) | record.offset
+                    telemetry.traces.record(tid, STAGE_INGEST)
+                    set_current_trace(tid)
+                    try:
+                        tell(messages[0].mmsi, PositionIngested(messages[0]))
+                    finally:
+                        clear_current_trace()
+                    messages = messages[1:]
                 for msg in messages:
-                    observe(msg.mmsi, msg.t, msg.lat, msg.lon, msg.sog)
-                    if msg.t > newest_t:
-                        newest_t = msg.t
-            if telemetry is not None and record.offset % sample_every == 0:
-                # Trace ids derive from the record's broker identity (a
-                # block's tags its first row), so a replayed run samples
-                # the identical set of positions. The +1 keeps
-                # partition-0/offset-0 from producing tid 0.
-                tid = ((record.partition + 1) << 48) | record.offset
-                telemetry.traces.record(tid, STAGE_INGEST)
-                set_current_trace(tid)
-                try:
-                    tell(messages[0].mmsi, PositionIngested(messages[0]))
-                finally:
-                    clear_current_trace()
-                messages = messages[1:]
-            for msg in messages:
-                tell(msg.mmsi, PositionIngested(msg))
+                    tell(msg.mmsi, PositionIngested(msg))
         return dispatched, newest_t
 
     def poll_once(self, max_records: int = 2_000) -> int:

@@ -24,8 +24,9 @@ not yet processed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, Sequence
 
 from repro.actors import ActorSystem, KeyRouter
 from repro.ais.fleet import MessageBatch
@@ -79,6 +80,13 @@ class PlatformWiring:
     weather: object = field(init=False, default=None)
     fuel_model: object = field(init=False, default=None)
     route_optimizer: object = field(init=False, default=None)
+    #: The cluster node's :meth:`~repro.cluster.node.ClusterNode.outbox`
+    #: scope, opened around ingestion dispatch and the forecast flush; a
+    #: standalone platform's does nothing.
+    outbox: Callable[[], ContextManager] = field(init=False, default=nullcontext)
+    #: Encounter hits the owner vessel dropped as older than its marks
+    #: window (one bucket before the newest it recorded).
+    late_hits_dropped: int = field(init=False, default=0)
 
     @property
     def batch_stages(self) -> tuple:
@@ -246,6 +254,8 @@ class Platform:
             self.system.metrics = MetricsRecorder()
 
         self.wiring = wiring = wire_node(self.system, self.config, forecaster, register_entity)
+        if node is not None:
+            wiring.outbox = node.outbox
         self.broker = wiring.broker
         self.kvstore = wiring.kvstore
         self.pubsub = wiring.pubsub
@@ -333,8 +343,8 @@ class Platform:
     # -- processing ------------------------------------------------------------------
 
     def settle(self) -> None:
-        """Run this node's actors to idle."""
-        self.system.run_until_idle()
+        """Run this node's actors to idle (a cluster node's actor drain)."""
+        (self.system if self.node is None else self.node).run_until_idle()
 
     def ingest_available(self, settle=None) -> int:
         """Drain the AIS topic into the (possibly remote) vessel actors,
@@ -531,6 +541,7 @@ class Platform:
             "writer_flushes": writer.flushes,
             "events_proximity": self.event_count("proximity"),
             "events_collision": self.event_count("collision"),
+            "late_hits_dropped": self.wiring.late_hits_dropped,
         }
 
     def telemetry_snapshot(self) -> dict:

@@ -301,13 +301,19 @@ class VesselActor(Actor):
     def _on_alert(self, alert, kind: str, t: float, flag_t: float) -> None:
         """A cell's raw hit on a pair this vessel owns (``pair[0]``), or the
         owner's forward of an accepted one (``pair[1]``). The owner accepts
-        a hit only if its identity is new, records it, and forwards it."""
+        a hit only if its identity is new, records it, and forwards it. A
+        hit older than the marks window is dropped and counted: its
+        identity's mark may be pruned already, so it could record twice."""
         pair = alert.event.pair
         if self.mmsi == pair[0]:
             bucket = int(t // self.wiring.config.event_debounce_s)
             if (kind, pair, bucket) in self.event_marks:
                 return
-            if all(mark[2] < bucket for mark in self.event_marks):
+            newest = max((mark[2] for mark in self.event_marks), default=bucket)
+            if bucket < newest - 1:
+                self.wiring.late_hits_dropped += 1
+                return
+            if bucket > newest:
                 # Age bound: a newer bucket drops marks over one bucket older.
                 self.event_marks = {mark for mark in self.event_marks if mark[2] >= bucket - 1}
             self.event_marks.add((kind, pair, bucket))

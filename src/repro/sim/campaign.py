@@ -138,6 +138,14 @@ class CampaignReport:
         canonical = repr(tuple(_canonical(getattr(self, name)) for name in self.DIGEST))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    def field_fingerprints(self) -> dict[str, str]:
+        """One digest per :attr:`DIGEST` field, so a moved fingerprint
+        names the fields that moved it."""
+        return {
+            name: hashlib.sha256(repr(_canonical(getattr(self, name))).encode()).hexdigest()
+            for name in self.DIGEST
+        }
+
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
         shown = {

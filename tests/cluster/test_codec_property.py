@@ -15,7 +15,9 @@ fields in every combination. The invariants under test:
 * a truncated or corrupted frame raises :class:`WireDecodeError` and
   nothing else;
 * a forecast made from mark arrays packs into the bytes of its
-  ``positions``, and a region of uniform marks decodes back into arrays.
+  ``positions``, and a forecast of uniform marks decodes back into arrays;
+* a run of forecast shares in a sharded batch is one block, each share
+  decoding as it would alone, and every batch entry keeps its head.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.cluster.protocol import (
     MemberDown,
     MemberUp,
     MigrationPlan,
+    ShardedBatch,
     ShardStateTransfer,
     ShardTableUpdate,
     Welcome,
@@ -418,6 +421,31 @@ MESSAGE_SAMPLES = [
     PlanReady(plan=PLAN, t_submitted=5.0),
     PruneTick(now=900.0),
     RestoreState(entity="vessel", key=7, state={"history": (FIX,)}, handoff=True),
+    ShardedBatch(
+        entries=(
+            ("vessel", 7, PositionIngested(FIX), 0, (1 << 48) | 5),
+            (
+                "collision",
+                613561124432,
+                ForecastSharedBatch(cells=(613561124432,), forecast=FORECAST),
+                0,
+                None,
+            ),
+            (
+                "collision",
+                9799833001222216045,
+                ForecastSharedBatch(
+                    cells=(9799833001222216045, 613561124433),
+                    forecast=RouteForecast(
+                        mmsi=8, positions=(Position(t=5.0, lat=37.0, lon=23.0),)
+                    ),
+                ),
+                2,
+                None,
+            ),
+            ("vessel", 7, CollisionAlert(event=CLOSE), 0, 9),
+        ),
+    ),
 ]
 
 
@@ -549,3 +577,85 @@ def test_non_uniform_marks_take_the_positions_path(forecast, index, sog):
     decoded = codec.decode(frame).message.forecast
     assert not from_arrays(decoded) and decoded == twin
     assert forecast_frame(decoded, (613561124432,)) == frame
+
+
+# -- forecast blocks ---------------------------------------------------------------
+
+cell_tuples = st.lists(uint64, min_size=1, max_size=4).map(tuple)
+
+
+def sharded_frame(messages: list) -> tuple[bytes, WireEnvelope]:
+    entries = tuple(("collision", i, message, 0, None) for i, message in enumerate(messages))
+    env = WireEnvelope(kind="sharded", src="n", message=ShardedBatch(entries=entries))
+    return codec.encode(env), env
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    shares=st.lists(st.tuples(mark_forecasts() | forecasts, cell_tuples), min_size=1, max_size=8)
+)
+def test_a_run_of_shares_is_one_block_and_each_decodes_as_alone(shares):
+    """Consecutive shares in a sharded batch travel as one block, and each
+    decodes as its lone frame does: the same forecast, from arrays exactly
+    when alone it is, arrays bitwise equal, the old scalar types, and a
+    track of its own, so a kept forecast does not pin the frame."""
+    messages = [ForecastSharedBatch(cells=cells, forecast=forecast) for forecast, cells in shares]
+    frame, env = sharded_frame(messages)
+    heads, _ = sharded_frame([None] * len(messages))
+    payloads = len(heads) - len(messages)
+    assert frame[payloads] == 0x14
+    assert struct.unpack_from(">I", frame, payloads + 1)[0] == len(shares)
+    decoded = codec.decode(frame)
+    assert decoded == env and codec.encode(decoded) == frame
+    kept = []
+    for entry, message in zip(decoded.message.entries, messages):
+        got = entry[2].forecast
+        alone = codec.decode(forecast_frame(message.forecast, message.cells)).message.forecast
+        assert got == message.forecast == alone and from_arrays(got) == from_arrays(alone)
+        assert entry[2].cells == message.cells
+        if got.positions:
+            for name in ("ts", "lats", "lons"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+        for p in got.positions:
+            assert type(p.t) is float and type(p.lat) is float and type(p.lon) is float
+            assert {type(p.sog), type(p.cog)} <= {float, type(None)}
+        if from_arrays(got):
+            assert got.ts.base.nbytes == 3 * got.ts.nbytes
+            assert not any(np.shares_memory(got.ts, other) for other in kept)
+            kept.append(got.ts)
+
+
+sharded_entries = st.tuples(
+    opt_str,
+    st.none() | uint64 | int64 | wire_str,
+    hot_payloads
+    | st.builds(ForecastSharedBatch, cells=cell_tuples, forecast=mark_forecasts())
+    | st.builds(CollisionAlert, event=st.just(CLOSE)),
+    st.integers(min_value=0, max_value=255),
+    st.none() | uint64,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(entries=st.lists(sharded_entries, max_size=12))
+def test_sharded_batch_round_trips_every_entry(entries):
+    """Each entry keeps its entity, key, hop count, trace id and payload,
+    in order, whatever mix of layouts the payloads take."""
+    env = WireEnvelope(kind="sharded", src="node-02", message=ShardedBatch(entries=tuple(entries)))
+    frame = codec.encode(env)
+    assert codec.decode(frame) == env
+    assert codec.encode(codec.decode(frame)) == frame
+
+
+def test_a_sharded_batch_refuses_entries_it_cannot_carry():
+    entry = ("vessel", 1, None, 0, None)
+    for bad, error in (
+        (("vessel", 1, None, 256, None), ValueError),
+        (("vessel", 1, None, 0, 1 << 64), ValueError),
+        (("vessel", 1, ShardedBatch(entries=()), 0, None), ValueError),
+        (("vessel", 1, None, 0), TypeError),
+        (WireEnvelope(kind="sharded", src="n"), TypeError),
+    ):
+        env = WireEnvelope(kind="sharded", src="n", message=ShardedBatch(entries=(entry, bad)))
+        with pytest.raises(error):
+            codec.encode(env)

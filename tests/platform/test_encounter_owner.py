@@ -118,6 +118,15 @@ class TestOwnerRule:
         deliver(platform, [alert("collision", OWNER + 1, 200.0)])
         assert platform.kvstore.llen("events:collision") == 2
 
+    def test_a_hit_older_than_the_marks_window_is_dropped_and_counted(self):
+        """Buckets 0, 2, then 0 again: bucket 2 pruned bucket 0's mark, so
+        the late hit must not record ``(collision, pair, 0)`` a second time."""
+        platform = make_platform()
+        times = (100.0, 2 * DEBOUNCE + 100.0, 200.0)
+        deliver(platform, [alert("collision", OWNER + 1, t) for t in times])
+        assert sorted(records(platform)) == [identity("collision", OWNER + 1, t) for t in times[:2]]
+        assert platform.stats()["late_hits_dropped"] == 1
+
     def test_marks_stay_bounded_after_1000_buckets(self):
         platform = make_platform()
         hits = [alert("proximity", OWNER + 1 + k % 7, k * DEBOUNCE) for k in range(1_000)]

@@ -153,7 +153,8 @@ def test_a_cluster_of_any_size_is_the_platform(runs, nodes):
     vessel row, no voyage event, no encounter identity, and no vessel's
     multiset of alert-flag kinds. The raw flag strings may differ: they
     carry the time of the hit that won its identity, and arrival order
-    picks that hit."""
+    picks that hit. Each identity has one record: the sim compares
+    identity sets, so it would not see a duplicate."""
     alone, clustered = runs["standalone"], runs[f"{nodes}-node cluster"]
     assert clustered["vessel_count"] == alone["vessel_count"]
     assert without_flags(clustered["states"]) == without_flags(alone["states"])
@@ -162,6 +163,7 @@ def test_a_cluster_of_any_size_is_the_platform(runs, nodes):
         assert clustered["events"][kind] == alone["events"][kind], kind
     for kind in ("proximity", "collision"):
         assert identities(clustered, kind) == identities(alone, kind) != set(), kind
+        assert len(clustered["events"][kind]) == len(identities(clustered, kind)), kind
 
 
 @pytest.mark.parametrize("nodes", [n for n in CLUSTER_SIZES if n > 1])

@@ -4,13 +4,18 @@ campaign run tier-1 makes, keyed ``campaign/scenario/seed<N>``.
 Usage (from the repo root)::
 
     PYTHONPATH=src python -m tests.sim.regen_fingerprints
+    PYTHONPATH=src python -m tests.sim.regen_fingerprints --fields > fields.txt
 
 Run it only when a change is *meant* to move fingerprints; the diff of the
 JSON file is the re-baseline, and its reason belongs in the commit.
+``--fields`` writes nothing: it prints one digest per ``DIGEST`` field of
+every run (``key field digest``), so diffing its output at two commits
+names the fields behind each moved fingerprint.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import tempfile
 
@@ -76,6 +81,15 @@ def tier1_runs():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--fields", action="store_true", help="print per-field digests, write nothing"
+    )
+    if parser.parse_args().fields:
+        for key, run in tier1_runs():
+            for name, digest in run().field_fingerprints().items():
+                print(key, name, digest[:16], flush=True)
+        return
     golden = {}
     for key, run in tier1_runs():
         golden[key] = run().fingerprint()

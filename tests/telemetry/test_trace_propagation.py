@@ -146,3 +146,35 @@ class TestCrossNodeTrace:
                     batch_frames += summary["count"]
         assert flushes > 0
         assert batch_frames > 0
+
+    def test_every_off_seed_position_carries_its_trace_across(self):
+        """Each sampled position bound for a vessel on the other node has
+        hops on both nodes: entries of one frame keep their own trace ids."""
+        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
+                                      n_background=2, duration_s=1800.0)
+        cluster = LoopbackCluster(
+            num_nodes=2,
+            config=PlatformConfig(record_telemetry=True,
+                                  trace_sample_every=1),
+            cluster_config=ClusterConfig(transport_batching=True))
+        try:
+            seed = cluster.seed
+            owner_of = seed.node.router("vessel").owner_of
+            ordered = sorted(scenario.result.messages, key=lambda m: m.t)
+            checked = 0
+            # Chunks stay under a node's 256 held traces.
+            for i in range(0, len(ordered), 100):
+                tids = []
+                for msg in ordered[i:i + 100]:
+                    partition, offset = seed.producer.send(
+                        seed.config.ais_topic, msg.mmsi, msg, msg.t)
+                    if owner_of(msg.mmsi) != seed.node.node_id:
+                        tids.append(((partition + 1) << 48) | offset)
+                cluster.process_available()
+                merged = cluster.telemetry_snapshot()["traces_merged"]
+                for tid in tids:
+                    assert len({h["node"] for h in merged[tid]}) == 2, tid
+                checked += len(tids)
+        finally:
+            cluster.shutdown()
+        assert checked > 100
