@@ -58,7 +58,7 @@ from repro.cluster.protocol import (
     WireEnvelope,
 )
 from repro.cluster.rebalance import Rebalancer
-from repro.cluster.sharding import ShardRouter, ShardTable, shard_for_key
+from repro.cluster.sharding import ShardRouter, ShardTable
 from repro.cluster.transport import (
     BatchingTransport,
     Transport,
@@ -304,16 +304,19 @@ class ClusterNode:
 
     # -- entities -----------------------------------------------------------------
 
-    def register_entity(self, entity: str, factory, local_router=None) -> ShardRouter:
+    def register_entity(
+        self, entity: str, factory, local_router=None, shard_key=None
+    ) -> ShardRouter:
         """Declare a sharded entity type (e.g. ``vessel``); returns its
         location-transparent router. Every node must register the same
-        entity set — an entity's actors can live on any of them.
-        ``local_router`` substitutes a specialised
+        entity set, with the same ``shard_key`` — an entity's actors can
+        live on any of them. ``local_router`` substitutes a specialised
         :class:`~repro.actors.router.KeyRouter` for local delivery (the
-        collision entity's cell table)."""
+        collision entity's cell table); ``shard_key`` maps a key to what
+        its shard is hashed from (cell-keyed entities: the cell's block)."""
         if entity in self._routers:
             raise ValueError(f"entity {entity!r} already registered")
-        router = ShardRouter(self, entity, factory, local_router=local_router)
+        router = ShardRouter(self, entity, factory, local_router=local_router, shard_key=shard_key)
         self._routers[entity] = router
         return router
 
@@ -362,7 +365,7 @@ class ClusterNode:
                 env = WireEnvelope(kind="sharded", src=self.node_id, message=batch)
             if not self._transmit(peer, env):
                 for entry in chunk:
-                    self._buffer(self._locate(entry[0], entry[1])[1], entry)
+                    self._buffer(self._routers[entry[0]].shard_of(entry[1]), entry)
 
     def _envelope(self, entry: tuple) -> WireEnvelope:
         entity, key, message, hops, trace_id = entry
@@ -381,21 +384,16 @@ class ClusterNode:
         of :meth:`ShardRouter.tell`)."""
         self._route_sharded(entity, key, message, current_trace())
 
-    def _locate(self, entity: str, key: Any) -> tuple[ShardRouter | None, int]:
-        """The entity's router and the shard of ``key``, through the
-        router's memo: one digest per key per node."""
+    def _route_sharded(self, entity: str, key: Any, message: Any, trace_id: int | None) -> None:
+        # The router is the one home of the shard rule: an entity this node
+        # never registered has no shard here, and dead-letters where it is.
         router = self._routers.get(entity)
         if router is None:
-            return None, shard_for_key(entity, key, self.config.num_shards)
-        return router, router.shard_of(key)
-
-    def _route_sharded(self, entity: str, key: Any, message: Any, trace_id: int | None) -> None:
-        router, shard = self._locate(entity, key)
+            self._dead_letter(entity, key, message)
+            return
+        shard = router.shard_of(key)
         owner = self.table.owner_of(shard)
         if owner == self.node_id:
-            if router is None:
-                self._dead_letter(entity, key, message)
-                return
             router.deliver_local(key, message)
             return
         # A sharded entry: (entity, key, message, hops, trace_id).
@@ -634,8 +632,13 @@ class ClusterNode:
         self, entity: str, key: Any, message: Any, hops: int, trace_id: int | None
     ) -> None:
         """One inbound sharded message, whether it came alone or in a
-        ``ShardedBatch``: delivered only if this node owns its shard."""
-        router, shard = self._locate(entity, key)
+        ``ShardedBatch``: delivered only if this node owns its shard. An
+        entity this node never registered dead-letters here."""
+        router = self._routers.get(entity)
+        if router is None:
+            self._dead_letter(entity, key, message)
+            return
+        shard = router.shard_of(key)
         owner = self.table.owner_of(shard)
         if owner != self.node_id:
             if hops < MAX_HOPS:
@@ -652,9 +655,6 @@ class ClusterNode:
                 # handoff. Buffer; flush_pending re-routes fresh once a
                 # table installs or the owner recovers.
                 self._buffer(shard, (entity, key, message, 0, trace_id))
-            return
-        if router is None:
-            self._dead_letter(entity, key, message)
             return
         router.deliver_local(key, message)
 

@@ -1,9 +1,12 @@
 """Consistent-hash sharding of entity actors across nodes.
 
-Entity keys (MMSIs, H3 cell ids) hash into a fixed number of *shards*;
-shards map to nodes through a consistent-hash ring with virtual nodes. The
-assignment is a pure function of the sorted alive-node list, so every node
-derives the identical table from the coordinator's ``ShardTableUpdate``
+Entity keys hash into a fixed number of *shards*: an MMSI by itself, a
+cell id by the spatial block that holds it (each entity's router applies
+its ``shard_key``; see :func:`repro.hexgrid.cell_block`), so one
+forecast's neighbouring cells mostly share a node. Shards map to nodes
+through a consistent-hash ring with virtual nodes. The assignment is a
+pure function of the sorted alive-node list, so every node derives the
+identical table from the coordinator's ``ShardTableUpdate``
 (which only carries ``(epoch, nodes)``) — no per-shard state needs to be
 gossiped, and a node joining or leaving moves only ~1/N of the shards.
 
@@ -63,6 +66,10 @@ def _forecast_batch():
 
         _FORECAST_BATCH = ForecastSharedBatch
     return _FORECAST_BATCH
+
+
+def _identity(key: Any) -> Any:
+    return key
 
 
 class HashRing:
@@ -175,26 +182,33 @@ class ShardRouter:
     #: Clear the key -> shard memo past this many distinct keys.
     _SHARD_CACHE_MAX = 1 << 20
 
-    def __init__(self, node: "ClusterNode", entity: str, factory, local_router=None) -> None:
+    def __init__(
+        self, node: "ClusterNode", entity: str, factory, local_router=None, shard_key=None
+    ) -> None:
         self._node = node
         self.entity = entity
         # ``is None``, not truthiness: an empty collision-cell table is falsy.
         if local_router is None:
             local_router = KeyRouter(node.system, entity, factory)
         self._local = local_router
+        #: key -> the value its shard is hashed from (by default the key
+        #: itself). Cell-keyed entities pass :func:`~repro.hexgrid.cell_block`.
+        self._shard_key = shard_key or _identity
         #: Messages routed away from this node (remote deliveries).
         self.remote_told = 0
         #: shard -> messages delivered locally since the last load report
         #: (the rebalancer's per-shard weight signal; take-and-reset).
         self._shard_load: dict[int, int] = {}
-        #: key -> shard memo. ``shard_for_key`` is a pure function of
-        #: (entity, key, num_shards) — only the shard -> *node* assignment
-        #: moves with membership — so the memo survives table changes.
-        #: One BLAKE2b digest per *distinct* key per node: ``tell`` and the
-        #: node's frame routing (both ends of a frame) read it.
+        #: shard key -> shard memo. ``shard_for_key`` is a pure function of
+        #: (entity, shard key, num_shards) — only the shard -> *node*
+        #: assignment moves with membership — so the memo survives table
+        #: changes. One BLAKE2b digest per *distinct* shard key per node —
+        #: per block, not per cell, for cell-keyed entities: ``tell`` and
+        #: the node's frame routing (both ends of a frame) read it.
         self._shard_cache: dict[Any, int] = {}
 
     def shard_of(self, key: Any) -> int:
+        key = self._shard_key(key)
         shard = self._shard_cache.get(key)
         if shard is None:
             if len(self._shard_cache) >= self._SHARD_CACHE_MAX:
@@ -240,10 +254,11 @@ class ShardRouter:
         # Per cell on both ends of every share: the memo and the table are
         # read directly.
         memo, assignment, load = self._shard_cache, self._node.table.assignment, self._shard_load
+        block = self._shard_key
         local: list[int] = []
         remote: dict[str, list[int]] = {}
         for cell in cells:
-            shard = memo.get(cell)
+            shard = memo.get(block(cell))
             if shard is None:
                 shard = self.shard_of(cell)
             owner = assignment[shard]

@@ -18,7 +18,9 @@ behaviour equivalent at the mid-latitudes the paper evaluates on.
 """
 
 from repro.hexgrid.cell import (
+    CELL_BLOCK_BITS,
     MAX_RESOLUTION,
+    cell_block,
     cell_resolution,
     cell_to_string,
     is_valid_cell,
@@ -41,9 +43,11 @@ from repro.hexgrid.index import (
 )
 
 __all__ = [
+    "CELL_BLOCK_BITS",
     "MAX_RESOLUTION",
     "average_edge_length_m",
     "cell_area_m2",
+    "cell_block",
     "cell_boundary",
     "cell_resolution",
     "cell_to_latlng",

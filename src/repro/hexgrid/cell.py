@@ -23,6 +23,17 @@ _COORD_BITS = 30
 _OFFSET = 1 << (_COORD_BITS - 1)
 _COORD_MASK = (1 << _COORD_BITS) - 1
 
+#: A block is ``2**CELL_BLOCK_BITS`` cells a side in axial ``q`` and ``r``:
+#: 64 x 64 resolution-8 cells, about 51 km a side. The cluster shards
+#: cell-keyed entities by block, so a forecast's fan-out reaches few nodes:
+#: a 30-minute forecast at service speed spans about 15-19 km, so most
+#: dilated tracks fit in one block.
+CELL_BLOCK_BITS = 6
+_BLOCK_LOW = (1 << CELL_BLOCK_BITS) - 1
+#: Clears the low bits of the offset ``q`` and ``r``; the resolution stays.
+#: ``_OFFSET`` is a multiple of the block side, so blocks align at ``q = 0``.
+_BLOCK_MASK = ((1 << 64) - 1) ^ ((_BLOCK_LOW << _COORD_BITS) | _BLOCK_LOW)
+
 
 def pack_cell(res: int, q: int, r: int) -> int:
     """Pack ``(res, q, r)`` into a 64-bit cell id."""
@@ -44,6 +55,13 @@ def pack_cells(res: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError("axial coordinates out of range")
     ids = (qo.astype(np.uint64) << _COORD_BITS) | ro.astype(np.uint64)
     return ids | np.uint64(res << (2 * _COORD_BITS))
+
+
+def cell_block(cell: int) -> int:
+    """The block holding ``cell``: its id with the low ``CELL_BLOCK_BITS``
+    of ``q`` and ``r`` cleared. Cells of different resolutions never share
+    a block."""
+    return cell & _BLOCK_MASK
 
 
 def unpack_cell(cell: int) -> tuple[int, int, int]:

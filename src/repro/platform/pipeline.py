@@ -37,6 +37,7 @@ from repro.models.kinematic import LinearKinematicModel
 from repro.platform.api import MiddlewareAPI
 from repro.platform.cell_actor import CollisionCellRouter, FlowActor, ProximityCellActor
 from repro.events.voyage import VOYAGE_EVENT_KINDS
+from repro.hexgrid import cell_block
 from repro.platform.config import PlatformConfig
 from repro.platform.forecast_service import ForecastService
 from repro.platform.ingestion import IngestionService
@@ -162,11 +163,12 @@ def wire_node(
     broker with its topics, the KV store and pub/sub, the three entity
     routers, the writer, the flow actor and the pooled services.
 
-    ``register_entity(entity, factory, local_router=None)`` returns the
-    router for one entity type — the only thing a single-node platform
-    (plain :class:`KeyRouter`) and a cluster node (its sharded router,
-    delivering locally through ``local_router`` when given) do
-    differently.
+    ``register_entity(entity, factory, local_router=None, shard_key=None)``
+    returns the router for one entity type — the only thing a single-node
+    platform (plain :class:`KeyRouter`) and a cluster node (its sharded
+    router, delivering locally through ``local_router`` when given) do
+    differently. Cell-keyed entities shard by the cell's block, so one
+    forecast's dilated cells mostly live on one node.
     """
     broker = Broker()
     create_topics(broker, config)
@@ -185,10 +187,12 @@ def wire_node(
     system.metrics_filter = lambda name: name.startswith("vessel-")
 
     wiring.vessel_router = register_entity("vessel", lambda mmsi: VesselActor(mmsi, wiring))
-    wiring.cell_router = register_entity("cell", lambda cell: ProximityCellActor(cell, wiring))
+    wiring.cell_router = register_entity(
+        "cell", lambda cell: ProximityCellActor(cell, wiring), shard_key=cell_block
+    )
     wiring.collision_cells = CollisionCellRouter(wiring)
     wiring.collision_router = register_entity(
-        "collision", None, local_router=wiring.collision_cells
+        "collision", None, local_router=wiring.collision_cells, shard_key=cell_block
     )
     system.spawn(lambda: WriterActor(wiring), "writer")
     wiring.writer_ref = WriterRef("writer", system)
@@ -238,7 +242,7 @@ class Platform:
         if node is None:
             self.system = ActorSystem(name="maritime")
 
-            def register_entity(entity, factory, local_router=None):
+            def register_entity(entity, factory, local_router=None, shard_key=None):
                 # ``is None``, not truthiness: a router with no keys is falsy.
                 if local_router is None:
                     local_router = KeyRouter(self.system, entity, factory)

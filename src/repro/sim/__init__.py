@@ -22,7 +22,8 @@ After every cluster campaign the standard invariants are checked
 4. **No delivery to a downed node** — the hub never hands a frame to a
    crashed endpoint.
 5. **Exclusive ownership** — no entity key is hosted by two live nodes
-   at once; the rebalance campaign samples it at every chunk boundary.
+   at once, and at the end every hosted key sits on its shard's owner;
+   the rebalance campaign also samples it at every chunk boundary.
 
 :mod:`~repro.sim.campaign` is the one driver every cluster campaign runs
 on (form the cluster, drive chunks under a fault script, heal, replay,

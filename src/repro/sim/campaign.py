@@ -33,6 +33,7 @@ from repro.sim.faults import FaultSpec
 from repro.sim.invariants import (
     Violation,
     check_event_parity,
+    check_exclusive_ownership,
     check_no_acked_loss,
     check_no_downed_delivery,
     check_shard_convergence,
@@ -303,10 +304,12 @@ class ClusterCampaign:
     def standard_violations(
         self, events: set, oracle_events: set, final_t: dict | None = None
     ) -> list[Violation]:
-        """Shard convergence, no acknowledged position lost (when the run
-        ended in a full replay: pass ``final_t``), event parity with the
-        fault-free oracle, no delivery to a downed node."""
+        """Shard convergence, exclusive ownership with every key on its
+        owner, no acknowledged position lost (when the run ended in a full
+        replay: pass ``final_t``), event parity with the fault-free oracle,
+        no delivery to a downed node."""
         violations = check_shard_convergence(self.cluster)
+        violations += check_exclusive_ownership(self.cluster, context="final")
         if final_t is not None:
             violations += check_no_acked_loss(self.cluster, final_t)
         violations += check_event_parity(events, oracle_events)

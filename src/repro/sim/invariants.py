@@ -183,6 +183,9 @@ def check_no_downed_delivery(hub) -> list[Violation]:
 def check_exclusive_ownership(cluster, context: str = "final") -> list[Violation]:
     """(e) No entity key is hosted by two live nodes at once, and every
     node's shard table is internally sound (each shard exactly one owner).
+    In the ``final`` context every hosted key also sits on its shard's
+    owner: a key stranded on a non-owner (a shard rule applied in ``tell``
+    but not in handoff) is a violation.
 
     Unlike the other checkers this one is safe to sample *during* a
     campaign, at quiescent chunk boundaries: live migration releases a
@@ -203,6 +206,14 @@ def check_exclusive_ownership(cluster, context: str = "final") -> list[Violation
         ):
             for key in router.known_keys():
                 hosts.setdefault((entity, key), []).append(node_id)
+                owner = router.owner_of(key) if context == "final" else node_id
+                if owner != node_id:
+                    violations.append(
+                        Violation(
+                            "exclusive-ownership",
+                            f"{context}: {entity} {key!r} hosted on {node_id}, owned by {owner}",
+                        )
+                    )
     for (entity, key), node_ids in sorted(hosts.items(), key=lambda kv: repr(kv[0])):
         if len(node_ids) > 1:
             violations.append(

@@ -125,16 +125,26 @@ class TestShardedRouting:
             assert routers[0].owner_of(key) == routers[1].owner_of(key)
 
     def test_unknown_entity_dead_letters(self):
-        from repro.cluster import shard_for_key
-
+        """An entry for an entity the receiver never registered is
+        dead-lettered there, not forwarded."""
         hub, clock, (a, b), routers = make_cluster()
-        remote_key = next(
-            k for k in range(100)
-            if a.table.owner_of(shard_for_key("ghost", k,
-                                              CONFIG.num_shards)) == "n2")
+        ghost = a.register_entity("ghost", lambda key: Counter())
+        remote_key = next(k for k in range(100) if ghost.owner_of(k) == "n2")
         a.send_sharded("ghost", remote_key, "boo")
         settle([a, b], hub)
         assert b.system.dead_letter_count == 1
+        assert a.forwarded == b.forwarded == 0
+
+    def test_an_unregistered_entity_dead_letters_where_it_is(self):
+        """A node has no shard rule for an entity it never registered: it
+        dead-letters the message itself and sends nothing."""
+        hub, clock, (a, b), routers = make_cluster()
+        frames = a.frames_out
+        a.send_sharded("ghost", 1, "boo")
+        assert a.system.dead_letter_count == 1
+        assert a.frames_out == frames
+        settle([a, b], hub)
+        assert b.system.dead_letter_count == 0
 
     def test_stale_table_is_forwarded_not_lost(self):
         hub, clock, nodes, routers = make_cluster(3)

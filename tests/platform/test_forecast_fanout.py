@@ -11,6 +11,7 @@ distinct (newcomer, member) pair where the per-cell loop ran one per cell.
 """
 
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -19,7 +20,15 @@ from hypothesis import strategies as st
 from repro.events.collision import trajectories_intersect
 from repro.events.vtff import FLOW_RESOLUTION
 from repro.geo.track import Position
-from repro.hexgrid import grid_disk, latlng_to_cell
+from repro.hexgrid import (
+    CELL_BLOCK_BITS,
+    cell_block,
+    cell_to_latlng,
+    grid_disk,
+    latlng_to_cell,
+    pack_cell,
+    unpack_cell,
+)
 from repro.models import LinearKinematicModel
 from repro.models.base import RouteForecast, forecast_mark_times
 from repro.platform import LoopbackCluster, Platform, PlatformConfig
@@ -50,6 +59,24 @@ FLUSH = [
     None,
     track(333, 0.0, 38.012, 23.530, 0.0, -0.004),
 ]
+
+
+def moved(forecast: RouteForecast | None, dlat: float, dlon: float) -> RouteForecast | None:
+    if forecast is None:
+        return None
+    positions = tuple(replace(p, lat=p.lat + dlat, lon=p.lon + dlon) for p in forecast.positions)
+    return RouteForecast(mmsi=forecast.mmsi, positions=positions)
+
+
+def flush_at_a_block_corner() -> list:
+    """``FLUSH`` moved onto a corner where four blocks of collision cells
+    meet. A cluster shards collision cells by block, and ``FLUSH`` itself
+    lies inside one block: moved, its cells live on both nodes of a 2-node
+    cluster (the tests below assert that)."""
+    res, q, r = unpack_cell(cell_block(latlng_to_cell(38.0, 23.5, COLLISION_RESOLUTION)))
+    side = 1 << CELL_BLOCK_BITS
+    lat, lon = cell_to_latlng(pack_cell(res, q + side, r + side))
+    return [moved(forecast, lat - 38.012, lon - 23.515) for forecast in FLUSH]
 
 
 def dilated_cells(forecast: RouteForecast) -> set:
@@ -160,14 +187,15 @@ def test_cluster_fanout_lands_in_each_nodes_bulk_stash():
     """On a 2-node cluster the flush's local cells go straight to the node's
     table and the remote ones travel as ``ForecastSharedBatch`` envelopes
     into the owner's table: together the nodes hold exactly the reference."""
+    flush = flush_at_a_block_corner()
     cluster = LoopbackCluster(num_nodes=2)
     try:
         sender = cluster.platforms[1]
         routers = [platform.wiring.collision_router for platform in cluster.platforms]
         reference = PerCellReference()
-        for forecast in filter(None, FLUSH):
+        for forecast in filter(None, flush):
             reference.share(dilated_cells(forecast), forecast)
-        share_forecasts(sender.wiring, FLUSH)
+        share_forecasts(sender.wiring, flush)
         cluster.settle()
 
         def state_of(cell):
@@ -189,7 +217,7 @@ def test_a_shared_batch_is_tested_once_per_node():
     try:
         sender = cluster.platforms[1]
         router = sender.wiring.collision_router
-        a, b = FLUSH[0], FLUSH[1]
+        a, b = flush_at_a_block_corner()[:2]
         cells = sorted(dilated_cells(a))
         owned = [sum(router.is_local(cell) == local for cell in cells) for local in (0, 1)]
         assert min(owned) >= 2

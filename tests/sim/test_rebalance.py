@@ -5,7 +5,7 @@ Three campaign legs run across at least :data:`SIM_MIN_SEEDS` seeds: the
 baseline (skewed load, delays/dups/reordering, live migrations), the
 crash leg (a worker dies mid-migration and later rejoins), and the drain
 leg (a worker retires gracefully while the stream keeps flowing). Every
-leg checks all four standard invariants plus exclusive ownership sampled
+leg checks the standard invariants plus exclusive ownership sampled
 at every quiescent chunk boundary, and fails unless the leader actually
 executed migration plans. Failing seeds replay byte-for-byte via
 ``pytest tests/sim/test_rebalance.py --sim-seed N``.
