@@ -20,7 +20,6 @@ dynamic scaling (Section 3). This package implements those semantics:
 """
 
 from repro.actors.actor import Actor, ActorContext, ActorRef, Envelope
-from repro.actors.mailbox import Mailbox
 from repro.actors.router import KeyRouter
 from repro.actors.supervision import (
     RestartStrategy,
@@ -40,7 +39,6 @@ __all__ = [
     "Envelope",
     "Future",
     "KeyRouter",
-    "Mailbox",
     "MetricsRecorder",
     "MovingAverage",
     "RestartStrategy",

@@ -44,12 +44,12 @@ class ActorRef:
 
     def tell(self, message: Any) -> None:
         """Fire-and-forget send."""
-        self._system._deliver(self.name, Envelope(message=message, trace_id=current_trace()))
+        self._system._deliver(self.name, Envelope(message, None, current_trace()))
 
     def ask(self, message: Any) -> "Future":
         """Request-reply send; returns a :class:`Future` for the reply."""
         future = self._system._new_future()
-        self._system._deliver(self.name, Envelope(message=message, reply_to=future))
+        self._system._deliver(self.name, Envelope(message, future))
         return future
 
     def __repr__(self) -> str:
@@ -63,20 +63,27 @@ class ActorRef:
 
 
 class ActorContext:
-    """Per-delivery context handed to :meth:`Actor.receive`."""
+    """The context handed to :meth:`Actor.receive`.
+
+    The dispatcher reuses one context per actor: it points ``_envelope`` at
+    the message being handled and clears it when the batch ends, so the
+    context keeps no message alive past its drain. Use it only inside the
+    call it was passed to.
+    """
 
     __slots__ = ("system", "self_ref", "_envelope")
 
-    def __init__(self, system: "ActorSystem", self_ref: ActorRef, envelope: Envelope) -> None:
+    def __init__(self, system: "ActorSystem", self_ref: ActorRef) -> None:
         self.system = system
         self.self_ref = self_ref
-        self._envelope = envelope
+        self._envelope: Envelope | None = None
 
     def reply(self, value: Any) -> None:
         """Complete the ask future of the message being handled (a no-op
         for a plain tell)."""
-        if self._envelope.reply_to is not None:
-            self._envelope.reply_to.complete(value)
+        envelope = self._envelope
+        if envelope is not None and envelope.reply_to is not None:
+            envelope.reply_to.complete(value)
 
     def actor_of(self, name: str) -> ActorRef:
         """A ref to any actor by name (it need not exist yet)."""

@@ -2,9 +2,10 @@
 
 The paper's "core partitioning functionality generates multiple actors N,
 with each one corresponding to a specific vessel as defined by its MMSI"
-(Section 3). :class:`KeyRouter` is that functionality, generalised so the
-same mechanism also backs the spatial *cell actors* (key = H3 cell id):
-the first message routed to an unseen key spawns the actor for that key.
+(Section 3). :class:`KeyRouter` is that functionality: the first message
+routed to an unseen key spawns the actor for that key. Spatial cells are
+keyed the same way but kept in per-node tables, not actors (see
+:mod:`repro.platform.cell_actor`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from repro.actors.system import ActorSystem
 class KeyRouter:
     """Routes messages to one actor per key, spawning on first use."""
 
-    def __init__(self, system: ActorSystem, prefix: str,
-                 factory: Callable[[Any], Actor]) -> None:
+    def __init__(self, system: ActorSystem, prefix: str, factory: Callable[[Any], Actor]) -> None:
         """``factory`` receives the key and returns the actor behaviour for
         it; ``prefix`` namespaces the actor names (e.g. ``vessel``)."""
         self._system = system
@@ -35,15 +35,17 @@ class KeyRouter:
         """The actor for ``key``, created now if this key is new."""
         ref = self._refs.get(key)
         if ref is None:
-            ref = self._system.spawn(lambda k=key: self._factory(k),
-                                     self._name(key))
+            ref = self._system.spawn(lambda k=key: self._factory(k), self._name(key))
             self._refs[key] = ref
             self.spawned += 1
         return ref
 
     def tell(self, key: Any, message: Any) -> None:
         """Route-and-send in one step."""
-        self.route(key).tell(message)
+        ref = self._refs.get(key)
+        if ref is None:
+            ref = self.route(key)
+        ref.tell(message)
 
     def forget(self, key: Any) -> bool:
         """Drop the ref for ``key`` so a later route spawns a fresh actor.

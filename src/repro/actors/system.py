@@ -3,10 +3,18 @@
 One dispatcher: :meth:`ActorSystem.run_until_idle` drains every mailbox on
 the calling thread, so message interleaving is reproducible, which the
 evaluation relies on; this is also the honest way to measure per-message
-processing time on a shared host. ``tell`` may come from any thread (the
-enqueue takes ``_lock``), but actors only ever run on the thread that calls
-``run_until_idle`` — on a cluster node, the thread that pumps it. Under the
-GIL per-core scaling comes from processes, one node each.
+processing time on a shared host. ``tell`` may come from any thread, but
+actors only ever run on the thread that calls ``run_until_idle`` — on a
+cluster node, the thread that pumps it. Under the GIL per-core scaling
+comes from processes, one node each.
+
+A mailbox is a plain deque on the actor's cell, guarded by the system lock
+``_lock``: an enqueue takes it once, a drain twice (to take a batch of at
+most :data:`BATCH_SIZE` and to reschedule). The fleet's drains average
+under two messages, so the dispatcher pays nothing per message that it
+could pay per actor instead: each cell builds its :class:`ActorRef` and
+:class:`ActorContext` once, at spawn, and the context points at the
+message being handled only while its batch runs.
 
 Time is virtual: :meth:`ActorSystem.advance_time` moves the clock and
 releases scheduled messages. The platform drives it from its stream clock,
@@ -23,7 +31,6 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.actors.actor import Actor, ActorContext, ActorRef, Envelope
-from repro.actors.mailbox import Mailbox
 from repro.actors.supervision import (
     Directive,
     RestartStrategy,
@@ -77,6 +84,8 @@ class _Cell:
         "factory",
         "actor",
         "mailbox",
+        "ref",
+        "context",
         "strategy",
         "restarts",
         "started",
@@ -87,12 +96,21 @@ class _Cell:
     )
 
     def __init__(
-        self, name: str, factory: Callable[[], Actor], strategy: SupervisionStrategy
+        self,
+        system: "ActorSystem",
+        name: str,
+        factory: Callable[[], Actor],
+        strategy: SupervisionStrategy,
     ) -> None:
         self.name = name
         self.factory = factory
         self.actor = factory()
-        self.mailbox = Mailbox()
+        #: FIFO of envelopes, appended and drained under the system lock.
+        #: Unbounded: backpressure is the platform's, as with Akka's default
+        #: mailbox.
+        self.mailbox: deque[Envelope] = deque()
+        self.ref = ActorRef(name, system)
+        self.context = ActorContext(system, self.ref)
         self.strategy = strategy
         self.restarts = 0
         self.started = False
@@ -146,10 +164,10 @@ class ActorSystem:
             existing = self._cells.get(name)
             if existing is not None and not existing.stopped:
                 raise ValueError(f"actor {name!r} already exists")
-            cell = _Cell(name, factory, strategy or RestartStrategy())
+            cell = _Cell(self, name, factory, strategy or RestartStrategy())
             self._cells[name] = cell
             self._active_count += 1
-        return ActorRef(name, self)
+        return cell.ref
 
     def actor_ref(self, name: str) -> ActorRef:
         return ActorRef(name, self)
@@ -180,9 +198,9 @@ class ActorSystem:
 
     def stop_all(self) -> None:
         with self._lock:
-            names = [n for n, c in self._cells.items() if not c.stopped]
-        for n in names:
-            self.stop(ActorRef(n, self))
+            refs = [cell.ref for cell in self._cells.values() if not cell.stopped]
+        for ref in refs:
+            self.stop(ref)
 
     # -- delivery ----------------------------------------------------------------
 
@@ -201,7 +219,7 @@ class ActorSystem:
                 self.dead_letters.append((name, envelope))
                 self.dead_letter_count += 1
                 return
-            cell.mailbox.put(envelope)
+            cell.mailbox.append(envelope)
             if not cell.scheduled:
                 cell.scheduled = True
                 self._ready.append(name)
@@ -235,7 +253,7 @@ class ActorSystem:
             while self._timers and self._timers[0][0] <= self._now:
                 due.append(heapq.heappop(self._timers))
         for _, _, name, message in due:
-            self._deliver(name, Envelope(message=message))
+            self._deliver(name, Envelope(message))
         return len(due)
 
     # -- dispatch --------------------------------------------------------------------
@@ -260,10 +278,19 @@ class ActorSystem:
 
     def _process_cell(self, cell: _Cell) -> int:
         """Drain one batch from a cell's mailbox, honouring supervision."""
-        batch = cell.mailbox.get_batch(BATCH_SIZE)
+        mailbox = cell.mailbox
+        with self._lock:
+            if len(mailbox) <= BATCH_SIZE:
+                batch = list(mailbox)
+                mailbox.clear()
+            else:
+                batch = [mailbox.popleft() for _ in range(BATCH_SIZE)]
         processed = 0
         telemetry = self.telemetry
         metrics = self.metrics
+        if metrics is not None and self.metrics_filter is not None:
+            if not self.metrics_filter(cell.name):
+                metrics = None
         entity = entity_counter = proc_hist = None
         tel_clock = None
         batch_proc: list[float] | None = None
@@ -280,20 +307,34 @@ class ActorSystem:
             if telemetry.sample_batch():
                 telemetry.mailbox_depth.observe(len(batch))
                 batch_proc = []
+        ctx = cell.context
+        leftovers = None
         for i, envelope in enumerate(batch):
             if cell.stopped:
-                for leftover in batch[i:]:
-                    self.dead_letters.append((cell.name, leftover))
-                    self.dead_letter_count += 1
+                leftovers = batch[i:]
                 break
+            trace_id = envelope.trace_id
             t0 = time.perf_counter() if metrics is not None else 0.0
-            traced = tel_clock is not None and envelope.trace_id is not None
-            timed = traced or batch_proc is not None
+            timed = batch_proc is not None or (trace_id is not None and tel_clock is not None)
             tel_t0 = tel_clock() if timed else 0.0
-            if envelope.trace_id is None:
-                ok = self._run_envelope(cell, envelope)
-            else:
-                ok = self._run_traced(cell, envelope)
+            ctx._envelope = envelope
+            if trace_id is not None:
+                # While a traced envelope is in ``receive``, its id is the
+                # thread's current trace, so every ``tell`` the actor makes
+                # inherits it.
+                set_current_trace(trace_id)
+            try:
+                if not cell.started:
+                    cell.actor.pre_start(ctx)
+                    cell.started = True
+                cell.actor.receive(envelope.message, ctx)
+                cell.messages_processed += 1
+                ok = True
+            except Exception as exc:  # supervision boundary
+                ok = self._supervise(cell, exc)
+            finally:
+                if trace_id is not None:
+                    clear_current_trace()
             if timed:
                 # Durations come from the telemetry clock, not the perf
                 # counter: under a virtual clock they are exactly zero,
@@ -301,17 +342,13 @@ class ActorSystem:
                 proc_s = tel_clock() - tel_t0
                 if batch_proc is not None:
                     batch_proc.append(proc_s)
-                if traced:
+                if trace_id is not None and tel_clock is not None:
                     queue_s = None
                     if envelope.enqueued_at is not None:
                         queue_s = tel_t0 - envelope.enqueued_at
                         telemetry.queue_delay.observe(queue_s)
-                    telemetry.traces.record(
-                        envelope.trace_id, entity, queue_s=queue_s, proc_s=proc_s
-                    )
-            if metrics is not None and (
-                self.metrics_filter is None or self.metrics_filter(cell.name)
-            ):
+                    telemetry.traces.record(trace_id, entity, queue_s=queue_s, proc_s=proc_s)
+            if metrics is not None:
                 population = (
                     self.population_fn() if self.population_fn is not None else self._active_count
                 )
@@ -320,63 +357,47 @@ class ActorSystem:
             if not ok:
                 # The cell stopped mid-batch: everything still queued becomes
                 # a dead letter, like a stopped Akka actor's mailbox.
-                leftovers = batch[i + 1 :] + cell.mailbox.get_batch(2**30)
-                for leftover in leftovers:
-                    self.dead_letters.append((cell.name, leftover))
-                    self.dead_letter_count += 1
+                with self._lock:
+                    leftovers = batch[i + 1 :] + list(mailbox)
+                    mailbox.clear()
                 break
+        ctx._envelope = None
+        if leftovers:
+            for leftover in leftovers:
+                self.dead_letters.append((cell.name, leftover))
+            self.dead_letter_count += len(leftovers)
         if entity_counter is not None and processed:
             entity_counter.inc(processed)
             if batch_proc:
                 proc_hist.observe_many(batch_proc)
         # Reschedule if more messages arrived or remain.
         with self._lock:
-            if not cell.stopped and len(cell.mailbox) > 0:
+            if not cell.stopped and mailbox:
                 self._ready.append(cell.name)
             else:
                 cell.scheduled = False
         return processed
 
-    def _run_traced(self, cell: _Cell, envelope: Envelope) -> bool:
-        """:meth:`_run_envelope` for a traced envelope: while it is in
-        ``receive``, its id is the thread's current trace, so every ``tell``
-        the actor makes inherits it."""
-        set_current_trace(envelope.trace_id)
-        try:
-            return self._run_envelope(cell, envelope)
-        finally:
-            clear_current_trace()
-
-    def _run_envelope(self, cell: _Cell, envelope: Envelope) -> bool:
-        """Run one delivery; returns False if the cell can no longer process
-        (stopped by supervision)."""
-        ref = ActorRef(cell.name, self)
-        ctx = ActorContext(self, ref, envelope)
-        try:
-            if not cell.started:
-                cell.actor.pre_start(ctx)
-                cell.started = True
-            cell.actor.receive(envelope.message, ctx)
+    def _supervise(self, cell: _Cell, exc: Exception) -> bool:
+        """Apply the cell's strategy to a failed delivery; returns False if
+        the cell can no longer process (stopped by supervision)."""
+        directive = cell.strategy.decide(cell.restarts)
+        if directive is Directive.RESUME:
             cell.messages_processed += 1
             return True
-        except Exception as exc:  # supervision boundary
-            directive = cell.strategy.decide(cell.restarts)
-            if directive is Directive.RESUME:
-                cell.messages_processed += 1
-                return True
-            if directive is Directive.RESTART:
-                cell.restarts += 1
-                try:
-                    cell.actor.pre_restart(exc)
-                finally:
-                    cell.actor.post_stop()
-                cell.actor = cell.factory()
-                cell.started = False
-                return True
-            # STOP
-            with self._lock:
-                if not cell.stopped:
-                    cell.stopped = True
-                    self._active_count -= 1
-            cell.actor.post_stop()
-            return False
+        if directive is Directive.RESTART:
+            cell.restarts += 1
+            try:
+                cell.actor.pre_restart(exc)
+            finally:
+                cell.actor.post_stop()
+            cell.actor = cell.factory()
+            cell.started = False
+            return True
+        # STOP
+        with self._lock:
+            if not cell.stopped:
+                cell.stopped = True
+                self._active_count -= 1
+        cell.actor.post_stop()
+        return False

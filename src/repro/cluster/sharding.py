@@ -328,7 +328,8 @@ class ShardRouter:
         with system._lock:
             cell = system._cells.get(name)
             if cell is not None and not cell.stopped:
-                pending = cell.mailbox.get_batch(2**30)
+                pending = list(cell.mailbox)
+                cell.mailbox.clear()
         if cell is not None and not cell.stopped:
             system.stop(system.actor_ref(name))
         self._local.forget(key)

@@ -1,8 +1,10 @@
 """Tests for the actor runtime: dispatch, supervision, scheduling, routing."""
 
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.actors import (
     ResumeStrategy,
     StopStrategy,
 )
+from repro.actors.system import BATCH_SIZE
 
 
 class Echo(Actor):
@@ -160,7 +163,7 @@ class TestSupervision:
         system = ActorSystem()
         ref = system.spawn(Flaky, "f", strategy=RestartStrategy(max_restarts=5))
         ref.tell("inc")
-        ref.tell("boom")   # state lost here
+        ref.tell("boom")  # state lost here
         ref.tell("inc")
         system.run_until_idle()
         assert system.ask_sync(ref, "get") == 1  # only post-restart inc
@@ -207,6 +210,80 @@ class TestSupervision:
         system.run_until_idle()
         assert len(instances) == 2
         assert instances[1].started == 1
+
+
+class TestDispatch:
+    """The dispatcher's per-batch bookkeeping: one context per actor, whose
+    message slot lives only while its batch runs."""
+
+    def test_two_asks_in_one_batch_get_their_own_replies(self):
+        system = ActorSystem()
+        ref = system.spawn(Echo, "echo")
+        first, second = ref.ask("a"), ref.ask("b")
+        assert system.run_until_idle() == 2
+        assert first.result(timeout=0) == ("echo", "a")
+        assert second.result(timeout=0) == ("echo", "b")
+
+    def test_stop_mid_batch_dead_letters_the_rest_of_the_mailbox(self):
+        system = ActorSystem()
+        ref = system.spawn(Flaky, "f", strategy=StopStrategy())
+        ref.tell("inc")
+        ref.tell("boom")
+        for _ in range(100):
+            ref.tell("inc")
+        # The batch ends at the failure; the 62 envelopes after it in the
+        # batch and the 38 still queued are dead letters.
+        assert system.run_until_idle() == 2
+        assert system.dead_letter_count == len(system.dead_letters) == 100
+        assert not system.exists("f")
+
+    def test_restart_mid_batch_keeps_the_batch(self):
+        system = ActorSystem()
+        ref = system.spawn(Flaky, "f", strategy=RestartStrategy(max_restarts=5))
+        for message in ["inc", "boom", "inc", "boom", "inc"]:
+            ref.tell(message)
+        assert system.run_until_idle() == 5
+        assert system.dead_letter_count == 0
+        assert system.ask_sync(ref, "get") == 1
+
+    def test_restart_budget_overrun_dead_letters_what_follows(self):
+        system = ActorSystem()
+        ref = system.spawn(Flaky, "f", strategy=RestartStrategy(max_restarts=2))
+        for message in ["inc", "boom", "inc", "boom", "inc", "boom"] + ["inc"] * 70:
+            ref.tell(message)
+        assert system.run_until_idle() == 6
+        assert system.dead_letter_count == 70
+        assert not system.exists("f")
+
+    def test_a_drain_takes_at_most_one_batch(self):
+        system = ActorSystem()
+        ref = system.spawn(Counter, "c")
+        for _ in range(BATCH_SIZE + 1):
+            ref.tell("inc")
+        cell = system._cells["c"]
+        assert system._process_cell(cell) == BATCH_SIZE
+        assert len(cell.mailbox) == 1 and cell.scheduled
+        assert system.run_until_idle() == 1
+
+    def test_a_told_message_is_collectable_after_its_drain(self):
+        class Payload:
+            pass
+
+        system = ActorSystem()
+        ref = system.spawn(Counter, "c")
+        message = Payload()
+        probe = weakref.ref(message)
+        ref.tell(message)
+        del message
+        system.run_until_idle()
+        gc.collect()
+        assert probe() is None
+
+    def test_spawn_returns_the_cells_one_ref(self):
+        system = ActorSystem()
+        ref = system.spawn(Counter, "c")
+        assert ref is system._cells["c"].ref
+        assert ref == system.actor_ref("c")
 
 
 class TestScheduling:
