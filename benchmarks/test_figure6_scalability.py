@@ -65,13 +65,10 @@ def test_figure6_soak_memory_bounded(benchmark, svrf_model):
 
     # After housekeeping every proximity detector has pruned observations
     # older than its time window, so total tracked positions across all
-    # cell actors stay bounded by the live fleet (not by stream length).
-    from repro.platform.cell_actor import ProximityCellActor
-
+    # proximity cells stay bounded by the live fleet (not by stream length).
     total_tracked = sum(
-        cell.actor.detector.tracked_vessels
-        for cell in platform.system._cells.values()
-        if isinstance(cell.actor, ProximityCellActor))
+        detector.tracked_vessels
+        for detector in platform.wiring.proximity_cells.cells.values())
     assert total_tracked <= 300 * 3  # fan-out to a few cells per vessel
 
     # Writer-side state is one hash per vessel plus bounded event lists.

@@ -40,7 +40,7 @@ def main() -> None:
     dispatched = platform.process_available()
     print(f"  {dispatched} messages dispatched to "
           f"{platform.vessel_count} vessel actors; "
-          f"{platform.cell_actor_count} proximity-cell actors spawned, "
+          f"{platform.proximity_cell_count} proximity cells tracked, "
           f"{platform.collision_cell_count} collision cells occupied")
 
     print("\n--- Middleware API queries (what the UI calls) ---")

@@ -13,8 +13,8 @@ dynamic scaling (Section 3). This package implements those semantics:
 * :mod:`~repro.actors.supervision` — restart/stop/resume strategies applied
   when an actor's receive raises,
 * :class:`~repro.actors.router.KeyRouter` — the "core partitioning
-  functionality" that lazily creates one actor per key (per MMSI, per H3
-  cell) and routes messages by key,
+  functionality" that lazily creates one actor per key (per MMSI) and
+  routes messages by key,
 * :class:`~repro.telemetry.recorder.MetricsRecorder` — the per-message
   processing-time samples behind Figure 6 (re-exported here).
 """

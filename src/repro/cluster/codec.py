@@ -24,9 +24,9 @@ closed, tagged value encoding:
 * **everything else** — ``None``, ``bool``, ``int`` (signed 64-bit plus
   the unsigned H3 range), ``float``, ``numpy.float64``, ``str``,
   ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
-  :func:`_records`: an append-only tuple of the message dataclasses (and
-  the one IntEnum they carry), addressed by index, fields in declaration
-  order. A record met twice in one frame is written once and referenced
+  :func:`_records`: a tuple of the message dataclasses (and the one
+  IntEnum they carry), addressed by index, fields in declaration order;
+  the index only has to agree between peers of the same build. A record met twice in one frame is written once and referenced
   after, so objects a payload shares (one forecast in many cells of a
   state transfer) stay shared after decoding.
 
@@ -154,8 +154,10 @@ _RECORD_CODES: dict = {}
 
 
 def _records() -> tuple:
-    """The record vocabulary. Append only: a record's wire address is its
-    position here, so reordering or removing one changes the format."""
+    """The record vocabulary. A record's wire address is its position
+    here, so reordering or removing one changes the format: peers must run
+    the same build. No file stores an address (checkpoints pickle), so an
+    entry may go with its class."""
     from repro.ais.message import AISMessage, NavigationStatus
     from repro.cluster import protocol as p
     from repro.events.collision import CollisionForecast
@@ -188,7 +190,6 @@ def _records() -> tuple:
         m.EventRecord,
         m.VoyageAssigned,
         m.PlanReady,
-        m.PruneTick,
         m.RestoreState,
         AISMessage,
         NavigationStatus,

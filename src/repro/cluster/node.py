@@ -9,8 +9,8 @@ detector, and — when it is the cluster leader — acts as the
 orchestrates handoff when membership changes.
 
 Outbound sharded messages coalesce: while an :meth:`ClusterNode.outbox`
-scope is open — the node's actor drain, one ingestion dispatch, one
-forecast flush — what the node routes to a peer queues in send order and
+scope is open — the node's actor drain, one received frame, one
+ingestion dispatch, one forecast flush — what the node routes to a peer queues in send order and
 leaves, when the scope closes, as one :class:`ShardedBatch` frame per
 peer. Any other frame to that peer first ships the queue, so each link
 carries exactly the message sequence unbatched sends would.
@@ -590,7 +590,10 @@ class ClusterNode:
             self.frames_rejected += 1
             return
         self.frames_in += 1
-        self._on_envelope(env)
+        # Receiving a frame is one burst of work: the hits a cell table
+        # raises while applying it leave as one frame per peer.
+        with self.outbox():
+            self._on_envelope(env)
 
     def _on_envelope(self, env: WireEnvelope) -> None:
         if env.trace_id is None:

@@ -298,8 +298,8 @@ class ShardRouter:
 
     def export_state(self, key: Any) -> dict | None:
         """Exported state for a local key: the local router's
-        ``cell_state`` when it keeps its entities in a table (collision
-        cells), else the live actor's ``export_state()``. ``None`` when the
+        ``cell_state`` when it keeps its entities in a table (proximity and
+        collision cells), else the live actor's ``export_state()``. ``None`` when the
         key carries no recoverable state. Shared by checkpoint capture and
         the live-migration state transfer."""
         cell_state = getattr(self._local, "cell_state", None)

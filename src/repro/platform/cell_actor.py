@@ -1,4 +1,4 @@
-"""Spatial state: proximity cell actors, collision cells and the flow actor.
+"""Spatial state: the proximity and collision cell tables and the flow actor.
 
 "Two additional actor classes are defined on the spatial level utilizing
 the H3 spatial index, a class for proximity event detection ... and a class
@@ -7,12 +7,18 @@ all vessel actors N and determine the state of their respective event
 class. ... Based on the final state status, they communicate their state
 back to the respective affected subset of vessel actors." (Section 3)
 
-A proximity cell is one actor per cell. The collision cells of a node are
-one table, :class:`CollisionCellRouter`, fed by the forecast fan-out: a
-forecast shared with many cells is tested once against each forecast it
-meets there. The cells keep no debounce state: every raw hit goes to the
-one vessel actor that owns the pair, ``min(pair)``, which decides whether
-it is a new encounter (see :mod:`repro.platform.vessel_actor`).
+Both classes are per-node tables here, not one actor per cell: a cell is
+a keyed, sharded and checkpointed entity whose work is a method call. A
+proximity actor per cell cost one of the four envelopes of every kept fix
+and one actor per visited cell, never freed (11.8k after 24k fixes on the
+fleet benchmark). The proximity cells of a node are
+:class:`ProximityCellTable`, fed one fix at a time by the vessel actors (a
+remote fix when its frame arrives); the collision cells are
+:class:`CollisionCellRouter`, fed by the forecast fan-out: a forecast
+shared with many cells is tested once against each forecast it meets
+there. The cells keep no debounce state: every raw hit goes to the one
+vessel actor that owns the pair, ``min(pair)``, which decides whether it
+is a new encounter (see :mod:`repro.platform.vessel_actor`).
 """
 
 from __future__ import annotations
@@ -30,45 +36,89 @@ from repro.platform.messages import (
     CollisionAlert,
     ForecastBatch,
     ProximityAlert,
-    PruneTick,
     RestoreState,
 )
+from repro.telemetry.trace import current_trace
 
 if TYPE_CHECKING:
     from repro.platform.pipeline import PlatformWiring
 
 
-class ProximityCellActor(Actor):
-    """One H3 cell's proximity-detection state."""
+class _CellTable:
+    """The keyed surface a cell table shares with
+    :class:`~repro.actors.router.KeyRouter`: ``cells`` maps a cell to its
+    state. Table mutations run on the thread that pumps the node; the lock
+    keeps the table consistent for a caller on any other thread."""
 
-    def __init__(self, cell: int, wiring: "PlatformWiring") -> None:
-        self.cell = cell
-        self.wiring = wiring
-        # 500 m: the detector's default distance threshold.
-        self.detector = ProximityDetector()
+    def __init__(self, wiring: "PlatformWiring") -> None:
+        self._wiring = wiring
+        self.cells: dict[Any, Any] = {}
+        self._lock = threading.Lock()
 
-    def receive(self, message, ctx: ActorContext) -> None:
-        if isinstance(message, CellObservation):
-            for event in self.detector.observe(message.mmsi, message.t, message.lat, message.lon):
-                self.wiring.vessel_router.tell(event.pair[0], ProximityAlert(event=event))
-        elif isinstance(message, PruneTick):
-            self.detector.prune(message.now)
-        elif isinstance(message, RestoreState):
-            self.restore_state(message.state)
+    def forget(self, key: Any) -> bool:
+        with self._lock:
+            return self.cells.pop(key, None) is not None
 
-    def export_state(self) -> dict:
-        return {"detector": self.detector.export_state()}
+    def known_keys(self) -> list[Any]:
+        return list(self.cells)
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt checkpointed detection state only while still fresh — a
-        detector that has already observed positions (rebuilt from the
-        replayed suffix) holds newer last-seen entries and keeps them."""
-        if self.detector._last_seen:
-            return
-        self.detector.restore_state(state["detector"])
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self.cells
 
 
-class CollisionCellRouter:
+class ProximityCellTable(_CellTable):
+    """Every local proximity cell, in one table: ``cells`` maps a cell to
+    its :class:`ProximityDetector` (500 m, 120 s). A cell exists while its
+    detector tracks a vessel; :meth:`prune` drops the ones it empties."""
+
+    def tell(self, key: Any, message: Any) -> None:
+        """Observe a :class:`CellObservation` and send each hit to the
+        pair's owner vessel, or adopt a :class:`RestoreState` into an
+        absent or empty cell only: a cell that has observed positions was
+        rebuilt from the replayed suffix and holds newer entries."""
+        if type(message) is CellObservation:
+            telemetry = self._wiring.system.telemetry
+            trace_id = current_trace() if telemetry is not None else None
+            t0 = telemetry.clock() if trace_id is not None else 0.0
+            with self._lock:
+                detector = self.cells.get(key)
+                if detector is None:
+                    detector = self.cells[key] = ProximityDetector()
+                hits = detector.observe(message.mmsi, message.t, message.lat, message.lon)
+            if trace_id is not None:
+                # The event hop of the trace; a table has no queue delay.
+                telemetry.traces.record(trace_id, "cell", proc_s=telemetry.clock() - t0)
+            for hit in hits:
+                self._wiring.vessel_router.tell(hit.pair[0], ProximityAlert(event=hit))
+        elif type(message) is RestoreState:
+            state = message.state["detector"]
+            with self._lock:
+                detector = self.cells.get(key)
+                if state["last_seen"] and (detector is None or not detector.tracked_vessels):
+                    detector = self.cells[key] = ProximityDetector()
+                    detector.restore_state(state)
+
+    def cell_state(self, key: Any) -> dict | None:
+        """Checkpoint and handoff view of one cell, ``{"detector": ...}``
+        (``None``: no such cell)."""
+        detector = self.cells.get(key)
+        return None if detector is None else {"detector": detector.export_state()}
+
+    def prune(self, now: float) -> None:
+        """Drop observations older than the detectors' window, and every
+        cell left empty (the memory bound)."""
+        with self._lock:
+            for detector in self.cells.values():
+                detector.prune(now)
+            empty = [cell for cell, detector in self.cells.items() if not detector.tracked_vessels]
+            for cell in empty:
+                del self.cells[cell]
+
+
+class CollisionCellRouter(_CellTable):
     """Every local collision cell, in one table.
 
     ``cells`` maps a cell to its members: a bare :class:`RouteForecast` while
@@ -81,11 +131,7 @@ class CollisionCellRouter:
     """
 
     def __init__(self, wiring: "PlatformWiring") -> None:
-        self._wiring = wiring
-        self.cells: dict[Any, Any] = {}
-        #: Table mutations run on the thread that pumps the node; the lock
-        #: keeps the table consistent for a caller on any other thread.
-        self._lock = threading.Lock()
+        super().__init__(wiring)
         #: Newcomer-member tests run, one per distinct pair per share.
         self.pair_tests = 0
 
@@ -183,19 +229,6 @@ class CollisionCellRouter:
         if isinstance(members, dict):
             return {"forecasts": {m: forecast for m, (forecast, _) in members.items()}}
         return {"forecasts": {members.mmsi: members}}
-
-    def forget(self, key: Any) -> bool:
-        with self._lock:
-            return self.cells.pop(key, None) is not None
-
-    def known_keys(self) -> list[Any]:
-        return list(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self.cells
 
 
 class FlowActor(Actor):

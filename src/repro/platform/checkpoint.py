@@ -7,8 +7,8 @@ A checkpoint is three things captured together at a quiescent moment:
   checkpoint and must be replayed (:meth:`Consumer.seek`);
 * **per-node KV snapshots** — each node's writer-actor output store,
   captured via :meth:`KeyValueStore.snapshot_state`;
-* **per-entity state** — every vessel/cell actor's :meth:`export_state`
-  and every collision cell's ``cell_state``, keyed by ``(entity, router
+* **per-entity state** — every vessel actor's :meth:`export_state` and
+  every proximity and collision cell's ``cell_state``, keyed by ``(entity, router
   key)`` so recovery can route it through the normal sharded routers to
   whichever node owns the key after the restart
   (:class:`~repro.platform.messages.RestoreState`).

@@ -25,7 +25,7 @@ class PositionIngested:
 
 @dataclass(frozen=True)
 class CellObservation:
-    """Vessel actor -> cell actor: a position falling in the cell."""
+    """Vessel actor -> proximity cell table: a position falling in the cell."""
 
     cell: int
     mmsi: int
@@ -68,7 +68,7 @@ class ForecastReady:
 
 @dataclass(frozen=True)
 class ProximityAlert:
-    """Proximity cell -> the pair's owner vessel actor (``min(pair)``): one
+    """Proximity cells -> the pair's owner vessel actor (``min(pair)``): one
     raw hit. The owner forwards an accepted alert to ``pair[1]``."""
 
     event: ProximityPairEvent
@@ -129,13 +129,6 @@ class PlanReady:
 
     plan: Any  #: a :class:`repro.models.voyage.VoyagePlan`
     t_submitted: float = 0.0  #: virtual time the request was pooled at
-
-
-@dataclass(frozen=True)
-class PruneTick:
-    """Housekeeping -> proximity cell actors: periodic memory pruning."""
-
-    now: float
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@
     events = platform.api.recent_events("collision")
 
 The same class is one node of a cluster: ``Platform(node=cluster_node,
-is_seed=...)`` shards the vessel and proximity-cell actors and the
-collision cells over the cluster (consistent-hash shards, exactly Akka
+is_seed=...)`` shards the vessel actors and the proximity and collision
+cells over the cluster (consistent-hash shards, exactly Akka
 cluster sharding's role in the paper) while the writer and flow actors stay
 node-local and the forecasting model is mounted **once per node** ("the
 model is mounted only once in memory for each computational node", Section
@@ -35,13 +35,13 @@ from repro.kvstore import KeyValueStore, PubSub
 from repro.models.base import RouteForecaster
 from repro.models.kinematic import LinearKinematicModel
 from repro.platform.api import MiddlewareAPI
-from repro.platform.cell_actor import CollisionCellRouter, FlowActor, ProximityCellActor
+from repro.platform.cell_actor import CollisionCellRouter, FlowActor, ProximityCellTable
 from repro.events.voyage import VOYAGE_EVENT_KINDS
 from repro.hexgrid import cell_block
 from repro.platform.config import PlatformConfig
 from repro.platform.forecast_service import ForecastService
 from repro.platform.ingestion import IngestionService
-from repro.platform.messages import PruneTick, VoyageAssigned
+from repro.platform.messages import VoyageAssigned
 from repro.platform.vessel_actor import VesselActor
 from repro.platform.writer_actor import REPL_FLOW_CHANNEL, WriterActor, WriterRef
 from repro.streams import Broker, PositionBlock, Producer, TopicConfig
@@ -68,8 +68,10 @@ class PlatformWiring:
     vessel_router: KeyRouter | None = field(init=False, default=None)
     cell_router: KeyRouter | None = field(init=False, default=None)
     collision_router: KeyRouter | None = field(init=False, default=None)
-    #: This node's collision-cell table: ``collision_router`` itself on a
-    #: standalone platform, its local leg on a cluster node.
+    #: This node's proximity- and collision-cell tables: ``cell_router`` and
+    #: ``collision_router`` themselves on a standalone platform, their
+    #: local legs on a cluster node.
+    proximity_cells: ProximityCellTable | None = field(init=False, default=None)
     collision_cells: CollisionCellRouter | None = field(init=False, default=None)
     writer_ref: WriterRef | None = field(init=False, default=None)
     flow_ref: object = field(init=False, default=None)
@@ -187,8 +189,9 @@ def wire_node(
     system.metrics_filter = lambda name: name.startswith("vessel-")
 
     wiring.vessel_router = register_entity("vessel", lambda mmsi: VesselActor(mmsi, wiring))
+    wiring.proximity_cells = ProximityCellTable(wiring)
     wiring.cell_router = register_entity(
-        "cell", lambda cell: ProximityCellActor(cell, wiring), shard_key=cell_block
+        "cell", None, local_router=wiring.proximity_cells, shard_key=cell_block
     )
     wiring.collision_cells = CollisionCellRouter(wiring)
     wiring.collision_router = register_entity(
@@ -493,14 +496,11 @@ class Platform:
         self.settle()
 
     def housekeeping(self) -> None:
-        """Prune this node's spatial state: a prune tick to each proximity
-        cell actor and one prune of the collision-cell table (memory bound;
-        in a cluster every node housekeeps its own shards)."""
-        tick = PruneTick(now=self.system.now)
-        for cell in self.wiring.cell_router.known_keys():
-            self.wiring.cell_router.tell(cell, tick)
+        """Prune this node's spatial state: one prune of each cell table
+        (memory bound; in a cluster every node housekeeps its own shards).
+        A prune sends no message, so nothing is left to settle."""
+        self.wiring.proximity_cells.prune(self.system.now)
         self.wiring.collision_cells.prune(self.system.now)
-        self.settle()
 
     def sync_clock(self, now: float) -> dict:
         """Advance this node's virtual clock to stream time ``now`` (the
@@ -517,7 +517,7 @@ class Platform:
         return len(self.wiring.vessel_router)
 
     @property
-    def cell_actor_count(self) -> int:
+    def proximity_cell_count(self) -> int:
         return len(self.wiring.cell_router)
 
     @property
@@ -538,7 +538,7 @@ class Platform:
         return {
             **(self.node.stats() if self.node is not None else {}),
             "vessels_local": self.vessel_count,
-            "cells_local": self.cell_actor_count,
+            "cells_local": self.proximity_cell_count,
             "collision_cells_local": self.collision_cell_count,
             "states_written": writer.states_written,
             "events_written": writer.events_written,

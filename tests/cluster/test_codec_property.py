@@ -70,7 +70,6 @@ from repro.platform.messages import (
     PlanReady,
     PositionIngested,
     ProximityAlert,
-    PruneTick,
     RestoreState,
     VesselStateUpdate,
     VoyageAssigned,
@@ -419,7 +418,6 @@ MESSAGE_SAMPLES = [
     EventRecord(kind="proximity", t=99.0, payload=PAIR),
     VoyageAssigned(mmsi=7, waypoints=((37.9, 23.5), (38.0, 24.0)), deadline_t=9e3),
     PlanReady(plan=PLAN, t_submitted=5.0),
-    PruneTick(now=900.0),
     RestoreState(entity="vessel", key=7, state={"history": (FIX,)}, handoff=True),
     ShardedBatch(
         entries=(

@@ -298,15 +298,30 @@ def store_digest(dumps) -> str:
 
 
 @functools.cache
-def fault_free_dumps(transport_batching: bool) -> list[dict]:
+def fault_free_run(transport_batching: bool) -> tuple[list[dict], Counter, Counter]:
     """Each node's ``KeyValueStore.dump`` after a fault-free 4-node run of
-    the Aegean proximity scenario (one run per transport per session)."""
+    the Aegean proximity scenario (one run per transport per session), with
+    the message types of the sharded frames sent outside any outbox scope
+    and of the entries shipped from one."""
     scenario = proximity_scenario(
         n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0
     )
     cluster = LoopbackCluster(
         num_nodes=4, cluster_config=ClusterConfig(transport_batching=transport_batching)
     )
+    unscoped, shipped = Counter(), Counter()
+    for node in cluster.nodes:
+
+        def send(node_id, env, send=node._send):
+            if env.kind == "sharded":
+                unscoped[type(env.message).__name__] += 1
+            return send(node_id, env)
+
+        def ship(peer, entries, ship=node._ship):
+            shipped.update(type(entry[2]).__name__ for entry in entries)
+            return ship(peer, entries)
+
+        node._send, node._ship = send, ship
     try:
         messages = sorted(scenario.result.messages, key=lambda m: m.t)
         for i in range(0, len(messages), 500):
@@ -314,9 +329,14 @@ def fault_free_dumps(transport_batching: bool) -> list[dict]:
             cluster.process_available()
         assert cluster.event_count("collision") == 12 and cluster.event_count("proximity") == 6
         now = cluster.platforms[0].system.now
-        return [platform.kvstore.dump(now=now) for platform in cluster.platforms]
+        dumps = [platform.kvstore.dump(now=now) for platform in cluster.platforms]
+        return dumps, unscoped, shipped
     finally:
         cluster.shutdown()
+
+
+def fault_free_dumps(transport_batching: bool) -> list[dict]:
+    return fault_free_run(transport_batching)[0]
 
 
 #: ``store_digest`` of the run below. First recorded before the outbox
@@ -344,3 +364,12 @@ def test_a_fault_free_cluster_writes_the_stores_it_always_wrote(transport_batchi
             )
             assert not differing, f"batching changed node {node}'s keys {differing}"
     assert store_digest(dumps) == UNBATCHED_DIGEST
+
+
+def test_a_received_frame_ships_its_alerts_in_one_frame_per_peer():
+    """Applying a received frame is one burst of work: the hits a cell
+    table raises meanwhile leave from the frame's outbox scope, never as
+    frames of their own."""
+    _, unscoped, shipped = fault_free_run(True)
+    assert unscoped["CollisionAlert"] == unscoped["ProximityAlert"] == 0
+    assert shipped["CollisionAlert"] > 0 and shipped["ProximityAlert"] > 0

@@ -16,8 +16,8 @@ from repro.platform import Platform, PlatformConfig
 
 class TestThreadedPlatform:
     def test_housekeeping_returns_settled(self):
-        """``housekeeping`` is a barrier: when it returns, every prune tick
-        it broadcast has been processed."""
+        """``housekeeping`` prunes both cell tables in place: when it
+        returns, nothing it caused is still queued."""
         scenario = proximity_scenario(n_event_pairs=4, n_near_miss_pairs=1,
                                       n_background=2, duration_s=3_000.0,
                                       seed=13)
@@ -26,7 +26,7 @@ class TestThreadedPlatform:
         try:
             platform.publish_messages(scenario.result.messages)
             platform.process_available()
-            assert platform.cell_actor_count + platform.collision_cell_count > 20
+            assert platform.proximity_cell_count + platform.collision_cell_count > 20
             platform.housekeeping()
             # A pure check: nothing may still be queued.
             assert platform.system.run_until_idle() == 0

@@ -33,8 +33,8 @@ class TestIngestionToActors:
                 == small_scenario.n_messages)
         assert processed_platform.ingestion.lag == 0
 
-    def test_cell_and_collision_actors_created(self, processed_platform):
-        assert processed_platform.cell_actor_count > 0
+    def test_proximity_and_collision_cells_created(self, processed_platform):
+        assert processed_platform.proximity_cell_count > 0
         assert processed_platform.collision_cell_count > 0
 
     def test_metrics_sampled_for_vessel_messages_only(self, processed_platform):
