@@ -26,9 +26,10 @@ closed, tagged value encoding:
   ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
   :func:`_records`: a tuple of the message dataclasses (and the one
   IntEnum they carry), addressed by index, fields in declaration order;
-  the index only has to agree between peers of the same build. A record met twice in one frame is written once and referenced
-  after, so objects a payload shares (one forecast in many cells of a
-  state transfer) stay shared after decoding.
+  the index only has to agree between peers of the same build. A record
+  met twice in one frame is written once and referenced after, so objects
+  a payload shares (one forecast in many cells of a state transfer) stay
+  shared after decoding.
 
 Encoding refuses anything outside that vocabulary with a ``TypeError``
 naming the type (a subclass of a listed type included); decoding calls no

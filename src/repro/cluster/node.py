@@ -10,10 +10,11 @@ orchestrates handoff when membership changes.
 
 Outbound sharded messages coalesce: while an :meth:`ClusterNode.outbox`
 scope is open — the node's actor drain, one received frame, one
-ingestion dispatch, one forecast flush — what the node routes to a peer queues in send order and
-leaves, when the scope closes, as one :class:`ShardedBatch` frame per
-peer. Any other frame to that peer first ships the queue, so each link
-carries exactly the message sequence unbatched sends would.
+ingestion dispatch, one forecast flush — what the node routes to a peer
+queues in send order and leaves, when the scope closes, as one
+:class:`ShardedBatch` frame per peer. Any other frame to that peer first
+ships the queue, so each link carries exactly the message sequence
+unbatched sends would.
 
 Delivery guarantees (the documented in-flight window): messages routed to
 a shard are buffered and redelivered whenever the owner is unreachable or
@@ -312,7 +313,7 @@ class ClusterNode:
         entity set, with the same ``shard_key`` — an entity's actors can
         live on any of them. ``local_router`` substitutes a specialised
         :class:`~repro.actors.router.KeyRouter` for local delivery (the
-        collision entity's cell table); ``shard_key`` maps a key to what
+        cell entities' tables); ``shard_key`` maps a key to what
         its shard is hashed from (cell-keyed entities: the cell's block)."""
         if entity in self._routers:
             raise ValueError(f"entity {entity!r} already registered")

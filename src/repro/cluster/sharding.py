@@ -187,7 +187,7 @@ class ShardRouter:
     ) -> None:
         self._node = node
         self.entity = entity
-        # ``is None``, not truthiness: an empty collision-cell table is falsy.
+        # ``is None``, not truthiness: an empty cell table is falsy.
         if local_router is None:
             local_router = KeyRouter(node.system, entity, factory)
         self._local = local_router

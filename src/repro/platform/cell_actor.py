@@ -96,8 +96,8 @@ class ProximityCellTable(_CellTable):
         elif type(message) is RestoreState:
             state = message.state["detector"]
             with self._lock:
-                detector = self.cells.get(key)
-                if state["last_seen"] and (detector is None or not detector.tracked_vessels):
+                # The table keeps no empty cell, so absent means empty too.
+                if state["last_seen"] and key not in self.cells:
                     detector = self.cells[key] = ProximityDetector()
                     detector.restore_state(state)
 

@@ -30,6 +30,7 @@ from typing import Callable
 #: Stage recorded by the ingestion service when it assigns a trace.
 STAGE_INGEST = "ingest"
 
+
 class _Current(threading.local):
     #: The class default answers every thread that never set a trace,
     #: without the failed attribute lookup a ``getattr`` default costs on
