@@ -74,8 +74,7 @@ COLLISION_NEIGHBOR_RINGS = 1
 #: function and vessels revisit the same cells constantly; memoising the
 #: disk removes it from the forecast fan-out hot path. An entry holds
 #: about 350 B, so the cap of 65,536 entries bounds the memo at about
-#: 23 MB (2**20 entries would let it reach about 366 MB before its first
-#: clear); the fleet benchmark fills about 14k entries. A clear only costs
+#: 23 MB; the fleet benchmark fills about 14k entries. A clear only costs
 #: recomputation: results stay bitwise.
 _DISK_CACHE: dict[int, tuple[int, ...]] = {}
 _DISK_CACHE_MAX = 1 << 16
