@@ -27,20 +27,18 @@ def _constant_velocity_dataset(n=400, dlat=1e-4, dlon=5e-5, dt=60.0, seed=0):
     y = np.zeros((n, OUTPUT_STEPS, 2))
     y[:, :, 0] = dlat * steps_per_mark
     y[:, :, 1] = dlon * steps_per_mark
-    anchor = np.stack([
-        np.zeros(n), lat0, lon0,
-        np.full(n, 10.0), np.full(n, 26.0)], axis=1)
-    return SegmentDataset(x=x, y=y, anchor=anchor,
-                          mmsi=np.arange(n, dtype=np.int64))
+    anchor = np.stack([np.zeros(n), lat0, lon0, np.full(n, 10.0), np.full(n, 26.0)], axis=1)
+    return SegmentDataset(x=x, y=y, anchor=anchor, mmsi=np.arange(n, dtype=np.int64))
 
 
 def _history(n_fixes=INPUT_STEPS + 1, dt=60.0, speed_kn=12.0, cog=90.0):
     """A straight eastbound track at ``speed_kn``."""
     dist_per_fix = speed_kn * KNOTS_TO_MPS * dt
     dlon = dist_per_fix / (111_194.9266 * np.cos(np.radians(38.0)))
-    return [Position(t=i * dt, lat=38.0, lon=23.0 + i * dlon,
-                     sog=speed_kn, cog=cog)
-            for i in range(n_fixes)]
+    return [
+        Position(t=i * dt, lat=38.0, lon=23.0 + i * dlon, sog=speed_kn, cog=cog)
+        for i in range(n_fixes)
+    ]
 
 
 class TestLinearKinematic:
@@ -59,8 +57,7 @@ class TestLinearKinematic:
 
     def test_forecast_distance_matches_speed(self):
         fc = LinearKinematicModel().forecast(1, _history(speed_kn=10.0))
-        d = haversine_m(fc.anchor.lat, fc.anchor.lon,
-                        fc.positions[-1].lat, fc.positions[-1].lon)
+        d = haversine_m(fc.anchor.lat, fc.anchor.lon, fc.positions[-1].lat, fc.positions[-1].lon)
         assert d == pytest.approx(10.0 * KNOTS_TO_MPS * 1800.0, rel=1e-6)
 
     def test_empty_history_rejected(self):
@@ -69,16 +66,14 @@ class TestLinearKinematic:
 
     def test_missing_sog_rejected(self):
         with pytest.raises(ValueError):
-            LinearKinematicModel().forecast(
-                1, [Position(t=0.0, lat=0.0, lon=0.0)])
+            LinearKinematicModel().forecast(1, [Position(t=0.0, lat=0.0, lon=0.0)])
 
     def test_batch_prediction_matches_single(self):
         history = _history()
         fc = LinearKinematicModel().forecast(1, history)
         last = history[-1]
         anchor = np.array([[last.t, last.lat, last.lon, last.sog, last.cog]])
-        lat, lon = LinearKinematicModel().predict_positions(
-            anchor, np.zeros((1, INPUT_STEPS, 3)))
+        lat, lon = LinearKinematicModel().predict_positions(anchor, np.zeros((1, INPUT_STEPS, 3)))
         assert lat[0, -1] == pytest.approx(fc.positions[-1].lat, abs=1e-9)
         assert lon[0, -1] == pytest.approx(fc.positions[-1].lon, abs=1e-9)
 
@@ -152,8 +147,8 @@ class TestSVRF:
         clone = SVRFModel.load(path)
         assert clone.config == model.config
         np.testing.assert_allclose(
-            clone.predict_transitions(ds.x[:4]),
-            model.predict_transitions(ds.x[:4]))
+            clone.predict_transitions(ds.x[:4]), model.predict_transitions(ds.x[:4])
+        )
 
     def test_save_untrained_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):
@@ -162,18 +157,17 @@ class TestSVRF:
     def test_train_svrf_caches(self, tmp_path):
         ds = _constant_velocity_dataset(n=80)
         path = tmp_path / "cached.npz"
-        m1 = train_svrf(ds, ds, SVRFConfig(hidden=8, dense=16),
-                        epochs=2, cache_path=path)
+        m1 = train_svrf(ds, ds, SVRFConfig(hidden=8, dense=16), epochs=2, cache_path=path)
         assert path.exists()
-        m2 = train_svrf(ds, ds, SVRFConfig(hidden=8, dense=16),
-                        epochs=2, cache_path=path)
+        m2 = train_svrf(ds, ds, SVRFConfig(hidden=8, dense=16), epochs=2, cache_path=path)
         np.testing.assert_allclose(
-            m1.predict_transitions(ds.x[:3]),
-            m2.predict_transitions(ds.x[:3]))
+            m1.predict_transitions(ds.x[:3]), m2.predict_transitions(ds.x[:3])
+        )
 
     def test_architecture_matches_figure3(self):
         """Input 20 displacements -> BiLSTM -> FC -> 6x(dlat,dlon) output."""
         from repro.ml import Bidirectional, Dense
+
         model = SVRFModel()
         layers = model.network.layers
         assert isinstance(layers[0], Bidirectional)
@@ -185,6 +179,7 @@ class TestSVRF:
 
     def test_l1_regularizer_attached_to_bilstm(self):
         from repro.ml import L1Regularizer
+
         model = SVRFModel()
         assert 0 in model.network.regularizers
         assert isinstance(model.network.regularizers[0], L1Regularizer)
