@@ -10,7 +10,7 @@ Every layer follows the same contract:
   gradient w.r.t. the layer input,
 * ``params`` / ``grads`` are dicts of same-shaped numpy arrays.
 
-Both passes are a subclass's one ``_run(x, cache)``.
+Both passes are a subclass's one ``_run(x, cache)``, run in ``x``'s dtype.
 
 Shapes: sequence layers take ``(batch, time, features)``; ``Dense`` takes
 ``(batch, features)``. ``LSTM``/``Bidirectional`` emit the *final* hidden
@@ -26,9 +26,7 @@ from repro.ml.initializers import glorot_uniform, recurrent_orthogonal
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # sigmoid(x) == 0.5 * (1 + tanh(x/2)): numerically stable at both tails
-    # and a single vectorised primitive (this sits on the per-message hot
-    # path of every vessel actor's forecast).
+    # 0.5 * (1 + tanh(x/2)): stable at both tails; Python-float constants keep x's dtype.
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
@@ -83,7 +81,8 @@ class Dense(Layer):
         self._pre: np.ndarray | None = None
 
     def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
-        pre = x @ self.params["W"] + self.params["b"]
+        W, b = (self.params[k].astype(x.dtype, copy=False) for k in ("W", "b"))
+        pre = x @ W + b
         if cache:
             self._x, self._pre = x, pre
         if self.activation == "tanh":
@@ -135,12 +134,12 @@ class LSTM(Layer):
             raise ValueError(f"expected (batch, time, {self.in_features}), got {x.shape}")
         batch, steps, _ = x.shape
         H = self.hidden
-        W, U, b = self.params["W"], self.params["U"], self.params["b"]
+        W, U, b = (self.params[k].astype(x.dtype, copy=False) for k in ("W", "U", "b"))
 
-        h = np.zeros((batch, H))
-        c = np.zeros((batch, H))
+        h = np.zeros((batch, H), dtype=x.dtype)
+        c = np.zeros((batch, H), dtype=x.dtype)
         if cache:
-            hs = np.zeros((batch, steps, H))
+            hs = np.zeros((batch, steps, H), dtype=x.dtype)
             cache_steps = []
         for t in range(steps):
             # In place: (x W + h U) + b without two (batch, 4H) temporaries.

@@ -67,11 +67,11 @@ class Model:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference pass (:meth:`infer`), batch-size consistent.
 
-        BLAS dispatches a single-row matmul to gemv and multi-row inputs
-        to gemm, whose per-row results can differ in the last ulp. A lone
-        sample is therefore duplicated to a 2-row batch (gemm, like every
-        n >= 2 batch) and the first row returned, so one vessel forecast
-        is bitwise identical to the same window inside a fleet-wide batch.
+        BLAS sends a single-row matmul to gemv and more rows to gemm (sgemv
+        and sgemm in float32), whose per-row results can differ in the last
+        ulp. A lone sample is therefore duplicated to a 2-row batch (gemm,
+        like every n >= 2 batch) and the first row returned, so one vessel
+        forecast is bitwise its row in a fleet-wide batch.
         """
         if x.shape[0] == 1:
             return self.infer(np.concatenate([x, x], axis=0))[:1]

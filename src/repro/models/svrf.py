@@ -123,7 +123,8 @@ class SVRFModel:
             raise ValueError(
                 f"expected (n, {self.config.input_steps}, {N_FEATURES}), got {x.shape}"
             )
-        z = self.network.predict(self.x_scaler.transform(x))
+        # Served in float32, Keras's default; the float64 scalers bring it back.
+        z = self.network.predict(self.x_scaler.transform(x).astype(np.float32))
         y = self.y_scaler.inverse_transform(z)
         return y.reshape(-1, self.config.output_steps, 2)
 

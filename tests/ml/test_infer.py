@@ -10,6 +10,9 @@ Three invariants:
   the training cache as ``forward`` left it;
 * **validation** — ``Model.evaluate`` and therefore every epoch of
   ``Model.fit`` score the same loss, bit for bit, as the training pass.
+
+The layers run in their input's dtype, so the first two hold for the
+float32 serving pass too, and its output stays float32.
 """
 
 import numpy as np
@@ -131,3 +134,51 @@ class TestValidationThroughInfer:
             loss, _ = model.loss_fn(model.forward(x[start : start + 512]), y[start : start + 512])
             total += loss * x[start : start + 512].shape[0]
         assert model.evaluate(x, y) == total / x.shape[0]
+
+
+class TestFloat32Serving:
+    """Float32 input runs every layer in float32: params cast per call, state
+    allocated in the input's dtype, nothing promoting back to float64."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch=st.integers(1, 300),
+        steps=st.integers(1, 24),
+        features=st.integers(1, 4),
+        hidden=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_for_every_layer_and_the_model(self, batch, steps, features, hidden, seed):
+        x = np.random.default_rng(seed).normal(size=(batch, steps, features)).astype(np.float32)
+        for layer in _layers(features, hidden, seed):
+            xin = x[:, -1, :] if isinstance(layer, Dense) else x
+            assert layer.infer(xin).tobytes() == layer.forward(xin).tobytes(), layer
+
+    def test_predict_doubles_a_lone_row_through_infer(self):
+        model = _stack(3, 8, seed=1)
+        x = np.random.default_rng(1).normal(size=(5, 7, 3)).astype(np.float32)
+        fleet = model.predict(x)
+        for i in range(x.shape[0]):
+            assert model.predict(x[i : i + 1]).tobytes() == fleet[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, 33])
+    def test_every_layer_returns_its_input_dtype(self, dtype, batch):
+        x = np.random.default_rng(3).normal(size=(batch, 6, 3)).astype(dtype)
+        for layer in _layers(3, 5, seed=3):
+            xin = x[:, -1, :] if isinstance(layer, Dense) else x
+            assert layer.infer(xin).dtype == dtype, layer
+            assert layer.forward(xin).dtype == dtype, layer
+        assert _stack(3, 5, seed=3).predict(x).dtype == dtype
+
+    def test_float32_tracks_float64(self):
+        model = _stack(3, 16, seed=4)
+        x = np.random.default_rng(4).normal(size=(64, 20, 3))
+        np.testing.assert_allclose(model.infer(x.astype(np.float32)), model.infer(x), atol=1e-5)
+
+    def test_float64_params_are_untouched(self):
+        model = _stack(3, 4, seed=5)
+        before = {k: (v.dtype, v.tobytes()) for k, v in model.named_params().items()}
+        model.predict(np.ones((3, 5, 3), dtype=np.float32))
+        after = {k: (v.dtype, v.tobytes()) for k, v in model.named_params().items()}
+        assert after == before

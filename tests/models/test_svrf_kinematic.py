@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ais.datasets import table1_dataset
 from repro.ais.preprocessing import (
     INPUT_STEPS,
     OUTPUT_INTERVAL_S,
@@ -10,6 +11,7 @@ from repro.ais.preprocessing import (
     SegmentDataset,
 )
 from repro.geo import Position, haversine_m
+from repro.evaluation.metrics import ade_per_horizon, displacement_errors_m
 from repro.geo.constants import KNOTS_TO_MPS
 from repro.models import LinearKinematicModel, SVRFConfig, SVRFModel, train_svrf
 
@@ -183,3 +185,54 @@ class TestSVRF:
         model = SVRFModel()
         assert 0 in model.network.regularizers
         assert isinstance(model.network.regularizers[0], L1Regularizer)
+
+
+class TestFloat32Serving:
+    """S-VRF serves in float32 (Keras's default); training, the scalers and
+    the marks' running sum stay float64. A small Table 1 model, trained for
+    a few seconds, against the float64 pass through the same layers."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        train, val, test = table1_dataset(n_vessels=80, duration_s=4 * 3600.0, seed=5, cache=False)
+        model = SVRFModel(SVRFConfig(hidden=32, dense=48))
+        model.fit(train, val, epochs=6, lr=3e-3)
+        return model, test
+
+    @staticmethod
+    def _float64_positions(model, test):
+        z = model.network.predict(model.x_scaler.transform(test.x))
+        transitions = model.y_scaler.inverse_transform(z).reshape(len(test), -1, 2)
+        lat = test.anchor[:, 1:2] + np.cumsum(transitions[:, :, 0], axis=1)
+        lon = test.anchor[:, 2:3] + np.cumsum(transitions[:, :, 1], axis=1)
+        return lat, lon
+
+    def test_ade_per_horizon_within_a_decimetre_of_float64(self, trained):
+        model, test = trained
+        lat, lon = model.predict_positions(test.anchor, test.x)
+        ref_lat, ref_lon = self._float64_positions(model, test)
+        true_lat, true_lon = test.target_positions()
+        served = ade_per_horizon(displacement_errors_m(lat, lon, true_lat, true_lon))
+        ref = ade_per_horizon(displacement_errors_m(ref_lat, ref_lon, true_lat, true_lon))
+        assert np.abs(served - ref).max() < 0.1
+        # A trained model, not noise: the float64 ADE grows with horizon.
+        assert all(b > a for a, b in zip(ref, ref[1:]))
+
+    def test_no_mark_moves_a_metre(self, trained):
+        model, test = trained
+        lat, lon = model.predict_positions(test.anchor, test.x)
+        assert lat.dtype == lon.dtype == np.float64
+        ref_lat, ref_lon = self._float64_positions(model, test)
+        assert displacement_errors_m(lat, lon, ref_lat, ref_lon).max() < 1.0
+
+    def test_forecast_batch_marks_stay_float64(self, trained):
+        model, test = trained
+        anchors = [Position(t=a[0], lat=a[1], lon=a[2]) for a in test.anchor[:8]]
+        fcs = model.forecast_batch(list(range(8)), test.x[:8], anchors)
+        for fc in fcs:
+            assert fc.lats.dtype == fc.lons.dtype == np.float64
+            assert fc.lats[0] == fc.anchor.lat
+        # The scalar path is the same float32 pass: bitwise its fleet row.
+        single = model.forecast_batch([3], test.x[3:4], anchors[3:4])[0]
+        assert single.lats.tobytes() == fcs[3].lats.tobytes()
+        assert single.lons.tobytes() == fcs[3].lons.tobytes()
