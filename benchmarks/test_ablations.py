@@ -202,9 +202,9 @@ class TestCollisionFanOutAblation:
         from repro.platform.vessel_actor import COLLISION_RESOLUTION
 
         def cells(forecast, rings):
-            return {cell for pos in forecast.positions
+            return {cell for lat, lon in zip(forecast.lats, forecast.lons)
                     for cell in grid_disk(latlng_to_cell(
-                        pos.lat, pos.lon, COLLISION_RESOLUTION), rings)}
+                        lat, lon, COLLISION_RESOLUTION), rings)}
 
         def run():
             events = eval_scenario.events

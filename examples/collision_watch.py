@@ -41,16 +41,16 @@ def main() -> None:
 
     print("\nForecast trajectories (present + six 5-minute predictions):")
     for label, fc in (("A", fc_a), ("B", fc_b)):
-        cells = [latlng_to_cell(p.lat, p.lon, 8) for p in fc.positions]
         print(f"  vessel {label} ({fc.mmsi}):")
-        for p, cell in zip(fc.positions, cells):
+        for t, lat, lon in zip(fc.ts, fc.lats, fc.lons):
+            cell = latlng_to_cell(lat, lon, 8)
             fanout = grid_disk(cell, 1)
-            print(f"    t+{p.t - fc.anchor.t:5.0f}s ({p.lat:.4f}, "
-                  f"{p.lon:.4f}) -> cell {cell_to_string(cell)} "
+            print(f"    t+{t - fc.ts[0]:5.0f}s ({lat:.4f}, "
+                  f"{lon:.4f}) -> cell {cell_to_string(cell)} "
                   f"(+{len(fanout) - 1} neighbours)")
 
-    shared = ({latlng_to_cell(p.lat, p.lon, 8) for p in fc_a.positions}
-              & {latlng_to_cell(p.lat, p.lon, 8) for p in fc_b.positions})
+    shared = ({latlng_to_cell(lat, lon, 8) for lat, lon in zip(fc_a.lats, fc_a.lons)}
+              & {latlng_to_cell(lat, lon, 8) for lat, lon in zip(fc_b.lats, fc_b.lons)})
     print(f"\nCells receiving both trajectories: "
           f"{[cell_to_string(c) for c in sorted(shared)][:4]}")
 

@@ -7,13 +7,16 @@ Run:  python examples/port_congestion_and_avoidance.py
 
 import random
 
+import numpy as np
+
 from repro.ais.datasets import _converging_pair, proximity_scenario
 from repro.ais.ports import PORTS
 from repro.ais.simulator import ChannelModel, ScenarioSimulator
 from repro.events import PortCongestionMonitor, plan_avoidance
 from repro.events.collision import trajectories_intersect
+from repro.geo import Position
 from repro.hexgrid import latlng_to_cell
-from repro.models import LinearKinematicModel
+from repro.models import LinearKinematicModel, RouteForecast
 from repro.platform import Platform, PlatformConfig
 from repro.weather import WeatherField, enrich_cells
 
@@ -47,10 +50,8 @@ def congestion_demo() -> None:
         track = platform.api.vessel_forecast(mmsi)
         forecast = None
         if track:
-            from repro.geo import Position
-            from repro.models.base import RouteForecast
-            forecast = RouteForecast(mmsi=mmsi, positions=tuple(
-                Position(t=t, lat=lat, lon=lon) for t, lat, lon in track))
+            ts, lats, lons = np.array(track, dtype=np.float64).T.copy()
+            forecast = RouteForecast(mmsi, Position(*track[0]), ts, lats, lons)
         monitor.observe(mmsi, state["t"], state["lat"], state["lon"],
                         state["sog"], forecast=forecast)
         now = max(now, state["t"])

@@ -12,18 +12,18 @@ closed, tagged value encoding:
   the steady-state stream pays no per-field tags. ``PositionIngested``
   and ``CellObservation`` have fixed layouts. ``ForecastSharedBatch``
   travels as a *forecast block*: per-entry heads (MMSI, cell count, mark
-  count, flags), the anchors, every cell as one ``>u8`` array and every
-  mark as one ``>f8`` array, decoded through ``np.frombuffer`` into
-  ``RouteForecast.from_marks`` rows (a forecast whose marks are not
-  uniform carries its per-mark flags, SOG and COG after them). A lone
-  share is a one-entry block.
+  count, the anchor's SOG/COG flags), the anchors, every cell as one
+  ``>u8`` array and every mark after an anchor as one ``>f8`` array,
+  decoded through ``np.frombuffer`` into each forecast's own track. A
+  lone share is a one-entry block; no other forecast layout exists.
 * **the sharded batch** — a ``ShardedBatch`` is everything one node
   routes to one peer in one burst of work: each entry keeps its own
   entity, key, hop count and trace id, the entries' messages follow in
   order, and a run of consecutive forecast shares is one block.
 * **everything else** — ``None``, ``bool``, ``int`` (signed 64-bit plus
-  the unsigned H3 range), ``float``, ``numpy.float64``, ``str``,
-  ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
+  the unsigned H3 range), ``float``, ``numpy.float64``, a 1-D float64
+  ``numpy.ndarray`` (a forecast's track; it decodes into an owned copy),
+  ``str``, ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
   :func:`_records`: a tuple of the message dataclasses (and the one
   IntEnum they carry), addressed by index, fields in declaration order;
   the index only has to agree between peers of the same build. A record
@@ -108,6 +108,7 @@ _V_SET = 0x0B
 _V_DICT = 0x0C
 _V_RECORD = 0x0D  #: u8 index into _records(), then the fields
 _V_REF = 0x0E  #: u32: the n-th record already decoded in this frame
+_V_F64_ARRAY = 0x0F  #: u32 count, then ``>f8`` values: a 1-D float64 ndarray
 # Fixed payload layouts (the envelope payload only; nested, the same
 # messages travel as records).
 _P_POSITION = 0x10  #: platform.messages.PositionIngested
@@ -133,11 +134,9 @@ _AIS_BODY = struct.Struct(">QdddddhBB")  # mmsi,t,lat,lon,sog,cog,hdg,st,src
 _CELLOBS_BODY = struct.Struct(">QQddd")  # cell, mmsi, t, lat, lon
 _DOUBLE = struct.Struct(">d")
 _ENTRY_HEAD = struct.Struct(">BB")  # hops, traced: a ShardedBatch entry
-_BLOCK_HEAD = struct.Struct(">QHHB")  # mmsi, n_cells, n_marks, flags: a forecast
-# A forecast's flags: bits 0-1 mark the anchor's SOG and COG as present
-# (a position's flags), and two more say how its marks carry motion.
-_MOTION = 0x04  #: every mark after the anchor carries the anchor's SOG and COG
-_EXPLICIT = 0x08  #: the marks' own flags, SOG and COG follow the block's marks
+#: mmsi, n_cells, n_marks, flags: a forecast. Its flags' bits 0-1 mark the
+#: anchor's SOG and COG as present; no other bit is defined.
+_BLOCK_HEAD = struct.Struct(">QHHB")
 #: Doubles after t, lat and lon, by SOG / COG presence bits.
 _PRESENT = (0, 1, 1, 2)
 
@@ -270,6 +269,12 @@ def _put_value(out: bytearray, value: Any, memo: dict) -> None:
         out += _DOUBLE.pack(value)
     elif t is bool:
         out.append(_V_TRUE if value else _V_FALSE)
+    elif t is np.ndarray:
+        if value.dtype != np.float64 or value.ndim != 1:
+            raise TypeError(f"a {value.ndim}-D {value.dtype} ndarray is not a wire type")
+        out.append(_V_F64_ARRAY)
+        out += _U32.pack(len(value))
+        out += value.astype(">f8").tobytes()
     elif t in _SEQUENCE_TAGS:
         out.append(_SEQUENCE_TAGS[t])
         out += _U32.pack(len(value))
@@ -318,6 +323,13 @@ def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
         return (value if tag == _V_FLOAT else np.float64(value)), pos + _DOUBLE.size
     if tag == _V_FALSE or tag == _V_TRUE:
         return tag == _V_TRUE, pos
+    if tag == _V_F64_ARRAY:
+        (count,) = _U32.unpack_from(data, pos)
+        pos += _U32.size
+        if count > (len(data) - pos) // _DOUBLE.size:
+            raise WireDecodeError(f"an array of {count} values overruns its frame")
+        values = np.frombuffer(data, ">f8", count, pos).astype(np.float64)
+        return values, pos + _DOUBLE.size * count
     if tag in _SEQUENCE_TYPES:
         (count,) = _U32.unpack_from(data, pos)
         pos += _U32.size
@@ -429,8 +441,8 @@ def _try_put_position(out: bytearray, msg: Any) -> bool:
 
 def _share_parts(share: Any) -> tuple | None:
     """A ``ForecastSharedBatch``'s pieces of a forecast block — its head,
-    anchor, cells, mark columns and explicit marks — or None when it does
-    not fit the block (the value encoding carries it then)."""
+    anchor, cells and mark columns — or None when it does not fit the
+    block (the value encoding carries it then)."""
     hot = _hot()
     forecast, cells = share.forecast, share.cells
     if (
@@ -443,103 +455,43 @@ def _share_parts(share: Any) -> tuple | None:
     for cell in cells:
         if type(cell) is not int:
             return None
+    anchor, ts, lats, lons = forecast.anchor, forecast.ts, forecast.lats, forecast.lons
     try:
-        marks = _forecast_marks(forecast)
-        if marks is None:
+        if (
+            type(anchor) is not hot["Position"]
+            or not 0 < len(ts) <= 0xFFFF
+            or not ts.shape == lats.shape == lons.shape == (len(ts),)
+            or not ts.dtype == lats.dtype == lons.dtype == np.float64
+        ):
             return None
-        count, flags, anchor, columns, explicit = marks
-        head = _BLOCK_HEAD.pack(forecast.mmsi, len(cells), count, flags)
-        return head, anchor, struct.pack(f">{len(cells)}Q", *cells), columns, explicit
+        extra = tuple(v for v in (anchor.sog, anchor.cog) if v is not None)
+        flags = (anchor.sog is not None) | (anchor.cog is not None) << 1
+        head = _BLOCK_HEAD.pack(forecast.mmsi, len(cells), len(ts), flags)
+        anchor_bytes = struct.pack(f">{3 + len(extra)}d", anchor.t, anchor.lat, anchor.lon, *extra)
+        cell_bytes = struct.pack(f">{len(cells)}Q", *cells)
+        return head, anchor_bytes, cell_bytes, (ts[1:], lats[1:], lons[1:])
     except (struct.error, AttributeError, TypeError, ValueError, OverflowError):
         return None
 
 
-def _forecast_marks(forecast: Any) -> tuple | None:
-    """``(mark count, flags, anchor bytes, mark columns, explicit marks)``
-    of a forecast, or None when it does not fit the block.
-
-    A forecast made by ``RouteForecast.from_marks`` is read from its
-    arrays. One made from ``positions`` packs into the same bytes when its
-    marks are uniform — every mark after the anchor bare, or every one
-    carrying the anchor's SOG and COG bits — and carries its per-mark flags,
-    SOG and COG explicitly otherwise."""
-    position_cls = _hot()["Position"]
-    state = vars(forecast)
-    if "_motion" in state:
-        anchor, ts, lats, lons = state["anchor"], state["ts"], state["lats"], state["lons"]
-        count = len(ts)
-        if type(anchor) is not position_cls or not count:
-            return None
-        if not ts.shape == lats.shape == lons.shape:
-            return None
-        columns = (ts[1:], lats[1:], lons[1:])
-        motion, explicit = state["_motion"], b""
-    else:
-        positions = state["positions"]
-        if type(positions) is not tuple:
-            return None
-        count = len(positions)
-        if not count:
-            return 0, 0, b"", None, b""
-        for p in positions:
-            if type(p) is not position_cls:
-                return None
-        anchor, marks = positions[0], positions[1:]
-        columns = tuple([getattr(p, name) for p in marks] for name in ("t", "lat", "lon"))
-        # Refuses a coordinate that is not a number, as the layout would.
-        struct.pack(f">{3 * len(marks)}d", *columns[0], *columns[1], *columns[2])
-        motion, explicit = _mark_motion(anchor, marks)
-    extra = tuple(v for v in (anchor.sog, anchor.cog) if v is not None)
-    flags = (anchor.sog is not None) | (anchor.cog is not None) << 1
-    if motion and flags and count > 1:
-        flags |= _MOTION
-    if explicit:
-        flags |= _EXPLICIT
-    anchor_bytes = struct.pack(f">{3 + len(extra)}d", anchor.t, anchor.lat, anchor.lon, *extra)
-    return count, flags, anchor_bytes, columns, explicit
-
-
-def _bits(value: Any) -> bytes | None:
-    return None if value is None else _DOUBLE.pack(value)
-
-
-def _mark_motion(anchor: Any, marks: tuple) -> tuple[bool, bytes]:
-    """``(motion, b"")`` for uniform marks: motion when they carry the
-    anchor's SOG and COG bits. ``(False, explicit)`` otherwise: each mark's
-    flags byte, then the SOG and COG values present."""
-    if all(p.sog is None and p.cog is None for p in marks):
-        return False, b""
-    motion = (_bits(anchor.sog), _bits(anchor.cog))
-    if all((_bits(p.sog), _bits(p.cog)) == motion for p in marks):
-        return True, b""
-    flags = bytes((p.sog is not None) | (p.cog is not None) << 1 for p in marks)
-    values = [v for p in marks for v in (p.sog, p.cog) if v is not None]
-    return False, flags + struct.pack(f">{len(values)}d", *values)
-
-
 def _put_forecast_block(out: bytearray, shares: list) -> None:
     """Append ``shares`` (each its :func:`_share_parts`) as one block: the
-    entry heads, the anchors, every cell as one ``>u8`` array, every mark
-    after an anchor as one ``>f8`` array (all times, then all latitudes,
-    then all longitudes), then the explicit marks in entry order."""
+    entry heads, the anchors, every cell as one ``>u8`` array, then every
+    mark after an anchor as one ``>f8`` array (all times, then all
+    latitudes, then all longitudes)."""
     out.append(_P_FORECAST_BATCH)
     out += _U32.pack(len(shares))
     for part in range(3):
         for parts in shares:
             out += parts[part]
-    columns = [parts[3] for parts in shares if parts[3] is not None]
-    if columns:
-        marks = np.concatenate([column[axis] for axis in range(3) for column in columns])
-        out += marks.astype(">f8").tobytes()
-    for parts in shares:
-        out += parts[4]
+    marks = np.concatenate([parts[3][axis] for axis in range(3) for parts in shares])
+    out += marks.astype(">f8").tobytes()
 
 
 def _get_forecast_block(data: bytes, pos: int) -> tuple[list, int]:
     """Decode a forecast block into its ``ForecastSharedBatch`` messages;
-    returns ``(messages, end_offset)``. A uniform forecast decodes into
-    ``RouteForecast.from_marks`` over a copy of its own track, so a kept
-    forecast does not pin the frame; an explicit one into ``positions``."""
+    returns ``(messages, end_offset)``. Each forecast gets a copy of its
+    own track, so a kept forecast does not pin the frame."""
     hot = _hot()
     (count,) = _U32.unpack_from(data, pos)
     pos += _U32.size
@@ -548,9 +500,10 @@ def _get_forecast_block(data: bytes, pos: int) -> tuple[list, int]:
     heads = struct.unpack_from(">" + "QHHB" * count, data, pos)
     pos += _BLOCK_HEAD.size * count
     n_cells, n_marks, flags = heads[1::4], heads[2::4], heads[3::4]
-    n_anchor = sum(3 + _PRESENT[f & 3] for n, f in zip(n_marks, flags) if n)
-    anchors = struct.unpack_from(f">{n_anchor}d", data, pos)
-    pos += _DOUBLE.size * n_anchor
+    if not all(n_marks) or any(f & ~3 for f in flags):
+        raise WireDecodeError("a forecast entry without marks or with unknown flags")
+    anchors = struct.unpack_from(f">{sum(3 + _PRESENT[f] for f in flags)}d", data, pos)
+    pos += _DOUBLE.size * len(anchors)
     cells = struct.unpack_from(f">{sum(n_cells)}Q", data, pos)
     pos += _U64.size * len(cells)
     # Anchors and marks in one native array, each forecast's track in
@@ -559,12 +512,11 @@ def _get_forecast_block(data: bytes, pos: int) -> tuple[list, int]:
     anchor_txy: list[float] = []
     a = width = 0
     for n, f in zip(n_marks, flags):
-        if n:
-            starts.append(width)
-            anchor_txy += anchors[a : a + 3]
-            a += 3 + _PRESENT[f & 3]
-            width += n
-    n_after = width - len(starts)
+        starts.append(width)
+        anchor_txy += anchors[a : a + 3]
+        a += 3 + _PRESENT[f]
+        width += n
+    n_after = width - count
     marks = np.frombuffer(data, ">f8", 3 * n_after, pos).reshape(3, n_after)
     pos += 3 * _DOUBLE.size * n_after
     tracks = np.empty((3, width))
@@ -573,54 +525,20 @@ def _get_forecast_block(data: bytes, pos: int) -> tuple[list, int]:
     tracks[:, is_mark] = marks
     tracks[:, starts] = np.reshape(anchor_txy, (-1, 3)).T
     position, route_forecast = hot["Position"], hot["RouteForecast"]
+    share = hot["ForecastSharedBatch"]
     shares = []
-    a = c = column = 0
-    for mmsi, k, n, f in zip(heads[0::4], n_cells, n_marks, flags):
-        share_cells = cells[c : c + k]
+    a = c = 0
+    for mmsi, k, n, f, start in zip(heads[0::4], n_cells, n_marks, flags, starts):
+        values = anchors[a : a + 3 + _PRESENT[f]]
+        a += len(values)
+        sog = values[3] if f & 1 else None
+        cog = values[-1] if f & 2 else None
+        anchor = position(values[0], values[1], values[2], sog, cog)
+        ts, lats, lons = tracks[:, start : start + n].copy()
+        forecast = route_forecast(mmsi, anchor, ts, lats, lons)
+        shares.append(share(cells=cells[c : c + k], forecast=forecast))
         c += k
-        if f & ~0x0F or (f & _MOTION and f & _EXPLICIT) or (f and not n):
-            raise WireDecodeError(f"bad forecast flags {f:#x}")
-        if not n:
-            forecast = route_forecast(mmsi=mmsi, positions=())
-        else:
-            values = anchors[a : a + 3 + _PRESENT[f & 3]]
-            a += len(values)
-            sog = values[3] if f & 1 else None
-            cog = values[-1] if f & 2 else None
-            anchor = position(values[0], values[1], values[2], sog, cog)
-            track = tracks[:, column : column + n]
-            column += n
-            if f & _EXPLICIT:
-                positions, pos = _explicit_marks(data, pos, anchor, track)
-                forecast = route_forecast(mmsi=mmsi, positions=positions)
-            else:
-                ts, lats, lons = track.copy()
-                motion = bool(f & _MOTION)
-                forecast = route_forecast.from_marks(
-                    mmsi, anchor, ts, lats, lons, motion=motion, floats=True
-                )
-        shares.append(hot["ForecastSharedBatch"](cells=share_cells, forecast=forecast))
     return shares, pos
-
-
-def _explicit_marks(data: bytes, pos: int, anchor: Any, track: np.ndarray) -> tuple[tuple, int]:
-    """The positions of a forecast whose marks carry their own flags, SOG
-    and COG; returns ``(positions, end_offset)``."""
-    count = track.shape[1] - 1
-    flags = data[pos : pos + count]
-    pos += count
-    if len(flags) != count or max(flags, default=0) > 3:
-        raise WireDecodeError("bad explicit mark flags")
-    n_values = sum(_PRESENT[f] for f in flags)
-    values = iter(struct.unpack_from(f">{n_values}d", data, pos))
-    pos += _DOUBLE.size * n_values
-    position = _hot()["Position"]
-    positions = [anchor]
-    for f, t, lat, lon in zip(flags, *track[:, 1:].tolist()):
-        sog = next(values) if f & 1 else None
-        cog = next(values) if f & 2 else None
-        positions.append(position(t, lat, lon, sog, cog))
-    return tuple(positions), pos
 
 
 # -- sharded batches ---------------------------------------------------------------

@@ -86,11 +86,10 @@ def plan_avoidance(own: RouteForecast, intruder: RouteForecast,
     if own_sog_kn < 0:
         raise ValueError("speed must be non-negative")
     anchor = own.anchor
-    horizon = intruder.positions[-1].t
+    horizon = intruder.ts[-1]
     times = np.arange(anchor.t, horizon + step_s / 2.0, step_s)
-    it = np.array([p.t for p in intruder.positions])
-    ila = np.interp(times, it, [p.lat for p in intruder.positions])
-    ilo = np.interp(times, it, [p.lon for p in intruder.positions])
+    ila = np.interp(times, intruder.ts, intruder.lats)
+    ilo = np.interp(times, intruder.ts, intruder.lons)
     speed_mps = own_sog_kn * KNOTS_TO_MPS
 
     def evaluate(course_change: float, speed_factor: float) -> float:

@@ -102,10 +102,12 @@ class PortCongestionMonitor:
             forecast = self._forecasts.get(mmsi)
             if forecast is None:
                 continue
-            for pos in forecast.predicted:
-                if pos.t - now > arrival_horizon_s:
+            marks = zip(forecast.ts[1:].tolist(), forecast.lats[1:].tolist(),
+                        forecast.lons[1:].tolist())
+            for t, lat, lon in marks:
+                if t - now > arrival_horizon_s:
                     break
-                if self._inside(port, pos.lat, pos.lon):
+                if self._inside(port, lat, lon):
                     arrivals.append(mmsi)
                     break
         return CongestionReport(

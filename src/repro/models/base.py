@@ -21,88 +21,30 @@ from repro.geo.track import Position
 _MARK_OFFSETS_S = OUTPUT_INTERVAL_S * np.arange(OUTPUT_STEPS + 1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False)
 class RouteForecast:
     """A short-term route forecast: the anchor fix plus the predicted marks.
 
-    ``positions`` has ``OUTPUT_STEPS + 1`` entries: the present position at
-    index 0 followed by the six 5-minute predictions — the "7 positions
-    (1 present position and 6 position predictions)" of Section 5.2.
-
-    The same track is also three float arrays ``ts``, ``lats`` and ``lons``
-    (index 0 the anchor), which the hot consumers read. A forecast is made
-    from either form — :meth:`from_marks` for a row of the arrays a batch
-    computes, the constructor for a ``positions`` tuple — and derives the
-    other on first read. Equality, hashing, ``repr`` and the wire record are
-    those of ``(mmsi, positions)``, as for a plain frozen dataclass.
+    The track is three float64 arrays ``ts``, ``lats`` and ``lons`` of
+    ``OUTPUT_STEPS + 1`` entries: the present position at index 0 followed
+    by the six 5-minute predictions — the "7 positions (1 present position
+    and 6 position predictions)" of Section 5.2. ``anchor`` is the fix at
+    index 0, SOG and COG included. A forecast owns its arrays. Equality and
+    hashing are identity: nothing compares forecasts by value.
     """
 
     mmsi: int
-    positions: tuple[Position, ...]
-
-    def __init__(self, mmsi: int, positions: tuple[Position, ...]) -> None:
-        self.__dict__.update(mmsi=mmsi, positions=positions)
-
-    @classmethod
-    def from_marks(
-        cls,
-        mmsi: int,
-        anchor: Position,
-        ts: np.ndarray,
-        lats: np.ndarray,
-        lons: np.ndarray,
-        motion: bool = False,
-        floats: bool = False,
-    ) -> "RouteForecast":
-        """A forecast over its mark arrays (index 0 the ``anchor``); with
-        ``motion`` its marks carry the anchor's SOG and COG. The marks of its
-        ``positions`` take the arrays' ``np.float64`` latitudes and
-        longitudes, or Python floats with ``floats`` (a forecast decoded
-        from the wire, whose position records always carried floats)."""
-        forecast = cls.__new__(cls)
-        forecast.__dict__.update(
-            mmsi=mmsi, anchor=anchor, ts=ts, lats=lats, lons=lons, _motion=motion, _floats=floats
-        )
-        return forecast
-
-    def __getattr__(self, name: str):
-        # Reached only for a form not built yet: derive it from the other.
-        state = self.__dict__
-        if name == "positions" and "lats" in state:
-            anchor = state["anchor"]
-            sog, cog = (anchor.sog, anchor.cog) if state["_motion"] else (None, None)
-            lats, lons = state["lats"][1:], state["lons"][1:]
-            if state["_floats"]:
-                lats, lons = lats.tolist(), lons.tolist()
-            marks = zip(state["ts"][1:].tolist(), lats, lons)
-            value = (anchor, *(Position(t, lat, lon, sog, cog) for t, lat, lon in marks))
-        elif name == "anchor" and "positions" in state:
-            value = state["positions"][0]
-        elif name in ("ts", "lats", "lons") and "positions" in state:
-            positions = state["positions"]
-            state["ts"] = np.array([p.t for p in positions], dtype=np.float64)
-            state["lats"] = np.array([p.lat for p in positions], dtype=np.float64)
-            state["lons"] = np.array([p.lon for p in positions], dtype=np.float64)
-            return state[name]
-        else:
-            raise AttributeError(f"'RouteForecast' object has no attribute {name!r}")
-        state[name] = value
-        return value
-
-    def __getstate__(self) -> dict:
-        # Pickle as the plain dataclass did: no arrays in a checkpoint.
-        return {"mmsi": self.mmsi, "positions": self.positions}
-
-    @property
-    def predicted(self) -> tuple[Position, ...]:
-        return self.positions[1:]
+    anchor: Position
+    ts: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
 
     def horizon_s(self) -> float:
         return float(self.ts[-1] - self.ts[0])
 
 
 def forecasts_from_marks(
-    mmsis: Sequence[int], anchors: Sequence[Position], marks: np.ndarray, motion: bool = False
+    mmsis: Sequence[int], anchors: Sequence[Position], marks: np.ndarray
 ) -> list[RouteForecast]:
     """One :class:`RouteForecast` per row of ``marks``, the ``(n, 2,
     OUTPUT_STEPS + 1)`` latitudes and longitudes of a batch, column 0 each
@@ -111,7 +53,7 @@ def forecasts_from_marks(
     tracks = np.concatenate([ts[:, None, :], marks], axis=1)
     # A row copy per forecast, so a forecast kept alive does not pin its batch.
     return [
-        RouteForecast.from_marks(mmsi, anchor, *track.copy(), motion=motion)
+        RouteForecast(mmsi, anchor, *track.copy())
         for mmsi, anchor, track in zip(mmsis, anchors, tracks)
     ]
 

@@ -56,7 +56,7 @@ class LinearKinematicModel:
             marks[:, 0, k], marks[:, 1, k] = destination_point(
                 lat0, lon0, cog, speed_mps * OUTPUT_INTERVAL_S * k
             )
-        return forecasts_from_marks(mmsis, anchors, marks, motion=True)
+        return forecasts_from_marks(mmsis, anchors, marks)
 
     def predict_positions(self, anchor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised dead reckoning over segment anchors.

@@ -138,13 +138,15 @@ class CollisionCellRouter(_CellTable):
     def share_forecast(self, cells, forecast: RouteForecast) -> None:
         """Share one forecast with ``cells``: walk them in iteration order,
         and each cell's members in insertion order, testing the newcomer
-        once against each distinct member forecast (by identity) of another
-        MMSI. A pair meeting in k cells is one test and at most one alert.
-        The newcomer is densified once, and only if it meets anyone."""
+        once against each distinct member forecast of another MMSI, a
+        forecast being its ``(mmsi, anchor time)``. A pair meeting in k
+        cells is one test and at most one alert, also when the cells were
+        restored separately. The newcomer is densified once, and only if it
+        meets anyone."""
         mmsi = forecast.mmsi
         track = None
-        # id(member forecast) -> its track, for the members already met.
-        met: dict[int, DenseTrack] = {}
+        # (mmsi, anchor time) -> its track, for the member forecasts already met.
+        met: dict[tuple, DenseTrack] = {}
         hits = []
         with self._lock:
             table = self.cells
@@ -157,15 +159,18 @@ class CollisionCellRouter(_CellTable):
                     if members.mmsi == mmsi:
                         table[cell] = forecast
                         continue
-                    held = met.get(id(members))
+                    held = met.get((members.mmsi, members.anchor.t))
                     held = densify(members) if held is None else held
                     members = table[cell] = {members.mmsi: (members, held)}
                 if track is None:
                     track = densify(forecast)
                 for other_mmsi, (other, other_track) in members.items():
-                    if other_mmsi == mmsi or id(other) in met:
+                    if other_mmsi == mmsi:
                         continue
-                    met[id(other)] = other_track
+                    key = (other_mmsi, other.anchor.t)
+                    if key in met:
+                        continue
+                    met[key] = other_track
                     self.pair_tests += 1
                     # Default thresholds: 2 minutes, 500 m (Section 5.2).
                     hit = intersect_dense(forecast, track, other, other_track)

@@ -4,18 +4,20 @@ Hypothesis drives the envelope and hot-payload space: H3 cell ids above
 2**63 (the unsigned tag), empty payloads, unicode routing ids, optional
 fields in every combination. The invariants under test:
 
-* ``decode(encode(env)) == env``, and a hot payload keeps its fixed-layout
-  payload tag — a silent switch to the generic encoding would pass the
-  round trip while losing the compact layout the stream relies on;
+* ``decode(encode(env))`` is ``env`` (forecast tracks bit for bit), and a
+  hot payload keeps its fixed-layout payload tag — a silent switch to the
+  generic encoding would pass the round trip while losing the compact
+  layout the stream relies on;
 * any value tree of the wire vocabulary round-trips exactly as pickle
   would: the same types (``tuple``/``list``/``set``, ``np.float64`` vs
-  ``float``, the IntEnum) and the same sharing of records;
+  ``float``, float64 arrays, the IntEnum) and the same sharing of records;
 * every message dataclass is a wire type, so a new message cannot reach
   the wire unregistered;
 * a truncated or corrupted frame raises :class:`WireDecodeError` and
-  nothing else;
-* a forecast made from mark arrays packs into the bytes of its
-  ``positions``, and a forecast of uniform marks decodes back into arrays;
+  nothing else, as does a forecast entry without marks or with unknown
+  flags, or an array that overruns its frame;
+* a forecast round-trips bitwise, as a block entry and as a record, and
+  each decoded forecast owns its track;
 * a run of forecast shares in a sharded batch is one block, each share
   decoding as it would alone, and every batch entry keeps its head.
 """
@@ -32,7 +34,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.cluster.protocol as protocol_mod
 import repro.platform.messages as messages_mod
@@ -75,6 +77,7 @@ from repro.platform.messages import (
     VoyageAssigned,
 )
 from tests.cluster.test_batching import HOT_ENVELOPES, VALUE_ENVELOPES
+from tests.forecasts import comparable, make_forecast
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 #: Any uint64 — H3 indexes at high resolutions exceed 2**63, which must
@@ -104,9 +107,17 @@ positions = st.builds(
     Position, t=finite, lat=finite, lon=finite, sog=st.none() | finite, cog=st.none() | finite
 )
 
-forecasts = st.builds(
-    RouteForecast, mmsi=uint64, positions=st.lists(positions, max_size=8).map(tuple)
-)
+
+
+@st.composite
+def forecasts(draw):
+    """A forecast of 0-8 marks after its anchor, whose SOG and COG are set
+    or None."""
+    anchor = draw(positions)
+    marks = draw(st.lists(st.tuples(finite, finite, finite), max_size=8))
+    ts, lats, lons = np.array([(anchor.t, anchor.lat, anchor.lon), *marks]).T.copy()
+    return RouteForecast(draw(uint64), anchor, ts, lats, lons)
+
 
 hot_payloads = st.one_of(
     st.none(),  # empty payload
@@ -115,7 +126,7 @@ hot_payloads = st.one_of(
     st.builds(
         ForecastSharedBatch,
         cells=st.lists(uint64, min_size=1, max_size=12).map(tuple),
-        forecast=forecasts,
+        forecast=forecasts(),
     ),
 )
 
@@ -147,7 +158,7 @@ def payload_tag(env: WireEnvelope) -> int:
 @settings(deadline=None, max_examples=200)
 @given(env=envelopes)
 def test_hot_envelope_roundtrips_without_pickle(env):
-    assert codec.decode(codec.encode(env)) == env
+    assert comparable(codec.decode(codec.encode(env))) == comparable(env)
     assert payload_tag(env) == FIXED_LAYOUT_TAGS[type(env.message)], env
 
 
@@ -185,7 +196,7 @@ def test_batch_container_roundtrips(batch):
     frames = [codec.encode(env) for env in batch]
     packed = codec.encode_batch(frames)
     assert codec.decode_batch(packed) == frames
-    assert [codec.decode(f) for f in codec.decode_batch(packed)] == batch
+    assert comparable([codec.decode(f) for f in codec.decode_batch(packed)]) == comparable(batch)
 
 
 def test_nan_position_still_roundtrips_via_fallback():
@@ -214,6 +225,8 @@ def assert_same(a, b, seen=None) -> None:
         seen[0][id(a)], seen[1][id(b)] = b, a
         for f in fields(a):
             assert_same(getattr(a, f.name), getattr(b, f.name), seen)
+    elif type(a) is np.ndarray:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (a, b)
     elif type(a) in (tuple, list):
         assert len(a) == len(b), (a, b)
         for x, y in zip(a, b):
@@ -239,12 +252,14 @@ def round_trip(message):
 
 
 any_float = finite | finite.map(np.float64)
+float64_arrays = st.lists(finite, max_size=8).map(lambda v: np.array(v, dtype=np.float64))
 scalars = (
     st.none()
     | st.booleans()
     | uint64
     | int64
     | any_float
+    | float64_arrays
     | wire_str
     | st.sampled_from(list(NavigationStatus))
 )
@@ -253,7 +268,7 @@ scalars = (
 hashables = int64 | wire_str
 records = st.one_of(
     positions,
-    forecasts,
+    forecasts(),
     ais_messages,
     st.builds(Heartbeat, node_id=wire_str),
     st.builds(
@@ -326,13 +341,7 @@ FIX = AISMessage(
     status=NavigationStatus.AT_ANCHOR,
     source="satellite",
 )
-FORECAST = RouteForecast(
-    mmsi=7,
-    positions=(
-        Position(t=0.0, lat=37.9, lon=23.5, sog=10.0, cog=90.0),
-        Position(t=300.0, lat=37.91, lon=23.52),
-    ),
-)
+FORECAST = make_forecast(7, [(0.0, 37.9, 23.5), (300.0, 37.91, 23.52)], sog=10.0, cog=90.0)
 PAIR = ProximityPairEvent(mmsi_a=7, mmsi_b=8, t=99.0, distance_m=120.5, lat=37.9, lon=23.5)
 CLOSE = CollisionForecast(
     mmsi_a=7,
@@ -434,9 +443,7 @@ MESSAGE_SAMPLES = [
                 9799833001222216045,
                 ForecastSharedBatch(
                     cells=(9799833001222216045, 613561124433),
-                    forecast=RouteForecast(
-                        mmsi=8, positions=(Position(t=5.0, lat=37.0, lon=23.0),)
-                    ),
+                    forecast=make_forecast(8, [(5.0, 37.0, 23.0)]),
                 ),
                 2,
                 None,
@@ -487,11 +494,10 @@ def test_truncated_or_flipped_frames_raise_only_wire_decode_error():
 
 
 def test_state_transfer_keeps_a_shared_forecast_shared():
-    """The collision table skips a member forecast it has already met by
-    identity. A handoff carrying one forecast in two cells must restore it
-    as one object, so a newcomer meeting both cells is tested once."""
-    fixes = tuple(Position(t=1_000.0 + 300.0 * i, lat=10.0, lon=20.0) for i in range(7))
-    shared = RouteForecast(mmsi=111, positions=fixes)
+    """A handoff carrying one forecast in two cells restores it as one
+    object, and a newcomer meeting both cells is tested once."""
+    fixes = [(1_000.0 + 300.0 * i, 10.0, 20.0) for i in range(7)]
+    shared = make_forecast(111, fixes)
     cells = (613561124432, 613561124433)
     transfer = ShardStateTransfer(
         shard=0,
@@ -506,75 +512,115 @@ def test_state_transfer_keeps_a_shared_forecast_shared():
         cluster.settle()
         table = cluster.platforms[0].wiring.collision_cells
         assert table.cells[cells[0]] is table.cells[cells[1]]
-        table.share_forecast(cells, RouteForecast(mmsi=222, positions=fixes))
+        table.share_forecast(cells, make_forecast(222, fixes))
         assert table.pair_tests == 1
     finally:
         cluster.shutdown()
 
 
-# -- forecasts as mark arrays ------------------------------------------------------
+# -- forecasts --------------------------------------------------------------------
 
 
-@st.composite
-def mark_forecasts(draw):
-    """A forecast made from its mark arrays: 1-8 marks after the anchor,
-    with or without motion, the anchor's SOG and COG set or None."""
-    anchor = draw(positions)
-    marks = np.array(draw(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=8)))
-    ts, lats, lons = (
-        np.concatenate([[first], marks[:, column]])
-        for column, first in enumerate((anchor.t, anchor.lat, anchor.lon))
-    )
-    motion = draw(st.booleans())
-    return RouteForecast.from_marks(draw(uint64), anchor, ts, lats, lons, motion=motion)
+def share_envelope(forecast: RouteForecast, cells: tuple) -> WireEnvelope:
+    message = ForecastSharedBatch(cells=cells, forecast=forecast)
+    return WireEnvelope(kind="sharded", src="n", entity="collision", message=message)
 
 
 def forecast_frame(forecast: RouteForecast, cells: tuple) -> bytes:
-    message = ForecastSharedBatch(cells=cells, forecast=forecast)
-    return codec.encode(WireEnvelope(kind="sharded", src="n", entity="collision", message=message))
-
-
-def from_arrays(forecast: RouteForecast) -> bool:
-    return "_motion" in vars(forecast)
+    return codec.encode(share_envelope(forecast, cells))
 
 
 def bits(value: float) -> bytes:
     return struct.pack(">d", value)
 
 
+def anchor_bits(forecast: RouteForecast) -> tuple:
+    anchor = forecast.anchor
+    return tuple(None if v is None else bits(v) for v in vars(anchor).values())
+
+
+def owns_its_track(forecast: RouteForecast) -> bool:
+    """The three arrays are rows of one native float64 copy of their own."""
+    base = forecast.ts.base
+    return all(
+        array.dtype == np.float64 and array.dtype.isnative and array.base is base
+        for array in (forecast.ts, forecast.lats, forecast.lons)
+    ) and base.nbytes == 3 * forecast.ts.nbytes
+
+
 @settings(deadline=None, max_examples=200)
-@given(forecast=mark_forecasts(), cells=st.lists(uint64, min_size=1, max_size=4).map(tuple))
-def test_mark_arrays_encode_and_decode_as_their_positions(forecast, cells):
+@given(forecast=forecasts(), cells=st.lists(uint64, min_size=1, max_size=4).map(tuple))
+def test_a_forecast_round_trips_bitwise_as_a_block_entry(forecast, cells):
     frame = forecast_frame(forecast, cells)
-    assert "positions" not in vars(forecast)
-    twin = RouteForecast(mmsi=forecast.mmsi, positions=tuple(forecast.positions))
-    assert forecast_frame(twin, cells) == frame
+    assert payload_tag(share_envelope(forecast, cells)) == FIXED_LAYOUT_TAGS[ForecastSharedBatch]
     decoded = codec.decode(frame).message.forecast
-    assert from_arrays(decoded) and decoded == forecast == twin
-    for name in ("ts", "lats", "lons"):
-        assert getattr(decoded, name).tobytes() == getattr(twin, name).tobytes()
-    for p in decoded.positions:
-        assert type(p.t) is float and type(p.lat) is float and type(p.lon) is float
-        assert {type(p.sog), type(p.cog)} <= {float, type(None)}
+    assert comparable(decoded) == comparable(forecast)
+    assert anchor_bits(decoded) == anchor_bits(forecast)
+    assert owns_its_track(decoded)
     assert forecast_frame(decoded, cells) == frame
 
 
-@settings(deadline=None, max_examples=200)
-@given(forecast=mark_forecasts(), index=st.integers(min_value=0), sog=finite)
-def test_non_uniform_marks_take_the_positions_path(forecast, index, sog):
-    """A mark whose SOG is not the anchor's (mixed flags when the anchor
-    has none) breaks uniformity: the region decodes into positions and
-    still round-trips."""
-    anchor = forecast.anchor
-    assume(anchor.sog is None or bits(sog) != bits(anchor.sog))
-    marks = list(forecast.positions)
-    i = 1 + index % (len(marks) - 1)
-    marks[i] = replace(marks[i], sog=sog)
-    twin = RouteForecast(mmsi=forecast.mmsi, positions=tuple(marks))
-    frame = forecast_frame(twin, (613561124432,))
-    decoded = codec.decode(frame).message.forecast
-    assert not from_arrays(decoded) and decoded == twin
-    assert forecast_frame(decoded, (613561124432,)) == frame
+@settings(deadline=None, max_examples=100)
+@given(forecast=forecasts())
+def test_a_forecast_round_trips_bitwise_as_a_record(forecast):
+    """Nested in a record, a forecast travels as its fields; each array
+    decodes into a native copy that owns its memory."""
+    message = ForecastReady(forecast=forecast, t_submitted=3.0)
+    decoded, pickled = round_trip(message)
+    assert_same(decoded, pickled)
+    assert_same(decoded, message)
+    assert anchor_bits(decoded.forecast) == anchor_bits(forecast)
+    for name in ("ts", "lats", "lons"):
+        array = getattr(decoded.forecast, name)
+        assert array.flags.owndata and array.dtype.isnative
+
+
+def test_only_1d_float64_arrays_are_wire_values():
+    forecast = make_forecast(7, [(0.0, 37.9, 23.5), (300.0, 37.91, 23.52)])
+    for bad in (
+        forecast.ts.astype(np.float32),
+        forecast.ts.astype(np.int64),
+        np.stack([forecast.ts, forecast.lats]),
+    ):
+        with pytest.raises(TypeError, match="ndarray"):
+            codec.encode(WireEnvelope(kind="reply", src="n", message=[bad]))
+        # A share whose track is not 1-D float64 leaves the block for the
+        # value encoding, which refuses it the same way.
+        odd = replace(forecast, ts=bad)
+        with pytest.raises(TypeError, match="ndarray"):
+            forecast_frame(odd, (613561124432,))
+
+
+def block_head_at(frame: bytes) -> int:
+    """Offset of the first entry head of a lone share's forecast block."""
+    payload = frame.index(bytes([0x14, 0, 0, 0, 1]))
+    return payload + 5
+
+
+@pytest.mark.parametrize("n_marks, flags", [(0, 0), (0, 3), (2, 0x04), (2, 0x08), (2, 0x0F)])
+def test_a_malformed_block_entry_raises_wire_decode_error(n_marks, flags):
+    """A block entry has at least its anchor and defines flag bits 0-1
+    only: no marks, or any other flag bit, is a malformed frame."""
+    frame = bytearray(forecast_frame(make_forecast(7, [(0.0, 1.0, 2.0), (300.0, 1.1, 2.1)]), (5,)))
+    head = block_head_at(bytes(frame))
+    assert struct.unpack_from(">QHHB", frame, head) == (7, 1, 2, 0)
+    struct.pack_into(">HB", frame, head + 10, n_marks, flags)
+    with pytest.raises(codec.WireDecodeError, match="forecast entry"):
+        codec.decode(bytes(frame))
+
+
+@pytest.mark.parametrize("count", [8, 1000, 0xFFFFFFFF])
+def test_an_array_that_overruns_its_frame_raises_wire_decode_error(count):
+    forecast = make_forecast(7, [(0.0, 1.0, 2.0), (300.0, 1.1, 2.1), (600.0, 1.2, 2.2)])
+    frame = bytearray(
+        codec.encode(WireEnvelope(kind="reply", src="n", message=[forecast.ts, forecast.lats]))
+    )
+    # The second array is the frame's last: its count overruns what is left.
+    at = len(frame) - 3 * 8 - 4
+    assert frame[at - 1] == 0x0F and struct.unpack_from(">I", frame, at) == (3,)
+    struct.pack_into(">I", frame, at, count)
+    with pytest.raises(codec.WireDecodeError, match="overruns"):
+        codec.decode(bytes(frame))
 
 
 # -- forecast blocks ---------------------------------------------------------------
@@ -589,14 +635,11 @@ def sharded_frame(messages: list) -> tuple[bytes, WireEnvelope]:
 
 
 @settings(deadline=None, max_examples=150)
-@given(
-    shares=st.lists(st.tuples(mark_forecasts() | forecasts, cell_tuples), min_size=1, max_size=8)
-)
+@given(shares=st.lists(st.tuples(forecasts(), cell_tuples), min_size=1, max_size=8))
 def test_a_run_of_shares_is_one_block_and_each_decodes_as_alone(shares):
     """Consecutive shares in a sharded batch travel as one block, and each
-    decodes as its lone frame does: the same forecast, from arrays exactly
-    when alone it is, arrays bitwise equal, the old scalar types, and a
-    track of its own, so a kept forecast does not pin the frame."""
+    decodes as its lone frame does: the same track bit for bit, and a track
+    of its own, so a kept forecast does not pin the frame."""
     messages = [ForecastSharedBatch(cells=cells, forecast=forecast) for forecast, cells in shares]
     frame, env = sharded_frame(messages)
     heads, _ = sharded_frame([None] * len(messages))
@@ -604,30 +647,24 @@ def test_a_run_of_shares_is_one_block_and_each_decodes_as_alone(shares):
     assert frame[payloads] == 0x14
     assert struct.unpack_from(">I", frame, payloads + 1)[0] == len(shares)
     decoded = codec.decode(frame)
-    assert decoded == env and codec.encode(decoded) == frame
+    assert comparable(decoded) == comparable(env) and codec.encode(decoded) == frame
     kept = []
     for entry, message in zip(decoded.message.entries, messages):
         got = entry[2].forecast
         alone = codec.decode(forecast_frame(message.forecast, message.cells)).message.forecast
-        assert got == message.forecast == alone and from_arrays(got) == from_arrays(alone)
+        assert comparable(got) == comparable(message.forecast) == comparable(alone)
+        assert anchor_bits(got) == anchor_bits(alone)
         assert entry[2].cells == message.cells
-        if got.positions:
-            for name in ("ts", "lats", "lons"):
-                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
-        for p in got.positions:
-            assert type(p.t) is float and type(p.lat) is float and type(p.lon) is float
-            assert {type(p.sog), type(p.cog)} <= {float, type(None)}
-        if from_arrays(got):
-            assert got.ts.base.nbytes == 3 * got.ts.nbytes
-            assert not any(np.shares_memory(got.ts, other) for other in kept)
-            kept.append(got.ts)
+        assert owns_its_track(got)
+        assert not any(np.shares_memory(got.ts, other) for other in kept)
+        kept.append(got.ts)
 
 
 sharded_entries = st.tuples(
     opt_str,
     st.none() | uint64 | int64 | wire_str,
     hot_payloads
-    | st.builds(ForecastSharedBatch, cells=cell_tuples, forecast=mark_forecasts())
+    | st.builds(ForecastSharedBatch, cells=cell_tuples, forecast=forecasts())
     | st.builds(CollisionAlert, event=st.just(CLOSE)),
     st.integers(min_value=0, max_value=255),
     st.none() | uint64,
@@ -641,7 +678,7 @@ def test_sharded_batch_round_trips_every_entry(entries):
     in order, whatever mix of layouts the payloads take."""
     env = WireEnvelope(kind="sharded", src="node-02", message=ShardedBatch(entries=tuple(entries)))
     frame = codec.encode(env)
-    assert codec.decode(frame) == env
+    assert comparable(codec.decode(frame)) == comparable(env)
     assert codec.encode(codec.decode(frame)) == frame
 
 

@@ -29,11 +29,10 @@ from repro.actors import Actor
 from repro.ais.datasets import proximity_scenario
 from repro.cluster import ClusterConfig, ClusterNode, LoopbackHub, codec, run_cluster_until_idle
 from repro.cluster.protocol import Heartbeat, ShardedBatch
-from repro.geo.track import Position
-from repro.models.base import RouteForecast
 from repro.platform import LoopbackCluster
 from repro.platform.messages import ForecastSharedBatch
 from repro.telemetry.trace import clear_current_trace, set_current_trace
+from tests.forecasts import make_forecast
 
 CONFIG = ClusterConfig(num_shards=64)
 
@@ -275,7 +274,7 @@ class TestMovedCells:
         router = nodes[1].router("collision")
         key = keys_owned_by(nodes[1], "n2", entity="collision", count=1)[0]
         moved = keys_owned_by(nodes[1], "n3", entity="collision", count=6)
-        forecast = RouteForecast(mmsi=7, positions=(Position(t=0.0, lat=1.0, lon=2.0),))
+        forecast = make_forecast(7, [(0.0, 1.0, 2.0)])
         router.deliver_local(key, ForecastSharedBatch(cells=tuple(moved), forecast=forecast))
         (entry,) = hub.links[("n2", "n3")]
         assert entry[3].cells == tuple(moved)

@@ -23,11 +23,10 @@ from repro.cluster import (
     stable_hash,
 )
 from repro.cluster.protocol import ShardedBatch
-from repro.geo.track import Position
 from repro.hexgrid import CELL_BLOCK_BITS, cell_block, grid_disk, pack_cell, unpack_cell
-from repro.models.base import RouteForecast
 from repro.platform import LoopbackCluster
 from repro.platform.messages import ForecastSharedBatch
+from tests.forecasts import make_forecast
 
 CONFIG = ClusterConfig(num_shards=64)
 SIDE = 1 << CELL_BLOCK_BITS
@@ -243,7 +242,7 @@ def share_entries_per_forecast(shard_key) -> list[int]:
     ``ForecastSharedBatch`` entries that leave ``n1`` for its peers."""
     hub, nodes = collision_cluster(shard_key)
     router = nodes[0].router("collision")
-    forecast = RouteForecast(mmsi=7, positions=(Position(t=0.0, lat=1.0, lon=2.0),))
+    forecast = make_forecast(7, [(0.0, 1.0, 2.0)])
     counts = []
     for b in range(24):
         # A track of six base cells across the middle of block (b, -b),

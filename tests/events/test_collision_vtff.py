@@ -13,18 +13,15 @@ from repro.events import (
     trajectories_intersect,
 )
 from repro.events.collision import densify, intersect_dense
-from repro.geo import Position
-from repro.models.base import RouteForecast
+from tests.forecasts import make_forecast
 
 
 def _forecast(mmsi, t0, lat0, lon0, dlat_per_step, dlon_per_step, steps=6):
     """A straight forecast trajectory at 5-minute marks."""
-    positions = [Position(t=t0, lat=lat0, lon=lon0)]
+    fixes = [(t0, lat0, lon0)]
     for k in range(1, steps + 1):
-        positions.append(
-            Position(t=t0 + 300.0 * k, lat=lat0 + dlat_per_step * k, lon=lon0 + dlon_per_step * k)
-        )
-    return RouteForecast(mmsi=mmsi, positions=tuple(positions))
+        fixes.append((t0 + 300.0 * k, lat0 + dlat_per_step * k, lon0 + dlon_per_step * k))
+    return make_forecast(mmsi, fixes)
 
 
 def _converging_pair(miss_deg=0.0):

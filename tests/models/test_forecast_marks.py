@@ -1,16 +1,15 @@
 """Forecasts as arrays: ``forecast_batch`` computes a batch's marks at once.
 
-A :class:`RouteForecast` made from a batch row is a view over its mark
-arrays; its ``positions`` are built only when a cold consumer reads them.
-These tests pin that nothing observable moved:
+A :class:`RouteForecast` is its mark arrays ``ts``, ``lats`` and ``lons``
+(index 0 the anchor). These tests pin that nothing observable moved:
 
-* the marks are bitwise the old sequential per-row float loop, with its
-  scalar types (``np.float64`` latitudes and longitudes, ``float`` times);
+* the marks are bitwise the old sequential per-row float loop;
 * the anchor is the fix passed in, SOG and COG included;
-* equality, hashing, ``repr`` and pickling are those of the plain
-  ``(mmsi, positions)`` dataclass;
-* the wire bytes and a seeded run's ``KeyValueStore.dump`` are those of
-  forecasts built from ``positions`` tuples.
+* each forecast owns its track, and a forecast is frozen, compares by
+  identity and pickles with its track bitwise;
+* a seeded run's ``KeyValueStore.dump`` is that of forecasts rebuilt from
+  their positions as Python floats, with the stored row's old scalar
+  types.
 """
 
 import pickle
@@ -19,17 +18,15 @@ import numpy as np
 import pytest
 
 from repro.ais.datasets import proximity_scenario
-from repro.cluster import codec
-from repro.cluster.protocol import WireEnvelope
 from repro.geo.constants import KNOTS_TO_MPS
 from repro.geo.geodesy import destination_point
 from repro.geo.track import Position
 from repro.ml import StandardScaler
 from repro.models import LinearKinematicModel
-from repro.models.base import RouteForecast, forecast_mark_times
+from repro.models.base import forecast_mark_times
 from repro.models.svrf import SVRFConfig, SVRFModel
 from repro.platform import Platform
-from repro.platform.messages import ForecastSharedBatch
+from tests.forecasts import comparable, make_forecast
 
 
 def tiny_svrf() -> SVRFModel:
@@ -71,13 +68,13 @@ def sequential_svrf(model, mmsis, windows, anchors) -> list:
     transitions = model.predict_transitions(windows)
     out = []
     for i, (mmsi, anchor) in enumerate(zip(mmsis, anchors)):
-        positions = [anchor]
+        fixes = [(anchor.t, anchor.lat, anchor.lon)]
         lat, lon = anchor.lat, anchor.lon
         for k, t in enumerate(forecast_mark_times(anchor.t)):
             lat = lat + transitions[i, k, 0]
             lon = lon + transitions[i, k, 1]
-            positions.append(Position(t=t, lat=lat, lon=lon))
-        out.append(RouteForecast(mmsi=mmsi, positions=tuple(positions)))
+            fixes.append((t, lat, lon))
+        out.append(make_forecast(mmsi, fixes, anchor.sog, anchor.cog))
     return out
 
 
@@ -91,20 +88,11 @@ def sequential_kinematic(mmsis, anchors) -> list:
     marks = [destination_point(lat0, lon0, cog, speed * 300.0 * k) for k in range(1, 7)]
     out = []
     for i, (mmsi, anchor) in enumerate(zip(mmsis, anchors)):
-        positions = [anchor]
+        fixes = [(anchor.t, anchor.lat, anchor.lon)]
         for k, t in enumerate(forecast_mark_times(anchor.t)):
-            lat, lon = marks[k][0][i], marks[k][1][i]
-            positions.append(Position(t=t, lat=lat, lon=lon, sog=anchor.sog, cog=anchor.cog))
-        out.append(RouteForecast(mmsi=mmsi, positions=tuple(positions)))
+            fixes.append((t, marks[k][0][i], marks[k][1][i]))
+        out.append(make_forecast(mmsi, fixes, anchor.sog, anchor.cog))
     return out
-
-
-def typed(forecast: RouteForecast) -> list:
-    """Every field of every position as ``(type, repr)``: bits and type."""
-    return [
-        [(type(getattr(p, f)), repr(getattr(p, f))) for f in ("t", "lat", "lon", "sog", "cog")]
-        for p in forecast.positions
-    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 33, 128])
@@ -113,8 +101,7 @@ def test_svrf_marks_are_the_sequential_loop_with_its_types(n):
     mmsis, windows, anchors = batch(n, seed=n)
     got = model.forecast_batch(mmsis, windows, anchors)
     want = sequential_svrf(model, mmsis, windows, anchors)
-    assert [typed(fc) for fc in got] == [typed(fc) for fc in want]
-    assert type(got[0].positions[1].lat) is np.float64 and type(got[0].positions[1].t) is float
+    assert comparable(got) == comparable(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 33, 128])
@@ -122,77 +109,49 @@ def test_kinematic_marks_are_the_sequential_loop_with_its_types(n):
     mmsis, _, anchors = batch(n, seed=n)
     got = LinearKinematicModel().forecast_batch(mmsis, None, anchors)
     want = sequential_kinematic(mmsis, anchors)
-    assert [typed(fc) for fc in got] == [typed(fc) for fc in want]
-
-
-def test_the_arrays_are_the_positions():
-    mmsis, windows, anchors = batch(5)
-    for fc in tiny_svrf().forecast_batch(mmsis, windows, anchors):
-        assert fc.ts.tolist() == [p.t for p in fc.positions]
-        assert fc.lats.tolist() == [p.lat for p in fc.positions]
-        assert fc.lons.tolist() == [p.lon for p in fc.positions]
-        built = RouteForecast(fc.mmsi, fc.positions)
-        for name in ("ts", "lats", "lons"):
-            assert getattr(built, name).tobytes() == getattr(fc, name).tobytes()
+    assert comparable(got) == comparable(want)
 
 
 def test_the_anchor_keeps_its_sog_and_cog():
+    """The anchor is the fix passed in, SOG and COG included, and index 0
+    of the track."""
     mmsis, windows, anchors = batch(4)
     svrf = tiny_svrf().forecast_batch(mmsis, windows, anchors)
     kinematic = LinearKinematicModel().forecast_batch(mmsis, None, anchors)
     for anchor, a, b in zip(anchors, svrf, kinematic):
-        assert a.anchor is anchor and a.positions[0] is anchor
-        assert (a.anchor.sog, a.anchor.cog) == (anchor.sog, anchor.cog)
-        assert all(p.sog is None and p.cog is None for p in a.predicted)
-        assert b.anchor is anchor
-        assert all((p.sog, p.cog) == (anchor.sog, anchor.cog) for p in b.predicted)
+        for fc in (a, b):
+            assert fc.anchor is anchor
+            assert (fc.anchor.sog, fc.anchor.cog) == (anchor.sog, anchor.cog)
+            assert (fc.ts[0], fc.lats[0], fc.lons[0]) == (anchor.t, anchor.lat, anchor.lon)
+            assert fc.horizon_s() == 1_800.0
 
 
-def test_equality_hashing_repr_and_pickle_are_the_dataclass():
+def test_each_forecast_owns_its_track():
     mmsis, windows, anchors = batch(3)
     made = tiny_svrf().forecast_batch(mmsis, windows, anchors)
-    twins = [RouteForecast(mmsi=fc.mmsi, positions=tuple(fc.positions)) for fc in made]
-    for fc, twin in zip(made, twins):
-        assert fc == twin and hash(fc) == hash(twin) and repr(fc) == repr(twin)
-        assert pickle.dumps(fc) == pickle.dumps(twin)
-        assert pickle.loads(pickle.dumps(fc)) == fc
-    assert made[0] != made[1]
-    assert RouteForecast(mmsi=1, positions=made[0].positions) != made[0]
-    assert len({*made, *twins}) == len(made)
+    arrays = [array for fc in made for array in (fc.ts, fc.lats, fc.lons)]
+    for array in arrays:
+        assert array.dtype == np.float64 and array.shape == (7,)
+    for i, array in enumerate(arrays):
+        assert not any(np.shares_memory(array, other) for other in arrays[i // 3 * 3 + 3 :])
+        # One (3, 7) copy per forecast: a kept forecast does not pin its batch.
+        assert array.base.nbytes == 3 * array.nbytes
+
+
+def test_a_forecast_is_frozen_compares_by_identity_and_pickles_its_track():
+    mmsis, windows, anchors = batch(3)
+    made = tiny_svrf().forecast_batch(mmsis, windows, anchors)
+    for fc in made:
+        copy = pickle.loads(pickle.dumps(fc))
+        assert copy != fc and copy == copy and len({fc, copy}) == 2
+        assert comparable(copy) == comparable(fc)
     with pytest.raises(AttributeError):
         made[0].mmsi = 5
-    with pytest.raises(AttributeError):
-        made[0].no_such_field  # noqa: B018
-
-
-@pytest.mark.parametrize("kinematic", [False, True])
-def test_wire_bytes_match_a_forecast_built_from_positions(kinematic):
-    mmsis, windows, anchors = batch(6)
-    if kinematic:
-        made = LinearKinematicModel().forecast_batch(mmsis, None, anchors)
-    else:
-        made = tiny_svrf().forecast_batch(mmsis, windows, anchors)
-    for fc in made:
-        twin = RouteForecast(mmsi=fc.mmsi, positions=tuple(fc.positions))
-        frames = [
-            codec.encode(
-                WireEnvelope(
-                    kind="sharded",
-                    src="node-01",
-                    entity="collision",
-                    key=613561124432,
-                    message=ForecastSharedBatch(cells=(613561124432, 613561124433), forecast=f),
-                )
-            )
-            for f in (fc, twin)
-        ]
-        assert frames[0] == frames[1]
-        assert codec.decode(frames[0]).message.forecast == fc
 
 
 class PositionsBuilt:
-    """A forecaster whose every forecast is rebuilt from its ``positions``
-    tuple: the old object form, through the same model."""
+    """A forecaster whose every forecast is rebuilt from its ``(t, lat,
+    lon)`` positions as Python floats, through the same model."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
@@ -203,10 +162,11 @@ class PositionsBuilt:
         return self.inner.make_window(*args, **kwargs)
 
     def forecast_batch(self, mmsis, windows, anchors):
-        return [
-            RouteForecast(mmsi=fc.mmsi, positions=tuple(fc.positions))
-            for fc in self.inner.forecast_batch(mmsis, windows, anchors)
-        ]
+        out = []
+        for fc in self.inner.forecast_batch(mmsis, windows, anchors):
+            fixes = list(zip(fc.ts.tolist(), fc.lats.tolist(), fc.lons.tolist()))
+            out.append(make_forecast(fc.mmsi, fixes, fc.anchor.sog, fc.anchor.cog))
+        return out
 
 
 @pytest.fixture(scope="module")

@@ -46,20 +46,19 @@ def _history(n_fixes=INPUT_STEPS + 1, dt=60.0, speed_kn=12.0, cog=90.0):
 class TestLinearKinematic:
     def test_forecast_shape(self):
         fc = LinearKinematicModel().forecast(1, _history())
-        assert len(fc.positions) == OUTPUT_STEPS + 1
+        assert fc.ts.shape == fc.lats.shape == fc.lons.shape == (OUTPUT_STEPS + 1,)
         assert fc.mmsi == 1
         assert fc.horizon_s() == pytest.approx(1800.0)
 
     def test_forecast_follows_course(self):
         fc = LinearKinematicModel().forecast(1, _history(cog=90.0))
         # Eastbound: latitude roughly constant, longitude increasing.
-        assert all(abs(p.lat - 38.0) < 0.01 for p in fc.predicted)
-        lons = [p.lon for p in fc.positions]
-        assert all(b > a for a, b in zip(lons, lons[1:]))
+        assert all(abs(fc.lats[1:] - 38.0) < 0.01)
+        assert all(np.diff(fc.lons) > 0)
 
     def test_forecast_distance_matches_speed(self):
         fc = LinearKinematicModel().forecast(1, _history(speed_kn=10.0))
-        d = haversine_m(fc.anchor.lat, fc.anchor.lon, fc.positions[-1].lat, fc.positions[-1].lon)
+        d = haversine_m(fc.anchor.lat, fc.anchor.lon, fc.lats[-1], fc.lons[-1])
         assert d == pytest.approx(10.0 * KNOTS_TO_MPS * 1800.0, rel=1e-6)
 
     def test_empty_history_rejected(self):
@@ -76,8 +75,8 @@ class TestLinearKinematic:
         last = history[-1]
         anchor = np.array([[last.t, last.lat, last.lon, last.sog, last.cog]])
         lat, lon = LinearKinematicModel().predict_positions(anchor, np.zeros((1, INPUT_STEPS, 3)))
-        assert lat[0, -1] == pytest.approx(fc.positions[-1].lat, abs=1e-9)
-        assert lon[0, -1] == pytest.approx(fc.positions[-1].lon, abs=1e-9)
+        assert lat[0, -1] == pytest.approx(fc.lats[-1], abs=1e-9)
+        assert lon[0, -1] == pytest.approx(fc.lons[-1], abs=1e-9)
 
     def test_exact_on_constant_velocity_targets(self):
         ds = _constant_velocity_dataset()
@@ -127,8 +126,8 @@ class TestSVRF:
         model.fit(ds, epochs=5)
         fc = model.forecast(42, _history())
         assert fc.mmsi == 42
-        assert len(fc.positions) == OUTPUT_STEPS + 1
-        assert fc.positions[1].t - fc.positions[0].t == OUTPUT_INTERVAL_S
+        assert len(fc.ts) == OUTPUT_STEPS + 1
+        assert fc.ts[1] - fc.ts[0] == OUTPUT_INTERVAL_S
 
     def test_forecast_history_too_short(self):
         ds = _constant_velocity_dataset(n=50)

@@ -8,6 +8,8 @@ loop of the deleted collision-cell actor, which tested a newcomer against
 every member of every cell it touched. Per cell the members, the distinct
 alerts and the flow grid must match; the table runs one pair test per
 distinct (newcomer, member) pair where the per-cell loop ran one per cell.
+A member forecast is its ``(mmsi, anchor time)``, so copies of one forecast
+restored into separate cells are one member.
 """
 
 from collections import Counter
@@ -17,9 +19,10 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import codec
+from repro.cluster.protocol import WireEnvelope
 from repro.events.collision import trajectories_intersect
 from repro.events.vtff import FLOW_RESOLUTION
-from repro.geo.track import Position
 from repro.hexgrid import (
     CELL_BLOCK_BITS,
     cell_block,
@@ -33,20 +36,19 @@ from repro.models import LinearKinematicModel
 from repro.models.base import RouteForecast, forecast_mark_times
 from repro.platform import LoopbackCluster, Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
+from repro.platform.messages import RestoreState
 from repro.platform.vessel_actor import (
     COLLISION_NEIGHBOR_RINGS,
     COLLISION_RESOLUTION,
     share_forecasts,
 )
+from tests.forecasts import comparable, make_forecast
 
 
 def track(mmsi: int, t0: float, lat: float, lon: float, dlat: float, dlon: float):
     """A 7-position forecast moving ``(dlat, dlon)`` per 5-minute mark."""
     times = [t0, *forecast_mark_times(t0)]
-    positions = tuple(
-        Position(t=t, lat=lat + k * dlat, lon=lon + k * dlon) for k, t in enumerate(times)
-    )
-    return RouteForecast(mmsi=mmsi, positions=positions)
+    return make_forecast(mmsi, [(t, lat + k * dlat, lon + k * dlon) for k, t in enumerate(times)])
 
 
 #: One flush: A and B cross (shared cells), A is re-shared later in the
@@ -64,8 +66,9 @@ FLUSH = [
 def moved(forecast: RouteForecast | None, dlat: float, dlon: float) -> RouteForecast | None:
     if forecast is None:
         return None
-    positions = tuple(replace(p, lat=p.lat + dlat, lon=p.lon + dlon) for p in forecast.positions)
-    return RouteForecast(mmsi=forecast.mmsi, positions=positions)
+    anchor = forecast.anchor
+    anchor = replace(anchor, lat=anchor.lat + dlat, lon=anchor.lon + dlon)
+    return replace(forecast, anchor=anchor, lats=forecast.lats + dlat, lons=forecast.lons + dlon)
 
 
 def flush_at_a_block_corner() -> list:
@@ -81,8 +84,8 @@ def flush_at_a_block_corner() -> list:
 
 def dilated_cells(forecast: RouteForecast) -> set:
     cells = set()
-    for pos in forecast.positions:
-        base = latlng_to_cell(pos.lat, pos.lon, COLLISION_RESOLUTION)
+    for lat, lon in zip(forecast.lats.tolist(), forecast.lons.tolist()):
+        base = latlng_to_cell(lat, lon, COLLISION_RESOLUTION)
         cells.update(grid_disk(base, COLLISION_NEIGHBOR_RINGS))
     return cells
 
@@ -92,7 +95,8 @@ class PerCellReference:
     against each member of another MMSI, then store it as that MMSI's
     latest forecast. ``share`` returns its alerts, one per (cell, member),
     and what the table should do instead: one test per distinct member
-    forecast met over all the cells (``id -> hit or None``)."""
+    forecast met over all the cells (``(mmsi, anchor time) -> hit or
+    None``)."""
 
     def __init__(self, max_age_s: float = 900.0) -> None:
         self.cells: dict = {}
@@ -104,7 +108,8 @@ class PerCellReference:
             members = self.cells.setdefault(cell, {})
             for mmsi, other in members.items():
                 if mmsi != forecast.mmsi:
-                    met[id(other)] = hit = trajectories_intersect(forecast, other)
+                    hit = trajectories_intersect(forecast, other)
+                    met[(mmsi, other.anchor.t)] = hit
                     if hit is not None:
                         alerts.append(hit)
             members[forecast.mmsi] = forecast
@@ -122,7 +127,7 @@ class PerCellReference:
 def assert_cells_match(reference_cells: dict, state_of, same=id) -> None:
     """Per cell the table holds the reference's members: the same
     forecast objects (``same=id``; a remote cell holds decoded copies, so
-    the cluster compares values), latest per MMSI, in first-arrival order."""
+    the cluster compares tracks), latest per MMSI, in first-arrival order."""
     for cell, members in reference_cells.items():
         held = state_of(cell)["forecasts"]
         assert [(m, same(fc)) for m, fc in held.items()] == [
@@ -134,8 +139,9 @@ def reference_flow(forecasts) -> dict:
     latest = {forecast.mmsi: forecast for forecast in forecasts if forecast is not None}
     grid: dict = {}
     for mmsi, forecast in latest.items():
-        for pos in forecast.predicted:
-            key = (latlng_to_cell(pos.lat, pos.lon, FLOW_RESOLUTION), int(pos.t // 300.0))
+        marks = forecast.ts[1:], forecast.lats[1:], forecast.lons[1:]
+        for t, lat, lon in zip(*(column.tolist() for column in marks)):
+            key = (latlng_to_cell(lat, lon, FLOW_RESOLUTION), int(t // 300.0))
             grid.setdefault(key, set()).add(mmsi)
     return grid
 
@@ -204,7 +210,7 @@ def test_cluster_fanout_lands_in_each_nodes_bulk_stash():
 
         assert routers[1].remote_told > 0 and all(len(router) for router in routers)
         assert sum(len(router) for router in routers) == len(reference.cells)
-        assert_cells_match(reference.cells, state_of, same=lambda forecast: forecast)
+        assert_cells_match(reference.cells, state_of, same=comparable)
     finally:
         cluster.shutdown()
 
@@ -231,25 +237,50 @@ def test_a_shared_batch_is_tested_once_per_node():
         cluster.shutdown()
 
 
+_COURSE = st.tuples(
+    st.floats(38.0, 38.01),
+    st.floats(23.5, 23.51),
+    st.floats(-0.004, 0.004),
+    st.floats(-0.004, 0.004),
+)
+
+
 def _forecasts():
     """Small random forecasts over a few MMSIs, crowded enough to hit."""
     return st.builds(
-        track,
+        lambda mmsi, t0, motion: track(mmsi, t0, *motion),
         mmsi=st.integers(1, 4),
         t0=st.sampled_from([0.0, 60.0, 600.0, 1_200.0]),
-        lat=st.floats(38.0, 38.01),
-        lon=st.floats(23.5, 23.51),
-        dlat=st.floats(-0.004, 0.004),
-        dlon=st.floats(-0.004, 0.004),
+        motion=_COURSE,
     )
 
 
-_SHARE = st.tuples(st.just("share"), _forecasts(), st.lists(st.integers(0, 5), unique=True))
 _PRUNE = st.tuples(st.just("prune"), st.sampled_from([600.0, 1_500.0, 2_500.0]), st.just(None))
 
 
+@st.composite
+def _steps(draw):
+    """Shares and prunes over a few MMSIs. As in the platform, a vessel's
+    ``(mmsi, anchor time)`` names one track; each share is a fresh copy of
+    it, as a restored or decoded forecast is."""
+    tracks = draw(
+        st.dictionaries(
+            st.tuples(st.integers(1, 4), st.sampled_from([0.0, 60.0, 600.0, 1_200.0])),
+            _COURSE,
+            min_size=1,
+            max_size=8,
+        )
+    )
+    share = st.tuples(
+        st.just("share"),
+        st.sampled_from(sorted(tracks.items())).map(lambda kv: track(*kv[0], *kv[1])),
+        st.lists(st.integers(0, 5), unique=True),
+    )
+    return draw(st.lists(st.one_of(share, share, share, _PRUNE), max_size=14))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(_SHARE, _SHARE, _SHARE, _PRUNE), max_size=14))
+@given(_steps())
 def test_table_matches_the_per_cell_actors(steps):
     """Random forecasts over random overlapping cell sets, with prunes in
     between: after every step each cell holds the reference's members, each
@@ -279,7 +310,7 @@ def test_table_matches_the_per_cell_actors(steps):
 def test_table_hit_is_bitwise_trajectories_intersect(member, newcomer):
     """The table densifies once and calls ``intersect_dense``; its hit for
     a pair is ``trajectories_intersect(newcomer, member)`` bit for bit."""
-    member = RouteForecast(mmsi=10, positions=member.positions)
+    member = replace(member, mmsi=10)
     table, log = bare_table()
     table.share_forecast([0, 1], member)
     table.share_forecast([1, 0], newcomer)
@@ -291,3 +322,20 @@ def test_table_hit_is_bitwise_trajectories_intersect(member, newcomer):
         assert (hit.mmsi_a, hit.mmsi_b) == (expected.mmsi_a, expected.mmsi_b)
         for name in fields:
             assert getattr(hit, name).hex() == getattr(expected, name).hex(), name
+
+
+def test_a_member_restored_into_k_cells_is_tested_once():
+    """Each ``RestoreState`` decodes its own copy of a member forecast, so
+    a member handed over in k cells arrives as k objects. A newcomer that
+    meets it in all k cells is still one pair test and at most one alert."""
+    table, log = bare_table()
+    member = track(111, 0.0, 38.000, 23.500, 0.004, 0.004)
+    cells = sorted(dilated_cells(member))[:5]
+    for cell in cells:
+        restore = RestoreState(entity="collision", key=cell, state={"forecasts": {111: member}})
+        env = WireEnvelope(kind="control", src="n", entity="collision", key=cell, message=restore)
+        table.tell(cell, codec.decode(codec.encode(env)).message)
+    restored = [table.cells[cell] for cell in cells]
+    assert len({id(forecast) for forecast in restored}) == len(cells)
+    table.share_forecast(cells, track(222, 0.0, 38.024, 23.500, -0.004, 0.004))
+    assert table.pair_tests == 1 and len(log.alerts) == 1

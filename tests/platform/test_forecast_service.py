@@ -33,6 +33,7 @@ from repro.models.svrf import SVRFConfig, SVRFModel
 from repro.platform import Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
 from repro.platform.messages import RestoreState
+from tests.forecasts import comparable, make_forecast
 
 INPUT_STEPS = 6  #: Small S-VRF window: fast tests, same code paths.
 
@@ -79,17 +80,7 @@ def drain(platform: Platform) -> None:
 def stationary_forecast(
     mmsi: int, t0: float = 1_000.0, lat: float = 10.0, lon: float = 20.0
 ) -> RouteForecast:
-    positions = [Position(t=t0, lat=lat, lon=lon)]
-    positions += [Position(t=t, lat=lat, lon=lon) for t in forecast_mark_times(t0)]
-    return RouteForecast(mmsi=mmsi, positions=tuple(positions))
-
-
-def bits(forecast: RouteForecast) -> tuple:
-    """A forecast as exact bit patterns (``float.hex``), field by field."""
-    return forecast.mmsi, tuple(
-        tuple(None if v is None else float(v).hex() for v in (p.t, p.lat, p.lon, p.sog, p.cog))
-        for p in forecast.positions
-    )
+    return make_forecast(mmsi, [(t, lat, lon) for t in (t0, *forecast_mark_times(t0))])
 
 
 _ROWS = st.lists(
@@ -148,7 +139,7 @@ class TestBitwiseParity:
                 scalar = model.forecast(mmsi, histories[i], pad=True)
             else:
                 scalar = model.forecast(mmsi, histories[i])
-            assert bits(batched[i]) == bits(alone) == bits(scalar)
+            assert comparable(batched[i]) == comparable(alone) == comparable(scalar)
 
 
 class OffTheGlobe(LinearKinematicModel):
@@ -159,8 +150,9 @@ class OffTheGlobe(LinearKinematicModel):
         out = super().forecast_batch(mmsis, windows, anchors)
         for i, forecast in enumerate(out):
             if forecast.mmsi == 111:
-                *head, last = forecast.positions
-                out[i] = RouteForecast(111, (*head, replace(last, lat=90.5)))
+                lats = forecast.lats.copy()
+                lats[-1] = 90.5
+                out[i] = replace(forecast, lats=lats)
         return out
 
 
@@ -422,10 +414,11 @@ class TestCollisionCellStash:
         for mmsi, lat in ((111, 10.0), (222, 10.001), (333, 10.002)):
             source.share_forecast([self.CELL], stationary_forecast(mmsi, lat=lat))
         state = source.cell_state(self.CELL)
-        assert b"ndarray" not in pickle.dumps(state)
+        assert list(state) == ["forecasts"]
+        assert all(type(fc) is RouteForecast for fc in state["forecasts"].values())
         target_platform, target = self.make_router()
         self.restore(target, pickle.loads(pickle.dumps(state)))
-        assert target.cell_state(self.CELL) == state
+        assert comparable(target.cell_state(self.CELL)) == comparable(state)
         newcomer = stationary_forecast(444, lat=10.0015)
         for platform, router in ((source_platform, source), (target_platform, target)):
             router.share_forecast([self.CELL], newcomer)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from repro.ais.datasets import proximity_scenario
 from repro.events.collision import trajectories_intersect
-from repro.geo import Position
 from repro.models import LinearKinematicModel
-from repro.models.base import RouteForecast
 from repro.platform import Platform, PlatformConfig
+from tests.forecasts import make_forecast
 
 
 class TestThreadedPlatform:
@@ -51,9 +50,8 @@ class TestThreadedPlatform:
 
 
 def _straight_forecast(mmsi, t0, lat0, lon0, dlat, dlon):
-    positions = [Position(t=t0 + 300.0 * k, lat=lat0 + dlat * k,
-                          lon=lon0 + dlon * k) for k in range(7)]
-    return RouteForecast(mmsi=mmsi, positions=tuple(positions))
+    return make_forecast(mmsi, [(t0 + 300.0 * k, lat0 + dlat * k, lon0 + dlon * k)
+                                for k in range(7)])
 
 
 class TestCollisionCPAProperties:
