@@ -31,8 +31,8 @@ class AvoidanceManeuver:
     """A recommended manoeuvre and its predicted outcome."""
 
     mmsi: int
-    course_change_deg: float    #: 0 for pure speed reductions
-    speed_factor: float         #: 1.0 for pure course changes
+    course_change_deg: float  #: 0 for pure speed reductions
+    speed_factor: float  #: 1.0 for pure course changes
     predicted_min_separation_m: float
 
     @property
@@ -43,18 +43,16 @@ class AvoidanceManeuver:
         parts = []
         if self.course_change_deg:
             side = "starboard" if self.is_starboard else "port"
-            parts.append(f"alter course {abs(self.course_change_deg):.0f} "
-                         f"deg to {side}")
+            parts.append(f"alter course {abs(self.course_change_deg):.0f} deg to {side}")
         if self.speed_factor != 1.0:
             parts.append(f"reduce speed to {self.speed_factor:.0%}")
         action = " and ".join(parts) if parts else "stand on"
-        return (f"{action} (predicted minimum separation "
-                f"{self.predicted_min_separation_m:.0f} m)")
+        return f"{action} (predicted minimum separation {self.predicted_min_separation_m:.0f} m)"
 
 
-def _dead_reckon(lat: float, lon: float, course: float, speed_mps: float,
-                 times: np.ndarray, t0: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _dead_reckon(
+    lat: float, lon: float, course: float, speed_mps: float, times: np.ndarray, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
     lats, lons = [], []
     for t in times:
         la, lo = destination_point(lat, lon, course, speed_mps * (t - t0))
@@ -71,10 +69,14 @@ def _min_separation_m(own_lat, own_lon, other_lat, other_lon) -> float:
     return float(d.min())
 
 
-def plan_avoidance(own: RouteForecast, intruder: RouteForecast,
-                   own_sog_kn: float, own_cog_deg: float,
-                   separation_m: float = 1_000.0,
-                   step_s: float = 30.0) -> AvoidanceManeuver | None:
+def plan_avoidance(
+    own: RouteForecast,
+    intruder: RouteForecast,
+    own_sog_kn: float,
+    own_cog_deg: float,
+    separation_m: float = 1_000.0,
+    step_s: float = 30.0,
+) -> AvoidanceManeuver | None:
     """The smallest manoeuvre for ``own`` that keeps it at least
     ``separation_m`` from the intruder's forecast trajectory.
 
@@ -93,29 +95,41 @@ def plan_avoidance(own: RouteForecast, intruder: RouteForecast,
     speed_mps = own_sog_kn * KNOTS_TO_MPS
 
     def evaluate(course_change: float, speed_factor: float) -> float:
-        la, lo = _dead_reckon(anchor.lat, anchor.lon,
-                              (own_cog_deg + course_change) % 360.0,
-                              speed_mps * speed_factor, times, anchor.t)
+        la, lo = _dead_reckon(
+            anchor.lat,
+            anchor.lon,
+            (own_cog_deg + course_change) % 360.0,
+            speed_mps * speed_factor,
+            times,
+            anchor.t,
+        )
         return _min_separation_m(la, lo, ila, ilo)
 
     current = evaluate(0.0, 1.0)
     if current >= separation_m:
-        return AvoidanceManeuver(mmsi=own.mmsi, course_change_deg=0.0,
-                                 speed_factor=1.0,
-                                 predicted_min_separation_m=current)
+        return AvoidanceManeuver(
+            mmsi=own.mmsi,
+            course_change_deg=0.0,
+            speed_factor=1.0,
+            predicted_min_separation_m=current,
+        )
     for change in _COURSE_OPTIONS_DEG:
         sep = evaluate(change, 1.0)
         if sep >= separation_m:
-            return AvoidanceManeuver(mmsi=own.mmsi,
-                                     course_change_deg=change,
-                                     speed_factor=1.0,
-                                     predicted_min_separation_m=sep)
+            return AvoidanceManeuver(
+                mmsi=own.mmsi,
+                course_change_deg=change,
+                speed_factor=1.0,
+                predicted_min_separation_m=sep,
+            )
     for factor in _SPEED_OPTIONS:
         for change in (0.0,) + _COURSE_OPTIONS_DEG:
             sep = evaluate(change, factor)
             if sep >= separation_m:
-                return AvoidanceManeuver(mmsi=own.mmsi,
-                                         course_change_deg=change,
-                                         speed_factor=factor,
-                                         predicted_min_separation_m=sep)
+                return AvoidanceManeuver(
+                    mmsi=own.mmsi,
+                    course_change_deg=change,
+                    speed_factor=factor,
+                    predicted_min_separation_m=sep,
+                )
     return None

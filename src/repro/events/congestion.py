@@ -31,8 +31,8 @@ class CongestionReport:
 
     port: Port
     t: float
-    dwelling: tuple[int, ...]        #: MMSIs moored/anchored inside
-    moving: tuple[int, ...]          #: MMSIs under way inside
+    dwelling: tuple[int, ...]  #: MMSIs moored/anchored inside
+    moving: tuple[int, ...]  #: MMSIs under way inside
     expected_arrivals: tuple[int, ...]  #: MMSIs forecast to enter soon
     capacity: int
 
@@ -68,15 +68,22 @@ class PortCongestionMonitor:
     #: port's traffic weight.
     capacities: dict[str, int] = field(default_factory=dict)
 
-    _states: dict[int, tuple[float, float, float, float]] = field(
-        default_factory=dict)   #: mmsi -> (t, lat, lon, sog)
+    #: mmsi -> (t, lat, lon, sog)
+    _states: dict[int, tuple[float, float, float, float]] = field(default_factory=dict)
     _forecasts: dict[int, RouteForecast] = field(default_factory=dict)
 
     def capacity_of(self, port: Port) -> int:
         return self.capacities.get(port.name, max(3, int(port.weight * 6)))
 
-    def observe(self, mmsi: int, t: float, lat: float, lon: float,
-                sog: float, forecast: RouteForecast | None = None) -> None:
+    def observe(
+        self,
+        mmsi: int,
+        t: float,
+        lat: float,
+        lon: float,
+        sog: float,
+        forecast: RouteForecast | None = None,
+    ) -> None:
         previous = self._states.get(mmsi)
         if previous is not None and t < previous[0]:
             return
@@ -85,12 +92,15 @@ class PortCongestionMonitor:
             self._forecasts[mmsi] = forecast
 
     def _inside(self, port: Port, lat: float, lon: float) -> bool:
-        return equirectangular_distance_m(port.lat, port.lon,
-                                          lat, lon) <= self.radius_m
+        return equirectangular_distance_m(port.lat, port.lon, lat, lon) <= self.radius_m
 
-    def report(self, port: Port, now: float,
-               arrival_horizon_s: float = 1_800.0,
-               stale_after_s: float = 1_800.0) -> CongestionReport:
+    def report(
+        self,
+        port: Port,
+        now: float,
+        arrival_horizon_s: float = 1_800.0,
+        stale_after_s: float = 1_800.0,
+    ) -> CongestionReport:
         """Congestion snapshot for ``port`` at stream time ``now``."""
         dwelling, moving, arrivals = [], [], []
         for mmsi, (t, lat, lon, sog) in self._states.items():
@@ -102,8 +112,9 @@ class PortCongestionMonitor:
             forecast = self._forecasts.get(mmsi)
             if forecast is None:
                 continue
-            marks = zip(forecast.ts[1:].tolist(), forecast.lats[1:].tolist(),
-                        forecast.lons[1:].tolist())
+            marks = zip(
+                forecast.ts[1:].tolist(), forecast.lats[1:].tolist(), forecast.lons[1:].tolist()
+            )
             for t, lat, lon in marks:
                 if t - now > arrival_horizon_s:
                     break
@@ -111,17 +122,19 @@ class PortCongestionMonitor:
                     arrivals.append(mmsi)
                     break
         return CongestionReport(
-            port=port, t=now, dwelling=tuple(sorted(dwelling)),
+            port=port,
+            t=now,
+            dwelling=tuple(sorted(dwelling)),
             moving=tuple(sorted(moving)),
             expected_arrivals=tuple(sorted(arrivals)),
-            capacity=self.capacity_of(port))
+            capacity=self.capacity_of(port),
+        )
 
     def congested_ports(self, now: float) -> list[CongestionReport]:
         """Reports for every monitored port that is (projected) congested,
         busiest first."""
         reports = [self.report(p, now) for p in self.ports]
-        return sorted((r for r in reports if r.congested),
-                      key=lambda r: -r.utilisation)
+        return sorted((r for r in reports if r.congested), key=lambda r: -r.utilisation)
 
     @property
     def tracked_vessels(self) -> int:

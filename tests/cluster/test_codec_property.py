@@ -542,10 +542,9 @@ def anchor_bits(forecast: RouteForecast) -> tuple:
 def owns_its_track(forecast: RouteForecast) -> bool:
     """The three arrays are rows of one native float64 copy of their own."""
     base = forecast.ts.base
-    return all(
-        array.dtype == np.float64 and array.dtype.isnative and array.base is base
-        for array in (forecast.ts, forecast.lats, forecast.lons)
-    ) and base.nbytes == 3 * forecast.ts.nbytes
+    arrays = (forecast.ts, forecast.lats, forecast.lons)
+    rows = all(a.dtype == np.float64 and a.dtype.isnative and a.base is base for a in arrays)
+    return rows and base.nbytes == 3 * forecast.ts.nbytes
 
 
 @settings(deadline=None, max_examples=200)

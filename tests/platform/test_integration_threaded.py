@@ -17,11 +17,10 @@ class TestThreadedPlatform:
     def test_housekeeping_returns_settled(self):
         """``housekeeping`` prunes both cell tables in place: when it
         returns, nothing it caused is still queued."""
-        scenario = proximity_scenario(n_event_pairs=4, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=3_000.0,
-                                      seed=13)
-        platform = Platform(forecaster=LinearKinematicModel(),
-                            config=PlatformConfig())
+        scenario = proximity_scenario(
+            n_event_pairs=4, n_near_miss_pairs=1, n_background=2, duration_s=3_000.0, seed=13
+        )
+        platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
         try:
             platform.publish_messages(scenario.result.messages)
             platform.process_available()
@@ -33,25 +32,27 @@ class TestThreadedPlatform:
             platform.shutdown()
 
     def test_deterministic_mode_is_reproducible(self):
-        scenario = proximity_scenario(n_event_pairs=3, n_near_miss_pairs=1,
-                                      n_background=1, duration_s=2_400.0,
-                                      seed=19)
+        scenario = proximity_scenario(
+            n_event_pairs=3, n_near_miss_pairs=1, n_background=1, duration_s=2_400.0, seed=19
+        )
 
         def run():
-            platform = Platform(forecaster=LinearKinematicModel(),
-                                config=PlatformConfig())
+            platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
             platform.publish_messages(scenario.result.messages)
             platform.process_available()
-            return (platform.api.event_count("proximity"),
-                    platform.api.event_count("collision"),
-                    platform.vessel_count)
+            return (
+                platform.api.event_count("proximity"),
+                platform.api.event_count("collision"),
+                platform.vessel_count,
+            )
 
         assert run() == run()
 
 
 def _straight_forecast(mmsi, t0, lat0, lon0, dlat, dlon):
-    return make_forecast(mmsi, [(t0 + 300.0 * k, lat0 + dlat * k, lon0 + dlon * k)
-                                for k in range(7)])
+    return make_forecast(
+        mmsi, [(t0 + 300.0 * k, lat0 + dlat * k, lon0 + dlon * k) for k in range(7)]
+    )
 
 
 class TestCollisionCPAProperties:
@@ -62,8 +63,7 @@ class TestCollisionCPAProperties:
         the lateral offset (within the equirectangular approximation)."""
         a = _straight_forecast(1, 0.0, 38.0, 23.0, 0.01, 0.0)
         b = _straight_forecast(2, 0.0, 38.0, 23.0 + offset_deg, 0.01, 0.0)
-        hit = trajectories_intersect(a, b, spatial_threshold_m=1e9,
-                                     temporal_threshold_s=60.0)
+        hit = trajectories_intersect(a, b, spatial_threshold_m=1e9, temporal_threshold_s=60.0)
         expected = offset_deg * 111_194.9266 * np.cos(np.radians(38.0))
         assert hit.min_distance_m == pytest.approx(expected, rel=0.02)
 
