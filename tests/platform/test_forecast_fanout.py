@@ -248,10 +248,10 @@ _COURSE = st.tuples(
 def _forecasts():
     """Small random forecasts over a few MMSIs, crowded enough to hit."""
     return st.builds(
-        lambda mmsi, t0, motion: track(mmsi, t0, *motion),
+        lambda mmsi, t0, course: track(mmsi, t0, *course),
         mmsi=st.integers(1, 4),
         t0=st.sampled_from([0.0, 60.0, 600.0, 1_200.0]),
-        motion=_COURSE,
+        course=_COURSE,
     )
 
 
