@@ -16,19 +16,16 @@ from repro.hexgrid import cell_to_latlng
 from repro.models import LinearKinematicModel
 from repro.platform import Platform, PlatformConfig
 
-_GLYPH = {TrafficLevel.LOW: ".", TrafficLevel.MEDIUM: "+",
-          TrafficLevel.HIGH: "#"}
+_GLYPH = {TrafficLevel.LOW: ".", TrafficLevel.MEDIUM: "+", TrafficLevel.HIGH: "#"}
 
 
 def main() -> None:
-    scenario = proximity_scenario(n_event_pairs=20, n_near_miss_pairs=8,
-                                  n_background=20, duration_s=5_400.0,
-                                  seed=9)
-    print(f"{scenario.n_vessels} vessels over "
-          f"{scenario.duration_s / 3600:.1f} h in the Aegean")
+    scenario = proximity_scenario(
+        n_event_pairs=20, n_near_miss_pairs=8, n_background=20, duration_s=5_400.0, seed=9
+    )
+    print(f"{scenario.n_vessels} vessels over {scenario.duration_s / 3600:.1f} h in the Aegean")
 
-    platform = Platform(forecaster=LinearKinematicModel(),
-                        config=PlatformConfig())
+    platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
     platform.publish_messages(scenario.result.messages)
     platform.process_available()
 
@@ -36,8 +33,7 @@ def main() -> None:
     windows = vtff.grid.windows()
     window = windows[len(windows) // 2]
     flow = vtff.predicted_flow(window)
-    print(f"\nForecast traffic flow, window {window} "
-          f"({len(flow)} active cells):")
+    print(f"\nForecast traffic flow, window {window} ({len(flow)} active cells):")
 
     # Render active cells on a coarse lat/lon character grid.
     coords = {cell: cell_to_latlng(cell) for cell in flow}
@@ -51,7 +47,7 @@ def main() -> None:
         lat, lon = coords[cell]
         r = int((max(lats) - lat) / lat_span * (rows - 1))
         c = int((lon - min(lons)) / lon_span * (cols - 1))
-        canvas[r][c] = _GLYPH[vtff.grid.classify(count)]
+        canvas[r][c] = _GLYPH[FlowGrid.classify(count)]
     print("   " + "-" * cols)
     for row in canvas:
         print("  |" + "".join(row) + "|")
@@ -72,8 +68,7 @@ def main() -> None:
         actual = truth_grid.count(cell, window)
         errs.append(abs(predicted - actual))
         print(f"  ({lat:7.3f}, {lon:7.3f})  {predicted:>8} {actual:>7}")
-    print(f"\nmean absolute error on these cells: {np.mean(errs):.2f} "
-          f"vessels per cell-window")
+    print(f"\nmean absolute error on these cells: {np.mean(errs):.2f} vessels per cell-window")
 
 
 if __name__ == "__main__":

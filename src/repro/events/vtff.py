@@ -22,6 +22,7 @@ Figure 4d.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,49 +93,57 @@ class IndirectVTFF:
     """Forecast traffic flow by rasterising route forecasts.
 
     Feed every vessel's latest :class:`RouteForecast`; each of the six
-    predicted positions lands in its forecast (cell, window) bucket. Since
-    only the latest forecast per vessel should count, re-submitting a vessel
-    replaces its previous contribution.
+    predicted positions lands in its forecast (cell, window) bucket. Only
+    the latest forecast per vessel counts, so ``submit`` just keeps it and
+    the raster is built when read, with one :func:`latlng_to_cells` call.
     """
 
     def __init__(self, resolution: int = FLOW_RESOLUTION, window_s: float = FLOW_WINDOW_S) -> None:
         self.resolution = resolution
         self.window_s = window_s
-        self._grid = FlowGrid(resolution=resolution, window_s=window_s)
-        #: mmsi -> keys contributed by its current forecast.
-        self._contrib: dict[int, list[tuple[int, int]]] = {}
+        #: mmsi -> its latest forecast.
+        self._latest: dict[int, RouteForecast] = {}
 
     def submit(self, *forecasts: RouteForecast) -> None:
-        """Submit ``forecasts`` in order, rasterising all their predicted
-        positions with one :func:`latlng_to_cells` call."""
-        lats = np.concatenate([forecast.lats[1:] for forecast in forecasts] or [np.empty(0)])
-        lons = np.concatenate([forecast.lons[1:] for forecast in forecasts] or [np.empty(0)])
-        cells = iter(latlng_to_cells(lats, lons, self.resolution).tolist())
-        grid = self._grid._vessels
-        window_of = self._grid.window_of
+        """Submit ``forecasts`` in order: each replaces its vessel's last."""
         for forecast in forecasts:
-            mmsi = forecast.mmsi
-            for key in self._contrib.pop(mmsi, []):
-                vessels = grid.get(key)
-                if vessels is not None:
-                    vessels.discard(mmsi)
-                    if not vessels:
-                        del grid[key]
-            keys = [(next(cells), window_of(t)) for t in forecast.ts[1:].tolist()]
-            for key in keys:
-                grid.setdefault(key, set()).add(mmsi)
-            self._contrib[mmsi] = keys
+            self._latest[forecast.mmsi] = forecast
+
+    def copy(self) -> "IndirectVTFF":
+        """A snapshot that later submits leave unchanged."""
+        snapshot = IndirectVTFF(self.resolution, self.window_s)
+        snapshot._latest = dict(self._latest)
+        return snapshot
+
+    def _marks(self, window: int | None = None) -> tuple[list, list, list]:
+        """``(cells, windows, mmsis)`` of the latest forecasts' predicted
+        marks, only those in ``window`` unless it is ``None``."""
+        forecasts = self._latest.values()
+        ts = np.concatenate([f.ts[1:] for f in forecasts] or [np.empty(0)])
+        lats = np.concatenate([f.lats[1:] for f in forecasts] or [np.empty(0)])
+        lons = np.concatenate([f.lons[1:] for f in forecasts] or [np.empty(0)])
+        mmsis = np.repeat([f.mmsi for f in forecasts], [f.ts.size - 1 for f in forecasts])
+        windows = ts // self.window_s
+        keep = slice(None) if window is None else windows == window
+        cells = latlng_to_cells(lats[keep], lons[keep], self.resolution)
+        return cells.tolist(), windows[keep].astype(np.int64).tolist(), mmsis[keep].tolist()
 
     def predicted_flow(self, window: int) -> dict[int, int]:
-        """Forecast ``cell -> vessel count`` for a future window."""
-        return self._grid.window_counts(window)
+        """Forecast ``cell -> vessel count`` for a future window, in
+        ascending cell order."""
+        cells, _, mmsis = self._marks(window)
+        return dict(sorted(Counter(cell for cell, _ in set(zip(cells, mmsis))).items()))
 
     def predicted_level(self, cell: int, window: int) -> TrafficLevel:
-        return self._grid.classify(self._grid.count(cell, window))
+        return FlowGrid.classify(self.predicted_flow(window).get(cell, 0))
 
     @property
     def grid(self) -> FlowGrid:
-        return self._grid
+        """The whole raster, built from the latest forecasts when read."""
+        grid = FlowGrid(resolution=self.resolution, window_s=self.window_s)
+        for cell, window, mmsi in zip(*self._marks()):
+            grid._vessels.setdefault((cell, window), set()).add(mmsi)
+        return grid
 
 
 class DirectVTFF:

@@ -35,6 +35,7 @@ from repro.hexgrid.index import (
     cell_to_latlng,
     cell_to_parent,
     grid_disk,
+    grid_disks,
     grid_distance,
     grid_ring,
     latlng_to_cell,
@@ -54,6 +55,7 @@ __all__ = [
     "cell_to_parent",
     "cell_to_string",
     "grid_disk",
+    "grid_disks",
     "grid_distance",
     "grid_ring",
     "is_valid_cell",

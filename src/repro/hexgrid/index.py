@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.geo.constants import METERS_PER_DEG_LAT
 from repro.geo.geodesy import normalize_lon
+from repro.hexgrid.cell import _COORD_BITS, _COORD_MASK
 from repro.hexgrid.cell import MAX_RESOLUTION, pack_cell, pack_cells, unpack_cell
 
 _SQRT3 = math.sqrt(3.0)
@@ -162,6 +163,22 @@ def grid_disk(cell: int, k: int) -> list[int]:
     for ring_k in range(k + 1):
         disk.extend(grid_ring(cell, ring_k))
     return disk
+
+
+def grid_disks(cells, k: int) -> np.ndarray:
+    """:func:`grid_disk` over a ``uint64`` id array: row ``i`` of the
+    ``(len(cells), 1 + 3k(k + 1))`` result is ``grid_disk(cells[i], k)``,
+    bit for bit and in its order (the disk's axial offsets added to each
+    id's unpacked ``q`` and ``r``; the resolution bits stay)."""
+    offsets = [unpack_cell(cell)[1:] for cell in grid_disk(pack_cell(0, 0, 0), k)]
+    dq, dr = np.array(offsets, dtype=np.int64).T
+    ids = np.asarray(cells, dtype=np.uint64).reshape(-1, 1)
+    q = ((ids >> np.uint64(_COORD_BITS)) & np.uint64(_COORD_MASK)).astype(np.int64) + dq
+    r = (ids & np.uint64(_COORD_MASK)).astype(np.int64) + dr
+    if ((q | r) >> _COORD_BITS).any():  # negative, or bits past the mask
+        raise ValueError("axial coordinates out of range")
+    res = ids >> np.uint64(2 * _COORD_BITS) << np.uint64(2 * _COORD_BITS)
+    return res | (q.astype(np.uint64) << np.uint64(_COORD_BITS)) | r.astype(np.uint64)
 
 
 def grid_distance(cell_a: int, cell_b: int) -> int:

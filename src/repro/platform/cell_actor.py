@@ -247,4 +247,4 @@ class FlowActor(Actor):
         if isinstance(message, ForecastBatch):
             self.vtff.submit(*message.forecasts)
         elif message == "snapshot":
-            ctx.reply(self.vtff)
+            ctx.reply(self.vtff.copy())

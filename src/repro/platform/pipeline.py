@@ -558,8 +558,9 @@ class Platform:
         return snap
 
     def flow_snapshot(self):
-        """This node's traffic-flow aggregation state (an ``IndirectVTFF``
-        over the forecasts of locally-hosted vessel actors)."""
+        """A snapshot of this node's traffic-flow aggregation state (an
+        ``IndirectVTFF`` over the forecasts of locally-hosted vessel actors
+        that later forecasts leave unchanged)."""
         return self.system.ask_sync(self.wiring.flow_ref, "snapshot")
 
     # -- serving replication ------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.actors import Actor, ActorContext
-from repro.hexgrid import grid_disk, latlng_to_cell, latlng_to_cells
+from repro.hexgrid import grid_disks, latlng_to_cell, latlng_to_cells
 from repro.platform.history import HistoryRing
 from repro.platform.messages import (
     CellObservation,
@@ -70,33 +70,16 @@ VOYAGE_ETA_BREACH_S = 1_800.0
 #: respective cell ... and each n+1 nearest cell", Section 5.2).
 COLLISION_NEIGHBOR_RINGS = 1
 
-#: Base cell -> its dilated neighbourhood. ``grid_disk`` is a pure
-#: function and vessels revisit the same cells constantly; memoising the
-#: disk removes it from the forecast fan-out hot path. An entry holds
-#: about 350 B, so the cap of 65,536 entries bounds the memo at about
-#: 23 MB; the fleet benchmark fills about 14k entries. A clear only costs
-#: recomputation: results stay bitwise.
-_DISK_CACHE: dict[int, tuple[int, ...]] = {}
-_DISK_CACHE_MAX = 1 << 16
-
-
-def _disk(base: int) -> tuple[int, ...]:
-    cells = _DISK_CACHE.get(base)
-    if cells is None:
-        if len(_DISK_CACHE) >= _DISK_CACHE_MAX:
-            _DISK_CACHE.clear()
-        cells = _DISK_CACHE[base] = tuple(grid_disk(base, COLLISION_NEIGHBOR_RINGS))
-    return cells
-
 
 def share_forecasts(wiring: "PlatformWiring", forecasts: list, after_row=None) -> int:
     """Fan a flush's forecasts out in row order — row ``i`` to every
     collision cell its trajectory (dilated by the neighbour rings) touches,
     then ``after_row(i)`` — and to the flow actor in one :class:`ForecastBatch`.
-    ``None`` rows share nothing. One :func:`latlng_to_cells` call finds every
-    row's cells; a row with a position off the globe (an unclamped model
-    output) is set to ``None`` first, like a row the forecaster raised on.
-    Returns how many rows that dropped."""
+    ``None`` rows share nothing. One :func:`latlng_to_cells` and one
+    :func:`grid_disks` call find every row's cells, in the order a per-mark
+    ``grid_disk`` union inserts them; a row with a position off the globe
+    (an unclamped model output) is set to ``None`` first, like a row the
+    forecaster raised on. Returns how many rows that dropped."""
     rows = [i for i, forecast in enumerate(forecasts) if forecast is not None]
     lats = np.concatenate([forecasts[i].lats for i in rows] or [np.empty(0)])
     lons = np.concatenate([forecasts[i].lons for i in rows] or [np.empty(0)])
@@ -109,14 +92,15 @@ def share_forecasts(wiring: "PlatformWiring", forecasts: list, after_row=None) -
         lats, lons = lats[kept], lons[kept]
         for i in bad:
             forecasts[i] = None
-    bases = iter(latlng_to_cells(lats, lons, COLLISION_RESOLUTION).tolist())
+    bases = latlng_to_cells(lats, lons, COLLISION_RESOLUTION)
+    disks = grid_disks(bases, COLLISION_NEIGHBOR_RINGS)
+    width, flat, start = disks.shape[1], disks.ravel().tolist(), 0
     router = wiring.collision_router
     for i, forecast in enumerate(forecasts):
         if forecast is not None:
-            cells: set[int] = set()
-            for _ in range(len(forecast.lats)):
-                cells.update(_disk(next(bases)))
-            router.share_forecast(cells, forecast)
+            stop = start + width * len(forecast.lats)
+            router.share_forecast(set(flat[start:stop]), forecast)
+            start = stop
         if after_row is not None:
             after_row(i)
     shared = tuple(forecast for forecast in forecasts if forecast is not None)

@@ -34,6 +34,7 @@ from typing import Any, Callable
 
 import asyncio
 
+from repro.events.vtff import FlowGrid
 from repro.geo.bbox import BoundingBox
 from repro.hexgrid import latlng_to_cell
 from repro.platform.api import MiddlewareAPI
@@ -315,8 +316,8 @@ class ServingServer:
             if path == "/traffic":
                 self._count_query("traffic")
                 window = int(query.get("window", "1"))
-                heat = {str(cell): level.value for cell, level in api.traffic_heat(window).items()}
                 flow = {str(cell): count for cell, count in api.traffic_flow(window).items()}
+                heat = {cell: FlowGrid.classify(count).value for cell, count in flow.items()}
                 return json_response(200, {"window": window, "flow": flow, "heat": heat})
             if path.startswith("/warehouse/"):
                 return self._route_warehouse(path, query)

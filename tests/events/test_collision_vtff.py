@@ -13,6 +13,7 @@ from repro.events import (
     trajectories_intersect,
 )
 from repro.events.collision import densify, intersect_dense
+from repro.hexgrid import latlng_to_cells
 from tests.forecasts import make_forecast
 
 
@@ -161,6 +162,66 @@ class TestIndirectVTFF:
             vtff.submit(_forecast(mmsi, 0.0, 38.0, 23.5, 0.0, 0.0))
         cell = next(iter(vtff.predicted_flow(1)))
         assert vtff.predicted_level(cell, 1) is TrafficLevel.HIGH
+
+
+class EagerRaster:
+    """The raster ``IndirectVTFF`` used to keep eagerly, the reference: a
+    submit withdraws the vessel's last contribution from the
+    ``(cell, window) -> {mmsi}`` grid and adds the new forecast's marks."""
+
+    def __init__(self) -> None:
+        self.grid = FlowGrid()
+        self.contrib: dict[int, list[tuple[int, int]]] = {}
+
+    def submit(self, *forecasts) -> None:
+        lats = np.concatenate([forecast.lats[1:] for forecast in forecasts] or [np.empty(0)])
+        lons = np.concatenate([forecast.lons[1:] for forecast in forecasts] or [np.empty(0)])
+        cells = iter(latlng_to_cells(lats, lons, self.grid.resolution).tolist())
+        grid = self.grid._vessels
+        for forecast in forecasts:
+            mmsi = forecast.mmsi
+            for key in self.contrib.pop(mmsi, []):
+                vessels = grid.get(key)
+                if vessels is not None:
+                    vessels.discard(mmsi)
+                    if not vessels:
+                        del grid[key]
+            keys = [(next(cells), self.grid.window_of(t)) for t in forecast.ts[1:].tolist()]
+            for key in keys:
+                grid.setdefault(key, set()).add(mmsi)
+            self.contrib[mmsi] = keys
+
+
+#: Forecasts over a few MMSIs, anchored across a few windows, moving
+#: far enough per mark to cross flow cells.
+_RASTER_FORECASTS = st.builds(
+    _forecast,
+    mmsi=st.integers(1, 5),
+    t0=st.floats(0.0, 1_500.0),
+    lat0=st.floats(37.9, 38.1),
+    lon0=st.floats(23.4, 23.6),
+    dlat_per_step=st.floats(-0.04, 0.04),
+    dlon_per_step=st.floats(-0.04, 0.04),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(_RASTER_FORECASTS, max_size=6), min_size=1, max_size=5))
+def test_the_raster_built_on_read_matches_the_eager_raster(batches):
+    """After every batch, with MMSIs repeated within and across batches,
+    the whole grid and every window's flow (in ascending cell order) and
+    heat are the eager raster of each vessel's last forecast."""
+    vtff, reference = IndirectVTFF(), EagerRaster()
+    for batch in batches:
+        vtff.submit(*batch)
+        reference.submit(*batch)
+        assert vtff.grid._vessels == reference.grid._vessels
+        for window in [*reference.grid.windows(), -1]:
+            expected = reference.grid.window_counts(window)
+            flow = vtff.predicted_flow(window)
+            assert list(flow.items()) == sorted(expected.items())
+            for cell, count in expected.items():
+                assert vtff.predicted_level(cell, window) is FlowGrid.classify(count)
 
 
 class TestDirectVTFF:

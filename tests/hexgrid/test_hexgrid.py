@@ -17,6 +17,7 @@ from repro.hexgrid import (
     cell_to_parent,
     cell_to_string,
     grid_disk,
+    grid_disks,
     grid_distance,
     grid_ring,
     is_valid_cell,
@@ -282,3 +283,29 @@ class TestVectorisedKernel:
                 latlng_to_cell(0.0, lon, 8)
             with pytest.raises(ValueError, match="longitude"):
                 latlng_to_cells([0.0], [lon], 8)
+
+
+class TestVectorisedDisks:
+    """``grid_disks`` rows are exactly the scalar ``grid_disk`` lists."""
+
+    #: Axial coordinates whose 2-disks stay inside the 30-bit fields.
+    AXIAL = st.one_of(st.integers(-50, 50), st.integers(-(1 << 29) + 2, (1 << 29) - 3))
+    CELLS = st.lists(
+        st.builds(pack_cell, st.integers(0, MAX_RESOLUTION), AXIAL, AXIAL), max_size=30
+    )
+
+    @given(cells=CELLS, k=st.sampled_from([0, 1, 2]))
+    @settings(max_examples=200)
+    def test_rows_are_grid_disk_in_order(self, cells, k):
+        disks = grid_disks(np.array(cells, dtype=np.uint64), k)
+        assert disks.dtype == np.uint64 and disks.shape == (len(cells), 1 + 3 * k * (k + 1))
+        assert disks.tolist() == [grid_disk(cell, k) for cell in cells]
+
+    def test_out_of_range_raises_like_the_scalar(self):
+        edge = pack_cell(8, -(1 << 29), 0)
+        assert grid_disks([edge], 0).tolist() == [[edge]]
+        for k in (1, -1):
+            with pytest.raises(ValueError):
+                grid_disk(edge, k)
+            with pytest.raises(ValueError):
+                grid_disks([edge], k)

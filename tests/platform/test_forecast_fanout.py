@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from repro.models import LinearKinematicModel
 from repro.models.base import RouteForecast, forecast_mark_times
 from repro.platform import LoopbackCluster, Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
-from repro.platform.messages import RestoreState
+from repro.platform.messages import ForecastBatch, RestoreState
 from repro.platform.vessel_actor import (
     COLLISION_NEIGHBOR_RINGS,
     COLLISION_RESOLUTION,
@@ -187,6 +188,76 @@ def test_flush_deliveries_match_the_scalar_reference():
     assert_cells_match(reference.cells, table.cell_state)
     assert platform.flow_snapshot().grid._vessels == reference_flow(FLUSH)
     platform.shutdown()
+
+
+def test_a_flow_snapshot_stays_as_taken():
+    """The flow actor replies to ``"snapshot"`` with a copy: forecasts it
+    takes in later do not reach a snapshot already handed out."""
+    platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
+    try:
+        platform.wiring.flow_ref.tell(ForecastBatch(forecasts=tuple(filter(None, FLUSH[:2]))))
+        platform.system.run_until_idle()
+        snapshot = platform.flow_snapshot()
+        before = {window: snapshot.predicted_flow(window) for window in range(8)}
+        later = tuple(moved(forecast, 1.0, 1.0) for forecast in filter(None, FLUSH))
+        platform.wiring.flow_ref.tell(ForecastBatch(forecasts=later))
+        platform.system.run_until_idle()
+        assert {window: snapshot.predicted_flow(window) for window in range(8)} == before
+        assert platform.flow_snapshot().grid._vessels == reference_flow(FLUSH[:2] + list(later))
+    finally:
+        platform.shutdown()
+
+
+class RecordingRouter:
+    """A stand-in collision router: records each row's cells in the order
+    ``share_forecast`` iterates them."""
+
+    def __init__(self) -> None:
+        self.shared: list = []
+
+    def share_forecast(self, cells, forecast) -> None:
+        self.shared.append((list(cells), forecast))
+
+
+_ANYWHERE = st.tuples(
+    st.floats(-80.0, 80.0),
+    st.floats(-540.0, 540.0),
+    st.floats(-0.05, 0.05),
+    st.floats(-0.05, 0.05),
+)
+
+
+def _flush_rows():
+    """A flush's rows: forecasts anywhere on the globe, long-stepped enough
+    for large cell sets, failed rows, and rows whose later marks run past
+    the pole."""
+    anywhere = st.builds(
+        lambda mmsi, course: track(mmsi, 0.0, *course), st.integers(1, 6), _ANYWHERE
+    )
+    past_pole = st.builds(
+        lambda mmsi, lat: track(mmsi, 0.0, lat, 23.5, 0.2, 0.0),
+        st.integers(1, 6),
+        st.floats(89.0, 89.9),
+    )
+    return st.lists(st.one_of(anywhere, anywhere, st.none(), past_pole), max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flush_rows())
+def test_shared_cells_are_the_per_mark_grid_disk_union_in_its_order(flush):
+    """Each row reaches the router with the cells of a per-mark
+    ``grid_disk`` union, in that set's iteration order; a row off the globe
+    shares nothing and is dropped, and the flow actor gets the rest."""
+    router, told = RecordingRouter(), []
+    wiring = SimpleNamespace(collision_router=router, flow_ref=SimpleNamespace(tell=told.append))
+    kept = [f for f in flush if f is not None and np.all(np.abs(f.lats) <= 90.0)]
+    rows = list(flush)
+    assert share_forecasts(wiring, rows) == sum(f is not None for f in flush) - len(kept)
+    assert [id(f) for f in filter(None, rows)] == [id(f) for f in kept]
+    assert [(cells, id(f)) for cells, f in router.shared] == [
+        (list(dilated_cells(f)), id(f)) for f in kept
+    ]
+    assert [len(batch.forecasts) for batch in told] == ([len(kept)] if kept else [])
 
 
 def test_cluster_fanout_lands_in_each_nodes_bulk_stash():

@@ -23,9 +23,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.events.proximity import ProximityDetector
-from repro.hexgrid import grid_disk, latlng_to_cell
+from repro.hexgrid import latlng_to_cell
 from repro.platform import LoopbackCluster, Platform
-from repro.platform import vessel_actor
 from repro.platform.cell_actor import ProximityCellTable
 from repro.platform.checkpoint import capture_checkpoint
 from repro.platform.messages import CellObservation, ProximityAlert, RestoreState
@@ -172,17 +171,3 @@ def test_housekeeping_frees_the_cells_of_a_quiet_sea():
         assert platform.proximity_cell_count == 0
     finally:
         platform.shutdown()
-
-
-def test_the_disk_memo_stays_under_its_cap_and_exact(monkeypatch):
-    monkeypatch.setattr(vessel_actor, "_DISK_CACHE", {})
-    monkeypatch.setattr(vessel_actor, "_DISK_CACHE_MAX", 8)
-    bases = [latlng_to_cell(37.0 + 0.01 * i, 23.0, 8) for i in range(20)]
-    for base in bases:
-        assert vessel_actor._disk(base) == tuple(grid_disk(base, 1))
-        assert len(vessel_actor._DISK_CACHE) <= 8
-    assert vessel_actor._disk(bases[0]) == tuple(grid_disk(bases[0], 1))
-
-
-def test_the_disk_memo_cap_is_two_to_the_sixteen():
-    assert vessel_actor._DISK_CACHE_MAX == 1 << 16

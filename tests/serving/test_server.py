@@ -10,6 +10,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.events.vtff import FlowGrid
+from repro.platform.api import MiddlewareAPI
 from repro.serving import (
     ReadReplica,
     ServingConfig,
@@ -105,6 +107,34 @@ def test_http_point_queries_served_from_replica():
             status, _, body = await _http_get(server.port,
                                               "/vessels?since=junk")
             assert status == 400
+        finally:
+            await server.stop()
+    asyncio.run(scenario())
+
+
+def test_traffic_heat_is_the_class_of_the_flow_served_beside_it():
+    """/traffic reads the raster once: each cell's heat classifies the
+    count in the same response, though every read here finds new counts."""
+    reads = []
+
+    def moving_flow(window):
+        reads.append(window)
+        return {cell: cell + 3 * len(reads) for cell in range(1, 6)}
+
+    async def scenario():
+        server = await _started_server()
+        server.api = MiddlewareAPI(server.replica.store, moving_flow)
+        try:
+            for n in range(1, 3):
+                status, _, body = await _http_get(server.port,
+                                                  "/traffic?window=2")
+                payload = json.loads(body)
+                assert status == 200 and reads == [2] * n
+                assert payload["flow"] == {str(cell): cell + 3 * n
+                                           for cell in range(1, 6)}
+                assert payload["heat"] == {
+                    cell: FlowGrid.classify(count).value
+                    for cell, count in payload["flow"].items()}
         finally:
             await server.stop()
     asyncio.run(scenario())
