@@ -199,6 +199,7 @@ def test_a_flow_snapshot_stays_as_taken():
         platform.system.run_until_idle()
         snapshot = platform.flow_snapshot()
         before = {window: snapshot.predicted_flow(window) for window in range(8)}
+        assert any(before.values())
         later = tuple(moved(forecast, 1.0, 1.0) for forecast in filter(None, FLUSH))
         platform.wiring.flow_ref.tell(ForecastBatch(forecasts=later))
         platform.system.run_until_idle()
