@@ -132,9 +132,11 @@ def seeded_svrf_forecaster():
     same-architecture forward the trained platform runs — without CI
     training a model to time one. The compute-heavy workload of
     ``bench/``'s ``fleet_svrf`` / ``cluster4_svrf``: one pooled
-    ``forecast_batch``, served in float32, costs ~31 us per row at a batch
-    of 128 (~46-50 us at 32) on a 2-vCPU Xeon with one BLAS thread, so
-    distributing vessel actors moves real work off the seed node.
+    ``forecast_batch``, served in float32, costs ~40-55 us per row at a
+    batch of 128 and ~45-70 us at 32 on a shared 2-vCPU Xeon with one BLAS
+    thread (``OPENBLAS_NUM_THREADS=1``; the best of 15 repeats of 30 calls
+    on seeded windows, over eight runs, the spread is the neighbours'
+    load), so distributing vessel actors moves real work off the seed node.
     """
     from repro.ml import StandardScaler
     from repro.models.svrf import SVRFConfig, SVRFModel

@@ -40,8 +40,9 @@ def cell_area_m2(res: int) -> float:
 
 
 def _project(lat: float, lon: float) -> tuple[float, float]:
-    """Equirectangular projection to planar metres."""
-    return (float(normalize_lon(lon)) * METERS_PER_DEG_LAT, lat * METERS_PER_DEG_LAT)
+    """Equirectangular projection to planar metres; the longitude wraps as
+    in ``normalize_lon``, the same bits on a Python float without numpy."""
+    return (((lon + 180.0) % 360.0 - 180.0) * METERS_PER_DEG_LAT, lat * METERS_PER_DEG_LAT)
 
 
 def _unproject(x: float, y: float) -> tuple[float, float]:

@@ -130,36 +130,7 @@ class LSTM(Layer):
         self._cache: dict | None = None
 
     def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.in_features:
-            raise ValueError(f"expected (batch, time, {self.in_features}), got {x.shape}")
-        batch, steps, _ = x.shape
-        H = self.hidden
-        W, U, b = (self.params[k].astype(x.dtype, copy=False) for k in ("W", "U", "b"))
-
-        h = np.zeros((batch, H), dtype=x.dtype)
-        c = np.zeros((batch, H), dtype=x.dtype)
-        if cache:
-            hs = np.zeros((batch, steps, H), dtype=x.dtype)
-            cache_steps = []
-        for t in range(steps):
-            # In place: (x W + h U) + b without two (batch, 4H) temporaries.
-            z = x[:, t, :] @ W
-            z += h @ U
-            z += b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            if cache:
-                cache_steps.append((h, c, i, f, g, o, tanh_c))
-                hs[:, t, :] = h_new
-            h, c = h_new, c_new
-        if cache:
-            self._cache = {"x": x, "steps": cache_steps, "hs": hs}
-        return h
+        return _scan((self,), (x,), cache)[0]
 
     @property
     def hidden_sequence(self) -> np.ndarray:
@@ -212,6 +183,54 @@ class LSTM(Layer):
         return dx
 
 
+def _scan(lstms: tuple, xs: tuple, cache: bool) -> np.ndarray:
+    """Run ``D`` same-shaped LSTMs, ``lstms[d]`` over ``xs[d]``, in one step
+    loop over a leading direction axis; returns the final states ``(D,
+    batch, hidden)``. Each step is one stacked ``(D,B,F)@(D,F,4H)`` and one
+    ``(D,B,H)@(D,H,4H)`` product: numpy runs one gemm (gemv at one row) per
+    direction, the very call a lone LSTM makes, so every direction's bits
+    are its own loop's. With ``cache`` each LSTM gets its own BPTT cache."""
+    first = lstms[0]
+    x = xs[0]
+    if x.ndim != 3 or x.shape[2] != first.in_features:
+        raise ValueError(f"expected (batch, time, {first.in_features}), got {x.shape}")
+    batch, steps, _ = x.shape
+    H = first.hidden
+    W, U, b = (np.array([lstm.params[k] for lstm in lstms], dtype=x.dtype) for k in ("W", "U", "b"))
+    b = b[:, np.newaxis, :]
+    x = np.stack(xs)
+
+    h = np.zeros((len(lstms), batch, H), dtype=x.dtype)
+    c = np.zeros((len(lstms), batch, H), dtype=x.dtype)
+    if cache:
+        hs = np.zeros((len(lstms), batch, steps, H), dtype=x.dtype)
+        cache_steps = []
+    for t in range(steps):
+        # In place: (x W + h U) + b without two (D, batch, 4H) temporaries.
+        z = x[:, :, t, :] @ W
+        z += h @ U
+        z += b
+        i = _sigmoid(z[..., :H])
+        f = _sigmoid(z[..., H : 2 * H])
+        g = np.tanh(z[..., 2 * H : 3 * H])
+        o = _sigmoid(z[..., 3 * H :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        if cache:
+            cache_steps.append((h, c, i, f, g, o, tanh_c))
+            hs[:, :, t, :] = h_new
+        h, c = h_new, c_new
+    if cache:
+        for d, lstm in enumerate(lstms):
+            lstm._cache = {
+                "x": xs[d],
+                "steps": [tuple(a[d] for a in step) for step in cache_steps],
+                "hs": hs[d],
+            }
+    return h
+
+
 class Bidirectional(Layer):
     """Bidirectional wrapper: runs one LSTM forward and one on the
     time-reversed input, concatenating the two final hidden states.
@@ -239,9 +258,7 @@ class Bidirectional(Layer):
         return tuple(n for n in self.params if not n.endswith("b"))
 
     def _run(self, x: np.ndarray, cache: bool) -> np.ndarray:
-        h_fwd = self.fwd._run(x, cache)
-        h_bwd = self.bwd._run(x[:, ::-1, :], cache)
-        return np.concatenate([h_fwd, h_bwd], axis=1)
+        return np.concatenate(_scan((self.fwd, self.bwd), (x, x[:, ::-1, :]), cache), axis=1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         H = self.hidden

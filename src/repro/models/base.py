@@ -71,7 +71,8 @@ class RouteForecaster(Protocol):
     def window_size(self) -> int:
         """Displacement steps per input window row; 0 for a forecaster that
         reads the anchor fix alone. A windowed forecaster also provides
-        ``make_window(ts, lats, lons, pad)`` and pads short histories."""
+        ``make_windows(tracks)``: ``(n, window_size + 1, 3)`` rows of ``(t,
+        lat, lon)``, a short history led by copies of its oldest fix."""
         ...
 
     def forecast(self, mmsi: int, history: Sequence[Position]) -> RouteForecast:

@@ -141,38 +141,25 @@ class SVRFModel:
 
     # -- actor-level single-vessel forecast -----------------------------------------
 
-    def make_window(
-        self, ts: np.ndarray, lats: np.ndarray, lons: np.ndarray, pad: bool = False
-    ) -> np.ndarray:
-        """The ``(input_steps, 3)`` displacement window for one vessel.
-
-        Takes the vessel's recent fixes as parallel arrays (oldest first;
-        only the last ``input_steps + 1`` are used). With ``pad=True``
-        shorter histories (two fixes upward) are accepted and the missing
-        leading displacements stay zero — the "variable filling" of the
-        original variable-length formulation [4].
-        """
-        steps = self.config.input_steps
-        min_needed = 2 if pad else steps + 1
-        if len(ts) < min_needed:
-            raise ValueError(f"S-VRF needs {min_needed} fixes, got {len(ts)}")
-        keep = min(len(ts), steps + 1)
-        ts, lats, lons = ts[-keep:], lats[-keep:], lons[-keep:]
-        window = np.zeros((steps, N_FEATURES))
-        window[steps - (keep - 1) :, 0] = lats[1:] - lats[:-1]
-        window[steps - (keep - 1) :, 1] = lons[1:] - lons[:-1]
-        window[steps - (keep - 1) :, 2] = ts[1:] - ts[:-1]
-        return window
+    def make_windows(self, tracks: np.ndarray) -> np.ndarray:
+        """The ``(n, input_steps, 3)`` displacement windows of ``tracks``,
+        ``(n, input_steps + 1, 3)`` rows of ``(t, lat, lon)``, oldest first:
+        one subtraction along the rows, reordered to ``(Δlat, Δlon, Δt)``.
+        A short history led by copies of its oldest fix reads ``+0.0``
+        displacements there — the "variable filling" of the original
+        variable-length formulation [4]."""
+        return (tracks[:, 1:] - tracks[:, :-1])[:, :, (1, 2, 0)]
 
     def forecast_batch(
         self, mmsis: Sequence[int], windows: np.ndarray, anchors: Sequence[Position]
     ) -> list[RouteForecast]:
         """Forecasts for many vessels from one pooled forward pass.
 
-        ``windows`` is the stacked ``(n, input_steps, 3)`` tensor of
-        :meth:`make_window` rows and ``anchors`` each vessel's latest fix.
-        One batched matmul serves the whole fleet; per-row results are
-        bitwise identical to :meth:`forecast` (see ``Model.predict``).
+        ``windows`` is the ``(n, input_steps, 3)`` tensor of
+        :meth:`make_windows` (or a dataset's ``x``) and ``anchors`` each
+        vessel's latest fix. One batched matmul serves the whole fleet;
+        per-row results are bitwise identical to :meth:`forecast` (see
+        ``Model.predict``).
         """
         transitions = self.predict_transitions(windows)
         anchor_ll = np.array([(a.lat, a.lon) for a in anchors], dtype=np.float64)
@@ -185,15 +172,18 @@ class SVRFModel:
         """Forecast for one vessel from its recent downsampled fixes.
 
         Needs :attr:`min_history` fixes (20 displacements); with ``pad=True``
-        two fixes upward, the missing leading displacements zero-filled, so
-        newly appeared vessels forecast before their window fills. A
-        single-row :meth:`forecast_batch`, so it is bitwise the same
-        vessel's row in a pooled fleet-wide batch.
+        two fixes upward, staged led by copies of the oldest fix (zero
+        leading displacements), so newly appeared vessels forecast before
+        their window fills. A single-row :meth:`forecast_batch`, so it is
+        bitwise the same vessel's row in a pooled fleet-wide batch.
         """
         recent = list(history[-self.min_history :])
-        ts, lats, lons = np.array([(p.t, p.lat, p.lon) for p in recent]).T
-        window = self.make_window(ts, lats, lons, pad=pad)
-        return self.forecast_batch([mmsi], window[np.newaxis, :, :], [recent[-1]])[0]
+        needed = 2 if pad else self.min_history
+        if len(recent) < needed:
+            raise ValueError(f"S-VRF needs {needed} fixes, got {len(recent)}")
+        recent = recent[:1] * (self.min_history - len(recent)) + recent
+        track = np.array([[(p.t, p.lat, p.lon) for p in recent]])
+        return self.forecast_batch([mmsi], self.make_windows(track), [recent[-1]])[0]
 
     @property
     def min_history(self) -> int:
@@ -202,7 +192,7 @@ class SVRFModel:
 
     @property
     def window_size(self) -> int:
-        """Displacement steps per :meth:`make_window` row (the pooled batch width)."""
+        """Displacement steps per :meth:`make_windows` row (the pooled batch width)."""
         return self.config.input_steps
 
     # -- persistence --------------------------------------------------------------

@@ -6,13 +6,15 @@ BLAS calls dominate the single-node hot path. :class:`ForecastService`
 turns those per-vessel requests into fleet-wide micro-batches, exactly the
 way the writer batches KV operations:
 
-* vessel actors :meth:`submit` their displacement window + anchor,
+* vessel actors :meth:`submit` their recent track + anchor, staged into
+  one preallocated array,
 * requests pool per node, every request keeping its own batch row (a
   vessel with two kept fixes in one linger window gets both forecasts, in
   order),
 * the batch executes after ``forecast_batch_max`` pending vessels or a
-  ``forecast_linger_s`` virtual-time linger — **one**
-  ``predict_transitions((n, INPUT_STEPS, 3))`` pass over the whole fleet,
+  ``forecast_linger_s`` virtual-time linger — **one** ``make_windows``
+  over the staged tracks and **one** ``predict_transitions((n,
+  INPUT_STEPS, 3))`` pass over the whole fleet,
 * the flush (:func:`~repro.platform.vessel_actor.share_forecasts`) shares
   each produced forecast with its collision cells *in row order*
   (per-vessel mailboxes could not guarantee the cross-vessel ordering
@@ -57,7 +59,7 @@ class ForecastService:
         config = wiring.config
         self.batch_max = config.forecast_batch_max
         window_size = wiring.forecaster.window_size  # 0: anchors-only forecaster
-        self._windows = np.empty((self.batch_max, window_size, 3)) if window_size else None
+        self._tracks = np.empty((self.batch_max, window_size + 1, 3)) if window_size else None
         self._mmsis: list[int] = []
         self._anchors: list[Position] = []
         self._submit_ts: list[float] = []
@@ -87,8 +89,10 @@ class ForecastService:
     def batches_executed(self) -> int:
         return self._batcher.batches
 
-    def submit(self, mmsi: int, window: np.ndarray | None, anchor: Position) -> None:
-        """Queue one vessel's forecast request.
+    def submit(self, mmsi: int, track: np.ndarray, anchor: Position) -> None:
+        """Queue one vessel's forecast request: ``track`` is its recent
+        ``(t, lat, lon)`` rows, oldest first, staged led by copies of the
+        oldest fix when shorter than a window (zero displacements).
 
         Called from inside the vessel actor's receive; the result comes
         back to the vessel as a :class:`ForecastReady` message after the
@@ -100,8 +104,10 @@ class ForecastService:
             self._mmsis.append(mmsi)
             self._anchors.append(anchor)
             self._submit_ts.append(self.wiring.system.now)
-            if self._windows is not None and window is not None:
-                self._windows[slot] = window
+            if self._tracks is not None:
+                staged, track = self._tracks[slot], track[-self._tracks.shape[1] :]
+                staged[: -len(track)] = track[0]
+                staged[-len(track) :] = track
             self.requests_pooled += 1
             self._batcher.added()
 
@@ -114,7 +120,8 @@ class ForecastService:
 
     def _execute(self, n: int) -> float:
         mmsis, anchors, submit_ts = self._mmsis, self._anchors, self._submit_ts
-        windows = self._windows[:n] if self._windows is not None else None
+        forecaster = self.wiring.forecaster
+        windows = forecaster.make_windows(self._tracks[:n]) if self._tracks is not None else None
         forecasts = self._run_batch(mmsis, windows, anchors)
         self._mmsis, self._anchors, self._submit_ts = [], [], []
         router = self.wiring.vessel_router

@@ -1,12 +1,12 @@
 """Preallocated per-vessel history storage.
 
 Each vessel actor keeps its recent downsampled track in a
-:class:`HistoryRing` — parallel ``(t, lat, lon, sog, cog)`` float64 arrays
-with a sliding start index — instead of a deque of ``Position`` objects.
-The forecast hot path then assembles its displacement window from
-contiguous array views with no per-call ``list(...)`` / ``np.array``
-rebuilds, which is what lets :class:`~repro.platform.forecast_service.
-ForecastService` feed the pooled model cheaply.
+:class:`HistoryRing` — ``(t, lat, lon, sog, cog)`` float64 rows with a
+sliding start index — instead of a deque of ``Position`` objects.
+The forecast hot path hands the live ``(t, lat, lon)`` rows to
+:class:`~repro.platform.forecast_service.ForecastService` as one contiguous
+view, with no per-call ``list(...)`` / ``np.array`` rebuilds, which is what
+lets the pooled model be fed cheaply.
 
 Missing SOG/COG values are stored as NaN and surfaced back as ``None``.
 """
@@ -65,20 +65,11 @@ class HistoryRing:
             return float("-inf")
         return float(self._buf[self._end - 1, 0])
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the live ``(t, lat, lon)`` columns, oldest first."""
-        live = self._buf[self._start:self._end]
-        return live[:, 0], live[:, 1], live[:, 2]
+    def track(self) -> np.ndarray:
+        """View of the live ``(t, lat, lon)`` rows, oldest first."""
+        return self._buf[self._start:self._end, :3]
 
     # -- Position interop (checkpoint export/restore, tests) ------------------
-
-    def last_position(self) -> Position:
-        if self._end == self._start:
-            raise IndexError("history ring is empty")
-        t, lat, lon, sog, cog = self._buf[self._end - 1]
-        return Position(t=float(t), lat=float(lat), lon=float(lon),
-                        sog=None if math.isnan(sog) else float(sog),
-                        cog=None if math.isnan(cog) else float(cog))
 
     def positions(self) -> list[Position]:
         out = []

@@ -28,12 +28,14 @@ re-issues the request after recovery instead of dropping it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.actors import Actor, ActorContext
+from repro.geo.track import Position
 from repro.hexgrid import grid_disks, latlng_to_cell, latlng_to_cells
 from repro.platform.history import HistoryRing
 from repro.platform.messages import (
@@ -430,18 +432,12 @@ class VesselActor(Actor):
 
     # -- forecasting ---------------------------------------------------------------
 
-    def _window_row(self):
-        """The forecaster's displacement window from the ring's contiguous
-        column views (``None`` for anchors-only forecasters)."""
-        forecaster = self.wiring.forecaster
-        if forecaster.window_size == 0:
-            return None
-        ts, lats, lons = self.history.columns()
-        pad = len(self.history) < forecaster.min_history
-        return forecaster.make_window(ts, lats, lons, pad=pad)
-
     def _request_forecast(self) -> None:
         self.pending_forecast = True
-        self.wiring.forecast_service.submit(
-            self.mmsi, self._window_row(), self.history.last_position()
+        report = self.last_message
+        # The anchor is the report just kept, as the ring reads it back.
+        sog, cog = (
+            None if v is None or math.isnan(v) else float(v) for v in (report.sog, report.cog)
         )
+        anchor = Position(float(report.t), float(report.lat), float(report.lon), sog, cog)
+        self.wiring.forecast_service.submit(self.mmsi, self.history.track(), anchor)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geo import haversine_m
 from repro.geo.constants import METERS_PER_DEG_LAT
+from repro.geo.geodesy import normalize_lon
 from repro.hexgrid import (
     MAX_RESOLUTION,
     average_edge_length_m,
@@ -28,6 +29,7 @@ from repro.hexgrid import (
     string_to_cell,
     unpack_cell,
 )
+from repro.hexgrid.index import _project
 
 LATS = st.floats(min_value=-75.0, max_value=75.0)
 LONS = st.floats(min_value=-179.0, max_value=179.0)
@@ -264,6 +266,21 @@ class TestVectorisedKernel:
         assume(all(-90.0 <= lat <= 90.0 for lat in lats))
         assert latlng_to_cells(lats, lons, res).tolist() == self.scalar(lats, lons, res)
 
+    @given(lat=st.one_of(st.floats(-90.0, 90.0), st.sampled_from([90.0, -90.0])),
+           lon=st.one_of(st.floats(-540.0, 540.0),
+                         st.sampled_from([180.0, -180.0, 0.0, -0.0, 540.0, -540.0])),
+           res=ALL_RESOLUTIONS)
+    @settings(max_examples=300)
+    def test_scalar_wraps_on_python_floats_like_the_kernel(self, lat, lon, res):
+        """The scalar wraps its longitude with Python float arithmetic: the
+        bits of ``normalize_lon`` (so ``-0.0`` and ``±180`` land alike) and
+        the kernel's cell."""
+        x, y = _project(lat, lon)
+        assert type(x) is float and type(y) is float
+        want = normalize_lon(np.float64(lon)) * METERS_PER_DEG_LAT
+        assert np.float64(x).tobytes() == want.tobytes()
+        assert latlng_to_cell(lat, lon, res) == latlng_to_cells([lat], [lon], res)[0]
+
     def test_empty_input(self):
         cells = latlng_to_cells([], [], 8)
         assert cells.dtype == np.uint64 and cells.tolist() == []
@@ -278,7 +295,7 @@ class TestVectorisedKernel:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_longitude_raises_like_the_scalar(self):
-        for lon in (float("nan"), float("inf")):
+        for lon in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 latlng_to_cell(0.0, lon, 8)
             with pytest.raises(ValueError, match="longitude"):

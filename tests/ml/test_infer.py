@@ -1,6 +1,6 @@
 """The inference pass: ``infer`` is ``forward`` without the BPTT cache.
 
-Three invariants:
+Four invariants:
 
 * **bitwise** — every layer's and the model's ``infer`` returns exactly
   ``forward``'s bytes, at any batch (gemv at one row, gemm above), step
@@ -9,7 +9,11 @@ Three invariants:
   ``backward``, and one made between ``forward`` and ``backward`` leaves
   the training cache as ``forward`` left it;
 * **validation** — ``Model.evaluate`` and therefore every epoch of
-  ``Model.fit`` score the same loss, bit for bit, as the training pass.
+  ``Model.fit`` score the same loss, bit for bit, as the training pass;
+* **one scan** — ``LSTM`` and ``Bidirectional`` step every direction in
+  one loop over a leading direction axis, bitwise the per-direction loop
+  kept below as the reference, and training through it ends on the
+  reference's weights byte for byte.
 
 The layers run in their input's dtype, so the first two hold for the
 float32 serving pass too, and its output stays float32.
@@ -20,8 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ais.preprocessing import SegmentDataset
 from repro.ml import LSTM, Bidirectional, Dense, Model, MSELoss
 from repro.ml.gradcheck import analytic_grads, max_relative_error, numeric_param_grad
+from repro.ml.layers import _sigmoid
+from repro.models.svrf import SVRFConfig, SVRFModel
 
 TOL = 1e-5
 
@@ -182,3 +189,89 @@ class TestFloat32Serving:
         model.predict(np.ones((3, 5, 3), dtype=np.float32))
         after = {k: (v.dtype, v.tobytes()) for k, v in model.named_params().items()}
         assert after == before
+
+
+def reference_lstm_run(self: LSTM, x: np.ndarray, cache: bool) -> np.ndarray:
+    """One LSTM's own step loop, the form before the stacked scan."""
+    batch, steps, _ = x.shape
+    H = self.hidden
+    W, U, b = (self.params[k].astype(x.dtype, copy=False) for k in ("W", "U", "b"))
+    h = np.zeros((batch, H), dtype=x.dtype)
+    c = np.zeros((batch, H), dtype=x.dtype)
+    if cache:
+        hs = np.zeros((batch, steps, H), dtype=x.dtype)
+        cache_steps = []
+    for t in range(steps):
+        z = x[:, t, :] @ W
+        z += h @ U
+        z += b
+        i = _sigmoid(z[:, :H])
+        f = _sigmoid(z[:, H : 2 * H])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = _sigmoid(z[:, 3 * H :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        if cache:
+            cache_steps.append((h, c, i, f, g, o, tanh_c))
+            hs[:, t, :] = h_new
+        h, c = h_new, c_new
+    if cache:
+        self._cache = {"x": x, "steps": cache_steps, "hs": hs}
+    return h
+
+
+def reference_bidirectional_run(self: Bidirectional, x: np.ndarray, cache: bool) -> np.ndarray:
+    """Each direction through its own loop, then concatenated."""
+    h_fwd = reference_lstm_run(self.fwd, x, cache)
+    h_bwd = reference_lstm_run(self.bwd, x[:, ::-1, :], cache)
+    return np.concatenate([h_fwd, h_bwd], axis=1)
+
+
+class TestOneScanIsThePerDirectionLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3, 32, 128])),
+        steps=st.integers(1, 24),
+        features=st.integers(1, 4),
+        hidden=st.integers(1, 48),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_through_forward_and_infer(self, batch, steps, features, hidden, dtype, seed):
+        x = np.random.default_rng(seed).normal(size=(batch, steps, features)).astype(dtype)
+        lstm, bi = LSTM(features, hidden, seed=seed), Bidirectional(features, hidden, seed=seed)
+        for layer, reference in ((lstm, reference_lstm_run), (bi, reference_bidirectional_run)):
+            want = reference(layer, x, cache=False)
+            for got in (layer.infer(x), layer.forward(x)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), layer
+
+    def test_training_cache_is_the_reference_loops(self):
+        x = np.random.default_rng(7).normal(size=(5, 6, 3))
+        scanned, looped = Bidirectional(3, 4, seed=7), Bidirectional(3, 4, seed=7)
+        scanned.forward(x)
+        reference_bidirectional_run(looped, x, cache=True)
+        for a, b in ((scanned.fwd, looped.fwd), (scanned.bwd, looped.bwd)):
+            assert a._cache["x"].tobytes() == b._cache["x"].tobytes()
+            assert a._cache["hs"].tobytes() == b._cache["hs"].tobytes()
+            for step_a, step_b in zip(a._cache["steps"], b._cache["steps"], strict=True):
+                assert [v.tobytes() for v in step_a] == [v.tobytes() for v in step_b]
+
+    def test_a_short_fit_ends_on_the_reference_weights(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, steps = 300, 8
+        data = SegmentDataset(
+            x=rng.normal(size=(n, steps, 3)),
+            y=rng.normal(size=(n, 6, 2)),
+            anchor=np.zeros((n, 5)),
+            mmsi=np.arange(n),
+        )
+        weights = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(LSTM, "_run", reference_lstm_run)
+                monkeypatch.setattr(Bidirectional, "_run", reference_bidirectional_run)
+            model = SVRFModel(SVRFConfig(hidden=12, dense=16, seed=3, input_steps=steps))
+            model.fit(data, data.subset(np.arange(64)), epochs=2, seed=5)
+            weights.append({k: v.tobytes() for k, v in model.network.named_params().items()})
+        assert weights[0] == weights[1]

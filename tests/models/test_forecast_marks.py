@@ -158,8 +158,8 @@ class PositionsBuilt:
         self.min_history = inner.min_history
         self.window_size = inner.window_size
 
-    def make_window(self, *args, **kwargs):
-        return self.inner.make_window(*args, **kwargs)
+    def make_windows(self, tracks):
+        return self.inner.make_windows(tracks)
 
     def forecast_batch(self, mmsis, windows, anchors):
         out = []

@@ -119,17 +119,8 @@ class TestBitwiseParity:
         windows = None
         if model.window_size:
             assert any(pads) and not all(pads)
-            windows = np.stack(
-                [
-                    model.make_window(
-                        np.array([p.t for p in h]),
-                        np.array([p.lat for p in h]),
-                        np.array([p.lon for p in h]),
-                        pad=pad,
-                    )
-                    for h, pad in zip(histories, pads)
-                ]
-            )
+            tracks = np.stack([staged_track(h, model.min_history) for h in histories])
+            windows = model.make_windows(tracks)
         anchors = [h[-1] for h in histories]
         batched = model.forecast_batch(mmsis, windows, anchors)
         for i, mmsi in enumerate(mmsis):
@@ -140,6 +131,105 @@ class TestBitwiseParity:
             else:
                 scalar = model.forecast(mmsi, histories[i])
             assert comparable(batched[i]) == comparable(alone) == comparable(scalar)
+
+
+def make_window(ts, lats, lons, steps: int, pad: bool = False) -> np.ndarray:
+    """The per-vessel window builder the staged tracks replaced, kept as
+    the oracle: the last ``steps`` displacements of parallel column arrays,
+    the missing leading ones of a padded short history left at zero."""
+    min_needed = 2 if pad else steps + 1
+    if len(ts) < min_needed:
+        raise ValueError(f"S-VRF needs {min_needed} fixes, got {len(ts)}")
+    keep = min(len(ts), steps + 1)
+    ts, lats, lons = ts[-keep:], lats[-keep:], lons[-keep:]
+    window = np.zeros((steps, 3))
+    window[steps - (keep - 1) :, 0] = lats[1:] - lats[:-1]
+    window[steps - (keep - 1) :, 1] = lons[1:] - lons[:-1]
+    window[steps - (keep - 1) :, 2] = ts[1:] - ts[:-1]
+    return window
+
+
+def staged_track(history, rows: int) -> np.ndarray:
+    """A history's last ``rows`` fixes as ``(t, lat, lon)`` rows, led by
+    copies of its oldest fix when shorter."""
+    recent = list(history[-rows:])
+    return np.array([(p.t, p.lat, p.lon) for p in recent[:1] * (rows - len(recent)) + recent])
+
+
+class Recording:
+    """A forecaster that records every row the service hands it."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.min_history = inner.min_history
+        self.window_size = inner.window_size
+        self.rows: list[tuple] = []
+
+    def make_windows(self, tracks):
+        return self.inner.make_windows(tracks)
+
+    def forecast_batch(self, mmsis, windows, anchors):
+        rows = windows if windows is not None else [None] * len(mmsis)
+        self.rows.extend(zip(mmsis, rows, anchors))
+        return self.inner.forecast_batch(mmsis, windows, anchors)
+
+
+class TestStagedWindows:
+    """The service stages each request's ring rows and builds every window
+    of a flush in one ``make_windows`` call: each is, bit for bit, the old
+    per-vessel ``make_window`` of that vessel's history at its fix."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(2, 3 * (INPUT_STEPS + 1) + 2), min_size=1, max_size=4),
+        batch_max=st.integers(1, 8),
+    )
+    def test_windows_match_the_per_vessel_oracle(self, lengths, batch_max):
+        """Histories of 2 to ``window_size + 1`` fixes, and rings that have
+        wrapped (over ``2 * capacity`` appends compact the buffer)."""
+        recording = Recording(tiny_svrf())
+        platform = Platform(
+            forecaster=recording,
+            config=PlatformConfig(forecast_batch_max=batch_max, forecast_linger_s=1e9),
+        )
+        tracks = {300000000 + i: fixes(300000000 + i, n, t0=7.0 * i) for i, n in enumerate(lengths)}
+        messages = sorted((m for track in tracks.values() for m in track), key=lambda m: m.t)
+        platform.publish_messages(messages)
+        platform.process_available()
+        for mmsi, track in tracks.items():
+            rows = [(w, a) for m, w, a in recording.rows if m == mmsi]
+            assert len(rows) == len(track) - 1
+            for k, (window, anchor) in enumerate(rows, start=2):
+                seen = track[max(0, k - (INPUT_STEPS + 1)) : k]
+                columns = (np.array(col) for col in zip(*((m.t, m.lat, m.lon) for m in seen)))
+                oracle = make_window(*columns, INPUT_STEPS, pad=k < INPUT_STEPS + 1)
+                assert window.tobytes() == oracle.tobytes()
+                last = track[k - 1]
+                assert anchor == Position(last.t, last.lat, last.lon, last.sog, last.cog)
+
+    def test_the_anchor_reads_a_nan_sog_as_missing(self):
+        recording = Recording(LinearKinematicModel())
+        platform = Platform(forecaster=recording)
+        message = replace(fixes(600000000, 1)[0], sog=float("nan"))
+        platform.publish_messages([message])
+        platform.process_available()
+        # Dead reckoning raises on it: the batch, then its lone-row retry.
+        assert [(mmsi, window) for mmsi, window, _ in recording.rows] == 2 * [(600000000, None)]
+        anchor = recording.rows[0][2]
+        assert anchor == Position(message.t, message.lat, message.lon, None, message.cog)
+        assert all(type(v) is float for v in (anchor.t, anchor.lat, anchor.lon, anchor.cog))
+
+    def test_the_scalar_forecast_still_refuses_a_short_unpadded_history(self):
+        model = tiny_svrf()
+        history = [Position(m.t, m.lat, m.lon) for m in fixes(1, INPUT_STEPS)]
+        with pytest.raises(ValueError, match=f"needs {INPUT_STEPS + 1} fixes"):
+            model.forecast(1, history)
+        with pytest.raises(ValueError, match="needs 2 fixes"):
+            model.forecast(1, history[:1], pad=True)
+        columns = (np.array(col) for col in zip(*((p.t, p.lat, p.lon) for p in history)))
+        window = make_window(*columns, INPUT_STEPS, pad=True)
+        alone = model.forecast_batch([1], window[np.newaxis], [history[-1]])[0]
+        assert comparable(model.forecast(1, history, pad=True)) == comparable(alone)
 
 
 class OffTheGlobe(LinearKinematicModel):
