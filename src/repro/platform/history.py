@@ -41,12 +41,13 @@ class HistoryRing:
     def __len__(self) -> int:
         return self._end - self._start
 
-    def append(self, t: float, lat: float, lon: float,
-               sog: float | None, cog: float | None) -> None:
+    def append(
+        self, t: float, lat: float, lon: float, sog: float | None, cog: float | None
+    ) -> None:
         if self._end == self._buf.shape[0]:
             # Compact the newest `capacity` rows back to the front.
             keep = self.capacity
-            self._buf[:keep] = self._buf[self._end - keep:self._end]
+            self._buf[:keep] = self._buf[self._end - keep : self._end]
             self._start, self._end = 0, keep
         row = self._buf[self._end]
         row[0] = t
@@ -67,7 +68,7 @@ class HistoryRing:
 
     def track(self) -> np.ndarray:
         """View of the live ``(t, lat, lon)`` rows, oldest first."""
-        return self._buf[self._start:self._end, :3]
+        return self._buf[self._start : self._end, :3]
 
     # -- Position interop (checkpoint export/restore, tests) ------------------
 
@@ -75,9 +76,15 @@ class HistoryRing:
         out = []
         for i in range(self._start, self._end):
             t, lat, lon, sog, cog = self._buf[i]
-            out.append(Position(t=float(t), lat=float(lat), lon=float(lon),
-                                sog=None if math.isnan(sog) else float(sog),
-                                cog=None if math.isnan(cog) else float(cog)))
+            out.append(
+                Position(
+                    t=float(t),
+                    lat=float(lat),
+                    lon=float(lon),
+                    sog=None if math.isnan(sog) else float(sog),
+                    cog=None if math.isnan(cog) else float(cog),
+                )
+            )
         return out
 
     @classmethod
