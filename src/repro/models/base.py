@@ -58,6 +58,15 @@ def forecasts_from_marks(
     ]
 
 
+def stage_track(slot: np.ndarray, track: np.ndarray) -> None:
+    """Copy the last ``len(slot)`` ``(t, lat, lon)`` rows of ``track``
+    (oldest first) into ``slot``, led by copies of the oldest fix when the
+    track is shorter: its leading displacements then read ``+0.0``."""
+    track = track[-len(slot) :]
+    slot[: -len(track)] = track[0]
+    slot[-len(track) :] = track
+
+
 class RouteForecaster(Protocol):
     """Anything that can produce a short-term route forecast. The platform
     forecasts only through :meth:`forecast_batch`, pooled per node."""
@@ -71,8 +80,8 @@ class RouteForecaster(Protocol):
     def window_size(self) -> int:
         """Displacement steps per input window row; 0 for a forecaster that
         reads the anchor fix alone. A windowed forecaster also provides
-        ``make_windows(tracks)``: ``(n, window_size + 1, 3)`` rows of ``(t,
-        lat, lon)``, a short history led by copies of its oldest fix."""
+        ``make_windows(tracks)`` over ``(n, window_size + 1, 3)`` tracks
+        staged by :func:`stage_track`."""
         ...
 
     def forecast(self, mmsi: int, history: Sequence[Position]) -> RouteForecast:

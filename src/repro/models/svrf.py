@@ -38,7 +38,7 @@ from repro.ml import (
     StandardScaler,
 )
 from repro.ml.network import TrainingHistory
-from repro.models.base import RouteForecast, forecasts_from_marks
+from repro.models.base import RouteForecast, forecasts_from_marks, stage_track
 
 #: Input features per displacement step: (Δlat, Δlon, Δt).
 N_FEATURES = 3
@@ -172,18 +172,18 @@ class SVRFModel:
         """Forecast for one vessel from its recent downsampled fixes.
 
         Needs :attr:`min_history` fixes (20 displacements); with ``pad=True``
-        two fixes upward, staged led by copies of the oldest fix (zero
-        leading displacements), so newly appeared vessels forecast before
-        their window fills. A single-row :meth:`forecast_batch`, so it is
+        two fixes upward, staged by :func:`stage_track` (zero leading
+        displacements), so newly appeared vessels forecast before their
+        window fills. A single-row :meth:`forecast_batch`, so it is
         bitwise the same vessel's row in a pooled fleet-wide batch.
         """
         recent = list(history[-self.min_history :])
         needed = 2 if pad else self.min_history
         if len(recent) < needed:
             raise ValueError(f"S-VRF needs {needed} fixes, got {len(recent)}")
-        recent = recent[:1] * (self.min_history - len(recent)) + recent
-        track = np.array([[(p.t, p.lat, p.lon) for p in recent]])
-        return self.forecast_batch([mmsi], self.make_windows(track), [recent[-1]])[0]
+        tracks = np.empty((1, self.min_history, N_FEATURES))
+        stage_track(tracks[0], np.array([(p.t, p.lat, p.lon) for p in recent]))
+        return self.forecast_batch([mmsi], self.make_windows(tracks), [recent[-1]])[0]
 
     @property
     def min_history(self) -> int:

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geo.track import Position
+from repro.models.base import stage_track
 from repro.platform.batching import MicroBatcher
 from repro.platform.messages import ForecastReady
 from repro.platform.vessel_actor import share_forecasts
@@ -91,8 +92,7 @@ class ForecastService:
 
     def submit(self, mmsi: int, track: np.ndarray, anchor: Position) -> None:
         """Queue one vessel's forecast request: ``track`` is its recent
-        ``(t, lat, lon)`` rows, oldest first, staged led by copies of the
-        oldest fix when shorter than a window (zero displacements).
+        ``(t, lat, lon)`` rows, oldest first, staged by :func:`stage_track`.
 
         Called from inside the vessel actor's receive; the result comes
         back to the vessel as a :class:`ForecastReady` message after the
@@ -105,9 +105,7 @@ class ForecastService:
             self._anchors.append(anchor)
             self._submit_ts.append(self.wiring.system.now)
             if self._tracks is not None:
-                staged, track = self._tracks[slot], track[-self._tracks.shape[1] :]
-                staged[: -len(track)] = track[0]
-                staged[-len(track) :] = track
+                stage_track(self._tracks[slot], track)
             self.requests_pooled += 1
             self._batcher.added()
 

@@ -28,7 +28,7 @@ from repro.ais.message import AISMessage
 from repro.geo.track import Position
 from repro.ml import StandardScaler
 from repro.models import LinearKinematicModel
-from repro.models.base import RouteForecast, forecast_mark_times
+from repro.models.base import RouteForecast, forecast_mark_times, stage_track
 from repro.models.svrf import SVRFConfig, SVRFModel
 from repro.platform import Platform, PlatformConfig
 from repro.platform.cell_actor import CollisionCellRouter
@@ -119,7 +119,9 @@ class TestBitwiseParity:
         windows = None
         if model.window_size:
             assert any(pads) and not all(pads)
-            tracks = np.stack([staged_track(h, model.min_history) for h in histories])
+            tracks = np.empty((len(histories), model.min_history, 3))
+            for slot, h in zip(tracks, histories):
+                stage_track(slot, np.array([(p.t, p.lat, p.lon) for p in h]))
             windows = model.make_windows(tracks)
         anchors = [h[-1] for h in histories]
         batched = model.forecast_batch(mmsis, windows, anchors)
@@ -147,13 +149,6 @@ def make_window(ts, lats, lons, steps: int, pad: bool = False) -> np.ndarray:
     window[steps - (keep - 1) :, 1] = lons[1:] - lons[:-1]
     window[steps - (keep - 1) :, 2] = ts[1:] - ts[:-1]
     return window
-
-
-def staged_track(history, rows: int) -> np.ndarray:
-    """A history's last ``rows`` fixes as ``(t, lat, lon)`` rows, led by
-    copies of its oldest fix when shorter."""
-    recent = list(history[-rows:])
-    return np.array([(p.t, p.lat, p.lon) for p in recent[:1] * (rows - len(recent)) + recent])
 
 
 class Recording:
