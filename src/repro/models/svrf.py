@@ -181,7 +181,7 @@ class SVRFModel:
         needed = 2 if pad else self.min_history
         if len(recent) < needed:
             raise ValueError(f"S-VRF needs {needed} fixes, got {len(recent)}")
-        tracks = np.empty((1, self.min_history, N_FEATURES))
+        tracks = np.empty((1, self.min_history, 3))
         stage_track(tracks[0], np.array([(p.t, p.lat, p.lon) for p in recent]))
         return self.forecast_batch([mmsi], self.make_windows(tracks), [recent[-1]])[0]
 
