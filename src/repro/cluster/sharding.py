@@ -249,7 +249,34 @@ class ShardRouter:
         batched — the cells owned by one peer travel in one
         :class:`~repro.platform.messages.ForecastSharedBatch` envelope,
         however many there are."""
-        ForecastSharedBatch = _forecast_batch()
+        local, remote = self._split_cells(cells)
+        self._local.share_forecast(local, forecast)
+        self._send_shares(remote, forecast)
+
+    def share_rows(self, rows):
+        """:meth:`share_forecast` for a flush's rows, an iterable of ``(cells,
+        forecast)`` read once in order, through the local table's
+        ``share_rows``: every row's local cells go in one call, and
+        ``emit(k)`` sends row ``k``'s local alerts, then its remote legs."""
+        legs: list[tuple[dict, Any]] = []
+
+        def local_rows():
+            for cells, forecast in rows:
+                local, remote = self._split_cells(cells)
+                legs.append((remote, forecast))
+                yield local, forecast
+
+        emit_local = self._local.share_rows(local_rows())
+
+        def emit(k: int) -> None:
+            emit_local(k)
+            self._send_shares(*legs[k])
+
+        return emit
+
+    def _split_cells(self, cells) -> tuple[list[int], dict[str, list[int]]]:
+        """``cells`` as the locally owned ones and, per peer, the ones it
+        owns; counts the local ones into the shard load."""
         node_id = self._node.node_id
         # Per cell on both ends of every share: the memo and the table are
         # read directly.
@@ -267,7 +294,10 @@ class ShardRouter:
                 local.append(cell)
             else:
                 remote.setdefault(owner, []).append(cell)
-        self._local.share_forecast(local, forecast)
+        return local, remote
+
+    def _send_shares(self, remote: dict[str, list[int]], forecast) -> None:
+        ForecastSharedBatch = _forecast_batch()
         for group in remote.values():
             self.remote_told += len(group)
             message = ForecastSharedBatch(cells=tuple(group), forecast=forecast)

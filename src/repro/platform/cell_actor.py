@@ -16,18 +16,19 @@ fleet benchmark). The proximity cells of a node are
 remote fix when its frame arrives); the collision cells are
 :class:`CollisionCellRouter`, fed by the forecast fan-out: a forecast
 shared with many cells is tested once against each forecast it meets
-there. The cells keep no debounce state: every raw hit goes to the one
-vessel actor that owns the pair, ``min(pair)``, which decides whether it
-is a new encounter (see :mod:`repro.platform.vessel_actor`).
+there, and the tests of a whole flush run as one array pass. The cells
+keep no debounce state: every raw hit goes to the one vessel actor that
+owns the pair, ``min(pair)``, which decides whether it is a new encounter
+(see :mod:`repro.platform.vessel_actor`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.actors import Actor, ActorContext
-from repro.events.collision import DenseTrack, densify, intersect_dense
+from repro.events.collision import DenseTrack, densify, intersect_pairs
 from repro.events.proximity import ProximityDetector
 from repro.events.vtff import IndirectVTFF
 from repro.models.base import RouteForecast
@@ -132,53 +133,74 @@ class CollisionCellRouter(_CellTable):
 
     def __init__(self, wiring: "PlatformWiring") -> None:
         super().__init__(wiring)
-        #: Newcomer-member tests run, one per distinct pair per share.
+        #: Newcomer-member tests run, one per distinct pair per share,
+        #: counted as each row's results are emitted.
         self.pair_tests = 0
 
     def share_forecast(self, cells, forecast: RouteForecast) -> None:
-        """Share one forecast with ``cells``: walk them in iteration order,
-        and each cell's members in insertion order, testing the newcomer
-        once against each distinct member forecast of another MMSI, a
-        forecast being its ``(mmsi, anchor time)``. A pair meeting in k
-        cells is one test and at most one alert, also when the cells were
-        restored separately. The newcomer is densified once, and only if it
-        meets anyone."""
-        mmsi = forecast.mmsi
-        track = None
-        # (mmsi, anchor time) -> its track, for the member forecasts already met.
-        met: dict[tuple, DenseTrack] = {}
-        hits = []
+        """Share one forecast with ``cells``: :meth:`share_rows` of one row."""
+        self.share_rows([(cells, forecast)])(0)
+
+    def share_rows(self, rows) -> Callable[[int], None]:
+        """Share a flush's rows, an iterable of ``(cells, forecast)`` read
+        once in order, and test every pair they make in one
+        :func:`intersect_pairs` call. Returns
+        ``emit(k)``, which counts row ``k``'s pair tests and sends its alerts;
+        the caller emits the rows in order, so every alert leaves when it
+        did while each row was tested as it was shared.
+
+        The walk is row by row: each row's cells in iteration order, and each
+        cell's members in insertion order, pairing the newcomer once with
+        each distinct member forecast of another MMSI, a forecast being its
+        ``(mmsi, anchor time)``. A pair meeting in k cells is one test and at
+        most one alert, also when the cells were restored separately. A
+        forecast is densified once, and only if it meets anyone."""
+        pairs, owners, k = [], [], -1
         with self._lock:
             table = self.cells
-            for cell in cells:
-                members = table.get(cell)
-                if members is None:
-                    table[cell] = forecast
-                    continue
-                if not isinstance(members, dict):
-                    if members.mmsi == mmsi:
+            for k, (cells, forecast) in enumerate(rows):
+                mmsi = forecast.mmsi
+                track = None
+                # (mmsi, anchor time) -> its track, for the member forecasts already met.
+                met: dict[tuple, DenseTrack] = {}
+                for cell in cells:
+                    members = table.get(cell)
+                    if members is None:
                         table[cell] = forecast
                         continue
-                    held = met.get((members.mmsi, members.anchor.t))
-                    held = densify(members) if held is None else held
-                    members = table[cell] = {members.mmsi: (members, held)}
-                if track is None:
-                    track = densify(forecast)
-                for other_mmsi, (other, other_track) in members.items():
-                    if other_mmsi == mmsi:
-                        continue
-                    key = (other_mmsi, other.anchor.t)
-                    if key in met:
-                        continue
-                    met[key] = other_track
-                    self.pair_tests += 1
-                    # Default thresholds: 2 minutes, 500 m (Section 5.2).
-                    hit = intersect_dense(forecast, track, other, other_track)
-                    if hit is not None:
-                        hits.append(hit)
-                members[mmsi] = (forecast, track)
-        for hit in hits:
-            self._wiring.vessel_router.tell(hit.pair[0], CollisionAlert(event=hit))
+                    if not isinstance(members, dict):
+                        if members.mmsi == mmsi:
+                            table[cell] = forecast
+                            continue
+                        held = met.get((members.mmsi, members.anchor.t))
+                        held = densify(members) if held is None else held
+                        members = table[cell] = {members.mmsi: (members, held)}
+                    if track is None:
+                        track = densify(forecast)
+                    for other_mmsi, (other, other_track) in members.items():
+                        if other_mmsi == mmsi:
+                            continue
+                        key = (other_mmsi, other.anchor.t)
+                        if key in met:
+                            continue
+                        met[key] = other_track
+                        pairs.append((forecast, track, other, other_track))
+                        owners.append(k)
+                    members[mmsi] = (forecast, track)
+        tests = [0] * (k + 1)
+        alerts: list[list] = [[] for _ in tests]
+        # Default thresholds: 2 minutes, 500 m (Section 5.2).
+        for k, hit in zip(owners, intersect_pairs(pairs)):
+            tests[k] += 1
+            if hit is not None:
+                alerts[k].append(hit)
+
+        def emit(k: int) -> None:
+            self.pair_tests += tests[k]
+            for hit in alerts[k]:
+                self._wiring.vessel_router.tell(hit.pair[0], CollisionAlert(event=hit))
+
+        return emit
 
     def prune(self, now: float) -> None:
         """Drop members whose anchor is older than ``event_debounce_s``; a

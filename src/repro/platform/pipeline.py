@@ -540,6 +540,7 @@ class Platform:
             "vessels_local": self.vessel_count,
             "cells_local": self.proximity_cell_count,
             "collision_cells_local": self.collision_cell_count,
+            "collision_pair_tests": self.wiring.collision_cells.pair_tests,
             "states_written": writer.states_written,
             "events_written": writer.events_written,
             "writer_flushes": writer.flushes,

@@ -1,5 +1,7 @@
 """Tests for collision forecasting and traffic flow forecasting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from repro.events import (
     TrafficLevel,
     trajectories_intersect,
 )
-from repro.events.collision import densify, intersect_dense
+from repro.events import collision
+from repro.events.collision import densify, intersect_pairs
 from repro.hexgrid import latlng_to_cells
-from tests.forecasts import make_forecast
+from tests.forecasts import hit_bits, make_forecast, reference_intersect
 
 
 def _forecast(mmsi, t0, lat0, lon0, dlat_per_step, dlon_per_step, steps=6):
@@ -89,19 +92,139 @@ class TestTrajectoriesIntersect:
         st.sampled_from([60.0, 120.0, 300.0]),
         st.sampled_from([30.0, 60.0]),
     )
-    def test_densify_then_intersect_dense_is_the_pairwise_test(self, geometry, window, step):
-        """The kernel split: densifying each side once and calling
-        ``intersect_dense`` is ``trajectories_intersect``, field for field."""
+    def test_intersect_pairs_is_the_oracle(self, geometry, window, step):
+        """Densifying each side once and calling ``intersect_pairs`` is the
+        per-pair oracle, field for field in ``float.hex``, and so is
+        ``trajectories_intersect``."""
         t0, lat, dlat, dlon = geometry
         a = _forecast(1, 0.0, 38.0, 23.5, 0.003, 0.0)
         b = _forecast(2, t0, lat, 23.51, dlat, dlon)
-        split = intersect_dense(
-            a, densify(a, step), b, densify(b, step), window, spatial_threshold_m=2_000.0
-        )
+        pair = (a, densify(a, step), b, densify(b, step))
+        expected = hit_bits(reference_intersect(*pair, window, spatial_threshold_m=2_000.0))
+        (hit,) = intersect_pairs([pair], window, spatial_threshold_m=2_000.0)
+        assert hit_bits(hit) == expected
         whole = trajectories_intersect(
             a, b, temporal_threshold_s=window, spatial_threshold_m=2_000.0, step_s=step
         )
-        assert split == whole
+        assert hit_bits(whole) == expected
+
+
+def _wrapped(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def _antimeridian_pair(lon0: float):
+    """Vessel A runs east from ``lon0`` in 0.02-degree steps per mark; vessel
+    B lies still 33 m south of A's line, 0.0495 degrees east of its start."""
+    times = [300.0 * k for k in range(7)]
+    a = make_forecast(1, [(t, 38.0, _wrapped(lon0 + 0.02 * k)) for k, t in enumerate(times)])
+    south = 38.0 - 33.0 / 111_194.9266
+    b = make_forecast(2, [(t, south, _wrapped(lon0 + 0.0495)) for t in times])
+    return a, b
+
+
+class TestAntimeridian:
+    def test_a_crossing_at_the_antimeridian_is_the_one_at_30_east(self):
+        """The pair straddling 180 degrees meets as the same geometry does at
+        30 degrees east: its track is interpolated the short way and its
+        longitude differences are wrapped (before, the test returned None)."""
+        crossing = trajectories_intersect(*_antimeridian_pair(179.95))
+        shifted = trajectories_intersect(*_antimeridian_pair(30.0))
+        assert shifted.min_distance_m == pytest.approx(54.85, abs=0.01)
+        assert crossing is not None
+        assert crossing.min_distance_m == pytest.approx(shifted.min_distance_m, rel=1e-6)
+        assert crossing.t_expected == shifted.t_expected
+        assert crossing.lon == pytest.approx(shifted.lon + 149.95, abs=1e-9)
+
+    def test_the_dense_track_crosses_the_short_way(self):
+        a, _ = _antimeridian_pair(179.95)
+        lons = densify(a).data[2]
+        assert ((lons >= -180.0) & (lons < 180.0)).all()
+        assert np.all(np.abs(np.diff(np.unwrap(lons, period=360.0)) - 0.002) < 1e-9)
+
+    def test_a_midpoint_across_the_antimeridian_wraps(self):
+        a = _forecast(1, 0.0, 38.0, 179.9999, 0.0, 0.0)
+        b = _forecast(2, 0.0, 38.0, -179.9999, 0.0, 0.0)
+        hit = trajectories_intersect(a, b)
+        assert hit.lon == -180.0
+        assert hit.min_distance_m == pytest.approx(17.5, abs=0.1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(-80.0, 80.0),
+        st.floats(-179.0, 179.0),
+        st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5),
+        st.integers(1, 7),
+        st.sampled_from([10.0, 30.0, 60.0]),
+    )
+    def test_a_track_that_does_not_cross_keeps_plain_interpolation_bits(
+        self, lat, lon, dlat, dlon, marks, step
+    ):
+        fc = _forecast(1, 1_000.0, lat, lon, dlat, dlon, steps=marks - 1)
+        dense = densify(fc, step)
+        t = np.arange(fc.ts[0], fc.ts[-1] + step / 2.0, step)
+        plain = np.array([t, np.interp(t, fc.ts, fc.lats), np.interp(t, fc.ts, fc.lons)])
+        assert dense.data.tobytes() == plain.tobytes()
+        assert dense.mean_lat == plain[1].mean()
+
+
+@st.composite
+def _pair_calls(draw):
+    """One ``intersect_pairs`` call: a few forecasts of mixed lengths, then
+    pairs over them, each track shared by the pairs it is in.
+
+    Anchor offsets are often whole steps and the temporal threshold a whole
+    number of steps, so ``|dt|`` lands exactly on it; still and mirrored
+    tracks tie on distance; anchors far apart leave a pair no temporal
+    match; some tracks cross the antimeridian."""
+    step = draw(st.sampled_from([10.0, 30.0, 45.0, 60.0]))
+    temporal = draw(
+        st.one_of(st.integers(0, int(600 // step)).map(lambda k: k * step), st.floats(0.0, 600.0))
+    )
+    spatial = draw(st.one_of(st.just(1e9), st.floats(0.0, 1e9), st.floats(0.0, 3_000.0)))
+    base = draw(st.sampled_from([0.0, 1_000.0, 1.7e9]))
+    forecasts = []
+    for mmsi in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["moving", "still", "mirror", "antimeridian"]))
+        if kind == "mirror" and forecasts:
+            other = forecasts[-1]
+            fixes = zip(other.ts.tolist(), (76.0 - other.lats).tolist(), other.lons.tolist())
+            forecasts.append(make_forecast(mmsi, list(fixes)))
+            continue
+        offset = draw(
+            st.one_of(st.integers(-30, 30).map(lambda k: k * step), st.floats(-900.0, 900.0))
+        )
+        lat = draw(st.floats(37.99, 38.01))
+        dlat, dlon = draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01))
+        if kind == "still":
+            dlat = dlon = 0.0
+        if kind == "antimeridian":
+            lon = draw(st.floats(179.97, 180.03))
+        else:
+            lon = draw(st.floats(23.49, 23.51))
+        times = [base + offset + 300.0 * k for k in range(draw(st.integers(1, 7)))]
+        fixes = [(t, lat + k * dlat, _wrapped(lon + k * dlon)) for k, t in enumerate(times)]
+        forecasts.append(make_forecast(mmsi, fixes))
+    dense = [densify(fc, step) for fc in forecasts]
+    sides = st.integers(0, len(forecasts) - 1)
+    pairs = [
+        (forecasts[i], dense[i], forecasts[j], dense[j])
+        for i, j in draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=10))
+    ]
+    return pairs, temporal, spatial
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_calls())
+def test_the_kernel_is_the_oracle_on_every_pair(call):
+    """Every pair's result is the per-pair oracle's, bit for bit, whether
+    the pairs share array passes or each gets its own."""
+    pairs, temporal, spatial = call
+    expected = [hit_bits(reference_intersect(*pair, temporal, spatial)) for pair in pairs]
+    assert [hit_bits(hit) for hit in intersect_pairs(pairs, temporal, spatial)] == expected
+    with mock.patch.object(collision, "_PASS_CELLS", 1):
+        assert [hit_bits(hit) for hit in intersect_pairs(pairs, temporal, spatial)] == expected
 
 
 class TestFlowGrid:

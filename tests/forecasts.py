@@ -4,6 +4,10 @@ A :class:`RouteForecast` is its mark arrays and compares by identity, so a
 test builds one with :func:`make_forecast` and compares values that hold
 forecasts (a message, an envelope, a decoded state) through
 :func:`comparable`, which compares each track bitwise.
+
+:func:`reference_intersect` is the collision pair test one pair at a time,
+the oracle of the batched kernel ``intersect_pairs``; :func:`hit_bits`
+compares two results field by field in ``float.hex``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.events.collision import CollisionForecast, DenseTrack
 from repro.geo.track import Position
 from repro.models.base import RouteForecast
 
@@ -45,3 +50,60 @@ def comparable(value: Any) -> Any:
     if isinstance(value, dict):
         return (dict, tuple((comparable(k), comparable(v)) for k, v in value.items()))
     return value
+
+
+def reference_intersect(
+    fc_a: RouteForecast,
+    dense_a: DenseTrack,
+    fc_b: RouteForecast,
+    dense_b: DenseTrack,
+    temporal_threshold_s: float = 120.0,
+    spatial_threshold_m: float = 500.0,
+) -> CollisionForecast | None:
+    """The per-pair collision test as it ran before the batched kernel: the
+    full sample-time matrix, then ``np.hypot`` on every temporally matched
+    sample pair and the first minimum in row-major order. Longitude
+    differences past 180 degrees are taken the short way round, and so is the
+    midpoint of a hit across the antimeridian."""
+    ta, lat_a, lon_a = dense_a.data
+    tb, lat_b, lon_b = dense_b.data
+    forecast_at = max(fc_a.anchor.t, fc_b.anchor.t)
+    dt = np.abs(ta[:, None] - tb[None, :])
+    mask = (dt <= temporal_threshold_s) & ((ta[:, None] + tb[None, :]) * 0.5 >= forecast_at)
+    if not mask.any():
+        return None
+    ia, ib = np.nonzero(mask)
+    mean_lat = np.radians((lat_a.mean() + lat_b.mean()) / 2.0)
+    kx = 111_194.9266 * np.cos(mean_lat)
+    ky = 111_194.9266
+    dlon = lon_a[ia] - lon_b[ib]
+    across = np.abs(dlon) > 180.0
+    dlon[across] = (dlon[across] + 180.0) % 360.0 - 180.0
+    dx = dlon * kx
+    dy = (lat_a[ia] - lat_b[ib]) * ky
+    d = np.hypot(dx, dy)
+    k = int(np.argmin(d))
+    if d[k] > spatial_threshold_m:
+        return None
+    i, j = int(ia[k]), int(ib[k])
+    lon = float((lon_a[i] + lon_b[j]) / 2.0)
+    if abs(lon_a[i] - lon_b[j]) > 180.0:
+        lon = (lon + 360.0) % 360.0 - 180.0
+    return CollisionForecast(
+        mmsi_a=fc_a.mmsi,
+        mmsi_b=fc_b.mmsi,
+        t_expected=float((ta[i] + tb[j]) / 2.0),
+        lat=float((lat_a[i] + lat_b[j]) / 2.0),
+        lon=lon,
+        min_distance_m=float(d[k]),
+        forecast_at=forecast_at,
+    )
+
+
+def hit_bits(hit: CollisionForecast | None) -> tuple | None:
+    """A collision result as its MMSIs and the ``float.hex`` of every float
+    field, so two results compare equal only bit for bit."""
+    if hit is None:
+        return None
+    floats = (hit.t_expected, hit.lat, hit.lon, hit.min_distance_m, hit.forecast_at)
+    return (hit.mmsi_a, hit.mmsi_b, *(float(value).hex() for value in floats))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import codec
 from repro.cluster.protocol import WireEnvelope
-from repro.events.collision import trajectories_intersect
+from repro.events.collision import densify, trajectories_intersect
 from repro.events.vtff import FLOW_RESOLUTION
 from repro.hexgrid import (
     CELL_BLOCK_BITS,
@@ -43,7 +43,7 @@ from repro.platform.vessel_actor import (
     COLLISION_RESOLUTION,
     share_forecasts,
 )
-from tests.forecasts import comparable, make_forecast
+from tests.forecasts import comparable, hit_bits, make_forecast, reference_intersect
 
 
 def track(mmsi: int, t0: float, lat: float, lon: float, dlat: float, dlon: float):
@@ -72,15 +72,21 @@ def moved(forecast: RouteForecast | None, dlat: float, dlon: float) -> RouteFore
     return replace(forecast, anchor=anchor, lats=forecast.lats + dlat, lons=forecast.lons + dlon)
 
 
+def to_a_block_corner() -> tuple[float, float]:
+    """The ``(dlat, dlon)`` that moves ``FLUSH`` onto a corner where four
+    blocks of collision cells meet."""
+    res, q, r = unpack_cell(cell_block(latlng_to_cell(38.0, 23.5, COLLISION_RESOLUTION)))
+    side = 1 << CELL_BLOCK_BITS
+    lat, lon = cell_to_latlng(pack_cell(res, q + side, r + side))
+    return lat - 38.012, lon - 23.515
+
+
 def flush_at_a_block_corner() -> list:
     """``FLUSH`` moved onto a corner where four blocks of collision cells
     meet. A cluster shards collision cells by block, and ``FLUSH`` itself
     lies inside one block: moved, its cells live on both nodes of a 2-node
     cluster (the tests below assert that)."""
-    res, q, r = unpack_cell(cell_block(latlng_to_cell(38.0, 23.5, COLLISION_RESOLUTION)))
-    side = 1 << CELL_BLOCK_BITS
-    lat, lon = cell_to_latlng(pack_cell(res, q + side, r + side))
-    return [moved(forecast, lat - 38.012, lon - 23.515) for forecast in FLUSH]
+    return [moved(forecast, *to_a_block_corner()) for forecast in FLUSH]
 
 
 def dilated_cells(forecast: RouteForecast) -> set:
@@ -93,8 +99,8 @@ def dilated_cells(forecast: RouteForecast) -> set:
 
 class PerCellReference:
     """The deleted collision-cell actor, one per cell: test the newcomer
-    against each member of another MMSI, then store it as that MMSI's
-    latest forecast. ``share`` returns its alerts, one per (cell, member),
+    against each member of another MMSI with the per-pair oracle, then store
+    it as that MMSI's latest forecast. ``share`` returns its alerts, one per (cell, member),
     and what the table should do instead: one test per distinct member
     forecast met over all the cells (``(mmsi, anchor time) -> hit or
     None``)."""
@@ -109,7 +115,7 @@ class PerCellReference:
             members = self.cells.setdefault(cell, {})
             for mmsi, other in members.items():
                 if mmsi != forecast.mmsi:
-                    hit = trajectories_intersect(forecast, other)
+                    hit = reference_intersect(forecast, densify(forecast), other, densify(other))
                     met[(mmsi, other.anchor.t)] = hit
                     if hit is not None:
                         alerts.append(hit)
@@ -190,6 +196,19 @@ def test_flush_deliveries_match_the_scalar_reference():
     platform.shutdown()
 
 
+def test_stats_report_the_tables_pair_tests():
+    """``Platform.stats()["collision_pair_tests"]`` is the node table's
+    running count of pair tests."""
+    platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
+    try:
+        assert platform.stats()["collision_pair_tests"] == 0
+        share_forecasts(platform.wiring, list(FLUSH))
+        tests = platform.wiring.collision_cells.pair_tests
+        assert tests > 0 and platform.stats()["collision_pair_tests"] == tests
+    finally:
+        platform.shutdown()
+
+
 def test_a_flow_snapshot_stays_as_taken():
     """The flow actor replies to ``"snapshot"`` with a copy: forecasts it
     takes in later do not reach a snapshot already handed out."""
@@ -211,13 +230,14 @@ def test_a_flow_snapshot_stays_as_taken():
 
 class RecordingRouter:
     """A stand-in collision router: records each row's cells in the order
-    ``share_forecast`` iterates them."""
+    ``share_rows`` iterates them."""
 
     def __init__(self) -> None:
         self.shared: list = []
 
-    def share_forecast(self, cells, forecast) -> None:
-        self.shared.append((list(cells), forecast))
+    def share_rows(self, rows):
+        self.shared += [(list(cells), forecast) for cells, forecast in rows]
+        return lambda k: None
 
 
 _ANYWHERE = st.tuples(
@@ -380,13 +400,17 @@ def test_table_matches_the_per_cell_actors(steps):
 @settings(max_examples=60, deadline=None)
 @given(_forecasts(), _forecasts())
 def test_table_hit_is_bitwise_trajectories_intersect(member, newcomer):
-    """The table densifies once and calls ``intersect_dense``; its hit for
-    a pair is ``trajectories_intersect(newcomer, member)`` bit for bit."""
+    """The table densifies once and tests the flush's pairs in one
+    ``intersect_pairs`` call; its hit for a pair is
+    ``trajectories_intersect(newcomer, member)`` bit for bit, which is the
+    per-pair oracle's."""
     member = replace(member, mmsi=10)
     table, log = bare_table()
     table.share_forecast([0, 1], member)
     table.share_forecast([1, 0], newcomer)
     expected = trajectories_intersect(newcomer, member)
+    oracle = reference_intersect(newcomer, densify(newcomer), member, densify(member))
+    assert hit_bits(expected) == hit_bits(oracle)
     assert len(log.alerts) == (expected is not None)
     if expected is not None:
         (hit,) = log.alerts
@@ -411,3 +435,68 @@ def test_a_member_restored_into_k_cells_is_tested_once():
     assert len({id(forecast) for forecast in restored}) == len(cells)
     table.share_forecast(cells, track(222, 0.0, 38.024, 23.500, -0.004, 0.004))
     assert table.pair_tests == 1 and len(log.alerts) == 1
+
+
+@st.composite
+def _flushes(draw):
+    """A few flushes of rows over a few MMSIs, failed rows among them. As in
+    the platform, a vessel's ``(mmsi, anchor time)`` names one track; each
+    row is a fresh copy of it."""
+    tracks = draw(
+        st.dictionaries(
+            st.tuples(st.integers(1, 4), st.sampled_from([0.0, 60.0, 600.0, 1_200.0])),
+            _COURSE,
+            min_size=1,
+            max_size=8,
+        )
+    )
+    row = st.sampled_from(sorted(tracks.items())).map(lambda kv: track(*kv[0], *kv[1]))
+    return draw(st.lists(st.lists(st.one_of(row, row, st.none()), max_size=6), max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_flushes())
+def test_a_flush_emits_the_per_cell_references_sequence(flushes):
+    """On a 2-node cluster, flushes around a block corner emit through the
+    batched table in the reference's order: per row, the distinct hits of
+    its local cells in the order the per-cell loop meets them (hits bit for
+    bit the per-pair oracle's), then one share per peer in first-cell order,
+    then the row's reply."""
+    cluster = LoopbackCluster(num_nodes=2)
+    try:
+        sender = cluster.platforms[1]
+        router = sender.wiring.collision_router
+        reference, log = PerCellReference(), []
+        tell, send = sender.wiring.vessel_router.tell, sender.node.send_sharded
+
+        def logged_tell(mmsi, message):
+            log.append(("alert", mmsi, hit_bits(message.event)))
+            tell(mmsi, message)
+
+        def logged_send(entity, key, message):
+            if entity == "collision":
+                log.append(("share", message.cells))
+            send(entity, key, message)
+
+        sender.wiring.vessel_router.tell, sender.node.send_sharded = logged_tell, logged_send
+        for flush in flushes:
+            rows = [moved(forecast, *to_a_block_corner()) for forecast in flush]
+            expected = []
+            for i, forecast in enumerate(rows):
+                if forecast is not None:
+                    local, remote = [], {}
+                    for cell in dilated_cells(forecast):
+                        if router.is_local(cell):
+                            local.append(cell)
+                        else:
+                            remote.setdefault(router.owner_of(cell), []).append(cell)
+                    hits = [hit for hit in reference.share(local, forecast)[1].values() if hit]
+                    expected += [("alert", hit.pair[0], hit_bits(hit)) for hit in hits]
+                    expected += [("share", tuple(group)) for group in remote.values()]
+                expected.append(("reply", i))
+            log.clear()
+            share_forecasts(sender.wiring, rows, after_row=lambda i: log.append(("reply", i)))
+            assert log == expected
+            cluster.settle()
+    finally:
+        cluster.shutdown()
