@@ -37,8 +37,9 @@ _M_PER_DEG = 111_194.9266
 #: each fresh array faults its pages in again. Larger passes measured the
 #: same, smaller ones slower (DESIGN.md §3c).
 _PASS_CELLS = 8_192
-#: A squared distance within this factor of a pair's least is a candidate
-#: for its least ``hypot`` (both are within a few ulps of the true value).
+#: A squared distance within this factor of a pair's least, plus a floor for
+#: squares that underflow, is a candidate for its least ``hypot`` (both are
+#: within a few ulps of the true value).
 _SQUARED_SLACK = 1.0 + 2.0**-40
 _SQUARED_FLOOR = 2.0**-1000
 
@@ -159,6 +160,7 @@ def intersect_pairs(
     grid's row-major order wins, as in the one-pair test.
     """
     results: list[CollisionForecast | None] = [None] * len(pairs)
+    # A negative or NaN threshold matches nothing, as in the exact test.
     if not temporal_threshold_s >= 0.0:
         return results
     batch: list[tuple[int, int, int, int]] = []
