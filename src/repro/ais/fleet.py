@@ -76,12 +76,12 @@ class FleetConfig:
 class MessageBatch:
     """A struct-of-arrays chunk of AIS position reports, sorted by time."""
 
-    mmsi: np.ndarray   #: int64
-    t: np.ndarray      #: float64 seconds
+    mmsi: np.ndarray  #: int64
+    t: np.ndarray  #: float64 seconds
     lat: np.ndarray
     lon: np.ndarray
-    sog: np.ndarray    #: knots
-    cog: np.ndarray    #: degrees
+    sog: np.ndarray  #: knots
+    cog: np.ndarray  #: degrees
 
     def __len__(self) -> int:
         return int(self.mmsi.shape[0])
@@ -89,9 +89,14 @@ class MessageBatch:
     @staticmethod
     def empty() -> "MessageBatch":
         z = np.zeros(0)
-        return MessageBatch(mmsi=np.zeros(0, dtype=np.int64), t=z.copy(),
-                            lat=z.copy(), lon=z.copy(), sog=z.copy(),
-                            cog=z.copy())
+        return MessageBatch(
+            mmsi=np.zeros(0, dtype=np.int64),
+            t=z.copy(),
+            lat=z.copy(),
+            lon=z.copy(),
+            sog=z.copy(),
+            cog=z.copy(),
+        )
 
     @staticmethod
     def concat(batches: list["MessageBatch"]) -> "MessageBatch":
@@ -103,13 +108,19 @@ class MessageBatch:
             lat=np.concatenate([b.lat for b in batches]),
             lon=np.concatenate([b.lon for b in batches]),
             sog=np.concatenate([b.sog for b in batches]),
-            cog=np.concatenate([b.cog for b in batches]))
+            cog=np.concatenate([b.cog for b in batches]),
+        )
 
     def sorted_by_time(self) -> "MessageBatch":
         order = np.argsort(self.t, kind="stable")
-        return MessageBatch(mmsi=self.mmsi[order], t=self.t[order],
-                            lat=self.lat[order], lon=self.lon[order],
-                            sog=self.sog[order], cog=self.cog[order])
+        return MessageBatch(
+            mmsi=self.mmsi[order],
+            t=self.t[order],
+            lat=self.lat[order],
+            lon=self.lon[order],
+            sog=self.sog[order],
+            cog=self.cog[order],
+        )
 
     def per_vessel(self) -> dict[int, "MessageBatch"]:
         """Split into per-MMSI batches, each sorted by time."""
@@ -122,17 +133,29 @@ class MessageBatch:
         for s, e in zip(starts, ends):
             idx = order[s:e]
             out[int(mmsi[s])] = MessageBatch(
-                mmsi=self.mmsi[idx], t=self.t[idx], lat=self.lat[idx],
-                lon=self.lon[idx], sog=self.sog[idx], cog=self.cog[idx])
+                mmsi=self.mmsi[idx],
+                t=self.t[idx],
+                lat=self.lat[idx],
+                lon=self.lon[idx],
+                sog=self.sog[idx],
+                cog=self.cog[idx],
+            )
         return out
 
     def to_messages(self, source: str = "terrestrial") -> list[AISMessage]:
         """Expand to message objects (small batches only)."""
-        return [AISMessage(mmsi=int(self.mmsi[i]), t=float(self.t[i]),
-                           lat=float(self.lat[i]), lon=float(self.lon[i]),
-                           sog=float(self.sog[i]), cog=float(self.cog[i]),
-                           source=source)
-                for i in range(len(self))]
+        return [
+            AISMessage(
+                mmsi=int(self.mmsi[i]),
+                t=float(self.t[i]),
+                lat=float(self.lat[i]),
+                lon=float(self.lon[i]),
+                sog=float(self.sog[i]),
+                cog=float(self.cog[i]),
+                source=source,
+            )
+            for i in range(len(self))
+        ]
 
 
 class FleetEngine:
@@ -177,15 +200,18 @@ class FleetEngine:
             origin, dest = self._rng.choices(ports, weights=weights, k=2)
             while dest.name == origin.name:
                 dest = self._rng.choices(ports, weights=weights, k=1)[0]
-            gc_km = haversine_m(origin.lat, origin.lon,
-                                dest.lat, dest.lon) / 1_000.0
+            gc_km = haversine_m(origin.lat, origin.lon, dest.lat, dest.lon) / 1_000.0
             n_wp = int(np.clip(gc_km / cfg.waypoint_spacing_km, 8, 96))
             # Curvature amplitudes scale with route length so short hops do
             # not loop wildly while ocean passages keep realistic sweeps.
             route = make_route(
-                origin, dest, self._rng, n_waypoints=n_wp,
+                origin,
+                dest,
+                self._rng,
+                n_waypoints=n_wp,
                 corridor_amplitude_m=min(25_000.0, gc_km * 1_000.0 * 0.05),
-                voyage_amplitude_m=min(6_000.0, gc_km * 1_000.0 * 0.015))
+                voyage_amplitude_m=min(6_000.0, gc_km * 1_000.0 * 0.015),
+            )
             waypoint_arrays.append(np.asarray(route.waypoints, dtype=float))
 
         n = cfg.n_vessels
@@ -209,11 +235,13 @@ class FleetEngine:
         self.turn_rate = np.array([s.max_turn_rate_deg_s for s in self.statics])
         self.speed_kn = self.cruise_kn.copy()
         tgt = self._wp_offsets[:-1] + self._wp_idx
-        self.heading = self._bearing(self.lat, self.lon,
-                                     self._wp_lat[tgt], self._wp_lon[tgt])
+        self.heading = self._bearing(self.lat, self.lon, self._wp_lat[tgt], self._wp_lon[tgt])
         self.active = np.ones(n, dtype=bool)
-        self.start_t = self._np_rng.uniform(0.0, cfg.start_window_s, size=n) \
-            if cfg.start_window_s > 0 else np.zeros(n)
+        self.start_t = (
+            self._np_rng.uniform(0.0, cfg.start_window_s, size=n)
+            if cfg.start_window_s > 0
+            else np.zeros(n)
+        )
         self.next_report_t = self.start_t.copy()
         self.satellite = self._np_rng.random(n) < cfg.satellite_fraction
         # Current/leeway drift velocity (east, north) per vessel, m/s.
@@ -236,18 +264,20 @@ class FleetEngine:
         latr, lonr = np.radians(lat), np.radians(lon)
         brg = np.radians(bearing)
         delta = dist_m / EARTH_RADIUS_M
-        lat2 = np.arcsin(np.sin(latr) * np.cos(delta) +
-                         np.cos(latr) * np.sin(delta) * np.cos(brg))
-        lon2 = lonr + np.arctan2(np.sin(brg) * np.sin(delta) * np.cos(latr),
-                                 np.cos(delta) - np.sin(latr) * np.sin(lat2))
+        lat2 = np.arcsin(np.sin(latr) * np.cos(delta) + np.cos(latr) * np.sin(delta) * np.cos(brg))
+        lon2 = lonr + np.arctan2(
+            np.sin(brg) * np.sin(delta) * np.cos(latr), np.cos(delta) - np.sin(latr) * np.sin(lat2)
+        )
         return np.degrees(lat2), (np.degrees(lon2) + 180.0) % 360.0 - 180.0
 
     @staticmethod
     def _haversine(lat1, lon1, lat2, lon2):
         lat1r, lon1r = np.radians(lat1), np.radians(lon1)
         lat2r, lon2r = np.radians(lat2), np.radians(lon2)
-        a = (np.sin((lat2r - lat1r) / 2) ** 2 +
-             np.cos(lat1r) * np.cos(lat2r) * np.sin((lon2r - lon1r) / 2) ** 2)
+        a = (
+            np.sin((lat2r - lat1r) / 2) ** 2
+            + np.cos(lat1r) * np.cos(lat2r) * np.sin((lon2r - lon1r) / 2) ** 2
+        )
         return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
 
     # -- stepping ------------------------------------------------------------
@@ -278,33 +308,34 @@ class FleetEngine:
         diff = (desired - self.heading + 180.0) % 360.0 - 180.0
         max_turn = self.turn_rate * dt
         turn = np.clip(diff, -max_turn, max_turn)
-        wobble = self._np_rng.normal(
-            0.0, cfg.heading_wobble * np.sqrt(dt), size=self.heading.shape)
-        self.heading = np.where(
-            live, (self.heading + turn + wobble) % 360.0, self.heading)
+        wobble = self._np_rng.normal(0.0, cfg.heading_wobble * np.sqrt(dt), size=self.heading.shape)
+        self.heading = np.where(live, (self.heading + turn + wobble) % 360.0, self.heading)
 
         pull = 0.02 * (self.cruise_kn - self.speed_kn)
         noise = self._np_rng.normal(0.0, 0.06 * np.sqrt(dt), size=self.speed_kn.shape)
         self.speed_kn = np.where(
-            live, np.maximum(0.5, self.speed_kn + pull * dt + noise),
-            self.speed_kn)
+            live, np.maximum(0.5, self.speed_kn + pull * dt + noise), self.speed_kn
+        )
 
-        new_lat, new_lon = self._advance(self.lat, self.lon, self.heading,
-                                         self.speed_kn * KNOTS_TO_MPS * dt)
+        new_lat, new_lon = self._advance(
+            self.lat, self.lon, self.heading, self.speed_kn * KNOTS_TO_MPS * dt
+        )
         # OU update of the drift velocity, then apply its displacement.
         if cfg.drift_sd_mps > 0.0:
             decay = np.exp(-dt / cfg.drift_tau_s)
-            kick = cfg.drift_sd_mps * np.sqrt(1.0 - decay ** 2)
-            self.drift_e = (self.drift_e * decay +
-                            self._np_rng.normal(0.0, kick, size=self.drift_e.shape))
-            self.drift_n = (self.drift_n * decay +
-                            self._np_rng.normal(0.0, kick, size=self.drift_n.shape))
+            kick = cfg.drift_sd_mps * np.sqrt(1.0 - decay**2)
+            self.drift_e = self.drift_e * decay + self._np_rng.normal(
+                0.0, kick, size=self.drift_e.shape
+            )
+            self.drift_n = self.drift_n * decay + self._np_rng.normal(
+                0.0, kick, size=self.drift_n.shape
+            )
             dnorth = self.drift_n * dt
             deast = self.drift_e * dt
             new_lat = new_lat + dnorth / METERS_PER_DEG_LAT
             new_lon = new_lon + deast / (
-                METERS_PER_DEG_LAT * np.maximum(
-                    np.cos(np.radians(new_lat)), 0.05))
+                METERS_PER_DEG_LAT * np.maximum(np.cos(np.radians(new_lat)), 0.05)
+            )
         self.lat = np.where(live, new_lat, self.lat)
         self.lon = np.where(live, new_lon, self.lon)
 
@@ -316,9 +347,9 @@ class FleetEngine:
         if due.any():
             interval = np.select(
                 [self.speed_kn > 23.0, self.speed_kn > 14.0],
-                [np.full_like(self.speed_kn, 2.0),
-                 np.full_like(self.speed_kn, 6.0)],
-                default=10.0)
+                [np.full_like(self.speed_kn, 2.0), np.full_like(self.speed_kn, 6.0)],
+                default=10.0,
+            )
             interval = np.maximum(interval, cfg.tick_s)
             self.next_report_t = np.where(due, t + interval, self.next_report_t)
 
@@ -336,15 +367,20 @@ class FleetEngine:
             return MessageBatch.empty()
 
         jitter = self._np_rng.uniform(0.0, cfg.jitter_s, size=idx.size)
-        sog = np.maximum(0.0, self.speed_kn[idx] + self._np_rng.normal(
-            0.0, cfg.sog_noise_kn, size=idx.size))
-        cog = (self.heading[idx] + self._np_rng.normal(
-            0.0, cfg.cog_noise_deg, size=idx.size)) % 360.0
+        sog = np.maximum(
+            0.0, self.speed_kn[idx] + self._np_rng.normal(0.0, cfg.sog_noise_kn, size=idx.size)
+        )
+        cog = (
+            self.heading[idx] + self._np_rng.normal(0.0, cfg.cog_noise_deg, size=idx.size)
+        ) % 360.0
         return MessageBatch(
             mmsi=np.array([self.statics[i].mmsi for i in idx], dtype=np.int64),
             t=np.full(idx.size, t) + jitter,
-            lat=self.lat[idx].copy(), lon=self.lon[idx].copy(),
-            sog=sog, cog=cog)
+            lat=self.lat[idx].copy(),
+            lon=self.lon[idx].copy(),
+            sog=sog,
+            cog=cog,
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -358,5 +394,4 @@ class FleetEngine:
 
     def run_collect(self) -> MessageBatch:
         """Run the full configured duration and return one time-sorted batch."""
-        return MessageBatch.concat([b for b in self.stream() if len(b)]) \
-            .sorted_by_time()
+        return MessageBatch.concat([b for b in self.stream() if len(b)]).sorted_by_time()

@@ -46,9 +46,14 @@ def _corridor_seed(origin: Port, destination: Port) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def make_route(origin: Port, destination: Port, rng: random.Random,
-               n_waypoints: int = 24, corridor_amplitude_m: float = 25_000.0,
-               voyage_amplitude_m: float = 6_000.0) -> Route:
+def make_route(
+    origin: Port,
+    destination: Port,
+    rng: random.Random,
+    n_waypoints: int = 24,
+    corridor_amplitude_m: float = 25_000.0,
+    voyage_amplitude_m: float = 6_000.0,
+) -> Route:
     """Build one voyage's route from ``origin`` to ``destination``.
 
     The route interpolates the great circle at ``n_waypoints`` points and
@@ -75,10 +80,11 @@ def make_route(origin: Port, destination: Port, rng: random.Random,
     for i in range(n_waypoints):
         frac = i / (n_waypoints - 1)
         lat, lon = destination_point(
-            origin.lat, origin.lon,
-            initial_bearing_deg(origin.lat, origin.lon,
-                                destination.lat, destination.lon),
-            total * frac)
+            origin.lat,
+            origin.lon,
+            initial_bearing_deg(origin.lat, origin.lon, destination.lat, destination.lon),
+            total * frac,
+        )
         offset = 0.0
         for amp, k in corridor_modes:
             offset += corridor_amplitude_m * amp * math.sin(math.pi * k * frac)
@@ -87,8 +93,7 @@ def make_route(origin: Port, destination: Port, rng: random.Random,
         # Taper ensures endpoints stay pinned even after mode summation.
         offset *= math.sin(math.pi * frac)
         if abs(offset) > 0.0:
-            heading = initial_bearing_deg(lat, lon,
-                                          destination.lat, destination.lon)
+            heading = initial_bearing_deg(lat, lon, destination.lat, destination.lon)
             side = 90.0 if offset >= 0 else -90.0
             lat, lon = destination_point(lat, lon, heading + side, abs(offset))
         waypoints.append((lat, lon))
@@ -96,5 +101,4 @@ def make_route(origin: Port, destination: Port, rng: random.Random,
     # Snap exact endpoints (floating point drift from the projections).
     waypoints[0] = (origin.lat, origin.lon)
     waypoints[-1] = (destination.lat, destination.lon)
-    return Route(origin=origin, destination=destination,
-                 waypoints=tuple(waypoints))
+    return Route(origin=origin, destination=destination, waypoints=tuple(waypoints))
