@@ -127,26 +127,6 @@ class ProximityScenario:
     def n_messages(self) -> int:
         return len(self.result.messages)
 
-    def events_with_lead_under(self, lead_s: float) -> list[ProximityEvent]:
-        """Events whose closest approach happens within ``lead_s`` seconds of
-        the *last AIS message* either vessel sent before the approach —
-        the paper's "come into close proximity in less than N minutes"
-        sub-dataset rule."""
-        out = []
-        by_mmsi: dict[int, list[float]] = {}
-        for m in self.result.messages:
-            by_mmsi.setdefault(m.mmsi, []).append(m.t)
-        for ev in self.events:
-            lead = None
-            for mmsi in (ev.mmsi_a, ev.mmsi_b):
-                times = [t for t in by_mmsi.get(mmsi, []) if t < ev.t_closest]
-                if times:
-                    cand = ev.t_closest - max(times)
-                    lead = cand if lead is None else min(lead, cand)
-            if lead is not None and lead < lead_s:
-                out.append(ev)
-        return out
-
 
 def _extract_events(result: SimulationResult, threshold_m: float,
                     dt_s: float) -> list[ProximityEvent]:

@@ -17,17 +17,17 @@ drops, timestamp jitter and satellite-pass gating.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ais.message import AISMessage
 from repro.ais.ports import PORTS, Port, ports_in_bbox
-from repro.ais.routes import make_route
-from repro.geo.geodesy import haversine_m
+from repro.ais.routes import port_distance_m, route_waypoints, voyage_modes
 from repro.ais.vessel import VesselStatics, random_statics
 from repro.geo.bbox import BoundingBox
-from repro.geo.constants import EARTH_RADIUS_M, KNOTS_TO_MPS, METERS_PER_DEG_LAT
+from repro.geo.constants import KNOTS_TO_MPS, METERS_PER_DEG_LAT
+from repro.geo.geodesy import destination_point, haversine_m, initial_bearing_deg
 
 
 @dataclass
@@ -72,6 +72,10 @@ class FleetConfig:
     drift_tau_s: float = 1_200.0
 
 
+#: The columns of a :class:`MessageBatch`, in field order.
+COLUMNS = ("mmsi", "t", "lat", "lon", "sog", "cog")
+
+
 @dataclass
 class MessageBatch:
     """A struct-of-arrays chunk of AIS position reports, sorted by time."""
@@ -86,76 +90,33 @@ class MessageBatch:
     def __len__(self) -> int:
         return int(self.mmsi.shape[0])
 
-    @staticmethod
-    def empty() -> "MessageBatch":
-        z = np.zeros(0)
-        return MessageBatch(
-            mmsi=np.zeros(0, dtype=np.int64),
-            t=z.copy(),
-            lat=z.copy(),
-            lon=z.copy(),
-            sog=z.copy(),
-            cog=z.copy(),
-        )
+    def take(self, idx: np.ndarray) -> MessageBatch:
+        """The rows ``idx``, in that order."""
+        return MessageBatch(*(getattr(self, c)[idx] for c in COLUMNS))
 
     @staticmethod
-    def concat(batches: list["MessageBatch"]) -> "MessageBatch":
+    def empty() -> MessageBatch:
+        return MessageBatch(np.zeros(0, dtype=np.int64), *(np.zeros(0) for _ in COLUMNS[1:]))
+
+    @staticmethod
+    def concat(batches: list[MessageBatch]) -> MessageBatch:
         if not batches:
             return MessageBatch.empty()
-        return MessageBatch(
-            mmsi=np.concatenate([b.mmsi for b in batches]),
-            t=np.concatenate([b.t for b in batches]),
-            lat=np.concatenate([b.lat for b in batches]),
-            lon=np.concatenate([b.lon for b in batches]),
-            sog=np.concatenate([b.sog for b in batches]),
-            cog=np.concatenate([b.cog for b in batches]),
-        )
+        return MessageBatch(*(np.concatenate([getattr(b, c) for b in batches]) for c in COLUMNS))
 
-    def sorted_by_time(self) -> "MessageBatch":
-        order = np.argsort(self.t, kind="stable")
-        return MessageBatch(
-            mmsi=self.mmsi[order],
-            t=self.t[order],
-            lat=self.lat[order],
-            lon=self.lon[order],
-            sog=self.sog[order],
-            cog=self.cog[order],
-        )
+    def sorted_by_time(self) -> MessageBatch:
+        return self.take(np.argsort(self.t, kind="stable"))
 
-    def per_vessel(self) -> dict[int, "MessageBatch"]:
+    def per_vessel(self) -> dict[int, MessageBatch]:
         """Split into per-MMSI batches, each sorted by time."""
-        out: dict[int, MessageBatch] = {}
         order = np.lexsort((self.t, self.mmsi))
-        mmsi = self.mmsi[order]
-        bounds = np.flatnonzero(np.diff(mmsi)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(mmsi)]])
-        for s, e in zip(starts, ends):
-            idx = order[s:e]
-            out[int(mmsi[s])] = MessageBatch(
-                mmsi=self.mmsi[idx],
-                t=self.t[idx],
-                lat=self.lat[idx],
-                lon=self.lon[idx],
-                sog=self.sog[idx],
-                cog=self.cog[idx],
-            )
-        return out
+        runs = np.split(order, np.flatnonzero(np.diff(self.mmsi[order])) + 1)
+        return {int(self.mmsi[run[0]]): self.take(run) for run in runs if run.size}
 
     def to_messages(self, source: str = "terrestrial") -> list[AISMessage]:
         """Expand to message objects (small batches only)."""
-        return [
-            AISMessage(
-                mmsi=int(self.mmsi[i]),
-                t=float(self.t[i]),
-                lat=float(self.lat[i]),
-                lon=float(self.lon[i]),
-                sog=float(self.sog[i]),
-                cog=float(self.cog[i]),
-                source=source,
-            )
-            for i in range(len(self))
-        ]
+        rows = zip(*(getattr(self, c).tolist() for c in COLUMNS))
+        return [AISMessage(*row, source=source) for row in rows]
 
 
 class FleetEngine:
@@ -189,38 +150,9 @@ class FleetEngine:
 
     def _build_fleet(self) -> None:
         cfg = self.config
-        ports = self._candidate_ports()
-        weights = [p.weight for p in ports]
-
-        self.statics: list[VesselStatics] = []
-        waypoint_arrays: list[np.ndarray] = []
-        for i in range(cfg.n_vessels):
-            statics = random_statics(self._rng, cfg.base_mmsi + i)
-            self.statics.append(statics)
-            origin, dest = self._rng.choices(ports, weights=weights, k=2)
-            while dest.name == origin.name:
-                dest = self._rng.choices(ports, weights=weights, k=1)[0]
-            gc_km = haversine_m(origin.lat, origin.lon, dest.lat, dest.lon) / 1_000.0
-            n_wp = int(np.clip(gc_km / cfg.waypoint_spacing_km, 8, 96))
-            # Curvature amplitudes scale with route length so short hops do
-            # not loop wildly while ocean passages keep realistic sweeps.
-            route = make_route(
-                origin,
-                dest,
-                self._rng,
-                n_waypoints=n_wp,
-                corridor_amplitude_m=min(25_000.0, gc_km * 1_000.0 * 0.05),
-                voyage_amplitude_m=min(6_000.0, gc_km * 1_000.0 * 0.015),
-            )
-            waypoint_arrays.append(np.asarray(route.waypoints, dtype=float))
-
         n = cfg.n_vessels
-        # Ragged waypoints flattened with offsets for vectorised lookup.
-        counts = np.array([len(w) for w in waypoint_arrays])
-        self._wp_offsets = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.concatenate(waypoint_arrays, axis=0)
-        self._wp_lat = flat[:, 0].copy()
-        self._wp_lon = flat[:, 1].copy()
+        self._build_routes()
+        counts = np.diff(self._wp_offsets)
 
         progress = self._np_rng.uniform(0.05, 0.7, size=n)
         start_idx = (progress * (counts - 1)).astype(np.int64)
@@ -231,11 +163,12 @@ class FleetEngine:
         self.lon = self._wp_lon[abs_start].copy()
         self._counts = counts
 
+        self.mmsi = cfg.base_mmsi + np.arange(n, dtype=np.int64)
         self.cruise_kn = np.array([s.cruise_speed_kn for s in self.statics])
         self.turn_rate = np.array([s.max_turn_rate_deg_s for s in self.statics])
         self.speed_kn = self.cruise_kn.copy()
         tgt = self._wp_offsets[:-1] + self._wp_idx
-        self.heading = self._bearing(self.lat, self.lon, self._wp_lat[tgt], self._wp_lon[tgt])
+        self.heading = initial_bearing_deg(self.lat, self.lon, self._wp_lat[tgt], self._wp_lon[tgt])
         self.active = np.ones(n, dtype=bool)
         self.start_t = (
             self._np_rng.uniform(0.0, cfg.start_window_s, size=n)
@@ -248,37 +181,35 @@ class FleetEngine:
         self.drift_e = self._np_rng.normal(0.0, cfg.drift_sd_mps, size=n)
         self.drift_n = self._np_rng.normal(0.0, cfg.drift_sd_mps, size=n)
 
-    # -- vectorised geodesy ---------------------------------------------------
+    def _build_routes(self) -> None:
+        """Draw each vessel's statics, port pair and voyage modes, in that
+        order, then lay out every route in one pass as the flat ragged
+        waypoint arrays ``_wp_lat``, ``_wp_lon`` and ``_wp_offsets``."""
+        cfg = self.config
+        ports = self._candidate_ports()
+        weights = [p.weight for p in ports]
+        self.statics: list[VesselStatics] = []
+        origins, destinations, voyage = [], [], []
+        for i in range(cfg.n_vessels):
+            self.statics.append(random_statics(self._rng, cfg.base_mmsi + i))
+            origin, dest = self._rng.choices(ports, weights=weights, k=2)
+            while dest.name == origin.name:
+                dest = self._rng.choices(ports, weights=weights, k=1)[0]
+            origins.append(origin)
+            destinations.append(dest)
+            voyage.append(voyage_modes(self._rng))
 
-    @staticmethod
-    def _bearing(lat1, lon1, lat2, lon2):
-        lat1r, lon1r = np.radians(lat1), np.radians(lon1)
-        lat2r, lon2r = np.radians(lat2), np.radians(lon2)
-        dlon = lon2r - lon1r
-        y = np.sin(dlon) * np.cos(lat2r)
-        x = np.cos(lat1r) * np.sin(lat2r) - np.sin(lat1r) * np.cos(lat2r) * np.cos(dlon)
-        return np.degrees(np.arctan2(y, x)) % 360.0
-
-    @staticmethod
-    def _advance(lat, lon, bearing, dist_m):
-        latr, lonr = np.radians(lat), np.radians(lon)
-        brg = np.radians(bearing)
-        delta = dist_m / EARTH_RADIUS_M
-        lat2 = np.arcsin(np.sin(latr) * np.cos(delta) + np.cos(latr) * np.sin(delta) * np.cos(brg))
-        lon2 = lonr + np.arctan2(
-            np.sin(brg) * np.sin(delta) * np.cos(latr), np.cos(delta) - np.sin(latr) * np.sin(lat2)
+        gc_km = np.array(list(map(port_distance_m, origins, destinations))) / 1_000.0
+        # Curvature amplitudes scale with route length so short hops do
+        # not loop wildly while ocean passages keep realistic sweeps.
+        self._wp_lat, self._wp_lon, self._wp_offsets = route_waypoints(
+            origins,
+            destinations,
+            voyage,
+            np.clip(gc_km / cfg.waypoint_spacing_km, 8, 96).astype(np.int64),
+            np.minimum(25_000.0, gc_km * 1_000.0 * 0.05),
+            np.minimum(6_000.0, gc_km * 1_000.0 * 0.015),
         )
-        return np.degrees(lat2), (np.degrees(lon2) + 180.0) % 360.0 - 180.0
-
-    @staticmethod
-    def _haversine(lat1, lon1, lat2, lon2):
-        lat1r, lon1r = np.radians(lat1), np.radians(lon1)
-        lat2r, lon2r = np.radians(lat2), np.radians(lon2)
-        a = (
-            np.sin((lat2r - lat1r) / 2) ** 2
-            + np.cos(lat1r) * np.cos(lat2r) * np.sin((lon2r - lon1r) / 2) ** 2
-        )
-        return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
 
     # -- stepping ------------------------------------------------------------
 
@@ -290,7 +221,7 @@ class FleetEngine:
             return
         tgt = self._wp_offsets[:-1] + np.minimum(self._wp_idx, self._counts - 1)
         tlat, tlon = self._wp_lat[tgt], self._wp_lon[tgt]
-        dist = self._haversine(self.lat, self.lon, tlat, tlon)
+        dist = haversine_m(self.lat, self.lon, tlat, tlon)
 
         capture = np.maximum(300.0, self.speed_kn * KNOTS_TO_MPS * dt * 2.0)
         arrived = live & (dist < capture)
@@ -304,7 +235,7 @@ class FleetEngine:
             tgt = self._wp_offsets[:-1] + np.minimum(self._wp_idx, self._counts - 1)
             tlat, tlon = self._wp_lat[tgt], self._wp_lon[tgt]
 
-        desired = self._bearing(self.lat, self.lon, tlat, tlon)
+        desired = initial_bearing_deg(self.lat, self.lon, tlat, tlon)
         diff = (desired - self.heading + 180.0) % 360.0 - 180.0
         max_turn = self.turn_rate * dt
         turn = np.clip(diff, -max_turn, max_turn)
@@ -317,7 +248,7 @@ class FleetEngine:
             live, np.maximum(0.5, self.speed_kn + pull * dt + noise), self.speed_kn
         )
 
-        new_lat, new_lon = self._advance(
+        new_lat, new_lon = destination_point(
             self.lat, self.lon, self.heading, self.speed_kn * KNOTS_TO_MPS * dt
         )
         # OU update of the drift velocity, then apply its displacement.
@@ -345,11 +276,8 @@ class FleetEngine:
         # Satellite-pass gating: messages outside a pass window are lost but
         # the transponder still reschedules (it broadcast into the void).
         if due.any():
-            interval = np.select(
-                [self.speed_kn > 23.0, self.speed_kn > 14.0],
-                [np.full_like(self.speed_kn, 2.0), np.full_like(self.speed_kn, 6.0)],
-                default=10.0,
-            )
+            speed = self.speed_kn
+            interval = np.where(speed > 23.0, 2.0, np.where(speed > 14.0, 6.0, 10.0))
             interval = np.maximum(interval, cfg.tick_s)
             self.next_report_t = np.where(due, t + interval, self.next_report_t)
 
@@ -357,12 +285,9 @@ class FleetEngine:
         if idx.size == 0:
             return MessageBatch.empty()
 
-        sat = self.satellite[idx]
-        phase = t % cfg.satellite_pass_period_s
-        if phase > cfg.satellite_pass_duration_s:
-            idx = idx[~sat]
-        received = self._np_rng.random(idx.size) <= cfg.coverage
-        idx = idx[received]
+        if t % cfg.satellite_pass_period_s > cfg.satellite_pass_duration_s:
+            idx = idx[~self.satellite[idx]]
+        idx = idx[self._np_rng.random(idx.size) <= cfg.coverage]
         if idx.size == 0:
             return MessageBatch.empty()
 
@@ -373,14 +298,7 @@ class FleetEngine:
         cog = (
             self.heading[idx] + self._np_rng.normal(0.0, cfg.cog_noise_deg, size=idx.size)
         ) % 360.0
-        return MessageBatch(
-            mmsi=np.array([self.statics[i].mmsi for i in idx], dtype=np.int64),
-            t=np.full(idx.size, t) + jitter,
-            lat=self.lat[idx].copy(),
-            lon=self.lon[idx].copy(),
-            sog=sog,
-            cog=cog,
-        )
+        return MessageBatch(self.mmsi[idx], t + jitter, self.lat[idx], self.lon[idx], sog, cog)
 
     # -- public API -----------------------------------------------------------
 
