@@ -73,7 +73,7 @@ class FleetConfig:
 
 
 #: The columns of a :class:`MessageBatch`, in field order.
-COLUMNS = ("mmsi", "t", "lat", "lon", "sog", "cog")
+_COLUMNS = ("mmsi", "t", "lat", "lon", "sog", "cog")
 
 
 @dataclass
@@ -90,32 +90,32 @@ class MessageBatch:
     def __len__(self) -> int:
         return int(self.mmsi.shape[0])
 
-    def take(self, idx: np.ndarray) -> MessageBatch:
+    def _take(self, idx: np.ndarray) -> MessageBatch:
         """The rows ``idx``, in that order."""
-        return MessageBatch(*(getattr(self, c)[idx] for c in COLUMNS))
+        return MessageBatch(*(getattr(self, c)[idx] for c in _COLUMNS))
 
     @staticmethod
     def empty() -> MessageBatch:
-        return MessageBatch(np.zeros(0, dtype=np.int64), *(np.zeros(0) for _ in COLUMNS[1:]))
+        return MessageBatch(np.zeros(0, dtype=np.int64), *(np.zeros(0) for _ in _COLUMNS[1:]))
 
     @staticmethod
     def concat(batches: list[MessageBatch]) -> MessageBatch:
         if not batches:
             return MessageBatch.empty()
-        return MessageBatch(*(np.concatenate([getattr(b, c) for b in batches]) for c in COLUMNS))
+        return MessageBatch(*(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS))
 
     def sorted_by_time(self) -> MessageBatch:
-        return self.take(np.argsort(self.t, kind="stable"))
+        return self._take(np.argsort(self.t, kind="stable"))
 
     def per_vessel(self) -> dict[int, MessageBatch]:
         """Split into per-MMSI batches, each sorted by time."""
         order = np.lexsort((self.t, self.mmsi))
         runs = np.split(order, np.flatnonzero(np.diff(self.mmsi[order])) + 1)
-        return {int(self.mmsi[run[0]]): self.take(run) for run in runs if run.size}
+        return {int(self.mmsi[run[0]]): self._take(run) for run in runs if run.size}
 
     def to_messages(self, source: str = "terrestrial") -> list[AISMessage]:
         """Expand to message objects (small batches only)."""
-        rows = zip(*(getattr(self, c).tolist() for c in COLUMNS))
+        rows = zip(*(getattr(self, c).tolist() for c in _COLUMNS))
         return [AISMessage(*row, source=source) for row in rows]
 
 

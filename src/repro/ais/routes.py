@@ -40,9 +40,7 @@ class Route:
 
     @property
     def length_m(self) -> float:
-        if len(self.waypoints) < 2:
-            return 0.0
-        lat, lon = np.array(self.waypoints).T
+        lat, lon = np.array(self.waypoints).reshape(-1, 2).T
         return float(haversine_m(lat[:-1], lon[:-1], lat[1:], lon[1:]).sum())
 
 
@@ -53,7 +51,8 @@ def _corridor_seed(origin: Port, destination: Port) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-@lru_cache(maxsize=None)
+# The two per-pair caches hold every ordered pair of the catalogue (4,970).
+@lru_cache(maxsize=8_192)
 def port_distance_m(origin: Port, destination: Port) -> float:
     """Great-circle distance between two ports, from the scalar haversine: a
     numpy scalar squares through ``pow`` where an array multiplies, and the
@@ -61,7 +60,7 @@ def port_distance_m(origin: Port, destination: Port) -> float:
     return haversine_m(origin.lat, origin.lon, destination.lat, destination.lon)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8_192)
 def _corridor_modes(origin: Port, destination: Port) -> tuple[float, float]:
     """The pair's two corridor mode amplitudes in ``[-1, 1]``."""
     pair_rng = random.Random(_corridor_seed(origin, destination))
