@@ -6,8 +6,11 @@ series (100-actor moving window), as the paper's Figure 6 plots.
 
 Run:  python examples/run_figure6.py [--vessels N] [--minutes M]
 
-The paper's run: 170K vessels, 72 hours, 12 cores / 128 GB. Scale to taste;
-5,000 vessels / 60 minutes takes ~10 minutes on one core.
+The paper's run: 170K vessels, 72 hours, 12 cores / 128 GB. Scale to taste.
+On a shared 2-vCPU Xeon, 5,000 vessels / 60 minutes builds the fleet in
+~0.5 s and streams its 339,128 messages in ~61 s. Preparing the S-VRF model
+adds ~55 s with the model cached (most of it rebuilding the training
+scenarios) and ~5 minutes of training on the first run.
 """
 
 import argparse

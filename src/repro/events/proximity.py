@@ -2,11 +2,16 @@
 
 "AIS positional data are sent to the cell actors for proximity event
 detection" (Section 3): each H3 cell actor receives the positions falling in
-its cell (and, because positions are fanned out to neighbouring cells too,
-positions just across its borders) and flags vessel pairs closer than a
-threshold within a short time window. :class:`ProximityDetector` is that
-per-cell state machine; the platform instantiates one inside every cell
-actor, and the evaluation drives it directly.
+its cell and flags vessel pairs closer than a threshold within a short time
+window. :class:`ProximityDetector` is that per-cell state machine; the
+platform instantiates one inside every cell actor, and the evaluation drives
+it directly.
+
+Each fix goes to its own resolution-8 cell only
+(``VesselActor._on_position``); nothing is fanned out to neighbouring cells.
+So two vessels within the threshold but in different cells (either side of
+a cell edge, or of +-180 degrees) raise no event. Making the candidate stage
+conservative in true metres is ROADMAP item 21.
 """
 
 from __future__ import annotations
