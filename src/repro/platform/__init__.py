@@ -16,17 +16,16 @@ This package wires the substrates into the paper's architecture:
   store, from which the **middleware API** serves the UI.
 
 One entry point: :class:`repro.platform.pipeline.Platform`. Alone it is
-the whole platform on one node; constructed on a
-:class:`~repro.cluster.node.ClusterNode` (``Platform(node=...)``) it is one
-node of a sharded cluster (see :mod:`repro.cluster`), and
-:class:`repro.platform.distributed.LoopbackCluster` runs N of those in one
-process.
+the whole platform on one node; built on a cluster node by
+:func:`repro.platform.launcher.build_node` it is one node of a sharded
+cluster (:mod:`repro.cluster`): N in one process make a
+:class:`repro.platform.distributed.LoopbackCluster`, and
+``python -m repro.platform.launcher`` runs one as a TCP worker process.
 """
 
 from repro.platform.config import PlatformConfig
 from repro.platform.pipeline import Platform
 from repro.platform.api import MiddlewareAPI
-from repro.platform.distributed import LoopbackCluster
 
 __all__ = [
     "LoopbackCluster",
@@ -34,3 +33,11 @@ __all__ = [
     "Platform",
     "PlatformConfig",
 ]
+
+
+def __getattr__(name):  # lazy, so `python -m` finds repro.platform.launcher not yet imported
+    if name != "LoopbackCluster":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.platform.distributed import LoopbackCluster
+
+    return LoopbackCluster

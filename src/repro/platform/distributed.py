@@ -2,12 +2,12 @@
 
 :class:`LoopbackCluster` is cluster *lifecycle* — spawn, kill, restart,
 drain, checkpoint, recover, tick — around N
-:class:`~repro.platform.pipeline.Platform` nodes, each constructed on its
-own :class:`~repro.cluster.node.ClusterNode`; everything a node does is
-the platform's business. It is the harness behind the cluster tests, the
-sim campaigns and ``bench/``'s ``cluster4_svrf`` workload. The same
-platform across two OS processes over TCP is
-``examples/cluster_over_tcp.py``.
+:class:`~repro.platform.pipeline.Platform` nodes, each built by
+:func:`~repro.platform.launcher.build_node` on a hub transport; everything
+a node does is the platform's business. It is the harness behind the
+cluster tests, the sim campaigns and ``bench/``'s ``cluster4_svrf``
+workload. The same ``build_node`` starts a node as its own OS process over
+TCP (``python -m repro.platform.launcher``; ``examples/cluster_over_tcp.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.platform.checkpoint import (
     write_checkpoint,
 )
 from repro.platform.config import PlatformConfig
+from repro.platform.launcher import build_node
 from repro.platform.messages import RestoreState
 from repro.platform.pipeline import Platform, flush_barrier
 from repro.telemetry import complete_traces, merge_traces
@@ -56,35 +57,37 @@ class LoopbackCluster:
         self.hub = hub if hub is not None else LoopbackHub()
         self.clock = clock if clock is not None else VirtualClock()
         self.cluster_config = cluster_config or ClusterConfig()
-        self.nodes: list[ClusterNode] = []
         self.platforms: list[Platform] = []
         self._platform_config = config
         self._forecaster_factory = forecaster_factory or LinearKinematicModel
+        # Every node starts, and every join is sent, before the hub's first
+        # pump: the hub's frame order (and a SimHub's draws) depend on it.
         for i in range(num_nodes):
-            self._spawn_node(f"node-{i:02d}", is_seed=(i == 0))
-        seed = self.nodes[0]
-        for node in self.nodes[1:]:
-            node.join(seed.node_id, seed.transport.address)
+            self._start_node(f"node-{i:02d}")
         self.settle()
 
-    def _spawn_node(self, node_id: str, is_seed: bool) -> Platform:
-        node = ClusterNode(
+    def _start_node(self, node_id: str) -> Platform:
+        """:func:`build_node` on this hub and clock; every node but the first joins the seed."""
+        seed = self.platforms[0].node if self.platforms else None
+        platform = build_node(
             node_id,
             self.hub.transport(node_id),
-            config=self.cluster_config,
+            forecaster=self._forecaster_factory(),
+            config=self._platform_config,
+            cluster_config=self.cluster_config,
             clock=self.clock,
+            join=None if seed is None else (seed.node_id, seed.transport.address),
         )
-        node.start()
-        platform = Platform(
-            self._forecaster_factory(), self._platform_config, node=node, is_seed=is_seed
-        )
-        self.nodes.append(node)
         self.platforms.append(platform)
         return platform
 
     @property
     def seed(self) -> Platform:
         return self.platforms[0]
+
+    @property
+    def nodes(self) -> list[ClusterNode]:
+        return [platform.node for platform in self.platforms]
 
     # -- driving ---------------------------------------------------------------------
 
@@ -141,8 +144,7 @@ class LoopbackCluster:
             raise ValueError(
                 "killing the seed would take the broker with it; kill a worker node instead"
             )
-        node = self.nodes.pop(index)
-        self.platforms.pop(index)
+        node = self.platforms.pop(index).node
         self.hub.disconnect(node.node_id)  # no frame reaches it again
         return node.node_id
 
@@ -156,9 +158,7 @@ class LoopbackCluster:
         """
         if any(n.node_id == node_id for n in self.nodes):
             raise ValueError(f"{node_id} is already running")
-        platform = self._spawn_node(node_id, is_seed=False)
-        seed = self.nodes[0]
-        platform.node.join(seed.node_id, seed.transport.address)
+        platform = self._start_node(node_id)
         self.settle()
         return platform
 
@@ -206,7 +206,6 @@ class LoopbackCluster:
         self.seed.kvstore.merge_state(platform.kvstore.snapshot_state(), now=self.seed.system.now)
         node.leave()
         self.settle()
-        self.nodes.pop(index)
         self.platforms.pop(index)
         self.hub.disconnect(node.node_id)
         platform.shutdown()

@@ -1,30 +1,25 @@
-"""Two cluster nodes over real TCP sockets, inside the test process.
+"""Two cluster nodes over real TCP sockets.
 
-Each node is a ``Platform`` on ``BatchingTransport(TcpTransport(port=0))``.
-The test thread drives both the way a TCP deployment drives one node:
-``pump`` + ``tick`` in a loop, and a remote reply is awaited by pumping
-until its future is done. Reader and writer threads only move bytes.
+Each node is a ``Platform`` that ``build_node`` starts on a ``TcpTransport``. The test
+thread drives a node the way a TCP deployment does (``launcher.pump_until``: ``pump`` +
+``tick`` in a loop), and a remote reply is awaited by pumping until its future is done.
+Reader and writer threads only move bytes. The first test keeps both nodes in the test
+process; the second joins a worker process (``python -m repro.platform.launcher``).
 """
 
 import threading
-import time
 
 from repro.ais.datasets import proximity_scenario
-from repro.cluster import BatchingTransport, ClusterConfig, ClusterNode, TcpTransport
 from repro.platform import Platform
-
-#: Generous failure-detector timeouts: a loaded box must not down a peer.
-CONFIG = ClusterConfig(heartbeat_interval_s=0.5, suspect_after_s=5.0, down_after_s=15.0)
-
-
-def pump_until(nodes, done, timeout_s=10.0):
-    """Pump and tick every node on this thread until ``done()``."""
-    deadline = time.monotonic() + timeout_s
-    while not done():
-        assert time.monotonic() < deadline, "the TCP cluster stalled"
-        for node in nodes:
-            node.pump(0.001)
-            node.tick()
+from repro.platform.launcher import (
+    PROCESS_CLUSTER,
+    ask,
+    build_node,
+    pump_until,
+    settle,
+    spawn_worker,
+    tcp_transport,
+)
 
 
 def recording_thread(on_frame, threads):
@@ -37,7 +32,7 @@ def recording_thread(on_frame, threads):
     return wrapped
 
 
-def settle(nodes):
+def settle_local(nodes):
     """Pump until a round moves nothing and every frame sent has arrived."""
 
     def idle():
@@ -71,42 +66,45 @@ def encounters(platforms) -> set:
     return found
 
 
-def test_two_tcp_nodes_match_a_standalone_platform():
+def standalone_run():
+    """The Aegean scenario of ``examples/cluster_over_tcp.py``, in time order, and a
+    standalone platform that has processed it in the same 500-message chunks."""
     scenario = proximity_scenario(
         n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0
     )
     messages = sorted(scenario.result.messages, key=lambda m: m.t)
-    mmsis = sorted({m.mmsi for m in messages})
     alone = Platform()
     for i in range(0, len(messages), 500):
         alone.publish_messages(messages[i : i + 500])
         alone.process_available()
+    return scenario, messages, alone
 
-    nodes = [
-        ClusterNode(f"node-0{i}", BatchingTransport(TcpTransport(port=0)), config=CONFIG)
-        for i in range(2)
-    ]
-    seed, worker = platforms = [
-        Platform(node=nodes[0], is_seed=True),
-        Platform(node=nodes[1], is_seed=False),
-    ]
+
+def test_two_tcp_nodes_match_a_standalone_platform():
+    scenario, messages, alone = standalone_run()
+    mmsis = sorted({m.mmsi for m in messages})
+
+    seed = build_node("node-00", tcp_transport(), cluster_config=PROCESS_CLUSTER)
+    contact = (seed.node.node_id, seed.node.transport.address)
+    worker = build_node("node-01", tcp_transport(), cluster_config=PROCESS_CLUSTER, join=contact)
+    platforms = [seed, worker]
+    nodes = [platform.node for platform in platforms]
     frame_threads = set()
     for node in nodes:
-        node._on_frame = recording_thread(node._on_frame, frame_threads)
-        node.start()
+        # Wrapped before the first pump: every frame either node receives passes here.
+        node.transport._on_frame = recording_thread(node.transport._on_frame, frame_threads)
     try:
-        nodes[1].join(nodes[0].node_id, nodes[0].transport.address)
         pump_until(nodes, lambda: all(len(n.membership.alive_ids()) == 2 for n in nodes))
-        settle(nodes)
+        settle_local(nodes)
         published = dispatched = 0
         for i in range(0, len(messages), 500):
             published += seed.publish_messages(messages[i : i + 500])
-            dispatched += seed.ingest_available(lambda: settle(nodes))
+            dispatched += seed.ingest_available(lambda: settle_local(nodes))
         for stage in range(len(seed.wiring.batch_stages)):
             seed.flush_stage(stage)
             reply = nodes[0].ask_control(nodes[1].node_id, "flush_stage", {"stage": stage})
             pump_until(nodes, lambda: reply.done)
-            settle(nodes)
+            settle_local(nodes)
 
         assert dispatched == published == len(messages)
         assert seed.vessel_count and worker.vessel_count
@@ -119,3 +117,32 @@ def test_two_tcp_nodes_match_a_standalone_platform():
     finally:
         for platform in platforms + [alone]:
             platform.shutdown()
+
+
+def test_a_launcher_process_joins_a_seed_and_matches_a_standalone_platform():
+    scenario, messages, alone = standalone_run()
+    seed = build_node("node-00", tcp_transport(), cluster_config=PROCESS_CLUSTER)
+    node = seed.node
+    process = spawn_worker("node-01", seed)
+    try:
+        pump_until([node], lambda: "node-01" in node.membership.alive_ids())
+        for i in range(0, len(messages), 500):
+            seed.publish_messages(messages[i : i + 500])
+            seed.ingest_available(node.pump)
+            node.tick()
+        remote = settle(seed, ["node-01"])["node-01"]
+
+        assert seed.vessel_count and remote["vessels_local"]
+        assert seed.vessel_count + remote["vessels_local"] == scenario.n_vessels == 14
+        for kind, count in (("proximity", 6), ("collision", 12)):
+            assert seed.event_count(kind) + remote[f"events_{kind}"] == alone.event_count(kind)
+            assert alone.event_count(kind) == count
+
+        assert ask(node, "node-01", "shutdown") == {"ok": 1}
+        assert process.wait(timeout=30.0) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        seed.shutdown()
+        alone.shutdown()

@@ -32,8 +32,8 @@ ALLOWED_UNEXERCISED = {
     # (ROADMAP item 2(a) aligns partitions with the shard table).
     "ais_topic": "deployment setting",
     "ais_partitions": "deployment setting",
-    # Transport queue bounds of a TCP deployment; read by the TCP demo
-    # (``examples/cluster_over_tcp.py``) off the config object.
+    # Transport queue bounds of a TCP deployment; read off the process-cluster
+    # config by ``repro.platform.launcher.tcp_transport``.
     "outbound_queue_frames": "deployment setting",
     "send_block_timeout_s": "deployment setting",
 }
