@@ -45,8 +45,9 @@ from repro.geo.bbox import AEGEAN_BBOX, PAPER_EVAL_BBOX, BoundingBox
 from repro.geo.constants import KNOTS_TO_MPS
 from repro.geo.geodesy import destination_point, haversine_m
 
-#: Default cache directory (repo-local, ignored by packaging).
-CACHE_DIR = Path(".repro_cache")
+#: Cache directory at the checkout root (``src/repro/ais/`` -> ``../../..``),
+#: whatever the working directory; gitignored, ignored by packaging.
+CACHE_DIR = Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
 def _cache_key(name: str, params: dict) -> Path:

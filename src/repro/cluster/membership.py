@@ -99,6 +99,9 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
+        if self.heartbeat_interval_s <= 0:
+            # LoopbackCluster.tick steps the clock by this interval.
+            raise ValueError("heartbeat_interval_s must be positive")
         if not (0 < self.suspect_after_s <= self.down_after_s):
             raise ValueError("need 0 < suspect_after_s <= down_after_s")
         if self.max_batch_msgs < 1:

@@ -129,6 +129,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ClusterConfig(num_shards=0)
 
+    @pytest.mark.parametrize("interval", [0.0, -0.5])
+    def test_a_heartbeat_interval_must_be_positive(self, interval):
+        # Only the config is built: a cluster ticked with it would step by
+        # this interval, forever at 0 and away from the target below it.
+        with pytest.raises(ValueError, match="heartbeat_interval_s"):
+            ClusterConfig(heartbeat_interval_s=interval)
+
 
 class TestSnapshotDiscipline:
     """Observers read copies, never live records — the contract telemetry
