@@ -41,7 +41,7 @@ def main() -> None:
             published += seed.publish_messages(messages[i : i + 500])
             processed += seed.ingest_available(node.pump)
             node.tick()
-        remote = launcher.settle(seed, [WORKER_ID])[WORKER_ID]
+        remote = launcher.settle(seed, WORKER_ID)
         vessels = {SEED_ID: seed.vessel_count, WORKER_ID: remote["vessels_local"]}
         events = {
             kind: seed.event_count(kind) + remote[f"events_{kind}"]

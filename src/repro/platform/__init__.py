@@ -26,6 +26,7 @@ cluster (:mod:`repro.cluster`): N in one process make a
 from repro.platform.config import PlatformConfig
 from repro.platform.pipeline import Platform
 from repro.platform.api import MiddlewareAPI
+from repro.platform.distributed import LoopbackCluster
 
 __all__ = [
     "LoopbackCluster",
@@ -33,11 +34,3 @@ __all__ = [
     "Platform",
     "PlatformConfig",
 ]
-
-
-def __getattr__(name):  # lazy, so `python -m` finds repro.platform.launcher not yet imported
-    if name != "LoopbackCluster":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.platform.distributed import LoopbackCluster
-
-    return LoopbackCluster

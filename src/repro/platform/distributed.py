@@ -27,7 +27,6 @@ from repro.platform.checkpoint import (
     write_checkpoint,
 )
 from repro.platform.config import PlatformConfig
-from repro.platform.launcher import build_node
 from repro.platform.messages import RestoreState
 from repro.platform.pipeline import Platform, flush_barrier
 from repro.telemetry import complete_traces, merge_traces
@@ -68,6 +67,8 @@ class LoopbackCluster:
 
     def _start_node(self, node_id: str) -> Platform:
         """:func:`build_node` on this hub and clock; every node but the first joins the seed."""
+        from repro.platform.launcher import build_node  # not at import: `python -m` runs it
+
         seed = self.platforms[0].node if self.platforms else None
         platform = build_node(
             node_id,

@@ -66,19 +66,18 @@ def ask(node: ClusterNode, node_id: str, op: str, params: dict | None = None) ->
     return future.result()
 
 
-def settle(seed: Platform, workers: Sequence[str], timeout_s=120.0) -> dict[str, dict]:
+def settle(seed: Platform, worker: str) -> dict:
     """The flush barrier over the control channel: each of ``wiring.batch_stages`` on the
-    seed and every worker, then poll ``messages_processed`` until three polls in a row see
-    no change. Returns each worker's ``platform_stats``."""
+    seed and on ``worker``, then poll both ``messages_processed`` counters until three polls
+    in a row see no change. Returns the worker's ``platform_stats``."""
     for stage in range(len(seed.wiring.batch_stages)):
         seed.flush_stage(stage)
-        for worker in workers:
-            ask(seed.node, worker, "flush_stage", {"stage": stage})
-    deadline = time.monotonic() + timeout_s
+        ask(seed.node, worker, "flush_stage", {"stage": stage})
+    deadline = time.monotonic() + 120.0
     last, stable = None, 0
     while time.monotonic() < deadline:
-        remote = {worker: ask(seed.node, worker, "platform_stats") for worker in workers}
-        current = [stats["messages_processed"] for stats in (seed.stats(), *remote.values())]
+        remote = ask(seed.node, worker, "platform_stats")
+        current = (seed.stats()["messages_processed"], remote["messages_processed"])
         stable = stable + 1 if current == last else 0
         if stable >= 3:
             return remote

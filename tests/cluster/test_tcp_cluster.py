@@ -39,7 +39,7 @@ def settle_local(nodes):
         moved = sum(node.pump() for node in nodes)
         return not moved and sum(n.frames_in for n in nodes) == sum(n.frames_out for n in nodes)
 
-    pump_until(nodes, idle)
+    pump_until(nodes, idle, timeout_s=10.0)
 
 
 def vessel_rows(platforms, mmsis):
@@ -94,7 +94,7 @@ def test_two_tcp_nodes_match_a_standalone_platform():
         # Wrapped before the first pump: every frame either node receives passes here.
         node.transport._on_frame = recording_thread(node.transport._on_frame, frame_threads)
     try:
-        pump_until(nodes, lambda: all(len(n.membership.alive_ids()) == 2 for n in nodes))
+        pump_until(nodes, lambda: all(len(n.membership.alive_ids()) == 2 for n in nodes), 10.0)
         settle_local(nodes)
         published = dispatched = 0
         for i in range(0, len(messages), 500):
@@ -103,7 +103,7 @@ def test_two_tcp_nodes_match_a_standalone_platform():
         for stage in range(len(seed.wiring.batch_stages)):
             seed.flush_stage(stage)
             reply = nodes[0].ask_control(nodes[1].node_id, "flush_stage", {"stage": stage})
-            pump_until(nodes, lambda: reply.done)
+            pump_until(nodes, lambda: reply.done, timeout_s=10.0)
             settle_local(nodes)
 
         assert dispatched == published == len(messages)
@@ -130,7 +130,7 @@ def test_a_launcher_process_joins_a_seed_and_matches_a_standalone_platform():
             seed.publish_messages(messages[i : i + 500])
             seed.ingest_available(node.pump)
             node.tick()
-        remote = settle(seed, ["node-01"])["node-01"]
+        remote = settle(seed, "node-01")
 
         assert seed.vessel_count and remote["vessels_local"]
         assert seed.vessel_count + remote["vessels_local"] == scenario.n_vessels == 14
