@@ -50,7 +50,7 @@ from repro.sim.campaign import CampaignReport
 from repro.sim.invariants import Violation
 from repro.sim.workload import generate_workload
 from repro.warehouse import Warehouse, WarehouseCompactor, WarehouseQueries
-from repro.warehouse.segments import CorruptSegmentError
+from repro.warehouse.segments import CorruptSegmentError, read_segment
 
 
 class SimCrash(Exception):
@@ -97,16 +97,26 @@ class WarehouseReport(CampaignReport):
     victim_fingerprint: str
     counters: dict = field(default_factory=dict)
 
-    DIGEST = ("scenario", "seed", "violations", "states_written",
-              "events_written", "position_rows", "event_rows",
-              "crashes", "attempts", "oracle_fingerprint",
-              "victim_fingerprint", "counters")
-    SUMMARY = ("rows={position_rows}+{event_rows}",
-               "crashes={crashes}/{attempts}", "attempts")
+    DIGEST = (
+        "scenario",
+        "seed",
+        "violations",
+        "states_written",
+        "events_written",
+        "position_rows",
+        "event_rows",
+        "crashes",
+        "attempts",
+        "oracle_fingerprint",
+        "victim_fingerprint",
+        "counters",
+    )
+    SUMMARY = ("rows={position_rows}+{event_rows}", "crashes={crashes}/{attempts}", "attempts")
 
 
-def _run_platform(scenario: WarehouseScenario, seed: int,
-                  kv_dir: str) -> tuple[int, int, StorePersistence]:
+def _run_platform(
+    scenario: WarehouseScenario, seed: int, kv_dir: str
+) -> tuple[int, int, StorePersistence]:
     """Drive the seeded workload through an unbatched-writer platform
     journaling to ``kv_dir``; returns (states, events, persistence)."""
     # writer_batch_max_ops=1: every kept fix lands as its own journaled
@@ -118,10 +128,13 @@ def _run_platform(scenario: WarehouseScenario, seed: int,
     persistence = StorePersistence(kv_dir, compact_every_ops=0)
     platform.kvstore.bind_persistence(persistence)
     workload = generate_workload(
-        seed, num_proximity_pairs=scenario.num_proximity_pairs,
+        seed,
+        num_proximity_pairs=scenario.num_proximity_pairs,
         num_collision_pairs=scenario.num_collision_pairs,
-        num_loners=scenario.num_loners, steps=scenario.steps,
-        spacing_s=scenario.spacing_s)
+        num_loners=scenario.num_loners,
+        steps=scenario.steps,
+        spacing_s=scenario.spacing_s,
+    )
     for chunk in workload.messages_by_step:
         platform.publish_messages(chunk)
         platform.process_available()
@@ -133,9 +146,9 @@ def _run_platform(scenario: WarehouseScenario, seed: int,
     return states, events, persistence
 
 
-def _compact_with_crashes(scenario: WarehouseScenario, seed: int,
-                          directory: str, persistence: StorePersistence
-                          ) -> tuple[int, int]:
+def _compact_with_crashes(
+    scenario: WarehouseScenario, seed: int, directory: str, persistence: StorePersistence
+) -> tuple[int, int]:
     """Compact under seeded failpoint crashes, reopening from disk after
     each, until a pass completes. Returns (crashes, attempts)."""
     rng = random.Random(seed ^ 0x0C0_FFEE)
@@ -144,12 +157,10 @@ def _compact_with_crashes(scenario: WarehouseScenario, seed: int,
     while True:
         attempts += 1
         warehouse = Warehouse(directory, resolution=scenario.resolution)
-        compactor = WarehouseCompactor(warehouse,
-                                       batch_rows=scenario.batch_rows)
+        compactor = WarehouseCompactor(warehouse, batch_rows=scenario.batch_rows)
 
         def failpoint(stage: str, detail) -> None:
-            if crashes < scenario.max_crashes \
-                    and rng.random() < scenario.crash_p:
+            if crashes < scenario.max_crashes and rng.random() < scenario.crash_p:
                 raise SimCrash(f"{stage}:{detail}")
 
         warehouse.failpoint = failpoint
@@ -161,67 +172,74 @@ def _compact_with_crashes(scenario: WarehouseScenario, seed: int,
         return crashes, attempts
 
 
-def _check_segments_load(name: str, warehouse: Warehouse
-                         ) -> list[Violation]:
+def _check_segments_load(name: str, warehouse: Warehouse) -> list[Violation]:
+    """Decode every segment file the manifest references from disk (``read_segment``, never
+    the warehouse's cache), so a torn or missing file shows."""
     violations = []
     for table in ("positions", "events"):
-        for cell, day, _meta in warehouse.partitions(table):
+        for _coarse, _day, entry in warehouse.segments(table):
             try:
-                warehouse.read_partition(table, cell, day)
+                read_segment(os.path.join(warehouse.directory, entry["file"]))
             except (CorruptSegmentError, OSError) as exc:
-                violations.append(Violation(
-                    "segment-readable",
-                    f"{name} {table} partition ({cell:#x}, {day}): {exc}"))
+                violations.append(
+                    Violation("segment-readable", f"{name} {table} segment {entry['file']}: {exc}")
+                )
     return violations
 
 
-def _check_query_parity(oracle: Warehouse, victim: Warehouse,
-                        mmsis: list[int]) -> list[Violation]:
+def _check_query_parity(oracle: Warehouse, victim: Warehouse, mmsis: list[int]) -> list[Violation]:
     violations = []
     q_oracle = WarehouseQueries(oracle)
     q_victim = WarehouseQueries(victim)
     for mmsi in sorted(mmsis):
         if q_oracle.vessel_history(mmsi) != q_victim.vessel_history(mmsi):
-            violations.append(Violation(
-                "query-parity", f"vessel {mmsi} history differs between "
-                                f"oracle and crash-interrupted warehouse"))
+            violations.append(
+                Violation(
+                    "query-parity",
+                    f"vessel {mmsi} history differs between "
+                    f"oracle and crash-interrupted warehouse",
+                )
+            )
     if q_oracle.heatmap() != q_victim.heatmap():
-        violations.append(Violation(
-            "query-parity", "full heatmap differs between oracle and "
-                            "crash-interrupted warehouse"))
+        violations.append(
+            Violation(
+                "query-parity",
+                "full heatmap differs between oracle and crash-interrupted warehouse",
+            )
+        )
     return violations
 
 
-def run_warehouse_scenario(scenario: WarehouseScenario, seed: int,
-                           workdir: str | None = None) -> WarehouseReport:
+def run_warehouse_scenario(
+    scenario: WarehouseScenario, seed: int, workdir: str | None = None
+) -> WarehouseReport:
     """Execute ``scenario`` under ``seed``; pass ``workdir`` to keep the
     journal and both warehouses inspectable after the run (by default
     they live in a temporary directory removed on return)."""
     if workdir is None:
-        with tempfile.TemporaryDirectory(
-                prefix=f"sim-warehouse-seed{seed}-") as workdir:
+        with tempfile.TemporaryDirectory(prefix=f"sim-warehouse-seed{seed}-") as workdir:
             return run_warehouse_scenario(scenario, seed, workdir)
-    states, events, persistence = _run_platform(
-        scenario, seed, os.path.join(workdir, "kv"))
+    states, events, persistence = _run_platform(scenario, seed, os.path.join(workdir, "kv"))
     try:
-        return _compact_and_check(scenario, seed, workdir, states, events,
-                                  persistence)
+        return _compact_and_check(scenario, seed, workdir, states, events, persistence)
     finally:
         persistence.close()
 
 
-def _compact_and_check(scenario: WarehouseScenario, seed: int, workdir: str,
-                       states: int, events: int,
-                       persistence: StorePersistence) -> WarehouseReport:
+def _compact_and_check(
+    scenario: WarehouseScenario,
+    seed: int,
+    workdir: str,
+    states: int,
+    events: int,
+    persistence: StorePersistence,
+) -> WarehouseReport:
     oracle_dir = os.path.join(workdir, "oracle")
     victim_dir = os.path.join(workdir, "victim")
     oracle = Warehouse(oracle_dir, resolution=scenario.resolution)
-    WarehouseCompactor(
-        oracle, batch_rows=scenario.batch_rows
-    ).compact_persistence(persistence)
+    WarehouseCompactor(oracle, batch_rows=scenario.batch_rows).compact_persistence(persistence)
 
-    crashes, attempts = _compact_with_crashes(
-        scenario, seed, victim_dir, persistence)
+    crashes, attempts = _compact_with_crashes(scenario, seed, victim_dir, persistence)
     # The post-crash reopen: exactly what a restarted process would see.
     victim = Warehouse(victim_dir, resolution=scenario.resolution)
     fingerprint_before_vacuum = victim.fingerprint()
@@ -230,45 +248,71 @@ def _compact_and_check(scenario: WarehouseScenario, seed: int, workdir: str,
     violations: list[Violation] = []
     for name, warehouse in (("oracle", oracle), ("victim", victim)):
         if warehouse.total_rows("positions") != states:
-            violations.append(Violation(
-                "row-count", f"{name} holds "
-                f"{warehouse.total_rows('positions')} position rows, "
-                f"writer wrote {states} kept fixes"))
+            violations.append(
+                Violation(
+                    "row-count",
+                    f"{name} holds "
+                    f"{warehouse.total_rows('positions')} position rows, "
+                    f"writer wrote {states} kept fixes",
+                )
+            )
         if warehouse.total_rows("events") != events:
-            violations.append(Violation(
-                "row-count", f"{name} holds "
-                f"{warehouse.total_rows('events')} event rows, "
-                f"writer wrote {events}"))
+            violations.append(
+                Violation(
+                    "row-count",
+                    f"{name} holds "
+                    f"{warehouse.total_rows('events')} event rows, "
+                    f"writer wrote {events}",
+                )
+            )
         violations.extend(_check_segments_load(name, warehouse))
 
     oracle_fp = oracle.fingerprint()
     victim_fp = victim.fingerprint()
     if oracle_fp != victim_fp:
-        violations.append(Violation(
-            "byte-equality",
-            f"victim fingerprint {victim_fp[:16]} != oracle "
-            f"{oracle_fp[:16]} after {crashes} crash(es)"))
+        violations.append(
+            Violation(
+                "byte-equality",
+                f"victim fingerprint {victim_fp[:16]} != oracle "
+                f"{oracle_fp[:16]} after {crashes} crash(es)",
+            )
+        )
     if victim_fp != fingerprint_before_vacuum:
-        violations.append(Violation(
-            "vacuum-neutrality",
-            f"vacuum ({orphans} orphan(s) removed) changed the victim "
-            f"fingerprint"))
+        violations.append(
+            Violation(
+                "vacuum-neutrality",
+                f"vacuum ({orphans} orphan(s) removed) changed the victim fingerprint",
+            )
+        )
     if crashes == 0:
-        violations.append(Violation(
-            "crash-coverage",
-            "the seeded schedule never crashed compaction — the campaign "
-            "degenerated to a clean pass (raise crash_p or batch count)"))
+        violations.append(
+            Violation(
+                "crash-coverage",
+                "the seeded schedule never crashed compaction — the campaign "
+                "degenerated to a clean pass (raise crash_p or batch count)",
+            )
+        )
 
     # Every vessel the oracle holds a fix of: parity covers each history.
-    mmsis = sorted({mmsi for _c, _d, entry in oracle.segments("positions")
-                    for mmsi in oracle.load(entry)["mmsi"].tolist()})
+    mmsis = sorted(
+        {
+            mmsi
+            for _c, _d, entry in oracle.segments("positions")
+            for mmsi in oracle.load(entry)["mmsi"].tolist()
+        }
+    )
     violations.extend(_check_query_parity(oracle, victim, mmsis))
     return WarehouseReport(
-        scenario=scenario.name, seed=seed, violations=violations,
-        states_written=states, events_written=events,
+        scenario=scenario.name,
+        seed=seed,
+        violations=violations,
+        states_written=states,
+        events_written=events,
         position_rows=victim.total_rows("positions"),
         event_rows=victim.total_rows("events"),
-        crashes=crashes, attempts=attempts,
-        oracle_fingerprint=oracle_fp, victim_fingerprint=victim_fp,
-        counters={"orphans_vacuumed": orphans,
-                  "journal_ops": persistence.seq})
+        crashes=crashes,
+        attempts=attempts,
+        oracle_fingerprint=oracle_fp,
+        victim_fingerprint=victim_fp,
+        counters={"orphans_vacuumed": orphans, "journal_ops": persistence.seq},
+    )

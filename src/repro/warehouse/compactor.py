@@ -32,6 +32,9 @@ EVENTS_PREFIX = "events:"
 #: Rows with ``|t|`` at or past this are skipped: float seconds stop being exact there.
 MAX_ABS_T = 2.0**53
 
+#: MMSIs a row may carry: the ``<i8`` columns hold them exactly; rows outside are skipped.
+INT64 = range(-(2**63), 2**63)
+
 
 def _row_ok(t: float, lat: float, lon: float) -> bool:
     """The row check every source shares: a finite ``t`` below ``MAX_ABS_T`` in magnitude,
@@ -77,9 +80,11 @@ def event_row(
 
 
 def _columns(rows: list[tuple], schema: tuple[tuple[str, str], ...], resolution: int) -> dict:
-    """A column table (``cell`` first) of rows laid out in ``schema`` order."""
-    array = np.array(rows, dtype=np.float64).reshape(-1, len(schema))
-    table = {name: array[:, i].astype(dtype) for i, (name, dtype) in enumerate(schema)}
+    """A column table (``cell`` first) of rows laid out in ``schema`` order, each in its dtype."""
+    table = {
+        name: np.fromiter((row[i] for row in rows), dtype, len(rows))
+        for i, (name, dtype) in enumerate(schema)
+    }
     return {"cell": latlng_to_cells(table["lat"], table["lon"], resolution), **table}
 
 
@@ -103,14 +108,15 @@ class _RowBuffer:
             row = (int(mmsi), *(float(fields[name]) for name in ("t", "lat", "lon", "sog", "cog")))
         except (KeyError, TypeError, ValueError, OverflowError):
             return False
-        if not _row_ok(*row[1:4]):
+        if not (_row_ok(*row[1:4]) and row[0] in INT64):
             return False
         self.positions.append(row)
         return True
 
     def add_event(self, kind_id: int, row: tuple | None) -> bool:
         """Buffer one :func:`event_row`; False when it is None or fails the row check."""
-        if row is None or not _row_ok(row[0], row[3], row[4]):
+        ok = row is not None and _row_ok(row[0], row[3], row[4])
+        if not (ok and row[1] in INT64 and row[2] in INT64):
             return False
         t, mmsi_a, mmsi_b, lat, lon = row
         self.events.append((t, kind_id, mmsi_a, mmsi_b, lat, lon))

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.geo.bbox import BoundingBox
 from repro.hexgrid import grid_disk, latlng_to_cell
-from repro.warehouse.segments import concat_tables, empty_table
+from repro.warehouse.segments import concat_tables
 from repro.warehouse.warehouse import TABLES, Warehouse, day_of
 
 
@@ -43,6 +43,25 @@ def _zone_overlaps(zone: dict, bbox: BoundingBox) -> bool:
     if bbox.crosses_antimeridian:
         return zone["lon_max"] >= bbox.lon_min or zone["lon_min"] <= bbox.lon_max
     return zone["lon_max"] >= bbox.lon_min and zone["lon_min"] <= bbox.lon_max
+
+
+def _cell_rows(cell_column: np.ndarray, wanted: np.ndarray) -> slice | np.ndarray:
+    """The rows whose cell is in the sorted ``wanted``: each cell's rows are one run of the sorted
+    column (the run its zone map counts), so no other row is touched (a whole segment: a view)."""
+    lo = np.searchsorted(cell_column, wanted, "left")
+    lengths = np.searchsorted(cell_column, wanted, "right") - lo
+    total = lengths.sum()
+    if total == len(cell_column):
+        return slice(None)
+    first = np.cumsum(lengths) - lengths
+    return np.arange(total) + np.repeat(lo - first, lengths)
+
+
+def _distinct_pairs(first: np.ndarray, mmsi: np.ndarray) -> np.ndarray:
+    """``first`` of every distinct ``(first, mmsi)`` pair, ``first`` a small non-negative index:
+    one int64 key per row from the MMSI's rank, whatever the MMSI values."""
+    distinct, rank = np.unique(mmsi, return_inverse=True)
+    return np.unique(first.astype(np.int64) * len(distinct) + rank) // len(distinct)
 
 
 class WarehouseQueries:
@@ -93,19 +112,24 @@ class WarehouseQueries:
     def _rows(
         self,
         table: str,
+        columns: Sequence[str],
         t0: float,
         t1: float,
         closed: bool = True,
-        cells: set[int] | None = None,
+        cells: Iterable[int] | None = None,
         bbox: BoundingBox | None = None,
         mmsi: int | None = None,
     ) -> dict[str, np.ndarray]:
-        """Every row of ``table`` matching the predicates exactly, in segment order; the time
-        window is ``[t0, t1]`` when ``closed``, else ``[t0, t1)``. Only segments whose zone map
-        survives every predicate are loaded; accounting happens here."""
+        """``columns`` of every row of ``table`` matching the predicates exactly, in segment
+        order; the time window is ``[t0, t1]`` when ``closed``, else ``[t0, t1)``. Only segments
+        whose zone map survives every predicate are loaded; accounting happens here."""
         day_lo = day_of(t0) if math.isfinite(t0) else None
         day_hi = day_of(t1) if math.isfinite(t1) else None
+        needed = {"t", *columns, *(("lat", "lon") if bbox is not None else ())}
+        if mmsi is not None:
+            needed.add("mmsi")
         if cells is not None:
+            cells = set(cells)
             wanted = np.array(sorted(c for c in cells if 0 <= c < 2**64), dtype=np.uint64)
         chunks = []
         scanned = pruned = rows = 0
@@ -122,19 +146,20 @@ class WarehouseQueries:
                 pruned += 1
                 continue
             scanned += 1
-            rows += zone["rows"]
             segment = self.warehouse.load(zone)
-            t = segment["t"]
+            take = slice(None) if cells is None else _cell_rows(segment["cell"], wanted)
+            view = {name: segment[name][take] for name in needed}
+            t = view["t"]
+            rows += len(t)
             mask = (t >= t0) & ((t <= t1) if closed else (t < t1))
-            if cells is not None:
-                mask &= np.isin(segment["cell"], wanted)
             if bbox is not None:
-                mask &= _row_bbox_mask(segment, bbox)
+                mask &= _row_bbox_mask(view, bbox)
             if mmsi is not None:
-                mask &= segment["mmsi"] == mmsi
-            chunks.append({name: column[mask] for name, column in segment.items()})
+                mask &= view["mmsi"] == mmsi
+            chunks.append({name: view[name][mask] for name in columns})
         self._account(scanned, pruned, rows)
-        return concat_tables(chunks) if chunks else empty_table(TABLES[table][1])
+        dtypes = dict(TABLES[table][1])
+        return concat_tables(chunks or [{name: np.empty(0, dtypes[name]) for name in columns}])
 
     # -- queries ----------------------------------------------------------------
 
@@ -151,12 +176,12 @@ class WarehouseQueries:
         if by not in ("rows", "vessels"):
             raise ValueError(f"by must be 'rows' or 'vessels', got {by!r}")
         start = self._clock()
-        cell_set = set(cells) if cells is not None else None
-        rows = self._rows("positions", t0, t1, cells=cell_set, bbox=bbox)
-        hits = rows["cell"]
+        columns = ("cell", "mmsi") if by == "vessels" else ("cell",)
+        rows = self._rows("positions", columns, t0, t1, cells=cells, bbox=bbox)
+        heat, hits = np.unique(rows["cell"], return_inverse=True)
         if by == "vessels":
-            hits = np.unique(np.stack([hits.astype(np.int64), rows["mmsi"]]), axis=1)[0]
-        heat, counts = np.unique(hits, return_counts=True)
+            hits = _distinct_pairs(hits, rows["mmsi"])
+        counts = np.bincount(hits, minlength=len(heat))
         self._observe("heatmap", self._clock() - start)
         return dict(zip(heat.tolist(), counts.tolist()))
 
@@ -190,7 +215,8 @@ class WarehouseQueries:
         start = self._clock()
         n_buckets = int(math.ceil((t1 - t0) / bucket_s))
         edges = t0 + bucket_s * np.arange(n_buckets + 1)
-        rows = self._rows("events", t0, t1, closed=False, cells=set(cells))
+        columns = ("t", "cell") if kinds is None else ("t", "cell", "kind_id")
+        rows = self._rows("events", columns, t0, t1, closed=False, cells=cells)
         # np.histogram's bins: [edge, next edge), the last one closed; later times count nowhere.
         keep = rows["t"] <= edges[-1]
         if kinds is not None:
@@ -227,11 +253,10 @@ class WarehouseQueries:
         if bucket_s <= 0:
             raise ValueError("bucket_s must be positive")
         start = self._clock()
-        cell_set = set(cells) if cells is not None else None
         n_buckets = int(math.ceil((t1 - t0) / bucket_s))
-        rows = self._rows("positions", t0, t1, closed=False, cells=cell_set, bbox=bbox)
+        rows = self._rows("positions", ("t", "mmsi"), t0, t1, closed=False, cells=cells, bbox=bbox)
         bucket = ((rows["t"] - t0) // bucket_s).astype(np.int64)
-        present = np.unique(np.stack([bucket, rows["mmsi"]]), axis=1)[0]
+        present = _distinct_pairs(bucket, rows["mmsi"])
         result = {
             "t0": t0,
             "bucket_s": bucket_s,
@@ -248,8 +273,9 @@ class WarehouseQueries:
         """Every kept fix of one vessel in the window, ordered by time (day-range and
         per-segment MMSI-range pruning, then a column scan of the survivors)."""
         start = self._clock()
-        rows = self._rows("positions", t0, t1, mmsi=mmsi)
+        columns = ("t", "lat", "lon", "sog", "cog")
+        rows = self._rows("positions", columns, t0, t1, mmsi=mmsi)
         order = np.argsort(rows["t"], kind="stable")
-        result = {name: rows[name][order].tolist() for name in ("t", "lat", "lon", "sog", "cog")}
+        result = {name: rows[name][order].tolist() for name in columns}
         self._observe("vessel_history", self._clock() - start)
         return result

@@ -113,7 +113,8 @@ def write_segment(path: str, table: dict[str, np.ndarray]) -> int:
 
 
 def read_segment(path: str) -> dict[str, np.ndarray]:
-    """Load a segment back into a column table (copies, never mmaps)."""
+    """Load a segment into a column table of read-only arrays over copies of the file's bytes
+    (never an mmap). Every call reads the disk: ``Warehouse.load`` is the cached read."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -138,7 +139,7 @@ def read_segment(path: str) -> dict[str, np.ndarray]:
             raise CorruptSegmentError(
                 f"{path}: column {name!r} truncated ({len(chunk)} of {nbytes} bytes)"
             )
-        table[name] = np.frombuffer(chunk, dtype=dtype).copy()
+        table[name] = np.frombuffer(chunk, dtype=dtype)
         offset += nbytes
     if offset != len(blob):
         raise CorruptSegmentError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 from bisect import bisect_left
+from collections import OrderedDict
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -62,6 +63,9 @@ SEGMENT_LEVELS = 3
 
 #: Seconds per warehouse day partition.
 DAY_S = 86_400.0
+
+#: Decoded bytes one :class:`Warehouse` keeps in its segment cache (least recently used out).
+CACHE_BYTES = 32 << 20
 
 #: Table names and their file prefixes / segment column schemas.
 TABLES: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
@@ -110,7 +114,8 @@ def _zone_map(rows: dict[str, np.ndarray]) -> dict:
 
 
 class Warehouse:
-    """One warehouse directory: segments + manifest with zone maps + cursor."""
+    """One warehouse directory: segments + manifest with zone maps + cursor. Nothing here
+    locks, so an instance takes no query while it commits."""
 
     def __init__(self, directory: str, resolution: int = 6, registry=None) -> None:
         if not 0 <= resolution <= 15:
@@ -129,6 +134,8 @@ class Warehouse:
                 f"{self._manifest['resolution']}, not {resolution}"
             )
         self.resolution = self._manifest["resolution"]
+        self._cache: OrderedDict[str, tuple[dict[str, np.ndarray], int]] = OrderedDict()
+        self._cache_bytes = self._cache_hits = self._cache_misses = 0
         self._instruments = None
         if registry is not None:
             self.bind_registry(registry)
@@ -207,8 +214,21 @@ class Warehouse:
             yield coarse, day, entries[key]
 
     def load(self, entry: dict) -> dict[str, np.ndarray]:
-        """One segment's rows, sorted by (cell, t)."""
-        return read_segment(os.path.join(self.directory, entry["file"]))
+        """One segment's rows, sorted by (cell, t), as read-only arrays. Decoded segments stay in
+        an LRU keyed by file name, bounded by ``CACHE_BYTES``: a rewrite takes a new generation,
+        so a file's content never changes while the manifest names it."""
+        name = entry["file"]
+        if name in self._cache:
+            self._cache_hits += 1
+            self._cache.move_to_end(name)
+            return self._cache[name][0]
+        self._cache_misses += 1
+        table = read_segment(os.path.join(self.directory, name))
+        self._cache[name] = table, sum(column.nbytes for column in table.values())
+        self._cache_bytes += self._cache[name][1]
+        while self._cache_bytes > CACHE_BYTES:
+            self._cache_bytes -= self._cache.popitem(last=False)[1][1]
+        return table
 
     def _slices(self, table: str) -> Iterator[tuple[int, int, dict, int, int]]:
         """``(cell, day, zone map, lo, hi)`` per fine partition: rows ``lo:hi`` of a segment."""
@@ -250,6 +270,9 @@ class Warehouse:
             "positions_partitions": self.partition_count("positions"),
             "events_partitions": self.partition_count("events"),
             "kinds": self.kinds,
+            "cache_hits": self._cache_hits,
+            "cache_misses": self._cache_misses,
+            "cache_bytes": self._cache_bytes,
         }
 
     # -- commit -----------------------------------------------------------------
@@ -300,6 +323,8 @@ class Warehouse:
                     doomed.append(entry["file"])
                 coarse, day = parse_partition_key(key)
                 filename = f"{prefix}-{coarse:016x}-{day}.g{gen + 1}.seg"
+                # A file leaves the cache before it is written, and again once it is unlinked.
+                self._cache_bytes -= self._cache.pop(filename, (None, 0))[1]
                 bytes_written += write_segment(os.path.join(self.directory, filename), merged)
                 segments_written += 1
                 new_rows += table_rows(rows)
@@ -320,6 +345,7 @@ class Warehouse:
                 os.unlink(os.path.join(self.directory, filename))
             except FileNotFoundError:
                 pass
+            self._cache_bytes -= self._cache.pop(filename, (None, 0))[1]
         self._fail("committed", None)
         if self._instruments is not None:
             commits, segs, rows_c, rows_h, bytes_h = self._instruments

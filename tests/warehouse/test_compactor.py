@@ -186,6 +186,27 @@ def test_poison_rows_are_skipped_and_the_cursor_passes_them(tmp_path, journaled_
     assert warehouse.journal_seq == persistence.seq
 
 
+def test_int64_mmsis_are_exact_and_wider_ones_skipped(tmp_path, journaled_store):
+    """An MMSI past 2**53 is stored exactly (columns are built in their own dtype, never
+    through float64); a position or event MMSI outside int64 is skipped like any poison row."""
+    store, persistence = journaled_store
+    for mmsi in (2**62 + 1, 2**63 - 1, 2**63, -(2**63) - 1):
+        write_fix(store, mmsi, 1.0)
+    for mmsi_a, mmsi_b in ((2**62 + 1, 2**62 + 3), (1, 2**64)):
+        event = {"mmsi_a": mmsi_a, "mmsi_b": mmsi_b, "t": 2.0, "lat": 37.5, "lon": 24.5}
+        store.rpush("events:proximity", event, now=2.0)
+    warehouse = Warehouse(str(tmp_path / "wh"))
+    compactor = WarehouseCompactor(warehouse)
+    compactor.compact_persistence(persistence)
+    assert compactor.rows_skipped == 3
+    assert warehouse.journal_seq == persistence.seq
+    ((cell, day, _meta),) = warehouse.partitions("positions")
+    positions = warehouse.read_partition("positions", cell, day)
+    assert positions["mmsi"].tolist() == [2**62 + 1, 2**63 - 1]
+    events = warehouse.read_partition("events", cell, day)
+    assert (events["mmsi_a"].tolist(), events["mmsi_b"].tolist()) == ([2**62 + 1], [2**62 + 3])
+
+
 def test_polar_rows_are_kept(tmp_path):
     """A fine cell whose centre lies past a pole still gets a segment."""
     warehouse = Warehouse(str(tmp_path / "wh"))

@@ -12,13 +12,19 @@ Three families of properties:
 3. **Pruning exactness** — every query under zone-map pruning equals a brute-force scan of the
    raw rows, for arbitrary bboxes (degenerate, far-away and antimeridian-crossing ones) and
    windows. Rows land in fine cells on both sides of a segment boundary and on both sides of
-   the antimeridian, where a wrong zone map would drop them.
+   the antimeridian, where a wrong zone map would drop them. MMSIs are small, 9-digit and near
+   2**62, so the distinct-vessel counts hold for any int64 MMSI.
+4. **Segment cache** — queries that warmed the cache still equal the brute-force scan after a
+   commit merged new rows into the same segments; cached rows are read-only, and an evicted
+   segment reads back equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +36,7 @@ from repro.warehouse import (
     WarehouseQueries,
     day_of,
 )
+from repro.warehouse import warehouse as warehouse_module
 from repro.warehouse.warehouse import SEGMENT_LEVELS
 
 RESOLUTION = 5
@@ -64,13 +71,16 @@ def _finite(lo: float, hi: float):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
+#: Small, 9-digit and near-2**62 MMSIs, eight of each so vessels repeat.
+MMSIS = st.one_of(
+    st.integers(1, 8), st.integers(200_000_000, 200_000_007), st.integers(2**62 - 4, 2**62 + 3)
+)
+
 #: (mmsi, t, lat, lon) rows spanning several days and all of ``SITES``.
 ROWS = st.lists(
     st.one_of(
         *(
-            st.tuples(
-                st.integers(1, 8), _finite(0.0, 3.0 * 86_400.0), _finite(*lats), _finite(*lons)
-            )
+            st.tuples(MMSIS, _finite(0.0, 3.0 * 86_400.0), _finite(*lats), _finite(*lons))
             for lats, lons in SITES
         )
     ),
@@ -145,6 +155,11 @@ def event_entries(rows, start_seq):
     ]
 
 
+def journal(rows, start_seq):
+    """The rows as position fixes, then again as events, from ``start_seq`` on."""
+    return journal_entries(rows, start_seq) + event_entries(rows, start_seq + len(rows))
+
+
 def compact_rows(directory, rows, batch_rows, events=False):
     warehouse = Warehouse(str(directory), resolution=RESOLUTION)
     compactor = WarehouseCompactor(warehouse, batch_rows=batch_rows)
@@ -163,6 +178,37 @@ def brute_heat(rows, keep) -> dict[int, int]:
             cell = fine_cell(lat, lon)
             heat[cell] = heat.get(cell, 0) + 1
     return heat
+
+
+def brute_vessels(rows, keep) -> dict[int, int]:
+    """Distinct vessels per fine cell over the rows ``keep(mmsi, t, lat, lon)`` accepts."""
+    vessels: dict[int, set[int]] = {}
+    for mmsi, t, lat, lon in rows:
+        if keep(mmsi, t, lat, lon):
+            vessels.setdefault(fine_cell(lat, lon), set()).add(mmsi)
+    return {cell: len(members) for cell, members in vessels.items()}
+
+
+def brute_event_rate(rows, cells, t0, t1, bucket_s, n) -> dict[int, list[int]]:
+    """Per-cell event counts in ``n`` buckets over ``[t0, t1)``, the last bucket closed."""
+    edges = [t0 + bucket_s * i for i in range(n + 1)]
+    expected: dict[int, list[int]] = {}
+    for _mmsi, t, lat, lon in rows:
+        cell = fine_cell(lat, lon)
+        if cell in cells and t0 <= t < t1:
+            expected.setdefault(cell, [0] * n)[min(bisect_right(edges, t) - 1, n - 1)] += 1
+    return expected
+
+
+def brute_trend(rows, bbox, t0, t1, bucket_s, n) -> tuple[list[int], list[int]]:
+    """Distinct vessels and rows per bucket of ``[t0, t1)`` inside ``bbox``."""
+    vessels = [set() for _ in range(n)]
+    counts = [0] * n
+    for mmsi, t, lat, lon in rows:
+        if t0 <= t < t1 and bbox.contains(lat, lon):
+            vessels[int((t - t0) // bucket_s)].add(mmsi)
+            counts[int((t - t0) // bucket_s)] += 1
+    return [len(s) for s in vessels], counts
 
 
 @given(rows=ROWS, batch_rows=st.integers(min_value=1, max_value=16))
@@ -267,6 +313,19 @@ def test_pruned_heatmap_equals_brute_force(tmp_path_factory, rows, bbox, window)
     assert sum(heat.values()) == sum(expected.values())
 
 
+@given(rows=ROWS, bbox=BBOXES, window=WINDOWS)
+@settings(deadline=None, max_examples=40)
+def test_heatmap_by_vessels_equals_brute_force(tmp_path_factory, rows, bbox, window):
+    """Distinct vessels per cell inside a bbox and window equal a brute-force scan."""
+    tmp = tmp_path_factory.mktemp("vessels")
+    warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
+    t0, t1 = window
+    heat = WarehouseQueries(warehouse).heatmap(bbox=bbox, t0=t0, t1=t1, by="vessels")
+    assert heat == brute_vessels(
+        rows, lambda _m, t, lat, lon: t0 <= t <= t1 and bbox.contains(lat, lon)
+    )
+
+
 @given(
     rows=ROWS,
     centre=st.integers(min_value=0),
@@ -296,12 +355,7 @@ def test_cell_event_rate_equals_brute_force(tmp_path_factory, rows, bucketed, st
     cells = {fine_cell(lat, lon) for _m, _t, lat, lon in rows[::stride]}
     series = WarehouseQueries(warehouse).cell_event_rate(cells, t0, t1, bucket_s)
     n = series["n_buckets"]
-    edges = [t0 + bucket_s * i for i in range(n + 1)]
-    expected: dict[int, list[int]] = {}
-    for _mmsi, t, lat, lon in rows:
-        cell = fine_cell(lat, lon)
-        if cell in cells and t0 <= t < t1:
-            expected.setdefault(cell, [0] * n)[min(bisect_right(edges, t) - 1, n - 1)] += 1
+    expected = brute_event_rate(rows, cells, t0, t1, bucket_s, n)
     assert series["cells"] == expected
     assert series["total"] == [sum(hist[i] for hist in expected.values()) for i in range(n)]
 
@@ -314,18 +368,12 @@ def test_congestion_trend_equals_brute_force(tmp_path_factory, rows, bbox, bucke
     warehouse = compact_rows(tmp / "wh", rows, batch_rows=16)
     t0, t1, bucket_s = bucketed
     trend = WarehouseQueries(warehouse).congestion_trend(t0, t1, bucket_s, bbox=bbox)
-    n = trend["n_buckets"]
-    vessels = [set() for _ in range(n)]
-    counts = [0] * n
-    for mmsi, t, lat, lon in rows:
-        if t0 <= t < t1 and bbox.contains(lat, lon):
-            vessels[int((t - t0) // bucket_s)].add(mmsi)
-            counts[int((t - t0) // bucket_s)] += 1
-    assert trend["vessels"] == [len(s) for s in vessels]
+    vessels, counts = brute_trend(rows, bbox, t0, t1, bucket_s, trend["n_buckets"])
+    assert trend["vessels"] == vessels
     assert trend["rows"] == counts
 
 
-@given(rows=ROWS, mmsi=st.integers(min_value=1, max_value=9), window=WINDOWS)
+@given(rows=ROWS, mmsi=st.one_of(MMSIS, st.just(9)), window=WINDOWS)
 @settings(deadline=None, max_examples=40)
 def test_vessel_history_equals_brute_force(tmp_path_factory, rows, mmsi, window):
     """A vessel's history is all of its fixes in the window, ordered by time (the mmsi zone
@@ -338,3 +386,85 @@ def test_vessel_history_equals_brute_force(tmp_path_factory, rows, mmsi, window)
     assert history["t"] == sorted(t for t, _lat, _lon in expected)
     # Equal-t fixes in different cells have no journal order left to keep: compare as sets.
     assert sorted(zip(history["t"], history["lat"], history["lon"])) == sorted(expected)
+
+
+def assert_queries_equal_brute_force(queries, rows, bbox, window, bucketed):
+    """Every query shape over ``rows`` against its brute-force scan; the unfiltered heatmap
+    loads every position segment."""
+    assert queries.heatmap() == brute_heat(rows, lambda *_row: True)
+    t0, t1 = window
+
+    def in_window(_mmsi, t, lat, lon):
+        return t0 <= t <= t1 and bbox.contains(lat, lon)
+
+    assert queries.heatmap(bbox=bbox, t0=t0, t1=t1) == brute_heat(rows, in_window)
+    assert queries.heatmap(bbox=bbox, t0=t0, t1=t1, by="vessels") == brute_vessels(rows, in_window)
+    _mmsi, _t, lat, lon = rows[0]
+    disk = set(grid_disk(fine_cell(lat, lon), 1))
+    assert queries.kring_heatmap(lat, lon, 1, t0=t0, t1=t1) == brute_heat(
+        rows, lambda _m, t, la, lo: t0 <= t <= t1 and fine_cell(la, lo) in disk
+    )
+    b0, b1, bucket_s = bucketed
+    series = queries.cell_event_rate(disk, b0, b1, bucket_s)
+    assert series["cells"] == brute_event_rate(rows, disk, b0, b1, bucket_s, series["n_buckets"])
+    trend = queries.congestion_trend(b0, b1, bucket_s, bbox=bbox)
+    vessels, counts = brute_trend(rows, bbox, b0, b1, bucket_s, trend["n_buckets"])
+    assert (trend["vessels"], trend["rows"]) == (vessels, counts)
+    for mmsi in {row[0] for row in rows}:
+        history = queries.vessel_history(mmsi, t0=t0, t1=t1)
+        expected = [(t, la, lo) for m, t, la, lo in rows if m == mmsi and t0 <= t <= t1]
+        assert sorted(zip(history["t"], history["lat"], history["lon"])) == sorted(expected)
+
+
+@given(rows=ROWS, extra=ROWS, bbox=BBOXES, window=WINDOWS, bucketed=BUCKETED)
+@settings(deadline=None, max_examples=30)
+def test_queries_after_a_merge_equal_brute_force(
+    tmp_path_factory, rows, extra, bbox, window, bucketed
+):
+    """Every query runs once, warming the segment cache; a second commit merges rows into the
+    same segments (half of them replayed), and every query again equals a brute-force scan of
+    all rows: a commit never leaves a stale segment in the cache."""
+    tmp = tmp_path_factory.mktemp("merge")
+    warehouse = Warehouse(str(tmp / "wh"), resolution=RESOLUTION)
+    compactor = WarehouseCompactor(warehouse, batch_rows=16)
+    compactor.compact_journal(journal(rows, start_seq=1))
+    queries = WarehouseQueries(warehouse)
+    assert_queries_equal_brute_force(queries, rows, bbox, window, bucketed)
+    assert warehouse.stats()["cache_bytes"] > 0
+    files = {zone["file"] for *_key, zone in warehouse.segments("positions")}
+    second = rows[::2] + extra
+    compactor.compact_journal(journal(second, start_seq=2 * len(rows) + 1))
+    # rows[0] was replayed, so at least its segment was rewritten under a new name.
+    assert files - {zone["file"] for *_key, zone in warehouse.segments("positions")}
+    assert_queries_equal_brute_force(queries, rows + second, bbox, window, bucketed)
+
+
+def test_cached_rows_are_read_only(tmp_path):
+    """A caller writing into ``load`` or ``read_partition`` rows gets an error instead of
+    corrupting the cache."""
+    warehouse = compact_rows(tmp_path / "wh", [(7, 60.0, 37.5, 24.5)], batch_rows=16)
+    ((_coarse, _day, zone),) = warehouse.segments("positions")
+    ((cell, day, _meta),) = warehouse.partitions("positions")
+    for table in (warehouse.load(zone), warehouse.read_partition("positions", cell, day)):
+        for column in table.values():
+            with pytest.raises(ValueError):
+                column[0] = 0
+    assert warehouse.load(zone)["mmsi"].tolist() == [7]
+
+
+def test_evicted_segment_reads_back_equal(tmp_path, monkeypatch):
+    """With room for one segment, loading a second evicts the first, and the first reads back
+    from disk equal to what the cache served."""
+    rows = [(1, 60.0, 37.5, 24.5), (2, 120.0, 37.6, 24.6), (3, 60.0, -17.0, 178.0)]
+    warehouse = compact_rows(tmp_path / "wh", rows, batch_rows=16)
+    first, second = (zone for *_key, zone in warehouse.segments("positions"))
+    served = {name: column.copy() for name, column in warehouse.load(first).items()}
+    monkeypatch.setattr(warehouse_module, "CACHE_BYTES", warehouse.stats()["cache_bytes"])
+    warehouse.load(second)
+    assert warehouse.stats()["cache_bytes"] <= warehouse_module.CACHE_BYTES
+    misses = warehouse.stats()["cache_misses"]
+    reread = warehouse.load(first)
+    assert warehouse.stats()["cache_misses"] == misses + 1
+    assert served.keys() == reread.keys()
+    for name, column in served.items():
+        np.testing.assert_array_equal(reread[name], column)
