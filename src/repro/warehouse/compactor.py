@@ -32,9 +32,6 @@ EVENTS_PREFIX = "events:"
 #: Rows with ``|t|`` at or past this are skipped: float seconds stop being exact there.
 MAX_ABS_T = 2.0**53
 
-#: MMSIs a row may carry: the ``<i8`` columns hold them exactly; rows outside are skipped.
-INT64 = range(-(2**63), 2**63)
-
 
 def _row_ok(t: float, lat: float, lon: float) -> bool:
     """The row check every source shares: a finite ``t`` below ``MAX_ABS_T`` in magnitude,
@@ -103,20 +100,23 @@ class _RowBuffer:
 
     def add_position(self, mmsi: Any, fields: Any) -> bool:
         """Buffer one position row; False when a field is missing or malformed, or the row
-        fails the row check."""
+        fails the row check. The MMSI must fit the ``<i8`` column: two comparisons against
+        constants the compiler folds, the cheapest per-row form."""
         try:
             row = (int(mmsi), *(float(fields[name]) for name in ("t", "lat", "lon", "sog", "cog")))
         except (KeyError, TypeError, ValueError, OverflowError):
             return False
-        if not (_row_ok(*row[1:4]) and row[0] in INT64):
+        if not (_row_ok(*row[1:4]) and -(2**63) <= row[0] < 2**63):
             return False
         self.positions.append(row)
         return True
 
     def add_event(self, kind_id: int, row: tuple | None) -> bool:
-        """Buffer one :func:`event_row`; False when it is None or fails the row check."""
-        ok = row is not None and _row_ok(row[0], row[3], row[4])
-        if not (ok and row[1] in INT64 and row[2] in INT64):
+        """Buffer one :func:`event_row`; False when it is None, fails the row check, or an
+        MMSI does not fit the ``<i8`` column."""
+        if row is None or not _row_ok(row[0], row[3], row[4]):
+            return False
+        if not (-(2**63) <= row[1] < 2**63 and -(2**63) <= row[2] < 2**63):
             return False
         t, mmsi_a, mmsi_b, lat, lon = row
         self.events.append((t, kind_id, mmsi_a, mmsi_b, lat, lon))

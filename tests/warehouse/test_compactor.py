@@ -192,13 +192,13 @@ def test_int64_mmsis_are_exact_and_wider_ones_skipped(tmp_path, journaled_store)
     store, persistence = journaled_store
     for mmsi in (2**62 + 1, 2**63 - 1, 2**63, -(2**63) - 1):
         write_fix(store, mmsi, 1.0)
-    for mmsi_a, mmsi_b in ((2**62 + 1, 2**62 + 3), (1, 2**64)):
+    for mmsi_a, mmsi_b in ((2**62 + 1, 2**62 + 3), (1, 2**64), (-(2**63) - 1, 1)):
         event = {"mmsi_a": mmsi_a, "mmsi_b": mmsi_b, "t": 2.0, "lat": 37.5, "lon": 24.5}
         store.rpush("events:proximity", event, now=2.0)
     warehouse = Warehouse(str(tmp_path / "wh"))
     compactor = WarehouseCompactor(warehouse)
     compactor.compact_persistence(persistence)
-    assert compactor.rows_skipped == 3
+    assert compactor.rows_skipped == 4
     assert warehouse.journal_seq == persistence.seq
     ((cell, day, _meta),) = warehouse.partitions("positions")
     positions = warehouse.read_partition("positions", cell, day)
