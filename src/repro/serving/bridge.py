@@ -43,6 +43,9 @@ class ReplicaFeedPump:
         self._thread = threading.Thread(target=self._run,
                                         name="serving-feed-pump",
                                         daemon=True)
+        #: Messages applied to the replica *and* handed to the serving
+        #: loop: a thread that waits for this count and then queues work
+        #: on the loop queues it behind every counted dispatch.
         self.messages_pumped = 0
 
     def start(self) -> "ReplicaFeedPump":
@@ -74,9 +77,9 @@ class ReplicaFeedPump:
 
     def _apply(self, channel: str, payload: dict) -> None:
         self.replica.apply(channel, payload)
-        self.messages_pumped += 1
         if self.server is not None:
             self.server.dispatch_threadsafe(channel, payload)
+        self.messages_pumped += 1
 
     def _run(self) -> None:
         while not self._stop.is_set():

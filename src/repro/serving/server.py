@@ -543,7 +543,11 @@ class ServingServer:
                 session.wakeup.clear()
                 if session.closed:
                     return
-                sent = 0
+                # Counted before the writes: a client that has read a frame
+                # (on another thread, say) must find it in ``pushes_total``.
+                # Nothing on this loop can push while the batch goes out.
+                if queue:
+                    self._c_pushes.inc(len(queue))
                 while queue:
                     if session.dropped > session.reported_dropped:
                         # Surface the overflow counter before newer data.
@@ -556,11 +560,8 @@ class ServingServer:
                         )
                     text, ts = queue.popleft()
                     ws.send_text(text)
-                    sent += 1
                     if ts is not None:
                         self._h_push_latency.observe(self._clock() - ts)
-                if sent:
-                    self._c_pushes.inc(sent)
                 await ws.drain()
         except (ConnectionError, asyncio.CancelledError):
             session.closed = True

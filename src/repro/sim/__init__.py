@@ -25,63 +25,36 @@ After every cluster campaign the standard invariants are checked
    at once, and at the end every hosted key sits on its shard's owner;
    the rebalance campaign also samples it at every chunk boundary.
 
-:mod:`~repro.sim.campaign` is the one driver every cluster campaign runs
-on (form the cluster, drive chunks under a fault script, heal, replay,
-check against :func:`~repro.sim.campaign.fault_free_oracle`, digest);
-:func:`~repro.sim.scenario.run_scenario` and its
-siblings add their workload and extra checks and return a
-:class:`~repro.sim.campaign.CampaignReport`; the pytest layer lives in
-``tests/sim/``.
+:mod:`~repro.sim.campaign` holds the one :class:`~repro.sim.campaign.Scenario`
+and the one :func:`~repro.sim.campaign.run` every cluster campaign goes
+through (form the cluster, drive chunks under a fault script, heal,
+replay, check against :func:`~repro.sim.campaign.fault_free_oracle`,
+digest into a :class:`~repro.sim.campaign.CampaignReport`);
+:mod:`~repro.sim.recovery`, :mod:`~repro.sim.rebalance` and
+:mod:`~repro.sim.voyage` hold the fleets and named checks their campaigns
+add, and :mod:`~repro.sim.warehouse` the single-node compaction campaign.
+The scenarios themselves are declared in ``tests/sim/``.
 """
 
-from repro.sim.campaign import FaultStep, SimCluster
+from repro.sim.campaign import CampaignReport, FaultStep, Fleet, Scenario, SimCluster, run
 from repro.sim.faults import FaultSpec
 from repro.sim.invariants import Violation
-from repro.sim.rebalance import (
-    RebalanceReport,
-    RebalanceScenario,
-    run_rebalance_scenario,
-)
-from repro.sim.recovery import (
-    RecoveryReport,
-    RecoveryScenario,
-    run_recovery_scenario,
-)
-from repro.sim.scenario import Scenario, SimReport, run_scenario
 from repro.sim.transport import SimHub
-from repro.sim.voyage import (
-    VoyageReport,
-    VoyageScenario,
-    run_voyage_scenario,
-)
-from repro.sim.warehouse import (
-    WarehouseReport,
-    WarehouseScenario,
-    run_warehouse_scenario,
-)
+from repro.sim.warehouse import WarehouseScenario, run_warehouse_scenario
 from repro.sim.workload import Workload, generate_workload
 
 __all__ = [
+    "CampaignReport",
     "FaultSpec",
     "FaultStep",
-    "RebalanceReport",
-    "RebalanceScenario",
-    "RecoveryReport",
-    "RecoveryScenario",
+    "Fleet",
     "Scenario",
     "SimCluster",
     "SimHub",
-    "SimReport",
     "Violation",
-    "VoyageReport",
-    "VoyageScenario",
-    "WarehouseReport",
     "WarehouseScenario",
     "Workload",
     "generate_workload",
-    "run_rebalance_scenario",
-    "run_recovery_scenario",
-    "run_scenario",
-    "run_voyage_scenario",
+    "run",
     "run_warehouse_scenario",
 ]

@@ -1,10 +1,11 @@
-"""The five post-scenario invariant checkers and the observers they share.
+"""The five standard invariant checkers, the recovery campaign's
+single-hosting check, and the observers they share.
 
 Each checker returns a list of :class:`Violation` (empty = invariant
-holds). They are pure observers: :func:`~repro.sim.scenario.run_scenario`
-performs the heal/replay recovery sequence *before* calling them, so a
-violation here means the cluster genuinely failed to converge — not that
-it was still mid-recovery. The observers (:func:`vessel_hosts`,
+holds). They are pure observers: :func:`~repro.sim.campaign.run` performs
+the heal/replay recovery sequence *before* calling them, so a violation
+here means the cluster genuinely failed to converge — not that it was
+still mid-recovery. The observers (:func:`vessel_hosts`,
 :func:`collect_events`, :func:`collect_final_plans`) read a cluster or a
 standalone platform alike, so the fault-free oracle is read the same way.
 """

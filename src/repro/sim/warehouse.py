@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kvstore.persistence import StorePersistence
 from repro.platform.config import PlatformConfig
@@ -83,35 +83,22 @@ class WarehouseScenario:
             raise ValueError("max_crashes must be >= 1")
 
 
-@dataclass
-class WarehouseReport(CampaignReport):
-    """What one crash-compaction campaign run observed."""
-
-    states_written: int
-    events_written: int
-    position_rows: int
-    event_rows: int
-    crashes: int
-    attempts: int
-    oracle_fingerprint: str
-    victim_fingerprint: str
-    counters: dict = field(default_factory=dict)
-
-    DIGEST = (
-        "scenario",
-        "seed",
-        "violations",
-        "states_written",
-        "events_written",
-        "position_rows",
-        "event_rows",
-        "crashes",
-        "attempts",
-        "oracle_fingerprint",
-        "victim_fingerprint",
-        "counters",
-    )
-    SUMMARY = ("rows={position_rows}+{event_rows}", "crashes={crashes}/{attempts}", "attempts")
+#: What a crash-compaction run digests, in order.
+DIGEST = (
+    "scenario",
+    "seed",
+    "violations",
+    "states_written",
+    "events_written",
+    "position_rows",
+    "event_rows",
+    "crashes",
+    "attempts",
+    "oracle_fingerprint",
+    "victim_fingerprint",
+    "counters",
+)
+HEADLINE = ("rows={position_rows}+{event_rows}", "crashes={crashes}/{attempts}", "attempts")
 
 
 def _run_platform(
@@ -212,7 +199,7 @@ def _check_query_parity(oracle: Warehouse, victim: Warehouse, mmsis: list[int]) 
 
 def run_warehouse_scenario(
     scenario: WarehouseScenario, seed: int, workdir: str | None = None
-) -> WarehouseReport:
+) -> CampaignReport:
     """Execute ``scenario`` under ``seed``; pass ``workdir`` to keep the
     journal and both warehouses inspectable after the run (by default
     they live in a temporary directory removed on return)."""
@@ -233,7 +220,7 @@ def _compact_and_check(
     states: int,
     events: int,
     persistence: StorePersistence,
-) -> WarehouseReport:
+) -> CampaignReport:
     oracle_dir = os.path.join(workdir, "oracle")
     victim_dir = os.path.join(workdir, "victim")
     oracle = Warehouse(oracle_dir, resolution=scenario.resolution)
@@ -302,17 +289,21 @@ def _compact_and_check(
         }
     )
     violations.extend(_check_query_parity(oracle, victim, mmsis))
-    return WarehouseReport(
+    return CampaignReport(
         scenario=scenario.name,
         seed=seed,
         violations=violations,
-        states_written=states,
-        events_written=events,
-        position_rows=victim.total_rows("positions"),
-        event_rows=victim.total_rows("events"),
-        crashes=crashes,
-        attempts=attempts,
-        oracle_fingerprint=oracle_fp,
-        victim_fingerprint=victim_fp,
-        counters={"orphans_vacuumed": orphans, "journal_ops": persistence.seq},
+        observed={
+            "states_written": states,
+            "events_written": events,
+            "position_rows": victim.total_rows("positions"),
+            "event_rows": victim.total_rows("events"),
+            "crashes": crashes,
+            "attempts": attempts,
+            "oracle_fingerprint": oracle_fp,
+            "victim_fingerprint": victim_fp,
+            "counters": {"orphans_vacuumed": orphans, "journal_ops": persistence.seq},
+        },
+        digest=DIGEST,
+        headline=HEADLINE,
     )

@@ -145,6 +145,28 @@ def test_feed_pump_thread_applies_and_reports_drops():
     assert api.active_vessels() == platform.api.active_vessels()
 
 
+def test_feed_pump_counts_a_message_only_after_dispatching_it():
+    """A waiter that sees ``messages_pumped == n`` and then queues work
+    on the serving loop must land behind the n-th dispatch: the count
+    moves after ``dispatch_threadsafe``, never before it."""
+    from repro.kvstore import PubSub
+
+    pubsub = PubSub()
+    sub = pubsub.subscribe("repl:*", maxlen=16)
+    for seq in range(1, 5):
+        pubsub.publish(REPL_FLUSH_CHANNEL, {"shard": 0, "seq": seq, "states": [], "events": []})
+    counts_at_dispatch = []
+
+    class _Server:
+        def dispatch_threadsafe(self, channel, payload):
+            counts_at_dispatch.append(pump.messages_pumped)
+
+    pump = ReplicaFeedPump(sub, ReadReplica(), server=_Server())
+    assert pump.drain_pending() == 4
+    assert counts_at_dispatch == [0, 1, 2, 3]
+    assert pump.messages_pumped == 4
+
+
 def test_bounded_feed_overflow_shows_up_as_gap():
     replica = ReadReplica()
     from repro.kvstore import PubSub

@@ -347,6 +347,36 @@ def test_broadcast_reaches_every_client():
     asyncio.run(scenario())
 
 
+def test_a_frame_is_counted_before_it_is_written():
+    """``pushes_total`` already includes a frame when its bytes go out, so
+    a reader on another thread that holds the frame finds it counted."""
+
+    async def scenario():
+        server = await _started_server()
+        ws = await _ws_client(server)
+        try:
+            assert await _command(ws, {"op": "ping", "t": 1}) == {"op": "pong", "t": 1}
+            (session,) = server._sessions.values()
+            send_text, counted_at_write = session.ws.send_text, []
+
+            def send_counted(text):
+                counted_at_write.append(server.stats()["pushes_total"])
+                send_text(text)
+
+            session.ws.send_text = send_counted
+            before = server.stats()["pushes_total"]
+            server.broadcast({"op": "end"})
+            server.broadcast({"op": "end"})
+            for _ in range(2):
+                assert await ws.recv_json() == {"op": "end"}
+            assert counted_at_write == [before + 2, before + 2]
+        finally:
+            await ws.close()
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
 def test_non_ws_path_rejected_and_stats_counts_queries():
     async def scenario():
         server = await _started_server()

@@ -8,9 +8,9 @@ Usage (from the repo root)::
 
 Run it only when a change is *meant* to move fingerprints; the diff of the
 JSON file is the re-baseline, and its reason belongs in the commit.
-``--fields`` writes nothing: it prints one digest per ``DIGEST`` field of
-every run (``key field digest``), so diffing its output at two commits
-names the fields behind each moved fingerprint.
+``--fields`` writes nothing: it prints one digest per digested observable
+of every run (``key name digest``), so diffing its output at two commits
+names the observables behind each moved fingerprint.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import argparse
 import json
 import tempfile
 
-from repro.sim import (
-    run_rebalance_scenario,
-    run_recovery_scenario,
-    run_scenario,
-    run_voyage_scenario,
-    run_warehouse_scenario,
-)
+from repro.sim import run, run_warehouse_scenario
 from tests.sim import (
     test_rebalance,
     test_recovery,
@@ -39,45 +33,36 @@ from tests.sim.conftest import FINGERPRINTS, fingerprint_key
 #: ``--sim-seeds``'s default (tests/conftest.py): the tier-1 sweep width.
 TIER1_SEEDS = 2
 
+#: The cluster suites: each declares its ``CAMPAIGN`` key and its
+#: ``SCENARIOS``, and every scenario goes through ``run``.
+CLUSTER_SUITES = (
+    test_scenarios,
+    test_telemetry_determinism,
+    test_recovery,
+    test_rebalance,
+    test_voyage,
+)
 
-def _recovery_on_disk(scenario, seed):
+
+def _on_disk(scenario, seed):
     with tempfile.TemporaryDirectory() as workdir:
-        return run_recovery_scenario(scenario, seed, workdir=workdir)
+        return run(scenario, seed, workdir=workdir)
 
 
 def tier1_runs():
     """``(key, run)`` for every campaign run tier-1 makes and asserts a
     fingerprint for; ``run()`` returns the report."""
-    legs = [
-        ("scenario", test_scenarios, test_scenarios.SCENARIOS, run_scenario),
-        (
-            "scenario",
-            test_telemetry_determinism,
-            (test_telemetry_determinism.LOSSY, test_telemetry_determinism.BATCHED),
-            run_scenario,
-        ),
-        ("recovery", test_recovery, (test_recovery.RECOVERY,), run_recovery_scenario),
-        ("recovery-disk", test_recovery, (test_recovery.RECOVERY,), _recovery_on_disk),
-        (
-            "rebalance",
-            test_rebalance,
-            (test_rebalance.BASELINE, test_rebalance.CRASH, test_rebalance.DRAIN),
-            run_rebalance_scenario,
-        ),
-        (
-            "voyage",
-            test_voyage,
-            (test_voyage.BASELINE, test_voyage.CRASH, test_voyage.MIGRATE),
-            run_voyage_scenario,
-        ),
-        ("warehouse", test_warehouse, (test_warehouse.SCENARIO,), run_warehouse_scenario),
+    legs = [(suite.CAMPAIGN, suite, run) for suite in CLUSTER_SUITES]
+    legs += [
+        ("recovery-disk", test_recovery, _on_disk),
+        (test_warehouse.CAMPAIGN, test_warehouse, run_warehouse_scenario),
     ]
-    for campaign, module, scenarios, run in legs:
-        seeds = range(max(TIER1_SEEDS, getattr(module, "SIM_MIN_SEEDS", 0)))
-        for scenario in scenarios:
+    for campaign, suite, runner in legs:
+        seeds = range(max(TIER1_SEEDS, getattr(suite, "SIM_MIN_SEEDS", 0)))
+        for scenario in suite.SCENARIOS:
             for seed in seeds:
                 key = fingerprint_key(campaign, scenario.name, seed)
-                yield key, lambda run=run, scenario=scenario, seed=seed: run(scenario, seed)
+                yield key, lambda run=runner, scenario=scenario, seed=seed: run(scenario, seed)
 
 
 def main() -> None:

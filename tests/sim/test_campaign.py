@@ -1,19 +1,20 @@
 """The campaign primitive itself: the action table, orderly windows, the
-report digest and the mmsi picker. The per-campaign suites exercise it
-end to end; these pin the contracts they all lean on."""
+report digest, the mmsi picker and the nightly schedule. The per-campaign
+suites exercise it end to end; these pin the contracts they all lean on."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from dataclasses import dataclass
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.cluster import shard_for_key
 from repro.cluster.sharding import ShardTable
 from repro.sim import FaultSpec, FaultStep, Scenario, Violation
-from repro.sim.campaign import CampaignReport, ClusterCampaign, mmsis_owned_by
+from repro.sim.campaign import CampaignReport, ClusterCampaign, check_script, mmsis_owned_by
 from repro.sim.workload import generate_workload
 
 ARMED = FaultSpec(dup_p=1.0)
@@ -43,7 +44,9 @@ def test_steps_fire_after_their_chunk_in_script_order():
     two = FaultStep(1, "set_faults", {"faults": second})
     seen = {}
     with _campaign(last, one, two) as campaign:
-        campaign.drive(CHUNKS, at_boundary=lambda k: seen.update({k: campaign.hub.faults}))
+        for chunk in CHUNKS:
+            campaign.drive([chunk])
+            seen[campaign.chunk] = campaign.hub.faults
     assert seen == {0: ARMED, 1: second, 2: CALM}
 
     with _campaign(last, two, one) as campaign:
@@ -52,13 +55,30 @@ def test_steps_fire_after_their_chunk_in_script_order():
 
 
 def test_drive_numbers_chunks_from_first():
-    seen = []
+    """A second ``drive`` numbers its chunks on from where the first
+    stopped, so a boundary's steps fire once whatever the split."""
     with _campaign(FaultStep(1, "set_faults", {"faults": CALM})) as campaign:
-        campaign.drive(CHUNKS[:1], at_boundary=seen.append)
-        assert campaign.hub.faults == ARMED
-        campaign.drive(CHUNKS[1:], first=1, at_boundary=seen.append)
-        assert campaign.hub.faults == CALM
-    assert seen == [0, 1, 2]
+        campaign.drive(CHUNKS[:1])
+        assert (campaign.chunk, campaign.hub.faults) == (0, ARMED)
+        campaign.drive(CHUNKS[1:])
+        assert (campaign.chunk, campaign.hub.faults) == (2, CALM)
+
+
+def test_sampled_ownership_lands_in_the_campaign_violations(monkeypatch):
+    """``sample_ownership`` labels what it finds with its chunk and keeps
+    it for the report."""
+    breach = Violation("exclusive-ownership", "double-hosted")
+    seen = []
+
+    def sample(cluster, context):
+        seen.append(context)
+        return [breach]
+
+    monkeypatch.setattr("repro.sim.campaign.check_exclusive_ownership", sample)
+    with _campaign(FaultStep(1, "sample_ownership")) as campaign:
+        campaign.drive(CHUNKS)
+        assert campaign.violations == [breach]
+    assert seen == ["chunk 1"]
 
 
 def test_orderly_step_pauses_faults_and_rearms():
@@ -90,18 +110,10 @@ def test_crashing_the_seed_is_refused_before_the_hub_is_touched():
         assert [n.node_id for n in campaign.cluster.nodes] == ["node-00", "node-01"]
 
 
-@dataclass
-class _Report(CampaignReport):
-    events: set
-    hosting: dict
-    replayed: int
-    note: str = ""
-
-    DIGEST = ("scenario", "seed", "events", "hosting", "violations", "replayed")
-    SUMMARY = ("events={events}", "replayed={replayed}/{seed}")
+DIGEST = ("scenario", "seed", "events", "hosting", "violations", "replayed")
 
 
-def _report(**changes) -> _Report:
+def _report(**changes) -> CampaignReport:
     fields = dict(
         scenario="s",
         seed=7,
@@ -109,8 +121,17 @@ def _report(**changes) -> _Report:
         events={("proximity", (1, 2)), ("collision", (3, 4))},
         hosting={1: ("node-00", 1.0), 2: ("node-01", 2.0)},
         replayed=5,
+        note="",
     )
-    return _Report(**{**fields, **changes})
+    fields.update(changes)
+    return CampaignReport(
+        scenario=fields.pop("scenario"),
+        seed=fields.pop("seed"),
+        violations=fields.pop("violations"),
+        observed=fields,
+        digest=DIGEST,
+        headline=("events={events}", "replayed={replayed}/{seed}"),
+    )
 
 
 def test_digest_is_the_legacy_repr_tuple():
@@ -147,8 +168,8 @@ def test_digest_changes_with_every_declared_field(change):
 
 
 def test_every_declared_field_is_covered_above():
-    declared = {f.name for f in dataclasses.fields(_Report)} - {"note"}
-    assert declared == set(_Report.DIGEST) == {k for c in DECLARED_FIELD_CHANGES for k in c}
+    declared = {"scenario", "seed", "violations", *_report().observed} - {"note"}
+    assert declared == set(DIGEST) == {k for c in DECLARED_FIELD_CHANGES for k in c}
 
 
 def test_undeclared_field_stays_out_of_the_digest_and_summary():
@@ -191,3 +212,48 @@ def test_fingerprint_file_covers_exactly_the_tier1_runs(golden_fingerprints):
     from tests.sim.regen_fingerprints import tier1_runs
 
     assert sorted(key for key, _ in tier1_runs()) == sorted(golden_fingerprints)
+
+
+def test_script_check_runs_before_the_cluster_forms():
+    """Every chunk in range, every action in the table, a recover after a
+    checkpoint, no drops in a scenario that recovers — or nothing runs."""
+    base = Scenario(name="script", steps=3)
+    check_script(base)
+    for script, refusal in [
+        ((FaultStep(3, "heal"),), "outside the scenario's 3 chunks"),
+        ((FaultStep(0, "defenestrate"),), "unknown fault action"),
+        ((FaultStep(1, "recover", {"node": "node-01"}),), "after a checkpoint"),
+        (
+            (
+                FaultStep(0, "checkpoint"),
+                FaultStep(1, "set_faults", {"faults": FaultSpec(drop_p=0.1)}),
+                FaultStep(2, "recover", {"node": "node-01"}),
+            ),
+            "must not drop",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=refusal):
+            check_script(replace(base, script=script))
+    # Steps fire by chunk, then in script order: a checkpoint listed later
+    # but at an earlier chunk does precede the recover.
+    check_script(
+        replace(
+            base,
+            script=(FaultStep(2, "recover", {"node": "node-01"}), FaultStep(1, "checkpoint")),
+        )
+    )
+
+
+CI = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+
+
+def test_every_sim_module_is_scheduled_nightly_exactly_once():
+    """A sim test module missing from the nightly sweep would never run
+    past tier-1's two seeds, and one listed twice would run twice. Read
+    as text: the ``sim-nightly`` job's rows name every
+    ``tests/sim/test_*.py`` exactly once, and nothing else."""
+    text = CI.read_text()
+    job = text[text.index("\n  sim-nightly:") :]
+    job = job[: job.index("\n    steps:")]
+    scheduled = sorted(re.findall(r"tests/sim/(test_\w+\.py)", job))
+    assert scheduled == sorted(p.name for p in Path(__file__).parent.glob("test_*.py"))

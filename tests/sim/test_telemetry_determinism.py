@@ -10,27 +10,31 @@ rather than a heisen-log.
 
 from __future__ import annotations
 
-from repro.sim import FaultSpec, Scenario, run_scenario
+from repro.sim import FaultSpec, Scenario, run
+
+CAMPAIGN = "scenario"
 
 #: Light but not trivial: lossy-enough links to exercise retry/replay
 #: counters while keeping the tier-1 runtime small.
 LOSSY = Scenario(name="telemetry-lossy", faults=FaultSpec(drop_p=0.05))
 
-BATCHED = Scenario(name="telemetry-batched", batching=True)
+BATCHED = Scenario(name="telemetry-batched", cluster={"transport_batching": True})
+
+SCENARIOS = [LOSSY, BATCHED]
 
 
 def test_snapshot_identical_across_runs(sim_seed, check_fingerprint):
-    first = run_scenario(LOSSY, sim_seed)
-    second = run_scenario(LOSSY, sim_seed)
+    first = run(LOSSY, sim_seed)
+    second = run(LOSSY, sim_seed)
     assert first.telemetry is not None
     assert first.telemetry == second.telemetry
     assert first.fingerprint() == second.fingerprint()
-    check_fingerprint("scenario", first)
+    check_fingerprint(CAMPAIGN, first)
 
 
 def test_snapshot_has_traces_and_virtual_timestamps(sim_seed, check_fingerprint):
-    report = run_scenario(BATCHED, sim_seed)
-    check_fingerprint("scenario", report)
+    report = run(BATCHED, sim_seed)
+    check_fingerprint(CAMPAIGN, report)
     snapshot = report.telemetry
     assert snapshot["traces_merged"], "sim run recorded no traces"
     # Hop timestamps are virtual-clock readings: bounded by the scenario's
@@ -40,6 +44,6 @@ def test_snapshot_has_traces_and_virtual_timestamps(sim_seed, check_fingerprint)
             assert 0.0 <= hop["t"] < 1e6
     # Actor dispatch instrumented on every node that hosted work.
     assert any(
-        any(name.startswith("actor_messages_total")
-            for name in node["metrics"]["counters"])
-        for node in snapshot["nodes"].values())
+        any(name.startswith("actor_messages_total") for name in node["metrics"]["counters"])
+        for node in snapshot["nodes"].values()
+    )

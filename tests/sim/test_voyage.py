@@ -14,33 +14,83 @@ same seed. Failing seeds replay byte-for-byte via
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.sim import VoyageScenario, run_voyage_scenario
+from repro.cluster import shard_for_key
+from repro.cluster.sharding import ShardTable
+from repro.sim import FaultSpec, FaultStep, Scenario, run
 from repro.sim import campaign as campaign_mod
+from repro.sim import voyage
 from repro.sim.campaign import mmsis_owned_by
 from repro.sim.invariants import collect_final_plans
-from repro.sim.voyage import build_voyage_fleet, find_storm_route
+from repro.sim.voyage import TARGET, build_voyage_fleet, find_storm_route
 
 SIM_MIN_SEEDS = 3
+CAMPAIGN = "voyage"
 
-BASELINE = VoyageScenario()
-CRASH = VoyageScenario(name="voyage-crash", crash_after_chunk=5)
-MIGRATE = VoyageScenario(name="voyage-migrate", add_node_after_chunk=4,
-                         drain_after_chunk=6)
+#: Link faults armed while the stream flows (never during the orderly
+#: recovery/migration windows — see ``repro.sim.voyage``).
+LINKS = FaultSpec(dup_p=0.05, delay_p=0.2, delay_min_s=0.05, delay_max_s=0.5, reorder_p=0.15)
+#: Every boundary ends quiesced, and faults arm only once chunk 0 has
+#: landed calm: plans land at process barriers, and the divergence watch
+#: needs a plan to diverge from before any fault can interrupt it.
+QUIESCED = (
+    *(FaultStep(k, "quiesce") for k in range(10)),
+    FaultStep(0, "set_faults", {"faults": LINKS}),
+)
+TABLE = ShardTable(epoch=1, nodes=("node-00", "node-01", "node-02"), num_shards=64)
+
+BASELINE = Scenario(
+    name="voyage-replanning",
+    script=QUIESCED,
+    fleet=build_voyage_fleet,
+    checks=(voyage.voyage_event_parity, voyage.plan_parity),
+    digest=voyage.DIGEST,
+    headline=voyage.HEADLINE,
+)
+#: A checkpoint after chunk 3; after chunk 5 the target crashes (armed:
+#: it takes in-flight frames with it), and once the failure detector has
+#: had two DOWN windows it recovers, orderly, so the checkpointed voyage
+#: state is offered before any replay can rebuild planless twins.
+CRASH = dataclasses.replace(
+    BASELINE,
+    name="voyage-crash",
+    script=(
+        FaultStep(3, "quiesce"),
+        FaultStep(3, "checkpoint"),
+        FaultStep(5, "crash", {"node": TARGET}),
+        FaultStep(5, "set_faults", {"faults": FaultSpec()}),
+        FaultStep(5, "resolve"),
+        FaultStep(5, "recover", {"node": TARGET}, orderly=True),
+        FaultStep(5, "set_faults", {"faults": LINKS}),
+        *QUIESCED,
+    ),
+)
+#: Scale out after chunk 4, then drain the target after chunk 6.
+MIGRATE = dataclasses.replace(
+    BASELINE,
+    name="voyage-migrate",
+    script=(
+        FaultStep(4, "add_node", orderly=True),
+        FaultStep(6, "drain", {"node": TARGET}, orderly=True),
+        *QUIESCED,
+    ),
+)
+
+SCENARIOS = [BASELINE, CRASH, MIGRATE]
 
 
 def _assert_ok(report, sim_seed):
-    assert report.ok, (
-        f"\n{report.summary()}\n"
-        f"replay with: pytest tests/sim/test_voyage.py "
-        f"--sim-seed {sim_seed}")
+    replay = f"pytest tests/sim/test_voyage.py --sim-seed {sim_seed}"
+    assert report.ok, f"\n{report.summary()}\nreplay with: {replay}"
 
 
 def test_voyage_baseline_upholds_invariants(sim_seed, check_fingerprint):
-    report = run_voyage_scenario(BASELINE, sim_seed)
+    report = run(BASELINE, sim_seed)
     _assert_ok(report, sim_seed)
-    check_fingerprint("voyage", report)
+    check_fingerprint(CAMPAIGN, report)
     # Non-vacuous: all three event kinds fired, every twin closed with a
     # plan, and the standard encounter oracle holds both kinds.
     kinds = {kind for kind, _ in report.voyage_events}
@@ -54,9 +104,9 @@ def test_voyage_survives_crash_recovery(sim_seed, check_fingerprint):
     """The twins' hosting node dies mid-voyage; checkpoint recovery must
     hand their assignments and plans back (they are not in the AIS
     stream, so only the RestoreState path can carry them)."""
-    report = run_voyage_scenario(CRASH, sim_seed)
+    report = run(CRASH, sim_seed)
     _assert_ok(report, sim_seed)
-    check_fingerprint("voyage", report)
+    check_fingerprint(CAMPAIGN, report)
     assert report.suffix_replayed > 0
     assert report.counters["live_nodes"] == CRASH.num_nodes
     # The rejoin reshuffles the twins' shards back onto the target.
@@ -66,9 +116,9 @@ def test_voyage_survives_crash_recovery(sim_seed, check_fingerprint):
 def test_voyage_survives_live_migration(sim_seed, check_fingerprint):
     """Scale-out then a graceful drain of the hosting node: every twin
     migrates live, and its plan state must ride the state transfer."""
-    report = run_voyage_scenario(MIGRATE, sim_seed)
+    report = run(MIGRATE, sim_seed)
     _assert_ok(report, sim_seed)
-    check_fingerprint("voyage", report)
+    check_fingerprint(CAMPAIGN, report)
     assert report.counters["state_transfers"] > 0
     # 3 nodes + 1 added - 1 drained; nothing left on the retired target.
     assert report.counters["live_nodes"] == MIGRATE.num_nodes
@@ -76,7 +126,7 @@ def test_voyage_survives_live_migration(sim_seed, check_fingerprint):
 
 
 def test_voyage_events_match_fault_free_oracle(sim_seed):
-    report = run_voyage_scenario(BASELINE, sim_seed)
+    report = run(BASELINE, sim_seed)
     _assert_ok(report, sim_seed)
     assert report.voyage_events == report.reference_voyage_events
     assert report.plan_fingerprints == report.reference_plans
@@ -94,7 +144,7 @@ def test_oracle_without_a_voyage_kind_is_rejected(monkeypatch):
     monkeypatch.setattr(campaign_mod, "_ORACLE_CACHE", {})
     refused = "degenerate voyage workload for seed 0: .* storm_avoidance"
     with pytest.raises(RuntimeError, match=refused):
-        run_voyage_scenario(BASELINE, 0)
+        run(BASELINE, 0)
 
 
 def test_fingerprint_reproducible():
@@ -102,8 +152,8 @@ def test_fingerprint_reproducible():
     with a crash-recovery or a drain in the schedule — plans are pure
     functions of the fix stream and the weather seed."""
     for scenario in (BASELINE, CRASH, MIGRATE):
-        first = run_voyage_scenario(scenario, 0)
-        second = run_voyage_scenario(scenario, 0)
+        first = run(scenario, 0)
+        second = run(scenario, 0)
         assert first.fingerprint() == second.fingerprint(), scenario.name
         assert first.ok, first.summary()
 
@@ -111,56 +161,40 @@ def test_fingerprint_reproducible():
 def test_fleet_is_margin_robust_and_targeted():
     """The fleet generator pins every twin to the target node and the
     storm probe's plan genuinely dog-legs at the twin's fix time."""
-    from repro.cluster import shard_for_key
-    from repro.cluster.sharding import ShardTable
-    table = ShardTable(epoch=1, nodes=("node-00", "node-01", "node-02"),
-                       num_shards=64)
-    fleet = build_voyage_fleet(BASELINE, 0)
-    assert [t.role for t in fleet] == ["diverge", "breach", "storm"]
-    for twin in fleet:
-        shard = shard_for_key("vessel", twin.mmsi, table.num_shards)
-        assert table.owner_of(shard) == BASELINE.target
+    fleet = build_voyage_fleet(TABLE, 0, BASELINE.steps)
+    assert [t.role for t in fleet.twins] == ["diverge", "breach", "storm"]
+    for twin in fleet.twins:
+        shard = shard_for_key("vessel", twin.mmsi, TABLE.num_shards)
+        assert TABLE.owner_of(shard) == TARGET
     # The diverge twin is planned east but drifts north; the breach
     # twin's deadline is an hour for an ~800 km route.
-    diverge, breach, storm = fleet
+    diverge, breach, storm = fleet.twins
     assert diverge.waypoints[0][0] == diverge.origin[0]
     assert breach.deadline_t < 4_000.0
     assert storm.origin[0] == 40.0  # a row-3 region, clear of workloads
     # The mmsi choice is pure hashing: same table, same answer.
-    assert ([t.mmsi for t in fleet]
-            == mmsis_owned_by(table, "node-01", count=3, base=400_000_000))
+    assert list(fleet.mmsis) == mmsis_owned_by(TABLE, "node-01", count=3, base=400_000_000)
 
 
 def test_storm_probe_is_cached_and_deterministic():
     from repro.platform.pipeline import WEATHER_DEGRADATION_TAU_S
     from repro.weather.forecast import ForecastingWeatherField
+
     weather = ForecastingWeatherField(
-        seed=0, degradation_tau_s=WEATHER_DEGRADATION_TAU_S,
-        max_wind_mps=BASELINE.max_wind_mps)
+        seed=0, degradation_tau_s=WEATHER_DEGRADATION_TAU_S, max_wind_mps=voyage.MAX_WIND_MPS
+    )
     first = find_storm_route(weather, 0, 1.52, 9 * 86_400.0, 12.0)
     second = find_storm_route(weather, 0, 1.52, 9 * 86_400.0, 12.0)
     assert first == second
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="worker node"):
-        VoyageScenario(target="node-00")
-    with pytest.raises(ValueError, match="checkpoint_after_chunk"):
-        VoyageScenario(crash_after_chunk=2, checkpoint_after_chunk=2)
-    with pytest.raises(ValueError, match="checkpoint_after_chunk"):
-        VoyageScenario(crash_after_chunk=99)
-    with pytest.raises(ValueError, match="add_node_after_chunk"):
-        VoyageScenario(add_node_after_chunk=0)
-    with pytest.raises(ValueError, match="drain_after_chunk"):
-        VoyageScenario(drain_after_chunk=99)
-    with pytest.raises(ValueError, match="both crash and drain"):
-        VoyageScenario(crash_after_chunk=5, drain_after_chunk=7)
+    """The script check refuses steps outside the scenario's chunks, and
+    the fleet refuses a fix span longer than one replan bucket."""
+    with pytest.raises(ValueError, match="outside the scenario's 10 chunks"):
+        run(dataclasses.replace(BASELINE, script=(FaultStep(10, "add_node"),)), 0)
     with pytest.raises(ValueError, match="replan bucket"):
-        VoyageScenario(replan_cadence_s=300.0)
-    with pytest.raises(ValueError, match="closing_bucket"):
-        VoyageScenario(closing_bucket=0)
-    with pytest.raises(ValueError, match="positive"):
-        VoyageScenario(drift_deg_per_chunk=0.0)
+        build_voyage_fleet(TABLE, 0, steps=60)
 
 
 def test_collect_final_plans_reports_missing_twin():
@@ -181,6 +215,6 @@ def test_collect_final_plans_reports_missing_twin():
     class _Cluster:
         platforms = [_P()]
 
-    fleet = build_voyage_fleet(BASELINE, 0)
-    plans = collect_final_plans(_Cluster(), fleet)
-    assert plans == {twin.mmsi: None for twin in fleet}
+    twins = build_voyage_fleet(TABLE, 0, BASELINE.steps).twins
+    plans = collect_final_plans(_Cluster(), twins)
+    assert plans == {twin.mmsi: None for twin in twins}

@@ -11,8 +11,10 @@ from __future__ import annotations
 from repro.sim import WarehouseScenario, run_warehouse_scenario
 
 SIM_MIN_SEEDS = 3
+CAMPAIGN = "warehouse"
 
 SCENARIO = WarehouseScenario()
+SCENARIOS = [SCENARIO]
 
 
 def test_warehouse_campaign_upholds_invariants(sim_seed, tmp_path, check_fingerprint):
@@ -22,7 +24,7 @@ def test_warehouse_campaign_upholds_invariants(sim_seed, tmp_path, check_fingerp
         f"replay with: pytest {__name__.replace('.', '/')}.py "
         f"--sim-seed {sim_seed}"
     )
-    check_fingerprint("warehouse", report)
+    check_fingerprint(CAMPAIGN, report)
 
 
 def test_warehouse_rows_match_kept_fixes_exactly(sim_seed, tmp_path):
