@@ -69,11 +69,11 @@ def pytest_generate_tests(metafunc):
     if exact is not None:
         seeds = [exact]
     else:
-        n = max(metafunc.config.getoption("--sim-seeds"),
-                getattr(metafunc.module, "SIM_MIN_SEEDS", 0))
+        n = max(
+            metafunc.config.getoption("--sim-seeds"), getattr(metafunc.module, "SIM_MIN_SEEDS", 0)
+        )
         seeds = list(range(n))
-    metafunc.parametrize("sim_seed", seeds,
-                         ids=[f"seed{s}" for s in seeds])
+    metafunc.parametrize("sim_seed", seeds, ids=[f"seed{s}" for s in seeds])
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -82,12 +82,13 @@ def pytest_runtest_makereport(item, call):
     report = outcome.get_result()
     if report.when != "call" or not report.failed:
         return
-    if not hasattr(item, "callspec") or \
-            "sim_seed" not in item.callspec.params:
+    if not hasattr(item, "callspec") or "sim_seed" not in item.callspec.params:
         return
     seed = item.callspec.params["sim_seed"]
     log = item.config.rootpath / "sim-failures.log"
     with open(log, "a") as fh:
-        fh.write(f"{item.nodeid} seed={seed} "
-                 f"(replay: pytest {item.nodeid.split('[')[0]} "
-                 f"--sim-seed {seed})\n")
+        fh.write(
+            f"{item.nodeid} seed={seed} "
+            f"(replay: pytest {item.nodeid.split('[')[0]} "
+            f"--sim-seed {seed})\n"
+        )
