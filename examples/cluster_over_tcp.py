@@ -18,15 +18,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.ais.datasets import proximity_scenario  # noqa: E402
+from repro.cluster import TcpTransport  # noqa: E402
 from repro.platform import launcher  # noqa: E402
 
 SEED_ID, WORKER_ID = "node-00", "node-01"
 
 
 def main() -> None:
-    seed = launcher.build_node(
-        SEED_ID, launcher.tcp_transport(), cluster_config=launcher.PROCESS_CLUSTER
-    )
+    seed = launcher.build_node(SEED_ID, TcpTransport(), cluster_config=launcher.PROCESS_CLUSTER)
     node = seed.node
     worker = launcher.spawn_worker(WORKER_ID, seed)
     try:

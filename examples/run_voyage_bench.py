@@ -85,8 +85,7 @@ def run_platform_leg(weather_seed: int = 2) -> dict:
                                 lon=10.0 + 0.01 * i, sog=12.0, cog=45.0))
     platform.publish_messages(fixes)
     platform.process_available()
-    now = platform.system.now
-    counts = {kind: platform.kvstore.llen(f"events:{kind}", now=now)
+    counts = {kind: platform.kvstore.llen(f"events:{kind}")
               for kind in VOYAGE_EVENT_KINDS}
     platform.shutdown()
     return counts

@@ -78,12 +78,6 @@ class ClusterConfig:
     max_batch_bytes: int = 64 * 1024
     #: …or this many frames, whichever comes first.
     max_batch_msgs: int = 128
-    #: Bound of each per-peer outbound queue in
-    #: :class:`~repro.cluster.transport.TcpTransport`.
-    outbound_queue_frames: int = 10_000
-    #: How long a sender blocks on a full outbound queue before
-    #: :class:`~repro.cluster.transport.TransportError` (backpressure).
-    send_block_timeout_s: float = 2.0
     #: How often each node sends a :class:`~repro.cluster.protocol.LoadReport`
     #: window to the leader. <= 0 disables load reporting (and with it the
     #: rebalancer, which cannot plan blind).
@@ -106,8 +100,6 @@ class ClusterConfig:
             raise ValueError("need 0 < suspect_after_s <= down_after_s")
         if self.max_batch_msgs < 1:
             raise ValueError("max_batch_msgs must be >= 1")
-        if self.outbound_queue_frames < 1:
-            raise ValueError("outbound_queue_frames must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,13 @@ def generate_traffic_journal(store: KeyValueStore, vessels: int, days: int,
                 mmsi = 200_000_000 + i
                 store.hmset(f"vessel:{mmsi}", {
                     "t": t, "lat": lat[i], "lon": lon[i],
-                    "sog": sog, "cog": cog[i]}, t)
+                    "sog": sog, "cog": cog[i]})
                 positions += 1
                 if positions % event_every == 0:
                     other = 200_000_000 + rng.randrange(vessels)
                     store.rpush("events:proximity", {
                         "mmsi_a": mmsi, "mmsi_b": other, "t": t,
                         "distance_m": rng.random() * 500.0,
-                        "lat": lat[i], "lon": lon[i]}, now=t)
+                        "lat": lat[i], "lon": lon[i]})
                     events += 1
     return positions, events

@@ -2,8 +2,8 @@
 
 The writer actor persists actor states here and the middleware API reads
 them back for the UI (Section 3). The store supports the Redis surface the
-platform touches: strings, hashes, lists, sorted sets, key TTLs and pub/sub
-channels — all thread-safe on one coarse lock.
+platform touches: hashes, lists, sorted sets and pub/sub channels — all
+thread-safe on one coarse lock.
 
 Durability (opt-in) lives in :mod:`repro.kvstore.persistence`: an
 append-only op journal compacted into snapshot files, Redis AOF/RDB
@@ -13,6 +13,7 @@ style. See PERSISTENCE.md for the formats and recovery semantics.
 from repro.kvstore.store import KeyValueStore, WrongTypeError
 from repro.kvstore.persistence import (
     CorruptPersistenceError,
+    JournalGapError,
     OpJournal,
     StorePersistence,
 )
@@ -20,6 +21,7 @@ from repro.kvstore.pubsub import PubSub, Subscription
 
 __all__ = [
     "CorruptPersistenceError",
+    "JournalGapError",
     "KeyValueStore",
     "OpJournal",
     "PubSub",

@@ -1,21 +1,18 @@
-"""Typed key-value store with TTL expiry.
+"""Typed key-value store: hashes, lists and sorted sets.
 
-Time is injected by the caller (the platform passes its stream clock), so
-expiry is deterministic in tests and benchmarks. Commands mirror the small
-Redis subset the middleware uses: GET/SET/DEL, HSET/HGET/HGETALL,
-LPUSH/RPUSH/LRANGE, ZADD/ZRANGE/ZRANGEBYSCORE, EXPIRE/TTL, KEYS/SCAN.
+Commands mirror the small Redis subset the platform calls: the writer and
+the read replica write with HMSET/RPUSH/LTRIM/ZADD, and the middleware API
+reads with HGETALL/LRANGE/LLEN/ZCARD/ZRANGEBYSCORE. Nothing expires, so no
+command takes a clock.
 
 Durability is optional: bind a
 :class:`~repro.kvstore.persistence.StorePersistence` and every mutating
 command is appended to an op journal, periodically compacted into a
-snapshot file (see ``persistence.py`` / PERSISTENCE.md). ``save``/``load``
-give one-shot snapshot files without a journal.
+snapshot file (see ``persistence.py`` / PERSISTENCE.md).
 """
 
 from __future__ import annotations
 
-import fnmatch
-import pickle
 import threading
 from typing import TYPE_CHECKING, Any
 
@@ -30,20 +27,24 @@ class WrongTypeError(TypeError):
 
 def _copy_value(value: Any) -> Any:
     """Shallow-copy a stored container so snapshots never alias live state."""
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, list):
-        return list(value)
-    return value
+    return dict(value) if isinstance(value, dict) else list(value)
+
+
+def _index_range(start: int, stop: int, n: int) -> slice:
+    """Redis inclusive index semantics (-1 = last element) as a slice."""
+    if start < 0:
+        start += n
+    if stop < 0:
+        stop += n
+    return slice(max(start, 0), stop + 1)
 
 
 class KeyValueStore:
-    """Thread-safe in-memory store with strings, hashes, lists and zsets."""
+    """Thread-safe in-memory store with hashes, lists and zsets."""
 
     def __init__(self, persistence: "StorePersistence | None" = None) -> None:
         self._lock = threading.RLock()
         self._data: dict[str, Any] = {}
-        self._expiry: dict[str, float] = {}
         self._persistence: "StorePersistence | None" = None
         if persistence is not None:
             self.bind_persistence(persistence)
@@ -63,131 +64,52 @@ class KeyValueStore:
     def persistence(self) -> "StorePersistence | None":
         return self._persistence
 
-    def _journal(self, op: str, *args: Any, **kwargs: Any) -> None:
+    def _journal(self, op: str, *args: Any) -> None:
         """Record one mutating op (no-op unless persistence is bound).
         Always called with the store lock held, *after* the mutation
         succeeded — failed commands (wrong type) are never journaled."""
         if self._persistence is not None:
-            self._persistence.record(self, op, args, kwargs)
-
-    def compact(self) -> None:
-        """Explicitly fold the journal into a snapshot (bound stores only)."""
-        with self._lock:
-            if self._persistence is None:
-                raise RuntimeError("no persistence bound to this store")
-            self._persistence.compact(self)
+            self._persistence.record(self, op, args)
 
     def snapshot_state(self) -> dict[str, Any]:
-        """The full store state as a plain dict (for snapshots/transfer)."""
+        """The full store state as a plain dict (for snapshots/transfer).
+        Two stores are behaviourally equivalent iff their snapshots match."""
         with self._lock:
-            return {"data": {k: _copy_value(v) for k, v in self._data.items()},
-                    "expiry": dict(self._expiry)}
+            return {"data": {k: _copy_value(v) for k, v in self._data.items()}}
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Replace the store contents with a :meth:`snapshot_state` dict."""
         with self._lock:
-            self._data = {k: _copy_value(v)
-                          for k, v in state["data"].items()}
-            self._expiry = dict(state["expiry"])
+            self._data = {k: _copy_value(v) for k, v in state["data"].items()}
 
-    def merge_state(self, state: dict[str, Any], now: float = 0.0) -> int:
+    def merge_state(self, state: dict[str, Any]) -> int:
         """Fold another store's :meth:`snapshot_state` into this one.
 
         Used when a node retires gracefully and a surviving peer absorbs
-        its durably written outputs: lists append, hash/zset members fill
-        in only where this store has no entry for the field (the absorber's
-        own rows are at least as new — post-migration writes land here),
-        and strings set only if absent. Runs through the public commands so
-        a bound journal stays coherent. Returns the number of keys merged.
+        its durably written outputs: lists append, and hash/zset members
+        fill in only where this store has no entry for the field (the
+        absorber's own rows are at least as new — post-migration writes
+        land here). Runs through the public commands so a bound journal
+        stays coherent. Returns the number of keys merged.
         """
         merged = 0
         for key, value in state["data"].items():
             if isinstance(value, list):
                 if value:
-                    self.rpush(key, *value, now=now)
+                    self.rpush(key, *value)
                     merged += 1
-            elif isinstance(value, dict):
-                if not value:
-                    continue
-                with self._lock:
-                    current = self._typed(key, dict, create=True, now=now)
-                    fresh = {f: v for f, v in value.items()
-                             if f not in current}
-                if fresh:
-                    self.hmset(key, fresh, now=now)
-                    merged += 1
-            else:
-                with self._lock:
-                    self._purge_if_expired(key, now)
-                    absent = key not in self._data
-                if absent:
-                    self.set(key, value, now=now)
-                    merged += 1
+                continue
+            with self._lock:
+                current = self._typed(key, dict, create=False) or {}
+                fresh = {f: v for f, v in value.items() if f not in current}
+            if fresh:
+                self.hmset(key, fresh)
+                merged += 1
         return merged
-
-    def save(self, path: str) -> None:
-        """Write a standalone snapshot file (atomic rename)."""
-        from repro.kvstore.persistence import FORMAT_VERSION, _atomic_write
-        payload = pickle.dumps(
-            {"version": FORMAT_VERSION, "seq": 0, **self.snapshot_state()},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write(path, payload, fsync=False)
-
-    @classmethod
-    def load(cls, path: str) -> "KeyValueStore":
-        """Build a store from a :meth:`save` snapshot file."""
-        with open(path, "rb") as fh:
-            snapshot = pickle.load(fh)
-        store = cls()
-        store.restore_state(snapshot)
-        return store
-
-    def dump(self, now: float = 0.0) -> dict[str, Any]:
-        """Canonical observable state at time ``now``: expired keys purged,
-        values copied. Two stores are behaviourally equivalent iff their
-        dumps match — the comparison the persistence round-trip tests use
-        (replaying a journal skips read-triggered purges, so raw ``_data``
-        may differ while observable state does not)."""
-        with self._lock:
-            for key in list(self._data):
-                self._purge_if_expired(key, now)
-            return self.snapshot_state()
-
-    # -- expiry ----------------------------------------------------------------
-
-    def _purge_if_expired(self, key: str, now: float) -> None:
-        deadline = self._expiry.get(key)
-        if deadline is not None and now >= deadline:
-            self._data.pop(key, None)
-            self._expiry.pop(key, None)
-
-    def expire(self, key: str, ttl_s: float, now: float = 0.0) -> bool:
-        """Set a time-to-live on a key. Returns False if the key is absent."""
-        with self._lock:
-            self._purge_if_expired(key, now)
-            if key not in self._data:
-                return False
-            self._expiry[key] = now + ttl_s
-            self._journal("expire", key, ttl_s, now)
-            return True
-
-    def ttl(self, key: str, now: float = 0.0) -> float | None:
-        """Remaining TTL in seconds, or ``None`` if the key has no expiry.
-
-        Returns ``-1.0`` for a missing key (mirroring Redis's -2 semantics
-        loosely; the platform only checks for None/negative).
-        """
-        with self._lock:
-            self._purge_if_expired(key, now)
-            if key not in self._data:
-                return -1.0
-            deadline = self._expiry.get(key)
-            return None if deadline is None else deadline - now
 
     # -- helpers -----------------------------------------------------------------
 
-    def _typed(self, key: str, expect: type, create: bool, now: float) -> Any:
-        self._purge_if_expired(key, now)
+    def _typed(self, key: str, expect: type, create: bool) -> Any:
         value = self._data.get(key)
         if value is None:
             if not create:
@@ -196,221 +118,70 @@ class KeyValueStore:
             self._data[key] = value
         elif not isinstance(value, expect):
             raise WrongTypeError(
-                f"key {key!r} holds {type(value).__name__}, "
-                f"expected {expect.__name__}")
+                f"key {key!r} holds {type(value).__name__}, expected {expect.__name__}"
+            )
         return value
-
-    # -- strings ------------------------------------------------------------------
-
-    def set(self, key: str, value: str, now: float = 0.0,
-            ttl_s: float | None = None) -> None:
-        with self._lock:
-            self._data[key] = str(value)
-            if ttl_s is None:
-                self._expiry.pop(key, None)
-            else:
-                self._expiry[key] = now + ttl_s
-            self._journal("set", key, str(value), now, ttl_s)
-
-    def get(self, key: str, now: float = 0.0) -> str | None:
-        with self._lock:
-            self._purge_if_expired(key, now)
-            value = self._data.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise WrongTypeError(f"key {key!r} holds {type(value).__name__}")
-            return value
-
-    def incr(self, key: str, by: int = 1, now: float = 0.0) -> int:
-        with self._lock:
-            self._purge_if_expired(key, now)
-            raw = self._data.get(key, "0")
-            if not isinstance(raw, str):
-                raise WrongTypeError(f"key {key!r} holds {type(raw).__name__}")
-            value = int(raw) + by
-            self._data[key] = str(value)
-            self._journal("incr", key, by, now)
-            return value
-
-    def delete(self, *keys: str) -> int:
-        with self._lock:
-            removed = 0
-            for key in keys:
-                if key in self._data:
-                    del self._data[key]
-                    self._expiry.pop(key, None)
-                    removed += 1
-            if removed:
-                self._journal("delete", *keys)
-            return removed
-
-    def exists(self, key: str, now: float = 0.0) -> bool:
-        with self._lock:
-            self._purge_if_expired(key, now)
-            return key in self._data
 
     # -- hashes -------------------------------------------------------------------
 
-    def hset(self, key: str, field: str, value: Any, now: float = 0.0) -> None:
+    def hmset(self, key: str, mapping: dict[str, Any]) -> None:
         with self._lock:
-            self._typed(key, dict, create=True, now=now)[field] = value
-            self._journal("hset", key, field, value, now)
+            self._typed(key, dict, create=True).update(mapping)
+            self._journal("hmset", key, dict(mapping))
 
-    def hmset(self, key: str, mapping: dict[str, Any], now: float = 0.0) -> None:
+    def hgetall(self, key: str) -> dict[str, Any]:
         with self._lock:
-            self._typed(key, dict, create=True, now=now).update(mapping)
-            self._journal("hmset", key, dict(mapping), now)
-
-    def hget(self, key: str, field: str, now: float = 0.0) -> Any | None:
-        with self._lock:
-            h = self._typed(key, dict, create=False, now=now)
-            return None if h is None else h.get(field)
-
-    def hgetall(self, key: str, now: float = 0.0) -> dict[str, Any]:
-        with self._lock:
-            h = self._typed(key, dict, create=False, now=now)
+            h = self._typed(key, dict, create=False)
             return {} if h is None else dict(h)
-
-    def hdel(self, key: str, *fields: str, now: float = 0.0) -> int:
-        with self._lock:
-            h = self._typed(key, dict, create=False, now=now)
-            if h is None:
-                return 0
-            removed = 0
-            for f in fields:
-                if f in h:
-                    del h[f]
-                    removed += 1
-            if removed:
-                self._journal("hdel", key, *fields, now=now)
-            return removed
-
-    def hlen(self, key: str, now: float = 0.0) -> int:
-        with self._lock:
-            h = self._typed(key, dict, create=False, now=now)
-            return 0 if h is None else len(h)
 
     # -- lists --------------------------------------------------------------------
 
-    def rpush(self, key: str, *values: Any, now: float = 0.0) -> int:
+    def rpush(self, key: str, *values: Any) -> int:
         with self._lock:
-            lst = self._typed(key, list, create=True, now=now)
+            lst = self._typed(key, list, create=True)
             lst.extend(values)
-            self._journal("rpush", key, *values, now=now)
+            self._journal("rpush", key, *values)
             return len(lst)
 
-    def lpush(self, key: str, *values: Any, now: float = 0.0) -> int:
-        with self._lock:
-            lst = self._typed(key, list, create=True, now=now)
-            for v in values:
-                lst.insert(0, v)
-            self._journal("lpush", key, *values, now=now)
-            return len(lst)
-
-    def lrange(self, key: str, start: int, stop: int, now: float = 0.0) -> list:
+    def lrange(self, key: str, start: int, stop: int) -> list:
         """Inclusive range with Redis index semantics (-1 = last element)."""
         with self._lock:
-            lst = self._typed(key, list, create=False, now=now)
-            if lst is None:
-                return []
-            n = len(lst)
-            if start < 0:
-                start += n
-            if stop < 0:
-                stop += n
-            return lst[max(start, 0):stop + 1]
+            lst = self._typed(key, list, create=False)
+            return [] if lst is None else lst[_index_range(start, stop, len(lst))]
 
-    def llen(self, key: str, now: float = 0.0) -> int:
+    def llen(self, key: str) -> int:
         with self._lock:
-            lst = self._typed(key, list, create=False, now=now)
+            lst = self._typed(key, list, create=False)
             return 0 if lst is None else len(lst)
 
-    def ltrim(self, key: str, start: int, stop: int, now: float = 0.0) -> None:
+    def ltrim(self, key: str, start: int, stop: int) -> None:
         with self._lock:
-            lst = self._typed(key, list, create=False, now=now)
+            lst = self._typed(key, list, create=False)
             if lst is None:
                 return
             # Journal the caller's indices: normalized ones (e.g. a stop
             # clamped to -1) would be re-normalized on replay.
-            self._journal("ltrim", key, start, stop, now)
-            n = len(lst)
-            if start < 0:
-                start += n
-            if stop < 0:
-                stop += n
-            lst[:] = lst[max(start, 0):stop + 1]
+            self._journal("ltrim", key, start, stop)
+            lst[:] = lst[_index_range(start, stop, len(lst))]
 
     # -- sorted sets -----------------------------------------------------------------
 
-    def zadd(self, key: str, score: float, member: str, now: float = 0.0) -> None:
+    def zadd(self, key: str, score: float, member: str) -> None:
         with self._lock:
-            self._typed(key, dict, create=True, now=now)[member] = float(score)
-            self._journal("zadd", key, float(score), member, now)
+            self._typed(key, dict, create=True)[member] = float(score)
+            self._journal("zadd", key, float(score), member)
 
-    def zscore(self, key: str, member: str, now: float = 0.0) -> float | None:
+    def zcard(self, key: str) -> int:
         with self._lock:
-            z = self._typed(key, dict, create=False, now=now)
-            return None if z is None else z.get(member)
-
-    def zcard(self, key: str, now: float = 0.0) -> int:
-        with self._lock:
-            z = self._typed(key, dict, create=False, now=now)
+            z = self._typed(key, dict, create=False)
             return 0 if z is None else len(z)
 
-    def zrange(self, key: str, start: int, stop: int, now: float = 0.0
-               ) -> list[tuple[str, float]]:
-        """Members ordered by (score, member), inclusive index range."""
+    def zrangebyscore(self, key: str, lo: float, hi: float) -> list[tuple[str, float]]:
+        """Members with ``lo <= score <= hi``, ordered by (score, member)."""
         with self._lock:
-            z = self._typed(key, dict, create=False, now=now)
+            z = self._typed(key, dict, create=False)
             if z is None:
                 return []
-            ordered = sorted(z.items(), key=lambda kv: (kv[1], kv[0]))
-            n = len(ordered)
-            if start < 0:
-                start += n
-            if stop < 0:
-                stop += n
-            return ordered[max(start, 0):stop + 1]
-
-    def zrangebyscore(self, key: str, lo: float, hi: float, now: float = 0.0
-                      ) -> list[tuple[str, float]]:
-        with self._lock:
-            z = self._typed(key, dict, create=False, now=now)
-            if z is None:
-                return []
-            return sorted(((m, s) for m, s in z.items() if lo <= s <= hi),
-                          key=lambda kv: (kv[1], kv[0]))
-
-    def zremrangebyscore(self, key: str, lo: float, hi: float,
-                         now: float = 0.0) -> int:
-        with self._lock:
-            z = self._typed(key, dict, create=False, now=now)
-            if z is None:
-                return 0
-            doomed = [m for m, s in z.items() if lo <= s <= hi]
-            for m in doomed:
-                del z[m]
-            if doomed:
-                self._journal("zremrangebyscore", key, lo, hi, now)
-            return len(doomed)
-
-    # -- keyspace ----------------------------------------------------------------------
-
-    def keys(self, pattern: str = "*", now: float = 0.0) -> list[str]:
-        with self._lock:
-            for key in list(self._data):
-                self._purge_if_expired(key, now)
-            return sorted(k for k in self._data if fnmatch.fnmatch(k, pattern))
-
-    def dbsize(self, now: float = 0.0) -> int:
-        with self._lock:
-            for key in list(self._data):
-                self._purge_if_expired(key, now)
-            return len(self._data)
-
-    def flushall(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._expiry.clear()
-            self._journal("flushall")
+            return sorted(
+                ((m, s) for m, s in z.items() if lo <= s <= hi), key=lambda kv: (kv[1], kv[0])
+            )

@@ -27,7 +27,11 @@ import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.kvstore.persistence import FORMAT_VERSION, _atomic_write
+from repro.kvstore.persistence import (
+    FORMAT_VERSION,
+    CorruptPersistenceError,
+    _atomic_write,
+)
 
 if TYPE_CHECKING:
     from repro.platform.pipeline import Platform
@@ -117,6 +121,6 @@ def load_checkpoint(directory: str) -> ClusterCheckpoint:
     with open(path, "rb") as fh:
         checkpoint = pickle.load(fh)
     if checkpoint.version != FORMAT_VERSION:
-        raise ValueError(f"checkpoint format {checkpoint.version!r} != "
-                         f"{FORMAT_VERSION}")
+        raise CorruptPersistenceError(f"checkpoint format {checkpoint.version!r} != "
+                                      f"{FORMAT_VERSION}")
     return checkpoint

@@ -204,7 +204,7 @@ class LoopbackCluster:
         # entity actors migrated out with their dedup state intact, so
         # nothing will ever re-emit these events.
         self.flush_writers([platform])
-        self.seed.kvstore.merge_state(platform.kvstore.snapshot_state(), now=self.seed.system.now)
+        self.seed.kvstore.merge_state(platform.kvstore.snapshot_state())
         node.leave()
         self.settle()
         self.platforms.pop(index)

@@ -22,12 +22,6 @@ from repro.platform.pipeline import Platform
 PROCESS_CLUSTER = ClusterConfig(heartbeat_interval_s=0.5, suspect_after_s=5.0, down_after_s=15.0)
 
 
-def tcp_transport() -> TcpTransport:
-    """A TCP endpoint bounded by :data:`PROCESS_CLUSTER`'s queue settings."""
-    frames, block_s = PROCESS_CLUSTER.outbound_queue_frames, PROCESS_CLUSTER.send_block_timeout_s
-    return TcpTransport(queue_frames=frames, block_timeout_s=block_s)
-
-
 def build_node(
     node_id: str,
     transport: Transport,
@@ -109,7 +103,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     seed_id, _, address = args.join.partition("@")
     host, _, port = address.rpartition(":")
     join = (seed_id, (host, int(port)))
-    platform = build_node(args.id, tcp_transport(), cluster_config=PROCESS_CLUSTER, join=join)
+    platform = build_node(args.id, TcpTransport(), cluster_config=PROCESS_CLUSTER, join=join)
     node, stopping = platform.node, []
     node.register_control("shutdown", lambda params: stopping.append(True) or {"ok": 1})
     try:

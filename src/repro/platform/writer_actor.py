@@ -171,13 +171,13 @@ class WriterActor(Actor):
                 anchor = forecast.anchor
                 marks = zip(forecast.ts[1:].tolist(), forecast.lats[1:], forecast.lons[1:])
                 snapshot["forecast"] = [(anchor.t, anchor.lat, anchor.lon), *marks]
-            kv.hmset(f"vessel:{update.mmsi}", snapshot, now=update.t)
-            kv.zadd("vessels:last_seen", update.t, str(update.mmsi), now=update.t)
+            kv.hmset(f"vessel:{update.mmsi}", snapshot)
+            kv.zadd("vessels:last_seen", update.t, str(update.mmsi))
             if replicate:
                 repl_states.append({"mmsi": update.mmsi, **snapshot})
         for record, member in self._pending_events:
-            kv.rpush(f"events:{record.kind}", record.payload, now=record.t)
-            kv.zadd("events:all", record.t, member, now=record.t)
+            kv.rpush(f"events:{record.kind}", record.payload)
+            kv.zadd("events:all", record.t, member)
             if replicate:
                 repl_events.append(
                     {

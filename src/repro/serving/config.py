@@ -14,38 +14,20 @@ class ServingConfig:
     #: Listen port; 0 lets the OS pick (read ``ServingServer.port`` after
     #: ``start()``).
     port: int = 0
-    #: Listen backlog — subscriber load tests open thousands of
-    #: connections in a burst.
-    backlog: int = 4096
-    #: Default hex resolution for bbox subscriptions when the client does
-    #: not pick one (res 6 ≈ 24 km edges — regional watch areas).
-    default_bbox_resolution: int = 6
     #: Hard cap on the fanout-index cells one subscription may register.
     #: A bbox needing more cells at its resolution is automatically
     #: coarsened until it fits (never rejected).
     max_region_cells: int = 4096
-    #: Largest accepted k for k-ring subscriptions.
-    max_kring_k: int = 8
     #: Per-client send queue bound; overflow drops the oldest pending
     #: push and surfaces the count to the client (``dropped`` field).
     client_queue_maxlen: int = 256
-    #: Replica retains at most this many recent events per kind.
-    replica_events_max: int = 1000
-    #: Max WebSocket frame payload accepted from a client.
-    max_frame_bytes: int = 1 << 20
     #: Max subscriptions a single client may hold.
     max_subscriptions_per_client: int = 64
 
     def __post_init__(self) -> None:
-        if not 0 <= self.default_bbox_resolution <= 15:
-            raise ValueError("default_bbox_resolution must be in [0, 15]")
         if self.max_region_cells < 1:
             raise ValueError("max_region_cells must be >= 1")
-        if self.max_kring_k < 0:
-            raise ValueError("max_kring_k must be non-negative")
         if self.client_queue_maxlen < 1:
             raise ValueError("client_queue_maxlen must be >= 1")
-        if self.replica_events_max < 1:
-            raise ValueError("replica_events_max must be >= 1")
         if self.max_subscriptions_per_client < 1:
             raise ValueError("max_subscriptions_per_client must be >= 1")

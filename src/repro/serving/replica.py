@@ -67,17 +67,14 @@ class ReadReplica:
         kv = self.store
         for state in batch["states"]:
             mmsi = state["mmsi"]
-            t = state["t"]
-            kv.hmset(f"vessel:{mmsi}", {k: v for k, v in state.items() if k != "mmsi"}, now=t)
-            kv.zadd("vessels:last_seen", t, str(mmsi), now=t)
+            kv.hmset(f"vessel:{mmsi}", {k: v for k, v in state.items() if k != "mmsi"})
+            kv.zadd("vessels:last_seen", state["t"], str(mmsi))
             self.states_applied += 1
         for event in batch["events"]:
-            kind = event["kind"]
-            t = event["t"]
-            key = f"events:{kind}"
-            n = kv.rpush(key, event["payload"], now=t)
+            key = f"events:{event['kind']}"
+            n = kv.rpush(key, event["payload"])
             if n > self.events_max:
-                kv.ltrim(key, n - self.events_max, -1, now=t)
+                kv.ltrim(key, n - self.events_max, -1)
                 self.events_trimmed += n - self.events_max
             self.events_applied += 1
         self.batches_applied += 1
@@ -86,7 +83,7 @@ class ReadReplica:
         """Store one traffic-flow raster snapshot (per window)."""
         t = snapshot.get("t", 0.0)
         for window, cells in snapshot["flow"].items():
-            self.store.hmset(f"traffic:flow:{window}", {"t": t, "cells": dict(cells)}, now=t)
+            self.store.hmset(f"traffic:flow:{window}", {"t": t, "cells": dict(cells)})
 
     def flow(self, window: int) -> dict[int, int]:
         """The replicated ``{cell: vessel count}`` raster of one window

@@ -52,6 +52,16 @@ from repro.serving.protocol import (
 from repro.serving.replica import ReadReplica
 from repro.telemetry import MetricsRegistry
 
+#: Listen backlog: subscriber load tests open thousands of connections in a burst.
+BACKLOG = 4096
+#: Hex resolution of a bbox or lat/lon k-ring subscription that names none
+#: (res 6 ≈ 24 km edges: regional watch areas).
+DEFAULT_RESOLUTION = 6
+#: Largest accepted k of a k-ring subscription.
+MAX_KRING_K = 8
+#: Largest WebSocket frame payload accepted from a client.
+MAX_FRAME_BYTES = 1 << 20
+
 
 class ClientSession:
     """One connected WebSocket subscriber."""
@@ -142,7 +152,7 @@ class ServingServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port, backlog=self.config.backlog
+            self._on_connection, self.config.host, self.config.port, backlog=BACKLOG
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -397,7 +407,7 @@ class ServingServer:
     async def _run_websocket(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        ws = WebSocket(reader, writer, max_payload=self.config.max_frame_bytes)
+        ws = WebSocket(reader, writer, max_payload=MAX_FRAME_BYTES)
         self._next_client_id += 1
         session = ClientSession(self._next_client_id, ws, self.config.client_queue_maxlen)
         self._sessions[session.client_id] = session
@@ -443,7 +453,7 @@ class ServingServer:
                     lon_min=float(command["lon_min"]),
                     lon_max=float(command["lon_max"]),
                 )
-                res = int(command.get("res", self.config.default_bbox_resolution))
+                res = int(command.get("res", DEFAULT_RESOLUTION))
                 if not 0 <= res <= 15:
                     raise ValueError(f"res {res} out of range")
                 region = BBoxRegion.fitted(bbox, res, self.config.max_region_cells)
@@ -451,12 +461,12 @@ class ServingServer:
                 return {"op": "subscribed", "sid": sid, "type": "bbox", "res": region.resolution}
             if sub_type == "kring":
                 k = int(command.get("k", 1))
-                if not 0 <= k <= self.config.max_kring_k:
-                    raise ValueError(f"k must be in [0, {self.config.max_kring_k}]")
+                if not 0 <= k <= MAX_KRING_K:
+                    raise ValueError(f"k must be in [0, {MAX_KRING_K}]")
                 if "cell" in command:
                     center = int(command["cell"])
                 else:
-                    res = int(command.get("res", self.config.default_bbox_resolution))
+                    res = int(command.get("res", DEFAULT_RESOLUTION))
                     center = latlng_to_cell(float(command["lat"]), float(command["lon"]), res)
                 region = KRingRegion(center=center, k=k)
                 sid = self._register(session, "kring", region)

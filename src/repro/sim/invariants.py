@@ -141,9 +141,8 @@ def collect_events(cluster, kinds=EVENT_KINDS, subject=lambda payload: tuple(pay
     by default the subject is the encounter's vessel pair)."""
     events = set()
     for platform in _platforms(cluster):
-        now = platform.system.now
         for kind in kinds:
-            for payload in platform.kvstore.lrange(f"events:{kind}", 0, -1, now=now):
+            for payload in platform.kvstore.lrange(f"events:{kind}", 0, -1):
                 events.add((kind, subject(payload)))
     return events
 

@@ -53,20 +53,15 @@ def _field(payload: Any, *names: str) -> Any:
     return None
 
 
-def event_row(
-    kind: str, payload: Any, fallback_t: float
-) -> tuple[float, int, int, float, float] | None:
+def event_row(payload: Any) -> tuple[float, int, int, float, float] | None:
     """``(t, mmsi_a, mmsi_b, lat, lon)`` of one event payload, or None when the payload
-    carries no usable position or a malformed field (such events are counted and skipped —
-    the warehouse is a spatial store)."""
-    del kind  # the kind is interned by the caller
+    carries no usable time or position or a malformed field (such events are counted and
+    skipped — the warehouse is a spatio-temporal store)."""
     lat = _field(payload, "lat", "last_lat")
     lon = _field(payload, "lon", "last_lon")
-    if lat is None or lon is None:
-        return None
     t = _field(payload, "t", "t_expected", "t_detected")
-    if t is None:
-        t = fallback_t
+    if lat is None or lon is None or t is None:
+        return None
     mmsi_a = _field(payload, "mmsi_a", "mmsi")
     mmsi_b = _field(payload, "mmsi_b")
     try:
@@ -162,7 +157,11 @@ class WarehouseCompactor:
 
     def compact_persistence(self, persistence) -> dict:
         """Tail a :class:`~repro.kvstore.persistence.StorePersistence`'s journal past the
-        warehouse cursor into committed segments."""
+        warehouse cursor into committed segments.
+
+        Raises :class:`~repro.kvstore.persistence.JournalGapError`, committing nothing, when a
+        store compaction truncated the journal past the cursor: the rows in between are only
+        in the store snapshot (WAREHOUSE.md names the two ways on)."""
         return self.compact_journal(persistence.iter_ops(after_seq=self.warehouse.journal_seq))
 
     def compact_journal(self, entries: Iterable[tuple[int, str, tuple, dict]]) -> dict:
@@ -173,12 +172,12 @@ class WarehouseCompactor:
         buffer = _RowBuffer(self.warehouse.resolution)
         totals = {"rows": 0, "segments_written": 0, "commits": 0, "ops_scanned": 0}
         last_seq = covered
-        for seq, op, args, kwargs in entries:
+        for seq, op, args, _kwargs in entries:
             totals["ops_scanned"] += 1
             if seq <= covered:
                 continue
             last_seq = seq
-            self._decode_op(op, args, kwargs, buffer)
+            self._decode_op(op, args, buffer)
             if buffer.rows >= self.batch_rows:
                 self._commit(buffer, {"journal_seq": seq}, totals)
                 buffer = _RowBuffer(self.warehouse.resolution)
@@ -188,16 +187,14 @@ class WarehouseCompactor:
         self._count(0, totals["ops_scanned"])
         return totals
 
-    def _decode_op(self, op: str, args: tuple, kwargs: dict, buffer: _RowBuffer) -> None:
+    def _decode_op(self, op: str, args: tuple, buffer: _RowBuffer) -> None:
         if op == "hmset" and args[0].startswith(VESSEL_PREFIX):
             if not buffer.add_position(args[0][len(VESSEL_PREFIX) :], args[1]):
                 self._skip()
         elif op == "rpush" and args[0].startswith(EVENTS_PREFIX):
-            kind = args[0][len(EVENTS_PREFIX) :]
-            now = kwargs.get("now", 0.0)
-            kind_id = self.warehouse.kind_id(kind)
+            kind_id = self.warehouse.kind_id(args[0][len(EVENTS_PREFIX) :])
             for payload in args[1:]:
-                if not buffer.add_event(kind_id, event_row(kind, payload, now)):
+                if not buffer.add_event(kind_id, event_row(payload)):
                     self._skip()
 
     def _commit(self, buffer: _RowBuffer, cursor: dict, totals: dict) -> None:

@@ -5,9 +5,12 @@ while replaying strictly fewer records than ``replay_from_start``, and the
 recovered cluster must agree with an uninterrupted run of the same stream.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.ais.datasets import proximity_scenario
+from repro.kvstore import CorruptPersistenceError
 from repro.platform import LoopbackCluster, PlatformConfig
 from repro.platform.checkpoint import (
     capture_checkpoint,
@@ -67,9 +70,7 @@ def event_set(cluster, kind):
     re-detect an encounter one fix later, so times are not compared)."""
     out = set()
     for platform in cluster.platforms:
-        now = platform.system.now
-        for payload in platform.kvstore.lrange(f"events:{kind}", 0, -1,
-                                               now=now):
+        for payload in platform.kvstore.lrange(f"events:{kind}", 0, -1):
             out.add(tuple(payload.pair))
     return out
 
@@ -98,6 +99,18 @@ class TestCheckpointCapture:
         try:
             with pytest.raises(ValueError):
                 capture_checkpoint(list(reversed(cluster.platforms)))
+        finally:
+            cluster.shutdown()
+
+    def test_parent_format_checkpoint_raises(self, tmp_path):
+        """A format-1 checkpoint (its KV snapshots carry an ``expiry``
+        map) is refused before anything is restored."""
+        cluster = LoopbackCluster(num_nodes=1)
+        try:
+            checkpoint = dataclasses.replace(cluster.checkpoint(), version=1)
+            write_checkpoint(checkpoint, str(tmp_path))
+            with pytest.raises(CorruptPersistenceError):
+                load_checkpoint(str(tmp_path))
         finally:
             cluster.shutdown()
 
@@ -169,7 +182,8 @@ class TestCheckpointedRecovery:
             drive_batched(cluster, messages[:len(messages) // 2])
             checkpoint = cluster.checkpoint()
             victim = cluster.platforms[1]
-            victim_keys = victim.kvstore.keys("vessel:*")
+            victim_keys = [key for key in victim.kvstore.snapshot_state()["data"]
+                           if key.startswith("vessel:")]
             assert victim_keys  # the victim hosted someone
             cluster.kill(1)
             config = cluster.cluster_config
@@ -177,7 +191,6 @@ class TestCheckpointedRecovery:
             cluster.tick(config.down_after_s)
             platform, _ = cluster.recover("node-01", checkpoint)
             for key in victim_keys:
-                assert platform.kvstore.exists(
-                    key, now=platform.system.now), key
+                assert platform.kvstore.hgetall(key), key
         finally:
             cluster.shutdown()

@@ -53,8 +53,8 @@ def test_barrier_drains_all_three_pools_of_a_worker_node():
         assert wiring.writer_ref.pending_ops == 0
         # The replies made the same barrier: the twin's deferred state row
         # and the directly queued one are both in the worker's store.
-        assert worker.kvstore.exists(f"vessel:{twin}", now=0.0)
-        assert worker.kvstore.exists(f"vessel:{other}", now=0.0)
+        assert worker.kvstore.hgetall(f"vessel:{twin}")
+        assert worker.kvstore.hgetall(f"vessel:{other}")
     finally:
         cluster.shutdown()
 

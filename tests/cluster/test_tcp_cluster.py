@@ -10,6 +10,7 @@ process; the second joins a worker process (``python -m repro.platform.launcher`
 import threading
 
 from repro.ais.datasets import proximity_scenario
+from repro.cluster import TcpTransport
 from repro.platform import Platform
 from repro.platform.launcher import (
     PROCESS_CLUSTER,
@@ -18,7 +19,6 @@ from repro.platform.launcher import (
     pump_until,
     settle,
     spawn_worker,
-    tcp_transport,
 )
 
 
@@ -84,9 +84,9 @@ def test_two_tcp_nodes_match_a_standalone_platform():
     scenario, messages, alone = standalone_run()
     mmsis = sorted({m.mmsi for m in messages})
 
-    seed = build_node("node-00", tcp_transport(), cluster_config=PROCESS_CLUSTER)
+    seed = build_node("node-00", TcpTransport(), cluster_config=PROCESS_CLUSTER)
     contact = (seed.node.node_id, seed.node.transport.address)
-    worker = build_node("node-01", tcp_transport(), cluster_config=PROCESS_CLUSTER, join=contact)
+    worker = build_node("node-01", TcpTransport(), cluster_config=PROCESS_CLUSTER, join=contact)
     platforms = [seed, worker]
     nodes = [platform.node for platform in platforms]
     frame_threads = set()
@@ -121,7 +121,7 @@ def test_two_tcp_nodes_match_a_standalone_platform():
 
 def test_a_launcher_process_joins_a_seed_and_matches_a_standalone_platform():
     scenario, messages, alone = standalone_run()
-    seed = build_node("node-00", tcp_transport(), cluster_config=PROCESS_CLUSTER)
+    seed = build_node("node-00", TcpTransport(), cluster_config=PROCESS_CLUSTER)
     node = seed.node
     process = spawn_worker("node-01", seed)
     try:

@@ -53,7 +53,7 @@ class TestProximityDetector:
         platform.system.run_until_idle()
         platform.wiring.writer_ref.flush()
         platform.system.run_until_idle()
-        assert platform.kvstore.llen("events:proximity", now=30.0) == 1
+        assert platform.kvstore.llen("events:proximity") == 1
 
     def test_self_proximity_impossible(self):
         det = ProximityDetector()

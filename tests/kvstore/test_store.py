@@ -3,89 +3,10 @@
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.kvstore import KeyValueStore, PubSub, WrongTypeError
 
 
-class TestStrings:
-    def test_set_get(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        assert kv.get("a") == "1"
-
-    def test_get_missing(self):
-        assert KeyValueStore().get("nope") is None
-
-    def test_delete(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        assert kv.delete("a", "b") == 1
-        assert not kv.exists("a")
-
-    def test_incr(self):
-        kv = KeyValueStore()
-        assert kv.incr("n") == 1
-        assert kv.incr("n", 5) == 6
-
-    def test_incr_wrong_type(self):
-        kv = KeyValueStore()
-        kv.hset("h", "f", 1)
-        with pytest.raises(WrongTypeError):
-            kv.incr("h")
-
-    def test_type_confusion_raises(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        with pytest.raises(WrongTypeError):
-            kv.hset("a", "f", 1)
-        with pytest.raises(WrongTypeError):
-            kv.rpush("a", 1)
-
-
-class TestTTL:
-    def test_expiry(self):
-        kv = KeyValueStore()
-        kv.set("a", "1", now=0.0, ttl_s=10.0)
-        assert kv.get("a", now=5.0) == "1"
-        assert kv.get("a", now=10.0) is None
-
-    def test_ttl_readback(self):
-        kv = KeyValueStore()
-        kv.set("a", "1", now=0.0, ttl_s=10.0)
-        assert kv.ttl("a", now=4.0) == pytest.approx(6.0)
-
-    def test_ttl_none_without_expiry(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        assert kv.ttl("a") is None
-
-    def test_ttl_missing_key(self):
-        assert KeyValueStore().ttl("nope") == -1.0
-
-    def test_expire_command(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        assert kv.expire("a", 5.0, now=0.0)
-        assert kv.get("a", now=6.0) is None
-
-    def test_expire_missing(self):
-        assert not KeyValueStore().expire("nope", 5.0)
-
-    def test_overwrite_clears_ttl(self):
-        kv = KeyValueStore()
-        kv.set("a", "1", now=0.0, ttl_s=5.0)
-        kv.set("a", "2", now=1.0)
-        assert kv.get("a", now=100.0) == "2"
-
-
 class TestHashes:
-    def test_hset_hget(self):
-        kv = KeyValueStore()
-        kv.hset("vessel:1", "lat", 37.9)
-        assert kv.hget("vessel:1", "lat") == 37.9
-
     def test_hmset_hgetall(self):
         kv = KeyValueStore()
         kv.hmset("v", {"a": 1, "b": 2})
@@ -93,21 +14,13 @@ class TestHashes:
 
     def test_hgetall_returns_copy(self):
         kv = KeyValueStore()
-        kv.hset("v", "a", 1)
+        kv.hmset("v", {"a": 1})
         snapshot = kv.hgetall("v")
         snapshot["a"] = 999
-        assert kv.hget("v", "a") == 1
-
-    def test_hdel_hlen(self):
-        kv = KeyValueStore()
-        kv.hmset("v", {"a": 1, "b": 2})
-        assert kv.hdel("v", "a", "zz") == 1
-        assert kv.hlen("v") == 1
+        assert kv.hgetall("v") == {"a": 1}
 
     def test_hget_missing(self):
-        kv = KeyValueStore()
-        assert kv.hget("nope", "f") is None
-        assert kv.hgetall("nope") == {}
+        assert KeyValueStore().hgetall("nope") == {}
 
 
 class TestLists:
@@ -115,11 +28,6 @@ class TestLists:
         kv = KeyValueStore()
         kv.rpush("l", 1, 2, 3)
         assert kv.lrange("l", 0, -1) == [1, 2, 3]
-
-    def test_lpush_order(self):
-        kv = KeyValueStore()
-        kv.lpush("l", 1, 2)
-        assert kv.lrange("l", 0, -1) == [2, 1]
 
     def test_negative_indices(self):
         kv = KeyValueStore()
@@ -138,19 +46,29 @@ class TestLists:
         kv.rpush("l", 1)
         assert kv.llen("l") == 1
 
+    def test_type_confusion_raises(self):
+        kv = KeyValueStore()
+        kv.rpush("a", 1)
+        with pytest.raises(WrongTypeError):
+            kv.hmset("a", {"f": 1})
+        with pytest.raises(WrongTypeError):
+            kv.zadd("a", 1.0, "m")
+        kv.hmset("h", {"f": 1})
+        with pytest.raises(WrongTypeError):
+            kv.rpush("h", 1)
+        with pytest.raises(WrongTypeError):
+            kv.lrange("h", 0, -1)
+
 
 class TestSortedSets:
-    def test_zadd_zscore(self):
-        kv = KeyValueStore()
-        kv.zadd("z", 5.0, "a")
-        assert kv.zscore("z", "a") == 5.0
-
     def test_zrange_ordering(self):
+        """Members come back ordered by (score, member)."""
         kv = KeyValueStore()
         kv.zadd("z", 3.0, "c")
+        kv.zadd("z", 1.0, "b")
         kv.zadd("z", 1.0, "a")
-        kv.zadd("z", 2.0, "b")
-        assert [m for m, _ in kv.zrange("z", 0, -1)] == ["a", "b", "c"]
+        everything = kv.zrangebyscore("z", float("-inf"), float("inf"))
+        assert [m for m, _ in everything] == ["a", "b", "c"]
 
     def test_zrangebyscore(self):
         kv = KeyValueStore()
@@ -159,66 +77,28 @@ class TestSortedSets:
         hits = kv.zrangebyscore("z", 1.0, 3.0)
         assert [m for m, _ in hits] == ["b", "c", "d"]
 
-    def test_zremrangebyscore(self):
-        kv = KeyValueStore()
-        for i, m in enumerate("abcde"):
-            kv.zadd("z", float(i), m)
-        assert kv.zremrangebyscore("z", 0.0, 2.0) == 3
-        assert kv.zcard("z") == 2
-
     def test_zadd_updates_score(self):
         kv = KeyValueStore()
         kv.zadd("z", 1.0, "a")
         kv.zadd("z", 9.0, "a")
-        assert kv.zscore("z", "a") == 9.0
+        assert kv.zrangebyscore("z", float("-inf"), float("inf")) == [("a", 9.0)]
         assert kv.zcard("z") == 1
 
 
 class TestKeyspace:
-    def test_keys_pattern(self):
-        kv = KeyValueStore()
-        kv.set("vessel:1", "x")
-        kv.set("vessel:2", "y")
-        kv.set("cell:9", "z")
-        assert kv.keys("vessel:*") == ["vessel:1", "vessel:2"]
-
-    def test_dbsize_and_flush(self):
-        kv = KeyValueStore()
-        kv.set("a", "1")
-        kv.hset("b", "f", 1)
-        assert kv.dbsize() == 2
-        kv.flushall()
-        assert kv.dbsize() == 0
-
-    def test_keys_purges_expired(self):
-        kv = KeyValueStore()
-        kv.set("a", "1", now=0.0, ttl_s=1.0)
-        assert kv.keys("*", now=2.0) == []
-
-    @given(st.dictionaries(st.text(alphabet="abcde", min_size=1, max_size=4),
-                           st.text(max_size=4), max_size=20))
-    @settings(max_examples=30)
-    def test_set_get_property(self, mapping):
-        kv = KeyValueStore()
-        for k, v in mapping.items():
-            kv.set(k, v)
-        for k, v in mapping.items():
-            assert kv.get(k) == v
-        assert kv.dbsize() == len(mapping)
-
     def test_thread_safety_counter(self):
         kv = KeyValueStore()
 
         def bump():
             for _ in range(500):
-                kv.incr("n")
+                kv.rpush("n", 1)
 
         threads = [threading.Thread(target=bump) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert kv.get("n") == "2000"
+        assert kv.llen("n") == 2000
 
 
 class TestMergeState:
@@ -252,40 +132,30 @@ class TestMergeState:
         source.zadd("vessels:last_seen", 100.0, "1")
         source.zadd("vessels:last_seen", 150.0, "2")
         target.merge_state(source.snapshot_state())
-        assert target.zscore("vessels:last_seen", "1") == 300.0
-        assert target.zscore("vessels:last_seen", "2") == 150.0
-
-    def test_strings_set_if_absent(self):
-        target, source = KeyValueStore(), KeyValueStore()
-        target.set("cursor", "9")
-        source.set("cursor", "5")
-        source.set("other", "1")
-        target.merge_state(source.snapshot_state())
-        assert target.get("cursor") == "9"
-        assert target.get("other") == "1"
+        assert target.zrangebyscore("vessels:last_seen", 0.0, 1e9) == [
+            ("2", 150.0), ("1", 300.0)]
 
     def test_merge_into_empty_equals_restore_data(self):
         source = KeyValueStore()
-        source.set("s", "v")
         source.rpush("l", "a", "b")
         source.hmset("h", {"f": 1})
         source.zadd("z", 2.0, "m")
         target = KeyValueStore()
         target.merge_state(source.snapshot_state())
-        assert target.dump()["data"] == source.dump()["data"]
+        assert target.snapshot_state() == source.snapshot_state()
 
     def test_merge_is_journaled(self, tmp_path):
         from repro.kvstore.persistence import StorePersistence
         source = KeyValueStore()
         source.rpush("events:proximity", "e1")
-        source.set("k", "v")
+        source.hmset("vessel:1", {"t": 5.0})
         target = KeyValueStore(
             persistence=StorePersistence(str(tmp_path / "kv")))
         target.merge_state(source.snapshot_state())
         reborn = KeyValueStore(
             persistence=StorePersistence(str(tmp_path / "kv")))
         assert reborn.lrange("events:proximity", 0, -1) == ["e1"]
-        assert reborn.get("k") == "v"
+        assert reborn.hgetall("vessel:1") == {"t": 5.0}
 
 
 class TestPubSub:

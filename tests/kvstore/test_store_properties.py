@@ -2,10 +2,10 @@
 
 A second, deliberately naive implementation of the command set is the
 oracle; Hypothesis drives both with random op sequences and the stores
-must agree on every observable. A final family round-trips the same op
-sequences through the persistence journal and a standalone snapshot —
-recovered state must be behaviourally identical (``dump`` comparison;
-see PERSISTENCE.md for why raw ``_data`` may differ benignly).
+must agree on every observable. A second property round-trips the same
+op sequences through the persistence journal (with one mid-sequence
+compaction into a snapshot): the recovered store must match the original
+(``snapshot_state`` comparison) and the model.
 
 Type-collision sequences (hash op on a list key, ...) are exercised
 separately in ``test_store.py``; here each command family draws from its
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.kvstore import KeyValueStore, StorePersistence
 
+
 # -- the plain-dict oracle ---------------------------------------------------------
 
 
@@ -32,56 +33,11 @@ class ModelStore:
 
     def __init__(self) -> None:
         self.data: dict = {}
-        self.expiry: dict[str, float] = {}
 
-    def _purge(self, key: str, now: float) -> None:
-        if key in self.expiry and now >= self.expiry[key]:
-            self.data.pop(key, None)
-            self.expiry.pop(key, None)
-
-    def set(self, key, value, now, ttl_s=None):
-        self.data[key] = str(value)
-        if ttl_s is None:
-            self.expiry.pop(key, None)
-        else:
-            self.expiry[key] = now + ttl_s
-
-    def get(self, key, now):
-        self._purge(key, now)
-        return self.data.get(key)
-
-    def incr(self, key, by, now):
-        self._purge(key, now)
-        value = int(self.data.get(key, "0")) + by
-        self.data[key] = str(value)
-        return value
-
-    def delete(self, *keys):
-        removed = 0
-        for key in keys:
-            if key in self.data:
-                del self.data[key]
-                self.expiry.pop(key, None)
-                removed += 1
-        return removed
-
-    def expire(self, key, ttl_s, now):
-        self._purge(key, now)
-        if key not in self.data:
-            return False
-        self.expiry[key] = now + ttl_s
-        return True
-
-    def exists(self, key, now):
-        self._purge(key, now)
-        return key in self.data
-
-    def container(self, key, now, default):
-        self._purge(key, now)
+    def container(self, key, default):
         return self.data.setdefault(key, default())
 
-    def peek(self, key, now, default):
-        self._purge(key, now)
+    def peek(self, key, default):
         return self.data.get(key, default())
 
 
@@ -102,8 +58,6 @@ MEMBERS = st.sampled_from(["m0", "m1", "m2", "m3"])
 SCORES = st.integers(-50, 50).map(float)
 INDEX = st.integers(-6, 6)
 #: Each family owns its key pool (see module docstring).
-SKEYS = st.sampled_from(["s0", "s1", "s2"])
-CKEYS = st.sampled_from(["c0", "c1"])     # counters: incr-only
 HKEYS = st.sampled_from(["h0", "h1"])
 LKEYS = st.sampled_from(["l0", "l1"])
 ZKEYS = st.sampled_from(["z0", "z1"])
@@ -111,186 +65,92 @@ ZKEYS = st.sampled_from(["z0", "z1"])
 
 def op_strategy():
     return st.one_of(
-        st.tuples(st.just("set"), SKEYS, SHORT,
-                  st.none() | st.floats(0.5, 5.0)),
-        st.tuples(st.just("incr"), CKEYS, st.integers(-3, 3)),
-        st.tuples(st.just("delete"), SKEYS | CKEYS | HKEYS | LKEYS | ZKEYS),
-        st.tuples(st.just("expire"),
-                  SKEYS | HKEYS | LKEYS | ZKEYS, st.floats(0.5, 5.0)),
-        st.tuples(st.just("hset"), HKEYS, FIELDS, SHORT),
-        st.tuples(st.just("hmset"), HKEYS,
-                  st.dictionaries(FIELDS, SHORT, max_size=3)),
-        st.tuples(st.just("hdel"), HKEYS, FIELDS),
-        st.tuples(st.just("rpush"), LKEYS, st.lists(SHORT, min_size=1,
-                                                    max_size=3)),
-        st.tuples(st.just("lpush"), LKEYS, st.lists(SHORT, min_size=1,
-                                                    max_size=3)),
+        st.tuples(st.just("hmset"), HKEYS, st.dictionaries(FIELDS, SHORT, max_size=3)),
+        st.tuples(st.just("rpush"), LKEYS, st.lists(SHORT, min_size=1, max_size=3)),
         st.tuples(st.just("ltrim"), LKEYS, INDEX, INDEX),
         st.tuples(st.just("zadd"), ZKEYS, SCORES, MEMBERS),
-        st.tuples(st.just("zremrangebyscore"), ZKEYS, SCORES, SCORES),
-        st.tuples(st.just("flushall")),
     )
 
 
 OPS = st.lists(op_strategy(), max_size=40)
 
 
-def apply_op(store: KeyValueStore, model: ModelStore, op: tuple,
-             now: float) -> None:
+def apply_op(store: KeyValueStore, model: ModelStore, op: tuple) -> None:
     """Apply one op to both implementations and compare its return."""
     name = op[0]
-    if name == "set":
-        _, key, value, ttl = op
-        store.set(key, value, now=now, ttl_s=ttl)
-        model.set(key, value, now, ttl)
-    elif name == "incr":
-        _, key, by = op
-        assert store.incr(key, by, now=now) == model.incr(key, by, now)
-    elif name == "delete":
-        _, key = op
-        assert store.delete(key) == model.delete(key)
-    elif name == "expire":
-        _, key, ttl = op
-        assert store.expire(key, ttl, now=now) == model.expire(key, ttl, now)
-    elif name == "hset":
-        _, key, f, v = op
-        store.hset(key, f, v, now=now)
-        model.container(key, now, dict)[f] = v
-    elif name == "hmset":
+    if name == "hmset":
         _, key, mapping = op
-        store.hmset(key, mapping, now=now)
-        model.container(key, now, dict).update(mapping)
-    elif name == "hdel":
-        _, key, f = op
-        h = model.peek(key, now, dict)
-        expected = 1 if f in h else 0
-        assert store.hdel(key, f, now=now) == expected
-        h.pop(f, None)
+        store.hmset(key, mapping)
+        model.container(key, dict).update(mapping)
     elif name == "rpush":
         _, key, values = op
-        lst = model.container(key, now, list)
+        lst = model.container(key, list)
         lst.extend(values)
-        assert store.rpush(key, *values, now=now) == len(lst)
-    elif name == "lpush":
-        _, key, values = op
-        lst = model.container(key, now, list)
-        for v in values:
-            lst.insert(0, v)
-        assert store.lpush(key, *values, now=now) == len(lst)
+        assert store.rpush(key, *values) == len(lst)
     elif name == "ltrim":
         _, key, start, stop = op
-        store.ltrim(key, start, stop, now=now)
-        lst = model.peek(key, now, list)
+        store.ltrim(key, start, stop)
         if key in model.data:
+            lst = model.data[key]
             lo, hi = normalize(start, stop, len(lst))
             lst[:] = lst[lo:hi]
     elif name == "zadd":
         _, key, score, member = op
-        store.zadd(key, score, member, now=now)
-        model.container(key, now, dict)[member] = score
-    elif name == "zremrangebyscore":
-        _, key, a, b = op
-        lo, hi = min(a, b), max(a, b)
-        z = model.peek(key, now, dict)
-        doomed = [m for m, s in z.items() if lo <= s <= hi]
-        assert store.zremrangebyscore(key, lo, hi, now=now) == len(doomed)
-        for m in doomed:
-            del z[m]
-    elif name == "flushall":
-        store.flushall()
-        model.data.clear()
-        model.expiry.clear()
+        store.zadd(key, score, member)
+        model.container(key, dict)[member] = score
     else:  # pragma: no cover - strategy and interpreter must agree
         raise AssertionError(name)
 
 
-def check_observables(store: KeyValueStore, model: ModelStore,
-                      now: float) -> None:
+def check_observables(store: KeyValueStore, model: ModelStore) -> None:
     """Every read command agrees with the oracle."""
-    assert store.keys(now=now) == sorted(
-        k for k in model.data if not (k in model.expiry
-                                      and now >= model.expiry[k]))
-    assert store.dbsize(now=now) == len(store.keys(now=now))
-    for key in ("s0", "s1", "s2", "c0", "c1"):
-        assert store.get(key, now=now) == model.get(key, now)
-        assert store.exists(key, now=now) == model.exists(key, now)
+    assert sorted(store.snapshot_state()["data"]) == sorted(model.data)
     for key in ("h0", "h1"):
-        h = model.peek(key, now, dict)
-        assert store.hgetall(key, now=now) == (
-            h if model.exists(key, now) else {})
-        assert store.hlen(key, now=now) == (
-            len(h) if model.exists(key, now) else 0)
-        for f in ("f0", "f1", "f2"):
-            assert store.hget(key, f, now=now) == (
-                h.get(f) if model.exists(key, now) else None)
+        assert store.hgetall(key) == model.peek(key, dict)
     for key in ("l0", "l1"):
-        lst = model.peek(key, now, list) if model.exists(key, now) else []
-        assert store.lrange(key, 0, -1, now=now) == lst
-        assert store.llen(key, now=now) == len(lst)
+        lst = model.peek(key, list)
+        assert store.lrange(key, 0, -1) == lst
+        assert store.llen(key) == len(lst)
         lo, hi = normalize(-3, 2, len(lst))
-        assert store.lrange(key, -3, 2, now=now) == lst[lo:hi]
+        assert store.lrange(key, -3, 2) == lst[lo:hi]
     for key in ("z0", "z1"):
-        z = model.peek(key, now, dict) if model.exists(key, now) else {}
+        z = model.peek(key, dict)
         ordered = sorted(z.items(), key=lambda kv: (kv[1], kv[0]))
-        assert store.zrange(key, 0, -1, now=now) == ordered
-        assert store.zcard(key, now=now) == len(z)
-        assert store.zrangebyscore(key, -10.0, 10.0, now=now) == [
-            (m, s) for m, s in ordered if -10.0 <= s <= 10.0]
-        for m in ("m0", "m1", "m2", "m3"):
-            assert store.zscore(key, m, now=now) == z.get(m)
+        assert store.zcard(key) == len(z)
+        assert store.zrangebyscore(key, -10.0, 10.0) == [
+            (m, s) for m, s in ordered if -10.0 <= s <= 10.0
+        ]
+        assert store.zrangebyscore(key, float("-inf"), float("inf")) == ordered
 
 
 # -- properties --------------------------------------------------------------------
 
 
-@given(ops=OPS, deltas=st.lists(st.floats(0.0, 1.0), max_size=40))
+@given(ops=OPS)
 @settings(deadline=None, max_examples=120)
-def test_store_matches_plain_dict_model(ops, deltas):
-    """Interleaved commands over advancing time: the store and the naive
-    model agree on every return value and every observable after each
-    step — including TTL expiry as ``now`` sweeps past deadlines."""
+def test_store_matches_plain_dict_model(ops):
+    """Interleaved commands: the store and the naive model agree on every
+    return value and every observable after each step."""
     store, model = KeyValueStore(), ModelStore()
-    now = 0.0
-    for i, op in enumerate(ops):
-        now += deltas[i] if i < len(deltas) else 1.0
-        apply_op(store, model, op, now)
-        check_observables(store, model, now)
-    check_observables(store, model, now + 10.0)  # everything expirable, expired
+    for op in ops:
+        apply_op(store, model, op)
+        check_observables(store, model)
 
 
-@given(ops=OPS, deltas=st.lists(st.floats(0.0, 1.0), max_size=40),
-       compact_at=st.integers(0, 40))
+@given(ops=OPS, compact_at=st.integers(0, 40))
 @settings(deadline=None, max_examples=60)
-def test_journal_round_trip_matches_model(ops, deltas, compact_at):
+def test_journal_round_trip_matches_model(ops, compact_at):
     """Any op sequence -> journal (+ one mid-sequence compaction) ->
-    recover into a fresh store: behaviourally identical to the original
-    *and* to the model, at recovery time and after every TTL has fired."""
+    recover into a fresh store: identical to the original *and* to the
+    model."""
     with tempfile.TemporaryDirectory() as directory:
-        store = KeyValueStore(
-            StorePersistence(directory, compact_every_ops=10_000))
+        persistence = StorePersistence(directory, compact_every_ops=10_000)
+        store = KeyValueStore(persistence)
         model = ModelStore()
-        now = 0.0
         for i, op in enumerate(ops):
-            now += deltas[i] if i < len(deltas) else 1.0
-            apply_op(store, model, op, now)
+            apply_op(store, model, op)
             if i == compact_at:
-                store.compact()
+                persistence.compact(store)
         recovered = KeyValueStore(StorePersistence(directory))
-        assert recovered.dump(now) == store.dump(now)
-        check_observables(recovered, model, now)
-        check_observables(recovered, model, now + 10.0)
-
-
-@given(ops=OPS, final_now=st.floats(0.0, 50.0))
-@settings(deadline=None, max_examples=60)
-def test_save_load_round_trip(ops, final_now):
-    """A standalone snapshot file reproduces observable state exactly."""
-    store = KeyValueStore()
-    model = ModelStore()
-    for i, op in enumerate(ops):
-        apply_op(store, model, op, float(i))
-    with tempfile.TemporaryDirectory() as directory:
-        store.save(f"{directory}/snap.pkl")
-        loaded = KeyValueStore.load(f"{directory}/snap.pkl")
-    assert loaded.dump(final_now) == store.dump(final_now)
-    check_observables(loaded, model, final_now)
+        assert recovered.snapshot_state() == store.snapshot_state()
+        check_observables(recovered, model)

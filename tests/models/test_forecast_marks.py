@@ -186,7 +186,7 @@ def test_kv_dump_matches_forecasts_built_from_positions(aegean, make):
             for i in range(0, len(aegean), 500):
                 platform.publish_messages(aegean[i : i + 500])
                 platform.process_available()
-            dumps.append(repr(platform.kvstore.dump(aegean[-1].t)))
+            dumps.append(repr(platform.kvstore.snapshot_state()))
             row = platform.kvstore.hgetall(f"vessel:{aegean[-1].mmsi}")["forecast"]
         finally:
             platform.shutdown()

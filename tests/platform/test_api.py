@@ -35,8 +35,8 @@ def _seed_vessel(kv, mmsi, t, forecast=None):
     state = {"t": t, "lat": 37.0, "lon": 24.0, "sog": 9.0}
     if forecast is not None:
         state["forecast"] = forecast
-    kv.hmset(f"vessel:{mmsi}", state, now=t)
-    kv.zadd("vessels:last_seen", t, str(mmsi), now=t)
+    kv.hmset(f"vessel:{mmsi}", state)
+    kv.zadd("vessels:last_seen", t, str(mmsi))
 
 
 class TestVesselQueries:
@@ -80,7 +80,7 @@ class TestVesselQueries:
 class TestEventQueries:
     def _seed_events(self, kv, kind, n):
         for i in range(n):
-            kv.rpush(f"events:{kind}", {"n": i}, now=float(i))
+            kv.rpush(f"events:{kind}", {"n": i})
 
     def test_recent_events_returns_newest_last(self, api, kv):
         self._seed_events(kv, "proximity", 5)

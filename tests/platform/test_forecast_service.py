@@ -432,7 +432,7 @@ class TestCollisionCellStash:
         platform.system.run_until_idle()
         platform.wiring.writer_ref.flush()
         platform.system.run_until_idle()
-        assert platform.kvstore.llen("events:collision", now=1e9) == 1
+        assert platform.kvstore.llen("events:collision") == 1
 
     def test_prune_tick_expires_stale_stash(self):
         platform, router = self.make_router(event_debounce_s=900.0)

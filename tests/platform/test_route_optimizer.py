@@ -196,9 +196,8 @@ class TestVoyageEvents:
             ]
         )
         platform.process_available()
-        now = platform.system.now
-        assert platform.kvstore.llen("events:route_divergence", now=now) >= 1
-        assert platform.kvstore.llen("events:eta_breach", now=now) == 0
+        assert platform.kvstore.llen("events:route_divergence") >= 1
+        assert platform.kvstore.llen("events:eta_breach") == 0
         platform.shutdown()
 
     def test_eta_breach_event_and_mark_dedup(self):
@@ -209,14 +208,13 @@ class TestVoyageEvents:
         platform.assign_voyage(mmsi, ROUTE, deadline_t=3 * 3600.0)
         platform.publish_messages([first_fix(mmsi)])
         platform.process_available()
-        now = platform.system.now
-        assert platform.kvstore.llen("events:eta_breach", now=now) == 1
+        assert platform.kvstore.llen("events:eta_breach") == 1
         # Replaying the same plan at the same stream instant is absorbed
         # by the per-kind emission mark (the crash-recovery dedup).
         actor = vessel_actor(platform, mmsi)
         platform.wiring.vessel_router.tell(mmsi, PlanReady(plan=actor.voyage_plan, t_submitted=0.0))
         platform.process_available()
-        assert platform.kvstore.llen("events:eta_breach", now=platform.system.now) == 1
+        assert platform.kvstore.llen("events:eta_breach") == 1
         platform.shutdown()
 
     def test_storm_avoidance_event_on_diverted_plan(self):
@@ -229,7 +227,7 @@ class TestVoyageEvents:
         platform.process_available()
         actor = vessel_actor(platform, mmsi)
         assert actor.voyage_plan is not None and actor.voyage_plan.diverted
-        assert platform.kvstore.llen("events:storm_avoidance", now=platform.system.now) == 1
+        assert platform.kvstore.llen("events:storm_avoidance") == 1
         platform.shutdown()
 
 

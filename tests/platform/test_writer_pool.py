@@ -1,5 +1,7 @@
 """Tests of the node's one micro-batching writer."""
 
+import math
+
 from repro.events.proximity import ProximityPairEvent
 from repro.models import LinearKinematicModel
 from repro.platform import Platform, PlatformConfig
@@ -12,6 +14,10 @@ def make_platform(**overrides):
     defaults = dict(writer_batch_max_ops=8, writer_batch_linger_s=0.5)
     defaults.update(overrides)
     return Platform(forecaster=LinearKinematicModel(), config=PlatformConfig(**defaults))
+
+
+def vessel_keys(platform):
+    return [key for key in platform.kvstore.snapshot_state()["data"] if key.startswith("vessel:")]
 
 
 def state_update(mmsi, t, lat=10.0):
@@ -64,12 +70,12 @@ class TestBatching:
         platform.system.run_until_idle()
         # Buffered: nothing in the KV store yet, five states pending.
         assert writer.pending_ops == 10
-        assert platform.kvstore.keys("vessel:*") == []
+        assert vessel_keys(platform) == []
 
         writer.flush()
         platform.system.run_until_idle()
         assert writer.pending_ops == 0
-        assert len(platform.kvstore.keys("vessel:*")) == 5
+        assert len(vessel_keys(platform)) == 5
         assert writer.flushes == 1
 
     def test_max_ops_threshold_flushes(self):
@@ -79,7 +85,7 @@ class TestBatching:
             writer.tell(state_update(200000000 + i, 10.0))
         platform.system.run_until_idle()
         assert writer.flushes == 1
-        assert len(platform.kvstore.keys("vessel:*")) == 3
+        assert len(vessel_keys(platform)) == 3
 
     def test_linger_timer_flushes_on_virtual_time(self):
         platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=2.0)
@@ -90,7 +96,7 @@ class TestBatching:
         platform.system.advance_time(2.5)
         platform.system.run_until_idle()
         assert writer.pending_ops == 0
-        assert platform.kvstore.exists("vessel:200000001", now=10.0)
+        assert platform.kvstore.hgetall("vessel:200000001")
 
     def test_states_coalesce_last_wins(self):
         platform = make_platform(writer_batch_max_ops=100, writer_batch_linger_s=0.0)
@@ -101,7 +107,7 @@ class TestBatching:
         assert writer.pending_ops == 2  # one coalesced state
         writer.flush()
         platform.system.run_until_idle()
-        state = platform.kvstore.hgetall("vessel:200000001", now=70.0)
+        state = platform.kvstore.hgetall("vessel:200000001")
         assert state["t"] == 70.0
         assert state["lat"] == 70.0
         assert writer.states_written == 3  # accepted updates still counted
@@ -115,8 +121,8 @@ class TestBatching:
             writer.tell(prox_event((111 + i, 555), float(i)))
         writer.flush()
         platform.system.run_until_idle()
-        assert platform.kvstore.llen("events:proximity", now=10.0) == 4
-        assert platform.kvstore.zcard("events:all", now=10.0) == 4
+        assert platform.kvstore.llen("events:proximity") == 4
+        assert platform.kvstore.zcard("events:all") == 4
 
     def test_events_all_members_unique(self):
         platform = make_platform(writer_batch_max_ops=1)
@@ -125,9 +131,9 @@ class TestBatching:
             writer.tell(prox_event((400 + i, 900 + i), float(i)))
         writer.flush()
         platform.system.run_until_idle()
-        assert platform.kvstore.zcard("events:all", now=100.0) == 30
+        assert platform.kvstore.zcard("events:all") == 30
         # The stored id format keeps its fixed middle field.
-        members = {m for m, _ in platform.kvstore.zrange("events:all", 0, -1, now=100.0)}
+        members = {m for m, _ in platform.kvstore.zrangebyscore("events:all", -math.inf, math.inf)}
         assert members == {f"proximity:0:{n}" for n in range(30)}
 
     def test_process_available_flushes(self):
@@ -159,7 +165,7 @@ class TestDedupBound:
         assert [len(marks(platform, 100000 + k)) for k in range(10)] == [1] * 10
         # Every distinct pair was still written (dedup only kills repeats).
         assert platform.wiring.writer_ref.events_written == 1_000
-        assert platform.kvstore.llen("events:proximity", now=1_000 * DEBOUNCE) == 1_000
+        assert platform.kvstore.llen("events:proximity") == 1_000
 
     def test_debounce_still_works_within_bound(self):
         platform = make_platform()

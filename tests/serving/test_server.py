@@ -418,12 +418,11 @@ def test_warehouse_routes_serve_historical_queries(tmp_path):
     fixes = [_state(111, 37.5, 24.5, t=60.0),
              _state(111, 37.51, 24.51, t=120.0),
              _state(222, 10.0, -40.0, t=60.0)]
-    journal = [(seq, "hmset", (f"vessel:{fix['mmsi']}", fix, fix["t"]), {})
+    journal = [(seq, "hmset", (f"vessel:{fix['mmsi']}", fix), {})
                for seq, fix in enumerate(fixes, start=1)]
     journal.append((4, "rpush", ("events:proximity",
                                  {"mmsi_a": 111, "mmsi_b": 222, "t": 90.0,
-                                  "lat": 37.5, "lon": 24.5}),
-                    {"now": 90.0}))
+                                  "lat": 37.5, "lon": 24.5}), {}))
     WarehouseCompactor(warehouse).compact_journal(journal)
 
     async def scenario():

@@ -2,7 +2,7 @@
 
 An AST audit in the style of the wall-clock audit
 (``tests/cluster/test_virtual_clock.py``): each ``PlatformConfig`` /
-``ClusterConfig`` field must be passed as a keyword somewhere under
+``ClusterConfig`` / ``ServingConfig`` field must be passed as a keyword somewhere under
 ``tests/``, ``bench/``, ``examples/`` or ``benchmarks/`` — a ``name=value``
 call keyword or a ``{"name": value}`` dict key that is splatted into the
 config — or sit on the allow-list below with its reason. A keyword inside
@@ -22,6 +22,7 @@ from dataclasses import fields
 
 from repro.cluster import ClusterConfig
 from repro.platform import PlatformConfig
+from repro.serving import ServingConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXERCISED_UNDER = ("tests", "bench", "examples", "benchmarks")
@@ -32,10 +33,11 @@ ALLOWED_UNEXERCISED = {
     # (ROADMAP item 2(a) aligns partitions with the shard table).
     "ais_topic": "deployment setting",
     "ais_partitions": "deployment setting",
-    # Transport queue bounds of a TCP deployment; read off the process-cluster
-    # config by ``repro.platform.launcher.tcp_transport``.
-    "outbound_queue_frames": "deployment setting",
-    "send_block_timeout_s": "deployment setting",
+    # Where the serving tier listens.
+    "host": "deployment setting",
+    # ``bench/workloads/encounters.py`` reads it off ``ServingConfig()`` to
+    # fit its bbox subscriptions as the server does.
+    "max_region_cells": "read by the encounters_push workload",
 }
 
 
@@ -80,7 +82,9 @@ def exercised_names() -> set[str]:
 
 def test_every_config_field_is_exercised_or_allow_listed():
     used = exercised_names()
-    declared = {f.name for config in (PlatformConfig, ClusterConfig) for f in fields(config)}
+    declared = {
+        f.name for config in (PlatformConfig, ClusterConfig, ServingConfig) for f in fields(config)
+    }
     unexercised = sorted(declared - used - ALLOWED_UNEXERCISED.keys())
     assert not unexercised, (
         f"config fields nothing under {EXERCISED_UNDER} ever sets: {unexercised}; "
@@ -100,4 +104,5 @@ def test_a_keyword_under_pytest_raises_does_not_count():
 
 def test_the_config_surface_stays_small():
     assert len(fields(PlatformConfig)) <= 20
-    assert len(fields(ClusterConfig)) <= 13
+    assert len(fields(ClusterConfig)) <= 11
+    assert len(fields(ServingConfig)) <= 6

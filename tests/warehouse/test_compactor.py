@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.hexgrid import cell_to_parent, latlng_to_cell
-from repro.kvstore.persistence import StorePersistence
+from repro.kvstore.persistence import JournalGapError, StorePersistence
 from repro.kvstore.store import KeyValueStore
 from repro.telemetry import MetricsRegistry
 from repro.warehouse import Warehouse, WarehouseCompactor, day_of
@@ -27,7 +27,7 @@ def journaled_store(tmp_path):
 
 
 def write_fix(store, mmsi: int, t: float, lat: float = 37.5, lon: float = 24.5) -> None:
-    store.hmset(f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon, "sog": 10.0, "cog": 90.0}, t)
+    store.hmset(f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon, "sog": 10.0, "cog": 90.0})
 
 
 def test_compaction_covers_journal(tmp_path, journaled_store):
@@ -37,7 +37,6 @@ def test_compaction_covers_journal(tmp_path, journaled_store):
     store.rpush(
         "events:proximity",
         {"mmsi_a": 200_000_001, "mmsi_b": 200_000_002, "t": 5.0, "lat": 37.5, "lon": 24.5},
-        now=5.0,
     )
     warehouse = Warehouse(str(tmp_path / "wh"))
     compactor = WarehouseCompactor(warehouse)
@@ -145,18 +144,17 @@ def test_version_1_manifest_is_rejected(tmp_path):
 def test_malformed_rows_are_skipped_and_counted(tmp_path, journaled_store):
     store, persistence = journaled_store
     write_fix(store, 200_000_001, 1.0)
-    store.hmset("vessel:200000002", {"note": "no position"}, 2.0)
-    store.hmset(
-        "vessel:not-an-mmsi", {"t": 3.0, "lat": 1.0, "lon": 2.0, "sog": 0.0, "cog": 0.0}, 3.0
-    )
-    store.rpush("events:odd", {"no": "location"}, now=4.0)
-    store.set("unrelated", "value", now=5.0)
+    store.hmset("vessel:200000002", {"note": "no position"})
+    store.hmset("vessel:not-an-mmsi", {"t": 3.0, "lat": 1.0, "lon": 2.0, "sog": 0.0, "cog": 0.0})
+    store.rpush("events:odd", {"no": "location"})
+    store.rpush("events:proximity", {"mmsi_a": 1, "lat": 37.5, "lon": 24.5})  # no time
+    store.zadd("unrelated", 5.0, "member")
     warehouse = Warehouse(str(tmp_path / "wh"))
     compactor = WarehouseCompactor(warehouse)
     compactor.compact_persistence(persistence)
     assert warehouse.total_rows("positions") == 1
     assert warehouse.total_rows("events") == 0
-    assert compactor.rows_skipped == 3
+    assert compactor.rows_skipped == 4
     # The cursor still covers everything scanned.
     assert warehouse.journal_seq == persistence.seq
 
@@ -174,8 +172,8 @@ def test_poison_rows_are_skipped_and_the_cursor_passes_them(tmp_path, journaled_
     ]
     for i, fields in enumerate(poison):
         write_fix(store, 200_000_001, float(i))
-        store.hmset(f"vessel:{200_000_100 + i}", {**fields, "sog": 1.0, "cog": 0.0}, float(i))
-    store.rpush("events:proximity", {"mmsi_a": 1, "t": math.inf, "lat": 37.5, "lon": 24.5}, now=5.0)
+        store.hmset(f"vessel:{200_000_100 + i}", {**fields, "sog": 1.0, "cog": 0.0})
+    store.rpush("events:proximity", {"mmsi_a": 1, "t": math.inf, "lat": 37.5, "lon": 24.5})
     write_fix(store, 200_000_001, 6.0)
     warehouse = Warehouse(str(tmp_path / "wh"))
     compactor = WarehouseCompactor(warehouse)
@@ -194,7 +192,7 @@ def test_int64_mmsis_are_exact_and_wider_ones_skipped(tmp_path, journaled_store)
         write_fix(store, mmsi, 1.0)
     for mmsi_a, mmsi_b in ((2**62 + 1, 2**62 + 3), (1, 2**64), (-(2**63) - 1, 1)):
         event = {"mmsi_a": mmsi_a, "mmsi_b": mmsi_b, "t": 2.0, "lat": 37.5, "lon": 24.5}
-        store.rpush("events:proximity", event, now=2.0)
+        store.rpush("events:proximity", event)
     warehouse = Warehouse(str(tmp_path / "wh"))
     compactor = WarehouseCompactor(warehouse)
     compactor.compact_persistence(persistence)
@@ -234,12 +232,12 @@ def golden_journal():
         lat = 37.0 + (i % 4) * 0.05 if i % 7 else 20.0  # rows i and i + 24 share a point
         lon = 24.0 + (i % 3) * 0.05 if i % 7 else -40.0
         fix = {"t": t, "lat": lat, "lon": lon, "sog": i / 4.0, "cog": i * 7.5}
-        ops.append(("hmset", (f"vessel:{200_000_000 + i % 5}", fix, t), {}))
+        ops.append(("hmset", (f"vessel:{200_000_000 + i % 5}", fix), {}))
         if i % 8 == 0:
             kind = ("proximity", "collision")[i % 16 // 8]
             event = {"mmsi_a": 200_000_000 + i % 5, "t": t, "lat": lat, "lon": lon}
-            ops.append(("rpush", (f"events:{kind}", event), {"now": t}))
-    ops.append(("rpush", ("events:odd", {"no": "location"}), {"now": 0.0}))
+            ops.append(("rpush", (f"events:{kind}", event), {}))
+    ops.append(("rpush", ("events:odd", {"no": "location"}), {}))
     return [(seq, op, args, kwargs) for seq, (op, args, kwargs) in enumerate(ops, start=1)]
 
 
@@ -254,7 +252,7 @@ def test_bootstrap_snapshot_jumps_cursor(tmp_path, journaled_store):
     store, persistence = journaled_store
     write_fix(store, 200_000_001, 1.0)
     write_fix(store, 200_000_002, 2.0)
-    store.compact()  # journal folded into the snapshot and truncated
+    persistence.compact(store)  # journal folded into the snapshot and truncated
     write_fix(store, 200_000_003, 3.0)  # journal tail past the snapshot
 
     warehouse = Warehouse(str(tmp_path / "wh"))
@@ -307,3 +305,26 @@ def test_day_of_handles_negative_time():
     assert day_of(-1.0) == -1
     assert day_of(0.0) == 0
     assert day_of(86_400.0) == 1
+
+
+def test_a_store_compaction_past_the_cursor_raises_the_gap(tmp_path):
+    """The store folded ops the warehouse never read into its snapshot: compacting the journal
+    tail would lose those rows without a trace, so the compactor names both sequence numbers
+    and commits nothing; bootstrapping from the snapshot is the way on."""
+    persistence = StorePersistence(str(tmp_path / "kv"), compact_every_ops=10)
+    store = KeyValueStore(persistence=persistence)
+    for i in range(25):
+        write_fix(store, 200_000_000 + i, float(i))
+    warehouse = Warehouse(str(tmp_path / "wh"))
+    compactor = WarehouseCompactor(warehouse)
+    with pytest.raises(JournalGapError, match="cursor 0") as gap:
+        compactor.compact_persistence(persistence)
+    assert (gap.value.after_seq, gap.value.base_seq) == (0, 20)
+    assert warehouse.journal_seq == 0
+    assert warehouse.total_rows("positions") == 0
+
+    compactor.bootstrap_snapshot(persistence.load_snapshot())
+    compactor.compact_persistence(persistence)
+    assert warehouse.total_rows("positions") == 25
+    assert warehouse.journal_seq == persistence.seq == 25
+    persistence.close()

@@ -132,7 +132,7 @@ def journal_entries(rows, start_seq=1):
         (
             start_seq + i,
             "hmset",
-            (f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon, "sog": 1.0, "cog": 0.0}, t),
+            (f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon, "sog": 1.0, "cog": 0.0}),
             {},
         )
         for i, (mmsi, t, lat, lon) in enumerate(rows)
@@ -149,7 +149,7 @@ def event_entries(rows, start_seq):
                 f"events:{('proximity', 'collision')[i % 2]}",
                 {"mmsi_a": mmsi, "mmsi_b": mmsi + 1, "t": t, "lat": lat, "lon": lon},
             ),
-            {"now": t},
+            {},
         )
         for i, (mmsi, t, lat, lon) in enumerate(rows)
     ]

@@ -37,12 +37,12 @@ def loaded(tmp_path_factory):
             sog = float(rng.uniform(0.0, 20.0))
             cog = float(rng.uniform(0.0, 360.0))
             store.hmset(f"vessel:{mmsi}", {"t": t, "lat": lat, "lon": lon,
-                                           "sog": sog, "cog": cog}, t)
+                                           "sog": sog, "cog": cog})
             rows.append((mmsi, t, lat, lon))
             if i % 15 == 0:
                 store.rpush("events:proximity",
                             {"mmsi_a": mmsi, "mmsi_b": mmsi + 1, "t": t,
-                             "lat": lat, "lon": lon}, now=t)
+                             "lat": lat, "lon": lon})
                 events.append((t, lat, lon))
     warehouse = Warehouse(str(tmp / "wh"), resolution=6)
     WarehouseCompactor(warehouse).compact_persistence(persistence)
