@@ -3,37 +3,38 @@
 The paper's Akka cluster serializes actor messages with a configured
 serializer before they cross node boundaries. Here every
 :class:`~repro.cluster.protocol.WireEnvelope` crosses the wire as one
-``struct``-packed frame, selected by a one-byte tag. Envelope metadata
-(kind, hops, correlation id, the two routing strings ``src`` and
-``entity``) has a fixed head; the ``key`` and the payload follow in one
-closed, tagged value encoding:
+``struct``-packed frame, selected by a one-byte tag. The envelope head
+is its kind, correlation id and sender ``src``; the payload follows:
 
-* **hot payloads** — the Figure 6 stream types get dedicated layouts, so
-  the steady-state stream pays no per-field tags. ``PositionIngested``
-  and ``CellObservation`` have fixed layouts. ``ForecastSharedBatch``
-  travels as a *forecast block*: per-entry heads (MMSI, cell count, mark
-  count, the anchor's SOG/COG flags), the anchors, every cell as one
-  ``>u8`` array and every mark after an anchor as one ``>f8`` array,
-  decoded through ``np.frombuffer`` into each forecast's own track. A
-  lone share is a one-entry block; no other forecast layout exists.
-* **the sharded batch** — a ``ShardedBatch`` is everything one node
-  routes to one peer in one burst of work: each entry keeps its own
-  entity, key, hop count and trace id, the entries' messages follow in
-  order, and a run of consecutive forecast shares is one block.
-* **everything else** — ``None``, ``bool``, ``int`` (signed 64-bit plus
-  the unsigned H3 range), ``float``, ``numpy.float64``, a 1-D float64
-  ``numpy.ndarray`` (a forecast's track; it decodes into an owned copy),
-  ``str``, ``tuple``, ``list``, ``set``, ``dict`` and the *records* of
-  :func:`_records`: a tuple of the message dataclasses (and the one
-  IntEnum they carry), addressed by index, fields in declaration order;
-  the index only has to agree between peers of the same build. A record
-  met twice in one frame is written once and referenced after, so objects
-  a payload shares (one forecast in many cells of a state transfer) stay
-  shared after decoding.
+* **the sharded batch** — the payload of every ``"sharded"`` frame, and
+  of no other kind: everything one node routes to one peer in one burst
+  of work (a message sent alone is a one-entry batch). Each entry's head
+  (hop count, trace id, entity, key) comes first, then the entries'
+  messages in order.
+* **hot layouts** — inside a sharded batch, the Figure 6 stream types
+  get dedicated layouts, so the steady-state stream pays no per-field
+  tags. ``PositionIngested`` and ``CellObservation`` have fixed layouts.
+  A run of consecutive ``ForecastSharedBatch`` messages travels as one
+  *forecast block*: per-entry heads (MMSI, cell count, mark count, the
+  anchor's SOG/COG flags), the anchors, every cell as one ``>u8`` array
+  and every mark after an anchor as one ``>f8`` array, decoded through
+  ``np.frombuffer`` into each forecast's own track.
+* **the value encoding** — the payload of an ask, reply or control frame,
+  and a batch entry's message without a layout: ``None``, ``bool``,
+  ``int`` (signed 64-bit plus the unsigned H3 range), ``float``,
+  ``numpy.float64``, a 1-D float64 ``numpy.ndarray`` (a forecast's track;
+  it decodes into an owned copy), ``str``, ``tuple``, ``list``, ``set``,
+  ``dict`` and the *records* of :func:`_records`: a tuple of the message
+  dataclasses (and the one IntEnum they carry), addressed by index,
+  fields in declaration order; the index only has to agree between peers
+  of the same build. A record met twice in one frame is written once and
+  referenced after, so objects a payload shares (one forecast in many
+  cells of a state transfer) stay shared after decoding.
 
 Encoding refuses anything outside that vocabulary with a ``TypeError``
 naming the type (a subclass of a listed type included); decoding calls no
-constructor outside it and turns any malformed frame into
+constructor outside it and turns any malformed frame (a ``"sharded"``
+frame without its batch, or a batch under another kind, included) into
 :class:`WireDecodeError`. Both transports carry the same frames — the
 loopback transport round trips exactly the bytes the sockets carry, so
 serialization bugs surface in the deterministic tests.
@@ -91,9 +92,8 @@ TAG_BATCH = 0x02  #: container of many frames (see encode_batch)
 _KIND_CODES = {"sharded": 0, "ask": 2, "reply": 3, "control": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
-# Value tags inside a TAG_ENV frame. 0x00 and 0x02-0x04 are the envelope
-# key's original tags, so hot frames keep their bytes; 0x01 (the retired
-# pickle payload) decodes as unknown.
+# Value tags inside a TAG_ENV frame; 0x01 (the retired pickle payload)
+# decodes as unknown.
 _V_NONE = 0x00
 _V_INT = 0x02  #: signed 64-bit int
 _V_STR = 0x03
@@ -109,8 +109,8 @@ _V_DICT = 0x0C
 _V_RECORD = 0x0D  #: u8 index into _records(), then the fields
 _V_REF = 0x0E  #: u32: the n-th record already decoded in this frame
 _V_F64_ARRAY = 0x0F  #: u32 count, then ``>f8`` values: a 1-D float64 ndarray
-# Fixed payload layouts (the envelope payload only; nested, the same
-# messages travel as records).
+# Fixed layouts of a sharded batch entry's message (nested, or in any other
+# frame, the same messages travel as records).
 _P_POSITION = 0x10  #: platform.messages.PositionIngested
 _P_CELLOBS = 0x11  #: platform.messages.CellObservation
 _P_FORECAST_BATCH = 0x14  #: ForecastSharedBatch entries, as one forecast block
@@ -123,11 +123,7 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _U64 = struct.Struct(">Q")
-_ENV_HEAD = struct.Struct(">BBq")  # kind, hops, corr_id (-1 = None)
-#: High bit of the kind byte flags an 8-byte trace id following the head;
-#: untraced frames (the overwhelming majority) stay byte-identical to the
-#: pre-telemetry encoding.
-_KIND_TRACED = 0x80
+_ENV_HEAD = struct.Struct(">Bq")  # kind, corr_id (-1 = None)
 _AIS_BODY = struct.Struct(">QdddddhBB")  # mmsi,t,lat,lon,sog,cog,hdg,st,src
 #: Cells are unsigned: H3-style ids use the full 64-bit range (indexes
 #: above ``2**63`` are routine at the collision-cell resolution).
@@ -157,7 +153,8 @@ def _records() -> tuple:
     """The record vocabulary. A record's wire address is its position
     here, so reordering or removing one changes the format: peers must run
     the same build. No file stores an address (checkpoints pickle), so an
-    entry may go with its class."""
+    entry may go with its class. A ``ShardedBatch`` is no record: it is
+    only ever a sharded frame's payload."""
     from repro.ais.message import AISMessage, NavigationStatus
     from repro.cluster import protocol as p
     from repro.events.collision import CollisionForecast
@@ -170,7 +167,6 @@ def _records() -> tuple:
         p.Join,
         p.Welcome,
         p.MemberUp,
-        p.MemberDown,
         p.Heartbeat,
         p.Leave,
         p.ShardTableUpdate,
@@ -200,7 +196,6 @@ def _records() -> tuple:
         Waypoint,
         PlanLeg,
         VoyagePlan,
-        p.ShardedBatch,
     )
 
 
@@ -213,8 +208,9 @@ def _hot() -> dict:
         )
         _RECORDS = records
         _RECORD_CODES = {cls: (index, names) for index, (cls, names) in enumerate(records)}
-        from repro.cluster.protocol import WireEnvelope
+        from repro.cluster.protocol import ShardedBatch, WireEnvelope
         hot = {cls.__name__: cls for cls, _ in records}
+        hot["ShardedBatch"] = ShardedBatch
         hot["WireEnvelope"] = WireEnvelope
         _HOT = hot
     return _HOT
@@ -375,12 +371,8 @@ def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
 
 
 def _put_payload(out: bytearray, message: Any) -> None:
-    """Append the envelope payload: a fixed layout for an exact hot type
-    whose fields fit it, the value encoding for everything else. A
-    ``ShardedBatch`` has only its layout."""
-    if type(message) is _hot()["ShardedBatch"]:
-        _put_sharded_batch(out, message)
-        return
+    """Append a batch entry's message: a fixed layout for an exact hot type whose fields
+    fit it, the value encoding for everything else."""
     mark = len(out)
     try:
         if _try_put_hot(out, message):
@@ -408,12 +400,6 @@ def _try_put_hot(out: bytearray, message: Any) -> bool:
             return False
         out.append(_P_CELLOBS)
         out += _CELLOBS_BODY.pack(message.cell, message.mmsi, message.t, message.lat, message.lon)
-        return True
-    if t is hot["ForecastSharedBatch"]:
-        parts = _share_parts(message)
-        if parts is None:
-            return False
-        _put_forecast_block(out, [parts])
         return True
     return False
 
@@ -557,12 +543,11 @@ def _put_sharded_batch(out: bytearray, batch: Any) -> None:
     for entry in entries:
         if type(entry) is not tuple or len(entry) != 5:
             raise TypeError(f"a ShardedBatch entry is a 5-tuple, not {entry!r}")
-        entity, key, message, hops, trace_id = entry
+        entity, key, _, hops, trace_id = entry
         if (
             type(hops) is not int
             or not 0 <= hops <= 255
             or not (trace_id is None or type(trace_id) is int and 0 <= trace_id < (1 << 64))
-            or type(message) is type(batch)
         ):
             raise ValueError(f"entry does not fit a sharded batch: {entry!r}")
         out += _ENTRY_HEAD.pack(hops, trace_id is not None)
@@ -608,8 +593,6 @@ def _get_sharded_batch(data: bytes, pos: int) -> tuple[Any, int]:
         if tag == _P_FORECAST_BATCH:
             shares, pos = _get_forecast_block(data, pos + 1)
             messages += shares
-        elif tag == _P_SHARDED_BATCH:
-            raise WireDecodeError("a sharded batch inside a sharded batch")
         else:
             message, pos = _get_payload(data, pos)
             messages.append(message)
@@ -640,13 +623,6 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
         # cell, mmsi, t, lat, lon
         observation = hot["CellObservation"](*_CELLOBS_BODY.unpack_from(data, pos + 1))
         return observation, pos + 1 + _CELLOBS_BODY.size
-    if tag == _P_FORECAST_BATCH:
-        shares, pos = _get_forecast_block(data, pos + 1)
-        if len(shares) != 1:
-            raise WireDecodeError("a lone forecast share is a one-entry block")
-        return shares[0], pos
-    if tag == _P_SHARDED_BATCH:
-        return _get_sharded_batch(data, pos + 1)
     return _get_value(data, pos, [])
 
 
@@ -656,53 +632,39 @@ def _get_payload(data: bytes, pos: int) -> tuple[Any, int]:
 def _encode_envelope(env: Any) -> bytes:
     kind = _KIND_CODES.get(env.kind)
     corr = -1 if env.corr_id is None else env.corr_id
-    trace_id = env.trace_id
-    if (
-        kind is None
-        or not 0 <= env.hops <= 255
-        or not _INT64_MIN <= corr <= _INT64_MAX
-        or not (trace_id is None or 0 <= trace_id < (1 << 64))
-    ):
+    if kind is None or not _INT64_MIN <= corr <= _INT64_MAX:
         raise ValueError(f"envelope head does not fit the wire: {env!r}")
     out = bytearray([TAG_ENV])
-    out += _ENV_HEAD.pack(kind | (_KIND_TRACED if trace_id is not None else 0), env.hops, corr)
-    if trace_id is not None:
-        out += _U64.pack(trace_id)
+    out += _ENV_HEAD.pack(kind, corr)
     _put_str(out, env.src)
-    _put_str(out, env.entity)
-    _put_value(out, env.key, {})
-    _put_payload(out, env.message)
+    if env.kind != "sharded":
+        _put_value(out, env.message, {})
+    elif type(env.message) is _hot()["ShardedBatch"]:
+        _put_sharded_batch(out, env.message)
+    else:
+        raise TypeError(f"a sharded frame carries a ShardedBatch, not {env.message!r}")
     return bytes(out)
 
 
 def _decode_envelope(data: bytes) -> Any:
-    hot = _hot()
-    kind_code, hops, corr = _ENV_HEAD.unpack_from(data, 1)
-    kind = _KIND_NAMES.get(kind_code & ~_KIND_TRACED)
+    hot = _hot()  # binds the record vocabulary on a process's first frame
+    kind_code, corr = _ENV_HEAD.unpack_from(data, 1)
+    kind = _KIND_NAMES.get(kind_code)
     if kind is None:
         raise WireDecodeError(f"unknown envelope kind code {kind_code}")
-    pos = 1 + _ENV_HEAD.size
-    trace_id = None
-    if kind_code & _KIND_TRACED:
-        (trace_id,) = _U64.unpack_from(data, pos)
-        pos += _U64.size
-    src, pos = _get_str(data, pos)
-    entity, pos = _get_str(data, pos)
-    key, pos = _get_value(data, pos, [])
-    message, pos = _get_payload(data, pos)
+    src, pos = _get_str(data, 1 + _ENV_HEAD.size)
+    if kind != "sharded":
+        message, pos = _get_value(data, pos, [])
+    elif data[pos] == _P_SHARDED_BATCH:
+        message, pos = _get_sharded_batch(data, pos + 1)
+    else:
+        raise WireDecodeError("a sharded frame carries no ShardedBatch")
     # Reads past the end of a slice come back short, so this also catches
     # a frame truncated inside a string.
     if pos != len(data):
         raise WireDecodeError("frame length does not match its contents")
     return hot["WireEnvelope"](
-        kind=kind,
-        src=src,
-        message=message,
-        entity=entity,
-        key=key,
-        corr_id=None if corr == -1 else corr,
-        hops=hops,
-        trace_id=trace_id,
+        kind=kind, src=src, message=message, corr_id=None if corr == -1 else corr
     )
 
 
@@ -712,7 +674,8 @@ def _decode_envelope(data: bytes) -> Any:
 def encode(env: Any) -> bytes:
     """Serialize one :class:`WireEnvelope` to a byte frame.
 
-    Raises ``TypeError`` for anything that is not a ``WireEnvelope`` or
+    Raises ``TypeError`` for anything that is not a ``WireEnvelope``, a
+    ``"sharded"`` one whose message is not a ``ShardedBatch`` or one that
     carries a value outside the wire vocabulary, and ``ValueError`` for a
     field outside its range (an out-of-range int, an oversized string).
     """

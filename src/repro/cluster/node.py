@@ -12,9 +12,11 @@ Outbound sharded messages coalesce: while an :meth:`ClusterNode.outbox`
 scope is open — the node's actor drain, one received frame, one
 ingestion dispatch, one forecast flush — what the node routes to a peer
 queues in send order and leaves, when the scope closes, as one
-:class:`ShardedBatch` frame per peer. Any other frame to that peer first
-ships the queue, so each link carries exactly the message sequence
-unbatched sends would.
+:class:`ShardedBatch` frame per peer. A message sent outside a scope, a
+forward and a redelivery each leave at once as a one-entry batch: a
+``ShardedBatch`` is the only shape a sharded message takes on the wire.
+Any other frame to that peer first ships the queue, so each link carries
+exactly the message sequence unbatched sends would.
 
 Delivery guarantees (the documented in-flight window): messages routed to
 a shard are buffered and redelivered whenever the owner is unreachable or
@@ -49,7 +51,6 @@ from repro.cluster.protocol import (
     Join,
     Leave,
     LoadReport,
-    MemberDown,
     MemberUp,
     MigrationPlan,
     ShardedBatch,
@@ -353,32 +354,24 @@ class ClusterNode:
                 self._ship(peer, entries)
 
     def _ship(self, peer: str, entries: list[tuple]) -> None:
-        """Send a peer's queued entries, ``max_batch_msgs`` to a frame (a
-        lone entry as its own envelope); a frame the transport refuses is
-        buffered entry by entry, each under its own shard."""
+        """Send a peer's queued entries, ``max_batch_msgs`` to a frame; a
+        frame the transport refuses is buffered entry by entry, each under
+        its own shard."""
         bound = self.config.max_batch_msgs
         for start in range(0, len(entries), bound):
-            chunk = entries[start : start + bound]
-            if len(chunk) == 1:
-                env = self._envelope(chunk[0])
-            else:
-                batch = ShardedBatch(entries=tuple(chunk))
-                env = WireEnvelope(kind="sharded", src=self.node_id, message=batch)
+            batch = ShardedBatch(entries=tuple(entries[start : start + bound]))
+            env = WireEnvelope(kind="sharded", src=self.node_id, message=batch)
             if not self._transmit(peer, env):
-                for entry in chunk:
+                for entry in batch.entries:
                     self._buffer(self._routers[entry[0]].shard_of(entry[1]), entry)
 
-    def _envelope(self, entry: tuple) -> WireEnvelope:
-        entity, key, message, hops, trace_id = entry
-        return WireEnvelope(
-            kind="sharded",
-            src=self.node_id,
-            entity=entity,
-            key=key,
-            message=message,
-            hops=hops,
-            trace_id=trace_id,
-        )
+    def _send_entry(self, owner: str, shard: int, entry: tuple) -> None:
+        """Send one sharded entry now, as a one-entry batch, or buffer it
+        under ``shard`` if the transport refuses the frame."""
+        batch = ShardedBatch(entries=(entry,))
+        env = WireEnvelope(kind="sharded", src=self.node_id, message=batch)
+        if not self._send(owner, env):
+            self._buffer(shard, entry)
 
     def send_sharded(self, entity: str, key: Any, message: Any) -> None:
         """Route a message to the owner of ``key``'s shard (the remote leg
@@ -409,8 +402,7 @@ class ClusterNode:
         if outbox is not None and self._outbox_thread == threading.get_ident():
             outbox.setdefault(owner, []).append(entry)
             return
-        if not self._send(owner, self._envelope(entry)):
-            self._buffer(shard, entry)
+        self._send_entry(owner, shard, entry)
 
     def _buffer(self, shard: int, entry: tuple) -> None:
         with self._lock:
@@ -594,38 +586,23 @@ class ClusterNode:
         # Receiving a frame is one burst of work: the hits a cell table
         # raises while applying it leave as one frame per peer.
         with self.outbox():
-            self._on_envelope(env)
+            if env.kind == "sharded":
+                self._on_sharded(env.message)
+            elif env.kind == "ask":
+                self._on_ask(env)
+            elif env.kind == "reply":
+                self._complete_ask(env.corr_id, env.message)
+            elif env.kind == "control":
+                self._on_control(env.src, env.message)
 
-    def _on_envelope(self, env: WireEnvelope) -> None:
-        if env.trace_id is None:
-            return self._dispatch_envelope(env)
-        # Re-establish the trace on the receiving side so local re-tells
-        # (router delivery, actor fan-out) stamp the same id.
-        set_current_trace(env.trace_id)
-        try:
-            self._dispatch_envelope(env)
-        finally:
-            clear_current_trace()
-
-    def _dispatch_envelope(self, env: WireEnvelope) -> None:
-        if env.kind == "sharded":
-            self._on_sharded(env)
-        elif env.kind == "ask":
-            self._on_ask(env)
-        elif env.kind == "reply":
-            self._complete_ask(env.corr_id, env.message)
-        elif env.kind == "control":
-            self._on_control(env.src, env.message)
-
-    def _on_sharded(self, env: WireEnvelope) -> None:
-        if type(env.message) is not ShardedBatch:
-            self._on_entry(env.entity, env.key, env.message, env.hops, env.trace_id)
-            return
-        for entry in env.message.entries:
+    def _on_sharded(self, batch: ShardedBatch) -> None:
+        for entry in batch.entries:
             trace_id = entry[4]
             if trace_id is None:
                 self._on_entry(*entry)
                 continue
+            # Re-establish the trace on the receiving side so local re-tells
+            # (router delivery, actor fan-out) stamp the same id.
             set_current_trace(trace_id)
             try:
                 self._on_entry(*entry)
@@ -635,9 +612,9 @@ class ClusterNode:
     def _on_entry(
         self, entity: str, key: Any, message: Any, hops: int, trace_id: int | None
     ) -> None:
-        """One inbound sharded message, whether it came alone or in a
-        ``ShardedBatch``: delivered only if this node owns its shard. An
-        entity this node never registered dead-letters here."""
+        """One inbound ``ShardedBatch`` entry: delivered only if this node
+        owns its shard. An entity this node never registered dead-letters
+        here."""
         router = self._routers.get(entity)
         if router is None:
             self._dead_letter(entity, key, message)
@@ -649,9 +626,7 @@ class ClusterNode:
                 # The sender routed with a stale table — forward to the
                 # owner we know (one extra hop per epoch of staleness).
                 self.forwarded += 1
-                forwarded = (entity, key, message, hops + 1, trace_id)
-                if not self._send(owner, self._envelope(forwarded)):
-                    self._buffer(shard, forwarded)
+                self._send_entry(owner, shard, (entity, key, message, hops + 1, trace_id))
             else:
                 # Hop budget exhausted mid-churn (tables still disagree).
                 # Never deliver to a non-owner — that would spawn an
@@ -695,9 +670,6 @@ class ClusterNode:
         elif isinstance(message, MemberUp):
             self.transport.add_peer(message.node_id, message.address)
             self.membership.add(message.node_id, message.address)
-        elif isinstance(message, MemberDown):
-            if self.membership.mark_down(message.node_id):
-                self.coordinator.membership_changed()
         elif isinstance(message, Leave):
             if self.membership.mark_down(message.node_id):
                 self.coordinator.membership_changed()

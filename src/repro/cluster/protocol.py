@@ -1,15 +1,15 @@
 """The cluster wire vocabulary.
 
-Exactly one frame type crosses the transport — :class:`WireEnvelope` — and
-its ``message`` field carries either an application payload (one of the
-``repro.platform.messages`` types, or a value built from the closed
-vocabulary of :mod:`repro.cluster.codec`), a :class:`ShardedBatch` of
-sharded envelopes, or one of the control messages below; a type the codec
-does not list cannot be sent. Control messages implement the seed-node
-join protocol, heartbeating, the shard table broadcast and node shutdown;
-they are deliberately gossip-free — the coordinator (cluster leader) is
-the single writer of the shard table, as in Akka cluster sharding's
-coordinator singleton.
+Exactly one frame type crosses the transport — :class:`WireEnvelope`. A
+``"sharded"`` frame's ``message`` is always a :class:`ShardedBatch` of
+entity messages; any other frame's is a control message below, a
+:class:`ControlRequest` or its answer (a value built from the closed
+vocabulary of :mod:`repro.cluster.codec`); a type the codec does not list
+cannot be sent. Control messages implement the seed-node join protocol,
+heartbeating, the shard table broadcast and node shutdown; they are
+deliberately gossip-free — the coordinator (cluster leader) is the single
+writer of the shard table, as in Akka cluster sharding's coordinator
+singleton.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ class WireEnvelope:
 
     ``kind`` selects the delivery path on the receiving node:
 
-    * ``"sharded"`` — route ``message`` to the ``entity`` actor for ``key``
-      (spawning it if needed); forwarded at most ``MAX_HOPS`` times when the
-      sending node's shard table is stale.
+    * ``"sharded"`` — ``message`` is a :class:`ShardedBatch`; each entry is
+      routed to its entity actor (spawned if needed).
     * ``"ask"`` / ``"reply"`` — a :class:`ControlRequest` for a node-level
       handler and its answer, correlated by ``corr_id``.
     * ``"control"`` — handled by the node itself (membership & sharding).
@@ -38,14 +37,7 @@ class WireEnvelope:
     kind: str
     src: str
     message: Any = None
-    entity: str | None = None
-    key: Any = None
     corr_id: int | None = None
-    hops: int = 0
-    #: Telemetry trace this frame belongs to (sampled; usually None). The
-    #: codec carries it in the envelope head (a flag bit in the kind byte
-    #: plus 8 bytes), so traces survive node boundaries.
-    trace_id: int | None = None
 
 
 #: Forwarding bound for sharded messages routed with a stale table.
@@ -55,11 +47,14 @@ MAX_HOPS = 3
 @dataclass(frozen=True)
 class ShardedBatch:
     """The sharded messages one node routes to one peer during one burst
-    of work, in send order, carried as the message of one frame.
+    of work, in send order: the message of every ``"sharded"`` frame (a
+    message sent alone, a forward or a redelivery is a one-entry batch).
 
-    Each entry is ``(entity, key, message, hops, trace_id)``: the fields a
-    ``"sharded"`` envelope would carry, which the receiver handles exactly
-    as if the entry had come in its own frame."""
+    Each entry is ``(entity, key, message, hops, trace_id)``: the entity
+    actor and key it is routed to, how often a node with a stale table
+    forwarded it (at most ``MAX_HOPS`` times), and the telemetry trace it
+    belongs to (sampled; usually None), so traces survive node
+    boundaries."""
 
     entries: tuple[tuple[str | None, Any, Any, int, int | None], ...]
 
@@ -93,13 +88,6 @@ class MemberUp:
 
     node_id: str
     address: Any
-
-
-@dataclass(frozen=True)
-class MemberDown:
-    """Coordinator -> everyone: a node was declared down."""
-
-    node_id: str
 
 
 @dataclass(frozen=True)

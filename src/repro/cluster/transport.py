@@ -19,7 +19,7 @@ Three implementations of one small contract (:class:`Transport`):
   micro-batching that closes the cross-node throughput gap. Receivers
   unwrap container frames transparently.
 
-All carry opaque byte frames; meaning (kind, entity key, correlation) lives
+All carry opaque byte frames; meaning (kind, entity keys, correlation) lives
 inside the encoded :class:`~repro.cluster.protocol.WireEnvelope`, so the
 transports are interchangeable above this line. Whatever the transport,
 ``on_frame`` runs only on the thread that pumps — the hub's caller for

@@ -4,8 +4,8 @@ A *trace* follows one sampled AIS position through the platform: the
 ingestion service assigns a ``trace_id`` derived from the broker record's
 ``(partition, offset)`` identity, and the id rides every message the
 report causes — on :class:`~repro.actors.actor.Envelope` inside a node and
-on :class:`~repro.cluster.protocol.WireEnvelope` across nodes (the wire
-codec carries it in the envelope head).
+in each :class:`~repro.cluster.protocol.ShardedBatch` entry across nodes
+(the wire codec carries it in the entry's head).
 
 Propagation is implicit: the runtime keeps the *current* trace in a
 thread-local while a traced message is being processed, and

@@ -135,6 +135,9 @@ class Warehouse:
                 f"{self._manifest['resolution']}, not {resolution}"
             )
         self.resolution = self._manifest["resolution"]
+        #: table -> its ``(coarse, day, zone map)`` list in key order; None
+        #: from the start of a commit until the next read rebuilds it.
+        self._segment_lists: dict[str, list[tuple[int, int, dict]]] | None = None
         self._cache: OrderedDict[str, tuple[dict[str, np.ndarray], int]] = OrderedDict()
         self._cache_bytes = self._cache_hits = self._cache_misses = 0
         self._instruments = None
@@ -209,10 +212,14 @@ class Warehouse:
     def segments(self, table: str = "positions") -> Iterator[tuple[int, int, dict]]:
         """Yield ``(coarse cell, day, zone map)`` for every segment of ``table``, in key order
         (so scans do not depend on the commit history)."""
-        entries = self._manifest[table]
-        for key in sorted(entries):
-            coarse, day = parse_partition_key(key)
-            yield coarse, day, entries[key]
+        if self._segment_lists is None:
+            self._segment_lists = {}
+            for name in TABLES:
+                entries = self._manifest[name]
+                self._segment_lists[name] = [
+                    (*parse_partition_key(key), entries[key]) for key in sorted(entries)
+                ]
+        return iter(self._segment_lists[table])
 
     def load(self, entry: dict) -> dict[str, np.ndarray]:
         """One segment's rows, sorted by (cell, t), as read-only arrays. Decoded segments stay in
@@ -311,6 +318,7 @@ class Warehouse:
         """
         new_rows = segments_written = bytes_written = 0
         doomed: list[str] = []
+        self._segment_lists = None
         for table, batch in (("positions", positions), ("events", events)):
             prefix = TABLES[table][0]
             entries = self._manifest[table]

@@ -18,7 +18,14 @@ import pytest
 from repro.ais.datasets import proximity_scenario
 from repro.ais.message import AISMessage, NavigationStatus
 from repro.cluster import BatchingTransport, ClusterConfig, LoopbackHub, TcpTransport, codec
-from repro.cluster.protocol import ControlRequest, Heartbeat, Join, ShardTableUpdate, WireEnvelope
+from repro.cluster.protocol import (
+    ControlRequest,
+    Heartbeat,
+    Join,
+    ShardedBatch,
+    ShardTableUpdate,
+    WireEnvelope,
+)
 from repro.platform import LoopbackCluster
 from repro.platform.messages import CellObservation, ForecastSharedBatch, PositionIngested
 from tests.cluster.test_transport import Sink
@@ -258,22 +265,39 @@ class TestKilledNodeIsReleased:
             cluster.shutdown()
 
 
+def sharded_envelope(src, entity, key, message, hops=0, trace_id=None) -> WireEnvelope:
+    """The frame one sharded message leaves in when sent alone: a one-entry
+    ``ShardedBatch``."""
+    entry = (entity, key, message, hops, trace_id)
+    return WireEnvelope(kind="sharded", src=src, message=ShardedBatch(entries=(entry,)))
+
+
+def mislabelled_frames(src: str = "n") -> list[bytes]:
+    """A ``"sharded"`` frame whose message is no ``ShardedBatch``, and a
+    ``ShardedBatch`` under the ``"control"`` kind: shapes the encoder
+    refuses, forged by rewriting a good frame's kind byte."""
+    control = codec.encode(WireEnvelope(kind="control", src=src, message=Heartbeat(src)))
+    sharded = codec.encode(sharded_envelope(src, "vessel", 1, "payload"))
+    return [
+        control[:1] + bytes([codec._KIND_CODES["sharded"]]) + control[2:],
+        sharded[:1] + bytes([codec._KIND_CODES["control"]]) + sharded[2:],
+    ]
+
+
 HOT_ENVELOPES = [
-    WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="vessel",
-        key=239000001,
-        message=PositionIngested(
+    sharded_envelope(
+        "node-00",
+        "vessel",
+        239000001,
+        PositionIngested(
             AISMessage(mmsi=239000001, t=1_234.5, lat=37.95, lon=23.55, sog=11.5, cog=271.0)
         ),
     ),
-    WireEnvelope(
-        kind="sharded",
-        src="node-01",
-        entity="vessel",
-        key=7,
-        message=PositionIngested(
+    sharded_envelope(
+        "node-01",
+        "vessel",
+        7,
+        PositionIngested(
             AISMessage(
                 mmsi=7,
                 t=0.0,
@@ -287,19 +311,17 @@ HOT_ENVELOPES = [
             )
         ),
     ),
-    WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="cell",
-        key=613561124432,
-        message=CellObservation(cell=613561124432, mmsi=7, t=99.0, lat=37.9, lon=23.5),
+    sharded_envelope(
+        "node-00",
+        "cell",
+        613561124432,
+        CellObservation(cell=613561124432, mmsi=7, t=99.0, lat=37.9, lon=23.5),
     ),
-    WireEnvelope(
-        kind="sharded",
-        src="node-01",
-        entity="collision",
-        key=613561124432,
-        message=ForecastSharedBatch(
+    sharded_envelope(
+        "node-01",
+        "collision",
+        613561124432,
+        ForecastSharedBatch(
             cells=(613561124432,),
             forecast=make_forecast(
                 7, [(0.0, 37.9, 23.5), (300.0, 37.91, 23.52), (600.0, 37.92, 23.54)], 10.0, 90.0
@@ -308,19 +330,17 @@ HOT_ENVELOPES = [
     ),
     # Cell ids with the top bit set (H3-style indexes above 2**63 are
     # routine at the collision-cell resolution) must stay on the fast path.
-    WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="cell",
-        key=9799833001222216045,
-        message=CellObservation(cell=9799833001222216045, mmsi=7, t=99.0, lat=40.4, lon=24.8),
+    sharded_envelope(
+        "node-00",
+        "cell",
+        9799833001222216045,
+        CellObservation(cell=9799833001222216045, mmsi=7, t=99.0, lat=40.4, lon=24.8),
     ),
-    WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="collision",
-        key=9799833001222216045,
-        message=ForecastSharedBatch(
+    sharded_envelope(
+        "node-00",
+        "collision",
+        9799833001222216045,
+        ForecastSharedBatch(
             cells=(9799833001222216045,),
             forecast=make_forecast(7, [(0.0, 40.4, 24.8)], sog=12.0, cog=344.0),
         ),
@@ -336,14 +356,7 @@ VALUE_ENVELOPES = [
     ),
     WireEnvelope(kind="ask", src="node-00", corr_id=12, message=ControlRequest(op="stats")),
     WireEnvelope(kind="reply", src="node-01", corr_id=12, message=[1, 2.5, "three", None]),
-    WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="vessel",
-        key=("tuple", "key"),
-        message="payload",
-        hops=2,
-    ),
+    sharded_envelope("node-00", "vessel", ("tuple", "key"), "payload", hops=2),
 ]
 
 #: A protocol-4 pickle that calls ``os.getcwd()`` through a dotted name
@@ -398,14 +411,11 @@ class TestCodecFastPath:
         """A subclass of a hot type may carry extra state, so it is neither
         squeezed into the fixed layout nor encoded as its base record: the
         sender gets a TypeError naming it."""
-        env = WireEnvelope(
-            kind="sharded",
-            src="n",
-            entity="vessel",
-            key=1,
-            message=SubclassedPosition(
-                AISMessage(mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0, cog=0.0)
-            ),
+        env = sharded_envelope(
+            "n",
+            "vessel",
+            1,
+            SubclassedPosition(AISMessage(mmsi=1, t=0.0, lat=0.0, lon=0.0, sog=0.0, cog=0.0)),
         )
         with pytest.raises(TypeError, match="SubclassedPosition"):
             codec.encode(env)
@@ -447,6 +457,15 @@ class TestCodecFastPath:
             codec.decode_batch(blob[:-1])  # truncated
         with pytest.raises(codec.WireDecodeError):
             codec.decode(blob)  # batches must be split
+
+    def test_a_process_can_decode_before_it_encodes(self, monkeypatch):
+        """A seed's first frame is often a peer's ``Join``: decoding binds
+        the record vocabulary itself when nothing was encoded yet."""
+        frames = [codec.encode(env) for env in VALUE_ENVELOPES]
+        for name, unbound in (("_HOT", None), ("_RECORDS", ()), ("_RECORD_CODES", {})):
+            monkeypatch.setattr(codec, name, unbound)
+        decoded = [codec.decode(frame) for frame in frames]
+        assert comparable(decoded) == comparable(VALUE_ENVELOPES)
 
     def test_non_envelope_objects_are_refused(self):
         with pytest.raises(TypeError, match="Heartbeat"):

@@ -21,9 +21,11 @@ from repro.cluster import (
     run_cluster_until_idle,
 )
 from repro.cluster.protocol import Heartbeat, WireEnvelope
+from tests.cluster.test_batching import mislabelled_frames
 
-CONFIG = ClusterConfig(heartbeat_interval_s=0.5, suspect_after_s=2.0,
-                       down_after_s=5.0, num_shards=64)
+CONFIG = ClusterConfig(
+    heartbeat_interval_s=0.5, suspect_after_s=2.0, down_after_s=5.0, num_shards=64
+)
 
 
 class Clock:
@@ -51,12 +53,10 @@ def make_cluster(n=2, config=CONFIG):
     nodes = []
     for i in range(n):
         node_id = f"n{i + 1}"
-        node = ClusterNode(node_id, hub.transport(node_id), config=config,
-                           clock=clock)
+        node = ClusterNode(node_id, hub.transport(node_id), config=config, clock=clock)
         node.start()
         nodes.append(node)
-    routers = [node.register_entity("counter", lambda key: Counter())
-               for node in nodes]
+    routers = [node.register_entity("counter", lambda key: Counter()) for node in nodes]
     for node in nodes[1:]:
         node.join("n1", nodes[0].transport.address)
     run_cluster_until_idle(nodes, hub)
@@ -110,7 +110,7 @@ class TestShardedRouting:
             routers[0].tell(key, f"m{key}")
         settle(nodes, hub)
         local = [len(r) for r in routers]
-        assert sum(local) == 40          # every key spawned exactly once
+        assert sum(local) == 40  # every key spawned exactly once
         assert all(c > 0 for c in local)  # and both nodes host a share
         for key in range(40):
             owner_idx = 0 if routers[0].is_local(key) else 1
@@ -152,9 +152,12 @@ class TestShardedRouting:
         fresh = a.table
         # Regress node a to a 2-node table; pick a key it will mis-route.
         a.table = ShardTable(fresh.epoch, ("n1", "n2"), CONFIG.num_shards)
-        key = next(k for k in range(1000)
-                   if fresh.assignment[routers[0].shard_of(k)] == "n3"
-                   and a.table.assignment[routers[0].shard_of(k)] == "n2")
+        key = next(
+            k
+            for k in range(1000)
+            if fresh.assignment[routers[0].shard_of(k)] == "n3"
+            and a.table.assignment[routers[0].shard_of(k)] == "n2"
+        )
         routers[0].tell(key, "hop")
         settle(nodes, hub)
         assert b.forwarded == 1
@@ -183,8 +186,8 @@ class TestRemoteAsk:
         future = a.ask_control("n2", "sum")
         # Rewrite the queued ask frame as a peer that sends a bare payload.
         ask = codec.decode(hub._transports["n2"]._inbox.pop())
-        hub._transports["n2"]._inbox.append(codec.encode(WireEnvelope(
-            kind="ask", src="n1", corr_id=ask.corr_id, message={"op": "sum"})))
+        forged = WireEnvelope(kind="ask", src="n1", corr_id=ask.corr_id, message={"op": "sum"})
+        hub._transports["n2"]._inbox.append(codec.encode(forged))
         settle([a, b], hub)
         assert "error" in future.result(timeout=0)
 
@@ -251,16 +254,14 @@ class TestFailureAndHandoff:
         must follow the shard to its new owner."""
         hub = LoopbackHub()
         clock = Clock()
-        a = ClusterNode("n1", hub.transport("n1"), config=CONFIG,
-                        clock=clock)
+        a = ClusterNode("n1", hub.transport("n1"), config=CONFIG, clock=clock)
         a.start()
         router_a = a.register_entity("counter", lambda key: Counter())
         for key in range(30):
             router_a.tell(key, "solo")
         # Deliberately NOT dispatched: the envelopes sit in mailboxes when
         # the newcomer's join triggers the handoff.
-        b = ClusterNode("n2", hub.transport("n2"), config=CONFIG,
-                        clock=clock)
+        b = ClusterNode("n2", hub.transport("n2"), config=CONFIG, clock=clock)
         b.start()
         router_b = b.register_entity("counter", lambda key: Counter())
         b.join("n1", a.transport.address)
@@ -281,8 +282,7 @@ class TestFailureAndHandoff:
         owner."""
         hub = LoopbackHub()
         clock = Clock()
-        a = ClusterNode("n1", hub.transport("n1"), config=CONFIG,
-                        clock=clock)
+        a = ClusterNode("n1", hub.transport("n1"), config=CONFIG, clock=clock)
         a.start()
         router_a = a.register_entity("counter", lambda key: Counter())
         for key in range(30):
@@ -290,8 +290,7 @@ class TestFailureAndHandoff:
         a.system.run_until_idle()
         assert len(router_a) == 30
 
-        b = ClusterNode("n2", hub.transport("n2"), config=CONFIG,
-                        clock=clock)
+        b = ClusterNode("n2", hub.transport("n2"), config=CONFIG, clock=clock)
         b.start()
         router_b = b.register_entity("counter", lambda key: Counter())
         b.join("n1", a.transport.address)
@@ -314,7 +313,7 @@ class TestFailureAndHandoff:
         a, b = nodes
         epoch = a.table.epoch
         kill(b, hub)
-        tick_all(nodes, hub, clock, 2.5)   # suspect only
+        tick_all(nodes, hub, clock, 2.5)  # suspect only
         assert a.table.epoch == epoch
         assert set(a.table.assignment.values()) == {"n1", "n2"}
 
@@ -325,22 +324,37 @@ class TestUndecodableFrames:
         """A frame naming an untrusted class (or a malformed batch
         container) is counted and dropped; the frame queued behind it in
         the same pump is still delivered."""
-        hub, clock, (a, b), _ = make_cluster(
-            config=replace(CONFIG, transport_batching=batching))
+        hub, clock, (a, b), _ = make_cluster(config=replace(CONFIG, transport_batching=batching))
         if batching:
             bad = bytes([codec.TAG_BATCH]) + (5).to_bytes(4, "big")
         else:
             bad = pickle.dumps(socket.socket)
         frames_in = a.frames_in
         clock.now = 42.0
+        beat = codec.encode(WireEnvelope(kind="control", src="n2", message=Heartbeat("n2")))
         hub._enqueue("n1", bad)
-        hub._enqueue("n1", codec.encode(WireEnvelope(
-            kind="control", src="n2", message=Heartbeat("n2"))))
+        hub._enqueue("n1", beat)
         hub.pump()
         assert a.frames_rejected == 1
         assert a.stats()["frames_rejected"] == 1
         assert a.frames_in == frames_in + 1
         assert a.membership.get("n2").last_heartbeat == 42.0
+
+    def test_a_mislabelled_sharded_frame_is_rejected_and_the_pump_goes_on(self):
+        """A ``"sharded"`` frame without a ``ShardedBatch``, and a
+        ``ShardedBatch`` under another kind, are counted and dropped; the
+        frame queued behind them is still delivered."""
+        hub, clock, (a, b), _ = make_cluster()
+        frames_in = a.frames_in
+        clock.now = 42.0
+        beat = codec.encode(WireEnvelope(kind="control", src="n2", message=Heartbeat("n2")))
+        for frame in [*mislabelled_frames("n2"), beat]:
+            hub._enqueue("n1", frame)
+        hub.pump()
+        assert a.frames_rejected == 2
+        assert a.frames_in == frames_in + 1
+        assert a.membership.get("n2").last_heartbeat == 42.0
+        assert a.system.dead_letter_count == 0
 
 
 class TestStats:
@@ -349,9 +363,17 @@ class TestStats:
         routers[0].tell(1, "x")
         settle([a, b], hub)
         stats = a.stats()
-        for field in ("node_id", "epoch", "alive", "leader", "frames_in",
-                      "frames_out", "pending", "messages_processed",
-                      "counter_local"):
+        for field in (
+            "node_id",
+            "epoch",
+            "alive",
+            "leader",
+            "frames_in",
+            "frames_out",
+            "pending",
+            "messages_processed",
+            "counter_local",
+        ):
             assert field in stats
         assert stats["alive"] == ["n1", "n2"]
         assert stats["leader"] == "n1"
@@ -377,8 +399,9 @@ class TestShardDigests:
         monkeypatch.setattr(sharding, "stable_hash", counted)
         # The broker's partition memo is its own; keep it off the count.
         monkeypatch.setattr(broker, "_stable_hash", real)
-        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=1_800.0)
+        scenario = proximity_scenario(
+            n_event_pairs=2, n_near_miss_pairs=1, n_background=2, duration_s=1_800.0
+        )
         first = sorted(scenario.result.messages, key=lambda m: m.t)
         shift = first[-1].t - first[0].t + 3_600.0
         again = [replace(m, t=m.t + shift) for m in first]
@@ -387,10 +410,9 @@ class TestShardDigests:
             seen = []
             for stream in (first, again):
                 for i in range(0, len(stream), 500):
-                    cluster.seed.publish_messages(stream[i:i + 500])
+                    cluster.seed.publish_messages(stream[i : i + 500])
                     cluster.process_available()
-                seen.append((len(calls),
-                             sum(node.frames_out for node in cluster.nodes)))
+                seen.append((len(calls), sum(node.frames_out for node in cluster.nodes)))
         finally:
             cluster.shutdown()
         (hashes, frames), (hashes_again, frames_again) = seen

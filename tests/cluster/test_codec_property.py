@@ -5,9 +5,11 @@ Hypothesis drives the envelope and hot-payload space: H3 cell ids above
 fields in every combination. The invariants under test:
 
 * ``decode(encode(env))`` is ``env`` (forecast tracks bit for bit), and a
-  hot payload keeps its fixed-layout payload tag — a silent switch to the
-  generic encoding would pass the round trip while losing the compact
-  layout the stream relies on;
+  hot payload in a sharded batch keeps its fixed-layout payload tag — a
+  silent switch to the generic encoding would pass the round trip while
+  losing the compact layout the stream relies on;
+* a ``"sharded"`` frame carries a ``ShardedBatch`` and no other kind
+  does: both encoding and decoding refuse any other shape;
 * any value tree of the wire vocabulary round-trips exactly as pickle
   would: the same types (``tuple``/``list``/``set``, ``np.float64`` vs
   ``float``, float64 arrays, the IntEnum) and the same sharing of records;
@@ -47,7 +49,6 @@ from repro.cluster.protocol import (
     Join,
     Leave,
     LoadReport,
-    MemberDown,
     MemberUp,
     MigrationPlan,
     ShardedBatch,
@@ -76,7 +77,12 @@ from repro.platform.messages import (
     VesselStateUpdate,
     VoyageAssigned,
 )
-from tests.cluster.test_batching import HOT_ENVELOPES, VALUE_ENVELOPES
+from tests.cluster.test_batching import (
+    HOT_ENVELOPES,
+    VALUE_ENVELOPES,
+    mislabelled_frames,
+    sharded_envelope,
+)
 from tests.forecasts import comparable, make_forecast
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -138,28 +144,41 @@ FIXED_LAYOUT_TAGS = {
     ForecastSharedBatch: 0x14,
 }
 
-envelopes = st.builds(
-    WireEnvelope,
-    kind=st.sampled_from(["sharded", "ask", "reply", "control"]),
-    src=wire_str,
-    message=hot_payloads,
-    entity=opt_str,
-    key=st.none() | uint64 | int64 | wire_str,
-    corr_id=st.none() | st.integers(min_value=0, max_value=(1 << 62)),
-    hops=st.integers(min_value=0, max_value=255),
-)
+wire_keys = st.none() | uint64 | int64 | wire_str
+hops = st.integers(min_value=0, max_value=255)
+corr_ids = st.none() | st.integers(min_value=0, max_value=(1 << 62))
+
+
+@st.composite
+def envelopes(draw):
+    """A one-entry sharded frame with a hot payload, or an ask, reply or
+    control frame carrying one as a value."""
+    kind = draw(st.sampled_from(["sharded", "ask", "reply", "control"]))
+    src, message = draw(wire_str), draw(hot_payloads)
+    if kind == "sharded":
+        entry = (draw(opt_str), draw(wire_keys), message, draw(hops), draw(st.none() | uint64))
+        message = ShardedBatch(entries=(entry,))
+    return WireEnvelope(kind=kind, src=src, message=message, corr_id=draw(corr_ids))
+
+
+def with_payload(env: WireEnvelope, message) -> WireEnvelope:
+    """``env`` with ``message`` in place of its one entry's message."""
+    ((entity, key, _, hop, trace_id),) = env.message.entries
+    return replace(env, message=ShardedBatch(entries=((entity, key, message, hop, trace_id),)))
 
 
 def payload_tag(env: WireEnvelope) -> int:
-    """The first byte of ``env``'s payload in its frame."""
-    return codec.encode(env)[len(codec.encode(replace(env, message=None))) - 1]
+    """The first byte of a one-entry sharded frame's message in its frame."""
+    return codec.encode(env)[len(codec.encode(with_payload(env, None))) - 1]
 
 
 @settings(deadline=None, max_examples=200)
-@given(env=envelopes)
+@given(env=envelopes())
 def test_hot_envelope_roundtrips_without_pickle(env):
     assert comparable(codec.decode(codec.encode(env))) == comparable(env)
-    assert payload_tag(env) == FIXED_LAYOUT_TAGS[type(env.message)], env
+    if env.kind == "sharded":
+        message = env.message.entries[0][2]
+        assert payload_tag(env) == FIXED_LAYOUT_TAGS[type(message)], env
 
 
 @settings(deadline=None, max_examples=100)
@@ -167,31 +186,30 @@ def test_hot_envelope_roundtrips_without_pickle(env):
 def test_h3_cells_above_signed_range_roundtrip(cell, mmsi, t, lat, lon):
     """Cell ids and keys above 2**63 survive exactly (no float drift, no
     signed overflow)."""
-    env = WireEnvelope(
-        kind="sharded",
-        src="node-00",
-        entity="cell",
-        key=cell,
-        message=CellObservation(cell=cell, mmsi=mmsi, t=t, lat=lat, lon=lon),
+    env = sharded_envelope(
+        "node-00", "cell", cell, CellObservation(cell=cell, mmsi=mmsi, t=t, lat=lat, lon=lon)
     )
-    decoded = codec.decode(codec.encode(env))
-    assert decoded.key == cell and type(decoded.key) is int
-    assert decoded.message.cell == cell
+    ((_, key, message, _, _),) = codec.decode(codec.encode(env)).message.entries
+    assert key == cell and type(key) is int
+    assert message.cell == cell
     assert payload_tag(env) == FIXED_LAYOUT_TAGS[CellObservation]
 
 
 @settings(deadline=None, max_examples=100)
 @given(kind=st.sampled_from(["sharded", "ask", "control"]), src=wire_str, entity=opt_str)
 def test_empty_payload_roundtrips(kind, src, entity):
-    env = WireEnvelope(kind=kind, src=src, entity=entity)
+    if kind == "sharded":
+        env = sharded_envelope(src, entity, None, None)
+    else:
+        env = WireEnvelope(kind=kind, src=src)
     frame = codec.encode(env)
     decoded = codec.decode(frame)
-    assert decoded == env and decoded.message is None
+    assert decoded == env
     assert frame[-1] == FIXED_LAYOUT_TAGS[type(None)]
 
 
 @settings(deadline=None, max_examples=100)
-@given(batch=st.lists(envelopes, min_size=0, max_size=10))
+@given(batch=st.lists(envelopes(), min_size=0, max_size=10))
 def test_batch_container_roundtrips(batch):
     frames = [codec.encode(env) for env in batch]
     packed = codec.encode_batch(frames)
@@ -203,11 +221,9 @@ def test_nan_position_still_roundtrips_via_fallback():
     """NaN is representable in the struct layout; this documents that a
     NaN fix round-trips bit-exactly rather than erroring."""
     msg = AISMessage(mmsi=1, t=0.0, lat=math.nan, lon=1.0, sog=0.0, cog=0.0)
-    env = WireEnvelope(
-        kind="sharded", src="n", entity="vessel", key=1, message=PositionIngested(msg)
-    )
+    env = sharded_envelope("n", "vessel", 1, PositionIngested(msg))
     decoded = codec.decode(codec.encode(env))
-    assert math.isnan(decoded.message.message.lat)
+    assert math.isnan(decoded.message.entries[0][2].message.lat)
 
 
 # -- the value encoding ------------------------------------------------------------
@@ -242,9 +258,17 @@ def assert_same(a, b, seen=None) -> None:
             assert math.copysign(1.0, a) == math.copysign(1.0, b)  # -0.0 stays -0.0
 
 
+def envelope_of(message) -> WireEnvelope:
+    """The frame ``message`` rides: a ``ShardedBatch`` its sharded frame,
+    anything else a reply."""
+    if type(message) is ShardedBatch:
+        return WireEnvelope(kind="sharded", src="node-01", message=message)
+    return WireEnvelope(kind="reply", src="node-01", corr_id=3, message=message)
+
+
 def round_trip(message):
     """``message`` through one envelope frame, and through pickle."""
-    env = WireEnvelope(kind="reply", src="node-01", corr_id=3, message=message)
+    env = envelope_of(message)
     return (
         codec.decode(codec.encode(env)).message,
         pickle.loads(pickle.dumps(env, protocol=pickle.HIGHEST_PROTOCOL)).message,
@@ -384,7 +408,6 @@ MESSAGE_SAMPLES = [
         table_overrides=((5, "node-01"),),
     ),
     MemberUp("node-01", ("127.0.0.1", 4243)),
-    MemberDown("node-01"),
     Heartbeat("node-01"),
     Leave("node-01"),
     ShardTableUpdate(5, ("node-00", "node-01"), ((3, "node-00"),)),
@@ -476,8 +499,7 @@ def test_truncated_or_flipped_frames_raise_only_wire_decode_error():
     byte may still decode (a float field is any 8 bytes), but when it does
     not, the error is a WireDecodeError — never another exception."""
     frames = [codec.encode(env) for env in HOT_ENVELOPES + VALUE_ENVELOPES] + [
-        codec.encode(WireEnvelope(kind="control", src="n", message=sample))
-        for sample in MESSAGE_SAMPLES
+        codec.encode(envelope_of(sample)) for sample in MESSAGE_SAMPLES
     ]
     for frame in frames:
         for end in range(len(frame)):
@@ -523,11 +545,16 @@ def test_state_transfer_keeps_a_shared_forecast_shared():
 
 def share_envelope(forecast: RouteForecast, cells: tuple) -> WireEnvelope:
     message = ForecastSharedBatch(cells=cells, forecast=forecast)
-    return WireEnvelope(kind="sharded", src="n", entity="collision", message=message)
+    return sharded_envelope("n", "collision", None, message)
 
 
 def forecast_frame(forecast: RouteForecast, cells: tuple) -> bytes:
     return codec.encode(share_envelope(forecast, cells))
+
+
+def decoded_forecast(frame: bytes) -> RouteForecast:
+    """The forecast of a lone share's frame, decoded."""
+    return codec.decode(frame).message.entries[0][2].forecast
 
 
 def bits(value: float) -> bytes:
@@ -552,7 +579,7 @@ def owns_its_track(forecast: RouteForecast) -> bool:
 def test_a_forecast_round_trips_bitwise_as_a_block_entry(forecast, cells):
     frame = forecast_frame(forecast, cells)
     assert payload_tag(share_envelope(forecast, cells)) == FIXED_LAYOUT_TAGS[ForecastSharedBatch]
-    decoded = codec.decode(frame).message.forecast
+    decoded = decoded_forecast(frame)
     assert comparable(decoded) == comparable(forecast)
     assert anchor_bits(decoded) == anchor_bits(forecast)
     assert owns_its_track(decoded)
@@ -650,7 +677,7 @@ def test_a_run_of_shares_is_one_block_and_each_decodes_as_alone(shares):
     kept = []
     for entry, message in zip(decoded.message.entries, messages):
         got = entry[2].forecast
-        alone = codec.decode(forecast_frame(message.forecast, message.cells)).message.forecast
+        alone = decoded_forecast(forecast_frame(message.forecast, message.cells))
         assert comparable(got) == comparable(message.forecast) == comparable(alone)
         assert anchor_bits(got) == anchor_bits(alone)
         assert entry[2].cells == message.cells
@@ -686,10 +713,28 @@ def test_a_sharded_batch_refuses_entries_it_cannot_carry():
     for bad, error in (
         (("vessel", 1, None, 256, None), ValueError),
         (("vessel", 1, None, 0, 1 << 64), ValueError),
-        (("vessel", 1, ShardedBatch(entries=()), 0, None), ValueError),
+        (("vessel", 1, ShardedBatch(entries=()), 0, None), TypeError),
         (("vessel", 1, None, 0), TypeError),
         (WireEnvelope(kind="sharded", src="n"), TypeError),
     ):
         env = WireEnvelope(kind="sharded", src="n", message=ShardedBatch(entries=(entry, bad)))
         with pytest.raises(error):
             codec.encode(env)
+
+
+def test_only_a_sharded_frame_carries_a_batch():
+    """A ``"sharded"`` envelope carries a ``ShardedBatch`` and no other
+    kind does: the encoder refuses either mix-up, and the decoder refuses
+    both as frames a faulty peer might send."""
+    batch = ShardedBatch(entries=(("vessel", 1, None, 0, None),))
+    for env in (
+        WireEnvelope(kind="sharded", src="n", message=Heartbeat("n")),
+        WireEnvelope(kind="sharded", src="n"),
+        *(WireEnvelope(kind=kind, src="n", message=batch) for kind in ("ask", "reply", "control")),
+        WireEnvelope(kind="reply", src="n", message=[batch]),
+    ):
+        with pytest.raises(TypeError):
+            codec.encode(env)
+    for frame in mislabelled_frames():
+        with pytest.raises(codec.WireDecodeError):
+            codec.decode(frame)

@@ -38,7 +38,7 @@ CONFIG = ClusterConfig(num_shards=64)
 
 
 class CapturingHub(LoopbackHub):
-    """Records, per ``(src, dest)`` link, every frame and the envelopes
+    """Records, per ``(src, dest)`` link, every frame and the messages
     they carry (a batch flattened into its entries)."""
 
     def __init__(self) -> None:
@@ -50,13 +50,11 @@ class CapturingHub(LoopbackHub):
         for sub in codec.decode_batch(frame) if codec.is_batch(frame) else [frame]:
             env = codec.decode(sub)
             self.frames[(src, dest)].append(env)
-            if type(env.message) is ShardedBatch:
+            if env.kind == "sharded":
                 for entity, key, message, _, trace_id in env.message.entries:
                     self.links[(src, dest)].append(("sharded", entity, key, message, trace_id))
             else:
-                self.links[(src, dest)].append(
-                    (env.kind, env.entity, env.key, env.message, env.trace_id)
-                )
+                self.links[(src, dest)].append((env.kind, None, None, env.message, None))
         super()._enqueue(dest, frame, src)
 
     def clear(self) -> None:
@@ -186,10 +184,10 @@ class TestFrames:
         run_cluster_until_idle(nodes, hub)
         assert sorted(log) == sorted((key, key) for key in keys)
 
-    @pytest.mark.parametrize("count, sizes", [(10, [4, 4, 2]), (9, [4, 4, None]), (1, [None])])
+    @pytest.mark.parametrize("count, sizes", [(10, [4, 4, 2]), (9, [4, 4, 1]), (1, [1])])
     def test_a_peer_list_splits_at_the_entry_bound(self, count, sizes):
         """``max_batch_msgs`` entries to a frame; a lone entry travels as
-        its own envelope (``None`` below)."""
+        a one-entry batch."""
         hub, nodes, log = make_cluster(config=ClusterConfig(num_shards=64, max_batch_msgs=4))
         sender = nodes[0]
         keys = keys_owned_by(sender, "n2", count=count)
@@ -197,8 +195,8 @@ class TestFrames:
             for key in keys:
                 sender.router("rec").tell(key, key)
         frames = hub.frames[("n1", "n2")]
-        batched = [type(env.message) is ShardedBatch for env in frames]
-        assert [len(env.message.entries) if b else None for env, b in zip(frames, batched)] == sizes
+        assert all(type(env.message) is ShardedBatch for env in frames)
+        assert [len(env.message.entries) for env in frames] == sizes
         assert [key for _, _, key, _, _ in hub.links[("n1", "n2")]] == keys
         run_cluster_until_idle(nodes, hub)
         assert sorted(log) == sorted((key, key) for key in keys)
@@ -300,7 +298,7 @@ def store_digest(dumps) -> str:
 def fault_free_run(transport_batching: bool) -> tuple[list[dict], Counter, Counter]:
     """Each node's ``KeyValueStore.snapshot_state`` after a fault-free 4-node run of
     the Aegean proximity scenario (one run per transport per session), with
-    the message types of the sharded frames sent outside any outbox scope
+    the message types of the sharded entries sent outside any outbox scope
     and of the entries shipped from one."""
     scenario = proximity_scenario(
         n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0
@@ -313,7 +311,7 @@ def fault_free_run(transport_batching: bool) -> tuple[list[dict], Counter, Count
 
         def send(node_id, env, send=node._send):
             if env.kind == "sharded":
-                unscoped[type(env.message).__name__] += 1
+                unscoped.update(type(entry[2]).__name__ for entry in env.message.entries)
             return send(node_id, env)
 
         def ship(peer, entries, ship=node._ship):

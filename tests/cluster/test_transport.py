@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import LoopbackHub, TcpTransport, TransportError
 from repro.cluster import codec
-from repro.cluster.protocol import WireEnvelope
+from repro.cluster.protocol import ShardedBatch, WireEnvelope
 
 
 class Sink:
@@ -24,8 +24,7 @@ class Sink:
     def wait_for(self, count: int, timeout: float = 10.0) -> list[bytes]:
         deadline = time.monotonic() + timeout
         while len(self.frames) < count:
-            assert time.monotonic() < deadline, \
-                f"got {len(self.frames)}/{count} frames"
+            assert time.monotonic() < deadline, f"got {len(self.frames)}/{count} frames"
             self.transport.pump(0.05)
         return self.frames
 
@@ -39,7 +38,7 @@ class TestLoopback:
         tb.start(got.append)
         ta.add_peer("b", tb.address)
         ta.send("b", b"hello")
-        assert got == []          # nothing moves until the hub is pumped
+        assert got == []  # nothing moves until the hub is pumped
         assert hub.pending == 1
         hub.pump()
         assert got == [b"hello"]
@@ -112,7 +111,7 @@ class TestTcp:
             ta.start(lambda f: None)
             sink = Sink(tb)
             ta.add_peer("b", tb.address)
-            blob = bytes(range(256)) * 4096   # 1 MiB, every byte value
+            blob = bytes(range(256)) * 4096  # 1 MiB, every byte value
             ta.send("b", blob)
             assert sink.wait_for(1)[0] == blob
         finally:
@@ -139,7 +138,7 @@ class TestTcp:
         # port can self-connect on Linux (simultaneous open).
         ta.add_peer("b", ("127.0.0.1", 1))
         try:
-            ta.send("b", b"x")    # enqueues; the writer thread fails
+            ta.send("b", b"x")  # enqueues; the writer thread fails
             deadline = time.monotonic() + 10.0
             while ta.send_errors == 0:
                 assert time.monotonic() < deadline, "writer never failed"
@@ -161,8 +160,7 @@ class TestTcp:
             release.wait(30.0)
             raise OSError("unreachable")
 
-        monkeypatch.setattr(transport_mod.socket, "create_connection",
-                            stuck_connect)
+        monkeypatch.setattr(transport_mod.socket, "create_connection", stuck_connect)
         ta = TcpTransport(port=0, queue_frames=2, block_timeout_s=0.05)
         ta.start(lambda f: None)
         ta.add_peer("b", ("127.0.0.1", 1))
@@ -204,8 +202,7 @@ class TestTcp:
                 # couple of not-yet-exited older readers
                 if sent >= 6 and len(tb._threads) <= 4:
                     break
-                assert time.monotonic() < deadline, \
-                    f"thread list never pruned: {len(tb._threads)}"
+                assert time.monotonic() < deadline, f"thread list never pruned: {len(tb._threads)}"
         finally:
             tb.close()
 
@@ -223,13 +220,12 @@ class TestTcp:
             # its counters (it increments after sendall returns), so give
             # the sender a bounded window to catch up.
             deadline = time.monotonic() + 5.0
-            while (ta.stats()["frames_sent"] < 10
-                   and time.monotonic() < deadline):
+            while ta.stats()["frames_sent"] < 10 and time.monotonic() < deadline:
                 time.sleep(0.01)
             stats = ta.stats()
             assert stats["frames_sent"] == 10
             assert stats["bytes_sent"] == 10 * (4 + 3)
-            assert 1 <= stats["writes"] <= 10   # coalescing may merge
+            assert 1 <= stats["writes"] <= 10  # coalescing may merge
             assert stats["send_errors"] == 0
         finally:
             ta.close()
@@ -238,19 +234,18 @@ class TestTcp:
 
 class TestCodec:
     def test_wire_envelope_round_trip(self):
-        env = WireEnvelope(kind="sharded", src="n1", entity="vessel",
-                           key=239000001, message={"t": 1.5}, hops=1)
+        batch = ShardedBatch(entries=(("vessel", 239000001, {"t": 1.5}, 1, None),))
+        env = WireEnvelope(kind="sharded", src="n1", message=batch)
         assert codec.decode(codec.encode(env)) == env
 
     def test_platform_message_round_trip(self):
         from repro.ais.message import AISMessage
         from repro.platform.messages import PositionIngested
 
-        msg = PositionIngested(AISMessage(mmsi=1, t=0.0, lat=37.9,
-                                          lon=23.5, sog=10.0, cog=90.0))
-        env = WireEnvelope(kind="sharded", src="n1", entity="vessel",
-                           key=1, message=msg)
-        out = codec.decode(codec.encode(env)).message
+        msg = PositionIngested(AISMessage(mmsi=1, t=0.0, lat=37.9, lon=23.5, sog=10.0, cog=90.0))
+        batch = ShardedBatch(entries=(("vessel", 1, msg, 0, None),))
+        env = WireEnvelope(kind="sharded", src="n1", message=batch)
+        ((_, _, out, _, _),) = codec.decode(codec.encode(env)).message.entries
         assert out.message.mmsi == 1
         assert out.message.lat == pytest.approx(37.9)
 

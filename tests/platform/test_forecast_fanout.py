@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import codec
-from repro.cluster.protocol import WireEnvelope
+from repro.cluster.protocol import ShardedBatch, WireEnvelope
 from repro.events.collision import densify, trajectories_intersect
 from repro.events.vtff import FLOW_RESOLUTION
 from repro.hexgrid import (
@@ -429,8 +429,10 @@ def test_a_member_restored_into_k_cells_is_tested_once():
     cells = sorted(dilated_cells(member))[:5]
     for cell in cells:
         restore = RestoreState(entity="collision", key=cell, state={"forecasts": {111: member}})
-        env = WireEnvelope(kind="control", src="n", entity="collision", key=cell, message=restore)
-        table.tell(cell, codec.decode(codec.encode(env)).message)
+        batch = ShardedBatch(entries=(("collision", cell, restore, 0, None),))
+        env = WireEnvelope(kind="sharded", src="n", message=batch)
+        ((_, _, decoded, _, _),) = codec.decode(codec.encode(env)).message.entries
+        table.tell(cell, decoded)
     restored = [table.cells[cell] for cell in cells]
     assert len({id(forecast) for forecast in restored}) == len(cells)
     table.share_forecast(cells, track(222, 0.0, 38.024, 23.500, -0.004, 0.004))

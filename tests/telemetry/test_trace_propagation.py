@@ -1,14 +1,12 @@
 """Trace propagation: thread-local context, the TraceLog/merge machinery,
-the wire codec's trace bit, and a full cross-node trace over a 2-node
-loopback cluster."""
+the trace id in a sharded batch entry's head, and a full cross-node trace
+over a 2-node loopback cluster."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.ais.datasets import proximity_scenario
 from repro.cluster import ClusterConfig, codec
-from repro.cluster.protocol import WireEnvelope
+from repro.cluster.protocol import ShardedBatch, WireEnvelope
 from repro.platform import LoopbackCluster, PlatformConfig
 from repro.platform.messages import PositionIngested
 from repro.telemetry import (
@@ -51,8 +49,7 @@ class TestTraceLog:
         node_b.record(1, "vessel", queue_s=0.5, proc_s=0.1)
         clock_b.now = 2.0
         node_b.record(1, "cell")
-        merged = merge_traces({"node-00": node_a.snapshot(),
-                               "node-01": node_b.snapshot()})
+        merged = merge_traces({"node-00": node_a.snapshot(), "node-01": node_b.snapshot()})
         hops = merged[1]
         assert [h["stage"] for h in hops] == ["ingest", "vessel", "cell"]
         assert is_complete(hops, min_nodes=2)
@@ -75,52 +72,51 @@ class TestTraceLog:
         assert sorted(snap) == ["2", "3"]
 
 
-class TestCodecTraceBit:
-    def _roundtrip(self, env):
-        frame = codec.encode(env)
-        return frame, codec.decode(frame)
+def one_entry(message, trace_id=None):
+    """A sharded frame of one entry for vessel 17."""
+    entry = ("vessel", 17, message, 0, trace_id)
+    return WireEnvelope(kind="sharded", src="node-00", message=ShardedBatch(entries=(entry,)))
 
+
+class TestCodecTraceBit:
     def test_traced_envelope_roundtrips_on_fast_path(self):
-        env = WireEnvelope(
-            kind="sharded", src="node-00", entity="vessel", key=17,
-            message=PositionIngested(
-                message=proximity_scenario(
-                    n_event_pairs=1, n_near_miss_pairs=0, n_background=0,
-                    duration_s=60.0).result.messages[0]),
-            trace_id=(1 << 48) | 42)
-        frame, decoded = self._roundtrip(env)
+        position = PositionIngested(
+            message=proximity_scenario(
+                n_event_pairs=1, n_near_miss_pairs=0, n_background=0, duration_s=60.0
+            ).result.messages[0]
+        )
+        env = one_entry(position, trace_id=(1 << 48) | 42)
+        frame = codec.encode(env)
+        decoded = codec.decode(frame)
         assert decoded == env
-        assert decoded.trace_id == (1 << 48) | 42
+        assert decoded.message.entries[0][4] == (1 << 48) | 42
         # The payload keeps its fixed PositionIngested layout (tag 0x10).
-        assert frame[len(codec.encode(replace(env, message=None))) - 1] == 0x10
+        assert frame[len(codec.encode(one_entry(None, trace_id=(1 << 48) | 42))) - 1] == 0x10
 
     def test_trace_bit_costs_exactly_eight_bytes(self):
-        """Untraced frames stay byte-identical to the pre-trace format;
-        the trace id rides a flag bit plus an 8-byte suffix field."""
-        base = WireEnvelope(kind="sharded", src="node-00", entity="vessel",
-                            key=17, message=None)
-        traced = WireEnvelope(kind="sharded", src="node-00", entity="vessel",
-                              key=17, message=None, trace_id=7)
-        plain_frame = codec.encode(base)
-        traced_frame = codec.encode(traced)
+        """A traced entry costs its untraced bytes plus the 8-byte id in
+        the entry head."""
+        plain_frame = codec.encode(one_entry(None))
+        traced_frame = codec.encode(one_entry(None, trace_id=7))
         assert len(traced_frame) == len(plain_frame) + 8
-        assert codec.decode(plain_frame).trace_id is None
-        assert codec.decode(traced_frame).trace_id == 7
+        assert codec.decode(plain_frame).message.entries[0][4] is None
+        assert codec.decode(traced_frame).message.entries[0][4] == 7
 
 
 class TestCrossNodeTrace:
     def test_two_node_loopback_produces_complete_traces(self):
-        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=1800.0)
+        scenario = proximity_scenario(
+            n_event_pairs=2, n_near_miss_pairs=1, n_background=2, duration_s=1800.0
+        )
         cluster = LoopbackCluster(
             num_nodes=2,
-            config=PlatformConfig(record_telemetry=True,
-                                  trace_sample_every=1),
-            cluster_config=ClusterConfig(transport_batching=True))
+            config=PlatformConfig(record_telemetry=True, trace_sample_every=1),
+            cluster_config=ClusterConfig(transport_batching=True),
+        )
         try:
             ordered = sorted(scenario.result.messages, key=lambda m: m.t)
             for i in range(0, len(ordered), 200):
-                cluster.seed.publish_messages(ordered[i:i + 200])
+                cluster.seed.publish_messages(ordered[i : i + 200])
                 cluster.process_available()
             snapshot = cluster.telemetry_snapshot()
         finally:
@@ -150,13 +146,14 @@ class TestCrossNodeTrace:
     def test_every_off_seed_position_carries_its_trace_across(self):
         """Each sampled position bound for a vessel on the other node has
         hops on both nodes: entries of one frame keep their own trace ids."""
-        scenario = proximity_scenario(n_event_pairs=2, n_near_miss_pairs=1,
-                                      n_background=2, duration_s=1800.0)
+        scenario = proximity_scenario(
+            n_event_pairs=2, n_near_miss_pairs=1, n_background=2, duration_s=1800.0
+        )
         cluster = LoopbackCluster(
             num_nodes=2,
-            config=PlatformConfig(record_telemetry=True,
-                                  trace_sample_every=1),
-            cluster_config=ClusterConfig(transport_batching=True))
+            config=PlatformConfig(record_telemetry=True, trace_sample_every=1),
+            cluster_config=ClusterConfig(transport_batching=True),
+        )
         try:
             seed = cluster.seed
             owner_of = seed.node.router("vessel").owner_of
@@ -165,9 +162,10 @@ class TestCrossNodeTrace:
             # Chunks stay under a node's 256 held traces.
             for i in range(0, len(ordered), 100):
                 tids = []
-                for msg in ordered[i:i + 100]:
+                for msg in ordered[i : i + 100]:
                     partition, offset = seed.producer.send(
-                        seed.config.ais_topic, msg.mmsi, msg, msg.t)
+                        seed.config.ais_topic, msg.mmsi, msg, msg.t
+                    )
                     if owner_of(msg.mmsi) != seed.node.node_id:
                         tids.append(((partition + 1) << 48) | offset)
                 cluster.process_available()
