@@ -371,8 +371,8 @@ def _get_value(data: bytes, pos: int, memo: list) -> tuple[Any, int]:
 
 
 def _put_payload(out: bytearray, message: Any) -> None:
-    """Append a batch entry's message: a fixed layout for an exact hot type whose fields
-    fit it, the value encoding for everything else."""
+    """Append a batch entry's message: a fixed layout for an exact hot type
+    whose fields fit it, the value encoding for everything else."""
     mark = len(out)
     try:
         if _try_put_hot(out, message):
