@@ -14,10 +14,11 @@ The algorithm the paper integrates at the actor level:
    estimated time, location and the MMSIs involved (Figure 4f).
 
 :func:`intersect_pairs` is the pairwise test as one array pass over many
-pairs, each side resampled once by :func:`densify`; the platform's collision
-cells (:class:`~repro.platform.cell_actor.CollisionCellRouter`) collect the
-pairs of a whole forecast flush and make one call. :func:`trajectories_intersect`
-is the one-pair call.
+pairs, each side resampled once by :func:`densify_many`; the platform's
+collision cells (:class:`~repro.platform.cell_actor.CollisionCellRouter`)
+densify the forecasts a flush's walk met in one call and test the flush's
+pairs in one more. :func:`densify` and :func:`trajectories_intersect` are the
+one-forecast and one-pair calls.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ _PASS_CELLS = 8_192
 #: within a few ulps of the true value).
 _SQUARED_SLACK = 1.0 + 2.0**-40
 _SQUARED_FLOOR = 2.0**-1000
+#: :func:`_near` drops a row only past this factor of the kernel's limit: a
+#: ``cos`` over an array of another length may round its scale differently.
+_NEAR_SLACK = 1.0 + 2.0**-20
 
 
 class DenseTrack(NamedTuple):
@@ -81,7 +85,8 @@ class CollisionForecast:
 
 
 def densify(fc: RouteForecast, step_s: float = 30.0) -> DenseTrack:
-    """Resample a forecast polyline at ``step_s`` (linear interpolation).
+    """Resample a forecast polyline at ``step_s`` (linear interpolation):
+    the one-forecast call of :func:`densify_many`.
 
     The forecast marks are 5 minutes apart; a 12-knot vessel covers ~1.8 km
     between marks, so pointwise mark comparison would miss most genuine
@@ -89,25 +94,102 @@ def densify(fc: RouteForecast, step_s: float = 30.0) -> DenseTrack:
     intersection test into a closest-point-of-approach check along the
     paths, which is what "the spatial intersection of the forecasted
     trajectories is assessed" requires.
-
-    A segment that crosses the antimeridian (its longitudes jump by more
-    than 180 degrees) is interpolated the short way, and its samples are
-    wrapped back into [-180, 180); every other track keeps the bits of a
-    plain interpolation.
     """
-    ts, lats, lons = fc.ts, fc.lats, fc.lons
-    dense_t = np.arange(ts[0], ts[-1] + step_s / 2.0, step_s)
-    marks = lons.tolist()
-    crossing = any(abs(b - a) > 180.0 for a, b in zip(marks, marks[1:]))
-    if crossing:
-        lons = np.unwrap(lons, period=360.0)
-    dense_lon = np.interp(dense_t, ts, lons)
-    if crossing:
+    return densify_many([fc], step_s)[0]
+
+
+def densify_many(forecasts: Sequence[RouteForecast], step_s: float = 30.0) -> list[DenseTrack]:
+    """Each forecast resampled at ``step_s`` from its first mark, in one
+    array pass over all of them.
+
+    Track ``k`` is, bit for bit, ``np.arange(ts[0], ts[-1] + step_s / 2,
+    step_s)`` and ``np.interp`` of the marks at those times: the same
+    operations in the same order (numpy's ``arange`` fill and ``interp``
+    loop, replayed on ``(forecasts, samples)`` arrays). The mark times must
+    ascend, as a forecast's do. A segment that crosses the antimeridian
+    (its longitudes jump by more than 180 degrees) is interpolated the
+    short way, and its samples are wrapped back into [-180, 180); every
+    other track keeps the bits of a plain interpolation.
+    """
+    tracks: list = [None] * len(forecasts)
+    groups: dict[int, list[int]] = {}
+    for k, fc in enumerate(forecasts):
+        groups.setdefault(len(fc.ts), []).append(k)
+    for marks, members in groups.items():
+        group = [forecasts[k] for k in members]
+        block = np.concatenate(
+            [fc.ts for fc in group] + [fc.lats for fc in group] + [fc.lons for fc in group]
+        )
+        dense = _densify_block(block.astype(float, copy=False).reshape(3, len(group), marks), step_s)
+        for k, track in zip(members, dense):
+            tracks[k] = track
+    return tracks
+
+
+def _densify_block(block: np.ndarray, step_s: float) -> list[DenseTrack]:
+    """:func:`densify_many` of forecasts with the same number of marks,
+    ``block`` their ``(3, forecasts, marks)`` times, latitudes and
+    longitudes."""
+    xp = block[0]
+    n_fc, marks = xp.shape
+    t0 = xp[:, 0]
+    # np.arange's length, then its fill: start, start + step, start + i * delta.
+    length = np.ceil((xp[:, -1] + step_s / 2.0 - t0) / step_s)
+    if not 1.0 <= length.min() <= length.max() < np.inf:
+        raise ValueError("densify: a forecast's mark times must be finite and ascend")
+    counts = length.astype(np.int64).tolist()
+    second = t0 + step_s
+    times = t0[:, None] + np.arange(max(counts), dtype=np.float64) * (second - t0)[:, None]
+    times[:, 0] = t0
+    if times.shape[1] > 1:
+        times[:, 1] = second
+
+    # Crossing tracks are unwrapped first, one by one (they are rare).
+    lons = block[2]
+    crossing = (np.abs(lons[:, 1:] - lons[:, :-1]) > 180.0).any(axis=1).nonzero()[0].tolist()
+    for k in crossing:
+        lons[k] = np.unwrap(lons[k], period=360.0)
+
+    # np.interp per sample: the last mark j at or before it, then
+    # (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j], retried
+    # from j + 1 on a NaN; a sample on a mark, or at or past the last, takes
+    # that mark's value.
+    j = (xp[:, 1:, None] <= times[:, None, :]).sum(axis=1)
+    on_mark = j == marks - 1
+    j += np.arange(0, n_fc * marks, marks)[:, None]
+    j1 = j + 1  # past a row's last mark only where on_mark
+    x0, x1 = xp.take(j), xp.take(j1, mode="clip")
+    on_mark |= x0 == times
+    fp = block[1:].reshape(2, -1)
+    y0, y1 = fp.take(j, axis=1), fp.take(j1, axis=1, mode="clip")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        value = slope * (times - x0) + y0
+        retry = np.isnan(value)
+        retry &= ~on_mark
+        if retry.any():
+            again = slope * (times - x1) + y1
+            value[retry] = np.where(np.isnan(again) & (y0 == y1), y0, again)[retry]
+    out = np.empty((n_fc, 3, times.shape[1]))
+    out[:, 0] = times
+    out[:, 1:] = np.where(on_mark, y0, value).swapaxes(0, 1)
+    for k in crossing:
+        dense_lon = out[k, 2]
         outside = (dense_lon < -180.0) | (dense_lon >= 180.0)
         dense_lon[outside] = (dense_lon[outside] + 180.0) % 360.0 - 180.0
-    data = np.array([dense_t, np.interp(dense_t, ts, lats), dense_lon])
-    # The latitude mean as ndarray.mean computes it: the pairwise sum over n.
-    return DenseTrack(data, float(np.add.reduce(data[1])) / data.shape[1], step_s)
+
+    # The latitude mean as ndarray.mean computes it: the pairwise sum over n,
+    # which a row reduce runs per row.
+    mean_lat = [0.0] * n_fc
+    for n in set(counts):
+        rows = [k for k, count in enumerate(counts) if count == n]
+        for k, total in zip(rows, np.add.reduce(out[rows, 1, :n], axis=1).tolist()):
+            mean_lat[k] = total / n
+    # A copy per track, so a track kept in a cell does not pin the block.
+    return [
+        DenseTrack(out[k, :, :n].copy(), mean, step_s)
+        for k, (n, mean) in enumerate(zip(counts, mean_lat))
+    ]
 
 
 def _band(a: DenseTrack, b: DenseTrack, threshold_s: float) -> tuple[int, int, int, int] | None:
@@ -150,82 +232,163 @@ def intersect_pairs(
     one-pair test's to the bit.
 
     A pair's cells are its temporal band (:func:`_band`), a few diagonals of
-    the sample grid. The pairs go through in passes of at most
-    ``_PASS_CELLS`` cells. Per pass the band samples are gathered from the
-    pass's tracks, padded with NaN times so a cell off a track fails the
-    temporal test, and the exact test runs on every cell. ``np.hypot`` (the
-    scalar libm call) runs only on the cells whose squared distance is near
-    their pair's least, and only for pairs whose least squared distance does
-    not already exceed the spatial threshold; the first least distance in the
-    grid's row-major order wins, as in the one-pair test.
+    the sample grid, one row per sample of ``a``. The call's distinct tracks
+    are laid out once, between NaN-time pads, so a cell off a track fails the
+    temporal test. The rows too far from ``b`` to hold a hit are dropped
+    first (:func:`_near`), and a pair left with none is a miss. The rest go
+    through in passes of at most ``_PASS_CELLS`` cells; per pass the band
+    samples are gathered and the exact test runs on every cell. ``np.hypot``
+    (the scalar libm call) runs only on the cells whose squared distance is
+    near their pair's least, and only for pairs whose least squared distance
+    does not already exceed the spatial threshold; the first least distance
+    in the grid's row-major order wins, as in the one-pair test.
     """
     results: list[CollisionForecast | None] = [None] * len(pairs)
     # A negative or NaN threshold matches nothing, as in the exact test.
     if not temporal_threshold_s >= 0.0:
         return results
-    batch: list[tuple[int, int, int, int]] = []
-    width = cells = 0
-    for n, (_, dense_a, _, dense_b) in enumerate(pairs):
+    # Per banded pair: its index, band, the layout index of each track and b's
+    # length; then its later anchor and mean latitude.
+    bands, floats, parts, column = [], [], [], {}
+    for n, (fc_a, dense_a, fc_b, dense_b) in enumerate(pairs):
         band = _band(dense_a, dense_b, temporal_threshold_s)
         if band is None:
             continue
-        row0, rows, low, diagonals = band
-        wider = max(width, diagonals)
-        if batch and wider * (cells + rows) > _PASS_CELLS:
-            _intersect_pass(pairs, batch, width, temporal_threshold_s, spatial_threshold_m, results)
-            batch, wider, cells = [], diagonals, 0
-        batch.append((n, row0, rows, low))
-        width, cells = wider, cells + rows
-    if batch:
-        _intersect_pass(pairs, batch, width, temporal_threshold_s, spatial_threshold_m, results)
+        data_a, data_b = dense_a.data, dense_b.data
+        track_a = column.setdefault(id(data_a), len(parts))
+        if track_a == len(parts):
+            parts.append(data_a)
+        track_b = column.setdefault(id(data_b), len(parts))
+        if track_b == len(parts):
+            parts.append(data_b)
+        bands += (n, *band, track_a, track_b, data_b.shape[1])
+        floats += (max(fc_a.anchor.t, fc_b.anchor.t), (dense_a.mean_lat + dense_b.mean_lat) / 2.0)
+    if not bands:
+        return results
+    bands, floats = np.array(bands).reshape(-1, 8), np.array(floats).reshape(-1, 2)
+    # Track k's first column: k + 1 pads and the tracks before it.
+    pad = max(int(bands[:, 4].max()) - 1, 1)
+    gap = np.full((3, pad), np.nan)
+    lengths = np.array([data.shape[1] for data in parts])
+    starts = pad * np.arange(1, len(parts) + 1) + np.cumsum(lengths) - lengths
+    source = np.concatenate([gap, *(x for data in parts for x in (data, gap))], axis=1)
+    bands[:, 5:7] = starts.take(bands[:, 5:7])
+    index, row0, rows, low, diagonals, col_a, col_b, _ = bands.T
+    # A longitude difference can pass 180 degrees only if some longitude
+    # lies beyond +-90.
+    wrap = bool(np.fmax.reduce(np.abs(source[2])) > 90.0)
+
+    # Every band row as its a sample's column, the rows of a pair in order.
+    pair_of_row = np.repeat(np.arange(len(bands)), rows)
+    ia = (col_a + row0 - (np.cumsum(rows) - rows)).take(pair_of_row) + np.arange(len(pair_of_row))
+    near = _near(ia, pair_of_row, bands, floats[:, 1], source, wrap, spatial_threshold_m)
+    ia = ia[near]
+    counts = np.bincount(pair_of_row[near], minlength=len(bands))
+    live = counts.nonzero()[0]
+    # A pair's b sample on diagonal w of the row at a's column c is c + shift + w.
+    shift = col_b + low - col_a
+    passes, width, cells, first = [], 0, 0, 0
+    for k, (rows_k, diagonals_k) in enumerate(zip(counts[live].tolist(), diagonals[live].tolist())):
+        wider = max(width, diagonals_k)
+        if cells and wider * (cells + rows_k) > _PASS_CELLS:
+            passes.append((first, k, width))
+            first, wider, cells = k, diagonals_k, 0
+        width, cells = wider, cells + rows_k
+    if cells:
+        passes.append((first, len(live), width))
+    bounds = [0, *np.cumsum(counts[live]).tolist()]
+    for first, stop, width in passes:
+        in_pass = live[first:stop]
+        _intersect_pass(
+            pairs,
+            index[in_pass],
+            counts[in_pass],
+            ia[bounds[first] : bounds[stop]],
+            shift[in_pass],
+            floats[in_pass],
+            width,
+            source,
+            wrap,
+            temporal_threshold_s,
+            spatial_threshold_m,
+            results,
+        )
     return results
 
 
-def _intersect_pass(pairs, batch, width, temporal_threshold_s, spatial_threshold_m, results):
-    """One array pass of :func:`intersect_pairs` over ``batch``, ``(pair
-    index, first row, rows, first diagonal)`` tuples; writes each pair's hit
-    into ``results``. Cell ``(w, r)`` of the ``(width, rows)`` arrays is band
-    row ``r`` (a sample of ``a``) on its ``w``-th diagonal."""
-    pad = width - 1
-    parts = [np.full((3, pad), np.nan)]
-    column: dict[int, int] = {}
-    end = pad
-    a_shift, b_shift, row_starts, counts, forecast_at, mean_lat = [], [], [], [], [], []
-    n_rows = 0
-    for n, row0, rows, low in batch:
-        fc_a, dense_a, fc_b, dense_b = pairs[n]
-        for dense in (dense_a, dense_b):
-            if id(dense.data) not in column:
-                column[id(dense.data)] = end
-                parts += (dense.data, parts[0])
-                end += dense.data.shape[1] + pad
-        a_shift.append(column[id(dense_a.data)] + row0 - n_rows)
-        b_shift.append(column[id(dense_b.data)] + row0 + low - n_rows)
-        row_starts.append(n_rows)
-        counts.append(rows)
-        n_rows += rows
-        forecast_at.append(max(fc_a.anchor.t, fc_b.anchor.t))
-        mean_lat.append((dense_a.mean_lat + dense_b.mean_lat) / 2.0)
-    source = np.concatenate(parts, axis=1)
-    pair_of_row = np.repeat(np.arange(len(batch)), counts)
-    row = np.arange(n_rows)
-    ia = np.array(a_shift)[pair_of_row] + row
-    ib = (np.array(b_shift)[pair_of_row] + row) + np.arange(width)[:, None]
+def _near(ia, pair_of_row, bands, mean_lat, source, wrap, spatial_threshold_m) -> np.ndarray:
+    """Which band rows can hold a hit: an exact pre-test. ``ia`` holds each
+    row's column of its ``a`` sample and ``pair_of_row`` its pair, a row of
+    ``bands`` (pair index, first row, rows, first diagonal, diagonals, a's and
+    b's first column, b's length).
+
+    Every cell that can pass the temporal test lies in its pair's band, so
+    the ``b`` samples a row meets lie in the run of ``b`` the band's
+    diagonals reach. The gap between the row's ``a`` sample and that run's
+    latitude and longitude extents bounds each of the row's distances from
+    below: with the kernel's own scale and rounding, a row whose squared gap
+    exceeds the kernel's limit holds no distance the kernel measures, and no
+    least one. Where the call wraps longitudes (``wrap``) only the latitude
+    gap counts; a NaN keeps the row."""
+    _, row0, rows, low, diagonals, _, col_b, b_len = bands.T
+    first = col_b + np.maximum(row0 + low, 0)
+    stop = col_b + np.minimum(row0 + rows + low + diagonals - 1, b_len)
+    ends = np.stack([first, stop], axis=1).ravel()
+    # Every other reduceat segment is a run of b: (latitude | longitude, pair).
+    lo = np.minimum.reduceat(source[1:], ends, axis=1)[:, ::2].take(pair_of_row, axis=1)
+    hi = np.maximum.reduceat(source[1:], ends, axis=1)[:, ::2].take(pair_of_row, axis=1)
+    a = source[1:].take(ia, axis=1)
+    gaps = np.maximum(np.maximum(lo - a, a - hi, out=lo), 0.0, out=lo)
+    gaps[0] *= _M_PER_DEG
+    if wrap:
+        gaps[1] *= 0.0  # a NaN stays NaN
+    else:
+        gaps[1] *= (_M_PER_DEG * np.cos(np.radians(mean_lat))).take(pair_of_row)
+    gaps *= gaps
+    limit = spatial_threshold_m * spatial_threshold_m * _SQUARED_SLACK + _SQUARED_FLOOR
+    return ~(gaps[1] + gaps[0] > limit * _NEAR_SLACK)
+
+
+def _intersect_pass(
+    pairs,
+    index,
+    counts,
+    ia,
+    shift,
+    floats,
+    width,
+    source,
+    wrap,
+    temporal_threshold_s,
+    spatial_threshold_m,
+    results,
+):
+    """One array pass of :func:`intersect_pairs` over the pairs ``index``,
+    each with ``counts`` rows, the rows' ``a`` samples at columns ``ia`` of
+    the call's laid-out tracks ``source``; a pair's ``b`` sample on the
+    ``w``-th diagonal of a row lies ``shift + w`` columns further, and
+    ``floats`` holds its later anchor and mean latitude. Writes each pair's
+    hit into ``results``. Cell ``(w, r)`` of the ``(width, rows)`` arrays is
+    row ``r`` on its ``w``-th diagonal."""
+    row_starts = np.cumsum(counts) - counts
+    n_rows = len(ia)
+    pair_of_row = np.repeat(np.arange(len(index)), counts)
+    ib = (ia + shift[pair_of_row]) + np.arange(width)[:, None]
     ta, lat_a, lon_a = source.take(ia, axis=1)
     tb, lat_b, lon_b = source.take(ib, axis=1)
+    forecast_at, mean_lat = floats.T
 
     # Temporal intersection on the band, the per-pair test's expressions.
     work = ta - tb
     mask = np.abs(work, out=work) <= temporal_threshold_s
     work = np.add(ta, tb, out=work)
     work *= 0.5
-    mask &= work >= np.array(forecast_at)[pair_of_row]
+    mask &= work >= forecast_at[pair_of_row]
 
-    # Spatial intersection (flat-Earth metres). A longitude difference
-    # can pass 180 degrees only if some longitude lies beyond +-90; such a
-    # difference is taken the short way round.
+    # Spatial intersection (flat-Earth metres). A longitude difference past
+    # 180 degrees is taken the short way round.
     dx = np.subtract(lon_a, lon_b, out=lon_b)
-    if np.fmax.reduce(np.abs(source[2])) > 90.0:
+    if wrap:
         across = np.abs(dx) > 180.0
         dx[across] = (dx[across] + 180.0) % 360.0 - 180.0
     dx *= (_M_PER_DEG * np.cos(np.radians(mean_lat)))[pair_of_row]
@@ -264,14 +427,18 @@ def _intersect_pass(pairs, batch, width, temporal_threshold_s, spatial_threshold
     first = order[leads]
     a_samples = source[:, ia[r[first]]].T.tolist()
     b_samples = source[:, ib.ravel()[cells[first]]].T.tolist()
-    for q, d, a_sample, b_sample in zip(
-        cell_pair[first].tolist(), distance[first].tolist(), a_samples, b_samples
+    hit_pairs = cell_pair[first]
+    for n, at, d, a_sample, b_sample in zip(
+        index[hit_pairs].tolist(),
+        forecast_at[hit_pairs].tolist(),
+        distance[first].tolist(),
+        a_samples,
+        b_samples,
     ):
         if d > spatial_threshold_m:
             continue
-        n = batch[q][0]
         fc_a, _, fc_b, _ = pairs[n]
-        results[n] = _encounter(fc_a, fc_b, a_sample, b_sample, d, forecast_at[q])
+        results[n] = _encounter(fc_a, fc_b, a_sample, b_sample, d, at)
 
 
 def _encounter(fc_a, fc_b, a_sample, b_sample, distance_m, forecast_at) -> CollisionForecast:

@@ -28,7 +28,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.actors import Actor, ActorContext
-from repro.events.collision import DenseTrack, densify, intersect_pairs
+from repro.events.collision import densify_many, intersect_pairs
 from repro.events.proximity import ProximityDetector
 from repro.events.vtff import IndirectVTFF
 from repro.models.base import RouteForecast
@@ -119,15 +119,21 @@ class ProximityCellTable(_CellTable):
                 del self.cells[cell]
 
 
+def _entry(forecast: RouteForecast, track=None) -> list:
+    """A collision-cell member: the forecast, its densified track (``None``
+    until densified) and its identity ``(mmsi, anchor time)``."""
+    return [forecast, track, (forecast.mmsi, forecast.anchor.t)]
+
+
 class CollisionCellRouter(_CellTable):
     """Every local collision cell, in one table.
 
     ``cells`` maps a cell to its members: a bare :class:`RouteForecast` while
     one vessel occupies it (most cells of a dilated fan-out never see a
-    second), else a dict ``mmsi -> (forecast, densified track)`` in
-    first-arrival order, each MMSI holding its latest forecast. The cells are
-    keyed, sharded and checkpointed entities like any other; they only have
-    no actor, so a share costs no envelope per cell. Alerts go to the pair's
+    second), else a dict ``mmsi -> entry`` (:func:`_entry`) in first-arrival
+    order, each MMSI holding its latest forecast. The cells are keyed,
+    sharded and checkpointed entities like any other; they only have no
+    actor, so a share costs no envelope per cell. Alerts go to the pair's
     owner vessel, as every hit does.
     """
 
@@ -152,48 +158,66 @@ class CollisionCellRouter(_CellTable):
         The walk is row by row: each row's cells in iteration order, and each
         cell's members in insertion order, pairing the newcomer once with
         each distinct member forecast of another MMSI, a forecast being its
-        ``(mmsi, anchor time)``. A pair meeting in k cells is one test and at
-        most one alert, also when the cells were restored separately. A
-        forecast is densified once, and only if it meets anyone."""
+        ``(mmsi, anchor time)``. A cell the newcomer finds empty, or holding
+        the own forecast it met last, costs one lookup and one identity test.
+        A pair meeting in k cells is one test and at most one alert, also
+        when the cells were restored separately. A member is an entry
+        ``[forecast, track, (mmsi, anchor time)]``, shared by every cell it
+        joins in the flush; the forecasts that meet anyone are densified
+        after the walk, in one array pass."""
         pairs, owners, k = [], [], -1
+        # Entries whose track is still to be densified.
+        pending: list[list] = []
         with self._lock:
             table = self.cells
+            get = table.get
             for k, (cells, forecast) in enumerate(rows):
                 mmsi = forecast.mmsi
-                track = None
-                # (mmsi, anchor time) -> its track, for the member forecasts already met.
-                met: dict[tuple, DenseTrack] = {}
+                # The cells the newcomer finds empty, or holding the forecast
+                # of its own met last, take it on one identity test each.
+                own = entry = None
                 for cell in cells:
-                    members = table.get(cell)
-                    if members is None:
+                    members = get(cell, own)
+                    if members is own:
                         table[cell] = forecast
                         continue
-                    if not isinstance(members, dict):
+                    if members.__class__ is not dict:
                         if members.mmsi == mmsi:
+                            own = members
                             table[cell] = forecast
                             continue
-                        held = met.get((members.mmsi, members.anchor.t))
-                        held = densify(members) if held is None else held
-                        members = table[cell] = {members.mmsi: (members, held)}
-                    if track is None:
-                        track = densify(forecast)
-                    for other_mmsi, (other, other_track) in members.items():
-                        if other_mmsi == mmsi:
+                        if entry is None:
+                            entry, seen = _entry(forecast), {}
+                            pending.append(entry)
+                        other = _entry(members)
+                        held = seen.get(other[2])
+                        if held is not None and held[0] is members:
+                            other = held
+                        else:
+                            pending.append(other)
+                        members = table[cell] = {members.mmsi: other}
+                    elif entry is None:
+                        entry, seen = _entry(forecast), {}
+                        pending.append(entry)
+                    for other_mmsi, other in members.items():
+                        if other_mmsi == mmsi or other[2] in seen:
                             continue
-                        key = (other_mmsi, other.anchor.t)
-                        if key in met:
-                            continue
-                        met[key] = other_track
-                        pairs.append((forecast, track, other, other_track))
+                        seen[other[2]] = other
+                        pairs.append((entry, other))
                         owners.append(k)
-                    members[mmsi] = (forecast, track)
+                    members[mmsi] = entry
         tests = [0] * (k + 1)
         alerts: list[list] = [[] for _ in tests]
-        # Default thresholds: 2 minutes, 500 m (Section 5.2).
-        for k, hit in zip(owners, intersect_pairs(pairs)):
-            tests[k] += 1
-            if hit is not None:
-                alerts[k].append(hit)
+        # A flush that met no one (most received one-row shares) tests nothing.
+        if pairs:
+            for entry, track in zip(pending, densify_many([entry[0] for entry in pending])):
+                entry[1] = track
+            # Default thresholds: 2 minutes, 500 m (Section 5.2).
+            tested = intersect_pairs([(a[0], a[1], b[0], b[1]) for a, b in pairs])
+            for k, hit in zip(owners, tested):
+                tests[k] += 1
+                if hit is not None:
+                    alerts[k].append(hit)
 
         def emit(k: int) -> None:
             self.pair_tests += tests[k]
@@ -223,7 +247,7 @@ class CollisionCellRouter(_CellTable):
                 if len(fresh) > 1:
                     changed[cell] = fresh
                 elif fresh:
-                    ((changed[cell], _),) = fresh.values()
+                    ((changed[cell], *_),) = fresh.values()
                 else:
                     changed[cell] = None
             for cell, members in changed.items():
@@ -245,7 +269,10 @@ class CollisionCellRouter(_CellTable):
             if len(forecasts) == 1:
                 self.cells[key] = forecasts[0]
             else:
-                self.cells[key] = {fc.mmsi: (fc, densify(fc)) for fc in forecasts}
+                tracks = densify_many(forecasts)
+                self.cells[key] = {
+                    fc.mmsi: _entry(fc, track) for fc, track in zip(forecasts, tracks)
+                }
 
     def cell_state(self, key: Any) -> dict | None:
         """Checkpoint and handoff view of one cell, ``{"forecasts": {mmsi:
@@ -254,7 +281,7 @@ class CollisionCellRouter(_CellTable):
         if members is None:
             return None
         if isinstance(members, dict):
-            return {"forecasts": {m: forecast for m, (forecast, _) in members.items()}}
+            return {"forecasts": {m: entry[0] for m, entry in members.items()}}
         return {"forecasts": {members.mmsi: members}}
 
 

@@ -169,7 +169,9 @@ class WriterActor(Actor):
             forecast = update.forecast
             if forecast is not None:
                 anchor = forecast.anchor
-                marks = zip(forecast.ts[1:].tolist(), forecast.lats[1:], forecast.lons[1:])
+                marks = zip(
+                    forecast.ts[1:].tolist(), forecast.lats[1:].tolist(), forecast.lons[1:].tolist()
+                )
                 snapshot["forecast"] = [(anchor.t, anchor.lat, anchor.lon), *marks]
             kv.hmset(f"vessel:{update.mmsi}", snapshot)
             kv.zadd("vessels:last_seen", update.t, str(update.mmsi))

@@ -20,7 +20,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import asyncio
 
@@ -63,12 +63,15 @@ class HttpRequest:
         return out
 
     def wants_websocket(self) -> bool:
-        return (self.headers.get("upgrade", "").lower() == "websocket"
-                and "sec-websocket-key" in self.headers)
+        return (
+            self.headers.get("upgrade", "").lower() == "websocket"
+            and "sec-websocket-key" in self.headers
+        )
 
 
-async def read_http_request(reader: asyncio.StreamReader,
-                            max_bytes: int = 16384) -> HttpRequest | None:
+async def read_http_request(
+    reader: asyncio.StreamReader, max_bytes: int = 16384
+) -> HttpRequest | None:
     """Parse one request head; ``None`` on clean EOF before any byte."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -96,16 +99,27 @@ async def read_http_request(reader: asyncio.StreamReader,
     return HttpRequest(method=method, target=target, headers=headers)
 
 
-def http_response(status: int, body: bytes, content_type: str,
-                  extra_headers: dict[str, str] | None = None,
-                  keep_alive: bool = True) -> bytes:
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed", 426: "Upgrade Required",
-              500: "Internal Server Error"}.get(status, "OK")
-    lines = [f"HTTP/1.1 {status} {reason}",
-             f"Content-Type: {content_type}",
-             f"Content-Length: {len(body)}",
-             "Connection: " + ("keep-alive" if keep_alive else "close")]
+def http_response(
+    status: int,
+    body: bytes,
+    content_type: str,
+    extra_headers: dict[str, str] | None = None,
+    keep_alive: bool = True,
+) -> bytes:
+    reason = {
+        200: "OK",
+        400: "Bad Request",
+        404: "Not Found",
+        405: "Method Not Allowed",
+        426: "Upgrade Required",
+        500: "Internal Server Error",
+    }.get(status, "OK")
+    lines = [
+        f"HTTP/1.1 {status} {reason}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        "Connection: " + ("keep-alive" if keep_alive else "close"),
+    ]
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
@@ -128,23 +142,27 @@ def websocket_handshake_response(request: HttpRequest) -> bytes:
     key = request.headers.get("sec-websocket-key", "")
     if not key:
         raise ProtocolError("missing Sec-WebSocket-Key")
-    return ("HTTP/1.1 101 Switching Protocols\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Accept: {websocket_accept_key(key)}\r\n"
-            "\r\n").encode("latin-1")
+    return (
+        "HTTP/1.1 101 Switching Protocols\r\n"
+        "Upgrade: websocket\r\n"
+        "Connection: Upgrade\r\n"
+        f"Sec-WebSocket-Accept: {websocket_accept_key(key)}\r\n"
+        "\r\n"
+    ).encode("latin-1")
 
 
 def websocket_client_handshake(host: str, path: str) -> tuple[bytes, str]:
     """The client's upgrade request plus the key it must verify."""
     key = base64.b64encode(os.urandom(16)).decode()
-    request = (f"GET {path} HTTP/1.1\r\n"
-               f"Host: {host}\r\n"
-               "Upgrade: websocket\r\n"
-               "Connection: Upgrade\r\n"
-               f"Sec-WebSocket-Key: {key}\r\n"
-               "Sec-WebSocket-Version: 13\r\n"
-               "\r\n").encode("latin-1")
+    request = (
+        f"GET {path} HTTP/1.1\r\n"
+        f"Host: {host}\r\n"
+        "Upgrade: websocket\r\n"
+        "Connection: Upgrade\r\n"
+        f"Sec-WebSocket-Key: {key}\r\n"
+        "Sec-WebSocket-Version: 13\r\n"
+        "\r\n"
+    ).encode("latin-1")
     return request, key
 
 
@@ -177,8 +195,9 @@ def encode_text(message: str, mask: bool = False) -> bytes:
     return encode_frame(OP_TEXT, message.encode(), mask=mask)
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     max_payload: int = 1 << 20) -> tuple[int, bytes]:
+async def read_frame(
+    reader: asyncio.StreamReader, max_payload: int = 1 << 20
+) -> tuple[int, bytes]:
     """Read one complete frame; returns ``(opcode, payload)``. Raises
     ``IncompleteReadError`` on EOF mid-frame, ``ProtocolError`` on
     malformed input."""
@@ -218,7 +237,13 @@ class WebSocket:
 
     def send_text(self, message: str) -> None:
         """Queue one text frame (call ``drain`` for backpressure)."""
-        self.writer.write(encode_text(message, mask=self.is_client))
+        self.send_texts((message,))
+
+    def send_texts(self, messages: Iterable[str]) -> None:
+        """Queue one text frame per message, in order, with one transport
+        write: the bytes of ``send_text`` called on each."""
+        mask = self.is_client
+        self.writer.write(b"".join([encode_text(message, mask) for message in messages]))
 
     def send_json(self, payload: Any) -> None:
         self.send_text(json.dumps(payload, separators=(",", ":")))
@@ -231,14 +256,12 @@ class WebSocket:
         Control frames are handled inline (ping -> pong, close -> reply)."""
         while True:
             try:
-                opcode, payload = await read_frame(
-                    self.reader, max_payload=self.max_payload)
+                opcode, payload = await read_frame(self.reader, max_payload=self.max_payload)
             except (asyncio.IncompleteReadError, ConnectionError):
                 self.closed = True
                 return None
             if opcode == OP_PING:
-                self.writer.write(encode_frame(OP_PONG, payload,
-                                               mask=self.is_client))
+                self.writer.write(encode_frame(OP_PONG, payload, mask=self.is_client))
                 continue
             if opcode == OP_PONG:
                 continue
@@ -246,8 +269,7 @@ class WebSocket:
                 if not self.closed:
                     self.closed = True
                     try:
-                        self.writer.write(encode_frame(
-                            OP_CLOSE, payload, mask=self.is_client))
+                        self.writer.write(encode_frame(OP_CLOSE, payload, mask=self.is_client))
                         await self.writer.drain()
                     except ConnectionError:
                         pass
@@ -267,8 +289,7 @@ class WebSocket:
         if not self.closed:
             self.closed = True
             try:
-                self.writer.write(encode_frame(OP_CLOSE, b"",
-                                               mask=self.is_client))
+                self.writer.write(encode_frame(OP_CLOSE, b"", mask=self.is_client))
                 await self.writer.drain()
             except ConnectionError:
                 pass
@@ -279,8 +300,9 @@ class WebSocket:
             pass
 
 
-async def connect_websocket(host: str, port: int, path: str = "/ws",
-                            max_payload: int = 1 << 20) -> WebSocket:
+async def connect_websocket(
+    host: str, port: int, path: str = "/ws", max_payload: int = 1 << 20
+) -> WebSocket:
     """Open and handshake a client WebSocket connection."""
     reader, writer = await asyncio.open_connection(host, port)
     request, key = websocket_client_handshake(f"{host}:{port}", path)

@@ -22,7 +22,7 @@ freshest state always gets through).
 Wall time is only read through the injectable ``clock`` default (the
 AST audit in ``tests/cluster/test_virtual_clock.py`` covers this
 module); push latency histograms measure clock() at dispatch entry to
-clock() at frame write.
+clock() at the write of the frame's batch.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ DEFAULT_RESOLUTION = 6
 MAX_KRING_K = 8
 #: Largest WebSocket frame payload accepted from a client.
 MAX_FRAME_BYTES = 1 << 20
+#: ``json.dumps(value, separators=(",", ":"))`` without building an encoder per call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ClientSession:
@@ -193,7 +195,7 @@ class ServingServer:
             return
         self._c_matches.inc(len(matched) + len(track_sids or ()))
         # Serialize the body once; per-subscriber frames differ only in sid.
-        body = json.dumps({"type": "state", "state": state, "ts": ts}, separators=(",", ":"))[1:]
+        body = _compact_json({"type": "state", "state": state, "ts": ts})[1:]
         for sid in matched:
             self._push_to(self._subs[sid][0], sid, body, ts)
         for sid in track_sids or ():
@@ -205,9 +207,8 @@ class ServingServer:
         if not sids:
             return
         self._c_matches.inc(len(sids))
-        body = json.dumps(
-            {"type": "event", "kind": kind, "event": event["payload"], "t": event["t"], "ts": ts},
-            separators=(",", ":"),
+        body = _compact_json(
+            {"type": "event", "kind": kind, "event": event["payload"], "t": event["t"], "ts": ts}
         )[1:]
         for sid in sids:
             self._push_to(self._subs[sid][0], sid, body, ts)
@@ -544,7 +545,8 @@ class ServingServer:
         await session.ws.close()
 
     async def _send_loop(self, session: ClientSession) -> None:
-        """Drain the session's bounded queue onto the socket."""
+        """Drain the session's bounded queue onto the socket: everything
+        queued at a wake-up leaves in one transport write."""
         queue = session.queue
         ws = session.ws
         try:
@@ -553,25 +555,24 @@ class ServingServer:
                 session.wakeup.clear()
                 if session.closed:
                     return
-                # Counted before the writes: a client that has read a frame
+                if not queue:
+                    continue
+                # Counted before the write: a client that has read a frame
                 # (on another thread, say) must find it in ``pushes_total``.
                 # Nothing on this loop can push while the batch goes out.
-                if queue:
-                    self._c_pushes.inc(len(queue))
-                while queue:
-                    if session.dropped > session.reported_dropped:
-                        # Surface the overflow counter before newer data.
-                        session.reported_dropped = session.dropped
-                        ws.send_text(
-                            json.dumps(
-                                {"op": "overflow", "dropped": session.dropped},
-                                separators=(",", ":"),
-                            )
-                        )
-                    text, ts = queue.popleft()
-                    ws.send_text(text)
-                    if ts is not None:
-                        self._h_push_latency.observe(self._clock() - ts)
+                self._c_pushes.inc(len(queue))
+                texts = []
+                if session.dropped > session.reported_dropped:
+                    # Surface the overflow counter before newer data.
+                    session.reported_dropped = session.dropped
+                    texts.append(_compact_json({"op": "overflow", "dropped": session.dropped}))
+                stamps = [ts for text, ts in queue if ts is not None]
+                texts += [text for text, _ in queue]
+                queue.clear()
+                ws.send_texts(texts)
+                now = self._clock()
+                for ts in stamps:
+                    self._h_push_latency.observe(now - ts)
                 await ws.drain()
         except (ConnectionError, asyncio.CancelledError):
             session.closed = True

@@ -342,8 +342,11 @@ def fault_free_dumps(transport_batching: bool) -> list[dict]:
 #: bucket (event payloads, ``event_flags`` strings, ``events:all`` scores);
 #: record counts and encounter identities held. Re-recorded when the store
 #: snapshot lost its always-empty ``expiry`` map: this is the digest of the
-#: ``data`` part of the stores recorded before.
-UNBATCHED_DIGEST = "fcefb17c65fd0a89ddc6906ddcf458c25c73d2ef56cc8f93eec8ecc941df7b22"
+#: ``data`` part of the stores recorded before. Re-recorded when the writer
+#: began storing a forecast's positions as ``float`` rather than
+#: ``np.float64``: the digest reprs each value, and the stores recorded before,
+#: with their numpy scalars read as floats, digest to this one.
+UNBATCHED_DIGEST = "0ea8f83e15983d11bff3204fae0a47a80da96f4ae4cfd022c21f340b62523656"
 
 
 @pytest.mark.parametrize("transport_batching", [False, True])

@@ -6,8 +6,10 @@ forecasts (a message, an envelope, a decoded state) through
 :func:`comparable`, which compares each track bitwise.
 
 :func:`reference_intersect` is the collision pair test one pair at a time,
-the oracle of the batched kernel ``intersect_pairs``; :func:`hit_bits`
-compares two results field by field in ``float.hex``.
+the oracle of the batched kernel ``intersect_pairs``, and
+:func:`reference_densify` the per-forecast resampling, the oracle of the
+batched ``densify_many``; :func:`hit_bits` compares two results field by
+field in ``float.hex``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,24 @@ def comparable(value: Any) -> Any:
     if isinstance(value, dict):
         return (dict, tuple((comparable(k), comparable(v)) for k, v in value.items()))
     return value
+
+
+def reference_densify(fc: RouteForecast, step_s: float = 30.0) -> DenseTrack:
+    """``densify`` as it ran one forecast at a time: ``np.arange`` sample
+    times and ``np.interp`` of the marks, a segment across the antimeridian
+    unwrapped first and its samples wrapped back into [-180, 180)."""
+    ts, lats, lons = fc.ts, fc.lats, fc.lons
+    dense_t = np.arange(ts[0], ts[-1] + step_s / 2.0, step_s)
+    marks = lons.tolist()
+    crossing = any(abs(b - a) > 180.0 for a, b in zip(marks, marks[1:]))
+    if crossing:
+        lons = np.unwrap(lons, period=360.0)
+    dense_lon = np.interp(dense_t, ts, lons)
+    if crossing:
+        outside = (dense_lon < -180.0) | (dense_lon >= 180.0)
+        dense_lon[outside] = (dense_lon[outside] + 180.0) % 360.0 - 180.0
+    data = np.array([dense_t, np.interp(dense_t, ts, lats), dense_lon])
+    return DenseTrack(data, float(np.add.reduce(data[1])) / data.shape[1], step_s)
 
 
 def reference_intersect(

@@ -188,11 +188,11 @@ def test_kv_dump_matches_forecasts_built_from_positions(aegean, make):
                 platform.process_available()
             dumps.append(repr(platform.kvstore.snapshot_state()))
             row = platform.kvstore.hgetall(f"vessel:{aegean[-1].mmsi}")["forecast"]
+            served = platform.api.vessel_forecast(aegean[-1].mmsi)
         finally:
             platform.shutdown()
     assert "collision" in dumps[0] and dumps[0] == dumps[1]
-    # The stored row keeps the old scalar types: the anchor's floats, then
-    # float times and np.float64 positions.
-    assert [tuple(map(type, mark)) for mark in row] == [(float, float, float)] + 6 * [
-        (float, np.float64, np.float64)
-    ]
+    # The stored row and the served forecast hold plain floats only: no numpy
+    # scalar reaches a journal entry, a snapshot or a push.
+    assert [tuple(map(type, mark)) for mark in row] == 7 * [(float, float, float)]
+    assert [tuple(map(type, mark)) for mark in served] == 7 * [(float, float, float)]

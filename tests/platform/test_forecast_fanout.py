@@ -17,9 +17,11 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ais.datasets import proximity_scenario
 from repro.cluster import codec
 from repro.cluster.protocol import ShardedBatch, WireEnvelope
 from repro.events.collision import densify, trajectories_intersect
@@ -131,6 +133,61 @@ class PerCellReference:
                 del self.cells[cell]
 
 
+class WalkReference:
+    """The collision table as it walked before the batched share: a newcomer
+    densified at the first shared cell it meets, a bare member when a
+    newcomer first meets it, and each distinct member forecast tested with
+    the per-pair oracle when the walk meets it. ``share`` returns each row's
+    results in test order."""
+
+    def __init__(self, max_age_s: float = PlatformConfig().event_debounce_s) -> None:
+        self.cells: dict = {}
+        self.max_age_s = max_age_s
+
+    def share(self, rows) -> list[list]:
+        out = []
+        for cells, forecast in rows:
+            mmsi, track, met, results = forecast.mmsi, None, {}, []
+            for cell in cells:
+                members = self.cells.get(cell)
+                if members is None:
+                    self.cells[cell] = forecast
+                    continue
+                if not isinstance(members, dict):
+                    if members.mmsi == mmsi:
+                        self.cells[cell] = forecast
+                        continue
+                    held = met.get((members.mmsi, members.anchor.t))
+                    held = densify(members) if held is None else held
+                    members = self.cells[cell] = {members.mmsi: (members, held)}
+                if track is None:
+                    track = densify(forecast)
+                for other_mmsi, (other, other_track) in members.items():
+                    key = (other_mmsi, other.anchor.t)
+                    if other_mmsi != mmsi and key not in met:
+                        met[key] = other_track
+                        results.append(reference_intersect(forecast, track, other, other_track))
+                members[mmsi] = (forecast, track)
+            out.append(results)
+        return out
+
+    def prune(self, now: float) -> None:
+        for cell, members in list(self.cells.items()):
+            if not isinstance(members, dict):
+                if now - members.anchor.t > self.max_age_s:
+                    del self.cells[cell]
+                continue
+            fresh = {
+                m: kept for m, kept in members.items() if now - kept[0].anchor.t <= self.max_age_s
+            }
+            if len(fresh) > 1:
+                self.cells[cell] = fresh
+            elif fresh:
+                ((self.cells[cell], _),) = fresh.values()
+            else:
+                del self.cells[cell]
+
+
 def assert_cells_match(reference_cells: dict, state_of, same=id) -> None:
     """Per cell the table holds the reference's members: the same
     forecast objects (``same=id``; a remote cell holds decoded copies, so
@@ -194,6 +251,64 @@ def test_flush_deliveries_match_the_scalar_reference():
     assert_cells_match(reference.cells, table.cell_state)
     assert platform.flow_snapshot().grid._vessels == reference_flow(FLUSH)
     platform.shutdown()
+
+
+@pytest.fixture(scope="module")
+def recorded_run():
+    """The collision table's inputs, in order, from a platform streaming the
+    Aegean proximity scenario: each flush's rows and each prune; and the
+    pair tests the live table counted."""
+    scenario = proximity_scenario(
+        n_event_pairs=4, n_near_miss_pairs=2, n_background=2, duration_s=3_600.0
+    )
+    messages = sorted(scenario.result.messages, key=lambda m: m.t)
+    platform = Platform(forecaster=LinearKinematicModel(), config=PlatformConfig())
+    table = platform.wiring.collision_cells
+    ops, share_rows, prune = [], table.share_rows, table.prune
+
+    def recording_share(rows):
+        rows = [(list(cells), forecast) for cells, forecast in rows]
+        ops.append(("share", rows))
+        return share_rows(rows)
+
+    def recording_prune(now):
+        ops.append(("prune", now))
+        prune(now)
+
+    table.share_rows, table.prune = recording_share, recording_prune
+    try:
+        for i in range(0, len(messages), 500):
+            platform.publish_messages(messages[i : i + 500])
+            platform.process_available()
+        return ops, table.pair_tests
+    finally:
+        platform.shutdown()
+
+
+def test_a_recorded_run_shares_as_the_walk_did(recorded_run):
+    """Replayed flush by flush, a recorded run's shares send the walk
+    reference's alerts, bit for bit, in its order, and count its pair tests
+    row by row: batching the densify and the pre-tests of the kernel changed
+    no decision."""
+    ops, live_tests = recorded_run
+    table, log = bare_table()
+    reference = WalkReference()
+    for op, arg in ops:
+        if op == "prune":
+            table.prune(arg)
+            reference.prune(arg)
+            continue
+        emit = table.share_rows(arg)
+        for k, results in enumerate(reference.share(arg)):
+            tests, sent = table.pair_tests, len(log.alerts)
+            emit(k)
+            assert table.pair_tests - tests == len(results)
+            assert [hit_bits(hit) for hit in log.alerts[sent:]] == [
+                hit_bits(hit) for hit in results if hit is not None
+            ]
+    assert table.pair_tests == live_tests
+    assert len(log.alerts) > 10 and table.pair_tests > len(log.alerts)
+    assert set(table.known_keys()) == set(reference.cells)
 
 
 def test_stats_report_the_tables_pair_tests():
